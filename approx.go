@@ -36,34 +36,6 @@ func (g *Graph) EstimateWedges(samples int, seed int64) (estimate float64, err e
 	return approx.WedgeSample(csr, samples, seed)
 }
 
-// EstimateDoulion estimates the triangle count of the store at base with
-// Doulion edge sparsification.
-//
-// Deprecated: one-shot wrapper. Use Open and (*Graph).EstimateDoulion,
-// which caches the in-memory graph across estimates.
-func EstimateDoulion(base string, p float64, seed int64) (estimate float64, err error) {
-	g, err := loadCSR(base)
-	if err != nil {
-		return 0, err
-	}
-	est, _, err := approx.Doulion(g, p, seed)
-	return est, err
-}
-
-// EstimateWedges estimates the triangle count of the store at base by
-// sampling `samples` uniform wedges and scaling their closure rate by the
-// total wedge count over three.
-//
-// Deprecated: one-shot wrapper. Use Open and (*Graph).EstimateWedges,
-// which caches the in-memory graph across estimates.
-func EstimateWedges(base string, samples int, seed int64) (estimate float64, err error) {
-	g, err := loadCSR(base)
-	if err != nil {
-		return 0, err
-	}
-	return approx.WedgeSample(g, samples, seed)
-}
-
 func loadCSR(base string) (*graph.CSR, error) {
 	d, err := graph.Open(base)
 	if err != nil {

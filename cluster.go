@@ -32,7 +32,7 @@ type ClusterOptions struct {
 	// "shared", "mem"); see Options.ScanSource.
 	ScanSource string
 	// Kernel selects every node's intersection kernel ("merge", "gallop",
-	// "adaptive"); see Options.Kernel.
+	// "adaptive", "compressed", "cover"); see Options.Kernel.
 	Kernel string
 	// Sched selects the chunk scheduler: "static" (or empty — the paper's
 	// up-front pre-split of the global plan across nodes) or "stealing"
@@ -318,20 +318,6 @@ func clusterResultFrom(cres *cluster.Result) *ClusterResult {
 		res.Nodes = append(res.Nodes, ns)
 	}
 	return res
-}
-
-// CountDistributed runs the full PDTL protocol on the store at base.
-//
-// Deprecated: one-shot wrapper. Use Open and (*Graph).CountDistributed,
-// which reuses the cached orientation across runs and accepts a
-// context.Context for cancellation.
-func CountDistributed(base string, workerAddrs []string, opt ClusterOptions) (*ClusterResult, error) {
-	g, err := Open(base)
-	if err != nil {
-		return nil, err
-	}
-	defer g.Close()
-	return g.CountDistributed(context.Background(), workerAddrs, opt)
 }
 
 // WorkerServer is a running PDTL worker node.

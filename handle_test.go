@@ -226,7 +226,7 @@ func TestHandleListWriter(t *testing.T) {
 	}
 }
 
-// TestListConcurrentSamePath runs two legacy List calls on the same output
+// TestListConcurrentSamePath runs two ListFile calls on the same output
 // path at once. With the old predictable %s.partN temp names the part files
 // clobbered each other; with os.CreateTemp parts they cannot, and both runs
 // produce the complete, exact listing.
@@ -237,7 +237,7 @@ func TestListConcurrentSamePath(t *testing.T) {
 	}
 	base := tempStore(t, g6, "tg")
 	// Pre-orient so the two runs do not race on writing the oriented store.
-	if _, err := Count(base, Options{Workers: 1, MemEdges: 1 << 12}); err != nil {
+	if _, err := openStore(t, base).Count(context.Background(), Options{Workers: 1, MemEdges: 1 << 12}); err != nil {
 		t.Fatal(err)
 	}
 	oriented := base + ".oriented"
@@ -248,7 +248,14 @@ func TestListConcurrentSamePath(t *testing.T) {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			_, errs[slot] = List(oriented, out, Options{Workers: 2, MemEdges: 32})
+			// One handle per run, as two independent callers would hold.
+			g, err := Open(oriented)
+			if err != nil {
+				errs[slot] = err
+				return
+			}
+			defer g.Close()
+			_, errs[slot] = g.ListFile(context.Background(), out, Options{Workers: 2, MemEdges: 32})
 		}(i)
 	}
 	wg.Wait()

@@ -5,6 +5,10 @@
 // close their own server mid-call — the in-process equivalent of
 // SIGKILLing a pdtl-worker (the CI fault-injection job does the real
 // thing).
+//
+// Every scenario runs under both schedules through one table (TestChaos):
+// the single driver has one failure path, and the table is what shows it
+// behaves the same whether the dispenser pre-assigns or lets nodes steal.
 
 package cluster
 
@@ -15,7 +19,9 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,6 +41,7 @@ type chaosNode struct {
 	srv         atomic.Pointer[Server]
 	killAtCount int64
 	killAtChunk int64
+	atChunk     func() // non-nil: runs at the killAtChunk-th chunk instead of the kill
 	counts      atomic.Int64
 	chunks      atomic.Int64
 	hangCount   chan struct{} // non-nil: Count (and subsequent Pings) block until closed
@@ -62,7 +69,11 @@ func (c *chaosNode) Count(args *CountArgs, reply *CountReply) error {
 
 func (c *chaosNode) GraphChunk(args *ChunkArgs, reply *struct{}) error {
 	if n := c.chunks.Add(1); c.killAtChunk > 0 && n == c.killAtChunk {
-		c.kill()
+		if c.atChunk != nil {
+			c.atChunk()
+		} else {
+			c.kill()
+		}
 	}
 	return c.Node.GraphChunk(args, reply)
 }
@@ -117,306 +128,334 @@ func normalizeListing(t *testing.T, path string) [][3]uint32 {
 	return tris
 }
 
-// chaosFixture builds the shared baseline: a skewed graph, its exact
-// count, and a single-node listing to compare recovered runs against.
-func chaosFixture(t *testing.T, name string) (base string, want uint64, ref [][3]uint32, dir string) {
+// chaosFixture is what the scenarios of one schedule share: a skewed graph,
+// its exact count, a single-node reference listing, and the run
+// configuration. Under stealing a remote node only ever sees a batch if the
+// master is still draining when its replica lands (on a small box the
+// in-process workers join late, starved by the master's compute), so that
+// fixture is sized — tiny memory budget, many chunks — to keep the master
+// busy for many times the join latency; scenarios that need the fault to
+// fire mid-calculation additionally retry with a fresh cluster until it did.
+type chaosFixture struct {
+	cfg  Config
+	want uint64
+	ref  [][3]uint32
+	dir  string
+}
+
+func newChaosFixture(t *testing.T, mode sched.Mode) *chaosFixture {
 	t.Helper()
-	g, err := gen.RMAT(11, 8, 21)
+	scale, seed := uint(11), int64(21)
+	cfg := Config{Workers: 2, MemEdges: 256}
+	if mode == sched.Stealing {
+		scale, seed = 12, 29
+		cfg = Config{Workers: 1, MemEdges: 32, Sched: sched.Stealing, Chunks: 32}
+	}
+	g, err := gen.RMAT(scale, 8, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = baseline.Forward(g)
-	base = writeStore(t, g, name)
-	dir = t.TempDir()
-	refPath := filepath.Join(dir, "ref.bin")
+	fx := &chaosFixture{cfg: cfg, want: baseline.Forward(g), dir: t.TempDir()}
+	fx.cfg.GraphBase = writeStore(t, g, "chaos-"+mode.String())
+	refPath := filepath.Join(fx.dir, "ref.bin")
 	res, err := Run(context.Background(), Config{
-		GraphBase: base, Workers: 2, MemEdges: 256, List: true, ListPath: refPath,
+		GraphBase: fx.cfg.GraphBase, Workers: 2, MemEdges: 4096, List: true, ListPath: refPath,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Triangles != want {
-		t.Fatalf("single-node baseline = %d, want %d", res.Triangles, want)
+	if res.Triangles != fx.want {
+		t.Fatalf("single-node baseline = %d, want %d", res.Triangles, fx.want)
 	}
-	return base, want, normalizeListing(t, refPath), dir
+	fx.ref = normalizeListing(t, refPath)
+	return fx
 }
 
-func assertChaosRun(t *testing.T, res *Result, err error, want uint64, ref [][3]uint32, listPath, chaosAddr string) {
+// listing returns the fixture's configuration with listing into a fresh
+// file.
+func (fx *chaosFixture) listing(name string) Config {
+	cfg := fx.cfg
+	cfg.List, cfg.ListPath = true, filepath.Join(fx.dir, name)
+	return cfg
+}
+
+// runChecked is Run plus the leak check every chaos run gets: once the run
+// has returned (and release, if any, has unwedged what the scenario wedged)
+// the goroutine count must come back to its pre-run level — no driver,
+// heartbeat, or RPC reader may outlive Run, however the run ended.
+func runChecked(t *testing.T, ctx context.Context, cfg Config, addrs []string, release func()) (*Result, error) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	res, err := Run(ctx, cfg, addrs)
+	if release != nil {
+		release()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("goroutines leaked: %d after the run, %d before\n%s", n, before, buf[:runtime.Stack(buf, true)])
+	}
+	return res, err
+}
+
+// assertExact checks a (possibly degraded) run against the fixture: exact
+// count and, when it listed, the same order-normalized triangle set.
+func (fx *chaosFixture) assertExact(t *testing.T, res *Result, err error, cfg Config) {
 	t.Helper()
 	if err != nil {
-		t.Fatalf("run with killed worker failed: %v", err)
+		t.Fatalf("run with a failing worker failed: %v", err)
 	}
-	if res.Triangles != want {
-		t.Errorf("triangles = %d, want %d", res.Triangles, want)
+	if res.Triangles != fx.want {
+		t.Errorf("triangles = %d, want %d", res.Triangles, fx.want)
 	}
-	got := normalizeListing(t, listPath)
-	if len(got) != len(ref) {
-		t.Fatalf("recovered run listed %d triangles, baseline %d", len(got), len(ref))
+	if !cfg.List {
+		return
+	}
+	got := normalizeListing(t, cfg.ListPath)
+	if len(got) != len(fx.ref) {
+		t.Fatalf("recovered run listed %d triangles, baseline %d", len(got), len(fx.ref))
 	}
 	for i := range got {
-		if got[i] != ref[i] {
-			t.Fatalf("normalized listings diverge at %d: %v vs %v", i, got[i], ref[i])
+		if got[i] != fx.ref[i] {
+			t.Fatalf("normalized listings diverge at %d: %v vs %v", i, got[i], fx.ref[i])
 		}
 	}
-	found := false
+}
+
+// failuresOf returns the failure-log entries naming addr, checking each is
+// complete; a lost worker must have at least one.
+func failuresOf(t *testing.T, res *Result, addr string) []Failure {
+	t.Helper()
+	var fs []Failure
 	for _, f := range res.Failures {
-		if f.Addr == chaosAddr {
-			found = true
+		if f.Addr == addr {
+			fs = append(fs, f)
 			if f.Err == "" || f.Time.IsZero() {
 				t.Errorf("failure entry incomplete: %+v", f)
 			}
 		}
 	}
-	if !found {
-		t.Errorf("killed worker %s missing from Result.Failures: %+v", chaosAddr, res.Failures)
+	if len(fs) == 0 {
+		t.Errorf("lost worker %s missing from Result.Failures: %+v", addr, res.Failures)
+	}
+	return fs
+}
+
+// assertTrafficCounted: the replica bytes pushed to a node that later died
+// crossed the master's uplink all the same, so Theorem IV.3's traffic
+// figure may never be below the per-node copy volumes.
+func assertTrafficCounted(t *testing.T, res *Result) {
+	t.Helper()
+	var copied int64
+	for _, n := range res.Nodes {
+		copied += n.CopyBytes
+	}
+	if res.NetworkBytes < copied {
+		t.Errorf("NetworkBytes = %d, below the %d replica bytes sent", res.NetworkBytes, copied)
 	}
 }
 
-// TestChaosStaticWorkerKilledMidCalc kills one of three workers during its
-// Count (static mode sends each node exactly one, so the kill is
-// deterministic): the node's whole range group must be re-split across the
-// survivors and the run must match the single-node baseline exactly.
-func TestChaosStaticWorkerKilledMidCalc(t *testing.T) {
-	base, want, ref, dir := chaosFixture(t, "chaos-static")
-	lc := startCluster(t, 2)
-	chaos := &chaosNode{Node: NewNode("chaos", t.TempDir(), 0), killAtCount: 1}
-	chaosAddr := startChaosWorker(t, chaos)
-	addrs := []string{lc.Addrs()[0], chaosAddr, lc.Addrs()[1]}
+// chaosAttempts bounds the retries of scenarios whose fault only fires if
+// the chaos worker is handed a batch (always, under static).
+const chaosAttempts = 5
 
-	listPath := filepath.Join(dir, "static.bin")
-	res, err := Run(context.Background(), Config{
-		GraphBase: base, Workers: 2, MemEdges: 256, List: true, ListPath: listPath,
-	}, addrs)
-	assertChaosRun(t, res, err, want, ref, listPath, chaosAddr)
-	if chaos.counts.Load() == 0 {
-		t.Error("chaos worker never received its Count — kill did not happen mid-calculation")
-	}
-	// A mid-calculation death is attributed to the node's work unit, not
-	// reported as a pre-calculation (dial/copy) failure.
-	for _, f := range res.Failures {
-		if f.Addr == chaosAddr && (f.Chunk < 0 || f.Ranges == 0) {
-			t.Errorf("mid-calculation failure misattributed: %+v", f)
-		}
-	}
-	// The static listing is not just set-equal but byte-identical to a
-	// healthy distributed run: segments are assembled by global plan
-	// index, which recovery preserves.
-	healthyPath := filepath.Join(dir, "healthy.bin")
-	lc2 := startCluster(t, 3)
-	if _, err := Run(context.Background(), Config{
-		GraphBase: base, Workers: 2, MemEdges: 256, List: true, ListPath: healthyPath,
-	}, lc2.Addrs()); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(listPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(healthyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Error("recovered static listing is not byte-identical to the healthy run's")
-	}
-}
-
-// TestChaosStaticWorkerKilledMidCopy kills the worker while its replica is
-// still streaming: the copy RPC fails, the node is declared lost before it
-// computed anything, and its group is recovered.
-func TestChaosStaticWorkerKilledMidCopy(t *testing.T) {
-	base, want, ref, dir := chaosFixture(t, "chaos-copy")
-	lc := startCluster(t, 2)
-	chaos := &chaosNode{Node: NewNode("chaos", t.TempDir(), 0), killAtChunk: 3}
-	chaosAddr := startChaosWorker(t, chaos)
-	addrs := []string{chaosAddr, lc.Addrs()[0], lc.Addrs()[1]}
-
-	listPath := filepath.Join(dir, "copychaos.bin")
-	res, err := Run(context.Background(), Config{
-		GraphBase: base, Workers: 2, MemEdges: 256,
-		ChunkBytes: 4096, // many chunks, so chunk 3 is mid-copy
-		List:       true, ListPath: listPath,
-	}, addrs)
-	assertChaosRun(t, res, err, want, ref, listPath, chaosAddr)
-	// A mid-copy death held no work yet: pre-calculation attribution.
-	for _, f := range res.Failures {
-		if f.Addr == chaosAddr && f.Chunk != -1 {
-			t.Errorf("mid-copy failure misattributed to a work unit: %+v", f)
-		}
-	}
-}
-
-// TestChaosStealingWorkerKilled kills a worker on its first chunk batch:
-// the batch must be requeued (with the dead node excluded) and drained by
-// the survivors, and the chunk-indexed listing must still match the
-// baseline. Batch dispatch to a remote node races the master's own drain
-// (on a single-CPU box the in-process workers join late, starved by the
-// master's compute), so the graph and memory budget are sized to keep the
-// master busy for many times the join latency — and the test retries with
-// a fresh cluster until the kill actually fired mid-calculation.
-func TestChaosStealingWorkerKilled(t *testing.T) {
-	g, err := gen.RMAT(13, 8, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := baseline.Forward(g)
-	base := writeStore(t, g, "chaos-steal")
-	dir := t.TempDir()
-	refPath := filepath.Join(dir, "ref.bin")
-	if _, err := Run(context.Background(), Config{
-		GraphBase: base, Workers: 2, MemEdges: 4096, List: true, ListPath: refPath,
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	ref := normalizeListing(t, refPath)
-
-	for attempt := 0; attempt < 5; attempt++ {
+var chaosScenarios = []struct {
+	name string
+	run  func(t *testing.T, fx *chaosFixture)
+}{
+	// The worker dies while its replica is still streaming: the copy RPC
+	// fails, the node is declared lost before it held any work, and under
+	// static its pre-assigned group is released to the survivors.
+	{"kill mid-copy", func(t *testing.T, fx *chaosFixture) {
 		lc := startCluster(t, 2)
-		chaos := &chaosNode{Node: NewNode("chaos", t.TempDir(), 0), killAtCount: 1}
+		chaos := &chaosNode{Node: NewNode("chaos", t.TempDir(), 0), killAtChunk: 3}
 		chaosAddr := startChaosWorker(t, chaos)
-		addrs := []string{lc.Addrs()[0], chaosAddr, lc.Addrs()[1]}
-
-		listPath := filepath.Join(dir, fmt.Sprintf("steal%d.bin", attempt))
-		// Tiny memory budget and many chunks: every chunk needs many
-		// passes over the adjacency file, so the master is still busy
-		// draining when the workers' replicas land and they start pulling.
-		res, err := Run(context.Background(), Config{
-			GraphBase: base, Workers: 1, MemEdges: 32,
-			Sched: sched.Stealing, Chunks: 32,
-			List: true, ListPath: listPath,
-		}, addrs)
-		if err != nil {
-			t.Fatalf("attempt %d: %v", attempt, err)
-		}
-		if res.Triangles != want {
-			t.Fatalf("attempt %d: triangles = %d, want %d", attempt, res.Triangles, want)
-		}
-		got := normalizeListing(t, listPath)
-		if len(got) != len(ref) {
-			t.Fatalf("attempt %d: listed %d triangles, baseline %d", attempt, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("attempt %d: listings diverge at %d", attempt, i)
+		cfg := fx.listing("midcopy.bin")
+		cfg.ChunkBytes = 4096 // many chunks, so chunk 3 is mid-copy
+		res, err := runChecked(t, context.Background(), cfg, []string{chaosAddr, lc.Addrs()[0], lc.Addrs()[1]}, nil)
+		fx.assertExact(t, res, err, cfg)
+		for _, f := range failuresOf(t, res, chaosAddr) {
+			if f.Chunk != -1 {
+				t.Errorf("mid-copy failure misattributed to a work unit: %+v", f)
 			}
 		}
+		assertTrafficCounted(t, res)
+	}},
+	// The worker dies on its first Count: the batch is requeued with the
+	// dead node excluded and drained by a survivor, attributed to its plan
+	// index, and the listing — assembled by global plan index, which
+	// recovery preserves — is byte-identical to a healthy run's.
+	{"kill mid-calc", func(t *testing.T, fx *chaosFixture) {
+		for attempt := 0; attempt < chaosAttempts; attempt++ {
+			lc := startCluster(t, 2)
+			chaos := &chaosNode{Node: NewNode("chaos", t.TempDir(), 0), killAtCount: 1}
+			chaosAddr := startChaosWorker(t, chaos)
+			cfg := fx.listing(fmt.Sprintf("midcalc%d.bin", attempt))
+			res, err := runChecked(t, context.Background(), cfg, []string{lc.Addrs()[0], chaosAddr, lc.Addrs()[1]}, nil)
+			fx.assertExact(t, res, err, cfg)
+			lc.Close()
+			if chaos.counts.Load() == 0 {
+				continue // the master drained everything before the worker joined
+			}
+			for _, f := range failuresOf(t, res, chaosAddr) {
+				if f.Chunk < 0 || f.Ranges == 0 {
+					t.Errorf("mid-calculation failure misattributed: %+v", f)
+				}
+			}
+			assertTrafficCounted(t, res)
+
+			// The healthy run doubles as the static schedule's dispatch
+			// pin: one Count per remote node, no more.
+			healthy := fx.listing("healthy.bin")
+			var addrs []string
+			var nodes []*chaosNode
+			for i := 0; i < 3; i++ {
+				n := &chaosNode{Node: NewNode(fmt.Sprintf("h%d", i), t.TempDir(), 0)}
+				nodes = append(nodes, n)
+				addrs = append(addrs, startChaosWorker(t, n))
+			}
+			if _, err := runChecked(t, context.Background(), healthy, addrs, nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range nodes {
+				if c := n.counts.Load(); fx.cfg.Sched == sched.Static && c != 1 {
+					t.Errorf("healthy static run sent node %s %d Counts, want exactly 1", n.name, c)
+				}
+			}
+			a, err := os.ReadFile(cfg.ListPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(healthy.ListPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Error("recovered listing is not byte-identical to the healthy run's")
+			}
+			return
+		}
+		t.Fatalf("chaos worker never received a batch in %d attempts", chaosAttempts)
+	}},
+	// The worker wedges — its Count and every later Ping block forever
+	// while the TCP connection stays healthy, the failure mode only the
+	// heartbeat can see. The master must declare the node dead after the
+	// missed heartbeats, reassign its batch, and finish.
+	{"wedged worker", func(t *testing.T, fx *chaosFixture) {
+		for attempt := 0; attempt < chaosAttempts; attempt++ {
+			hang := make(chan struct{})
+			lc := startCluster(t, 1)
+			chaos := &chaosNode{Node: NewNode("chaos", t.TempDir(), 0), hangCount: hang}
+			chaosAddr := startChaosWorker(t, chaos)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			cfg := fx.cfg
+			cfg.HeartbeatInterval = 50 * time.Millisecond
+			res, err := runChecked(t, ctx, cfg, []string{lc.Addrs()[0], chaosAddr}, func() { close(hang) })
+			fx.assertExact(t, res, err, cfg)
+			lc.Close()
+			if chaos.counts.Load() == 0 {
+				continue
+			}
+			failuresOf(t, res, chaosAddr)
+			return
+		}
+		t.Fatalf("chaos worker never received a batch in %d attempts", chaosAttempts)
+	}},
+	// Every remote node unreachable: the master, the executor of last
+	// resort, must still complete the run exactly.
+	{"all workers dead", func(t *testing.T, fx *chaosFixture) {
+		g, err := gen.TriGrid(6, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc := startCluster(t, 3)
+		addrs := lc.Addrs()
 		lc.Close()
-		if chaos.counts.Load() == 0 {
-			continue // master drained everything before the worker joined
-		}
-		// The kill fired mid-batch: the requeued batch must be visible in
-		// the failure log with its global chunk index.
-		found := false
-		for _, f := range res.Failures {
-			if f.Addr == chaosAddr && f.Chunk >= 0 {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("killed worker's batch missing from Failures: %+v", res.Failures)
-		}
-		return
-	}
-	t.Fatal("chaos worker never received a batch in 5 attempts")
-}
-
-// TestChaosHeartbeatDetectsWedgedWorker wedges a worker — its Count and
-// every later Ping block forever while the TCP connection stays healthy,
-// the failure mode only the heartbeat can see. The master must declare the
-// node dead after the missed heartbeats, reassign its group, and finish.
-func TestChaosHeartbeatDetectsWedgedWorker(t *testing.T) {
-	g, err := gen.RMAT(10, 8, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := baseline.Forward(g)
-	base := writeStore(t, g, "chaos-wedge")
-
-	hang := make(chan struct{})
-	t.Cleanup(func() { close(hang) })
-	lc := startCluster(t, 1)
-	chaos := &chaosNode{Node: NewNode("chaos", t.TempDir(), 0), hangCount: hang}
-	chaosAddr := startChaosWorker(t, chaos)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	res, err := Run(ctx, Config{
-		GraphBase: base, Workers: 2, MemEdges: 256,
-		HeartbeatInterval: 50 * time.Millisecond,
-	}, []string{lc.Addrs()[0], chaosAddr})
-	if err != nil {
-		t.Fatalf("run with wedged worker failed: %v", err)
-	}
-	if res.Triangles != want {
-		t.Errorf("triangles = %d, want %d", res.Triangles, want)
-	}
-	found := false
-	for _, f := range res.Failures {
-		if f.Addr == chaosAddr {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("wedged worker missing from Failures: %+v", res.Failures)
-	}
-}
-
-// TestChaosAllWorkersDead: every remote node unreachable — the master-local
-// last resort must still complete the run exactly, in both modes.
-func TestChaosAllWorkersDead(t *testing.T) {
-	g, err := gen.TriGrid(6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := gen.TriGridTriangles(6, 6)
-	base := writeStore(t, g, "chaos-alldead")
-	lc := startCluster(t, 3)
-	addrs := lc.Addrs()
-	lc.Close()
-	for _, mode := range []sched.Mode{sched.Static, sched.Stealing} {
-		res, err := Run(context.Background(), Config{
-			GraphBase: base, Workers: 2, MemEdges: 64, Sched: mode,
-		}, addrs)
+		res, err := runChecked(t, context.Background(), Config{
+			GraphBase: writeStore(t, g, "chaos-alldead"), Workers: 2, MemEdges: 64, Sched: fx.cfg.Sched,
+		}, addrs, nil)
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatal(err)
 		}
-		if res.Triangles != want {
-			t.Errorf("%v: triangles = %d, want %d", mode, res.Triangles, want)
+		if want := gen.TriGridTriangles(6, 6); res.Triangles != want {
+			t.Errorf("triangles = %d, want %d", res.Triangles, want)
 		}
 		if len(res.Failures) < 3 {
-			t.Errorf("%v: %d failures recorded, want one per dead node", mode, len(res.Failures))
+			t.Errorf("%d failures recorded, want one per dead node", len(res.Failures))
 		}
-	}
+	}},
+	// Two workers that each die on their first Count, and a budget of one
+	// reassignment: the retry count travels with the batch, so if the
+	// second worker is the one to claim the first's batch the run must fail
+	// and name it. Whether it does, or the master claims the batch first
+	// and the run succeeds, depends on scheduling; what must never happen
+	// is a wrong count or a hang.
+	{"retry budget exhausted", func(t *testing.T, fx *chaosFixture) {
+		g, err := gen.Complete(12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chaosA := &chaosNode{Node: NewNode("chaosA", t.TempDir(), 0), killAtCount: 1}
+		chaosB := &chaosNode{Node: NewNode("chaosB", t.TempDir(), 0), killAtCount: 1}
+		res, err := runChecked(t, context.Background(), Config{
+			GraphBase: writeStore(t, g, "chaos-budget"), Workers: 1, MemEdges: 32,
+			Sched: fx.cfg.Sched, Chunks: 8, MaxRetries: 1,
+		}, []string{startChaosWorker(t, chaosA), startChaosWorker(t, chaosB)}, nil)
+		if err == nil && res.Triangles != gen.CompleteTriangles(12) {
+			t.Errorf("triangles = %d, want %d", res.Triangles, gen.CompleteTriangles(12))
+		}
+	}},
+	// Recovery disabled (MaxRetries < 0): the pre-fault-tolerance fail-fast
+	// behavior returns, and with several dead nodes the error names all of
+	// them (errors.Join), not just the first.
+	{"fail-fast", func(t *testing.T, fx *chaosFixture) {
+		g, err := gen.Complete(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc := startCluster(t, 2)
+		addrs := lc.Addrs()
+		lc.Close()
+		_, err = runChecked(t, context.Background(), Config{
+			GraphBase: writeStore(t, g, "chaos-failfast"), Workers: 1, MemEdges: 16,
+			Sched: fx.cfg.Sched, MaxRetries: -1,
+		}, addrs, nil)
+		if err == nil {
+			t.Fatal("want error with two dead nodes and recovery disabled")
+		}
+		for _, addr := range addrs {
+			if !strings.Contains(err.Error(), addr) {
+				t.Errorf("joined error %q does not name dead node %s", err, addr)
+			}
+		}
+	}},
+	// Cancellation lands mid-run — the replica is streaming, the master's
+	// own engine is computing: Run must return the bare ctx error and leave
+	// nothing behind.
+	{"cancelled mid-run", func(t *testing.T, fx *chaosFixture) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		chaos := &chaosNode{Node: NewNode("chaos", t.TempDir(), 0), killAtChunk: 2, atChunk: cancel}
+		cfg := fx.cfg
+		cfg.ChunkBytes = 4096
+		if _, err := runChecked(t, ctx, cfg, []string{startChaosWorker(t, chaos)}, nil); err != context.Canceled {
+			t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+		}
+	}},
 }
 
-// TestChaosRetryBudgetExhausted: with MaxRetries 1 and two nodes that die
-// on the same reassigned work, the run must abort with the joined errors
-// rather than loop forever.
-func TestChaosRetryBudgetExhausted(t *testing.T) {
-	g, err := gen.Complete(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := writeStore(t, g, "chaos-budget")
-	// Both remote workers die on their first Count; with MaxRetries 1 the
-	// second death of the same group exceeds the budget... unless the
-	// master absorbed it first. Force the master out of the survivor pool
-	// is impossible — so instead verify the bound via the stealing driver,
-	// where the retry count travels with the batch: chaos A fails batch
-	// (retries 0→1), chaos B claims it and fails (retries 1→2 > 1) → the
-	// run must fail and name the batch.
-	chaosA := &chaosNode{Node: NewNode("chaosA", t.TempDir(), 0), killAtCount: 1}
-	chaosB := &chaosNode{Node: NewNode("chaosB", t.TempDir(), 0), killAtCount: 1}
-	addrA := startChaosWorker(t, chaosA)
-	addrB := startChaosWorker(t, chaosB)
-	res, err := Run(context.Background(), Config{
-		GraphBase: base, Workers: 1, MemEdges: 32,
-		Sched: sched.Stealing, Chunks: 8, MaxRetries: 1,
-	}, []string{addrA, addrB})
-	// Whether the run fails (budget exhausted) or succeeds (the master
-	// swept the batch before the second chaos node claimed it) depends on
-	// scheduling; what must never happen is a wrong count or a hang.
-	if err == nil && res.Triangles != gen.CompleteTriangles(12) {
-		t.Errorf("triangles = %d, want %d", res.Triangles, gen.CompleteTriangles(12))
+// TestChaos runs every failure scenario under both schedules.
+func TestChaos(t *testing.T) {
+	for _, mode := range []sched.Mode{sched.Static, sched.Stealing} {
+		t.Run(mode.String(), func(t *testing.T) {
+			fx := newChaosFixture(t, mode)
+			for _, sc := range chaosScenarios {
+				t.Run(sc.name, func(t *testing.T) { sc.run(t, fx) })
+			}
+		})
 	}
 }

@@ -247,13 +247,3 @@ type nodeError struct {
 
 func (e *nodeError) Error() string { return "cluster: " + e.op + " " + e.addr + ": " + e.err.Error() }
 func (e *nodeError) Unwrap() error { return e.err }
-
-// calcFailure tags an error as having occurred during a node's
-// calculation phase — after its replica landed. The static triage uses
-// the tag to attribute the failure to the node's work unit (its plan
-// index and range count) instead of logging it as a pre-calculation
-// dial/copy failure.
-type calcFailure struct{ err error }
-
-func (e *calcFailure) Error() string { return e.err.Error() }
-func (e *calcFailure) Unwrap() error { return e.err }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -20,7 +19,6 @@ import (
 	"pdtl/internal/core"
 	"pdtl/internal/graph"
 	"pdtl/internal/ioacct"
-	"pdtl/internal/mgt"
 	"pdtl/internal/obs"
 	"pdtl/internal/orient"
 	"pdtl/internal/scan"
@@ -145,8 +143,11 @@ type NodeResult struct {
 	CopyTime time.Duration
 	// CopyBytes is the replica volume sent.
 	CopyBytes int64
-	// CalcTime is the node's calculation wall time; the run's CalcTime is
-	// the max over nodes (the "struggler" rule of Section V-E3).
+	// CalcTime is the node's busy time: the summed wall of the batches it
+	// executed, measured by its driver on the master — for a remote node
+	// each Count RPC, reply transfer included. Copying, and idling on the
+	// dispenser for work that never came, are excluded. The run's CalcTime
+	// is the max over nodes (the "struggler" rule of Section V-E3).
 	CalcTime time.Duration
 	// Triangles found by this node.
 	Triangles uint64
@@ -214,22 +215,6 @@ func workID(runID string, start int) string {
 	return runID + "/" + strconv.Itoa(start)
 }
 
-// foldNode merges a recovery execution's results into the executing node's
-// accounting: counters and I/O sum, per-worker stats fold by index, and
-// CalcTime accumulates the node's additional busy period.
-func foldNode(dst *NodeResult, nr *NodeResult) {
-	if dst.Name == "" {
-		dst.Name = nr.Name
-	}
-	if dst.Addr == "" {
-		dst.Addr = nr.Addr
-	}
-	dst.Triangles += nr.Triangles
-	dst.Workers = foldWorkerStats(dst.Workers, nr.Workers)
-	dst.SourceIO = dst.SourceIO.Add(nr.SourceIO)
-	dst.CalcTime += nr.CalcTime
-}
-
 // cancelDrainTimeout bounds how long a cancelled master waits for a
 // worker's aborted Count RPC to drain; a wedged worker must not keep a
 // cancelled master alive (closing the client kills the pending calls).
@@ -239,18 +224,26 @@ const cancelDrainTimeout = 10 * time.Second
 // 0 and one client per address in workerAddrs. With no addresses it
 // degrades to a purely local run through the same code path.
 //
+// The protocol is one loop under either schedule (Section IV-B): orient,
+// plan, then one driver goroutine per node that readies its node (the
+// remote ones dial, replicate, and start the heartbeat; the master's own
+// slot is ready at once) and executes the batches the dispenser hands it,
+// and finally one fold of counts and one concatenation of listings.
+// Config.Sched only picks the plan, the dispenser policy, and the engine each
+// dispatch runs.
+//
 // Worker failure mid-run is survived, not fatal (DESIGN.md §9): a crashed,
 // partitioned, or wedged node is detected (TCP error, or the heartbeat
-// closing a silent connection) and its unfinished work is reassigned — a
-// stealing batch goes back to the dispenser with the dead node excluded, a
-// static range group is re-split across the surviving replicas, and the
-// master itself is the last resort — bounded by Config.MaxRetries
-// reassignments per work unit. The exact count and the deterministic
-// listing are unaffected, because work is keyed by global plan index and
-// assembled exactly once; the detected failures are reported in
-// Result.Failures. A run only fails when the retry budget is exhausted,
-// the master's own engine errors, or ctx is cancelled — and then the
-// error joins every node's failure rather than reporting just the first.
+// closing a silent connection), its batch goes back to the dispenser with
+// the dead node excluded, and whichever surviving driver is idle first
+// claims it — the master's own driver never exits while a batch is out, so
+// it is the executor of last resort — bounded by Config.MaxRetries
+// reassignments per batch. The exact count and the deterministic listing
+// are unaffected, because work is keyed by global plan index and assembled
+// exactly once; the detected failures are reported in Result.Failures. A
+// run only fails when the retry budget is exhausted, the master's own
+// engine errors, or ctx is cancelled — and then the error joins every
+// node's failure rather than reporting just the first.
 //
 // Cancelling ctx aborts the whole protocol: the master's own runners stop
 // within one memory window, in-flight graph copies stop at the next chunk,
@@ -302,428 +295,221 @@ func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error)
 	}
 	res.OrientedBase = orientedBase
 
-	var runErr error
-	if cfg.Sched == sched.Stealing {
-		runErr = runStealing(ctx, cfg, d, orientedBase, workerAddrs, res)
-	} else {
-		runErr = runStatic(ctx, cfg, d, orientedBase, workerAddrs, res)
+	nodes := 1 + len(workerAddrs)
+	r := &run{
+		cfg:     cfg,
+		base:    orientedBase,
+		format:  d.Meta.Format,
+		runID:   newRunID(cfg.GraphName),
+		limiter: NewLimiter(cfg.UplinkBytesPerSec),
+		flog:    &failureLog{log: cfg.Log},
+		args: CountArgs{
+			GraphName: cfg.GraphName,
+			MemEdges:  cfg.MemEdges,
+			BufBytes:  cfg.BufBytes,
+			Scan:      string(cfg.Scan),
+			Kernel:    string(cfg.Kernel),
+			List:      cfg.List,
+		},
 	}
-	if runErr != nil {
-		return nil, runErr
+	// The schedule: the one place the two modes differ. Static is the
+	// paper's N·P-range plan pre-split across nodes, each group handed to
+	// its own slot and run one runner per range; stealing cuts the plan
+	// into Chunks·N·P weighted chunks that every driver draws in batches of
+	// P, run by a pool of P runners — a node that finishes its batch pulls
+	// the next one, and the master participates through the same dispenser,
+	// so its relative speed is accounted for automatically.
+	psp := cur.Begin(obs.SpanPlan)
+	var err error
+	if cfg.Sched == sched.Stealing {
+		r.args.Sched, r.args.Workers = sched.Stealing.String(), cfg.Workers
+		if res.Plan, err = core.PlanChunks(d, orientedBase, nodes*cfg.Workers, cfg.Chunks, cfg.Strategy); err == nil {
+			r.disp = sched.NewDispenser(res.Plan.Ranges)
+		}
+	} else if res.Plan, err = core.Plan(d, orientedBase, nodes*cfg.Workers, cfg.Strategy); err == nil {
+		r.disp = sched.NewPreassigned(res.Plan.Subdivide(nodes))
+	}
+	cur.End(psp)
+	if err != nil {
+		return nil, err
+	}
+
+	// One driver per node, all concurrent: the master "starts the triangle
+	// counting operations before the network transfer has finished", and a
+	// remote node joins the drain as soon as its copy lands.
+	res.Nodes = make([]NodeResult, nodes)
+	execs := make([]executor, nodes)
+	res.Nodes[0], execs[0] = NodeResult{Name: "master", Addr: "local"}, localExec{d}
+	for i, addr := range workerAddrs {
+		res.Nodes[i+1], execs[i+1] = NodeResult{Addr: addr}, &remoteExec{run: r, slot: i + 1}
+	}
+	errs := make([]error, nodes)
+	var wg sync.WaitGroup
+	for slot := range execs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[slot] = r.drive(ctx, slot, execs[slot], &res.Nodes[slot]); errs[slot] != nil {
+				// The run is lost: the healthy nodes must not keep
+				// computing the rest of the plan.
+				r.disp.Stop()
+			}
+		}()
+	}
+	wg.Wait()
+	// A cancelled protocol reports the bare ctx.Err(), whichever node
+	// surfaced the cancellation first.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	// Exactly-once, checked: the master's driver is never excluded from a
+	// batch and only returns once nothing is out, so nothing can be left.
+	if left := r.disp.Remaining(); left > 0 {
+		return nil, fmt.Errorf("cluster: %d plan ranges were never executed", left)
+	}
+
+	// Fold. A lost node's completed batches still count — that is the whole
+	// point of index-keyed, exactly-once assembly — and so do the replica
+	// bytes pushed to it: even a failed copy crossed the master's uplink.
+	res.Failures = r.flog.list()
+	for _, n := range res.Nodes {
+		res.Triangles += n.Triangles
+		res.NetworkBytes += n.CopyBytes
+		res.CalcTime = max(res.CalcTime, n.CalcTime)
+	}
+	if cfg.List {
+		sort.Slice(r.segs, func(i, j int) bool { return r.segs[i].start < r.segs[j].start })
+		ordered := make([][]byte, len(r.segs))
+		for i, s := range r.segs {
+			ordered[i] = s.data
+			if s.slot != 0 {
+				res.NetworkBytes += int64(len(s.data))
+			}
+		}
+		if err := writeTriples(cfg.ListPath, ordered); err != nil {
+			return nil, err
+		}
 	}
 	res.TotalTime = time.Since(start)
 	return res, nil
 }
 
-// workItem is one unit of reassignable static work: a contiguous slice of
-// the global plan, identified by the index of its first range. retries is
-// how many times the unit has been reassigned so far.
-type workItem struct {
-	start   int
-	ranges  []balance.Range
-	retries int
+// run is the state one Run's drivers share.
+type run struct {
+	cfg     Config
+	base    string       // the oriented store being replicated
+	format  graph.Format // its encoding, which decides the files a copy streams
+	runID   string
+	disp    *sched.Dispenser
+	limiter *Limiter
+	flog    *failureLog
+	// args is the per-dispatch template: everything of a Count request but
+	// the batch itself (RunID, Ranges, TraceSpan).
+	args CountArgs
+
+	segMu sync.Mutex
+	segs  []tripleSeg
 }
 
-// splitWork cuts a work item's ranges into k contiguous parts (some may be
-// empty), each keeping its global start index — so the parts' listing
-// segments reassemble in exactly the order the original node would have
-// produced.
-func splitWork(start int, ranges []balance.Range, k int) []workItem {
-	parts := make([]workItem, k)
-	n := len(ranges)
-	for i := 0; i < k; i++ {
-		lo, hi := n*i/k, n*(i+1)/k
-		parts[i] = workItem{start: start + lo, ranges: ranges[lo:hi]}
-	}
-	return parts
-}
-
-// runStatic is the paper's protocol: the global N·P-range plan is
-// pre-split across nodes up front, one Count RPC per node. A node that
-// fails — dial, copy, or mid-calculation — no longer kills the run: its
-// range group is re-split across the surviving nodes (whose replicas are
-// already in place) plus the master, with master-local execution as the
-// last resort when no remote survives, bounded by cfg.MaxRetries
-// reassignments per work unit.
-func runStatic(ctx context.Context, cfg Config, d *graph.Disk, orientedBase string, workerAddrs []string, res *Result) error {
-	nodes := 1 + len(workerAddrs)
-	cur := obs.CursorFrom(ctx)
-	psp := cur.Begin(obs.SpanPlan)
-	plan, err := core.Plan(d, orientedBase, nodes*cfg.Workers, cfg.Strategy)
-	cur.End(psp)
-	if err != nil {
-		return err
-	}
-	res.Plan = plan
-	groups := plan.Subdivide(nodes)
-	// starts[i] is the global plan index of groups[i][0]: every listing
-	// segment — original or recovered — is tagged with its global start,
-	// so assembly in start order reproduces the static listing bytes no
-	// matter which node executed which piece.
-	starts := make([]int, nodes)
-	for i := 1; i < nodes; i++ {
-		starts[i] = starts[i-1] + len(groups[i-1])
-	}
-
-	limiter := NewLimiter(cfg.UplinkBytesPerSec)
-	runID := newRunID(cfg.GraphName)
-	flog := &failureLog{log: cfg.Log}
-	res.Nodes = make([]NodeResult, nodes)
-	res.Nodes[0] = NodeResult{Name: "master", Addr: "local"}
-	for i, addr := range workerAddrs {
-		res.Nodes[i+1] = NodeResult{Addr: addr}
-	}
-	errs := make([]error, nodes)
-	var segMu sync.Mutex
-	var segs []tripleSeg
-	addSeg := func(start int, data []byte) {
-		if !cfg.List {
-			return
-		}
-		segMu.Lock()
-		segs = append(segs, tripleSeg{start: start, data: data})
-		segMu.Unlock()
-	}
-	var totalTriangles atomic.Uint64
-	var netBytes atomic.Int64
-
-	var wg sync.WaitGroup
-	// Clients: copy, then count. The master "starts the triangle counting
-	// operations before the network transfer has finished" — all nodes run
-	// concurrently with the copies.
-	for i, addr := range workerAddrs {
-		wg.Add(1)
-		go func(slot int, addr string, ranges []balance.Range) {
-			defer wg.Done()
-			nr, tp, err := runRemote(ctx, cfg, runID, orientedBase, addr, starts[slot], ranges, limiter)
-			if err != nil {
-				if nr != nil {
-					// Keep the handshake name and partial copy accounting
-					// so the failure log identifies the node and the
-					// degraded run's report stays honest.
-					res.Nodes[slot] = *nr
-				}
-				errs[slot] = err
-				return
-			}
-			res.Nodes[slot] = *nr
-			addSeg(starts[slot], tp)
-			totalTriangles.Add(nr.Triangles)
-			netBytes.Add(nr.CopyBytes + int64(len(tp)))
-		}(i+1, addr, groups[i+1])
-	}
-	// Master's own share (node 0), concurrent with the copies.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		nr, tp, err := runLocal(ctx, cfg, d, groups[0])
-		if err != nil {
-			errs[0] = err
-			return
-		}
-		res.Nodes[0] = *nr
-		addSeg(starts[0], tp)
-		totalTriangles.Add(nr.Triangles)
-	}()
-	wg.Wait()
-	// A cancelled protocol reports the bare ctx.Err(), whichever node
-	// surfaced the cancellation first.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	// Triage: the master's own engine error is fatal (there is no more
-	// reliable executor to fall back to); every remote failure becomes a
-	// reassignable work item — unless recovery is disabled, in which case
-	// all node errors are reported together instead of just the first.
-	var fatal []error
-	if errs[0] != nil {
-		fatal = append(fatal, errs[0])
-	}
-	var queue []workItem
-	var survivors []int
-	for slot := 1; slot < nodes; slot++ {
-		if errs[slot] == nil {
-			survivors = append(survivors, slot)
-			continue
-		}
-		// A calculation-phase failure is attributed to the node's work
-		// unit; a dial/handshake/copy failure happened before the node
-		// held any work (Chunk -1, Ranges 0).
-		chunk, ranges := -1, 0
-		var cf *calcFailure
-		if errors.As(errs[slot], &cf) {
-			chunk, ranges = starts[slot], len(groups[slot])
-		}
-		flog.add(Failure{
-			Node: res.Nodes[slot].Name, Addr: workerAddrs[slot-1], Slot: slot,
-			Chunk: chunk, Ranges: ranges, Err: errs[slot].Error(),
-		})
-		if cfg.MaxRetries <= 0 {
-			fatal = append(fatal, errs[slot])
-			continue
-		}
-		queue = append(queue, workItem{start: starts[slot], ranges: groups[slot], retries: 1})
-	}
-
-	// Recovery rounds: each lost group is re-split across the healthy
-	// executors — every surviving remote (replica already in place, so no
-	// copy is paid again) plus the master itself. With no remote survivor
-	// the whole item runs master-local, the last resort. A survivor that
-	// fails during recovery is retired and its part is requeued with a
-	// bumped retry count, up to cfg.MaxRetries reassignments per unit.
-	for len(queue) > 0 && len(fatal) == 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		item := queue[0]
-		queue = queue[1:]
-		execs := append([]int{0}, survivors...)
-		parts := splitWork(item.start, item.ranges, len(execs))
-		pErrs := make([]error, len(parts))
-		var pwg sync.WaitGroup
-		for pi := range parts {
-			if len(parts[pi].ranges) == 0 {
-				continue
-			}
-			pwg.Add(1)
-			go func(pi, slot int, part workItem) {
-				defer pwg.Done()
-				var nr *NodeResult
-				var tp []byte
-				var err error
-				if slot == 0 {
-					nr, tp, err = runLocal(ctx, cfg, d, part.ranges)
-				} else {
-					nr, tp, err = recoverRemote(ctx, cfg, runID, workerAddrs[slot-1], part.start, part.ranges)
-				}
-				if err != nil {
-					pErrs[pi] = err
-					return
-				}
-				foldNode(&res.Nodes[slot], nr)
-				addSeg(part.start, tp)
-				totalTriangles.Add(nr.Triangles)
-				if slot != 0 {
-					netBytes.Add(int64(len(tp)))
-				}
-			}(pi, execs[pi], parts[pi])
-		}
-		pwg.Wait()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for pi, perr := range pErrs {
-			if perr == nil {
-				continue
-			}
-			slot := execs[pi]
-			if slot == 0 {
-				fatal = append(fatal, perr)
-				continue
-			}
-			flog.add(Failure{
-				Node: res.Nodes[slot].Name, Addr: workerAddrs[slot-1], Slot: slot,
-				Chunk: parts[pi].start, Ranges: len(parts[pi].ranges),
-				Retries: item.retries, Err: perr.Error(),
-			})
-			for si, s := range survivors {
-				if s == slot {
-					survivors = append(survivors[:si], survivors[si+1:]...)
-					break
-				}
-			}
-			if item.retries+1 > cfg.MaxRetries {
-				fatal = append(fatal, fmt.Errorf("cluster: ranges at plan index %d abandoned after %d reassignments: %w",
-					parts[pi].start, item.retries, perr))
-				continue
-			}
-			queue = append(queue, workItem{start: parts[pi].start, ranges: parts[pi].ranges, retries: item.retries + 1})
-		}
-	}
-	res.Failures = flog.list()
-	if len(fatal) > 0 {
-		return errors.Join(fatal...)
-	}
-
-	res.Triangles = totalTriangles.Load()
-	res.NetworkBytes = netBytes.Load()
-	for _, n := range res.Nodes {
-		if n.CalcTime > res.CalcTime {
-			res.CalcTime = n.CalcTime
-		}
-	}
-	if cfg.List {
-		sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
-		ordered := make([][]byte, len(segs))
-		for i, s := range segs {
-			ordered[i] = s.data
-		}
-		if err := writeTriples(cfg.ListPath, ordered); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// tripleSeg is one batch's listing bytes, tagged with the global index of
-// the batch's first chunk so the master can concatenate segments in chunk
-// order — the stealing analog of "concatenating the triangle listing
-// (sequentially)". Chunk-ordered assembly makes the distributed listing
-// deterministic even though batch→node assignment is not.
+// tripleSeg is one batch's listing bytes, tagged with the global plan index
+// of the batch's first range so the master can concatenate segments in plan
+// order — "concatenating the triangle listing (sequentially)". Index-ordered
+// assembly makes the distributed listing deterministic even though
+// batch→node assignment (under stealing, or after a failure) is not.
 type tripleSeg struct {
 	start int
+	slot  int
 	data  []byte
 }
 
-// runStealing drives the work-stealing protocol: the global plan is cut
-// into Chunks·N·P weighted chunks and every node's driver goroutine pulls
-// batches of P chunks from the shared dispenser until it is drained — a
-// node that finishes early pulls more work instead of idling behind the
-// inter-machine struggler. Node 0 (the master itself) participates through
-// the same dispenser, so its relative speed is accounted for automatically.
+// executor is how a driver reaches its node: the master's own engine for
+// slot 0, the RPC client for the rest.
+type executor interface {
+	// join readies the node to count, recording who it is and what its
+	// replica cost in nr. An error means the node is lost before it held
+	// any work.
+	join(ctx context.Context, nr *NodeResult) error
+	// count executes one batch; retries is how often the batch has been
+	// reassigned so far.
+	count(ctx context.Context, args *CountArgs, start, retries int) (*CountReply, error)
+	close()
+}
+
+// drive is one node's driver: ready the node, then execute the batches the
+// dispenser hands this slot until none can come anymore, folding every
+// completed batch into nr.
 //
-// Node failure is absorbed, not fatal: a driver that loses its node
-// requeues the in-flight batch (with the dead node excluded) and exits —
-// the batches it completed before dying stand, because every batch is
-// keyed by its global chunk index and was taken exactly once. Survivors
-// drain the requeued work through the ordinary NextBatch path; work that
-// lands after every driver has exited is swept up master-local. Only
-// exhausting cfg.MaxRetries reassignments on one batch, a master-local
-// engine error, or cancellation abort the run.
-func runStealing(ctx context.Context, cfg Config, d *graph.Disk, orientedBase string, workerAddrs []string, res *Result) error {
-	nodes := 1 + len(workerAddrs)
-	cur := obs.CursorFrom(ctx)
-	psp := cur.Begin(obs.SpanPlan)
-	plan, err := core.PlanChunks(d, orientedBase, nodes*cfg.Workers, cfg.Chunks, cfg.Strategy)
-	cur.End(psp)
-	if err != nil {
-		return err
-	}
-	res.Plan = plan
-	disp := sched.NewDispenser(plan.Ranges)
-
-	limiter := NewLimiter(cfg.UplinkBytesPerSec)
-	runID := newRunID(cfg.GraphName)
-	flog := &failureLog{log: cfg.Log}
-	res.Nodes = make([]NodeResult, nodes)
-	res.Nodes[0] = NodeResult{Name: "master", Addr: "local"}
-	for i, addr := range workerAddrs {
-		res.Nodes[i+1] = NodeResult{Addr: addr}
-	}
-	segs := make([][]tripleSeg, nodes)
-	errs := make([]error, nodes)
-	var totalTriangles atomic.Uint64
-	var netBytes atomic.Int64
-
-	var wg sync.WaitGroup
-	for i, addr := range workerAddrs {
-		wg.Add(1)
-		go func(slot int, addr string) {
-			defer wg.Done()
-			nr, sg, err := driveRemote(ctx, cfg, runID, orientedBase, addr, slot, disp, limiter, flog)
-			if err != nil {
-				errs[slot] = err
-				// Stop the drain: the run is lost, so the healthy nodes
-				// must not keep computing the rest of the chunk list.
-				disp.Stop()
-			}
-			if nr == nil {
-				return
-			}
-			// A lost node's completed batches still count (nr is partial
-			// on the failure path) — that is the whole point of chunk-
-			// indexed, exactly-once assembly.
-			res.Nodes[slot] = *nr
-			segs[slot] = sg
-			totalTriangles.Add(nr.Triangles)
-			var listBytes int64
-			for _, s := range sg {
-				listBytes += int64(len(s.data))
-			}
-			netBytes.Add(nr.CopyBytes + listBytes)
-		}(i+1, addr)
-	}
-	// The master's own driver (node 0) starts pulling immediately, while
-	// the replicas are still streaming — remote nodes join the drain as
-	// soon as their copy lands.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		nr, sg, err := driveLocal(ctx, cfg, d, disp)
-		if err != nil {
-			errs[0] = err
-			disp.Stop()
-			return
+// Failure contract: a nil error with a partial NodeResult means the node
+// was lost but the run goes on — the failure is in the log, the in-flight
+// batch is back in the dispenser with this node excluded, and the batches
+// the node completed before dying stand. A non-nil error is fatal:
+// cancellation, the master's own engine failing, or a batch exhausting its
+// retry budget (with recovery disabled, MaxRetries 0, the first failure is
+// fatal, restoring the fail-fast behavior).
+func (r *run) drive(ctx context.Context, slot int, ex executor, nr *NodeResult) error {
+	defer ex.close()
+	if err := ex.join(ctx, nr); err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
 		}
-		res.Nodes[0] = *nr
-		segs[0] = sg
-		totalTriangles.Add(nr.Triangles)
-	}()
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	res.Failures = flog.list()
-	var fatal []error
-	for _, err := range errs {
-		if err != nil {
-			fatal = append(fatal, err)
+		r.flog.add(Failure{Node: nr.Name, Addr: nr.Addr, Slot: slot, Chunk: -1, Err: err.Error()})
+		if r.cfg.MaxRetries <= 0 {
+			return err
 		}
+		r.disp.Retire(slot)
+		return nil
 	}
-	if len(fatal) > 0 {
-		return errors.Join(fatal...)
-	}
-
-	// Final sweep: a batch requeued after the master's own driver had
-	// already drained the fresh list has no driver left to claim it. Run
-	// it here, master-local — the last resort that lets the run finish
-	// even if every remote node died. No driver is live anymore, so the
-	// dispenser's contents are final.
-	if disp.Remaining() > 0 {
-		nr, sg, err := driveLocal(ctx, cfg, d, disp)
-		if nr != nil {
-			foldNode(&res.Nodes[0], nr)
-			segs[0] = append(segs[0], sg...)
-			totalTriangles.Add(nr.Triangles)
+	for {
+		start, batch, retries := r.disp.NextBatch(ctx, r.cfg.Workers, slot)
+		if len(batch) == 0 {
+			return ctx.Err()
 		}
+		args := r.args
+		args.RunID, args.Ranges = workID(r.runID, start), batch
+		began := time.Now()
+		reply, err := ex.count(ctx, &args, start, retries)
+		nr.CalcTime += time.Since(began)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
-			return err
+			if slot == 0 {
+				// There is no more reliable executor to reassign the
+				// master's own work to.
+				return err
+			}
+			r.flog.add(Failure{
+				Node: nr.Name, Addr: nr.Addr, Slot: slot,
+				Chunk: start, Ranges: len(batch), Retries: retries, Err: err.Error(),
+			})
+			if retries+1 > r.cfg.MaxRetries {
+				return fmt.Errorf("cluster: batch at plan index %d abandoned after %d reassignments: %w", start, retries, err)
+			}
+			// Put the batch back for the survivors — excluding this node,
+			// whose driver exits right here — and keep what it finished.
+			r.disp.Requeue(start, batch, retries+1, slot)
+			return nil
 		}
+		nr.Workers = foldWorkerStats(nr.Workers, reply.Workers)
+		nr.SourceIO = nr.SourceIO.Add(reply.SourceIO)
+		nr.Triangles += reply.Triangles
+		if r.cfg.List {
+			r.segMu.Lock()
+			r.segs = append(r.segs, tripleSeg{start: start, slot: slot, data: reply.Triples})
+			r.segMu.Unlock()
+		}
+		r.disp.Done()
 	}
-
-	res.Triangles = totalTriangles.Load()
-	res.NetworkBytes = netBytes.Load()
-	for _, n := range res.Nodes {
-		if n.CalcTime > res.CalcTime {
-			res.CalcTime = n.CalcTime
-		}
-	}
-	if cfg.List {
-		var all []tripleSeg
-		for _, sg := range segs {
-			all = append(all, sg...)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].start < all[j].start })
-		ordered := make([][]byte, len(all))
-		for i, s := range all {
-			ordered[i] = s.data
-		}
-		if err := writeTriples(cfg.ListPath, ordered); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// foldWorkerStats merges one batch's pool-runner stats into a node's
-// running totals by worker index. Batches execute sequentially on a node,
-// so the per-chunk folding discipline of sched.Ledger applies verbatim
-// per batch (wall sums, range hulls, chunk counts accumulate) — the rule
-// itself lives in Ledger.FoldWorker.
+// foldWorkerStats merges one batch's runner stats into a node's running
+// totals by worker index. Batches execute sequentially on a node, so the
+// per-chunk folding discipline of sched.Ledger applies verbatim per batch
+// (wall sums, range hulls, chunk counts accumulate) — the rule itself lives
+// in Ledger.FoldWorker.
 func foldWorkerStats(dst []core.WorkerStat, batch []core.WorkerStat) []core.WorkerStat {
 	for _, w := range batch {
 		for len(dst) <= w.Worker {
@@ -742,179 +528,82 @@ func foldWorkerStats(dst []core.WorkerStat, batch []core.WorkerStat) []core.Work
 	return dst
 }
 
-// driveLocal is the master's node-0 driver: it pulls chunk batches from the
-// dispenser and runs each through the local stealing pool until the work is
-// drained. CalcTime is the driver's wall — the node's whole busy period.
-// An engine error here is fatal to the run: there is no more reliable
-// executor to reassign the master's own work to.
-func driveLocal(ctx context.Context, cfg Config, d *graph.Disk, disp *sched.Dispenser) (*NodeResult, []tripleSeg, error) {
-	calcStart := time.Now()
-	nr := &NodeResult{Name: "master", Addr: "local"}
-	var segs []tripleSeg
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		start, batch, _ := disp.NextBatch(cfg.Workers, 0)
-		if len(batch) == 0 {
-			break
-		}
-		opt := core.Options{
-			Workers:  cfg.Workers,
-			MemEdges: cfg.MemEdges,
-			BufBytes: cfg.BufBytes,
-			Scan:     cfg.Scan,
-			Kernel:   cfg.Kernel,
-			Sched:    sched.Stealing,
-		}
-		var buffers []*bytes.Buffer
-		if cfg.List {
-			opt.Sinks = make([]mgt.Sink, len(batch))
-			buffers = make([]*bytes.Buffer, len(batch))
-			for i := range opt.Sinks {
-				buffers[i] = &bytes.Buffer{}
-				opt.Sinks[i] = mgt.NewFileSink(buffers[i])
-			}
-		}
-		stats, _, srcIO, err := core.RunChunks(ctx, d, batch, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		nr.Workers = foldWorkerStats(nr.Workers, stats)
-		nr.SourceIO = nr.SourceIO.Add(srcIO)
-		for _, w := range stats {
-			nr.Triangles += w.Stats.Triangles
-		}
-		if cfg.List {
-			var data []byte
-			for i, sink := range opt.Sinks {
-				if err := sink.(*mgt.FileSink).Flush(); err != nil {
-					return nil, nil, err
-				}
-				data = append(data, buffers[i].Bytes()...)
-			}
-			segs = append(segs, tripleSeg{start: start, data: data})
-		}
+// localExec is the master acting as node 0: always ready, and a batch runs
+// on the engine directly through the same count the workers serve.
+type localExec struct{ d *graph.Disk }
+
+func (localExec) join(context.Context, *NodeResult) error { return nil }
+func (localExec) close()                                  {}
+
+func (e localExec) count(ctx context.Context, args *CountArgs, _, _ int) (*CountReply, error) {
+	var reply CountReply
+	if err := count(ctx, e.d, args, &reply); err != nil {
+		return nil, err
 	}
-	nr.CalcTime = time.Since(calcStart)
-	return nr, segs, nil
+	return &reply, nil
 }
 
-// driveRemote copies the graph to one client, then pulls chunk batches from
-// the dispenser and ships each as a Count RPC until the work is drained.
-//
-// Failure contract: a nil error with a nil (or partial) NodeResult means
-// the node was lost but the run goes on — the failure is in flog, any
-// in-flight batch is back in the dispenser with this node excluded, and
-// the batches the node completed before dying are returned and stand. A
-// non-nil error is fatal: cancellation, or a batch exhausting its retry
-// budget (with recovery disabled, MaxRetries 0, the first failure is
-// fatal, restoring the fail-fast behavior).
-func driveRemote(ctx context.Context, cfg Config, runID, orientedBase, addr string, slot int, disp *sched.Dispenser, limiter *Limiter, flog *failureLog) (*NodeResult, []tripleSeg, error) {
-	nc, hello, err := dialNode(ctx, cfg, addr)
+// remoteExec drives one client over its RPC connection.
+type remoteExec struct {
+	*run
+	slot int
+	nc   *nodeConn
+}
+
+// join dials the node, replicates the graph to it, and hands liveness over
+// to the heartbeat.
+func (e *remoteExec) join(ctx context.Context, nr *NodeResult) error {
+	nc, hello, err := dialNode(ctx, e.cfg, nr.Addr)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, cerr
-		}
-		flog.add(Failure{Addr: addr, Slot: slot, Chunk: -1, Err: err.Error()})
-		if cfg.MaxRetries <= 0 {
-			return nil, nil, err
-		}
-		return nil, nil, nil // node lost before it claimed any work
+		return err
 	}
-	defer nc.close()
-	nr := &NodeResult{Name: hello.Name, Addr: addr}
+	e.nc, nr.Name = nc, hello.Name
 
 	cur := obs.CursorFrom(ctx)
 	copySpan := cur.Begin(obs.SpanCopy)
 	copyStart := time.Now()
-	sent, err := copyGraph(ctx, nc.client, cfg, orientedBase, limiter)
-	nr.CopyBytes = sent // even a failed copy's bytes crossed the master's uplink
-	cur.SetAttr(copySpan, "slot", int64(slot))
-	cur.SetAttr(copySpan, "bytes", sent)
+	// Keep a failed copy's bytes too: they crossed the master's uplink.
+	nr.CopyBytes, err = e.copyGraph(ctx, nc.client)
+	cur.SetAttr(copySpan, "slot", int64(e.slot))
+	cur.SetAttr(copySpan, "bytes", nr.CopyBytes)
 	cur.End(copySpan)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, cerr
-		}
-		err = fmt.Errorf("cluster: copy to %s: %w", addr, err)
-		flog.add(Failure{Node: hello.Name, Addr: addr, Slot: slot, Chunk: -1, Err: err.Error()})
-		if cfg.MaxRetries <= 0 {
-			return nr, nil, err
-		}
-		return nr, nil, nil // node lost before it claimed any work
+		return fmt.Errorf("cluster: copy to %s: %w", nr.Addr, err)
 	}
 	nr.CopyTime = time.Since(copyStart)
 	// Calculation phase: long-running Counts with no per-RPC deadline —
 	// the heartbeat is the liveness signal from here on.
 	nc.watch()
+	return nil
+}
 
-	calcStart := time.Now()
-	var segs []tripleSeg
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		start, batch, retries := disp.NextBatch(cfg.Workers, slot)
-		if len(batch) == 0 {
-			break
-		}
-		dsp := cur.Begin(obs.SpanDispatch)
-		cur.SetAttr(dsp, "start", int64(start))
-		cur.SetAttr(dsp, "ranges", int64(len(batch)))
-		cur.SetAttr(dsp, "retries", int64(retries))
-		cur.SetAttr(dsp, "slot", int64(slot))
-		args := &CountArgs{
-			GraphName: cfg.GraphName,
-			RunID:     workID(runID, start),
-			Ranges:    batch,
-			Sched:     sched.Stealing.String(),
-			Workers:   cfg.Workers,
-			MemEdges:  cfg.MemEdges,
-			BufBytes:  cfg.BufBytes,
-			Scan:      string(cfg.Scan),
-			Kernel:    string(cfg.Kernel),
-			List:      cfg.List,
-			TraceSpan: traceSpanArg(cur, dsp),
-		}
-		reply, err := countWithCancel(ctx, nc.client, addr, args)
-		if err == nil && cur.T != nil {
-			cur.T.Merge(dsp, reply.Spans)
-		}
-		cur.End(dsp)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, nil, cerr
-			}
-			nr.CalcTime = time.Since(calcStart)
-			flog.add(Failure{
-				Node: hello.Name, Addr: addr, Slot: slot,
-				Chunk: start, Ranges: len(batch), Retries: retries, Err: err.Error(),
-			})
-			if retries+1 > cfg.MaxRetries {
-				return nr, segs, fmt.Errorf("cluster: chunk batch %d abandoned after %d reassignments: %w", start, retries, err)
-			}
-			// Put the batch back for the survivors — excluding this node,
-			// whose driver exits right here — and keep what it finished.
-			disp.Requeue(start, batch, retries+1, slot)
-			return nr, segs, nil
-		}
-		nr.Workers = foldWorkerStats(nr.Workers, reply.Workers)
-		nr.SourceIO = nr.SourceIO.Add(reply.SourceIO)
-		nr.Triangles += reply.Triangles
-		if cfg.List {
-			segs = append(segs, tripleSeg{start: start, data: reply.Triples})
-		}
+// count ships one batch as a Count RPC wrapped in a dispatch span: a traced
+// master asks the node for its spans and grafts them under the dispatch on
+// return.
+func (e *remoteExec) count(ctx context.Context, args *CountArgs, start, retries int) (*CountReply, error) {
+	cur := obs.CursorFrom(ctx)
+	dsp := cur.Begin(obs.SpanDispatch)
+	cur.SetAttr(dsp, "slot", int64(e.slot))
+	cur.SetAttr(dsp, "start", int64(start))
+	cur.SetAttr(dsp, "ranges", int64(len(args.Ranges)))
+	cur.SetAttr(dsp, "retries", int64(retries))
+	args.TraceSpan = traceSpanArg(cur, dsp)
+	reply, err := countWithCancel(ctx, e.nc.client, e.nc.addr, args)
+	if err == nil && cur.T != nil {
+		cur.T.Merge(dsp, reply.Spans)
 	}
-	// The node's calculation time spans its whole batch loop, RPC overhead
-	// included — the honest "time until this node ran out of work" that
-	// the straggler rule compares across nodes.
-	nr.CalcTime = time.Since(calcStart)
-	return nr, segs, nil
+	cur.End(dsp)
+	return reply, err
+}
+
+func (e *remoteExec) close() {
+	if e.nc != nil {
+		e.nc.close()
+	}
 }
 
 // countWithCancel issues one Count RPC, converting a ctx cancellation into
-// the Cancel-and-drain dance (shared with the static path's runRemote).
+// the Cancel-and-drain dance.
 func countWithCancel(ctx context.Context, client *rpc.Client, addr string, args *CountArgs) (*CountReply, error) {
 	var reply CountReply
 	count := client.Go("Node.Count", args, &reply, make(chan *rpc.Call, 1))
@@ -938,48 +627,9 @@ func countWithCancel(ctx context.Context, client *rpc.Client, addr string, args 
 	}
 }
 
-// runLocal is the master acting as node 0.
-func runLocal(ctx context.Context, cfg Config, d *graph.Disk, ranges []balance.Range) (*NodeResult, []byte, error) {
-	calcStart := time.Now()
-	opt := core.Options{
-		Workers:  len(ranges),
-		MemEdges: cfg.MemEdges,
-		BufBytes: cfg.BufBytes,
-		Scan:     cfg.Scan,
-		Kernel:   cfg.Kernel,
-	}
-	var buffers []*bytes.Buffer
-	if cfg.List {
-		opt.Sinks = make([]mgt.Sink, len(ranges))
-		buffers = make([]*bytes.Buffer, len(ranges))
-		for i := range opt.Sinks {
-			buffers[i] = &bytes.Buffer{}
-			opt.Sinks[i] = mgt.NewFileSink(buffers[i])
-		}
-	}
-	stats, srcIO, err := core.RunRanges(ctx, d, ranges, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	nr := &NodeResult{Name: "master", Addr: "local", Workers: stats, SourceIO: srcIO, CalcTime: time.Since(calcStart)}
-	for _, w := range stats {
-		nr.Triangles += w.Stats.Triangles
-	}
-	var tp []byte
-	if cfg.List {
-		for i, sink := range opt.Sinks {
-			if err := sink.(*mgt.FileSink).Flush(); err != nil {
-				return nil, nil, err
-			}
-			tp = append(tp, buffers[i].Bytes()...)
-		}
-	}
-	return nr, tp, nil
-}
-
 // callCtx issues one RPC and honors ctx: on cancellation it returns
 // ctx.Err() immediately, leaving the in-flight call to die with the
-// connection (runRemote closes the client on every return path).
+// connection (the driver closes the client on every return path).
 func callCtx(ctx context.Context, client *rpc.Client, method string, args, reply any) error {
 	call := client.Go(method, args, reply, make(chan *rpc.Call, 1))
 	select {
@@ -988,94 +638,6 @@ func callCtx(ctx context.Context, client *rpc.Client, method string, args, reply
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// runRemote copies the graph to one client and runs its calculation phase
-// (the static protocol's one Count per node). start is the global plan
-// index of ranges[0]; it keys the work unit's RunID so a reassigned
-// re-execution carries the same id. On a post-handshake failure the
-// returned NodeResult is non-nil alongside the error, carrying the node's
-// self-reported name (and any copy accounting) so the failure log can
-// identify the node by more than its address.
-func runRemote(ctx context.Context, cfg Config, runID, orientedBase, addr string, start int, ranges []balance.Range, limiter *Limiter) (*NodeResult, []byte, error) {
-	nc, hello, err := dialNode(ctx, cfg, addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer nc.close()
-	nr := &NodeResult{Name: hello.Name, Addr: addr}
-
-	cur := obs.CursorFrom(ctx)
-	copySpan := cur.Begin(obs.SpanCopy)
-	copyStart := time.Now()
-	sent, err := copyGraph(ctx, nc.client, cfg, orientedBase, limiter)
-	nr.CopyBytes = sent
-	cur.SetAttr(copySpan, "start", int64(start))
-	cur.SetAttr(copySpan, "bytes", sent)
-	cur.End(copySpan)
-	if err != nil {
-		return nr, nil, fmt.Errorf("cluster: copy to %s: %w", addr, err)
-	}
-	nr.CopyTime = time.Since(copyStart)
-	nc.watch()
-
-	reply, err := countRanges(ctx, cfg, nc, runID, start, ranges)
-	if err != nil {
-		return nr, nil, &calcFailure{err: err}
-	}
-	nr.CalcTime = reply.CalcTime
-	nr.Triangles = reply.Triangles
-	nr.Workers = reply.Workers
-	nr.SourceIO = reply.SourceIO
-	return nr, reply.Triples, nil
-}
-
-// recoverRemote re-executes a lost work unit on a surviving node: the
-// survivor's replica is already in place from its own copy phase, so
-// recovery costs one dial and one Count — no graph bytes are re-sent.
-func recoverRemote(ctx context.Context, cfg Config, runID, addr string, start int, ranges []balance.Range) (*NodeResult, []byte, error) {
-	nc, hello, err := dialNode(ctx, cfg, addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer nc.close()
-	nc.watch() // straight to calculation: the replica is already in place
-	reply, err := countRanges(ctx, cfg, nc, runID, start, ranges)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &NodeResult{
-		Name: hello.Name, Addr: addr,
-		CalcTime: reply.CalcTime, Triangles: reply.Triangles,
-		Workers: reply.Workers, SourceIO: reply.SourceIO,
-	}, reply.Triples, nil
-}
-
-// countRanges issues one static-mode Count for a contiguous work unit,
-// wrapped in a dispatch span: a traced master asks the node for its spans
-// and grafts them under the dispatch on return.
-func countRanges(ctx context.Context, cfg Config, nc *nodeConn, runID string, start int, ranges []balance.Range) (*CountReply, error) {
-	cur := obs.CursorFrom(ctx)
-	dsp := cur.Begin(obs.SpanDispatch)
-	cur.SetAttr(dsp, "start", int64(start))
-	cur.SetAttr(dsp, "ranges", int64(len(ranges)))
-	args := &CountArgs{
-		GraphName: cfg.GraphName,
-		RunID:     workID(runID, start),
-		Ranges:    ranges,
-		MemEdges:  cfg.MemEdges,
-		BufBytes:  cfg.BufBytes,
-		Scan:      string(cfg.Scan),
-		Kernel:    string(cfg.Kernel),
-		List:      cfg.List,
-		TraceSpan: traceSpanArg(cur, dsp),
-	}
-	reply, err := countWithCancel(ctx, nc.client, nc.addr, args)
-	if err == nil && cur.T != nil {
-		cur.T.Merge(dsp, reply.Spans)
-	}
-	cur.End(dsp)
-	return reply, err
 }
 
 // traceSpanArg encodes a dispatch span as CountArgs.TraceSpan: the span id
@@ -1106,37 +668,23 @@ func callCopy(ctx context.Context, client *rpc.Client, method string, args, repl
 // this master is superseded mid-copy (a retrying master presumed us dead),
 // the node rejects our remaining chunks instead of interleaving them into
 // the new transfer's files.
-func copyGraph(ctx context.Context, client *rpc.Client, cfg Config, orientedBase string, limiter *Limiter) (int64, error) {
-	meta, err := graph.ReadMeta(orientedBase)
-	if err != nil {
-		return 0, err
-	}
+func (r *run) copyGraph(ctx context.Context, client *rpc.Client) (int64, error) {
 	kinds := []FileKind{FileMeta, FileDeg, FileAdj}
-	if meta.Format == graph.FormatCompressed {
+	if r.format == graph.FormatCompressed {
 		kinds = []FileKind{FileMeta, FileDeg, FileCAdj, FileCIdx}
 	}
 	token := fmt.Sprintf("%x-%d", runToken, runSeq.Add(1))
-	if err := callCopy(ctx, client, "Node.BeginGraph", &BeginGraphArgs{Name: cfg.GraphName, Token: token, Kinds: kinds}, &struct{}{}); err != nil {
+	if err := callCopy(ctx, client, "Node.BeginGraph", &BeginGraphArgs{Name: r.cfg.GraphName, Token: token, Kinds: kinds}, &struct{}{}); err != nil {
 		return 0, err
 	}
 	var sent int64
-	files := make([]struct {
-		kind FileKind
-		path string
-	}, 0, len(kinds))
+	buf := make([]byte, r.cfg.ChunkBytes)
 	for _, kind := range kinds {
-		path, err := replicaPath(orientedBase, kind)
+		path, err := replicaPath(r.base, kind)
 		if err != nil {
-			return 0, err
+			return sent, err
 		}
-		files = append(files, struct {
-			kind FileKind
-			path string
-		}{kind, path})
-	}
-	buf := make([]byte, cfg.ChunkBytes)
-	for _, file := range files {
-		f, err := os.Open(file.path)
+		f, err := os.Open(path)
 		if err != nil {
 			return sent, err
 		}
@@ -1147,11 +695,11 @@ func copyGraph(ctx context.Context, client *rpc.Client, cfg Config, orientedBase
 			}
 			k, rerr := f.Read(buf)
 			if k > 0 {
-				if err := limiter.Wait(ctx, k); err != nil {
+				if err := r.limiter.Wait(ctx, k); err != nil {
 					f.Close()
 					return sent, err
 				}
-				chunk := ChunkArgs{Token: token, Kind: file.kind, Data: buf[:k]}
+				chunk := ChunkArgs{Token: token, Kind: kind, Data: buf[:k]}
 				if err := callCopy(ctx, client, "Node.GraphChunk", &chunk, &struct{}{}); err != nil {
 					f.Close()
 					return sent, err

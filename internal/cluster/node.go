@@ -13,7 +13,6 @@ import (
 
 	"pdtl/internal/core"
 	"pdtl/internal/graph"
-	"pdtl/internal/ioacct"
 	"pdtl/internal/mgt"
 	"pdtl/internal/obs"
 	"pdtl/internal/scan"
@@ -298,17 +297,35 @@ func (n *Node) Count(args *CountArgs, reply *CountReply) error {
 	if err != nil {
 		return fmt.Errorf("cluster: node %s: open replica: %w", n.name, err)
 	}
+	if err := count(ctx, d, args, reply); err != nil {
+		return err
+	}
+	reply.CalcTime = time.Since(start)
+	if tr != nil {
+		tr.SetAttr(rootSpan, "ranges", int64(len(args.Ranges)))
+		tr.SetAttr(rootSpan, "triangles", int64(reply.Triangles))
+		tr.End(rootSpan)
+		reply.Spans = tr.Export()
+	}
+	return nil
+}
+
+// count is the calculation phase itself, shared by the worker's Count RPC
+// and the master's own node-0 executor: run args.Ranges on the oriented
+// store d with the engine args.Sched names, and fill reply with the
+// per-runner stats, the triangle count and — for a listing — the triples.
+func count(ctx context.Context, d *graph.Disk, args *CountArgs, reply *CountReply) error {
 	scanKind, err := scan.ParseSource(args.Scan)
 	if err != nil {
-		return fmt.Errorf("cluster: node %s: %w", n.name, err)
+		return err
 	}
 	kernelKind, err := scan.ParseKernel(args.Kernel)
 	if err != nil {
-		return fmt.Errorf("cluster: node %s: %w", n.name, err)
+		return err
 	}
 	schedMode, err := sched.ParseMode(args.Sched)
 	if err != nil {
-		return fmt.Errorf("cluster: node %s: %w", n.name, err)
+		return err
 	}
 	workers := len(args.Ranges)
 	if schedMode == sched.Stealing && args.Workers > 0 {
@@ -335,35 +352,22 @@ func (n *Node) Count(args *CountArgs, reply *CountReply) error {
 			opt.Sinks[i] = mgt.NewFileSink(buffers[i])
 		}
 	}
-	var stats []core.WorkerStat
-	var srcIO ioacct.Stats
 	if schedMode == sched.Stealing {
-		stats, _, srcIO, err = core.RunChunks(ctx, d, args.Ranges, opt)
+		reply.Workers, _, reply.SourceIO, err = core.RunChunks(ctx, d, args.Ranges, opt)
 	} else {
-		stats, srcIO, err = core.RunRanges(ctx, d, args.Ranges, opt)
+		reply.Workers, reply.SourceIO, err = core.RunRanges(ctx, d, args.Ranges, opt)
 	}
 	if err != nil {
 		return err
 	}
-	reply.Workers = stats
-	reply.SourceIO = srcIO
-	for _, w := range stats {
+	for _, w := range reply.Workers {
 		reply.Triangles += w.Stats.Triangles
 	}
-	if args.List {
-		for i, sink := range opt.Sinks {
-			if err := sink.(*mgt.FileSink).Flush(); err != nil {
-				return err
-			}
-			reply.Triples = append(reply.Triples, buffers[i].Bytes()...)
+	for i, sink := range opt.Sinks {
+		if err := sink.(*mgt.FileSink).Flush(); err != nil {
+			return err
 		}
-	}
-	reply.CalcTime = time.Since(start)
-	if tr != nil {
-		tr.SetAttr(rootSpan, "ranges", int64(len(args.Ranges)))
-		tr.SetAttr(rootSpan, "triangles", int64(reply.Triangles))
-		tr.End(rootSpan)
-		reply.Spans = tr.Export()
+		reply.Triples = append(reply.Triples, buffers[i].Bytes()...)
 	}
 	return nil
 }

@@ -1,15 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"os"
-	"sort"
 	"testing"
 
 	"pdtl/internal/balance"
 	"pdtl/internal/baseline"
 	"pdtl/internal/gen"
-	"pdtl/internal/mgt"
 	"pdtl/internal/sched"
 
 	"path/filepath"
@@ -97,36 +96,15 @@ func TestDistributedStealingListing(t *testing.T) {
 		return data
 	}
 
-	normalize := func(raw []byte) [][3]uint32 {
-		t.Helper()
-		f := filepath.Join(dir, "tmp.bin")
-		if err := os.WriteFile(f, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		fh, err := os.Open(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fh.Close()
-		tris, err := mgt.ReadTriangles(fh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.Slice(tris, func(i, j int) bool {
-			if tris[i][0] != tris[j][0] {
-				return tris[i][0] < tris[j][0]
-			}
-			if tris[i][1] != tris[j][1] {
-				return tris[i][1] < tris[j][1]
-			}
-			return tris[i][2] < tris[j][2]
-		})
-		return tris
-	}
-
 	staticList := runList("static.bin", sched.Static)
 	stealList := runList("steal.bin", sched.Stealing)
-	a, b := normalize(staticList), normalize(stealList)
+	if !bytes.Equal(staticList, runList("static2.bin", sched.Static)) {
+		t.Error("static listing differs across runs")
+	}
+	if !bytes.Equal(stealList, runList("steal2.bin", sched.Stealing)) {
+		t.Error("stealing listing differs across runs; chunk-order determinism broken")
+	}
+	a, b := normalizeListing(t, filepath.Join(dir, "static.bin")), normalizeListing(t, filepath.Join(dir, "steal.bin"))
 	if len(a) != len(b) {
 		t.Fatalf("static listed %d triangles, stealing %d", len(a), len(b))
 	}

@@ -37,8 +37,9 @@ type Options struct {
 	// MemEdges is M, the per-worker memory budget in adjacency entries.
 	// Non-positive selects DefaultMemEdges.
 	MemEdges int
-	// Strategy selects the load balancer; the default (InDegree) is the
-	// paper's, Naive reproduces the "w/o LB" ablation.
+	// Strategy selects the load balancer. The zero value is Naive, the
+	// "w/o LB" ablation; the paper's InDegree default is chosen one layer
+	// up, by the public Options (NaiveBalance unset).
 	Strategy balance.Strategy
 	// OrientWorkers is the parallelism of the orientation step;
 	// non-positive means Workers.

@@ -22,6 +22,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -173,10 +174,11 @@ func (l *Ledger) FoldWorker(lo, hi uint64, chunks int, st mgt.Stats) {
 // batch may be claimed by any node.
 const NoExclude = -1
 
-// redo is one requeued batch: a failed node's in-flight chunks, put back
-// for the surviving nodes to absorb. start preserves the batch's global
-// chunk indices, so the re-executed listing segment lands in exactly the
-// position the dead node's would have — reassignment never perturbs the
+// redo is one batch waiting to be claimed outside the fresh list: a failed
+// node's in-flight chunks put back for the surviving nodes to absorb, or a
+// slot's pre-assigned group. start preserves the batch's global chunk
+// indices, so the re-executed listing segment lands in exactly the position
+// the dead node's would have — reassignment never perturbs the
 // chunk-ordered output. exclude is the slot of the node that failed the
 // batch; NextBatch never hands the batch back to it.
 type redo struct {
@@ -187,111 +189,213 @@ type redo struct {
 }
 
 // Dispenser hands out batches of consecutive chunks — the distributed
-// master's side of the stealing scheduler. Instead of pre-splitting the
-// global plan across nodes, the master keeps the chunk list and each node's
-// driver goroutine draws the next batch when the node finishes its current
-// one, so a fast node automatically absorbs the work a slow node would have
-// stalled on. Batches are consecutive runs of chunk indices, so the
+// master's side of the scheduler. The master keeps the chunk list and each
+// node's driver goroutine draws the next batch when the node finishes its
+// current one. Batches are consecutive runs of chunk indices, so the
 // returned start index orders each node's listing output globally.
 //
-// Requeue is the fault-tolerance half: when a node dies mid-batch its
-// driver puts the batch back (with the dead node excluded and a bumped
-// retry count) and the surviving drivers — or the master's final local
-// sweep — claim it through the same NextBatch path.
+// The schedule is a policy of the dispenser, not of its callers. Under
+// stealing (NewDispenser) every chunk is on the shared fresh list, so a fast
+// node automatically absorbs the work a slow node would have stalled on.
+// Under the paper's static schedule (NewPreassigned) the fresh list is
+// empty: each slot's first claim is the group planned for it, which no
+// other slot is ever offered while its owner may still claim it — the
+// dispenser never rebalances.
+//
+// Requeue is the fault-tolerance half, identical under both policies: when
+// a node dies mid-batch its driver puts the batch back (with the dead node
+// excluded and a bumped retry count) and whichever surviving driver is idle
+// claims it through the same NextBatch path. The dispenser knows which
+// batches are still out, so an idle driver waits in NextBatch for exactly
+// as long as a failure could still hand it work, and no longer.
 type Dispenser struct {
 	mu       sync.Mutex
 	chunks   []balance.Range
 	next     int
+	own      []redo // own[slot] is the group pre-assigned to slot; chunks nil once claimed or released
 	requeued []redo
-	stopped  bool
+	// out counts the batches that can still come back: claimed and neither
+	// completed nor requeued, plus pre-assigned groups not yet claimed.
+	out     int
+	stopped bool
+	// wake is closed and replaced whenever a waiter in NextBatch must look
+	// again: a batch was requeued, the last batch out completed, or Stop.
+	wake chan struct{}
 }
 
-// NewDispenser creates a dispenser over the chunk list.
+// NewDispenser creates a stealing dispenser: every chunk is claimable by
+// any slot, in list order.
 func NewDispenser(chunks []balance.Range) *Dispenser {
-	return &Dispenser{chunks: chunks}
+	return &Dispenser{chunks: chunks, wake: make(chan struct{})}
 }
 
-// NextBatch claims up to n chunks for the given node slot. Requeued batches
-// are served before fresh ones (their chunks are the run's critical path —
-// they have already been paid for once), skipping any batch that excludes
-// this node. It returns the global index of the first claimed chunk, the
-// batch itself, and how many times the batch has been reassigned; an empty
-// batch means no work is available to this node (drained, stopped, or only
-// batches this node is excluded from remain).
-func (d *Dispenser) NextBatch(n, node int) (start int, batch []balance.Range, retries int) {
+// NewPreassigned creates a static dispenser: groups[slot] — consecutive
+// slices of one plan, as balance.Plan.Subdivide returns them — is handed
+// whole to that slot and to nobody else, keyed by the global index of its
+// first range.
+func NewPreassigned(groups [][]balance.Range) *Dispenser {
+	d := &Dispenser{own: make([]redo, len(groups)), wake: make(chan struct{})}
+	start := 0
+	for slot, g := range groups {
+		if len(g) > 0 {
+			d.own[slot] = redo{start: start, chunks: g, exclude: NoExclude}
+			d.out++
+		}
+		start += len(g)
+	}
+	return d
+}
+
+// NextBatch claims the next batch for the given node slot: the slot's
+// pre-assigned group if it has one, else a requeued batch (served before
+// fresh chunks — they are the run's critical path, already paid for once —
+// skipping any batch that excludes this slot, and split to at most n
+// chunks), else up to n fresh chunks. It returns the global index of the
+// first claimed chunk, the batch itself, and how many times the batch has
+// been reassigned.
+//
+// With nothing claimable NextBatch waits while any batch is still out — a
+// failure may yet requeue it — and returns an empty batch only when none
+// is, when the dispenser is stopped, or when ctx is cancelled. Every
+// non-empty claim must be finished with exactly one Done or Requeue.
+func (d *Dispenser) NextBatch(ctx context.Context, n, slot int) (start int, batch []balance.Range, retries int) {
 	if n < 1 {
 		n = 1
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.stopped {
-		return 0, nil, 0
+	for ctx.Err() == nil {
+		d.mu.Lock()
+		if d.stopped {
+			d.mu.Unlock()
+			return 0, nil, 0
+		}
+		if r, ok := d.claimLocked(n, slot); ok {
+			d.mu.Unlock()
+			return r.start, r.chunks, r.retries
+		}
+		if d.out == 0 {
+			d.mu.Unlock()
+			return 0, nil, 0
+		}
+		wake := d.wake
+		d.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+		}
+	}
+	return 0, nil, 0
+}
+
+// claimLocked takes the next batch claimable by slot, if any.
+func (d *Dispenser) claimLocked(n, slot int) (redo, bool) {
+	if slot >= 0 && slot < len(d.own) && d.own[slot].chunks != nil {
+		r := d.own[slot]
+		d.own[slot].chunks = nil
+		return r, true // already counted in out
 	}
 	for i, r := range d.requeued {
-		if r.exclude == node {
+		if r.exclude == slot {
 			continue
 		}
-		take := len(r.chunks)
-		if take > n {
-			take = n
-		}
-		start, batch, retries = r.start, r.chunks[:take], r.retries
-		if take == len(r.chunks) {
+		if len(r.chunks) <= n {
 			d.requeued = append(d.requeued[:i], d.requeued[i+1:]...)
 		} else {
 			// Splitting a requeued batch keeps both halves contiguous, so
 			// every listing segment still has a well-defined start index.
-			d.requeued[i] = redo{start: r.start + take, chunks: r.chunks[take:], retries: r.retries, exclude: r.exclude}
+			d.requeued[i].start += n
+			d.requeued[i].chunks = r.chunks[n:]
+			r.chunks = r.chunks[:n]
 		}
-		return start, batch, retries
+		d.out++
+		return r, true
 	}
-	start = d.next
-	end := start + n
-	if end > len(d.chunks) {
-		end = len(d.chunks)
+	if d.next < len(d.chunks) {
+		start := d.next
+		d.next = min(start+n, len(d.chunks))
+		d.out++
+		return redo{start: start, chunks: d.chunks[start:d.next]}, true
 	}
-	d.next = end
-	return start, d.chunks[start:end], 0
+	return redo{}, false
 }
 
-// Requeue puts a failed batch back for reassignment. exclude names the node
-// slot that failed it (NoExclude to allow any node); retries is the batch's
-// new reassignment count, returned verbatim by the NextBatch that re-claims
-// it so the claimer can enforce the retry bound.
-func (d *Dispenser) Requeue(start int, chunks []balance.Range, retries, exclude int) {
-	if len(chunks) == 0 {
-		return
+// Done reports that a claimed batch completed. The completion of the last
+// batch out releases every driver waiting in NextBatch.
+func (d *Dispenser) Done() {
+	d.mu.Lock()
+	d.out--
+	if d.out == 0 {
+		d.signalLocked()
 	}
+	d.mu.Unlock()
+}
+
+// Requeue puts a claimed batch that failed back for reassignment. exclude
+// names the node slot that failed it (NoExclude to allow any node); retries
+// is the batch's new reassignment count, returned verbatim by the NextBatch
+// that re-claims it so the claimer can enforce the retry bound.
+func (d *Dispenser) Requeue(start int, chunks []balance.Range, retries, exclude int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.stopped {
-		return
+	d.out--
+	if !d.stopped && len(chunks) > 0 {
+		d.requeued = append(d.requeued, redo{start: start, chunks: chunks, retries: retries, exclude: exclude})
 	}
-	d.requeued = append(d.requeued, redo{start: start, chunks: chunks, retries: retries, exclude: exclude})
+	d.signalLocked()
 }
 
-// Stop drains the dispenser: every later NextBatch returns an empty batch
-// and pending requeued work is dropped. The fatal-error path — when a run
-// is lost, the healthy nodes must not spend hours computing a result the
-// master will discard; they finish their in-flight batch and find the
-// queue empty (the Dispenser analog of Queue.Stop).
+// Retire reports that a slot will never claim — its node was lost before it
+// could take any work. A group pre-assigned to the slot is released to the
+// others as a first reassignment; under stealing there is nothing to
+// release.
+func (d *Dispenser) Retire(slot int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if slot < 0 || slot >= len(d.own) || d.own[slot].chunks == nil {
+		return
+	}
+	r := d.own[slot]
+	d.own[slot].chunks = nil
+	r.retries, r.exclude = 1, slot
+	d.out--
+	if !d.stopped {
+		d.requeued = append(d.requeued, r)
+	}
+	d.signalLocked()
+}
+
+func (d *Dispenser) signalLocked() {
+	close(d.wake)
+	d.wake = make(chan struct{})
+}
+
+// Stop drains the dispenser: every later NextBatch returns an empty batch,
+// waiters are released, and pending work is dropped. The fatal-error path —
+// when a run is lost, the healthy nodes must not spend hours computing a
+// result the master will discard; they finish their in-flight batch and
+// find the queue empty (the Dispenser analog of Queue.Stop).
 func (d *Dispenser) Stop() {
 	d.mu.Lock()
 	d.next = len(d.chunks)
 	d.requeued = nil
+	for slot := range d.own {
+		d.own[slot].chunks = nil
+	}
 	d.stopped = true
+	d.signalLocked()
 	d.mu.Unlock()
 }
 
-// Remaining reports how many chunks are still claimable: never-claimed
-// chunks plus requeued ones. The master checks it after every driver has
-// exited — a non-zero value means a failure requeued work after the local
-// driver drained the fresh list, and a final master-local sweep must run.
+// Remaining reports how many chunks are still unclaimed: fresh, requeued,
+// and pre-assigned. Once every driver has returned it must be zero — the
+// master checks exactly that before it folds.
 func (d *Dispenser) Remaining() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := len(d.chunks) - d.next
 	for _, r := range d.requeued {
+		n += len(r.chunks)
+	}
+	for _, r := range d.own {
 		n += len(r.chunks)
 	}
 	return n

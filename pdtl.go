@@ -28,17 +28,11 @@
 // control, result memoization (keyed by Options.Key), and per-graph
 // single-flight; cmd/pdtl-serve is its daemon (DESIGN.md §8).
 //
-// The free functions (Count, List, ForEachTriangle, TriangleDegrees,
-// CountDistributed) are deprecated one-shot wrappers — each opens a handle,
-// runs once with context.Background(), and closes — kept so existing
-// callers compile unchanged.
-//
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-reproduction results.
 package pdtl
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -230,69 +224,6 @@ type Result struct {
 	// or the in-memory preload. Zero for "buffered", whose scans are
 	// charged to the per-worker BytesRead instead.
 	SourceBytesRead int64
-}
-
-// Count counts the triangles of the graph stored at base (see WriteGraph
-// and the Generate/Import helpers for creating stores). Unoriented stores
-// are oriented first; the oriented store is left at Result.OrientedBase for
-// reuse.
-//
-// Deprecated: one-shot wrapper. Use Open and (*Graph).Count, which caches
-// the orientation and load-balance plan across calls and accepts a
-// context.Context for cancellation.
-func Count(base string, opt Options) (*Result, error) {
-	g, err := Open(base)
-	if err != nil {
-		return nil, err
-	}
-	defer g.Close()
-	return g.Count(context.Background(), opt)
-}
-
-// ForEachTriangle invokes fn once per triangle (u, v, w), ordered by the
-// degree-based order u ≺ v ≺ w. fn is called concurrently from Workers
-// goroutines; it must be safe for concurrent use (or set Workers to 1).
-//
-// Deprecated: one-shot wrapper. Use Open and (*Graph).ForEach (or the
-// (*Graph).Triangles iterator).
-func ForEachTriangle(base string, opt Options, fn func(u, v, w uint32)) (*Result, error) {
-	g, err := Open(base)
-	if err != nil {
-		return nil, err
-	}
-	defer g.Close()
-	return g.ForEach(context.Background(), opt, fn)
-}
-
-// List writes every triangle to outPath as little-endian uint32 triples
-// (12 bytes per triangle) and returns the run's statistics. Use
-// ReadTriangleFile to decode. The per-worker intermediates are anonymous
-// temp files next to outPath, so concurrent List calls — even onto the
-// same path — never clobber each other's parts.
-//
-// Deprecated: one-shot wrapper. Use Open and (*Graph).List, which streams
-// to any io.Writer.
-func List(base, outPath string, opt Options) (*Result, error) {
-	g, err := Open(base)
-	if err != nil {
-		return nil, err
-	}
-	defer g.Close()
-	return g.ListFile(context.Background(), outPath, opt)
-}
-
-// TriangleDegrees returns, for every vertex, the number of triangles it
-// participates in — the per-vertex quantity behind local clustering
-// coefficients and related metrics from the paper's introduction.
-//
-// Deprecated: one-shot wrapper. Use Open and (*Graph).TriangleDegrees.
-func TriangleDegrees(base string, opt Options) ([]uint64, *Result, error) {
-	g, err := Open(base)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer g.Close()
-	return g.TriangleDegrees(context.Background(), opt)
 }
 
 // ReadTriangleFile decodes a List output file.

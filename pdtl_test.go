@@ -1,6 +1,7 @@
 package pdtl
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -20,6 +21,17 @@ func tempStore(t testing.TB, g *graph.CSR, name string) string {
 	return base
 }
 
+// openStore opens a handle on the store at base, closed with the test.
+func openStore(t testing.TB, base string) *Graph {
+	t.Helper()
+	g, err := Open(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	return g
+}
+
 func TestPublicCount(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "k30")
 	info, err := GenerateComplete(base, 30)
@@ -29,7 +41,7 @@ func TestPublicCount(t *testing.T) {
 	if info.NumVertices != 30 || info.NumEdges != 435 {
 		t.Fatalf("info = %+v", info)
 	}
-	res, err := Count(base, Options{Workers: 4, MemEdges: 100})
+	res, err := openStore(t, base).Count(context.Background(), Options{Workers: 4, MemEdges: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +61,7 @@ func TestPublicCountDefaults(t *testing.T) {
 	if _, err := GenerateRMAT(base, 8, 8, 1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Count(base, Options{})
+	res, err := openStore(t, base).Count(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +77,7 @@ func TestPublicListAndRead(t *testing.T) {
 	}
 	base := tempStore(t, g, "tg")
 	out := filepath.Join(t.TempDir(), "tris.bin")
-	res, err := List(base, out, Options{Workers: 3, MemEdges: 16})
+	res, err := openStore(t, base).ListFile(context.Background(), out, Options{Workers: 3, MemEdges: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +105,7 @@ func TestPublicForEach(t *testing.T) {
 	}
 	base := tempStore(t, g, "er")
 	var count atomic.Uint64
-	res, err := ForEachTriangle(base, Options{Workers: 4, MemEdges: 64}, func(u, v, w uint32) {
+	res, err := openStore(t, base).ForEach(context.Background(), Options{Workers: 4, MemEdges: 64}, func(u, v, w uint32) {
 		count.Add(1)
 	})
 	if err != nil {
@@ -110,7 +122,7 @@ func TestPublicTriangleDegrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := tempStore(t, g, "tri")
-	counts, res, err := TriangleDegrees(base, Options{Workers: 2, MemEdges: 8})
+	counts, res, err := openStore(t, base).TriangleDegrees(context.Background(), Options{Workers: 2, MemEdges: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +146,7 @@ func TestPublicWriteGraphAndImport(t *testing.T) {
 	if info.NumEdges != 3 {
 		t.Errorf("edges = %d, want 3 (loop and dup removed)", info.NumEdges)
 	}
-	res, err := Count(base, Options{Workers: 1, MemEdges: 8})
+	res, err := openStore(t, base).Count(context.Background(), Options{Workers: 1, MemEdges: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +177,7 @@ func TestPublicDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	res, err := CountDistributed(base, pool.Addrs(), ClusterOptions{Workers: 2, MemEdges: 256})
+	res, err := openStore(t, base).CountDistributed(context.Background(), pool.Addrs(), ClusterOptions{Workers: 2, MemEdges: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +206,7 @@ func TestPublicServeWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := tempStore(t, g, "k10")
-	res, err := CountDistributed(base, []string{w.Addr()}, ClusterOptions{Workers: 1, MemEdges: 32})
+	res, err := openStore(t, base).CountDistributed(context.Background(), []string{w.Addr()}, ClusterOptions{Workers: 1, MemEdges: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +220,7 @@ func TestVerifySmallDegreePublic(t *testing.T) {
 	if _, err := GenerateComplete(base, 16); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Count(base, Options{Workers: 1, MemEdges: 64})
+	res, err := openStore(t, base).Count(context.Background(), Options{Workers: 1, MemEdges: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,19 +237,20 @@ func TestPublicApproximate(t *testing.T) {
 	if _, err := GenerateRMAT(base, 10, 16, 5); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Count(base, Options{Workers: 2, MemEdges: 1 << 16})
+	g := openStore(t, base)
+	res, err := g.Count(context.Background(), Options{Workers: 2, MemEdges: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	exact := float64(res.Triangles)
-	doulion, err := EstimateDoulion(base, 0.5, 3)
+	doulion, err := g.EstimateDoulion(0.5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if doulion < exact/2 || doulion > exact*2 {
 		t.Errorf("Doulion estimate %.0f far from exact %.0f", doulion, exact)
 	}
-	wedges, err := EstimateWedges(base, 50_000, 3)
+	wedges, err := g.EstimateWedges(50_000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +294,7 @@ func TestInfoOnOriented(t *testing.T) {
 	if _, err := GenerateComplete(base, 8); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Count(base, Options{Workers: 1, MemEdges: 16})
+	res, err := openStore(t, base).Count(context.Background(), Options{Workers: 1, MemEdges: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,6 +126,21 @@ func TestDistributedTraceShape(t *testing.T) {
 	if nodeCounts == 0 {
 		t.Fatal("no worker node.count spans were merged into the master trace")
 	}
+	// The driver's own spans carry one attr set whatever the schedule.
+	for i, sp := range spans {
+		var want []string
+		switch sp.Name {
+		case obs.SpanCopy:
+			want = []string{"slot", "bytes"}
+		case obs.SpanDispatch:
+			want = []string{"slot", "start", "ranges", "retries"}
+		}
+		for _, key := range want {
+			if _, ok := spanAttr(sp, key); !ok {
+				t.Errorf("%s span %d is missing the %q attr", sp.Name, i, key)
+			}
+		}
+	}
 
 	// (c) Chunk spans tile the oriented store's directed-edge range
 	// exactly once.
