@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 
 	"pdtl"
@@ -193,6 +195,12 @@ func printResult(res *pdtl.Result) {
 	} else {
 		fmt.Printf("scan source: %s  scheduler: %s\n", res.ScanSource, res.Sched)
 	}
+	passes := make([]string, len(res.Workers))
+	for i, w := range res.Workers {
+		passes[i] = strconv.Itoa(w.Passes)
+	}
+	fmt.Printf("plan: windows=%d mem_edges=%d  passes per runner: %s\n",
+		res.Windows, res.MemEdges, strings.Join(passes, " "))
 	for _, w := range res.Workers {
 		fmt.Printf("  worker %d: edges [%d,%d) chunks %d triangles %d passes %d cpu %v io %v\n",
 			w.Worker, w.EdgeLo, w.EdgeHi, w.Chunks, w.Triangles, w.Passes, w.CPUTime, w.IOTime)

@@ -44,10 +44,13 @@ var ErrClosed = errors.New("pdtl: graph handle is closed")
 // consumer; it only smooths bursts, correctness never depends on it.
 const triangleIterBuf = 1024
 
-// planKey identifies one cached load-balance plan.
+// planKey identifies one cached load-balance plan: everything
+// balance.PlanStore's result depends on besides the logical graph.
 type planKey struct {
-	workers  int
+	k        int
 	strategy balance.Strategy
+	format   graph.Format
+	memEdges uint64 // clipped to the store size
 }
 
 // ordEntry is one cached orientation: the opened oriented store and its base
@@ -232,43 +235,43 @@ func (g *Graph) ensureOriented(ctx context.Context, workers int, format graph.Fo
 	}
 }
 
-// planCached returns the load-balance plan for (workers, strategy),
-// computing it at most once per handle. d/orientedBase are the oriented
-// store the caller got from ensureOriented: the plan depends only on the
-// logical oriented graph — identical across store formats — so one cache
-// entry serves every format. The in-degree array is read from the store only
+// maxCachedPlans bounds the handle's plan cache. Every window at least as
+// large as the store shares one entry per (k, strategy); smaller windows
+// each plan differently, and a long-lived handle serving arbitrary sizes
+// must not grow without limit.
+const maxCachedPlans = 64
+
+// planCached returns the load-balance plan for k ranges under strategy and
+// windows of memEdges entries, computing it at most once per handle (up to
+// maxCachedPlans entries). The key clips memEdges to the store size: every
+// window the store fits in plans identically, so runs that differ only in
+// such a window — a service's cold counts — share one entry. d/orientedBase
+// are the oriented store the caller got from ensureOriented: the in-degree
+// array is the same across store formats, and is read from the store only
 // if orientation did not happen on this handle (an already-oriented store),
 // and then only once. No closed check here: a run checks the handle once, at
 // ensureOriented — Close only gates runs that have not started, never one
 // already in flight.
-func (g *Graph) planCached(d *graph.Disk, orientedBase string, workers int, strategy balance.Strategy) (balance.Plan, error) {
+func (g *Graph) planCached(d *graph.Disk, orientedBase string, k int, strategy balance.Strategy, memEdges int) (balance.Plan, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	key := planKey{workers: workers, strategy: strategy}
+	key := planKey{k: k, strategy: strategy, format: d.Format(), memEdges: min(uint64(memEdges), d.Meta.AdjEntries)}
 	if p, ok := g.plans[key]; ok {
 		return p, nil
 	}
-	in := balance.Inputs{Offsets: d.Offsets, OutDeg: d.Degrees}
-	if strategy == balance.InDegree || strategy == balance.Cost {
-		if g.inDeg == nil {
-			inDeg, err := orient.LoadInDegrees(orientedBase, d.NumVertices())
-			if err != nil {
-				return balance.Plan{}, fmt.Errorf("pdtl: load balancing needs the in-degree file: %w", err)
-			}
-			g.inDeg = inDeg
-		}
-		in.InDeg = g.inDeg
-	}
-	if strategy == balance.Cost {
-		costs, err := balance.ConeCosts(d)
+	if g.inDeg == nil && strategy != balance.Naive {
+		inDeg, err := orient.LoadInDegrees(orientedBase, d.NumVertices())
 		if err != nil {
-			return balance.Plan{}, fmt.Errorf("pdtl: cost balancing scan: %w", err)
+			return balance.Plan{}, fmt.Errorf("pdtl: load balancing needs the in-degree file: %w", err)
 		}
-		in.ConeCost = costs
+		g.inDeg = inDeg
 	}
-	p, err := balance.SplitInputs(in, workers, strategy)
+	p, err := balance.PlanStore(d, g.inDeg, k, strategy, memEdges)
 	if err != nil {
 		return balance.Plan{}, err
+	}
+	if len(g.plans) >= maxCachedPlans {
+		clear(g.plans)
 	}
 	g.plans[key] = p
 	return p, nil
@@ -318,6 +321,9 @@ func (g *Graph) run(ctx context.Context, opt Options, sinks []mgt.Sink) (*Result
 		workers = defaultWorkers()
 		copt.Workers = workers
 	}
+	if copt.MemEdges <= 0 {
+		copt.MemEdges = core.DefaultMemEdges
+	}
 	copt.Sinks = sinks
 
 	g.runs.Add(1)
@@ -339,14 +345,14 @@ func (g *Graph) run(ctx context.Context, opt Options, sinks []mgt.Sink) (*Result
 	}
 	calcStart := time.Now()
 	psp := rcur.Begin(obs.SpanPlan)
-	var plan balance.Plan
+	// The chunked plan of a stealing run is a plain k-way split with
+	// k = K·P, so one cache serves both schedulers.
+	k := workers
 	if copt.Sched == sched.Stealing {
-		// The chunked plan is a plain k-way split with k = K·P, so the
-		// per-(workers,strategy) plan cache applies unchanged.
-		plan, err = g.planCached(d, orientedBase, sched.ChunksFor(workers, copt.Chunks), copt.Strategy)
-	} else {
-		plan, err = g.planCached(d, orientedBase, workers, copt.Strategy)
+		k = sched.ChunksFor(workers, copt.Chunks)
 	}
+	plan, err := g.planCached(d, orientedBase, k, copt.Strategy, copt.MemEdges)
+	plan.Explain(rcur, psp)
 	rcur.End(psp)
 	planTime := time.Since(calcStart)
 	if err != nil {
@@ -374,6 +380,8 @@ func (g *Graph) run(ctx context.Context, opt Options, sinks []mgt.Sink) (*Result
 		OrientedBase:    orientedBase,
 		ScanSource:      string(copt.Scan.Resolve(workers)),
 		Sched:           copt.Sched.String(),
+		MemEdges:        int(plan.MemEdges),
+		Windows:         int(plan.Windows),
 		SourceBytesRead: srcIO.BytesRead,
 		MaxOutDegree:    d.Meta.MaxOutDegree,
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pdtl/internal/balance"
 	"pdtl/internal/baseline"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
@@ -459,5 +460,46 @@ func TestHandleEstimators(t *testing.T) {
 	}
 	if wedges < exact*0.8 || wedges > exact*1.2 {
 		t.Errorf("wedge estimate %.0f far from exact %.0f", wedges, exact)
+	}
+}
+
+// TestPlanCacheKeyedOnClippedWindow: a window at least as large as the
+// store plans the same whatever its size, so a thousand runs with distinct
+// such windows — a service's cold counts — share one cached plan; only
+// windows that split the store get entries of their own, and those are
+// capped.
+func TestPlanCacheKeyedOnClippedWindow(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "rmat")
+	info, err := GenerateRMAT(base, 8, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := openStore(t, base)
+	ctx := context.Background()
+	first, err := g.Count(ctx, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := int(info.NumEdges)
+	for i := 0; i < 1000; i++ {
+		res, err := g.Count(ctx, Options{Workers: 2, MemEdges: edges + i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Triangles != first.Triangles {
+			t.Fatalf("mem=%d: %d triangles, want %d", edges+i, res.Triangles, first.Triangles)
+		}
+	}
+	if n := len(g.plans); n != 1 {
+		t.Fatalf("1001 single-window runs left %d cached plans, want 1", n)
+	}
+	oriented := g.ords[graph.FormatPlain]
+	for mem := 1; mem <= 2*maxCachedPlans; mem++ {
+		if _, err := g.planCached(oriented.d, oriented.base, 2, balance.InDegree, mem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(g.plans); n > maxCachedPlans {
+		t.Fatalf("%d cached plans, cap is %d", n, maxCachedPlans)
 	}
 }

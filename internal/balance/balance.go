@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pdtl/internal/graph"
+	"pdtl/internal/obs"
 )
 
 // Strategy selects how edge ranges are assigned to processors.
@@ -32,8 +33,8 @@ const (
 	// Σ_{u : v ∈ N+(u)} d_G*(u) + indeg(v)·outdeg(v): the merge steps
 	// spent walking each cone list plus those walking Ev itself. The
 	// extra Σ d_G*(u) term needs one additional scan of the oriented
-	// graph (O(scan(|E|)) I/Os, so Theorem IV.3 is unchanged), supplied
-	// via SetConeCost.
+	// graph (O(scan(|E|)) I/Os, so Theorem IV.3 is unchanged): ConeCosts
+	// computes it and Inputs.ConeCost carries it (PlanStore does both).
 	Cost
 )
 
@@ -72,6 +73,45 @@ type Plan struct {
 	// Duration is the wall time spent computing the plan (the paper counts
 	// load balancing toward calculation time).
 	Duration time.Duration
+	// MemEdges is the window size M the plan was made for, clipped to the
+	// store size: every M ≥ |E*| yields the same single-window plan, so the
+	// clipped value (with k and the strategy) identifies a plan.
+	MemEdges uint64
+	// Windows is W = ⌈|E*|/M⌉, the passes a single runner would need.
+	Windows uint64
+	// ScanUnits is the scan term of the per-edge weight: 1 for a
+	// single-window plan (the paper's model), κ·W otherwise.
+	ScanUnits float64
+}
+
+// Explain puts what decided the plan on the run's plan span, so "why this
+// plan?" is answerable from the trace: the window the plan was made for,
+// how many of them the store is, the scan term that followed (rounded),
+// and the most passes any one range costs its runner.
+func (p Plan) Explain(cur obs.Cursor, span obs.SpanID) {
+	if cur.T == nil {
+		return
+	}
+	maxPasses := 0
+	for _, n := range p.Passes() {
+		maxPasses = max(maxPasses, n)
+	}
+	cur.SetAttr(span, "mem_edges", int64(p.MemEdges))
+	cur.SetAttr(span, "windows", int64(p.Windows))
+	cur.SetAttr(span, "scan_units", int64(p.ScanUnits+0.5))
+	cur.SetAttr(span, "est_max_passes", int64(maxPasses))
+}
+
+// Passes is the number of memory windows — full scans of the store — each
+// range of the plan costs its runner: ⌈len/M⌉.
+func (p Plan) Passes() []int {
+	passes := make([]int, len(p.Ranges))
+	for i, r := range p.Ranges {
+		if p.MemEdges > 0 {
+			passes[i] = int((r.Len() + p.MemEdges - 1) / p.MemEdges)
+		}
+	}
+	return passes
 }
 
 // Inputs bundles everything a split may need.
@@ -86,32 +126,62 @@ type Inputs struct {
 	// ConeCost is Σ_{u : v ∈ N+(u)} d_G*(u) per vertex (required by
 	// Cost); see ConeCosts.
 	ConeCost []uint64
+	// MemEdges is M, each runner's window in adjacency entries. A range of
+	// L edges costs its runner ⌈L/M⌉ full scans of the store, so M decides
+	// how much scanning an edge causes. Non-positive, or any M ≥ |E*|, is
+	// the single-window case — the paper's model, blind to M.
+	MemEdges int
+	// Format is the store's encoding; it selects κ, the price of scanning
+	// one entry in units of one merge step (see scanUnits).
+	Format graph.Format
 }
 
-// Split assigns the oriented store's edges to k processors. outDeg and
-// inDeg are the post-orientation out- and in-degree arrays (from
-// orient.Result). k must be ≥ 1. For the Cost strategy use SplitInputs.
-func Split(offsets []uint64, outDeg, inDeg []uint32, k int, strategy Strategy) (Plan, error) {
-	return SplitInputs(Inputs{Offsets: offsets, OutDeg: outDeg, InDeg: inDeg}, k, strategy)
-}
-
-// SplitChunks cuts the plan into workers·perWorker weighted chunks for the
-// work-stealing scheduler: the same cost model that would assign one range
-// per processor instead produces K chunks per processor, each carrying
-// ≈ 1/K of a processor's expected work, so a pool drawing chunks
-// dynamically self-corrects whatever the model misjudges. perWorker ≤ 0
-// degrades to the static split (one chunk per worker).
-func SplitChunks(in Inputs, workers, perWorker int, strategy Strategy) (Plan, error) {
-	if perWorker < 1 {
-		perWorker = 1
+// PlanStore is the planner's one entry point for a run over an oriented
+// store: k ranges (one per runner under the static scheduler, K per runner
+// under stealing — the same cost model cut finer) for runners with windows
+// of memEdges entries. inDeg is the post-orientation in-degree array; the
+// Naive strategy ignores it. The Cost strategy's extra scan of d happens
+// here.
+func PlanStore(d *graph.Disk, inDeg []uint32, k int, strategy Strategy, memEdges int) (Plan, error) {
+	in := Inputs{Offsets: d.Offsets, OutDeg: d.Degrees, InDeg: inDeg, MemEdges: memEdges, Format: d.Format()}
+	if strategy == Cost {
+		var err error
+		if in.ConeCost, err = ConeCosts(d); err != nil {
+			return Plan{}, fmt.Errorf("balance: cost balancing scan: %w", err)
+		}
 	}
-	if workers < 1 {
-		return Plan{}, fmt.Errorf("balance: need at least one worker, got %d", workers)
-	}
-	return SplitInputs(in, workers*perWorker, strategy)
+	return SplitInputs(in, k, strategy)
 }
 
-// SplitInputs is Split with the full input bundle.
+// Per-format κ: what scanning one adjacency entry in a pass costs a runner,
+// in merge steps of an intersection — the unit of the in-degree term.
+// DESIGN.md §7 derives both from the benchmark's per-layer numbers: a pass
+// delivers a plain entry in 3.8 ns and a compressed one in 27.5 ns
+// (scan.shared_drain_mb_per_s), a merge step takes 5.2 ns
+// (scan.ns_per_cmp on the single-pass workload).
+const (
+	kappaPlain      = 0.75
+	kappaCompressed = 5.5
+)
+
+// scanUnits is the scan term of the per-edge weight for a store cut into
+// `windows` windows. A range of L edges is scanned for in ⌈L/M⌉ passes of
+// |E*| entries each, so one edge causes |E*|/M ≈ W entries of scanning,
+// each worth κ merge steps. With one window every range costs exactly one
+// pass whatever its length and the term is the paper's constant 1, so
+// single-window plans are what they always were.
+func scanUnits(windows uint64, format graph.Format) float64 {
+	if windows <= 1 {
+		return 1
+	}
+	kappa := kappaPlain
+	if format == graph.FormatCompressed {
+		kappa = kappaCompressed
+	}
+	return kappa * float64(windows)
+}
+
+// SplitInputs assigns the oriented store's edges to k ≥ 1 processors.
 func SplitInputs(in Inputs, k int, strategy Strategy) (Plan, error) {
 	start := time.Now()
 	if k < 1 {
@@ -121,9 +191,17 @@ func SplitInputs(in Inputs, k int, strategy Strategy) (Plan, error) {
 		return Plan{}, fmt.Errorf("balance: offsets length %d does not match %d vertices", len(in.Offsets), len(in.OutDeg))
 	}
 	total := in.Offsets[len(in.Offsets)-1]
-	var plan Plan
-	plan.Strategy = strategy
-	weightFn := func(v int) float64 { return edgeWeight(in.OutDeg, in.InDeg, v) }
+	mem := total
+	if in.MemEdges > 0 && uint64(in.MemEdges) < total {
+		mem = uint64(in.MemEdges)
+	}
+	plan := Plan{Strategy: strategy, MemEdges: mem, Windows: 1}
+	if mem > 0 {
+		plan.Windows = (total + mem - 1) / mem
+	}
+	scan := scanUnits(plan.Windows, in.Format)
+	plan.ScanUnits = scan
+	weightFn := func(v int) float64 { return edgeWeight(in.OutDeg, in.InDeg, scan, v) }
 	switch strategy {
 	case Naive:
 		plan.Ranges = naiveRanges(total, k)
@@ -136,10 +214,13 @@ func SplitInputs(in Inputs, k int, strategy Strategy) (Plan, error) {
 		if len(in.InDeg) != len(in.OutDeg) || len(in.ConeCost) != len(in.OutDeg) {
 			return Plan{}, fmt.Errorf("balance: Cost strategy needs in-degree and cone-cost arrays for all %d vertices", len(in.OutDeg))
 		}
-		weightFn = func(v int) float64 { return costWeight(in, v) }
+		weightFn = func(v int) float64 { return costWeight(in, scan, v) }
 		plan.Ranges = weightedRanges(in.Offsets, in.OutDeg, weightFn, k)
 	default:
 		return Plan{}, fmt.Errorf("balance: unknown strategy %d", int(strategy))
+	}
+	if plan.Windows >= uint64(k) {
+		snapToWindows(plan.Ranges, mem, plan.Windows)
 	}
 	plan.Weights = rangeWeights(plan.Ranges, in.Offsets, in.OutDeg, weightFn)
 	plan.Duration = time.Since(start)
@@ -149,11 +230,38 @@ func SplitInputs(in Inputs, k int, strategy Strategy) (Plan, error) {
 // costWeight is the exact-cost model per out-edge of v: scan work, plus
 // the in-degree mass (merge steps over Ev), plus the cone-list mass spread
 // across v's out-edges (merge steps over each N*(u)).
-func costWeight(in Inputs, v int) float64 {
+func costWeight(in Inputs, scan float64, v int) float64 {
 	if in.OutDeg[v] == 0 {
 		return 0
 	}
-	return 1 + float64(in.InDeg[v]) + float64(in.ConeCost[v])/float64(in.OutDeg[v])
+	return scan + float64(in.InDeg[v]) + float64(in.ConeCost[v])/float64(in.OutDeg[v])
+}
+
+// snapToWindows moves every cut point of a plan with at least as many
+// windows as ranges (W ≥ k) to a multiple of M. A runner walks its range in
+// windows of M edges from the range's start and pays a full scan of the
+// store per window, however few edges the last one holds; with cuts on
+// window boundaries only the plan's final range can end in a partial
+// window, so Σ passes = W — the least any partition can cost — instead of
+// up to W + k − 1. Cuts stay strictly increasing and inside (0, |E*|), so
+// no range is empty; W ≥ k is what guarantees k − 1 distinct interior
+// multiples of M exist.
+func snapToWindows(ranges []Range, mem, windows uint64) {
+	k := uint64(len(ranges))
+	var prev uint64 // the previous cut, in windows
+	for i := uint64(0); i+1 < k; i++ {
+		cut := (ranges[i].Hi + mem/2) / mem
+		// Leave a window for every range before this cut and after it.
+		if lo := prev + 1; cut < lo {
+			cut = lo
+		}
+		if hi := windows - (k - 1 - i); cut > hi {
+			cut = hi
+		}
+		ranges[i].Hi = cut * mem
+		ranges[i+1].Lo = cut * mem
+		prev = cut
+	}
 }
 
 func naiveRanges(total uint64, k int) []Range {
@@ -167,21 +275,21 @@ func naiveRanges(total uint64, k int) []Range {
 	return ranges
 }
 
-// edgeWeight is the cost model per out-edge of vertex v: one unit of scan
-// work plus v's in-degree. The in-degree term is the paper's ("the sum of
-// these in-degrees are approximately the same among all processors"): every
-// cone vertex u with v ∈ N+(u) — there are indeg(v) of them — runs a merge
-// that walks v's in-memory out-edges, so each out-edge of v is touched
-// ≈ indeg(v) times per window. A nil in-degree array (naive plans evaluated
-// for diagnostics) contributes no mass.
-func edgeWeight(outDeg, inDeg []uint32, v int) float64 {
+// edgeWeight is the cost model per out-edge of vertex v: the scan work the
+// edge causes (scanUnits) plus v's in-degree. The in-degree term is the
+// paper's ("the sum of these in-degrees are approximately the same among
+// all processors"): every cone vertex u with v ∈ N+(u) — there are indeg(v)
+// of them — runs a merge that walks v's in-memory out-edges, so each
+// out-edge of v is touched ≈ indeg(v) times per window. A nil in-degree
+// array (naive plans evaluated for diagnostics) contributes no mass.
+func edgeWeight(outDeg, inDeg []uint32, scan float64, v int) float64 {
 	if outDeg[v] == 0 {
 		return 0
 	}
 	if inDeg == nil {
-		return 1
+		return scan
 	}
-	return 1 + float64(inDeg[v])
+	return scan + float64(inDeg[v])
 }
 
 func weightedRanges(offsets []uint64, outDeg []uint32, weightFn func(v int) float64, k int) []Range {
@@ -347,6 +455,3 @@ func (p Plan) Subdivide(nodes int) [][]Range {
 	}
 	return out
 }
-
-// OffsetsFromDisk is a convenience for callers holding a *graph.Disk.
-func OffsetsFromDisk(d *graph.Disk) []uint64 { return d.Offsets }

@@ -6,12 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"pdtl/internal/balance"
 	"pdtl/internal/baseline"
+	"pdtl/internal/core"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
 	"pdtl/internal/mgt"
@@ -502,4 +504,65 @@ func TestLimiterWaitCancel(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > baseline {
 		t.Errorf("goroutines leaked: %d, baseline %d", n, baseline)
 	}
+}
+
+// TestMasterPlansForTheWindow: the master plans the global N·P ranges for
+// the window its nodes' runners will use — the plan the local engine makes
+// for the same options, under both schedulers — not for one window per
+// range whatever -mem says.
+func TestMasterPlansForTheWindow(t *testing.T) {
+	g, err := gen.PowerLaw(1500, 15000, 1.9, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := baseline.Forward(g)
+	base := writeStore(t, g, "pl")
+	lc := startCluster(t, 1)
+	const workers, mem = 2, 100
+	for _, mode := range []sched.Mode{sched.Static, sched.Stealing} {
+		res, err := Run(context.Background(), Config{
+			GraphBase: base,
+			Workers:   workers,
+			MemEdges:  mem,
+			Strategy:  balance.InDegree,
+			Sched:     mode,
+		}, lc.Addrs())
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if res.Triangles != want {
+			t.Errorf("%v: triangles = %d, want %d", mode, res.Triangles, want)
+		}
+		local, err := core.Process(context.Background(), res.OrientedBase, core.Options{
+			Workers:  2 * workers, // N·P
+			MemEdges: mem,
+			Strategy: balance.InDegree,
+			Sched:    mode,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Plan.Ranges, local.Plan.Ranges) {
+			t.Errorf("%v: master planned %v, the local engine %v", mode, res.Plan.Ranges, local.Plan.Ranges)
+		}
+		if res.Plan.Windows < 40 || res.Plan.MemEdges != mem {
+			t.Errorf("%v: master's plan is for %d windows of %d entries, want ≥ 40 of %d", mode, res.Plan.Windows, res.Plan.MemEdges, mem)
+		}
+		blind, err := core.Plan(mustOpen(t, res.OrientedBase), res.OrientedBase, 2*workers, balance.InDegree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode == sched.Static && slices.Equal(res.Plan.Ranges, blind.Ranges) {
+			t.Errorf("the M-aware plan equals the single-window plan %v; the test graph no longer tells them apart", blind.Ranges)
+		}
+	}
+}
+
+func mustOpen(t *testing.T, base string) *graph.Disk {
+	t.Helper()
+	d, err := graph.Open(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

@@ -321,17 +321,25 @@ func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error)
 	// so its relative speed is accounted for automatically.
 	psp := cur.Begin(obs.SpanPlan)
 	var err error
-	if cfg.Sched == sched.Stealing {
-		r.args.Sched, r.args.Workers = sched.Stealing.String(), cfg.Workers
-		if res.Plan, err = core.PlanChunks(d, orientedBase, nodes*cfg.Workers, cfg.Chunks, cfg.Strategy); err == nil {
-			r.disp = sched.NewDispenser(res.Plan.Ranges)
-		}
-	} else if res.Plan, err = core.Plan(d, orientedBase, nodes*cfg.Workers, cfg.Strategy); err == nil {
-		r.disp = sched.NewPreassigned(res.Plan.Subdivide(nodes))
-	}
+	// Planned for the window every node's runners will use, like the local
+	// engine's plan for the same options.
+	res.Plan, err = core.PlanFor(d, orientedBase, core.Options{
+		Workers:  nodes * cfg.Workers,
+		MemEdges: cfg.MemEdges,
+		Strategy: cfg.Strategy,
+		Sched:    cfg.Sched,
+		Chunks:   cfg.Chunks,
+	})
+	res.Plan.Explain(cur, psp)
 	cur.End(psp)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Sched == sched.Stealing {
+		r.args.Sched, r.args.Workers = sched.Stealing.String(), cfg.Workers
+		r.disp = sched.NewDispenser(res.Plan.Ranges)
+	} else {
+		r.disp = sched.NewPreassigned(res.Plan.Subdivide(nodes))
 	}
 
 	// One driver per node, all concurrent: the master "starts the triangle

@@ -229,10 +229,9 @@ func Process(ctx context.Context, base string, opt Options) (*Result, error) {
 	//pdtl:nondeterministic-ok wall-clock feeds Result timing stats only, never listing order
 	calcStart := time.Now()
 	res.Sched = opt.Sched
-	// planFor cuts one range per worker under static, Chunks per worker
-	// under stealing — the same cost model, K× finer.
 	psp := cur.Begin(obs.SpanPlan)
-	plan, err := planFor(d, orientedBase, opt)
+	plan, err := PlanFor(d, orientedBase, opt)
+	plan.Explain(cur, psp)
 	cur.End(psp)
 	res.PlanTime = time.Since(calcStart) //pdtl:nondeterministic-ok timing stat only
 	if err != nil {
@@ -266,52 +265,34 @@ func Process(ctx context.Context, base string, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// planFor computes the ranges for an oriented store: one per worker under
-// the static scheduler, Chunks per worker under stealing (the same cost
-// model cut K× finer via balance.SplitChunks).
-func planFor(d *graph.Disk, orientedBase string, opt Options) (balance.Plan, error) {
-	in := balance.Inputs{Offsets: d.Offsets, OutDeg: d.Degrees}
+// PlanFor computes the ranges for a run of opt over the oriented store d:
+// one per worker under the static scheduler, Chunks per worker under
+// stealing, for windows of opt.MemEdges entries (balance.PlanStore). The
+// distributed master calls it with Workers = N·P to compute the global plan
+// centrally (Section IV-B1).
+func PlanFor(d *graph.Disk, orientedBase string, opt Options) (balance.Plan, error) {
+	if opt.MemEdges <= 0 {
+		opt.MemEdges = DefaultMemEdges
+	}
+	var inDeg []uint32
 	if opt.Strategy == balance.InDegree || opt.Strategy == balance.Cost {
 		var err error
-		in.InDeg, err = orient.LoadInDegrees(orientedBase, d.NumVertices())
+		inDeg, err = orient.LoadInDegrees(orientedBase, d.NumVertices())
 		if err != nil {
 			return balance.Plan{}, fmt.Errorf("core: load balancing needs the in-degree file: %w", err)
 		}
 	}
-	if opt.Strategy == balance.Cost {
-		var err error
-		in.ConeCost, err = balance.ConeCosts(d)
-		if err != nil {
-			return balance.Plan{}, fmt.Errorf("core: cost balancing scan: %w", err)
-		}
-	}
+	k := opt.Workers
 	if opt.Sched == sched.Stealing {
-		perWorker := opt.Chunks
-		if perWorker <= 0 {
-			perWorker = sched.DefaultChunksPerWorker
-		}
-		return balance.SplitChunks(in, opt.Workers, perWorker, opt.Strategy)
+		k = sched.ChunksFor(opt.Workers, opt.Chunks)
 	}
-	return balance.SplitInputs(in, opt.Workers, opt.Strategy)
+	return balance.PlanStore(d, inDeg, k, opt.Strategy, opt.MemEdges)
 }
 
-// Plan exposes planFor for the distributed master, which computes the
-// global N·P-range plan centrally (Section IV-B1).
+// Plan is PlanFor for a static run of `processors` runners with the default
+// window.
 func Plan(d *graph.Disk, orientedBase string, processors int, strategy balance.Strategy) (balance.Plan, error) {
-	return planFor(d, orientedBase, Options{Workers: processors, Strategy: strategy})
-}
-
-// PlanChunks is the stealing master's plan: the global N·P-processor
-// assignment cut into perWorker weighted chunks per processor
-// (non-positive perWorker selects the default), dispensed in batches
-// instead of pre-split.
-func PlanChunks(d *graph.Disk, orientedBase string, processors, perWorker int, strategy balance.Strategy) (balance.Plan, error) {
-	return planFor(d, orientedBase, Options{
-		Workers:  processors,
-		Chunks:   perWorker,
-		Strategy: strategy,
-		Sched:    sched.Stealing,
-	})
+	return PlanFor(d, orientedBase, Options{Workers: processors, Strategy: strategy})
 }
 
 // RunRanges runs one MGT runner per range, concurrently, against the
@@ -425,7 +406,7 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 // RunChunks is the stealing-mode calculation phase: a pool of opt.Workers
 // persistent MGT runners drains the chunk queue, each runner drawing the
 // next chunk the moment it finishes its current one. chunks is typically a
-// K·P-way weighted plan (balance.SplitChunks); any partition of the global
+// K·P-way weighted plan (PlanFor); any partition of the global
 // edge range is correct — every triangle is still reported exactly once, by
 // the chunk holding its pivot edge.
 //

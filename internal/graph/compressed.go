@@ -230,6 +230,62 @@ func uvarint32(data []byte) (uint32, int, error) {
 	return uint32(x), n, nil
 }
 
+// segHeader parses and validates the header at the front of d, of a segment
+// holding count values whose predecessor segment ended at prevLast (start:
+// there is none). It returns the segment's kind and value bounds and the
+// lengths of its header and payload in d — everything the whole-list
+// quick-reject needs, so that Bounds can walk a list without building
+// Segments.
+//
+//pdtl:hotpath
+func segHeader(d []byte, count int, prevLast Vertex, start bool) (kind byte, first, last Vertex, hdrLen, dataLen int, err error) {
+	if len(d) == 0 {
+		return 0, 0, 0, 0, 0, errTruncatedList
+	}
+	kind = d[0]
+	if kind != segKindVarint && kind != segKindBitmap {
+		return 0, 0, 0, 0, 0, errSegmentKind
+	}
+	hdrLen = 1
+	firstField, n, err := uvarint32(d[hdrLen:])
+	if err != nil {
+		return 0, 0, 0, 0, 0, err
+	}
+	hdrLen += n
+	span, n, err := uvarint32(d[hdrLen:])
+	if err != nil {
+		return 0, 0, 0, 0, 0, err
+	}
+	hdrLen += n
+	payload, n := binary.Uvarint(d[hdrLen:])
+	if n <= 0 {
+		return 0, 0, 0, 0, 0, errHeaderVarint
+	}
+	hdrLen += n
+	if payload > uint64(len(d)-hdrLen) {
+		return 0, 0, 0, 0, 0, errPayloadLen
+	}
+
+	lo := uint64(firstField)
+	if !start {
+		lo = uint64(prevLast) + 1 + uint64(firstField)
+	}
+	hi := lo + uint64(span)
+	if hi > math.MaxUint32 {
+		return 0, 0, 0, 0, 0, errRange32
+	}
+	if count == 1 && span != 0 {
+		return 0, 0, 0, 0, 0, errSpanCount
+	}
+	if uint64(span)+1 < uint64(count) {
+		return 0, 0, 0, 0, 0, errSpanCount
+	}
+	if kind == segKindBitmap && payload != uint64(span)/8+1 {
+		return 0, 0, 0, 0, 0, errBitmapPayloadLen
+	}
+	return kind, Vertex(lo), Vertex(hi), hdrLen, int(payload), nil
+}
+
 // Next parses the next segment. ok is false at the end of the list or on a
 // parse error (check Err).
 //
@@ -238,77 +294,22 @@ func (it *SegIter) Next() (Segment, bool) {
 	if it.err != nil || it.remaining <= 0 {
 		return Segment{}, false
 	}
-	d := it.data
-	if len(d) == 0 {
-		it.err = errTruncatedList
-		return Segment{}, false
-	}
-	kind := d[0]
-	if kind != segKindVarint && kind != segKindBitmap {
-		it.err = errSegmentKind
-		return Segment{}, false
-	}
-	d = d[1:]
-	firstField, n, err := uvarint32(d)
+	count := min(it.remaining, SegmentEntries)
+	kind, first, last, hdrLen, dataLen, err := segHeader(it.data, count, it.prevLast, it.start)
 	if err != nil {
 		it.err = err
 		return Segment{}, false
-	}
-	d = d[n:]
-	span, n, err := uvarint32(d)
-	if err != nil {
-		it.err = err
-		return Segment{}, false
-	}
-	d = d[n:]
-	dataLen, n64 := binary.Uvarint(d)
-	if n64 <= 0 {
-		it.err = errHeaderVarint
-		return Segment{}, false
-	}
-	d = d[n64:]
-	if dataLen > uint64(len(d)) {
-		it.err = errPayloadLen
-		return Segment{}, false
-	}
-
-	count := it.remaining
-	if count > SegmentEntries {
-		count = SegmentEntries
-	}
-	first := uint64(firstField)
-	if !it.start {
-		first = uint64(it.prevLast) + 1 + uint64(firstField)
-	}
-	last := first + uint64(span)
-	if last > math.MaxUint32 {
-		it.err = errRange32
-		return Segment{}, false
-	}
-	if count == 1 && span != 0 {
-		it.err = errSpanCount
-		return Segment{}, false
-	}
-	if uint64(span)+1 < uint64(count) {
-		it.err = errSpanCount
-		return Segment{}, false
-	}
-	if kind == segKindBitmap {
-		if want := uint64(span)/8 + 1; dataLen != want {
-			it.err = errBitmapPayloadLen
-			return Segment{}, false
-		}
 	}
 	seg := Segment{
 		Kind:    kind,
 		Count:   count,
-		First:   Vertex(first),
-		Last:    Vertex(last),
-		Payload: d[:dataLen],
+		First:   first,
+		Last:    last,
+		Payload: it.data[hdrLen : hdrLen+dataLen],
 	}
-	it.data = d[dataLen:]
+	it.data = it.data[hdrLen+dataLen:]
 	it.remaining -= count
-	it.prevLast = seg.Last
+	it.prevLast = last
 	it.start = false
 	if it.remaining == 0 && len(it.data) != 0 {
 		it.err = errTrailingData
@@ -392,20 +393,27 @@ func (cl CompressedList) Decode(dst []Vertex) ([]Vertex, error) {
 
 // Bounds parses only the segment headers and returns the list's first and
 // last values — the whole-list quick-reject test, O(segments) with no
-// payload decode. A zero-degree list returns ok=false.
+// payload decode. Every header is validated exactly as the iterator would.
+// A zero-degree list returns ok=false.
+//
+//pdtl:hotpath
 func (cl CompressedList) Bounds() (first, last Vertex, ok bool, err error) {
-	it := cl.Segments()
-	seg, more := it.Next()
-	if !more {
-		return 0, 0, false, it.Err()
-	}
-	first = seg.First
-	last = seg.Last
-	for {
-		next, more := it.Next()
-		if !more {
-			return first, last, true, it.Err()
+	d := cl.Data
+	for remaining := cl.Degree; remaining > 0; {
+		count := min(remaining, SegmentEntries)
+		_, lo, hi, hdrLen, dataLen, err := segHeader(d, count, last, !ok)
+		if err != nil {
+			return 0, 0, false, err
 		}
-		last = next.Last
+		if !ok {
+			first, ok = lo, true
+		}
+		last = hi
+		d = d[hdrLen+dataLen:]
+		remaining -= count
 	}
+	if ok && len(d) != 0 {
+		return 0, 0, false, errTrailingData
+	}
+	return first, last, ok, nil
 }

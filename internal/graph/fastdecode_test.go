@@ -199,3 +199,39 @@ func BenchmarkDecodeSegment(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkListBounds is the header-pruned pass's unit of work: the
+// whole-list quick reject on short lists (2–9 entries, one segment — the
+// bulk of a power-law store), against decoding the same lists, which is
+// what a pass paid for every list before it pruned on headers.
+func BenchmarkListBounds(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var enc ListEncoder
+	lists := make([]CompressedList, 4096)
+	for i := range lists {
+		vals := make([]Vertex, 2+rng.Intn(8))
+		v := Vertex(rng.Intn(200000))
+		for j := range vals {
+			v += Vertex(1 + rng.Intn(3000))
+			vals[j] = v
+		}
+		lists[i] = CompressedList{Degree: len(vals), Data: enc.Append(nil, vals)}
+	}
+	b.Run("bounds", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, ok, err := lists[i%len(lists)].Bounds(); err != nil || !ok {
+				b.Fatal(ok, err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		dst := make([]Vertex, 0, 16)
+		for i := 0; i < b.N; i++ {
+			if _, err := lists[i%len(lists)].Decode(dst[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

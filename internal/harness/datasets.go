@@ -72,6 +72,14 @@ var Datasets = []Dataset{
 		Build: func() (*graph.CSR, error) { return gen.RMAT(17, 16, 108) },
 	},
 	{
+		// ooc-sim is not a Table I stand-in either: it has the shape of
+		// the benchmark's out-of-core workload (sparse power law, short
+		// lists, a scan of the store costing far more than the
+		// intersections it feeds) for the lb-ooc ablation.
+		Key: "ooc-sim", Paper: "(out-of-core)",
+		Build: func() (*graph.CSR, error) { return gen.PowerLaw(1<<18, (1<<18)*8, 1.9, 110) },
+	},
+	{
 		// tiny is not a Table I stand-in: it is the seconds-scale smoke
 		// dataset CI runs `pdtl-bench -json` against to keep the JSON
 		// schema honest. Skewed on purpose so the worker-imbalance field

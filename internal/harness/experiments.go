@@ -48,6 +48,7 @@ var Experiments = []Experiment{
 	{ID: "table13", Paper: "Table XIII", Desc: "cluster runtimes, ample memory", Run: expTable13},
 	{ID: "table14", Paper: "Table XIV", Desc: "7-node PDTL vs PowerGraph with OOM", Run: expTable14},
 	{ID: "lb-ablation", Paper: "§VI ext.", Desc: "load-balancer ablation: naive vs in-degree vs exact cost", Run: expLBAblation},
+	{ID: "lb-ooc", Paper: "§IV-B ext.", Desc: "load-balancer ablation out of core: naive vs window-blind vs window-aware in-degree", Run: expLBOutOfCore},
 	{ID: "smalldeg", Paper: "§IV-A fn.1", Desc: "small-degree assumption removed: exact counts at M far below d*max", Run: expSmallDegree},
 	{ID: "approx", Paper: "§VI ext.", Desc: "approximate counting: Doulion and wedge sampling vs exact", Run: expApprox},
 	{ID: "dynamic", Paper: "§VI ext.", Desc: "dynamic counting: exact under insertions and deletions", Run: expDynamic},

@@ -320,18 +320,15 @@ func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, erro
 	if strategy == balance.Cost {
 		strategy = balance.InDegree
 	}
-	in := balance.Inputs{Offsets: m.disk.Offsets, OutDeg: m.disk.Degrees, InDeg: m.inDeg}
 	res := &core.Result{OrientedBase: m.disk.Base, Sched: opt.Sched}
-	var plan balance.Plan
+	k := workersFor(opt)
 	if opt.Sched == sched.Stealing {
-		perWorker := opt.Chunks
-		if perWorker <= 0 {
-			perWorker = sched.DefaultChunksPerWorker
-		}
-		plan, err = balance.SplitChunks(in, workersFor(opt), perWorker, strategy)
-	} else {
-		plan, err = balance.SplitInputs(in, workersFor(opt), strategy)
+		k = sched.ChunksFor(k, opt.Chunks)
 	}
+	if opt.MemEdges <= 0 {
+		opt.MemEdges = core.DefaultMemEdges
+	}
+	plan, err := balance.PlanStore(m.disk, m.inDeg, k, strategy, opt.MemEdges)
 	if err != nil {
 		return nil, err
 	}

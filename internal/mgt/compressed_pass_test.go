@@ -72,13 +72,11 @@ func TestCompressedPassMatchesPlain(t *testing.T) {
 					t.Fatalf("mem=%d kernel=%s: triangle %d = %v, want %v", mem, k.Kind(), i, got[i], want[i])
 				}
 			}
-			if k.Kind() == scan.KernelCompressed {
-				if st.SegmentsSkipped == 0 {
-					t.Errorf("mem=%d: block-skipping pass never skipped a segment", mem)
-				}
-			} else if st.SegmentsSkipped != 0 {
-				t.Errorf("mem=%d kernel=%s: decoded pass reported %d skipped segments, want 0",
-					mem, k.Kind(), st.SegmentsSkipped)
+			// Every pass on a compressed store rejects on headers: the
+			// block kernel per segment even inside one window, the others
+			// per out-of-window list once there are several windows.
+			if (k.Kind() == scan.KernelCompressed || mem < 100000) && st.SegmentsSkipped == 0 {
+				t.Errorf("mem=%d kernel=%s: pass never skipped a segment", mem, k.Kind())
 			}
 		}
 	}

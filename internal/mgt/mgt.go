@@ -110,10 +110,10 @@ type Stats struct {
 	// incurs one extra sequential read of its own list per pass.
 	LargeVertices uint64
 	// SegmentsSkipped counts compressed segments rejected on their
-	// (first, last) headers alone — never decoded — by the block-skipping
-	// path (compressed kernel on a compressed store). Zero for every other
-	// kernel/store combination; the skip-effectiveness metric of the bench
-	// schema.
+	// (first, last) headers alone — never decoded: by the block-skipping
+	// kernel segment by segment, by every other kernel's pass a whole
+	// out-of-window list at a time. Zero on plain stores; the
+	// skip-effectiveness metric of the bench schema.
 	SegmentsSkipped uint64
 	// WordOps counts 64-bit word operations executed by the vectorized
 	// paths: 8-wide blocks consumed by the unrolled varint decoder plus
@@ -206,7 +206,8 @@ type Runner struct {
 	// is compressed — the precondition of the direct-on-compressed pass,
 	// checked once here instead of per intersection.
 	bkernel    scan.BlockKernel
-	segScratch []graph.Vertex // segment decode scratch of the compressed pass
+	segScratch []graph.Vertex // segment decode scratch of the compressed passes
+	listBuf    []graph.Vertex // whole-list decode buffer of the header-pruned pass
 	// ckernel/cbkernel are kernel's count-only views (nil when the kernel
 	// lacks them): the closure-free hot path taken by RunRange when no sink
 	// is attached. cbkernel additionally requires a compressed store, like
@@ -231,9 +232,11 @@ type Runner struct {
 	curU, curV graph.Vertex
 	emitFn     func(graph.Vertex)
 
-	// Window state (Algorithm 2's edg/ind plus the window bounds).
+	// Window state (Algorithm 2's edg/ind plus the window bounds), and nmp,
+	// the current cone vertex's N+(u).
 	edg   []graph.Vertex
 	ind   []indEntry
+	nmp   []graph.Vertex
 	vlow  graph.Vertex
 	vhigh graph.Vertex
 	winLo uint64
@@ -272,6 +275,7 @@ func NewRunner(d *graph.Disk, cfg Config) (*Runner, error) {
 		handle:  cfg.Source,
 		kernel:  cfg.Kernel,
 		edg:     make([]graph.Vertex, 0, cfg.MemEdges),
+		nmp:     make([]graph.Vertex, 0, min(int(d.Meta.MaxOutDegree), cfg.MemEdges)),
 	}
 	if r.handle == nil {
 		src, err := scan.New(scan.SourceBuffered, d, scan.Config{BufBytes: cfg.BufBytes, Counter: counter})
@@ -289,11 +293,15 @@ func NewRunner(d *graph.Disk, cfg Config) (*Runner, error) {
 	if r.kernel == nil {
 		r.kernel = scan.Merge
 	}
-	if bk, ok := r.kernel.(scan.BlockKernel); ok && d.Format() == graph.FormatCompressed {
-		r.bkernel = bk
+	if d.Format() == graph.FormatCompressed {
 		r.segScratch = make([]graph.Vertex, 0, graph.SegmentEntries)
-		if cbk, ok := r.kernel.(scan.CountBlockKernel); ok {
-			r.cbkernel = cbk
+		if bk, ok := r.kernel.(scan.BlockKernel); ok {
+			r.bkernel = bk
+			if cbk, ok := r.kernel.(scan.CountBlockKernel); ok {
+				r.cbkernel = cbk
+			}
+		} else {
+			r.listBuf = make([]graph.Vertex, 0, cap(r.nmp))
 		}
 	}
 	if ck, ok := r.kernel.(scan.CountKernel); ok {
@@ -448,9 +456,10 @@ func (r *Runner) loadWindow(pos, end uint64) error {
 
 // scanPass streams the whole adjacency file once, reporting every triangle
 // whose pivot edge is inside the current window. Cone vertices whose
-// out-list exceeds M take the segmented large-vertex path. When the kernel
-// can intersect compressed lists and the scan can deliver them, the pass
-// runs directly on the compressed form instead.
+// out-list exceeds M take the segmented large-vertex path. A compressed
+// store's scan delivers the lists encoded: a block kernel intersects that
+// form directly, any other kernel decodes only the lists whose segment
+// headers say they can reach the window (scanPassPruned).
 func (r *Runner) scanPass() error {
 	d := r.disk
 	sc, err := r.handle.Scan(r.cfg.MemEdges)
@@ -458,17 +467,13 @@ func (r *Runner) scanPass() error {
 		return err
 	}
 	defer sc.Close()
-	if r.bkernel != nil {
-		if csc, ok := sc.(scan.CompressedScan); ok {
+	if csc, ok := sc.(scan.CompressedScan); ok {
+		if r.bkernel != nil {
 			return r.scanPassCompressed(sc, csc)
 		}
+		return r.scanPassPruned(sc, csc)
 	}
 
-	maxNmp := int(d.Meta.MaxOutDegree)
-	if maxNmp > r.cfg.MemEdges {
-		maxNmp = r.cfg.MemEdges
-	}
-	nmp := make([]graph.Vertex, 0, maxNmp)
 	for {
 		u, nm, ok := sc.Next()
 		if !ok {
@@ -488,38 +493,87 @@ func (r *Runner) scanPass() error {
 		if nm[len(nm)-1] < r.vlow || nm[0] > r.vhigh {
 			continue
 		}
-		// nmp := N+(u) — out-neighbors of u with out-edges in memory.
-		nmp = nmp[:0]
-		for _, v := range nm {
-			if v < r.vlow {
-				continue
-			}
-			if v > r.vhigh {
-				break
-			}
-			if r.ind[v-r.vlow].len > 0 {
-				nmp = append(nmp, v)
-			}
-		}
-		for _, v := range nmp {
-			e := r.ind[v-r.vlow]
-			ev := r.edg[e.off : e.off+e.len]
-			r.stats.Intersections++
-			// Intersect sorted nm with sorted Ev via the configured
-			// kernel; every common vertex w closes triangle (u, v, w)
-			// with pivot (v, w). Count-only runs take the closure-free
-			// Count path — same comparisons, no emit call per match.
-			if r.countOnly {
-				c, steps := r.ckernel.Count(nm, ev)
-				r.stats.Triangles += c
-				r.stats.CmpOps += steps
-			} else {
-				r.curU, r.curV = u, v
-				r.stats.CmpOps += r.kernel.Intersect(nm, ev, r.emitFn)
-			}
-		}
+		r.cone(u, nm)
 	}
 	return sc.Err()
+}
+
+// scanPassPruned is scanPass for a kernel that needs decoded lists on a
+// compressed store. In a multi-window run most cone lists cannot reach the
+// window at all — its vertex span [vlow, vhigh] is a sliver of the graph —
+// yet the decoding scan would expand every one of them before the quick
+// reject looked at its ends. Here the list arrives encoded, the reject runs
+// on its segment headers (CompressedList.Bounds: every header is parsed and
+// validated, no payload is touched), and only the survivors are decoded.
+// The survivors are exactly the lists the decoding pass would not have
+// rejected, decoded to the same values, so the triangle stream is
+// identical.
+func (r *Runner) scanPassPruned(sc scan.Scan, csc scan.CompressedScan) error {
+	d := r.disk
+	for {
+		u, cl, ok := csc.NextCompressed()
+		if !ok {
+			break
+		}
+		if int(d.Degrees[u]) > r.cfg.MemEdges {
+			if err := r.largeVertexCompressed(u, cl); err != nil {
+				return err
+			}
+			continue
+		}
+		if cl.Degree < 2 {
+			continue // need at least a pivot source and a closing vertex
+		}
+		first, last, _, err := cl.Bounds()
+		if err != nil {
+			return fmt.Errorf("mgt: list of vertex %d: %w", u, err)
+		}
+		if last < r.vlow || first > r.vhigh {
+			r.stats.SegmentsSkipped += uint64((cl.Degree + graph.SegmentEntries - 1) / graph.SegmentEntries)
+			continue
+		}
+		nm, err := cl.Decode(r.listBuf[:0])
+		if err != nil {
+			return fmt.Errorf("mgt: decode list of vertex %d: %w", u, err)
+		}
+		r.cone(u, nm)
+	}
+	return sc.Err()
+}
+
+// cone reports the triangles of cone vertex u whose pivot edge is in the
+// window: nm = N(u), decoded and known to overlap [vlow, vhigh].
+func (r *Runner) cone(u graph.Vertex, nm []graph.Vertex) {
+	// nmp := N+(u) — out-neighbors of u with out-edges in memory.
+	nmp := r.nmp[:0]
+	for _, v := range nm {
+		if v < r.vlow {
+			continue
+		}
+		if v > r.vhigh {
+			break
+		}
+		if r.ind[v-r.vlow].len > 0 {
+			nmp = append(nmp, v)
+		}
+	}
+	for _, v := range nmp {
+		e := r.ind[v-r.vlow]
+		ev := r.edg[e.off : e.off+e.len]
+		r.stats.Intersections++
+		// Intersect sorted nm with sorted Ev via the configured kernel;
+		// every common vertex w closes triangle (u, v, w) with pivot
+		// (v, w). Count-only runs take the closure-free Count path — same
+		// comparisons, no emit call per match.
+		if r.countOnly {
+			c, steps := r.ckernel.Count(nm, ev)
+			r.stats.Triangles += c
+			r.stats.CmpOps += steps
+		} else {
+			r.curU, r.curV = u, v
+			r.stats.CmpOps += r.kernel.Intersect(nm, ev, r.emitFn)
+		}
+	}
 }
 
 // scanPassCompressed is scanPass running directly on the encoded adjacency
@@ -531,11 +585,7 @@ func (r *Runner) scanPass() error {
 // same ascending w per pivot — which the cross-check tests pin down.
 func (r *Runner) scanPassCompressed(sc scan.Scan, csc scan.CompressedScan) error {
 	d := r.disk
-	maxNmp := int(d.Meta.MaxOutDegree)
-	if maxNmp > r.cfg.MemEdges {
-		maxNmp = r.cfg.MemEdges
-	}
-	nmp := make([]graph.Vertex, 0, maxNmp)
+	nmp := r.nmp
 	for {
 		u, cl, ok := csc.NextCompressed()
 		if !ok {

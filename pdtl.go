@@ -219,6 +219,11 @@ type Result struct {
 	ScanSource string
 	// Sched is the chunk scheduler the run used ("static" or "stealing").
 	Sched string
+	// MemEdges is the window the load-balance plan was made for — the
+	// run's M, clipped to the store size — and Windows how many of them the
+	// store is: the passes a single runner would need, and the least the
+	// runners' Passes can sum to.
+	MemEdges, Windows int
 	// SourceBytesRead is the disk volume the scan source read on its own
 	// behalf: the shared broadcaster's single scan per round of passes,
 	// or the in-memory preload. Zero for "buffered", whose scans are
