@@ -31,8 +31,9 @@ type ClusterOptions struct {
 	// ScanSource selects every node's scan source ("auto", "buffered",
 	// "shared", "mem"); see Options.ScanSource.
 	ScanSource string
-	// Kernel selects every node's intersection kernel ("merge", "gallop",
-	// "adaptive", "compressed", "cover"); see Options.Kernel.
+	// Kernel selects every node's intersection routine ("auto" or empty,
+	// "merge", "gallop", "adaptive", "compressed", "cover"); see
+	// Options.Kernel. The default travels as the empty string.
 	Kernel string
 	// Sched selects the chunk scheduler: "static" (or empty — the paper's
 	// up-front pre-split of the global plan across nodes) or "stealing"

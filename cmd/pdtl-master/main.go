@@ -42,8 +42,8 @@ func main() {
 	naive := flag.Bool("naive-balance", false, "disable in-degree load balancing")
 	scanSource := flag.String("scan", "auto",
 		"per-node scan source: auto (shared when workers > 1), buffered, shared, or mem")
-	kernel := flag.String("kernel", "merge",
-		"intersection kernel: merge, gallop, adaptive, compressed, or cover")
+	kernel := flag.String("kernel", "auto",
+		"intersection kernel: auto, merge, gallop, adaptive, compressed, or cover")
 	store := flag.String("store", "",
 		"oriented-store encoding built and replicated to workers: plain or compressed (default plain; already-oriented input is replicated as-is)")
 	schedMode := flag.String("sched", "static",

@@ -63,12 +63,12 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   pdtl count -graph BASE [-workers P] [-mem ENTRIES] [-naive-balance]
              [-scan auto|buffered|shared|mem]
-             [-kernel merge|gallop|adaptive|compressed|cover]
+             [-kernel auto|merge|gallop|adaptive|compressed|cover]
              [-sched static|stealing] [-chunks K] [-store plain|compressed]
              [-trace FILE]
   pdtl list  -graph BASE -out FILE [-workers P] [-mem ENTRIES]
              [-scan auto|buffered|shared|mem]
-             [-kernel merge|gallop|adaptive|compressed|cover]
+             [-kernel auto|merge|gallop|adaptive|compressed|cover]
              [-sched static|stealing] [-chunks K] [-store plain|compressed]
              [-trace FILE]
   pdtl info  -graph BASE`)
@@ -82,8 +82,8 @@ func commonFlags(fs *flag.FlagSet) (graphBase *string, opt *pdtl.Options) {
 	fs.BoolVar(&opt.NaiveBalance, "naive-balance", false, "disable in-degree load balancing")
 	fs.StringVar(&opt.ScanSource, "scan", "auto",
 		"scan source: auto (shared when workers > 1), buffered, shared, or mem")
-	fs.StringVar(&opt.Kernel, "kernel", "merge",
-		"intersection kernel: merge, gallop, adaptive, compressed (block-skipping), or cover")
+	fs.StringVar(&opt.Kernel, "kernel", "auto",
+		"intersection kernel: auto (mark N(u) once, probe every in-memory list), or pairwise merge (the paper's), gallop, adaptive, compressed (block-skipping), or cover")
 	fs.StringVar(&opt.Sched, "sched", "static",
 		"chunk scheduler: static (one range per worker, the paper's) or stealing (dynamic chunk queue)")
 	fs.IntVar(&opt.Chunks, "chunks", 0,

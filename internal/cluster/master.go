@@ -57,7 +57,7 @@ type Config struct {
 	// more than one processor.
 	Scan scan.SourceKind
 	// Kernel selects the intersection kernel on every node (default
-	// merge).
+	// scan.KernelAuto, sent as the empty string).
 	Kernel scan.KernelKind
 	// Sched selects the chunk scheduler. Static pre-splits the global
 	// N·P-range plan across nodes up front (the paper's Figure 1

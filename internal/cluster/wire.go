@@ -120,9 +120,10 @@ type CountArgs struct {
 	// the wire so heterogeneous builds stay compatible.
 	Scan string
 	// Kernel names the intersection kernel ("merge", "gallop", "adaptive",
-	// "compressed", "cover"); empty means merge. Counting requests (List
-	// false) run the kernel's count-only path on the node; the per-worker
-	// stats in the reply then carry WordOps/FastDecodes.
+	// "compressed", "cover"); empty means the node's default (auto).
+	// Counting requests (List false) run a named kernel's count-only path
+	// on the node; the per-worker stats in the reply then carry
+	// WordOps/FastDecodes.
 	Kernel string
 	// List requests triangle listing; the triples come back in the reply
 	// (the paper's clients send lists back to the master, which

@@ -60,7 +60,8 @@ func (s *recordingSink) Triangle(u, v, w graph.Vertex) {
 
 // TestAllSourceKernelCombosIdentical is the cross-check demanded by the
 // execution-layer refactor: for several generated graphs, every
-// (ScanSource × IntersectKernel) combination must produce the same
+// (ScanSource × IntersectKernel) combination — the runners' default cone
+// routine (auto) being one row of the kernel axis — must produce the same
 // triangle count as the in-memory baseline AND the same listed triangle
 // sequence per runner — not just the same set, since sources and kernels
 // both promise order-preserving equivalence.
@@ -81,7 +82,7 @@ func TestAllSourceKernelCombosIdentical(t *testing.T) {
 		{"trigrid", func() (*graph.CSR, error) { return gen.TriGrid(9, 9) }, 32},
 	}
 	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared, scan.SourceMem}
-	kernels := []scan.KernelKind{scan.KernelMerge, scan.KernelGallop, scan.KernelAdaptive}
+	kernels := []scan.KernelKind{scan.KernelAuto, scan.KernelMerge, scan.KernelGallop, scan.KernelAdaptive}
 	const workers = 3
 
 	for _, tc := range graphs {
@@ -168,7 +169,7 @@ func TestAllSourceKernelCombosIdentical(t *testing.T) {
 
 // TestSchedSourceKernelCombosIdentical extends the cross-check to the
 // scheduler axis: sched(static, stealing) × scan(buffered, shared, mem) ×
-// kernel(merge, gallop, adaptive) must all produce identical,
+// kernel(auto, merge, gallop, adaptive) must all produce identical,
 // order-normalized triangle listings versus the in-memory baseline. On top
 // of the set identity, the chunk-indexed listings of every stealing combo
 // must agree exactly (same sequence per chunk) — sources and kernels
@@ -184,7 +185,7 @@ func TestSchedSourceKernelCombosIdentical(t *testing.T) {
 		{"k40", func() (*graph.CSR, error) { return gen.Complete(40) }, 16},
 	}
 	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared, scan.SourceMem}
-	kernels := []scan.KernelKind{scan.KernelMerge, scan.KernelGallop, scan.KernelAdaptive}
+	kernels := []scan.KernelKind{scan.KernelAuto, scan.KernelMerge, scan.KernelGallop, scan.KernelAdaptive}
 	const workers = 3
 	const perWorker = 4
 
@@ -310,12 +311,12 @@ func bitmapBoundaryGraph() (*graph.CSR, error) {
 
 // TestSchedSourceKernelStoreCombosIdentical is the full execution-layer
 // cross-check with the store axis added: sched(static, stealing) ×
-// scan(buffered, shared, mem) × kernel(all five) × store(plain, compressed)
+// scan(buffered, shared, mem) × kernel(auto + all five) × store(plain, compressed)
 // must produce the identical triangle listing — the same sequence per sink,
 // not just the same set — and match the in-memory baseline count. Every
 // combo then reruns with nil sinks, which selects the closure-free
 // count-only kernel path; its total must equal both the listing total and
-// the baseline (60 count-only combos per graph). The
+// the baseline (72 count-only combos per graph). The
 // graphs pin the regimes that matter: Complete(40) at memEdges 16 (every
 // vertex takes the large-vertex path), a skewed power law, and the
 // bitmap-boundary graph above (dense 301-entry lists spanning a full
@@ -332,7 +333,7 @@ func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 		{"bitmap", bitmapBoundaryGraph, 256},
 	}
 	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared, scan.SourceMem}
-	kernels := scan.KernelKinds()
+	kernels := append([]scan.KernelKind{scan.KernelAuto}, scan.KernelKinds()...)
 	const workers = 3
 	const perWorker = 2
 

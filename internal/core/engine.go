@@ -61,8 +61,9 @@ type Options struct {
 	// of passes instead of P — and scan.SourceBuffered (the paper's
 	// per-runner scans) for a single runner.
 	Scan scan.SourceKind
-	// Kernel selects the sorted-array intersection kernel; the default is
-	// scan.KernelMerge, the paper's. All kernels produce identical
+	// Kernel names a pairwise sorted-array intersection kernel; the default
+	// (scan.KernelAuto, empty) leaves the intersecting to the runners' own
+	// mark-and-probe cone routine. Every choice produces identical
 	// triangles.
 	Kernel scan.KernelKind
 	// Sched selects the chunk scheduler: sched.Static (the paper's one-shot

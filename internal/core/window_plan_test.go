@@ -12,16 +12,18 @@ import (
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
 	"pdtl/internal/mgt"
+	"pdtl/internal/scan"
 	"pdtl/internal/sched"
 )
 
 // TestWindowAwareRunsMatchBaseline is the differential check of the
-// window-aware planner and the header-pruned pass: the engine end to end
-// (orient, plan for M, run) against internal/baseline, for both store
-// formats, both schedulers, and windows of a third of the store, a 48th,
-// and fewer entries than the largest out-list (the large-vertex path) —
-// the count of a counting run and the order-normalised listing of a
-// listing run.
+// window-aware planner, the header-pruned pass and the runners' default
+// cone routine: the engine end to end (orient, plan for M, run) against
+// internal/baseline, for both store formats, both schedulers, and windows
+// of the whole store, a third of it, a 48th, and fewer entries than the
+// largest out-list (the large-vertex path) — the count of a counting run
+// and the order-normalised listing of a listing run, whose every sink must
+// also receive the very sequence an explicit merge kernel gives it.
 func TestWindowAwareRunsMatchBaseline(t *testing.T) {
 	g, err := gen.PowerLaw(2000, 24000, 1.9, 5)
 	if err != nil {
@@ -51,7 +53,7 @@ func TestWindowAwareRunsMatchBaseline(t *testing.T) {
 			t.Fatalf("oriented store is %s, want %s", d.Format(), format)
 		}
 		total := int(d.Meta.AdjEntries)
-		for _, mem := range []int{total / 3, total / 48, int(d.Meta.MaxOutDegree) - 1} {
+		for _, mem := range []int{total, total / 3, total / 48, int(d.Meta.MaxOutDegree) - 1} {
 			for _, mode := range []sched.Mode{sched.Static, sched.Stealing} {
 				label := fmt.Sprintf("%s/%s/M=%d", format, mode, mem)
 				opt := Options{Workers: workers, MemEdges: mem, Strategy: balance.InDegree, Sched: mode}
@@ -72,22 +74,30 @@ func TestWindowAwareRunsMatchBaseline(t *testing.T) {
 					t.Errorf("%s: %d passes over %d windows — a range ends in a partial window", label, got, windows)
 				}
 
-				recs := make([]*recordingSink, len(res.Plan.Ranges))
-				opt.Sinks = make([]mgt.Sink, len(recs))
-				for i := range recs {
-					recs[i] = &recordingSink{}
-					opt.Sinks[i] = recs[i]
-				}
-				if _, err := Process(context.Background(), first.OrientedBase, opt); err != nil {
-					t.Fatalf("%s listing: %v", label, err)
-				}
-				var got [][3]graph.Vertex
-				for _, rec := range recs {
-					got = append(got, rec.tris...)
-				}
-				sortTriangles(got)
-				if !slices.Equal(got, wantList) {
-					t.Errorf("%s: listing of %d triangles differs from the baseline's %d", label, len(got), len(wantList))
+				var merged []*recordingSink
+				for _, kern := range []scan.KernelKind{scan.KernelMerge, scan.KernelAuto} {
+					recs := make([]*recordingSink, len(res.Plan.Ranges))
+					opt.Sinks = make([]mgt.Sink, len(recs))
+					for i := range recs {
+						recs[i] = &recordingSink{}
+						opt.Sinks[i] = recs[i]
+					}
+					opt.Kernel = kern
+					if _, err := Process(context.Background(), first.OrientedBase, opt); err != nil {
+						t.Fatalf("%s/%s listing: %v", label, kern, err)
+					}
+					var got [][3]graph.Vertex
+					for i, rec := range recs {
+						if merged != nil && !slices.Equal(rec.tris, merged[i].tris) {
+							t.Errorf("%s: sink %d received %d triangles, %d under the merge kernel, or in another order", label, i, len(rec.tris), len(merged[i].tris))
+						}
+						got = append(got, rec.tris...)
+					}
+					merged = recs
+					sortTriangles(got)
+					if !slices.Equal(got, wantList) {
+						t.Errorf("%s/%s: listing of %d triangles differs from the baseline's %d", label, kern, len(got), len(wantList))
+					}
 				}
 			}
 		}

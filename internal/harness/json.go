@@ -14,7 +14,6 @@ import (
 	"pdtl/internal/graph"
 	"pdtl/internal/live"
 	"pdtl/internal/mgt"
-	"pdtl/internal/scan"
 	"pdtl/internal/sched"
 )
 
@@ -247,7 +246,7 @@ func (h *Harness) benchRun(res *core.Result, dataset string, workers, mem int) B
 		Workers:         workers,
 		MemEdges:        mem,
 		Scan:            string(res.Scan),
-		Kernel:          kernelName(h.Kernel),
+		Kernel:          h.Kernel.String(),
 		SegmentsSkipped: segSkipped,
 		WordOps:         wordOps,
 		FastDecodes:     fastDecodes,
@@ -392,10 +391,3 @@ func hostname() string {
 	return h
 }
 
-// kernelName resolves the kernel default for reporting ("" runs merge).
-func kernelName(k scan.KernelKind) string {
-	if k == "" {
-		return string(scan.KernelMerge)
-	}
-	return string(k)
-}

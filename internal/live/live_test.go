@@ -164,10 +164,11 @@ func TestLiveChurnCrosscheck(t *testing.T) {
 			}
 			// Count-only kernel sweep over the final live view (the delta
 			// overlay is non-empty again after the post-compaction rounds):
-			// every kernel's closure-free count path must agree with the
-			// baseline and with a listing run of the same kernel.
+			// the default cone routine and every kernel's closure-free count
+			// path must agree with the baseline and with a listing run of
+			// the same kernel.
 			want := baseline.Forward(ref.csr(t))
-			for _, kern := range scan.KernelKinds() {
+			for _, kern := range append([]scan.KernelKind{scan.KernelAuto}, scan.KernelKinds()...) {
 				got := countLive(t, lg, core.Options{Workers: 2, Kernel: kern})
 				if got != want {
 					t.Fatalf("count-only kernel %s on live view = %d, want %d", kern, got, want)
@@ -291,6 +292,12 @@ func TestNewVerticesAndBaseDeletes(t *testing.T) {
 	want := baseline.Forward(ref.csr(t))
 	if got := countLive(t, lg, core.Options{Workers: 2}); got != want {
 		t.Fatalf("count = %d want %d", got, want)
+	}
+	// The runners mark neighbours in an array over the vertex ids of the
+	// view they scan: it must cover the ids the delta introduced, on the
+	// small-vertex path and (a two-entry window) the large-vertex one.
+	if got := countLive(t, lg, core.Options{Workers: 2, MemEdges: 2}); got != want {
+		t.Fatalf("count with a two-entry window = %d want %d", got, want)
 	}
 	if !lg.HasEdge(n, n+2) || lg.HasEdge(0, g0.Neighbors(0)[0]) {
 		t.Fatal("HasEdge disagrees with applied batch")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pdtl/internal/gen"
+	"pdtl/internal/scan"
 )
 
 // BenchmarkMGTFullPass measures a whole-range run with a one-pass memory
@@ -65,5 +66,49 @@ func BenchmarkMGTListing(b *testing.B) {
 		if sink.N != st.Triangles {
 			b.Fatal("sink mismatch")
 		}
+	}
+}
+
+// BenchmarkCone measures the calculation phase alone — a warmed Runner over
+// an in-memory source, count-only, the window holding the whole file — on
+// the skewed stand-in the scan package's kernel benchmarks use: the
+// runner's own mark-and-probe routine (auto) against the paper's pairwise
+// merge. cmp/op is Stats.CmpOps, exact and repeatable.
+func BenchmarkCone(b *testing.B) {
+	g, err := gen.PowerLaw(20000, 200000, 2.1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := orientedStore(b, g)
+	src, err := scan.New(scan.SourceMem, d, scan.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	for _, k := range []scan.KernelKind{scan.KernelAuto, scan.KernelMerge} {
+		b.Run(k.String(), func(b *testing.B) {
+			kernel, err := scan.NewKernel(k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			h, err := src.Handle(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer h.Close()
+			r, err := NewRunner(d, Config{MemEdges: int(d.Meta.AdjEntries), Source: h, Kernel: kernel})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer r.Close()
+			var st Stats
+			for b.Loop() {
+				if st, err = r.RunRange(context.Background(), FullRange(d), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(st.CmpOps), "cmp/op")
+			b.ReportMetric(float64(st.Triangles), "triangles")
+		})
 	}
 }

@@ -4,8 +4,8 @@
 // MGT finds all triangles of an oriented graph G* held on disk by loading
 // consecutive out-edges into memory and, for every vertex u of the graph,
 // intersecting u's out-list with the in-memory out-lists of u's
-// out-neighbors. The paper's modification — kept faithfully here — is that
-// all per-vertex structures are *sorted arrays*, never hash sets (their
+// out-neighbors. The paper's modification — kept here — is that all
+// per-vertex structures are *sorted arrays*, never hash sets (their
 // set-based implementation was more than 10× slower):
 //
 //	edg — the in-memory edge chunk: a copy of a contiguous slice of the
@@ -16,6 +16,16 @@
 //	      sequential scan of the whole adjacency file;
 //	nmp — N+(u) = N(u) ∩ V+mem, computed by probing ind.
 //
+// Algorithm 2 then merges nm against Ev once per v ∈ nmp, re-walking N(u)
+// |N+(u)| times. The runner's own cone routine (Config.Kernel nil) walks it
+// once instead: it stamps every w ∈ nm with a fresh epoch in mark, a
+// direct-addressed array over the vertex ids, and probes every in-window Ev
+// against it — d(u) + Σ|Ev| steps per cone vertex instead of
+// Σ(d(u) + |Ev|), same triangles in the same order. mark is no hash set:
+// one load per probe, no hashing, no collisions, nothing to clear between
+// cone vertices (DESIGN.md §5). A named Config.Kernel keeps the paper's
+// pairwise intersections as the ablation.
+//
 // A runner is additionally restricted to a contiguous *global* edge range
 // [Lo, Hi): its pivot responsibility in PDTL (Section IV-B). Every triangle
 // is reported exactly once across runners, by the runner (and pass) whose
@@ -23,8 +33,7 @@
 // exactly the paper's single-core MGT, the baseline of Figure 11.
 //
 // The runner does not open the adjacency file itself: all data access —
-// window loads, sequential scan passes, large-vertex re-reads — goes
-// through a scan.Handle, and the intersection through a scan.Kernel, both
+// window loads and sequential scan passes — goes through a scan.Handle
 // supplied by Config (see internal/scan and DESIGN.md §5). The engine
 // layer decides whether the P runners each scan the file privately, share
 // one broadcast scan, or run fully in memory; this package is agnostic.
@@ -35,7 +44,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"pdtl/internal/balance"
@@ -72,17 +80,19 @@ type Config struct {
 	// triangle counting" in Theorem IV.3).
 	Sink Sink
 	// Source is the runner's access to the adjacency data. The runner
-	// never opens the adjacency file itself: window loads, scan passes,
-	// and large-vertex re-reads all go through this handle, so the engine
-	// decides the I/O strategy (per-runner buffered scans, one shared
-	// broadcast scan, or fully in-memory). Nil selects a private
-	// scan.SourceBuffered handle charged to Counter — the paper's
-	// configuration, and bitwise-identical to the pre-refactor behavior.
+	// never opens the adjacency file itself: window loads and scan passes
+	// go through this handle, so the engine decides the I/O strategy
+	// (per-runner buffered scans, one shared broadcast scan, or fully
+	// in-memory). Nil selects a private scan.SourceBuffered handle charged
+	// to Counter — the paper's configuration, and bitwise-identical to the
+	// pre-refactor behavior.
 	Source scan.Handle
-	// Kernel is the sorted-array intersection used on the hot path. Nil
-	// selects scan.Merge (Section IV-A's two-pointer merge). All kernels
-	// produce identical triangles in identical order; they differ only in
-	// comparison count on skewed operand lengths.
+	// Kernel, when non-nil, is the pairwise sorted-array intersection run
+	// once per (nm, Ev) pair — scan.Merge is Section IV-A's two-pointer
+	// merge, the paper ablation. Nil, the default, selects the runner's own
+	// mark-and-probe cone routine (see the package comment); this is the
+	// one place an unset kernel gets its meaning. Every choice produces
+	// identical triangles in identical order.
 	Kernel scan.Kernel
 }
 
@@ -96,18 +106,22 @@ type Stats struct {
 	// EdgesLoaded is the total number of adjacency entries loaded into the
 	// window across passes (= the range size).
 	EdgesLoaded uint64
-	// Intersections is the number of sorted-array intersections performed
-	// (|nmp| summed over all scans).
+	// Intersections is the number of (nm, Ev) pairs intersected — |nmp|
+	// summed over all cone vertices of all passes, whichever routine
+	// intersects them.
 	Intersections uint64
-	// CmpOps counts merge steps inside the intersections — a
+	// CmpOps counts the steps inside the intersections — a
 	// machine-independent proxy for the CPU work of Theorem IV.2's
 	// O(|E|²/M + α|E|) term, used by the harness to report scaling
-	// independently of the host's core count.
+	// independently of the host's core count. Under a named kernel it is
+	// the kernel's own step count; on the default path (and for a large
+	// vertex under any kernel) it is stamps written plus probes made,
+	// d(u) + Σ|Ev| per cone vertex. Both are exact and repeat from run to
+	// run.
 	CmpOps uint64
 	// LargeVertices counts cone vertices whose out-list exceeded M and
-	// went through the segmented large-vertex path (the removal of the
-	// small-degree assumption, footnote 1 of the paper). Each such vertex
-	// incurs one extra sequential read of its own list per pass.
+	// arrived in segments (the removal of the small-degree assumption,
+	// footnote 1 of the paper). They cost no extra I/O.
 	LargeVertices uint64
 	// SegmentsSkipped counts compressed segments rejected on their
 	// (first, last) headers alone — never decoded: by the block-skipping
@@ -191,17 +205,17 @@ func Run(ctx context.Context, d *graph.Disk, cfg Config) (Stats, error) {
 }
 
 // Runner is a reusable modified-MGT executor over one oriented store. It
-// owns the window buffer (edg), the window index (ind), and the
-// large-vertex structures (value index, stamp array, chunk buffer), all
-// sized once and reused by every RunRange call — under the work-stealing
-// scheduler a runner executes many chunks back to back, and per-chunk
-// reallocation of these M-sized buffers would dominate small chunks. A
-// Runner is not safe for concurrent use; a pool gives each worker its own.
+// owns the window buffer (edg), the window index (ind), the N+(u) buffer
+// (nmp) and the mark array, all sized once — O(M + n) entries — and reused
+// by every RunRange call: under the work-stealing scheduler a runner
+// executes many chunks back to back, and per-chunk reallocation of these
+// buffers would dominate small chunks. A Runner is not safe for concurrent
+// use; a pool gives each worker its own.
 type Runner struct {
 	disk   *graph.Disk
 	cfg    Config
 	handle scan.Handle
-	kernel scan.Kernel
+	kernel scan.Kernel // nil: the runner's own mark-and-probe cone routine
 	// bkernel is kernel's BlockKernel view when it has one and the store
 	// is compressed — the precondition of the direct-on-compressed pass,
 	// checked once here instead of per intersection.
@@ -241,16 +255,12 @@ type Runner struct {
 	vhigh graph.Vertex
 	winLo uint64
 
-	// Large-vertex state (removal of the small-degree assumption): a
-	// value-sorted index of the window's edges, an epoch-stamped mark
-	// array over the window span, and a chunk buffer for re-reading huge
-	// cone lists. All O(M + span).
-	idxBuilt bool
-	idxVals  []graph.Vertex
-	idxSrcs  []graph.Vertex
-	stamp    []uint32
-	epoch    uint32
-	chunkBuf []graph.Vertex
+	// mark is the direct-addressed membership array of the current cone
+	// vertex, one entry per vertex id of the store: mark[w] == epoch iff
+	// w ∈ N(u). Bumping epoch empties it in O(1).
+	mark  []uint32
+	epoch uint32
+	hits  [256]graph.Vertex // one block's matches, between probing and emitting
 }
 
 // NewRunner validates cfg and builds a reusable runner. cfg.Range and
@@ -276,6 +286,9 @@ func NewRunner(d *graph.Disk, cfg Config) (*Runner, error) {
 		kernel:  cfg.Kernel,
 		edg:     make([]graph.Vertex, 0, cfg.MemEdges),
 		nmp:     make([]graph.Vertex, 0, min(int(d.Meta.MaxOutDegree), cfg.MemEdges)),
+		// Sized from the store this runner scans: a live graph's merged view
+		// carries vertex ids its base store does not.
+		mark: make([]uint32, d.NumVertices()),
 	}
 	if r.handle == nil {
 		src, err := scan.New(scan.SourceBuffered, d, scan.Config{BufBytes: cfg.BufBytes, Counter: counter})
@@ -289,9 +302,6 @@ func NewRunner(d *graph.Disk, cfg Config) (*Runner, error) {
 		}
 		r.ownedSrc = src
 		r.handle = h
-	}
-	if r.kernel == nil {
-		r.kernel = scan.Merge
 	}
 	if d.Format() == graph.FormatCompressed {
 		r.segScratch = make([]graph.Vertex, 0, graph.SegmentEntries)
@@ -348,7 +358,7 @@ func (r *Runner) RunRange(ctx context.Context, rng balance.Range, sink Sink) (St
 	}
 	r.stats = Stats{}
 	r.sink = sink
-	r.countOnly = sink == nil && r.ckernel != nil
+	r.countOnly = sink == nil && r.ckernel != nil // named kernels only
 	ioStart := r.counter.Snapshot()
 	wordStart, fastStart := r.arena.WordOps, r.arena.FastDecodes
 	// The chunk span (allocation-free: cursor lookup plus slab writes).
@@ -428,11 +438,8 @@ func (r *Runner) loadWindow(pos, end uint64) error {
 	span := int(r.vhigh-r.vlow) + 1
 	if cap(r.ind) < span {
 		r.ind = make([]indEntry, span)
-		r.stamp = make([]uint32, span)
-		r.epoch = 0
 	} else {
 		r.ind = r.ind[:span]
-		r.stamp = r.stamp[:span]
 		for i := range r.ind {
 			r.ind[i] = indEntry{}
 		}
@@ -450,16 +457,15 @@ func (r *Runner) loadWindow(pos, end uint64) error {
 			r.ind[v-r.vlow] = indEntry{off: uint32(lo - pos), len: uint32(hi - lo)}
 		}
 	}
-	r.idxBuilt = false
 	return nil
 }
 
 // scanPass streams the whole adjacency file once, reporting every triangle
 // whose pivot edge is inside the current window. Cone vertices whose
-// out-list exceeds M take the segmented large-vertex path. A compressed
-// store's scan delivers the lists encoded: a block kernel intersects that
-// form directly, any other kernel decodes only the lists whose segment
-// headers say they can reach the window (scanPassPruned).
+// out-list exceeds M arrive in segments and take the large-vertex path. A
+// compressed store's scan delivers the lists encoded: a block kernel
+// intersects that form directly, anything else decodes only the lists whose
+// segment headers say they can reach the window (scanPassPruned).
 func (r *Runner) scanPass() error {
 	d := r.disk
 	sc, err := r.handle.Scan(r.cfg.MemEdges)
@@ -493,13 +499,15 @@ func (r *Runner) scanPass() error {
 		if nm[len(nm)-1] < r.vlow || nm[0] > r.vhigh {
 			continue
 		}
-		r.cone(u, nm)
+		if err := r.cone(u, nm); err != nil {
+			return err
+		}
 	}
 	return sc.Err()
 }
 
-// scanPassPruned is scanPass for a kernel that needs decoded lists on a
-// compressed store. In a multi-window run most cone lists cannot reach the
+// scanPassPruned is scanPass over a compressed store for everything but a
+// block kernel. In a multi-window run most cone lists cannot reach the
 // window at all — its vertex span [vlow, vhigh] is a sliver of the graph —
 // yet the decoding scan would expand every one of them before the quick
 // reject looked at its ends. Here the list arrives encoded, the reject runs
@@ -536,34 +544,35 @@ func (r *Runner) scanPassPruned(sc scan.Scan, csc scan.CompressedScan) error {
 		if err != nil {
 			return fmt.Errorf("mgt: decode list of vertex %d: %w", u, err)
 		}
-		r.cone(u, nm)
+		if err := r.cone(u, nm); err != nil {
+			return err
+		}
 	}
 	return sc.Err()
 }
 
 // cone reports the triangles of cone vertex u whose pivot edge is in the
 // window: nm = N(u), decoded and known to overlap [vlow, vhigh].
-func (r *Runner) cone(u graph.Vertex, nm []graph.Vertex) {
-	// nmp := N+(u) — out-neighbors of u with out-edges in memory.
-	nmp := r.nmp[:0]
-	for _, v := range nm {
-		if v < r.vlow {
-			continue
+func (r *Runner) cone(u graph.Vertex, nm []graph.Vertex) error {
+	nmp := r.window(r.nmp[:0], nm)
+	if r.kernel == nil {
+		if len(nmp) == 0 {
+			return nil
 		}
-		if v > r.vhigh {
-			break
+		r.bumpEpoch()
+		if !r.stamp(nm) {
+			return r.errVertexID(u)
 		}
-		if r.ind[v-r.vlow].len > 0 {
-			nmp = append(nmp, v)
-		}
+		r.probe(u, nmp)
+		return nil
 	}
 	for _, v := range nmp {
 		e := r.ind[v-r.vlow]
 		ev := r.edg[e.off : e.off+e.len]
 		r.stats.Intersections++
-		// Intersect sorted nm with sorted Ev via the configured kernel;
-		// every common vertex w closes triangle (u, v, w) with pivot
-		// (v, w). Count-only runs take the closure-free Count path — same
+		// Intersect sorted nm with sorted Ev via the named kernel; every
+		// common vertex w closes triangle (u, v, w) with pivot (v, w).
+		// Count-only runs take the closure-free Count path — same
 		// comparisons, no emit call per match.
 		if r.countOnly {
 			c, steps := r.ckernel.Count(nm, ev)
@@ -574,6 +583,109 @@ func (r *Runner) cone(u graph.Vertex, nm []graph.Vertex) {
 			r.stats.CmpOps += r.kernel.Intersect(nm, ev, r.emitFn)
 		}
 	}
+	return nil
+}
+
+// window appends to nmp the part of N+(u) found in the sorted run vals of
+// N(u): the out-neighbors with out-edges in memory.
+//
+//pdtl:hotpath
+func (r *Runner) window(nmp, vals []graph.Vertex) []graph.Vertex {
+	for _, v := range vals {
+		if v < r.vlow {
+			continue
+		}
+		if v > r.vhigh {
+			break
+		}
+		if r.ind[v-r.vlow].len > 0 {
+			nmp = append(nmp, v)
+		}
+	}
+	return nmp
+}
+
+// bumpEpoch empties the mark array for the next cone vertex. On wrap-around
+// the stamps are cleared, so a stale epoch value can never alias a fresh
+// one.
+func (r *Runner) bumpEpoch() {
+	r.epoch++
+	if r.epoch == 0 {
+		clear(r.mark)
+		r.epoch = 1
+	}
+}
+
+// stamp marks the run vals of N(u) in the current epoch. It reports false
+// on a vertex id the store's degree array does not cover — damaged
+// adjacency data, which must fail the run rather than index out of range.
+//
+//pdtl:hotpath
+func (r *Runner) stamp(vals []graph.Vertex) bool {
+	mark, epoch := r.mark, r.epoch
+	for _, w := range vals {
+		if int(w) >= len(mark) {
+			return false
+		}
+		mark[w] = epoch
+	}
+	r.stats.CmpOps += uint64(len(vals))
+	return true
+}
+
+func (r *Runner) errVertexID(u graph.Vertex) error {
+	return fmt.Errorf("mgt: list of vertex %d names a vertex id ≥ %d: store is damaged", u, len(r.mark))
+}
+
+// probe closes the triangles of cone vertex u once N(u) is stamped: for
+// every v ∈ nmp, each w ∈ Ev carrying the current epoch is in N(u) too —
+// triangle (u, v, w) with pivot (v, w), reported v ascending, w ascending,
+// the order the pairwise merges produce. Whether a probe hits is a coin
+// flip no branch predictor wins, so both loops are branch-free on it: the
+// counting loop adds the comparison's 0/1, the listing loop compacts a
+// block's hits into a buffer and emits from there.
+//
+//pdtl:hotpath
+func (r *Runner) probe(u graph.Vertex, nmp []graph.Vertex) {
+	mark, epoch, hits := r.mark, r.epoch, &r.hits
+	var found, probes uint64
+	for _, v := range nmp {
+		e := r.ind[v-r.vlow]
+		ev := r.edg[e.off : e.off+e.len]
+		probes += uint64(len(ev))
+		if r.sink == nil {
+			for _, w := range ev {
+				if int(w) < len(mark) {
+					var hit uint64
+					if mark[w] == epoch {
+						hit = 1
+					}
+					found += hit
+				}
+			}
+			continue
+		}
+		for len(ev) > 0 {
+			blk := ev[:min(len(ev), len(hits))]
+			ev = ev[len(blk):]
+			k := 0
+			for _, w := range blk {
+				if int(w) < len(mark) {
+					hits[k] = w // kept only if the next line advances k
+					if mark[w] == epoch {
+						k++
+					}
+				}
+			}
+			found += uint64(k)
+			for _, w := range hits[:k] {
+				r.sink.Triangle(u, v, w)
+			}
+		}
+	}
+	r.stats.Intersections += uint64(len(nmp))
+	r.stats.CmpOps += probes
+	r.stats.Triangles += found
 }
 
 // scanPassCompressed is scanPass running directly on the encoded adjacency
@@ -620,17 +732,7 @@ func (r *Runner) scanPassCompressed(sc scan.Scan, csc scan.CompressedScan) error
 			if err != nil {
 				return fmt.Errorf("mgt: decode list of vertex %d: %w", u, err)
 			}
-			for _, v := range vals {
-				if v < r.vlow {
-					continue
-				}
-				if v > r.vhigh {
-					break
-				}
-				if r.ind[v-r.vlow].len > 0 {
-					nmp = append(nmp, v)
-				}
-			}
+			nmp = r.window(nmp, vals)
 		}
 		if err := it.Err(); err != nil {
 			return fmt.Errorf("mgt: list of vertex %d: %w", u, err)
@@ -680,185 +782,67 @@ func (r *Runner) decodeSegmentFast(seg graph.Segment) ([]graph.Vertex, error) {
 	return vals, nil
 }
 
-// largeVertexCompressed is the large-vertex path of the compressed pass.
-// The whole encoded list is in hand (compressed lists are not segmented by
-// maxList), so pass 1 marks window vertices directly from it — decoding
-// only the segments whose header span overlaps [vlow, vhigh] — and pass 2
-// is the shared chunked re-read.
-func (r *Runner) largeVertexCompressed(u graph.Vertex, cl graph.CompressedList) error {
-	r.stats.LargeVertices++
-	r.bumpEpoch()
-	it := cl.Segments()
-	for {
-		seg, ok := it.Next()
-		if !ok {
-			break
-		}
-		if seg.Last < r.vlow || seg.First > r.vhigh {
-			r.stats.SegmentsSkipped++
-			continue
-		}
-		vals, err := r.decodeSegmentFast(seg)
-		if err != nil {
-			return fmt.Errorf("mgt: decode list of large vertex %d: %w", u, err)
-		}
-		for _, a := range vals {
-			if a >= r.vlow && a <= r.vhigh {
-				r.stamp[a-r.vlow] = r.epoch
-			}
-		}
-	}
-	if err := it.Err(); err != nil {
-		return fmt.Errorf("mgt: list of large vertex %d: %w", u, err)
-	}
-	return r.largeVertexPass2(u)
-}
-
 // largeVertex handles a cone vertex u with d*(u) > M without ever holding
 // N(u) in memory — the paper's footnote-1 removal of the small-degree
-// assumption. firstSeg is the first segment the scanner already yielded.
-//
-// Pass 1 (the scanner's remaining segments): mark every window vertex that
-// appears in N(u) with the current epoch. Pass 2 (a second sequential read
-// of N(u) via ReadAt): merge N(u) against the value-sorted index of the
-// window's edges; a match (w, v) with v marked means v, w ∈ N(u) and
-// (v, w) in the window — triangle (u, v, w). The extra I/O is one re-read
-// of u's list per pass, O(scan(d(u))).
+// assumption — under any kernel. N(u) arrives in sorted segments of at most
+// M entries (firstSeg is the one the scanner already yielded); each is
+// stamped into the mark array and filtered for N+(u) as it streams by, and
+// then the same probe as a small vertex's closes the triangles. All that
+// outlives a segment is mark (n entries) and nmp (at most one entry per
+// window vertex, so ≤ M): one read of N(u), no second pass.
 func (r *Runner) largeVertex(sc scan.Scan, u graph.Vertex, firstSeg []graph.Vertex) error {
-	d := r.disk
 	r.stats.LargeVertices++
 	r.bumpEpoch()
-	mark := func(seg []graph.Vertex) {
-		for _, a := range seg {
-			if a >= r.vlow && a <= r.vhigh {
-				r.stamp[a-r.vlow] = r.epoch
-			}
+	nmp := r.nmp[:0]
+	remaining := int(r.disk.Degrees[u])
+	for seg := firstSeg; ; {
+		if !r.stamp(seg) {
+			return r.errVertexID(u)
 		}
-	}
-	mark(firstSeg)
-	remaining := int(d.Degrees[u]) - len(firstSeg)
-	for remaining > 0 {
-		u2, seg, ok := sc.Next()
+		nmp = r.window(nmp, seg)
+		if remaining -= len(seg); remaining <= 0 {
+			break
+		}
+		u2, next, ok := sc.Next()
 		if !ok {
 			return fmt.Errorf("mgt: truncated segments for vertex %d: %w", u, sc.Err())
 		}
 		if u2 != u {
 			return fmt.Errorf("mgt: segment stream switched from %d to %d mid-list", u, u2)
 		}
-		mark(seg)
-		remaining -= len(seg)
+		seg = next
 	}
-	return r.largeVertexPass2(u)
-}
-
-// bumpEpoch advances the mark-array epoch, resetting the stamps on
-// wrap-around so a stale epoch value can never alias a fresh one.
-func (r *Runner) bumpEpoch() {
-	r.epoch++
-	if r.epoch == 0 {
-		for i := range r.stamp {
-			r.stamp[i] = 0
-		}
-		r.epoch = 1
-	}
-}
-
-// largeVertexPass2 is the second pass shared by both large-vertex paths:
-// re-read N(u) sequentially in M-sized chunks and merge it against the
-// value-sorted index of the window's edges; a match (w, v) with v marked
-// in the current epoch closes triangle (u, v, w).
-func (r *Runner) largeVertexPass2(u graph.Vertex) error {
-	r.buildValueIndex()
-	d := r.disk
-	if r.chunkBuf == nil {
-		r.chunkBuf = make([]graph.Vertex, r.cfg.MemEdges)
-	}
-	lo, hi := d.Offsets[u], d.Offsets[u+1]
-	i := 0 // cursor into the value index, shared across chunks (N(u) sorted)
-	var steps uint64
-	for pos := lo; pos < hi; {
-		end := pos + uint64(r.cfg.MemEdges)
-		if end > hi {
-			end = hi
-		}
-		chunk := r.chunkBuf[:end-pos]
-		if err := r.handle.ReadEntries(chunk, pos); err != nil {
-			return fmt.Errorf("mgt: re-read large vertex %d: %w", u, err)
-		}
-		for _, w := range chunk {
-			for i < len(r.idxVals) && r.idxVals[i] < w {
-				i++
-				steps++
-			}
-			for i < len(r.idxVals) && r.idxVals[i] == w {
-				steps++
-				v := r.idxSrcs[i]
-				if r.stamp[v-r.vlow] == r.epoch {
-					r.stats.Triangles++
-					if r.sink != nil {
-						r.sink.Triangle(u, v, w)
-					}
-				}
-				i++
-			}
-		}
-		pos = end
-	}
-	r.stats.Intersections++
-	r.stats.CmpOps += steps
+	r.probe(u, nmp)
 	return nil
 }
 
-// buildValueIndex lazily builds the window's (value, source) edge index
-// sorted by value, used by the large-vertex path. Built at most once per
-// window.
-func (r *Runner) buildValueIndex() {
-	if r.idxBuilt {
-		return
-	}
-	n := len(r.edg)
-	if cap(r.idxVals) < n {
-		r.idxVals = make([]graph.Vertex, n)
-		r.idxSrcs = make([]graph.Vertex, n)
-	} else {
-		r.idxVals = r.idxVals[:n]
-		r.idxSrcs = r.idxSrcs[:n]
-	}
-	pos := 0
-	for v := r.vlow; v <= r.vhigh; v++ {
-		e := r.ind[v-r.vlow]
-		for k := uint32(0); k < e.len; k++ {
-			r.idxVals[pos] = r.edg[e.off+k]
-			r.idxSrcs[pos] = v
-			pos++
+// largeVertexCompressed is largeVertex for a compressed store, where the
+// whole encoded list is in hand (compressed lists are not segmented by
+// maxList) and is decoded one 256-entry segment at a time.
+func (r *Runner) largeVertexCompressed(u graph.Vertex, cl graph.CompressedList) error {
+	r.stats.LargeVertices++
+	r.bumpEpoch()
+	nmp := r.nmp[:0]
+	it := cl.Segments()
+	for {
+		seg, ok := it.Next()
+		if !ok {
+			break
 		}
+		vals, err := r.decodeSegmentFast(seg)
+		if err != nil {
+			return fmt.Errorf("mgt: decode list of large vertex %d: %w", u, err)
+		}
+		if !r.stamp(vals) {
+			return r.errVertexID(u)
+		}
+		nmp = r.window(nmp, vals)
 	}
-	r.idxVals = r.idxVals[:pos]
-	r.idxSrcs = r.idxSrcs[:pos]
-	sortByValue(r.idxVals, r.idxSrcs)
-	r.idxBuilt = true
-}
-
-// sortByValue sorts the parallel (vals, srcs) arrays by vals.
-func sortByValue(vals, srcs []graph.Vertex) {
-	sort.Sort(&valueIndex{vals: vals, srcs: srcs})
-}
-
-type valueIndex struct {
-	vals []graph.Vertex
-	srcs []graph.Vertex
-}
-
-func (x *valueIndex) Len() int { return len(x.vals) }
-func (x *valueIndex) Less(i, j int) bool {
-	if x.vals[i] != x.vals[j] {
-		return x.vals[i] < x.vals[j]
+	if err := it.Err(); err != nil {
+		return fmt.Errorf("mgt: list of large vertex %d: %w", u, err)
 	}
-	return x.srcs[i] < x.srcs[j]
-}
-func (x *valueIndex) Swap(i, j int) {
-	x.vals[i], x.vals[j] = x.vals[j], x.vals[i]
-	x.srcs[i], x.srcs[j] = x.srcs[j], x.srcs[i]
+	r.probe(u, nmp)
+	return nil
 }
 
 // FullRange returns the range covering the whole oriented store.

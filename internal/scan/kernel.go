@@ -11,8 +11,15 @@ import (
 type KernelKind string
 
 const (
+	// KernelAuto, the zero value, names no pairwise kernel: the runner's own
+	// mark-and-probe cone routine does the intersecting (mgt.Config.Kernel,
+	// the one place that gives the unset kernel its meaning). It stays the
+	// empty string on the wire and in Options, so every layer passes it
+	// through untouched and a peer that predates the routine still answers;
+	// flags and reports spell it "auto".
+	KernelAuto KernelKind = ""
 	// KernelMerge is the paper's two-pointer merge (Section IV-A: sorted
-	// arrays, never hash sets).
+	// arrays, never hash sets) — the paper ablation.
 	KernelMerge KernelKind = "merge"
 	// KernelGallop probes the longer list by exponential + binary search
 	// for each element of the shorter — O(s·log(l/s)), a large win when
@@ -40,19 +47,27 @@ const (
 )
 
 // ParseKernel validates a kernel name from a flag or wire message. The
-// empty string means KernelMerge, the paper-faithful default.
+// empty string and "auto" both mean KernelAuto.
 func ParseKernel(s string) (KernelKind, error) {
 	switch KernelKind(s) {
-	case "":
-		return KernelMerge, nil
+	case KernelAuto, "auto":
+		return KernelAuto, nil
 	case KernelMerge, KernelGallop, KernelAdaptive, KernelCompressed, KernelCover:
 		return KernelKind(s), nil
 	}
-	return "", fmt.Errorf("scan: unknown intersect kernel %q (want merge, gallop, adaptive, compressed, or cover)", s)
+	return "", fmt.Errorf("scan: unknown intersect kernel %q (want auto, merge, gallop, adaptive, compressed, or cover)", s)
 }
 
-// KernelKinds lists every kernel, in the order tests and benchmarks sweep
-// them.
+// String is the name reports print: "auto" for KernelAuto.
+func (k KernelKind) String() string {
+	if k == KernelAuto {
+		return "auto"
+	}
+	return string(k)
+}
+
+// KernelKinds lists every named kernel, in the order tests and benchmarks
+// sweep them. KernelAuto is not one of them.
 func KernelKinds() []KernelKind {
 	return []KernelKind{KernelMerge, KernelGallop, KernelAdaptive, KernelCompressed, KernelCover}
 }
@@ -111,10 +126,14 @@ var (
 	Cover Kernel = coverKernel{}
 )
 
-// NewKernel returns the kernel implementation for kind.
+// NewKernel returns the kernel implementation for kind; KernelAuto has
+// none and yields the nil Kernel, which is what mgt.Config.Kernel takes for
+// it.
 func NewKernel(kind KernelKind) (Kernel, error) {
 	switch kind {
-	case KernelMerge, "":
+	case KernelAuto:
+		return nil, nil
+	case KernelMerge:
 		return Merge, nil
 	case KernelGallop:
 		return Gallop, nil

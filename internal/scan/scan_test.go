@@ -329,7 +329,7 @@ func TestParseSource(t *testing.T) {
 
 func TestParseKernel(t *testing.T) {
 	for in, want := range map[string]KernelKind{
-		"": KernelMerge, "merge": KernelMerge, "gallop": KernelGallop, "adaptive": KernelAdaptive,
+		"": KernelAuto, "auto": KernelAuto, "merge": KernelMerge, "gallop": KernelGallop, "adaptive": KernelAdaptive,
 	} {
 		got, err := ParseKernel(in)
 		if err != nil || got != want {
@@ -338,5 +338,14 @@ func TestParseKernel(t *testing.T) {
 	}
 	if _, err := ParseKernel("simd"); err == nil {
 		t.Error("ParseKernel must reject unknown kinds")
+	}
+	// The default is one value everywhere: empty in Options and on the wire
+	// (a peer that predates "auto" must still parse it), "auto" in reports,
+	// and no pairwise kernel at all.
+	if KernelAuto != "" || KernelAuto.String() != "auto" || KernelMerge.String() != "merge" {
+		t.Errorf("KernelAuto = %q prints %q; want the empty string printing auto", string(KernelAuto), KernelAuto)
+	}
+	if k, err := NewKernel(KernelAuto); k != nil || err != nil {
+		t.Errorf("NewKernel(KernelAuto) = %v, %v; want the nil kernel", k, err)
 	}
 }

@@ -134,8 +134,9 @@ func TestServerRegisterCountCache(t *testing.T) {
 	}
 
 	// A different option spelling of the same canonical run is still the
-	// same cache slot (scan=auto resolves to the same source).
-	c3 := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096&scan=auto&kernel=merge", 200)
+	// same cache slot (scan=auto resolves to the same source, kernel=auto
+	// is the unset kernel).
+	c3 := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096&scan=auto&kernel=auto", 200)
 	if c3["origin"] != "cache" {
 		t.Fatalf("normalized-options count origin = %v, want cache", c3["origin"])
 	}

@@ -69,14 +69,18 @@ type Options struct {
 	// "mem" (whole adjacency array in RAM; for graphs that fit). The
 	// triangle output is identical for every choice.
 	ScanSource string
-	// Kernel selects the sorted-array intersection kernel: "merge" (or
-	// empty — the paper's two-pointer merge), "gallop" (exponential +
-	// binary search, for skewed list lengths), "adaptive" (picks per pair
-	// by length ratio), "compressed" (block skipping on 256-entry segment
+	// Kernel selects how a cone vertex's list N(u) is intersected with the
+	// in-memory lists of its out-neighbours: "auto" (or empty — N(u) is
+	// marked once in a direct-addressed array over the vertex ids and every
+	// in-memory list is probed against it), or one of the pairwise
+	// sorted-array kernels run once per list pair: "merge" (the paper's
+	// two-pointer merge — its ablation), "gallop" (exponential + binary
+	// search, for skewed list lengths), "adaptive" (picks per pair by
+	// length ratio), "compressed" (block skipping on 256-entry segment
 	// ranges; on a compressed store it intersects the encoded form
 	// directly), or "cover" (range-cover pre-filter). The triangle output
 	// is identical for every choice. Counting runs (Count,
-	// CountDistributed, the service's /count) additionally take each
+	// CountDistributed, the service's /count) additionally take each named
 	// kernel's closure-free count-only path — with word-parallel bitmap
 	// counting and unrolled varint decoding on compressed stores — which
 	// changes no counts, only speed.
@@ -121,10 +125,6 @@ func (o Options) Key() (string, error) {
 	if mem <= 0 {
 		mem = core.DefaultMemEdges
 	}
-	kernel := copt.Kernel
-	if kernel == "" {
-		kernel = scan.KernelMerge
-	}
 	chunks := 0
 	if copt.Sched == sched.Stealing {
 		chunks = sched.ChunksFor(workers, copt.Chunks)
@@ -134,7 +134,7 @@ func (o Options) Key() (string, error) {
 		store = graph.FormatPlain
 	}
 	return fmt.Sprintf("w%d m%d %s %s %s %s c%d %s",
-		workers, mem, copt.Strategy, copt.Sched, copt.Scan.Resolve(workers), kernel, chunks, store), nil
+		workers, mem, copt.Strategy, copt.Sched, copt.Scan.Resolve(workers), copt.Kernel, chunks, store), nil
 }
 
 func (o Options) toCore() (core.Options, error) {
