@@ -120,7 +120,7 @@ func (o ClusterOptions) Key(workerAddrs []string) (string, error) {
 	}
 	key := fmt.Sprintf("nodes=%s w%d m%d %s %s %s %s c%d %s",
 		strings.Join(workerAddrs, ","), workers, mem, strategy, mode,
-		scanKind.Resolve(workers), kernelKind, chunks, format)
+		scanKind.OrAuto(), kernelKind, chunks, format)
 	if o.List {
 		key += " list=" + o.ListPath
 	}

@@ -41,7 +41,7 @@ func main() {
 	uplink := flag.Int64("uplink", 0, "master uplink rate limit in bytes/s (0 = unlimited)")
 	naive := flag.Bool("naive-balance", false, "disable in-degree load balancing")
 	scanSource := flag.String("scan", "auto",
-		"per-node scan source: auto (shared when workers > 1), buffered, shared, or mem")
+		"per-node scan source: auto (a node's workers share one window and are dealt the scan), or private windows fed by buffered, shared, or mem")
 	kernel := flag.String("kernel", "auto",
 		"intersection kernel: auto, merge, gallop, adaptive, compressed, or cover")
 	store := flag.String("store", "",

@@ -81,13 +81,13 @@ func commonFlags(fs *flag.FlagSet) (graphBase *string, opt *pdtl.Options) {
 	fs.IntVar(&opt.MemEdges, "mem", 0, "memory budget per worker, in adjacency entries")
 	fs.BoolVar(&opt.NaiveBalance, "naive-balance", false, "disable in-degree load balancing")
 	fs.StringVar(&opt.ScanSource, "scan", "auto",
-		"scan source: auto (shared when workers > 1), buffered, shared, or mem")
+		"scan source: auto (the workers share one window of workers·mem entries and are dealt the scan), or the paper's private windows fed by buffered, shared, or mem")
 	fs.StringVar(&opt.Kernel, "kernel", "auto",
 		"intersection kernel: auto (mark N(u) once, probe every in-memory list), or pairwise merge (the paper's), gallop, adaptive, compressed (block-skipping), or cover")
 	fs.StringVar(&opt.Sched, "sched", "static",
-		"chunk scheduler: static (one range per worker, the paper's) or stealing (dynamic chunk queue)")
+		"schedule: static or stealing; it decides how pdtl-master hands a plan to its nodes, a single machine runs both the same")
 	fs.IntVar(&opt.Chunks, "chunks", 0,
-		"chunks per worker for -sched stealing (default 8)")
+		"chunks per worker of a stealing plan (default 8)")
 	fs.StringVar(&opt.StoreFormat, "store", "plain",
 		"oriented-store format when orienting: plain or compressed")
 	return graphBase, opt
@@ -191,7 +191,7 @@ func printResult(res *pdtl.Result) {
 		res.OrientTime, res.CalcTime, res.TotalTime)
 	if res.SourceBytesRead > 0 {
 		fmt.Printf("scan source: %s (%d bytes read by the source)  scheduler: %s\n",
-			res.ScanSource, res.SourceBytesRead, res.Sched)
+			res.ScanSource, res.SourceBytesRead, res.Sched) // auto: the shared windows' loads
 	} else {
 		fmt.Printf("scan source: %s  scheduler: %s\n", res.ScanSource, res.Sched)
 	}

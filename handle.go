@@ -30,11 +30,9 @@ import (
 	"pdtl/internal/balance"
 	"pdtl/internal/core"
 	"pdtl/internal/graph"
-	"pdtl/internal/ioacct"
 	"pdtl/internal/mgt"
 	"pdtl/internal/obs"
 	"pdtl/internal/orient"
-	"pdtl/internal/sched"
 )
 
 // ErrClosed is returned by every method of a closed Graph handle.
@@ -285,36 +283,18 @@ func (o Options) resolveWorkers() int {
 	return defaultWorkers()
 }
 
-// sinkCount reports how many sinks a run with these Options routes
-// triangles through: one per worker under the static scheduler, one per
-// chunk under stealing. Chunk-indexed sinks are what keep stealing output
-// deterministic — a chunk's triangles land in the same sink no matter
-// which runner happened to execute it, and a sink is only ever driven by
-// one runner at a time.
-func (o Options) sinkCount() (int, error) {
-	mode, err := sched.ParseMode(o.Sched)
-	if err != nil {
-		return 0, err
-	}
-	if mode == sched.Stealing {
-		return sched.ChunksFor(o.resolveWorkers(), o.Chunks), nil
-	}
-	return o.resolveWorkers(), nil
-}
-
 // run executes one calculation on the handle: ensure orientation (cached),
-// look up the plan (cached), and run the scheduler opt selects — one MGT
-// runner per range (static) or a pool of Workers runners draining a
-// chunked plan (stealing). sinks, when non-nil, must have exactly
-// opt.sinkCount() entries: per worker under static, per chunk under
-// stealing.
-func (g *Graph) run(ctx context.Context, opt Options, sinks []mgt.Sink) (*Result, error) {
+// then the engine — cooperative windows over the whole store by default,
+// or, under a named scan source, the paper's layout: one runner per range
+// of the (cached) load-balance plan. sinks, when non-nil, has one entry per
+// worker; the returned pieces put their outputs in listing order.
+func (g *Graph) run(ctx context.Context, opt Options, sinks []mgt.Sink) (*Result, []mgt.Piece, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	copt, err := opt.toCore()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	workers := copt.Workers
 	if workers <= 0 {
@@ -341,44 +321,38 @@ func (g *Graph) run(ctx context.Context, opt Options, sinks []mgt.Sink) (*Result
 	d, orientedBase, ores, err := g.ensureOriented(ctx, workers, copt.Store)
 	rcur.End(osp)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	calcStart := time.Now()
 	psp := rcur.Begin(obs.SpanPlan)
-	// The chunked plan of a stealing run is a plain k-way split with
-	// k = K·P, so one cache serves both schedulers.
-	k := workers
-	if copt.Sched == sched.Stealing {
-		k = sched.ChunksFor(workers, copt.Chunks)
+	var plan balance.Plan
+	if copt.Scan.IsAuto() {
+		plan, err = core.LocalPlan(d, orientedBase, copt)
+	} else {
+		plan, err = g.planCached(d, orientedBase, workers, copt.Strategy, copt.MemEdges)
 	}
-	plan, err := g.planCached(d, orientedBase, k, copt.Strategy, copt.MemEdges)
 	plan.Explain(rcur, psp)
 	rcur.End(psp)
 	planTime := time.Since(calcStart)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	csp := rcur.Begin(obs.SpanCalc)
 	calcCtx := ctx
 	if rcur.T != nil {
 		calcCtx = obs.ContextWithCursor(ctx, rcur.Child(csp))
 	}
-	var stats []core.WorkerStat
-	var srcIO ioacct.Stats
-	if copt.Sched == sched.Stealing {
-		stats, _, srcIO, err = core.RunChunks(calcCtx, d, plan.Ranges, copt)
-	} else {
-		stats, srcIO, err = core.RunRanges(calcCtx, d, plan.Ranges, copt)
-	}
+	calc, err := core.RunRanges(calcCtx, d, plan.Ranges, copt)
 	rcur.End(csp)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	stats, srcIO := calc.Workers, calc.SourceIO
 
 	res := &Result{
 		PlanTime:        planTime,
 		OrientedBase:    orientedBase,
-		ScanSource:      string(copt.Scan.Resolve(workers)),
+		ScanSource:      string(copt.Scan.OrAuto()),
 		Sched:           copt.Sched.String(),
 		MemEdges:        int(plan.MemEdges),
 		Windows:         int(plan.Windows),
@@ -406,14 +380,15 @@ func (g *Graph) run(ctx context.Context, opt Options, sinks []mgt.Sink) (*Result
 	}
 	res.CalcTime = time.Since(calcStart)
 	res.TotalTime = time.Since(start)
-	return res, nil
+	return res, calc.Listing, nil
 }
 
 // Count counts the graph's triangles. The first call orients the graph (if
 // the store was unoriented) and plans the load balance; later calls with
 // any options reuse both and go straight to the calculation phase.
 func (g *Graph) Count(ctx context.Context, opt Options) (*Result, error) {
-	return g.run(ctx, opt, nil)
+	res, _, err := g.run(ctx, opt, nil)
+	return res, err
 }
 
 // ForEach invokes fn once per triangle (u, v, w), ordered by the
@@ -421,39 +396,31 @@ func (g *Graph) Count(ctx context.Context, opt Options) (*Result, error) {
 // goroutines; it must be safe for concurrent use (or set Workers to 1).
 func (g *Graph) ForEach(ctx context.Context, opt Options, fn func(u, v, w uint32)) (*Result, error) {
 	opt.Workers = opt.resolveWorkers()
-	n, err := opt.sinkCount()
-	if err != nil {
-		return nil, err
-	}
-	sinks := make([]mgt.Sink, n)
+	sinks := make([]mgt.Sink, opt.Workers)
 	for i := range sinks {
 		sinks[i] = mgt.FuncSink(fn)
 	}
-	return g.run(ctx, opt, sinks)
+	res, _, err := g.run(ctx, opt, sinks)
+	return res, err
 }
 
 // List streams every triangle to w as little-endian uint32 triples (12
-// bytes per triangle), in the deterministic per-worker order; use
+// bytes per triangle), in an order that depends on the options but not on
+// timing — by default not even on Workers, at equal Workers·MemEdges; use
 // ReadTriangleFile (or mgt.ReadTriangles) to decode. Workers buffer their
-// shares in private temporary files and the shares are concatenated into w
-// after the run, so w itself sees one sequential write.
+// shares in private temporary files and the shares are pieced together
+// into w after the run, so w itself sees one sequential write.
 func (g *Graph) List(ctx context.Context, w io.Writer, opt Options) (*Result, error) {
 	return g.listTo(ctx, w, "", opt)
 }
 
 // listTo is List with an explicit directory for the part files ("" means
-// the default temp dir) — one per worker under the static scheduler, one
-// per chunk under stealing, concatenated in part order either way (chunk
-// order makes a stealing listing deterministic despite dynamic
-// assignment). os.CreateTemp names the parts, so concurrent listings —
-// even of the same graph to the same output path — never collide on their
-// intermediates.
+// the default temp dir), one per worker. os.CreateTemp names the parts, so
+// concurrent listings — even of the same graph to the same output path —
+// never collide on their intermediates.
 func (g *Graph) listTo(ctx context.Context, out io.Writer, partDir string, opt Options) (*Result, error) {
 	opt.Workers = opt.resolveWorkers()
-	n, err := opt.sinkCount()
-	if err != nil {
-		return nil, err
-	}
+	n := opt.Workers
 	parts := make([]*os.File, 0, n)
 	defer func() {
 		for _, f := range parts {
@@ -472,27 +439,32 @@ func (g *Graph) listTo(ctx context.Context, out io.Writer, partDir string, opt O
 		fileSinks[i] = mgt.NewFileSink(f)
 		sinks[i] = fileSinks[i]
 	}
-	res, err := g.run(ctx, opt, sinks)
+	res, pieces, err := g.run(ctx, opt, sinks)
 	if err != nil {
 		return nil, err
 	}
-	// Reassembly: part files concatenate in part order (worker order under
-	// static, chunk order under stealing) — traced as one assemble span.
+	// Reassembly: the engine's pieces, in order, each a stretch of one part
+	// file (seek + CopyN between files keeps the kernel-side copy) — traced
+	// as one assemble span.
 	cur := obs.CursorFrom(ctx)
 	asp := cur.Begin(obs.SpanAssemble)
 	defer cur.End(asp)
 	cur.SetAttr(asp, "parts", int64(len(fileSinks)))
-	for i, sink := range fileSinks {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	cur.SetAttr(asp, "pieces", int64(len(pieces)))
+	for _, sink := range fileSinks {
 		if err := sink.Flush(); err != nil {
 			return nil, err
 		}
-		if _, err := parts[i].Seek(0, 0); err != nil {
+	}
+	const tri = 12 // bytes per triangle
+	for _, p := range pieces {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if _, err := io.Copy(out, parts[i]); err != nil {
+		if _, err := parts[p.Sink].Seek(int64(tri*p.Lo), io.SeekStart); err != nil {
+			return nil, err
+		}
+		if _, err := io.CopyN(out, parts[p.Sink], int64(tri*(p.Hi-p.Lo))); err != nil {
 			return nil, err
 		}
 	}
@@ -605,12 +577,11 @@ const maxShardEntries = 1 << 27
 
 // TriangleDegrees returns, for every vertex, the number of triangles it
 // participates in — the per-vertex quantity behind local clustering
-// coefficients. Each sink (one per worker, or per chunk under the stealing
-// scheduler) accumulates into a private count shard merged once after the
-// run, so the hot path takes no lock; when sinks × n counters would exceed
-// maxShardEntries, the sinks share a single array with atomic adds
-// instead, trading some cache-line contention for bounded memory on huge
-// graphs (or high chunk counts).
+// coefficients. Each worker's sink accumulates into a private count shard
+// merged once after the run, so the hot path takes no lock; when
+// workers × n counters would exceed maxShardEntries, the sinks share a
+// single array with atomic adds instead, trading some cache-line contention
+// for bounded memory on huge graphs.
 func (g *Graph) TriangleDegrees(ctx context.Context, opt Options) ([]uint64, *Result, error) {
 	g.mu.Lock()
 	if g.closed {
@@ -621,10 +592,7 @@ func (g *Graph) TriangleDegrees(ctx context.Context, opt Options) ([]uint64, *Re
 	g.mu.Unlock()
 
 	opt.Workers = opt.resolveWorkers()
-	numSinks, err := opt.sinkCount()
-	if err != nil {
-		return nil, nil, err
-	}
+	numSinks := opt.Workers
 	sinks := make([]mgt.Sink, numSinks)
 	if uint64(n)*uint64(numSinks) > maxShardEntries {
 		counts := make([]uint64, n)
@@ -635,7 +603,7 @@ func (g *Graph) TriangleDegrees(ctx context.Context, opt Options) ([]uint64, *Re
 				atomic.AddUint64(&counts[w], 1)
 			})
 		}
-		res, err := g.run(ctx, opt, sinks)
+		res, _, err := g.run(ctx, opt, sinks)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -651,7 +619,7 @@ func (g *Graph) TriangleDegrees(ctx context.Context, opt Options) ([]uint64, *Re
 			shard[w]++
 		})
 	}
-	res, err := g.run(ctx, opt, sinks)
+	res, _, err := g.run(ctx, opt, sinks)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -227,6 +227,52 @@ func TestHandleListWriter(t *testing.T) {
 	}
 }
 
+// TestListFileIndependentOfWorkers: the listing a handle writes under the
+// default source depends on the memory it was given, Workers·MemEdges, and on
+// nothing else — not on how many workers share it, not on which of them was
+// dealt which block: byte-identical files for 1, 2 and 4 workers at equal
+// Workers·MemEdges on both store formats, the very file one worker of the
+// paper's configuration writes with the whole window to itself.
+func TestListFileIndependentOfWorkers(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "pl")
+	info, err := GeneratePowerLaw(base, 2000, 30000, 1.9, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := openStore(t, base)
+	dir := t.TempDir()
+	list := func(name string, opt Options) []byte {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		res, err := g.ListFile(context.Background(), path, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(len(b)) != 12*res.Triangles || res.Triangles == 0 {
+			t.Fatalf("%s: %d bytes for %d triangles", name, len(b), res.Triangles)
+		}
+		return b
+	}
+	for _, format := range []string{"plain", "compressed"} {
+		for _, window := range []int{int(info.NumEdges), int(info.NumEdges)/12/4*4 + 4} {
+			ref := list("ref", Options{Workers: 1, MemEdges: window, ScanSource: "buffered", StoreFormat: format})
+			for _, workers := range []int{1, 2, 4} {
+				for rep := 0; rep < 3; rep++ {
+					got := list("out", Options{Workers: workers, MemEdges: window / workers, StoreFormat: format})
+					if !bytes.Equal(got, ref) {
+						t.Fatalf("%s window=%d: %d workers list %d bytes that differ from the one-worker listing's %d",
+							format, window, workers, len(got), len(ref))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestListConcurrentSamePath runs two ListFile calls on the same output
 // path at once. With the old predictable %s.partN temp names the part files
 // clobbered each other; with os.CreateTemp parts they cannot, and both runs
@@ -463,11 +509,11 @@ func TestHandleEstimators(t *testing.T) {
 	}
 }
 
-// TestPlanCacheKeyedOnClippedWindow: a window at least as large as the
-// store plans the same whatever its size, so a thousand runs with distinct
-// such windows — a service's cold counts — share one cached plan; only
-// windows that split the store get entries of their own, and those are
-// capped.
+// TestPlanCacheKeyedOnClippedWindow: under a named scan source (the default
+// plans nothing) a window at least as large as the store plans the same
+// whatever its size, so a thousand runs with distinct such windows share
+// one cached plan; only windows that split the store get entries of their
+// own, and those are capped.
 func TestPlanCacheKeyedOnClippedWindow(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "rmat")
 	info, err := GenerateRMAT(base, 8, 8, 3)
@@ -480,9 +526,12 @@ func TestPlanCacheKeyedOnClippedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := len(g.plans); n != 0 {
+		t.Fatalf("a run of cooperative windows cached %d plans; it has nothing to plan", n)
+	}
 	edges := int(info.NumEdges)
 	for i := 0; i < 1000; i++ {
-		res, err := g.Count(ctx, Options{Workers: 2, MemEdges: edges + i})
+		res, err := g.Count(ctx, Options{Workers: 2, MemEdges: edges + i, ScanSource: "buffered"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,7 +540,7 @@ func TestPlanCacheKeyedOnClippedWindow(t *testing.T) {
 		}
 	}
 	if n := len(g.plans); n != 1 {
-		t.Fatalf("1001 single-window runs left %d cached plans, want 1", n)
+		t.Fatalf("1000 single-window runs left %d cached plans, want 1", n)
 	}
 	oriented := g.ords[graph.FormatPlain]
 	for mem := 1; mem <= 2*maxCachedPlans; mem++ {

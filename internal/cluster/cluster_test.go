@@ -533,7 +533,7 @@ func TestMasterPlansForTheWindow(t *testing.T) {
 		if res.Triangles != want {
 			t.Errorf("%v: triangles = %d, want %d", mode, res.Triangles, want)
 		}
-		local, err := core.Process(context.Background(), res.OrientedBase, core.Options{
+		local, err := core.PlanFor(mustOpen(t, res.OrientedBase), res.OrientedBase, core.Options{
 			Workers:  2 * workers, // N·P
 			MemEdges: mem,
 			Strategy: balance.InDegree,
@@ -542,8 +542,8 @@ func TestMasterPlansForTheWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(res.Plan.Ranges, local.Plan.Ranges) {
-			t.Errorf("%v: master planned %v, the local engine %v", mode, res.Plan.Ranges, local.Plan.Ranges)
+		if !slices.Equal(res.Plan.Ranges, local.Ranges) {
+			t.Errorf("%v: master planned %v, core.PlanFor %v", mode, res.Plan.Ranges, local.Ranges)
 		}
 		if res.Plan.Windows < 40 || res.Plan.MemEdges != mem {
 			t.Errorf("%v: master's plan is for %d windows of %d entries, want ≥ 40 of %d", mode, res.Plan.Windows, res.Plan.MemEdges, mem)

@@ -52,9 +52,9 @@ type Config struct {
 	OrientWorkers int
 	// BufBytes is the per-runner scan buffer size.
 	BufBytes int
-	// Scan selects every node's scan source; the default (auto) gives
-	// each node one shared physical scan per round of passes when it runs
-	// more than one processor.
+	// Scan selects every node's scan source; under the default (auto) a
+	// node's processors share one window over the ranges it is handed and
+	// are dealt the scan (core.RunRanges).
 	Scan scan.SourceKind
 	// Kernel selects the intersection kernel on every node (default
 	// scan.KernelAuto, sent as the empty string).
@@ -314,15 +314,18 @@ func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error)
 	}
 	// The schedule: the one place the two modes differ. Static is the
 	// paper's N·P-range plan pre-split across nodes, each group handed to
-	// its own slot and run one runner per range; stealing cuts the plan
-	// into Chunks·N·P weighted chunks that every driver draws in batches of
-	// P, run by a pool of P runners — a node that finishes its batch pulls
-	// the next one, and the master participates through the same dispenser,
-	// so its relative speed is accounted for automatically.
+	// its own slot; stealing cuts the plan into Chunks·N·P weighted chunks
+	// that every driver draws in batches of P — a node that finishes its
+	// batch pulls the next one, and the master participates through the
+	// same dispenser, so its relative speed is accounted for
+	// automatically. What a node does with its ranges is core.RunRanges's
+	// business: P runners sharing one window over them, or, under a named
+	// scan source, one runner per range.
 	psp := cur.Begin(obs.SpanPlan)
 	var err error
-	// Planned for the window every node's runners will use, like the local
-	// engine's plan for the same options.
+	// Planned for runners with private windows of MemEdges entries: what a
+	// node under a named source runs, and a fair cut across nodes for the
+	// rest (ROADMAP item 4 has the re-pricing that remains).
 	res.Plan, err = core.PlanFor(d, orientedBase, core.Options{
 		Workers:  nodes * cfg.Workers,
 		MemEdges: cfg.MemEdges,

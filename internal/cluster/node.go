@@ -312,8 +312,8 @@ func (n *Node) Count(args *CountArgs, reply *CountReply) error {
 
 // count is the calculation phase itself, shared by the worker's Count RPC
 // and the master's own node-0 executor: run args.Ranges on the oriented
-// store d with the engine args.Sched names, and fill reply with the
-// per-runner stats, the triangle count and — for a listing — the triples.
+// store d through core.RunRanges, and fill reply with the per-runner stats,
+// the triangle count and — for a listing — the triples.
 func count(ctx context.Context, d *graph.Disk, args *CountArgs, reply *CountReply) error {
 	scanKind, err := scan.ParseSource(args.Scan)
 	if err != nil {
@@ -339,35 +339,32 @@ func count(ctx context.Context, d *graph.Disk, args *CountArgs, reply *CountRepl
 		Kernel:   kernelKind,
 		Sched:    schedMode,
 	}
-	// Sinks are per range in both modes: a static range is one runner's
-	// whole responsibility, a stealing range is one chunk of the master's
-	// global list. Either way, concatenating the buffers in range order
-	// keeps the listing deterministic under dynamic assignment.
-	var buffers []*bytes.Buffer
+	// One sink per runner; the engine's pieces put their bytes in the
+	// batch's order — range by range for a stealing batch, so the master's
+	// chunk-ordered concatenation does not depend on who ran which chunk.
+	var buffers []bytes.Buffer
 	if args.List {
-		opt.Sinks = make([]mgt.Sink, len(args.Ranges))
-		buffers = make([]*bytes.Buffer, len(args.Ranges))
+		opt.Sinks = make([]mgt.Sink, opt.Runners(len(args.Ranges)))
+		buffers = make([]bytes.Buffer, len(opt.Sinks))
 		for i := range opt.Sinks {
-			buffers[i] = &bytes.Buffer{}
-			opt.Sinks[i] = mgt.NewFileSink(buffers[i])
+			opt.Sinks[i] = mgt.NewFileSink(&buffers[i])
 		}
 	}
-	if schedMode == sched.Stealing {
-		reply.Workers, _, reply.SourceIO, err = core.RunChunks(ctx, d, args.Ranges, opt)
-	} else {
-		reply.Workers, reply.SourceIO, err = core.RunRanges(ctx, d, args.Ranges, opt)
-	}
+	calc, err := core.RunRanges(ctx, d, args.Ranges, opt)
 	if err != nil {
 		return err
 	}
+	reply.Workers, reply.SourceIO = calc.Workers, calc.SourceIO
 	for _, w := range reply.Workers {
 		reply.Triangles += w.Stats.Triangles
 	}
-	for i, sink := range opt.Sinks {
+	for _, sink := range opt.Sinks {
 		if err := sink.(*mgt.FileSink).Flush(); err != nil {
 			return err
 		}
-		reply.Triples = append(reply.Triples, buffers[i].Bytes()...)
+	}
+	for _, p := range calc.Listing {
+		reply.Triples = append(reply.Triples, buffers[p.Sink].Bytes()[12*p.Lo:12*p.Hi]...)
 	}
 	return nil
 }

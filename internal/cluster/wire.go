@@ -98,18 +98,20 @@ type CountArgs struct {
 	// id on its new node; Count is read-only against the replica, which
 	// makes such re-execution idempotent.
 	RunID string
-	// Ranges are the node's processors' pivot responsibilities. Under the
-	// static scheduler one MGT runner is started per range; under stealing
-	// they are one batch of the master's global chunk list, drained by a
-	// pool of Workers runners.
+	// Ranges are the node's pivot responsibilities: its group of the static
+	// plan, or one batch of the master's global chunk list under stealing.
+	// What the node's runners do with them is core.RunRanges's business —
+	// share one window over them (Scan auto), or one runner per range (a
+	// named Scan).
 	Ranges []balance.Range
-	// Sched names the node's chunk scheduler ("static", "stealing"); empty
-	// means static — the paper's one-shot binding. Strings travel on the
-	// wire for the same compatibility reason as Scan/Kernel.
+	// Sched names the schedule the ranges come from ("static", "stealing");
+	// empty means static — the paper's one-shot binding. A node needs it
+	// for a stealing listing, which it assembles chunk by chunk. Strings
+	// travel on the wire for the same compatibility reason as Scan/Kernel.
 	Sched string
-	// Workers is the runner-pool size for the stealing scheduler;
-	// non-positive falls back to one runner per range (the static rule).
-	// Ignored under static, where len(Ranges) is the pool.
+	// Workers is the node's runner count under stealing; non-positive falls
+	// back to one runner per range (the static rule). Ignored under static,
+	// where len(Ranges) is the count.
 	Workers int
 	// MemEdges is M per runner.
 	MemEdges int

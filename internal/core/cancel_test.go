@@ -44,31 +44,33 @@ func waitGoroutines(t *testing.T, want int) {
 }
 
 // TestRunRangesCancelAllSources cancels a multi-window run from inside a
-// sink for every scan source and checks that RunRanges returns ctx.Err()
-// promptly, with all source goroutines torn down.
+// sink for every scan source — the default's cooperative windows included —
+// and checks that RunRanges returns ctx.Err() promptly, with all source and
+// runner goroutines torn down.
 func TestRunRangesCancelAllSources(t *testing.T) {
 	d := cancelDisk(t)
 	plan, err := Plan(d, d.Base, 2, balance.Naive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []scan.SourceKind{scan.SourceBuffered, scan.SourceShared, scan.SourceMem} {
+	for _, kind := range []scan.SourceKind{scan.SourceAuto, scan.SourceBuffered, scan.SourceShared, scan.SourceMem} {
 		t.Run(string(kind), func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var fired atomic.Bool
-			sinks := make([]mgt.Sink, len(plan.Ranges))
-			for i := range sinks {
-				sinks[i] = mgt.FuncSink(func(u, v, w graph.Vertex) {
+			// MemEdges small enough that every runner has many windows
+			// left when the cancellation fires mid-run.
+			opt := Options{Workers: 2, MemEdges: 128, Scan: kind}
+			opt.Sinks = make([]mgt.Sink, opt.Runners(len(plan.Ranges)))
+			for i := range opt.Sinks {
+				opt.Sinks[i] = mgt.FuncSink(func(u, v, w graph.Vertex) {
 					if fired.CompareAndSwap(false, true) {
 						cancel()
 					}
 				})
 			}
-			// MemEdges small enough that every runner has many windows
-			// left when the cancellation fires mid-run.
-			_, _, err := RunRanges(ctx, d, plan.Ranges, Options{MemEdges: 128, Scan: kind, Sinks: sinks})
+			_, err := RunRanges(ctx, d, plan.Ranges, opt)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -86,7 +88,7 @@ func TestRunRangesPreCancelled(t *testing.T) {
 	d := cancelDisk(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := RunRanges(ctx, d, []balance.Range{mgt.FullRange(d)}, Options{MemEdges: 64})
+	_, err := RunRanges(ctx, d, []balance.Range{mgt.FullRange(d)}, Options{MemEdges: 64})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -58,6 +58,82 @@ func (s *recordingSink) Triangle(u, v, w graph.Vertex) {
 	s.tris = append(s.tris, [3]graph.Vertex{u, v, w})
 }
 
+// listed is one listing run: what every sink received, the sequence the
+// run's pieces assemble them into, and the triangle total of the stats.
+type listed struct {
+	sinks     [][][3]graph.Vertex
+	assembled [][3]graph.Vertex
+	total     uint64
+}
+
+// runListed runs ranges under opt with one recording sink per runner. With
+// countOnly it runs without sinks and fills in the total alone.
+func runListed(t *testing.T, label string, d *graph.Disk, ranges []balance.Range, opt Options, countOnly bool) listed {
+	t.Helper()
+	var recs []*recordingSink
+	if !countOnly {
+		opt.Sinks = make([]mgt.Sink, opt.Runners(len(ranges)))
+		for i := range opt.Sinks {
+			recs = append(recs, &recordingSink{})
+			opt.Sinks[i] = recs[i]
+		}
+	}
+	calc, err := RunRanges(context.Background(), d, ranges, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	var out listed
+	for _, w := range calc.Workers {
+		out.total += w.Stats.Triangles
+	}
+	for _, rec := range recs {
+		out.sinks = append(out.sinks, rec.tris)
+	}
+	for _, p := range calc.Listing {
+		out.assembled = append(out.assembled, recs[p.Sink].tris[p.Lo:p.Hi]...)
+	}
+	if !countOnly && uint64(len(out.assembled)) != out.total {
+		t.Fatalf("%s: pieces assemble %d triangles, stats say %d", label, len(out.assembled), out.total)
+	}
+	return out
+}
+
+// sameSequences fails unless got and ref hold the same sequences.
+func sameSequences(t *testing.T, label string, got, ref [][][3]graph.Vertex) {
+	t.Helper()
+	if len(got) != len(ref) {
+		t.Fatalf("%s: %d sequences, reference combo %d", label, len(got), len(ref))
+	}
+	for i := range got {
+		if len(got[i]) != len(ref[i]) {
+			t.Fatalf("%s: sequence %d lists %d triangles, reference combo listed %d", label, i, len(got[i]), len(ref[i]))
+		}
+		for k := range got[i] {
+			if got[i][k] != ref[i][k] {
+				t.Fatalf("%s: sequence %d triangle %d = %v, reference %v", label, i, k, got[i][k], ref[i][k])
+			}
+		}
+	}
+}
+
+// isBaselineSet fails unless tris is exactly the baseline's triangle set.
+func isBaselineSet(t *testing.T, label string, tris [][3]graph.Vertex, wantSet map[[3]graph.Vertex]bool) {
+	t.Helper()
+	seen := map[[3]graph.Vertex]bool{}
+	for _, tri := range tris {
+		if seen[tri] {
+			t.Fatalf("%s: triangle %v listed twice", label, tri)
+		}
+		seen[tri] = true
+		if !wantSet[tri] {
+			t.Fatalf("%s: listed %v which the baseline does not contain", label, tri)
+		}
+	}
+	if len(seen) != len(wantSet) {
+		t.Fatalf("%s: listed %d distinct triangles, want %d", label, len(seen), len(wantSet))
+	}
+}
+
 // TestAllSourceKernelCombosIdentical is the cross-check demanded by the
 // execution-layer refactor: for several generated graphs, every
 // (ScanSource × IntersectKernel) combination — the runners' default cone
@@ -99,82 +175,52 @@ func TestAllSourceKernelCombosIdentical(t *testing.T) {
 			d := orientedDisk(t, g)
 			ranges := equalSplit(d, workers)
 
-			// refTris[i] is runner i's listing under the first combo; every
-			// other combo must reproduce it exactly.
-			var refTris [][][3]graph.Vertex
+			// ref is the per-runner listing under the first combo; every
+			// other named-source combo must reproduce it exactly.
+			var ref [][][3]graph.Vertex
 			for _, src := range sources {
 				for _, kern := range kernels {
 					label := fmt.Sprintf("%s/%s", src, kern)
-					sinks := make([]mgt.Sink, workers)
-					recs := make([]*recordingSink, workers)
-					for i := range sinks {
-						recs[i] = &recordingSink{}
-						sinks[i] = recs[i]
+					got := runListed(t, label, d, ranges, Options{MemEdges: tc.memEdges, Scan: src, Kernel: kern}, false)
+					if got.total != want {
+						t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
 					}
-					stats, _, err := RunRanges(context.Background(), d, ranges, Options{
-						MemEdges: tc.memEdges,
-						Scan:     src,
-						Kernel:   kern,
-						Sinks:    sinks,
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					var total uint64
-					for _, w := range stats {
-						total += w.Stats.Triangles
-					}
-					if total != want {
-						t.Fatalf("%s: %d triangles, want %d", label, total, want)
-					}
-					listed := map[[3]graph.Vertex]bool{}
-					for _, rec := range recs {
-						for _, tri := range rec.tris {
-							if listed[tri] {
-								t.Fatalf("%s: triangle %v listed twice", label, tri)
-							}
-							listed[tri] = true
-							if !wantSet[tri] {
-								t.Fatalf("%s: listed %v which the baseline does not contain", label, tri)
-							}
-						}
-					}
-					if len(listed) != len(wantSet) {
-						t.Fatalf("%s: listed %d distinct triangles, want %d", label, len(listed), len(wantSet))
-					}
-					if refTris == nil {
-						refTris = make([][][3]graph.Vertex, workers)
-						for i, rec := range recs {
-							refTris[i] = rec.tris
-						}
+					isBaselineSet(t, label, got.assembled, wantSet)
+					if ref == nil {
+						ref = got.sinks
 						continue
 					}
-					for i, rec := range recs {
-						if len(rec.tris) != len(refTris[i]) {
-							t.Fatalf("%s: runner %d listed %d triangles, reference combo listed %d",
-								label, i, len(rec.tris), len(refTris[i]))
-						}
-						for k := range rec.tris {
-							if rec.tris[k] != refTris[i][k] {
-								t.Fatalf("%s: runner %d triangle %d = %v, reference %v",
-									label, i, k, rec.tris[k], refTris[i][k])
-							}
-						}
-					}
+					sameSequences(t, label, got.sinks, ref)
 				}
+			}
+
+			// The default source's row: cooperative windows list, for either
+			// kernel and whatever the ranges were cut into, exactly what one
+			// runner of the paper's configuration lists with the whole
+			// window — workers·memEdges entries.
+			one := runListed(t, "buffered/one runner", d, []balance.Range{mgt.FullRange(d)},
+				Options{MemEdges: workers * tc.memEdges, Scan: scan.SourceBuffered}, false)
+			for _, kern := range []scan.KernelKind{scan.KernelAuto, scan.KernelMerge} {
+				label := fmt.Sprintf("auto/%s", kern)
+				got := runListed(t, label, d, ranges, Options{Workers: workers, MemEdges: tc.memEdges, Kernel: kern}, false)
+				if got.total != want {
+					t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
+				}
+				isBaselineSet(t, label, got.assembled, wantSet)
+				sameSequences(t, label, [][][3]graph.Vertex{got.assembled}, [][][3]graph.Vertex{one.assembled})
 			}
 		})
 	}
 }
 
 // TestSchedSourceKernelCombosIdentical extends the cross-check to the
-// scheduler axis: sched(static, stealing) × scan(buffered, shared, mem) ×
-// kernel(auto, merge, gallop, adaptive) must all produce identical,
-// order-normalized triangle listings versus the in-memory baseline. On top
-// of the set identity, the chunk-indexed listings of every stealing combo
-// must agree exactly (same sequence per chunk) — sources and kernels
-// promise order-preserving equivalence, and chunk-indexed sinks make that
-// promise hold under dynamic assignment too.
+// schedule axis — the P ranges of a static plan, or the K·P chunks of a
+// stealing one as a node receives them in a batch: sched(static, stealing) ×
+// scan(buffered, shared, mem) × kernel(auto, merge, gallop, adaptive) must
+// all produce identical, order-normalized triangle listings versus the
+// in-memory baseline. On top of the set identity, the per-chunk listings of
+// every stealing combo must agree exactly (same sequence per chunk) —
+// sources and kernels promise order-preserving equivalence.
 func TestSchedSourceKernelCombosIdentical(t *testing.T) {
 	graphs := []struct {
 		name     string
@@ -204,9 +250,9 @@ func TestSchedSourceKernelCombosIdentical(t *testing.T) {
 			staticRanges := equalSplit(d, workers)
 			chunks := equalSplit(d, workers*perWorker)
 
-			// refChunkTris[c] is chunk c's exact listing under the first
-			// stealing combo; every other stealing combo must match it.
-			var refChunkTris [][][3]graph.Vertex
+			// refChunks is the per-chunk listing under the first stealing
+			// combo; every other stealing combo must match it.
+			var refChunks [][][3]graph.Vertex
 			for _, mode := range []sched.Mode{sched.Static, sched.Stealing} {
 				for _, src := range sources {
 					for _, kern := range kernels {
@@ -215,73 +261,21 @@ func TestSchedSourceKernelCombosIdentical(t *testing.T) {
 						if mode == sched.Stealing {
 							ranges = chunks
 						}
-						sinks := make([]mgt.Sink, len(ranges))
-						recs := make([]*recordingSink, len(ranges))
-						for i := range sinks {
-							recs[i] = &recordingSink{}
-							sinks[i] = recs[i]
+						got := runListed(t, label, d, ranges, Options{
+							Workers: workers, MemEdges: tc.memEdges, Scan: src, Kernel: kern, Sched: mode,
+						}, false)
+						if got.total != want {
+							t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
 						}
-						opt := Options{
-							Workers:  workers,
-							MemEdges: tc.memEdges,
-							Scan:     src,
-							Kernel:   kern,
-							Sinks:    sinks,
-						}
-						var stats []WorkerStat
-						var err error
-						if mode == sched.Stealing {
-							stats, _, _, err = RunChunks(context.Background(), d, ranges, opt)
-						} else {
-							stats, _, err = RunRanges(context.Background(), d, ranges, opt)
-						}
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						var total uint64
-						for _, w := range stats {
-							total += w.Stats.Triangles
-						}
-						if total != want {
-							t.Fatalf("%s: %d triangles, want %d", label, total, want)
-						}
-						listed := map[[3]graph.Vertex]bool{}
-						for _, rec := range recs {
-							for _, tri := range rec.tris {
-								if listed[tri] {
-									t.Fatalf("%s: triangle %v listed twice", label, tri)
-								}
-								listed[tri] = true
-								if !wantSet[tri] {
-									t.Fatalf("%s: listed %v, absent from baseline", label, tri)
-								}
-							}
-						}
-						if len(listed) != len(wantSet) {
-							t.Fatalf("%s: %d distinct triangles, want %d", label, len(listed), len(wantSet))
-						}
+						isBaselineSet(t, label, got.assembled, wantSet)
 						if mode != sched.Stealing {
 							continue
 						}
-						if refChunkTris == nil {
-							refChunkTris = make([][][3]graph.Vertex, len(recs))
-							for i, rec := range recs {
-								refChunkTris[i] = rec.tris
-							}
+						if refChunks == nil {
+							refChunks = got.sinks
 							continue
 						}
-						for c, rec := range recs {
-							if len(rec.tris) != len(refChunkTris[c]) {
-								t.Fatalf("%s: chunk %d listed %d triangles, reference combo %d",
-									label, c, len(rec.tris), len(refChunkTris[c]))
-							}
-							for k := range rec.tris {
-								if rec.tris[k] != refChunkTris[c][k] {
-									t.Fatalf("%s: chunk %d triangle %d = %v, reference %v",
-										label, c, k, rec.tris[k], refChunkTris[c][k])
-								}
-							}
-						}
+						sameSequences(t, label, got.sinks, refChunks)
 					}
 				}
 			}
@@ -311,12 +305,14 @@ func bitmapBoundaryGraph() (*graph.CSR, error) {
 
 // TestSchedSourceKernelStoreCombosIdentical is the full execution-layer
 // cross-check with the store axis added: sched(static, stealing) ×
-// scan(buffered, shared, mem) × kernel(auto + all five) × store(plain, compressed)
-// must produce the identical triangle listing — the same sequence per sink,
-// not just the same set — and match the in-memory baseline count. Every
-// combo then reruns with nil sinks, which selects the closure-free
-// count-only kernel path; its total must equal both the listing total and
-// the baseline (72 count-only combos per graph). The
+// scan(auto, buffered, shared, mem) × kernel(auto + all five) ×
+// store(plain, compressed) must produce the identical triangle listing —
+// the same sequence per sink under the named sources, the same assembled
+// sequence under the default's cooperative windows, not just the same set —
+// and match the in-memory baseline count. Every combo then reruns with nil
+// sinks, which selects the closure-free count-only kernel path; its total
+// must equal both the listing total and the baseline (96 count-only combos
+// per graph). The
 // graphs pin the regimes that matter: Complete(40) at memEdges 16 (every
 // vertex takes the large-vertex path), a skewed power law, and the
 // bitmap-boundary graph above (dense 301-entry lists spanning a full
@@ -360,94 +356,62 @@ func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 			staticRanges := equalSplit(d, workers)
 			chunks := equalSplit(d, workers*perWorker)
 
-			// ref[mode][i] is sink i's exact listing under the first combo
-			// of that scheduler; every other combo — including every
-			// compressed-store one — must reproduce it byte for byte.
+			// ref[mode] is the per-sink listing under the first named-source
+			// combo of that schedule, auto[mode] the assembled listing under
+			// the first default-source one; every other combo — including
+			// every compressed-store one — must reproduce its reference byte
+			// for byte.
 			ref := map[sched.Mode][][][3]graph.Vertex{}
+			auto := map[sched.Mode][][][3]graph.Vertex{}
 			for _, format := range []graph.Format{graph.FormatPlain, graph.FormatCompressed} {
 				for _, mode := range []sched.Mode{sched.Static, sched.Stealing} {
-					for _, src := range sources {
+					ranges := staticRanges
+					if mode == sched.Stealing {
+						ranges = chunks
+					}
+					for _, src := range append([]scan.SourceKind{scan.SourceAuto}, sources...) {
 						for _, kern := range kernels {
 							label := fmt.Sprintf("%s/%s/%s/%s", format, mode, src, kern)
-							ranges := staticRanges
-							if mode == sched.Stealing {
-								ranges = chunks
-							}
-							sinks := make([]mgt.Sink, len(ranges))
-							recs := make([]*recordingSink, len(ranges))
-							for i := range sinks {
-								recs[i] = &recordingSink{}
-								sinks[i] = recs[i]
-							}
-							opt := Options{
-								Workers:  workers,
-								MemEdges: tc.memEdges,
-								Scan:     src,
-								Kernel:   kern,
-								Sinks:    sinks,
-							}
-							var stats []WorkerStat
-							var err error
-							if mode == sched.Stealing {
-								stats, _, _, err = RunChunks(context.Background(), disks[format], ranges, opt)
-							} else {
-								stats, _, err = RunRanges(context.Background(), disks[format], ranges, opt)
-							}
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							var total uint64
-							for _, w := range stats {
-								total += w.Stats.Triangles
-							}
-							if total != want {
-								t.Fatalf("%s: %d triangles, want %d", label, total, want)
+							opt := Options{Workers: workers, MemEdges: tc.memEdges, Scan: src, Kernel: kern, Sched: mode}
+							got := runListed(t, label, disks[format], ranges, opt, false)
+							if got.total != want {
+								t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
 							}
 							// Count-only rerun of the identical combo: nil
 							// sinks auto-select the count kernels, whose
 							// total must agree with the listing path and
 							// the baseline.
-							copt := opt
-							copt.Sinks = nil
-							var cstats []WorkerStat
-							if mode == sched.Stealing {
-								cstats, _, _, err = RunChunks(context.Background(), disks[format], ranges, copt)
-							} else {
-								cstats, _, err = RunRanges(context.Background(), disks[format], ranges, copt)
+							if c := runListed(t, label+" count-only", disks[format], ranges, opt, true); c.total != want {
+								t.Fatalf("%s count-only: %d triangles, want %d", label, c.total, want)
 							}
-							if err != nil {
-								t.Fatalf("%s count-only: %v", label, err)
+							seqs, refs := got.sinks, ref
+							if src.IsAuto() {
+								// Which runner was dealt which block is
+								// timing; the assembled listing is not.
+								seqs, refs = [][][3]graph.Vertex{got.assembled}, auto
 							}
-							var ctotal uint64
-							for _, w := range cstats {
-								ctotal += w.Stats.Triangles
-							}
-							if ctotal != want {
-								t.Fatalf("%s count-only: %d triangles, want %d", label, ctotal, want)
-							}
-							if ref[mode] == nil {
-								ref[mode] = make([][][3]graph.Vertex, len(recs))
-								for i, rec := range recs {
-									ref[mode][i] = rec.tris
-								}
+							if refs[mode] == nil {
+								refs[mode] = seqs
 								continue
 							}
-							for i, rec := range recs {
-								if len(rec.tris) != len(ref[mode][i]) {
-									t.Fatalf("%s: sink %d listed %d triangles, reference combo listed %d",
-										label, i, len(rec.tris), len(ref[mode][i]))
-								}
-								for k := range rec.tris {
-									if rec.tris[k] != ref[mode][i][k] {
-										t.Fatalf("%s: sink %d triangle %d = %v, reference %v",
-											label, i, k, rec.tris[k], ref[mode][i][k])
-									}
-								}
-							}
+							sameSequences(t, label, seqs, refs[mode])
 						}
 					}
 				}
 			}
+			// What the default source's references are: static ranges
+			// coalesce into one span, listed as one runner with the whole
+			// window lists it; a stealing listing is chunk after chunk, each
+			// one's windows its own, so the master's concatenation does not
+			// depend on how the chunks were batched.
+			whole := Options{MemEdges: workers * tc.memEdges, Scan: scan.SourceBuffered}
+			one := runListed(t, "one runner", d, []balance.Range{mgt.FullRange(d)}, whole, false)
+			sameSequences(t, "static/auto", auto[sched.Static], [][][3]graph.Vertex{one.assembled})
+			var perChunk [][3]graph.Vertex
+			for _, c := range chunks {
+				perChunk = append(perChunk, runListed(t, "one runner, one chunk", d, []balance.Range{c}, whole, false).assembled...)
+			}
+			sameSequences(t, "stealing/auto", auto[sched.Stealing], [][][3]graph.Vertex{perChunk})
 		})
 	}
 }
@@ -473,12 +437,13 @@ func TestSharedScanReadsFileOncePerRound(t *testing.T) {
 
 	scanBytes := func(kind scan.SourceKind) (scanVol, srcVol int64, triangles uint64) {
 		t.Helper()
-		stats, srcIO, err := RunRanges(context.Background(), d, ranges, Options{MemEdges: mem, Scan: kind})
+		calc, err := RunRanges(context.Background(), d, ranges, Options{MemEdges: mem, Scan: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
+		srcIO := calc.SourceIO
 		var workerBytes, loads int64
-		for _, w := range stats {
+		for _, w := range calc.Workers {
 			if w.Stats.Passes != 1 {
 				t.Fatalf("%s: runner did %d passes, want 1", kind, w.Stats.Passes)
 			}
@@ -520,12 +485,13 @@ func TestMemSourcePreloadsOnce(t *testing.T) {
 	want := baseline.Forward(g)
 	d := orientedDisk(t, g)
 	ranges := equalSplit(d, 3)
-	stats, srcIO, err := RunRanges(context.Background(), d, ranges, Options{MemEdges: 64, Scan: scan.SourceMem})
+	calc, err := RunRanges(context.Background(), d, ranges, Options{MemEdges: 64, Scan: scan.SourceMem})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srcIO := calc.SourceIO
 	var total uint64
-	for _, w := range stats {
+	for _, w := range calc.Workers {
 		total += w.Stats.Triangles
 		if w.Stats.IO.BytesRead != 0 {
 			t.Errorf("runner %d read %d bytes from disk under mem source, want 0", w.Worker, w.Stats.IO.BytesRead)

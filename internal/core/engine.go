@@ -46,47 +46,52 @@ type Options struct {
 	OrientWorkers int
 	// BufBytes is each runner's sequential-scan buffer size.
 	BufBytes int
-	// Sinks, when non-nil, must have one entry per worker; worker i streams
-	// its triangles to Sinks[i]. Nil means counting only — runners then
-	// take the closure-free count-only kernel path (scan.CountKernel, and
-	// scan.CountBlockKernel with word-parallel bitmap counting on
-	// compressed stores), which produces the identical triangle count.
+	// Sinks, when non-nil, must have one entry per runner (Runners); runner
+	// i streams its triangles to Sinks[i], and the run's Listing says how
+	// the sinks' outputs make up the listing. Nil means counting only —
+	// runners then take the closure-free count-only kernel path
+	// (scan.CountKernel, and scan.CountBlockKernel with word-parallel bitmap
+	// counting on compressed stores), which produces the identical triangle
+	// count.
 	Sinks []mgt.Sink
 	// KeepOriented leaves the oriented store on disk after the run (the
 	// cluster layer relies on this to copy it to clients).
 	KeepOriented bool
-	// Scan selects the scan source the engine constructs and owns for the
-	// run. The default (scan.SourceAuto) picks scan.SourceShared when
-	// more than one runner shares the store — one physical scan per round
-	// of passes instead of P — and scan.SourceBuffered (the paper's
-	// per-runner scans) for a single runner.
+	// Scan selects how adjacency data reaches the runners. The default
+	// (scan.SourceAuto, or empty) is cooperative windows: the Workers
+	// runners share one window of Workers·MemEdges entries and are dealt
+	// the cone blocks of every round (mgt.RunDealt). A named source
+	// (buffered, shared, mem) is the paper's layout — one runner per range,
+	// each with its own MemEdges-entry window, fed by a scan source the
+	// engine constructs and owns for the run.
 	Scan scan.SourceKind
 	// Kernel names a pairwise sorted-array intersection kernel; the default
 	// (scan.KernelAuto, empty) leaves the intersecting to the runners' own
 	// mark-and-probe cone routine. Every choice produces identical
 	// triangles.
 	Kernel scan.KernelKind
-	// Sched selects the chunk scheduler: sched.Static (the paper's one-shot
-	// range→runner binding, the default) or sched.Stealing (the plan is cut
-	// into Chunks·Workers weighted chunks drawn dynamically by a pool of
-	// Workers runners, so an early finisher takes the struggler's remaining
-	// work instead of idling).
+	// Sched is the schedule the ranges come from. Inside one engine there is
+	// nothing left for it to choose — the runners of a cooperative window
+	// are dealt blocks, a named source runs one runner per range — so it
+	// only matters to a cluster node listing a stealing batch: every range
+	// is then a span of its own, because the master concatenates the
+	// listing chunk by chunk whichever node ran which (see RunRanges).
 	Sched sched.Mode
 	// Store selects the on-disk format of the oriented store the engine
 	// builds when its input is unoriented (empty means graph.FormatPlain).
 	// An already-oriented input is used in whatever format it is in — the
 	// calculation phase is format-agnostic.
 	Store graph.Format
-	// Chunks is K, the chunks-per-worker factor of the stealing scheduler;
-	// non-positive selects sched.DefaultChunksPerWorker. Ignored under
-	// Static.
+	// Chunks is K, the chunks-per-worker factor of a stealing plan (PlanFor,
+	// which the distributed master calls); non-positive selects
+	// sched.DefaultChunksPerWorker. Ignored under Static.
 	Chunks int
-	// NewSource, when non-nil, replaces scan.New as the constructor of the
-	// run's scan source. This is how an overlay view (internal/live) puts a
+	// NewSource, when non-nil, replaces scan.New as the constructor of a
+	// named scan source. This is how an overlay view (internal/live) puts a
 	// synthetic store in front of the runners: d is then an in-memory
 	// merged Disk, and the factory returns a source that resolves reads
 	// against base+delta while the engine, runners, and kernels stay
-	// unchanged. kind arrives already Resolved.
+	// unchanged.
 	NewSource func(kind scan.SourceKind, d *graph.Disk, cfg scan.Config) (scan.Source, error)
 }
 
@@ -110,29 +115,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// WorkerStat is one runner's outcome. Under the static scheduler Range is
-// the runner's single assigned range and Chunks is 1; under stealing Range
-// is the convex hull of the chunks the runner drew from the queue and
-// Chunks counts them (the ranges need not be contiguous), with the folded
-// Stats summing wall time across the runner's sequential chunks.
+// WorkerStat is one runner's outcome. Under a named source Range is the
+// runner's one range and Chunks is 1; a runner of a cooperative window took
+// part in every span of the run, so Range is their hull and Chunks their
+// number. The distributed master folds a node's batches by worker index, so
+// across batches both accumulate (sched.Ledger).
 type WorkerStat struct {
 	Worker int
 	Range  balance.Range
 	Chunks int
-	mgt.Stats
-}
-
-// ChunkStat is one chunk's outcome under the stealing scheduler. Everything
-// except Worker is deterministic for a given (store, plan, MemEdges): which
-// runner executed the chunk depends on timing, but what the chunk computed
-// does not — the straggler regression tests rely on this.
-type ChunkStat struct {
-	// Chunk is the index in the chunked plan (= listing concatenation
-	// order).
-	Chunk int
-	// Worker is the pool runner that executed the chunk.
-	Worker int
-	Range  balance.Range
 	mgt.Stats
 }
 
@@ -159,18 +150,17 @@ type Result struct {
 	TotalTime time.Duration
 	// OrientedBase is the path of the oriented store used.
 	OrientedBase string
-	// Scan is the concrete scan source the run used (auto resolved).
+	// Scan is the scan source the run used (scan.SourceAuto: cooperative
+	// windows).
 	Scan scan.SourceKind
-	// SourceIO is the I/O the scan source performed on its own behalf:
-	// the shared broadcaster's single scan per round, or the in-memory
-	// preload. Zero for buffered sources, whose scans are charged to the
-	// per-worker counters.
+	// SourceIO is the I/O that is no runner's own: what a named scan source
+	// performed on its own behalf — the shared broadcaster's single scan per
+	// round, or the in-memory preload; zero for buffered sources, whose
+	// scans are charged to the per-worker counters — or, under the default
+	// source, the loads of the windows the runners share.
 	SourceIO ioacct.Stats
-	// Sched is the chunk scheduler the run used.
+	// Sched is the schedule the run was asked for.
 	Sched sched.Mode
-	// ChunkStats holds the per-chunk outcomes of a stealing run (nil under
-	// the static scheduler). Plan.Ranges and ChunkStats are index-aligned.
-	ChunkStats []ChunkStat
 }
 
 // TotalStats sums the runner statistics (Wall is the straggler max) plus
@@ -231,7 +221,7 @@ func Process(ctx context.Context, base string, opt Options) (*Result, error) {
 	calcStart := time.Now()
 	res.Sched = opt.Sched
 	psp := cur.Begin(obs.SpanPlan)
-	plan, err := PlanFor(d, orientedBase, opt)
+	plan, err := LocalPlan(d, orientedBase, opt)
 	plan.Explain(cur, psp)
 	cur.End(psp)
 	res.PlanTime = time.Since(calcStart) //pdtl:nondeterministic-ok timing stat only
@@ -239,26 +229,20 @@ func Process(ctx context.Context, base string, opt Options) (*Result, error) {
 		return nil, err
 	}
 	res.Plan = plan
-	res.Scan = opt.Scan.Resolve(opt.Workers)
+	res.Scan = opt.Scan.OrAuto()
 	csp := cur.Begin(obs.SpanCalc)
 	calcCtx := ctx
 	if cur.T != nil {
 		calcCtx = obs.ContextWithCursor(ctx, cur.Child(csp))
 	}
-	var stats []WorkerStat
-	var srcIO ioacct.Stats
-	if opt.Sched == sched.Stealing {
-		stats, res.ChunkStats, srcIO, err = RunChunks(calcCtx, d, plan.Ranges, opt)
-	} else {
-		stats, srcIO, err = RunRanges(calcCtx, d, plan.Ranges, opt)
-	}
+	calc, err := RunRanges(calcCtx, d, plan.Ranges, opt)
 	cur.End(csp)
 	if err != nil {
 		return nil, err
 	}
-	res.Workers = stats
-	res.SourceIO = srcIO
-	for _, w := range stats {
+	res.Workers = calc.Workers
+	res.SourceIO = calc.SourceIO
+	for _, w := range calc.Workers {
 		res.Triangles += w.Stats.Triangles
 	}
 	res.CalcTime = time.Since(calcStart) //pdtl:nondeterministic-ok timing stat only
@@ -266,11 +250,34 @@ func Process(ctx context.Context, base string, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// PlanFor computes the ranges for a run of opt over the oriented store d:
-// one per worker under the static scheduler, Chunks per worker under
-// stealing, for windows of opt.MemEdges entries (balance.PlanStore). The
-// distributed master calls it with Workers = N·P to compute the global plan
-// centrally (Section IV-B1).
+// LocalPlan is the plan of a single-machine run of opt over the oriented
+// store d. Cooperative windows (the default source) need no cost model: the
+// whole store is one range, covered by ⌈|E*|/(P·M)⌉ windows of P·M entries,
+// and the plan only says so. A named source runs the paper's layout, one
+// PlanFor range per worker — whatever opt.Sched says: ranges are bound to
+// their runners when the run starts, and chunks are dealt across nodes only.
+func LocalPlan(d *graph.Disk, orientedBase string, opt Options) (balance.Plan, error) {
+	opt = opt.withDefaults()
+	if !opt.Scan.IsAuto() {
+		opt.Sched = sched.Static
+		return PlanFor(d, orientedBase, opt)
+	}
+	total := d.Meta.AdjEntries
+	window := max(min(uint64(opt.Workers)*uint64(opt.MemEdges), total), 1)
+	return balance.Plan{
+		Ranges:    []balance.Range{{Lo: 0, Hi: total}},
+		Strategy:  opt.Strategy,
+		MemEdges:  window,
+		Windows:   max((total+window-1)/window, 1),
+		ScanUnits: 1,
+	}, nil
+}
+
+// PlanFor computes the ranges a run of opt over the oriented store d hands
+// to runners with private windows of opt.MemEdges entries
+// (balance.PlanStore): one per worker under the static scheduler, Chunks per
+// worker under stealing. The distributed master calls it with Workers = N·P
+// to compute the global plan centrally (Section IV-B1).
 func PlanFor(d *graph.Disk, orientedBase string, opt Options) (balance.Plan, error) {
 	if opt.MemEdges <= 0 {
 		opt.MemEdges = DefaultMemEdges
@@ -296,44 +303,85 @@ func Plan(d *graph.Disk, orientedBase string, processors int, strategy balance.S
 	return PlanFor(d, orientedBase, Options{Workers: processors, Strategy: strategy})
 }
 
-// RunRanges runs one MGT runner per range, concurrently, against the
-// oriented store d. It is the node-side calculation phase: the distributed
-// layer calls it with the ranges assigned by the master.
+// Calc is the outcome of a calculation phase (RunRanges).
+type Calc struct {
+	// Workers holds one entry per runner.
+	Workers []WorkerStat
+	// SourceIO is the I/O that is no runner's own: a named scan source's
+	// (Result.SourceIO), or the window loads of a cooperative run.
+	SourceIO ioacct.Stats
+	// Listing, for a run with sinks, puts their outputs in order: piece
+	// after piece, the triangles [Lo, Hi) that sink Sink received. Under a
+	// named source that is every sink whole, in range order; the runners of
+	// a cooperative window are dealt their blocks, and the pieces restore
+	// the order of one runner with the whole window (mgt.RunDealt) — so a
+	// listing assembled from them does not depend on timing, nor on Workers
+	// at equal Workers·MemEdges.
+	Listing []mgt.Piece
+}
+
+// Runners reports how many runners — and so how many sinks — RunRanges uses
+// for n ranges: Workers sharing a window under the default source, one per
+// range under a named one.
+func (o Options) Runners(n int) int {
+	if o.Scan.IsAuto() {
+		return o.withDefaults().Workers
+	}
+	return n
+}
+
+// RunRanges is the calculation phase on one machine: the triangles whose
+// pivot edges lie in ranges, counted or listed against the oriented store d.
+// The distributed layer calls it on every node with the ranges the master
+// assigned.
 //
-// The engine constructs and owns the scan source here: every runner gets a
-// per-runner handle (charged to its own counter), and the source-level I/O
-// — the shared broadcaster's physical scans, or the in-memory preload — is
-// returned alongside the per-worker stats.
+// Under the default source the ranges only say which entries are this run's:
+// adjacent ones are coalesced into spans, each span is covered by windows of
+// Workers·MemEdges entries, and opt.Workers runners share every window
+// (mgt.RunDealt). The one exception is a stealing listing, whose ranges are
+// chunks of a plan the master concatenates chunk by chunk whichever node ran
+// which: there every range stays a span of its own, since window boundaries
+// decide the order within a span.
+//
+// Under a named source it runs the paper's layout: one MGT runner per range,
+// concurrently, each with its own window. The engine constructs and owns
+// the scan source: every runner gets a per-runner handle (charged to its own
+// counter), and the source-level I/O — the shared broadcaster's physical
+// scans, or the in-memory preload — is returned alongside the per-worker
+// stats.
 //
 // ctx cancels the run cooperatively: every runner aborts within one memory
 // window, blocked shared-broadcast waits unblock immediately, and the
-// source plus all handles are torn down before RunRanges returns ctx.Err()
-// — no goroutines or file descriptors outlive the call.
-func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Options) ([]WorkerStat, ioacct.Stats, error) {
+// source, all handles and all descriptors are torn down before RunRanges
+// returns ctx.Err() — no goroutines or file descriptors outlive the call.
+func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Options) (Calc, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opt = opt.withDefaults()
 	if !d.Meta.Oriented {
-		return nil, ioacct.Stats{}, fmt.Errorf("core: RunRanges requires an oriented store")
+		return Calc{}, fmt.Errorf("core: RunRanges requires an oriented store")
 	}
-	if opt.Sinks != nil && len(opt.Sinks) != len(ranges) {
-		return nil, ioacct.Stats{}, fmt.Errorf("core: %d sinks for %d ranges", len(opt.Sinks), len(ranges))
+	if n := opt.Runners(len(ranges)); opt.Sinks != nil && len(opt.Sinks) != n {
+		return Calc{}, fmt.Errorf("core: %d sinks for %d runners", len(opt.Sinks), n)
 	}
 	kernel, err := scan.NewKernel(opt.Kernel)
 	if err != nil {
-		return nil, ioacct.Stats{}, err
+		return Calc{}, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, ioacct.Stats{}, err
+		return Calc{}, err
 	}
-	src, err := opt.NewSource(opt.Scan.Resolve(len(ranges)), d, scan.Config{
+	if opt.Scan.IsAuto() {
+		return runDealt(ctx, d, ranges, opt, kernel)
+	}
+	src, err := opt.NewSource(opt.Scan, d, scan.Config{
 		BufBytes: opt.BufBytes,
 		Counter:  ioacct.NewCounter(0),
 		Ctx:      ctx,
 	})
 	if err != nil {
-		return nil, ioacct.Stats{}, err
+		return Calc{}, err
 	}
 	defer src.Close()
 
@@ -351,7 +399,7 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 			for _, open := range handles[:i] {
 				open.Close()
 			}
-			return nil, src.IO(), err
+			return Calc{SourceIO: src.IO()}, err
 		}
 		handles[i] = h
 	}
@@ -375,132 +423,10 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 			if cur.T != nil {
 				rctx = obs.ContextWithCursor(ctx, cur.WithWorker(i))
 			}
-			cfg := mgt.Config{
-				MemEdges: opt.MemEdges,
-				Range:    r,
-				Counter:  counters[i],
-				Source:   handles[i],
-				Kernel:   kernel,
-			}
-			if opt.Sinks != nil {
-				cfg.Sink = opt.Sinks[i]
-			}
-			st, err := mgt.Run(rctx, d, cfg)
-			stats[i] = WorkerStat{Worker: i, Range: r, Chunks: 1, Stats: st}
-			errs[i] = err
-		}(i, r)
-	}
-	wg.Wait()
-	// A cancelled run reports the bare ctx.Err() regardless of which runner
-	// (or the scan source) surfaced the cancellation first.
-	if err := ctx.Err(); err != nil {
-		return stats, src.IO(), err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return stats, src.IO(), err
-		}
-	}
-	return stats, src.IO(), nil
-}
-
-// RunChunks is the stealing-mode calculation phase: a pool of opt.Workers
-// persistent MGT runners drains the chunk queue, each runner drawing the
-// next chunk the moment it finishes its current one. chunks is typically a
-// K·P-way weighted plan (PlanFor); any partition of the global
-// edge range is correct — every triangle is still reported exactly once, by
-// the chunk holding its pivot edge.
-//
-// Sinks, when non-nil in opt, must have one entry per CHUNK (not per
-// worker): chunk i's triangles go to Sinks[i] regardless of which runner
-// executed it, so listing output concatenated in chunk order is
-// deterministic even though the chunk→runner assignment is not. A sink is
-// only ever used by one runner at a time (the one executing its chunk), so
-// per-sink state needs no locking.
-//
-// The returned WorkerStats fold each runner's chunks (wall summed, range =
-// hull); ChunkStats align with chunks index-wise, zero-valued for chunks a
-// cancelled or failed run never started.
-//
-// Scan-source semantics are identical to RunRanges: every runner holds one
-// handle for its whole lifetime, opened up front, so a shared source's
-// quorum-based rounds keep doing exactly one physical scan per round — a
-// runner between chunks looks no different to the broadcaster than a runner
-// between memory windows. A runner that finds the queue empty closes its
-// handle, shrinking the quorum for the ones still working.
-func RunChunks(ctx context.Context, d *graph.Disk, chunks []balance.Range, opt Options) ([]WorkerStat, []ChunkStat, ioacct.Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opt = opt.withDefaults()
-	if !d.Meta.Oriented {
-		return nil, nil, ioacct.Stats{}, fmt.Errorf("core: RunChunks requires an oriented store")
-	}
-	if opt.Sinks != nil && len(opt.Sinks) != len(chunks) {
-		return nil, nil, ioacct.Stats{}, fmt.Errorf("core: %d sinks for %d chunks (stealing sinks are per chunk)", len(opt.Sinks), len(chunks))
-	}
-	workers := opt.Workers
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	kernel, err := scan.NewKernel(opt.Kernel)
-	if err != nil {
-		return nil, nil, ioacct.Stats{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, ioacct.Stats{}, err
-	}
-	src, err := opt.NewSource(opt.Scan.Resolve(workers), d, scan.Config{
-		BufBytes: opt.BufBytes,
-		Counter:  ioacct.NewCounter(0),
-		Ctx:      ctx,
-	})
-	if err != nil {
-		return nil, nil, ioacct.Stats{}, err
-	}
-	defer src.Close()
-
-	// One handle per pool runner, opened before any runner starts: the
-	// same deterministic quorum rule as RunRanges.
-	counters := make([]*ioacct.Counter, workers)
-	handles := make([]scan.Handle, workers)
-	for i := range handles {
-		counters[i] = ioacct.NewCounter(0)
-		h, err := src.Handle(counters[i])
-		if err != nil {
-			for _, open := range handles[:i] {
-				open.Close()
-			}
-			return nil, nil, src.IO(), err
-		}
-		handles[i] = h
-	}
-
-	queue := sched.NewQueue(chunks)
-	ledgers := make([]sched.Ledger, workers)
-	chunkStats := make([]ChunkStat, len(chunks))
-	errs := make([]error, workers)
-	cur := obs.CursorFrom(ctx)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Closing the handle as soon as this runner is out of work
-			// shrinks the shared source's round quorum, exactly like a
-			// static runner finishing its final pass.
-			defer handles[i].Close()
-			// One context per pool runner stamps its chunk spans with the
-			// runner index; the per-chunk span recording in
-			// mgt.(*Runner).RunRange is allocation-free.
-			rctx := ctx
-			if cur.T != nil {
-				rctx = obs.ContextWithCursor(ctx, cur.WithWorker(i))
-			}
-			ledgers[i].Worker = i
+			stats[i] = WorkerStat{Worker: i, Range: r, Chunks: 1}
+			// (Not mgt.Run, to which an empty range at entry 0 — a plan
+			// with more ranges than the first hub has room for — is the
+			// zero Range, the whole store.)
 			runner, err := mgt.NewRunner(d, mgt.Config{
 				MemEdges: opt.MemEdges,
 				Counter:  counters[i],
@@ -509,51 +435,62 @@ func RunChunks(ctx context.Context, d *graph.Disk, chunks []balance.Range, opt O
 			})
 			if err != nil {
 				errs[i] = err
-				queue.Stop()
 				return
 			}
-			for {
-				ci, rng, ok := queue.Next()
-				if !ok {
-					return
-				}
-				var sink mgt.Sink
-				if opt.Sinks != nil {
-					sink = opt.Sinks[ci]
-				}
-				st, err := runner.RunRange(rctx, rng, sink)
-				chunkStats[ci] = ChunkStat{Chunk: ci, Worker: i, Range: rng, Stats: st}
-				ledgers[i].Fold(rng, st)
-				if err != nil {
-					errs[i] = err
-					// Stop the drain; runners mid-chunk finish (or hit the
-					// same cancellation) on their own.
-					queue.Stop()
-					return
-				}
+			var sink mgt.Sink
+			if opt.Sinks != nil {
+				sink = opt.Sinks[i]
 			}
-		}(i)
+			stats[i].Stats, errs[i] = runner.RunRange(rctx, r, sink)
+		}(i, r)
 	}
 	wg.Wait()
-
-	stats := make([]WorkerStat, workers)
-	for i, l := range ledgers {
-		stats[i] = WorkerStat{
-			Worker: l.Worker,
-			Range:  balance.Range{Lo: l.Lo, Hi: l.Hi},
-			Chunks: l.Chunks,
-			Stats:  l.Stats,
-		}
-	}
+	calc := Calc{Workers: stats, SourceIO: src.IO()}
 	// A cancelled run reports the bare ctx.Err() regardless of which runner
 	// (or the scan source) surfaced the cancellation first.
 	if err := ctx.Err(); err != nil {
-		return stats, chunkStats, src.IO(), err
+		return calc, err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return stats, chunkStats, src.IO(), err
+			return calc, err
 		}
 	}
-	return stats, chunkStats, src.IO(), nil
+	if opt.Sinks != nil {
+		for i, w := range stats {
+			calc.Listing = append(calc.Listing, mgt.Piece{Sink: i, Hi: w.Stats.Triangles})
+		}
+	}
+	return calc, nil
+}
+
+// runDealt is RunRanges under the default source: cooperative windows over
+// the spans the ranges coalesce into.
+func runDealt(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Options, kernel scan.Kernel) (Calc, error) {
+	perRange := opt.Sched == sched.Stealing && opt.Sinks != nil
+	var spans []balance.Range
+	for _, r := range ranges {
+		switch n := len(spans); {
+		case r.Lo == r.Hi: // more runners than data
+		case n > 0 && !perRange && spans[n-1].Hi == r.Lo:
+			spans[n-1].Hi = r.Hi
+		default:
+			spans = append(spans, r)
+		}
+	}
+	dealt, err := mgt.RunDealt(ctx, d, spans, mgt.DealConfig{
+		Workers:  opt.Workers,
+		MemEdges: opt.MemEdges,
+		Kernel:   kernel,
+		Sinks:    opt.Sinks,
+	})
+	calc := Calc{SourceIO: dealt.WindowIO, Listing: dealt.Listing}
+	hull := balance.Range{}
+	if len(spans) > 0 {
+		hull = balance.Range{Lo: spans[0].Lo, Hi: spans[len(spans)-1].Hi}
+	}
+	for i, st := range dealt.Runners {
+		calc.Workers = append(calc.Workers, WorkerStat{Worker: i, Range: hull, Chunks: len(spans), Stats: st})
+	}
+	return calc, err
 }

@@ -11,6 +11,7 @@ import (
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
 	"pdtl/internal/mgt"
+	"pdtl/internal/scan"
 )
 
 func writeStore(t testing.TB, g *graph.CSR, name string) string {
@@ -139,7 +140,7 @@ func TestRunRangesRequiresOriented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunRanges(context.Background(), d, []balance.Range{{Lo: 0, Hi: 1}}, Options{MemEdges: 4}); err == nil {
+	if _, err := RunRanges(context.Background(), d, []balance.Range{{Lo: 0, Hi: 1}}, Options{MemEdges: 4}); err == nil {
 		t.Fatal("want error for unoriented store")
 	}
 }
@@ -169,11 +170,11 @@ func TestPlanSubdividesForCluster(t *testing.T) {
 	groups := plan.Subdivide(3)
 	var sum uint64
 	for _, ranges := range groups {
-		stats, _, err := RunRanges(context.Background(), d, ranges, Options{MemEdges: 256})
+		calc, err := RunRanges(context.Background(), d, ranges, Options{Workers: 2, MemEdges: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range stats {
+		for _, w := range calc.Workers {
 			sum += w.Stats.Triangles
 		}
 	}
@@ -199,14 +200,27 @@ func TestResultTotalStats(t *testing.T) {
 	if total.IO.BytesRead == 0 {
 		t.Error("expected I/O accounting in totals")
 	}
-	// Per-worker pass counts should respect R = ceil(S/M) for each range.
+	// Every runner of the shared window takes part in every round:
+	// R = ceil(S/(P·M)).
+	for _, w := range res.Workers {
+		wantPasses := int((w.Range.Len() + 4*64 - 1) / (4 * 64))
+		if w.Stats.Passes != wantPasses || res.Plan.Windows != uint64(wantPasses) {
+			t.Errorf("worker %d: passes = %d, plan windows = %d, want %d", w.Worker, w.Stats.Passes, res.Plan.Windows, wantPasses)
+		}
+	}
+	// The paper's layout, by naming its source: per-worker pass counts
+	// respect R = ceil(S/M) for each range.
+	res, err = Process(context.Background(), base, Options{Workers: 4, MemEdges: 64, Scan: scan.SourceBuffered})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range res.Workers {
 		if w.Range.Len() == 0 {
 			continue
 		}
 		wantPasses := int((w.Range.Len() + 63) / 64)
 		if w.Stats.Passes != wantPasses {
-			t.Errorf("worker %d: passes = %d, want %d", w.Worker, w.Stats.Passes, wantPasses)
+			t.Errorf("buffered worker %d: passes = %d, want %d", w.Worker, w.Stats.Passes, wantPasses)
 		}
 	}
 }
@@ -231,11 +245,15 @@ func TestProcessLoadBalanceFallbackError(t *testing.T) {
 	if err := os.Remove(res.OrientedBase + ".indeg"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Process(context.Background(), res.OrientedBase, Options{Workers: 2, MemEdges: 16, Strategy: balance.InDegree}); err == nil {
+	// (Under a named source, that is: cooperative windows split nothing.)
+	if _, err := Process(context.Background(), res.OrientedBase, Options{Workers: 2, MemEdges: 16, Strategy: balance.InDegree, Scan: scan.SourceBuffered}); err == nil {
 		t.Fatal("want error when in-degree file is missing")
 	}
+	if _, err := Process(context.Background(), res.OrientedBase, Options{Workers: 2, MemEdges: 16, Strategy: balance.InDegree}); err != nil {
+		t.Fatalf("the default source needs no in-degree file: %v", err)
+	}
 	// Naive strategy still works.
-	res2, err := Process(context.Background(), res.OrientedBase, Options{Workers: 2, MemEdges: 16, Strategy: balance.Naive})
+	res2, err := Process(context.Background(), res.OrientedBase, Options{Workers: 2, MemEdges: 16, Strategy: balance.Naive, Scan: scan.SourceBuffered})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,12 @@ import (
 	"pdtl/internal/sched"
 )
 
+// These are the stealing schedule's regressions. Chunks are drawn across
+// nodes now (sched.Dispenser; inside a node the runners of one window are
+// dealt cone blocks, which needs no plan at all), so a chunk runs here the
+// way a node runs it when its source is named — one runner, its own window —
+// and the draw is replayed under the step-count clock.
+
 // stealDisk builds the Zipf-skewed (Chung–Lu power-law, exponent 1.6)
 // regression graph: heavy hubs make the in-degree cost model misjudge
 // contiguous ranges, which is exactly the error the stealing scheduler is
@@ -26,6 +32,17 @@ func stealDisk(t *testing.T) *graph.Disk {
 		t.Fatal(err)
 	}
 	return orientedDisk(t, g)
+}
+
+// runPerRange runs one runner per range with private windows — the paper's
+// layout, under the buffered source — and returns the per-range outcomes.
+func runPerRange(t *testing.T, d *graph.Disk, ranges []balance.Range, mem int) []WorkerStat {
+	t.Helper()
+	calc, err := RunRanges(context.Background(), d, ranges, Options{MemEdges: mem, Scan: scan.SourceBuffered, Sched: sched.Stealing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return calc.Workers
 }
 
 // cmpRatio is max/mean per-worker intersection steps — the straggler
@@ -65,24 +82,22 @@ func (h *workHeap) Pop() interface{} {
 // progress is proportional to steps). The result is the deterministic
 // per-worker step distribution of the stealing scheduler, free of
 // wall-clock and goroutine-timing noise.
-func simulateStealing(chunkSteps []uint64, workers int) float64 {
+func simulateStealing(chunkSteps []uint64, workers int) (ratio float64, straggler uint64) {
 	h := make(workHeap, workers)
 	heap.Init(&h)
 	for _, s := range chunkSteps {
 		least := heap.Pop(&h).(uint64)
 		heap.Push(&h, least+s)
 	}
-	var sum, max uint64
+	var sum uint64
 	for _, w := range h {
 		sum += w
-		if w > max {
-			max = w
-		}
+		straggler = max(straggler, w)
 	}
 	if sum == 0 {
-		return 1
+		return 1, 0
 	}
-	return float64(max) / (float64(sum) / float64(len(h)))
+	return float64(straggler) / (float64(sum) / float64(len(h))), straggler
 }
 
 // TestStealingReducesStragglerRatio is the straggler regression demanded
@@ -102,27 +117,21 @@ func TestStealingReducesStragglerRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, _, err := RunRanges(context.Background(), d, plan.Ranges, Options{MemEdges: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
+	static := runPerRange(t, d, plan.Ranges, mem)
 	staticRatio := cmpRatio(static)
 
 	chunkPlan, err := Plan(d, d.Base, sched.ChunksFor(P, K), balance.InDegree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers, chunkStats, _, err := RunChunks(context.Background(), d, chunkPlan.Ranges, Options{Workers: P, MemEdges: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunkStats := runPerRange(t, d, chunkPlan.Ranges, mem)
 
 	// Same triangles, before anything else.
 	var staticTris, stealTris uint64
 	for _, w := range static {
 		staticTris += w.Stats.Triangles
 	}
-	for _, w := range workers {
+	for _, w := range chunkStats {
 		stealTris += w.Stats.Triangles
 	}
 	if staticTris != stealTris {
@@ -133,7 +142,7 @@ func TestStealingReducesStragglerRatio(t *testing.T) {
 	for i, c := range chunkStats {
 		steps[i] = c.Stats.CmpOps
 	}
-	stealingRatio := simulateStealing(steps, P)
+	stealingRatio, _ := simulateStealing(steps, P)
 	if stealingRatio >= staticRatio {
 		t.Errorf("stealing step ratio %.4f is not strictly below static InDegree's %.4f", stealingRatio, staticRatio)
 	}
@@ -152,12 +161,13 @@ func TestStealingReducesStragglerRatio(t *testing.T) {
 	if bound := (mean + float64(cmax)) / mean; bound >= staticRatio {
 		t.Errorf("granularity bound %.4f does not beat static ratio %.4f; chunking is too coarse", bound, staticRatio)
 	}
-	t.Logf("static=%.4f stealing(sim)=%.4f stealing(run)=%.4f", staticRatio, stealingRatio, cmpRatio(workers))
+	t.Logf("static=%.4f stealing(sim)=%.4f", staticRatio, stealingRatio)
 }
 
-// TestStealingChunkStatsDeterministic pins the premise of the simulation:
-// per-chunk step counts, triangles, and pass counts are identical across
-// runs even though the chunk→worker assignment is not.
+// TestStealingChunkStatsDeterministic pins the premise of the simulation —
+// and of the master's exactly-once bookkeeping, which may run a chunk again
+// on another node: per-chunk step counts, triangles, and pass counts are
+// identical across runs.
 func TestStealingChunkStatsDeterministic(t *testing.T) {
 	d := stealDisk(t)
 	const P, K, mem = 4, 8, 1024
@@ -165,12 +175,9 @@ func TestStealingChunkStatsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref []ChunkStat
+	var ref []WorkerStat
 	for rep := 0; rep < 3; rep++ {
-		_, cs, _, err := RunChunks(context.Background(), d, chunkPlan.Ranges, Options{Workers: P, MemEdges: mem})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cs := runPerRange(t, d, chunkPlan.Ranges, mem)
 		if ref == nil {
 			ref = cs
 			continue
@@ -184,33 +191,27 @@ func TestStealingChunkStatsDeterministic(t *testing.T) {
 	}
 }
 
-// listChunks runs a listing under the given scheduler setup and returns
-// the concatenated bytes in sink order (worker order for static, chunk
-// order for stealing).
-func listChunks(t *testing.T, d *graph.Disk, ranges []balance.Range, opt Options, stealing bool) []byte {
+// listChunks runs a listing of ranges under opt and returns the bytes its
+// pieces assemble, as a cluster node does.
+func listChunks(t *testing.T, d *graph.Disk, ranges []balance.Range, opt Options) []byte {
 	t.Helper()
-	var bufs []*bytes.Buffer
-	opt.Sinks = make([]mgt.Sink, len(ranges))
+	bufs := make([]bytes.Buffer, opt.Runners(len(ranges)))
+	opt.Sinks = make([]mgt.Sink, len(bufs))
 	for i := range opt.Sinks {
-		b := &bytes.Buffer{}
-		bufs = append(bufs, b)
-		opt.Sinks[i] = mgt.NewFileSink(b)
+		opt.Sinks[i] = mgt.NewFileSink(&bufs[i])
 	}
-	var err error
-	if stealing {
-		_, _, _, err = RunChunks(context.Background(), d, ranges, opt)
-	} else {
-		_, _, err = RunRanges(context.Background(), d, ranges, opt)
-	}
+	calc, err := RunRanges(context.Background(), d, ranges, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []byte
-	for i, s := range opt.Sinks {
+	for _, s := range opt.Sinks {
 		if err := s.(*mgt.FileSink).Flush(); err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, bufs[i].Bytes()...)
+	}
+	var out []byte
+	for _, p := range calc.Listing {
+		out = append(out, bufs[p.Sink].Bytes()[12*p.Lo:12*p.Hi]...)
 	}
 	return out
 }
@@ -246,7 +247,7 @@ func normalizeTriples(t *testing.T, raw []byte) []byte {
 // TestStealingBeatsMisweightedStatic is the acceptance scenario: static
 // ranges that the cost model got badly wrong (a Naive equal-edge split of
 // a hub-heavy graph — max/mean step ratio well above 2) versus the
-// stealing scheduler over the same store. Stealing must lower both the
+// stealing schedule over the same store. Stealing must lower both the
 // straggler's step load and the max/mean ratio while producing the same
 // triangles, byte-identical after order normalization.
 //
@@ -265,16 +266,11 @@ func TestStealingBeatsMisweightedStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, _, err := RunRanges(context.Background(), d, naivePlan.Ranges, Options{MemEdges: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
+	static := runPerRange(t, d, naivePlan.Ranges, mem)
 	staticRatio := cmpRatio(static)
 	var staticMax uint64
 	for _, w := range static {
-		if w.Stats.CmpOps > staticMax {
-			staticMax = w.Stats.CmpOps
-		}
+		staticMax = max(staticMax, w.Stats.CmpOps)
 	}
 	if staticRatio < 1.5 {
 		t.Fatalf("test premise broken: naive static ratio %.3f is not badly imbalanced", staticRatio)
@@ -284,17 +280,11 @@ func TestStealingBeatsMisweightedStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers, _, _, err := RunChunks(context.Background(), d, chunkPlan.Ranges, Options{Workers: P, MemEdges: mem})
-	if err != nil {
-		t.Fatal(err)
+	var steps []uint64
+	for _, c := range runPerRange(t, d, chunkPlan.Ranges, mem) {
+		steps = append(steps, c.Stats.CmpOps)
 	}
-	stealRatio := cmpRatio(workers)
-	var stealMax uint64
-	for _, w := range workers {
-		if w.Stats.CmpOps > stealMax {
-			stealMax = w.Stats.CmpOps
-		}
-	}
+	stealRatio, stealMax := simulateStealing(steps, P)
 	if stealRatio >= staticRatio {
 		t.Errorf("stealing ratio %.3f not below mis-weighted static's %.3f", stealRatio, staticRatio)
 	}
@@ -302,27 +292,36 @@ func TestStealingBeatsMisweightedStatic(t *testing.T) {
 		t.Errorf("stealing straggler load %d not below static straggler's %d steps", stealMax, staticMax)
 	}
 
-	// Byte-identical listings after order normalization.
-	staticList := listChunks(t, d, naivePlan.Ranges, Options{MemEdges: mem}, false)
-	stealList := listChunks(t, d, chunkPlan.Ranges, Options{Workers: P, MemEdges: mem}, true)
-	if !bytes.Equal(normalizeTriples(t, staticList), normalizeTriples(t, stealList)) {
-		t.Error("normalized listings differ between static and stealing")
+	// Byte-identical listings after order normalization — under the named
+	// source and under the default's cooperative windows, whose stealing
+	// listing is chunk after chunk too.
+	named := Options{MemEdges: mem, Scan: scan.SourceBuffered, Sched: sched.Stealing}
+	dealt := Options{Workers: P, MemEdges: mem, Sched: sched.Stealing}
+	staticList := normalizeTriples(t, listChunks(t, d, naivePlan.Ranges, Options{MemEdges: mem, Scan: scan.SourceBuffered}))
+	for name, opt := range map[string]Options{"named": named, "dealt": dealt} {
+		stealList := listChunks(t, d, chunkPlan.Ranges, opt)
+		if !bytes.Equal(staticList, normalizeTriples(t, stealList)) {
+			t.Errorf("%s: normalized listings differ between static and stealing", name)
+		}
+		// And the stealing listing itself is deterministic in raw bytes,
+		// however its chunks are batched: whole, or one by one.
+		var oneByOne []byte
+		for _, c := range chunkPlan.Ranges {
+			oneByOne = append(oneByOne, listChunks(t, d, []balance.Range{c}, opt)...)
+		}
+		if !bytes.Equal(stealList, oneByOne) {
+			t.Errorf("%s: stealing listing depends on how its chunks are batched (chunk-order determinism broken)", name)
+		}
 	}
-	// And the stealing listing itself is deterministic in raw bytes:
-	// chunk-indexed sinks make the output independent of worker timing.
-	stealList2 := listChunks(t, d, chunkPlan.Ranges, Options{Workers: P, MemEdges: mem}, true)
-	if !bytes.Equal(stealList, stealList2) {
-		t.Error("stealing listing is not byte-identical across runs (chunk-order determinism broken)")
-	}
-	t.Logf("mis-weighted static=%.3f stealing=%.3f straggler steps %d → %d", staticRatio, stealRatio, staticMax, stealMax)
+	t.Logf("mis-weighted static=%.3f stealing(sim)=%.3f straggler steps %d → %d", staticRatio, stealRatio, staticMax, stealMax)
 }
 
 // TestSharedScanRoundsUnderStealing: the shared broadcaster's invariant —
-// exactly one physical scan per round — must survive dynamic chunk
-// assignment. The source's own read volume therefore stays a whole
-// multiple of the file size, bounded by the total window count, and the
-// quorum rule keeps runners sharing rounds while they all hold work, so
-// the round count stays near totalWindows/P, far below the buffered
+// exactly one physical scan per round — must survive a node running a
+// stealing batch, one runner per chunk. The source's own read volume
+// therefore stays a whole multiple of the file size, bounded by the total
+// window count, and the quorum rule keeps runners sharing rounds while they
+// all hold work, so the round count stays far below the buffered
 // configuration's one-scan-per-window.
 func TestSharedScanRoundsUnderStealing(t *testing.T) {
 	g, err := gen.ErdosRenyi(600, 9000, 3)
@@ -335,24 +334,23 @@ func TestSharedScanRoundsUnderStealing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One window per chunk: every chunk fits the budget.
+	// Two windows for the longest chunk.
 	mem := 0
 	for _, r := range chunkPlan.Ranges {
-		if int(r.Len()) > mem {
-			mem = int(r.Len())
-		}
+		mem = max(mem, (int(r.Len())+1)/2)
 	}
-	_, chunkStats, srcIO, err := RunChunks(context.Background(), d, chunkPlan.Ranges, Options{
-		Workers: P, MemEdges: mem, Scan: scan.SourceShared,
+	calc, err := RunRanges(context.Background(), d, chunkPlan.Ranges, Options{
+		MemEdges: mem, Scan: scan.SourceShared, Sched: sched.Stealing,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	totalWindows := 0
-	for _, c := range chunkStats {
+	for _, c := range calc.Workers {
 		totalWindows += c.Stats.Passes
 	}
 	adj := d.AdjBytes()
+	srcIO := calc.SourceIO
 	if srcIO.BytesRead%adj != 0 {
 		t.Fatalf("source read %d bytes, not a whole multiple of the %d-byte file: partial scans under stealing", srcIO.BytesRead, adj)
 	}
@@ -362,9 +360,9 @@ func TestSharedScanRoundsUnderStealing(t *testing.T) {
 	}
 	// While every runner holds work the quorum forces shared rounds, so
 	// the scan count must sit well below one-per-window (the buffered
-	// volume); totalWindows/2 is a loose ceiling over the ≈/P expectation.
-	if rounds > int64(totalWindows)/2 {
-		t.Errorf("%d physical scans for %d windows across %d runners: rounds are not being shared", rounds, totalWindows, P)
+	// volume): every chunk is at most two windows.
+	if rounds > 2 {
+		t.Errorf("%d physical scans for %d windows across %d runners: rounds are not being shared", rounds, totalWindows, len(calc.Workers))
 	}
-	t.Logf("%d windows over %d runners → %d physical scans", totalWindows, P, rounds)
+	t.Logf("%d windows over %d runners → %d physical scans", totalWindows, len(calc.Workers), rounds)
 }

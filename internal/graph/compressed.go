@@ -218,6 +218,21 @@ func (cl CompressedList) Segments() SegIter {
 // Err reports the first parse error the iterator hit.
 func (it *SegIter) Err() error { return it.err }
 
+// MaxSegmentBytes bounds the encoding of one valid segment: kind, three
+// header uvarints, and the larger payload form (255 five-byte gaps; a bitmap
+// is only chosen when smaller). An iterator whose unparsed bytes (Rest) are
+// at least this many, or the whole remainder of the list, parses its next
+// segment exactly as it would with the whole list in hand — which is how a
+// list longer than the reader's buffer is walked through it: Feed the
+// unparsed tail followed by more of the list, and carry on.
+const MaxSegmentBytes = 1 + 2*binary.MaxVarintLen32 + binary.MaxVarintLen64 + (SegmentEntries-1)*binary.MaxVarintLen32
+
+// Rest returns the list bytes not parsed yet.
+func (it *SegIter) Rest() []byte { return it.data }
+
+// Feed replaces the bytes to parse next; see MaxSegmentBytes.
+func (it *SegIter) Feed(data []byte) { it.data = data }
+
 // uvarint32 reads one uvarint that must fit in 32 bits.
 func uvarint32(data []byte) (uint32, int, error) {
 	x, n := binary.Uvarint(data)

@@ -166,45 +166,46 @@ func writeCIdx(base string, lens []uint32) error {
 }
 
 // readCIdx loads <base>.cidx and returns the per-vertex byte offsets into
-// the .cadj data area: ByteOffs[v] is where v's encoding starts, and
-// ByteOffs[n] is the data area's total size.
-func readCIdx(base string, n int) ([]uint64, error) {
+// the .cadj data area — ByteOffs[v] is where v's encoding starts, and
+// ByteOffs[n] is the data area's total size — and the largest encoding.
+func readCIdx(base string, n int) (offs []uint64, maxEncoded int, err error) {
 	blob, err := os.ReadFile(CIdxPath(base))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	path := CIdxPath(base)
 	if len(blob) < len(cidxMagic) || [4]byte(blob[:4]) != cidxMagic {
-		return nil, fmt.Errorf("graph: %s: bad magic (not a compressed index)", path)
+		return nil, 0, fmt.Errorf("graph: %s: bad magic (not a compressed index)", path)
 	}
 	blob = blob[len(cidxMagic):]
 	count, sz := binary.Uvarint(blob)
 	if sz <= 0 {
-		return nil, fmt.Errorf("graph: %s: truncated vertex count", path)
+		return nil, 0, fmt.Errorf("graph: %s: truncated vertex count", path)
 	}
 	if count != uint64(n) {
-		return nil, fmt.Errorf("graph: %s: index covers %d vertices, store has %d", path, count, n)
+		return nil, 0, fmt.Errorf("graph: %s: index covers %d vertices, store has %d", path, count, n)
 	}
 	blob = blob[sz:]
-	offs := make([]uint64, n+1)
+	offs = make([]uint64, n+1)
 	var run uint64
 	for v := 0; v < n; v++ {
 		offs[v] = run
 		l, sz := binary.Uvarint(blob)
 		if sz <= 0 {
-			return nil, fmt.Errorf("graph: %s: truncated length for vertex %d", path, v)
+			return nil, 0, fmt.Errorf("graph: %s: truncated length for vertex %d", path, v)
 		}
 		if l > math.MaxUint32 {
-			return nil, fmt.Errorf("graph: %s: vertex %d list length %d exceeds 32 bits", path, v, l)
+			return nil, 0, fmt.Errorf("graph: %s: vertex %d list length %d exceeds 32 bits", path, v, l)
 		}
 		blob = blob[sz:]
 		run += l
+		maxEncoded = max(maxEncoded, int(l))
 	}
 	offs[n] = run
 	if len(blob) != 0 {
-		return nil, fmt.Errorf("graph: %s: %d trailing bytes", path, len(blob))
+		return nil, 0, fmt.Errorf("graph: %s: %d trailing bytes", path, len(blob))
 	}
-	return offs, nil
+	return offs, maxEncoded, nil
 }
 
 // WriteCSRFormat writes g to a store rooted at base in the given format;
@@ -420,17 +421,6 @@ type CompressedSeqScan struct {
 	err error
 }
 
-// maxEncodedList returns the largest per-vertex encoding in the store.
-func (d *Disk) maxEncodedList() int {
-	var m uint64
-	for v := 0; v < len(d.Degrees); v++ {
-		if l := d.ByteOffs[v+1] - d.ByteOffs[v]; l > m {
-			m = l
-		}
-	}
-	return int(m)
-}
-
 // newCompressedSeqScan builds a scan in fill mode (mem == nil) or mem mode.
 // start is the first vertex of the pass; the stream must be positioned at
 // its encoding.
@@ -444,10 +434,11 @@ func newCompressedSeqScan(d *Disk, start Vertex, fill func([]byte) error, mem []
 		cv:      start,
 		scratch: make([]Vertex, 0, SegmentEntries),
 	}
+	entries, encoded := d.listCap()
 	if mem == nil {
-		sc.rawBuf = make([]byte, d.maxEncodedList())
+		sc.rawBuf = make([]byte, encoded)
 	}
-	sc.listBuf = make([]Vertex, int(maxU32(d.Degrees))+SegmentEntries)
+	sc.listBuf = make([]Vertex, entries+SegmentEntries)
 	return sc
 }
 
@@ -600,31 +591,61 @@ type RandomReader interface {
 	Close() error
 }
 
-// OpenRandom opens a RandomReader over the store, charging I/O to c (nil
-// allocates a private counter).
-func (d *Disk) OpenRandom(c *ioacct.Counter) (RandomReader, error) {
+// AdjFile is one open descriptor on a store's adjacency data area, read by
+// byte offset within the area — a plain store's entry i sits at offset
+// i·EntrySize, a compressed store's vertex v at ByteOffs[v] — whichever file
+// holds it. Reads are positional, so the value is safe for concurrent use.
+type AdjFile struct {
+	f    *os.File
+	r    *ioacct.ReaderAt
+	base int64 // the data area's offset in the file
+}
+
+// OpenAdjFile opens the adjacency data area for positional reads, charging
+// I/O to c (nil allocates a private counter).
+func (d *Disk) OpenAdjFile(c *ioacct.Counter) (*AdjFile, error) {
 	if c == nil {
 		c = ioacct.NewCounter(0)
 	}
+	path, base := AdjPath(d.Base), int64(0)
 	if d.Format() == FormatCompressed {
-		f, err := os.Open(CAdjPath(d.Base))
-		if err != nil {
-			return nil, err
-		}
-		return &compressedRandom{d: d, f: f, r: ioacct.NewReaderAt(f, c), scratch: make([]Vertex, 0, SegmentEntries)}, nil
+		path, base = CAdjPath(d.Base), int64(cadjHeaderLen)
 	}
-	f, err := d.OpenAdj()
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return &plainRandom{f: f, r: ioacct.NewReaderAt(f, c)}, nil
+	return &AdjFile{f: f, r: ioacct.NewReaderAt(f, c), base: base}, nil
 }
 
-// plainRandom reads entry ranges from the .adj file through an accounting
-// ReaderAt.
+// ReadAt fills p with the data-area bytes starting at off; a short read is
+// an error (io.ErrUnexpectedEOF or io.EOF, returned bare).
+//
+//pdtl:hotpath
+func (a *AdjFile) ReadAt(p []byte, off int64) error {
+	_, err := a.r.ReadAt(p, a.base+off)
+	return err
+}
+
+// Close releases the descriptor.
+func (a *AdjFile) Close() error { return a.f.Close() }
+
+// OpenRandom opens a RandomReader over the store, charging I/O to c (nil
+// allocates a private counter).
+func (d *Disk) OpenRandom(c *ioacct.Counter) (RandomReader, error) {
+	adj, err := d.OpenAdjFile(c)
+	if err != nil {
+		return nil, err
+	}
+	if d.Format() == FormatCompressed {
+		return &compressedRandom{d: d, AdjFile: adj, scratch: make([]Vertex, 0, SegmentEntries)}, nil
+	}
+	return &plainRandom{AdjFile: adj}, nil
+}
+
+// plainRandom reads entry ranges from the .adj file.
 type plainRandom struct {
-	f       *os.File
-	r       *ioacct.ReaderAt
+	*AdjFile
 	byteBuf []byte
 }
 
@@ -634,24 +655,19 @@ func (ra *plainRandom) ReadEntries(dst []Vertex, pos uint64) error {
 		ra.byteBuf = make([]byte, need)
 	}
 	raw := ra.byteBuf[:need]
-	if _, err := ra.r.ReadAt(raw, int64(pos)*EntrySize); err != nil {
+	if err := ra.ReadAt(raw, int64(pos)*EntrySize); err != nil {
 		return fmt.Errorf("graph: read entries [%d,%d): %w", pos, pos+uint64(len(dst)), err)
 	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(raw[i*EntrySize:])
-	}
+	DecodePlain(dst, raw)
 	return nil
 }
-
-func (ra *plainRandom) Close() error { return ra.f.Close() }
 
 // compressedRandom reads entry ranges from a compressed store: one
 // contiguous byte read covering the vertices that overlap the range, then a
 // per-vertex decode that skips non-overlapping segments on their headers.
 type compressedRandom struct {
-	d       *Disk
-	f       *os.File
-	r       *ioacct.ReaderAt
+	d *Disk
+	*AdjFile
 	byteBuf []byte
 	scratch []Vertex
 }
@@ -673,7 +689,7 @@ func (ra *compressedRandom) ReadEntries(dst []Vertex, pos uint64) error {
 		ra.byteBuf = make([]byte, need)
 	}
 	raw := ra.byteBuf[:need]
-	if _, err := ra.r.ReadAt(raw, int64(cadjHeaderLen)+int64(bLo)); err != nil {
+	if err := ra.ReadAt(raw, int64(bLo)); err != nil {
 		return fmt.Errorf("graph: read compressed entries [%d,%d): %w", pos, end, err)
 	}
 	return decodeEntryWindow(d, raw, bLo, v0, v1, pos, end, ra.scratch, dst)
@@ -721,8 +737,6 @@ func (d *Disk) DecodeEntries(data []byte, dst []Vertex, pos uint64, scratch []Ve
 	}
 	return decodeEntryWindow(d, data, 0, d.VertexAt(pos), d.VertexAt(end-1), pos, end, scratch, dst)
 }
-
-func (ra *compressedRandom) Close() error { return ra.f.Close() }
 
 // StoreAdjBytes reports the physical size of the store's adjacency files —
 // .adj, or .cadj + .cidx — the numerator of the bytes-per-edge compression

@@ -151,6 +151,29 @@ type Disk struct {
 	// area, with ByteOffs[NumVertices] the data area's size; nil for plain
 	// stores.
 	ByteOffs []uint64
+
+	// What a scanner's buffers must hold — the longest list and the largest
+	// encoding — found once, by Open's own walk of the two arrays, so that
+	// opening a scanner costs nothing per vertex. A Disk built as a literal
+	// (sized false) has them recomputed on demand.
+	sized      bool
+	maxDeg     uint32
+	maxEncoded int
+}
+
+// listCap reports the longest list's entry count and, for a compressed
+// store, the largest per-vertex encoding in bytes.
+func (d *Disk) listCap() (entries, encoded int) {
+	if d.sized {
+		return int(d.maxDeg), d.maxEncoded
+	}
+	for v, deg := range d.Degrees {
+		entries = max(entries, int(deg))
+		if d.ByteOffs != nil {
+			encoded = max(encoded, int(d.ByteOffs[v+1]-d.ByteOffs[v]))
+		}
+	}
+	return entries, encoded
 }
 
 // Format reports the store's adjacency encoding (empty metadata means
@@ -176,19 +199,21 @@ func Open(base string) (*Disk, error) {
 	n := len(degrees)
 	offsets := make([]uint64, n+1)
 	var run uint64
+	var maxDeg uint32
 	for v, d := range degrees {
 		offsets[v] = run
 		run += uint64(d)
+		maxDeg = max(maxDeg, d)
 	}
 	offsets[n] = run
 	if run != meta.AdjEntries {
 		return nil, fmt.Errorf("graph: %s: degree sum %d != meta adj_entries %d", base, run, meta.AdjEntries)
 	}
-	d := &Disk{Meta: meta, Base: base, Degrees: degrees, Offsets: offsets}
+	d := &Disk{Meta: meta, Base: base, Degrees: degrees, Offsets: offsets, sized: true, maxDeg: maxDeg}
 	switch meta.Format {
 	case "", FormatPlain:
 	case FormatCompressed:
-		byteOffs, err := readCIdx(base, n)
+		byteOffs, maxEncoded, err := readCIdx(base, n)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +235,7 @@ func Open(base string) (*Disk, error) {
 		if want := int64(cadjHeaderLen) + int64(byteOffs[n]); fi.Size() != want {
 			return nil, fmt.Errorf("graph: %s: compressed adjacency file is %d bytes, index says %d", base, fi.Size(), want)
 		}
-		d.ByteOffs = byteOffs
+		d.ByteOffs, d.maxEncoded = byteOffs, maxEncoded
 	default:
 		return nil, fmt.Errorf("graph: %s: unknown store format %q", base, meta.Format)
 	}
@@ -451,24 +476,15 @@ func (d *Disk) NewScannerAt(start Vertex, c *ioacct.Counter, bufSize int) (SeqSc
 	if c != nil {
 		r = ioacct.NewReader(f, c)
 	}
+	entries, _ := d.listCap()
 	return &Scanner{
 		disk:    d,
 		file:    f,
 		r:       bufio.NewReaderSize(r, bufSize),
 		cur:     NewSegCursor(d, start, 0),
-		listBuf: make([]Vertex, int(maxU32(d.Degrees))),
-		byteBuf: make([]byte, int(maxU32(d.Degrees))*EntrySize),
+		listBuf: make([]Vertex, entries),
+		byteBuf: make([]byte, entries*EntrySize),
 	}, nil
-}
-
-func maxU32(xs []uint32) uint32 {
-	var m uint32
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Next returns the next vertex and its neighbor list (or list segment in
@@ -493,10 +509,18 @@ func (s *Scanner) Next() (u Vertex, list []Vertex, ok bool) {
 		return 0, nil, false
 	}
 	list = s.listBuf[:d]
-	for i := 0; i < d; i++ {
-		list[i] = binary.LittleEndian.Uint32(raw[i*EntrySize:])
-	}
+	DecodePlain(list, raw)
 	return u, list, true
+}
+
+// DecodePlain decodes len(dst) adjacency entries from raw, the bytes of a
+// plain store: little-endian, EntrySize each.
+//
+//pdtl:hotpath
+func DecodePlain(dst []Vertex, raw []byte) {
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint32(raw[i*EntrySize:])
+	}
 }
 
 // Err reports the first error encountered by Next.

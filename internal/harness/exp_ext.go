@@ -34,7 +34,7 @@ func expLBAblation(h *Harness, r *Report) error {
 		row := []string{key}
 		var baselineWork uint64
 		for _, s := range []balance.Strategy{balance.Naive, balance.InDegree, balance.Cost} {
-			res, err := h.CalcLocal(key, workers, mem, s)
+			res, err := h.CalcLocalSplit(key, workers, mem, s)
 			if err != nil {
 				return err
 			}
@@ -81,6 +81,7 @@ func expLBOutOfCore(h *Harness, r *Report) error {
 		{"in-degree, window-blind (paper)", balance.InDegree, 0},
 		{"in-degree, window-aware", balance.InDegree, mem},
 	}
+	source := h.SplitScan() // see CalcLocalSplit
 	var rows [][]string
 	var want uint64
 	for _, p := range plans {
@@ -95,14 +96,14 @@ func expLBOutOfCore(h *Harness, r *Report) error {
 			tr = obs.NewTrace(0)
 			ctx := obs.ContextWithCursor(h.ctx(), obs.Cursor{T: tr, Span: obs.NoSpan, Worker: -1})
 			start := time.Now()
-			ws, _, err := core.RunRanges(ctx, d, plan.Ranges, core.Options{
-				Workers: workers, MemEdges: mem, Scan: h.Scan, Kernel: h.Kernel,
+			calc, err := core.RunRanges(ctx, d, plan.Ranges, core.Options{
+				Workers: workers, MemEdges: mem, Scan: source, Kernel: h.Kernel,
 			})
 			if err != nil {
 				return err
 			}
 			if wall := time.Since(start); rep == 0 || wall < best {
-				best, stats = wall, ws
+				best, stats = wall, calc.Workers
 			}
 		}
 		// The same plan forms the same rounds every time.
@@ -126,8 +127,8 @@ func expLBOutOfCore(h *Harness, r *Report) error {
 		rows = append(rows, []string{p.name, strings.Join(passes, " + "), fmt.Sprint(rounds), D(best)})
 	}
 	r.Table([]string{"Plan", "passes per runner", "scan rounds", "wall"}, rows)
-	r.Note("%s, %s store, P = %d, M = |E*|/%d = %d entries; rounds are physical scans of the store (0 when the scan source is not the shared one)",
-		key, d.Format(), workers, windows, mem)
+	r.Note("%s, %s store, P = %d, M = |E*|/%d = %d entries, -scan %s; rounds are physical scans of the store (0 when the scan source is not the shared one)",
+		key, d.Format(), workers, windows, mem, source)
 	return nil
 }
 

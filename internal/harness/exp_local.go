@@ -153,11 +153,11 @@ func expFig9(h *Harness, r *Report) error {
 			if err != nil {
 				return err
 			}
-			with, err := h.CalcLocal(key, cores, mem, balance.InDegree)
+			with, err := h.CalcLocalSplit(key, cores, mem, balance.InDegree)
 			if err != nil {
 				return err
 			}
-			without, err := h.CalcLocal(key, cores, mem, balance.Naive)
+			without, err := h.CalcLocalSplit(key, cores, mem, balance.Naive)
 			if err != nil {
 				return err
 			}
@@ -332,11 +332,11 @@ func expTable10(h *Harness, r *Report) error {
 			return err
 		}
 		for _, cores := range []int{2, 4} {
-			with, err := h.CalcLocal(key, cores, mem, balance.InDegree)
+			with, err := h.CalcLocalSplit(key, cores, mem, balance.InDegree)
 			if err != nil {
 				return err
 			}
-			without, err := h.CalcLocal(key, cores, mem, balance.Naive)
+			without, err := h.CalcLocalSplit(key, cores, mem, balance.Naive)
 			if err != nil {
 				return err
 			}

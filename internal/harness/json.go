@@ -47,13 +47,13 @@ const BenchSchema = "pdtl-bench/6"
 // counterpart of the human tables, with the per-run wall/CPU/IO split and
 // the worker-imbalance straggler factor the load-balance ablation tracks.
 type BenchRun struct {
-	Dataset   string `json:"dataset"`
-	Workers   int    `json:"workers"`
-	MemEdges  int    `json:"mem_edges"`
-	Sched     string `json:"sched"`
-	Chunks    int    `json:"chunks,omitempty"`
-	Scan      string `json:"scan"`
-	Kernel    string `json:"kernel"`
+	Dataset  string `json:"dataset"`
+	Workers  int    `json:"workers"`
+	MemEdges int    `json:"mem_edges"`
+	Sched    string `json:"sched"`
+	Chunks   int    `json:"chunks,omitempty"`
+	Scan     string `json:"scan"`
+	Kernel   string `json:"kernel"`
 	// Mode is "count" (no sinks attached — the closure-free count-only
 	// kernel path) or "listing" (per-slot sinks attached); the /5 row pair
 	// isolates the cost of triangle materialization. Counts are identical
@@ -189,14 +189,8 @@ func (h *Harness) BenchJSON(w io.Writer, keys []string, workers, memEdges int, m
 					Chunks:   h.Chunks,
 				}
 				if benchMode == "listing" {
-					// Discard sinks force the listing path: one per worker
-					// under static, one per chunk under stealing (the same
-					// slot rule the public handle uses).
-					n := workers
-					if mode == sched.Stealing {
-						n = sched.ChunksFor(workers, h.Chunks)
-					}
-					sinks := make([]mgt.Sink, n)
+					// Discard sinks force the listing path: one per worker.
+					sinks := make([]mgt.Sink, workers)
 					for i := range sinks {
 						sinks[i] = &mgt.CountSink{}
 					}
@@ -213,7 +207,9 @@ func (h *Harness) BenchJSON(w io.Writer, keys []string, workers, memEdges int, m
 				run.BytesPerEdge = bytesPerEdge
 				run.OrientNS = int64(ores.Duration)
 				if mode == sched.Stealing {
-					run.Chunks = len(res.ChunkStats)
+					for _, w := range res.Workers {
+						run.Chunks += w.Chunks
+					}
 				}
 				report.Runs = append(report.Runs, run)
 			}
@@ -390,4 +386,3 @@ func hostname() string {
 	}
 	return h
 }
-

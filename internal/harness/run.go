@@ -13,6 +13,7 @@ import (
 	"pdtl/internal/core"
 	"pdtl/internal/graph"
 	"pdtl/internal/orient"
+	"pdtl/internal/scan"
 )
 
 // counter for unique scratch paths.
@@ -52,6 +53,27 @@ func (h *Harness) OrientTimed(key string, workers int) (string, *orient.Result, 
 // CalcLocal runs the local calculation phase (cached orientation, so
 // orientation time is excluded) with the given worker count and memory.
 func (h *Harness) CalcLocal(key string, workers, memEdges int, strategy balance.Strategy) (*core.Result, error) {
+	return h.calcLocal(key, workers, memEdges, strategy, h.Scan)
+}
+
+// CalcLocalSplit is CalcLocal for the experiments that compare splits of
+// the store between the workers. A split is something only private windows
+// have — the default's cooperative windows deal every plan the same — so
+// these name their source: SplitScan.
+func (h *Harness) CalcLocalSplit(key string, workers, memEdges int, strategy balance.Strategy) (*core.Result, error) {
+	return h.calcLocal(key, workers, memEdges, strategy, h.SplitScan())
+}
+
+// SplitScan is the harness's scan source if it was given one, and the
+// shared scan — the default the split studies were made under — if not.
+func (h *Harness) SplitScan() scan.SourceKind {
+	if h.Scan.IsAuto() {
+		return scan.SourceShared
+	}
+	return h.Scan
+}
+
+func (h *Harness) calcLocal(key string, workers, memEdges int, strategy balance.Strategy, source scan.SourceKind) (*core.Result, error) {
 	orientedBase, _, err := h.Oriented(key, 2)
 	if err != nil {
 		return nil, err
@@ -60,7 +82,7 @@ func (h *Harness) CalcLocal(key string, workers, memEdges int, strategy balance.
 		Workers:  workers,
 		MemEdges: memEdges,
 		Strategy: strategy,
-		Scan:     h.Scan,
+		Scan:     source,
 		Kernel:   h.Kernel,
 		Sched:    h.Sched,
 		Chunks:   h.Chunks,

@@ -24,7 +24,6 @@ import (
 	"pdtl/internal/graph"
 	"pdtl/internal/obs"
 	"pdtl/internal/scan"
-	"pdtl/internal/sched"
 )
 
 // Config parameterizes a live graph.
@@ -321,14 +320,12 @@ func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, erro
 		strategy = balance.InDegree
 	}
 	res := &core.Result{OrientedBase: m.disk.Base, Sched: opt.Sched}
-	k := workersFor(opt)
-	if opt.Sched == sched.Stealing {
-		k = sched.ChunksFor(k, opt.Chunks)
-	}
 	if opt.MemEdges <= 0 {
 		opt.MemEdges = core.DefaultMemEdges
 	}
-	plan, err := balance.PlanStore(m.disk, m.inDeg, k, strategy, opt.MemEdges)
+	// One range per runner, whatever the schedule: the overlay is a named
+	// source (core.LocalPlan).
+	plan, err := balance.PlanStore(m.disk, m.inDeg, workersFor(opt), strategy, opt.MemEdges)
 	if err != nil {
 		return nil, err
 	}
@@ -341,14 +338,11 @@ func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, erro
 	opt.NewSource = func(kind scan.SourceKind, d *graph.Disk, cfg scan.Config) (scan.Source, error) {
 		return newOverlaySource(m, cfg), nil
 	}
-	if opt.Sched == sched.Stealing {
-		res.Workers, res.ChunkStats, res.SourceIO, err = core.RunChunks(ctx, m.disk, plan.Ranges, opt)
-	} else {
-		res.Workers, res.SourceIO, err = core.RunRanges(ctx, m.disk, plan.Ranges, opt)
-	}
+	calc, err := core.RunRanges(ctx, m.disk, plan.Ranges, opt)
 	if err != nil {
 		return nil, err
 	}
+	res.Workers, res.SourceIO = calc.Workers, calc.SourceIO
 	for _, w := range res.Workers {
 		res.Triangles += w.Stats.Triangles
 	}

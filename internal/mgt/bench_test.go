@@ -2,11 +2,52 @@ package mgt
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"pdtl/internal/balance"
 	"pdtl/internal/gen"
+	"pdtl/internal/graph"
 	"pdtl/internal/scan"
 )
+
+// BenchmarkDealtBlockSize is the measurement behind BlockEntries (the table
+// in EXPERIMENTS.md "Cooperative windows"): two runners on the shape of the
+// benchmark's out-of-core input — a sparse power law on a compressed store,
+// the window 1/24 of it — and on an RMAT plain store that fits one window,
+// with cone blocks from 1 K to 64 K entries.
+//
+//	go test -run '^$' -bench DealtBlockSize -benchtime 5x ./internal/mgt
+func BenchmarkDealtBlockSize(b *testing.B) {
+	ooc, err := gen.PowerLaw(1<<18, 8<<18, 1.9, 110)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inmem, err := gen.RMAT(15, 16, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []struct {
+		name    string
+		d       *graph.Disk
+		windows int
+	}{
+		{"ooc", compressedStore(b, ooc), 24},
+		{"inmem", orientedStore(b, inmem), 1},
+	} {
+		mem := (int(in.d.Meta.AdjEntries) + 2*in.windows - 1) / (2 * in.windows)
+		for _, block := range []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 64 << 10} {
+			b.Run(fmt.Sprintf("%s/block=%dK", in.name, block>>10), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					res, err := RunDealt(context.Background(), in.d, []balance.Range{FullRange(in.d)}, DealConfig{Workers: 2, MemEdges: mem, blockEntries: block})
+					if err != nil || res.Runners[0].Passes != in.windows {
+						b.Fatalf("%d rounds, %v", res.Runners[0].Passes, err)
+					}
+				}
+			})
+		}
+	}
+}
 
 // BenchmarkMGTFullPass measures a whole-range run with a one-pass memory
 // budget (the ample-memory configuration).

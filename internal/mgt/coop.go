@@ -1,0 +1,895 @@
+package mgt
+
+import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"pdtl/internal/balance"
+	"pdtl/internal/graph"
+	"pdtl/internal/ioacct"
+	"pdtl/internal/obs"
+	"pdtl/internal/scan"
+)
+
+// Cooperative windows (DESIGN.md §5, §7). PDTL gives each of a node's P
+// processors a private M-entry window and a private end-to-end scan per
+// window. Here the node's P·M entries are one window, loaded once and shared
+// read-only by P runners, and the scan of a round is dealt: the vertex ids
+// are cut into cone blocks, and whichever runner is free takes the next one
+// off an atomic cursor, reads exactly its bytes, and feeds its lists to the
+// same cone routine as every other path, against its own mark array. Half
+// the rounds of P private windows, each list parsed once per round instead
+// of P times, no cost model, and nothing for a fast runner to wait on but
+// the end of the round.
+
+// BlockEntries is the size of a cone block, and of the buffers a dealt
+// runner owns: vertex ids are cut into blocks of at most this many adjacency
+// entries (and as many bytes as they take in a plain store). A constant, not
+// an option: EXPERIMENTS.md "Cooperative windows" has 4 K–16 K within 5 % of
+// each other and 64 K 10 % behind — smaller blocks pay a read and a cursor
+// bump per few lists, larger ones leave a runner idle at the end of a round.
+const BlockEntries = 8 << 10
+
+// TileEntries is how much of a window a counting round probes at a time: a
+// window larger than this is walked tile by tile (dealer.scan), so that what
+// the runners probe stays in cache instead of being fetched, list by list,
+// from wherever a 7 MB window lives. A constant sized to a core's L2 (1 MiB
+// of entries), not an option: EXPERIMENTS.md "Cooperative windows" has
+// 128 K–512 K within 9 % of each other on RMAT-17 and no tiles 28 % behind.
+const TileEntries = 256 << 10
+
+// tilePays is how many intersection steps per entry of the resident lists a
+// tile must have taken for the next one to be worth a walk of its own: a
+// walk costs a few nanoseconds per entry, a probe that finds its list in
+// cache saves a few tenths of one (EXPERIMENTS.md has the steps per tile of
+// six stores beside what tiling did to each).
+const tilePays = 8
+
+// Piece is one stretch of a run's listing: the triangles [Lo, Hi), counted
+// in the order the sink received them, of the sink with that index. A
+// runner's sink receives its triangles block by block in whatever order the
+// dealing went; the pieces, in order, are the listing.
+type Piece struct {
+	Sink   int
+	Lo, Hi uint64
+}
+
+// DealConfig parameterizes a cooperative run.
+type DealConfig struct {
+	// Workers is P, the number of runners sharing the window.
+	Workers int
+	// MemEdges is M, one runner's share of the window: it holds
+	// Workers·MemEdges entries (or the longest span, if that is less).
+	MemEdges int
+	// Kernel is Config.Kernel: nil for the mark-and-probe cone routine.
+	Kernel scan.Kernel
+	// Sinks, when non-nil, has one entry per runner.
+	Sinks []Sink
+
+	// In tests: blockEntries overrides BlockEntries (lists a few dozen
+	// entries long then arrive in pieces), tileEntries TileEntries,
+	// afterBlock runs between a runner's blocks.
+	blockEntries int
+	tileEntries  int
+	afterBlock   func()
+}
+
+// mark is a Piece in the making: the triangles a runner reported while it
+// worked through the blocks [block, next) of one round.
+type mark struct {
+	round, block, next int
+	lo, hi             uint64
+}
+
+// dealer is the state the runners of a cooperative run share.
+type dealer struct {
+	d    *graph.Disk
+	cfg  DealConfig
+	done <-chan struct{} // the run's ctx.Done()
+	// A block is at most blockEntries entries and blockBytes bytes of the
+	// store; cuts are the block boundaries: block b is the vertices
+	// [cuts[b], cuts[b+1]).
+	blockEntries, blockBytes uint64
+	cuts                     []graph.Vertex
+	tileEntries              uint64
+
+	// The round in progress: its window (filled by the load phase, read by
+	// the scan phase), and the cursor blocks are dealt from.
+	win   window
+	part  scanPart
+	round int
+	next  atomic.Int64
+	last  int64
+	stop  atomic.Bool // a runner failed; deal no more
+	wg    sync.WaitGroup
+}
+
+// scanPart says which lists of a block a scan phase runs: all of them, or —
+// in a round walked tile by tile — only those read from the store, or only
+// those the window holds.
+type scanPart int
+
+const (
+	partAll scanPart = iota
+	partStored
+	partResident
+)
+
+// errCancelled ends the phase of a runner that saw the run's context done;
+// the run itself reports ctx.Err().
+var errCancelled = errors.New("mgt: run cancelled")
+
+// phase is what a round's runners do between two barriers.
+type phase int
+
+const (
+	phaseLoad phase = iota // fill the window
+	phaseScan              // run the cone blocks against it
+)
+
+// dealt is one runner of a cooperative run: a Runner's cone state plus what
+// reading blocks takes — one descriptor for the whole run, one block's bytes
+// and one list's entries.
+type dealt struct {
+	*Runner
+	dl   *dealer
+	adj  *graph.AdjFile
+	raw  []byte
+	vals []graph.Vertex
+
+	work   chan phase
+	marks  []mark
+	blocks int
+	loadIO ioacct.Stats // what its window loads read
+	idle   time.Duration
+	doneAt time.Time
+	// A failed phase: the vertex whose list failed it (when one did) and why.
+	badU graph.Vertex
+	err  error
+}
+
+// Dealt is the outcome of a cooperative run.
+type Dealt struct {
+	// Runners has one Stats per runner. Passes is the rounds it took part
+	// in, which is all of them; Wall the time it was not waiting at a
+	// barrier; IO what it read for the blocks it scanned.
+	Runners []Stats
+	// WindowIO is what loading the windows read: the runners load them
+	// together, for each other, so it is no one's own.
+	WindowIO ioacct.Stats
+	// Listing, when there are sinks, is the pieces that put their outputs in
+	// order.
+	Listing []Piece
+}
+
+// RunDealt counts (or lists) the triangles whose pivot edges lie in spans —
+// disjoint ascending ranges of d's adjacency entries — with cfg.Workers
+// runners sharing one window. The listing its pieces assemble goes span by
+// span, window by window, cone vertex by cone vertex: exactly what one
+// runner with a window of Workers·MemEdges entries lists, whatever Workers
+// is and however the dealing went.
+//
+// ctx is checked between blocks; a cancelled run returns the bare ctx.Err()
+// after every runner has stopped and closed its descriptor. A failed run
+// returns the runners' stats so far.
+func RunDealt(ctx context.Context, d *graph.Disk, spans []balance.Range, cfg DealConfig) (Dealt, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if cfg.Workers < 1 {
+		return Dealt{}, fmt.Errorf("mgt: %d runners, need ≥ 1", cfg.Workers)
+	}
+	if cfg.MemEdges < 1 {
+		return Dealt{}, fmt.Errorf("mgt: memory budget %d edges, need ≥ 1", cfg.MemEdges)
+	}
+	if !d.Meta.Oriented {
+		return Dealt{}, fmt.Errorf("mgt: store %q is not oriented", d.Base)
+	}
+	if cfg.Sinks != nil && len(cfg.Sinks) != cfg.Workers {
+		return Dealt{}, fmt.Errorf("mgt: %d sinks for %d runners", len(cfg.Sinks), cfg.Workers)
+	}
+	var longest uint64
+	for i, s := range spans {
+		if s.Hi > d.Meta.AdjEntries || s.Lo > s.Hi || (i > 0 && s.Lo < spans[i-1].Hi) {
+			return Dealt{}, fmt.Errorf("mgt: span [%d,%d) out of order or out of bounds for %d entries", s.Lo, s.Hi, d.Meta.AdjEntries)
+		}
+		longest = max(longest, s.Len())
+	}
+	// The window: P·M entries, or the longest span if that is less — a store
+	// smaller than the budget costs its own size — and no more than ind's
+	// 32-bit offsets can address.
+	winEntries := min(uint64(cfg.Workers)*uint64(cfg.MemEdges), longest, math.MaxUint32)
+	if err := ctx.Err(); err != nil {
+		return Dealt{}, err
+	}
+	if longest == 0 {
+		return Dealt{Runners: make([]Stats, cfg.Workers)}, nil
+	}
+
+	dl := &dealer{d: d, cfg: cfg, done: ctx.Done(), blockEntries: BlockEntries, tileEntries: TileEntries}
+	if cfg.blockEntries > 0 {
+		dl.blockEntries = uint64(cfg.blockEntries)
+	}
+	if cfg.tileEntries > 0 {
+		dl.tileEntries = uint64(cfg.tileEntries)
+	}
+	dl.blockBytes = dl.blockEntries * graph.EntrySize
+	cur := obs.CursorFrom(ctx)
+	runners := make([]*dealt, cfg.Workers)
+	defer func() {
+		for _, r := range runners {
+			if r != nil {
+				r.adj.Close()
+			}
+		}
+	}()
+	for i := range runners {
+		r, err := newRunner(d, Config{MemEdges: int(winEntries), Kernel: cfg.Kernel})
+		if err != nil {
+			return Dealt{}, err
+		}
+		adj, err := d.OpenAdjFile(r.counter)
+		if err != nil {
+			return Dealt{}, err
+		}
+		if cfg.Sinks != nil {
+			r.sink = cfg.Sinks[i]
+		}
+		r.countOnly = r.sink == nil && r.ckernel != nil
+		runners[i] = &dealt{
+			Runner: r, dl: dl, adj: adj,
+			// A block's bytes, and never less than lets a streamed list's
+			// next segment be told from a damaged one.
+			raw:  make([]byte, max(dl.blockBytes, 2*graph.MaxSegmentBytes)),
+			vals: make([]graph.Vertex, dl.blockEntries),
+			work: make(chan phase),
+		}
+	}
+	dl.cuts = dl.cutBlocks()
+	// The windows, span by span, and the one allocation of edg and ind that
+	// serves them all.
+	rounds := 0
+	for _, s := range spans {
+		rounds += int((s.Len() + winEntries - 1) / winEntries)
+	}
+	wins := make([]balance.Range, 0, rounds)
+	indCap := 0
+	for _, s := range spans {
+		for lo := s.Lo; lo < s.Hi; lo += winEntries {
+			w := balance.Range{Lo: lo, Hi: min(lo+winEntries, s.Hi)}
+			wins = append(wins, w)
+			indCap = max(indCap, int(d.VertexAt(w.Hi-1)-d.VertexAt(w.Lo))+1)
+		}
+	}
+	dl.win.edg = make([]graph.Vertex, 0, winEntries)
+	dl.win.ind = make([]indEntry, 0, indCap)
+
+	// The runners live for the whole run and meet the coordinator — this
+	// goroutine, one round per window — at a barrier after every phase.
+	//pdtl:nondeterministic-ok wall-clock feeds Stats.Wall and span attrs only, never listing order
+	start := time.Now()
+	var exited sync.WaitGroup
+	spanIDs := make([]obs.SpanID, len(runners))
+	for i, r := range runners {
+		spanIDs[i] = cur.WithWorker(i).Begin(obs.SpanChunk)
+		exited.Add(1)
+		go func() {
+			defer exited.Done()
+			r.serve()
+		}()
+	}
+	var err error
+	for _, w := range wins {
+		if err = dl.runRound(ctx, cur, w.Lo, w.Hi, runners); err != nil {
+			break
+		}
+	}
+	for _, r := range runners {
+		close(r.work)
+	}
+	exited.Wait()
+
+	wall := time.Since(start) //pdtl:nondeterministic-ok timing stat only
+	out := Dealt{Runners: make([]Stats, len(runners))}
+	for i, r := range runners {
+		r.stats.Passes = dl.round
+		r.stats.Wall = max(wall-r.idle, 0)
+		r.stats.IO = r.counter.Snapshot().Sub(r.loadIO)
+		r.stats.WordOps += r.arena.WordOps
+		r.stats.FastDecodes += r.arena.FastDecodes
+		out.Runners[i] = r.stats
+		out.WindowIO = out.WindowIO.Add(r.loadIO)
+		cur.SetAttr(spanIDs[i], "cmp_ops", int64(r.stats.CmpOps))
+		cur.SetAttr(spanIDs[i], "io_bytes", r.stats.IO.BytesRead)
+		cur.SetAttr(spanIDs[i], "passes", int64(r.stats.Passes))
+		cur.SetAttr(spanIDs[i], "blocks", int64(r.blocks))
+		cur.SetAttr(spanIDs[i], "idle_ns", int64(r.idle))
+		cur.End(spanIDs[i])
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return out, cerr
+	}
+	if err != nil {
+		return out, err
+	}
+	if cfg.Sinks != nil {
+		out.Listing = orderPieces(runners)
+	}
+	return out, nil
+}
+
+// cutBlocks cuts the vertex ids into cone blocks: maximal runs of vertices
+// whose lists together are at most blockEntries entries and blockBytes bytes
+// of the store, so a block's bytes and any one of its lists fit a runner's
+// buffers. A list over either bound is a block by itself and is streamed
+// through the buffers in pieces.
+func (dl *dealer) cutBlocks() []graph.Vertex {
+	d := dl.d
+	cuts := make([]graph.Vertex, 1, d.Meta.AdjEntries/dl.blockEntries*2+2)
+	var entries, bytes uint64
+	for v, deg := range d.Degrees {
+		e, b := uint64(deg), uint64(deg)*graph.EntrySize
+		if d.ByteOffs != nil {
+			b = d.ByteOffs[v+1] - d.ByteOffs[v]
+		}
+		if graph.Vertex(v) > cuts[len(cuts)-1] && (entries+e > dl.blockEntries || bytes+b > dl.blockBytes) {
+			cuts = append(cuts, graph.Vertex(v))
+			entries, bytes = 0, 0
+		}
+		entries, bytes = entries+e, bytes+b
+	}
+	return append(cuts, graph.Vertex(d.NumVertices()))
+}
+
+// blockOf returns the block holding vertex v.
+func (dl *dealer) blockOf(v graph.Vertex) int {
+	return sort.Search(len(dl.cuts)-1, func(b int) bool { return dl.cuts[b+1] > v })
+}
+
+// runRound loads the window [lo, hi) and scans every cone block against it.
+func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64, runners []*dealt) error {
+	// The per-round cancellation point; the runners look between blocks.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	span := cur.Begin(obs.SpanScanRound)
+	var ioBefore int64
+	for _, r := range runners {
+		ioBefore += r.counter.Snapshot().BytesRead
+	}
+	dl.win.bound(dl.d, lo, hi)
+	// Load: the blocks holding the window's vertices, each filling its own
+	// stretch of edg and ind. Scan: every block.
+	err := dl.deal(phaseLoad, dl.blockOf(dl.win.vlow), dl.blockOf(dl.win.vhigh)+1, runners)
+	if err == nil {
+		err = dl.scan(runners)
+	}
+	dl.round++
+	var ioAfter int64
+	for _, r := range runners {
+		ioAfter += r.counter.Snapshot().BytesRead
+	}
+	cur.SetAttr(span, "window_lo", int64(lo))
+	cur.SetAttr(span, "window_hi", int64(hi))
+	cur.SetAttr(span, "blocks", int64(len(dl.cuts)-1))
+	cur.SetAttr(span, "io_bytes", ioAfter-ioBefore)
+	cur.End(span)
+	return err
+}
+
+// scan runs every cone block against the loaded window. A counting round
+// whose window is larger than a tile does it in two steps. The lists that
+// have to be read are read once and run against the whole window, as ever.
+// The lists the window holds cost nothing to walk again, so they are walked
+// once per tile — a stretch of the window's vertices whose lists are about
+// tileEntries entries — with every runner probing that stretch of edg, and
+// nothing else, until all are done with it: the same probes against a
+// working set that fits a core's cache. A walk is not free, though, and a
+// tile few probes land in (the tail of a store numbered hubs first, any tile
+// of a graph with hardly a triangle) does not repay its own: after the first
+// tile that took fewer than tilePays steps per resident entry, the rest of
+// the window is one tile. The step counts are exact, so the tiling — and
+// with it CmpOps — is the same on every run. A listing round is not tiled:
+// the order of its triangles would change.
+func (dl *dealer) scan(runners []*dealt) error {
+	d, w, blocks := dl.d, dl.win, len(dl.cuts)-1
+	tile := dl.tileEntries
+	if dl.cfg.Sinks != nil || uint64(len(w.edg)) <= tile || w.resLo == w.resHi {
+		dl.part = partAll
+		return dl.deal(phaseScan, 0, blocks, runners)
+	}
+	defer func() { dl.win = w }() // the next round bounds the whole of ind again
+	dl.part = partStored
+	if err := dl.deal(phaseScan, 0, blocks, runners); err != nil {
+		return err
+	}
+	dl.part = partResident
+	first, last := dl.blockOf(w.resLo), dl.blockOf(w.resHi-1)+1
+	resident := d.Offsets[w.resHi] - d.Offsets[w.resLo]
+	for a := w.vlow; a <= w.vhigh; {
+		z := w.vhigh + 1
+		if end := max(d.Offsets[a], w.winLo) + tile; end < w.winHi {
+			z = max(d.VertexAt(end), a+1) // a list longer than a tile is one by itself
+		}
+		dl.win.vlow, dl.win.vhigh, dl.win.ind = a, z-1, w.ind[a-w.vlow:z-w.vlow]
+		steps := dl.steps(runners)
+		if err := dl.deal(phaseScan, first, last, runners); err != nil {
+			return err
+		}
+		if dl.steps(runners)-steps < tilePays*resident {
+			tile = w.winHi // the rest at once
+		}
+		a = z
+	}
+	return nil
+}
+
+// steps is the runners' intersection steps so far.
+func (dl *dealer) steps(runners []*dealt) (n uint64) {
+	for _, r := range runners {
+		n += r.stats.CmpOps
+	}
+	return n
+}
+
+// deal hands the blocks [first, last) to the runners for one phase and waits
+// for all of them; the time a runner spent waiting for the slowest is its
+// idle time.
+func (dl *dealer) deal(ph phase, first, last int, runners []*dealt) error {
+	dl.next.Store(int64(first))
+	dl.last = int64(last)
+	dl.wg.Add(len(runners))
+	for _, r := range runners {
+		r.work <- ph
+	}
+	dl.wg.Wait()
+	//pdtl:nondeterministic-ok wall-clock feeds the idle_ns span attr and Stats.Wall only
+	end := time.Now()
+	var err error
+	for _, r := range runners {
+		r.idle += end.Sub(r.doneAt)
+		if err == nil && r.err != nil {
+			err = r.failure(ph)
+		}
+	}
+	return err
+}
+
+// failure words the error that ended r's phase.
+func (r *dealt) failure(ph phase) error {
+	switch {
+	case r.err == errCancelled:
+		return r.err
+	case r.err == errBadVertexID:
+		return r.errVertexID(r.badU)
+	case ph == phaseLoad:
+		return fmt.Errorf("mgt: load window: vertex %d: %w", r.badU, r.err)
+	}
+	return fmt.Errorf("mgt: list of vertex %d: %w", r.badU, r.err)
+}
+
+// serve is a runner's goroutine: one phase per message, until the channel
+// closes.
+func (r *dealt) serve() {
+	for ph := range r.work {
+		r.window = r.dl.win // this round's, as the coordinator bounded it
+		if ph == phaseLoad {
+			before := r.counter.Snapshot()
+			r.badU, r.err = r.loadBlocks()
+			r.loadIO = r.loadIO.Add(r.counter.Snapshot().Sub(before))
+		} else {
+			r.badU, r.err = r.scanBlocks()
+		}
+		if r.err != nil {
+			r.dl.stop.Store(true)
+		}
+		r.doneAt = time.Now() //pdtl:nondeterministic-ok feeds idle time only
+		r.dl.wg.Done()
+	}
+}
+
+// take claims the next block of the phase; ok is false when there is none
+// left, a runner has failed, or the run is cancelled (err says so).
+//
+//pdtl:hotpath
+func (r *dealt) take() (b int, ok bool, err error) {
+	dl := r.dl
+	select {
+	case <-dl.done:
+		return 0, false, errCancelled
+	default:
+	}
+	if dl.stop.Load() {
+		return 0, false, nil
+	}
+	if dl.cfg.afterBlock != nil {
+		dl.cfg.afterBlock()
+	}
+	n := dl.next.Add(1) - 1
+	return int(n), n < dl.last, nil
+}
+
+// loadBlocks is the load phase of one runner: every block it takes, it reads
+// the part inside the window into edg and indexes it in ind. Blocks cover
+// disjoint vertices, so the runners write disjoint stretches of both.
+func (r *dealt) loadBlocks() (graph.Vertex, error) {
+	d := r.disk
+	for {
+		b, ok, err := r.take()
+		if !ok {
+			return 0, err
+		}
+		a, z := max(r.dl.cuts[b], r.vlow), min(r.dl.cuts[b+1], r.vhigh+1)
+		lo, hi := max(d.Offsets[a], r.winLo), min(d.Offsets[z], r.winHi)
+		bad := a
+		switch {
+		case d.ByteOffs == nil:
+			err = r.loadPlain(lo, hi)
+		case d.ByteOffs[z]-d.ByteOffs[a] > r.dl.blockBytes:
+			err = r.loadStreamed(a) // a list by itself
+		default:
+			bad, err = r.loadEncoded(a, z)
+		}
+		if err != nil {
+			return bad, err
+		}
+		r.index(d, a, z)
+		r.stats.EdgesLoaded += hi - lo
+	}
+}
+
+// loadPlain reads the entries [lo, hi) of a plain store into the window.
+func (r *dealt) loadPlain(lo, hi uint64) error {
+	step := r.dl.blockEntries
+	for pos := lo; pos < hi; pos += step {
+		dst := r.edg[pos-r.winLo : min(pos+step, hi)-r.winLo]
+		raw := r.raw[:len(dst)*graph.EntrySize]
+		if err := r.adj.ReadAt(raw, int64(pos)*graph.EntrySize); err != nil {
+			return err
+		}
+		graph.DecodePlain(dst, raw)
+	}
+	return nil
+}
+
+// loadEncoded reads the lists of vertices [a, z) of a compressed store — at
+// most a block's bytes — and decodes what the window holds of each into its
+// place in edg. On an error it names the vertex.
+func (r *dealt) loadEncoded(a, z graph.Vertex) (graph.Vertex, error) {
+	d := r.disk
+	base := d.ByteOffs[a]
+	raw := r.raw[:d.ByteOffs[z]-base]
+	if err := r.adj.ReadAt(raw, int64(base)); err != nil {
+		return a, err
+	}
+	for v := a; v < z; v++ {
+		lo, hi := max(d.Offsets[v], r.winLo), min(d.Offsets[v+1], r.winHi)
+		cl := graph.CompressedList{Degree: int(d.Degrees[v]), Data: raw[d.ByteOffs[v]-base : d.ByteOffs[v+1]-base]}
+		// The three-index slice keeps a damaged list from spilling into its
+		// neighbour's entries.
+		dst := r.edg[lo-r.winLo : lo-r.winLo : hi-r.winLo]
+		out, err := graph.DecodeEntryRange(cl, int(lo-d.Offsets[v]), int(hi-d.Offsets[v]), r.segScratch[:0], dst)
+		if err != nil {
+			return v, err
+		}
+		if len(out) != cap(dst) {
+			return v, io.ErrUnexpectedEOF
+		}
+	}
+	return a, nil
+}
+
+// loadStreamed is loadEncoded for a list longer than the block buffer.
+func (r *dealt) loadStreamed(u graph.Vertex) error {
+	d := r.disk
+	lo, hi := max(d.Offsets[u], r.winLo)-d.Offsets[u], min(d.Offsets[u+1], r.winHi)-d.Offsets[u]
+	dst := r.edg[d.Offsets[u]+lo-r.winLo:][:0]
+	st := r.stream(u)
+	for pos := uint64(0); ; {
+		seg, ok, err := st.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		end := pos + uint64(seg.Count)
+		if end > lo && pos < hi {
+			vals, err := r.decodeSegmentFast(seg)
+			if err != nil {
+				return err
+			}
+			dst = append(dst, vals[max(lo, pos)-pos:min(hi, end)-pos]...)
+		}
+		pos = end
+	}
+	if uint64(len(dst)) != hi-lo {
+		return io.ErrUnexpectedEOF
+	}
+	return nil
+}
+
+// scanBlocks is the scan phase of one runner — the blocks loop: every block
+// it takes, it runs the cone vertices of against the window, and, listing,
+// marks where in its sink's output the block's triangles went.
+//
+//pdtl:hotpath
+func (r *dealt) scanBlocks() (graph.Vertex, error) {
+	for {
+		b, ok, err := r.take()
+		if !ok {
+			return 0, err
+		}
+		before := r.stats.Triangles
+		if u, err := r.scanBlock(r.dl.cuts[b], r.dl.cuts[b+1]); err != nil {
+			return u, err
+		}
+		r.blocks++
+		if after := r.stats.Triangles; r.sink != nil && after > before {
+			// A run of consecutive blocks is one piece of the listing.
+			if n := len(r.marks); n > 0 && r.marks[n-1].round == r.dl.round && r.marks[n-1].next == b {
+				r.marks[n-1].next, r.marks[n-1].hi = b+1, after
+			} else {
+				r.marks = append(r.marks, mark{round: r.dl.round, block: b, next: b + 1, lo: before, hi: after})
+			}
+		}
+	}
+}
+
+// scanBlock runs the cone vertices [a, z) against the window. Those whose
+// lists the window holds whole are served from it, with no read at all — a
+// run of one window reads the store once — and only the rest of the block
+// is read; in a tiled round (dealer.scan) a phase runs one kind or the
+// other. On an error it names the vertex.
+//
+//pdtl:hotpath
+func (r *dealt) scanBlock(a, z graph.Vertex) (graph.Vertex, error) {
+	ra, rz := min(max(r.resLo, a), z), min(max(r.resHi, a), z)
+	part := r.dl.part
+	switch {
+	case part == partResident:
+		return r.scanResident(ra, rz)
+	case ra >= rz:
+		return r.scanStored(a, z)
+	}
+	if u, err := r.scanStored(a, ra); err != nil {
+		return u, err
+	}
+	if part == partAll {
+		if u, err := r.scanResident(ra, rz); err != nil {
+			return u, err
+		}
+	}
+	return r.scanStored(rz, z)
+}
+
+// scanStored reads the lists of [a, z) — a block or a part of one — from the
+// store and runs them against the window.
+//
+//pdtl:hotpath
+func (r *dealt) scanStored(a, z graph.Vertex) (graph.Vertex, error) {
+	d := r.disk
+	lo, hi := d.Offsets[a], d.Offsets[z]
+	bytes := (hi - lo) * graph.EntrySize
+	if d.ByteOffs != nil {
+		bytes = d.ByteOffs[z] - d.ByteOffs[a]
+	}
+	switch {
+	case lo == hi:
+		return a, nil
+	case hi-lo > r.dl.blockEntries || bytes > r.dl.blockBytes:
+		return a, r.scanStreamed(a) // a list by itself
+	case d.ByteOffs == nil:
+		return r.scanPlain(a, z)
+	}
+	return r.scanEncoded(a, z)
+}
+
+// scanResident serves the lists of [a, z) from the window.
+//
+//pdtl:hotpath
+func (r *dealt) scanResident(a, z graph.Vertex) (graph.Vertex, error) {
+	d := r.disk
+	for u := a; u < z; u++ {
+		nm := r.edg[d.Offsets[u]-r.winLo : d.Offsets[u+1]-r.winLo]
+		// Fewer than a pivot source and a closing vertex, or no vertex of
+		// the window: nothing to do.
+		if len(nm) < 2 || nm[len(nm)-1] < r.vlow || nm[0] > r.vhigh {
+			continue
+		}
+		if !r.cone(u, nm) {
+			return u, errBadVertexID
+		}
+	}
+	return a, nil
+}
+
+// scanPlain reads the block's bytes of a plain store and decodes only the
+// lists whose ends say they can reach the window.
+//
+//pdtl:hotpath
+func (r *dealt) scanPlain(a, z graph.Vertex) (graph.Vertex, error) {
+	d := r.disk
+	raw := r.raw[:(d.Offsets[z]-d.Offsets[a])*graph.EntrySize]
+	if err := r.adj.ReadAt(raw, int64(d.Offsets[a])*graph.EntrySize); err != nil {
+		return a, err
+	}
+	for u := a; u < z; u++ {
+		deg := int(d.Degrees[u])
+		list := raw[:deg*graph.EntrySize]
+		raw = raw[len(list):]
+		if deg < 2 || binary.LittleEndian.Uint32(list[len(list)-graph.EntrySize:]) < r.vlow || binary.LittleEndian.Uint32(list) > r.vhigh {
+			continue
+		}
+		nm := r.vals[:deg]
+		graph.DecodePlain(nm, list)
+		if !r.cone(u, nm) {
+			return u, errBadVertexID
+		}
+	}
+	return a, nil
+}
+
+// scanEncoded reads the block's bytes of a compressed store and walks the
+// lists as views of them: the quick reject runs on the segment headers
+// (every one parsed and validated, no payload touched), only the survivors
+// are decoded — the header-pruned pass, with no copy of the list first.
+//
+//pdtl:hotpath
+func (r *dealt) scanEncoded(a, z graph.Vertex) (graph.Vertex, error) {
+	d := r.disk
+	base := d.ByteOffs[a]
+	raw := r.raw[:d.ByteOffs[z]-base]
+	if err := r.adj.ReadAt(raw, int64(base)); err != nil {
+		return a, err
+	}
+	for u := a; u < z; u++ {
+		cl := graph.CompressedList{Degree: int(d.Degrees[u]), Data: raw[d.ByteOffs[u]-base : d.ByteOffs[u+1]-base]}
+		if r.bkernel != nil {
+			if err := r.coneEncoded(u, cl); err != nil {
+				return u, err
+			}
+			continue
+		}
+		if cl.Degree < 2 {
+			continue
+		}
+		first, last, _, err := cl.Bounds()
+		if err != nil {
+			return u, err
+		}
+		if last < r.vlow || first > r.vhigh {
+			r.stats.SegmentsSkipped += uint64((cl.Degree + graph.SegmentEntries - 1) / graph.SegmentEntries)
+			continue
+		}
+		nm, err := cl.Decode(r.vals[:0])
+		if err != nil {
+			return u, err
+		}
+		if !r.cone(u, nm) {
+			return u, errBadVertexID
+		}
+	}
+	return a, nil
+}
+
+// scanStreamed is the large-vertex routine for a list longer than a block
+// buffer: its pieces are stamped and window-filtered as they arrive, then
+// one probe closes the triangles — under any kernel, like largeVertex.
+//
+//pdtl:hotpath
+func (r *dealt) scanStreamed(u graph.Vertex) error {
+	d := r.disk
+	r.stats.LargeVertices++
+	r.bumpEpoch()
+	nmp := r.nmp[:0]
+	if d.ByteOffs == nil {
+		for pos, end := d.Offsets[u], d.Offsets[u+1]; pos < end; pos += r.dl.blockEntries {
+			vals := r.vals[:min(r.dl.blockEntries, end-pos)]
+			raw := r.raw[:len(vals)*graph.EntrySize]
+			if err := r.adj.ReadAt(raw, int64(pos)*graph.EntrySize); err != nil {
+				return err
+			}
+			graph.DecodePlain(vals, raw)
+			if !r.stamp(vals) {
+				return errBadVertexID
+			}
+			nmp = r.inWindow(nmp, vals)
+		}
+	} else {
+		st := r.stream(u)
+		for {
+			seg, ok, err := st.next()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			vals, err := r.decodeSegmentFast(seg)
+			if err != nil {
+				return err
+			}
+			if !r.stamp(vals) {
+				return errBadVertexID
+			}
+			nmp = r.inWindow(nmp, vals)
+		}
+	}
+	r.probe(u, nmp)
+	return nil
+}
+
+// listStream walks the segments of one compressed list through the block
+// buffer, topping it up whenever what is left unparsed might not hold a
+// whole segment (graph.MaxSegmentBytes).
+type listStream struct {
+	adj      *graph.AdjFile
+	buf      []byte
+	off, end int64 // the list bytes not read yet
+	it       graph.SegIter
+}
+
+func (r *dealt) stream(u graph.Vertex) listStream {
+	d := r.disk
+	return listStream{
+		adj: r.adj, buf: r.raw,
+		off: int64(d.ByteOffs[u]), end: int64(d.ByteOffs[u+1]),
+		it: graph.CompressedList{Degree: int(d.Degrees[u])}.Segments(),
+	}
+}
+
+// next returns the list's next segment; ok is false at its end.
+//
+//pdtl:hotpath
+func (s *listStream) next() (seg graph.Segment, ok bool, err error) {
+	if s.off < s.end && len(s.it.Rest()) < graph.MaxSegmentBytes {
+		n := copy(s.buf, s.it.Rest())
+		k := min(int(s.end-s.off), len(s.buf)-n)
+		if err := s.adj.ReadAt(s.buf[n:n+k], s.off); err != nil {
+			return seg, false, err
+		}
+		s.off += int64(k)
+		s.it.Feed(s.buf[:n+k])
+	}
+	seg, ok = s.it.Next()
+	return seg, ok, s.it.Err()
+}
+
+// orderPieces puts the runners' marks in listing order — round by round,
+// block by block — and joins neighbours from one sink.
+func orderPieces(runners []*dealt) []Piece {
+	type placed struct {
+		mark
+		sink int
+	}
+	var all []placed
+	for i, r := range runners {
+		for _, m := range r.marks {
+			all = append(all, placed{m, i})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].round != all[j].round {
+			return all[i].round < all[j].round
+		}
+		return all[i].block < all[j].block
+	})
+	pieces := make([]Piece, 0, len(all))
+	for _, m := range all {
+		if n := len(pieces); n > 0 && pieces[n-1].Sink == m.sink && pieces[n-1].Hi == m.lo {
+			pieces[n-1].Hi = m.hi
+			continue
+		}
+		pieces = append(pieces, Piece{Sink: m.sink, Lo: m.lo, Hi: m.hi})
+	}
+	return pieces
+}

@@ -32,16 +32,21 @@
 // window holds the triangle's pivot edge. With the full range this is
 // exactly the paper's single-core MGT, the baseline of Figure 11.
 //
-// The runner does not open the adjacency file itself: all data access —
-// window loads and sequential scan passes — goes through a scan.Handle
-// supplied by Config (see internal/scan and DESIGN.md §5). The engine
-// layer decides whether the P runners each scan the file privately, share
-// one broadcast scan, or run fully in memory; this package is agnostic.
+// There are two ways to run it. RunDealt (coop.go) is the engine's default:
+// the P runners of a node share one window of P·M entries and are dealt the
+// cone blocks of every round, reading the blocks they take themselves. A
+// Runner by itself (NewRunner, RunRange) is the paper's layout — one runner
+// per range, each with a private M-entry window — and opens no file: window
+// loads and sequential scan passes go through a scan.Handle supplied by
+// Config (see internal/scan and DESIGN.md §5), so the engine decides whether
+// those runners each scan the file privately, share one broadcast scan, or
+// run fully in memory. The cone routines are the same code under both.
 package mgt
 
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -179,6 +184,57 @@ type indEntry struct {
 	len uint32 // number of in-memory out-edges of the vertex
 }
 
+// window is Algorithm 2's edg/ind pair with its bounds: the adjacency
+// entries [winLo, winHi) and, for every vertex of [vlow, vhigh], where its
+// in-memory out-edges sit. The cone routines only read it, so one window
+// serves a single runner (the named sources: each runner loads its own) or
+// every runner of a cooperative round (coop.go: loaded once, shared).
+type window struct {
+	edg          []graph.Vertex
+	ind          []indEntry
+	vlow, vhigh  graph.Vertex
+	winLo, winHi uint64
+	// The vertices [resLo, resHi) have their whole lists in the window.
+	resLo, resHi graph.Vertex
+}
+
+// bound sets the window to the entries [lo, hi) of d, sizing edg and ind to
+// it — never to the budget: a store smaller than M costs its own size. The
+// contents of both are the caller's to fill.
+func (w *window) bound(d *graph.Disk, lo, hi uint64) {
+	w.winLo, w.winHi = lo, hi
+	w.vlow, w.vhigh = d.VertexAt(lo), d.VertexAt(hi-1)
+	w.resLo, w.resHi = w.vlow, w.vhigh+1
+	if d.Offsets[w.resLo] < lo {
+		w.resLo++
+	}
+	if d.Offsets[w.resHi] > hi {
+		w.resHi = max(w.resHi-1, w.resLo)
+	}
+	if n := int(hi - lo); cap(w.edg) < n {
+		w.edg = make([]graph.Vertex, n)
+	} else {
+		w.edg = w.edg[:n]
+	}
+	if n := int(w.vhigh-w.vlow) + 1; cap(w.ind) < n {
+		w.ind = make([]indEntry, n)
+	} else {
+		w.ind = w.ind[:n]
+	}
+}
+
+// index records in ind where the window's entries of vertices [a, z) sit.
+func (w *window) index(d *graph.Disk, a, z graph.Vertex) {
+	for v := a; v < z; v++ {
+		lo, hi := max(d.Offsets[v], w.winLo), min(d.Offsets[v+1], w.winHi)
+		e := indEntry{}
+		if hi > lo {
+			e = indEntry{off: uint32(lo - w.winLo), len: uint32(hi - lo)}
+		}
+		w.ind[v-w.vlow] = e
+	}
+}
+
 // Run executes modified MGT over the oriented on-disk graph d. The context
 // is the runner's cancellation point: it is checked once per memory window,
 // so cancellation aborts the run within one window (and, for a shared scan
@@ -205,12 +261,11 @@ func Run(ctx context.Context, d *graph.Disk, cfg Config) (Stats, error) {
 }
 
 // Runner is a reusable modified-MGT executor over one oriented store. It
-// owns the window buffer (edg), the window index (ind), the N+(u) buffer
-// (nmp) and the mark array, all sized once — O(M + n) entries — and reused
-// by every RunRange call: under the work-stealing scheduler a runner
-// executes many chunks back to back, and per-chunk reallocation of these
-// buffers would dominate small chunks. A Runner is not safe for concurrent
-// use; a pool gives each worker its own.
+// owns its window (edg and ind, grown to the largest window it has loaded,
+// at most M entries), the N+(u) buffer (nmp) and the mark array — O(M + n)
+// entries — and reuses them across RunRange calls: a cluster node executes
+// many chunks back to back, and per-chunk reallocation of these buffers
+// would dominate small chunks. A Runner is not safe for concurrent use.
 type Runner struct {
 	disk   *graph.Disk
 	cfg    Config
@@ -246,14 +301,10 @@ type Runner struct {
 	curU, curV graph.Vertex
 	emitFn     func(graph.Vertex)
 
-	// Window state (Algorithm 2's edg/ind plus the window bounds), and nmp,
-	// the current cone vertex's N+(u).
-	edg   []graph.Vertex
-	ind   []indEntry
-	nmp   []graph.Vertex
-	vlow  graph.Vertex
-	vhigh graph.Vertex
-	winLo uint64
+	// The window the cone routines probe — the runner's own, or a copy of
+	// the round's shared one — and nmp, the current cone vertex's N+(u).
+	window
+	nmp []graph.Vertex
 
 	// mark is the direct-addressed membership array of the current cone
 	// vertex, one entry per vertex id of the store: mark[w] == epoch iff
@@ -268,6 +319,32 @@ type Runner struct {
 // sink. A nil cfg.Source opens a private buffered source (closed by Close);
 // an engine-supplied handle is used as-is and stays the engine's to close.
 func NewRunner(d *graph.Disk, cfg Config) (*Runner, error) {
+	r, err := newRunner(d, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if r.segScratch != nil && r.bkernel == nil {
+		r.listBuf = make([]graph.Vertex, 0, cap(r.nmp))
+	}
+	if r.handle == nil {
+		src, err := scan.New(scan.SourceBuffered, d, scan.Config{BufBytes: cfg.BufBytes, Counter: r.counter})
+		if err != nil {
+			return nil, err
+		}
+		h, err := src.Handle(r.counter)
+		if err != nil {
+			src.Close()
+			return nil, err
+		}
+		r.ownedSrc = src
+		r.handle = h
+	}
+	return r, nil
+}
+
+// newRunner builds everything of a runner but its access to the adjacency
+// data: the per-runner state the cone routines need.
+func newRunner(d *graph.Disk, cfg Config) (*Runner, error) {
 	if !d.Meta.Oriented {
 		return nil, fmt.Errorf("mgt: store %q is not oriented", d.Base)
 	}
@@ -284,24 +361,12 @@ func NewRunner(d *graph.Disk, cfg Config) (*Runner, error) {
 		counter: counter,
 		handle:  cfg.Source,
 		kernel:  cfg.Kernel,
-		edg:     make([]graph.Vertex, 0, cfg.MemEdges),
-		nmp:     make([]graph.Vertex, 0, min(int(d.Meta.MaxOutDegree), cfg.MemEdges)),
+		// N+(u) has at most one entry per vertex of the window and per
+		// entry of N(u).
+		nmp: make([]graph.Vertex, 0, min(int(d.Meta.MaxOutDegree), cfg.MemEdges)),
 		// Sized from the store this runner scans: a live graph's merged view
 		// carries vertex ids its base store does not.
 		mark: make([]uint32, d.NumVertices()),
-	}
-	if r.handle == nil {
-		src, err := scan.New(scan.SourceBuffered, d, scan.Config{BufBytes: cfg.BufBytes, Counter: counter})
-		if err != nil {
-			return nil, err
-		}
-		h, err := src.Handle(counter)
-		if err != nil {
-			src.Close()
-			return nil, err
-		}
-		r.ownedSrc = src
-		r.handle = h
 	}
 	if d.Format() == graph.FormatCompressed {
 		r.segScratch = make([]graph.Vertex, 0, graph.SegmentEntries)
@@ -310,8 +375,6 @@ func NewRunner(d *graph.Disk, cfg Config) (*Runner, error) {
 			if cbk, ok := r.kernel.(scan.CountBlockKernel); ok {
 				r.cbkernel = cbk
 			}
-		} else {
-			r.listBuf = make([]graph.Vertex, 0, cap(r.nmp))
 		}
 	}
 	if ck, ok := r.kernel.(scan.CountKernel); ok {
@@ -424,39 +487,12 @@ func (r *Runner) emit(w graph.Vertex) {
 // loadWindow loads the edge window [pos, end) and builds ind over its
 // vertex span.
 func (r *Runner) loadWindow(pos, end uint64) error {
-	count := int(end - pos)
-	r.edg = r.edg[:count]
+	r.bound(r.disk, pos, end)
 	if err := r.handle.ReadEntries(r.edg, pos); err != nil {
 		return fmt.Errorf("mgt: load window: %w", err)
 	}
-	r.stats.EdgesLoaded += uint64(count)
-	r.winLo = pos
-
-	d := r.disk
-	r.vlow = d.VertexAt(pos)
-	r.vhigh = d.VertexAt(end - 1)
-	span := int(r.vhigh-r.vlow) + 1
-	if cap(r.ind) < span {
-		r.ind = make([]indEntry, span)
-	} else {
-		r.ind = r.ind[:span]
-		for i := range r.ind {
-			r.ind[i] = indEntry{}
-		}
-	}
-	for v := r.vlow; v <= r.vhigh; v++ {
-		lo := d.Offsets[v]
-		hi := d.Offsets[v+1]
-		if lo < pos {
-			lo = pos
-		}
-		if hi > end {
-			hi = end
-		}
-		if hi > lo {
-			r.ind[v-r.vlow] = indEntry{off: uint32(lo - pos), len: uint32(hi - lo)}
-		}
-	}
+	r.stats.EdgesLoaded += end - pos
+	r.index(r.disk, r.vlow, r.vhigh+1)
 	return nil
 }
 
@@ -499,8 +535,8 @@ func (r *Runner) scanPass() error {
 		if nm[len(nm)-1] < r.vlow || nm[0] > r.vhigh {
 			continue
 		}
-		if err := r.cone(u, nm); err != nil {
-			return err
+		if !r.cone(u, nm) {
+			return r.errVertexID(u)
 		}
 	}
 	return sc.Err()
@@ -525,7 +561,7 @@ func (r *Runner) scanPassPruned(sc scan.Scan, csc scan.CompressedScan) error {
 		}
 		if int(d.Degrees[u]) > r.cfg.MemEdges {
 			if err := r.largeVertexCompressed(u, cl); err != nil {
-				return err
+				return fmt.Errorf("mgt: list of large vertex %d: %w", u, err)
 			}
 			continue
 		}
@@ -544,27 +580,30 @@ func (r *Runner) scanPassPruned(sc scan.Scan, csc scan.CompressedScan) error {
 		if err != nil {
 			return fmt.Errorf("mgt: decode list of vertex %d: %w", u, err)
 		}
-		if err := r.cone(u, nm); err != nil {
-			return err
+		if !r.cone(u, nm) {
+			return r.errVertexID(u)
 		}
 	}
 	return sc.Err()
 }
 
 // cone reports the triangles of cone vertex u whose pivot edge is in the
-// window: nm = N(u), decoded and known to overlap [vlow, vhigh].
-func (r *Runner) cone(u graph.Vertex, nm []graph.Vertex) error {
-	nmp := r.window(r.nmp[:0], nm)
+// window: nm = N(u), decoded and known to overlap [vlow, vhigh]. It reports
+// false if N(u) names a vertex id the store does not have (errVertexID).
+//
+//pdtl:hotpath
+func (r *Runner) cone(u graph.Vertex, nm []graph.Vertex) bool {
+	nmp := r.inWindow(r.nmp[:0], nm)
 	if r.kernel == nil {
 		if len(nmp) == 0 {
-			return nil
+			return true
 		}
 		r.bumpEpoch()
 		if !r.stamp(nm) {
-			return r.errVertexID(u)
+			return false
 		}
 		r.probe(u, nmp)
-		return nil
+		return true
 	}
 	for _, v := range nmp {
 		e := r.ind[v-r.vlow]
@@ -583,14 +622,27 @@ func (r *Runner) cone(u graph.Vertex, nm []graph.Vertex) error {
 			r.stats.CmpOps += r.kernel.Intersect(nm, ev, r.emitFn)
 		}
 	}
-	return nil
+	return true
 }
 
-// window appends to nmp the part of N+(u) found in the sorted run vals of
+// inWindow appends to nmp the part of N+(u) found in the sorted run vals of
 // N(u): the out-neighbors with out-edges in memory.
 //
 //pdtl:hotpath
-func (r *Runner) window(nmp, vals []graph.Vertex) []graph.Vertex {
+func (r *Runner) inWindow(nmp, vals []graph.Vertex) []graph.Vertex {
+	// A window far into a long list (a tile of a window, walked once per
+	// tile) is found by bisection, not by stepping up to it.
+	if len(vals) > 8 && vals[8] < r.vlow {
+		lo, hi := 9, len(vals)
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); vals[mid] < r.vlow {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		vals = vals[lo:]
+	}
 	for _, v := range vals {
 		if v < r.vlow {
 			continue
@@ -632,6 +684,10 @@ func (r *Runner) stamp(vals []graph.Vertex) bool {
 	r.stats.CmpOps += uint64(len(vals))
 	return true
 }
+
+// errBadVertexID is what a hot-path routine returns for a list naming a
+// vertex the store does not have; errVertexID is the error the run reports.
+var errBadVertexID = errors.New("vertex id beyond the store: store is damaged")
 
 func (r *Runner) errVertexID(u graph.Vertex) error {
 	return fmt.Errorf("mgt: list of vertex %d names a vertex id ≥ %d: store is damaged", u, len(r.mark))
@@ -696,74 +752,80 @@ func (r *Runner) probe(u graph.Vertex, nmp []graph.Vertex) {
 // The triangle stream is identical to the decoded pass — same (u, v) order,
 // same ascending w per pivot — which the cross-check tests pin down.
 func (r *Runner) scanPassCompressed(sc scan.Scan, csc scan.CompressedScan) error {
-	d := r.disk
-	nmp := r.nmp
 	for {
 		u, cl, ok := csc.NextCompressed()
 		if !ok {
 			break
 		}
-		if int(d.Degrees[u]) > r.cfg.MemEdges {
-			if err := r.largeVertexCompressed(u, cl); err != nil {
-				return err
-			}
-			continue
-		}
-		if cl.Degree < 2 {
-			continue // need at least a pivot source and a closing vertex
-		}
-		// nmp := N+(u) — out-neighbors of u with out-edges in memory.
-		// Collected segment-wise: a segment whose span misses the window's
-		// vertex range [vlow, vhigh] is skipped on its header alone;
-		// surviving varint segments decode through the unrolled 8-wide
-		// decoder (bitmap segments pass through it to the scalar path).
-		nmp = nmp[:0]
-		it := cl.Segments()
-		for {
-			seg, ok := it.Next()
-			if !ok {
-				break
-			}
-			if seg.Last < r.vlow || seg.First > r.vhigh {
-				r.stats.SegmentsSkipped++
-				continue
-			}
-			vals, err := r.decodeSegmentFast(seg)
-			if err != nil {
-				return fmt.Errorf("mgt: decode list of vertex %d: %w", u, err)
-			}
-			nmp = r.window(nmp, vals)
-		}
-		if err := it.Err(); err != nil {
+		if err := r.coneEncoded(u, cl); err != nil {
 			return fmt.Errorf("mgt: list of vertex %d: %w", u, err)
-		}
-		for _, v := range nmp {
-			e := r.ind[v-r.vlow]
-			ev := r.edg[e.off : e.off+e.len]
-			r.stats.Intersections++
-			if r.countOnly && r.cbkernel != nil {
-				// Count-only hot path: word-parallel bitmap counting and
-				// unrolled varint decode via the runner's arena, no emit
-				// closure, no payload materialization for bitmap segments.
-				c, steps, skipped, err := r.cbkernel.CountCompressed(cl, ev, r.arena)
-				if err != nil {
-					return fmt.Errorf("mgt: intersect list of vertex %d: %w", u, err)
-				}
-				r.stats.Triangles += c
-				r.stats.CmpOps += steps
-				r.stats.SegmentsSkipped += skipped
-				continue
-			}
-			r.curU, r.curV = u, v
-			steps, skipped, err := r.bkernel.IntersectCompressed(cl, ev, r.segScratch, r.emitFn)
-			if err != nil {
-				return fmt.Errorf("mgt: intersect list of vertex %d: %w", u, err)
-			}
-			r.stats.CmpOps += steps
-			r.stats.SegmentsSkipped += skipped
 		}
 	}
 	return sc.Err()
+}
+
+// coneEncoded is one cone vertex of the block kernel's pass: N(u) in its
+// encoded form, whole. Errors come back bare, for the caller to name u.
+//
+//pdtl:hotpath
+func (r *Runner) coneEncoded(u graph.Vertex, cl graph.CompressedList) error {
+	if cl.Degree > r.cfg.MemEdges {
+		return r.largeVertexCompressed(u, cl)
+	}
+	if cl.Degree < 2 {
+		return nil // need at least a pivot source and a closing vertex
+	}
+	// nmp := N+(u) — out-neighbors of u with out-edges in memory.
+	// Collected segment-wise: a segment whose span misses the window's
+	// vertex range [vlow, vhigh] is skipped on its header alone;
+	// surviving varint segments decode through the unrolled 8-wide
+	// decoder (bitmap segments pass through it to the scalar path).
+	nmp := r.nmp[:0]
+	it := cl.Segments()
+	for {
+		seg, ok := it.Next()
+		if !ok {
+			break
+		}
+		if seg.Last < r.vlow || seg.First > r.vhigh {
+			r.stats.SegmentsSkipped++
+			continue
+		}
+		vals, err := r.decodeSegmentFast(seg)
+		if err != nil {
+			return err
+		}
+		nmp = r.inWindow(nmp, vals)
+	}
+	if err := it.Err(); err != nil {
+		return err
+	}
+	for _, v := range nmp {
+		e := r.ind[v-r.vlow]
+		ev := r.edg[e.off : e.off+e.len]
+		r.stats.Intersections++
+		if r.countOnly && r.cbkernel != nil {
+			// Count-only hot path: word-parallel bitmap counting and
+			// unrolled varint decode via the runner's arena, no emit
+			// closure, no payload materialization for bitmap segments.
+			c, steps, skipped, err := r.cbkernel.CountCompressed(cl, ev, r.arena)
+			if err != nil {
+				return err
+			}
+			r.stats.Triangles += c
+			r.stats.CmpOps += steps
+			r.stats.SegmentsSkipped += skipped
+			continue
+		}
+		r.curU, r.curV = u, v
+		steps, skipped, err := r.bkernel.IntersectCompressed(cl, ev, r.segScratch, r.emitFn)
+		if err != nil {
+			return err
+		}
+		r.stats.CmpOps += steps
+		r.stats.SegmentsSkipped += skipped
+	}
+	return nil
 }
 
 // decodeSegmentFast decodes one segment into the runner's scratch through
@@ -799,7 +861,7 @@ func (r *Runner) largeVertex(sc scan.Scan, u graph.Vertex, firstSeg []graph.Vert
 		if !r.stamp(seg) {
 			return r.errVertexID(u)
 		}
-		nmp = r.window(nmp, seg)
+		nmp = r.inWindow(nmp, seg)
 		if remaining -= len(seg); remaining <= 0 {
 			break
 		}
@@ -818,7 +880,10 @@ func (r *Runner) largeVertex(sc scan.Scan, u graph.Vertex, firstSeg []graph.Vert
 
 // largeVertexCompressed is largeVertex for a compressed store, where the
 // whole encoded list is in hand (compressed lists are not segmented by
-// maxList) and is decoded one 256-entry segment at a time.
+// maxList) and is decoded one 256-entry segment at a time. Errors come back
+// bare, for the caller to name u.
+//
+//pdtl:hotpath
 func (r *Runner) largeVertexCompressed(u graph.Vertex, cl graph.CompressedList) error {
 	r.stats.LargeVertices++
 	r.bumpEpoch()
@@ -831,15 +896,15 @@ func (r *Runner) largeVertexCompressed(u graph.Vertex, cl graph.CompressedList) 
 		}
 		vals, err := r.decodeSegmentFast(seg)
 		if err != nil {
-			return fmt.Errorf("mgt: decode list of large vertex %d: %w", u, err)
+			return err
 		}
 		if !r.stamp(vals) {
-			return r.errVertexID(u)
+			return errBadVertexID
 		}
-		nmp = r.window(nmp, vals)
+		nmp = r.inWindow(nmp, vals)
 	}
 	if err := it.Err(); err != nil {
-		return fmt.Errorf("mgt: list of large vertex %d: %w", u, err)
+		return err
 	}
 	r.probe(u, nmp)
 	return nil

@@ -16,7 +16,7 @@ import (
 )
 
 // compressedStore orients g into a compressed store.
-func compressedStore(t *testing.T, g *graph.CSR) *graph.Disk {
+func compressedStore(t testing.TB, g *graph.CSR) *graph.Disk {
 	t.Helper()
 	dir := t.TempDir()
 	src := filepath.Join(dir, "g")

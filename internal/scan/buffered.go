@@ -1,8 +1,6 @@
 package scan
 
 import (
-	"encoding/binary"
-
 	"pdtl/internal/graph"
 	"pdtl/internal/ioacct"
 )
@@ -59,11 +57,3 @@ func (h *bufferedHandle) ReadEntries(dst []graph.Vertex, pos uint64) error {
 }
 
 func (h *bufferedHandle) Close() error { return h.ra.Close() }
-
-// decodeEntries decodes len(dst) little-endian adjacency entries from raw
-// — the plain-format entry decoding used by the mem preload.
-func decodeEntries(dst []graph.Vertex, raw []byte) {
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(raw[i*graph.EntrySize:])
-	}
-}

@@ -62,7 +62,7 @@ func newMem(d *graph.Disk, cfg Config) (*memSource, error) {
 			return nil, fmt.Errorf("scan: preload adjacency: %w", err)
 		}
 		n := want / graph.EntrySize
-		decodeEntries(adj[off:off+n], raw[:want])
+		graph.DecodePlain(adj[off:off+n], raw[:want])
 		off += n
 	}
 	return &memSource{d: d, cfg: cfg, adj: adj}, nil

@@ -38,8 +38,9 @@ import (
 type SourceKind string
 
 const (
-	// SourceAuto defers the choice to the engine: Shared when more than
-	// one runner shares the source, Buffered otherwise.
+	// SourceAuto names no source of this package: the engine runs
+	// cooperative windows, whose runners read the cone blocks they are
+	// dealt themselves (mgt.RunDealt). The empty string means the same.
 	SourceAuto SourceKind = "auto"
 	// SourceBuffered is one private buffered sequential scan per runner
 	// pass (the paper's configuration).
@@ -63,16 +64,15 @@ func ParseSource(s string) (SourceKind, error) {
 	return "", fmt.Errorf("scan: unknown scan source %q (want auto, buffered, shared, or mem)", s)
 }
 
-// Resolve maps SourceAuto to a concrete kind for a run with the given
-// number of runners; concrete kinds pass through unchanged.
-func (k SourceKind) Resolve(runners int) SourceKind {
-	if k != SourceAuto && k != "" {
-		return k
+// IsAuto reports whether k names no source: SourceAuto or the zero value.
+func (k SourceKind) IsAuto() bool { return k == SourceAuto || k == "" }
+
+// OrAuto spells the zero value out, for reports and run keys.
+func (k SourceKind) OrAuto() SourceKind {
+	if k.IsAuto() {
+		return SourceAuto
 	}
-	if runners > 1 {
-		return SourceShared
-	}
-	return SourceBuffered
+	return k
 }
 
 // Config parameterizes a source.
@@ -171,8 +171,8 @@ type Scan interface {
 	Close() error
 }
 
-// New creates a source of the given concrete kind over the oriented store
-// d. SourceAuto must be Resolved first.
+// New creates a source of the given kind over the oriented store d.
+// SourceAuto is not one (see its comment).
 func New(kind SourceKind, d *graph.Disk, cfg Config) (Source, error) {
 	cfg = cfg.withDefaults()
 	switch kind {
@@ -182,8 +182,8 @@ func New(kind SourceKind, d *graph.Disk, cfg Config) (Source, error) {
 		return newShared(d, cfg), nil
 	case SourceMem:
 		return newMem(d, cfg)
-	case SourceAuto:
-		return nil, fmt.Errorf("scan: SourceAuto must be resolved before New (call Resolve)")
+	case SourceAuto, "":
+		return nil, fmt.Errorf("scan: %q names no scan source (the engine's cooperative windows read the store themselves)", SourceAuto)
 	}
 	return nil, fmt.Errorf("scan: unknown source kind %q", kind)
 }

@@ -316,14 +316,17 @@ func TestParseSource(t *testing.T) {
 	if _, err := ParseSource("mmap"); err == nil {
 		t.Error("ParseSource must reject unknown kinds")
 	}
-	if got := SourceAuto.Resolve(4); got != SourceShared {
-		t.Errorf("auto at P=4 = %v, want shared", got)
+	// The default names no source of this package, spelled out or not.
+	for _, k := range []SourceKind{"", SourceAuto} {
+		if !k.IsAuto() || k.OrAuto() != SourceAuto {
+			t.Errorf("%q: IsAuto %v, OrAuto %q", k, k.IsAuto(), k.OrAuto())
+		}
+		if _, err := New(k, nil, Config{}); err == nil {
+			t.Errorf("New(%q) must refuse: the default is not a scan source", k)
+		}
 	}
-	if got := SourceAuto.Resolve(1); got != SourceBuffered {
-		t.Errorf("auto at P=1 = %v, want buffered", got)
-	}
-	if got := SourceMem.Resolve(8); got != SourceMem {
-		t.Errorf("concrete kind must pass through Resolve, got %v", got)
+	if SourceMem.IsAuto() || SourceMem.OrAuto() != SourceMem {
+		t.Error("a named kind must pass through OrAuto")
 	}
 }
 

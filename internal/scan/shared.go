@@ -434,7 +434,7 @@ func (sc *sharedScan) Next() (graph.Vertex, []graph.Vertex, bool) {
 		return 0, nil, false
 	}
 	list := sc.listBuf[:d]
-	decodeEntries(list, raw)
+	graph.DecodePlain(list, raw)
 	return u, list, true
 }
 

@@ -1,23 +1,26 @@
-// Package sched is the chunk scheduler of the PDTL engine: it decides how
-// the load-balance plan's edge ranges reach the MGT runners.
+// Package sched is the chunk scheduler of the PDTL cluster: it decides how
+// the load-balance plan's edge ranges reach the nodes.
 //
 // The paper binds every one of the N·P processors to one contiguous edge
 // range up front (Section IV-B) and names "different techniques of load
 // balancing" as future work (Section VI). That static binding makes the
-// slowest runner — the "struggler" — gate the whole calculation whenever
+// slowest node — the "struggler" — gate the whole calculation whenever
 // the cost model misjudges a range, which it does on skewed degree
 // distributions. This package implements the dynamic alternative: the plan
-// is cut into K·P weighted chunks (reusing the balancer's in-degree/cost
-// weights, so every chunk carries roughly 1/K of a processor's expected
-// work), a concurrent queue hands chunks to a pool of P persistent runners,
-// and whichever runner finishes early simply takes the next chunk — the
-// work-stealing discipline that engineering studies of distributed triangle
-// counting identify as the decisive factor on skewed inputs.
+// is cut into K·P weighted chunks per node (reusing the balancer's
+// in-degree/cost weights, so every chunk carries roughly 1/K of a
+// processor's expected work), the master's Dispenser hands batches of
+// chunks to the nodes, and whichever node finishes early simply takes the
+// next batch — the work-stealing discipline that engineering studies of
+// distributed triangle counting identify as the decisive factor on skewed
+// inputs. Inside a node nothing is scheduled here: its runners share one
+// window and are dealt cone blocks (mgt.RunDealt), which balances a round to
+// a few thousand entries with no cost model at all.
 //
 // The scheduler never changes what is computed: chunks partition the same
 // global edge range a static plan covers, every triangle is still reported
 // exactly once by the chunk holding its pivot edge, and chunk-indexed
-// outputs keep listings deterministic even though the chunk→runner
+// outputs keep listings deterministic even though the chunk→node
 // assignment is not.
 package sched
 
@@ -25,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"pdtl/internal/balance"
 	"pdtl/internal/mgt"
@@ -39,9 +41,9 @@ const (
 	// one contiguous range for the whole run (the load-balance ablation
 	// baseline).
 	Static Mode = iota
-	// Stealing cuts the plan into K·P weighted chunks and lets a pool of P
-	// runners draw them dynamically — an early finisher takes the next
-	// chunk instead of idling behind the struggler.
+	// Stealing cuts the plan into K·P weighted chunks per node and lets the
+	// nodes draw them in batches — an early finisher takes the next batch
+	// instead of idling behind the struggler.
 	Stealing
 )
 
@@ -89,43 +91,6 @@ func ChunksFor(workers, perWorker int) int {
 	return workers * perWorker
 }
 
-// Queue hands chunks to a pool of runners, in plan order, each exactly
-// once. It is a single atomic cursor over the chunk slice: "stealing" here
-// is self-scheduling from a shared queue — there are no per-worker deques
-// to steal from because chunks are pre-weighted and uniform-cost, so a
-// central queue has no contention worth avoiding at P ≤ hundreds.
-type Queue struct {
-	chunks  []balance.Range
-	next    atomic.Int64
-	stopped atomic.Bool
-}
-
-// NewQueue creates a queue over the chunk list. The slice is not copied;
-// callers must not mutate it while the queue is live.
-func NewQueue(chunks []balance.Range) *Queue {
-	return &Queue{chunks: chunks}
-}
-
-// Next pops the next chunk and its index. ok is false when the queue is
-// exhausted or stopped.
-func (q *Queue) Next() (int, balance.Range, bool) {
-	if q.stopped.Load() {
-		return 0, balance.Range{}, false
-	}
-	i := int(q.next.Add(1)) - 1
-	if i >= len(q.chunks) {
-		return 0, balance.Range{}, false
-	}
-	return i, q.chunks[i], true
-}
-
-// Stop makes every later Next return false — the error path: a failed
-// runner stops the drain without yanking work already in flight.
-func (q *Queue) Stop() { q.stopped.Store(true) }
-
-// Len reports the total chunk count.
-func (q *Queue) Len() int { return len(q.chunks) }
-
 // Ledger folds per-chunk outcomes into one runner's accounting, keeping
 // the per-worker statistics of the engine's static mode meaningful under
 // dynamic assignment: counters sum, wall time sums (the chunks ran
@@ -144,16 +109,10 @@ type Ledger struct {
 	Stats mgt.Stats
 }
 
-// Fold accumulates one executed chunk.
-func (l *Ledger) Fold(r balance.Range, st mgt.Stats) {
-	l.FoldWorker(r.Lo, r.Hi, 1, st)
-}
-
-// FoldWorker accumulates an already-folded per-worker result (hull
-// [lo, hi), chunks executed, folded stats) — the distributed master's
-// cross-batch accumulation applies the same rule per batch that Fold
-// applies per chunk, so the folding discipline lives here alone. A zero
-// chunk count (a pool runner that drew nothing) folds nothing.
+// FoldWorker accumulates one batch's per-worker result (hull [lo, hi),
+// ranges worked on, stats) — the distributed master's cross-batch
+// accumulation; the folding discipline lives here alone. A zero chunk count
+// (a runner that took part in nothing) folds nothing.
 func (l *Ledger) FoldWorker(lo, hi uint64, chunks int, st mgt.Stats) {
 	if chunks == 0 {
 		return
@@ -372,7 +331,7 @@ func (d *Dispenser) signalLocked() {
 // waiters are released, and pending work is dropped. The fatal-error path —
 // when a run is lost, the healthy nodes must not spend hours computing a
 // result the master will discard; they finish their in-flight batch and
-// find the queue empty (the Dispenser analog of Queue.Stop).
+// find the dispenser empty.
 func (d *Dispenser) Stop() {
 	d.mu.Lock()
 	d.next = len(d.chunks)

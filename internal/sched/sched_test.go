@@ -48,68 +48,13 @@ func TestChunksFor(t *testing.T) {
 	}
 }
 
-// TestQueueDrainsEachChunkOnce hammers the queue from many goroutines and
-// checks every chunk is handed out exactly once.
-func TestQueueDrainsEachChunkOnce(t *testing.T) {
-	const n = 1000
-	chunks := make([]balance.Range, n)
-	for i := range chunks {
-		chunks[i] = balance.Range{Lo: uint64(i), Hi: uint64(i + 1)}
-	}
-	q := NewQueue(chunks)
-	var mu sync.Mutex
-	seen := make(map[int]int)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i, r, ok := q.Next()
-				if !ok {
-					return
-				}
-				if r.Lo != uint64(i) {
-					t.Errorf("chunk %d has range %+v", i, r)
-				}
-				mu.Lock()
-				seen[i]++
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != n {
-		t.Fatalf("drained %d distinct chunks, want %d", len(seen), n)
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("chunk %d handed out %d times", i, c)
-		}
-	}
-	if _, _, ok := q.Next(); ok {
-		t.Error("Next returned a chunk after exhaustion")
-	}
-}
-
-func TestQueueStop(t *testing.T) {
-	q := NewQueue(make([]balance.Range, 10))
-	if _, _, ok := q.Next(); !ok {
-		t.Fatal("fresh queue refused a chunk")
-	}
-	q.Stop()
-	if _, _, ok := q.Next(); ok {
-		t.Error("stopped queue handed out a chunk")
-	}
-}
-
 // TestLedgerFold checks the folding rules: wall sums (sequential chunks),
 // counters sum, range becomes the hull.
 func TestLedgerFold(t *testing.T) {
 	var l Ledger
 	l.Worker = 3
-	l.Fold(balance.Range{Lo: 100, Hi: 200}, mgt.Stats{Triangles: 5, Passes: 2, CmpOps: 10, Wall: 100 * time.Millisecond})
-	l.Fold(balance.Range{Lo: 10, Hi: 40}, mgt.Stats{Triangles: 7, Passes: 1, CmpOps: 30, Wall: 50 * time.Millisecond})
+	l.FoldWorker(100, 200, 1, mgt.Stats{Triangles: 5, Passes: 2, CmpOps: 10, Wall: 100 * time.Millisecond})
+	l.FoldWorker(10, 40, 1, mgt.Stats{Triangles: 7, Passes: 1, CmpOps: 30, Wall: 50 * time.Millisecond})
 	if l.Chunks != 2 {
 		t.Errorf("Chunks = %d, want 2", l.Chunks)
 	}

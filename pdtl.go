@@ -53,21 +53,31 @@ type Options struct {
 	Workers int
 	// MemEdges is the per-worker memory budget M, in adjacency entries
 	// (4 bytes each). Non-positive selects a 16 MiB default. Correctness
-	// never depends on M; it only trades passes for memory.
+	// never depends on M; it only trades passes for memory. By default the
+	// workers pool their budgets into one window of Workers·MemEdges
+	// entries (see ScanSource); a store smaller than the budget costs its
+	// own size.
 	MemEdges int
 	// NaiveBalance disables the paper's in-degree load balancer and splits
-	// edges equally instead (the "w/o LB" ablation of Figure 9).
+	// edges equally instead (the "w/o LB" ablation of Figure 9). It decides
+	// the ranges of runners with private windows — a named ScanSource, or a
+	// cluster's nodes; the default local run splits nothing.
 	NaiveBalance bool
-	// BufBytes is each runner's sequential read buffer; non-positive
-	// selects 1 MiB.
+	// BufBytes is each runner's sequential read buffer under a named
+	// ScanSource; non-positive selects 1 MiB.
 	BufBytes int
-	// ScanSource selects how adjacency data reaches the runners: "auto"
-	// (or empty — one shared physical scan per round of passes when
-	// Workers > 1, per-runner buffered scans otherwise), "buffered" (the
-	// paper's configuration: every runner scans the file itself),
-	// "shared" (one sequential reader broadcasts to all runners), or
-	// "mem" (whole adjacency array in RAM; for graphs that fit). The
-	// triangle output is identical for every choice.
+	// ScanSource selects how adjacency data reaches the runners. "auto" (or
+	// empty) is cooperative windows: the workers share one window of
+	// Workers·MemEdges entries, loaded once per round, and are dealt the
+	// scan of the store in blocks of a few thousand entries — whichever is
+	// free takes the next — so a round balances itself and a store that
+	// fits the window is read exactly once. Naming a source selects the
+	// paper's layout instead — every worker a range of the load-balance
+	// plan and a private MemEdges-entry window — fed by "buffered" (the
+	// paper's configuration: every runner scans the file itself), "shared"
+	// (one sequential reader broadcasts to all runners), or "mem" (whole
+	// adjacency array in RAM; for graphs that fit). The triangle set is
+	// identical for every choice.
 	ScanSource string
 	// Kernel selects how a cone vertex's list N(u) is intersected with the
 	// in-memory lists of its out-neighbours: "auto" (or empty — N(u) is
@@ -85,16 +95,15 @@ type Options struct {
 	// counting and unrolled varint decoding on compressed stores — which
 	// changes no counts, only speed.
 	Kernel string
-	// Sched selects the chunk scheduler: "static" (or empty — the paper's
-	// one-shot binding of one contiguous edge range per worker) or
-	// "stealing" (the load-balance plan is cut into Chunks×Workers
-	// weighted chunks drawn dynamically by the worker pool, so an early
-	// finisher takes the straggler's remaining work instead of idling).
-	// The triangle set is identical for both; "stealing" listings are
-	// deterministic in chunk order rather than the static worker order.
+	// Sched names the schedule: "static" (or empty) or "stealing". It is
+	// validated, reported and part of Key, but on one machine there is
+	// nothing left for it to decide: cooperative windows deal every round
+	// dynamically, and a named ScanSource binds one range to each worker
+	// either way. The choice matters to ClusterOptions, where it decides
+	// how the master hands the plan to its nodes.
 	Sched string
-	// Chunks is the chunks-per-worker factor K of the stealing scheduler;
-	// non-positive selects the default (8). Ignored under "static".
+	// Chunks is the chunks-per-worker factor K of a stealing plan
+	// (ClusterOptions.Chunks); a local run ignores it.
 	Chunks int
 	// StoreFormat selects the on-disk encoding of the oriented store built
 	// when the input is unoriented: "plain" (or empty — 4 bytes per
@@ -134,7 +143,7 @@ func (o Options) Key() (string, error) {
 		store = graph.FormatPlain
 	}
 	return fmt.Sprintf("w%d m%d %s %s %s %s c%d %s",
-		workers, mem, copt.Strategy, copt.Sched, copt.Scan.Resolve(workers), copt.Kernel, chunks, store), nil
+		workers, mem, copt.Strategy, copt.Sched, copt.Scan.OrAuto(), copt.Kernel, chunks, store), nil
 }
 
 func (o Options) toCore() (core.Options, error) {
@@ -175,16 +184,18 @@ func (o Options) toCore() (core.Options, error) {
 type WorkerStats struct {
 	// Worker is the runner index.
 	Worker int
-	// EdgeLo and EdgeHi delimit the runner's pivot-edge range. Under the
-	// stealing scheduler they bound the (possibly non-contiguous) union of
-	// the chunks the runner drew.
+	// EdgeLo and EdgeHi delimit the runner's pivot-edge range — the whole
+	// store for every runner of a cooperative window, which share it. On a
+	// cluster node they bound the (possibly non-contiguous) union of the
+	// ranges the node drew.
 	EdgeLo, EdgeHi uint64
-	// Chunks is how many chunks the runner executed: 1 under the static
-	// scheduler, the dynamic draw count under stealing.
+	// Chunks is how many ranges the runner worked on: 1 for a local run,
+	// the batches' ranges summed for a cluster node's runner.
 	Chunks int
 	// Triangles found in the range.
 	Triangles uint64
-	// Passes is the number of memory windows the runner iterated.
+	// Passes is the number of memory windows the runner iterated: its own,
+	// or the rounds of the shared window it took part in (all of them).
 	Passes int
 	// CPUTime and IOTime split the runner's wall time into computation
 	// and time spent inside disk reads.
@@ -214,20 +225,23 @@ type Result struct {
 	// OrientedBase is the path of the oriented store used (reusable as the
 	// input of later runs to skip orientation).
 	OrientedBase string
-	// ScanSource is the concrete scan source the run used ("buffered",
-	// "shared", or "mem" — "auto" resolved).
+	// ScanSource is the scan source the run used ("auto" — cooperative
+	// windows — "buffered", "shared", or "mem").
 	ScanSource string
-	// Sched is the chunk scheduler the run used ("static" or "stealing").
+	// Sched is the schedule the run was asked for ("static" or "stealing").
 	Sched string
-	// MemEdges is the window the load-balance plan was made for — the
-	// run's M, clipped to the store size — and Windows how many of them the
-	// store is: the passes a single runner would need, and the least the
-	// runners' Passes can sum to.
+	// MemEdges is the run's window, clipped to the store size —
+	// Workers·M under "auto", M under a named source — and Windows how many
+	// of them the store is: the rounds of a cooperative run (each runner's
+	// Passes), or the passes a single runner with a private window would
+	// need, the least the runners' Passes can sum to.
 	MemEdges, Windows int
-	// SourceBytesRead is the disk volume the scan source read on its own
-	// behalf: the shared broadcaster's single scan per round of passes,
-	// or the in-memory preload. Zero for "buffered", whose scans are
-	// charged to the per-worker BytesRead instead.
+	// SourceBytesRead is the disk volume that is no worker's own: under
+	// "auto" the loads of the windows the workers share; otherwise what
+	// the scan source read on its own behalf — the shared broadcaster's
+	// single scan per round of passes, or the in-memory preload; zero for
+	// "buffered", whose scans are charged to the per-worker BytesRead
+	// instead.
 	SourceBytesRead int64
 }
 

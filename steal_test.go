@@ -19,10 +19,12 @@ func stealStore(t *testing.T) string {
 	return base
 }
 
-// TestHandleStealingMatchesStatic drives the public knobs end to end: the
-// stealing scheduler must produce the same count and the same normalized
-// listing as the default static run, report its mode and per-worker chunk
-// draws, and a raw stealing listing must be deterministic across runs.
+// TestHandleStealingMatchesStatic drives the public knobs end to end. On
+// one machine the schedule has nothing left to decide — the runners of a
+// cooperative window are dealt blocks, a named source binds one range to
+// each runner — so a "stealing" run must report its mode, produce the same
+// count and the same listing as the default static run, byte for byte and
+// run after run, and draw no chunks.
 func TestHandleStealingMatchesStatic(t *testing.T) {
 	base := stealStore(t)
 	g, err := Open(base)
@@ -50,12 +52,21 @@ func TestHandleStealingMatchesStatic(t *testing.T) {
 	if stealRes.Triangles != staticRes.Triangles {
 		t.Fatalf("stealing counted %d, static %d", stealRes.Triangles, staticRes.Triangles)
 	}
-	totalChunks := 0
-	for _, w := range stealRes.Workers {
-		totalChunks += w.Chunks
-	}
-	if want := 3 * 4; totalChunks != want {
-		t.Errorf("workers drew %d chunks total, want %d", totalChunks, want)
+	for _, source := range []string{"auto", "buffered"} {
+		opt := stealOpt
+		opt.ScanSource = source
+		res, err := g.Count(context.Background(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		totalChunks := 0
+		for _, w := range res.Workers {
+			totalChunks += w.Chunks
+		}
+		if res.Triangles != staticRes.Triangles || len(res.Workers) != 3 || totalChunks != 3 {
+			t.Errorf("-scan %s: %d triangles (want %d), %d workers ran %d ranges, want 3 and 3",
+				source, res.Triangles, staticRes.Triangles, len(res.Workers), totalChunks)
+		}
 	}
 
 	// Listings: identical multiset, deterministic raw bytes under stealing.
@@ -69,8 +80,8 @@ func TestHandleStealingMatchesStatic(t *testing.T) {
 	if _, err := g.List(context.Background(), &steal2, stealOpt); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(steal1.Bytes(), steal2.Bytes()) {
-		t.Error("stealing listing differs across runs; chunk-order determinism broken")
+	if !bytes.Equal(steal1.Bytes(), steal2.Bytes()) || !bytes.Equal(steal1.Bytes(), staticList.Bytes()) {
+		t.Error("stealing listing differs across runs, or from the static one")
 	}
 	norm := func(b []byte) map[[3]uint32]bool {
 		tris, err := mgt.ReadTriangles(bytes.NewReader(b))

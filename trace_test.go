@@ -24,11 +24,13 @@ func spanAttr(sp obs.Span, key string) (int64, bool) {
 // count over an in-process cluster, driven with a trace cursor, must
 // produce ONE merged trace in which (a) every span hangs off the single
 // cluster root, (b) each worker's node.count span is re-parented under the
-// master dispatch span that carried it over the wire, and (c) the chunk
-// spans' [lo, hi) edge intervals — master-local and worker-side together —
-// tile the oriented store's global edge range exactly once. (c) is the
-// strongest form of "the trace reflects the run": a missing chunk span
-// means an untraced execution path, an overlapping one a double-count.
+// master dispatch span that carried it over the wire, and (c) the windows
+// of the scan.round spans — one per round of a node's cooperative window,
+// master-local and worker-side together — tile the oriented store's global
+// edge range exactly once, with every runner's chunk span saying what it
+// did in them. (c) is the strongest form of "the trace reflects the run": a
+// missing round means an untraced execution path, an overlapping one a
+// double-count.
 func TestDistributedTraceShape(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "pl")
 	if _, err := GeneratePowerLaw(base, 600, 6000, 1.9, 11); err != nil {
@@ -142,48 +144,72 @@ func TestDistributedTraceShape(t *testing.T) {
 		}
 	}
 
-	// (c) Chunk spans tile the oriented store's directed-edge range
-	// exactly once.
+	// (c) The rounds' windows tile the oriented store's directed-edge range
+	// exactly once, and every node's runners report on theirs.
 	meta, err := graph.ReadMeta(res.OrientedBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type interval struct{ lo, hi int64 }
-	var chunks []interval
+	roundsTile(t, spans, int64(meta.NumEdges))
+	chunks := 0
 	for i, sp := range spans {
 		if sp.Name != obs.SpanChunk {
 			continue
 		}
-		lo, okLo := spanAttr(sp, "lo")
-		hi, okHi := spanAttr(sp, "hi")
-		if !okLo || !okHi {
-			t.Fatalf("chunk span %d is missing lo/hi attrs", i)
+		chunks++
+		for _, key := range []string{"cmp_ops", "io_bytes", "passes", "blocks", "idle_ns"} {
+			if _, ok := spanAttr(sp, key); !ok {
+				t.Errorf("chunk span %d is missing the %q attr", i, key)
+			}
 		}
-		chunks = append(chunks, interval{lo, hi})
 	}
-	if len(chunks) == 0 {
-		t.Fatal("trace has no chunk spans")
+	if want := 3 * 2; chunks != want { // three nodes, two runners each
+		t.Errorf("trace has %d chunk spans, want one per runner per node: %d", chunks, want)
 	}
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i].lo < chunks[j].lo })
+}
+
+// roundsTile fails unless the [window_lo, window_hi) intervals of the
+// trace's scan.round spans tile [0, edges) exactly once.
+func roundsTile(t *testing.T, spans []obs.Span, edges int64) {
+	t.Helper()
+	type interval struct{ lo, hi int64 }
+	var rounds []interval
+	for i, sp := range spans {
+		if sp.Name != obs.SpanScanRound {
+			continue
+		}
+		lo, okLo := spanAttr(sp, "window_lo")
+		hi, okHi := spanAttr(sp, "window_hi")
+		_, okIO := spanAttr(sp, "io_bytes")
+		if blocks, ok := spanAttr(sp, "blocks"); !okLo || !okHi || !okIO || !ok || blocks < 1 {
+			t.Fatalf("scan.round span %d is missing one of its window_lo/window_hi/blocks/io_bytes attrs", i)
+		}
+		rounds = append(rounds, interval{lo, hi})
+	}
+	if len(rounds) == 0 {
+		t.Fatal("trace has no scan.round spans")
+	}
+	sort.Slice(rounds, func(i, j int) bool { return rounds[i].lo < rounds[j].lo })
 	cursor := int64(0)
-	for _, c := range chunks {
+	for _, c := range rounds {
 		if c.lo != cursor {
-			t.Fatalf("chunk intervals do not tile: next chunk starts at %d, want %d (gap or overlap)", c.lo, cursor)
+			t.Fatalf("windows do not tile: next round starts at %d, want %d (gap or overlap)", c.lo, cursor)
 		}
 		if c.hi <= c.lo {
-			t.Fatalf("chunk interval [%d, %d) is empty or inverted", c.lo, c.hi)
+			t.Fatalf("window [%d, %d) is empty or inverted", c.lo, c.hi)
 		}
 		cursor = c.hi
 	}
-	if cursor != int64(meta.NumEdges) {
-		t.Fatalf("chunk intervals cover [0, %d), want the full edge range [0, %d)", cursor, meta.NumEdges)
+	if cursor != edges {
+		t.Fatalf("windows cover [0, %d), want the full edge range [0, %d)", cursor, edges)
 	}
 }
 
 // TestLocalTraceShape: an untraced-by-default local count gains a full
 // phase tree when a cursor rides the context — count at the root, with
-// orient/plan/calc beneath it and every chunk span under calc's runner
-// spans tiling the plan.
+// orient/plan/calc beneath it, one chunk span per runner and one scan.round
+// span per window under calc, the windows tiling the store in as many
+// rounds as the plan span says.
 func TestLocalTraceShape(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "rmat")
 	if _, err := GenerateRMAT(base, 10, 12, 5); err != nil {
@@ -215,16 +241,18 @@ func TestLocalTraceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var covered int64
+	roundsTile(t, tr.Spans(), int64(meta.NumEdges))
+	wantRounds := (int(meta.NumEdges) + 2*512 - 1) / (2 * 512)
+	if names[obs.SpanChunk] != 2 || names[obs.SpanScanRound] != wantRounds || res.Windows != wantRounds {
+		t.Errorf("%d chunk spans, %d scan.round spans, Result.Windows %d; want 2, %d, %d",
+			names[obs.SpanChunk], names[obs.SpanScanRound], res.Windows, wantRounds, wantRounds)
+	}
 	for _, sp := range tr.Spans() {
-		if sp.Name != obs.SpanChunk {
+		if sp.Name != obs.SpanPlan {
 			continue
 		}
-		lo, _ := spanAttr(sp, "lo")
-		hi, _ := spanAttr(sp, "hi")
-		covered += hi - lo
-	}
-	if covered != int64(meta.NumEdges) {
-		t.Errorf("chunk spans cover %d edges, want %d", covered, meta.NumEdges)
+		if w, _ := spanAttr(sp, "windows"); int(w) != wantRounds {
+			t.Errorf("plan span says %d windows, want %d", w, wantRounds)
+		}
 	}
 }
