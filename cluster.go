@@ -13,6 +13,7 @@ import (
 	"pdtl/internal/cluster"
 	"pdtl/internal/core"
 	"pdtl/internal/graph"
+	"pdtl/internal/mgt"
 	"pdtl/internal/scan"
 	"pdtl/internal/sched"
 )
@@ -31,9 +32,8 @@ type ClusterOptions struct {
 	// ScanSource selects every node's scan source ("auto", "buffered",
 	// "shared", "mem"); see Options.ScanSource.
 	ScanSource string
-	// Kernel selects every node's intersection routine ("auto" or empty,
-	// "merge", "gallop", "adaptive", "compressed", "cover"); see
-	// Options.Kernel. The default travels as the empty string.
+	// Kernel selects every node's cone routine ("auto" or empty, or
+	// "merge"); see Options.Kernel. The default travels as the empty string.
 	Kernel string
 	// Sched selects the chunk scheduler: "static" (or empty — the paper's
 	// up-front pre-split of the global plan across nodes) or "stealing"
@@ -87,7 +87,7 @@ func (o ClusterOptions) Key(workerAddrs []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	kernelKind, err := scan.ParseKernel(o.Kernel)
+	kernelKind, err := mgt.ParseKernel(o.Kernel)
 	if err != nil {
 		return "", err
 	}
@@ -223,7 +223,7 @@ func (g *Graph) CountDistributed(ctx context.Context, workerAddrs []string, opt 
 	if err != nil {
 		return nil, err
 	}
-	kernelKind, err := scan.ParseKernel(opt.Kernel)
+	kernelKind, err := mgt.ParseKernel(opt.Kernel)
 	if err != nil {
 		return nil, err
 	}

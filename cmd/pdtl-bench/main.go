@@ -8,9 +8,9 @@
 //	pdtl-bench -exp table2           # run one experiment
 //	pdtl-bench -all                  # run everything (minutes)
 //	pdtl-bench -all -cache ./cache   # persist generated datasets
-//	pdtl-bench -exp fig6 -scan buffered -kernel adaptive
+//	pdtl-bench -exp fig6 -scan buffered -kernel merge
 //	                                 # any experiment under a different
-//	                                 # scan source / intersection kernel
+//	                                 # scan source / cone routine
 //	pdtl-bench -json -datasets tiny  # machine-readable per-run results
 //	                                 # (wall/CPU/IO/worker-imbalance) for
 //	                                 # the BENCH_*.json perf trajectory;
@@ -39,6 +39,7 @@ import (
 
 	"pdtl/internal/graph"
 	"pdtl/internal/harness"
+	"pdtl/internal/mgt"
 	"pdtl/internal/scan"
 	"pdtl/internal/sched"
 )
@@ -51,7 +52,7 @@ func main() {
 	scanSource := flag.String("scan", "",
 		"override the scan source for every experiment: auto, buffered, shared, or mem")
 	kernel := flag.String("kernel", "",
-		"override the intersection kernel for every experiment: auto, merge, gallop, adaptive, compressed, or cover")
+		"override the cone routine for every experiment: auto (mark-and-probe) or merge (the paper's two-pointer merge)")
 	schedMode := flag.String("sched", "",
 		"override the chunk scheduler for every experiment: static or stealing")
 	chunks := flag.Int("chunks", 0, "chunks per worker for the stealing scheduler (default 8)")
@@ -90,7 +91,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pdtl-bench:", err)
 		os.Exit(2)
 	}
-	if h.Kernel, err = scan.ParseKernel(*kernel); err != nil {
+	if h.Kernel, err = mgt.ParseKernel(*kernel); err != nil {
 		fmt.Fprintln(os.Stderr, "pdtl-bench:", err)
 		os.Exit(2)
 	}

@@ -43,7 +43,7 @@ func main() {
 	scanSource := flag.String("scan", "auto",
 		"per-node scan source: auto (a node's workers share one window and are dealt the scan), or private windows fed by buffered, shared, or mem")
 	kernel := flag.String("kernel", "auto",
-		"intersection kernel: auto, merge, gallop, adaptive, compressed, or cover")
+		"cone routine: auto (mark-and-probe) or merge (the paper's two-pointer merge)")
 	store := flag.String("store", "",
 		"oriented-store encoding built and replicated to workers: plain or compressed (default plain; already-oriented input is replicated as-is)")
 	schedMode := flag.String("sched", "static",

@@ -63,12 +63,12 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   pdtl count -graph BASE [-workers P] [-mem ENTRIES] [-naive-balance]
              [-scan auto|buffered|shared|mem]
-             [-kernel auto|merge|gallop|adaptive|compressed|cover]
+             [-kernel auto|merge]
              [-sched static|stealing] [-chunks K] [-store plain|compressed]
              [-trace FILE]
   pdtl list  -graph BASE -out FILE [-workers P] [-mem ENTRIES]
              [-scan auto|buffered|shared|mem]
-             [-kernel auto|merge|gallop|adaptive|compressed|cover]
+             [-kernel auto|merge]
              [-sched static|stealing] [-chunks K] [-store plain|compressed]
              [-trace FILE]
   pdtl info  -graph BASE`)
@@ -83,7 +83,7 @@ func commonFlags(fs *flag.FlagSet) (graphBase *string, opt *pdtl.Options) {
 	fs.StringVar(&opt.ScanSource, "scan", "auto",
 		"scan source: auto (the workers share one window of workers·mem entries and are dealt the scan), or the paper's private windows fed by buffered, shared, or mem")
 	fs.StringVar(&opt.Kernel, "kernel", "auto",
-		"intersection kernel: auto (mark N(u) once, probe every in-memory list), or pairwise merge (the paper's), gallop, adaptive, compressed (block-skipping), or cover")
+		"cone routine: auto (mark N(u) once, probe every in-memory list) or merge (the paper's pairwise two-pointer merge)")
 	fs.StringVar(&opt.Sched, "sched", "static",
 		"schedule: static or stealing; it decides how pdtl-master hands a plan to its nodes, a single machine runs both the same")
 	fs.IntVar(&opt.Chunks, "chunks", 0,

@@ -79,14 +79,14 @@ func main() {
 	// 5. Run on the compressed store format. StoreFormat "compressed"
 	//    builds (and caches, independently of the plain one) an oriented
 	//    store of delta-varint/bitmap segments — typically 2×+ smaller per
-	//    edge on skewed graphs — and the "compressed" kernel intersects it
-	//    without full decompression, skipping whole segments on their
-	//    headers. Same graph, same count, byte-identical listing order.
+	//    edge on skewed graphs — and the runs skip a list whose segment
+	//    headers say it cannot reach the window without decoding it. Same
+	//    graph, same count, byte-identical listing order.
 	//    (`pdtl-gen -format compressed` writes input stores in this
 	//    encoding directly; `pdtl.Open` auto-detects it.)
 	comp, err := g.Count(ctx, pdtl.Options{
 		Workers: 4, MemEdges: 1 << 16,
-		StoreFormat: "compressed", Kernel: "compressed",
+		StoreFormat: "compressed",
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -329,9 +329,10 @@ func TestListConcurrentSamePath(t *testing.T) {
 }
 
 // TestHandleCompressedStoreRuns: one handle serves both store formats —
-// local runs on each produce the same count, the compressed orientation is
-// actually compressed on disk, and a distributed run replicates the
-// compressed store (.cadj/.cidx travel the wire) and agrees.
+// local runs on each produce the same count under either kernel, the
+// compressed orientation is actually compressed on disk, and a distributed
+// run replicates the compressed store (.cadj/.cidx travel the wire) and
+// agrees.
 func TestHandleCompressedStoreRuns(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "pl")
 	if _, err := GeneratePowerLaw(base, 800, 8000, 1.9, 7); err != nil {
@@ -348,40 +349,42 @@ func TestHandleCompressedStoreRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := g.Count(ctx, Options{Workers: 2, MemEdges: 512, StoreFormat: "compressed", Kernel: "compressed"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Triangles != comp.Triangles {
-		t.Fatalf("plain store counted %d, compressed %d", plain.Triangles, comp.Triangles)
-	}
-	if plain.OrientedBase == comp.OrientedBase {
-		t.Fatalf("both formats oriented to %q", plain.OrientedBase)
-	}
-	meta, err := graph.ReadMeta(comp.OrientedBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Format != graph.FormatCompressed {
-		t.Fatalf("compressed run oriented to format %q", meta.Format)
-	}
-
 	pool, err := StartLocalWorkers(2, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	dres, err := g.CountDistributed(ctx, pool.Addrs(), ClusterOptions{
-		Workers: 2, MemEdges: 512, StoreFormat: "compressed", Kernel: "compressed",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dres.Triangles != plain.Triangles {
-		t.Fatalf("distributed compressed run counted %d, want %d", dres.Triangles, plain.Triangles)
-	}
-	if dres.OrientedBase != comp.OrientedBase {
-		t.Fatalf("distributed run oriented to %q, want the cached %q", dres.OrientedBase, comp.OrientedBase)
+	for _, kernel := range []string{"", "merge"} {
+		comp, err := g.Count(ctx, Options{Workers: 2, MemEdges: 512, StoreFormat: "compressed", Kernel: kernel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.Triangles != comp.Triangles {
+			t.Fatalf("kernel %q: plain store counted %d, compressed %d", kernel, plain.Triangles, comp.Triangles)
+		}
+		if plain.OrientedBase == comp.OrientedBase {
+			t.Fatalf("kernel %q: both formats oriented to %q", kernel, plain.OrientedBase)
+		}
+		meta, err := graph.ReadMeta(comp.OrientedBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Format != graph.FormatCompressed {
+			t.Fatalf("kernel %q: compressed run oriented to format %q", kernel, meta.Format)
+		}
+
+		dres, err := g.CountDistributed(ctx, pool.Addrs(), ClusterOptions{
+			Workers: 2, MemEdges: 512, StoreFormat: "compressed", Kernel: kernel,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dres.Triangles != plain.Triangles {
+			t.Fatalf("kernel %q: distributed compressed run counted %d, want %d", kernel, dres.Triangles, plain.Triangles)
+		}
+		if dres.OrientedBase != comp.OrientedBase {
+			t.Fatalf("kernel %q: distributed run oriented to %q, want the cached %q", kernel, dres.OrientedBase, comp.OrientedBase)
+		}
 	}
 }
 

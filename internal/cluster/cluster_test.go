@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -384,6 +385,49 @@ func TestFailedCopyDoesNotPoisonReplicaCache(t *testing.T) {
 	}
 	if reply.Triangles != want {
 		t.Errorf("post-recovery count = %d, want %d", reply.Triangles, want)
+	}
+}
+
+// TestNodeRejectsRemovedKernel: a master that predates the kernel deletion
+// may still send a kernel name this node no longer has. The batch must fail
+// with an error naming it — not panic, and not quietly run the default —
+// while the two remaining names count the same triangles.
+func TestNodeRejectsRemovedKernel(t *testing.T) {
+	g, err := gen.Complete(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), Config{GraphBase: writeStore(t, g, "k8"), Workers: 1, MemEdges: 64}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := NewNode("n", t.TempDir(), 1)
+	transferStore(t, node, "k8", res.OrientedBase, 1)
+	d, err := node.openReplica("k8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := CountArgs{GraphName: "k8", Ranges: []balance.Range{{Lo: 0, Hi: d.Meta.AdjEntries}}, MemEdges: 64}
+	for _, kernel := range []string{"gallop", "adaptive", "compressed", "cover"} {
+		args.Kernel = kernel
+		var reply CountReply
+		err := node.Count(&args, &reply)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", kernel)) {
+			t.Errorf("kernel %q: Count = %v, want an error naming the kernel", kernel, err)
+		}
+		if reply.Triangles != 0 || reply.Workers != nil {
+			t.Errorf("kernel %q: the rejected batch still counted: %+v", kernel, reply)
+		}
+	}
+	for _, kernel := range []string{"", "auto", "merge"} {
+		args.Kernel = kernel
+		var reply CountReply
+		if err := node.Count(&args, &reply); err != nil {
+			t.Fatalf("kernel %q: %v", kernel, err)
+		}
+		if want := gen.CompleteTriangles(8); reply.Triangles != want {
+			t.Errorf("kernel %q: %d triangles, want %d", kernel, reply.Triangles, want)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"pdtl/internal/core"
 	"pdtl/internal/graph"
 	"pdtl/internal/ioacct"
+	"pdtl/internal/mgt"
 	"pdtl/internal/obs"
 	"pdtl/internal/orient"
 	"pdtl/internal/scan"
@@ -56,9 +57,9 @@ type Config struct {
 	// node's processors share one window over the ranges it is handed and
 	// are dealt the scan (core.RunRanges).
 	Scan scan.SourceKind
-	// Kernel selects the intersection kernel on every node (default
-	// scan.KernelAuto, sent as the empty string).
-	Kernel scan.KernelKind
+	// Kernel selects the cone routine on every node (default
+	// mgt.KernelAuto, sent as the empty string).
+	Kernel mgt.KernelKind
 	// Sched selects the chunk scheduler. Static pre-splits the global
 	// N·P-range plan across nodes up front (the paper's Figure 1
 	// configurations); Stealing cuts the plan into Chunks·N·P weighted

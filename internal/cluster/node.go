@@ -319,7 +319,7 @@ func count(ctx context.Context, d *graph.Disk, args *CountArgs, reply *CountRepl
 	if err != nil {
 		return err
 	}
-	kernelKind, err := scan.ParseKernel(args.Kernel)
+	kernelKind, err := mgt.ParseKernel(args.Kernel)
 	if err != nil {
 		return err
 	}

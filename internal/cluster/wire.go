@@ -121,11 +121,9 @@ type CountArgs struct {
 	// "mem"); empty means auto. Strings rather than enum ints travel on
 	// the wire so heterogeneous builds stay compatible.
 	Scan string
-	// Kernel names the intersection kernel ("merge", "gallop", "adaptive",
-	// "compressed", "cover"); empty means the node's default (auto).
-	// Counting requests (List false) run a named kernel's count-only path
-	// on the node; the per-worker stats in the reply then carry
-	// WordOps/FastDecodes.
+	// Kernel names the node's cone routine ("merge"); empty means the
+	// default, mark-and-probe ("auto"). Any other name — one a removed kernel
+	// used to answer to, say — fails the batch with an error naming it.
 	Kernel string
 	// List requests triangle listing; the triples come back in the reply
 	// (the paper's clients send lists back to the master, which

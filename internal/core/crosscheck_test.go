@@ -98,6 +98,10 @@ func runListed(t *testing.T, label string, d *graph.Disk, ranges []balance.Range
 	return out
 }
 
+// kernels is the kernel axis of every cross-check: the runners' own cone
+// routine and the paper's merge.
+var kernels = []mgt.KernelKind{mgt.KernelAuto, mgt.KernelMerge}
+
 // sameSequences fails unless got and ref hold the same sequences.
 func sameSequences(t *testing.T, label string, got, ref [][][3]graph.Vertex) {
 	t.Helper()
@@ -136,8 +140,7 @@ func isBaselineSet(t *testing.T, label string, tris [][3]graph.Vertex, wantSet m
 
 // TestAllSourceKernelCombosIdentical is the cross-check demanded by the
 // execution-layer refactor: for several generated graphs, every
-// (ScanSource × IntersectKernel) combination — the runners' default cone
-// routine (auto) being one row of the kernel axis — must produce the same
+// (ScanSource × kernel) combination must produce the same
 // triangle count as the in-memory baseline AND the same listed triangle
 // sequence per runner — not just the same set, since sources and kernels
 // both promise order-preserving equivalence.
@@ -158,7 +161,6 @@ func TestAllSourceKernelCombosIdentical(t *testing.T) {
 		{"trigrid", func() (*graph.CSR, error) { return gen.TriGrid(9, 9) }, 32},
 	}
 	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared, scan.SourceMem}
-	kernels := []scan.KernelKind{scan.KernelAuto, scan.KernelMerge, scan.KernelGallop, scan.KernelAdaptive}
 	const workers = 3
 
 	for _, tc := range graphs {
@@ -200,7 +202,7 @@ func TestAllSourceKernelCombosIdentical(t *testing.T) {
 			// window — workers·memEdges entries.
 			one := runListed(t, "buffered/one runner", d, []balance.Range{mgt.FullRange(d)},
 				Options{MemEdges: workers * tc.memEdges, Scan: scan.SourceBuffered}, false)
-			for _, kern := range []scan.KernelKind{scan.KernelAuto, scan.KernelMerge} {
+			for _, kern := range kernels {
 				label := fmt.Sprintf("auto/%s", kern)
 				got := runListed(t, label, d, ranges, Options{Workers: workers, MemEdges: tc.memEdges, Kernel: kern}, false)
 				if got.total != want {
@@ -216,7 +218,7 @@ func TestAllSourceKernelCombosIdentical(t *testing.T) {
 // TestSchedSourceKernelCombosIdentical extends the cross-check to the
 // schedule axis — the P ranges of a static plan, or the K·P chunks of a
 // stealing one as a node receives them in a batch: sched(static, stealing) ×
-// scan(buffered, shared, mem) × kernel(auto, merge, gallop, adaptive) must
+// scan(buffered, shared, mem) × kernel(auto, merge) must
 // all produce identical, order-normalized triangle listings versus the
 // in-memory baseline. On top of the set identity, the per-chunk listings of
 // every stealing combo must agree exactly (same sequence per chunk) —
@@ -231,7 +233,6 @@ func TestSchedSourceKernelCombosIdentical(t *testing.T) {
 		{"k40", func() (*graph.CSR, error) { return gen.Complete(40) }, 16},
 	}
 	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared, scan.SourceMem}
-	kernels := []scan.KernelKind{scan.KernelAuto, scan.KernelMerge, scan.KernelGallop, scan.KernelAdaptive}
 	const workers = 3
 	const perWorker = 4
 
@@ -305,19 +306,16 @@ func bitmapBoundaryGraph() (*graph.CSR, error) {
 
 // TestSchedSourceKernelStoreCombosIdentical is the full execution-layer
 // cross-check with the store axis added: sched(static, stealing) ×
-// scan(auto, buffered, shared, mem) × kernel(auto + all five) ×
+// scan(auto, buffered, shared, mem) × kernel(auto, merge) ×
 // store(plain, compressed) must produce the identical triangle listing —
 // the same sequence per sink under the named sources, the same assembled
 // sequence under the default's cooperative windows, not just the same set —
 // and match the in-memory baseline count. Every combo then reruns with nil
-// sinks, which selects the closure-free count-only kernel path; its total
-// must equal both the listing total and the baseline (96 count-only combos
-// per graph). The
-// graphs pin the regimes that matter: Complete(40) at memEdges 16 (every
-// vertex takes the large-vertex path), a skewed power law, and the
-// bitmap-boundary graph above (dense 301-entry lists spanning a full
-// bitmap segment plus a tail, exercising bitmap probe paths and
-// header-driven block skipping).
+// sinks, counting only; its total must equal both the listing total and the
+// baseline. The graphs pin the regimes that matter: Complete(40) at memEdges
+// 16 (every vertex takes the large-vertex path), a skewed power law, and the
+// bitmap-boundary graph above (dense 301-entry lists spanning a full bitmap
+// segment plus a tail, decoded through both segment kinds).
 func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 	graphs := []struct {
 		name     string
@@ -329,7 +327,6 @@ func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 		{"bitmap", bitmapBoundaryGraph, 256},
 	}
 	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared, scan.SourceMem}
-	kernels := append([]scan.KernelKind{scan.KernelAuto}, scan.KernelKinds()...)
 	const workers = 3
 	const perWorker = 2
 
@@ -377,8 +374,7 @@ func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 							if got.total != want {
 								t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
 							}
-							// Count-only rerun of the identical combo: nil
-							// sinks auto-select the count kernels, whose
+							// Count-only rerun of the identical combo: its
 							// total must agree with the listing path and
 							// the baseline.
 							if c := runListed(t, label+" count-only", disks[format], ranges, opt, true); c.total != want {

@@ -48,11 +48,8 @@ type Options struct {
 	BufBytes int
 	// Sinks, when non-nil, must have one entry per runner (Runners); runner
 	// i streams its triangles to Sinks[i], and the run's Listing says how
-	// the sinks' outputs make up the listing. Nil means counting only —
-	// runners then take the closure-free count-only kernel path
-	// (scan.CountKernel, and scan.CountBlockKernel with word-parallel bitmap
-	// counting on compressed stores), which produces the identical triangle
-	// count.
+	// the sinks' outputs make up the listing. Nil means counting only: the
+	// same cone routine, the same count and steps, no triangle reported.
 	Sinks []mgt.Sink
 	// KeepOriented leaves the oriented store on disk after the run (the
 	// cluster layer relies on this to copy it to clients).
@@ -65,11 +62,10 @@ type Options struct {
 	// each with its own MemEdges-entry window, fed by a scan source the
 	// engine constructs and owns for the run.
 	Scan scan.SourceKind
-	// Kernel names a pairwise sorted-array intersection kernel; the default
-	// (scan.KernelAuto, empty) leaves the intersecting to the runners' own
-	// mark-and-probe cone routine. Every choice produces identical
-	// triangles.
-	Kernel scan.KernelKind
+	// Kernel is the runners' cone routine: the default (mgt.KernelAuto,
+	// empty) is their own mark-and-probe, mgt.KernelMerge the paper's
+	// pairwise two-pointer merges. Both produce identical triangles.
+	Kernel mgt.KernelKind
 	// Sched is the schedule the ranges come from. Inside one engine there is
 	// nothing left for it to choose — the runners of a cooperative window
 	// are dealt blocks, a named source runs one runner per range — so it
@@ -365,15 +361,14 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 	if n := opt.Runners(len(ranges)); opt.Sinks != nil && len(opt.Sinks) != n {
 		return Calc{}, fmt.Errorf("core: %d sinks for %d runners", len(opt.Sinks), n)
 	}
-	kernel, err := scan.NewKernel(opt.Kernel)
-	if err != nil {
+	if _, err := mgt.ParseKernel(string(opt.Kernel)); err != nil {
 		return Calc{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return Calc{}, err
 	}
 	if opt.Scan.IsAuto() {
-		return runDealt(ctx, d, ranges, opt, kernel)
+		return runDealt(ctx, d, ranges, opt)
 	}
 	src, err := opt.NewSource(opt.Scan, d, scan.Config{
 		BufBytes: opt.BufBytes,
@@ -424,14 +419,11 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 				rctx = obs.ContextWithCursor(ctx, cur.WithWorker(i))
 			}
 			stats[i] = WorkerStat{Worker: i, Range: r, Chunks: 1}
-			// (Not mgt.Run, to which an empty range at entry 0 — a plan
-			// with more ranges than the first hub has room for — is the
-			// zero Range, the whole store.)
 			runner, err := mgt.NewRunner(d, mgt.Config{
 				MemEdges: opt.MemEdges,
 				Counter:  counters[i],
 				Source:   handles[i],
-				Kernel:   kernel,
+				Kernel:   opt.Kernel,
 			})
 			if err != nil {
 				errs[i] = err
@@ -466,7 +458,7 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 
 // runDealt is RunRanges under the default source: cooperative windows over
 // the spans the ranges coalesce into.
-func runDealt(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Options, kernel scan.Kernel) (Calc, error) {
+func runDealt(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Options) (Calc, error) {
 	perRange := opt.Sched == sched.Stealing && opt.Sinks != nil
 	var spans []balance.Range
 	for _, r := range ranges {
@@ -481,7 +473,7 @@ func runDealt(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Op
 	dealt, err := mgt.RunDealt(ctx, d, spans, mgt.DealConfig{
 		Workers:  opt.Workers,
 		MemEdges: opt.MemEdges,
-		Kernel:   kernel,
+		Kernel:   opt.Kernel,
 		Sinks:    opt.Sinks,
 	})
 	calc := Calc{SourceIO: dealt.WindowIO, Listing: dealt.Listing}

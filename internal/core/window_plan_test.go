@@ -86,7 +86,7 @@ func TestWindowAwareRunsMatchBaseline(t *testing.T) {
 					}
 
 					var merged []*recordingSink
-					for _, kern := range []scan.KernelKind{scan.KernelMerge, scan.KernelAuto} {
+					for _, kern := range []mgt.KernelKind{mgt.KernelMerge, mgt.KernelAuto} {
 						recs := make([]*recordingSink, workers)
 						opt.Sinks = make([]mgt.Sink, len(recs))
 						for i := range recs {

@@ -172,8 +172,8 @@ func (e *ListEncoder) Append(dst []byte, list []Vertex) []byte {
 
 // CompressedList is a view of one vertex's encoded adjacency list: the raw
 // segment bytes plus the degree that determines the positional segment
-// split. It is the unit the compressed scan sources hand to runners and the
-// operand the block-skipping kernel intersects without full decompression.
+// split. It is the unit the compressed scan sources hand to runners, whose
+// header-pruned passes reject it on its segment headers before decoding.
 type CompressedList struct {
 	Degree int
 	Data   []byte
@@ -187,16 +187,6 @@ type Segment struct {
 	// test compares them against a query range without touching Payload.
 	First, Last Vertex
 	Payload     []byte
-}
-
-// Contains reports whether a bitmap segment holds v. Only valid for
-// Kind == bitmap segments whose payload length was already validated; the
-// O(1) probe is the "list-probe-into-bitmap" path of the dense blocks.
-//
-//pdtl:hotpath
-func (s Segment) Contains(v Vertex) bool {
-	bit := v - s.First
-	return s.Payload[bit/8]&(1<<(bit%8)) != 0
 }
 
 // SegIter walks a CompressedList's segments, parsing headers (cheap) and

@@ -387,7 +387,7 @@ type SeqScanner interface {
 // CompressedSeqScan decodes the .cadj byte stream of a compressed store into
 // the per-vertex segment stream of SeqScanner, and additionally exposes the
 // undecoded per-vertex lists through NextCompressed — the delivery path of
-// the block-skipping kernels.
+// the header-pruned pass.
 //
 // The byte stream arrives through exactly one of two channels: a fill
 // callback (reads the next len(p) stream bytes — a buffered file read, or a

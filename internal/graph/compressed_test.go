@@ -126,8 +126,8 @@ func TestSegmentBitmapChosen(t *testing.T) {
 	if seg.Kind != segKindBitmap {
 		t.Fatalf("dense segment kind %d, want bitmap", seg.Kind)
 	}
-	if !seg.Contains(0) || !seg.Contains(398) || seg.Contains(1) {
-		t.Fatal("bitmap Contains disagrees with the list")
+	if got, err := DecodeSegment(seg, nil); err != nil || !reflect.DeepEqual(got, dense) {
+		t.Fatalf("bitmap segment decodes to %v, %v; want the list", got, err)
 	}
 
 	sparse := []Vertex{0, 1000, 50000, 1000000}

@@ -13,11 +13,6 @@
 // fall back to the scalar decoder, so the output — including every
 // validation error on corrupt input — is byte-equivalent to DecodeSegment
 // (FuzzDecodeSegmentFast holds the two to arbitrary payloads).
-//
-// SegmentWords is the bitmap counterpart: it exposes a bitmap segment's
-// payload as little-endian 64-bit words, so the count-only kernels can
-// intersect by masked AND + bits.OnesCount64 instead of per-element probes
-// (see internal/scan's word kernels and DESIGN.md §12).
 
 package graph
 
@@ -111,28 +106,4 @@ func DecodeSegmentFast(s Segment, dst []Vertex) (out []Vertex, wideBlocks int, e
 		return dst, wideBlocks, errEndMismatch
 	}
 	return dst, wideBlocks, nil
-}
-
-// SegmentWords appends a bitmap segment's payload to dst as little-endian
-// 64-bit words: bit j of word k is set iff value First + 64k + j is
-// present. The tail word is zero-padded beyond the payload, so masked
-// popcounts over the returned words never see garbage bits. Only valid for
-// Kind == SegBitmap segments whose payload length the segment iterator
-// already validated against the header span.
-//
-//pdtl:hotpath
-func SegmentWords(s Segment, dst []uint64) []uint64 {
-	p := s.Payload
-	for len(p) >= 8 {
-		dst = append(dst, binary.LittleEndian.Uint64(p))
-		p = p[8:]
-	}
-	if len(p) > 0 {
-		var w uint64
-		for i, b := range p {
-			w |= uint64(b) << (8 * uint(i))
-		}
-		dst = append(dst, w)
-	}
-	return dst
 }

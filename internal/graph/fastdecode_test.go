@@ -65,61 +65,6 @@ func TestDecodeSegmentFastMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestSegmentWords checks the word view of bitmap segments bit-for-bit
-// against Contains, including the zero-padded partial tail word.
-func TestSegmentWords(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	var enc ListEncoder
-	for trial := 0; trial < 100; trial++ {
-		// Dense values in a narrow range force bitmap segments.
-		base := Vertex(rng.Intn(10000))
-		span := 30 + rng.Intn(500)
-		var list []Vertex
-		for o := 0; o < span; o++ {
-			if rng.Intn(3) > 0 {
-				list = append(list, base+Vertex(o))
-			}
-		}
-		if len(list) < 2 {
-			continue
-		}
-		cl := CompressedList{Degree: len(list), Data: enc.Append(nil, list)}
-		it := cl.Segments()
-		for {
-			seg, ok := it.Next()
-			if !ok {
-				break
-			}
-			if seg.Kind != SegBitmap {
-				continue
-			}
-			words := SegmentWords(seg, nil)
-			if want := (len(seg.Payload) + 7) / 8; len(words) != want {
-				t.Fatalf("trial %d: %d words for %d payload bytes", trial, len(words), want)
-			}
-			for v := seg.First; ; v++ {
-				bit := uint(v - seg.First)
-				got := words[bit>>6]>>(bit&63)&1 != 0
-				if got != seg.Contains(v) {
-					t.Fatalf("trial %d: word bit for %d = %v, Contains = %v", trial, v, got, seg.Contains(v))
-				}
-				if v == seg.Last {
-					break
-				}
-			}
-			// Padding bits beyond the payload must be zero.
-			for bit := uint(len(seg.Payload) * 8); bit < uint(len(words)*64); bit++ {
-				if words[bit>>6]>>(bit&63)&1 != 0 {
-					t.Fatalf("trial %d: padding bit %d set", trial, bit)
-				}
-			}
-		}
-		if err := it.Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // FuzzDecodeSegmentFast holds DecodeSegmentFast byte-equivalent to
 // DecodeSegment on arbitrary segments — valid or corrupt. Equivalence is
 // total: same appended values, same error presence, same error message;

@@ -9,6 +9,7 @@ import (
 
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
+	"pdtl/internal/mgt"
 	"pdtl/internal/orient"
 	"pdtl/internal/scan"
 	"pdtl/internal/sched"
@@ -108,10 +109,10 @@ type Harness struct {
 	// layer for every experiment run through the harness (CalcLocal and
 	// RunCluster) — the pdtl-bench -scan/-kernel/-sched/-chunks flags land
 	// here, so any table or figure can be regenerated under a different
-	// scan source, intersection kernel, or chunk scheduler. Zero values
-	// keep the engine defaults.
+	// scan source, cone routine, or chunk scheduler. Zero values keep the
+	// engine defaults.
 	Scan   scan.SourceKind
-	Kernel scan.KernelKind
+	Kernel mgt.KernelKind
 	Sched  sched.Mode
 	Chunks int
 	// StoreFormat selects the oriented-store encoding every experiment

@@ -41,6 +41,10 @@ import (
 // range/chunk splitting) alongside the existing wall_ns (calculation) and
 // orient_ns (preprocessing), so a trajectory regression is attributable to
 // a phase without re-running under -trace.
+// (PR 25 deleted the block-skipping and word-parallel kernels without a
+// bump: under the default kernel, the only one /3 and /5 rows ever carried
+// unless -kernel was passed, segments_skipped and word_ops count what they
+// always did — the header-pruned pass and the unrolled decoder.)
 const BenchSchema = "pdtl-bench/6"
 
 // BenchRun is one (dataset, scheduler) measurement — the machine-readable
@@ -54,10 +58,9 @@ type BenchRun struct {
 	Chunks   int    `json:"chunks,omitempty"`
 	Scan     string `json:"scan"`
 	Kernel   string `json:"kernel"`
-	// Mode is "count" (no sinks attached — the closure-free count-only
-	// kernel path) or "listing" (per-slot sinks attached); the /5 row pair
-	// isolates the cost of triangle materialization. Counts are identical
-	// by construction.
+	// Mode is "count" (no sinks attached) or "listing" (per-slot sinks
+	// attached); the /5 row pair isolates the cost of triangle
+	// materialization. Counts are identical by construction.
 	Mode string `json:"mode"`
 	// StoreFormat is the oriented store's adjacency encoding ("plain" or
 	// "compressed"); BytesPerEdge is its adjacency bytes (including the
@@ -85,17 +88,16 @@ type BenchRun struct {
 	WorkerImbalance float64 `json:"worker_imbalance"`
 	// MaxWorkerWall is the straggler runner's wall time.
 	MaxWorkerWallNS int64 `json:"max_worker_wall_ns"`
-	// SegmentsSkipped counts compressed segments the block-skipping kernel
+	// SegmentsSkipped counts compressed segments the header-pruned pass
 	// rejected on their headers alone (summed over runners); zero for plain
-	// stores and for every other kernel.
+	// stores.
 	SegmentsSkipped uint64 `json:"segments_skipped"`
 	// DeltaEdges is the live overlay's undirected delta size at count time
 	// and Compactions its completed compaction count; both zero outside the
 	// -churn live rows.
 	DeltaEdges  uint64 `json:"delta_edges"`
 	Compactions uint64 `json:"compactions"`
-	// WordOps counts 64-bit word operations by the vectorized paths
-	// (word-parallel bitmap counting, 8-wide varint decode blocks) and
+	// WordOps counts the 8-wide blocks of the unrolled varint decoder and
 	// FastDecodes the segments decoded through graph.DecodeSegmentFast;
 	// both are zero on plain stores, where no compressed payloads exist.
 	WordOps     uint64 `json:"word_ops"`
@@ -133,7 +135,7 @@ func workerImbalance(workers []core.WorkerStat) float64 {
 // under each scheduler in modes (nil means both) and writes one
 // BenchReport to w — the machine-readable output behind
 // `pdtl-bench -json`. Since /5 every (dataset, scheduler) measures twice:
-// a count-only run (no sinks — the CountKernel hot path) immediately
+// a count-only run (no sinks) immediately
 // followed by a listing run (discard sinks attached), in that row order,
 // so the trajectory tracks both the production counting speed and the
 // materialization overhead. The caller passes modes explicitly because

@@ -3,7 +3,7 @@
 // snapshot (an oriented on-disk store with its adjacency pinned in RAM)
 // plus up to two in-memory delta layers — an active layer absorbing edge
 // insertions and deletions, and a frozen layer being compacted. Queries
-// run the unmodified PDTL engine (mgt runners, intersection kernels,
+// run the unmodified PDTL engine (mgt runners, cone routines,
 // schedulers) against a merged view served through a scan.Source that
 // resolves every read as base ∪ inserts \ deletes; a background compactor
 // rewrites base ⊕ frozen into a fresh on-disk store via the external-sort
@@ -332,7 +332,7 @@ func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, erro
 	res.Plan = plan
 
 	// The overlay replaces the run's scan source; the engine, runners, and
-	// kernels are the stock ones.
+	// cone routines are the stock ones.
 	opt.Strategy = strategy
 	opt.Scan = scan.SourceMem
 	opt.NewSource = func(kind scan.SourceKind, d *graph.Disk, cfg scan.Config) (scan.Source, error) {

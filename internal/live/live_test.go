@@ -18,7 +18,6 @@ import (
 	"pdtl/internal/graph"
 	"pdtl/internal/mgt"
 	"pdtl/internal/orient"
-	"pdtl/internal/scan"
 	"pdtl/internal/sched"
 )
 
@@ -162,16 +161,15 @@ func TestLiveChurnCrosscheck(t *testing.T) {
 			if st := lg.Stats(); st.Batches != 12 {
 				t.Fatalf("batches = %d", st.Batches)
 			}
-			// Count-only kernel sweep over the final live view (the delta
-			// overlay is non-empty again after the post-compaction rounds):
-			// the default cone routine and every kernel's closure-free count
-			// path must agree with the baseline and with a listing run of
-			// the same kernel.
+			// Kernel sweep over the final live view (the delta overlay is
+			// non-empty again after the post-compaction rounds): the default
+			// cone routine and the paper's merge, counting and listing, must
+			// agree with the baseline.
 			want := baseline.Forward(ref.csr(t))
-			for _, kern := range append([]scan.KernelKind{scan.KernelAuto}, scan.KernelKinds()...) {
+			for _, kern := range []mgt.KernelKind{mgt.KernelAuto, mgt.KernelMerge} {
 				got := countLive(t, lg, core.Options{Workers: 2, Kernel: kern})
 				if got != want {
-					t.Fatalf("count-only kernel %s on live view = %d, want %d", kern, got, want)
+					t.Fatalf("counting kernel %s on live view = %d, want %d", kern, got, want)
 				}
 				sinks := make([]mgt.Sink, 2)
 				for i := range sinks {
@@ -188,7 +186,7 @@ func TestLiveChurnCrosscheck(t *testing.T) {
 			// gauges stay zero — pin that so a future overlay that starts
 			// serving encoded payloads shows up here.
 			if format == graph.FormatCompressed {
-				res, err := lg.Count(context.Background(), core.Options{Workers: 2, Kernel: scan.KernelCompressed})
+				res, err := lg.Count(context.Background(), core.Options{Workers: 2})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -16,7 +16,6 @@ import (
 	"pdtl/internal/graph"
 	"pdtl/internal/ioacct"
 	"pdtl/internal/obs"
-	"pdtl/internal/scan"
 )
 
 // Cooperative windows (DESIGN.md §5, §7). PDTL gives each of a node's P
@@ -69,8 +68,8 @@ type DealConfig struct {
 	// MemEdges is M, one runner's share of the window: it holds
 	// Workers·MemEdges entries (or the longest span, if that is less).
 	MemEdges int
-	// Kernel is Config.Kernel: nil for the mark-and-probe cone routine.
-	Kernel scan.Kernel
+	// Kernel is Config.Kernel: the cone routine every runner uses.
+	Kernel KernelKind
 	// Sinks, when non-nil, has one entry per runner.
 	Sinks []Sink
 
@@ -243,7 +242,6 @@ func RunDealt(ctx context.Context, d *graph.Disk, spans []balance.Range, cfg Dea
 		if cfg.Sinks != nil {
 			r.sink = cfg.Sinks[i]
 		}
-		r.countOnly = r.sink == nil && r.ckernel != nil
 		runners[i] = &dealt{
 			Runner: r, dl: dl, adj: adj,
 			// A block's bytes, and never less than lets a streamed list's
@@ -303,8 +301,6 @@ func RunDealt(ctx context.Context, d *graph.Disk, spans []balance.Range, cfg Dea
 		r.stats.Passes = dl.round
 		r.stats.Wall = max(wall-r.idle, 0)
 		r.stats.IO = r.counter.Snapshot().Sub(r.loadIO)
-		r.stats.WordOps += r.arena.WordOps
-		r.stats.FastDecodes += r.arena.FastDecodes
 		out.Runners[i] = r.stats
 		out.WindowIO = out.WindowIO.Add(r.loadIO)
 		cur.SetAttr(spanIDs[i], "cmp_ops", int64(r.stats.CmpOps))
@@ -753,12 +749,6 @@ func (r *dealt) scanEncoded(a, z graph.Vertex) (graph.Vertex, error) {
 	}
 	for u := a; u < z; u++ {
 		cl := graph.CompressedList{Degree: int(d.Degrees[u]), Data: raw[d.ByteOffs[u]-base : d.ByteOffs[u+1]-base]}
-		if r.bkernel != nil {
-			if err := r.coneEncoded(u, cl); err != nil {
-				return u, err
-			}
-			continue
-		}
 		if cl.Degree < 2 {
 			continue
 		}

@@ -14,7 +14,6 @@ import (
 	"pdtl/internal/baseline"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
-	"pdtl/internal/scan"
 )
 
 // dealtListing runs a cooperative listing into one FileSink per runner and
@@ -50,11 +49,11 @@ func dealtListing(t *testing.T, d *graph.Disk, spans []balance.Range, cfg DealCo
 
 // namedListing is the reference: one runner of the paper's configuration
 // (private buffered scans) with a window of mem entries.
-func namedListing(t *testing.T, d *graph.Disk, rng balance.Range, mem int, kernel scan.Kernel) []byte {
+func namedListing(t *testing.T, d *graph.Disk, rng balance.Range, mem int, kernel KernelKind) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := NewFileSink(&buf)
-	if _, err := Run(context.Background(), d, Config{MemEdges: mem, Range: rng, Sink: sink, Kernel: kernel}); err != nil {
+	if _, err := runOnce(d, Config{MemEdges: mem, Kernel: kernel}, rng, sink); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Flush(); err != nil {
@@ -108,19 +107,19 @@ func TestDealtListingDeterministic(t *testing.T) {
 			for _, blockEntries := range []int{0, dmax / 3} {
 				// P·M = window exactly, for every P.
 				pm := (window + 11) / 12 * 12
-				ref := namedListing(t, d, FullRange(d), pm, nil)
+				ref := namedListing(t, d, FullRange(d), pm, KernelAuto)
 				name := fmt.Sprintf("%s/window=%d/block=%d", d.Format(), pm, blockEntries)
 				if got := sortedTriples(t, ref); !slices.Equal(got, normalized(got)) || len(got) != len(want) {
 					t.Fatalf("%s: reference lists %d triangles, baseline %d", name, len(got), len(want))
 				}
-				if merge := namedListing(t, d, FullRange(d), pm, scan.Merge); !bytes.Equal(merge, ref) {
+				if merge := namedListing(t, d, FullRange(d), pm, KernelMerge); !bytes.Equal(merge, ref) {
 					t.Fatalf("%s: named merge and named auto list different sequences", name)
 				}
 				for p := 1; p <= 4; p++ {
 					for rep := 0; rep < repeats; rep++ {
 						cfg := DealConfig{Workers: p, MemEdges: pm / p, blockEntries: blockEntries, afterBlock: runtime.Gosched}
 						if rep%2 == 1 {
-							cfg.Kernel = scan.Merge
+							cfg.Kernel = KernelMerge
 						}
 						got, stats := dealtListing(t, d, []balance.Range{FullRange(d)}, cfg)
 						if !bytes.Equal(got, ref) {
@@ -165,7 +164,7 @@ func TestDealtSpans(t *testing.T) {
 		const p, m = 3, 400
 		var ref []byte
 		for _, s := range spans {
-			ref = append(ref, namedListing(t, d, s, p*m, nil)...)
+			ref = append(ref, namedListing(t, d, s, p*m, KernelAuto)...)
 		}
 		got, stats := dealtListing(t, d, spans, DealConfig{Workers: p, MemEdges: m})
 		if !bytes.Equal(got, ref) {
@@ -178,7 +177,7 @@ func TestDealtSpans(t *testing.T) {
 		if stats[1].Passes != rounds {
 			t.Errorf("%s: %d rounds, want %d", d.Format(), stats[1].Passes, rounds)
 		}
-		missing := namedListing(t, d, balance.Range{Lo: total / 5, Hi: total / 3}, p*m, nil)
+		missing := namedListing(t, d, balance.Range{Lo: total / 5, Hi: total / 3}, p*m, KernelAuto)
 		if uint64(len(got)+len(missing)) != 12*want {
 			t.Errorf("%s: spans and the gap between them list %d triangles, baseline %d", d.Format(), (len(got)+len(missing))/12, want)
 		}
@@ -286,9 +285,9 @@ func TestDealtTiledCount(t *testing.T) {
 				}
 				refListing, _ := dealtListing(t, d, full, cfg)
 				for _, tile := range []int{dmax - 1, 1000, total / 8} {
-					for _, kernel := range []scan.Kernel{nil, scan.Merge} {
+					for _, kernel := range []KernelKind{KernelAuto, KernelMerge} {
 						cfg := DealConfig{Workers: p, MemEdges: m, tileEntries: tile, Kernel: kernel, afterBlock: runtime.Gosched}
-						name := fmt.Sprintf("%s P=%d M=%d tile=%d merge=%v", d.Format(), p, m, tile, kernel != nil)
+						name := fmt.Sprintf("%s P=%d M=%d tile=%d kernel=%s", d.Format(), p, m, tile, kernel)
 						res, err := RunDealt(context.Background(), d, full, cfg)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
@@ -312,7 +311,7 @@ func TestDealtTiledCount(t *testing.T) {
 						// A window longer than a tile was walked more than once
 						// (the default routine stamps a list once per walk that
 						// finds a pivot for it), the same way every time.
-						if kernel == nil && p*m > 2*tile && steps(res) <= steps(ref) {
+						if kernel == KernelAuto && p*m > 2*tile && steps(res) <= steps(ref) {
 							t.Errorf("%s: %d steps, untiled %d: nothing was tiled", name, steps(res), steps(ref))
 						}
 						if again, err := RunDealt(context.Background(), d, full, cfg); err != nil || steps(again) != steps(res) {

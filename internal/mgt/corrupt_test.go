@@ -1,7 +1,6 @@
 package mgt
 
 import (
-	"context"
 	"os"
 	"testing"
 
@@ -22,7 +21,7 @@ func TestTruncatedAdjacencyFails(t *testing.T) {
 	if err := os.Truncate(graph.AdjPath(d.Base), d.AdjBytes()/2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), d, Config{MemEdges: 64}); err == nil {
+	if _, err := runOnce(d, Config{MemEdges: 64}, FullRange(d), nil); err == nil {
 		t.Fatal("truncated adjacency must fail the run")
 	}
 }
@@ -36,7 +35,7 @@ func TestTruncatedAdjacencyFailsLargePath(t *testing.T) {
 	if err := os.Truncate(graph.AdjPath(d.Base), d.AdjBytes()/3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), d, Config{MemEdges: 16}); err == nil {
+	if _, err := runOnce(d, Config{MemEdges: 16}, FullRange(d), nil); err == nil {
 		t.Fatal("truncated adjacency must fail the large-vertex path too")
 	}
 }
@@ -50,7 +49,7 @@ func TestMissingAdjacencyFails(t *testing.T) {
 	if err := os.Remove(graph.AdjPath(d.Base)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), d, Config{MemEdges: 16}); err == nil {
+	if _, err := runOnce(d, Config{MemEdges: 16}, FullRange(d), nil); err == nil {
 		t.Fatal("missing adjacency must fail the run")
 	}
 }

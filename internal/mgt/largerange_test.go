@@ -1,7 +1,6 @@
 package mgt
 
 import (
-	"context"
 	"testing"
 
 	"pdtl/internal/balance"
@@ -27,7 +26,7 @@ func TestLargePathWithRangeSplit(t *testing.T) {
 	var sum uint64
 	var large uint64
 	for i := 0; i+1 < len(cuts); i++ {
-		st, err := Run(context.Background(), d, Config{MemEdges: m, Range: balance.Range{Lo: cuts[i], Hi: cuts[i+1]}})
+		st, err := runOnce(d, Config{MemEdges: m}, balance.Range{Lo: cuts[i], Hi: cuts[i+1]}, nil)
 		if err != nil {
 			t.Fatalf("range %d: %v", i, err)
 		}

@@ -17,14 +17,14 @@
 //	nmp — N+(u) = N(u) ∩ V+mem, computed by probing ind.
 //
 // Algorithm 2 then merges nm against Ev once per v ∈ nmp, re-walking N(u)
-// |N+(u)| times. The runner's own cone routine (Config.Kernel nil) walks it
-// once instead: it stamps every w ∈ nm with a fresh epoch in mark, a
-// direct-addressed array over the vertex ids, and probes every in-window Ev
-// against it — d(u) + Σ|Ev| steps per cone vertex instead of
+// |N+(u)| times. The runner's own cone routine (KernelAuto, the default)
+// walks it once instead: it stamps every w ∈ nm with a fresh epoch in mark,
+// a direct-addressed array over the vertex ids, and probes every in-window
+// Ev against it — d(u) + Σ|Ev| steps per cone vertex instead of
 // Σ(d(u) + |Ev|), same triangles in the same order. mark is no hash set:
 // one load per probe, no hashing, no collisions, nothing to clear between
-// cone vertices (DESIGN.md §5). A named Config.Kernel keeps the paper's
-// pairwise intersections as the ablation.
+// cone vertices (DESIGN.md §5). KernelMerge keeps the paper's pairwise
+// merges as the ablation.
 //
 // A runner is additionally restricted to a contiguous *global* edge range
 // [Lo, Hi): its pivot responsibility in PDTL (Section IV-B). Every triangle
@@ -65,25 +65,55 @@ type Sink interface {
 	Triangle(u, v, w graph.Vertex)
 }
 
+// KernelKind names a cone routine, as used by CLI flags, the cluster wire
+// format, and the Options of every layer.
+type KernelKind string
+
+const (
+	// KernelAuto, the zero value, is the runner's own mark-and-probe cone
+	// routine (see the package comment). It stays the empty string on the
+	// wire and in Options, so every layer passes it through untouched and a
+	// peer that predates the routine still answers; flags and reports spell
+	// it "auto".
+	KernelAuto KernelKind = ""
+	// KernelMerge is the paper's two-pointer merge of N(u) with every
+	// in-window Ev (Section IV-A: sorted arrays, never hash sets) — the
+	// ablation every reproduction number is measured against.
+	KernelMerge KernelKind = "merge"
+)
+
+// ParseKernel validates a kernel name from a flag, query or wire message.
+// The empty string and "auto" both mean KernelAuto.
+func ParseKernel(s string) (KernelKind, error) {
+	switch KernelKind(s) {
+	case KernelAuto, "auto":
+		return KernelAuto, nil
+	case KernelMerge:
+		return KernelMerge, nil
+	}
+	return "", fmt.Errorf("mgt: unknown kernel %q (want auto, merge)", s)
+}
+
+// String is the name reports print: "auto" for KernelAuto.
+func (k KernelKind) String() string {
+	if k == KernelAuto {
+		return "auto"
+	}
+	return string(k)
+}
+
 // Config parameterizes a runner.
 type Config struct {
 	// MemEdges is M, the number of adjacency entries the runner may hold
 	// in its edg window at once. It drives the pass count R = ceil(S/M)
 	// (Section IV-B2). Must be ≥ 1.
 	MemEdges int
-	// Range is the runner's pivot-edge responsibility. A zero Range means
-	// the whole file.
-	Range balance.Range
 	// Counter receives the runner's I/O accounting; nil allocates a
 	// private one.
 	Counter *ioacct.Counter
 	// BufBytes is the size of the sequential-scan read buffer;
 	// non-positive selects 1 MiB. Only consulted when Source is nil.
 	BufBytes int
-	// Sink, when non-nil, receives every listed triangle. Counting-only
-	// runs leave it nil (the paper measures counting time, "or 0 for
-	// triangle counting" in Theorem IV.3).
-	Sink Sink
 	// Source is the runner's access to the adjacency data. The runner
 	// never opens the adjacency file itself: window loads and scan passes
 	// go through this handle, so the engine decides the I/O strategy
@@ -92,13 +122,11 @@ type Config struct {
 	// to Counter — the paper's configuration, and bitwise-identical to the
 	// pre-refactor behavior.
 	Source scan.Handle
-	// Kernel, when non-nil, is the pairwise sorted-array intersection run
-	// once per (nm, Ev) pair — scan.Merge is Section IV-A's two-pointer
-	// merge, the paper ablation. Nil, the default, selects the runner's own
-	// mark-and-probe cone routine (see the package comment); this is the
-	// one place an unset kernel gets its meaning. Every choice produces
+	// Kernel is the cone routine: KernelAuto, the default, the runner's own
+	// mark-and-probe; KernelMerge, one two-pointer merge per (nm, Ev) pair.
+	// NewRunner is the one place the kind gets its meaning. Both produce
 	// identical triangles in identical order.
-	Kernel scan.Kernel
+	Kernel KernelKind
 }
 
 // Stats reports what a runner did — the per-processor raw material of the
@@ -118,9 +146,9 @@ type Stats struct {
 	// CmpOps counts the steps inside the intersections — a
 	// machine-independent proxy for the CPU work of Theorem IV.2's
 	// O(|E|²/M + α|E|) term, used by the harness to report scaling
-	// independently of the host's core count. Under a named kernel it is
-	// the kernel's own step count; on the default path (and for a large
-	// vertex under any kernel) it is stamps written plus probes made,
+	// independently of the host's core count. Under KernelMerge it is one
+	// step per merge iteration; on the default path (and for a large vertex
+	// under either kernel) it is stamps written plus probes made,
 	// d(u) + Σ|Ev| per cone vertex. Both are exact and repeat from run to
 	// run.
 	CmpOps uint64
@@ -129,16 +157,13 @@ type Stats struct {
 	// footnote 1 of the paper). They cost no extra I/O.
 	LargeVertices uint64
 	// SegmentsSkipped counts compressed segments rejected on their
-	// (first, last) headers alone — never decoded: by the block-skipping
-	// kernel segment by segment, by every other kernel's pass a whole
-	// out-of-window list at a time. Zero on plain stores; the
+	// (first, last) headers alone — never decoded — by the header-pruned
+	// pass, a whole out-of-window list at a time. Zero on plain stores; the
 	// skip-effectiveness metric of the bench schema.
 	SegmentsSkipped uint64
-	// WordOps counts 64-bit word operations executed by the vectorized
-	// paths: 8-wide blocks consumed by the unrolled varint decoder plus
-	// bitmap words materialized, masked-popcounted, or probed by the
-	// word-parallel count kernels (see scan.Arena). The vectorization
-	// metric of the bench schema; zero on plain stores.
+	// WordOps counts the 8-wide blocks the unrolled varint decoder consumed
+	// (graph.DecodeSegmentFast). The vectorization metric of the bench
+	// schema; zero on plain stores.
 	WordOps uint64
 	// FastDecodes counts compressed segments decoded through
 	// graph.DecodeSegmentFast instead of the scalar decoder.
@@ -235,31 +260,6 @@ func (w *window) index(d *graph.Disk, a, z graph.Vertex) {
 	}
 }
 
-// Run executes modified MGT over the oriented on-disk graph d. The context
-// is the runner's cancellation point: it is checked once per memory window,
-// so cancellation aborts the run within one window (and, for a shared scan
-// source, also unblocks mid-pass ring-buffer waits). A cancelled run returns
-// ctx.Err() with the statistics accumulated so far. A nil ctx means
-// context.Background().
-//
-// Run is the one-shot form: it creates a Runner, executes cfg.Range (zero
-// means the whole file), and tears the Runner down. Callers executing many
-// ranges against the same store — the work-stealing scheduler — should
-// create a Runner once and call RunRange per chunk instead, reusing the
-// window and index buffers across chunks.
-func Run(ctx context.Context, d *graph.Disk, cfg Config) (Stats, error) {
-	r, err := NewRunner(d, cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	defer r.Close()
-	rng := cfg.Range
-	if rng == (balance.Range{}) {
-		rng = balance.Range{Lo: 0, Hi: d.Meta.AdjEntries}
-	}
-	return r.RunRange(ctx, rng, cfg.Sink)
-}
-
 // Runner is a reusable modified-MGT executor over one oriented store. It
 // owns its window (edg and ind, grown to the largest window it has loaded,
 // at most M entries), the N+(u) buffer (nmp) and the mark array — O(M + n)
@@ -267,39 +267,18 @@ func Run(ctx context.Context, d *graph.Disk, cfg Config) (Stats, error) {
 // many chunks back to back, and per-chunk reallocation of these buffers
 // would dominate small chunks. A Runner is not safe for concurrent use.
 type Runner struct {
-	disk   *graph.Disk
-	cfg    Config
-	handle scan.Handle
-	kernel scan.Kernel // nil: the runner's own mark-and-probe cone routine
-	// bkernel is kernel's BlockKernel view when it has one and the store
-	// is compressed — the precondition of the direct-on-compressed pass,
-	// checked once here instead of per intersection.
-	bkernel    scan.BlockKernel
+	disk       *graph.Disk
+	cfg        Config
+	handle     scan.Handle
+	merge      bool           // Config.Kernel is KernelMerge: one merge per (nm, Ev) pair
 	segScratch []graph.Vertex // segment decode scratch of the compressed passes
 	listBuf    []graph.Vertex // whole-list decode buffer of the header-pruned pass
-	// ckernel/cbkernel are kernel's count-only views (nil when the kernel
-	// lacks them): the closure-free hot path taken by RunRange when no sink
-	// is attached. cbkernel additionally requires a compressed store, like
-	// bkernel.
-	ckernel  scan.CountKernel
-	cbkernel scan.CountBlockKernel
-	// arena owns the runner's reusable word/decode buffers and the
-	// monotonic WordOps/FastDecodes counters; RunRange snapshots the
-	// counters and reports the per-call delta in Stats.
-	arena     *scan.Arena
-	countOnly bool // current RunRange has no sink and a count kernel
-	counter   *ioacct.Counter
-	// ownedSrc is the private buffered source Run-style callers get when
+	counter    *ioacct.Counter
+	// ownedSrc is the private buffered source a Runner opens for itself when
 	// cfg.Source is nil; Close tears it (and its handle) down.
 	ownedSrc scan.Source
 	stats    Stats
 	sink     Sink
-
-	// Kernel emit plumbing: the pivot pair of the in-flight intersection
-	// and the bound emit method, created once so the hot path does not
-	// allocate a closure per intersection.
-	curU, curV graph.Vertex
-	emitFn     func(graph.Vertex)
 
 	// The window the cone routines probe — the runner's own, or a copy of
 	// the round's shared one — and nmp, the current cone vertex's N+(u).
@@ -314,16 +293,16 @@ type Runner struct {
 	hits  [256]graph.Vertex // one block's matches, between probing and emitting
 }
 
-// NewRunner validates cfg and builds a reusable runner. cfg.Range and
-// cfg.Sink are ignored here — each RunRange call names its own range and
-// sink. A nil cfg.Source opens a private buffered source (closed by Close);
-// an engine-supplied handle is used as-is and stays the engine's to close.
+// NewRunner validates cfg and builds a reusable runner; each RunRange call
+// names its own range and sink. A nil cfg.Source opens a private buffered
+// source (closed by Close); an engine-supplied handle is used as-is and stays
+// the engine's to close.
 func NewRunner(d *graph.Disk, cfg Config) (*Runner, error) {
 	r, err := newRunner(d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if r.segScratch != nil && r.bkernel == nil {
+	if r.segScratch != nil {
 		r.listBuf = make([]graph.Vertex, 0, cap(r.nmp))
 	}
 	if r.handle == nil {
@@ -351,6 +330,10 @@ func newRunner(d *graph.Disk, cfg Config) (*Runner, error) {
 	if cfg.MemEdges < 1 {
 		return nil, fmt.Errorf("mgt: memory budget %d edges, need ≥ 1", cfg.MemEdges)
 	}
+	kernel, err := ParseKernel(string(cfg.Kernel))
+	if err != nil {
+		return nil, err
+	}
 	counter := cfg.Counter
 	if counter == nil {
 		counter = ioacct.NewCounter(0)
@@ -360,7 +343,7 @@ func newRunner(d *graph.Disk, cfg Config) (*Runner, error) {
 		cfg:     cfg,
 		counter: counter,
 		handle:  cfg.Source,
-		kernel:  cfg.Kernel,
+		merge:   kernel == KernelMerge,
 		// N+(u) has at most one entry per vertex of the window and per
 		// entry of N(u).
 		nmp: make([]graph.Vertex, 0, min(int(d.Meta.MaxOutDegree), cfg.MemEdges)),
@@ -370,18 +353,7 @@ func newRunner(d *graph.Disk, cfg Config) (*Runner, error) {
 	}
 	if d.Format() == graph.FormatCompressed {
 		r.segScratch = make([]graph.Vertex, 0, graph.SegmentEntries)
-		if bk, ok := r.kernel.(scan.BlockKernel); ok {
-			r.bkernel = bk
-			if cbk, ok := r.kernel.(scan.CountBlockKernel); ok {
-				r.cbkernel = cbk
-			}
-		}
 	}
-	if ck, ok := r.kernel.(scan.CountKernel); ok {
-		r.ckernel = ck
-	}
-	r.arena = scan.NewArena()
-	r.emitFn = r.emit
 	return r, nil
 }
 
@@ -400,15 +372,17 @@ func (r *Runner) Close() error {
 }
 
 // RunRange executes modified MGT over one pivot range, reporting triangles
-// to sink. A nil sink selects the count-only hot path: intersections go
-// through the kernel's CountKernel/CountBlockKernel views (closure-free, no
-// triangle materialization, word-parallel bitmap counting on compressed
-// stores), which produce the identical triangle count — the crosscheck
-// matrix pins count == listing == baseline for every combination. The
-// returned Stats cover this call alone — wall time and the I/O delta since
-// the call started — so a scheduler can fold them per chunk. An empty range
-// is a no-op. The context is checked once per memory window, exactly like
-// Run.
+// to sink; a nil sink counts only (the paper measures counting time, "or 0
+// for triangle counting" in Theorem IV.3), with the same count and steps.
+// The returned Stats cover this call alone — wall time and the I/O delta
+// since the call started — so a scheduler can fold them per chunk. An empty
+// range is a no-op.
+//
+// The context is the runner's cancellation point: it is checked once per
+// memory window, so cancellation aborts the run within one window (and, for
+// a shared scan source, also unblocks mid-pass ring-buffer waits). A
+// cancelled run returns ctx.Err() with the statistics accumulated so far. A
+// nil ctx means context.Background().
 func (r *Runner) RunRange(ctx context.Context, rng balance.Range, sink Sink) (Stats, error) {
 	//pdtl:nondeterministic-ok wall-clock feeds Stats.Wall only, never listing order
 	start := time.Now()
@@ -421,9 +395,7 @@ func (r *Runner) RunRange(ctx context.Context, rng balance.Range, sink Sink) (St
 	}
 	r.stats = Stats{}
 	r.sink = sink
-	r.countOnly = sink == nil && r.ckernel != nil // named kernels only
 	ioStart := r.counter.Snapshot()
-	wordStart, fastStart := r.arena.WordOps, r.arena.FastDecodes
 	// The chunk span (allocation-free: cursor lookup plus slab writes).
 	// Its attributes carry this call's stat deltas, so a trace attributes
 	// wall time to scan I/O vs. intersection CPU per chunk.
@@ -433,8 +405,6 @@ func (r *Runner) RunRange(ctx context.Context, rng balance.Range, sink Sink) (St
 	finish := func(err error) (Stats, error) {
 		r.stats.Wall = time.Since(start) //pdtl:nondeterministic-ok timing stat only
 		r.stats.IO = r.counter.Snapshot().Sub(ioStart)
-		r.stats.WordOps += r.arena.WordOps - wordStart
-		r.stats.FastDecodes += r.arena.FastDecodes - fastStart
 		cur.SetAttr(span, "lo", int64(rng.Lo))
 		cur.SetAttr(span, "hi", int64(rng.Hi))
 		cur.SetAttr(span, "cmp_ops", int64(r.stats.CmpOps))
@@ -473,17 +443,6 @@ func (r *Runner) RunRange(ctx context.Context, rng balance.Range, sink Sink) (St
 	return finish(nil)
 }
 
-// emit consumes one kernel match: common vertex w closes triangle
-// (curU, curV, w).
-//
-//pdtl:hotpath
-func (r *Runner) emit(w graph.Vertex) {
-	r.stats.Triangles++
-	if r.sink != nil {
-		r.sink.Triangle(r.curU, r.curV, w)
-	}
-}
-
 // loadWindow loads the edge window [pos, end) and builds ind over its
 // vertex span.
 func (r *Runner) loadWindow(pos, end uint64) error {
@@ -499,9 +458,8 @@ func (r *Runner) loadWindow(pos, end uint64) error {
 // scanPass streams the whole adjacency file once, reporting every triangle
 // whose pivot edge is inside the current window. Cone vertices whose
 // out-list exceeds M arrive in segments and take the large-vertex path. A
-// compressed store's scan delivers the lists encoded: a block kernel
-// intersects that form directly, anything else decodes only the lists whose
-// segment headers say they can reach the window (scanPassPruned).
+// compressed store's scan delivers the lists encoded, and only those whose
+// segment headers say they can reach the window are decoded (scanPassPruned).
 func (r *Runner) scanPass() error {
 	d := r.disk
 	sc, err := r.handle.Scan(r.cfg.MemEdges)
@@ -510,9 +468,6 @@ func (r *Runner) scanPass() error {
 	}
 	defer sc.Close()
 	if csc, ok := sc.(scan.CompressedScan); ok {
-		if r.bkernel != nil {
-			return r.scanPassCompressed(sc, csc)
-		}
 		return r.scanPassPruned(sc, csc)
 	}
 
@@ -542,11 +497,10 @@ func (r *Runner) scanPass() error {
 	return sc.Err()
 }
 
-// scanPassPruned is scanPass over a compressed store for everything but a
-// block kernel. In a multi-window run most cone lists cannot reach the
-// window at all — its vertex span [vlow, vhigh] is a sliver of the graph —
-// yet the decoding scan would expand every one of them before the quick
-// reject looked at its ends. Here the list arrives encoded, the reject runs
+// scanPassPruned is scanPass over a compressed store. In a multi-window run
+// most cone lists cannot reach the window at all — its vertex span
+// [vlow, vhigh] is a sliver of the graph — yet the decoding scan would
+// expand every one of them before the quick reject looked at its ends. Here the list arrives encoded, the reject runs
 // on its segment headers (CompressedList.Bounds: every header is parsed and
 // validated, no payload is touched), and only the survivors are decoded.
 // The survivors are exactly the lists the decoding pass would not have
@@ -594,35 +548,51 @@ func (r *Runner) scanPassPruned(sc scan.Scan, csc scan.CompressedScan) error {
 //pdtl:hotpath
 func (r *Runner) cone(u graph.Vertex, nm []graph.Vertex) bool {
 	nmp := r.inWindow(r.nmp[:0], nm)
-	if r.kernel == nil {
-		if len(nmp) == 0 {
-			return true
+	if r.merge {
+		for _, v := range nmp {
+			e := r.ind[v-r.vlow]
+			r.intersect(u, v, nm, r.edg[e.off:e.off+e.len])
 		}
-		r.bumpEpoch()
-		if !r.stamp(nm) {
-			return false
-		}
-		r.probe(u, nmp)
 		return true
 	}
-	for _, v := range nmp {
-		e := r.ind[v-r.vlow]
-		ev := r.edg[e.off : e.off+e.len]
-		r.stats.Intersections++
-		// Intersect sorted nm with sorted Ev via the named kernel; every
-		// common vertex w closes triangle (u, v, w) with pivot (v, w).
-		// Count-only runs take the closure-free Count path — same
-		// comparisons, no emit call per match.
-		if r.countOnly {
-			c, steps := r.ckernel.Count(nm, ev)
-			r.stats.Triangles += c
-			r.stats.CmpOps += steps
-		} else {
-			r.curU, r.curV = u, v
-			r.stats.CmpOps += r.kernel.Intersect(nm, ev, r.emitFn)
+	if len(nmp) == 0 {
+		return true
+	}
+	r.bumpEpoch()
+	if !r.stamp(nm) {
+		return false
+	}
+	r.probe(u, nmp)
+	return true
+}
+
+// intersect is KernelMerge's routine, Algorithm 2's inner loop: the
+// two-pointer merge of sorted nm = N(u) with sorted ev = Ev, every common
+// vertex w closing triangle (u, v, w) with pivot (v, w). One step per
+// iteration; a sink, when attached, hears of every match.
+//
+//pdtl:hotpath
+func (r *Runner) intersect(u, v graph.Vertex, nm, ev []graph.Vertex) {
+	var steps, found uint64
+	for i, j := 0, 0; i < len(nm) && j < len(ev); {
+		steps++
+		switch x, y := nm[i], ev[j]; {
+		case x < y:
+			i++
+		case x > y:
+			j++
+		default:
+			found++
+			if r.sink != nil {
+				r.sink.Triangle(u, v, x)
+			}
+			i++
+			j++
 		}
 	}
-	return true
+	r.stats.Intersections++
+	r.stats.CmpOps += steps
+	r.stats.Triangles += found
 }
 
 // inWindow appends to nmp the part of N+(u) found in the sorted run vals of
@@ -744,92 +714,8 @@ func (r *Runner) probe(u graph.Vertex, nmp []graph.Vertex) {
 	r.stats.Triangles += found
 }
 
-// scanPassCompressed is scanPass running directly on the encoded adjacency
-// stream: each cone list arrives as a graph.CompressedList and both the
-// N+(u) filter and the intersections work segment-by-segment, decoding a
-// segment only when its (first, last) header overlaps the relevant range.
-// Segments rejected on the header alone are counted in SegmentsSkipped.
-// The triangle stream is identical to the decoded pass — same (u, v) order,
-// same ascending w per pivot — which the cross-check tests pin down.
-func (r *Runner) scanPassCompressed(sc scan.Scan, csc scan.CompressedScan) error {
-	for {
-		u, cl, ok := csc.NextCompressed()
-		if !ok {
-			break
-		}
-		if err := r.coneEncoded(u, cl); err != nil {
-			return fmt.Errorf("mgt: list of vertex %d: %w", u, err)
-		}
-	}
-	return sc.Err()
-}
-
-// coneEncoded is one cone vertex of the block kernel's pass: N(u) in its
-// encoded form, whole. Errors come back bare, for the caller to name u.
-//
-//pdtl:hotpath
-func (r *Runner) coneEncoded(u graph.Vertex, cl graph.CompressedList) error {
-	if cl.Degree > r.cfg.MemEdges {
-		return r.largeVertexCompressed(u, cl)
-	}
-	if cl.Degree < 2 {
-		return nil // need at least a pivot source and a closing vertex
-	}
-	// nmp := N+(u) — out-neighbors of u with out-edges in memory.
-	// Collected segment-wise: a segment whose span misses the window's
-	// vertex range [vlow, vhigh] is skipped on its header alone;
-	// surviving varint segments decode through the unrolled 8-wide
-	// decoder (bitmap segments pass through it to the scalar path).
-	nmp := r.nmp[:0]
-	it := cl.Segments()
-	for {
-		seg, ok := it.Next()
-		if !ok {
-			break
-		}
-		if seg.Last < r.vlow || seg.First > r.vhigh {
-			r.stats.SegmentsSkipped++
-			continue
-		}
-		vals, err := r.decodeSegmentFast(seg)
-		if err != nil {
-			return err
-		}
-		nmp = r.inWindow(nmp, vals)
-	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	for _, v := range nmp {
-		e := r.ind[v-r.vlow]
-		ev := r.edg[e.off : e.off+e.len]
-		r.stats.Intersections++
-		if r.countOnly && r.cbkernel != nil {
-			// Count-only hot path: word-parallel bitmap counting and
-			// unrolled varint decode via the runner's arena, no emit
-			// closure, no payload materialization for bitmap segments.
-			c, steps, skipped, err := r.cbkernel.CountCompressed(cl, ev, r.arena)
-			if err != nil {
-				return err
-			}
-			r.stats.Triangles += c
-			r.stats.CmpOps += steps
-			r.stats.SegmentsSkipped += skipped
-			continue
-		}
-		r.curU, r.curV = u, v
-		steps, skipped, err := r.bkernel.IntersectCompressed(cl, ev, r.segScratch, r.emitFn)
-		if err != nil {
-			return err
-		}
-		r.stats.CmpOps += steps
-		r.stats.SegmentsSkipped += skipped
-	}
-	return nil
-}
-
 // decodeSegmentFast decodes one segment into the runner's scratch through
-// the unrolled decoder, crediting the arena's vectorization counters.
+// the unrolled decoder, crediting the runner's vectorization counters.
 func (r *Runner) decodeSegmentFast(seg graph.Segment) ([]graph.Vertex, error) {
 	vals, blocks, err := graph.DecodeSegmentFast(seg, r.segScratch)
 	if err != nil {
@@ -838,8 +724,8 @@ func (r *Runner) decodeSegmentFast(seg graph.Segment) ([]graph.Vertex, error) {
 	if seg.Kind == graph.SegVarint {
 		// Bitmap segments pass through to the scalar expansion; only
 		// varint segments took the unrolled path.
-		r.arena.FastDecodes++
-		r.arena.WordOps += uint64(blocks)
+		r.stats.FastDecodes++
+		r.stats.WordOps += uint64(blocks)
 	}
 	return vals, nil
 }

@@ -35,6 +35,16 @@ func orientedStore(t testing.TB, g *graph.CSR) *graph.Disk {
 	return d
 }
 
+// runOnce runs one range on a fresh Runner over d and tears it down.
+func runOnce(d *graph.Disk, cfg Config, rng balance.Range, sink Sink) (Stats, error) {
+	r, err := NewRunner(d, cfg)
+	if err != nil {
+		return Stats{}, err
+	}
+	defer r.Close()
+	return r.RunRange(context.Background(), rng, sink)
+}
+
 func TestMGTKnownGraphs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -53,7 +63,7 @@ func TestMGTKnownGraphs(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := orientedStore(t, g)
-			st, err := Run(context.Background(), d, Config{MemEdges: 64})
+			st, err := runOnce(d, Config{MemEdges: 64}, FullRange(d), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +82,7 @@ func TestMGTMemoryBudgetInvariance(t *testing.T) {
 	want := baseline.Forward(g)
 	d := orientedStore(t, g)
 	for _, m := range []int{2, 7, 33, 128, 1 << 20} {
-		st, err := Run(context.Background(), d, Config{MemEdges: m})
+		st, err := runOnce(d, Config{MemEdges: m}, FullRange(d), nil)
 		if err != nil {
 			t.Fatalf("M=%d: %v", m, err)
 		}
@@ -95,7 +105,7 @@ func TestMGTScanVolumeMatchesTheory(t *testing.T) {
 	}
 	d := orientedStore(t, g)
 	m := int(d.Meta.AdjEntries)/4 + 1
-	st, err := Run(context.Background(), d, Config{MemEdges: m})
+	st, err := runOnce(d, Config{MemEdges: m}, FullRange(d), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +140,7 @@ func TestMGTRangePartition(t *testing.T) {
 		sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
 		var sum uint64
 		for i := 0; i+1 < len(cuts); i++ {
-			st, err := Run(context.Background(), d, Config{MemEdges: 97, Range: balance.Range{Lo: cuts[i], Hi: cuts[i+1]}})
+			st, err := runOnce(d, Config{MemEdges: 97}, balance.Range{Lo: cuts[i], Hi: cuts[i+1]}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +172,7 @@ func TestMGTListingMatchesForward(t *testing.T) {
 		}
 		gotSet[key] = true
 	})
-	st, err := Run(context.Background(), d, Config{MemEdges: 53, Sink: sink})
+	st, err := runOnce(d, Config{MemEdges: 53}, FullRange(d), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +198,19 @@ func TestMGTConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := orientedStore(t, g)
-	if _, err := Run(context.Background(), d, Config{MemEdges: 0}); err == nil {
+	if _, err := runOnce(d, Config{MemEdges: 0}, FullRange(d), nil); err == nil {
 		t.Error("want error for M=0")
 	}
-	if _, err := Run(context.Background(), d, Config{MemEdges: 8, Range: balance.Range{Lo: 5, Hi: 99999}}); err == nil {
+	if _, err := runOnce(d, Config{MemEdges: 8}, balance.Range{Lo: 5, Hi: 99999}, nil); err == nil {
 		t.Error("want error for out-of-bounds range")
+	}
+	for _, k := range []KernelKind{"gallop", "compressed"} {
+		if _, err := NewRunner(d, Config{MemEdges: 8, Kernel: k}); err == nil {
+			t.Errorf("want error for kernel %q", k)
+		}
+		if _, err := RunDealt(context.Background(), d, []balance.Range{FullRange(d)}, DealConfig{Workers: 1, MemEdges: 8, Kernel: k}); err == nil {
+			t.Errorf("RunDealt: want error for kernel %q", k)
+		}
 	}
 	// Unoriented store must be rejected.
 	dir := t.TempDir()
@@ -204,7 +222,7 @@ func TestMGTConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), ud, Config{MemEdges: 8}); err == nil {
+	if _, err := runOnce(ud, Config{MemEdges: 8}, FullRange(ud), nil); err == nil {
 		t.Error("want error for unoriented store")
 	}
 }
@@ -217,7 +235,7 @@ func TestLargeVertexPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := orientedStore(t, g)
-	st, err := Run(context.Background(), d, Config{MemEdges: 32})
+	st, err := runOnce(d, Config{MemEdges: 32}, FullRange(d), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,13 +248,13 @@ func TestLargeVertexPath(t *testing.T) {
 	// The same budget must also list exactly once.
 	seen := map[[3]graph.Vertex]bool{}
 	dup := false
-	st2, err := Run(context.Background(), d, Config{MemEdges: 32, Sink: FuncSink(func(u, v, w graph.Vertex) {
+	st2, err := runOnce(d, Config{MemEdges: 32}, FullRange(d), FuncSink(func(u, v, w graph.Vertex) {
 		key := [3]graph.Vertex{u, v, w}
 		if seen[key] {
 			dup = true
 		}
 		seen[key] = true
-	})})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +281,7 @@ func TestLargeVertexSkewedGraph(t *testing.T) {
 		t.Skipf("generator produced d*max=%d, too small to exercise the path", d.Meta.MaxOutDegree)
 	}
 	for _, m := range []int{3, 11, int(d.Meta.MaxOutDegree) / 2} {
-		st, err := Run(context.Background(), d, Config{MemEdges: m})
+		st, err := runOnce(d, Config{MemEdges: m}, FullRange(d), nil)
 		if err != nil {
 			t.Fatalf("M=%d: %v", m, err)
 		}
@@ -348,7 +366,7 @@ func TestMGTMatchesReferenceProperty(t *testing.T) {
 		}
 		d := orientedStore(t, g)
 		m := 1 + int(mRaw%512)
-		st, err := Run(context.Background(), d, Config{MemEdges: m})
+		st, err := runOnce(d, Config{MemEdges: m}, FullRange(d), nil)
 		if err != nil {
 			return false
 		}

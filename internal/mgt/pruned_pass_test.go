@@ -175,7 +175,7 @@ func TestPrunedPassReportsCorruptHeader(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no list lies beyond the first window")
 	}
-	if st, err := Run(context.Background(), d, Config{MemEdges: mem, Range: first}); err != nil || st.Passes != 1 {
+	if st, err := runOnce(d, Config{MemEdges: mem}, first, nil); err != nil || st.Passes != 1 {
 		t.Fatalf("intact store: %d passes, err %v", st.Passes, err)
 	}
 
@@ -191,7 +191,7 @@ func TestPrunedPassReportsCorruptHeader(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), d, Config{MemEdges: mem, Range: first}); err == nil {
+	if _, err := runOnce(d, Config{MemEdges: mem}, first, nil); err == nil {
 		t.Fatalf("the damaged header of vertex %d's list was skipped as out of the window", victim)
 	}
 }

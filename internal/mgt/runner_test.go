@@ -45,7 +45,7 @@ func TestRunnerReuseAcrossRanges(t *testing.T) {
 	d, want := runnerDisk(t)
 	const mem = 96
 
-	full, err := Run(context.Background(), d, Config{MemEdges: mem})
+	full, err := runOnce(d, Config{MemEdges: mem}, FullRange(d), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,230 +124,3 @@ func BenchmarkSourceScanVolume(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkKernel sweeps every oriented (u, v) pair of the skewed graph,
-// intersecting N+(u) with N+(v) — exactly MGT's hot loop when the window
-// holds the whole file. cmp/op reports the comparison-step count: the
-// skew makes many pairs badly unbalanced, which is where gallop and
-// adaptive pull ahead of the merge, and where the compressed kernel's
-// block skipping must hold its step count at or below adaptive's.
-func BenchmarkKernel(b *testing.B) {
-	d := benchDisk(b)
-	csr, err := d.LoadCSR()
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := func(v graph.Vertex) []graph.Vertex {
-		return csr.Adj[csr.Offsets[v]:csr.Offsets[v+1]]
-	}
-	n := d.NumVertices()
-	for _, kind := range KernelKinds() {
-		k, err := NewKernel(kind)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(string(kind), func(b *testing.B) {
-			var tris, steps uint64
-			emit := func(graph.Vertex) { tris++ }
-			for n0 := 0; n0 < b.N; n0++ {
-				tris, steps = 0, 0
-				for u := 0; u < n; u++ {
-					nu := out(graph.Vertex(u))
-					for _, v := range nu {
-						steps += k.Intersect(nu, out(v), emit)
-					}
-				}
-			}
-			b.ReportMetric(float64(steps), "cmp/op")
-			b.ReportMetric(float64(tris), "triangles")
-		})
-	}
-	// compressed-direct runs the same sweep with every cone operand held in
-	// its encoded form: IntersectCompressed skips segments on their headers
-	// alone and probes bitmap segments without expanding them. seg-skip/op
-	// counts the header-rejected segments whose payloads were never decoded.
-	b.Run("compressed-direct", func(b *testing.B) {
-		var enc graph.ListEncoder
-		lists := make([]graph.CompressedList, n)
-		var store []byte
-		offs := make([]int, n+1)
-		for u := 0; u < n; u++ {
-			store = enc.Append(store, out(graph.Vertex(u)))
-			offs[u+1] = len(store)
-		}
-		for u := 0; u < n; u++ {
-			lists[u] = graph.CompressedList{
-				Degree: len(out(graph.Vertex(u))),
-				Data:   store[offs[u]:offs[u+1]],
-			}
-		}
-		bk := Compressed.(BlockKernel)
-		scratch := make([]graph.Vertex, 0, graph.SegmentEntries)
-		var tris, steps, skipped uint64
-		emit := func(graph.Vertex) { tris++ }
-		b.ResetTimer()
-		for n0 := 0; n0 < b.N; n0++ {
-			tris, steps, skipped = 0, 0, 0
-			for u := 0; u < n; u++ {
-				nu := out(graph.Vertex(u))
-				for _, v := range nu {
-					s, sk, err := bk.IntersectCompressed(lists[u], out(v), scratch, emit)
-					if err != nil {
-						b.Fatal(err)
-					}
-					steps += s
-					skipped += sk
-				}
-			}
-		}
-		b.ReportMetric(float64(steps), "cmp/op")
-		b.ReportMetric(float64(tris), "triangles")
-		b.ReportMetric(float64(skipped), "seg-skip/op")
-	})
-}
-
-// BenchmarkKernelCount repeats the kernel sweep on the count-only path:
-// the count kernels mirror their listing walks step for step, so cmp/op
-// matches BenchmarkKernel, but the emit closure is gone and the loop runs
-// allocation-free (B/op must pin at 0 — the count-mode acceptance bar).
-func BenchmarkKernelCount(b *testing.B) {
-	d := benchDisk(b)
-	csr, err := d.LoadCSR()
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := func(v graph.Vertex) []graph.Vertex {
-		return csr.Adj[csr.Offsets[v]:csr.Offsets[v+1]]
-	}
-	n := d.NumVertices()
-	for _, kind := range KernelKinds() {
-		k, err := NewKernel(kind)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ck := k.(CountKernel)
-		b.Run(string(kind), func(b *testing.B) {
-			b.ReportAllocs()
-			var tris, steps uint64
-			for n0 := 0; n0 < b.N; n0++ {
-				tris, steps = 0, 0
-				for u := 0; u < n; u++ {
-					nu := out(graph.Vertex(u))
-					for _, v := range nu {
-						c, s := ck.Count(nu, out(v))
-						tris += c
-						steps += s
-					}
-				}
-			}
-			b.ReportMetric(float64(steps), "cmp/op")
-			b.ReportMetric(float64(tris), "triangles")
-		})
-	}
-	// compressed-direct counts against encoded cones through the arena:
-	// varint segments go through the unrolled decoder into reused scratch,
-	// bitmap segments are counted on their words without materializing.
-	b.Run("compressed-direct", func(b *testing.B) {
-		var enc graph.ListEncoder
-		lists := make([]graph.CompressedList, n)
-		var store []byte
-		offs := make([]int, n+1)
-		for u := 0; u < n; u++ {
-			store = enc.Append(store, out(graph.Vertex(u)))
-			offs[u+1] = len(store)
-		}
-		for u := 0; u < n; u++ {
-			lists[u] = graph.CompressedList{
-				Degree: len(out(graph.Vertex(u))),
-				Data:   store[offs[u]:offs[u+1]],
-			}
-		}
-		cbk := Compressed.(CountBlockKernel)
-		ar := NewArena()
-		var tris, steps, skipped uint64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for n0 := 0; n0 < b.N; n0++ {
-			tris, steps, skipped = 0, 0, 0
-			for u := 0; u < n; u++ {
-				nu := out(graph.Vertex(u))
-				for _, v := range nu {
-					c, s, sk, err := cbk.CountCompressed(lists[u], out(v), ar)
-					if err != nil {
-						b.Fatal(err)
-					}
-					tris += c
-					steps += s
-					skipped += sk
-				}
-			}
-		}
-		b.ReportMetric(float64(steps), "cmp/op")
-		b.ReportMetric(float64(tris), "triangles")
-		b.ReportMetric(float64(skipped), "seg-skip/op")
-	})
-}
-
-// BenchmarkBitmapCount pins the word-parallel acceptance bar: counting a
-// dense consecutive probe run against bitmap segments via masked
-// popcounts must beat per-element Contains probing by at least 3× ns/op.
-// Both operands are fully dense consecutive runs, so every segment of a
-// encodes as a bitmap and every surviving segment resolves on the
-// popcount path.
-func BenchmarkBitmapCount(b *testing.B) {
-	const span = 1 << 14
-	run := func(lo int) []graph.Vertex {
-		out := make([]graph.Vertex, span)
-		for i := range out {
-			out[i] = graph.Vertex(lo + i)
-		}
-		return out
-	}
-	a := run(1000)
-	bs := run(1000 + span/2) // half-overlapping run
-	var enc graph.ListEncoder
-	cl := graph.CompressedList{Degree: len(a), Data: enc.Append(nil, a)}
-	const want = uint64(span / 2)
-
-	b.Run("word-parallel", func(b *testing.B) {
-		cbk := Compressed.(CountBlockKernel)
-		ar := NewArena()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			count, _, _, err := cbk.CountCompressed(cl, bs, ar)
-			if err != nil || count != want {
-				b.Fatalf("count = %d (%v), want %d", count, err, want)
-			}
-		}
-	})
-	b.Run("per-element-probe", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var count uint64
-			it := cl.Segments()
-			j := 0
-			for {
-				seg, ok := it.Next()
-				if !ok {
-					break
-				}
-				if seg.Kind != graph.SegBitmap {
-					b.Fatal("fixture produced a non-bitmap segment")
-				}
-				for ; j < len(bs) && bs[j] < seg.First; j++ {
-				}
-				for ; j < len(bs) && bs[j] <= seg.Last; j++ {
-					if seg.Contains(bs[j]) {
-						count++
-					}
-				}
-			}
-			if err := it.Err(); err != nil {
-				b.Fatal(err)
-			}
-			if count != want {
-				b.Fatalf("count = %d, want %d", count, want)
-			}
-		}
-	})
-}

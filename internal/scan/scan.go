@@ -1,10 +1,9 @@
-// Package scan is the pluggable execution layer under the MGT runners: it
-// decides *how* adjacency data reaches a runner (the ScanSource) and *how*
-// two sorted lists are intersected (the IntersectKernel). PDTL's engine
-// (Section IV-B of the paper) gives every one of the P runners its own
-// end-to-end sequential scan of the adjacency file and hardwires the merge
-// intersection of Section IV-A; extracting both decisions behind interfaces
-// lets the engine trade them per run:
+// Package scan is the pluggable source layer under the MGT runners of the
+// paper's layout: it decides *how* adjacency data reaches a runner (the
+// ScanSource). PDTL's engine (Section IV-B of the paper) gives every one of
+// the P runners its own end-to-end sequential scan of the adjacency file;
+// putting that decision behind an interface lets the engine trade it per
+// run:
 //
 //   - Buffered — the paper's configuration: every runner performs its own
 //     buffered sequential scan (P full-file scans per round of passes,
@@ -150,7 +149,7 @@ type Handle interface {
 
 // CompressedScan is the optional Scan extension of compressed stores: the
 // pass can deliver each vertex's list in its encoded form, which the
-// block-skipping BlockKernel intersects without full decompression. Every
+// header-pruned pass rejects on its segment headers before decoding. Every
 // source's compressed scan implements it (the concrete type is
 // *graph.CompressedSeqScan in all three cases); plain-store scans do not.
 // NextCompressed and Next consume the same pass and must not be mixed.

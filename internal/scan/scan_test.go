@@ -329,26 +329,3 @@ func TestParseSource(t *testing.T) {
 		t.Error("a named kind must pass through OrAuto")
 	}
 }
-
-func TestParseKernel(t *testing.T) {
-	for in, want := range map[string]KernelKind{
-		"": KernelAuto, "auto": KernelAuto, "merge": KernelMerge, "gallop": KernelGallop, "adaptive": KernelAdaptive,
-	} {
-		got, err := ParseKernel(in)
-		if err != nil || got != want {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseKernel("simd"); err == nil {
-		t.Error("ParseKernel must reject unknown kinds")
-	}
-	// The default is one value everywhere: empty in Options and on the wire
-	// (a peer that predates "auto" must still parse it), "auto" in reports,
-	// and no pairwise kernel at all.
-	if KernelAuto != "" || KernelAuto.String() != "auto" || KernelMerge.String() != "merge" {
-		t.Errorf("KernelAuto = %q prints %q; want the empty string printing auto", string(KernelAuto), KernelAuto)
-	}
-	if k, err := NewKernel(KernelAuto); k != nil || err != nil {
-		t.Errorf("NewKernel(KernelAuto) = %v, %v; want the nil kernel", k, err)
-	}
-}

@@ -313,7 +313,7 @@ func (h *sharedHandle) Scan(maxList int) (Scan, error) {
 		// The broadcast stream carries the compressed data area; the ring
 		// consumer below is the byte source, and the one graph-level decoder
 		// turns it into the standard segment stream (plus NextCompressed for
-		// the block-skipping kernels).
+		// the header-pruned pass).
 		rf := &sharedScan{sub: sub, ctx: h.src.cfg.Ctx, c: h.c}
 		gsc, err := d.NewCompressedScan(rf.fill, rf.Close)
 		if err != nil {

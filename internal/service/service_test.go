@@ -141,6 +141,25 @@ func TestServerRegisterCountCache(t *testing.T) {
 		t.Fatalf("normalized-options count origin = %v, want cache", c3["origin"])
 	}
 
+	// A removed kernel name is a bad request — asked twice, so a cached
+	// answer would show — and nothing runs. The paper's merge is a run of
+	// its own: its own cache slot, the same count.
+	for _, k := range []string{"gallop", "adaptive", "compressed", "cover", "gallop"} {
+		getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096&kernel="+k, http.StatusBadRequest)
+	}
+	if n := svc.Metrics().RunsStarted.Load(); n != 1 {
+		t.Fatalf("removed kernel names started engine runs: %d runs, want 1", n)
+	}
+	for _, origin := range []string{"run", "cache"} {
+		cm := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096&kernel=merge", 200)
+		if cm["origin"] != origin || cm["triangles"] != c1["triangles"] {
+			t.Fatalf("kernel=merge count = %v, want origin %s and %v triangles", cm, origin, c1["triangles"])
+		}
+	}
+	if c := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096", 200); c["origin"] != "cache" {
+		t.Fatalf("default count after merge: origin %v, want cache", c["origin"])
+	}
+
 	// Different options: a fresh run.
 	c4 := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=1&mem=4096", 200)
 	if c4["origin"] != "run" || c4["triangles"] != c1["triangles"] {

@@ -82,18 +82,9 @@ type Options struct {
 	// Kernel selects how a cone vertex's list N(u) is intersected with the
 	// in-memory lists of its out-neighbours: "auto" (or empty — N(u) is
 	// marked once in a direct-addressed array over the vertex ids and every
-	// in-memory list is probed against it), or one of the pairwise
-	// sorted-array kernels run once per list pair: "merge" (the paper's
-	// two-pointer merge — its ablation), "gallop" (exponential + binary
-	// search, for skewed list lengths), "adaptive" (picks per pair by
-	// length ratio), "compressed" (block skipping on 256-entry segment
-	// ranges; on a compressed store it intersects the encoded form
-	// directly), or "cover" (range-cover pre-filter). The triangle output
-	// is identical for every choice. Counting runs (Count,
-	// CountDistributed, the service's /count) additionally take each named
-	// kernel's closure-free count-only path — with word-parallel bitmap
-	// counting and unrolled varint decoding on compressed stores — which
-	// changes no counts, only speed.
+	// in-memory list is probed against it) or "merge" (the paper's
+	// two-pointer merge, once per list pair — its ablation). Any other name
+	// is an error. The triangle output is identical for either choice.
 	Kernel string
 	// Sched names the schedule: "static" (or empty) or "stealing". It is
 	// validated, reported and part of Key, but on one machine there is
@@ -155,7 +146,7 @@ func (o Options) toCore() (core.Options, error) {
 	if err != nil {
 		return core.Options{}, err
 	}
-	kernelKind, err := scan.ParseKernel(o.Kernel)
+	kernelKind, err := mgt.ParseKernel(o.Kernel)
 	if err != nil {
 		return core.Options{}, err
 	}
