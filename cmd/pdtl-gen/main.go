@@ -7,7 +7,7 @@
 //	pdtl-gen er        -out BASE -n 100000 -m 1000000 [-seed S] [-format F]
 //	pdtl-gen complete  -out BASE -n 1000 [-format F]
 //	pdtl-gen from-text -out BASE -in edges.txt [-name NAME] [-format F]
-//	pdtl-gen from-bin  -out BASE -in edges.bin [-name NAME] [-mem EDGES] [-format F]
+//	pdtl-gen from-bin  -out BASE -in edges.bin [-name NAME] [-mem RECORDS] [-format F]
 //	pdtl-gen convert   -in BASE -out BASE2 -format plain|compressed
 //	pdtl-gen stream    -out trace.ndjson -base BASE [-final BASE2] -n 1000 -m 10000
 //	                   [-batches B] [-batch-size K] [-delete-frac D] [-seed S]
@@ -25,10 +25,11 @@
 // -out is omitted or equals -in.
 //
 // from-bin ingests binary uint32-pair edge files through the
-// external-memory pipeline (mirror, external sort, dedup scan), so inputs
+// external-memory pipeline (one pass mirroring every edge into
+// radix-sorted runs, a merge of the runs, a deduplicating emit), so inputs
 // larger than RAM are fine. SIGINT/SIGTERM cancel an in-flight ingest
 // cooperatively — the pipeline stops between record batches and the
-// command exits cleanly (intermediates removed) instead of mid-write,
+// command exits cleanly (run files removed) instead of mid-write,
 // matching the cancellation story of the other pdtl commands.
 package main
 
@@ -100,7 +101,7 @@ func main() {
 		out := fs.String("out", "", "output store base path")
 		in := fs.String("in", "", "input binary edge file (uint32 pairs)")
 		name := fs.String("name", "imported", "dataset name")
-		mem := fs.Int("mem", 1<<22, "in-memory edges for external sorting")
+		mem := fs.Int("mem", 1<<22, "records held in memory while sorting, scratch included")
 		format := formatFlag(fs)
 		fs.Parse(os.Args[2:])
 		if *out == "" || *in == "" {
@@ -192,7 +193,7 @@ func usage() {
   pdtl-gen er        -out BASE -n N -m M [-seed SEED] [-format F]
   pdtl-gen complete  -out BASE -n N [-format F]
   pdtl-gen from-text -out BASE -in edges.txt [-name NAME] [-format F]
-  pdtl-gen from-bin  -out BASE -in edges.bin [-name NAME] [-mem EDGES] [-format F]
+  pdtl-gen from-bin  -out BASE -in edges.bin [-name NAME] [-mem RECORDS] [-format F]
   pdtl-gen convert   -in BASE [-out BASE2] -format plain|compressed
   pdtl-gen stream    -out TRACE -base BASE [-final BASE2] [-n N] [-m M]
                      [-batches B] [-batch-size K] [-delete-frac D] [-exponent E] [-seed SEED]

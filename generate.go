@@ -243,28 +243,31 @@ func ImportEdgeListText(r io.Reader, base, name string) (GraphInfo, error) {
 }
 
 // ImportEdgeFileBinary ingests a binary edge file (little-endian uint32
-// pairs) into the store at base using the external-memory pipeline —
-// mirror, external sort, deduplicating scan — holding at most memEdges
-// edges in memory. This is the O(sort(E)) path of Theorem IV.2 and the way
-// to ingest graphs larger than RAM.
+// pairs) into the store at base using the external-memory pipeline: one
+// pass over the input mirrors every edge into radix-sorted runs, the runs
+// are merged, and the deduplicated store is emitted from the sorted
+// stream. At most memEdges records (8 bytes each) are held in memory while
+// sorting, scratch included. This is the O(sort(E)) path of Theorem IV.2
+// and the way to ingest graphs larger than RAM.
 func ImportEdgeFileBinary(edgeFile, base, name string, memEdges int) (GraphInfo, error) {
 	return ImportEdgeFileBinaryContext(context.Background(), edgeFile, base, name, memEdges)
 }
 
 // ImportEdgeFileBinaryContext is ImportEdgeFileBinary bound to a context:
-// cancelling ctx aborts the ingest between record batches (within ~64k
-// records at any pipeline stage) and returns ctx.Err() — the cancellation
-// story the run methods already have, extended to dataset creation so
-// pdtl-gen can wire SIGINT/SIGTERM to it. Intermediate files are cleaned
-// up; a partially written store at base may remain.
+// cancelling ctx aborts the ingest between record batches (within ~128k
+// records, or one spilled run, at any pipeline stage) and returns
+// ctx.Err() — the cancellation story the run methods already have,
+// extended to dataset creation so pdtl-gen can wire SIGINT/SIGTERM to it.
+// The run files are cleaned up; a partially written store at base may
+// remain.
 func ImportEdgeFileBinaryContext(ctx context.Context, edgeFile, base, name string, memEdges int) (GraphInfo, error) {
 	return ImportEdgeFileBinaryFormat(ctx, edgeFile, base, name, memEdges, "")
 }
 
 // ImportEdgeFileBinaryFormat is ImportEdgeFileBinaryContext with a chosen
 // store format ("plain", "compressed", or "" for plain): a compressed
-// ingest segment-encodes each adjacency list as it streams off the final
-// sorted run, so the pipeline's memory bound is unchanged.
+// ingest segment-encodes each adjacency list as it streams off the sort,
+// so the pipeline's memory bound is unchanged.
 func ImportEdgeFileBinaryFormat(ctx context.Context, edgeFile, base, name string, memEdges int, format string) (GraphInfo, error) {
 	f, err := graph.ParseFormat(format)
 	if err != nil {

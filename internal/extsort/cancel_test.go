@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pdtl/internal/graph"
 )
 
 // writeEdges writes n sequential synthetic edges.
@@ -26,6 +28,22 @@ func writeEdges(t *testing.T, path string, n int) {
 	}
 }
 
+// cancelAfter is a context whose Err reports context.Canceled from its
+// (n+1)-th call on: a cancellation that lands exactly at one of the
+// pipeline's checks. The pipeline polls Err from one goroutine.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
 // TestBuildStoreCancelled: a pre-cancelled context aborts the ingest with
 // the bare context error and leaves no intermediate files behind.
 func TestBuildStoreCancelled(t *testing.T) {
@@ -38,47 +56,74 @@ func TestBuildStoreCancelled(t *testing.T) {
 	if err := BuildStore(ctx, src, base, "x", 1<<16, nil); err != context.Canceled {
 		t.Fatalf("BuildStore returned %v, want context.Canceled", err)
 	}
-	for _, suffix := range []string{".mirror", ".sorted"} {
-		if _, err := os.Stat(base + suffix); !os.IsNotExist(err) {
-			t.Errorf("intermediate %s survived a cancelled ingest", suffix)
-		}
-	}
+	checkNoIntermediates(t, base)
 }
 
-// TestSortCancelled: Sort honors its context too.
+// TestSortCancelled: the spilling path honors a pre-cancelled context too.
 func TestSortCancelled(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "edges.bin")
 	writeEdges(t, src, 100_000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := Sort(ctx, src, filepath.Join(dir, "out.bin"), 1<<14, nil); err != context.Canceled {
-		t.Fatalf("Sort returned %v, want context.Canceled", err)
+	base := filepath.Join(dir, "out")
+	if err := BuildStore(ctx, src, base, "x", 1<<14, nil); err != context.Canceled {
+		t.Fatalf("BuildStore returned %v, want context.Canceled", err)
 	}
+	checkNoIntermediates(t, base)
 }
 
-// TestSortCancelledLeavesNoRunFiles: a failed/cancelled sort must remove
-// the spilled run files it already produced (the cleanup is installed
-// before the spilling starts).
+// TestSortCancelledLeavesNoRunFiles: an ingest cancelled from another
+// goroutine while it spills removes the runs it already wrote.
 func TestSortCancelledLeavesNoRunFiles(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "edges.bin")
 	writeEdges(t, src, 300_000)
-	dst := filepath.Join(dir, "out.bin")
-	// Cancel mid-spill: small memory so several runs spill, and a context
-	// cancelled after the first batch boundary check window.
+	base := filepath.Join(dir, "out")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- Sort(ctx, src, dst, 1<<15, nil) }()
+	go func() { done <- BuildStore(ctx, src, base, "x", 1<<15, nil) }()
 	cancel()
 	if err := <-done; err != nil && err != context.Canceled {
-		t.Fatalf("Sort returned %v", err)
+		t.Fatalf("BuildStore returned %v", err)
 	}
-	matches, err := filepath.Glob(dst + ".run*")
-	if err != nil {
+	checkNoIntermediates(t, base)
+}
+
+// TestBuildStoreCancelledAtEveryCheck cancels the ingest at its first
+// context check, its second, and so on until one completes, on the
+// one-run path, the one-merge path and the multi-level merge: every
+// cancelled run returns the bare context.Canceled and leaves no run file,
+// and the completed one matches the in-memory build.
+func TestBuildStoreCancelledAtEveryCheck(t *testing.T) {
+	edges := messyEdges(17, 150)
+	dir := t.TempDir()
+	src := filepath.Join(dir, "raw.bin")
+	if err := WriteEdgeFile(src, edges); err != nil {
 		t.Fatal(err)
 	}
-	if len(matches) != 0 {
-		t.Errorf("run files survived a cancelled sort: %v", matches)
+	keys := 2 * len(edges)
+	for _, mem := range []int{2 * keys, keys / 2, 7} {
+		for _, format := range []graph.Format{graph.FormatPlain, graph.FormatCompressed} {
+			base := filepath.Join(dir, "store")
+			cancelled := 0
+			// Past a few checks, step geometrically: the multi-level merge
+			// checks once per run spilled.
+			for n := 0; ; n += 1 + n/2 {
+				err := BuildStoreFormat(&cancelAfter{Context: context.Background(), n: n}, src, base, "c", mem, format, nil)
+				checkNoIntermediates(t, base)
+				if err == nil {
+					break
+				}
+				if err != context.Canceled {
+					t.Fatalf("mem=%d %s cancelled at check %d: %v", mem, format, n, err)
+				}
+				cancelled++
+			}
+			if cancelled < 2 {
+				t.Errorf("mem=%d %s: only %d cancellation points", mem, format, cancelled)
+			}
+			checkMatchesInMemory(t, base, "c", edges, format)
+		}
 	}
 }

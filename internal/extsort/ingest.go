@@ -5,237 +5,185 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 
 	"pdtl/internal/graph"
 	"pdtl/internal/ioacct"
 )
 
-// ctxCheckEvery is how many records the streaming passes process between
-// context checks: frequent enough that a SIGINT aborts an ingest of any
-// size within milliseconds, rare enough to cost nothing per record.
-const ctxCheckEvery = 1 << 16
-
 // BuildStore converts an arbitrary (unsorted, possibly multi-edged) binary
 // edge file into the bidirectional sorted graph store PDTL consumes — the
-// full external-memory ingest pipeline of Section V-B:
+// external-memory ingest of Section V-B, in one streaming pass over the
+// input (see the package doc): self-loops dropped, every edge mirrored into
+// radix-sorted runs, the runs merged, and the deduplicated adjacency
+// emitted from the sorted stream with the degree and metadata files.
 //
-//  1. mirror every edge so both directions exist (and drop self-loops);
-//  2. externally sort by (source, destination);
-//  3. scan once, deduplicating, to emit the degree and adjacency files.
-//
-// memEdges bounds the edges held in memory during sorting. Vertex count is
-// the max id + 1 discovered during the mirror pass.
+// memEdges bounds the records held in memory while sorting, radix scratch
+// included: at most 8·memEdges bytes. The vertex count is the largest id
+// of a non-loop edge + 1.
 //
 // Cancelling ctx aborts the pipeline between record batches and returns
-// ctx.Err(); the intermediate files are removed, but a partially written
-// store at base is left behind (the caller owns base's lifecycle). A nil
-// ctx means context.Background().
+// ctx.Err(); the run files are removed, but a partially written store at
+// base is left behind (the caller owns base's lifecycle). A nil ctx means
+// context.Background().
 func BuildStore(ctx context.Context, edgeFile, base, name string, memEdges int, c *ioacct.Counter) error {
 	return BuildStoreFormat(ctx, edgeFile, base, name, memEdges, graph.FormatPlain, c)
 }
 
-// BuildStoreFormat is BuildStore with a chosen output store format. The
-// mirror and sort passes are format-independent; only the final emit
-// differs — a compressed build segment-encodes each deduplicated adjacency
-// list as it streams off the sorted run, so the pipeline's memory bound is
+// BuildStoreFormat is BuildStore with a chosen output store format. Only the
+// list writer differs: a compressed build segment-encodes each deduplicated
+// adjacency list as it streams off the sort, so the memory bound is
 // unchanged (one list at a time on top of the sort's memEdges).
 func BuildStoreFormat(ctx context.Context, edgeFile, base, name string, memEdges int, format graph.Format, c *ioacct.Counter) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if memEdges < 1 {
+		return fmt.Errorf("extsort: memory budget %d, need ≥ 1", memEdges)
+	}
 	if c == nil {
 		c = ioacct.NewCounter(0)
 	}
-	mirrored := base + ".mirror"
-	defer os.Remove(mirrored)
-	n, err := mirrorEdges(ctx, edgeFile, mirrored, c)
+	s := newSorter(base, memEdges, c)
+	defer s.removeRuns()
+	if err := s.load(ctx, edgeFile); err != nil {
+		return err
+	}
+	e, err := newEmitter(base, s.numVertices(), format, c)
 	if err != nil {
 		return err
 	}
-
-	sorted := base + ".sorted"
-	defer os.Remove(sorted)
-	if err := Sort(ctx, mirrored, sorted, memEdges, c); err != nil {
+	if err := s.drain(ctx, e.add); err != nil {
+		e.w.Finish()
 		return err
 	}
-
-	if format == graph.FormatCompressed {
-		return emitCompressedStore(ctx, sorted, base, name, n, c)
-	}
-	return emitStore(ctx, sorted, base, name, n, c)
+	return e.finish(base, name, format, c)
 }
 
-// mirrorEdges writes (u,v) and (v,u) for every non-loop input edge and
-// reports the vertex count.
-func mirrorEdges(ctx context.Context, src, dst string, c *ioacct.Counter) (int, error) {
-	in, err := os.Open(src)
-	if err != nil {
-		return 0, err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return 0, err
-	}
-	br := bufio.NewReaderSize(ioacct.NewReader(in, c), 1<<20)
-	bw := bufio.NewWriterSize(ioacct.NewWriter(out, c), 1<<20)
+// listWriter takes one adjacency list per vertex, in id order, empty for a
+// vertex without edges: adjWriter or graph.CompressedWriter.
+type listWriter interface {
+	Add(list []graph.Vertex) error
+	Finish() error
+}
 
-	var maxID uint32
-	seen := false
-	var rec [EdgeBytes]byte
-	for count := 0; ; count++ {
-		if count%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				out.Close()
-				return 0, err
-			}
+// adjWriter is the plain format's listWriter: each list's entries,
+// little-endian, appended to <base>.adj.
+type adjWriter struct {
+	f  *os.File
+	bw *bufio.Writer
+}
+
+func (w *adjWriter) Add(list []graph.Vertex) error {
+	buf := w.bw.AvailableBuffer()
+	for _, v := range list {
+		buf = binary.LittleEndian.AppendUint32(buf, v)
+	}
+	_, err := w.bw.Write(buf)
+	return err
+}
+
+func (w *adjWriter) Finish() error {
+	if err := w.bw.Flush(); err != nil {
+		w.f.Close()
+		return err
+	}
+	return w.f.Close()
+}
+
+// emitter turns the sorted key stream into a store. Keys arrive grouped by
+// source with ascending destinations, so a key equal to its predecessor is
+// a duplicate, and one list is gathered at a time.
+type emitter struct {
+	w       listWriter
+	degrees []uint32
+	list    []graph.Vertex // destinations of u gathered so far
+	u       uint32         // source of list
+	next    uint32         // lowest vertex whose list is not written
+	prev    uint64         // last key; 0 is no key, since (0,0) is a loop
+	entries uint64
+	maxDeg  uint32
+}
+
+func newEmitter(base string, n int, format graph.Format, c *ioacct.Counter) (*emitter, error) {
+	e := &emitter{degrees: make([]uint32, n)}
+	if format == graph.FormatCompressed {
+		w, err := graph.NewCompressedWriter(base, n, c)
+		if err != nil {
+			return nil, err
 		}
-		_, rerr := io.ReadFull(br, rec[:])
-		if rerr == io.EOF {
-			break
-		}
-		if rerr == io.ErrUnexpectedEOF {
-			out.Close()
-			return 0, fmt.Errorf("extsort: %s: truncated edge record", src)
-		}
-		if rerr != nil {
-			out.Close()
-			return 0, rerr
-		}
-		u := binary.LittleEndian.Uint32(rec[0:])
-		v := binary.LittleEndian.Uint32(rec[4:])
-		if u == v {
+		e.w = w
+		return e, nil
+	}
+	f, err := os.Create(graph.AdjPath(base))
+	if err != nil {
+		return nil, err
+	}
+	e.w = &adjWriter{f: f, bw: bufio.NewWriterSize(ioacct.NewWriter(f, c), 1<<20)}
+	return e, nil
+}
+
+// add consumes the next batch of the sorted key stream.
+func (e *emitter) add(keys []uint64) error {
+	for _, k := range keys {
+		if k == e.prev {
 			continue
 		}
-		seen = true
-		if u > maxID {
-			maxID = u
+		e.prev = k
+		if u := uint32(k >> 32); u != e.u {
+			if err := e.flush(); err != nil {
+				return err
+			}
+			e.u = u
 		}
-		if v > maxID {
-			maxID = v
-		}
-		if _, err := bw.Write(rec[:]); err != nil {
-			out.Close()
-			return 0, err
-		}
-		binary.LittleEndian.PutUint32(rec[0:], v)
-		binary.LittleEndian.PutUint32(rec[4:], u)
-		if _, err := bw.Write(rec[:]); err != nil {
-			out.Close()
-			return 0, err
-		}
+		e.list = append(e.list, graph.Vertex(k))
 	}
-	if err := bw.Flush(); err != nil {
-		out.Close()
-		return 0, err
-	}
-	n := 0
-	if seen {
-		n = int(maxID) + 1
-	}
-	return n, out.Close()
+	return nil
 }
 
-// emitCompressedStore is emitStore's compressed twin: it scans the sorted
-// bidirectional edge file once, deduplicating, collects each vertex's
-// adjacency list (one list in memory at a time — the sort guarantees
-// grouped, ascending destinations) and emits it through CompressedWriter,
-// with empty lists for vertices that have no edges.
-func emitCompressedStore(ctx context.Context, sorted, base, name string, n int, c *ioacct.Counter) error {
-	in, err := os.Open(sorted)
-	if err != nil {
-		return err
+// flush writes empty lists for the vertices below u, then u's list.
+func (e *emitter) flush() error {
+	for ; e.next < e.u; e.next++ {
+		if err := e.w.Add(nil); err != nil {
+			return err
+		}
 	}
-	defer in.Close()
-	br := bufio.NewReaderSize(ioacct.NewReader(in, c), 1<<20)
+	d := uint32(len(e.list))
+	e.degrees[e.u] = d
+	e.maxDeg = max(e.maxDeg, d)
+	e.entries += uint64(d)
+	e.next = e.u + 1
+	err := e.w.Add(e.list)
+	e.list = e.list[:0]
+	return err
+}
 
-	w, err := graph.NewCompressedWriter(base, n, c)
-	if err != nil {
+// finish writes the last list — the largest id's, which has an edge — and
+// the degree and metadata files.
+func (e *emitter) finish(base, name string, format graph.Format, c *ioacct.Counter) error {
+	if len(e.degrees) > 0 {
+		if err := e.flush(); err != nil {
+			e.w.Finish()
+			return err
+		}
+	}
+	if err := e.w.Finish(); err != nil {
 		return err
 	}
-
-	degrees := make([]uint32, n)
-	var entries uint64
-	var maxDeg uint32
-	var prevU, prevV uint32
-	first := true
-	var next uint32 // next vertex id to emit
-	var cur []graph.Vertex
-	// flushTo emits the pending list of prevU, then empty lists up to (but
-	// not including) vertex u.
-	flushTo := func(u uint32) error {
-		if !first {
-			if err := w.Add(cur); err != nil {
-				return err
-			}
-			cur = cur[:0]
-			next = prevU + 1
-		}
-		for ; next < u; next++ {
-			if err := w.Add(nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var rec [EdgeBytes]byte
-	for count := 0; ; count++ {
-		if count%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				w.Finish()
-				return err
-			}
-		}
-		_, rerr := io.ReadFull(br, rec[:])
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			w.Finish()
-			return rerr
-		}
-		u := binary.LittleEndian.Uint32(rec[0:])
-		v := binary.LittleEndian.Uint32(rec[4:])
-		if !first && u == prevU && v == prevV {
-			continue // duplicate
-		}
-		if first || u != prevU {
-			if err := flushTo(u); err != nil {
-				w.Finish()
-				return err
-			}
-		}
-		first = false
-		prevU, prevV = u, v
-		degrees[u]++
-		if degrees[u] > maxDeg {
-			maxDeg = degrees[u]
-		}
-		entries++
-		cur = append(cur, graph.Vertex(v))
-	}
-	if err := flushTo(uint32(n)); err != nil {
-		w.Finish()
+	if err := writeDegreeFile(base, e.degrees, c); err != nil {
 		return err
 	}
-	if err := w.Finish(); err != nil {
-		return err
-	}
-
-	if err := writeDegreeFile(base, degrees, c); err != nil {
-		return err
-	}
-	return graph.WriteMeta(base, graph.Meta{
+	meta := graph.Meta{
 		Name:        name,
-		NumVertices: int64(n),
-		NumEdges:    entries / 2,
-		AdjEntries:  entries,
-		Oriented:    false,
-		MaxDegree:   maxDeg,
-		Format:      graph.FormatCompressed,
-	})
+		NumVertices: int64(len(e.degrees)),
+		NumEdges:    e.entries / 2,
+		AdjEntries:  e.entries,
+		MaxDegree:   e.maxDeg,
+	}
+	if format == graph.FormatCompressed {
+		meta.Format = graph.FormatCompressed
+	}
+	return graph.WriteMeta(base, meta)
 }
 
 // writeDegreeFile writes the little-endian degree array file.
@@ -258,80 +206,4 @@ func writeDegreeFile(base string, degrees []uint32, c *ioacct.Counter) error {
 		return err
 	}
 	return degOut.Close()
-}
-
-// emitStore scans a sorted bidirectional edge file once, deduplicating, and
-// writes the degree/adjacency/meta files.
-func emitStore(ctx context.Context, sorted, base, name string, n int, c *ioacct.Counter) error {
-	in, err := os.Open(sorted)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	br := bufio.NewReaderSize(ioacct.NewReader(in, c), 1<<20)
-
-	adjOut, err := os.Create(graph.AdjPath(base))
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(ioacct.NewWriter(adjOut, c), 1<<20)
-
-	degrees := make([]uint32, n)
-	var entries uint64
-	var maxDeg uint32
-	var prevU, prevV uint32
-	first := true
-	var rec [EdgeBytes]byte
-	for count := 0; ; count++ {
-		if count%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				adjOut.Close()
-				return err
-			}
-		}
-		_, rerr := io.ReadFull(br, rec[:])
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			adjOut.Close()
-			return rerr
-		}
-		u := binary.LittleEndian.Uint32(rec[0:])
-		v := binary.LittleEndian.Uint32(rec[4:])
-		if !first && u == prevU && v == prevV {
-			continue // duplicate
-		}
-		first = false
-		prevU, prevV = u, v
-		degrees[u]++
-		if degrees[u] > maxDeg {
-			maxDeg = degrees[u]
-		}
-		entries++
-		if _, err := bw.Write(rec[4:8]); err != nil {
-			adjOut.Close()
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		adjOut.Close()
-		return err
-	}
-	if err := adjOut.Close(); err != nil {
-		return err
-	}
-
-	if err := writeDegreeFile(base, degrees, c); err != nil {
-		return err
-	}
-
-	return graph.WriteMeta(base, graph.Meta{
-		Name:        name,
-		NumVertices: int64(n),
-		NumEdges:    entries / 2,
-		AdjEntries:  entries,
-		Oriented:    false,
-		MaxDegree:   maxDeg,
-	})
 }

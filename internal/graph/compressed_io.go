@@ -14,7 +14,7 @@ import (
 // CompressedWriter streams a compressed store out vertex by vertex: Add is
 // called exactly once per vertex in id order (with an empty list for
 // zero-degree vertices), then Finish writes the .cidx index. This is the
-// build-path primitive — extsort's final merge and the orientation spill
+// build-path primitive — extsort's ingest and the orientation spill
 // concatenation both emit through it without ever holding the store in
 // memory.
 type CompressedWriter struct {
