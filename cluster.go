@@ -29,8 +29,8 @@ type ClusterOptions struct {
 	// UplinkBytesPerSec rate-limits the master's aggregate outgoing graph
 	// copies (0 = unlimited); it models a shared NIC.
 	UplinkBytesPerSec int64
-	// ScanSource selects every node's scan source ("auto", "buffered",
-	// "shared", "mem"); see Options.ScanSource.
+	// ScanSource selects every node's scan source ("auto", "buffered" or
+	// "shared"); see Options.ScanSource.
 	ScanSource string
 	// Kernel selects every node's cone routine ("auto" or empty, or
 	// "merge"); see Options.Kernel. The default travels as the empty string.
@@ -139,7 +139,8 @@ type NodeStats struct {
 	// CPUTime and IOTime aggregate the node's runners.
 	CPUTime, IOTime time.Duration
 	// SourceBytesRead is the disk volume the node's scan source read on
-	// its own behalf (shared broadcast scans, in-memory preload).
+	// its own behalf (the loads of the windows its workers share, or shared
+	// broadcast scans).
 	SourceBytesRead int64
 	// Workers holds the node's per-runner breakdown.
 	Workers []WorkerStats

@@ -50,7 +50,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments")
 	cache := flag.String("cache", "", "persistent dataset cache directory")
 	scanSource := flag.String("scan", "",
-		"override the scan source for every experiment: auto, buffered, shared, or mem")
+		"override the scan source for every experiment: auto, buffered, or shared")
 	kernel := flag.String("kernel", "",
 		"override the cone routine for every experiment: auto (mark-and-probe) or merge (the paper's two-pointer merge)")
 	schedMode := flag.String("sched", "",

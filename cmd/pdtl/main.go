@@ -62,12 +62,12 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   pdtl count -graph BASE [-workers P] [-mem ENTRIES] [-naive-balance]
-             [-scan auto|buffered|shared|mem]
+             [-scan auto|buffered|shared]
              [-kernel auto|merge]
              [-sched static|stealing] [-chunks K] [-store plain|compressed]
              [-trace FILE]
   pdtl list  -graph BASE -out FILE [-workers P] [-mem ENTRIES]
-             [-scan auto|buffered|shared|mem]
+             [-scan auto|buffered|shared]
              [-kernel auto|merge]
              [-sched static|stealing] [-chunks K] [-store plain|compressed]
              [-trace FILE]
@@ -81,7 +81,7 @@ func commonFlags(fs *flag.FlagSet) (graphBase *string, opt *pdtl.Options) {
 	fs.IntVar(&opt.MemEdges, "mem", 0, "memory budget per worker, in adjacency entries")
 	fs.BoolVar(&opt.NaiveBalance, "naive-balance", false, "disable in-degree load balancing")
 	fs.StringVar(&opt.ScanSource, "scan", "auto",
-		"scan source: auto (the workers share one window of workers·mem entries and are dealt the scan), or the paper's private windows fed by buffered, shared, or mem")
+		"scan source: auto (the workers share one window of workers·mem entries and are dealt the scan), or the paper's private windows fed by buffered or shared")
 	fs.StringVar(&opt.Kernel, "kernel", "auto",
 		"cone routine: auto (mark N(u) once, probe every in-memory list) or merge (the paper's pairwise two-pointer merge)")
 	fs.StringVar(&opt.Sched, "sched", "static",

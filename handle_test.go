@@ -114,7 +114,7 @@ func TestHandleCancelMidPassAllSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	for _, source := range []string{"buffered", "shared", "mem"} {
+	for _, source := range []string{"buffered", "shared"} {
 		t.Run(source, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

@@ -419,6 +419,17 @@ func TestNodeRejectsRemovedKernel(t *testing.T) {
 			t.Errorf("kernel %q: the rejected batch still counted: %+v", kernel, reply)
 		}
 	}
+	// A master that still offers the removed in-memory source gets an
+	// error naming the sources a node accepts, not a panic or a count.
+	args.Kernel, args.Scan = "", "mem"
+	var memReply CountReply
+	if err := node.Count(&args, &memReply); err == nil || !strings.Contains(err.Error(), "want auto, buffered, or shared") {
+		t.Errorf("scan %q: Count = %v, want an error naming the accepted sources", args.Scan, err)
+	}
+	if memReply.Triangles != 0 || memReply.Workers != nil {
+		t.Errorf("scan %q: the rejected batch still counted: %+v", args.Scan, memReply)
+	}
+	args.Scan = ""
 	for _, kernel := range []string{"", "auto", "merge"} {
 		args.Kernel = kernel
 		var reply CountReply

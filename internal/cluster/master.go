@@ -155,7 +155,8 @@ type NodeResult struct {
 	// Workers holds the node's per-runner statistics.
 	Workers []core.WorkerStat
 	// SourceIO is the I/O the node's scan source performed on its own
-	// behalf (shared broadcast scans, in-memory preload).
+	// behalf (the loads of the windows its workers share, or shared
+	// broadcast scans).
 	SourceIO ioacct.Stats
 }
 

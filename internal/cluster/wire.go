@@ -117,9 +117,11 @@ type CountArgs struct {
 	MemEdges int
 	// BufBytes is the runner scan buffer size.
 	BufBytes int
-	// Scan names the node's scan source ("auto", "buffered", "shared",
-	// "mem"); empty means auto. Strings rather than enum ints travel on
-	// the wire so heterogeneous builds stay compatible.
+	// Scan names the node's scan source ("auto", "buffered" or "shared");
+	// empty means auto. Strings rather than enum ints travel on the wire so
+	// heterogeneous builds stay compatible; a name this node does not know
+	// — "mem", say, which older builds offered — fails the batch with an
+	// error naming the accepted sources.
 	Scan string
 	// Kernel names the node's cone routine ("merge"); empty means the
 	// default, mark-and-probe ("auto"). Any other name — one a removed kernel
@@ -145,7 +147,8 @@ type CountReply struct {
 	// Figures 6–8).
 	Workers []core.WorkerStat
 	// SourceIO is the I/O the node's scan source performed on its own
-	// behalf (shared broadcast scans, in-memory preload).
+	// behalf (the loads of the windows its workers share, or shared
+	// broadcast scans).
 	SourceIO ioacct.Stats
 	// CalcTime is the node's wall time for the calculation phase.
 	CalcTime time.Duration

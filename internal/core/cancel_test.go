@@ -53,7 +53,7 @@ func TestRunRangesCancelAllSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []scan.SourceKind{scan.SourceAuto, scan.SourceBuffered, scan.SourceShared, scan.SourceMem} {
+	for _, kind := range []scan.SourceKind{scan.SourceAuto, scan.SourceBuffered, scan.SourceShared} {
 		t.Run(string(kind), func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())

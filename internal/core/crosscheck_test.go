@@ -160,7 +160,7 @@ func TestAllSourceKernelCombosIdentical(t *testing.T) {
 		{"k40", func() (*graph.CSR, error) { return gen.Complete(40) }, 16},
 		{"trigrid", func() (*graph.CSR, error) { return gen.TriGrid(9, 9) }, 32},
 	}
-	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared, scan.SourceMem}
+	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared}
 	const workers = 3
 
 	for _, tc := range graphs {
@@ -218,7 +218,7 @@ func TestAllSourceKernelCombosIdentical(t *testing.T) {
 // TestSchedSourceKernelCombosIdentical extends the cross-check to the
 // schedule axis — the P ranges of a static plan, or the K·P chunks of a
 // stealing one as a node receives them in a batch: sched(static, stealing) ×
-// scan(buffered, shared, mem) × kernel(auto, merge) must
+// scan(buffered, shared) × kernel(auto, merge) must
 // all produce identical, order-normalized triangle listings versus the
 // in-memory baseline. On top of the set identity, the per-chunk listings of
 // every stealing combo must agree exactly (same sequence per chunk) —
@@ -232,7 +232,7 @@ func TestSchedSourceKernelCombosIdentical(t *testing.T) {
 		{"powerlaw", func() (*graph.CSR, error) { return gen.PowerLaw(400, 6000, 2.2, 11) }, 96},
 		{"k40", func() (*graph.CSR, error) { return gen.Complete(40) }, 16},
 	}
-	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared, scan.SourceMem}
+	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared}
 	const workers = 3
 	const perWorker = 4
 
@@ -306,7 +306,7 @@ func bitmapBoundaryGraph() (*graph.CSR, error) {
 
 // TestSchedSourceKernelStoreCombosIdentical is the full execution-layer
 // cross-check with the store axis added: sched(static, stealing) ×
-// scan(auto, buffered, shared, mem) × kernel(auto, merge) ×
+// scan(auto, buffered, shared) × kernel(auto, merge) ×
 // store(plain, compressed) must produce the identical triangle listing —
 // the same sequence per sink under the named sources, the same assembled
 // sequence under the default's cooperative windows, not just the same set —
@@ -326,7 +326,7 @@ func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 		{"k40", func() (*graph.CSR, error) { return gen.Complete(40) }, 16},
 		{"bitmap", bitmapBoundaryGraph, 256},
 	}
-	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared, scan.SourceMem}
+	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared}
 	const workers = 3
 	const perWorker = 2
 
@@ -468,35 +468,5 @@ func TestSharedScanReadsFileOncePerRound(t *testing.T) {
 	}
 	if shScan*P != bufScan {
 		t.Errorf("shared scan volume %d is not 1/P of buffered %d (P=%d)", shScan, bufScan, P)
-	}
-}
-
-// TestMemSourcePreloadsOnce: the in-memory source reads the file exactly
-// once at construction and the runners do no disk I/O at all.
-func TestMemSourcePreloadsOnce(t *testing.T) {
-	g, err := gen.PowerLaw(300, 4000, 2.4, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := baseline.Forward(g)
-	d := orientedDisk(t, g)
-	ranges := equalSplit(d, 3)
-	calc, err := RunRanges(context.Background(), d, ranges, Options{MemEdges: 64, Scan: scan.SourceMem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcIO := calc.SourceIO
-	var total uint64
-	for _, w := range calc.Workers {
-		total += w.Stats.Triangles
-		if w.Stats.IO.BytesRead != 0 {
-			t.Errorf("runner %d read %d bytes from disk under mem source, want 0", w.Worker, w.Stats.IO.BytesRead)
-		}
-	}
-	if total != want {
-		t.Errorf("triangles = %d, want %d", total, want)
-	}
-	if srcIO.BytesRead != d.AdjBytes() {
-		t.Errorf("preload read %d bytes, want exactly %d", srcIO.BytesRead, d.AdjBytes())
 	}
 }

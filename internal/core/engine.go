@@ -58,7 +58,7 @@ type Options struct {
 	// (scan.SourceAuto, or empty) is cooperative windows: the Workers
 	// runners share one window of Workers·MemEdges entries and are dealt
 	// the cone blocks of every round (mgt.RunDealt). A named source
-	// (buffered, shared, mem) is the paper's layout — one runner per range,
+	// (buffered, shared) is the paper's layout — one runner per range,
 	// each with its own MemEdges-entry window, fed by a scan source the
 	// engine constructs and owns for the run.
 	Scan scan.SourceKind
@@ -82,13 +82,6 @@ type Options struct {
 	// which the distributed master calls); non-positive selects
 	// sched.DefaultChunksPerWorker. Ignored under Static.
 	Chunks int
-	// NewSource, when non-nil, replaces scan.New as the constructor of a
-	// named scan source. This is how an overlay view (internal/live) puts a
-	// synthetic store in front of the runners: d is then an in-memory
-	// merged Disk, and the factory returns a source that resolves reads
-	// against base+delta while the engine, runners, and kernels stay
-	// unchanged.
-	NewSource func(kind scan.SourceKind, d *graph.Disk, cfg scan.Config) (scan.Source, error)
 }
 
 // DefaultMemEdges is 1<<22 entries = 16 MiB per worker, the same order as
@@ -104,9 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.OrientWorkers <= 0 {
 		o.OrientWorkers = o.Workers
-	}
-	if o.NewSource == nil {
-		o.NewSource = scan.New
 	}
 	return o
 }
@@ -151,7 +141,7 @@ type Result struct {
 	Scan scan.SourceKind
 	// SourceIO is the I/O that is no runner's own: what a named scan source
 	// performed on its own behalf — the shared broadcaster's single scan per
-	// round, or the in-memory preload; zero for buffered sources, whose
+	// round; zero for buffered sources, whose
 	// scans are charged to the per-worker counters — or, under the default
 	// source, the loads of the windows the runners share.
 	SourceIO ioacct.Stats
@@ -343,8 +333,7 @@ func (o Options) Runners(n int) int {
 // concurrently, each with its own window. The engine constructs and owns
 // the scan source: every runner gets a per-runner handle (charged to its own
 // counter), and the source-level I/O — the shared broadcaster's physical
-// scans, or the in-memory preload — is returned alongside the per-worker
-// stats.
+// scans — is returned alongside the per-worker stats.
 //
 // ctx cancels the run cooperatively: every runner aborts within one memory
 // window, blocked shared-broadcast waits unblock immediately, and the
@@ -370,7 +359,7 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 	if opt.Scan.IsAuto() {
 		return runDealt(ctx, d, ranges, opt)
 	}
-	src, err := opt.NewSource(opt.Scan, d, scan.Config{
+	src, err := scan.New(opt.Scan, d, scan.Config{
 		BufBytes: opt.BufBytes,
 		Counter:  ioacct.NewCounter(0),
 		Ctx:      ctx,

@@ -389,18 +389,16 @@ type SeqScanner interface {
 // undecoded per-vertex lists through NextCompressed — the delivery path of
 // the header-pruned pass.
 //
-// The byte stream arrives through exactly one of two channels: a fill
-// callback (reads the next len(p) stream bytes — a buffered file read, or a
-// shared-broadcast ring consumer), or a mem slice holding the whole data
-// area (zero-copy). Having one decoder behind every scan source is what
-// keeps the segment streams bitwise identical across sources.
+// The byte stream arrives through a fill callback (reads the next len(p)
+// stream bytes — a buffered file read, or a shared-broadcast ring
+// consumer). Having one decoder behind every scan source is what keeps the
+// segment streams bitwise identical across sources.
 //
 // Next and NextCompressed are mutually exclusive on one scan: each consumes
 // the stream per vertex, but they keep separate vertex cursors.
 type CompressedSeqScan struct {
 	disk   *Disk
 	fill   func([]byte) error
-	mem    []byte // whole data area; nil in fill mode
 	closer func() error
 
 	cur SegCursor
@@ -421,23 +419,20 @@ type CompressedSeqScan struct {
 	err error
 }
 
-// newCompressedSeqScan builds a scan in fill mode (mem == nil) or mem mode.
-// start is the first vertex of the pass; the stream must be positioned at
-// its encoding.
-func newCompressedSeqScan(d *Disk, start Vertex, fill func([]byte) error, mem []byte, closer func() error) *CompressedSeqScan {
+// newCompressedSeqScan builds a scan whose bytes come from fill. start is
+// the first vertex of the pass; the stream must be positioned at its
+// encoding.
+func newCompressedSeqScan(d *Disk, start Vertex, fill func([]byte) error, closer func() error) *CompressedSeqScan {
 	sc := &CompressedSeqScan{
 		disk:    d,
 		fill:    fill,
-		mem:     mem,
 		closer:  closer,
 		cur:     NewSegCursor(d, start, 0),
 		cv:      start,
 		scratch: make([]Vertex, 0, SegmentEntries),
 	}
 	entries, encoded := d.listCap()
-	if mem == nil {
-		sc.rawBuf = make([]byte, encoded)
-	}
+	sc.rawBuf = make([]byte, encoded)
 	sc.listBuf = make([]Vertex, entries+SegmentEntries)
 	return sc
 }
@@ -453,16 +448,9 @@ func (sc *CompressedSeqScan) SetMaxList(maxList int) {
 	}
 }
 
-// listBytes reads vertex u's raw encoding from the stream (fill mode copies
-// into rawBuf; mem mode slices in place).
+// listBytes reads vertex u's raw encoding from the stream into rawBuf.
 func (sc *CompressedSeqScan) listBytes(u Vertex) ([]byte, error) {
 	lo, hi := sc.disk.ByteOffs[u], sc.disk.ByteOffs[u+1]
-	if sc.mem != nil {
-		if hi > uint64(len(sc.mem)) {
-			return nil, fmt.Errorf("graph: vertex %d encoding [%d,%d) beyond %d in-memory bytes", u, lo, hi, len(sc.mem))
-		}
-		return sc.mem[lo:hi], nil
-	}
 	raw := sc.rawBuf[:hi-lo]
 	if err := sc.fill(raw); err != nil {
 		return nil, err
@@ -522,10 +510,9 @@ func (sc *CompressedSeqScan) Next() (Vertex, []Vertex, bool) {
 }
 
 // NextCompressed returns the next vertex's whole list in encoded form. The
-// returned CompressedList's Data is valid until the following call (mem mode
-// aliases the preloaded array and stays valid). Zero-degree vertices yield a
-// zero-Degree list. ok is false at the end of the pass or on error — check
-// Err.
+// returned CompressedList's Data is valid until the following call.
+// Zero-degree vertices yield a zero-Degree list. ok is false at the end of
+// the pass or on error — check Err.
 func (sc *CompressedSeqScan) NextCompressed() (Vertex, CompressedList, bool) {
 	if sc.err != nil {
 		return 0, CompressedList{}, false
@@ -566,20 +553,7 @@ func (d *Disk) NewCompressedScan(fill func([]byte) error, closer func() error) (
 	if d.Format() != FormatCompressed {
 		return nil, fmt.Errorf("graph: %s is not a compressed store", d.Base)
 	}
-	return newCompressedSeqScan(d, 0, fill, nil, closer), nil
-}
-
-// NewCompressedMemScan adapts the preloaded data area (exactly the .cadj
-// bytes after the magic) into a CompressedSeqScan with zero-copy
-// NextCompressed views. d must be a compressed store.
-func (d *Disk) NewCompressedMemScan(data []byte) (*CompressedSeqScan, error) {
-	if d.Format() != FormatCompressed {
-		return nil, fmt.Errorf("graph: %s is not a compressed store", d.Base)
-	}
-	if uint64(len(data)) != d.ByteOffs[d.NumVertices()] {
-		return nil, fmt.Errorf("graph: preloaded data area is %d bytes, index says %d", len(data), d.ByteOffs[d.NumVertices()])
-	}
-	return newCompressedSeqScan(d, 0, nil, data, nil), nil
+	return newCompressedSeqScan(d, 0, fill, closer), nil
 }
 
 // RandomReader reads arbitrary adjacency-entry ranges — the window loads and
@@ -596,14 +570,18 @@ type RandomReader interface {
 // i·EntrySize, a compressed store's vertex v at ByteOffs[v] — whichever file
 // holds it. Reads are positional, so the value is safe for concurrent use.
 type AdjFile struct {
-	f    *os.File
-	r    *ioacct.ReaderAt
+	f    *os.File // nil when Disk.AdjData serves the area
+	r    io.ReaderAt
 	base int64 // the data area's offset in the file
 }
 
 // OpenAdjFile opens the adjacency data area for positional reads, charging
-// I/O to c (nil allocates a private counter).
+// I/O to c (nil allocates a private counter). A Disk whose AdjData is set
+// is read through it and charges nothing.
 func (d *Disk) OpenAdjFile(c *ioacct.Counter) (*AdjFile, error) {
+	if d.AdjData != nil {
+		return &AdjFile{r: d.AdjData}, nil
+	}
 	if c == nil {
 		c = ioacct.NewCounter(0)
 	}
@@ -628,7 +606,12 @@ func (a *AdjFile) ReadAt(p []byte, off int64) error {
 }
 
 // Close releases the descriptor.
-func (a *AdjFile) Close() error { return a.f.Close() }
+func (a *AdjFile) Close() error {
+	if a.f == nil {
+		return nil
+	}
+	return a.f.Close()
+}
 
 // OpenRandom opens a RandomReader over the store, charging I/O to c (nil
 // allocates a private counter).
@@ -722,20 +705,6 @@ func decodeEntryWindow(d *Disk, raw []byte, rawStart uint64, v0, v1 Vertex, pos,
 		return fmt.Errorf("graph: decoded %d entries for range [%d,%d), want %d", len(out), pos, end, len(dst))
 	}
 	return nil
-}
-
-// DecodeEntries decodes entries [pos, pos+len(dst)) of a compressed store
-// out of data, the whole preloaded .cadj data area — the in-memory
-// random-access path. scratch needs capacity ≥ SegmentEntries.
-func (d *Disk) DecodeEntries(data []byte, dst []Vertex, pos uint64, scratch []Vertex) error {
-	if len(dst) == 0 {
-		return nil
-	}
-	end := pos + uint64(len(dst))
-	if end > d.Meta.AdjEntries {
-		return fmt.Errorf("graph: read entries [%d,%d) beyond %d entries", pos, end, d.Meta.AdjEntries)
-	}
-	return decodeEntryWindow(d, data, 0, d.VertexAt(pos), d.VertexAt(end-1), pos, end, scratch, dst)
 }
 
 // StoreAdjBytes reports the physical size of the store's adjacency files —

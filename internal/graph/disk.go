@@ -151,6 +151,10 @@ type Disk struct {
 	// area, with ByteOffs[NumVertices] the data area's size; nil for plain
 	// stores.
 	ByteOffs []uint64
+	// AdjData, when non-nil, serves the adjacency data area in place of the
+	// store's file: OpenAdjFile reads from it, uncharged. A store with no
+	// files behind it (a live graph's merged view) sets it.
+	AdjData io.ReaderAt
 
 	// What a scanner's buffers must hold — the longest list and the largest
 	// encoding — found once, by Open's own walk of the two arrays, so that
@@ -460,7 +464,7 @@ func (d *Disk) NewScannerAt(start Vertex, c *ioacct.Counter, bufSize int) (SeqSc
 			_, err := io.ReadFull(br, p)
 			return err
 		}
-		return newCompressedSeqScan(d, start, fill, nil, f.Close), nil
+		return newCompressedSeqScan(d, start, fill, f.Close), nil
 	}
 	f, err := d.OpenAdj()
 	if err != nil {

@@ -76,7 +76,7 @@ type BenchRun struct {
 	OrientNS int64 `json:"orient_ns"`
 	PlanNS   int64 `json:"plan_ns"`
 	// CPUNS and IONS aggregate the runners; SourceBytes is the scan
-	// source's own I/O (shared broadcasts, mem preload).
+	// source's own I/O (shared broadcasts, shared-window loads).
 	CPUNS       int64 `json:"cpu_ns"`
 	IONS        int64 `json:"io_ns"`
 	BytesRead   int64 `json:"bytes_read"`

@@ -154,7 +154,7 @@ func writeMergedEdges(path string, m *merged) error {
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
 	var rec [extsort.EdgeBytes]byte
-	scratch := make([]graph.Vertex, 0, m.maxMergedDeg)
+	scratch := make([]graph.Vertex, 0, m.disk.Meta.MaxOutDegree)
 	n := m.numVertices()
 	for u := 0; u < n; u++ {
 		scratch = m.outList(scratch[:0], graph.Vertex(u))

@@ -3,9 +3,9 @@
 // snapshot (an oriented on-disk store with its adjacency pinned in RAM)
 // plus up to two in-memory delta layers — an active layer absorbing edge
 // insertions and deletions, and a frozen layer being compacted. Queries
-// run the unmodified PDTL engine (mgt runners, cone routines,
-// schedulers) against a merged view served through a scan.Source that
-// resolves every read as base ∪ inserts \ deletes; a background compactor
+// run the unmodified PDTL engine (cooperative windows, cone routines)
+// against a synthetic store whose adjacency bytes are served from memory,
+// every read resolved as base ∪ inserts \ deletes; a background compactor
 // rewrites base ⊕ frozen into a fresh on-disk store via the external-sort
 // ingest pipeline and atomically swaps it in without blocking in-flight
 // queries. A bounded-memory streaming estimator (TRIÈST-FD) tracks an
@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"pdtl/internal/balance"
 	"pdtl/internal/core"
 	"pdtl/internal/graph"
 	"pdtl/internal/obs"
@@ -300,63 +299,42 @@ func (g *Graph) CompactNow(ctx context.Context) error {
 
 // Count runs the exact PDTL engine over the current live view and returns
 // the run result. The view is captured once; mutations and compactions
-// that land mid-run do not affect it. Options are honored except for the
-// scan source (the overlay serves everything from memory) and the Cost
-// balancing strategy (its calibration scan needs a physical store; the
-// live path falls back to InDegree).
+// that land mid-run do not affect it. The run is the engine's default —
+// cooperative windows reading the merged view (merged.ReadAt) — so of opt
+// only Workers, MemEdges, Kernel and Sinks apply; a named scan source is
+// ignored and the result reports auto.
 func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	v := g.currentView()
-	m, err := v.merged()
+	m, err := g.currentView().merged()
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-
-	strategy := opt.Strategy
-	if strategy == balance.Cost {
-		strategy = balance.InDegree
-	}
-	res := &core.Result{OrientedBase: m.disk.Base, Sched: opt.Sched}
-	if opt.MemEdges <= 0 {
-		opt.MemEdges = core.DefaultMemEdges
-	}
-	// One range per runner, whatever the schedule: the overlay is a named
-	// source (core.LocalPlan).
-	plan, err := balance.PlanStore(m.disk, m.inDeg, workersFor(opt), strategy, opt.MemEdges)
+	opt.Scan = scan.SourceAuto
+	plan, err := core.LocalPlan(m.disk, m.disk.Base, opt)
 	if err != nil {
 		return nil, err
-	}
-	res.Plan = plan
-
-	// The overlay replaces the run's scan source; the engine, runners, and
-	// cone routines are the stock ones.
-	opt.Strategy = strategy
-	opt.Scan = scan.SourceMem
-	opt.NewSource = func(kind scan.SourceKind, d *graph.Disk, cfg scan.Config) (scan.Source, error) {
-		return newOverlaySource(m, cfg), nil
 	}
 	calc, err := core.RunRanges(ctx, m.disk, plan.Ranges, opt)
 	if err != nil {
 		return nil, err
 	}
-	res.Workers, res.SourceIO = calc.Workers, calc.SourceIO
+	res := &core.Result{
+		OrientedBase: m.disk.Base,
+		Sched:        opt.Sched,
+		Plan:         plan,
+		Scan:         scan.SourceAuto,
+		Workers:      calc.Workers,
+		SourceIO:     calc.SourceIO,
+	}
 	for _, w := range res.Workers {
 		res.Triangles += w.Stats.Triangles
 	}
-	res.Scan = scan.SourceMem
 	res.CalcTime = time.Since(start)
 	res.TotalTime = res.CalcTime
 	return res, nil
-}
-
-func workersFor(opt core.Options) int {
-	if opt.Workers > 0 {
-		return opt.Workers
-	}
-	return 1
 }
 
 // HasEdge reports whether the undirected edge (u, v) is live.

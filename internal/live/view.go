@@ -1,7 +1,9 @@
 package live
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 
 	"pdtl/internal/graph"
@@ -12,10 +14,9 @@ import (
 // baseSnap is one immutable on-disk snapshot of the graph: the opened
 // oriented store plus the in-memory state the live layer derives from it
 // once — the pinned oriented adjacency (membership checks and the overlay
-// read path), the undirected degrees (the frozen rank that tells the
-// overlay which direction a delta edge is stored in), and the
-// post-orientation in-degrees (load balancing). A live graph pins ~4 bytes
-// per directed edge in RAM on top of the store; that is the price of
+// read path) and the undirected degrees (the frozen rank that tells the
+// overlay which direction a delta edge is stored in). A live graph pins ~4
+// bytes per directed edge in RAM on top of the store; that is the price of
 // serving merged reads and validating mutations without disk seeks.
 type baseSnap struct {
 	disk *graph.Disk
@@ -25,8 +26,6 @@ type baseSnap struct {
 	// undirDeg[v] = d_G(v) (out + in of the oriented store) — the degree
 	// the orientation ranked vertices by, reconstructed exactly.
 	undirDeg []uint32
-	// inDeg[v] = d_G(v) − d_G*(v), the load balancer's weight.
-	inDeg []uint32
 	// gen is the compaction generation (0 = the store OpenLive was given).
 	gen uint64
 	// owned snapshots (gen ≥ 1) were built by the compactor, which deletes
@@ -47,20 +46,15 @@ func newBaseSnap(d *graph.Disk, base string, gen uint64, owned bool, files []str
 	}
 	n := d.NumVertices()
 	undirDeg := make([]uint32, n)
-	inDeg := make([]uint32, n)
-	for v := 0; v < n; v++ {
-		undirDeg[v] = d.Degrees[v]
-	}
+	copy(undirDeg, d.Degrees)
 	for _, w := range csr.Adj {
 		undirDeg[w]++
-		inDeg[w]++
 	}
 	return &baseSnap{
 		disk:     d,
 		base:     base,
 		csr:      csr,
 		undirDeg: undirDeg,
-		inDeg:    inDeg,
 		gen:      gen,
 		owned:    owned,
 		files:    files,
@@ -151,8 +145,8 @@ func (v *view) merged() (*merged, error) {
 
 // merged is the overlay the engine runs against: a synthetic in-memory
 // graph.Disk describing the merged oriented graph (degrees, offsets,
-// meta), plus the per-vertex oriented insert/delete lists the scan source
-// applies on top of the pinned base adjacency. Everything here is
+// meta), plus the per-vertex oriented insert/delete lists ReadAt applies on
+// top of the pinned base adjacency. Everything here but the buffer pool is
 // immutable once built.
 type merged struct {
 	base *baseSnap
@@ -160,18 +154,19 @@ type merged struct {
 	// from, kept for the compactor's edge streaming.
 	eff *delta
 	// disk is the synthetic merged store: real Degrees/Offsets/Meta, no
-	// files behind it — only the overlay source ever reads through it.
+	// files behind it — its AdjData is the merged view itself.
 	disk *graph.Disk
 	// outIns[u] / outDel[u] are the delta edges oriented u → v by the base
 	// rank: sorted, outIns disjoint from base out-lists, outDel a subset
 	// of them.
 	outIns map[graph.Vertex][]graph.Vertex
 	outDel map[graph.Vertex][]graph.Vertex
-	// inDeg is the merged post-orientation in-degree array (load
-	// balancing).
-	inDeg []uint32
-	// maxMergedDeg bounds any merged out-list (scratch sizing).
-	maxMergedDeg int
+	// hasDelta[u] reports that u has an outIns or outDel list — ReadAt's
+	// test per vertex, cheaper than the maps'.
+	hasDelta []bool
+	// lists hands each ReadAt call its own buffer (*[]graph.Vertex) for the
+	// delta vertices' merged lists.
+	lists sync.Pool
 }
 
 // buildMerged computes the overlay for base ⊕ eff. Cost: O(n + |delta|)
@@ -207,11 +202,15 @@ func buildMerged(base *baseSnap, eff *delta) (*merged, error) {
 	}
 
 	degrees := make([]uint32, n)
-	inDeg := make([]uint32, n)
-	copy(inDeg, base.inDeg)
+	hasDelta := make([]bool, n)
+	for u := range outIns {
+		hasDelta[u] = true
+	}
+	for u := range outDel {
+		hasDelta[u] = true
+	}
 	var adjEntries uint64
 	var maxOut uint32
-	maxMerged := 0
 	offsets := make([]uint64, n+1)
 	for v := 0; v < n; v++ {
 		u := graph.Vertex(v)
@@ -226,21 +225,7 @@ func buildMerged(base *baseSnap, eff *delta) (*merged, error) {
 		degrees[v] = uint32(d)
 		offsets[v] = adjEntries
 		adjEntries += uint64(d)
-		if uint32(d) > maxOut {
-			maxOut = uint32(d)
-		}
-		if d > maxMerged {
-			maxMerged = d
-		}
-		for _, w := range outIns[u] {
-			inDeg[w]++
-		}
-		for _, w := range outDel[u] {
-			if inDeg[w] == 0 {
-				return nil, fmt.Errorf("live: vertex %d merged in-degree < 0 (delta invariant broken)", w)
-			}
-			inDeg[w]--
-		}
+		maxOut = max(maxOut, uint32(d))
 	}
 	offsets[n] = adjEntries
 
@@ -260,15 +245,17 @@ func buildMerged(base *baseSnap, eff *delta) (*merged, error) {
 		Degrees: degrees,
 		Offsets: offsets,
 	}
-	return &merged{
-		base:         base,
-		eff:          eff,
-		disk:         disk,
-		outIns:       outIns,
-		outDel:       outDel,
-		inDeg:        inDeg,
-		maxMergedDeg: maxMerged,
-	}, nil
+	m := &merged{
+		base:     base,
+		eff:      eff,
+		disk:     disk,
+		outIns:   outIns,
+		outDel:   outDel,
+		hasDelta: hasDelta,
+		lists:    sync.Pool{New: func() any { return new([]graph.Vertex) }},
+	}
+	disk.AdjData = m
+	return m, nil
 }
 
 // outList appends vertex u's merged out-list (base ∪ ins \ del, sorted) to
@@ -279,6 +266,64 @@ func (m *merged) outList(dst []graph.Vertex, u graph.Vertex) []graph.Vertex {
 
 // numVertices of the merged graph.
 func (m *merged) numVertices() int { return m.disk.NumVertices() }
+
+// ReadAt serves the merged oriented adjacency in a plain store's layout —
+// entry i of m.disk's offsets, little-endian, at byte i·EntrySize — so the
+// engine reads a live view as it reads a plain store (graph.Disk.AdjData).
+// A vertex without delta is encoded straight from the pinned base list; a
+// delta vertex's list is merged into a buffer of this call's own, so
+// concurrent readers are safe. A read reaching past the data area returns
+// what lies before its end and io.EOF.
+func (m *merged) ReadAt(p []byte, off int64) (int, error) {
+	size := int64(m.disk.Meta.AdjEntries) * graph.EntrySize
+	if off < 0 || off > size {
+		return 0, fmt.Errorf("live: read at %d outside the %d-byte merged adjacency", off, size)
+	}
+	n := int(min(int64(len(p)), size-off))
+	var buf *[]graph.Vertex
+	for done, u := 0, m.disk.VertexAt(uint64(off)/graph.EntrySize); done < n; u++ {
+		list := m.base.out(u)
+		if m.hasDelta[u] {
+			if buf == nil {
+				buf = m.lists.Get().(*[]graph.Vertex)
+			}
+			*buf = m.outList((*buf)[:0], u)
+			list = *buf
+		}
+		skip := off + int64(done) - int64(m.disk.Offsets[u])*graph.EntrySize
+		done += putPlain(p[done:n], list, int(skip))
+	}
+	if buf != nil {
+		m.lists.Put(buf)
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// putPlain writes the plain encoding of list, from its byte skip on, into
+// dst until either runs out, and reports the bytes written.
+func putPlain(dst []byte, list []graph.Vertex, skip int) int {
+	list = list[skip/graph.EntrySize:]
+	var e [graph.EntrySize]byte
+	n := 0
+	if cut := skip % graph.EntrySize; cut != 0 && len(list) > 0 {
+		binary.LittleEndian.PutUint32(e[:], list[0])
+		n = copy(dst, e[cut:])
+		list = list[1:]
+	}
+	whole := min(len(list), (len(dst)-n)/graph.EntrySize)
+	for _, v := range list[:whole] {
+		binary.LittleEndian.PutUint32(dst[n:], v)
+		n += graph.EntrySize
+	}
+	if whole < len(list) {
+		binary.LittleEndian.PutUint32(e[:], list[whole])
+		n += copy(dst[n:], e[:])
+	}
+	return n
+}
 
 // rank order sanity: orient.Less over the original degrees must match the
 // snapshot reconstruction — referenced here so the dependency is explicit.

@@ -111,7 +111,8 @@ func BenchmarkMGTListing(b *testing.B) {
 }
 
 // BenchmarkCone measures the calculation phase alone — a warmed Runner over
-// an in-memory source, count-only, the window holding the whole file — on a
+// a buffered handle on a page-cache-warm store, count-only, the window
+// holding the whole file — on a
 // skewed power-law stand-in: the runner's own mark-and-probe routine (auto)
 // against the paper's pairwise merge. cmp/op is Stats.CmpOps, exact and
 // repeatable.
@@ -121,7 +122,7 @@ func BenchmarkCone(b *testing.B) {
 		b.Fatal(err)
 	}
 	d := orientedStore(b, g)
-	src, err := scan.New(scan.SourceMem, d, scan.Config{})
+	src, err := scan.New(scan.SourceBuffered, d, scan.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

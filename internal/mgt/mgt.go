@@ -117,8 +117,7 @@ type Config struct {
 	// Source is the runner's access to the adjacency data. The runner
 	// never opens the adjacency file itself: window loads and scan passes
 	// go through this handle, so the engine decides the I/O strategy
-	// (per-runner buffered scans, one shared broadcast scan, or fully
-	// in-memory). Nil selects a private scan.SourceBuffered handle charged
+	// (per-runner buffered scans, or one shared broadcast scan). Nil selects a private scan.SourceBuffered handle charged
 	// to Counter — the paper's configuration, and bitwise-identical to the
 	// pre-refactor behavior.
 	Source scan.Handle

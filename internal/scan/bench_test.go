@@ -67,10 +67,10 @@ func benchDisk(b *testing.B) *graph.Disk {
 // BenchmarkSourceScanVolume measures one round of P=4 concurrent full
 // sequential passes under each source. The headline metric is diskB/op —
 // the physical read volume per round: buffered pays P·|E*|, shared pays
-// |E*| (1/P), mem pays nothing after its one-time preload.
+// |E*| (1/P).
 func BenchmarkSourceScanVolume(b *testing.B) {
 	const P = 4
-	for _, kind := range []SourceKind{SourceBuffered, SourceShared, SourceMem} {
+	for _, kind := range []SourceKind{SourceBuffered, SourceShared} {
 		b.Run(string(kind), func(b *testing.B) {
 			d := benchDisk(b)
 			srcCounter := ioacct.NewCounter(0)
@@ -88,7 +88,6 @@ func BenchmarkSourceScanVolume(b *testing.B) {
 				}
 				defer handles[i].Close()
 			}
-			preload := srcCounter.Snapshot().BytesRead // mem's one-time cost
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				var wg sync.WaitGroup
@@ -115,7 +114,7 @@ func BenchmarkSourceScanVolume(b *testing.B) {
 				wg.Wait()
 			}
 			b.StopTimer()
-			var bytes int64 = srcCounter.Snapshot().BytesRead - preload
+			bytes := srcCounter.Snapshot().BytesRead
 			for _, c := range counters {
 				bytes += c.Snapshot().BytesRead
 			}

@@ -13,8 +13,9 @@
 //     buffers, turning P concurrent full-file scans into one physical scan
 //     (the explicit scan sharing that engineering work on distributed
 //     triangle counting shows is where the I/O constant factors live).
-//   - Mem — the whole adjacency array pinned in RAM for graphs that fit;
-//     scan passes and window loads cost no I/O at all.
+//
+// The engine's default, cooperative windows (SourceAuto), is not a source of
+// this package: its runners read the cone blocks they are dealt themselves.
 //
 // All sources present identical semantics: a full pass yields every vertex
 // in order with its out-list split into sorted segments of at most maxList
@@ -47,8 +48,6 @@ const (
 	// SourceShared is one physical sequential scan broadcast to all
 	// concurrently-scanning runners.
 	SourceShared SourceKind = "shared"
-	// SourceMem holds the whole adjacency array in memory.
-	SourceMem SourceKind = "mem"
 )
 
 // ParseSource validates a source name from a flag or wire message. The
@@ -57,10 +56,10 @@ func ParseSource(s string) (SourceKind, error) {
 	switch SourceKind(s) {
 	case "":
 		return SourceAuto, nil
-	case SourceAuto, SourceBuffered, SourceShared, SourceMem:
+	case SourceAuto, SourceBuffered, SourceShared:
 		return SourceKind(s), nil
 	}
-	return "", fmt.Errorf("scan: unknown scan source %q (want auto, buffered, shared, or mem)", s)
+	return "", fmt.Errorf("scan: unknown scan source %q (want auto, buffered, or shared)", s)
 }
 
 // IsAuto reports whether k names no source: SourceAuto or the zero value.
@@ -80,7 +79,7 @@ type Config struct {
 	// size (Shared); non-positive selects 1 MiB.
 	BufBytes int
 	// Counter receives the I/O the source performs on its own behalf —
-	// the Shared broadcaster's single scan, or the Mem preload. Per-runner
+	// the Shared broadcaster's single scan. Per-runner
 	// I/O (window loads, large-vertex re-reads, Buffered scans) is charged
 	// to the counter each Handle was opened with instead. Nil allocates a
 	// private counter.
@@ -88,8 +87,8 @@ type Config struct {
 	// Ctx bounds the source's lifetime: a source is created for exactly one
 	// run, so the run's context cancels it. On cancellation the Shared
 	// broadcaster abandons its round loop and unblocks every runner waiting
-	// on a ring buffer or round quorum, and the Mem preload stops between
-	// blocks; blocked operations return the context's error. Nil means
+	// on a ring buffer or round quorum; blocked operations return the
+	// context's error. Nil means
 	// context.Background() (never cancelled).
 	Ctx context.Context
 }
@@ -98,8 +97,8 @@ func (c Config) withDefaults() Config {
 	if c.BufBytes <= 0 {
 		c.BufBytes = 1 << 20
 	}
-	// Blocks must hold whole entries: the mem preload and the shared
-	// broadcaster both decode block-by-block, so an unaligned size would
+	// Blocks must hold whole entries: the shared broadcaster decodes
+	// block-by-block, so an unaligned size would
 	// split an entry across blocks. Round up to the next entry boundary.
 	if rem := c.BufBytes % graph.EntrySize; rem != 0 {
 		c.BufBytes += graph.EntrySize - rem
@@ -151,7 +150,7 @@ type Handle interface {
 // pass can deliver each vertex's list in its encoded form, which the
 // header-pruned pass rejects on its segment headers before decoding. Every
 // source's compressed scan implements it (the concrete type is
-// *graph.CompressedSeqScan in all three cases); plain-store scans do not.
+// *graph.CompressedSeqScan in both cases); plain-store scans do not.
 // NextCompressed and Next consume the same pass and must not be mixed.
 type CompressedScan interface {
 	NextCompressed() (u graph.Vertex, list graph.CompressedList, ok bool)
@@ -179,8 +178,6 @@ func New(kind SourceKind, d *graph.Disk, cfg Config) (Source, error) {
 		return newBuffered(d, cfg), nil
 	case SourceShared:
 		return newShared(d, cfg), nil
-	case SourceMem:
-		return newMem(d, cfg)
 	case SourceAuto, "":
 		return nil, fmt.Errorf("scan: %q names no scan source (the engine's cooperative windows read the store themselves)", SourceAuto)
 	}

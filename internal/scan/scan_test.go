@@ -3,6 +3,7 @@ package scan
 import (
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -84,7 +85,7 @@ func sameSegments(t *testing.T, label string, got, want []segment) {
 	}
 }
 
-func allKinds() []SourceKind { return []SourceKind{SourceBuffered, SourceShared, SourceMem} }
+func allKinds() []SourceKind { return []SourceKind{SourceBuffered, SourceShared} }
 
 // TestSourcesYieldIdenticalStreams checks that every source reproduces the
 // buffered (graph.Scanner) segment stream exactly, across segmentation
@@ -274,8 +275,7 @@ func TestSharedScanCloseMidPassDoesNotStallOthers(t *testing.T) {
 }
 
 // TestUnalignedBufBytes: block sizes that are not a multiple of the entry
-// size must be rounded, not allowed to split entries across blocks (the
-// mem preload used to panic on this).
+// size must be rounded, not allowed to split entries across blocks.
 func TestUnalignedBufBytes(t *testing.T) {
 	g, err := gen.ErdosRenyi(150, 1200, 4)
 	if err != nil {
@@ -306,15 +306,20 @@ func TestUnalignedBufBytes(t *testing.T) {
 func TestParseSource(t *testing.T) {
 	for in, want := range map[string]SourceKind{
 		"": SourceAuto, "auto": SourceAuto, "buffered": SourceBuffered,
-		"shared": SourceShared, "mem": SourceMem,
+		"shared": SourceShared,
 	} {
 		got, err := ParseSource(in)
 		if err != nil || got != want {
 			t.Errorf("ParseSource(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseSource("mmap"); err == nil {
-		t.Error("ParseSource must reject unknown kinds")
+	// "mem", an in-memory source that no longer exists, is as unknown as
+	// any other name, and the error says what is accepted.
+	for _, in := range []string{"mmap", "mem"} {
+		_, err := ParseSource(in)
+		if err == nil || !strings.Contains(err.Error(), "want auto, buffered, or shared") {
+			t.Errorf("ParseSource(%q) = %v; want an error naming the accepted sources", in, err)
+		}
 	}
 	// The default names no source of this package, spelled out or not.
 	for _, k := range []SourceKind{"", SourceAuto} {
@@ -325,7 +330,7 @@ func TestParseSource(t *testing.T) {
 			t.Errorf("New(%q) must refuse: the default is not a scan source", k)
 		}
 	}
-	if SourceMem.IsAuto() || SourceMem.OrAuto() != SourceMem {
+	if SourceShared.IsAuto() || SourceShared.OrAuto() != SourceShared {
 		t.Error("a named kind must pass through OrAuto")
 	}
 }

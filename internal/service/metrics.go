@@ -49,7 +49,7 @@ type Metrics struct {
 	ClusterNodeFailures atomic.Uint64
 
 	// Engine I/O attributed to runs the service executed: the scan
-	// source's own reads (shared broadcasts, mem preloads) and the
+	// source's own reads (shared broadcasts, shared-window loads) and the
 	// per-worker window reads. A cache hit adds exactly zero to both.
 	SourceBytesRead atomic.Int64
 	WorkerBytesRead atomic.Int64

@@ -141,14 +141,14 @@ func TestServerRegisterCountCache(t *testing.T) {
 		t.Fatalf("normalized-options count origin = %v, want cache", c3["origin"])
 	}
 
-	// A removed kernel name is a bad request — asked twice, so a cached
-	// answer would show — and nothing runs. The paper's merge is a run of
-	// its own: its own cache slot, the same count.
-	for _, k := range []string{"gallop", "adaptive", "compressed", "cover", "gallop"} {
-		getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096&kernel="+k, http.StatusBadRequest)
+	// A removed kernel or scan source name is a bad request — asked twice,
+	// so a cached answer would show — and nothing runs. The paper's merge is
+	// a run of its own: its own cache slot, the same count.
+	for _, param := range []string{"kernel=gallop", "kernel=adaptive", "kernel=compressed", "kernel=cover", "kernel=gallop", "scan=mem", "scan=mem"} {
+		getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096&"+param, http.StatusBadRequest)
 	}
 	if n := svc.Metrics().RunsStarted.Load(); n != 1 {
-		t.Fatalf("removed kernel names started engine runs: %d runs, want 1", n)
+		t.Fatalf("removed kernel and source names started engine runs: %d runs, want 1", n)
 	}
 	for _, origin := range []string{"run", "cache"} {
 		cm := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096&kernel=merge", 200)

@@ -128,8 +128,9 @@ func (lg *LiveGraph) Apply(updates []LiveUpdate) error {
 
 // Count runs the exact engine over the current live view. The view is
 // captured at call time: mutations landing mid-run do not perturb the
-// result. The scan source is always the in-memory overlay; other options
-// (workers, memory, kernel, scheduler, balance) apply as usual.
+// result. The run is always the default source's cooperative windows,
+// reading the view from memory: of opt only Workers, MemEdges and Kernel
+// apply, and the result's ScanSource is "auto".
 func (lg *LiveGraph) Count(ctx context.Context, opt Options) (*Result, error) {
 	copt, err := opt.toCore()
 	if err != nil {
@@ -148,7 +149,7 @@ func (lg *LiveGraph) Count(ctx context.Context, opt Options) (*Result, error) {
 		CalcTime:     cres.CalcTime,
 		TotalTime:    cres.TotalTime,
 		OrientedBase: cres.OrientedBase,
-		ScanSource:   string(scan.SourceMem),
+		ScanSource:   string(scan.SourceAuto),
 		Sched:        copt.Sched.String(),
 	}
 	for _, w := range cres.Workers {

@@ -74,10 +74,9 @@ type Options struct {
 	// fits the window is read exactly once. Naming a source selects the
 	// paper's layout instead — every worker a range of the load-balance
 	// plan and a private MemEdges-entry window — fed by "buffered" (the
-	// paper's configuration: every runner scans the file itself), "shared"
-	// (one sequential reader broadcasts to all runners), or "mem" (whole
-	// adjacency array in RAM; for graphs that fit). The triangle set is
-	// identical for every choice.
+	// paper's configuration: every runner scans the file itself) or
+	// "shared" (one sequential reader broadcasts to all runners). Any other
+	// name is an error. The triangle set is identical for every choice.
 	ScanSource string
 	// Kernel selects how a cone vertex's list N(u) is intersected with the
 	// in-memory lists of its out-neighbours: "auto" (or empty — N(u) is
@@ -217,7 +216,7 @@ type Result struct {
 	// input of later runs to skip orientation).
 	OrientedBase string
 	// ScanSource is the scan source the run used ("auto" — cooperative
-	// windows — "buffered", "shared", or "mem").
+	// windows — "buffered", or "shared").
 	ScanSource string
 	// Sched is the schedule the run was asked for ("static" or "stealing").
 	Sched string
@@ -230,7 +229,7 @@ type Result struct {
 	// SourceBytesRead is the disk volume that is no worker's own: under
 	// "auto" the loads of the windows the workers share; otherwise what
 	// the scan source read on its own behalf — the shared broadcaster's
-	// single scan per round of passes, or the in-memory preload; zero for
+	// single scan per round of passes; zero for
 	// "buffered", whose scans are charged to the per-worker BytesRead
 	// instead.
 	SourceBytesRead int64
