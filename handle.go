@@ -283,18 +283,26 @@ func (o Options) resolveWorkers() int {
 	return defaultWorkers()
 }
 
+// emit is where a run's triangles go: nowhere (a count), to one sink per
+// worker in no particular order, or to out in listing order, spilling to
+// files in dir.
+type emit struct {
+	sinks []mgt.Sink
+	out   io.Writer
+	dir   string
+}
+
 // run executes one calculation on the handle: ensure orientation (cached),
 // then the engine — cooperative windows over the whole store by default,
 // or, under a named scan source, the paper's layout: one runner per range
-// of the (cached) load-balance plan. sinks, when non-nil, has one entry per
-// worker; the returned pieces put their outputs in listing order.
-func (g *Graph) run(ctx context.Context, opt Options, sinks []mgt.Sink) (*Result, []mgt.Piece, error) {
+// of the (cached) load-balance plan.
+func (g *Graph) run(ctx context.Context, opt Options, to emit) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	copt, err := opt.toCore()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	workers := copt.Workers
 	if workers <= 0 {
@@ -304,7 +312,7 @@ func (g *Graph) run(ctx context.Context, opt Options, sinks []mgt.Sink) (*Result
 	if copt.MemEdges <= 0 {
 		copt.MemEdges = core.DefaultMemEdges
 	}
-	copt.Sinks = sinks
+	copt.Sinks, copt.Out, copt.SpillDir = to.sinks, to.out, to.dir
 
 	g.runs.Add(1)
 	start := time.Now()
@@ -321,7 +329,7 @@ func (g *Graph) run(ctx context.Context, opt Options, sinks []mgt.Sink) (*Result
 	d, orientedBase, ores, err := g.ensureOriented(ctx, workers, copt.Store)
 	rcur.End(osp)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	calcStart := time.Now()
 	psp := rcur.Begin(obs.SpanPlan)
@@ -335,7 +343,7 @@ func (g *Graph) run(ctx context.Context, opt Options, sinks []mgt.Sink) (*Result
 	rcur.End(psp)
 	planTime := time.Since(calcStart)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	csp := rcur.Begin(obs.SpanCalc)
 	calcCtx := ctx
@@ -345,7 +353,7 @@ func (g *Graph) run(ctx context.Context, opt Options, sinks []mgt.Sink) (*Result
 	calc, err := core.RunRanges(calcCtx, d, plan.Ranges, copt)
 	rcur.End(csp)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	stats, srcIO := calc.Workers, calc.SourceIO
 
@@ -380,15 +388,14 @@ func (g *Graph) run(ctx context.Context, opt Options, sinks []mgt.Sink) (*Result
 	}
 	res.CalcTime = time.Since(calcStart)
 	res.TotalTime = time.Since(start)
-	return res, calc.Listing, nil
+	return res, nil
 }
 
 // Count counts the graph's triangles. The first call orients the graph (if
 // the store was unoriented) and plans the load balance; later calls with
 // any options reuse both and go straight to the calculation phase.
 func (g *Graph) Count(ctx context.Context, opt Options) (*Result, error) {
-	res, _, err := g.run(ctx, opt, nil)
-	return res, err
+	return g.run(ctx, opt, emit{})
 }
 
 // ForEach invokes fn once per triangle (u, v, w), ordered by the
@@ -400,80 +407,25 @@ func (g *Graph) ForEach(ctx context.Context, opt Options, fn func(u, v, w uint32
 	for i := range sinks {
 		sinks[i] = mgt.FuncSink(fn)
 	}
-	res, _, err := g.run(ctx, opt, sinks)
-	return res, err
+	return g.run(ctx, opt, emit{sinks: sinks})
 }
 
 // List streams every triangle to w as little-endian uint32 triples (12
 // bytes per triangle), in an order that depends on the options but not on
 // timing — by default not even on Workers, at equal Workers·MemEdges; use
-// ReadTriangleFile (or mgt.ReadTriangles) to decode. Workers buffer their
-// shares in private temporary files and the shares are pieced together
-// into w after the run, so w itself sees one sequential write.
+// ReadTriangleFile (or mgt.ReadTriangles) to decode. The triangles reach w
+// block by block, in that order, as the workers finish them: a worker ahead
+// of the output parks its finished blocks in a bounded amount of memory and
+// spills the rest to a private file in the default temp directory, copied
+// into w when the output comes to it and removed before List returns
+// (mgt.Listing).
 func (g *Graph) List(ctx context.Context, w io.Writer, opt Options) (*Result, error) {
-	return g.listTo(ctx, w, "", opt)
+	return g.run(ctx, opt, emit{out: w})
 }
 
-// listTo is List with an explicit directory for the part files ("" means
-// the default temp dir), one per worker. os.CreateTemp names the parts, so
-// concurrent listings — even of the same graph to the same output path —
-// never collide on their intermediates.
-func (g *Graph) listTo(ctx context.Context, out io.Writer, partDir string, opt Options) (*Result, error) {
-	opt.Workers = opt.resolveWorkers()
-	n := opt.Workers
-	parts := make([]*os.File, 0, n)
-	defer func() {
-		for _, f := range parts {
-			f.Close()
-			os.Remove(f.Name())
-		}
-	}()
-	sinks := make([]mgt.Sink, n)
-	fileSinks := make([]*mgt.FileSink, n)
-	for i := range sinks {
-		f, err := os.CreateTemp(partDir, "pdtl-list-*.part")
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, f)
-		fileSinks[i] = mgt.NewFileSink(f)
-		sinks[i] = fileSinks[i]
-	}
-	res, pieces, err := g.run(ctx, opt, sinks)
-	if err != nil {
-		return nil, err
-	}
-	// Reassembly: the engine's pieces, in order, each a stretch of one part
-	// file (seek + CopyN between files keeps the kernel-side copy) — traced
-	// as one assemble span.
-	cur := obs.CursorFrom(ctx)
-	asp := cur.Begin(obs.SpanAssemble)
-	defer cur.End(asp)
-	cur.SetAttr(asp, "parts", int64(len(fileSinks)))
-	cur.SetAttr(asp, "pieces", int64(len(pieces)))
-	for _, sink := range fileSinks {
-		if err := sink.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	const tri = 12 // bytes per triangle
-	for _, p := range pieces {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if _, err := parts[p.Sink].Seek(int64(tri*p.Lo), io.SeekStart); err != nil {
-			return nil, err
-		}
-		if _, err := io.CopyN(out, parts[p.Sink], int64(tri*(p.Hi-p.Lo))); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// ListFile writes the listing to outPath atomically: the per-worker parts
-// and the output temp file live in outPath's directory, and the temp is
-// renamed into place only on success — a failed or cancelled run never
+// ListFile writes the listing to outPath atomically: the workers' spill
+// files and the output temp file live in outPath's directory, and the temp
+// is renamed into place only on success — a failed or cancelled run never
 // truncates or disturbs an existing file at outPath. The final file gets
 // os.Create's permissions (0666 clipped by the umask).
 func (g *Graph) ListFile(ctx context.Context, outPath string, opt Options) (*Result, error) {
@@ -482,7 +434,7 @@ func (g *Graph) ListFile(ctx context.Context, outPath string, opt Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	res, err := g.listTo(ctx, out, dir, opt)
+	res, err := g.run(ctx, opt, emit{out: out, dir: dir})
 	if err != nil {
 		out.Close()
 		os.Remove(out.Name())
@@ -603,7 +555,7 @@ func (g *Graph) TriangleDegrees(ctx context.Context, opt Options) ([]uint64, *Re
 				atomic.AddUint64(&counts[w], 1)
 			})
 		}
-		res, _, err := g.run(ctx, opt, sinks)
+		res, err := g.run(ctx, opt, emit{sinks: sinks})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -619,7 +571,7 @@ func (g *Graph) TriangleDegrees(ctx context.Context, opt Options) ([]uint64, *Re
 			shard[w]++
 		})
 	}
-	res, _, err := g.run(ctx, opt, sinks)
+	res, err := g.run(ctx, opt, emit{sinks: sinks})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -274,8 +275,8 @@ func TestListFileIndependentOfWorkers(t *testing.T) {
 }
 
 // TestListConcurrentSamePath runs two ListFile calls on the same output
-// path at once. With the old predictable %s.partN temp names the part files
-// clobbered each other; with os.CreateTemp parts they cannot, and both runs
+// path at once. Predictable temp names would let their intermediate files
+// clobber each other; with os.CreateTemp names they cannot, and both runs
 // produce the complete, exact listing.
 func TestListConcurrentSamePath(t *testing.T) {
 	g6, err := gen.TriGrid(8, 8)
@@ -325,6 +326,151 @@ func TestListConcurrentSamePath(t *testing.T) {
 			t.Fatalf("duplicate %v", tri)
 		}
 		seen[tri] = true
+	}
+}
+
+// watchedWriter is an output that, at every write, fails the test if dir
+// holds a part file of the old assemble-after-the-run listing.
+type watchedWriter struct {
+	t   *testing.T
+	dir string
+	n   int
+}
+
+func (w *watchedWriter) Write(p []byte) (int, error) {
+	if parts, _ := filepath.Glob(filepath.Join(w.dir, "*.part")); len(parts) > 0 {
+		w.t.Errorf("part files during the run: %v", parts)
+	}
+	w.n += len(p)
+	return len(p), nil
+}
+
+// failAfter takes n bytes and fails every write after them.
+type failAfter struct{ n int }
+
+var errOutputFull = errors.New("output full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		n := w.n
+		w.n = 0
+		return n, errOutputFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestListStreamsWithoutIntermediates: a listing's temporary files are the
+// spill files of workers ahead of the output, in the temp directory while
+// List runs and gone when it returns — never a part file, under the default
+// source and a named one. An output that fails part-way makes List return
+// its error, with every worker stopped and every spill file removed.
+func TestListStreamsWithoutIntermediates(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "pl")
+	if _, err := GeneratePowerLaw(base, 2000, 30000, 1.9, 17); err != nil {
+		t.Fatal(err)
+	}
+	g := openStore(t, base)
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	empty := func(label string) {
+		t.Helper()
+		if left, _ := filepath.Glob(filepath.Join(tmp, "*")); len(left) > 0 {
+			t.Errorf("%s: left behind: %v", label, left)
+		}
+	}
+	before := runtime.NumGoroutine()
+	for _, source := range []string{"", "buffered"} {
+		opt := Options{Workers: 4, MemEdges: 2000, ScanSource: source}
+		w := &watchedWriter{t: t, dir: tmp}
+		res, err := g.List(context.Background(), w, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(w.n) != 12*res.Triangles {
+			t.Errorf("source %q: %d bytes for %d triangles", source, w.n, res.Triangles)
+		}
+		empty("source " + source)
+		for _, n := range []int{0, 12 * 1000} {
+			if _, err := g.List(context.Background(), &failAfter{n: n}, opt); !errors.Is(err, errOutputFull) {
+				t.Errorf("source %q, output full after %d bytes: err = %v", source, n, err)
+			}
+			empty("failed run")
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d, baseline %d", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// TestListFileLeavesOnlyTheOutput: whether ListFile succeeds, fails or is
+// cancelled mid-run, the output's directory afterwards holds the output or
+// nothing at all.
+func TestListFileLeavesOnlyTheOutput(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "pl")
+	if _, err := GeneratePowerLaw(base, 2000, 30000, 1.9, 17); err != nil {
+		t.Fatal(err)
+	}
+	g := openStore(t, base)
+	check := func(label, dir string, want ...string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: the directory holds %v, want %v", label, got, want)
+		}
+	}
+	opt := Options{Workers: 4, MemEdges: 500}
+
+	dir := t.TempDir()
+	if _, err := g.ListFile(context.Background(), filepath.Join(dir, "tris.bin"), opt); err != nil {
+		t.Fatal(err)
+	}
+	check("success", dir, "tris.bin")
+
+	dir = t.TempDir()
+	bad := opt
+	bad.Kernel = "bogus"
+	if _, err := g.ListFile(context.Background(), filepath.Join(dir, "tris.bin"), bad); err == nil {
+		t.Fatal("an unknown kernel listed")
+	}
+	check("failure", dir)
+
+	// Cancelled once the output has begun to grow; a run that finishes
+	// first must leave its output alone.
+	for i := range 5 {
+		dir := t.TempDir()
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			defer cancel()
+			for ctx.Err() == nil {
+				tmps, _ := filepath.Glob(filepath.Join(dir, ".pdtl-out-*"))
+				for _, p := range tmps {
+					if fi, err := os.Stat(p); err == nil && fi.Size() > 0 {
+						return
+					}
+				}
+				runtime.Gosched()
+			}
+		}()
+		_, err := g.ListFile(ctx, filepath.Join(dir, "tris.bin"), opt)
+		cancel()
+		switch {
+		case err == nil:
+			check("finished before the cancellation", dir, "tris.bin")
+		case errors.Is(err, context.Canceled):
+			check("cancelled", dir)
+		default:
+			t.Fatalf("run %d: %v", i, err)
+		}
 	}
 }
 

@@ -339,16 +339,12 @@ func count(ctx context.Context, d *graph.Disk, args *CountArgs, reply *CountRepl
 		Kernel:   kernelKind,
 		Sched:    schedMode,
 	}
-	// One sink per runner; the engine's pieces put their bytes in the
-	// batch's order — range by range for a stealing batch, so the master's
-	// chunk-ordered concatenation does not depend on who ran which chunk.
-	var buffers []bytes.Buffer
+	// A listing is written in the batch's order — range by range for a
+	// stealing batch, so the master's chunk-ordered concatenation does not
+	// depend on who ran which chunk.
+	var triples bytes.Buffer
 	if args.List {
-		opt.Sinks = make([]mgt.Sink, opt.Runners(len(args.Ranges)))
-		buffers = make([]bytes.Buffer, len(opt.Sinks))
-		for i := range opt.Sinks {
-			opt.Sinks[i] = mgt.NewFileSink(&buffers[i])
-		}
+		opt.Out = &triples
 	}
 	calc, err := core.RunRanges(ctx, d, args.Ranges, opt)
 	if err != nil {
@@ -358,14 +354,7 @@ func count(ctx context.Context, d *graph.Disk, args *CountArgs, reply *CountRepl
 	for _, w := range reply.Workers {
 		reply.Triangles += w.Stats.Triangles
 	}
-	for _, sink := range opt.Sinks {
-		if err := sink.(*mgt.FileSink).Flush(); err != nil {
-			return err
-		}
-	}
-	for _, p := range calc.Listing {
-		reply.Triples = append(reply.Triples, buffers[p.Sink].Bytes()[12*p.Lo:12*p.Hi]...)
-	}
+	reply.Triples = triples.Bytes()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -59,41 +60,58 @@ func (s *recordingSink) Triangle(u, v, w graph.Vertex) {
 }
 
 // listed is one listing run: what every sink received, the sequence the
-// run's pieces assemble them into, and the triangle total of the stats.
+// run writes to its ordered output, and the triangle total of the stats.
 type listed struct {
 	sinks     [][][3]graph.Vertex
 	assembled [][3]graph.Vertex
 	total     uint64
 }
 
-// runListed runs ranges under opt with one recording sink per runner. With
-// countOnly it runs without sinks and fills in the total alone.
+// runListed runs ranges under opt twice: with one recording sink per runner,
+// and writing its ordered listing to a buffer. With countOnly it runs once,
+// without either, and fills in the total alone.
 func runListed(t *testing.T, label string, d *graph.Disk, ranges []balance.Range, opt Options, countOnly bool) listed {
 	t.Helper()
-	var recs []*recordingSink
-	if !countOnly {
-		opt.Sinks = make([]mgt.Sink, opt.Runners(len(ranges)))
-		for i := range opt.Sinks {
-			recs = append(recs, &recordingSink{})
-			opt.Sinks[i] = recs[i]
+	run := func(opt Options) uint64 {
+		t.Helper()
+		calc, err := RunRanges(context.Background(), d, ranges, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-	}
-	calc, err := RunRanges(context.Background(), d, ranges, opt)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
+		var total uint64
+		for _, w := range calc.Workers {
+			total += w.Stats.Triangles
+		}
+		return total
 	}
 	var out listed
-	for _, w := range calc.Workers {
-		out.total += w.Stats.Triangles
+	if countOnly {
+		out.total = run(opt)
+		return out
 	}
+	sinks := opt
+	sinks.Sinks = make([]mgt.Sink, opt.Runners(len(ranges)))
+	recs := make([]recordingSink, len(sinks.Sinks))
+	for i := range sinks.Sinks {
+		sinks.Sinks[i] = &recs[i]
+	}
+	total := run(sinks)
 	for _, rec := range recs {
 		out.sinks = append(out.sinks, rec.tris)
 	}
-	for _, p := range calc.Listing {
-		out.assembled = append(out.assembled, recs[p.Sink].tris[p.Lo:p.Hi]...)
+	var buf bytes.Buffer
+	ordered := opt
+	ordered.Out, ordered.SpillDir = &buf, t.TempDir()
+	if out.total = run(ordered); out.total != total {
+		t.Fatalf("%s: %d triangles listed in order, %d to sinks", label, out.total, total)
 	}
-	if !countOnly && uint64(len(out.assembled)) != out.total {
-		t.Fatalf("%s: pieces assemble %d triangles, stats say %d", label, len(out.assembled), out.total)
+	tris, err := mgt.ReadTriangles(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.assembled = tris
+	if uint64(len(out.assembled)) != out.total {
+		t.Fatalf("%s: the ordered listing has %d triangles, stats say %d", label, len(out.assembled), out.total)
 	}
 	return out
 }

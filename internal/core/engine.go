@@ -15,6 +15,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -47,10 +48,19 @@ type Options struct {
 	// BufBytes is each runner's sequential-scan buffer size.
 	BufBytes int
 	// Sinks, when non-nil, must have one entry per runner (Runners); runner
-	// i streams its triangles to Sinks[i], and the run's Listing says how
-	// the sinks' outputs make up the listing. Nil means counting only: the
-	// same cone routine, the same count and steps, no triangle reported.
+	// i streams the triangles it finds to Sinks[i], in no order across
+	// runners. Nil, with Out nil too, means counting only: the same cone
+	// routine, the same count and steps, no triangle reported.
 	Sinks []mgt.Sink
+	// Out, when non-nil, receives the listing — 12-byte little-endian
+	// triples — in an order that does not depend on timing (mgt.Listing):
+	// range by range under a named source; under the default source what
+	// one runner with a window of Workers·MemEdges entries lists, whatever
+	// Workers is. Runners ahead of the output spill to files in SpillDir
+	// ("" is the default temp directory), removed before RunRanges returns.
+	// Sinks must then be nil.
+	Out      io.Writer
+	SpillDir string
 	// KeepOriented leaves the oriented store on disk after the run (the
 	// cluster layer relies on this to copy it to clients).
 	KeepOriented bool
@@ -296,14 +306,6 @@ type Calc struct {
 	// SourceIO is the I/O that is no runner's own: a named scan source's
 	// (Result.SourceIO), or the window loads of a cooperative run.
 	SourceIO ioacct.Stats
-	// Listing, for a run with sinks, puts their outputs in order: piece
-	// after piece, the triangles [Lo, Hi) that sink Sink received. Under a
-	// named source that is every sink whole, in range order; the runners of
-	// a cooperative window are dealt their blocks, and the pieces restore
-	// the order of one runner with the whole window (mgt.RunDealt) — so a
-	// listing assembled from them does not depend on timing, nor on Workers
-	// at equal Workers·MemEdges.
-	Listing []mgt.Piece
 }
 
 // Runners reports how many runners — and so how many sinks — RunRanges uses
@@ -339,7 +341,7 @@ func (o Options) Runners(n int) int {
 // window, blocked shared-broadcast waits unblock immediately, and the
 // source, all handles and all descriptors are torn down before RunRanges
 // returns ctx.Err() — no goroutines or file descriptors outlive the call.
-func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Options) (Calc, error) {
+func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Options) (calc Calc, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -347,7 +349,11 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 	if !d.Meta.Oriented {
 		return Calc{}, fmt.Errorf("core: RunRanges requires an oriented store")
 	}
-	if n := opt.Runners(len(ranges)); opt.Sinks != nil && len(opt.Sinks) != n {
+	n := opt.Runners(len(ranges))
+	if opt.Sinks != nil && opt.Out != nil {
+		return Calc{}, fmt.Errorf("core: both sinks and an ordered output")
+	}
+	if opt.Sinks != nil && len(opt.Sinks) != n {
 		return Calc{}, fmt.Errorf("core: %d sinks for %d runners", len(opt.Sinks), n)
 	}
 	if _, err := mgt.ParseKernel(string(opt.Kernel)); err != nil {
@@ -356,8 +362,23 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 	if err := ctx.Err(); err != nil {
 		return Calc{}, err
 	}
+	var list *mgt.Listing
+	if opt.Out != nil {
+		list = mgt.NewListing(opt.Out, opt.SpillDir, n)
+		defer func() {
+			// The runners wrote the listing as they went; what is left to
+			// trace as its assembly is the close.
+			cur := obs.CursorFrom(ctx)
+			sp := cur.Begin(obs.SpanAssemble)
+			cerr := list.Close()
+			cur.End(sp)
+			if err == nil {
+				err = cerr
+			}
+		}()
+	}
 	if opt.Scan.IsAuto() {
-		return runDealt(ctx, d, ranges, opt)
+		return runDealt(ctx, d, ranges, opt, list)
 	}
 	src, err := scan.New(opt.Scan, d, scan.Config{
 		BufBytes: opt.BufBytes,
@@ -419,14 +440,26 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 				return
 			}
 			var sink mgt.Sink
-			if opt.Sinks != nil {
+			var part *mgt.ListPart
+			switch {
+			case opt.Sinks != nil:
 				sink = opt.Sinks[i]
+			case list != nil:
+				// Runner i's range is block i of the listing.
+				part = list.Part(i)
+				part.Begin(int64(i))
+				sink = part
 			}
 			stats[i].Stats, errs[i] = runner.RunRange(rctx, r, sink)
+			if part != nil && errs[i] == nil {
+				if err := part.End(); err != nil {
+					errs[i] = fmt.Errorf("core: write listing: %w", err)
+				}
+			}
 		}(i, r)
 	}
 	wg.Wait()
-	calc := Calc{Workers: stats, SourceIO: src.IO()}
+	calc = Calc{Workers: stats, SourceIO: src.IO()}
 	// A cancelled run reports the bare ctx.Err() regardless of which runner
 	// (or the scan source) surfaced the cancellation first.
 	if err := ctx.Err(); err != nil {
@@ -437,18 +470,13 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 			return calc, err
 		}
 	}
-	if opt.Sinks != nil {
-		for i, w := range stats {
-			calc.Listing = append(calc.Listing, mgt.Piece{Sink: i, Hi: w.Stats.Triangles})
-		}
-	}
 	return calc, nil
 }
 
 // runDealt is RunRanges under the default source: cooperative windows over
-// the spans the ranges coalesce into.
-func runDealt(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Options) (Calc, error) {
-	perRange := opt.Sched == sched.Stealing && opt.Sinks != nil
+// the spans the ranges coalesce into, listing to list when it is non-nil.
+func runDealt(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Options, list *mgt.Listing) (Calc, error) {
+	perRange := opt.Sched == sched.Stealing && list != nil
 	var spans []balance.Range
 	for _, r := range ranges {
 		switch n := len(spans); {
@@ -464,8 +492,9 @@ func runDealt(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Op
 		MemEdges: opt.MemEdges,
 		Kernel:   opt.Kernel,
 		Sinks:    opt.Sinks,
+		Listing:  list,
 	})
-	calc := Calc{SourceIO: dealt.WindowIO, Listing: dealt.Listing}
+	calc := Calc{SourceIO: dealt.WindowIO}
 	hull := balance.Range{}
 	if len(spans) > 0 {
 		hull = balance.Range{Lo: spans[0].Lo, Hi: spans[len(spans)-1].Hi}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/heap"
 	"context"
+	"encoding/binary"
 	"sort"
 	"testing"
 
@@ -191,29 +192,16 @@ func TestStealingChunkStatsDeterministic(t *testing.T) {
 	}
 }
 
-// listChunks runs a listing of ranges under opt and returns the bytes its
-// pieces assemble, as a cluster node does.
+// listChunks runs a listing of ranges under opt and returns the bytes it
+// writes in order, as a cluster node does.
 func listChunks(t *testing.T, d *graph.Disk, ranges []balance.Range, opt Options) []byte {
 	t.Helper()
-	bufs := make([]bytes.Buffer, opt.Runners(len(ranges)))
-	opt.Sinks = make([]mgt.Sink, len(bufs))
-	for i := range opt.Sinks {
-		opt.Sinks[i] = mgt.NewFileSink(&bufs[i])
-	}
-	calc, err := RunRanges(context.Background(), d, ranges, opt)
-	if err != nil {
+	var out bytes.Buffer
+	opt.Out, opt.SpillDir = &out, t.TempDir()
+	if _, err := RunRanges(context.Background(), d, ranges, opt); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range opt.Sinks {
-		if err := s.(*mgt.FileSink).Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var out []byte
-	for _, p := range calc.Listing {
-		out = append(out, bufs[p.Sink].Bytes()[12*p.Lo:12*p.Hi]...)
-	}
-	return out
+	return out.Bytes()
 }
 
 // normalizeTriples order-normalizes a 12-byte-triple listing: the triangle
@@ -233,15 +221,13 @@ func normalizeTriples(t *testing.T, raw []byte) []byte {
 		}
 		return tris[i][2] < tris[j][2]
 	})
-	var buf bytes.Buffer
-	sink := mgt.NewFileSink(&buf)
+	out := make([]byte, 0, len(raw))
 	for _, tri := range tris {
-		sink.Triangle(tri[0], tri[1], tri[2])
+		for _, v := range tri {
+			out = binary.LittleEndian.AppendUint32(out, v)
+		}
 	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return out
 }
 
 // TestStealingBeatsMisweightedStatic is the acceptance scenario: static

@@ -52,15 +52,6 @@ const TileEntries = 256 << 10
 // six stores beside what tiling did to each).
 const tilePays = 8
 
-// Piece is one stretch of a run's listing: the triangles [Lo, Hi), counted
-// in the order the sink received them, of the sink with that index. A
-// runner's sink receives its triangles block by block in whatever order the
-// dealing went; the pieces, in order, are the listing.
-type Piece struct {
-	Sink   int
-	Lo, Hi uint64
-}
-
 // DealConfig parameterizes a cooperative run.
 type DealConfig struct {
 	// Workers is P, the number of runners sharing the window.
@@ -70,8 +61,12 @@ type DealConfig struct {
 	MemEdges int
 	// Kernel is Config.Kernel: the cone routine every runner uses.
 	Kernel KernelKind
-	// Sinks, when non-nil, has one entry per runner.
+	// Sinks, when non-nil, has one entry per runner, each hearing of the
+	// triangles of the blocks its runner was dealt.
 	Sinks []Sink
+	// Listing, when non-nil, has one part per runner and gets the run's
+	// triangles in listing order (see RunDealt); Sinks must then be nil.
+	Listing *Listing
 
 	// In tests: blockEntries overrides BlockEntries (lists a few dozen
 	// entries long then arrive in pieces), tileEntries TileEntries,
@@ -79,13 +74,6 @@ type DealConfig struct {
 	blockEntries int
 	tileEntries  int
 	afterBlock   func()
-}
-
-// mark is a Piece in the making: the triangles a runner reported while it
-// worked through the blocks [block, next) of one round.
-type mark struct {
-	round, block, next int
-	lo, hi             uint64
 }
 
 // dealer is the state the runners of a cooperative run share.
@@ -145,7 +133,7 @@ type dealt struct {
 	vals []graph.Vertex
 
 	work   chan phase
-	marks  []mark
+	list   *ListPart // its end of cfg.Listing
 	blocks int
 	loadIO ioacct.Stats // what its window loads read
 	idle   time.Duration
@@ -164,17 +152,16 @@ type Dealt struct {
 	// WindowIO is what loading the windows read: the runners load them
 	// together, for each other, so it is no one's own.
 	WindowIO ioacct.Stats
-	// Listing, when there are sinks, is the pieces that put their outputs in
-	// order.
-	Listing []Piece
 }
 
 // RunDealt counts (or lists) the triangles whose pivot edges lie in spans —
 // disjoint ascending ranges of d's adjacency entries — with cfg.Workers
-// runners sharing one window. The listing its pieces assemble goes span by
-// span, window by window, cone vertex by cone vertex: exactly what one
-// runner with a window of Workers·MemEdges entries lists, whatever Workers
-// is and however the dealing went.
+// runners sharing one window. The listing it writes to cfg.Listing goes
+// span by span, window by window, cone vertex by cone vertex: exactly what
+// one runner with a window of Workers·MemEdges entries lists, whatever
+// Workers is and however the dealing went. Block b of round r is block
+// r·B + b of the listing (B blocks a round); a runner tells the listing
+// where each block it is dealt begins and ends.
 //
 // ctx is checked between blocks; a cancelled run returns the bare ctx.Err()
 // after every runner has stopped and closed its descriptor. A failed run
@@ -194,6 +181,9 @@ func RunDealt(ctx context.Context, d *graph.Disk, spans []balance.Range, cfg Dea
 	}
 	if cfg.Sinks != nil && len(cfg.Sinks) != cfg.Workers {
 		return Dealt{}, fmt.Errorf("mgt: %d sinks for %d runners", len(cfg.Sinks), cfg.Workers)
+	}
+	if l := cfg.Listing; l != nil && (cfg.Sinks != nil || len(l.parts) != cfg.Workers) {
+		return Dealt{}, fmt.Errorf("mgt: a listing of %d parts, with %d sinks, for %d runners", len(l.parts), len(cfg.Sinks), cfg.Workers)
 	}
 	var longest uint64
 	for i, s := range spans {
@@ -239,8 +229,13 @@ func RunDealt(ctx context.Context, d *graph.Disk, spans []balance.Range, cfg Dea
 		if err != nil {
 			return Dealt{}, err
 		}
-		if cfg.Sinks != nil {
+		var list *ListPart
+		switch {
+		case cfg.Sinks != nil:
 			r.sink = cfg.Sinks[i]
+		case cfg.Listing != nil:
+			list = cfg.Listing.Part(i)
+			r.sink = list
 		}
 		runners[i] = &dealt{
 			Runner: r, dl: dl, adj: adj,
@@ -249,6 +244,7 @@ func RunDealt(ctx context.Context, d *graph.Disk, spans []balance.Range, cfg Dea
 			raw:  make([]byte, max(dl.blockBytes, 2*graph.MaxSegmentBytes)),
 			vals: make([]graph.Vertex, dl.blockEntries),
 			work: make(chan phase),
+			list: list,
 		}
 	}
 	dl.cuts = dl.cutBlocks()
@@ -313,13 +309,7 @@ func RunDealt(ctx context.Context, d *graph.Disk, spans []balance.Range, cfg Dea
 	if cerr := ctx.Err(); cerr != nil {
 		return out, cerr
 	}
-	if err != nil {
-		return out, err
-	}
-	if cfg.Sinks != nil {
-		out.Listing = orderPieces(runners)
-	}
-	return out, nil
+	return out, err
 }
 
 // cutBlocks cuts the vertex ids into cone blocks: maximal runs of vertices
@@ -398,7 +388,7 @@ func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64, r
 func (dl *dealer) scan(runners []*dealt) error {
 	d, w, blocks := dl.d, dl.win, len(dl.cuts)-1
 	tile := dl.tileEntries
-	if dl.cfg.Sinks != nil || uint64(len(w.edg)) <= tile || w.resLo == w.resHi {
+	if dl.cfg.Sinks != nil || dl.cfg.Listing != nil || uint64(len(w.edg)) <= tile || w.resLo == w.resHi {
 		dl.part = partAll
 		return dl.deal(phaseScan, 0, blocks, runners)
 	}
@@ -466,6 +456,8 @@ func (r *dealt) failure(ph phase) error {
 		return r.err
 	case r.err == errBadVertexID:
 		return r.errVertexID(r.badU)
+	case r.list != nil && r.err == r.list.err:
+		return fmt.Errorf("mgt: write listing: %w", r.err)
 	case ph == phaseLoad:
 		return fmt.Errorf("mgt: load window: vertex %d: %w", r.badU, r.err)
 	}
@@ -614,27 +606,27 @@ func (r *dealt) loadStreamed(u graph.Vertex) error {
 }
 
 // scanBlocks is the scan phase of one runner — the blocks loop: every block
-// it takes, it runs the cone vertices of against the window, and, listing,
-// marks where in its sink's output the block's triangles went.
+// it takes, it runs the cone vertices of against the window, and, listing in
+// order, tells the listing where the block begins and ends.
 //
 //pdtl:hotpath
 func (r *dealt) scanBlocks() (graph.Vertex, error) {
+	blocks := int64(len(r.dl.cuts) - 1)
 	for {
 		b, ok, err := r.take()
 		if !ok {
 			return 0, err
 		}
-		before := r.stats.Triangles
+		if r.list != nil {
+			r.list.Begin(int64(r.dl.round)*blocks + int64(b))
+		}
 		if u, err := r.scanBlock(r.dl.cuts[b], r.dl.cuts[b+1]); err != nil {
 			return u, err
 		}
 		r.blocks++
-		if after := r.stats.Triangles; r.sink != nil && after > before {
-			// A run of consecutive blocks is one piece of the listing.
-			if n := len(r.marks); n > 0 && r.marks[n-1].round == r.dl.round && r.marks[n-1].next == b {
-				r.marks[n-1].next, r.marks[n-1].hi = b+1, after
-			} else {
-				r.marks = append(r.marks, mark{round: r.dl.round, block: b, next: b + 1, lo: before, hi: after})
+		if r.list != nil {
+			if err := r.list.End(); err != nil {
+				return 0, err
 			}
 		}
 	}
@@ -852,34 +844,4 @@ func (s *listStream) next() (seg graph.Segment, ok bool, err error) {
 	}
 	seg, ok = s.it.Next()
 	return seg, ok, s.it.Err()
-}
-
-// orderPieces puts the runners' marks in listing order — round by round,
-// block by block — and joins neighbours from one sink.
-func orderPieces(runners []*dealt) []Piece {
-	type placed struct {
-		mark
-		sink int
-	}
-	var all []placed
-	for i, r := range runners {
-		for _, m := range r.marks {
-			all = append(all, placed{m, i})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].round != all[j].round {
-			return all[i].round < all[j].round
-		}
-		return all[i].block < all[j].block
-	})
-	pieces := make([]Piece, 0, len(all))
-	for _, m := range all {
-		if n := len(pieces); n > 0 && pieces[n-1].Sink == m.sink && pieces[n-1].Hi == m.lo {
-			pieces[n-1].Hi = m.hi
-			continue
-		}
-		pieces = append(pieces, Piece{Sink: m.sink, Lo: m.lo, Hi: m.hi})
-	}
-	return pieces
 }

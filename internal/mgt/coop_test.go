@@ -16,35 +16,27 @@ import (
 	"pdtl/internal/graph"
 )
 
-// dealtListing runs a cooperative listing into one FileSink per runner and
-// assembles the pieces.
+// dealtListing runs a cooperative listing into an ordered writer over a
+// buffer and returns what it wrote.
 func dealtListing(t *testing.T, d *graph.Disk, spans []balance.Range, cfg DealConfig) ([]byte, []Stats) {
 	t.Helper()
-	bufs := make([]bytes.Buffer, cfg.Workers)
-	sinks := make([]*FileSink, cfg.Workers)
-	cfg.Sinks = make([]Sink, cfg.Workers)
-	for i := range sinks {
-		sinks[i] = NewFileSink(&bufs[i])
-		cfg.Sinks[i] = sinks[i]
-	}
+	var out bytes.Buffer
+	cfg.Listing = NewListing(&out, t.TempDir(), cfg.Workers)
 	res, err := RunDealt(context.Background(), d, spans, cfg)
+	if cerr := cfg.Listing.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, pieces := res.Runners, res.Listing
-	var out []byte
-	for i, s := range sinks {
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := uint64(bufs[i].Len()), 12*stats[i].Triangles; got != want {
-			t.Fatalf("runner %d wrote %d bytes for %d triangles", i, got, stats[i].Triangles)
-		}
+	var tris uint64
+	for _, st := range res.Runners {
+		tris += st.Triangles
 	}
-	for _, p := range pieces {
-		out = append(out, bufs[p.Sink].Bytes()[12*p.Lo:12*p.Hi]...)
+	if got, want := uint64(out.Len()), 12*tris; got != want {
+		t.Fatalf("the listing is %d bytes for %d triangles", got, tris)
 	}
-	return out, stats
+	return out.Bytes(), res.Runners
 }
 
 // namedListing is the reference: one runner of the paper's configuration
@@ -52,11 +44,17 @@ func dealtListing(t *testing.T, d *graph.Disk, spans []balance.Range, cfg DealCo
 func namedListing(t *testing.T, d *graph.Disk, rng balance.Range, mem int, kernel KernelKind) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	sink := NewFileSink(&buf)
-	if _, err := runOnce(d, Config{MemEdges: mem, Kernel: kernel}, rng, sink); err != nil {
-		t.Fatal(err)
+	l := NewListing(&buf, t.TempDir(), 1)
+	part := l.Part(0)
+	part.Begin(0)
+	_, err := runOnce(d, Config{MemEdges: mem, Kernel: kernel}, rng, part)
+	if err == nil {
+		err = part.End()
 	}
-	if err := sink.Flush(); err != nil {
+	if cerr := l.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -76,7 +74,7 @@ func sortedTriples(t *testing.T, raw []byte) []triple {
 	return out
 }
 
-// TestDealtListingDeterministic: the assembled listing of a cooperative run
+// TestDealtListingDeterministic: the ordered listing of a cooperative run
 // is, byte for byte, what one runner of the paper's configuration lists with
 // a window of P·M entries — for P = 1..4 at equal P·M, with the runners
 // yielding between blocks so that every repeat deals differently; for one

@@ -828,53 +828,8 @@ type FuncSink func(u, v, w graph.Vertex)
 // Triangle implements Sink.
 func (f FuncSink) Triangle(u, v, w graph.Vertex) { f(u, v, w) }
 
-// FileSink streams triangles as little-endian uint32 triples to a writer —
-// the listing output path ("and possibly the triangle lists if necessary",
-// Section IV-B1). It buffers internally; call Flush when done.
-type FileSink struct {
-	w   io.Writer
-	buf []byte
-	n   int
-	err error
-	// Count is the number of triangles written.
-	Count uint64
-}
-
-// NewFileSink creates a FileSink with a 64 KiB buffer.
-func NewFileSink(w io.Writer) *FileSink {
-	return &FileSink{w: w, buf: make([]byte, 64*1024)}
-}
-
-// Triangle implements Sink.
-func (f *FileSink) Triangle(u, v, w graph.Vertex) {
-	if f.err != nil {
-		return
-	}
-	if f.n+12 > len(f.buf) {
-		f.flushBuf()
-	}
-	binary.LittleEndian.PutUint32(f.buf[f.n:], u)
-	binary.LittleEndian.PutUint32(f.buf[f.n+4:], v)
-	binary.LittleEndian.PutUint32(f.buf[f.n+8:], w)
-	f.n += 12
-	f.Count++
-}
-
-func (f *FileSink) flushBuf() {
-	if f.n > 0 && f.err == nil {
-		_, f.err = f.w.Write(f.buf[:f.n])
-		f.n = 0
-	}
-}
-
-// Flush writes any buffered triples and reports the first error encountered.
-func (f *FileSink) Flush() error {
-	f.flushBuf()
-	return f.err
-}
-
-// ReadTriangles decodes a FileSink stream back into triples (test/tool
-// helper).
+// ReadTriangles decodes a listing — little-endian uint32 triples, as a
+// Listing writes them — back into triples (test/tool helper).
 func ReadTriangles(r io.Reader) ([][3]graph.Vertex, error) {
 	var out [][3]graph.Vertex
 	buf := make([]byte, 12)

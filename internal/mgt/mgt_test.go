@@ -308,18 +308,22 @@ func TestCheckSmallDegree(t *testing.T) {
 	}
 }
 
-func TestFileSinkRoundTrip(t *testing.T) {
+// TestListingRoundTrip: what one part of a listing is told, ReadTriangles
+// reads back, in order.
+func TestListingRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewFileSink(&buf)
+	l := NewListing(&buf, t.TempDir(), 1)
+	part := l.Part(0)
+	part.Begin(0)
 	want := [][3]graph.Vertex{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
 	for _, tri := range want {
-		sink.Triangle(tri[0], tri[1], tri[2])
+		part.Triangle(tri[0], tri[1], tri[2])
 	}
-	if err := sink.Flush(); err != nil {
+	if err := part.End(); err != nil {
 		t.Fatal(err)
 	}
-	if sink.Count != 3 {
-		t.Errorf("Count = %d, want 3", sink.Count)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 	got, err := ReadTriangles(&buf)
 	if err != nil {
