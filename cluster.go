@@ -29,8 +29,8 @@ type ClusterOptions struct {
 	// UplinkBytesPerSec rate-limits the master's aggregate outgoing graph
 	// copies (0 = unlimited); it models a shared NIC.
 	UplinkBytesPerSec int64
-	// ScanSource selects every node's scan source ("auto", "buffered" or
-	// "shared"); see Options.ScanSource.
+	// ScanSource selects every node's layout ("auto" or "buffered"); see
+	// Options.ScanSource.
 	ScanSource string
 	// Kernel selects every node's cone routine ("auto" or empty, or
 	// "merge"); see Options.Kernel. The default travels as the empty string.
@@ -138,9 +138,8 @@ type NodeStats struct {
 	Triangles uint64
 	// CPUTime and IOTime aggregate the node's runners.
 	CPUTime, IOTime time.Duration
-	// SourceBytesRead is the disk volume the node's scan source read on
-	// its own behalf (the loads of the windows its workers share, or shared
-	// broadcast scans).
+	// SourceBytesRead is the disk volume that is none of the node's workers'
+	// own: the loads of the windows they share.
 	SourceBytesRead int64
 	// Workers holds the node's per-runner breakdown.
 	Workers []WorkerStats

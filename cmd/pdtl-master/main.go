@@ -41,7 +41,7 @@ func main() {
 	uplink := flag.Int64("uplink", 0, "master uplink rate limit in bytes/s (0 = unlimited)")
 	naive := flag.Bool("naive-balance", false, "disable in-degree load balancing")
 	scanSource := flag.String("scan", "auto",
-		"per-node scan source: auto (a node's workers share one window and are dealt the scan), or private windows fed by buffered or shared")
+		"per-node layout: auto (a node's workers share one window and are dealt the scan) or buffered (one range and one private window per worker)")
 	kernel := flag.String("kernel", "auto",
 		"cone routine: auto (mark-and-probe) or merge (the paper's two-pointer merge)")
 	store := flag.String("store", "",

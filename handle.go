@@ -5,8 +5,8 @@
 // reuses both — the amortized-preprocessing shape of PDTL §IV, where the
 // oriented graph is built once and "can be reused if necessary". All run
 // methods take a context.Context and abort cooperatively: every MGT runner
-// checks it once per memory window, the shared scan broadcaster unblocks
-// waiting runners, and cluster nodes are told to abandon their calculation,
+// checks it between cone blocks, and cluster nodes are told to abandon their
+// calculation,
 // so cancellation returns ctx.Err() promptly with no leaked goroutines or
 // file handles. See DESIGN.md §6 for the lifecycle.
 

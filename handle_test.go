@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,7 +105,7 @@ func TestHandleNoRereadAfterFirstRun(t *testing.T) {
 }
 
 // TestHandleCancelMidPassAllSources cancels from inside the triangle
-// callback over every scan source and expects the bare ctx.Err().
+// callback under both layouts and expects the bare ctx.Err().
 func TestHandleCancelMidPassAllSources(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "rmat")
 	if _, err := GenerateRMAT(base, 10, 16, 3); err != nil {
@@ -115,7 +116,7 @@ func TestHandleCancelMidPassAllSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	for _, source := range []string{"buffered", "shared"} {
+	for _, source := range []string{"buffered", "auto"} {
 		t.Run(source, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -699,5 +700,40 @@ func TestPlanCacheKeyedOnClippedWindow(t *testing.T) {
 	}
 	if n := len(g.plans); n > maxCachedPlans {
 		t.Fatalf("%d cached plans, cap is %d", n, maxCachedPlans)
+	}
+}
+
+// TestHandleRejectsSharedScan: "shared", a scan source the engine no longer
+// has, fails every entry point with the parse error naming the two layouts —
+// local runs and a distributed run alike — before anything is read.
+func TestHandleRejectsSharedScan(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "rmat")
+	if _, err := GenerateRMAT(base, 8, 8, 3); err != nil {
+		t.Fatal(err)
+	}
+	g, err := Open(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	ctx, opt := context.Background(), Options{ScanSource: "shared"}
+	const want = `unknown scan source "shared" (want auto, buffered)`
+	check := func(entry string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %v; want an error containing %q", entry, err, want)
+		}
+	}
+	_, err = g.Count(ctx, opt)
+	check("Count", err)
+	var buf bytes.Buffer
+	_, err = g.List(ctx, &buf, opt)
+	check("List", err)
+	_, err = opt.Key()
+	check("Key", err)
+	_, err = g.CountDistributed(ctx, nil, ClusterOptions{ScanSource: "shared"})
+	check("CountDistributed", err)
+	if g.Runs() != 0 {
+		t.Errorf("%d runs started", g.Runs())
 	}
 }

@@ -419,15 +419,18 @@ func TestNodeRejectsRemovedKernel(t *testing.T) {
 			t.Errorf("kernel %q: the rejected batch still counted: %+v", kernel, reply)
 		}
 	}
-	// A master that still offers the removed in-memory source gets an
-	// error naming the sources a node accepts, not a panic or a count.
-	args.Kernel, args.Scan = "", "mem"
-	var memReply CountReply
-	if err := node.Count(&args, &memReply); err == nil || !strings.Contains(err.Error(), "want auto, buffered, or shared") {
-		t.Errorf("scan %q: Count = %v, want an error naming the accepted sources", args.Scan, err)
-	}
-	if memReply.Triangles != 0 || memReply.Workers != nil {
-		t.Errorf("scan %q: the rejected batch still counted: %+v", args.Scan, memReply)
+	// A master that still offers a removed source — the in-memory one, or
+	// the shared broadcast — gets an error naming the layouts a node
+	// accepts, not a panic or a count.
+	for _, source := range []string{"mem", "shared"} {
+		args.Kernel, args.Scan = "", source
+		var reply CountReply
+		if err := node.Count(&args, &reply); err == nil || !strings.Contains(err.Error(), "want auto, buffered)") {
+			t.Errorf("scan %q: Count = %v, want an error naming the accepted layouts", args.Scan, err)
+		}
+		if reply.Triangles != 0 || reply.Workers != nil {
+			t.Errorf("scan %q: the rejected batch still counted: %+v", args.Scan, reply)
+		}
 	}
 	args.Scan = ""
 	for _, kernel := range []string{"", "auto", "merge"} {

@@ -51,8 +51,6 @@ type Config struct {
 	// OrientWorkers is the master's orientation parallelism; non-positive
 	// means Workers.
 	OrientWorkers int
-	// BufBytes is the per-runner scan buffer size.
-	BufBytes int
 	// Scan selects every node's scan source; under the default (auto) a
 	// node's processors share one window over the ranges it is handed and
 	// are dealt the scan (core.RunRanges).
@@ -154,9 +152,8 @@ type NodeResult struct {
 	Triangles uint64
 	// Workers holds the node's per-runner statistics.
 	Workers []core.WorkerStat
-	// SourceIO is the I/O the node's scan source performed on its own
-	// behalf (the loads of the windows its workers share, or shared
-	// broadcast scans).
+	// SourceIO is the node's I/O that is none of its runners' own: the
+	// loads of the windows they share.
 	SourceIO ioacct.Stats
 }
 
@@ -308,7 +305,6 @@ func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error)
 		args: CountArgs{
 			GraphName: cfg.GraphName,
 			MemEdges:  cfg.MemEdges,
-			BufBytes:  cfg.BufBytes,
 			Scan:      string(cfg.Scan),
 			Kernel:    string(cfg.Kernel),
 			List:      cfg.List,

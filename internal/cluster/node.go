@@ -334,7 +334,6 @@ func count(ctx context.Context, d *graph.Disk, args *CountArgs, reply *CountRepl
 	opt := core.Options{
 		Workers:  workers,
 		MemEdges: args.MemEdges,
-		BufBytes: args.BufBytes,
 		Scan:     scanKind,
 		Kernel:   kernelKind,
 		Sched:    schedMode,

@@ -115,13 +115,15 @@ type CountArgs struct {
 	Workers int
 	// MemEdges is M per runner.
 	MemEdges int
-	// BufBytes is the runner scan buffer size.
+	// BufBytes is ignored: it sized the sequential-scan buffer of a reader
+	// the runners no longer have. It stays so that the wire format does not
+	// change.
 	BufBytes int
-	// Scan names the node's scan source ("auto", "buffered" or "shared");
-	// empty means auto. Strings rather than enum ints travel on the wire so
-	// heterogeneous builds stay compatible; a name this node does not know
-	// — "mem", say, which older builds offered — fails the batch with an
-	// error naming the accepted sources.
+	// Scan names the node's layout ("auto" or "buffered"); empty means auto.
+	// Strings rather than enum ints travel on the wire so heterogeneous
+	// builds stay compatible; a name this node does not know — "mem" or
+	// "shared", say, which older builds offered — fails the batch with an
+	// error naming the accepted ones.
 	Scan string
 	// Kernel names the node's cone routine ("merge"); empty means the
 	// default, mark-and-probe ("auto"). Any other name — one a removed kernel
@@ -146,9 +148,8 @@ type CountReply struct {
 	// Workers is the per-runner statistics (feeds Tables IV/VII and
 	// Figures 6–8).
 	Workers []core.WorkerStat
-	// SourceIO is the I/O the node's scan source performed on its own
-	// behalf (the loads of the windows its workers share, or shared
-	// broadcast scans).
+	// SourceIO is the node's I/O that is none of its runners' own: the
+	// loads of the windows they share.
 	SourceIO ioacct.Stats
 	// CalcTime is the node's wall time for the calculation phase.
 	CalcTime time.Duration

@@ -44,16 +44,16 @@ func waitGoroutines(t *testing.T, want int) {
 }
 
 // TestRunRangesCancelAllSources cancels a multi-window run from inside a
-// sink for every scan source — the default's cooperative windows included —
-// and checks that RunRanges returns ctx.Err() promptly, with all source and
-// runner goroutines torn down.
+// sink under both layouts — the default's cooperative windows and the
+// paper's one runner per range — and checks that RunRanges returns ctx.Err()
+// promptly, with all runner goroutines torn down.
 func TestRunRangesCancelAllSources(t *testing.T) {
 	d := cancelDisk(t)
 	plan, err := Plan(d, d.Base, 2, balance.Naive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []scan.SourceKind{scan.SourceAuto, scan.SourceBuffered, scan.SourceShared} {
+	for _, kind := range []scan.SourceKind{scan.SourceAuto, scan.SourceBuffered} {
 		t.Run(string(kind), func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
@@ -95,9 +95,9 @@ func TestRunRangesPreCancelled(t *testing.T) {
 }
 
 // TestProcessCancelReturnsCtxErr checks that the Process entry point
-// surfaces the bare ctx.Err() (not a wrapped scan error) on cancellation,
-// over the shared source where cancellation can surface mid-pass through
-// the broadcaster.
+// surfaces the bare ctx.Err() (not a wrapped error) on cancellation, under
+// the paper's layout, where three runners each see it between their own
+// blocks.
 func TestProcessCancelReturnsCtxErr(t *testing.T) {
 	g, err := gen.RMAT(10, 16, 22)
 	if err != nil {
@@ -115,7 +115,7 @@ func TestProcessCancelReturnsCtxErr(t *testing.T) {
 			}
 		})
 	}
-	_, err = Process(ctx, base, Options{Workers: 3, MemEdges: 128, Scan: scan.SourceShared, Sinks: sinks})
+	_, err = Process(ctx, base, Options{Workers: 3, MemEdges: 128, Scan: scan.SourceBuffered, Sinks: sinks})
 	if err != context.Canceled {
 		t.Fatalf("err = %v (%T), want the bare context.Canceled", err, err)
 	}

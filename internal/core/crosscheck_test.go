@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"pdtl/internal/balance"
@@ -12,6 +13,7 @@ import (
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
 	"pdtl/internal/mgt"
+	"pdtl/internal/obs"
 	"pdtl/internal/orient"
 	"pdtl/internal/scan"
 	"pdtl/internal/sched"
@@ -178,7 +180,7 @@ func TestAllSourceKernelCombosIdentical(t *testing.T) {
 		{"k40", func() (*graph.CSR, error) { return gen.Complete(40) }, 16},
 		{"trigrid", func() (*graph.CSR, error) { return gen.TriGrid(9, 9) }, 32},
 	}
-	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared}
+	sources := []scan.SourceKind{scan.SourceBuffered}
 	const workers = 3
 
 	for _, tc := range graphs {
@@ -236,7 +238,7 @@ func TestAllSourceKernelCombosIdentical(t *testing.T) {
 // TestSchedSourceKernelCombosIdentical extends the cross-check to the
 // schedule axis — the P ranges of a static plan, or the K·P chunks of a
 // stealing one as a node receives them in a batch: sched(static, stealing) ×
-// scan(buffered, shared) × kernel(auto, merge) must
+// scan(buffered) × kernel(auto, merge) must
 // all produce identical, order-normalized triangle listings versus the
 // in-memory baseline. On top of the set identity, the per-chunk listings of
 // every stealing combo must agree exactly (same sequence per chunk) —
@@ -250,7 +252,7 @@ func TestSchedSourceKernelCombosIdentical(t *testing.T) {
 		{"powerlaw", func() (*graph.CSR, error) { return gen.PowerLaw(400, 6000, 2.2, 11) }, 96},
 		{"k40", func() (*graph.CSR, error) { return gen.Complete(40) }, 16},
 	}
-	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared}
+	sources := []scan.SourceKind{scan.SourceBuffered}
 	const workers = 3
 	const perWorker = 4
 
@@ -324,7 +326,7 @@ func bitmapBoundaryGraph() (*graph.CSR, error) {
 
 // TestSchedSourceKernelStoreCombosIdentical is the full execution-layer
 // cross-check with the store axis added: sched(static, stealing) ×
-// scan(auto, buffered, shared) × kernel(auto, merge) ×
+// scan(auto, buffered) × kernel(auto, merge) ×
 // store(plain, compressed) must produce the identical triangle listing —
 // the same sequence per sink under the named sources, the same assembled
 // sequence under the default's cooperative windows, not just the same set —
@@ -344,7 +346,7 @@ func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 		{"k40", func() (*graph.CSR, error) { return gen.Complete(40) }, 16},
 		{"bitmap", bitmapBoundaryGraph, 256},
 	}
-	sources := []scan.SourceKind{scan.SourceBuffered, scan.SourceShared}
+	sources := []scan.SourceKind{scan.SourceBuffered}
 	const workers = 3
 	const perWorker = 2
 
@@ -430,61 +432,102 @@ func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 	}
 }
 
-// TestSharedScanReadsFileOncePerRound is the I/O claim of the shared
-// source, asserted exactly: with P runners doing one pass each, the
-// buffered configuration scans the file P times while the shared
-// broadcaster reads it once — total scan volume is 1/P.
-func TestSharedScanReadsFileOncePerRound(t *testing.T) {
-	g, err := gen.ErdosRenyi(500, 8000, 3)
+// TestPaperLayoutIOExact is Theorem IV.3 for the paper's layout, to the
+// byte: each runner is a one-runner dealt run over its range, so per window
+// it reads every list the window does not hold whole once, plus the window
+// itself — the lists of the vertices holding it on a compressed store — and
+// nothing is read on anyone else's behalf.
+func TestPaperLayoutIOExact(t *testing.T) {
+	g, err := gen.PowerLaw(800, 9000, 2.0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := orientedDisk(t, g)
+	cbase := d.Base + ".compressed"
+	if err := graph.ConvertStore(d.Base, cbase, graph.FormatCompressed); err != nil {
+		t.Fatal(err)
+	}
+	cd, err := graph.Open(cbase)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const P = 4
-	ranges := equalSplit(d, P)
-	// One pass per runner, and M far above d*max so the large-vertex
-	// path (with its extra re-reads) stays cold.
-	mem := int(d.Meta.AdjEntries)/P + 1
-	if int(d.Meta.MaxOutDegree) > mem {
-		t.Fatalf("test graph too skewed: d*max %d > M %d", d.Meta.MaxOutDegree, mem)
-	}
-
-	scanBytes := func(kind scan.SourceKind) (scanVol, srcVol int64, triangles uint64) {
-		t.Helper()
-		calc, err := RunRanges(context.Background(), d, ranges, Options{MemEdges: mem, Scan: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcIO := calc.SourceIO
-		var workerBytes, loads int64
-		for _, w := range calc.Workers {
-			if w.Stats.Passes != 1 {
-				t.Fatalf("%s: runner did %d passes, want 1", kind, w.Stats.Passes)
+	for _, d := range []*graph.Disk{d, cd} {
+		listBytes := func(a, z graph.Vertex) int64 {
+			if d.ByteOffs != nil {
+				return int64(d.ByteOffs[z] - d.ByteOffs[a])
 			}
-			workerBytes += w.Stats.IO.BytesRead
-			loads += int64(w.Stats.EdgesLoaded) * graph.EntrySize
-			triangles += w.Stats.Triangles
+			return int64(d.Offsets[z]-d.Offsets[a]) * graph.EntrySize
 		}
-		// Window loads cost the same |E*| entries under every source;
-		// subtracting them isolates the sequential-scan volume.
-		return workerBytes - loads + srcIO.BytesRead, srcIO.BytesRead, triangles
+		total := int(d.Meta.AdjEntries)
+		for _, mem := range []int{total, total/48 + 1, int(d.Meta.MaxOutDegree) - 1} {
+			calc, err := RunRanges(context.Background(), d, equalSplit(d, P), Options{MemEdges: mem, Scan: scan.SourceBuffered})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calc.SourceIO.BytesRead != 0 {
+				t.Errorf("%s M=%d: %d bytes read on no runner's behalf", d.Format(), mem, calc.SourceIO.BytesRead)
+			}
+			for _, w := range calc.Workers {
+				var want int64
+				for lo := w.Range.Lo; lo < w.Range.Hi; lo += uint64(mem) {
+					hi := min(lo+uint64(mem), w.Range.Hi)
+					if d.ByteOffs != nil {
+						want += listBytes(d.VertexAt(lo), d.VertexAt(hi-1)+1)
+					} else {
+						want += int64(hi-lo) * graph.EntrySize
+					}
+					want += d.AdjBytes()
+					for v := 0; v < d.NumVertices(); v++ {
+						if d.Offsets[v] >= lo && d.Offsets[v+1] <= hi {
+							want -= listBytes(graph.Vertex(v), graph.Vertex(v+1))
+						}
+					}
+				}
+				if w.Stats.IO.BytesRead != want {
+					t.Errorf("%s M=%d runner %d: read %d bytes, want %d", d.Format(), mem, w.Worker, w.Stats.IO.BytesRead, want)
+				}
+			}
+		}
 	}
+}
 
-	bufScan, bufSrc, bufTris := scanBytes(scan.SourceBuffered)
-	shScan, shSrc, shTris := scanBytes(scan.SourceShared)
-	if bufTris != shTris {
-		t.Fatalf("counts differ: buffered %d, shared %d", bufTris, shTris)
+// TestPaperLayoutTrace: under the paper's layout every range's run keeps the
+// runner index the engine stamps on its cursor — one chunk span per range,
+// carrying its index — and each of its windows is one scan.round span, so a
+// trace has as many rounds as the runners have passes.
+func TestPaperLayoutTrace(t *testing.T) {
+	g, err := gen.PowerLaw(600, 6000, 2.1, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if bufSrc != 0 {
-		t.Errorf("buffered source read %d bytes itself, want 0", bufSrc)
+	d := orientedDisk(t, g)
+	const P = 3
+	tr := obs.NewTrace(0)
+	ctx := obs.ContextWithCursor(context.Background(), obs.Cursor{T: tr, Span: obs.NoSpan, Worker: -1})
+	calc, err := RunRanges(ctx, d, equalSplit(d, P), Options{MemEdges: int(d.Meta.AdjEntries)/10 + 1, Scan: scan.SourceBuffered})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := int64(P) * d.AdjBytes(); bufScan != want {
-		t.Errorf("buffered scan volume = %d, want P·|E*| = %d", bufScan, want)
+	passes := 0
+	for _, w := range calc.Workers {
+		passes += w.Stats.Passes
 	}
-	if shSrc != d.AdjBytes() {
-		t.Errorf("shared broadcaster read %d bytes, want exactly one scan = %d", shSrc, d.AdjBytes())
+	var chunks []int32
+	rounds := 0
+	for _, sp := range tr.Spans() {
+		switch sp.Name {
+		case obs.SpanChunk:
+			chunks = append(chunks, sp.Worker)
+		case obs.SpanScanRound:
+			rounds++
+		}
 	}
-	if shScan*P != bufScan {
-		t.Errorf("shared scan volume %d is not 1/P of buffered %d (P=%d)", shScan, bufScan, P)
+	slices.Sort(chunks)
+	if !slices.Equal(chunks, []int32{0, 1, 2}) {
+		t.Errorf("chunk spans carry workers %v, want one per range: [0 1 2]", chunks)
+	}
+	if rounds != passes {
+		t.Errorf("%d scan.round spans for %d passes", rounds, passes)
 	}
 }

@@ -45,8 +45,6 @@ type Options struct {
 	// OrientWorkers is the parallelism of the orientation step;
 	// non-positive means Workers.
 	OrientWorkers int
-	// BufBytes is each runner's sequential-scan buffer size.
-	BufBytes int
 	// Sinks, when non-nil, must have one entry per runner (Runners); runner
 	// i streams the triangles it finds to Sinks[i], in no order across
 	// runners. Nil, with Out nil too, means counting only: the same cone
@@ -64,13 +62,12 @@ type Options struct {
 	// KeepOriented leaves the oriented store on disk after the run (the
 	// cluster layer relies on this to copy it to clients).
 	KeepOriented bool
-	// Scan selects how adjacency data reaches the runners. The default
-	// (scan.SourceAuto, or empty) is cooperative windows: the Workers
-	// runners share one window of Workers·MemEdges entries and are dealt
-	// the cone blocks of every round (mgt.RunDealt). A named source
-	// (buffered, shared) is the paper's layout — one runner per range,
-	// each with its own MemEdges-entry window, fed by a scan source the
-	// engine constructs and owns for the run.
+	// Scan selects the layout. The default (scan.SourceAuto, or empty) is
+	// cooperative windows: the Workers runners share one window of
+	// Workers·MemEdges entries and are dealt the cone blocks of every round
+	// (mgt.RunDealt). scan.SourceBuffered is the paper's layout — one runner
+	// per range, each a one-runner dealt run with its own MemEdges-entry
+	// window (mgt.Runner).
 	Scan scan.SourceKind
 	// Kernel is the runners' cone routine: the default (mgt.KernelAuto,
 	// empty) is their own mark-and-probe, mgt.KernelMerge the paper's
@@ -146,14 +143,12 @@ type Result struct {
 	TotalTime time.Duration
 	// OrientedBase is the path of the oriented store used.
 	OrientedBase string
-	// Scan is the scan source the run used (scan.SourceAuto: cooperative
+	// Scan is the layout the run used (scan.SourceAuto: cooperative
 	// windows).
 	Scan scan.SourceKind
-	// SourceIO is the I/O that is no runner's own: what a named scan source
-	// performed on its own behalf — the shared broadcaster's single scan per
-	// round; zero for buffered sources, whose
-	// scans are charged to the per-worker counters — or, under the default
-	// source, the loads of the windows the runners share.
+	// SourceIO is the I/O that is no runner's own: under the default source,
+	// the loads of the windows the runners share; zero under the paper's
+	// layout, whose runners each load their own.
 	SourceIO ioacct.Stats
 	// Sched is the schedule the run was asked for.
 	Sched sched.Mode
@@ -303,8 +298,7 @@ func Plan(d *graph.Disk, orientedBase string, processors int, strategy balance.S
 type Calc struct {
 	// Workers holds one entry per runner.
 	Workers []WorkerStat
-	// SourceIO is the I/O that is no runner's own: a named scan source's
-	// (Result.SourceIO), or the window loads of a cooperative run.
+	// SourceIO is the I/O that is no runner's own (Result.SourceIO).
 	SourceIO ioacct.Stats
 }
 
@@ -331,16 +325,13 @@ func (o Options) Runners(n int) int {
 // which: there every range stays a span of its own, since window boundaries
 // decide the order within a span.
 //
-// Under a named source it runs the paper's layout: one MGT runner per range,
-// concurrently, each with its own window. The engine constructs and owns
-// the scan source: every runner gets a per-runner handle (charged to its own
-// counter), and the source-level I/O — the shared broadcaster's physical
-// scans — is returned alongside the per-worker stats.
+// Under scan.SourceBuffered it runs the paper's layout: one runner per range,
+// concurrently, each a one-runner dealt run with its own window (mgt.Runner),
+// whose I/O — window loads included — is its own.
 //
-// ctx cancels the run cooperatively: every runner aborts within one memory
-// window, blocked shared-broadcast waits unblock immediately, and the
-// source, all handles and all descriptors are torn down before RunRanges
-// returns ctx.Err() — no goroutines or file descriptors outlive the call.
+// ctx cancels the run cooperatively: every runner aborts within one cone
+// block, and all descriptors are closed before RunRanges returns ctx.Err() —
+// no goroutines or file descriptors outlive the call.
 func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Options) (calc Calc, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -357,6 +348,9 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 		return Calc{}, fmt.Errorf("core: %d sinks for %d runners", len(opt.Sinks), n)
 	}
 	if _, err := mgt.ParseKernel(string(opt.Kernel)); err != nil {
+		return Calc{}, err
+	}
+	if _, err := scan.ParseSource(string(opt.Scan)); err != nil {
 		return Calc{}, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -380,35 +374,6 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 	if opt.Scan.IsAuto() {
 		return runDealt(ctx, d, ranges, opt, list)
 	}
-	src, err := scan.New(opt.Scan, d, scan.Config{
-		BufBytes: opt.BufBytes,
-		Counter:  ioacct.NewCounter(0),
-		Ctx:      ctx,
-	})
-	if err != nil {
-		return Calc{}, err
-	}
-	defer src.Close()
-
-	// All handles are opened before any runner starts: a shared source
-	// uses the set of open handles as its broadcast-round quorum, so
-	// opening them up front makes round formation deterministic — every
-	// runner's pass k rides the same physical scan, P full-file reads
-	// collapse to one.
-	counters := make([]*ioacct.Counter, len(ranges))
-	handles := make([]scan.Handle, len(ranges))
-	for i := range ranges {
-		counters[i] = ioacct.NewCounter(0)
-		h, err := src.Handle(counters[i])
-		if err != nil {
-			for _, open := range handles[:i] {
-				open.Close()
-			}
-			return Calc{SourceIO: src.IO()}, err
-		}
-		handles[i] = h
-	}
-
 	stats := make([]WorkerStat, len(ranges))
 	errs := make([]error, len(ranges))
 	cur := obs.CursorFrom(ctx)
@@ -417,10 +382,6 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 		wg.Add(1)
 		go func(i int, r balance.Range) {
 			defer wg.Done()
-			// The handle must be closed as soon as this runner is done
-			// (not when all runners are), so that stragglers with more
-			// passes left stop waiting on it for round quorum.
-			defer handles[i].Close()
 			// One context per runner, stamping its chunk spans with the
 			// runner index (a traced run pays one allocation per runner
 			// here; the per-chunk recording itself never allocates).
@@ -429,16 +390,12 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 				rctx = obs.ContextWithCursor(ctx, cur.WithWorker(i))
 			}
 			stats[i] = WorkerStat{Worker: i, Range: r, Chunks: 1}
-			runner, err := mgt.NewRunner(d, mgt.Config{
-				MemEdges: opt.MemEdges,
-				Counter:  counters[i],
-				Source:   handles[i],
-				Kernel:   opt.Kernel,
-			})
+			runner, err := mgt.NewRunner(d, mgt.Config{MemEdges: opt.MemEdges, Kernel: opt.Kernel})
 			if err != nil {
 				errs[i] = err
 				return
 			}
+			defer runner.Close()
 			var sink mgt.Sink
 			var part *mgt.ListPart
 			switch {
@@ -459,9 +416,9 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 		}(i, r)
 	}
 	wg.Wait()
-	calc = Calc{Workers: stats, SourceIO: src.IO()}
+	calc = Calc{Workers: stats}
 	// A cancelled run reports the bare ctx.Err() regardless of which runner
-	// (or the scan source) surfaced the cancellation first.
+	// surfaced the cancellation first.
 	if err := ctx.Err(); err != nil {
 		return calc, err
 	}

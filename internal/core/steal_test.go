@@ -301,54 +301,3 @@ func TestStealingBeatsMisweightedStatic(t *testing.T) {
 	}
 	t.Logf("mis-weighted static=%.3f stealing(sim)=%.3f straggler steps %d → %d", staticRatio, stealRatio, staticMax, stealMax)
 }
-
-// TestSharedScanRoundsUnderStealing: the shared broadcaster's invariant —
-// exactly one physical scan per round — must survive a node running a
-// stealing batch, one runner per chunk. The source's own read volume
-// therefore stays a whole multiple of the file size, bounded by the total
-// window count, and the quorum rule keeps runners sharing rounds while they
-// all hold work, so the round count stays far below the buffered
-// configuration's one-scan-per-window.
-func TestSharedScanRoundsUnderStealing(t *testing.T) {
-	g, err := gen.ErdosRenyi(600, 9000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := orientedDisk(t, g)
-	const P, K = 4, 8
-	chunkPlan, err := Plan(d, d.Base, sched.ChunksFor(P, K), balance.InDegree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two windows for the longest chunk.
-	mem := 0
-	for _, r := range chunkPlan.Ranges {
-		mem = max(mem, (int(r.Len())+1)/2)
-	}
-	calc, err := RunRanges(context.Background(), d, chunkPlan.Ranges, Options{
-		MemEdges: mem, Scan: scan.SourceShared, Sched: sched.Stealing,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	totalWindows := 0
-	for _, c := range calc.Workers {
-		totalWindows += c.Stats.Passes
-	}
-	adj := d.AdjBytes()
-	srcIO := calc.SourceIO
-	if srcIO.BytesRead%adj != 0 {
-		t.Fatalf("source read %d bytes, not a whole multiple of the %d-byte file: partial scans under stealing", srcIO.BytesRead, adj)
-	}
-	rounds := srcIO.BytesRead / adj
-	if rounds < 1 || rounds > int64(totalWindows) {
-		t.Fatalf("%d physical scans for %d windows", rounds, totalWindows)
-	}
-	// While every runner holds work the quorum forces shared rounds, so
-	// the scan count must sit well below one-per-window (the buffered
-	// volume): every chunk is at most two windows.
-	if rounds > 2 {
-		t.Errorf("%d physical scans for %d windows across %d runners: rounds are not being shared", rounds, totalWindows, len(calc.Workers))
-	}
-	t.Logf("%d windows over %d runners → %d physical scans", totalWindows, len(calc.Workers), rounds)
-}

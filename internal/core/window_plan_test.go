@@ -20,7 +20,7 @@ import (
 // window-aware planner, the header-pruned pass and the runners' default
 // cone routine: the engine end to end (orient, plan for M, run) against
 // internal/baseline, for both store formats, both schedules, cooperative
-// windows and the paper's layout (under the shared scan), and windows of
+// windows and the paper's layout, and windows of
 // the whole store, a third of it, a 48th, and fewer entries than the
 // largest out-list (the large-vertex path) — the count of a counting run
 // and the order-normalised listing of a listing run, whose every sink must
@@ -57,7 +57,7 @@ func TestWindowAwareRunsMatchBaseline(t *testing.T) {
 		total := int(d.Meta.AdjEntries)
 		for _, mem := range []int{total, total / 3, total / 48, int(d.Meta.MaxOutDegree) - 1} {
 			for _, mode := range []sched.Mode{sched.Static, sched.Stealing} {
-				for _, src := range []scan.SourceKind{scan.SourceAuto, scan.SourceShared} {
+				for _, src := range []scan.SourceKind{scan.SourceAuto, scan.SourceBuffered} {
 					label := fmt.Sprintf("%s/%s/%s/M=%d", format, mode, src, mem)
 					opt := Options{Workers: workers, MemEdges: mem, Strategy: balance.InDegree, Sched: mode, Scan: src}
 					res, err := Process(context.Background(), first.OrientedBase, opt)

@@ -556,15 +556,6 @@ func (d *Disk) NewCompressedScan(fill func([]byte) error, closer func() error) (
 	return newCompressedSeqScan(d, 0, fill, closer), nil
 }
 
-// RandomReader reads arbitrary adjacency-entry ranges — the window loads and
-// large-vertex re-reads. Both store formats provide one; entries arrive
-// decoded, so callers are format-agnostic.
-type RandomReader interface {
-	// ReadEntries fills dst with entries [pos, pos+len(dst)).
-	ReadEntries(dst []Vertex, pos uint64) error
-	Close() error
-}
-
 // AdjFile is one open descriptor on a store's adjacency data area, read by
 // byte offset within the area — a plain store's entry i sits at offset
 // i·EntrySize, a compressed store's vertex v at ByteOffs[v] — whichever file
@@ -611,100 +602,6 @@ func (a *AdjFile) Close() error {
 		return nil
 	}
 	return a.f.Close()
-}
-
-// OpenRandom opens a RandomReader over the store, charging I/O to c (nil
-// allocates a private counter).
-func (d *Disk) OpenRandom(c *ioacct.Counter) (RandomReader, error) {
-	adj, err := d.OpenAdjFile(c)
-	if err != nil {
-		return nil, err
-	}
-	if d.Format() == FormatCompressed {
-		return &compressedRandom{d: d, AdjFile: adj, scratch: make([]Vertex, 0, SegmentEntries)}, nil
-	}
-	return &plainRandom{AdjFile: adj}, nil
-}
-
-// plainRandom reads entry ranges from the .adj file.
-type plainRandom struct {
-	*AdjFile
-	byteBuf []byte
-}
-
-func (ra *plainRandom) ReadEntries(dst []Vertex, pos uint64) error {
-	need := len(dst) * EntrySize
-	if cap(ra.byteBuf) < need {
-		ra.byteBuf = make([]byte, need)
-	}
-	raw := ra.byteBuf[:need]
-	if err := ra.ReadAt(raw, int64(pos)*EntrySize); err != nil {
-		return fmt.Errorf("graph: read entries [%d,%d): %w", pos, pos+uint64(len(dst)), err)
-	}
-	DecodePlain(dst, raw)
-	return nil
-}
-
-// compressedRandom reads entry ranges from a compressed store: one
-// contiguous byte read covering the vertices that overlap the range, then a
-// per-vertex decode that skips non-overlapping segments on their headers.
-type compressedRandom struct {
-	d *Disk
-	*AdjFile
-	byteBuf []byte
-	scratch []Vertex
-}
-
-func (ra *compressedRandom) ReadEntries(dst []Vertex, pos uint64) error {
-	if len(dst) == 0 {
-		return nil
-	}
-	d := ra.d
-	end := pos + uint64(len(dst))
-	if end > d.Meta.AdjEntries {
-		return fmt.Errorf("graph: read entries [%d,%d) beyond %d entries", pos, end, d.Meta.AdjEntries)
-	}
-	v0 := d.VertexAt(pos)
-	v1 := d.VertexAt(end - 1)
-	bLo, bHi := d.ByteOffs[v0], d.ByteOffs[v1+1]
-	need := int(bHi - bLo)
-	if cap(ra.byteBuf) < need {
-		ra.byteBuf = make([]byte, need)
-	}
-	raw := ra.byteBuf[:need]
-	if err := ra.ReadAt(raw, int64(bLo)); err != nil {
-		return fmt.Errorf("graph: read compressed entries [%d,%d): %w", pos, end, err)
-	}
-	return decodeEntryWindow(d, raw, bLo, v0, v1, pos, end, ra.scratch, dst)
-}
-
-// decodeEntryWindow decodes entries [pos, end) into dst from raw, the
-// .cadj data-area bytes [rawStart, rawStart+len(raw)) covering vertices
-// [v0, v1].
-func decodeEntryWindow(d *Disk, raw []byte, rawStart uint64, v0, v1 Vertex, pos, end uint64, scratch, dst []Vertex) error {
-	out := dst[:0]
-	for v := v0; v <= v1; v++ {
-		cl := CompressedList{
-			Degree: int(d.Degrees[v]),
-			Data:   raw[d.ByteOffs[v]-rawStart : d.ByteOffs[v+1]-rawStart],
-		}
-		lo, hi := d.Offsets[v], d.Offsets[v+1]
-		if lo < pos {
-			lo = pos
-		}
-		if hi > end {
-			hi = end
-		}
-		var err error
-		out, err = DecodeEntryRange(cl, int(lo-d.Offsets[v]), int(hi-d.Offsets[v]), scratch[:0:SegmentEntries], out)
-		if err != nil {
-			return fmt.Errorf("graph: decode entries of vertex %d: %w", v, err)
-		}
-	}
-	if len(out) != len(dst) {
-		return fmt.Errorf("graph: decoded %d entries for range [%d,%d), want %d", len(out), pos, end, len(dst))
-	}
-	return nil
 }
 
 // StoreAdjBytes reports the physical size of the store's adjacency files —

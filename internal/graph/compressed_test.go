@@ -357,37 +357,6 @@ func TestCompressedStoreScansMatchPlain(t *testing.T) {
 	}
 	sc.Close()
 
-	// Random access agrees for assorted windows.
-	rp, err := dp.OpenRandom(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rp.Close()
-	rc, err := dc.OpenRandom(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	total := len(adj)
-	for trial := 0; trial < 100; trial++ {
-		pos := rng.Intn(total)
-		ln := 1 + rng.Intn(total-pos)
-		if ln > 2000 {
-			ln = 2000
-		}
-		a := make([]Vertex, ln)
-		b := make([]Vertex, ln)
-		if err := rp.ReadEntries(a, uint64(pos)); err != nil {
-			t.Fatal(err)
-		}
-		if err := rc.ReadEntries(b, uint64(pos)); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("trial %d: ReadEntries([%d,%d)) differs", trial, pos, pos+ln)
-		}
-	}
-
 	// LoadCSR round trip.
 	loaded, err := dc.LoadCSR()
 	if err != nil {

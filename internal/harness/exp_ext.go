@@ -60,7 +60,8 @@ func expLBAblation(h *Harness, r *Report) error {
 // compares the equal-edge split, the paper's in-degree weights as they
 // were — blind to the window — and the same weights with the scan an edge
 // causes priced in (balance.PlanStore for the run's M), by passes per
-// runner, physical scan rounds, and the best wall of three runs.
+// runner, scan rounds (the runners' windows summed), and the best wall of
+// three runs.
 func expLBOutOfCore(h *Harness, r *Report) error {
 	const key, workers, windows = "ooc-sim", 2, 48
 	base, ores, err := h.Oriented(key, 2)
@@ -127,7 +128,7 @@ func expLBOutOfCore(h *Harness, r *Report) error {
 		rows = append(rows, []string{p.name, strings.Join(passes, " + "), fmt.Sprint(rounds), D(best)})
 	}
 	r.Table([]string{"Plan", "passes per runner", "scan rounds", "wall"}, rows)
-	r.Note("%s, %s store, P = %d, M = |E*|/%d = %d entries, -scan %s; rounds are physical scans of the store (0 when the scan source is not the shared one)",
+	r.Note("%s, %s store, P = %d, M = |E*|/%d = %d entries, -scan %s; scan rounds are the runners' window loads summed, one per pass",
 		key, d.Format(), workers, windows, mem, source)
 	return nil
 }

@@ -75,8 +75,8 @@ type BenchRun struct {
 	WallNS   int64 `json:"wall_ns"`
 	OrientNS int64 `json:"orient_ns"`
 	PlanNS   int64 `json:"plan_ns"`
-	// CPUNS and IONS aggregate the runners; SourceBytes is the scan
-	// source's own I/O (shared broadcasts, shared-window loads).
+	// CPUNS and IONS aggregate the runners; SourceBytes is the I/O that is
+	// no runner's own (the loads of the windows they share).
 	CPUNS       int64 `json:"cpu_ns"`
 	IONS        int64 `json:"io_ns"`
 	BytesRead   int64 `json:"bytes_read"`

@@ -64,11 +64,11 @@ func (h *Harness) CalcLocalSplit(key string, workers, memEdges int, strategy bal
 	return h.calcLocal(key, workers, memEdges, strategy, h.SplitScan())
 }
 
-// SplitScan is the harness's scan source if it was given one, and the
-// shared scan — the default the split studies were made under — if not.
+// SplitScan is the harness's layout if it was given one, and the paper's
+// layout — one private window per range — if not.
 func (h *Harness) SplitScan() scan.SourceKind {
 	if h.Scan.IsAuto() {
-		return scan.SourceShared
+		return scan.SourceBuffered
 	}
 	return h.Scan
 }

@@ -19,9 +19,9 @@ import (
 // per-runner layout is made outside the clock) at equal memory — P runners
 // sharing one window of P·M entries, dealt the scan, against P runners with
 // private M-entry windows over the ranges of the window-aware in-degree
-// plan, fed by the scan source the engine used to default to (shared for
-// P > 1, buffered for one runner). Every run's count is checked against the
-// first. Set PDTL_BENCH_CACHE to keep the generated stores between runs:
+// plan (the paper's layout, -scan buffered). Every run's count is checked
+// against the first. Set PDTL_BENCH_CACHE to keep the generated stores
+// between runs:
 //
 //	go test -run '^$' -bench Windows -benchtime 5x ./internal/harness
 func BenchmarkWindows(b *testing.B) {
@@ -49,17 +49,13 @@ func BenchmarkWindows(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					named := scan.SourceShared
-					if p == 1 {
-						named = scan.SourceBuffered
-					}
 					for _, layout := range []struct {
 						name   string
 						source scan.SourceKind
 						ranges []balance.Range
 					}{
 						{"cooperative", scan.SourceAuto, []balance.Range{mgt.FullRange(d)}},
-						{"per-runner", named, plan.Ranges},
+						{"per-runner", scan.SourceBuffered, plan.Ranges},
 					} {
 						b.Run(fmt.Sprintf("%s/%s/P=%d/M=E÷%d/%s", key, format, p, windows, layout.name), func(b *testing.B) {
 							var rounds int
@@ -87,9 +83,6 @@ func BenchmarkWindows(b *testing.B) {
 									if sp.Name == obs.SpanScanRound {
 										rounds++
 									}
-								}
-								if layout.source == scan.SourceBuffered {
-									rounds = calc.Workers[0].Stats.Passes
 								}
 							}
 							b.ReportMetric(float64(rounds), "rounds")

@@ -301,8 +301,8 @@ func (g *Graph) CompactNow(ctx context.Context) error {
 // the run result. The view is captured once; mutations and compactions
 // that land mid-run do not affect it. The run is the engine's default —
 // cooperative windows reading the merged view (merged.ReadAt) — so of opt
-// only Workers, MemEdges, Kernel and Sinks apply; a named scan source is
-// ignored and the result reports auto.
+// only Workers, MemEdges, Kernel and Sinks apply; -scan buffered is ignored
+// and the result reports auto.
 func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -8,7 +8,6 @@ import (
 	"pdtl/internal/balance"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
-	"pdtl/internal/scan"
 )
 
 // BenchmarkDealtBlockSize is the measurement behind BlockEntries (the table
@@ -110,9 +109,8 @@ func BenchmarkMGTListing(b *testing.B) {
 	}
 }
 
-// BenchmarkCone measures the calculation phase alone — a warmed Runner over
-// a buffered handle on a page-cache-warm store, count-only, the window
-// holding the whole file — on a
+// BenchmarkCone measures the calculation phase alone — a warmed Runner on a
+// page-cache-warm store, count-only, the window holding the whole file — on a
 // skewed power-law stand-in: the runner's own mark-and-probe routine (auto)
 // against the paper's pairwise merge. cmp/op is Stats.CmpOps, exact and
 // repeatable.
@@ -122,19 +120,9 @@ func BenchmarkCone(b *testing.B) {
 		b.Fatal(err)
 	}
 	d := orientedStore(b, g)
-	src, err := scan.New(scan.SourceBuffered, d, scan.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer src.Close()
 	for _, k := range []KernelKind{KernelAuto, KernelMerge} {
 		b.Run(k.String(), func(b *testing.B) {
-			h, err := src.Handle(nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer h.Close()
-			r, err := NewRunner(d, Config{MemEdges: int(d.Meta.AdjEntries), Source: h, Kernel: k})
+			r, err := NewRunner(d, Config{MemEdges: int(d.Meta.AdjEntries), Kernel: k})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,9 +2,11 @@ package mgt
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -13,7 +15,6 @@ import (
 	"pdtl/internal/baseline"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
-	"pdtl/internal/scan"
 )
 
 type triple [3]graph.Vertex
@@ -151,26 +152,23 @@ func TestEpochWrap(t *testing.T) {
 	mem := int(d.Meta.MaxOutDegree) - 1
 	rng := balance.Range{Lo: d.Meta.AdjEntries / 2, Hi: d.Meta.AdjEntries/2 + uint64(3*mem)}
 	want, _ := windowOrder(csr, rng, mem)
-	r, err := NewRunner(d, Config{MemEdges: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := newTestRunner(t, d, Config{MemEdges: mem})
+	one := r.dl.runners[0]
 	if got, _ := recordRange(t, r, rng); !slices.Equal(got, want) {
 		t.Fatalf("first run: %d triangles, want %d", len(got), len(want))
 	}
-	cones := r.epoch
+	cones := one.epoch
 	if cones < 48 {
 		t.Fatalf("the run marks only %d cone vertices", cones)
 	}
 	for before := uint32(0); before < cones; before += cones / 48 {
-		for i := range r.mark {
-			r.mark[i] = 1
+		for i := range one.mark {
+			one.mark[i] = 1
 		}
-		r.epoch = math.MaxUint32 - before
+		one.epoch = math.MaxUint32 - before
 		got, st := recordRange(t, r, rng)
-		if r.epoch != cones-before {
-			t.Fatalf("wrap before cone vertex %d: epoch ends at %d, want %d", before, r.epoch, cones-before)
+		if one.epoch != cones-before {
+			t.Fatalf("wrap before cone vertex %d: epoch ends at %d, want %d", before, one.epoch, cones-before)
 		}
 		if st.LargeVertices == 0 {
 			t.Fatal("no large vertex in the run")
@@ -181,63 +179,76 @@ func TestEpochWrap(t *testing.T) {
 	}
 }
 
-// sliceHandle serves an oriented CSR from memory and reuses its one scan
-// object, so what AllocsPerRun sees below is the runner's own doing.
-type sliceHandle struct {
-	csr  *graph.CSR
-	next int
-}
-
-func (h *sliceHandle) Scan(int) (scan.Scan, error) { h.next = 0; return h, nil }
-func (h *sliceHandle) ReadEntries(dst []graph.Vertex, pos uint64) error {
-	copy(dst, h.csr.Adj[pos:])
-	return nil
-}
-func (h *sliceHandle) Close() error { return nil }
-func (h *sliceHandle) Err() error   { return nil }
-func (h *sliceHandle) Next() (graph.Vertex, []graph.Vertex, bool) {
-	if h.next >= h.csr.NumVertices() {
-		return 0, nil, false
+// newTestRunner opens a Runner on d that the test closes.
+func newTestRunner(t *testing.T, d *graph.Disk, cfg Config) *Runner {
+	t.Helper()
+	r, err := NewRunner(d, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	u := graph.Vertex(h.next)
-	h.next++
-	return u, h.csr.Neighbors(u), true
+	t.Cleanup(func() { r.Close() })
+	return r
 }
 
-// TestRunRangeZeroAlloc: a warmed runner counts a multi-window range on the
-// default path without allocating.
+// TestRunRangeZeroAlloc: a warmed runner counts a multi-window range on
+// either store format without allocating.
 func TestRunRangeZeroAlloc(t *testing.T) {
 	g, err := gen.PowerLaw(2000, 20000, 2.1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := orientedStore(t, g)
-	csr, err := d.LoadCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(d, Config{MemEdges: int(d.Meta.AdjEntries)/3 + 1, Source: &sliceHandle{csr: csr}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, want := context.Background(), baseline.Forward(g)
-	run := func() {
-		st, err := r.RunRange(ctx, FullRange(d), nil)
-		if err != nil || st.Passes != 3 || st.Triangles != want {
-			t.Fatalf("run: %+v, %v", st, err)
+	want := baseline.Forward(g)
+	for _, d := range []*graph.Disk{orientedStore(t, g), compressedStore(t, g)} {
+		r := newTestRunner(t, d, Config{MemEdges: int(d.Meta.AdjEntries)/3 + 1})
+		ctx := context.Background()
+		run := func() {
+			st, err := r.RunRange(ctx, FullRange(d), nil)
+			if err != nil || st.Passes != 3 || st.Triangles != want {
+				t.Fatalf("%s run: %+v, %v", d.Format(), st, err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Errorf("%s: warmed RunRange allocated %.0f times per run, want 0", d.Format(), allocs)
 		}
 	}
-	run()
-	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-		t.Errorf("warmed RunRange allocated %.0f times per run, want 0", allocs)
+}
+
+// oneReaderBytes is what a one-runner run over rng with windows of mem
+// entries reads (TestDealtIOExact at P = 1): per window, every list the
+// window does not hold whole, plus the window's load — its entries on a
+// plain store, the encodings of the vertices holding them on a compressed
+// one.
+func oneReaderBytes(d *graph.Disk, rng balance.Range, mem int) (scans, loads int64) {
+	listBytes := func(a, z graph.Vertex) int64 {
+		if d.ByteOffs != nil {
+			return int64(d.ByteOffs[z] - d.ByteOffs[a])
+		}
+		return int64(d.Offsets[z]-d.Offsets[a]) * graph.EntrySize
 	}
+	for lo := rng.Lo; lo < rng.Hi; lo += uint64(mem) {
+		hi := min(lo+uint64(mem), rng.Hi)
+		if d.ByteOffs != nil {
+			loads += listBytes(d.VertexAt(lo), d.VertexAt(hi-1)+1)
+		} else {
+			loads += int64(hi-lo) * graph.EntrySize
+		}
+		scans += d.AdjBytes()
+		for v := 0; v < d.NumVertices(); v++ {
+			if d.Offsets[v] >= lo && d.Offsets[v+1] <= hi {
+				scans -= listBytes(graph.Vertex(v), graph.Vertex(v+1))
+			}
+		}
+	}
+	return scans, loads
 }
 
 // TestLargeVertexBounded: a hub whose out-list exceeds the window — down to
 // a mis-sized window of one entry — is counted exactly, with runner-owned
-// memory bounded by the window and the vertex count rather than by the
-// hub's degree, and without reading a byte more than small vertices cost:
-// one scan per pass plus the window loads.
+// memory bounded by the window, a block and the vertex count rather than by
+// the hub's degree, and without reading a byte more than small vertices
+// cost: the one-reader volume, every list once per window less the lists
+// the window holds, plus the window loads.
 func TestLargeVertexBounded(t *testing.T) {
 	// Vertex 0 of the clique-plus-periphery graph points at every other
 	// clique member: d*max = 59.
@@ -256,10 +267,7 @@ func TestLargeVertexBounded(t *testing.T) {
 	for _, d := range []*graph.Disk{orientedStore(t, g), compressedStore(t, g)} {
 		n := d.NumVertices()
 		for _, mem := range []int{1, 7, int(d.Meta.MaxOutDegree) - 1} {
-			r, err := NewRunner(d, Config{MemEdges: mem})
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := newTestRunner(t, d, Config{MemEdges: mem})
 			st, err := r.RunRange(context.Background(), FullRange(d), nil)
 			if err != nil {
 				t.Fatal(err)
@@ -267,41 +275,38 @@ func TestLargeVertexBounded(t *testing.T) {
 			if st.Triangles != want || st.LargeVertices == 0 {
 				t.Errorf("%s M=%d: %d triangles (want %d), %d large vertices", d.Format(), mem, st.Triangles, want, st.LargeVertices)
 			}
-			// ind holds two words per window vertex.
-			owned := cap(r.edg) + 2*cap(r.ind) + cap(r.nmp) + cap(r.mark) + cap(r.listBuf) + cap(r.segScratch)
-			if bound := 3*(mem+n) + graph.SegmentEntries; owned > bound {
-				t.Errorf("%s M=%d: runner owns %d entries, want ≤ 3·(M+n)+%d = %d", d.Format(), mem, owned, graph.SegmentEntries, bound)
+			// ind holds two words per window vertex; raw is bytes.
+			one := r.dl.runners[0]
+			owned := cap(r.dl.win.edg) + 2*cap(r.dl.win.ind) + cap(one.nmp) + cap(one.mark) + cap(one.vals) + cap(one.raw)/graph.EntrySize + cap(one.segScratch)
+			if bound := 3*(mem+n) + BlockEntries + graph.SegmentEntries; owned > bound {
+				t.Errorf("%s M=%d: runner owns %d entries, want ≤ 3·(M+n)+BlockEntries+%d = %d", d.Format(), mem, owned, graph.SegmentEntries, bound)
 			}
-			if d.Format() == graph.FormatPlain {
-				if small := int64(st.Passes)*d.AdjBytes() + int64(st.EdgesLoaded)*graph.EntrySize; st.IO.BytesRead != small {
-					t.Errorf("M=%d: read %d bytes, small vertices alone would cost %d — a hub's list was read twice", mem, st.IO.BytesRead, small)
-				}
+			if scans, loads := oneReaderBytes(d, FullRange(d), mem); st.IO.BytesRead != scans+loads {
+				t.Errorf("%s M=%d: read %d bytes, small vertices alone would cost %d — a hub's list was read twice", d.Format(), mem, st.IO.BytesRead, scans+loads)
 			}
-			r.Close()
 		}
 	}
 }
 
 // TestDamagedVertexIDFails: an adjacency entry beyond the degree array must
-// fail the run, not index the mark array out of range.
+// fail the run, not index the mark array out of range — whether the list
+// naming it is read from the store or served from the window.
 func TestDamagedVertexIDFails(t *testing.T) {
 	g, err := gen.Complete(12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := orientedStore(t, g)
-	csr, err := d.LoadCSR()
+	raw, err := os.ReadFile(graph.AdjPath(d.Base))
 	if err != nil {
 		t.Fatal(err)
 	}
+	binary.LittleEndian.PutUint32(raw[len(raw)/2/graph.EntrySize*graph.EntrySize:], uint32(d.NumVertices())+5)
+	if err := os.WriteFile(graph.AdjPath(d.Base), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, mem := range []int{int(d.Meta.AdjEntries), 4} {
-		bad := &graph.CSR{Offsets: csr.Offsets, Adj: slices.Clone(csr.Adj)}
-		bad.Adj[len(bad.Adj)/2] = graph.Vertex(d.NumVertices()) + 5
-		r, err := NewRunner(d, Config{MemEdges: mem, Source: &sliceHandle{csr: bad}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.RunRange(context.Background(), FullRange(d), nil); err == nil {
+		if _, err := runOnce(d, Config{MemEdges: mem}, FullRange(d), nil); err == nil {
 			t.Errorf("M=%d: a vertex id ≥ n went unnoticed", mem)
 		}
 	}
@@ -343,14 +348,14 @@ func sortedSet(rng *rand.Rand, n, universe int) []graph.Vertex {
 func mergeOf(t *testing.T, a, b []graph.Vertex) ([]graph.Vertex, Stats) {
 	t.Helper()
 	var got []graph.Vertex
-	r := &Runner{sink: FuncSink(func(u, v, w graph.Vertex) {
+	r := &dealt{sink: FuncSink(func(u, v, w graph.Vertex) {
 		if u != 7 || v != 9 {
 			t.Fatalf("merge closed (%d, %d, %d), want pivot pair (7, 9)", u, v, w)
 		}
 		got = append(got, w)
 	})}
 	r.intersect(7, 9, a, b)
-	c := &Runner{}
+	c := &dealt{}
 	c.intersect(7, 9, a, b)
 	if c.stats != r.stats {
 		t.Fatalf("counting merge %+v, listing merge %+v", c.stats, r.stats)
@@ -413,5 +418,100 @@ func TestMergeMatchesDefinition(t *testing.T) {
 		if st.CmpOps != steps || st.Triangles != uint64(len(want)) || st.Intersections != 1 {
 			t.Fatalf("trial %d: stats %+v, want %d steps and %d triangles", trial, st, steps, len(want))
 		}
+	}
+}
+
+// TestPrunedPassMatchesDecodingPass: on a compressed store the cone blocks
+// take the header-pruned pass — lists the window cannot reach are rejected
+// on their segment headers, never decoded — and every range of a
+// multi-window run lists exactly the triangle sequence the same graph's
+// plain store lists, with the same comparisons. Window sizes cover many small
+// windows, the large-vertex path (M below the maximum out-degree) and the
+// single window.
+func TestPrunedPassMatchesDecodingPass(t *testing.T) {
+	g, err := gen.PowerLaw(1500, 15000, 1.9, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, comp := orientedStore(t, g), compressedStore(t, g)
+	total := comp.Meta.AdjEntries
+	for _, mem := range []int{int(comp.Meta.MaxOutDegree) / 2, int(total) / 40, int(total)} {
+		pruned, decoding := newTestRunner(t, comp, Config{MemEdges: mem}), newTestRunner(t, plain, Config{MemEdges: mem})
+		var skipped uint64
+		for i, rng := range []balance.Range{{Lo: 0, Hi: total / 5}, {Lo: total / 5, Hi: total / 2}, {Lo: total / 2, Hi: total}} {
+			got, gst := recordRange(t, pruned, rng)
+			want, wst := recordRange(t, decoding, rng)
+			if len(want) == 0 {
+				t.Fatalf("mem=%d runner %d: the plain store lists no triangles", mem, i)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("mem=%d runner %d: pruned pass emitted %d triangles, the plain store %d, or in another order", mem, i, len(got), len(want))
+			}
+			if gst.CmpOps != wst.CmpOps || gst.Intersections != wst.Intersections || gst.Passes != wst.Passes || gst.LargeVertices != wst.LargeVertices {
+				t.Errorf("mem=%d runner %d: pruned pass stats %+v, plain store %+v", mem, i, gst, wst)
+			}
+			skipped += gst.SegmentsSkipped
+		}
+		if mem < int(total)/4 && skipped == 0 {
+			t.Errorf("mem=%d: no segment was rejected on its header", mem)
+		}
+	}
+}
+
+// TestPrunedPassReportsCorruptHeader: a list the window cannot reach is
+// rejected on its headers, never decoded — but a damaged header among them
+// must still fail the run, not pass for "out of range".
+func TestPrunedPassReportsCorruptHeader(t *testing.T) {
+	g, err := gen.PowerLaw(1500, 15000, 1.9, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := compressedStore(t, g)
+	mem := int(d.Meta.AdjEntries) / 40
+	first := balance.Range{Lo: 0, Hi: uint64(mem)}
+	vhigh := d.VertexAt(first.Hi - 1)
+
+	// A list of at least two entries that lies wholly beyond the first
+	// window's vertex span: the pruned pass skips it there.
+	sc, err := d.NewScanner(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := -1
+	for {
+		u, list, ok := sc.Next()
+		if !ok {
+			break
+		}
+		if len(list) >= 2 && list[0] > vhigh {
+			victim = int(u)
+			break
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	sc.Close()
+	if victim < 0 {
+		t.Fatal("no list lies beyond the first window")
+	}
+	if st, err := runOnce(d, Config{MemEdges: mem}, first, nil); err != nil || st.Passes != 1 {
+		t.Fatalf("intact store: %d passes, err %v", st.Passes, err)
+	}
+
+	// Break the kind byte of the victim's first segment header.
+	const dataStart = 4 // the .cadj magic
+	f, err := os.OpenFile(graph.CAdjPath(d.Base), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff}, dataStart+int64(d.ByteOffs[victim])); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runOnce(d, Config{MemEdges: mem}, first, nil); err == nil {
+		t.Fatalf("the damaged header of vertex %d's list was skipped as out of the window", victim)
 	}
 }

@@ -24,17 +24,20 @@ import (
 // read-only by P runners, and the scan of a round is dealt: the vertex ids
 // are cut into cone blocks, and whichever runner is free takes the next one
 // off an atomic cursor, reads exactly its bytes, and feeds its lists to the
-// same cone routine as every other path, against its own mark array. Half
-// the rounds of P private windows, each list parsed once per round instead
-// of P times, no cost model, and nothing for a fast runner to wait on but
-// the end of the round.
+// same cone routine, against its own mark array. Half the rounds of P
+// private windows, each list parsed once per round instead of P times, no
+// cost model, and nothing for a fast runner to wait on but the end of the
+// round. With one runner it is the paper's private window (Runner).
 
 // BlockEntries is the size of a cone block, and of the buffers a dealt
 // runner owns: vertex ids are cut into blocks of at most this many adjacency
-// entries (and as many bytes as they take in a plain store). A constant, not
-// an option: EXPERIMENTS.md "Cooperative windows" has 4 K–16 K within 5 % of
-// each other and 64 K 10 % behind — smaller blocks pay a read and a cursor
-// bump per few lists, larger ones leave a runner idle at the end of a round.
+// entries (and as many bytes as they take in a plain store), or of the
+// window's P·M entries if that is less, so that a list longer than the
+// window — the paper's large vertex — is a block by itself and arrives in
+// pieces. A constant, not an option: EXPERIMENTS.md "Cooperative windows"
+// has 4 K–16 K within 5 % of each other and 64 K 10 % behind — smaller
+// blocks pay a read and a cursor bump per few lists, larger ones leave a
+// runner idle at the end of a round.
 const BlockEntries = 8 << 10
 
 // TileEntries is how much of a window a counting round probes at a time: a
@@ -78,9 +81,10 @@ type DealConfig struct {
 
 // dealer is the state the runners of a cooperative run share.
 type dealer struct {
-	d    *graph.Disk
-	cfg  DealConfig
-	done <-chan struct{} // the run's ctx.Done()
+	d       *graph.Disk
+	cfg     DealConfig
+	runners []*dealt
+	done    <-chan struct{} // the run's ctx.Done()
 	// A block is at most blockEntries entries and blockBytes bytes of the
 	// store; cuts are the block boundaries: block b is the vertices
 	// [cuts[b], cuts[b+1]).
@@ -122,22 +126,42 @@ const (
 	phaseScan              // run the cone blocks against it
 )
 
-// dealt is one runner of a cooperative run: a Runner's cone state plus what
-// reading blocks takes — one descriptor for the whole run, one block's bytes
-// and one list's entries.
+// dealt is one runner of a cooperative run: its cone state — the copy of the
+// round's window it probes, N+(u), the mark array — and what reading blocks
+// takes: one descriptor for the whole run, one block's bytes and one list's
+// entries.
 type dealt struct {
-	*Runner
-	dl   *dealer
-	adj  *graph.AdjFile
-	raw  []byte
-	vals []graph.Vertex
+	disk       *graph.Disk
+	dl         *dealer
+	merge      bool // Kernel is KernelMerge: one merge per (nm, Ev) pair
+	counter    *ioacct.Counter
+	adj        *graph.AdjFile
+	raw        []byte
+	vals       []graph.Vertex
+	segScratch []graph.Vertex // one compressed segment, decoded
+	stats      Stats
+	sink       Sink
 
-	work   chan phase
-	list   *ListPart // its end of cfg.Listing
-	blocks int
-	loadIO ioacct.Stats // what its window loads read
-	idle   time.Duration
-	doneAt time.Time
+	// The window the cone routines probe — this round's, as the coordinator
+	// bounded it — and nmp, the current cone vertex's N+(u).
+	window
+	nmp []graph.Vertex
+
+	// mark is the direct-addressed membership array of the current cone
+	// vertex, one entry per vertex id of the store: mark[w] == epoch iff
+	// w ∈ N(u). Bumping epoch empties it in O(1).
+	mark  []uint32
+	epoch uint32
+	hits  [256]graph.Vertex // one block's matches, between probing and emitting
+
+	work    chan phase
+	list    *ListPart // its end of cfg.Listing
+	span    obs.SpanID
+	blocks  int
+	ioStart ioacct.Stats // its counter when the run started
+	loadIO  ioacct.Stats // what its window loads read
+	idle    time.Duration
+	doneAt  time.Time
 	// A failed phase: the vertex whose list failed it (when one did) and why.
 	badU graph.Vertex
 	err  error
@@ -170,146 +194,197 @@ func RunDealt(ctx context.Context, d *graph.Disk, spans []balance.Range, cfg Dea
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Workers < 1 {
-		return Dealt{}, fmt.Errorf("mgt: %d runners, need ≥ 1", cfg.Workers)
-	}
-	if cfg.MemEdges < 1 {
-		return Dealt{}, fmt.Errorf("mgt: memory budget %d edges, need ≥ 1", cfg.MemEdges)
-	}
-	if !d.Meta.Oriented {
-		return Dealt{}, fmt.Errorf("mgt: store %q is not oriented", d.Base)
-	}
-	if cfg.Sinks != nil && len(cfg.Sinks) != cfg.Workers {
-		return Dealt{}, fmt.Errorf("mgt: %d sinks for %d runners", len(cfg.Sinks), cfg.Workers)
-	}
-	if l := cfg.Listing; l != nil && (cfg.Sinks != nil || len(l.parts) != cfg.Workers) {
-		return Dealt{}, fmt.Errorf("mgt: a listing of %d parts, with %d sinks, for %d runners", len(l.parts), len(cfg.Sinks), cfg.Workers)
-	}
-	var longest uint64
-	for i, s := range spans {
-		if s.Hi > d.Meta.AdjEntries || s.Lo > s.Hi || (i > 0 && s.Lo < spans[i-1].Hi) {
-			return Dealt{}, fmt.Errorf("mgt: span [%d,%d) out of order or out of bounds for %d entries", s.Lo, s.Hi, d.Meta.AdjEntries)
-		}
-		longest = max(longest, s.Len())
-	}
-	// The window: P·M entries, or the longest span if that is less — a store
-	// smaller than the budget costs its own size — and no more than ind's
-	// 32-bit offsets can address.
-	winEntries := min(uint64(cfg.Workers)*uint64(cfg.MemEdges), longest, math.MaxUint32)
 	if err := ctx.Err(); err != nil {
 		return Dealt{}, err
 	}
-	if longest == 0 {
-		return Dealt{Runners: make([]Stats, cfg.Workers)}, nil
+	dl, err := newDealer(d, cfg)
+	if err != nil {
+		return Dealt{}, err
 	}
+	defer dl.close()
+	// More than one runner: they live for the whole run and meet the
+	// coordinator — this goroutine, one round per window — at a barrier
+	// after every phase. One runner runs its phases on this goroutine.
+	if len(dl.runners) > 1 {
+		var exited sync.WaitGroup
+		for _, r := range dl.runners {
+			r.work = make(chan phase)
+			exited.Add(1)
+			go func() {
+				defer exited.Done()
+				r.serve()
+			}()
+		}
+		defer func() {
+			for _, r := range dl.runners {
+				close(r.work)
+			}
+			exited.Wait()
+		}()
+	}
+	err = dl.run(ctx, spans)
+	out := Dealt{Runners: make([]Stats, len(dl.runners))}
+	for i, r := range dl.runners {
+		out.Runners[i] = r.stats
+		out.WindowIO = out.WindowIO.Add(r.loadIO)
+	}
+	return out, err
+}
 
-	dl := &dealer{d: d, cfg: cfg, done: ctx.Done(), blockEntries: BlockEntries, tileEntries: TileEntries}
+// newDealer validates cfg and builds the runners of a cooperative run over d,
+// each with its descriptor open (close releases them), and cuts the cone
+// blocks. Nothing in it depends on the spans: a Runner builds it once and
+// runs many ranges on it.
+func newDealer(d *graph.Disk, cfg DealConfig) (*dealer, error) {
+	if cfg.Workers < 1 {
+		return nil, fmt.Errorf("mgt: %d runners, need ≥ 1", cfg.Workers)
+	}
+	if cfg.MemEdges < 1 {
+		return nil, fmt.Errorf("mgt: memory budget %d edges, need ≥ 1", cfg.MemEdges)
+	}
+	if !d.Meta.Oriented {
+		return nil, fmt.Errorf("mgt: store %q is not oriented", d.Base)
+	}
+	kernel, err := ParseKernel(string(cfg.Kernel))
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Sinks != nil && len(cfg.Sinks) != cfg.Workers {
+		return nil, fmt.Errorf("mgt: %d sinks for %d runners", len(cfg.Sinks), cfg.Workers)
+	}
+	if l := cfg.Listing; l != nil && (cfg.Sinks != nil || len(l.parts) != cfg.Workers) {
+		return nil, fmt.Errorf("mgt: a listing of %d parts, with %d sinks, for %d runners", len(l.parts), len(cfg.Sinks), cfg.Workers)
+	}
+	budget := uint64(cfg.Workers) * uint64(cfg.MemEdges)
+	dl := &dealer{d: d, cfg: cfg, blockEntries: min(BlockEntries, budget), blockBytes: BlockEntries * graph.EntrySize, tileEntries: TileEntries}
 	if cfg.blockEntries > 0 {
 		dl.blockEntries = uint64(cfg.blockEntries)
+		dl.blockBytes = dl.blockEntries * graph.EntrySize
 	}
 	if cfg.tileEntries > 0 {
 		dl.tileEntries = uint64(cfg.tileEntries)
 	}
-	dl.blockBytes = dl.blockEntries * graph.EntrySize
-	cur := obs.CursorFrom(ctx)
-	runners := make([]*dealt, cfg.Workers)
-	defer func() {
-		for _, r := range runners {
-			if r != nil {
-				r.adj.Close()
-			}
-		}
-	}()
-	for i := range runners {
-		r, err := newRunner(d, Config{MemEdges: int(winEntries), Kernel: cfg.Kernel})
-		if err != nil {
-			return Dealt{}, err
-		}
-		adj, err := d.OpenAdjFile(r.counter)
-		if err != nil {
-			return Dealt{}, err
-		}
-		var list *ListPart
-		switch {
-		case cfg.Sinks != nil:
-			r.sink = cfg.Sinks[i]
-		case cfg.Listing != nil:
-			list = cfg.Listing.Part(i)
-			r.sink = list
-		}
-		runners[i] = &dealt{
-			Runner: r, dl: dl, adj: adj,
+	for i := 0; i < cfg.Workers; i++ {
+		r := &dealt{
+			disk: d, dl: dl, merge: kernel == KernelMerge,
+			counter: ioacct.NewCounter(0),
 			// A block's bytes, and never less than lets a streamed list's
 			// next segment be told from a damaged one.
 			raw:  make([]byte, max(dl.blockBytes, 2*graph.MaxSegmentBytes)),
 			vals: make([]graph.Vertex, dl.blockEntries),
-			work: make(chan phase),
-			list: list,
+			// N+(u) has at most one entry per vertex of the window and per
+			// entry of N(u).
+			nmp: make([]graph.Vertex, 0, min(uint64(d.Meta.MaxOutDegree), budget)),
+			// Sized from the store this runner scans: a live graph's merged
+			// view carries vertex ids its base store does not.
+			mark: make([]uint32, d.NumVertices()),
 		}
+		if d.Format() == graph.FormatCompressed {
+			r.segScratch = make([]graph.Vertex, 0, graph.SegmentEntries)
+		}
+		switch {
+		case cfg.Sinks != nil:
+			r.sink = cfg.Sinks[i]
+		case cfg.Listing != nil:
+			r.list = cfg.Listing.Part(i)
+			r.sink = r.list
+		}
+		if r.adj, err = d.OpenAdjFile(r.counter); err != nil {
+			dl.close()
+			return nil, err
+		}
+		dl.runners = append(dl.runners, r)
 	}
 	dl.cuts = dl.cutBlocks()
-	// The windows, span by span, and the one allocation of edg and ind that
-	// serves them all.
-	rounds := 0
-	for _, s := range spans {
-		rounds += int((s.Len() + winEntries - 1) / winEntries)
+	return dl, nil
+}
+
+// close releases the runners' descriptors.
+func (dl *dealer) close() error {
+	var err error
+	for _, r := range dl.runners {
+		if cerr := r.adj.Close(); err == nil {
+			err = cerr
+		}
 	}
-	wins := make([]balance.Range, 0, rounds)
+	return err
+}
+
+// run covers spans — disjoint ascending ranges of the store's entries — with
+// windows, round by round. Afterwards each runner's stats are this run's;
+// a run that failed leaves those so far.
+func (dl *dealer) run(ctx context.Context, spans []balance.Range) error {
+	d := dl.d
+	var longest uint64
+	for i, s := range spans {
+		if s.Hi > d.Meta.AdjEntries || s.Lo > s.Hi || (i > 0 && s.Lo < spans[i-1].Hi) {
+			return fmt.Errorf("mgt: span [%d,%d) out of order or out of bounds for %d entries", s.Lo, s.Hi, d.Meta.AdjEntries)
+		}
+		longest = max(longest, s.Len())
+	}
+	dl.round = 0
+	dl.stop.Store(false)
+	dl.done = ctx.Done()
+	for _, r := range dl.runners {
+		r.stats, r.blocks, r.idle = Stats{}, 0, 0
+		r.ioStart, r.loadIO = r.counter.Snapshot(), ioacct.Stats{}
+	}
+	if err := ctx.Err(); err != nil || longest == 0 {
+		return err
+	}
+	// The window: P·M entries, or the longest span if that is less — a store
+	// smaller than the budget costs its own size — and no more than ind's
+	// 32-bit offsets can address. One allocation of edg and ind serves every
+	// window of the run, and of the next run on the same dealer if it fits.
+	winEntries := min(uint64(dl.cfg.Workers)*uint64(dl.cfg.MemEdges), longest, math.MaxUint32)
 	indCap := 0
 	for _, s := range spans {
 		for lo := s.Lo; lo < s.Hi; lo += winEntries {
-			w := balance.Range{Lo: lo, Hi: min(lo+winEntries, s.Hi)}
-			wins = append(wins, w)
-			indCap = max(indCap, int(d.VertexAt(w.Hi-1)-d.VertexAt(w.Lo))+1)
+			indCap = max(indCap, int(d.VertexAt(min(lo+winEntries, s.Hi)-1)-d.VertexAt(lo))+1)
 		}
 	}
-	dl.win.edg = make([]graph.Vertex, 0, winEntries)
-	dl.win.ind = make([]indEntry, 0, indCap)
+	if cap(dl.win.edg) < int(winEntries) {
+		dl.win.edg = make([]graph.Vertex, 0, winEntries)
+	}
+	if cap(dl.win.ind) < indCap {
+		dl.win.ind = make([]indEntry, 0, indCap)
+	}
 
-	// The runners live for the whole run and meet the coordinator — this
-	// goroutine, one round per window — at a barrier after every phase.
+	// Runner i's chunk span carries worker index i — counted from the
+	// cursor's own worker, so that one runner of the paper's layout keeps
+	// the index of its range.
+	cur := obs.CursorFrom(ctx)
+	first := max(int(cur.Worker), 0)
+	for i, r := range dl.runners {
+		r.span = cur.WithWorker(first + i).Begin(obs.SpanChunk)
+	}
 	//pdtl:nondeterministic-ok wall-clock feeds Stats.Wall and span attrs only, never listing order
 	start := time.Now()
-	var exited sync.WaitGroup
-	spanIDs := make([]obs.SpanID, len(runners))
-	for i, r := range runners {
-		spanIDs[i] = cur.WithWorker(i).Begin(obs.SpanChunk)
-		exited.Add(1)
-		go func() {
-			defer exited.Done()
-			r.serve()
-		}()
-	}
 	var err error
-	for _, w := range wins {
-		if err = dl.runRound(ctx, cur, w.Lo, w.Hi, runners); err != nil {
-			break
+rounds:
+	for _, s := range spans {
+		for lo := s.Lo; lo < s.Hi; lo += winEntries {
+			if err = dl.runRound(ctx, cur, lo, min(lo+winEntries, s.Hi)); err != nil {
+				break rounds
+			}
 		}
 	}
-	for _, r := range runners {
-		close(r.work)
-	}
-	exited.Wait()
-
 	wall := time.Since(start) //pdtl:nondeterministic-ok timing stat only
-	out := Dealt{Runners: make([]Stats, len(runners))}
-	for i, r := range runners {
+	for _, r := range dl.runners {
 		r.stats.Passes = dl.round
 		r.stats.Wall = max(wall-r.idle, 0)
-		r.stats.IO = r.counter.Snapshot().Sub(r.loadIO)
-		out.Runners[i] = r.stats
-		out.WindowIO = out.WindowIO.Add(r.loadIO)
-		cur.SetAttr(spanIDs[i], "cmp_ops", int64(r.stats.CmpOps))
-		cur.SetAttr(spanIDs[i], "io_bytes", r.stats.IO.BytesRead)
-		cur.SetAttr(spanIDs[i], "passes", int64(r.stats.Passes))
-		cur.SetAttr(spanIDs[i], "blocks", int64(r.blocks))
-		cur.SetAttr(spanIDs[i], "idle_ns", int64(r.idle))
-		cur.End(spanIDs[i])
+		r.stats.IO = r.counter.Snapshot().Sub(r.ioStart).Sub(r.loadIO)
+		cur.SetAttr(r.span, "cmp_ops", int64(r.stats.CmpOps))
+		cur.SetAttr(r.span, "io_bytes", r.stats.IO.BytesRead)
+		cur.SetAttr(r.span, "passes", int64(r.stats.Passes))
+		cur.SetAttr(r.span, "blocks", int64(r.blocks))
+		cur.SetAttr(r.span, "idle_ns", int64(r.idle))
+		cur.End(r.span)
 	}
 	if cerr := ctx.Err(); cerr != nil {
-		return out, cerr
+		return cerr
 	}
-	return out, err
+	return err
 }
 
 // cutBlocks cuts the vertex ids into cone blocks: maximal runs of vertices
@@ -341,26 +416,26 @@ func (dl *dealer) blockOf(v graph.Vertex) int {
 }
 
 // runRound loads the window [lo, hi) and scans every cone block against it.
-func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64, runners []*dealt) error {
+func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64) error {
 	// The per-round cancellation point; the runners look between blocks.
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	span := cur.Begin(obs.SpanScanRound)
 	var ioBefore int64
-	for _, r := range runners {
+	for _, r := range dl.runners {
 		ioBefore += r.counter.Snapshot().BytesRead
 	}
 	dl.win.bound(dl.d, lo, hi)
 	// Load: the blocks holding the window's vertices, each filling its own
 	// stretch of edg and ind. Scan: every block.
-	err := dl.deal(phaseLoad, dl.blockOf(dl.win.vlow), dl.blockOf(dl.win.vhigh)+1, runners)
+	err := dl.deal(phaseLoad, dl.blockOf(dl.win.vlow), dl.blockOf(dl.win.vhigh)+1)
 	if err == nil {
-		err = dl.scan(runners)
+		err = dl.scan()
 	}
 	dl.round++
 	var ioAfter int64
-	for _, r := range runners {
+	for _, r := range dl.runners {
 		ioAfter += r.counter.Snapshot().BytesRead
 	}
 	cur.SetAttr(span, "window_lo", int64(lo))
@@ -385,16 +460,16 @@ func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64, r
 // the window is one tile. The step counts are exact, so the tiling — and
 // with it CmpOps — is the same on every run. A listing round is not tiled:
 // the order of its triangles would change.
-func (dl *dealer) scan(runners []*dealt) error {
+func (dl *dealer) scan() error {
 	d, w, blocks := dl.d, dl.win, len(dl.cuts)-1
 	tile := dl.tileEntries
-	if dl.cfg.Sinks != nil || dl.cfg.Listing != nil || uint64(len(w.edg)) <= tile || w.resLo == w.resHi {
+	if dl.runners[0].sink != nil || uint64(len(w.edg)) <= tile || w.resLo == w.resHi {
 		dl.part = partAll
-		return dl.deal(phaseScan, 0, blocks, runners)
+		return dl.deal(phaseScan, 0, blocks)
 	}
 	defer func() { dl.win = w }() // the next round bounds the whole of ind again
 	dl.part = partStored
-	if err := dl.deal(phaseScan, 0, blocks, runners); err != nil {
+	if err := dl.deal(phaseScan, 0, blocks); err != nil {
 		return err
 	}
 	dl.part = partResident
@@ -406,11 +481,11 @@ func (dl *dealer) scan(runners []*dealt) error {
 			z = max(d.VertexAt(end), a+1) // a list longer than a tile is one by itself
 		}
 		dl.win.vlow, dl.win.vhigh, dl.win.ind = a, z-1, w.ind[a-w.vlow:z-w.vlow]
-		steps := dl.steps(runners)
-		if err := dl.deal(phaseScan, first, last, runners); err != nil {
+		steps := dl.steps()
+		if err := dl.deal(phaseScan, first, last); err != nil {
 			return err
 		}
-		if dl.steps(runners)-steps < tilePays*resident {
+		if dl.steps()-steps < tilePays*resident {
 			tile = w.winHi // the rest at once
 		}
 		a = z
@@ -419,8 +494,8 @@ func (dl *dealer) scan(runners []*dealt) error {
 }
 
 // steps is the runners' intersection steps so far.
-func (dl *dealer) steps(runners []*dealt) (n uint64) {
-	for _, r := range runners {
+func (dl *dealer) steps() (n uint64) {
+	for _, r := range dl.runners {
 		n += r.stats.CmpOps
 	}
 	return n
@@ -428,19 +503,23 @@ func (dl *dealer) steps(runners []*dealt) (n uint64) {
 
 // deal hands the blocks [first, last) to the runners for one phase and waits
 // for all of them; the time a runner spent waiting for the slowest is its
-// idle time.
-func (dl *dealer) deal(ph phase, first, last int, runners []*dealt) error {
+// idle time. One runner runs the phase on the caller's goroutine.
+func (dl *dealer) deal(ph phase, first, last int) error {
 	dl.next.Store(int64(first))
 	dl.last = int64(last)
-	dl.wg.Add(len(runners))
-	for _, r := range runners {
-		r.work <- ph
+	if len(dl.runners) == 1 {
+		dl.runners[0].runPhase(ph)
+	} else {
+		dl.wg.Add(len(dl.runners))
+		for _, r := range dl.runners {
+			r.work <- ph
+		}
+		dl.wg.Wait()
 	}
-	dl.wg.Wait()
 	//pdtl:nondeterministic-ok wall-clock feeds the idle_ns span attr and Stats.Wall only
 	end := time.Now()
 	var err error
-	for _, r := range runners {
+	for _, r := range dl.runners {
 		r.idle += end.Sub(r.doneAt)
 		if err == nil && r.err != nil {
 			err = r.failure(ph)
@@ -468,20 +547,25 @@ func (r *dealt) failure(ph phase) error {
 // closes.
 func (r *dealt) serve() {
 	for ph := range r.work {
-		r.window = r.dl.win // this round's, as the coordinator bounded it
-		if ph == phaseLoad {
-			before := r.counter.Snapshot()
-			r.badU, r.err = r.loadBlocks()
-			r.loadIO = r.loadIO.Add(r.counter.Snapshot().Sub(before))
-		} else {
-			r.badU, r.err = r.scanBlocks()
-		}
-		if r.err != nil {
-			r.dl.stop.Store(true)
-		}
-		r.doneAt = time.Now() //pdtl:nondeterministic-ok feeds idle time only
+		r.runPhase(ph)
 		r.dl.wg.Done()
 	}
+}
+
+// runPhase runs one phase of the round.
+func (r *dealt) runPhase(ph phase) {
+	r.window = r.dl.win // this round's, as the coordinator bounded it
+	if ph == phaseLoad {
+		before := r.counter.Snapshot()
+		r.badU, r.err = r.loadBlocks()
+		r.loadIO = r.loadIO.Add(r.counter.Snapshot().Sub(before))
+	} else {
+		r.badU, r.err = r.scanBlocks()
+	}
+	if r.err != nil {
+		r.dl.stop.Store(true)
+	}
+	r.doneAt = time.Now() //pdtl:nondeterministic-ok feeds idle time only
 }
 
 // take claims the next block of the phase; ok is false when there is none
@@ -763,9 +847,11 @@ func (r *dealt) scanEncoded(a, z graph.Vertex) (graph.Vertex, error) {
 	return a, nil
 }
 
-// scanStreamed is the large-vertex routine for a list longer than a block
-// buffer: its pieces are stamped and window-filtered as they arrive, then
-// one probe closes the triangles — under any kernel, like largeVertex.
+// scanStreamed is the large-vertex routine, for a list longer than a block
+// (and so for one longer than the window): its pieces are stamped and
+// window-filtered as they arrive, then one probe closes the triangles —
+// under any kernel. All that outlives a piece is mark (n entries) and nmp (at
+// most one entry per window vertex): one read of N(u), no second pass.
 //
 //pdtl:hotpath
 func (r *dealt) scanStreamed(u graph.Vertex) error {

@@ -3,6 +3,7 @@ package mgt
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -39,25 +40,23 @@ func dealtListing(t *testing.T, d *graph.Disk, spans []balance.Range, cfg DealCo
 	return out.Bytes(), res.Runners
 }
 
-// namedListing is the reference: one runner of the paper's configuration
-// (private buffered scans) with a window of mem entries.
-func namedListing(t *testing.T, d *graph.Disk, rng balance.Range, mem int, kernel KernelKind) []byte {
+// definedListing is the reference: the listing order written from its
+// definition alone (windowOrder) — window by window over rng, cone vertices
+// in id order, pivot sources and closing vertices ascending — as bytes.
+func definedListing(t *testing.T, d *graph.Disk, rng balance.Range, mem int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	l := NewListing(&buf, t.TempDir(), 1)
-	part := l.Part(0)
-	part.Begin(0)
-	_, err := runOnce(d, Config{MemEdges: mem, Kernel: kernel}, rng, part)
-	if err == nil {
-		err = part.End()
-	}
-	if cerr := l.Close(); err == nil {
-		err = cerr
-	}
+	csr, err := d.LoadCSR()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	tris, _ := windowOrder(csr, rng, mem)
+	out := make([]byte, 0, 12*len(tris))
+	for _, tri := range tris {
+		for _, v := range tri {
+			out = binary.LittleEndian.AppendUint32(out, v)
+		}
+	}
+	return out
 }
 
 func sortedTriples(t *testing.T, raw []byte) []triple {
@@ -75,8 +74,8 @@ func sortedTriples(t *testing.T, raw []byte) []triple {
 }
 
 // TestDealtListingDeterministic: the ordered listing of a cooperative run
-// is, byte for byte, what one runner of the paper's configuration lists with
-// a window of P·M entries — for P = 1..4 at equal P·M, with the runners
+// is, byte for byte, the order's definition with a window of P·M entries —
+// for P = 1..4 at equal P·M, with the runners
 // yielding between blocks so that every repeat deals differently; for one
 // window, 48 of them, and a window one entry short of the longest list; on
 // both store formats, under the default routine and the merge kernel, with
@@ -105,13 +104,10 @@ func TestDealtListingDeterministic(t *testing.T) {
 			for _, blockEntries := range []int{0, dmax / 3} {
 				// P·M = window exactly, for every P.
 				pm := (window + 11) / 12 * 12
-				ref := namedListing(t, d, FullRange(d), pm, KernelAuto)
+				ref := definedListing(t, d, FullRange(d), pm)
 				name := fmt.Sprintf("%s/window=%d/block=%d", d.Format(), pm, blockEntries)
 				if got := sortedTriples(t, ref); !slices.Equal(got, normalized(got)) || len(got) != len(want) {
 					t.Fatalf("%s: reference lists %d triangles, baseline %d", name, len(got), len(want))
-				}
-				if merge := namedListing(t, d, FullRange(d), pm, KernelMerge); !bytes.Equal(merge, ref) {
-					t.Fatalf("%s: named merge and named auto list different sequences", name)
 				}
 				for p := 1; p <= 4; p++ {
 					for rep := 0; rep < repeats; rep++ {
@@ -121,7 +117,7 @@ func TestDealtListingDeterministic(t *testing.T) {
 						}
 						got, stats := dealtListing(t, d, []balance.Range{FullRange(d)}, cfg)
 						if !bytes.Equal(got, ref) {
-							t.Fatalf("%s P=%d rep %d: listing differs from the one-runner sequence (%d vs %d bytes)", name, p, rep, len(got), len(ref))
+							t.Fatalf("%s P=%d rep %d: listing differs from the defined sequence (%d vs %d bytes)", name, p, rep, len(got), len(ref))
 						}
 						if rounds := (total + pm - 1) / pm; stats[0].Passes != rounds {
 							t.Fatalf("%s P=%d: %d rounds, want %d", name, p, stats[0].Passes, rounds)
@@ -148,7 +144,7 @@ func TestDealtListingDeterministic(t *testing.T) {
 func normalized(ts []triple) []triple { return slices.Compact(slices.Clone(ts)) }
 
 // TestDealtSpans: several spans are each covered by their own windows, in
-// order — the listing is the concatenation of the one-runner listings of the
+// order — the listing is the concatenation of the defined listings of the
 // spans — and counting over any cut of the store adds up.
 func TestDealtSpans(t *testing.T) {
 	g, err := gen.RMAT(10, 10, 3)
@@ -162,11 +158,11 @@ func TestDealtSpans(t *testing.T) {
 		const p, m = 3, 400
 		var ref []byte
 		for _, s := range spans {
-			ref = append(ref, namedListing(t, d, s, p*m, KernelAuto)...)
+			ref = append(ref, definedListing(t, d, s, p*m)...)
 		}
 		got, stats := dealtListing(t, d, spans, DealConfig{Workers: p, MemEdges: m})
 		if !bytes.Equal(got, ref) {
-			t.Errorf("%s: spans list %d bytes, the one-runner listings of the spans %d", d.Format(), len(got), len(ref))
+			t.Errorf("%s: spans list %d bytes, the defined listings of the spans %d", d.Format(), len(got), len(ref))
 		}
 		rounds := 0
 		for _, s := range spans {
@@ -175,7 +171,7 @@ func TestDealtSpans(t *testing.T) {
 		if stats[1].Passes != rounds {
 			t.Errorf("%s: %d rounds, want %d", d.Format(), stats[1].Passes, rounds)
 		}
-		missing := namedListing(t, d, balance.Range{Lo: total / 5, Hi: total / 3}, p*m, KernelAuto)
+		missing := definedListing(t, d, balance.Range{Lo: total / 5, Hi: total / 3}, p*m)
 		if uint64(len(got)+len(missing)) != 12*want {
 			t.Errorf("%s: spans and the gap between them list %d triangles, baseline %d", d.Format(), (len(got)+len(missing))/12, want)
 		}
@@ -203,32 +199,8 @@ func TestDealtIOExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			stats := res.Runners
-			blockBytes := func(a, z graph.Vertex) int64 {
-				if d.ByteOffs != nil {
-					return int64(d.ByteOffs[z] - d.ByteOffs[a])
-				}
-				return int64(d.Offsets[z]-d.Offsets[a]) * graph.EntrySize
-			}
-			win := uint64(tc.p) * uint64(tc.m)
-			var want, wantLoads int64
-			rounds := 0
-			for lo := uint64(0); lo < total; lo += win {
-				hi := min(lo+win, total)
-				rounds++
-				// The window load: its entries, or the encodings of the
-				// vertices holding them.
-				if d.ByteOffs != nil {
-					wantLoads += blockBytes(d.VertexAt(lo), d.VertexAt(hi-1)+1)
-				} else {
-					wantLoads += int64(hi-lo) * graph.EntrySize
-				}
-				want += d.AdjBytes()
-				for v := 0; v < d.NumVertices(); v++ {
-					if d.Offsets[v] >= lo && d.Offsets[v+1] <= hi {
-						want -= blockBytes(graph.Vertex(v), graph.Vertex(v+1))
-					}
-				}
-			}
+			want, wantLoads := oneReaderBytes(d, FullRange(d), tc.p*tc.m)
+			rounds := int((total + uint64(tc.p*tc.m) - 1) / uint64(tc.p*tc.m))
 			var got int64
 			var loaded uint64
 			for _, st := range stats {

@@ -79,7 +79,7 @@ func TestListingParkRace(t *testing.T) {
 	}
 	d := orientedStore(t, g)
 	const p, m = 3, 400
-	ref := namedListing(t, d, FullRange(d), p*m, KernelAuto)
+	ref := definedListing(t, d, FullRange(d), p*m)
 	iterations := 200
 	if testing.Short() {
 		iterations = 20
@@ -142,8 +142,8 @@ func TestListingOneRunnerWritesOnce(t *testing.T) {
 	if got := uint64(out.buf.Len()); got != 12*tris {
 		t.Errorf("%d bytes written for %d triangles", got, tris)
 	}
-	if !bytes.Equal(out.buf.Bytes(), namedListing(t, d, FullRange(d), 500, KernelAuto)) {
-		t.Error("the listing differs from the one-runner sequence")
+	if !bytes.Equal(out.buf.Bytes(), definedListing(t, d, FullRange(d), 500)) {
+		t.Error("the listing differs from the defined sequence")
 	}
 	// A write per full buffer and one per block end, at most.
 	if max := int(12*tris/120) + int(res.Runners[0].Passes)*len(d.Degrees); out.writes > max {

@@ -9,11 +9,11 @@
 // set-based implementation was more than 10× slower):
 //
 //	edg — the in-memory edge chunk: a copy of a contiguous slice of the
-//	      adjacency file (the runner's current window of pivot edges);
+//	      adjacency file (the current window of pivot edges);
 //	ind — for each vertex v in [vlow, vhigh], the offset and length of the
 //	      in-memory portion Ev of v's out-list inside edg;
-//	nm  — N(u), the out-list of the current cone candidate u, read from a
-//	      sequential scan of the whole adjacency file;
+//	nm  — N(u), the out-list of the current cone candidate u, read from the
+//	      adjacency file (or served from edg when the window holds it whole);
 //	nmp — N+(u) = N(u) ∩ V+mem, computed by probing ind.
 //
 // Algorithm 2 then merges nm against Ev once per v ∈ nmp, re-walking N(u)
@@ -26,21 +26,18 @@
 // cone vertices (DESIGN.md §5). KernelMerge keeps the paper's pairwise
 // merges as the ablation.
 //
-// A runner is additionally restricted to a contiguous *global* edge range
-// [Lo, Hi): its pivot responsibility in PDTL (Section IV-B). Every triangle
-// is reported exactly once across runners, by the runner (and pass) whose
-// window holds the triangle's pivot edge. With the full range this is
-// exactly the paper's single-core MGT, the baseline of Figure 11.
+// A run is restricted to contiguous *global* edge ranges: its pivot
+// responsibility in PDTL (Section IV-B). Every triangle is reported exactly
+// once across runs, by the run (and window) that holds the triangle's pivot
+// edge. With the full range this is exactly the paper's single-core MGT, the
+// baseline of Figure 11.
 //
-// There are two ways to run it. RunDealt (coop.go) is the engine's default:
-// the P runners of a node share one window of P·M entries and are dealt the
-// cone blocks of every round, reading the blocks they take themselves. A
-// Runner by itself (NewRunner, RunRange) is the paper's layout — one runner
-// per range, each with a private M-entry window — and opens no file: window
-// loads and sequential scan passes go through a scan.Handle supplied by
-// Config (see internal/scan and DESIGN.md §5), so the engine decides whether
-// those runners each scan the file privately, share one broadcast scan, or
-// run fully in memory. The cone routines are the same code under both.
+// There is one reader (coop.go): RunDealt runs P runners over one window of
+// P·M entries, dealing them the cone blocks of every round. The engine's
+// default gives a node's runners one such run; the paper's layout — one
+// runner per range, each with a private M-entry window — is one run per
+// range with a single runner, which is what a Runner (NewRunner, RunRange)
+// keeps between calls.
 package mgt
 
 import (
@@ -54,8 +51,6 @@ import (
 	"pdtl/internal/balance"
 	"pdtl/internal/graph"
 	"pdtl/internal/ioacct"
-	"pdtl/internal/obs"
-	"pdtl/internal/scan"
 )
 
 // Sink consumes listed triangles (u, v, w), each with u ≺ v ≺ w in the
@@ -102,29 +97,15 @@ func (k KernelKind) String() string {
 	return string(k)
 }
 
-// Config parameterizes a runner.
+// Config parameterizes a Runner.
 type Config struct {
 	// MemEdges is M, the number of adjacency entries the runner may hold
 	// in its edg window at once. It drives the pass count R = ceil(S/M)
 	// (Section IV-B2). Must be ≥ 1.
 	MemEdges int
-	// Counter receives the runner's I/O accounting; nil allocates a
-	// private one.
-	Counter *ioacct.Counter
-	// BufBytes is the size of the sequential-scan read buffer;
-	// non-positive selects 1 MiB. Only consulted when Source is nil.
-	BufBytes int
-	// Source is the runner's access to the adjacency data. The runner
-	// never opens the adjacency file itself: window loads and scan passes
-	// go through this handle, so the engine decides the I/O strategy
-	// (per-runner buffered scans, or one shared broadcast scan). Nil selects a private scan.SourceBuffered handle charged
-	// to Counter — the paper's configuration, and bitwise-identical to the
-	// pre-refactor behavior.
-	Source scan.Handle
 	// Kernel is the cone routine: KernelAuto, the default, the runner's own
 	// mark-and-probe; KernelMerge, one two-pointer merge per (nm, Ev) pair.
-	// NewRunner is the one place the kind gets its meaning. Both produce
-	// identical triangles in identical order.
+	// Both produce identical triangles in identical order.
 	Kernel KernelKind
 }
 
@@ -151,9 +132,10 @@ type Stats struct {
 	// d(u) + Σ|Ev| per cone vertex. Both are exact and repeat from run to
 	// run.
 	CmpOps uint64
-	// LargeVertices counts cone vertices whose out-list exceeded M and
-	// arrived in segments (the removal of the small-degree assumption,
-	// footnote 1 of the paper). They cost no extra I/O.
+	// LargeVertices counts cone vertices whose out-list was longer than the
+	// window or a cone block and arrived in pieces (the removal of the
+	// small-degree assumption, footnote 1 of the paper). They cost no extra
+	// I/O.
 	LargeVertices uint64
 	// SegmentsSkipped counts compressed segments rejected on their
 	// (first, last) headers alone — never decoded — by the header-pruned
@@ -210,9 +192,8 @@ type indEntry struct {
 
 // window is Algorithm 2's edg/ind pair with its bounds: the adjacency
 // entries [winLo, winHi) and, for every vertex of [vlow, vhigh], where its
-// in-memory out-edges sit. The cone routines only read it, so one window
-// serves a single runner (the named sources: each runner loads its own) or
-// every runner of a cooperative round (coop.go: loaded once, shared).
+// in-memory out-edges sit. The cone routines only read it, so one window,
+// loaded once a round, serves every runner of the round.
 type window struct {
 	edg          []graph.Vertex
 	ind          []indEntry
@@ -259,285 +240,56 @@ func (w *window) index(d *graph.Disk, a, z graph.Vertex) {
 	}
 }
 
-// Runner is a reusable modified-MGT executor over one oriented store. It
-// owns its window (edg and ind, grown to the largest window it has loaded,
-// at most M entries), the N+(u) buffer (nmp) and the mark array — O(M + n)
-// entries — and reuses them across RunRange calls: a cluster node executes
-// many chunks back to back, and per-chunk reallocation of these buffers
-// would dominate small chunks. A Runner is not safe for concurrent use.
+// Runner is the paper's layout for one processor: a cooperative run of one
+// runner (RunDealt at Workers 1) kept between calls. It owns its window
+// (grown to the largest it has loaded, at most M entries), its mark array,
+// its block buffers and its descriptor — O(M + n) entries — and reuses them
+// across RunRange calls: a cluster node executes many chunks back to back,
+// and per-chunk reallocation would dominate small chunks. A Runner is not
+// safe for concurrent use.
 type Runner struct {
-	disk       *graph.Disk
-	cfg        Config
-	handle     scan.Handle
-	merge      bool           // Config.Kernel is KernelMerge: one merge per (nm, Ev) pair
-	segScratch []graph.Vertex // segment decode scratch of the compressed passes
-	listBuf    []graph.Vertex // whole-list decode buffer of the header-pruned pass
-	counter    *ioacct.Counter
-	// ownedSrc is the private buffered source a Runner opens for itself when
-	// cfg.Source is nil; Close tears it (and its handle) down.
-	ownedSrc scan.Source
-	stats    Stats
-	sink     Sink
-
-	// The window the cone routines probe — the runner's own, or a copy of
-	// the round's shared one — and nmp, the current cone vertex's N+(u).
-	window
-	nmp []graph.Vertex
-
-	// mark is the direct-addressed membership array of the current cone
-	// vertex, one entry per vertex id of the store: mark[w] == epoch iff
-	// w ∈ N(u). Bumping epoch empties it in O(1).
-	mark  []uint32
-	epoch uint32
-	hits  [256]graph.Vertex // one block's matches, between probing and emitting
+	dl    *dealer
+	spans [1]balance.Range // RunRange's one span, here so that a call allocates nothing
 }
 
-// NewRunner validates cfg and builds a reusable runner; each RunRange call
-// names its own range and sink. A nil cfg.Source opens a private buffered
-// source (closed by Close); an engine-supplied handle is used as-is and stays
-// the engine's to close.
+// NewRunner validates cfg and builds a reusable runner over d; each RunRange
+// call names its own range and sink. Close releases its descriptor.
 func NewRunner(d *graph.Disk, cfg Config) (*Runner, error) {
-	r, err := newRunner(d, cfg)
+	dl, err := newDealer(d, DealConfig{Workers: 1, MemEdges: cfg.MemEdges, Kernel: cfg.Kernel})
 	if err != nil {
 		return nil, err
 	}
-	if r.segScratch != nil {
-		r.listBuf = make([]graph.Vertex, 0, cap(r.nmp))
-	}
-	if r.handle == nil {
-		src, err := scan.New(scan.SourceBuffered, d, scan.Config{BufBytes: cfg.BufBytes, Counter: r.counter})
-		if err != nil {
-			return nil, err
-		}
-		h, err := src.Handle(r.counter)
-		if err != nil {
-			src.Close()
-			return nil, err
-		}
-		r.ownedSrc = src
-		r.handle = h
-	}
-	return r, nil
+	return &Runner{dl: dl}, nil
 }
 
-// newRunner builds everything of a runner but its access to the adjacency
-// data: the per-runner state the cone routines need.
-func newRunner(d *graph.Disk, cfg Config) (*Runner, error) {
-	if !d.Meta.Oriented {
-		return nil, fmt.Errorf("mgt: store %q is not oriented", d.Base)
-	}
-	if cfg.MemEdges < 1 {
-		return nil, fmt.Errorf("mgt: memory budget %d edges, need ≥ 1", cfg.MemEdges)
-	}
-	kernel, err := ParseKernel(string(cfg.Kernel))
-	if err != nil {
-		return nil, err
-	}
-	counter := cfg.Counter
-	if counter == nil {
-		counter = ioacct.NewCounter(0)
-	}
-	r := &Runner{
-		disk:    d,
-		cfg:     cfg,
-		counter: counter,
-		handle:  cfg.Source,
-		merge:   kernel == KernelMerge,
-		// N+(u) has at most one entry per vertex of the window and per
-		// entry of N(u).
-		nmp: make([]graph.Vertex, 0, min(int(d.Meta.MaxOutDegree), cfg.MemEdges)),
-		// Sized from the store this runner scans: a live graph's merged view
-		// carries vertex ids its base store does not.
-		mark: make([]uint32, d.NumVertices()),
-	}
-	if d.Format() == graph.FormatCompressed {
-		r.segScratch = make([]graph.Vertex, 0, graph.SegmentEntries)
-	}
-	return r, nil
-}
-
-// Close releases the private source a Runner opened for itself; an
-// engine-supplied handle is left open (the engine owns it).
-func (r *Runner) Close() error {
-	if r.ownedSrc == nil {
-		return nil
-	}
-	err := r.handle.Close()
-	if cerr := r.ownedSrc.Close(); err == nil {
-		err = cerr
-	}
-	r.ownedSrc = nil
-	return err
-}
+// Close releases the runner's descriptor.
+func (r *Runner) Close() error { return r.dl.close() }
 
 // RunRange executes modified MGT over one pivot range, reporting triangles
 // to sink; a nil sink counts only (the paper measures counting time, "or 0
-// for triangle counting" in Theorem IV.3), with the same count and steps.
-// The returned Stats cover this call alone — wall time and the I/O delta
-// since the call started — so a scheduler can fold them per chunk. An empty
-// range is a no-op.
+// for triangle counting" in Theorem IV.3), with the same count. The returned
+// Stats cover this call alone — wall time and the I/O it did, window loads
+// included — so a scheduler can fold them per chunk. An empty range is a
+// no-op.
 //
-// The context is the runner's cancellation point: it is checked once per
-// memory window, so cancellation aborts the run within one window (and, for
-// a shared scan source, also unblocks mid-pass ring-buffer waits). A
-// cancelled run returns ctx.Err() with the statistics accumulated so far. A
-// nil ctx means context.Background().
+// The context is checked between cone blocks; a cancelled run returns the
+// bare ctx.Err() with the statistics accumulated so far. A nil ctx means
+// context.Background().
 func (r *Runner) RunRange(ctx context.Context, rng balance.Range, sink Sink) (Stats, error) {
-	//pdtl:nondeterministic-ok wall-clock feeds Stats.Wall only, never listing order
-	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	total := r.disk.Meta.AdjEntries
-	if rng.Hi > total || rng.Lo > rng.Hi {
+	if total := r.dl.d.Meta.AdjEntries; rng.Hi > total || rng.Lo > rng.Hi {
 		return Stats{}, fmt.Errorf("mgt: range [%d,%d) out of bounds for %d entries", rng.Lo, rng.Hi, total)
 	}
-	r.stats = Stats{}
-	r.sink = sink
-	ioStart := r.counter.Snapshot()
-	// The chunk span (allocation-free: cursor lookup plus slab writes).
-	// Its attributes carry this call's stat deltas, so a trace attributes
-	// wall time to scan I/O vs. intersection CPU per chunk.
-	cur := obs.CursorFrom(ctx)
-	span := cur.Begin(obs.SpanChunk)
-
-	finish := func(err error) (Stats, error) {
-		r.stats.Wall = time.Since(start) //pdtl:nondeterministic-ok timing stat only
-		r.stats.IO = r.counter.Snapshot().Sub(ioStart)
-		cur.SetAttr(span, "lo", int64(rng.Lo))
-		cur.SetAttr(span, "hi", int64(rng.Hi))
-		cur.SetAttr(span, "cmp_ops", int64(r.stats.CmpOps))
-		cur.SetAttr(span, "io_bytes", r.stats.IO.BytesRead)
-		cur.SetAttr(span, "word_ops", int64(r.stats.WordOps))
-		cur.SetAttr(span, "passes", int64(r.stats.Passes))
-		cur.End(span)
-		r.sink = nil
-		// A cancelled run reports the bare ctx.Err(), whichever layer the
-		// cancellation surfaced through first (window check here, or a scan
-		// source's wrapped ring-buffer error).
-		if cerr := ctx.Err(); cerr != nil {
-			return r.stats, cerr
-		}
-		return r.stats, err
-	}
-	for pos := rng.Lo; pos < rng.Hi; {
-		// The per-window cancellation point: one check per memory window
-		// bounds abort latency at a single window's load + pass.
-		if err := ctx.Err(); err != nil {
-			return finish(err)
-		}
-		end := pos + uint64(r.cfg.MemEdges)
-		if end > rng.Hi {
-			end = rng.Hi
-		}
-		if err := r.loadWindow(pos, end); err != nil {
-			return finish(err)
-		}
-		if err := r.scanPass(); err != nil {
-			return finish(err)
-		}
-		r.stats.Passes++
-		pos = end
-	}
-	return finish(nil)
-}
-
-// loadWindow loads the edge window [pos, end) and builds ind over its
-// vertex span.
-func (r *Runner) loadWindow(pos, end uint64) error {
-	r.bound(r.disk, pos, end)
-	if err := r.handle.ReadEntries(r.edg, pos); err != nil {
-		return fmt.Errorf("mgt: load window: %w", err)
-	}
-	r.stats.EdgesLoaded += end - pos
-	r.index(r.disk, r.vlow, r.vhigh+1)
-	return nil
-}
-
-// scanPass streams the whole adjacency file once, reporting every triangle
-// whose pivot edge is inside the current window. Cone vertices whose
-// out-list exceeds M arrive in segments and take the large-vertex path. A
-// compressed store's scan delivers the lists encoded, and only those whose
-// segment headers say they can reach the window are decoded (scanPassPruned).
-func (r *Runner) scanPass() error {
-	d := r.disk
-	sc, err := r.handle.Scan(r.cfg.MemEdges)
-	if err != nil {
-		return err
-	}
-	defer sc.Close()
-	if csc, ok := sc.(scan.CompressedScan); ok {
-		return r.scanPassPruned(sc, csc)
-	}
-
-	for {
-		u, nm, ok := sc.Next()
-		if !ok {
-			break
-		}
-		if int(d.Degrees[u]) > r.cfg.MemEdges {
-			if err := r.largeVertex(sc, u, nm); err != nil {
-				return err
-			}
-			continue
-		}
-		if len(nm) < 2 {
-			continue // need at least a pivot source and a closing vertex
-		}
-		// Quick reject: nm is sorted, so if it cannot contain any vertex
-		// of [vlow, vhigh] there is nothing to do.
-		if nm[len(nm)-1] < r.vlow || nm[0] > r.vhigh {
-			continue
-		}
-		if !r.cone(u, nm) {
-			return r.errVertexID(u)
-		}
-	}
-	return sc.Err()
-}
-
-// scanPassPruned is scanPass over a compressed store. In a multi-window run
-// most cone lists cannot reach the window at all — its vertex span
-// [vlow, vhigh] is a sliver of the graph — yet the decoding scan would
-// expand every one of them before the quick reject looked at its ends. Here the list arrives encoded, the reject runs
-// on its segment headers (CompressedList.Bounds: every header is parsed and
-// validated, no payload is touched), and only the survivors are decoded.
-// The survivors are exactly the lists the decoding pass would not have
-// rejected, decoded to the same values, so the triangle stream is
-// identical.
-func (r *Runner) scanPassPruned(sc scan.Scan, csc scan.CompressedScan) error {
-	d := r.disk
-	for {
-		u, cl, ok := csc.NextCompressed()
-		if !ok {
-			break
-		}
-		if int(d.Degrees[u]) > r.cfg.MemEdges {
-			if err := r.largeVertexCompressed(u, cl); err != nil {
-				return fmt.Errorf("mgt: list of large vertex %d: %w", u, err)
-			}
-			continue
-		}
-		if cl.Degree < 2 {
-			continue // need at least a pivot source and a closing vertex
-		}
-		first, last, _, err := cl.Bounds()
-		if err != nil {
-			return fmt.Errorf("mgt: list of vertex %d: %w", u, err)
-		}
-		if last < r.vlow || first > r.vhigh {
-			r.stats.SegmentsSkipped += uint64((cl.Degree + graph.SegmentEntries - 1) / graph.SegmentEntries)
-			continue
-		}
-		nm, err := cl.Decode(r.listBuf[:0])
-		if err != nil {
-			return fmt.Errorf("mgt: decode list of vertex %d: %w", u, err)
-		}
-		if !r.cone(u, nm) {
-			return r.errVertexID(u)
-		}
-	}
-	return sc.Err()
+	one := r.dl.runners[0]
+	one.sink = sink
+	r.spans[0] = rng
+	err := r.dl.run(ctx, r.spans[:])
+	one.sink = nil
+	st := one.stats
+	st.IO = st.IO.Add(one.loadIO) // the window is this runner's alone
+	return st, err
 }
 
 // cone reports the triangles of cone vertex u whose pivot edge is in the
@@ -545,7 +297,7 @@ func (r *Runner) scanPassPruned(sc scan.Scan, csc scan.CompressedScan) error {
 // false if N(u) names a vertex id the store does not have (errVertexID).
 //
 //pdtl:hotpath
-func (r *Runner) cone(u graph.Vertex, nm []graph.Vertex) bool {
+func (r *dealt) cone(u graph.Vertex, nm []graph.Vertex) bool {
 	nmp := r.inWindow(r.nmp[:0], nm)
 	if r.merge {
 		for _, v := range nmp {
@@ -571,7 +323,7 @@ func (r *Runner) cone(u graph.Vertex, nm []graph.Vertex) bool {
 // iteration; a sink, when attached, hears of every match.
 //
 //pdtl:hotpath
-func (r *Runner) intersect(u, v graph.Vertex, nm, ev []graph.Vertex) {
+func (r *dealt) intersect(u, v graph.Vertex, nm, ev []graph.Vertex) {
 	var steps, found uint64
 	for i, j := 0, 0; i < len(nm) && j < len(ev); {
 		steps++
@@ -598,7 +350,7 @@ func (r *Runner) intersect(u, v graph.Vertex, nm, ev []graph.Vertex) {
 // N(u): the out-neighbors with out-edges in memory.
 //
 //pdtl:hotpath
-func (r *Runner) inWindow(nmp, vals []graph.Vertex) []graph.Vertex {
+func (r *dealt) inWindow(nmp, vals []graph.Vertex) []graph.Vertex {
 	// A window far into a long list (a tile of a window, walked once per
 	// tile) is found by bisection, not by stepping up to it.
 	if len(vals) > 8 && vals[8] < r.vlow {
@@ -629,7 +381,7 @@ func (r *Runner) inWindow(nmp, vals []graph.Vertex) []graph.Vertex {
 // bumpEpoch empties the mark array for the next cone vertex. On wrap-around
 // the stamps are cleared, so a stale epoch value can never alias a fresh
 // one.
-func (r *Runner) bumpEpoch() {
+func (r *dealt) bumpEpoch() {
 	r.epoch++
 	if r.epoch == 0 {
 		clear(r.mark)
@@ -642,7 +394,7 @@ func (r *Runner) bumpEpoch() {
 // adjacency data, which must fail the run rather than index out of range.
 //
 //pdtl:hotpath
-func (r *Runner) stamp(vals []graph.Vertex) bool {
+func (r *dealt) stamp(vals []graph.Vertex) bool {
 	mark, epoch := r.mark, r.epoch
 	for _, w := range vals {
 		if int(w) >= len(mark) {
@@ -658,7 +410,7 @@ func (r *Runner) stamp(vals []graph.Vertex) bool {
 // vertex the store does not have; errVertexID is the error the run reports.
 var errBadVertexID = errors.New("vertex id beyond the store: store is damaged")
 
-func (r *Runner) errVertexID(u graph.Vertex) error {
+func (r *dealt) errVertexID(u graph.Vertex) error {
 	return fmt.Errorf("mgt: list of vertex %d names a vertex id ≥ %d: store is damaged", u, len(r.mark))
 }
 
@@ -671,7 +423,7 @@ func (r *Runner) errVertexID(u graph.Vertex) error {
 // block's hits into a buffer and emits from there.
 //
 //pdtl:hotpath
-func (r *Runner) probe(u graph.Vertex, nmp []graph.Vertex) {
+func (r *dealt) probe(u graph.Vertex, nmp []graph.Vertex) {
 	mark, epoch, hits := r.mark, r.epoch, &r.hits
 	var found, probes uint64
 	for _, v := range nmp {
@@ -715,7 +467,7 @@ func (r *Runner) probe(u graph.Vertex, nmp []graph.Vertex) {
 
 // decodeSegmentFast decodes one segment into the runner's scratch through
 // the unrolled decoder, crediting the runner's vectorization counters.
-func (r *Runner) decodeSegmentFast(seg graph.Segment) ([]graph.Vertex, error) {
+func (r *dealt) decodeSegmentFast(seg graph.Segment) ([]graph.Vertex, error) {
 	vals, blocks, err := graph.DecodeSegmentFast(seg, r.segScratch)
 	if err != nil {
 		return nil, err
@@ -727,72 +479,6 @@ func (r *Runner) decodeSegmentFast(seg graph.Segment) ([]graph.Vertex, error) {
 		r.stats.WordOps += uint64(blocks)
 	}
 	return vals, nil
-}
-
-// largeVertex handles a cone vertex u with d*(u) > M without ever holding
-// N(u) in memory — the paper's footnote-1 removal of the small-degree
-// assumption — under any kernel. N(u) arrives in sorted segments of at most
-// M entries (firstSeg is the one the scanner already yielded); each is
-// stamped into the mark array and filtered for N+(u) as it streams by, and
-// then the same probe as a small vertex's closes the triangles. All that
-// outlives a segment is mark (n entries) and nmp (at most one entry per
-// window vertex, so ≤ M): one read of N(u), no second pass.
-func (r *Runner) largeVertex(sc scan.Scan, u graph.Vertex, firstSeg []graph.Vertex) error {
-	r.stats.LargeVertices++
-	r.bumpEpoch()
-	nmp := r.nmp[:0]
-	remaining := int(r.disk.Degrees[u])
-	for seg := firstSeg; ; {
-		if !r.stamp(seg) {
-			return r.errVertexID(u)
-		}
-		nmp = r.inWindow(nmp, seg)
-		if remaining -= len(seg); remaining <= 0 {
-			break
-		}
-		u2, next, ok := sc.Next()
-		if !ok {
-			return fmt.Errorf("mgt: truncated segments for vertex %d: %w", u, sc.Err())
-		}
-		if u2 != u {
-			return fmt.Errorf("mgt: segment stream switched from %d to %d mid-list", u, u2)
-		}
-		seg = next
-	}
-	r.probe(u, nmp)
-	return nil
-}
-
-// largeVertexCompressed is largeVertex for a compressed store, where the
-// whole encoded list is in hand (compressed lists are not segmented by
-// maxList) and is decoded one 256-entry segment at a time. Errors come back
-// bare, for the caller to name u.
-//
-//pdtl:hotpath
-func (r *Runner) largeVertexCompressed(u graph.Vertex, cl graph.CompressedList) error {
-	r.stats.LargeVertices++
-	r.bumpEpoch()
-	nmp := r.nmp[:0]
-	it := cl.Segments()
-	for {
-		seg, ok := it.Next()
-		if !ok {
-			break
-		}
-		vals, err := r.decodeSegmentFast(seg)
-		if err != nil {
-			return err
-		}
-		if !r.stamp(vals) {
-			return errBadVertexID
-		}
-		nmp = r.inWindow(nmp, vals)
-	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	r.probe(u, nmp)
-	return nil
 }
 
 // FullRange returns the range covering the whole oriented store.

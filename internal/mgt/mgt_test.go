@@ -35,6 +35,25 @@ func orientedStore(t testing.TB, g *graph.CSR) *graph.Disk {
 	return d
 }
 
+// compressedStore orients g into a compressed store.
+func compressedStore(t testing.TB, g *graph.CSR) *graph.Disk {
+	t.Helper()
+	dir := t.TempDir()
+	src := filepath.Join(dir, "g")
+	if err := graph.WriteCSR(src, "test", g); err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(dir, "g.oriented")
+	if _, err := orient.OrientFormat(src, dst, 2, graph.FormatCompressed); err != nil {
+		t.Fatal(err)
+	}
+	d, err := graph.Open(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // runOnce runs one range on a fresh Runner over d and tears it down.
 func runOnce(d *graph.Disk, cfg Config, rng balance.Range, sink Sink) (Stats, error) {
 	r, err := NewRunner(d, cfg)
@@ -97,24 +116,29 @@ func TestMGTMemoryBudgetInvariance(t *testing.T) {
 }
 
 func TestMGTScanVolumeMatchesTheory(t *testing.T) {
-	// Theorem IV.2: each pass reads the whole adjacency file once, plus the
-	// window loads sum to the range size.
+	// Theorem IV.2 with one reader: each pass reads every list the window
+	// does not hold whole once, plus the window loads, which sum to the
+	// range size.
 	g, err := gen.ErdosRenyi(200, 2000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := orientedStore(t, g)
-	m := int(d.Meta.AdjEntries)/4 + 1
-	st, err := runOnce(d, Config{MemEdges: m}, FullRange(d), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes := int64(st.Passes)*d.AdjBytes() + int64(st.EdgesLoaded)*graph.EntrySize
-	if st.IO.BytesRead != wantBytes {
-		t.Errorf("bytes read = %d, want passes*|E*| + loads = %d", st.IO.BytesRead, wantBytes)
-	}
-	if st.EdgesLoaded != d.Meta.AdjEntries {
-		t.Errorf("edges loaded = %d, want %d", st.EdgesLoaded, d.Meta.AdjEntries)
+	for _, d := range []*graph.Disk{orientedStore(t, g), compressedStore(t, g)} {
+		m := int(d.Meta.AdjEntries)/4 + 1
+		st, err := runOnce(d, Config{MemEdges: m}, FullRange(d), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scans, loads := oneReaderBytes(d, FullRange(d), m)
+		if st.IO.BytesRead != scans+loads || st.Passes != 4 {
+			t.Errorf("%s: %d passes read %d bytes, want 4 passes reading %d for lists outside the windows + %d for the loads", d.Format(), st.Passes, st.IO.BytesRead, scans, loads)
+		}
+		if d.Format() == graph.FormatPlain && loads != int64(st.EdgesLoaded)*graph.EntrySize {
+			t.Errorf("window loads read %d bytes for %d entries", loads, st.EdgesLoaded)
+		}
+		if st.EdgesLoaded != d.Meta.AdjEntries {
+			t.Errorf("%s: edges loaded = %d, want %d", d.Format(), st.EdgesLoaded, d.Meta.AdjEntries)
+		}
 	}
 }
 

@@ -78,8 +78,8 @@ func TestRunnerReuseAcrossRanges(t *testing.T) {
 		sum = sum.Add(st)
 		// The window buffer must be the same backing array every chunk —
 		// the whole point of the reusable Runner.
-		if cap(r.edg) > 0 {
-			p := &r.edg[:1][0]
+		if edg := r.dl.win.edg; cap(edg) > 0 {
+			p := &edg[:1][0]
 			if edgSeen == nil {
 				edgSeen = map[*graph.Vertex]bool{p: true}
 			} else if !edgSeen[p] {

@@ -3,7 +3,7 @@
 // the engine's chunk hot path.
 //
 // A Trace is a fixed-capacity slab of hierarchical phase spans (handle
-// open/orient/plan, per-round scan broadcast, per-chunk runner execution,
+// open/orient/plan, per-round window load and scan, per-chunk runner execution,
 // cluster copy/dispatch, live compaction). Span recording is three atomic
 // operations and never allocates: Begin claims the next slab slot, End
 // stamps the duration, SetAttr fills a fixed-size attribute array. When
@@ -50,7 +50,7 @@ const (
 	SpanCalc      = "calc"           // the calculation phase (all runners)
 	SpanWorker    = "worker"         // one pool runner's lifetime
 	SpanChunk     = "chunk"          // one runner×range execution (hot path)
-	SpanScanRound = "scan.round"     // one shared-source broadcast round
+	SpanScanRound = "scan.round"     // one window loaded and the store scanned against it
 	SpanAssemble  = "assemble"       // an ordered listing's close: spill files removed, every block checked written
 	SpanCluster   = "cluster"        // one distributed run (master side)
 	SpanCopy      = "copy"           // replica copy to one node

@@ -5,12 +5,11 @@ import (
 	"pdtl/internal/ioacct"
 )
 
-// bufferedSource is the paper's configuration: each handle owns a
-// random-access reader, and every Scan opens a private buffered sequential
-// read of the whole adjacency data. With P runners doing R passes each, the
-// data is read P·R times (modulo the OS page cache). Both store formats are
-// served — graph.NewScanner and graph.OpenRandom pick the decoder matching
-// the store, so compressed stores stream compressed blocks here too.
+// bufferedSource gives every Scan a private buffered sequential read of the
+// whole adjacency data: P handles doing R passes each read the data P·R
+// times (modulo the OS page cache). Both store formats are served —
+// graph.NewScanner picks the decoder matching the store, so compressed
+// stores stream compressed blocks here too.
 type bufferedSource struct {
 	d   *graph.Disk
 	cfg Config
@@ -30,17 +29,12 @@ func (s *bufferedSource) Handle(c *ioacct.Counter) (Handle, error) {
 	if c == nil {
 		c = ioacct.NewCounter(0)
 	}
-	ra, err := s.d.OpenRandom(c)
-	if err != nil {
-		return nil, err
-	}
-	return &bufferedHandle{src: s, c: c, ra: ra}, nil
+	return &bufferedHandle{src: s, c: c}, nil
 }
 
 type bufferedHandle struct {
 	src *bufferedSource
 	c   *ioacct.Counter
-	ra  graph.RandomReader
 }
 
 func (h *bufferedHandle) Scan(maxList int) (Scan, error) {
@@ -52,8 +46,4 @@ func (h *bufferedHandle) Scan(maxList int) (Scan, error) {
 	return sc, nil
 }
 
-func (h *bufferedHandle) ReadEntries(dst []graph.Vertex, pos uint64) error {
-	return h.ra.ReadEntries(dst, pos)
-}
-
-func (h *bufferedHandle) Close() error { return h.ra.Close() }
+func (h *bufferedHandle) Close() error { return nil }

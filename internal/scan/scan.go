@@ -1,28 +1,21 @@
-// Package scan is the pluggable source layer under the MGT runners of the
-// paper's layout: it decides *how* adjacency data reaches a runner (the
-// ScanSource). PDTL's engine (Section IV-B of the paper) gives every one of
-// the P runners its own end-to-end sequential scan of the adjacency file;
-// putting that decision behind an interface lets the engine trade it per
-// run:
+// Package scan holds the sequential scan sources the MGT runners of the
+// paper's layout used to read the adjacency file through. The engine no
+// longer uses them: both of its layouts read the store through one reader,
+// the cone blocks of mgt.RunDealt. What stays is what bench/probes.go's
+// drain and decode probes measure, until they are retired:
 //
-//   - Buffered — the paper's configuration: every runner performs its own
-//     buffered sequential scan (P full-file scans per round of passes,
-//     deduplicated only by the OS page cache).
-//   - Shared — one sequential reader broadcasts each block of the
-//     adjacency file to all subscribed runners through per-runner ring
-//     buffers, turning P concurrent full-file scans into one physical scan
-//     (the explicit scan sharing that engineering work on distributed
-//     triangle counting shows is where the I/O constant factors live).
+//   - Buffered — every handle's pass is its own buffered sequential scan of
+//     the whole file.
+//   - Shared — one sequential reader broadcasts each block of the file to
+//     all subscribed handles through per-handle ring buffers, turning P
+//     concurrent full-file scans into one physical scan.
 //
-// The engine's default, cooperative windows (SourceAuto), is not a source of
-// this package: its runners read the cone blocks they are dealt themselves.
+// Both yield every vertex in order with its out-list split into sorted
+// segments of at most maxList entries (exactly like graph.Scanner).
 //
-// All sources present identical semantics: a full pass yields every vertex
-// in order with its out-list split into sorted segments of at most maxList
-// entries (exactly like graph.Scanner, whose segmentation removes the
-// paper's small-degree assumption), and random access reads any entry
-// range. Triangle output is therefore bitwise identical across sources —
-// the cross-check tests in internal/core assert this.
+// SourceKind is also the engine's layout switch (core.Options.Scan): auto,
+// the default, is cooperative windows, and buffered is the paper's layout,
+// one runner per range with a private window. "shared" names no layout.
 package scan
 
 import (
@@ -38,28 +31,29 @@ import (
 type SourceKind string
 
 const (
-	// SourceAuto names no source of this package: the engine runs
-	// cooperative windows, whose runners read the cone blocks they are
-	// dealt themselves (mgt.RunDealt). The empty string means the same.
+	// SourceAuto is the engine's cooperative windows (mgt.RunDealt); it
+	// names no source of this package. The empty string means the same.
 	SourceAuto SourceKind = "auto"
-	// SourceBuffered is one private buffered sequential scan per runner
-	// pass (the paper's configuration).
+	// SourceBuffered is the engine's paper layout, one runner per range; as
+	// a source of this package, one private buffered sequential scan per
+	// pass.
 	SourceBuffered SourceKind = "buffered"
 	// SourceShared is one physical sequential scan broadcast to all
-	// concurrently-scanning runners.
+	// concurrently-scanning handles. It is a source only (New), never an
+	// engine layout: ParseSource rejects it.
 	SourceShared SourceKind = "shared"
 )
 
-// ParseSource validates a source name from a flag or wire message. The
-// empty string means SourceAuto.
+// ParseSource validates a layout name from a flag, query or wire message.
+// The empty string means SourceAuto.
 func ParseSource(s string) (SourceKind, error) {
 	switch SourceKind(s) {
 	case "":
 		return SourceAuto, nil
-	case SourceAuto, SourceBuffered, SourceShared:
+	case SourceAuto, SourceBuffered:
 		return SourceKind(s), nil
 	}
-	return "", fmt.Errorf("scan: unknown scan source %q (want auto, buffered, or shared)", s)
+	return "", fmt.Errorf("scan: unknown scan source %q (want auto, buffered)", s)
 }
 
 // IsAuto reports whether k names no source: SourceAuto or the zero value.
@@ -79,9 +73,8 @@ type Config struct {
 	// size (Shared); non-positive selects 1 MiB.
 	BufBytes int
 	// Counter receives the I/O the source performs on its own behalf —
-	// the Shared broadcaster's single scan. Per-runner
-	// I/O (window loads, large-vertex re-reads, Buffered scans) is charged
-	// to the counter each Handle was opened with instead. Nil allocates a
+	// the Shared broadcaster's single scan. A Buffered handle's scans are
+	// charged to the counter it was opened with instead. Nil allocates a
 	// private counter.
 	Counter *ioacct.Counter
 	// Ctx bounds the source's lifetime: a source is created for exactly one
@@ -112,13 +105,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Source supplies adjacency data for one oriented store to a set of
-// concurrent runners. A Source is safe for concurrent Handle calls; it is
-// owned (created and closed) by the engine, never by a runner.
+// Source supplies sequential passes over one oriented store to a set of
+// concurrent readers. A Source is safe for concurrent Handle calls.
 type Source interface {
-	// Handle opens a per-runner accessor whose I/O is charged to c (nil
+	// Handle opens a per-reader accessor whose I/O is charged to c (nil
 	// allocates a private counter). Handles are not safe for concurrent
-	// use; each runner gets its own and must Close it as soon as it is
+	// use; each reader gets its own and must Close it as soon as it is
 	// done — a Shared source uses the set of open handles to decide when a
 	// broadcast round can start.
 	Handle(c *ioacct.Counter) (Handle, error)
@@ -131,25 +123,20 @@ type Source interface {
 	Close() error
 }
 
-// Handle is one runner's access to the adjacency data.
+// Handle is one reader's access to the adjacency data.
 type Handle interface {
 	// Scan starts a full sequential pass over the adjacency file. Lists
 	// longer than maxList entries are yielded in consecutive sorted
 	// segments under the same vertex (maxList <= 0 means whole lists). At
 	// most one Scan may be in flight per handle.
 	Scan(maxList int) (Scan, error)
-	// ReadEntries fills dst with the adjacency entries
-	// [pos, pos+len(dst)) — the random-access path of the window loads
-	// and large-vertex re-reads.
-	ReadEntries(dst []graph.Vertex, pos uint64) error
 	// Close releases the handle.
 	Close() error
 }
 
 // CompressedScan is the optional Scan extension of compressed stores: the
-// pass can deliver each vertex's list in its encoded form, which the
-// header-pruned pass rejects on its segment headers before decoding. Every
-// source's compressed scan implements it (the concrete type is
+// pass can deliver each vertex's list in its encoded form. Every source's
+// compressed scan implements it (the concrete type is
 // *graph.CompressedSeqScan in both cases); plain-store scans do not.
 // NextCompressed and Next consume the same pass and must not be mixed.
 type CompressedScan interface {

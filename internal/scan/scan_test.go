@@ -1,7 +1,6 @@
 package scan
 
 import (
-	"math/rand"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -122,60 +121,6 @@ func TestSourcesYieldIdenticalStreams(t *testing.T) {
 			src.Close()
 			sameSegments(t, string(kind), got, want)
 		}
-	}
-}
-
-// TestReadEntriesEquivalence checks random-access reads across sources.
-func TestReadEntriesEquivalence(t *testing.T) {
-	g, err := gen.ErdosRenyi(200, 2500, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := orientedStore(t, g)
-	total := d.Meta.AdjEntries
-	rng := rand.New(rand.NewSource(1))
-
-	type read struct {
-		pos uint64
-		n   int
-	}
-	var reads []read
-	for i := 0; i < 50; i++ {
-		n := 1 + rng.Intn(200)
-		if uint64(n) > total {
-			n = int(total)
-		}
-		pos := uint64(rng.Int63n(int64(total) - int64(n) + 1))
-		reads = append(reads, read{pos, n})
-	}
-
-	want := make(map[int][]graph.Vertex)
-	for _, kind := range allKinds() {
-		src, err := New(kind, d, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := src.Handle(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, rd := range reads {
-			dst := make([]graph.Vertex, rd.n)
-			if err := h.ReadEntries(dst, rd.pos); err != nil {
-				t.Fatalf("%s: read %d: %v", kind, i, err)
-			}
-			if kind == SourceBuffered {
-				want[i] = dst
-				continue
-			}
-			for k := range dst {
-				if dst[k] != want[i][k] {
-					t.Fatalf("%s: read %d entry %d = %d, want %d", kind, i, k, dst[k], want[i][k])
-				}
-			}
-		}
-		h.Close()
-		src.Close()
 	}
 }
 
@@ -304,20 +249,18 @@ func TestUnalignedBufBytes(t *testing.T) {
 }
 
 func TestParseSource(t *testing.T) {
-	for in, want := range map[string]SourceKind{
-		"": SourceAuto, "auto": SourceAuto, "buffered": SourceBuffered,
-		"shared": SourceShared,
-	} {
+	for in, want := range map[string]SourceKind{"": SourceAuto, "auto": SourceAuto, "buffered": SourceBuffered} {
 		got, err := ParseSource(in)
 		if err != nil || got != want {
 			t.Errorf("ParseSource(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	// "mem", an in-memory source that no longer exists, is as unknown as
-	// any other name, and the error says what is accepted.
-	for _, in := range []string{"mmap", "mem"} {
+	// "mem", an in-memory source that no longer exists, and "shared", a
+	// source of this package but no engine layout, are as unknown as any
+	// other name, and the error says what is accepted.
+	for _, in := range []string{"mmap", "mem", "shared"} {
 		_, err := ParseSource(in)
-		if err == nil || !strings.Contains(err.Error(), "want auto, buffered, or shared") {
+		if err == nil || !strings.Contains(err.Error(), "want auto, buffered)") {
 			t.Errorf("ParseSource(%q) = %v; want an error naming the accepted sources", in, err)
 		}
 	}

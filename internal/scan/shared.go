@@ -121,19 +121,13 @@ func (s *sharedSource) Handle(c *ioacct.Counter) (Handle, error) {
 	if c == nil {
 		c = ioacct.NewCounter(0)
 	}
-	ra, err := s.d.OpenRandom(c)
-	if err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		ra.Close()
 		return nil, errSourceClosed
 	}
 	s.open++
-	s.mu.Unlock()
-	return &sharedHandle{src: s, c: c, ra: ra}, nil
+	return &sharedHandle{src: s, c: c}, nil
 }
 
 // subscribe queues a scan for the next broadcast round.
@@ -293,13 +287,11 @@ func (s *sharedSource) broadcast(subs []*subscription) {
 	}
 }
 
-// sharedHandle is one runner's access to a shared source. Random access
-// uses a private file descriptor (window loads are range-local, so there is
-// no redundancy to share); sequential passes subscribe to broadcast rounds.
+// sharedHandle is one reader's access to a shared source: its sequential
+// passes subscribe to broadcast rounds.
 type sharedHandle struct {
 	src    *sharedSource
 	c      *ioacct.Counter
-	ra     graph.RandomReader
 	closed bool
 }
 
@@ -340,17 +332,13 @@ func (h *sharedHandle) Scan(maxList int) (Scan, error) {
 	}, nil
 }
 
-func (h *sharedHandle) ReadEntries(dst []graph.Vertex, pos uint64) error {
-	return h.ra.ReadEntries(dst, pos)
-}
-
 func (h *sharedHandle) Close() error {
 	if h.closed {
 		return nil
 	}
 	h.closed = true
 	h.src.handleClosed()
-	return h.ra.Close()
+	return nil
 }
 
 // sharedScan decodes one subscriber's view of a broadcast round into the

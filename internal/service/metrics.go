@@ -48,9 +48,8 @@ type Metrics struct {
 	// climbing value means a flaky worker is being carried by its peers.
 	ClusterNodeFailures atomic.Uint64
 
-	// Engine I/O attributed to runs the service executed: the scan
-	// source's own reads (shared broadcasts, shared-window loads) and the
-	// per-worker window reads. A cache hit adds exactly zero to both.
+	// Engine I/O attributed to runs the service executed: the reads that
+	// are no worker's own (shared-window loads) and the per-worker reads. A cache hit adds exactly zero to both.
 	SourceBytesRead atomic.Int64
 	WorkerBytesRead atomic.Int64
 

@@ -144,7 +144,7 @@ func TestServerRegisterCountCache(t *testing.T) {
 	// A removed kernel or scan source name is a bad request — asked twice,
 	// so a cached answer would show — and nothing runs. The paper's merge is
 	// a run of its own: its own cache slot, the same count.
-	for _, param := range []string{"kernel=gallop", "kernel=adaptive", "kernel=compressed", "kernel=cover", "kernel=gallop", "scan=mem", "scan=mem"} {
+	for _, param := range []string{"kernel=gallop", "kernel=adaptive", "kernel=compressed", "kernel=cover", "kernel=gallop", "scan=mem", "scan=mem", "scan=shared", "scan=shared"} {
 		getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096&"+param, http.StatusBadRequest)
 	}
 	if n := svc.Metrics().RunsStarted.Load(); n != 1 {

@@ -63,20 +63,15 @@ type Options struct {
 	// the ranges of runners with private windows — a named ScanSource, or a
 	// cluster's nodes; the default local run splits nothing.
 	NaiveBalance bool
-	// BufBytes is each runner's sequential read buffer under a named
-	// ScanSource; non-positive selects 1 MiB.
-	BufBytes int
 	// ScanSource selects how adjacency data reaches the runners. "auto" (or
 	// empty) is cooperative windows: the workers share one window of
 	// Workers·MemEdges entries, loaded once per round, and are dealt the
 	// scan of the store in blocks of a few thousand entries — whichever is
 	// free takes the next — so a round balances itself and a store that
-	// fits the window is read exactly once. Naming a source selects the
-	// paper's layout instead — every worker a range of the load-balance
-	// plan and a private MemEdges-entry window — fed by "buffered" (the
-	// paper's configuration: every runner scans the file itself) or
-	// "shared" (one sequential reader broadcasts to all runners). Any other
-	// name is an error. The triangle set is identical for every choice.
+	// fits the window is read exactly once. "buffered" selects the paper's
+	// layout instead: every worker a range of the load-balance plan and a
+	// private MemEdges-entry window, read through the same blocks. Any other
+	// name is an error. The triangle set is identical for either choice.
 	ScanSource string
 	// Kernel selects how a cone vertex's list N(u) is intersected with the
 	// in-memory lists of its out-neighbours: "auto" (or empty — N(u) is
@@ -161,7 +156,6 @@ func (o Options) toCore() (core.Options, error) {
 		Workers:  o.Workers,
 		MemEdges: o.MemEdges,
 		Strategy: strategy,
-		BufBytes: o.BufBytes,
 		Scan:     scanKind,
 		Kernel:   kernelKind,
 		Sched:    schedMode,
@@ -215,8 +209,8 @@ type Result struct {
 	// OrientedBase is the path of the oriented store used (reusable as the
 	// input of later runs to skip orientation).
 	OrientedBase string
-	// ScanSource is the scan source the run used ("auto" — cooperative
-	// windows — "buffered", or "shared").
+	// ScanSource is the layout the run used ("auto" — cooperative windows —
+	// or "buffered").
 	ScanSource string
 	// Sched is the schedule the run was asked for ("static" or "stealing").
 	Sched string
@@ -227,11 +221,9 @@ type Result struct {
 	// need, the least the runners' Passes can sum to.
 	MemEdges, Windows int
 	// SourceBytesRead is the disk volume that is no worker's own: under
-	// "auto" the loads of the windows the workers share; otherwise what
-	// the scan source read on its own behalf — the shared broadcaster's
-	// single scan per round of passes; zero for
-	// "buffered", whose scans are charged to the per-worker BytesRead
-	// instead.
+	// "auto" the loads of the windows the workers share; zero under
+	// "buffered", whose workers each load their own windows and count them
+	// in their BytesRead.
 	SourceBytesRead int64
 }
 
