@@ -182,6 +182,7 @@ func runInfo(args []string) error {
 	if info.Oriented {
 		fmt.Printf("max outdegree: %d\n", info.MaxOutDegree)
 	}
+	fmt.Printf("ranked:        %v\n", info.Ranked)
 	return nil
 }
 

@@ -21,6 +21,11 @@ type GraphInfo struct {
 	Oriented    bool
 	// MaxOutDegree is d*max for oriented stores (0 otherwise).
 	MaxOutDegree uint32
+	// Ranked reports an oriented store in rank space: vertices numbered by
+	// the degree-based order counting down, hubs first, with <base>.perm
+	// mapping them back. Every id a run hands out is an original one
+	// either way.
+	Ranked bool
 }
 
 // Info reads the metadata and degree statistics of the store at base. With

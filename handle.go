@@ -331,6 +331,12 @@ func (g *Graph) run(ctx context.Context, opt Options, to emit) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
+	// A run that hands out vertex ids hands out the original ones.
+	if to.sinks != nil || to.out != nil {
+		if copt.IDs, err = d.Perm(); err != nil {
+			return nil, err
+		}
+	}
 	calcStart := time.Now()
 	psp := rcur.Begin(obs.SpanPlan)
 	var plan balance.Plan
@@ -646,6 +652,7 @@ func infoFrom(d *graph.Disk) GraphInfo {
 		MaxDegree:    d.Meta.MaxDegree,
 		Oriented:     d.Meta.Oriented,
 		MaxOutDegree: d.Meta.MaxOutDegree,
+		Ranked:       d.Meta.Ranked,
 	}
 	if n := float64(info.NumVertices); n > 0 {
 		var sum, sumSq float64

@@ -82,12 +82,17 @@ type Plan struct {
 	// ScanUnits is the scan term of the per-edge weight: 1 for a
 	// single-window plan (the paper's model), κ·W otherwise.
 	ScanUnits float64
+	// Ranked reports that the store is in rank space, where a round reads
+	// only the lists from its window's first vertex on (graph.Meta.Ranked).
+	// The scan term above still prices whole passes.
+	Ranked bool
 }
 
 // Explain puts what decided the plan on the run's plan span, so "why this
 // plan?" is answerable from the trace: the window the plan was made for,
 // how many of them the store is, the scan term that followed (rounded),
-// and the most passes any one range costs its runner.
+// the most passes any one range costs its runner, and whether the store is
+// ranked (1) — which says why a round read only part of it — or not (0).
 func (p Plan) Explain(cur obs.Cursor, span obs.SpanID) {
 	if cur.T == nil {
 		return
@@ -100,6 +105,11 @@ func (p Plan) Explain(cur obs.Cursor, span obs.SpanID) {
 	cur.SetAttr(span, "windows", int64(p.Windows))
 	cur.SetAttr(span, "scan_units", int64(p.ScanUnits+0.5))
 	cur.SetAttr(span, "est_max_passes", int64(maxPasses))
+	var ranked int64
+	if p.Ranked {
+		ranked = 1
+	}
+	cur.SetAttr(span, "ranked", ranked)
 }
 
 // Passes is the number of memory windows — full scans of the store — each
@@ -150,7 +160,9 @@ func PlanStore(d *graph.Disk, inDeg []uint32, k int, strategy Strategy, memEdges
 			return Plan{}, fmt.Errorf("balance: cost balancing scan: %w", err)
 		}
 	}
-	return SplitInputs(in, k, strategy)
+	plan, err := SplitInputs(in, k, strategy)
+	plan.Ranked = d.Meta.Ranked
+	return plan, err
 }
 
 // Per-format κ: what scanning one adjacency entry in a pass costs a runner,

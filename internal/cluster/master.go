@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -398,7 +399,13 @@ func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error)
 				res.NetworkBytes += int64(len(s.data))
 			}
 		}
-		if err := writeTriples(cfg.ListPath, ordered); err != nil {
+		// The nodes list in the store's ids; a ranked store's are mapped
+		// back to the original ones here, once, for every node alike.
+		ids, err := d.Perm()
+		if err != nil {
+			return nil, err
+		}
+		if err := writeTriples(cfg.ListPath, ordered, ids); err != nil {
 			return nil, err
 		}
 	}
@@ -733,10 +740,22 @@ func (r *run) copyGraph(ctx context.Context, client *rpc.Client) (int64, error) 
 
 // writeTriples concatenates the per-node triangle lists sequentially, the
 // master's listing responsibility ("concatenating the triangle listing
-// (sequentially)", Section IV-B2).
-func writeTriples(path string, triples [][]byte) error {
+// (sequentially)", Section IV-B2), renaming vertex u ids[u] in place when
+// ids is non-nil.
+func writeTriples(path string, triples [][]byte, ids []graph.Vertex) error {
 	if path == "" {
 		return fmt.Errorf("cluster: List requested without ListPath")
+	}
+	if ids != nil {
+		for _, tp := range triples {
+			for i := 0; i+graph.EntrySize <= len(tp); i += graph.EntrySize {
+				v := binary.LittleEndian.Uint32(tp[i:])
+				if int(v) >= len(ids) {
+					return fmt.Errorf("cluster: a node listed vertex %d of a store of %d", v, len(ids))
+				}
+				binary.LittleEndian.PutUint32(tp[i:], ids[v])
+			}
+		}
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -38,6 +38,21 @@ func orientedDisk(t testing.TB, g *graph.CSR) *graph.Disk {
 	return d
 }
 
+// idSpaceDisk writes g's orientation in its own ids — a store from before
+// rank space, with no .perm — and opens it.
+func idSpaceDisk(t testing.TB, g *graph.CSR) *graph.Disk {
+	t.Helper()
+	base := filepath.Join(t.TempDir(), "idspace")
+	if err := graph.WriteCSR(base, "g", orient.CSR(g)); err != nil {
+		t.Fatal(err)
+	}
+	d, err := graph.Open(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // equalSplit cuts the adjacency range into p equal pieces.
 func equalSplit(d *graph.Disk, p int) []balance.Range {
 	total := d.Meta.AdjEntries
@@ -90,6 +105,11 @@ func runListed(t *testing.T, label string, d *graph.Disk, ranges []balance.Range
 	if countOnly {
 		out.total = run(opt)
 		return out
+	}
+	// Listed in original ids, as every public entry point lists.
+	var err error
+	if opt.IDs, err = d.Perm(); err != nil {
+		t.Fatal(err)
 	}
 	sinks := opt
 	sinks.Sinks = make([]mgt.Sink, opt.Runners(len(ranges)))
@@ -434,9 +454,10 @@ func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 
 // TestPaperLayoutIOExact is Theorem IV.3 for the paper's layout, to the
 // byte: each runner is a one-runner dealt run over its range, so per window
-// it reads every list the window does not hold whole once, plus the window
-// itself — the lists of the vertices holding it on a compressed store — and
-// nothing is read on anyone else's behalf.
+// it reads once every list from the window's first vertex on (on a ranked
+// store; every list on an id-space one) that the window does not hold
+// whole, plus the window itself — the lists of the vertices holding it on a
+// compressed store — and nothing is read on anyone else's behalf.
 func TestPaperLayoutIOExact(t *testing.T) {
 	g, err := gen.PowerLaw(800, 9000, 2.0, 3)
 	if err != nil {
@@ -452,7 +473,7 @@ func TestPaperLayoutIOExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	const P = 4
-	for _, d := range []*graph.Disk{d, cd} {
+	for _, d := range []*graph.Disk{d, cd, idSpaceDisk(t, g)} {
 		listBytes := func(a, z graph.Vertex) int64 {
 			if d.ByteOffs != nil {
 				return int64(d.ByteOffs[z] - d.ByteOffs[a])
@@ -477,15 +498,19 @@ func TestPaperLayoutIOExact(t *testing.T) {
 					} else {
 						want += int64(hi-lo) * graph.EntrySize
 					}
-					want += d.AdjBytes()
-					for v := 0; v < d.NumVertices(); v++ {
+					first := graph.Vertex(0)
+					if d.Meta.Ranked {
+						first = d.VertexAt(lo)
+					}
+					want += listBytes(first, graph.Vertex(d.NumVertices()))
+					for v := first; int(v) < d.NumVertices(); v++ {
 						if d.Offsets[v] >= lo && d.Offsets[v+1] <= hi {
-							want -= listBytes(graph.Vertex(v), graph.Vertex(v+1))
+							want -= listBytes(v, v+1)
 						}
 					}
 				}
 				if w.Stats.IO.BytesRead != want {
-					t.Errorf("%s M=%d runner %d: read %d bytes, want %d", d.Format(), mem, w.Worker, w.Stats.IO.BytesRead, want)
+					t.Errorf("%s ranked=%v M=%d runner %d: read %d bytes, want %d", d.Format(), d.Meta.Ranked, mem, w.Worker, w.Stats.IO.BytesRead, want)
 				}
 			}
 		}

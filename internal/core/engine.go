@@ -59,6 +59,11 @@ type Options struct {
 	// Sinks must then be nil.
 	Out      io.Writer
 	SpillDir string
+	// IDs, when non-nil, renames the vertices for Sinks and Out: they hear
+	// of vertex u as IDs[u]. Process and the public handle set it to a
+	// ranked store's Perm, so that users see original ids; a cluster node
+	// leaves it nil and its master maps what the nodes send back.
+	IDs []graph.Vertex
 	// KeepOriented leaves the oriented store on disk after the run (the
 	// cluster layer relies on this to copy it to clients).
 	KeepOriented bool
@@ -207,6 +212,11 @@ func Process(ctx context.Context, base string, opt Options) (*Result, error) {
 		}
 	}
 	res.OrientedBase = orientedBase
+	if opt.Sinks != nil || opt.Out != nil {
+		if opt.IDs, err = d.Perm(); err != nil {
+			return nil, err
+		}
+	}
 
 	//pdtl:nondeterministic-ok wall-clock feeds Result timing stats only, never listing order
 	calcStart := time.Now()
@@ -261,6 +271,7 @@ func LocalPlan(d *graph.Disk, orientedBase string, opt Options) (balance.Plan, e
 		MemEdges:  window,
 		Windows:   max((total+window-1)/window, 1),
 		ScanUnits: 1,
+		Ranked:    d.Meta.Ranked,
 	}, nil
 }
 
@@ -358,7 +369,7 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 	}
 	var list *mgt.Listing
 	if opt.Out != nil {
-		list = mgt.NewListing(opt.Out, opt.SpillDir, n)
+		list = mgt.NewListing(opt.Out, opt.SpillDir, n, opt.IDs)
 		defer func() {
 			// The runners wrote the listing as they went; what is left to
 			// trace as its assembly is the close.
@@ -370,6 +381,13 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 				err = cerr
 			}
 		}()
+	}
+	if opt.IDs != nil && opt.Sinks != nil {
+		sinks := make([]mgt.Sink, len(opt.Sinks))
+		for i, s := range opt.Sinks {
+			sinks[i] = mgt.Relabel(s, opt.IDs)
+		}
+		opt.Sinks = sinks
 	}
 	if opt.Scan.IsAuto() {
 		return runDealt(ctx, d, ranges, opt, list)

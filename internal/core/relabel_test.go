@@ -1,18 +1,32 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"pdtl/internal/balance"
 	"pdtl/internal/baseline"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
+	"pdtl/internal/mgt"
 	"pdtl/internal/sched"
 )
+
+// tripleSet sorts each triple's vertices, then the triples: a listing as a
+// set.
+func tripleSet(ts [][3]graph.Vertex) [][3]graph.Vertex {
+	out := slices.Clone(ts)
+	for i := range out {
+		slices.Sort(out[i][:])
+	}
+	slices.SortFunc(out, func(a, b [3]graph.Vertex) int { return slices.Compare(a[:], b[:]) })
+	return out
+}
 
 // TestCountInvariantUnderRelabeling: the triangle count is a property of
 // the graph, not of how it was written down. Renaming the vertices by a
@@ -21,7 +35,9 @@ import (
 // vertex id), every out-list, every window and every plan — and must never
 // change the count. The graphs are chosen for their ties: a clique and a
 // grid, where almost every rank comparison is decided by id, beside two
-// random graphs.
+// random graphs. Every trial orients through the store (the ranked
+// OrientFormat) and also lists: the listing, read as a set of triples in the
+// ids the store was written with, is baseline.ForwardList's.
 func TestCountInvariantUnderRelabeling(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -74,6 +90,20 @@ func TestCountInvariantUnderRelabeling(t *testing.T) {
 				}
 				if res.Triangles != want {
 					t.Errorf("%s: relabeled graph has %d triangles, the original %d", label, res.Triangles, want)
+				}
+				var out bytes.Buffer
+				opt.Out, opt.SpillDir = &out, t.TempDir()
+				if _, err := Process(context.Background(), res.OrientedBase, opt); err != nil {
+					t.Fatalf("%s: list: %v", label, err)
+				}
+				tris, err := mgt.ReadTriangles(&out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ref [][3]graph.Vertex
+				baseline.ForwardList(h, func(u, v, w graph.Vertex) { ref = append(ref, [3]graph.Vertex{u, v, w}) })
+				if !slices.Equal(tripleSet(tris), tripleSet(ref)) {
+					t.Errorf("%s: listed %d triangles, not baseline's %d in the store's original ids", label, len(tris), len(ref))
 				}
 			}
 		})

@@ -11,12 +11,11 @@ import (
 	"pdtl/internal/ioacct"
 )
 
-// CompressedWriter streams a compressed store out vertex by vertex: Add is
-// called exactly once per vertex in id order (with an empty list for
-// zero-degree vertices), then Finish writes the .cidx index. This is the
-// build-path primitive — extsort's ingest and the orientation spill
-// concatenation both emit through it without ever holding the store in
-// memory.
+// CompressedWriter streams a compressed store out vertex by vertex: Add (or
+// AddEncoded) covers every vertex exactly once, in id order (an empty list
+// for a zero-degree vertex), then Finish writes the .cidx index. This is the
+// build-path primitive — extsort's ingest and the orientation write-back
+// both emit through it without ever holding the store in memory.
 type CompressedWriter struct {
 	base string
 	f    *os.File
@@ -63,13 +62,14 @@ func (w *CompressedWriter) Add(list []Vertex) error {
 	return w.err
 }
 
-// AddEncoded appends the next vertex's already-encoded list bytes verbatim —
-// the concatenation path of parallel builds that encode spans independently.
-func (w *CompressedWriter) AddEncoded(data []byte) error {
+// AddEncoded appends the next len(lens) vertices' already-encoded lists
+// verbatim: data is their encodings back to back, lens[i] the bytes of the
+// i-th — the write-back path of builds that encode lists in parallel.
+func (w *CompressedWriter) AddEncoded(data []byte, lens []uint32) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.lens = append(w.lens, uint32(len(data)))
+	w.lens = append(w.lens, lens...)
 	if _, err := w.bw.Write(data); err != nil {
 		w.err = err
 	}
@@ -90,56 +90,6 @@ func (w *CompressedWriter) Finish() error {
 		return err
 	}
 	return writeCIdx(w.base, w.lens)
-}
-
-// ConcatCompressed concatenates already-encoded span files (each holding the
-// per-vertex encodings of a contiguous vertex range, in order) into
-// <base>.cadj — prefixed with the format magic — and writes the .cidx index
-// from lens, the per-vertex encoded byte lengths. This is the parallel-build
-// path: workers encode disjoint vertex spans independently, then the spans
-// are stitched here. The concatenated size is checked against lens.
-func ConcatCompressed(base string, parts []string, lens []uint32, c *ioacct.Counter) error {
-	f, err := os.Create(CAdjPath(base))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var w io.Writer = f
-	if c != nil {
-		w = ioacct.NewWriter(f, c)
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(cadjMagic[:]); err != nil {
-		return err
-	}
-	var copied int64
-	for _, p := range parts {
-		in, err := os.Open(p)
-		if err != nil {
-			return err
-		}
-		var r io.Reader = in
-		if c != nil {
-			r = ioacct.NewReader(in, c)
-		}
-		n, err := io.Copy(bw, r)
-		in.Close()
-		if err != nil {
-			return err
-		}
-		copied += n
-	}
-	var want int64
-	for _, l := range lens {
-		want += int64(l)
-	}
-	if copied != want {
-		return fmt.Errorf("graph: concatenated %d encoded bytes, index says %d", copied, want)
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return writeCIdx(base, lens)
 }
 
 // writeCIdx writes the per-vertex byte-length index file.
@@ -279,11 +229,14 @@ func ConvertStore(src, dst string, format Format) error {
 	}); err != nil {
 		return err
 	}
-	// The .indeg sidecar (load-balancer weights of oriented stores) is
-	// format-independent; carry it along when the source has one.
-	if in, err := os.ReadFile(src + ".indeg"); err == nil {
-		if err := os.WriteFile(dst+".indeg", in, 0o644); err != nil {
-			return err
+	// The .indeg sidecar (load-balancer weights of oriented stores) and a
+	// ranked store's .perm are format-independent; carry them along when
+	// the source has them.
+	for _, ext := range []string{".indeg", ".perm"} {
+		if in, err := os.ReadFile(src + ext); err == nil {
+			if err := os.WriteFile(dst+ext, in, 0o644); err != nil {
+				return err
+			}
 		}
 	}
 	sc, err := d.NewScanner(nil, 1<<20)

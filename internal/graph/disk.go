@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"sync"
 
 	"pdtl/internal/ioacct"
 )
@@ -39,6 +41,11 @@ type Meta struct {
 	// in .cadj/.cidx (see compressed.go). Open auto-detects from this
 	// field.
 	Format Format `json:"format,omitempty"`
+	// Ranked reports that an oriented store numbers its vertices by the
+	// degree-based order counting down — id = n−1−rank, hubs first — so every
+	// out-neighbour of a vertex has a smaller id than the vertex itself.
+	// <base>.perm then holds each vertex's original id (Disk.Perm).
+	Ranked bool `json:"ranked,omitempty"`
 }
 
 // Paths for the three files of the store.
@@ -54,6 +61,10 @@ func AdjPath(base string) string { return base + ".adj" }
 // MetaPath returns the path of the metadata file for the store rooted at
 // base.
 func MetaPath(base string) string { return metaPath(base) }
+
+// PermPath returns the path of a ranked store's permutation file: 4·n
+// bytes, little-endian, entry x the original id of vertex x.
+func PermPath(base string) string { return base + ".perm" }
 
 // WriteCSR writes g to the three files rooted at base, with name recorded in
 // the metadata.
@@ -163,6 +174,52 @@ type Disk struct {
 	sized      bool
 	maxDeg     uint32
 	maxEncoded int
+
+	// A ranked store's .perm, loaded by the first Perm call.
+	permOnce sync.Once
+	perm     []Vertex
+	permErr  error
+}
+
+// Perm returns the original ids of a ranked store's vertices — Perm()[x] is
+// the id vertex x had before orientation — reading and checking <base>.perm
+// on the first call only; nil for a store that is not ranked. Only runs that
+// hand vertex ids to a user need it: a count never does.
+func (d *Disk) Perm() ([]Vertex, error) {
+	if !d.Meta.Ranked {
+		return nil, nil
+	}
+	d.permOnce.Do(func() { d.perm, d.permErr = loadPerm(d.Base, d.NumVertices()) })
+	return d.perm, d.permErr
+}
+
+// loadPerm reads the permutation file of a ranked store of n vertices and
+// checks that it is one: exactly 4·n bytes, every id below n, none twice. A
+// file that is not fails with an error naming it, so a damaged .perm can
+// never turn into a wrong listing.
+func loadPerm(base string, n int) ([]Vertex, error) {
+	path := PermPath(base)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("graph: ranked store: %w", err)
+	}
+	if len(blob) != n*EntrySize {
+		return nil, fmt.Errorf("graph: %s is %d bytes, want %d for %d vertices", path, len(blob), n*EntrySize, n)
+	}
+	perm := make([]Vertex, n)
+	seen := make([]uint64, (n+63)/64)
+	for x := range perm {
+		v := binary.LittleEndian.Uint32(blob[x*EntrySize:])
+		switch {
+		case int(v) >= n:
+			return nil, fmt.Errorf("graph: %s: entry %d is %d, not a vertex of %d", path, x, v, n)
+		case seen[v/64]&(1<<(v%64)) != 0:
+			return nil, fmt.Errorf("graph: %s: vertex %d appears twice", path, v)
+		}
+		seen[v/64] |= 1 << (v % 64)
+		perm[x] = v
+	}
+	return perm, nil
 }
 
 // listCap reports the longest list's entry count and, for a compressed
@@ -355,6 +412,37 @@ func (d *Disk) LoadCSR() (*CSR, error) {
 		adj[i] = binary.LittleEndian.Uint32(scratch[:])
 	}
 	return &CSR{Offsets: d.Offsets, Adj: adj, Oriented: d.Meta.Oriented}, nil
+}
+
+// OriginalCSR is LoadCSR in the ids the vertices had before orientation: a
+// ranked store's lists are mapped through Perm and sorted again; any other
+// store reads as LoadCSR reads it.
+func (d *Disk) OriginalCSR() (*CSR, error) {
+	csr, err := d.LoadCSR()
+	if err != nil || !d.Meta.Ranked {
+		return csr, err
+	}
+	perm, err := d.Perm()
+	if err != nil {
+		return nil, err
+	}
+	n := csr.NumVertices()
+	offsets := make([]uint64, n+1)
+	for x := 0; x < n; x++ {
+		offsets[perm[x]+1] = csr.Offsets[x+1] - csr.Offsets[x]
+	}
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	adj := make([]Vertex, len(csr.Adj))
+	for x := 0; x < n; x++ {
+		list := adj[offsets[perm[x]]:offsets[perm[x]+1]]
+		for i, y := range csr.Neighbors(Vertex(x)) {
+			list[i] = perm[y]
+		}
+		slices.Sort(list)
+	}
+	return &CSR{Offsets: offsets, Adj: adj, Oriented: csr.Oriented}, nil
 }
 
 // SegCursor is the vertex/segment iteration order of a sequential

@@ -147,7 +147,12 @@ func storeListing(t *testing.T, s edgeSet, format graph.Format) (uint64, [][3]gr
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := core.Options{Workers: 2}
+	ids, err := d.Perm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// In original ids, as the live graph lists.
+	opt := core.Options{Workers: 2, IDs: ids}
 	sinks, listing := listingSinks(2)
 	opt.Sinks = sinks
 	calc, err := core.RunRanges(context.Background(), d, []balance.Range{mgt.FullRange(d)}, opt)

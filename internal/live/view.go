@@ -35,18 +35,18 @@ type baseSnap struct {
 	files []string
 }
 
-// newBaseSnap pins the oriented store d into a snapshot.
+// newBaseSnap pins the oriented store d into a snapshot, in original ids: a
+// ranked store is mapped back through its .perm, so the overlay — and every
+// count and listing of the live graph — works in the ids its mutations name.
 func newBaseSnap(d *graph.Disk, base string, gen uint64, owned bool, files []string) (*baseSnap, error) {
 	if !d.Meta.Oriented {
 		return nil, fmt.Errorf("live: store %s is not oriented", base)
 	}
-	csr, err := d.LoadCSR()
+	csr, err := d.OriginalCSR()
 	if err != nil {
 		return nil, err
 	}
-	n := d.NumVertices()
-	undirDeg := make([]uint32, n)
-	copy(undirDeg, d.Degrees)
+	undirDeg := csr.Degrees()
 	for _, w := range csr.Adj {
 		undirDeg[w]++
 	}
@@ -216,7 +216,7 @@ func buildMerged(base *baseSnap, eff *delta) (*merged, error) {
 		u := graph.Vertex(v)
 		d := 0
 		if v < baseN {
-			d = int(base.disk.Degrees[v])
+			d = base.csr.Degree(u)
 		}
 		d += len(outIns[u]) - len(outDel[u])
 		if d < 0 {

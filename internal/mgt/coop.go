@@ -101,6 +101,12 @@ type dealer struct {
 	last  int64
 	stop  atomic.Bool // a runner failed; deal no more
 	wg    sync.WaitGroup
+	// The round's scan runs the lists from scanLow on: the blocks from
+	// scanFrom, the one holding scanLow, of which the first is numbered seq in
+	// the listing, the next one seq+1, and so on.
+	scanLow  graph.Vertex
+	scanFrom int
+	seq      int64
 }
 
 // scanPart says which lists of a block a scan phase runs: all of them, or —
@@ -183,9 +189,10 @@ type Dealt struct {
 // runners sharing one window. The listing it writes to cfg.Listing goes
 // span by span, window by window, cone vertex by cone vertex: exactly what
 // one runner with a window of Workers·MemEdges entries lists, whatever
-// Workers is and however the dealing went. Block b of round r is block
-// r·B + b of the listing (B blocks a round); a runner tells the listing
-// where each block it is dealt begins and ends.
+// Workers is and however the dealing went. The listing numbers the blocks
+// the rounds deal, round by round, block by block — on a ranked store a
+// round deals only the blocks from its window's first on — and a runner
+// tells the listing where each block it is dealt begins and ends.
 //
 // ctx is checked between blocks; a cancelled run returns the bare ctx.Err()
 // after every runner has stopped and closed its descriptor. A failed run
@@ -322,7 +329,7 @@ func (dl *dealer) run(ctx context.Context, spans []balance.Range) error {
 		}
 		longest = max(longest, s.Len())
 	}
-	dl.round = 0
+	dl.round, dl.seq = 0, 0
 	dl.stop.Store(false)
 	dl.done = ctx.Done()
 	for _, r := range dl.runners {
@@ -415,7 +422,8 @@ func (dl *dealer) blockOf(v graph.Vertex) int {
 	return sort.Search(len(dl.cuts)-1, func(b int) bool { return dl.cuts[b+1] > v })
 }
 
-// runRound loads the window [lo, hi) and scans every cone block against it.
+// runRound loads the window [lo, hi) and scans against it every cone block
+// that can reach it.
 func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64) error {
 	// The per-round cancellation point; the runners look between blocks.
 	if err := ctx.Err(); err != nil {
@@ -428,25 +436,35 @@ func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64) e
 	}
 	dl.win.bound(dl.d, lo, hi)
 	// Load: the blocks holding the window's vertices, each filling its own
-	// stretch of edg and ind. Scan: every block.
+	// stretch of edg and ind. Scan: on a ranked store, whose lists name only
+	// smaller ids, the lists from vlow on — none below it can reach the
+	// window; on any other, every list.
+	blocks := len(dl.cuts) - 1
+	dl.scanLow, dl.scanFrom = 0, 0
+	if dl.d.Meta.Ranked {
+		dl.scanLow = dl.win.vlow
+		dl.scanFrom = dl.blockOf(dl.scanLow)
+	}
 	err := dl.deal(phaseLoad, dl.blockOf(dl.win.vlow), dl.blockOf(dl.win.vhigh)+1)
 	if err == nil {
 		err = dl.scan()
 	}
 	dl.round++
+	dl.seq += int64(blocks - dl.scanFrom)
 	var ioAfter int64
 	for _, r := range dl.runners {
 		ioAfter += r.counter.Snapshot().BytesRead
 	}
 	cur.SetAttr(span, "window_lo", int64(lo))
 	cur.SetAttr(span, "window_hi", int64(hi))
-	cur.SetAttr(span, "blocks", int64(len(dl.cuts)-1))
+	cur.SetAttr(span, "blocks", int64(blocks-dl.scanFrom))
 	cur.SetAttr(span, "io_bytes", ioAfter-ioBefore)
 	cur.End(span)
 	return err
 }
 
-// scan runs every cone block against the loaded window. A counting round
+// scan runs the cone blocks [scanFrom, B), from scanLow on, against the
+// loaded window. A counting round
 // whose window is larger than a tile does it in two steps. The lists that
 // have to be read are read once and run against the whole window, as ever.
 // The lists the window holds cost nothing to walk again, so they are walked
@@ -465,11 +483,11 @@ func (dl *dealer) scan() error {
 	tile := dl.tileEntries
 	if dl.runners[0].sink != nil || uint64(len(w.edg)) <= tile || w.resLo == w.resHi {
 		dl.part = partAll
-		return dl.deal(phaseScan, 0, blocks)
+		return dl.deal(phaseScan, dl.scanFrom, blocks)
 	}
 	defer func() { dl.win = w }() // the next round bounds the whole of ind again
 	dl.part = partStored
-	if err := dl.deal(phaseScan, 0, blocks); err != nil {
+	if err := dl.deal(phaseScan, dl.scanFrom, blocks); err != nil {
 		return err
 	}
 	dl.part = partResident
@@ -695,16 +713,15 @@ func (r *dealt) loadStreamed(u graph.Vertex) error {
 //
 //pdtl:hotpath
 func (r *dealt) scanBlocks() (graph.Vertex, error) {
-	blocks := int64(len(r.dl.cuts) - 1)
 	for {
 		b, ok, err := r.take()
 		if !ok {
 			return 0, err
 		}
 		if r.list != nil {
-			r.list.Begin(int64(r.dl.round)*blocks + int64(b))
+			r.list.Begin(r.dl.seq + int64(b-r.dl.scanFrom))
 		}
-		if u, err := r.scanBlock(r.dl.cuts[b], r.dl.cuts[b+1]); err != nil {
+		if u, err := r.scanBlock(max(r.dl.cuts[b], r.dl.scanLow), r.dl.cuts[b+1]); err != nil {
 			return u, err
 		}
 		r.blocks++

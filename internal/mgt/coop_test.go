@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"pdtl/internal/baseline"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
+	"pdtl/internal/orient"
 )
 
 // dealtListing runs a cooperative listing into an ordered writer over a
@@ -22,7 +24,7 @@ import (
 func dealtListing(t *testing.T, d *graph.Disk, spans []balance.Range, cfg DealConfig) ([]byte, []Stats) {
 	t.Helper()
 	var out bytes.Buffer
-	cfg.Listing = NewListing(&out, t.TempDir(), cfg.Workers)
+	cfg.Listing = NewListing(&out, t.TempDir(), cfg.Workers, nil)
 	res, err := RunDealt(context.Background(), d, spans, cfg)
 	if cerr := cfg.Listing.Close(); err == nil {
 		err = cerr
@@ -49,7 +51,7 @@ func definedListing(t *testing.T, d *graph.Disk, rng balance.Range, mem int) []b
 	if err != nil {
 		t.Fatal(err)
 	}
-	tris, _ := windowOrder(csr, rng, mem)
+	tris, _ := windowOrder(csr, rng, mem, d.Meta.Ranked)
 	out := make([]byte, 0, 12*len(tris))
 	for _, tri := range tris {
 		for _, v := range tri {
@@ -130,7 +132,7 @@ func TestDealtListingDeterministic(t *testing.T) {
 	// And the sequence's set is the baseline's.
 	d := orientedStore(t, g)
 	got, _ := dealtListing(t, d, []balance.Range{FullRange(d)}, DealConfig{Workers: 3, MemEdges: 500})
-	tris := sortedTriples(t, got)
+	tris := originalIDs(t, d, sortedTriples(t, got))
 	for i := range tris {
 		slices.Sort(tris[i][:])
 	}
@@ -138,6 +140,23 @@ func TestDealtListingDeterministic(t *testing.T) {
 	if !slices.Equal(tris, want) {
 		t.Fatalf("dealt listing has %d triangles, baseline %d, or they differ", len(tris), len(want))
 	}
+}
+
+// originalIDs maps triples of d's ids to the ids the vertices had before
+// orientation.
+func originalIDs(t *testing.T, d *graph.Disk, ts []triple) []triple {
+	t.Helper()
+	perm, err := d.Perm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]triple, len(ts))
+	for i, tri := range ts {
+		for j, v := range tri {
+			out[i][j] = perm[v]
+		}
+	}
+	return out
 }
 
 // normalized returns ts without duplicates (ts sorted).
@@ -182,14 +201,17 @@ func TestDealtSpans(t *testing.T) {
 }
 
 // TestDealtIOExact is Theorem IV.3 for cooperative windows, to the byte: a
-// round reads the window once and every list that is not wholly inside it
-// once, so a run of one window reads the store exactly once.
+// round reads the window once and, once each, the lists it can reach that
+// are not wholly inside it — on a ranked store those from the window's first
+// vertex on, on an id-space store (written before rank space) all of them —
+// so a run of one window reads the store exactly once. The id-space store
+// also lists what the order's definition lists, the count included.
 func TestDealtIOExact(t *testing.T) {
 	g, err := gen.PowerLaw(3000, 60000, 1.9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range []*graph.Disk{orientedStore(t, g), compressedStore(t, g)} {
+	for _, d := range []*graph.Disk{orientedStore(t, g), compressedStore(t, g), idSpaceStore(t, g)} {
 		total := d.Meta.AdjEntries
 		for _, tc := range []struct{ p, m, block int }{
 			{1, int(total), 0}, {2, int(total), 0}, {3, int(total)/9 + 1, 0}, {2, int(total)/48 + 1, 0}, {2, int(total)/7 + 1, 300},
@@ -219,8 +241,29 @@ func TestDealtIOExact(t *testing.T) {
 			if rounds == 1 && (got != 0 || wantLoads != d.AdjBytes()) {
 				t.Errorf("%s %+v: a one-window run read %d bytes besides the window, and the store is %d", d.Format(), tc, got, d.AdjBytes())
 			}
+			if !d.Meta.Ranked {
+				cfg := DealConfig{Workers: tc.p, MemEdges: tc.m, blockEntries: tc.block}
+				if got, _ := dealtListing(t, d, []balance.Range{FullRange(d)}, cfg); !bytes.Equal(got, definedListing(t, d, FullRange(d), tc.p*tc.m)) {
+					t.Errorf("id-space %+v: the listing is not the defined one", tc)
+				}
+			}
 		}
 	}
+}
+
+// idSpaceStore writes g's orientation in g's own ids, with no .perm — a
+// store from before rank space — and opens it.
+func idSpaceStore(t testing.TB, g *graph.CSR) *graph.Disk {
+	t.Helper()
+	base := filepath.Join(t.TempDir(), "idspace")
+	if err := graph.WriteCSR(base, "test", orient.CSR(g)); err != nil {
+		t.Fatal(err)
+	}
+	d, err := graph.Open(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // TestDealtTiledCount: a counting round walked tile by tile finds the same

@@ -39,6 +39,7 @@ type Listing struct {
 	out   io.Writer
 	dir   string
 	parts []ListPart
+	ids   []graph.Vertex // what the triples name vertex u by: ids[u]; nil is u
 
 	// head is the next block the output is waiting for. Whoever holds that
 	// block — the runner working on it, or the runner draining it — is the
@@ -101,9 +102,12 @@ type ListPart struct {
 
 // NewListing makes the ordered writer of a run with the given number of
 // runners. Spill files go in spillDir ("" is the default temp directory);
-// Close removes them.
-func NewListing(out io.Writer, spillDir string, runners int) *Listing {
-	return newListing(out, spillDir, runners, ListBufferBytes, ParkBytes/ListBufferBytes)
+// Close removes them. A non-nil ids renames the vertices: the triples name
+// vertex u ids[u] (a ranked store's Perm, to list in original ids).
+func NewListing(out io.Writer, spillDir string, runners int, ids []graph.Vertex) *Listing {
+	l := newListing(out, spillDir, runners, ListBufferBytes, ParkBytes/ListBufferBytes)
+	l.ids = ids
+	return l
 }
 
 func newListing(out io.Writer, dir string, runners, bufBytes, spares int) *Listing {
@@ -147,6 +151,9 @@ func (l *Listing) Close() error {
 func (p *ListPart) Triangle(u, v, w graph.Vertex) {
 	if p.n+12 > len(p.buf) {
 		p.flush()
+	}
+	if ids := p.l.ids; ids != nil {
+		u, v, w = ids[u], ids[v], ids[w]
 	}
 	binary.LittleEndian.PutUint32(p.buf[p.n:], u)
 	binary.LittleEndian.PutUint32(p.buf[p.n+4:], v)

@@ -183,7 +183,7 @@ func TestListingHubHeapBounded(t *testing.T) {
 	dir := t.TempDir()
 	var spills *atomic.Int64
 	listing := alloc(func() {
-		l := NewListing(&out, dir, p)
+		l := NewListing(&out, dir, p, nil)
 		spills = countSpills(l)
 		if _, err := runListing(d, l, cfg); err != nil {
 			t.Fatal(err)

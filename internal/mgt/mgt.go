@@ -508,6 +508,26 @@ type CountSink struct {
 // Triangle implements Sink.
 func (c *CountSink) Triangle(u, v, w graph.Vertex) { c.N++ }
 
+// Relabel returns sink with its vertices renamed: vertex u reaches it as
+// ids[u] (a ranked store's Perm, to report original ids). A nil ids returns
+// sink itself.
+func Relabel(sink Sink, ids []graph.Vertex) Sink {
+	if ids == nil {
+		return sink
+	}
+	return relabeled{sink, ids}
+}
+
+type relabeled struct {
+	sink Sink
+	ids  []graph.Vertex
+}
+
+// Triangle implements Sink.
+func (r relabeled) Triangle(u, v, w graph.Vertex) {
+	r.sink.Triangle(r.ids[u], r.ids[v], r.ids[w])
+}
+
 // FuncSink adapts a function to the Sink interface.
 type FuncSink func(u, v, w graph.Vertex)
 

@@ -10,17 +10,31 @@
 // parallelizes it (Figure 2, Table IX): the master reads the entire degree
 // array into memory (assumed to fit, Section IV-A2), cuts the adjacency
 // file into P contiguous vertex spans, filters each span concurrently into
-// a spill file, and concatenates the spills. Because filtering preserves
-// order, the oriented lists remain sorted by vertex id — the property the
-// modified MGT's array intersections rely on.
+// a spill file, and concatenates the spills.
+//
+// The store it writes is in rank space: vertices are renumbered by ≺
+// counting down, id = n−1−rank, so the hubs get the smallest ids and every
+// out-neighbour of a vertex has a smaller id than the vertex itself. A
+// window of the lists of [vlow, vhigh] can then only be reached from the
+// lists of vertices above vlow, which is what lets a scan round skip the
+// store below its window (DESIGN.md §5). The spans map and sort their kept
+// lists into the new ids as they filter, and the spills are written back in
+// rank order, a bounded buffer at a time; <base>.perm maps every id back to
+// the vertex's original one. The oriented edge set is the id-space one: only
+// the names of the vertices and the order of the lists change, and every
+// list remains sorted by (new) id — the property the modified MGT's array
+// intersections rely on.
 package orient
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,7 +59,8 @@ type Result struct {
 	// scratch arrays are sized by it and the small-degree assumption
 	// compares it against the memory budget.
 	MaxOutDegree uint32
-	// OutDegrees is d_G*(v) for every v.
+	// OutDegrees is d_G*(v) for every v, indexed by the store's (ranked)
+	// ids, as are InDegrees.
 	OutDegrees []uint32
 	// InDegrees is d_G(v) − d_G*(v) for every v: the number of incoming
 	// oriented edges, which Section IV-B uses as the load-balancing weight
@@ -70,10 +85,11 @@ func Orient(src, dst string, workers int) (*Result, error) {
 // OrientFormat is Orient with a chosen output store format. The parallel
 // span structure is identical either way; a compressed output encodes each
 // span's filtered lists into delta-varint/bitmap segments in the spill
-// files (recording per-vertex encoded lengths), so the concatenation step
-// needs only a magic prefix and the .cidx index — the full oriented store
-// is never held in memory in either format. The input store may itself be
-// in either format: spans read it through the format-agnostic scanner.
+// files (recording per-vertex encoded lengths), so writing them back needs
+// only the .cidx index on top — the full oriented store is never held in
+// memory in either format, only writeBackBytes of it at a time. The input
+// store may itself be in either format: spans read it through the
+// format-agnostic scanner.
 func OrientFormat(src, dst string, workers int, format graph.Format) (*Result, error) {
 	start := time.Now()
 	if workers < 1 {
@@ -88,14 +104,13 @@ func OrientFormat(src, dst string, workers int, format graph.Format) (*Result, e
 	}
 	n := d.NumVertices()
 	counter := ioacct.NewCounter(0)
-	outDeg := make([]uint32, n)
-	var outBytes []uint32 // per-vertex encoded lengths (compressed output)
-	if format == graph.FormatCompressed {
-		outBytes = make([]uint32, n)
-	}
+	ids, perm := rank(d.Degrees)
+	outDeg := make([]uint32, n)   // by original id
+	outBytes := make([]uint32, n) // each kept list's bytes in its spill, by original id
 
 	spans := vertexSpans(d, workers)
 	spills := make([]string, len(spans))
+	defer cleanup(spills)
 	errs := make([]error, len(spans))
 	var wg sync.WaitGroup
 	for i, span := range spans {
@@ -103,41 +118,33 @@ func OrientFormat(src, dst string, workers int, format graph.Format) (*Result, e
 		wg.Add(1)
 		go func(i int, span [2]graph.Vertex) {
 			defer wg.Done()
-			errs[i] = orientSpan(d, span[0], span[1], spills[i], outDeg, outBytes, counter)
+			errs[i] = orientSpan(d, span[0], span[1], spills[i], ids, outDeg, outBytes, format, counter)
 		}(i, span)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			cleanup(spills)
 			return nil, err
 		}
 	}
-	if format == graph.FormatCompressed {
-		err = graph.ConcatCompressed(dst, spills, outBytes, counter)
-	} else {
-		err = concatFiles(graph.AdjPath(dst), spills, counter)
-	}
-	if err != nil {
-		cleanup(spills)
+	if err := writeBack(dst, spans, spills, ids, perm, outBytes, format, counter); err != nil {
 		return nil, err
 	}
-	cleanup(spills)
 
 	var dstMax uint32
 	var outEntries uint64
+	rankedOut := make([]uint32, n)
 	inDeg := make([]uint32, n)
-	for v := 0; v < n; v++ {
-		if outDeg[v] > dstMax {
-			dstMax = outDeg[v]
-		}
+	for x, v := range perm {
+		rankedOut[x] = outDeg[v]
+		inDeg[x] = d.Degrees[v] - outDeg[v]
+		dstMax = max(dstMax, outDeg[v])
 		outEntries += uint64(outDeg[v])
-		inDeg[v] = d.Degrees[v] - outDeg[v]
 	}
 	if outEntries != d.Meta.NumEdges {
 		return nil, fmt.Errorf("orient: produced %d oriented edges, want %d", outEntries, d.Meta.NumEdges)
 	}
-	if err := writeDegrees(graph.DegPath(dst), outDeg, counter); err != nil {
+	if err := writeDegrees(graph.DegPath(dst), rankedOut, counter); err != nil {
 		return nil, err
 	}
 	// The in-degree file feeds the load balancer (Section IV-B); persisting
@@ -145,8 +152,12 @@ func OrientFormat(src, dst string, workers int, format graph.Format) (*Result, e
 	if err := writeDegrees(InDegPath(dst), inDeg, counter); err != nil {
 		return nil, err
 	}
+	if err := writeDegrees(graph.PermPath(dst), perm, counter); err != nil {
+		return nil, err
+	}
 	meta := d.Meta
 	meta.Oriented = true
+	meta.Ranked = true
 	meta.AdjEntries = outEntries
 	meta.MaxOutDegree = dstMax
 	meta.Format = ""
@@ -159,12 +170,38 @@ func OrientFormat(src, dst string, workers int, format graph.Format) (*Result, e
 	return &Result{
 		Base:         dst,
 		MaxOutDegree: dstMax,
-		OutDegrees:   outDeg,
+		OutDegrees:   rankedOut,
 		InDegrees:    inDeg,
 		Workers:      workers,
 		Duration:     time.Since(start),
 		IO:           counter.Snapshot(),
 	}, nil
+}
+
+// rank numbers the vertices by ≺ counting down. A counting sort on degree —
+// stable, so equal degrees keep id order, which is ≺ — gives every vertex
+// its rank r, and its new id is n−1−r: ids[v] is v's new id, perm[x] the
+// original id of new vertex x.
+func rank(deg []uint32) (ids, perm []graph.Vertex) {
+	n := len(deg)
+	var maxDeg uint32
+	for _, dg := range deg {
+		maxDeg = max(maxDeg, dg)
+	}
+	next := make([]int, int(maxDeg)+2) // next[dg]: the next rank of degree dg
+	for _, dg := range deg {
+		next[dg+1]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	ids, perm = make([]graph.Vertex, n), make([]graph.Vertex, n)
+	for v, dg := range deg {
+		x := graph.Vertex(n - 1 - next[dg])
+		next[dg]++
+		ids[v], perm[x] = x, graph.Vertex(v)
+	}
+	return ids, perm
 }
 
 // vertexSpans cuts [0, n) into at most `workers` contiguous vertex spans of
@@ -205,11 +242,12 @@ func vertexSpans(d *graph.Disk, workers int) [][2]graph.Vertex {
 }
 
 // orientSpan filters the adjacency lists of vertices [lo, hi) through the
-// degree-based order into a spill file, and records out-degrees. A nil
-// outBytes writes raw little-endian entries (plain output); otherwise each
-// vertex's kept list is segment-encoded in place and its encoded byte
-// length recorded in outBytes (compressed output).
-func orientSpan(d *graph.Disk, lo, hi graph.Vertex, spill string, outDeg, outBytes []uint32, c *ioacct.Counter) error {
+// degree-based order into a spill file, in new ids: u keeps v iff u ≺ v,
+// which in rank space is ids[v] < ids[u], and the kept ids are sorted. It
+// records out-degrees and each kept list's bytes in the spill: raw
+// little-endian entries for a plain output, the segment encoding for a
+// compressed one.
+func orientSpan(d *graph.Disk, lo, hi graph.Vertex, spill string, ids []graph.Vertex, outDeg, outBytes []uint32, format graph.Format, c *ioacct.Counter) error {
 	out, err := os.Create(spill)
 	if err != nil {
 		return err
@@ -223,42 +261,40 @@ func orientSpan(d *graph.Disk, lo, hi graph.Vertex, spill string, outDeg, outByt
 	}
 	defer sc.Close()
 
-	deg := d.Degrees
-	var scratch [graph.EntrySize]byte
 	var enc graph.ListEncoder
-	var kept []graph.Vertex
-	var encBuf []byte
+	var kept, scratch []graph.Vertex
+	var buf []byte
 	for {
 		u, list, ok := sc.Next()
 		if !ok || u >= hi {
 			break
 		}
-		if outBytes != nil {
-			kept = kept[:0]
-			for _, v := range list {
-				if Less(deg, u, v) {
-					kept = append(kept, v)
-				}
-			}
-			encBuf = enc.Append(encBuf[:0], kept)
-			if _, err := bw.Write(encBuf); err != nil {
-				return err
-			}
-			outDeg[u] = uint32(len(kept))
-			outBytes[u] = uint32(len(encBuf))
-			continue
-		}
-		var n uint32
+		x := ids[u]
+		kept = kept[:0]
 		for _, v := range list {
-			if Less(deg, u, v) {
-				binary.LittleEndian.PutUint32(scratch[:], v)
-				if _, err := bw.Write(scratch[:]); err != nil {
-					return err
-				}
-				n++
+			if y := ids[v]; y < x {
+				kept = append(kept, y)
 			}
 		}
-		outDeg[u] = n
+		if len(kept) < radixMin {
+			slices.Sort(kept)
+		} else {
+			scratch = slices.Grow(scratch[:0], len(kept))[:len(kept)]
+			kept, scratch = radixSort(kept, scratch, x)
+		}
+		if format == graph.FormatCompressed {
+			buf = enc.Append(buf[:0], kept)
+		} else {
+			buf = buf[:0]
+			for _, y := range kept {
+				buf = binary.LittleEndian.AppendUint32(buf, y)
+			}
+		}
+		if _, err := bw.Write(buf); err != nil {
+			return err
+		}
+		outDeg[u] = uint32(len(kept))
+		outBytes[u] = uint32(len(buf))
 	}
 	if err := sc.Err(); err != nil {
 		return err
@@ -266,25 +302,139 @@ func orientSpan(d *graph.Disk, lo, hi graph.Vertex, spill string, outDeg, outByt
 	return bw.Flush()
 }
 
-func concatFiles(dst string, parts []string, c *ioacct.Counter) error {
-	out, err := os.Create(dst)
+// radixMin is the shortest kept list radixSort sorts; a shorter one goes to
+// slices.Sort, which beats passes over 256 counters on a few dozen ids.
+const radixMin = 32
+
+// radixSort sorts a, whose ids are all below bound, by an LSD radix sort on
+// bytes — only as many as bound spans — through tmp (as long as a). It
+// returns the sorted slice and the other one: the two may trade places.
+func radixSort(a, tmp []graph.Vertex, bound graph.Vertex) (sorted, other []graph.Vertex) {
+	var at [256]int
+	for shift := 0; shift < bits.Len32(bound); shift += 8 {
+		clear(at[:])
+		for _, v := range a {
+			at[v>>shift&0xff]++
+		}
+		sum := 0
+		for i, c := range at {
+			at[i] = sum
+			sum += c
+		}
+		for _, v := range a {
+			b := v >> shift & 0xff
+			tmp[at[b]] = v
+			at[b]++
+		}
+		a, tmp = tmp, a
+	}
+	return a, tmp
+}
+
+// writeBackBytes bounds the buffer writeBack places lists in (a variable for
+// tests).
+var writeBackBytes = 64 << 20
+
+// writeBack writes the spilled lists to the store dst in rank order, new id
+// 0 first. Each pass takes the next ids whose lists fit the buffer (one list
+// at least, however long); every span reads its spill once, concurrently,
+// and drops each list of those ids into its place; the buffer is then
+// written out whole. One pass, and one read of the spills, for any store up
+// to writeBackBytes.
+func writeBack(dst string, spans [][2]graph.Vertex, spills []string, ids, perm []graph.Vertex, outBytes []uint32, format graph.Format, c *ioacct.Counter) error {
+	n := len(perm)
+	lens := make([]uint32, n) // lens[x]: the bytes of new vertex x's list
+	at := make([]uint64, n+1) // at[x]: where they start in the store
+	var longest uint64
+	for x, v := range perm {
+		lens[x] = outBytes[v]
+		at[x+1] = at[x] + uint64(lens[x])
+		longest = max(longest, uint64(lens[x]))
+	}
+	buf := make([]byte, max(min(at[n], uint64(writeBackBytes)), longest))
+
+	// put writes the lists of new ids [x0, x1), placed in data, to the
+	// store; finish closes it.
+	var put func(x0, x1 int, data []byte) error
+	var finish func() error
+	if format == graph.FormatCompressed {
+		w, err := graph.NewCompressedWriter(dst, n, c)
+		if err != nil {
+			return err
+		}
+		put = func(x0, x1 int, data []byte) error { return w.AddEncoded(data, lens[x0:x1]) }
+		finish = w.Finish
+	} else {
+		f, err := os.Create(graph.AdjPath(dst))
+		if err != nil {
+			return err
+		}
+		out := ioacct.NewWriter(f, c)
+		put = func(_, _ int, data []byte) error {
+			_, err := out.Write(data)
+			return err
+		}
+		finish = f.Close
+	}
+
+	readers := make([]*bufio.Reader, len(spans))
+	for i := range readers {
+		readers[i] = bufio.NewReaderSize(nil, 1<<20)
+	}
+	errs := make([]error, len(spans))
+	for x0 := 0; x0 < n; {
+		x1 := x0 + 1
+		for x1 < n && at[x1+1]-at[x0] <= uint64(len(buf)) {
+			x1++
+		}
+		var wg sync.WaitGroup
+		for i, span := range spans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = readSpill(readers[i], spills[i], span, func(u graph.Vertex) []byte {
+					if x := int(ids[u]); x >= x0 && x < x1 {
+						return buf[at[x]-at[x0] : at[x+1]-at[x0]]
+					}
+					return nil
+				}, outBytes, c)
+			}()
+		}
+		wg.Wait()
+		err := errors.Join(errs...)
+		if err == nil {
+			err = put(x0, x1, buf[:at[x1]-at[x0]])
+		}
+		if err != nil {
+			finish()
+			return err
+		}
+		x0 = x1
+	}
+	return finish()
+}
+
+// readSpill reads the spill of the vertices of span once, through br: each
+// list goes into the slice place returns for its vertex, or is skipped when
+// that is nil.
+func readSpill(br *bufio.Reader, path string, span [2]graph.Vertex, place func(u graph.Vertex) []byte, outBytes []uint32, c *ioacct.Counter) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	defer out.Close()
-	bw := bufio.NewWriterSize(ioacct.NewWriter(out, c), 1<<20)
-	for _, p := range parts {
-		in, err := os.Open(p)
-		if err != nil {
-			return err
+	defer f.Close()
+	br.Reset(ioacct.NewReader(f, c))
+	for u := span[0]; u < span[1]; u++ {
+		if dst := place(u); dst != nil {
+			_, err = io.ReadFull(br, dst)
+		} else {
+			_, err = br.Discard(int(outBytes[u]))
 		}
-		_, err = io.Copy(bw, ioacct.NewReader(in, c))
-		in.Close()
 		if err != nil {
-			return err
+			return fmt.Errorf("orient: read back %s: %w", path, err)
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 func writeDegrees(path string, deg []uint32, c *ioacct.Counter) error {
@@ -292,21 +442,27 @@ func writeDegrees(path string, deg []uint32, c *ioacct.Counter) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	bw := bufio.NewWriterSize(ioacct.NewWriter(f, c), 1<<20)
-	var scratch [graph.EntrySize]byte
-	for _, d := range deg {
-		binary.LittleEndian.PutUint32(scratch[:], d)
-		if _, err := bw.Write(scratch[:]); err != nil {
-			return err
+	w := ioacct.NewWriter(f, c)
+	var chunk [64 << 10]byte
+	for len(deg) > 0 && err == nil {
+		n := min(len(deg), len(chunk)/graph.EntrySize)
+		for i, d := range deg[:n] {
+			binary.LittleEndian.PutUint32(chunk[i*graph.EntrySize:], d)
 		}
+		_, err = w.Write(chunk[:n*graph.EntrySize])
+		deg = deg[n:]
 	}
-	return bw.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func cleanup(paths []string) {
 	for _, p := range paths {
-		os.Remove(p)
+		if p != "" {
+			os.Remove(p)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -23,7 +24,19 @@ func writeStore(t *testing.T, g *graph.CSR, name string) string {
 	return base
 }
 
+// orientOnDisk orients g through the store and returns the result and the
+// oriented store as it lies on disk, in rank space.
 func orientOnDisk(t *testing.T, g *graph.CSR, workers int) (*Result, *graph.CSR) {
+	t.Helper()
+	res, d := orientStore(t, g, workers)
+	oriented, err := d.LoadCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, oriented
+}
+
+func orientStore(t *testing.T, g *graph.CSR, workers int) (*Result, *graph.Disk) {
 	t.Helper()
 	src := writeStore(t, g, "src")
 	dst := filepath.Join(t.TempDir(), "dst")
@@ -35,14 +48,10 @@ func orientOnDisk(t *testing.T, g *graph.CSR, workers int) (*Result, *graph.CSR)
 	if err != nil {
 		t.Fatalf("Open oriented: %v", err)
 	}
-	if !d.Meta.Oriented {
-		t.Fatal("output not marked oriented")
+	if !d.Meta.Oriented || !d.Meta.Ranked {
+		t.Fatalf("output marked oriented=%v ranked=%v", d.Meta.Oriented, d.Meta.Ranked)
 	}
-	oriented, err := d.LoadCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, oriented
+	return res, d
 }
 
 func TestLessIsStrictTotalOrder(t *testing.T) {
@@ -73,41 +82,121 @@ func TestOrientK4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, oriented := orientOnDisk(t, g, 1)
-	// All degrees equal, so ≺ falls back to id order: v's out-list is
-	// {v+1, ..., 3}.
+	res, d := orientStore(t, g, 1)
+	oriented, err := d.LoadCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// All degrees equal, so ≺ falls back to id order: rank v, new id 3−v,
+	// and new vertex x's out-list is {0, ..., x−1}.
 	if oriented.NumEdges() != 6 {
 		t.Errorf("oriented edges = %d, want 6", oriented.NumEdges())
 	}
 	if res.MaxOutDegree != 3 {
 		t.Errorf("d*max = %d, want 3", res.MaxOutDegree)
 	}
-	if got := oriented.Neighbors(0); !reflect.DeepEqual(got, []graph.Vertex{1, 2, 3}) {
-		t.Errorf("out(0) = %v", got)
+	if got := oriented.Neighbors(3); !reflect.DeepEqual(got, []graph.Vertex{0, 1, 2}) {
+		t.Errorf("out(3) = %v", got)
 	}
-	if got := oriented.Degree(3); got != 0 {
-		t.Errorf("out-degree of max vertex = %d, want 0", got)
+	if got := oriented.Degree(0); got != 0 {
+		t.Errorf("out-degree of vertex 0, the last in ≺, = %d, want 0", got)
 	}
-	// In-degrees: d(v) - d*(v).
-	wantIn := []uint32{0, 1, 2, 3}
+	// In-degrees: d(v) - d*(v), by new id.
+	wantIn := []uint32{3, 2, 1, 0}
 	if !reflect.DeepEqual(res.InDegrees, wantIn) {
 		t.Errorf("InDegrees = %v, want %v", res.InDegrees, wantIn)
 	}
+	perm, err := d.Perm()
+	if err != nil || !reflect.DeepEqual(perm, []graph.Vertex{3, 2, 1, 0}) {
+		t.Errorf("perm = %v, %v; want [3 2 1 0]", perm, err)
+	}
 }
 
+// TestOrientMatchesCSR: the store, mapped back through .perm, is the
+// id-space orientation exactly; in its own ids it is in rank space —
+// degrees non-increasing along the ids, and every out-neighbour below its
+// vertex, in ascending order.
 func TestOrientMatchesCSR(t *testing.T) {
+	g, err := gen.PowerLaw(300, 2500, 2.0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inMem := CSR(g)
+	deg := g.Degrees()
 	for _, workers := range []int{1, 2, 3, 8} {
-		g, err := gen.ErdosRenyi(200, 1500, 5)
+		_, d := orientStore(t, g, workers)
+		onDisk, err := d.OriginalCSR()
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, onDisk := orientOnDisk(t, g, workers)
-		inMem := CSR(g)
-		if !reflect.DeepEqual(onDisk.Adj, inMem.Adj) {
-			t.Errorf("workers=%d: disk orientation differs from in-memory", workers)
+		if !reflect.DeepEqual(onDisk.Adj, inMem.Adj) || !reflect.DeepEqual(onDisk.Offsets, inMem.Offsets) {
+			t.Errorf("workers=%d: disk orientation, in original ids, differs from in-memory", workers)
 		}
-		if !reflect.DeepEqual(onDisk.Offsets, inMem.Offsets) {
-			t.Errorf("workers=%d: offsets differ", workers)
+		ranked, err := d.LoadCSR()
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm, err := d.Perm()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := range ranked.NumVertices() {
+			if x > 0 && !Less(deg, perm[x], perm[x-1]) {
+				t.Fatalf("workers=%d: vertex %d (was %d) does not precede vertex %d (was %d) in ≺", workers, x, perm[x], x-1, perm[x-1])
+			}
+			list := ranked.Neighbors(graph.Vertex(x))
+			for i, y := range list {
+				if y >= graph.Vertex(x) || (i > 0 && list[i-1] >= y) {
+					t.Fatalf("workers=%d: out-list of %d is %v", workers, x, list)
+				}
+			}
+		}
+	}
+}
+
+// TestOrientWriteBackPasses: a write-back buffer far smaller than the store
+// — a few lists a pass, and shorter than the longest list — writes the same
+// store as one pass, in either format.
+func TestOrientWriteBackPasses(t *testing.T) {
+	g, err := gen.PowerLaw(400, 4000, 1.9, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := writeStore(t, g, "src")
+	dir := t.TempDir()
+	for _, format := range []graph.Format{graph.FormatPlain, graph.FormatCompressed} {
+		one := filepath.Join(dir, "one-"+string(format))
+		if _, err := OrientFormat(src, one, 3, format); err != nil {
+			t.Fatal(err)
+		}
+		saved := writeBackBytes
+		writeBackBytes = 40
+		many := filepath.Join(dir, "many-"+string(format))
+		_, err := OrientFormat(src, many, 3, format)
+		writeBackBytes = saved
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := []string{graph.AdjPath(""), graph.DegPath(""), InDegPath(""), graph.PermPath("")}
+		if format == graph.FormatCompressed {
+			files[0] = graph.CAdjPath("")
+			files = append(files, graph.CIdxPath(""))
+		}
+		for _, ext := range files {
+			a, err := os.ReadFile(one + ext)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(many + ext)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("%s: %s written in many passes differs from one pass", format, ext)
+			}
+		}
+		if left, _ := filepath.Glob(many + ".spill*"); len(left) > 0 {
+			t.Errorf("%s: spills left behind: %v", format, left)
 		}
 	}
 }
@@ -238,6 +327,15 @@ func TestOrientFormatCompressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The conversion carries the rank space along: the flag and .perm.
+	if rd, err := graph.Open(ref); err != nil || !rd.Meta.Ranked {
+		t.Fatalf("converted store: ranked=%v, %v", rd != nil && rd.Meta.Ranked, err)
+	}
+	if a, err := os.ReadFile(graph.PermPath(plain)); err != nil {
+		t.Fatal(err)
+	} else if b, err := os.ReadFile(graph.PermPath(ref)); err != nil || !bytes.Equal(a, b) {
+		t.Fatalf("converted store's .perm differs: %v", err)
+	}
 	pd, err := graph.Open(plain)
 	if err != nil {
 		t.Fatal(err)
@@ -281,6 +379,26 @@ func TestOrientFormatCompressed(t *testing.T) {
 		}
 		if !bytes.Equal(cadj, refCadj) {
 			t.Errorf("workers=%d: .cadj bytes differ from converted plain orientation", workers)
+		}
+	}
+}
+
+// TestRadixSort: the radix sort the long kept lists take agrees with
+// slices.Sort for ids below bounds of one to four bytes.
+func TestRadixSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, bound := range []graph.Vertex{1, 200, 1 << 12, 1 << 20, 1<<31 + 5} {
+		for _, n := range []int{radixMin, 300, 5000} {
+			a := make([]graph.Vertex, n)
+			for i := range a {
+				a[i] = graph.Vertex(rng.Int63n(int64(bound)))
+			}
+			want := slices.Clone(a)
+			slices.Sort(want)
+			got, _ := radixSort(a, make([]graph.Vertex, n), bound)
+			if !slices.Equal(got, want) {
+				t.Fatalf("bound %d, %d ids: radix sort disagrees with slices.Sort", bound, n)
+			}
 		}
 	}
 }

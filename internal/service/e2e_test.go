@@ -8,11 +8,14 @@ package service_test
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -76,13 +79,17 @@ func TestE2ETinyMatchesBaseline(t *testing.T) {
 		t.Fatalf("cold count origin = %q", count.Origin)
 	}
 
-	// The full NDJSON stream has exactly one line per triangle.
+	// The full NDJSON stream has exactly one line per triangle, and its
+	// triangles are the reference's, in the ids the dataset was written
+	// with (the oriented store the service runs on is ranked).
+	var ref [][3]uint32
+	baseline.ForwardList(csr, func(u, v, w uint32) { ref = append(ref, [3]uint32{u, v, w}) })
 	resp, err = client.Get(ts.URL + "/v1/graphs/tiny/triangles?workers=2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var lines uint64
+	var streamed [][3]uint32
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -91,13 +98,48 @@ func TestE2ETinyMatchesBaseline(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &tri); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", line, err)
 		}
-		lines++
+		streamed = append(streamed, [3]uint32{tri.U, tri.V, tri.W})
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if lines != want {
-		t.Fatalf("streamed %d triangles, baseline = %d", lines, want)
+	if uint64(len(streamed)) != want {
+		t.Fatalf("streamed %d triangles, baseline = %d", len(streamed), want)
+	}
+	if !slices.Equal(asSet(streamed), asSet(ref)) {
+		t.Fatal("the streamed triangles are not the reference's in the dataset's ids")
+	}
+
+	// /degrees?top=K names the vertices by the dataset's ids too.
+	const k = 10
+	perVertex := make([]uint64, csr.NumVertices())
+	for _, tri := range ref {
+		for _, v := range tri {
+			perVertex[v]++
+		}
+	}
+	var wantTop []vertexTriangles
+	for v, c := range perVertex {
+		if c > 0 {
+			wantTop = append(wantTop, vertexTriangles{Vertex: uint32(v), Triangles: c})
+		}
+	}
+	slices.SortStableFunc(wantTop, func(a, b vertexTriangles) int { return cmp.Compare(b.Triangles, a.Triangles) })
+	wantTop = wantTop[:min(k, len(wantTop))]
+	dresp, err := client.Get(ts.URL + "/v1/graphs/tiny/degrees?workers=2&top=" + strconv.Itoa(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var degrees struct {
+		Top []vertexTriangles `json:"top"`
+	}
+	err = json.NewDecoder(dresp.Body).Decode(&degrees)
+	dresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(degrees.Top, wantTop) {
+		t.Fatalf("degrees top %d = %v, want %v", k, degrees.Top, wantTop)
 	}
 
 	// Health and metrics reflect the runs.
@@ -116,7 +158,22 @@ func TestE2ETinyMatchesBaseline(t *testing.T) {
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(metrics), "pdtl_runs_started 2") {
-		t.Errorf("metrics missing the two runs:\n%s", metrics)
+	if !strings.Contains(string(metrics), "pdtl_runs_started 3") {
+		t.Errorf("metrics missing the three runs:\n%s", metrics)
 	}
+}
+
+type vertexTriangles struct {
+	Vertex    uint32 `json:"vertex"`
+	Triangles uint64 `json:"triangles"`
+}
+
+// asSet sorts each triple's vertices, then the triples.
+func asSet(ts [][3]uint32) [][3]uint32 {
+	out := slices.Clone(ts)
+	for i := range out {
+		slices.Sort(out[i][:])
+	}
+	slices.SortFunc(out, func(a, b [3]uint32) int { return slices.Compare(a[:], b[:]) })
+	return out
 }
