@@ -30,19 +30,24 @@ type ClusterOptions struct {
 	// copies (0 = unlimited); it models a shared NIC.
 	UplinkBytesPerSec int64
 	// ScanSource selects every node's layout ("auto" or "buffered"); see
-	// Options.ScanSource.
+	// Options.ScanSource. "buffered" does not combine with Sched "stealing":
+	// Key and CountDistributed refuse the pair.
 	ScanSource string
 	// Kernel selects every node's cone routine ("auto" or empty, or
 	// "merge"); see Options.Kernel. The default travels as the empty string.
 	Kernel string
-	// Sched selects the chunk scheduler: "static" (or empty — the paper's
+	// Sched selects the scheduler: "static" (or empty — the paper's
 	// up-front pre-split of the global plan across nodes) or "stealing"
-	// (the master dispenses weighted chunk batches to nodes on demand, so
-	// a node that finishes early pulls the work a slow node would have
-	// stalled on).
+	// (the master cuts the scan of the local engine's windows of
+	// Workers·MemEdges entries into units — a window and a run of its cone
+	// blocks — and dispenses them to nodes one at a time on demand, so a
+	// node that finishes early pulls the work a slow node would have stalled
+	// on, and a node keeps its last unit's window loaded for the next one).
+	// A stealing listing is byte for byte the local listing at the same
+	// Workers and MemEdges.
 	Sched string
-	// Chunks is the chunks-per-worker factor K of the stealing scheduler;
-	// non-positive selects the default (8). Ignored under "static".
+	// Chunks is K, the stealing units per processor; non-positive selects
+	// the default (8). Ignored under "static".
 	Chunks int
 	// MaxRetries bounds how many times one unit of failed work (a static
 	// range group or a stealing chunk batch) may be reassigned to another
@@ -93,6 +98,9 @@ func (o ClusterOptions) Key(workerAddrs []string) (string, error) {
 	}
 	mode, err := sched.ParseMode(o.Sched)
 	if err != nil {
+		return "", err
+	}
+	if err := cluster.CheckSchedule(mode, scanKind); err != nil {
 		return "", err
 	}
 	strategy := balance.InDegree
@@ -229,6 +237,9 @@ func (g *Graph) CountDistributed(ctx context.Context, workerAddrs []string, opt 
 	}
 	schedMode, err := sched.ParseMode(opt.Sched)
 	if err != nil {
+		return nil, err
+	}
+	if err := cluster.CheckSchedule(schedMode, scanKind); err != nil {
 		return nil, err
 	}
 	format, err := graph.ParseFormat(opt.StoreFormat)

@@ -374,11 +374,11 @@ func TestFailedCopyDoesNotPoisonReplicaCache(t *testing.T) {
 	if d3 == d1 {
 		t.Fatal("re-replicated graph served the pre-failure handle")
 	}
-	n := d3.NumVertices()
+	n := d3.d.NumVertices()
 	reply = CountReply{}
 	if err := node.Count(&CountArgs{
 		GraphName: "k8",
-		Ranges:    []balance.Range{{Lo: 0, Hi: d3.Offsets[n]}},
+		Ranges:    []balance.Range{{Lo: 0, Hi: d3.d.Offsets[n]}},
 		MemEdges:  64,
 	}, &reply); err != nil {
 		t.Fatal(err)
@@ -407,7 +407,7 @@ func TestNodeRejectsRemovedKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args := CountArgs{GraphName: "k8", Ranges: []balance.Range{{Lo: 0, Hi: d.Meta.AdjEntries}}, MemEdges: 64}
+	args := CountArgs{GraphName: "k8", Ranges: []balance.Range{{Lo: 0, Hi: d.d.Meta.AdjEntries}}, MemEdges: 64}
 	for _, kernel := range []string{"gallop", "adaptive", "compressed", "cover"} {
 		args.Kernel = kernel
 		var reply CountReply
@@ -564,10 +564,11 @@ func TestLimiterWaitCancel(t *testing.T) {
 	}
 }
 
-// TestMasterPlansForTheWindow: the master plans the global N·P ranges for
-// the window its nodes' runners will use — the plan the local engine makes
-// for the same options, under both schedulers — not for one window per
-// range whatever -mem says.
+// TestMasterPlansForTheWindow: the master plans for the window its nodes'
+// runners will use. Under static that is the global N·P ranges the local
+// engine's planner makes for the same options, not one window per range
+// whatever -mem says; under stealing it is the local plan at (P, M) itself —
+// the windows of P·M entries the units are cut from, on any cluster size.
 func TestMasterPlansForTheWindow(t *testing.T) {
 	g, err := gen.PowerLaw(1500, 15000, 1.9, 3)
 	if err != nil {
@@ -591,26 +592,36 @@ func TestMasterPlansForTheWindow(t *testing.T) {
 		if res.Triangles != want {
 			t.Errorf("%v: triangles = %d, want %d", mode, res.Triangles, want)
 		}
-		local, err := core.PlanFor(mustOpen(t, res.OrientedBase), res.OrientedBase, core.Options{
+		d := mustOpen(t, res.OrientedBase)
+		if mode == sched.Stealing {
+			local, err := core.LocalPlan(d, res.OrientedBase, core.Options{Workers: workers, MemEdges: mem, Strategy: balance.InDegree})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Plan.Ranges, local.Ranges) || res.Plan.Windows != local.Windows || res.Plan.MemEdges != workers*mem {
+				t.Errorf("stealing: master planned %+v, the local plan is %+v", res.Plan, local)
+			}
+			continue
+		}
+		local, err := core.PlanFor(d, res.OrientedBase, core.Options{
 			Workers:  2 * workers, // N·P
 			MemEdges: mem,
 			Strategy: balance.InDegree,
-			Sched:    mode,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(res.Plan.Ranges, local.Ranges) {
-			t.Errorf("%v: master planned %v, core.PlanFor %v", mode, res.Plan.Ranges, local.Ranges)
+			t.Errorf("static: master planned %v, core.PlanFor %v", res.Plan.Ranges, local.Ranges)
 		}
 		if res.Plan.Windows < 40 || res.Plan.MemEdges != mem {
-			t.Errorf("%v: master's plan is for %d windows of %d entries, want ≥ 40 of %d", mode, res.Plan.Windows, res.Plan.MemEdges, mem)
+			t.Errorf("static: master's plan is for %d windows of %d entries, want ≥ 40 of %d", res.Plan.Windows, res.Plan.MemEdges, mem)
 		}
-		blind, err := core.Plan(mustOpen(t, res.OrientedBase), res.OrientedBase, 2*workers, balance.InDegree)
+		blind, err := core.Plan(d, res.OrientedBase, 2*workers, balance.InDegree)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mode == sched.Static && slices.Equal(res.Plan.Ranges, blind.Ranges) {
+		if slices.Equal(res.Plan.Ranges, blind.Ranges) {
 			t.Errorf("the M-aware plan equals the single-window plan %v; the test graph no longer tells them apart", blind.Ranges)
 		}
 	}

@@ -59,14 +59,17 @@ type Config struct {
 	// Kernel selects the cone routine on every node (default
 	// mgt.KernelAuto, sent as the empty string).
 	Kernel mgt.KernelKind
-	// Sched selects the chunk scheduler. Static pre-splits the global
-	// N·P-range plan across nodes up front (the paper's Figure 1
-	// configurations); Stealing cuts the plan into Chunks·N·P weighted
-	// chunks that the master dispenses to nodes in batches on demand — a
-	// node that finishes its batch pulls the next one, so a fast node
-	// absorbs the work a slow node would have stalled on.
+	// Sched selects the scheduler. Static pre-splits the global N·P-range
+	// plan across nodes up front (the paper's Figure 1 configurations).
+	// Stealing cuts the scan of the local engine's windows of P·M entries
+	// into about Chunks·N·P units — a window and a run of its cone blocks —
+	// that the master dispenses to nodes one at a time on demand: a node
+	// that finishes its unit pulls the next one, so a fast node absorbs the
+	// work a slow node would have stalled on, and a node keeps the window of
+	// its last unit loaded, so the units of one window cost it one load.
+	// Stealing needs the default Scan (CheckSchedule).
 	Sched sched.Mode
-	// Chunks is K, the chunks-per-worker factor of the stealing scheduler;
+	// Chunks is K, the units per processor of the stealing scheduler;
 	// non-positive selects sched.DefaultChunksPerWorker.
 	Chunks int
 	// UplinkBytesPerSec rate-limits the master's outgoing graph copies in
@@ -229,8 +232,8 @@ const cancelDrainTimeout = 10 * time.Second
 // remote ones dial, replicate, and start the heartbeat; the master's own
 // slot is ready at once) and executes the batches the dispenser hands it,
 // and finally one fold of counts and one concatenation of listings.
-// Config.Sched only picks the plan, the dispenser policy, and the engine each
-// dispatch runs.
+// Config.Sched only picks the plan, the units the dispenser hands out and
+// its policy.
 //
 // Worker failure mid-run is survived, not fatal (DESIGN.md §9): a crashed,
 // partitioned, or wedged node is detected (TCP error, or the heartbeat
@@ -254,6 +257,9 @@ func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error)
 		ctx = context.Background()
 	}
 	cfg = cfg.withDefaults()
+	if err := CheckSchedule(cfg.Sched, cfg.Scan); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 
 	// The whole distributed run is one cluster span; the drivers' copy and
@@ -312,36 +318,46 @@ func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error)
 		},
 	}
 	// The schedule: the one place the two modes differ. Static is the
-	// paper's N·P-range plan pre-split across nodes, each group handed to
-	// its own slot; stealing cuts the plan into Chunks·N·P weighted chunks
-	// that every driver draws in batches of P — a node that finishes its
-	// batch pulls the next one, and the master participates through the
-	// same dispenser, so its relative speed is accounted for
-	// automatically. What a node does with its ranges is core.RunRanges's
-	// business: P runners sharing one window over them, or, under a named
-	// scan source, one runner per range.
+	// paper's N·P-range plan, planned for runners with private windows of
+	// MemEdges entries and pre-split across nodes, each group handed to its
+	// own slot. Stealing cuts the scan of the local engine's windows into
+	// units (stealUnits) that every driver draws one at a time — a node that
+	// finishes its unit pulls the next one, and the master participates
+	// through the same dispenser, so its relative speed is accounted for
+	// automatically.
 	psp := cur.Begin(obs.SpanPlan)
 	var err error
-	// Planned for runners with private windows of MemEdges entries: what a
-	// node under a named source runs, and a fair cut across nodes for the
-	// rest (ROADMAP item 4 has the re-pricing that remains).
-	res.Plan, err = core.PlanFor(d, orientedBase, core.Options{
-		Workers:  nodes * cfg.Workers,
-		MemEdges: cfg.MemEdges,
-		Strategy: cfg.Strategy,
-		Sched:    cfg.Sched,
-		Chunks:   cfg.Chunks,
-	})
+	if cfg.Sched == sched.Stealing {
+		res.Plan, err = core.LocalPlan(d, orientedBase, core.Options{
+			Workers:  cfg.Workers,
+			MemEdges: cfg.MemEdges,
+			Strategy: cfg.Strategy,
+		})
+		r.units = stealUnits(d, res.Plan, uint64(cfg.Workers)*uint64(cfg.MemEdges), sched.ChunksFor(nodes*cfg.Workers, cfg.Chunks))
+		r.args.Sched, r.args.Workers = sched.Stealing.String(), cfg.Workers
+		r.batch = 1
+		r.disp = sched.NewDispenser(r.units)
+	} else {
+		res.Plan, err = core.PlanFor(d, orientedBase, core.Options{
+			Workers:  nodes * cfg.Workers,
+			MemEdges: cfg.MemEdges,
+			Strategy: cfg.Strategy,
+		})
+		var groups [][]unit
+		for _, g := range res.Plan.Subdivide(nodes) {
+			units := make([]unit, len(g))
+			for i, rng := range g {
+				units[i] = unit{rng: rng}
+			}
+			groups = append(groups, units)
+		}
+		r.batch = cfg.Workers
+		r.disp = sched.NewPreassigned(groups)
+	}
 	res.Plan.Explain(cur, psp)
 	cur.End(psp)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Sched == sched.Stealing {
-		r.args.Sched, r.args.Workers = sched.Stealing.String(), cfg.Workers
-		r.disp = sched.NewDispenser(res.Plan.Ranges)
-	} else {
-		r.disp = sched.NewPreassigned(res.Plan.Subdivide(nodes))
 	}
 
 	// One driver per node, all concurrent: the master "starts the triangle
@@ -349,7 +365,7 @@ func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error)
 	// remote node joins the drain as soon as its copy lands.
 	res.Nodes = make([]NodeResult, nodes)
 	execs := make([]executor, nodes)
-	res.Nodes[0], execs[0] = NodeResult{Name: "master", Addr: "local"}, localExec{d}
+	res.Nodes[0], execs[0] = NodeResult{Name: "master", Addr: "local"}, localExec{d: d, held: &heldWindow{}}
 	for i, addr := range workerAddrs {
 		res.Nodes[i+1], execs[i+1] = NodeResult{Addr: addr}, &remoteExec{run: r, slot: i + 1}
 	}
@@ -378,7 +394,7 @@ func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error)
 	// Exactly-once, checked: the master's driver is never excluded from a
 	// batch and only returns once nothing is out, so nothing can be left.
 	if left := r.disp.Remaining(); left > 0 {
-		return nil, fmt.Errorf("cluster: %d plan ranges were never executed", left)
+		return nil, fmt.Errorf("cluster: %d units of the plan were never executed", left)
 	}
 
 	// Fold. A lost node's completed batches still count — that is the whole
@@ -419,19 +435,55 @@ type run struct {
 	base    string       // the oriented store being replicated
 	format  graph.Format // its encoding, which decides the files a copy streams
 	runID   string
-	disp    *sched.Dispenser
+	disp    *sched.Dispenser[unit]
+	units   []unit // the stealing units, by index; nil under static
+	batch   int    // the units a driver claims at a time
 	limiter *Limiter
 	flog    *failureLog
 	// args is the per-dispatch template: everything of a Count request but
-	// the batch itself (RunID, Ranges, TraceSpan).
+	// the batch itself (RunID, Ranges or Unit, TraceSpan).
 	args CountArgs
 
 	segMu sync.Mutex
 	segs  []tripleSeg
 }
 
-// tripleSeg is one batch's listing bytes, tagged with the global plan index
-// of the batch's first range so the master can concatenate segments in plan
+// unit is one piece of the work the dispenser hands out. Under static it is
+// a range of the N·P-range plan, and a node's batch is its group of them.
+// Under stealing it is a window of the local engine's P·M entries and a run
+// of the cone blocks its scan deals, and a batch is one unit (stealUnits).
+type unit struct {
+	rng    balance.Range // static: the plan range; stealing: the window's entries
+	cone   balance.Range // stealing: the cone vertices [Lo, Hi), whole blocks
+	window int           // stealing: the window's index
+	blocks int           // stealing: how many cone blocks the unit has
+}
+
+// stealUnits cuts the scan of every window of plan — ⌈|E*|/(P·M)⌉ windows of
+// plan.MemEdges = P·M entries (core.LocalPlan) — into about k units of
+// whole cone blocks, the blocks the node's runners are dealt (mgt.ConeRuns),
+// in listing order.
+func stealUnits(d *graph.Disk, plan balance.Plan, pm uint64, k int) []unit {
+	var units []unit
+	for _, r := range mgt.ConeRuns(d, plan.MemEdges, pm, k) {
+		units = append(units, unit{rng: r.Window, cone: r.Cone, window: r.Index, blocks: r.Blocks})
+	}
+	return units
+}
+
+// CheckSchedule rejects the one pair of a schedule and a layout that does
+// not combine: a stealing unit is a run of cone blocks dealt to a node's
+// runners sharing one window, and the paper's layout (-scan buffered) gives
+// every runner a range and a window of its own instead.
+func CheckSchedule(mode sched.Mode, layout scan.SourceKind) error {
+	if mode == sched.Stealing && !layout.IsAuto() {
+		return fmt.Errorf("cluster: -sched stealing does not combine with -scan %s: a stealing unit is cone blocks dealt to runners sharing one window, which -scan %s does not have", layout, layout)
+	}
+	return nil
+}
+
+// tripleSeg is one batch's listing bytes, tagged with the global index of
+// the batch's first unit so the master can concatenate segments in plan
 // order — "concatenating the triangle listing (sequentially)". Index-ordered
 // assembly makes the distributed listing deterministic even though
 // batch→node assignment (under stealing, or after a failure) is not.
@@ -479,12 +531,19 @@ func (r *run) drive(ctx context.Context, slot int, ex executor, nr *NodeResult) 
 		return nil
 	}
 	for {
-		start, batch, retries := r.disp.NextBatch(ctx, r.cfg.Workers, slot)
+		start, batch, retries := r.disp.NextBatch(ctx, r.batch, slot)
 		if len(batch) == 0 {
 			return ctx.Err()
 		}
 		args := r.args
-		args.RunID, args.Ranges = workID(r.runID, start), batch
+		args.RunID = workID(r.runID, start)
+		if r.units != nil {
+			args.Unit = &StealUnit{Window: batch[0].rng, Cone: batch[0].cone}
+		} else {
+			for _, u := range batch {
+				args.Ranges = append(args.Ranges, u.rng)
+			}
+		}
 		began := time.Now()
 		reply, err := ex.count(ctx, &args, start, retries)
 		nr.CalcTime += time.Since(began)
@@ -545,15 +604,19 @@ func foldWorkerStats(dst []core.WorkerStat, batch []core.WorkerStat) []core.Work
 }
 
 // localExec is the master acting as node 0: always ready, and a batch runs
-// on the engine directly through the same count the workers serve.
-type localExec struct{ d *graph.Disk }
+// on the engine directly through the same count the workers serve, with one
+// held window for the run.
+type localExec struct {
+	d    *graph.Disk
+	held *heldWindow
+}
 
 func (localExec) join(context.Context, *NodeResult) error { return nil }
 func (localExec) close()                                  {}
 
 func (e localExec) count(ctx context.Context, args *CountArgs, _, _ int) (*CountReply, error) {
 	var reply CountReply
-	if err := count(ctx, e.d, args, &reply); err != nil {
+	if _, err := count(ctx, e.d, e.held, args, &reply); err != nil {
 		return nil, err
 	}
 	return &reply, nil
@@ -574,6 +637,10 @@ func (e *remoteExec) join(ctx context.Context, nr *NodeResult) error {
 		return err
 	}
 	e.nc, nr.Name = nc, hello.Name
+	if e.units != nil && !hello.HeldWindows {
+		// It would take a unit's empty Ranges for nothing to count.
+		return fmt.Errorf("cluster: node %s at %s predates stealing units (its Hello offers no held windows); run it under -sched static or upgrade it", hello.Name, nr.Addr)
+	}
 
 	cur := obs.CursorFrom(ctx)
 	copySpan := cur.Begin(obs.SpanCopy)
@@ -603,6 +670,10 @@ func (e *remoteExec) count(ctx context.Context, args *CountArgs, start, retries 
 	cur.SetAttr(dsp, "start", int64(start))
 	cur.SetAttr(dsp, "ranges", int64(len(args.Ranges)))
 	cur.SetAttr(dsp, "retries", int64(retries))
+	if e.units != nil {
+		cur.SetAttr(dsp, "window", int64(e.units[start].window))
+		cur.SetAttr(dsp, "blocks", int64(e.units[start].blocks))
+	}
 	args.TraceSpan = traceSpanArg(cur, dsp)
 	reply, err := countWithCancel(ctx, e.nc.client, e.nc.addr, args)
 	if err == nil && cur.T != nil {

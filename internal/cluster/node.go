@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"pdtl/internal/balance"
 	"pdtl/internal/core"
 	"pdtl/internal/graph"
 	"pdtl/internal/mgt"
@@ -20,9 +21,10 @@ import (
 )
 
 // Node is the client-side RPC service of the PDTL protocol: it receives a
-// replica of the oriented graph, runs one MGT runner per assigned edge
-// range on its local copy, and returns counts (and, for listing, the
-// triangle triples) to the master.
+// replica of the oriented graph, runs the batches the master sends on its
+// local copy — the edge ranges of a static group, or the cone blocks of a
+// stealing unit against a window it keeps between batches — and returns
+// counts (and, for listing, the triangle triples) to the master.
 type Node struct {
 	name    string
 	workDir string
@@ -33,14 +35,16 @@ type Node struct {
 	curName  string
 	curToken string
 	received int64
-	// disks caches opened replica stores per graph name. The stealing
-	// master sends many small Count batches per run; without the cache
-	// every batch would re-read the replica's metadata and whole degree
-	// file. A Disk holds no open file descriptors, so cache entries need
-	// no teardown; a re-received graph (EndGraph) drops its stale entry
-	// and bumps diskGen so an open that was racing the re-replication
-	// cannot re-poison the cache with the old copy's handle.
-	disks   map[string]*graph.Disk
+	// disks caches the received graphs per name: the opened store and the
+	// window its stealing units were last dealt against. The stealing
+	// master sends many Count batches per run; without the cache every
+	// batch would re-read the replica's metadata and whole degree file, and
+	// load its window again. A Disk holds no open file descriptors and a
+	// held window only memory, so entries need no teardown; a re-received
+	// graph (BeginGraph, EndGraph) drops its stale entry and bumps diskGen
+	// so an open that was racing the re-replication cannot re-poison the
+	// cache with the old copy's handle.
+	disks   map[string]*replica
 	diskGen map[string]int
 	// runs maps the RunID of every in-flight Count to its cancel func, so
 	// a master's Cancel RPC (or a server shutdown) can abort it mid-run.
@@ -51,6 +55,37 @@ type Node struct {
 	// Count sees its tombstone and aborts instead of computing the whole
 	// run uncancellably.
 	cancelledRuns map[string]struct{}
+}
+
+// replica is a received graph as a node serves it: the opened store, and
+// the window the stealing units of its last run were dealt against — one
+// window of P·M entries at most, kept until the graph is replaced.
+type replica struct {
+	d    *graph.Disk
+	held heldWindow
+}
+
+// heldWindow is a window kept between Count batches (mgt.DealConfig.Held).
+// Batches of the window it holds share it read-only; a batch of another
+// window has it to itself while it loads its own into it.
+type heldWindow struct {
+	mu sync.RWMutex
+	w  mgt.Window
+}
+
+// run calls fn with h's window for a batch of the window win of d: shared,
+// if h holds that window already, else alone, to load it. reused reports
+// whether the window was held.
+func (h *heldWindow) run(d *graph.Disk, win balance.Range, fn func(*mgt.Window) error) (reused bool, err error) {
+	h.mu.RLock()
+	if h.w.Holds(d, win) {
+		defer h.mu.RUnlock()
+		return true, fn(&h.w)
+	}
+	h.mu.RUnlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.w.Holds(d, win), fn(&h.w)
 }
 
 // maxCancelTombstones bounds cancelledRuns (entries whose Count already
@@ -74,6 +109,7 @@ func (n *Node) base(name string) string {
 func (n *Node) Hello(args *HelloArgs, reply *HelloReply) error {
 	reply.Name = n.name
 	reply.MaxWorkers = n.workers
+	reply.HeldWindows = true
 	return nil
 }
 
@@ -129,7 +165,8 @@ func (n *Node) BeginGraph(args *BeginGraphArgs, reply *struct{}) error {
 		}
 	}
 	// The os.Create calls above truncated the replica's files, so a Disk
-	// cached against the previous copy is stale NOW — not at EndGraph. A
+	// (and the window held of it) cached against the previous copy is stale
+	// NOW — not at EndGraph. A
 	// copy that fails partway must not leave the old handle cached over
 	// the mangled files (a later Count would read new bytes through old
 	// metadata); dropping the entry here means any Count racing or
@@ -213,16 +250,16 @@ func (n *Node) EndGraph(args *EndGraphArgs, reply *EndGraphReply) error {
 	return firstErr
 }
 
-// openReplica opens (or returns the cached handle on) a received graph.
+// openReplica opens (or returns the cached entry of) a received graph.
 // The open runs outside the node mutex (it reads the whole degree file),
 // so the insert re-checks the replica generation: a straggler that opened
 // the pre-replication copy returns it for its own doomed run but never
 // caches it.
-func (n *Node) openReplica(name string) (*graph.Disk, error) {
+func (n *Node) openReplica(name string) (*replica, error) {
 	n.mu.Lock()
-	if d, ok := n.disks[name]; ok {
+	if r, ok := n.disks[name]; ok {
 		n.mu.Unlock()
-		return d, nil
+		return r, nil
 	}
 	gen := n.diskGen[name]
 	n.mu.Unlock()
@@ -230,15 +267,16 @@ func (n *Node) openReplica(name string) (*graph.Disk, error) {
 	if err != nil {
 		return nil, err
 	}
+	r := &replica{d: d}
 	n.mu.Lock()
 	if n.diskGen[name] == gen {
 		if n.disks == nil {
-			n.disks = make(map[string]*graph.Disk)
+			n.disks = make(map[string]*replica)
 		}
-		n.disks[name] = d
+		n.disks[name] = r
 	}
 	n.mu.Unlock()
-	return d, nil
+	return r, nil
 }
 
 func (n *Node) abortLocked() {
@@ -249,8 +287,9 @@ func (n *Node) abortLocked() {
 	n.incoming = nil
 }
 
-// Count runs the node's calculation phase: one MGT runner per assigned
-// range against the local replica. When args.RunID is set the run is
+// Count runs the node's calculation phase against the local replica: a
+// static group of ranges, or one stealing unit against the window the node
+// holds (see CountArgs). When args.RunID is set the run is
 // registered for cancellation: a Cancel RPC with the same id (or a server
 // shutdown) makes every runner abort within one memory window and Count
 // return the cancellation error.
@@ -293,17 +332,21 @@ func (n *Node) Count(args *CountArgs, reply *CountReply) error {
 			n.mu.Unlock()
 		}()
 	}
-	d, err := n.openReplica(args.GraphName)
+	rep, err := n.openReplica(args.GraphName)
 	if err != nil {
 		return fmt.Errorf("cluster: node %s: open replica: %w", n.name, err)
 	}
-	if err := count(ctx, d, args, reply); err != nil {
+	held, err := count(ctx, rep.d, &rep.held, args, reply)
+	if err != nil {
 		return err
 	}
 	reply.CalcTime = time.Since(start)
 	if tr != nil {
 		tr.SetAttr(rootSpan, "ranges", int64(len(args.Ranges)))
 		tr.SetAttr(rootSpan, "triangles", int64(reply.Triangles))
+		if held {
+			tr.SetAttr(rootSpan, "held", 1)
+		}
 		tr.End(rootSpan)
 		reply.Spans = tr.Export()
 	}
@@ -311,22 +354,32 @@ func (n *Node) Count(args *CountArgs, reply *CountReply) error {
 }
 
 // count is the calculation phase itself, shared by the worker's Count RPC
-// and the master's own node-0 executor: run args.Ranges on the oriented
-// store d through core.RunRanges, and fill reply with the per-runner stats,
-// the triangle count and — for a listing — the triples.
-func count(ctx context.Context, d *graph.Disk, args *CountArgs, reply *CountReply) error {
+// and the master's own node-0 executor: run args on the oriented store d —
+// a static group through core.RunRanges, a stealing unit against the window
+// held — and fill reply with the per-runner stats, the triangle count and,
+// for a listing, the triples in the batch's listing order. held reports
+// whether a unit found its window held.
+func count(ctx context.Context, d *graph.Disk, held *heldWindow, args *CountArgs, reply *CountReply) (bool, error) {
 	scanKind, err := scan.ParseSource(args.Scan)
 	if err != nil {
-		return err
+		return false, err
 	}
 	kernelKind, err := mgt.ParseKernel(args.Kernel)
 	if err != nil {
-		return err
+		return false, err
 	}
 	schedMode, err := sched.ParseMode(args.Sched)
 	if err != nil {
-		return err
+		return false, err
 	}
+	if args.Unit != nil {
+		if err := CheckSchedule(sched.Stealing, scanKind); err != nil {
+			return false, err
+		}
+		return countUnit(ctx, d, held, args, kernelKind, reply)
+	}
+	// One runner per range, or — from a master that predates stealing
+	// units and sends a stealing batch as ranges — args.Workers of them.
 	workers := len(args.Ranges)
 	if schedMode == sched.Stealing && args.Workers > 0 {
 		workers = args.Workers
@@ -338,23 +391,53 @@ func count(ctx context.Context, d *graph.Disk, args *CountArgs, reply *CountRepl
 		Kernel:   kernelKind,
 		Sched:    schedMode,
 	}
-	// A listing is written in the batch's order — range by range for a
-	// stealing batch, so the master's chunk-ordered concatenation does not
-	// depend on who ran which chunk.
 	var triples bytes.Buffer
 	if args.List {
 		opt.Out = &triples
 	}
 	calc, err := core.RunRanges(ctx, d, args.Ranges, opt)
 	if err != nil {
-		return err
+		return false, err
 	}
 	reply.Workers, reply.SourceIO = calc.Workers, calc.SourceIO
 	for _, w := range reply.Workers {
 		reply.Triangles += w.Stats.Triangles
 	}
 	reply.Triples = triples.Bytes()
-	return nil
+	return false, nil
+}
+
+// countUnit runs one stealing unit: args.Workers runners dealt the cone
+// blocks of args.Unit.Cone against the window args.Unit.Window — the one
+// held, if it is that window, else loaded into it for the units that follow.
+func countUnit(ctx context.Context, d *graph.Disk, held *heldWindow, args *CountArgs, kernel mgt.KernelKind, reply *CountReply) (bool, error) {
+	workers, win := max(args.Workers, 1), args.Unit.Window
+	cfg := mgt.DealConfig{Workers: workers, MemEdges: args.MemEdges, Kernel: kernel, Cone: args.Unit.Cone}
+	var triples bytes.Buffer
+	if args.List {
+		cfg.Listing = mgt.NewListing(&triples, "", workers, nil)
+	}
+	var dealt mgt.Dealt
+	reused, err := held.run(d, win, func(w *mgt.Window) (err error) {
+		cfg.Held = w
+		dealt, err = mgt.RunDealt(ctx, d, []balance.Range{win}, cfg)
+		return err
+	})
+	if cfg.Listing != nil {
+		if cerr := cfg.Listing.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return reused, err
+	}
+	reply.SourceIO = dealt.WindowIO
+	for i, st := range dealt.Runners {
+		reply.Workers = append(reply.Workers, core.WorkerStat{Worker: i, Range: win, Chunks: 1, Stats: st})
+		reply.Triangles += st.Triangles
+	}
+	reply.Triples = triples.Bytes()
+	return reused, nil
 }
 
 // Cancel aborts the in-flight Count registered under args.RunID. If the

@@ -49,6 +49,11 @@ type HelloReply struct {
 	Name string
 	// MaxWorkers is the node's available processor count.
 	MaxWorkers int
+	// HeldWindows says the node runs stealing units (CountArgs.Unit) and
+	// keeps a unit's window loaded for the next one. A node without
+	// it would take a unit's empty Ranges for nothing to count, so a stealing
+	// master does not let it join.
+	HeldWindows bool
 }
 
 // BeginGraphArgs starts a graph transfer.
@@ -98,16 +103,14 @@ type CountArgs struct {
 	// id on its new node; Count is read-only against the replica, which
 	// makes such re-execution idempotent.
 	RunID string
-	// Ranges are the node's pivot responsibilities: its group of the static
-	// plan, or one batch of the master's global chunk list under stealing.
-	// What the node's runners do with them is core.RunRanges's business —
-	// share one window over them (Scan auto), or one runner per range (a
-	// named Scan).
+	// Ranges are the node's pivot responsibilities under static: its group
+	// of the plan. What the node's runners do with them is core.RunRanges's
+	// business — share one window over them (Scan auto), or one runner per
+	// range (a named Scan). Empty for a stealing unit (Unit).
 	Ranges []balance.Range
-	// Sched names the schedule the ranges come from ("static", "stealing");
-	// empty means static — the paper's one-shot binding. A node needs it
-	// for a stealing listing, which it assembles chunk by chunk. Strings
-	// travel on the wire for the same compatibility reason as Scan/Kernel.
+	// Sched names the schedule the batch comes from ("static", "stealing");
+	// empty means static — the paper's one-shot binding. Strings travel on
+	// the wire for the same compatibility reason as Scan/Kernel.
 	Sched string
 	// Workers is the node's runner count under stealing; non-positive falls
 	// back to one runner per range (the static rule). Ignored under static,
@@ -140,6 +143,22 @@ type CountArgs struct {
 	// CountReply.Spans; the master re-parents them under its dispatch
 	// span.
 	TraceSpan int64
+	// Unit is a stealing unit, nil under static — a pointer, so that a
+	// static batch encodes exactly as it did before units existed.
+	Unit *StealUnit
+}
+
+// StealUnit is one unit of a stealing run: the node's CountArgs.Workers
+// runners share a window and are dealt a run of its cone blocks
+// (mgt.RunDealt under DealConfig.Cone). The node keeps the window loaded
+// after the batch and serves the next unit of the same window from it
+// (DealConfig.Held).
+type StealUnit struct {
+	// Window is the store's entries [Lo, Hi) the runners share: the local
+	// engine's window of P·M entries.
+	Window balance.Range
+	// Cone is the cone vertices [Lo, Hi) whose blocks the runners are dealt.
+	Cone balance.Range
 }
 
 // CountReply carries a node's results back to the master.

@@ -78,22 +78,16 @@ type Options struct {
 	// empty) is their own mark-and-probe, mgt.KernelMerge the paper's
 	// pairwise two-pointer merges. Both produce identical triangles.
 	Kernel mgt.KernelKind
-	// Sched is the schedule the ranges come from. Inside one engine there is
-	// nothing left for it to choose — the runners of a cooperative window
-	// are dealt blocks, a named source runs one runner per range — so it
-	// only matters to a cluster node listing a stealing batch: every range
-	// is then a span of its own, because the master concatenates the
-	// listing chunk by chunk whichever node ran which (see RunRanges).
+	// Sched is the schedule the run was asked for. Inside one engine there
+	// is nothing left for it to choose — the runners of a cooperative window
+	// are dealt blocks, a named source runs one runner per range — so it is
+	// only reported (Result.Sched); across nodes the cluster master decides.
 	Sched sched.Mode
 	// Store selects the on-disk format of the oriented store the engine
 	// builds when its input is unoriented (empty means graph.FormatPlain).
 	// An already-oriented input is used in whatever format it is in — the
 	// calculation phase is format-agnostic.
 	Store graph.Format
-	// Chunks is K, the chunks-per-worker factor of a stealing plan (PlanFor,
-	// which the distributed master calls); non-positive selects
-	// sched.DefaultChunksPerWorker. Ignored under Static.
-	Chunks int
 }
 
 // DefaultMemEdges is 1<<22 entries = 16 MiB per worker, the same order as
@@ -254,13 +248,13 @@ func Process(ctx context.Context, base string, opt Options) (*Result, error) {
 // LocalPlan is the plan of a single-machine run of opt over the oriented
 // store d. Cooperative windows (the default source) need no cost model: the
 // whole store is one range, covered by ⌈|E*|/(P·M)⌉ windows of P·M entries,
-// and the plan only says so. A named source runs the paper's layout, one
-// PlanFor range per worker — whatever opt.Sched says: ranges are bound to
-// their runners when the run starts, and chunks are dealt across nodes only.
+// and the plan only says so — the windows a stealing cluster master cuts its
+// units from, too. A named source runs the paper's layout, one PlanFor range
+// per worker — whatever opt.Sched says: ranges are bound to their runners
+// when the run starts.
 func LocalPlan(d *graph.Disk, orientedBase string, opt Options) (balance.Plan, error) {
 	opt = opt.withDefaults()
 	if !opt.Scan.IsAuto() {
-		opt.Sched = sched.Static
 		return PlanFor(d, orientedBase, opt)
 	}
 	total := d.Meta.AdjEntries
@@ -277,9 +271,9 @@ func LocalPlan(d *graph.Disk, orientedBase string, opt Options) (balance.Plan, e
 
 // PlanFor computes the ranges a run of opt over the oriented store d hands
 // to runners with private windows of opt.MemEdges entries
-// (balance.PlanStore): one per worker under the static scheduler, Chunks per
-// worker under stealing. The distributed master calls it with Workers = N·P
-// to compute the global plan centrally (Section IV-B1).
+// (balance.PlanStore): one per worker. The distributed master's static
+// schedule calls it with Workers = N·P to compute the global plan centrally
+// (Section IV-B1).
 func PlanFor(d *graph.Disk, orientedBase string, opt Options) (balance.Plan, error) {
 	if opt.MemEdges <= 0 {
 		opt.MemEdges = DefaultMemEdges
@@ -292,11 +286,7 @@ func PlanFor(d *graph.Disk, orientedBase string, opt Options) (balance.Plan, err
 			return balance.Plan{}, fmt.Errorf("core: load balancing needs the in-degree file: %w", err)
 		}
 	}
-	k := opt.Workers
-	if opt.Sched == sched.Stealing {
-		k = sched.ChunksFor(opt.Workers, opt.Chunks)
-	}
-	return balance.PlanStore(d, inDeg, k, opt.Strategy, opt.MemEdges)
+	return balance.PlanStore(d, inDeg, opt.Workers, opt.Strategy, opt.MemEdges)
 }
 
 // Plan is PlanFor for a static run of `processors` runners with the default
@@ -331,10 +321,7 @@ func (o Options) Runners(n int) int {
 // Under the default source the ranges only say which entries are this run's:
 // adjacent ones are coalesced into spans, each span is covered by windows of
 // Workers·MemEdges entries, and opt.Workers runners share every window
-// (mgt.RunDealt). The one exception is a stealing listing, whose ranges are
-// chunks of a plan the master concatenates chunk by chunk whichever node ran
-// which: there every range stays a span of its own, since window boundaries
-// decide the order within a span.
+// (mgt.RunDealt).
 //
 // Under scan.SourceBuffered it runs the paper's layout: one runner per range,
 // concurrently, each a one-runner dealt run with its own window (mgt.Runner),
@@ -451,12 +438,11 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 // runDealt is RunRanges under the default source: cooperative windows over
 // the spans the ranges coalesce into, listing to list when it is non-nil.
 func runDealt(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Options, list *mgt.Listing) (Calc, error) {
-	perRange := opt.Sched == sched.Stealing && list != nil
 	var spans []balance.Range
 	for _, r := range ranges {
 		switch n := len(spans); {
 		case r.Lo == r.Hi: // more runners than data
-		case n > 0 && !perRange && spans[n-1].Hi == r.Lo:
+		case n > 0 && spans[n-1].Hi == r.Lo:
 			spans[n-1].Hi = r.Hi
 		default:
 			spans = append(spans, r)

@@ -188,7 +188,6 @@ func (h *Harness) BenchJSON(w io.Writer, keys []string, workers, memEdges int, m
 					Scan:     h.Scan,
 					Kernel:   h.Kernel,
 					Sched:    mode,
-					Chunks:   h.Chunks,
 				}
 				if benchMode == "listing" {
 					// Discard sinks force the listing path: one per worker.

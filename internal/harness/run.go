@@ -85,7 +85,6 @@ func (h *Harness) calcLocal(key string, workers, memEdges int, strategy balance.
 		Scan:     source,
 		Kernel:   h.Kernel,
 		Sched:    h.Sched,
-		Chunks:   h.Chunks,
 	})
 }
 

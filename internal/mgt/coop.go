@@ -70,6 +70,17 @@ type DealConfig struct {
 	// Listing, when non-nil, has one part per runner and gets the run's
 	// triangles in listing order (see RunDealt); Sinks must then be nil.
 	Listing *Listing
+	// Cone, when not empty, restricts the run to the cone vertices
+	// [Cone.Lo, Cone.Hi) — vertex ids, not entries: a round deals only the
+	// blocks (ConeBlocks) of that range, clipped to it. The zero Range deals
+	// every block. A cluster node runs a stealing unit this way: a run of
+	// whole blocks of one window.
+	Cone balance.Range
+	// Held, when non-nil, is a window kept between runs: a round whose
+	// bounds are the ones it holds probes it and skips the load phase, and
+	// any other round is loaded into it. Runs may share a Held window only
+	// while every one of them is a round it holds — loading is writing.
+	Held *Window
 
 	// In tests: blockEntries overrides BlockEntries (lists a few dozen
 	// entries long then arrive in pieces), tileEntries TileEntries,
@@ -93,20 +104,36 @@ type dealer struct {
 	tileEntries              uint64
 
 	// The round in progress: its window (filled by the load phase, read by
-	// the scan phase), and the cursor blocks are dealt from.
+	// the scan phase), and the cursor blocks are dealt from. loads counts the
+	// rounds of the run that loaded their window.
 	win   window
 	part  scanPart
-	round int
+	loads int
 	next  atomic.Int64
 	last  int64
 	stop  atomic.Bool // a runner failed; deal no more
 	wg    sync.WaitGroup
-	// The round's scan runs the lists from scanLow on: the blocks from
-	// scanFrom, the one holding scanLow, of which the first is numbered seq in
-	// the listing, the next one seq+1, and so on.
-	scanLow  graph.Vertex
-	scanFrom int
-	seq      int64
+	// The round's scan runs the lists of [scanLow, scanHigh): the blocks
+	// [scanFrom, scanTo), clipped to that range, of which the first is
+	// numbered seq in the listing, the next one seq+1, and so on.
+	scanLow, scanHigh graph.Vertex
+	scanFrom, scanTo  int
+	seq               int64
+}
+
+// Window is a window kept between runs (DealConfig.Held): the entries of one
+// round of a store, once a run has loaded them, and where each vertex's
+// entries sit. The zero Window holds nothing. A node that is dealt many cone
+// runs against one window loads it once and serves every later run from it.
+type Window struct {
+	d      *graph.Disk
+	w      window
+	loaded bool
+}
+
+// Holds reports whether w holds the entries [r.Lo, r.Hi) of d.
+func (w *Window) Holds(d *graph.Disk, r balance.Range) bool {
+	return w.loaded && w.d == d && w.w.winLo == r.Lo && w.w.winHi == r.Hi
 }
 
 // scanPart says which lists of a block a scan phase runs: all of them, or —
@@ -175,9 +202,10 @@ type dealt struct {
 
 // Dealt is the outcome of a cooperative run.
 type Dealt struct {
-	// Runners has one Stats per runner. Passes is the rounds it took part
-	// in, which is all of them; Wall the time it was not waiting at a
-	// barrier; IO what it read for the blocks it scanned.
+	// Runners has one Stats per runner. Passes is the rounds that loaded
+	// their window — all of them, but for a round served by a Held window
+	// that already held it; Wall the time it was not waiting at a barrier;
+	// IO what it read for the blocks it scanned.
 	Runners []Stats
 	// WindowIO is what loading the windows read: the runners load them
 	// together, for each other, so it is no one's own.
@@ -191,8 +219,11 @@ type Dealt struct {
 // one runner with a window of Workers·MemEdges entries lists, whatever
 // Workers is and however the dealing went. The listing numbers the blocks
 // the rounds deal, round by round, block by block — on a ranked store a
-// round deals only the blocks from its window's first on — and a runner
-// tells the listing where each block it is dealt begins and ends.
+// round deals only the blocks from its window's first on, and under
+// cfg.Cone only the blocks of that range — and a runner tells the listing
+// where each block it is dealt begins and ends. Runs of one window's
+// consecutive cone ranges, listed one after the other, therefore list what
+// the unrestricted run of that window does.
 //
 // ctx is checked between blocks; a cancelled run returns the bare ctx.Err()
 // after every runner has stopped and closed its descriptor. A failed run
@@ -262,6 +293,9 @@ func newDealer(d *graph.Disk, cfg DealConfig) (*dealer, error) {
 	if l := cfg.Listing; l != nil && (cfg.Sinks != nil || len(l.parts) != cfg.Workers) {
 		return nil, fmt.Errorf("mgt: a listing of %d parts, with %d sinks, for %d runners", len(l.parts), len(cfg.Sinks), cfg.Workers)
 	}
+	if c := cfg.Cone; c.Lo > c.Hi || c.Hi > uint64(d.NumVertices()) {
+		return nil, fmt.Errorf("mgt: cone vertices [%d,%d) out of order or out of bounds for %d vertices", c.Lo, c.Hi, d.NumVertices())
+	}
 	budget := uint64(cfg.Workers) * uint64(cfg.MemEdges)
 	dl := &dealer{d: d, cfg: cfg, blockEntries: min(BlockEntries, budget), blockBytes: BlockEntries * graph.EntrySize, tileEntries: TileEntries}
 	if cfg.blockEntries > 0 {
@@ -302,7 +336,7 @@ func newDealer(d *graph.Disk, cfg DealConfig) (*dealer, error) {
 		}
 		dl.runners = append(dl.runners, r)
 	}
-	dl.cuts = dl.cutBlocks()
+	dl.cuts = cutBlocks(d, dl.blockEntries, dl.blockBytes)
 	return dl, nil
 }
 
@@ -329,7 +363,7 @@ func (dl *dealer) run(ctx context.Context, spans []balance.Range) error {
 		}
 		longest = max(longest, s.Len())
 	}
-	dl.round, dl.seq = 0, 0
+	dl.loads, dl.seq = 0, 0
 	dl.stop.Store(false)
 	dl.done = ctx.Done()
 	for _, r := range dl.runners {
@@ -343,18 +377,21 @@ func (dl *dealer) run(ctx context.Context, spans []balance.Range) error {
 	// smaller than the budget costs its own size — and no more than ind's
 	// 32-bit offsets can address. One allocation of edg and ind serves every
 	// window of the run, and of the next run on the same dealer if it fits.
+	// A run with a Held window loads into that one instead.
 	winEntries := min(uint64(dl.cfg.Workers)*uint64(dl.cfg.MemEdges), longest, math.MaxUint32)
-	indCap := 0
-	for _, s := range spans {
-		for lo := s.Lo; lo < s.Hi; lo += winEntries {
-			indCap = max(indCap, int(d.VertexAt(min(lo+winEntries, s.Hi)-1)-d.VertexAt(lo))+1)
+	if dl.cfg.Held == nil {
+		indCap := 0
+		for _, s := range spans {
+			for lo := s.Lo; lo < s.Hi; lo += winEntries {
+				indCap = max(indCap, int(d.VertexAt(min(lo+winEntries, s.Hi)-1)-d.VertexAt(lo))+1)
+			}
 		}
-	}
-	if cap(dl.win.edg) < int(winEntries) {
-		dl.win.edg = make([]graph.Vertex, 0, winEntries)
-	}
-	if cap(dl.win.ind) < indCap {
-		dl.win.ind = make([]indEntry, 0, indCap)
+		if cap(dl.win.edg) < int(winEntries) {
+			dl.win.edg = make([]graph.Vertex, 0, winEntries)
+		}
+		if cap(dl.win.ind) < indCap {
+			dl.win.ind = make([]indEntry, 0, indCap)
+		}
 	}
 
 	// Runner i's chunk span carries worker index i — counted from the
@@ -378,7 +415,7 @@ rounds:
 	}
 	wall := time.Since(start) //pdtl:nondeterministic-ok timing stat only
 	for _, r := range dl.runners {
-		r.stats.Passes = dl.round
+		r.stats.Passes = dl.loads
 		r.stats.Wall = max(wall-r.idle, 0)
 		r.stats.IO = r.counter.Snapshot().Sub(r.ioStart).Sub(r.loadIO)
 		cur.SetAttr(r.span, "cmp_ops", int64(r.stats.CmpOps))
@@ -394,21 +431,80 @@ rounds:
 	return err
 }
 
+// ConeBlocks cuts the vertex ids of d into the cone blocks a run whose
+// window is window entries (P·M) deals: block b is the vertices
+// [cuts[b], cuts[b+1]). RunDealt cuts them so, and so does a cluster master
+// cutting a window's scan into stealing units (DealConfig.Cone).
+func ConeBlocks(d *graph.Disk, window uint64) []graph.Vertex {
+	return cutBlocks(d, min(BlockEntries, window), BlockEntries*graph.EntrySize)
+}
+
+// ConeRun is a run of whole cone blocks of one window's scan: the piece of
+// work a stealing cluster hands out (ConeRuns), run as one RunDealt over
+// the span Window with DealConfig.Cone = Cone.
+type ConeRun struct {
+	Window balance.Range // the window's entries
+	Index  int           // the window's index
+	Cone   balance.Range // the cone vertices [Lo, Hi), whole blocks
+	Blocks int           // how many cone blocks the run has
+}
+
+// ConeRuns cuts the scan of every window of d — ⌈|E*|/win⌉ windows of win
+// entries — into about k runs of whole cone blocks (ConeBlocks at pm = P·M,
+// the blocks a run of P runners of M entries deals), in listing order:
+// window by window, and within a window the blocks its round deals — from
+// the window's first vertex on a ranked store, whose lists name only
+// smaller ids, from vertex 0 on any other. A run closes once its lists reach
+// 1/k of all the windows' scans, so at one window it is about |E*|/k
+// entries; every window has at least one. Listed one after the other, the
+// runs of a window list what its unrestricted round does.
+func ConeRuns(d *graph.Disk, win, pm uint64, k int) []ConeRun {
+	total, n := d.Meta.AdjEntries, graph.Vertex(d.NumVertices())
+	cuts := ConeBlocks(d, pm)
+	first := func(lo uint64) graph.Vertex {
+		if d.Meta.Ranked {
+			return d.VertexAt(lo)
+		}
+		return 0
+	}
+	var scanned uint64
+	for lo := uint64(0); lo < total; lo += win {
+		scanned += total - d.Offsets[first(lo)]
+	}
+	target := max(scanned/uint64(max(k, 1)), 1)
+	var runs []ConeRun
+	for w, lo := 0, uint64(0); lo < total; w, lo = w+1, lo+win {
+		a := first(lo)
+		b := sort.Search(len(cuts)-1, func(b int) bool { return cuts[b+1] > a })
+		for a < n {
+			r := ConeRun{Window: balance.Range{Lo: lo, Hi: min(lo+win, total)}, Index: w}
+			z := a
+			for z < n && (z == a || d.Offsets[z]-d.Offsets[a] < target) {
+				b, z = b+1, cuts[b+1]
+				r.Blocks++
+			}
+			r.Cone = balance.Range{Lo: uint64(a), Hi: uint64(z)}
+			runs = append(runs, r)
+			a = z
+		}
+	}
+	return runs
+}
+
 // cutBlocks cuts the vertex ids into cone blocks: maximal runs of vertices
-// whose lists together are at most blockEntries entries and blockBytes bytes
-// of the store, so a block's bytes and any one of its lists fit a runner's
+// whose lists together are at most entries entries and bytes bytes of the
+// store, so a block's bytes and any one of its lists fit a runner's
 // buffers. A list over either bound is a block by itself and is streamed
 // through the buffers in pieces.
-func (dl *dealer) cutBlocks() []graph.Vertex {
-	d := dl.d
-	cuts := make([]graph.Vertex, 1, d.Meta.AdjEntries/dl.blockEntries*2+2)
+func cutBlocks(d *graph.Disk, maxEntries, maxBytes uint64) []graph.Vertex {
+	cuts := make([]graph.Vertex, 1, d.Meta.AdjEntries/maxEntries*2+2)
 	var entries, bytes uint64
 	for v, deg := range d.Degrees {
 		e, b := uint64(deg), uint64(deg)*graph.EntrySize
 		if d.ByteOffs != nil {
 			b = d.ByteOffs[v+1] - d.ByteOffs[v]
 		}
-		if graph.Vertex(v) > cuts[len(cuts)-1] && (entries+e > dl.blockEntries || bytes+b > dl.blockBytes) {
+		if graph.Vertex(v) > cuts[len(cuts)-1] && (entries+e > maxEntries || bytes+b > maxBytes) {
 			cuts = append(cuts, graph.Vertex(v))
 			entries, bytes = 0, 0
 		}
@@ -422,8 +518,8 @@ func (dl *dealer) blockOf(v graph.Vertex) int {
 	return sort.Search(len(dl.cuts)-1, func(b int) bool { return dl.cuts[b+1] > v })
 }
 
-// runRound loads the window [lo, hi) and scans against it every cone block
-// that can reach it.
+// runRound loads the window [lo, hi) — unless the Held window holds it —
+// and scans against it every cone block that can reach it.
 func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64) error {
 	// The per-round cancellation point; the runners look between blocks.
 	if err := ctx.Err(); err != nil {
@@ -434,37 +530,60 @@ func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64) e
 	for _, r := range dl.runners {
 		ioBefore += r.counter.Snapshot().BytesRead
 	}
-	dl.win.bound(dl.d, lo, hi)
+	held := dl.cfg.Held
+	resident := held != nil && held.Holds(dl.d, balance.Range{Lo: lo, Hi: hi})
+	switch {
+	case resident:
+		dl.win = held.w
+	case held != nil:
+		dl.win, held.loaded = held.w, false // its buffers, about to be overwritten
+		fallthrough
+	default:
+		dl.win.bound(dl.d, lo, hi)
+	}
 	// Load: the blocks holding the window's vertices, each filling its own
 	// stretch of edg and ind. Scan: on a ranked store, whose lists name only
 	// smaller ids, the lists from vlow on — none below it can reach the
-	// window; on any other, every list.
-	blocks := len(dl.cuts) - 1
-	dl.scanLow, dl.scanFrom = 0, 0
+	// window; on any other, every list; under cfg.Cone, only its lists.
+	dl.scanLow, dl.scanHigh = 0, graph.Vertex(dl.d.NumVertices())
 	if dl.d.Meta.Ranked {
 		dl.scanLow = dl.win.vlow
-		dl.scanFrom = dl.blockOf(dl.scanLow)
 	}
-	err := dl.deal(phaseLoad, dl.blockOf(dl.win.vlow), dl.blockOf(dl.win.vhigh)+1)
+	if c := dl.cfg.Cone; c.Lo < c.Hi {
+		dl.scanLow, dl.scanHigh = max(dl.scanLow, graph.Vertex(c.Lo)), min(dl.scanHigh, graph.Vertex(c.Hi))
+	}
+	dl.scanFrom = dl.blockOf(dl.scanLow)
+	dl.scanTo = dl.scanFrom
+	if dl.scanLow < dl.scanHigh {
+		dl.scanTo = dl.blockOf(dl.scanHigh-1) + 1
+	}
+	var err error
+	if !resident {
+		err = dl.deal(phaseLoad, dl.blockOf(dl.win.vlow), dl.blockOf(dl.win.vhigh)+1)
+		dl.loads++
+		if held != nil {
+			held.d, held.w, held.loaded = dl.d, dl.win, err == nil
+		}
+	}
 	if err == nil {
 		err = dl.scan()
 	}
-	dl.round++
-	dl.seq += int64(blocks - dl.scanFrom)
+	blocks := dl.scanTo - dl.scanFrom
+	dl.seq += int64(blocks)
 	var ioAfter int64
 	for _, r := range dl.runners {
 		ioAfter += r.counter.Snapshot().BytesRead
 	}
 	cur.SetAttr(span, "window_lo", int64(lo))
 	cur.SetAttr(span, "window_hi", int64(hi))
-	cur.SetAttr(span, "blocks", int64(blocks-dl.scanFrom))
+	cur.SetAttr(span, "blocks", int64(blocks))
 	cur.SetAttr(span, "io_bytes", ioAfter-ioBefore)
 	cur.End(span)
 	return err
 }
 
-// scan runs the cone blocks [scanFrom, B), from scanLow on, against the
-// loaded window. A counting round
+// scan runs the cone blocks [scanFrom, scanTo), clipped to [scanLow,
+// scanHigh), against the loaded window. A counting round
 // whose window is larger than a tile does it in two steps. The lists that
 // have to be read are read once and run against the whole window, as ever.
 // The lists the window holds cost nothing to walk again, so they are walked
@@ -476,23 +595,25 @@ func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64) e
 // of a graph with hardly a triangle) does not repay its own: after the first
 // tile that took fewer than tilePays steps per resident entry, the rest of
 // the window is one tile. The step counts are exact, so the tiling — and
-// with it CmpOps — is the same on every run. A listing round is not tiled:
-// the order of its triangles would change.
+// with it CmpOps — is the same on every run; a round restricted to a cone
+// range decides from the resident lists of that range alone. A listing
+// round is not tiled: the order of its triangles would change.
 func (dl *dealer) scan() error {
-	d, w, blocks := dl.d, dl.win, len(dl.cuts)-1
+	d, w := dl.d, dl.win
 	tile := dl.tileEntries
-	if dl.runners[0].sink != nil || uint64(len(w.edg)) <= tile || w.resLo == w.resHi {
+	resLo, resHi := max(w.resLo, dl.scanLow), min(w.resHi, dl.scanHigh)
+	if dl.runners[0].sink != nil || uint64(len(w.edg)) <= tile || resLo >= resHi {
 		dl.part = partAll
-		return dl.deal(phaseScan, dl.scanFrom, blocks)
+		return dl.deal(phaseScan, dl.scanFrom, dl.scanTo)
 	}
 	defer func() { dl.win = w }() // the next round bounds the whole of ind again
 	dl.part = partStored
-	if err := dl.deal(phaseScan, dl.scanFrom, blocks); err != nil {
+	if err := dl.deal(phaseScan, dl.scanFrom, dl.scanTo); err != nil {
 		return err
 	}
 	dl.part = partResident
-	first, last := dl.blockOf(w.resLo), dl.blockOf(w.resHi-1)+1
-	resident := d.Offsets[w.resHi] - d.Offsets[w.resLo]
+	first, last := dl.blockOf(resLo), dl.blockOf(resHi-1)+1
+	resident := d.Offsets[resHi] - d.Offsets[resLo]
 	for a := w.vlow; a <= w.vhigh; {
 		z := w.vhigh + 1
 		if end := max(d.Offsets[a], w.winLo) + tile; end < w.winHi {
@@ -721,7 +842,7 @@ func (r *dealt) scanBlocks() (graph.Vertex, error) {
 		if r.list != nil {
 			r.list.Begin(r.dl.seq + int64(b-r.dl.scanFrom))
 		}
-		if u, err := r.scanBlock(max(r.dl.cuts[b], r.dl.scanLow), r.dl.cuts[b+1]); err != nil {
+		if u, err := r.scanBlock(max(r.dl.cuts[b], r.dl.scanLow), min(r.dl.cuts[b+1], r.dl.scanHigh)); err != nil {
 			return u, err
 		}
 		r.blocks++

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"sort"
 	"testing"
 
 	"pdtl/internal/balance"
@@ -246,6 +247,91 @@ func TestDealtIOExact(t *testing.T) {
 				if got, _ := dealtListing(t, d, []balance.Range{FullRange(d)}, cfg); !bytes.Equal(got, definedListing(t, d, FullRange(d), tc.p*tc.m)) {
 					t.Errorf("id-space %+v: the listing is not the defined one", tc)
 				}
+			}
+		}
+	}
+}
+
+// TestDealtConeUnits: a round cut into runs of whole cone blocks (Cone),
+// each run against one Held window, is the unrestricted run taken apart —
+// listed one after the other the runs list the same bytes; they count the
+// same triangles with the same steps; the window is loaded once, by the
+// first run of it, which alone reports the pass; and between them they read
+// exactly what the unrestricted run reads — on both formats, ranked and in
+// id space, at one window and at several.
+func TestDealtConeUnits(t *testing.T) {
+	g, err := gen.PowerLaw(1500, 20000, 1.9, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*graph.Disk{orientedStore(t, g), compressedStore(t, g), idSpaceStore(t, g)} {
+		total := d.Meta.AdjEntries
+		for _, tc := range []struct{ p, m, block, per int }{{2, int(total), 400, 3}, {3, int(total)/9 + 1, 300, 2}, {1, int(total)/3 + 1, 500, 1}} {
+			name := fmt.Sprintf("%s ranked=%v %+v", d.Format(), d.Meta.Ranked, tc)
+			pm := uint64(tc.p * tc.m)
+			full := DealConfig{Workers: tc.p, MemEdges: tc.m, blockEntries: tc.block}
+			refList, _ := dealtListing(t, d, []balance.Range{FullRange(d)}, full)
+			ref, err := RunDealt(context.Background(), d, []balance.Range{FullRange(d)}, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The units, window-major: whole runs of tc.per blocks from the
+			// window's first vertex on (ranked) or from vertex 0.
+			cuts := cutBlocks(d, uint64(tc.block), uint64(tc.block)*graph.EntrySize)
+			type unit struct{ win, cone balance.Range }
+			var units []unit
+			for lo := uint64(0); lo < total; lo += pm {
+				first := graph.Vertex(0)
+				if d.Meta.Ranked {
+					first = d.VertexAt(lo)
+				}
+				b := sort.Search(len(cuts)-1, func(b int) bool { return cuts[b+1] > first })
+				for a := first; int(a) < d.NumVertices(); b += tc.per {
+					z := cuts[min(b+tc.per, len(cuts)-1)]
+					units = append(units, unit{balance.Range{Lo: lo, Hi: min(lo+pm, total)}, balance.Range{Lo: uint64(a), Hi: uint64(z)}})
+					a = z
+				}
+			}
+			var list []byte
+			var passes, loads int
+			var tris, steps uint64
+			var read, windowRead int64
+			counting, listing := &Window{}, &Window{}
+			for _, u := range units {
+				cfg := full
+				cfg.Cone, cfg.Held = u.cone, counting
+				resident := counting.Holds(d, u.win)
+				res, err := RunDealt(context.Background(), d, []balance.Range{u.win}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p := res.Runners[0].Passes; (p == 0) != resident || (resident && res.WindowIO.BytesRead != 0) {
+					t.Fatalf("%s: a run of a window held %v reports %d passes and reads %d bytes of window", name, resident, p, res.WindowIO.BytesRead)
+				}
+				passes += res.Runners[0].Passes
+				windowRead += res.WindowIO.BytesRead
+				for _, st := range res.Runners {
+					tris, steps, read = tris+st.Triangles, steps+st.CmpOps, read+st.IO.BytesRead
+				}
+				cfg.Held = listing
+				part, stats := dealtListing(t, d, []balance.Range{u.win}, cfg)
+				list = append(list, part...)
+				loads += stats[0].Passes
+			}
+			if rounds := int((total + pm - 1) / pm); passes != rounds || loads != rounds {
+				t.Errorf("%s: the runs loaded %d and %d windows, want %d", name, passes, loads, rounds)
+			}
+			if !bytes.Equal(list, refList) {
+				t.Errorf("%s: the runs list %d bytes, the whole run %d, or they differ", name, len(list), len(refList))
+			}
+			var wantTris, wantSteps uint64
+			var wantRead int64
+			for _, st := range ref.Runners {
+				wantTris, wantSteps, wantRead = wantTris+st.Triangles, wantSteps+st.CmpOps, wantRead+st.IO.BytesRead
+			}
+			if tris != wantTris || steps != wantSteps || read != wantRead || windowRead != ref.WindowIO.BytesRead {
+				t.Errorf("%s: the runs count %d triangles in %d steps reading %d + %d bytes; the whole run %d, %d, %d + %d",
+					name, tris, steps, read, windowRead, wantTris, wantSteps, wantRead, ref.WindowIO.BytesRead)
 			}
 		}
 	}

@@ -1,27 +1,28 @@
 // Package sched is the chunk scheduler of the PDTL cluster: it decides how
-// the load-balance plan's edge ranges reach the nodes.
+// the work of a run reaches the nodes.
 //
 // The paper binds every one of the N·P processors to one contiguous edge
 // range up front (Section IV-B) and names "different techniques of load
 // balancing" as future work (Section VI). That static binding makes the
 // slowest node — the "struggler" — gate the whole calculation whenever
 // the cost model misjudges a range, which it does on skewed degree
-// distributions. This package implements the dynamic alternative: the plan
-// is cut into K·P weighted chunks per node (reusing the balancer's
-// in-degree/cost weights, so every chunk carries roughly 1/K of a
-// processor's expected work), the master's Dispenser hands batches of
-// chunks to the nodes, and whichever node finishes early simply takes the
-// next batch — the work-stealing discipline that engineering studies of
-// distributed triangle counting identify as the decisive factor on skewed
-// inputs. Inside a node nothing is scheduled here: its runners share one
-// window and are dealt cone blocks (mgt.RunDealt), which balances a round to
-// a few thousand entries with no cost model at all.
+// distributions. This package implements the dynamic alternative: the
+// master's Dispenser hands units of work to the nodes on demand, and
+// whichever node finishes early simply takes the next one — the
+// work-stealing discipline that engineering studies of distributed triangle
+// counting identify as the decisive factor on skewed inputs. A stealing unit
+// is what a node's own runners are dealt: a run of cone blocks against one
+// window of P·M entries (about K units per processor; the cluster package
+// cuts them), which a node keeps loaded from one unit to the next. Inside a
+// node nothing is scheduled here: its runners share that window and are dealt
+// the unit's blocks (mgt.RunDealt), which balances a round to a few thousand
+// entries with no cost model at all.
 //
-// The scheduler never changes what is computed: chunks partition the same
-// global edge range a static plan covers, every triangle is still reported
-// exactly once by the chunk holding its pivot edge, and chunk-indexed
-// outputs keep listings deterministic even though the chunk→node
-// assignment is not.
+// The scheduler never changes what is computed: the units partition the
+// scan of every window exactly once, every triangle is still reported
+// exactly once by the window holding its pivot edge and the block holding
+// its cone vertex, and index-ordered outputs keep listings deterministic even
+// though the unit→node assignment is not.
 package sched
 
 import (
@@ -29,7 +30,6 @@ import (
 	"fmt"
 	"sync"
 
-	"pdtl/internal/balance"
 	"pdtl/internal/mgt"
 )
 
@@ -41,9 +41,9 @@ const (
 	// one contiguous range for the whole run (the load-balance ablation
 	// baseline).
 	Static Mode = iota
-	// Stealing cuts the plan into K·P weighted chunks per node and lets the
-	// nodes draw them in batches — an early finisher takes the next batch
-	// instead of idling behind the struggler.
+	// Stealing cuts the scan of every window into about K units per
+	// processor and lets the nodes draw them one by one — an early finisher
+	// takes the next unit instead of idling behind the struggler.
 	Stealing
 )
 
@@ -72,14 +72,15 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // DefaultChunksPerWorker is the default K of the stealing scheduler: each
-// runner's expected share is split into K chunks, so the worst-case idle
-// tail (one runner stuck with the final chunk while the rest drain) is
-// bounded by ~1/K of a runner's work. 8 keeps per-chunk overhead (window
-// realignment, one extra partial pass per chunk boundary) negligible while
-// already flattening the 2–3× stragglers the paper's Figure 9 measures.
+// runner's share of the scan is split into K units, so the worst-case idle
+// tail (one node stuck with the final unit while the rest drain) is bounded
+// by ~1/K of a runner's work. A unit costs one Count and no window load on a
+// node that holds its window already, so 8 keeps the per-unit overhead
+// negligible while already flattening the 2–3× stragglers the paper's
+// Figure 9 measures.
 const DefaultChunksPerWorker = 8
 
-// ChunksFor returns the chunk count K·P for a pool of `workers` runners and
+// ChunksFor returns the unit count K·P for a pool of `workers` runners and
 // a chunks-per-worker factor (non-positive selects DefaultChunksPerWorker).
 func ChunksFor(workers, perWorker int) int {
 	if perWorker <= 0 {
@@ -140,9 +141,9 @@ const NoExclude = -1
 // the dead node's would have — reassignment never perturbs the
 // chunk-ordered output. exclude is the slot of the node that failed the
 // batch; NextBatch never hands the batch back to it.
-type redo struct {
+type redo[T any] struct {
 	start   int
-	chunks  []balance.Range
+	chunks  []T
 	retries int
 	exclude int
 }
@@ -167,12 +168,12 @@ type redo struct {
 // claims it through the same NextBatch path. The dispenser knows which
 // batches are still out, so an idle driver waits in NextBatch for exactly
 // as long as a failure could still hand it work, and no longer.
-type Dispenser struct {
+type Dispenser[T any] struct {
 	mu       sync.Mutex
-	chunks   []balance.Range
+	chunks   []T
 	next     int
-	own      []redo // own[slot] is the group pre-assigned to slot; chunks nil once claimed or released
-	requeued []redo
+	own      []redo[T] // own[slot] is the group pre-assigned to slot; chunks nil once claimed or released
+	requeued []redo[T]
 	// out counts the batches that can still come back: claimed and neither
 	// completed nor requeued, plus pre-assigned groups not yet claimed.
 	out     int
@@ -184,20 +185,20 @@ type Dispenser struct {
 
 // NewDispenser creates a stealing dispenser: every chunk is claimable by
 // any slot, in list order.
-func NewDispenser(chunks []balance.Range) *Dispenser {
-	return &Dispenser{chunks: chunks, wake: make(chan struct{})}
+func NewDispenser[T any](chunks []T) *Dispenser[T] {
+	return &Dispenser[T]{chunks: chunks, wake: make(chan struct{})}
 }
 
 // NewPreassigned creates a static dispenser: groups[slot] — consecutive
 // slices of one plan, as balance.Plan.Subdivide returns them — is handed
 // whole to that slot and to nobody else, keyed by the global index of its
 // first range.
-func NewPreassigned(groups [][]balance.Range) *Dispenser {
-	d := &Dispenser{own: make([]redo, len(groups)), wake: make(chan struct{})}
+func NewPreassigned[T any](groups [][]T) *Dispenser[T] {
+	d := &Dispenser[T]{own: make([]redo[T], len(groups)), wake: make(chan struct{})}
 	start := 0
 	for slot, g := range groups {
 		if len(g) > 0 {
-			d.own[slot] = redo{start: start, chunks: g, exclude: NoExclude}
+			d.own[slot] = redo[T]{start: start, chunks: g, exclude: NoExclude}
 			d.out++
 		}
 		start += len(g)
@@ -217,7 +218,7 @@ func NewPreassigned(groups [][]balance.Range) *Dispenser {
 // failure may yet requeue it — and returns an empty batch only when none
 // is, when the dispenser is stopped, or when ctx is cancelled. Every
 // non-empty claim must be finished with exactly one Done or Requeue.
-func (d *Dispenser) NextBatch(ctx context.Context, n, slot int) (start int, batch []balance.Range, retries int) {
+func (d *Dispenser[T]) NextBatch(ctx context.Context, n, slot int) (start int, batch []T, retries int) {
 	if n < 1 {
 		n = 1
 	}
@@ -246,7 +247,7 @@ func (d *Dispenser) NextBatch(ctx context.Context, n, slot int) (start int, batc
 }
 
 // claimLocked takes the next batch claimable by slot, if any.
-func (d *Dispenser) claimLocked(n, slot int) (redo, bool) {
+func (d *Dispenser[T]) claimLocked(n, slot int) (redo[T], bool) {
 	if slot >= 0 && slot < len(d.own) && d.own[slot].chunks != nil {
 		r := d.own[slot]
 		d.own[slot].chunks = nil
@@ -272,14 +273,14 @@ func (d *Dispenser) claimLocked(n, slot int) (redo, bool) {
 		start := d.next
 		d.next = min(start+n, len(d.chunks))
 		d.out++
-		return redo{start: start, chunks: d.chunks[start:d.next]}, true
+		return redo[T]{start: start, chunks: d.chunks[start:d.next]}, true
 	}
-	return redo{}, false
+	return redo[T]{}, false
 }
 
 // Done reports that a claimed batch completed. The completion of the last
 // batch out releases every driver waiting in NextBatch.
-func (d *Dispenser) Done() {
+func (d *Dispenser[T]) Done() {
 	d.mu.Lock()
 	d.out--
 	if d.out == 0 {
@@ -292,12 +293,12 @@ func (d *Dispenser) Done() {
 // names the node slot that failed it (NoExclude to allow any node); retries
 // is the batch's new reassignment count, returned verbatim by the NextBatch
 // that re-claims it so the claimer can enforce the retry bound.
-func (d *Dispenser) Requeue(start int, chunks []balance.Range, retries, exclude int) {
+func (d *Dispenser[T]) Requeue(start int, chunks []T, retries, exclude int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.out--
 	if !d.stopped && len(chunks) > 0 {
-		d.requeued = append(d.requeued, redo{start: start, chunks: chunks, retries: retries, exclude: exclude})
+		d.requeued = append(d.requeued, redo[T]{start: start, chunks: chunks, retries: retries, exclude: exclude})
 	}
 	d.signalLocked()
 }
@@ -306,7 +307,7 @@ func (d *Dispenser) Requeue(start int, chunks []balance.Range, retries, exclude 
 // could take any work. A group pre-assigned to the slot is released to the
 // others as a first reassignment; under stealing there is nothing to
 // release.
-func (d *Dispenser) Retire(slot int) {
+func (d *Dispenser[T]) Retire(slot int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if slot < 0 || slot >= len(d.own) || d.own[slot].chunks == nil {
@@ -322,7 +323,7 @@ func (d *Dispenser) Retire(slot int) {
 	d.signalLocked()
 }
 
-func (d *Dispenser) signalLocked() {
+func (d *Dispenser[T]) signalLocked() {
 	close(d.wake)
 	d.wake = make(chan struct{})
 }
@@ -332,7 +333,7 @@ func (d *Dispenser) signalLocked() {
 // when a run is lost, the healthy nodes must not spend hours computing a
 // result the master will discard; they finish their in-flight batch and
 // find the dispenser empty.
-func (d *Dispenser) Stop() {
+func (d *Dispenser[T]) Stop() {
 	d.mu.Lock()
 	d.next = len(d.chunks)
 	d.requeued = nil
@@ -347,7 +348,7 @@ func (d *Dispenser) Stop() {
 // Remaining reports how many chunks are still unclaimed: fresh, requeued,
 // and pre-assigned. Once every driver has returned it must be zero — the
 // master checks exactly that before it folds.
-func (d *Dispenser) Remaining() int {
+func (d *Dispenser[T]) Remaining() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := len(d.chunks) - d.next

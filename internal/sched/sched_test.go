@@ -242,7 +242,7 @@ func TestDispenserWaiters(t *testing.T) {
 	type claim struct{ start, n, retries int }
 	// wait starts slot's NextBatch on a dispenser whose only batch is out
 	// and checks it is really blocked before the release under test.
-	wait := func(t *testing.T, ctx context.Context, d *Dispenser, slot int) <-chan claim {
+	wait := func(t *testing.T, ctx context.Context, d *Dispenser[balance.Range], slot int) <-chan claim {
 		t.Helper()
 		if s, b, _ := d.NextBatch(ctx, 2, 1); s != 0 || len(b) != 2 {
 			t.Fatalf("setup claim start=%d len=%d", s, len(b))

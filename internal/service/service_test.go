@@ -544,3 +544,28 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestServerRefusesStealingBuffered: a distributed count asking for
+// -sched stealing with -scan buffered — a pair that does not combine — is
+// answered 400 with an error naming the pair, before anything runs or is
+// cached.
+func TestServerRefusesStealingBuffered(t *testing.T) {
+	base := genStore(t, 8, 10)
+	svc := New(Config{RunSlots: 2, QueueDepth: 8, ClusterAddrs: []string{"127.0.0.1:1"}})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	client := ts.Client()
+	postJSON(t, client, ts.URL+"/v1/graphs", registerRequest{Name: "g", Base: base}, http.StatusCreated)
+	reply := getJSON(t, client, ts.URL+"/v1/graphs/g/count?distributed=1&sched=stealing&scan=buffered", http.StatusBadRequest)
+	if msg, _ := reply["error"].(string); !strings.Contains(msg, "-sched stealing does not combine with -scan buffered") {
+		t.Errorf("error = %q, want one naming the pair", msg)
+	}
+	e, err := svc.Registry().Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs, cached := e.Graph().Runs(), e.CachedResults(); runs != 0 || cached != 0 {
+		t.Errorf("the refused request ran %d times and cached %d results", runs, cached)
+	}
+}

@@ -121,7 +121,7 @@ func (o Options) Key() (string, error) {
 	}
 	chunks := 0
 	if copt.Sched == sched.Stealing {
-		chunks = sched.ChunksFor(workers, copt.Chunks)
+		chunks = sched.ChunksFor(workers, o.Chunks)
 	}
 	store := copt.Store
 	if store == "" {
@@ -159,7 +159,6 @@ func (o Options) toCore() (core.Options, error) {
 		Scan:     scanKind,
 		Kernel:   kernelKind,
 		Sched:    schedMode,
-		Chunks:   o.Chunks,
 		Store:    format,
 	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pdtl/internal/mgt"
@@ -153,6 +154,34 @@ func TestHandleStealingTriangleDegrees(t *testing.T) {
 	for v := range staticDeg {
 		if staticDeg[v] != stealDeg[v] {
 			t.Fatalf("vertex %d: static degree %d, stealing %d", v, staticDeg[v], stealDeg[v])
+		}
+	}
+}
+
+// TestClusterRefusesStealingBuffered: -sched stealing with -scan buffered is
+// refused by ClusterOptions.Key and by CountDistributed, with one error
+// naming the pair, before the handle runs or orients anything.
+func TestClusterRefusesStealingBuffered(t *testing.T) {
+	g, err := Open(stealStore(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	opt := ClusterOptions{Sched: "stealing", ScanSource: "buffered"}
+	const pair = "-sched stealing does not combine with -scan buffered"
+	if _, err := opt.Key(nil); err == nil || !strings.Contains(err.Error(), pair) {
+		t.Errorf("Key = %v, want an error naming the pair", err)
+	}
+	if _, err := g.CountDistributed(context.Background(), nil, opt); err == nil || !strings.Contains(err.Error(), pair) {
+		t.Errorf("CountDistributed = %v, want an error naming the pair", err)
+	}
+	if g.Runs() != 0 {
+		t.Errorf("the refused run counted as %d runs", g.Runs())
+	}
+	for _, source := range []string{"", "auto"} {
+		opt.ScanSource = source
+		if _, err := opt.Key(nil); err != nil {
+			t.Errorf("scan %q: %v", source, err)
 		}
 	}
 }
