@@ -38,9 +38,10 @@ import (
 // ErrClosed is returned by every method of a closed Graph handle.
 var ErrClosed = errors.New("pdtl: graph handle is closed")
 
-// triangleIterBuf is the channel depth between the runners and a Triangles
-// consumer; it only smooths bursts, correctness never depends on it.
-const triangleIterBuf = 1024
+// triangleBatch is how many triangles a Triangles runner hands its consumer
+// at once (24 KiB): the hand-over between goroutines is paid per batch, not
+// per triangle. Correctness never depends on it.
+const triangleBatch = 2048
 
 // planKey identifies one cached load-balance plan: everything
 // balance.PlanStore's result depends on besides the logical graph.
@@ -482,6 +483,10 @@ func createExclusive(dir, prefix string, mode os.FileMode) (*os.File, error) {
 // file handle is torn down before the loop statement completes. A break is
 // not an error; a cancelled ctx or a failed run is, and surfaces through
 // the returned error function.
+//
+// The order is unspecified across workers: each runner hands its triangles
+// over triangleBatch at a time, so the consumer sees one runner's triangles
+// in runs of that length, interleaved with the other runners' runs.
 func (g *Graph) Triangles(ctx context.Context, opt Options) (iter.Seq[[3]uint32], func() error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -491,30 +496,54 @@ func (g *Graph) Triangles(ctx context.Context, opt Options) (iter.Seq[[3]uint32]
 		runErr = nil
 		runCtx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		ch := make(chan [3]uint32, triangleIterBuf)
+		opt := opt
+		opt.Workers = opt.resolveWorkers()
+		// 2·P+2 batches circulate: one filling in each runner, the rest
+		// queued for or held by the consumer. full can hold them all, so a
+		// send never waits; a runner whose consumer lags waits on free.
+		nbuf := 2*opt.Workers + 2
+		free := make(chan [][3]uint32, nbuf)
+		full := make(chan [][3]uint32, nbuf)
+		for range nbuf {
+			free <- nil // allocated on first use
+		}
+		batchers := make([]*triangleBatcher, opt.Workers)
+		sinks := make([]mgt.Sink, opt.Workers)
+		for i := range sinks {
+			b := &triangleBatcher{done: runCtx.Done(), free: free, full: full}
+			batchers[i], sinks[i] = b, b
+		}
 		done := make(chan error, 1)
 		go func() {
-			_, err := g.ForEach(runCtx, opt, func(u, v, w uint32) {
-				select {
-				case ch <- [3]uint32{u, v, w}:
-				case <-runCtx.Done():
+			_, err := g.run(runCtx, opt, emit{sinks: sinks})
+			if err == nil {
+				// The runners are done with their batchers: hand over
+				// what each has left.
+				for _, b := range batchers {
+					if len(b.buf) > 0 {
+						b.send()
+					}
 				}
-			})
-			close(ch)
+			}
+			close(full)
 			done <- err
 		}()
 		broke := false
-		for t := range ch {
-			if !yield(t) {
-				broke = true
-				cancel()
-				break
+	consume:
+		for b := range full {
+			for _, t := range b {
+				if !yield(t) {
+					broke = true
+					cancel()
+					break consume
+				}
 			}
+			free <- b[:0]
 		}
 		if broke {
-			// Drain so no runner stays blocked on a send between the
-			// cancellation and its next per-window context check.
-			for range ch {
+			// Wait for the producer to close full, dropping what it
+			// still queues.
+			for range full {
 			}
 		}
 		err := <-done
@@ -525,6 +554,46 @@ func (g *Graph) Triangles(ctx context.Context, opt Options) (iter.Seq[[3]uint32]
 		runErr = err
 	}
 	return seq, func() error { return runErr }
+}
+
+// triangleBatcher is one runner's sink in a Triangles stream: it fills a
+// batch taken from free and queues it on full once it holds triangleBatch
+// triangles. Sink i of a run is only ever called by runner i, one call
+// after another (mgt.RunDealt's and core.RunRanges' runners each own their
+// sink), so buf needs no lock. Every wait also selects on done: a torn-down
+// run drops what it still finds.
+type triangleBatcher struct {
+	done       <-chan struct{}
+	free, full chan [][3]uint32
+	buf        [][3]uint32
+}
+
+// Triangle implements mgt.Sink.
+func (b *triangleBatcher) Triangle(u, v, w uint32) {
+	if b.buf == nil {
+		select {
+		case b.buf = <-b.free:
+		case <-b.done:
+			return
+		}
+		if b.buf == nil {
+			b.buf = make([][3]uint32, 0, triangleBatch)
+		}
+	}
+	b.buf = append(b.buf, [3]uint32{u, v, w})
+	if len(b.buf) == triangleBatch {
+		b.send()
+	}
+}
+
+// send queues the batch for the consumer.
+func (b *triangleBatcher) send() {
+	select {
+	case b.full <- b.buf:
+		b.buf = nil
+	case <-b.done:
+		b.buf = b.buf[:0]
+	}
 }
 
 // maxShardEntries caps the total uint64 counters TriangleDegrees allocates

@@ -207,6 +207,113 @@ func TestHandleTrianglesEarlyBreakNoLeak(t *testing.T) {
 	}
 }
 
+// tripleOrder sorts a listing whose triples are each u ≺ v ≺ w.
+func tripleOrder(a, b [3]uint32) int { return slices.Compare(a[:], b[:]) }
+
+// TestTrianglesMatchForEach: the iterator yields exactly ForEach's multiset,
+// in the input's ids, whether every runner's triangles fit in its one
+// partial batch or span many full ones.
+func TestTrianglesMatchForEach(t *testing.T) {
+	small, err := gen.ErdosRenyi(200, 1500, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := gen.RMAT(11, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		g       *graph.CSR
+		batches func(n int) bool
+	}{
+		{"partial", small, func(n int) bool { return n < triangleBatch }},
+		{"many", large, func(n int) bool { return n > 8*triangleBatch }},
+	} {
+		var want [][3]uint32
+		baseline.ForwardList(tc.g, func(u, v, w graph.Vertex) { want = append(want, [3]uint32{u, v, w}) })
+		if !tc.batches(len(want)) {
+			t.Fatalf("%s: %d triangles do not exercise the intended batch path", tc.name, len(want))
+		}
+		want = sortedSet(want)
+		h := openStore(t, tempStore(t, tc.g, tc.name))
+		for _, workers := range []int{1, 2, 4} {
+			opt := Options{Workers: workers, MemEdges: 4096}
+			var mu sync.Mutex
+			var each [][3]uint32
+			if _, err := h.ForEach(ctx, opt, func(u, v, w uint32) {
+				mu.Lock()
+				each = append(each, [3]uint32{u, v, w})
+				mu.Unlock()
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var iterated [][3]uint32
+			seq, errf := h.Triangles(ctx, opt)
+			for tri := range seq {
+				iterated = append(iterated, tri)
+			}
+			if err := errf(); err != nil {
+				t.Fatalf("%s P=%d: %v", tc.name, workers, err)
+			}
+			slices.SortFunc(each, tripleOrder)
+			slices.SortFunc(iterated, tripleOrder)
+			if !slices.Equal(iterated, each) {
+				t.Errorf("%s P=%d: Triangles gave %d triangles, ForEach %d, not the same multiset", tc.name, workers, len(iterated), len(each))
+			}
+			if !slices.Equal(sortedSet(iterated), want) {
+				t.Errorf("%s P=%d: Triangles is not the input's %d triangles in its own ids", tc.name, workers, len(want))
+			}
+		}
+	}
+}
+
+// TestTrianglesCallerCancel cancels the caller's ctx mid-iteration and keeps
+// consuming: the loop ends, errf reports context.Canceled, and the goroutine
+// count settles back to its baseline.
+func TestTrianglesCallerCancel(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "rmat")
+	if _, err := GenerateRMAT(base, 11, 16, 5); err != nil {
+		t.Fatal(err)
+	}
+	g := openStore(t, base)
+	total, err := g.Count(context.Background(), Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// More than the 2·P+2 batches that circulate can hold: the run cannot
+	// finish before the consumer hands a batch back.
+	if total.Triangles <= (2*4+2)*triangleBatch {
+		t.Fatalf("%d triangles: too few to cancel mid-run", total.Triangles)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		seq, errf := g.Triangles(ctx, Options{Workers: 4, MemEdges: 256})
+		var n uint64
+		for range seq {
+			if n++; n == 10 {
+				cancel()
+			}
+		}
+		cancel()
+		if err := errf(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("errf() = %v after cancelling the caller's ctx, want context.Canceled", err)
+		}
+		if n >= total.Triangles {
+			t.Fatalf("iterated all %d triangles despite the cancel", n)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d, baseline %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestHandleListWriter(t *testing.T) {
 	g6, err := gen.TriGrid(5, 5)
 	if err != nil {
@@ -736,4 +843,35 @@ func TestHandleRejectsSharedScan(t *testing.T) {
 	if g.Runs() != 0 {
 		t.Errorf("%d runs started", g.Runs())
 	}
+}
+
+// BenchmarkTriangles times the iterator end to end on an RMAT-12 store: the
+// engine plus the hand-over of every triangle to the consumer's goroutine.
+func BenchmarkTriangles(b *testing.B) {
+	base := filepath.Join(b.TempDir(), "rmat")
+	if _, err := GenerateRMAT(base, 12, 16, 5); err != nil {
+		b.Fatal(err)
+	}
+	g := openStore(b, base)
+	opt := Options{Workers: 2}
+	// Orient once, outside the timed loop.
+	res, err := g.Count(context.Background(), opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for range b.N {
+		seq, errf := g.Triangles(context.Background(), opt)
+		var n uint64
+		for range seq {
+			n++
+		}
+		if err := errf(); err != nil {
+			b.Fatal(err)
+		}
+		if n != res.Triangles {
+			b.Fatalf("iterated %d triangles, want %d", n, res.Triangles)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*res.Triangles), "ns/triangle")
 }

@@ -18,8 +18,9 @@ func genStore(t *testing.T, scale uint, seed int64) string {
 }
 
 // genStoreEF is genStore with an explicit edge factor. The blocking-stream
-// tests need stores whose NDJSON listing far exceeds the iterator channel
-// plus HTTP buffering, so a paused client reliably wedges the run.
+// tests need stores whose NDJSON listing far exceeds the iterator's
+// circulating batches plus HTTP buffering, so a paused client reliably
+// wedges the run.
 func genStoreEF(t *testing.T, scale uint, edgeFactor int, seed int64) string {
 	t.Helper()
 	base := filepath.Join(t.TempDir(), fmt.Sprintf("rmat%d-%d", scale, seed))

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -379,6 +380,81 @@ func TestServerStreamLimit(t *testing.T) {
 		}
 	}
 	waitFor(t, func() bool { return svc.adm.InUse() == 0 })
+	// A stream its own limit ended is short of the listing, not a failed
+	// run.
+	if got := svc.Metrics().RunsFailed.Load(); got != 0 {
+		t.Errorf("RunsFailed = %d, want 0", got)
+	}
+	if got := svc.Metrics().StreamsBroken.Load(); got != 1 {
+		t.Errorf("StreamsBroken = %d, want 1", got)
+	}
+}
+
+// TestServerStreamLimitAcrossBatches: a limit far past one batch and one
+// 64 KiB write buffer still ends the stream on exactly that many valid,
+// distinct lines.
+func TestServerStreamLimitAcrossBatches(t *testing.T) {
+	base := genStoreEF(t, 11, 16, 5)
+	svc := New(Config{})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	client := ts.Client()
+	postJSON(t, client, ts.URL+"/v1/graphs", registerRequest{Name: "g", Base: base}, http.StatusCreated)
+	c := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2", http.StatusOK)
+	if n := c["triangles"].(float64); n <= 10000 {
+		t.Fatalf("store has %v triangles, want > 10000", n)
+	}
+
+	const limit = 5000
+	resp, err := client.Get(ts.URL + "/v1/graphs/g/triangles?limit=5000&workers=2&mem=4096")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+	if len(lines) != limit {
+		t.Fatalf("limit=%d returned %d lines", limit, len(lines))
+	}
+	seen := make(map[[3]uint32]bool, limit)
+	for _, line := range lines {
+		var tri struct{ U, V, W uint32 }
+		if err := json.Unmarshal([]byte(line), &tri); err != nil {
+			t.Fatalf("bad line %q: %v", line, err)
+		}
+		k := [3]uint32{tri.U, tri.V, tri.W}
+		if seen[k] || tri.U == tri.V || tri.V == tri.W || tri.U == tri.W {
+			t.Fatalf("line %q repeats a triangle or a vertex", line)
+		}
+		seen[k] = true
+	}
+	waitFor(t, func() bool { return svc.adm.InUse() == 0 })
+}
+
+// TestAppendTriangleLine: the encoder writes the bytes the fmt format
+// {"u":%d,"v":%d,"w":%d}\n does.
+func TestAppendTriangleLine(t *testing.T) {
+	ts := [][3]uint32{{0, 0, 0}, {1, 1, 1}, {0, 1, 4294967295}, {4294967295, 4294967295, 4294967295}}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 1000 {
+		ts = append(ts, [3]uint32{rng.Uint32(), rng.Uint32() >> rng.UintN(32), rng.Uint32N(10)})
+	}
+	var buf []byte
+	for _, tri := range ts {
+		want := fmt.Sprintf("{\"u\":%d,\"v\":%d,\"w\":%d}\n", tri[0], tri[1], tri[2])
+		buf = appendTriangleLine(buf[:0], tri)
+		if string(buf) != want {
+			t.Fatalf("appendTriangleLine(%v) = %q, want %q", tri, buf, want)
+		}
+	}
+	// It appends.
+	if got := string(appendTriangleLine([]byte("x"), [3]uint32{1, 2, 3})); got != "x{\"u\":1,\"v\":2,\"w\":3}\n" {
+		t.Errorf("appendTriangleLine kept no prefix: %q", got)
+	}
 }
 
 func TestServerAdmissionShedsWhenFull(t *testing.T) {
