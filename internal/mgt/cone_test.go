@@ -37,29 +37,49 @@ func recordRange(t *testing.T, r *Runner, rng balance.Range) ([]triple, Stats) {
 // ascending — small and large cone vertices alike. steps is what the
 // default routine may spend on it: per cone vertex with a pivot source in
 // the window (and per hub a round scans regardless — on a ranked store, one
-// from the window's first vertex on), one stamp per entry of N(u) and one
-// probe per entry of every in-window Ev.
+// from the window's first vertex on), one step per entry of N(u), stamped or
+// checked, and per pivot source v at position j of N(u) either j bit tests
+// — on a ranked store, when j ≤ |Ev| and the window's Ev has a bitset: it is
+// ascending and a header word plus a bit per id of its span take at most
+// half a word per entry — or one probe per entry of Ev. A hub that arrives
+// in pieces always probes.
 func windowOrder(csr *graph.CSR, rng balance.Range, mem int, ranked bool) (out []triple, steps uint64) {
 	for pos := rng.Lo; pos < rng.Hi; pos += uint64(mem) {
 		end := min(pos+uint64(mem), rng.Hi)
+		ev := func(v graph.Vertex) []graph.Vertex {
+			lo := max(csr.Offsets[v], pos)
+			return csr.Adj[lo:max(min(csr.Offsets[v+1], end), lo)]
+		}
+		dense := func(v graph.Vertex) bool {
+			e := ev(v)
+			return ranked && len(e) > 0 && slices.IsSorted(e) && 2*(1+(uint64(e[len(e)-1]-e[0])+64)/64) <= uint64(len(e))
+		}
 		first := 0
 		if ranked {
 			first = sort.Search(csr.NumVertices(), func(v int) bool { return csr.Offsets[v+1] > pos })
 		}
 		for u := first; u < csr.NumVertices(); u++ {
 			nu := csr.Neighbors(graph.Vertex(u))
-			var probes uint64
-			for _, v := range nu {
-				lo, hi := max(csr.Offsets[v], pos), min(csr.Offsets[v+1], end)
-				for i := lo; i < hi; i++ {
-					probes++
-					if _, ok := slices.BinarySearch(nu, csr.Adj[i]); ok {
-						out = append(out, triple{graph.Vertex(u), v, csr.Adj[i]})
+			var probes, tests uint64
+			for j, v := range nu {
+				e := ev(v)
+				for _, w := range e {
+					if _, ok := slices.BinarySearch(nu, w); ok {
+						out = append(out, triple{graph.Vertex(u), v, w})
 					}
 				}
+				probes += uint64(len(e))
+				if dense(v) && j <= len(e) {
+					tests += uint64(j)
+				} else {
+					tests += uint64(len(e))
+				}
 			}
-			if len(nu) > mem || (len(nu) >= 2 && probes > 0) {
+			switch {
+			case len(nu) > mem:
 				steps += uint64(len(nu)) + probes
+			case len(nu) >= 2 && probes > 0:
+				steps += uint64(len(nu)) + tests
 			}
 		}
 	}
@@ -71,7 +91,7 @@ func windowOrder(csr *graph.CSR, rng balance.Range, mem int, ranked bool) (out [
 // triangle sequences on the plain pass and the header-pruned compressed
 // pass, for one window, 48 windows and windows one entry short of the
 // largest out-list (the hub arrives in segments), counting and listing —
-// and its step count is exactly stamps + probes.
+// and its step count is exactly stamps (or checks) + probes + bit tests.
 func TestConeOrderAndCost(t *testing.T) {
 	g, err := gen.PowerLaw(1200, 12000, 1.9, 9)
 	if err != nil {
@@ -122,7 +142,7 @@ func TestConeOrderAndCost(t *testing.T) {
 					t.Errorf("%s: default %+v and merge %+v intersected different pairs", label(), ast, mst)
 				}
 				if ast.CmpOps != steps {
-					t.Errorf("%s: default took %d steps, stamps + probes are %d", label(), ast.CmpOps, steps)
+					t.Errorf("%s: default took %d steps, stamps + probes + bit tests are %d", label(), ast.CmpOps, steps)
 				}
 				if ast.IO.BytesRead != mst.IO.BytesRead {
 					t.Errorf("%s: default read %d bytes, merge %d", label(), ast.IO.BytesRead, mst.IO.BytesRead)

@@ -55,6 +55,17 @@ const TileEntries = 256 << 10
 // six stores beside what tiling did to each).
 const tilePays = 8
 
+// arenaShare and minArenaWords size the bitset arena of a run of several
+// rounds (dealer.load): room for at least one word per arenaShare window
+// entries — an eighth of the window's own bytes — and at least
+// minArenaWords, so that a small window builds every bitset it measures
+// (they take at most half a word per entry). EXPERIMENTS.md "Dense window
+// lists" has what the benchmark's stores need.
+const (
+	arenaShare    = 16
+	minArenaWords = 4 << 10
+)
+
 // DealConfig parameterizes a cooperative run.
 type DealConfig struct {
 	// Workers is P, the number of runners sharing the window.
@@ -84,10 +95,13 @@ type DealConfig struct {
 
 	// In tests: blockEntries overrides BlockEntries (lists a few dozen
 	// entries long then arrive in pieces), tileEntries TileEntries,
-	// afterBlock runs between a runner's blocks.
+	// arenaWords the bitset arena's least size, afterBlock runs between a
+	// runner's blocks, and markOnly builds no bitsets.
 	blockEntries int
 	tileEntries  int
+	arenaWords   int
 	afterBlock   func()
+	markOnly     bool
 }
 
 // dealer is the state the runners of a cooperative run share.
@@ -102,6 +116,14 @@ type dealer struct {
 	blockEntries, blockBytes uint64
 	cuts                     []graph.Vertex
 	tileEntries              uint64
+	// bitsets: a round gives its dense window lists bitsets (a ranked store
+	// under KernelAuto), in an arena sized once per run (arenaSized), to at
+	// least arenaWords words. slots[b] is, once load block b is loaded, how
+	// many words its bitsets take, then where they begin (0: not built).
+	bitsets    bool
+	arenaWords uint64
+	arenaSized bool
+	slots      []uint64
 
 	// The round in progress: its window (filled by the load phase, read by
 	// the scan phase), and the cursor blocks are dealt from. loads counts the
@@ -155,8 +177,9 @@ var errCancelled = errors.New("mgt: run cancelled")
 type phase int
 
 const (
-	phaseLoad phase = iota // fill the window
-	phaseScan              // run the cone blocks against it
+	phaseLoad  phase = iota // fill the window
+	phaseBuild              // write its bitsets
+	phaseScan               // run the cone blocks against it
 )
 
 // dealt is one runner of a cooperative run: its cone state — the copy of the
@@ -179,6 +202,7 @@ type dealt struct {
 	// bounded it — and nmp, the current cone vertex's N+(u).
 	window
 	nmp []graph.Vertex
+	at  []int // beside nmp: where each of its vertices sits in N(u) (coneDense)
 
 	// mark is the direct-addressed membership array of the current cone
 	// vertex, one entry per vertex id of the store: mark[w] == epoch iff
@@ -298,6 +322,9 @@ func newDealer(d *graph.Disk, cfg DealConfig) (*dealer, error) {
 	}
 	budget := uint64(cfg.Workers) * uint64(cfg.MemEdges)
 	dl := &dealer{d: d, cfg: cfg, blockEntries: min(BlockEntries, budget), blockBytes: BlockEntries * graph.EntrySize, tileEntries: TileEntries}
+	// Bitsets need lists that name only smaller ids, and a routine that
+	// stamps.
+	dl.bitsets = d.Meta.Ranked && kernel == KernelAuto && !cfg.markOnly
 	if cfg.blockEntries > 0 {
 		dl.blockEntries = uint64(cfg.blockEntries)
 		dl.blockBytes = dl.blockEntries * graph.EntrySize
@@ -320,6 +347,9 @@ func newDealer(d *graph.Disk, cfg DealConfig) (*dealer, error) {
 			// view carries vertex ids its base store does not.
 			mark: make([]uint32, d.NumVertices()),
 		}
+		if dl.bitsets {
+			r.at = make([]int, cap(r.nmp))
+		}
 		if d.Format() == graph.FormatCompressed {
 			r.segScratch = make([]graph.Vertex, 0, graph.SegmentEntries)
 		}
@@ -337,6 +367,9 @@ func newDealer(d *graph.Disk, cfg DealConfig) (*dealer, error) {
 		dl.runners = append(dl.runners, r)
 	}
 	dl.cuts = cutBlocks(d, dl.blockEntries, dl.blockBytes)
+	if dl.bitsets {
+		dl.slots = make([]uint64, len(dl.cuts))
+	}
 	return dl, nil
 }
 
@@ -392,6 +425,20 @@ func (dl *dealer) run(ctx context.Context, spans []balance.Range) error {
 		if cap(dl.win.ind) < indCap {
 			dl.win.ind = make([]indEntry, 0, indCap)
 		}
+		if dl.bitsets && cap(dl.win.dense) < indCap {
+			dl.win.dense = make([]uint32, 0, indCap)
+		}
+	}
+	var rounds uint64
+	for _, s := range spans {
+		rounds += (s.Len() + winEntries - 1) / winEntries
+	}
+	dl.arenaWords, dl.arenaSized = 0, false
+	switch {
+	case dl.cfg.arenaWords > 0:
+		dl.arenaWords = uint64(dl.cfg.arenaWords)
+	case rounds > 1:
+		dl.arenaWords = max(winEntries/arenaShare, minArenaWords)
 	}
 
 	// Runner i's chunk span carries worker index i — counted from the
@@ -539,7 +586,7 @@ func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64) e
 		dl.win, held.loaded = held.w, false // its buffers, about to be overwritten
 		fallthrough
 	default:
-		dl.win.bound(dl.d, lo, hi)
+		dl.win.bound(dl.d, lo, hi, dl.bitsets)
 	}
 	// Load: the blocks holding the window's vertices, each filling its own
 	// stretch of edg and ind. Scan: on a ranked store, whose lists name only
@@ -559,7 +606,7 @@ func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64) e
 	}
 	var err error
 	if !resident {
-		err = dl.deal(phaseLoad, dl.blockOf(dl.win.vlow), dl.blockOf(dl.win.vhigh)+1)
+		err = dl.load()
 		dl.loads++
 		if held != nil {
 			held.d, held.w, held.loaded = dl.d, dl.win, err == nil
@@ -580,6 +627,48 @@ func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64) e
 	cur.SetAttr(span, "io_bytes", ioAfter-ioBefore)
 	cur.End(span)
 	return err
+}
+
+// load fills the bounded window: the blocks holding its vertices, each
+// reading its own stretch of edg and ind and measuring its vertices'
+// bitsets; then, in a round with bitsets, each block's bitsets are written
+// into the window's arena at a slot laid out block by block, so which
+// runner loaded what changes nothing.
+//
+// The arena is sized once per run, by the first round that builds
+// bitsets, to hold that round's or arenaWords, whichever is more — a run of
+// one round, the whole store in memory, gets exactly what it needs. A later
+// round whose bitsets do not all fit builds those of its first blocks that
+// do, and the rest of its vertices keep the mark path.
+func (dl *dealer) load() error {
+	first, last := dl.blockOf(dl.win.vlow), dl.blockOf(dl.win.vhigh)+1
+	if err := dl.deal(phaseLoad, first, last); err != nil || len(dl.win.dense) == 0 {
+		return err
+	}
+	// Word 0 is no slot (dense is 0 for no bitset); a round's bitsets take
+	// at most half a word per window entry, so the slots fit dense's 32 bits.
+	need := uint64(1)
+	for b := first; b < last; b++ {
+		need += dl.slots[b]
+	}
+	if need == 1 {
+		dl.win.dense = dl.win.dense[:0] // no dense list: the mark path, without looking
+		return nil
+	}
+	if size := max(need, dl.arenaWords); !dl.arenaSized && uint64(cap(dl.win.bits)) < size {
+		dl.win.bits = make([]uint64, size)
+	}
+	dl.arenaSized = true
+	dl.win.bits = dl.win.bits[:cap(dl.win.bits)]
+	at := uint64(1)
+	for b := first; b < last; b++ {
+		if n := dl.slots[b]; at+n <= uint64(len(dl.win.bits)) {
+			dl.slots[b], at = at, at+n
+		} else {
+			dl.slots[b] = 0 // does not fit: no bitsets
+		}
+	}
+	return dl.deal(phaseBuild, first, last)
 }
 
 // scan runs the cone blocks [scanFrom, scanTo), clipped to [scanLow,
@@ -620,6 +709,9 @@ func (dl *dealer) scan() error {
 			z = max(d.VertexAt(end), a+1) // a list longer than a tile is one by itself
 		}
 		dl.win.vlow, dl.win.vhigh, dl.win.ind = a, z-1, w.ind[a-w.vlow:z-w.vlow]
+		if len(w.dense) > 0 {
+			dl.win.dense = w.dense[a-w.vlow : z-w.vlow]
+		}
 		steps := dl.steps()
 		if err := dl.deal(phaseScan, first, last); err != nil {
 			return err
@@ -694,11 +786,14 @@ func (r *dealt) serve() {
 // runPhase runs one phase of the round.
 func (r *dealt) runPhase(ph phase) {
 	r.window = r.dl.win // this round's, as the coordinator bounded it
-	if ph == phaseLoad {
+	switch ph {
+	case phaseLoad:
 		before := r.counter.Snapshot()
 		r.badU, r.err = r.loadBlocks()
 		r.loadIO = r.loadIO.Add(r.counter.Snapshot().Sub(before))
-	} else {
+	case phaseBuild:
+		r.badU, r.err = 0, r.buildBlocks()
+	default:
 		r.badU, r.err = r.scanBlocks()
 	}
 	if r.err != nil {
@@ -729,8 +824,9 @@ func (r *dealt) take() (b int, ok bool, err error) {
 }
 
 // loadBlocks is the load phase of one runner: every block it takes, it reads
-// the part inside the window into edg and indexes it in ind. Blocks cover
-// disjoint vertices, so the runners write disjoint stretches of both.
+// the part inside the window into edg, indexes it in ind and, in a round
+// with bitsets, measures them. Blocks cover disjoint vertices, so the
+// runners write disjoint stretches of all three.
 func (r *dealt) loadBlocks() (graph.Vertex, error) {
 	d := r.disk
 	for {
@@ -753,7 +849,23 @@ func (r *dealt) loadBlocks() (graph.Vertex, error) {
 			return bad, err
 		}
 		r.index(d, a, z)
+		if len(r.dense) > 0 {
+			r.dl.slots[b] = r.measure(a, z)
+		}
 		r.stats.EdgesLoaded += hi - lo
+	}
+}
+
+// buildBlocks is the build phase of one runner: every block it takes, it
+// writes the bitsets of the block's vertices at the block's slot of the
+// arena.
+func (r *dealt) buildBlocks() error {
+	for {
+		b, ok, err := r.take()
+		if !ok {
+			return err
+		}
+		r.build(max(r.dl.cuts[b], r.vlow), min(r.dl.cuts[b+1], r.vhigh+1), r.dl.slots[b])
 	}
 }
 

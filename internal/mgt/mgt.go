@@ -23,8 +23,12 @@
 // Ev against it — d(u) + Σ|Ev| steps per cone vertex instead of
 // Σ(d(u) + |Ev|), same triangles in the same order. mark is no hash set:
 // one load per probe, no hashing, no collisions, nothing to clear between
-// cone vertices (DESIGN.md §5). KernelMerge keeps the paper's pairwise
-// merges as the ablation.
+// cone vertices (DESIGN.md §5). On a ranked store, whose lists name only
+// smaller ids, a pivot source v = nm[j] can only be closed by nm[:j], and a
+// round gives every dense Ev a bitset: the routine tests those j candidates
+// against it instead of probing Ev whenever j ≤ |Ev| (coneDense, the dense
+// window lists). KernelMerge keeps the paper's pairwise merges as the
+// ablation.
 //
 // A run is restricted to contiguous *global* edge ranges: its pivot
 // responsibility in PDTL (Section IV-B). Every triangle is reported exactly
@@ -129,8 +133,11 @@ type Stats struct {
 	// independently of the host's core count. Under KernelMerge it is one
 	// step per merge iteration; on the default path (and for a large vertex
 	// under either kernel) it is stamps written plus probes made,
-	// d(u) + Σ|Ev| per cone vertex. Both are exact and repeat from run to
-	// run.
+	// d(u) + Σ|Ev| per cone vertex — plus bit tests on a ranked store, where
+	// a pair tested against Ev's bitset costs j, the candidates of N(u)
+	// below v, instead of |Ev|, and a cone vertex none of whose pairs is
+	// probed costs d(u) for the check of N(u) instead of its stamps. All are
+	// exact and repeat from run to run.
 	CmpOps uint64
 	// LargeVertices counts cone vertices whose out-list was longer than the
 	// window or a cone block and arrived in pieces (the removal of the
@@ -201,12 +208,20 @@ type window struct {
 	winLo, winHi uint64
 	// The vertices [resLo, resHi) have their whole lists in the window.
 	resLo, resHi graph.Vertex
+	// The dense window lists (DESIGN.md §5), in a round that built them:
+	// dense, beside ind and cut into tiles with it, is where v's bitset
+	// begins in bits, 0 if v has none; empty in a round without bitsets.
+	// A bitset is a header word — the id of its bit 0 in the low half, how
+	// many words of bits follow in the high half — and then the bits.
+	dense []uint32
+	bits  []uint64
 }
 
-// bound sets the window to the entries [lo, hi) of d, sizing edg and ind to
-// it — never to the budget: a store smaller than M costs its own size. The
-// contents of both are the caller's to fill.
-func (w *window) bound(d *graph.Disk, lo, hi uint64) {
+// bound sets the window to the entries [lo, hi) of d, sizing edg and ind —
+// and, if dense, the bitset index beside ind — to it, never to the budget:
+// a store smaller than M costs its own size. The contents are the caller's
+// to fill.
+func (w *window) bound(d *graph.Disk, lo, hi uint64, dense bool) {
 	w.winLo, w.winHi = lo, hi
 	w.vlow, w.vhigh = d.VertexAt(lo), d.VertexAt(hi-1)
 	w.resLo, w.resHi = w.vlow, w.vhigh+1
@@ -221,10 +236,19 @@ func (w *window) bound(d *graph.Disk, lo, hi uint64) {
 	} else {
 		w.edg = w.edg[:n]
 	}
-	if n := int(w.vhigh-w.vlow) + 1; cap(w.ind) < n {
+	n := int(w.vhigh-w.vlow) + 1
+	if cap(w.ind) < n {
 		w.ind = make([]indEntry, n)
 	} else {
 		w.ind = w.ind[:n]
+	}
+	switch {
+	case !dense:
+		w.dense = w.dense[:0]
+	case cap(w.dense) < n:
+		w.dense = make([]uint32, n)
+	default:
+		w.dense = w.dense[:n]
 	}
 }
 
@@ -237,6 +261,67 @@ func (w *window) index(d *graph.Disk, a, z graph.Vertex) {
 			e = indEntry{off: uint32(lo - w.winLo), len: uint32(hi - lo)}
 		}
 		w.ind[v-w.vlow] = e
+	}
+}
+
+// measure sizes the bitsets of the window vertices [a, z): dense[v] becomes
+// the words v's takes, its header included, or 0 if Ev gets none. Ev gets
+// one if it is strictly ascending (a damaged list keeps the mark path) and
+// dense enough that its bitset takes no more bytes than it does: the header
+// and ⌈span/64⌉ words of bits are at most a word per two entries, so Ev
+// spans fewer than 32·|Ev| ids. measure returns the words.
+func (w *window) measure(a, z graph.Vertex) uint64 {
+	var total uint64
+	for v := a; v < z; v++ {
+		e := w.ind[v-w.vlow]
+		ev := w.edg[e.off : e.off+e.len]
+		w.dense[v-w.vlow] = 0
+		if len(ev) < 4 { // the smallest bitset, two words, is as large as four entries
+			continue
+		}
+		span := uint64(ev[len(ev)-1]-ev[0]) + 1 // nonsense out of order, which ascending rejects
+		words := 1 + (span+63)/64
+		if 2*words > uint64(len(ev)) || !ascending(ev) {
+			continue
+		}
+		w.dense[v-w.vlow] = uint32(words)
+		total += words
+	}
+	return total
+}
+
+// ascending reports whether vals is strictly ascending.
+func ascending(vals []graph.Vertex) bool {
+	for i := 1; i < len(vals); i++ {
+		if vals[i] <= vals[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// build writes the measured bitsets of the window vertices [a, z) into bits
+// from word at on, and points dense at them; at 0 it builds none.
+func (w *window) build(a, z graph.Vertex, at uint64) {
+	for v := a; v < z; v++ {
+		words := uint64(w.dense[v-w.vlow])
+		if words == 0 || at == 0 {
+			w.dense[v-w.vlow] = 0
+			continue
+		}
+		e := w.ind[v-w.vlow]
+		ev := w.edg[e.off : e.off+e.len]
+		base := ev[0]
+		set := w.bits[at : at+words]
+		set[0] = uint64(base) | (words-1)<<32
+		set = set[1:]
+		clear(set)
+		for _, x := range ev {
+			i := x - base
+			set[i>>6] |= 1 << (i & 63)
+		}
+		w.dense[v-w.vlow] = uint32(at)
+		at += words
 	}
 }
 
@@ -309,12 +394,122 @@ func (r *dealt) cone(u graph.Vertex, nm []graph.Vertex) bool {
 	if len(nmp) == 0 {
 		return true
 	}
+	// (nmp outgrows at only where N(u) names a window vertex twice.)
+	if len(r.dense) > 0 && len(nmp) <= len(r.at) {
+		return r.coneDense(u, nm, nmp)
+	}
 	r.bumpEpoch()
 	if !r.stamp(nm) {
 		return false
 	}
 	r.probe(u, nmp)
 	return true
+}
+
+// coneDense is cone against a window with bitsets. Ev names only ids below
+// v, so of an ascending N(u) only nm[:j], the j entries before v = nm[j],
+// can close a triangle with pivot source v. When v has a bitset and j ≤
+// |Ev|, those j candidates are tested against it; any other v is probed
+// against N(u) as cone does. The same triangles in the same order — v
+// ascending, and w ascending either way — at j bit tests for a pair instead
+// of |Ev| probes. An N(u) that is not ascending (a damaged list) takes the
+// mark path whole.
+//
+//pdtl:hotpath
+func (r *dealt) coneDense(u graph.Vertex, nm, nmp []graph.Vertex) bool {
+	// N(u) is checked as stamp checks it, before any bitset is tested for
+	// one of its ids, and for order.
+	prev, sorted := nm[0], true
+	for _, w := range nm {
+		if int(w) >= len(r.mark) {
+			return false
+		}
+		sorted = sorted && w >= prev
+		prev = w + 1
+	}
+	if !sorted {
+		r.bumpEpoch()
+		r.stamp(nm)
+		r.probe(u, nmp)
+		return true
+	}
+	// Where each v sits in nm — nmp is a subsequence of it — or -1 if its
+	// pair takes the mark path.
+	at := r.at[:len(nmp)]
+	marks := false
+	j := 0
+	for i, v := range nmp {
+		for nm[j] != v {
+			j++
+		}
+		at[i] = j
+		if r.dense[v-r.vlow] == 0 || uint32(j) > r.ind[v-r.vlow].len {
+			at[i], marks = -1, true
+		}
+	}
+	// N(u) is walked once more only if a pair needs it stamped.
+	if marks {
+		r.bumpEpoch()
+		r.stamp(nm)
+	} else {
+		r.stats.CmpOps += uint64(len(nm))
+	}
+	var found, steps uint64
+	for i, v := range nmp {
+		if j := at[i]; j >= 0 {
+			off := uint64(r.dense[v-r.vlow])
+			hdr := r.bits[off]
+			found += r.testBits(u, v, nm[:j], r.bits[off+1:off+1+hdr>>32], graph.Vertex(hdr))
+			steps += uint64(j)
+			continue
+		}
+		e := r.ind[v-r.vlow]
+		ev := r.edg[e.off : e.off+e.len]
+		found += r.markHits(u, v, ev)
+		steps += uint64(len(ev))
+	}
+	r.stats.Intersections += uint64(len(nmp))
+	r.stats.CmpOps += steps
+	r.stats.Triangles += found
+	return true
+}
+
+// testBits returns how many candidates w, all below v, are in the bitset
+// set of Ev, whose bit 0 is vertex base, and reports each triangle (u, v,
+// w) to the sink. A candidate outside the bitset's span is a miss. Like
+// markHits, both loops are branch-free on whether a test hits; the one
+// branch, on the span, changes at most twice along ascending candidates.
+//
+//pdtl:hotpath
+func (r *dealt) testBits(u, v graph.Vertex, cand []graph.Vertex, set []uint64, base graph.Vertex) uint64 {
+	var found uint64
+	if r.sink == nil {
+		for _, w := range cand {
+			i := w - base
+			if k := uint(i >> 6); k < uint(len(set)) {
+				found += set[k] >> (i & 63) & 1
+			}
+		}
+		return found
+	}
+	hits := &r.hits
+	for len(cand) > 0 {
+		blk := cand[:min(len(cand), len(hits))]
+		cand = cand[len(blk):]
+		k := 0
+		for _, w := range blk {
+			i := w - base
+			if q := uint(i >> 6); q < uint(len(set)) {
+				hits[k] = w // kept only if the next line advances k
+				k += int(set[q] >> (i & 63) & 1)
+			}
+		}
+		found += uint64(k)
+		for _, w := range hits[:k] {
+			r.sink.Triangle(u, v, w)
+		}
+	}
+	return found
 }
 
 // intersect is KernelMerge's routine, Algorithm 2's inner loop: the
@@ -417,52 +612,62 @@ func (r *dealt) errVertexID(u graph.Vertex) error {
 // probe closes the triangles of cone vertex u once N(u) is stamped: for
 // every v ∈ nmp, each w ∈ Ev carrying the current epoch is in N(u) too —
 // triangle (u, v, w) with pivot (v, w), reported v ascending, w ascending,
-// the order the pairwise merges produce. Whether a probe hits is a coin
-// flip no branch predictor wins, so both loops are branch-free on it: the
-// counting loop adds the comparison's 0/1, the listing loop compacts a
-// block's hits into a buffer and emits from there.
+// the order the pairwise merges produce.
 //
 //pdtl:hotpath
 func (r *dealt) probe(u graph.Vertex, nmp []graph.Vertex) {
-	mark, epoch, hits := r.mark, r.epoch, &r.hits
 	var found, probes uint64
 	for _, v := range nmp {
 		e := r.ind[v-r.vlow]
 		ev := r.edg[e.off : e.off+e.len]
 		probes += uint64(len(ev))
-		if r.sink == nil {
-			for _, w := range ev {
-				if int(w) < len(mark) {
-					var hit uint64
-					if mark[w] == epoch {
-						hit = 1
-					}
-					found += hit
-				}
-			}
-			continue
-		}
-		for len(ev) > 0 {
-			blk := ev[:min(len(ev), len(hits))]
-			ev = ev[len(blk):]
-			k := 0
-			for _, w := range blk {
-				if int(w) < len(mark) {
-					hits[k] = w // kept only if the next line advances k
-					if mark[w] == epoch {
-						k++
-					}
-				}
-			}
-			found += uint64(k)
-			for _, w := range hits[:k] {
-				r.sink.Triangle(u, v, w)
-			}
-		}
+		found += r.markHits(u, v, ev)
 	}
 	r.stats.Intersections += uint64(len(nmp))
 	r.stats.CmpOps += probes
 	r.stats.Triangles += found
+}
+
+// markHits returns how many w ∈ ev carry the current epoch and reports each
+// triangle (u, v, w) to the sink. Whether a probe hits is a coin flip no
+// branch predictor wins, so both loops are branch-free on it: the counting
+// loop adds the comparison's 0/1, the listing loop compacts a block's hits
+// into a buffer and emits from there.
+//
+//pdtl:hotpath
+func (r *dealt) markHits(u, v graph.Vertex, ev []graph.Vertex) uint64 {
+	mark, epoch, hits := r.mark, r.epoch, &r.hits
+	var found uint64
+	if r.sink == nil {
+		for _, w := range ev {
+			if int(w) < len(mark) {
+				var hit uint64
+				if mark[w] == epoch {
+					hit = 1
+				}
+				found += hit
+			}
+		}
+		return found
+	}
+	for len(ev) > 0 {
+		blk := ev[:min(len(ev), len(hits))]
+		ev = ev[len(blk):]
+		k := 0
+		for _, w := range blk {
+			if int(w) < len(mark) {
+				hits[k] = w // kept only if the next line advances k
+				if mark[w] == epoch {
+					k++
+				}
+			}
+		}
+		found += uint64(k)
+		for _, w := range hits[:k] {
+			r.sink.Triangle(u, v, w)
+		}
+	}
+	return found
 }
 
 // decodeSegmentFast decodes one segment into the runner's scratch through
