@@ -40,21 +40,6 @@ import (
 // runner idle at the end of a round.
 const BlockEntries = 8 << 10
 
-// TileEntries is how much of a window a counting round probes at a time: a
-// window larger than this is walked tile by tile (dealer.scan), so that what
-// the runners probe stays in cache instead of being fetched, list by list,
-// from wherever a 7 MB window lives. A constant sized to a core's L2 (1 MiB
-// of entries), not an option: EXPERIMENTS.md "Cooperative windows" has
-// 128 K–512 K within 9 % of each other on RMAT-17 and no tiles 28 % behind.
-const TileEntries = 256 << 10
-
-// tilePays is how many intersection steps per entry of the resident lists a
-// tile must have taken for the next one to be worth a walk of its own: a
-// walk costs a few nanoseconds per entry, a probe that finds its list in
-// cache saves a few tenths of one (EXPERIMENTS.md has the steps per tile of
-// six stores beside what tiling did to each).
-const tilePays = 8
-
 // arenaShare and minArenaWords size the bitset arena of a run of several
 // rounds (dealer.load): room for at least one word per arenaShare window
 // entries — an eighth of the window's own bytes — and at least
@@ -94,11 +79,10 @@ type DealConfig struct {
 	Held *Window
 
 	// In tests: blockEntries overrides BlockEntries (lists a few dozen
-	// entries long then arrive in pieces), tileEntries TileEntries,
-	// arenaWords the bitset arena's least size, afterBlock runs between a
-	// runner's blocks, and markOnly builds no bitsets.
+	// entries long then arrive in pieces), arenaWords the bitset arena's
+	// least size, afterBlock runs between a runner's blocks, and markOnly
+	// builds no bitsets.
 	blockEntries int
-	tileEntries  int
 	arenaWords   int
 	afterBlock   func()
 	markOnly     bool
@@ -115,7 +99,6 @@ type dealer struct {
 	// [cuts[b], cuts[b+1]).
 	blockEntries, blockBytes uint64
 	cuts                     []graph.Vertex
-	tileEntries              uint64
 	// bitsets: a round gives its dense window lists bitsets (a ranked store
 	// under KernelAuto), in an arena sized once per run (arenaSized), to at
 	// least arenaWords words. slots[b] is, once load block b is loaded, how
@@ -129,7 +112,6 @@ type dealer struct {
 	// the scan phase), and the cursor blocks are dealt from. loads counts the
 	// rounds of the run that loaded their window.
 	win   window
-	part  scanPart
 	loads int
 	next  atomic.Int64
 	last  int64
@@ -157,17 +139,6 @@ type Window struct {
 func (w *Window) Holds(d *graph.Disk, r balance.Range) bool {
 	return w.loaded && w.d == d && w.w.winLo == r.Lo && w.w.winHi == r.Hi
 }
-
-// scanPart says which lists of a block a scan phase runs: all of them, or —
-// in a round walked tile by tile — only those read from the store, or only
-// those the window holds.
-type scanPart int
-
-const (
-	partAll scanPart = iota
-	partStored
-	partResident
-)
 
 // errCancelled ends the phase of a runner that saw the run's context done;
 // the run itself reports ctx.Err().
@@ -321,16 +292,13 @@ func newDealer(d *graph.Disk, cfg DealConfig) (*dealer, error) {
 		return nil, fmt.Errorf("mgt: cone vertices [%d,%d) out of order or out of bounds for %d vertices", c.Lo, c.Hi, d.NumVertices())
 	}
 	budget := uint64(cfg.Workers) * uint64(cfg.MemEdges)
-	dl := &dealer{d: d, cfg: cfg, blockEntries: min(BlockEntries, budget), blockBytes: BlockEntries * graph.EntrySize, tileEntries: TileEntries}
+	dl := &dealer{d: d, cfg: cfg, blockEntries: min(BlockEntries, budget), blockBytes: BlockEntries * graph.EntrySize}
 	// Bitsets need lists that name only smaller ids, and a routine that
 	// stamps.
 	dl.bitsets = d.Meta.Ranked && kernel == KernelAuto && !cfg.markOnly
 	if cfg.blockEntries > 0 {
 		dl.blockEntries = uint64(cfg.blockEntries)
 		dl.blockBytes = dl.blockEntries * graph.EntrySize
-	}
-	if cfg.tileEntries > 0 {
-		dl.tileEntries = uint64(cfg.tileEntries)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		r := &dealt{
@@ -613,7 +581,7 @@ func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64) e
 		}
 	}
 	if err == nil {
-		err = dl.scan()
+		err = dl.deal(phaseScan, dl.scanFrom, dl.scanTo)
 	}
 	blocks := dl.scanTo - dl.scanFrom
 	dl.seq += int64(blocks)
@@ -669,67 +637,6 @@ func (dl *dealer) load() error {
 		}
 	}
 	return dl.deal(phaseBuild, first, last)
-}
-
-// scan runs the cone blocks [scanFrom, scanTo), clipped to [scanLow,
-// scanHigh), against the loaded window. A counting round
-// whose window is larger than a tile does it in two steps. The lists that
-// have to be read are read once and run against the whole window, as ever.
-// The lists the window holds cost nothing to walk again, so they are walked
-// once per tile — a stretch of the window's vertices whose lists are about
-// tileEntries entries — with every runner probing that stretch of edg, and
-// nothing else, until all are done with it: the same probes against a
-// working set that fits a core's cache. A walk is not free, though, and a
-// tile few probes land in (the tail of a store numbered hubs first, any tile
-// of a graph with hardly a triangle) does not repay its own: after the first
-// tile that took fewer than tilePays steps per resident entry, the rest of
-// the window is one tile. The step counts are exact, so the tiling — and
-// with it CmpOps — is the same on every run; a round restricted to a cone
-// range decides from the resident lists of that range alone. A listing
-// round is not tiled: the order of its triangles would change.
-func (dl *dealer) scan() error {
-	d, w := dl.d, dl.win
-	tile := dl.tileEntries
-	resLo, resHi := max(w.resLo, dl.scanLow), min(w.resHi, dl.scanHigh)
-	if dl.runners[0].sink != nil || uint64(len(w.edg)) <= tile || resLo >= resHi {
-		dl.part = partAll
-		return dl.deal(phaseScan, dl.scanFrom, dl.scanTo)
-	}
-	defer func() { dl.win = w }() // the next round bounds the whole of ind again
-	dl.part = partStored
-	if err := dl.deal(phaseScan, dl.scanFrom, dl.scanTo); err != nil {
-		return err
-	}
-	dl.part = partResident
-	first, last := dl.blockOf(resLo), dl.blockOf(resHi-1)+1
-	resident := d.Offsets[resHi] - d.Offsets[resLo]
-	for a := w.vlow; a <= w.vhigh; {
-		z := w.vhigh + 1
-		if end := max(d.Offsets[a], w.winLo) + tile; end < w.winHi {
-			z = max(d.VertexAt(end), a+1) // a list longer than a tile is one by itself
-		}
-		dl.win.vlow, dl.win.vhigh, dl.win.ind = a, z-1, w.ind[a-w.vlow:z-w.vlow]
-		if len(w.dense) > 0 {
-			dl.win.dense = w.dense[a-w.vlow : z-w.vlow]
-		}
-		steps := dl.steps()
-		if err := dl.deal(phaseScan, first, last); err != nil {
-			return err
-		}
-		if dl.steps()-steps < tilePays*resident {
-			tile = w.winHi // the rest at once
-		}
-		a = z
-	}
-	return nil
-}
-
-// steps is the runners' intersection steps so far.
-func (dl *dealer) steps() (n uint64) {
-	for _, r := range dl.runners {
-		n += r.stats.CmpOps
-	}
-	return n
 }
 
 // deal hands the blocks [first, last) to the runners for one phase and waits
@@ -969,26 +876,19 @@ func (r *dealt) scanBlocks() (graph.Vertex, error) {
 // scanBlock runs the cone vertices [a, z) against the window. Those whose
 // lists the window holds whole are served from it, with no read at all — a
 // run of one window reads the store once — and only the rest of the block
-// is read; in a tiled round (dealer.scan) a phase runs one kind or the
-// other. On an error it names the vertex.
+// is read. On an error it names the vertex.
 //
 //pdtl:hotpath
 func (r *dealt) scanBlock(a, z graph.Vertex) (graph.Vertex, error) {
 	ra, rz := min(max(r.resLo, a), z), min(max(r.resHi, a), z)
-	part := r.dl.part
-	switch {
-	case part == partResident:
-		return r.scanResident(ra, rz)
-	case ra >= rz:
+	if ra >= rz {
 		return r.scanStored(a, z)
 	}
 	if u, err := r.scanStored(a, ra); err != nil {
 		return u, err
 	}
-	if part == partAll {
-		if u, err := r.scanResident(ra, rz); err != nil {
-			return u, err
-		}
+	if u, err := r.scanResident(ra, rz); err != nil {
+		return u, err
 	}
 	return r.scanStored(rz, z)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,6 +18,7 @@ import (
 	"pdtl/internal/baseline"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
+	"pdtl/internal/obs"
 	"pdtl/internal/orient"
 )
 
@@ -41,6 +43,49 @@ func dealtListing(t *testing.T, d *graph.Disk, spans []balance.Range, cfg DealCo
 		t.Fatalf("the listing is %d bytes for %d triangles", got, tris)
 	}
 	return out.Bytes(), res.Runners
+}
+
+// countEqualsListing fails unless counting and listing d at cfg run the same
+// scan: the same steps, and the same blocks dealt to the runners (their
+// chunk spans' blocks attrs, summed).
+func countEqualsListing(t *testing.T, label string, d *graph.Disk, cfg DealConfig) {
+	t.Helper()
+	run := func(listing bool) (steps uint64, blocks int64) {
+		tr := obs.NewTrace(0)
+		ctx := obs.ContextWithCursor(context.Background(), obs.Cursor{T: tr, Span: obs.NoSpan, Worker: -1})
+		cfg := cfg
+		if listing {
+			cfg.Listing = NewListing(io.Discard, t.TempDir(), cfg.Workers, nil)
+		}
+		res, err := RunDealt(ctx, d, []balance.Range{FullRange(d)}, cfg)
+		if listing {
+			if cerr := cfg.Listing.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for _, st := range res.Runners {
+			steps += st.CmpOps
+		}
+		for _, sp := range tr.Spans() {
+			if sp.Name != obs.SpanChunk {
+				continue
+			}
+			for _, a := range sp.Attrs[:sp.NAttr] {
+				if a.Key == "blocks" {
+					blocks += a.Val
+				}
+			}
+		}
+		return steps, blocks
+	}
+	cSteps, cBlocks := run(false)
+	lSteps, lBlocks := run(true)
+	if cSteps != lSteps || cBlocks != lBlocks || cBlocks == 0 {
+		t.Errorf("%s: counting took %d steps over %d blocks, listing %d over %d", label, cSteps, cBlocks, lSteps, lBlocks)
+	}
 }
 
 // definedListing is the reference: the listing order written from its
@@ -83,7 +128,9 @@ func sortedTriples(t *testing.T, raw []byte) []triple {
 // window, 48 of them, and a window one entry short of the longest list; on
 // both store formats, under the default routine and the merge kernel, with
 // blocks small enough that the hub lists arrive in pieces; and it is
-// baseline.ForwardList's triangle set.
+// baseline.ForwardList's triangle set. Counting runs the same scan as
+// listing: at every (P, M, kernel), and on a one-window store of over 256 K
+// entries, it takes the same steps over the same blocks.
 func TestDealtListingDeterministic(t *testing.T) {
 	g, err := gen.PowerLaw(500, 5000, 1.8, 7)
 	if err != nil {
@@ -125,6 +172,9 @@ func TestDealtListingDeterministic(t *testing.T) {
 						if rounds := (total + pm - 1) / pm; stats[0].Passes != rounds {
 							t.Fatalf("%s P=%d: %d rounds, want %d", name, p, stats[0].Passes, rounds)
 						}
+						if rep < 2 {
+							countEqualsListing(t, fmt.Sprintf("%s P=%d kernel=%s", name, p, cfg.Kernel), d, cfg)
+						}
 					}
 				}
 			}
@@ -140,6 +190,21 @@ func TestDealtListingDeterministic(t *testing.T) {
 	slices.SortFunc(tris, func(a, b triple) int { return slices.Compare(a[:], b[:]) })
 	if !slices.Equal(tris, want) {
 		t.Fatalf("dealt listing has %d triangles, baseline %d, or they differ", len(tris), len(want))
+	}
+	// One window of RMAT-15's 340 K entries: the whole store in memory.
+	big, err := gen.RMAT(15, 12, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d = orientedStore(t, big)
+	if total := int(d.Meta.AdjEntries); total <= 256<<10 {
+		t.Fatalf("RMAT-15 has %d entries", total)
+	}
+	for _, p := range []int{1, 2} {
+		for _, kernel := range []KernelKind{KernelAuto, KernelMerge} {
+			cfg := DealConfig{Workers: p, MemEdges: int(d.Meta.AdjEntries)/p + 1, Kernel: kernel}
+			countEqualsListing(t, fmt.Sprintf("RMAT-15 P=%d kernel=%s", p, kernel), d, cfg)
+		}
 	}
 }
 
@@ -205,13 +270,15 @@ func TestDealtSpans(t *testing.T) {
 // round reads the window once and, once each, the lists it can reach that
 // are not wholly inside it — on a ranked store those from the window's first
 // vertex on, on an id-space store (written before rank space) all of them —
-// so a run of one window reads the store exactly once. The id-space store
-// also lists what the order's definition lists, the count included.
+// so a run of one window reads the store exactly once. Every run counts the
+// baseline's triangles, and the id-space store also lists what the order's
+// definition lists, the count included.
 func TestDealtIOExact(t *testing.T) {
 	g, err := gen.PowerLaw(3000, 60000, 1.9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tris := baseline.Forward(g)
 	for _, d := range []*graph.Disk{orientedStore(t, g), compressedStore(t, g), idSpaceStore(t, g)} {
 		total := d.Meta.AdjEntries
 		for _, tc := range []struct{ p, m, block int }{
@@ -225,10 +292,11 @@ func TestDealtIOExact(t *testing.T) {
 			want, wantLoads := oneReaderBytes(d, FullRange(d), tc.p*tc.m)
 			rounds := int((total + uint64(tc.p*tc.m) - 1) / uint64(tc.p*tc.m))
 			var got int64
-			var loaded uint64
+			var loaded, found uint64
 			for _, st := range stats {
 				got += st.IO.BytesRead
 				loaded += st.EdgesLoaded
+				found += st.Triangles
 				if st.Passes != rounds {
 					t.Errorf("%s %+v: a runner reports %d rounds, want %d", d.Format(), tc, st.Passes, rounds)
 				}
@@ -238,6 +306,9 @@ func TestDealtIOExact(t *testing.T) {
 			}
 			if loaded != total {
 				t.Errorf("%s %+v: loaded %d entries into windows, the store has %d", d.Format(), tc, loaded, total)
+			}
+			if found != tris {
+				t.Errorf("%s %+v: %d triangles, baseline %d", d.Format(), tc, found, tris)
 			}
 			if rounds == 1 && (got != 0 || wantLoads != d.AdjBytes()) {
 				t.Errorf("%s %+v: a one-window run read %d bytes besides the window, and the store is %d", d.Format(), tc, got, d.AdjBytes())
@@ -352,80 +423,6 @@ func idSpaceStore(t testing.TB, g *graph.CSR) *graph.Disk {
 	return d
 }
 
-// TestDealtTiledCount: a counting round walked tile by tile finds the same
-// triangles and reads the same bytes as one that is not — tiles re-walk only
-// what the window holds — for one window and several, tiles of a few lists
-// and tiles shorter than the longest list, on both formats, under the default
-// routine and the merge kernel (on a power law numbered hubs first: the
-// first tile pays, the second does not, the third is the rest); the tiling,
-// seen in the steps it adds, is the same on every run; and a listing is
-// never tiled.
-func TestDealtTiledCount(t *testing.T) {
-	g, err := gen.PowerLaw(3000, 60000, 1.9, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := func(res Dealt) (n uint64) {
-		for _, st := range res.Runners {
-			n += st.CmpOps
-		}
-		return n
-	}
-	want := baseline.Forward(g)
-	for _, d := range []*graph.Disk{orientedStore(t, g), compressedStore(t, g)} {
-		total, dmax := int(d.Meta.AdjEntries), int(d.Meta.MaxOutDegree)
-		full := []balance.Range{FullRange(d)}
-		for _, p := range []int{1, 3} {
-			for _, m := range []int{total, total/(3*p) + 1, total/(48*p) + 1} {
-				cfg := DealConfig{Workers: p, MemEdges: m, tileEntries: total + 1}
-				ref, err := RunDealt(context.Background(), d, full, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refListing, _ := dealtListing(t, d, full, cfg)
-				for _, tile := range []int{dmax - 1, 1000, total / 8} {
-					for _, kernel := range []KernelKind{KernelAuto, KernelMerge} {
-						cfg := DealConfig{Workers: p, MemEdges: m, tileEntries: tile, Kernel: kernel, afterBlock: runtime.Gosched}
-						name := fmt.Sprintf("%s P=%d M=%d tile=%d kernel=%s", d.Format(), p, m, tile, kernel)
-						res, err := RunDealt(context.Background(), d, full, cfg)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						var tris uint64
-						var got, untiled int64
-						for i, st := range res.Runners {
-							tris += st.Triangles
-							got += st.IO.BytesRead
-							untiled += ref.Runners[i].IO.BytesRead
-							if st.Passes != ref.Runners[i].Passes {
-								t.Errorf("%s: runner %d reports %d rounds, untiled %d", name, i, st.Passes, ref.Runners[i].Passes)
-							}
-						}
-						if tris != want {
-							t.Errorf("%s: %d triangles, baseline %d", name, tris, want)
-						}
-						if got != untiled || res.WindowIO.BytesRead != ref.WindowIO.BytesRead {
-							t.Errorf("%s: read %d + %d bytes, untiled %d + %d", name, got, res.WindowIO.BytesRead, untiled, ref.WindowIO.BytesRead)
-						}
-						// A window longer than a tile was walked more than once
-						// (the default routine stamps a list once per walk that
-						// finds a pivot for it), the same way every time.
-						if kernel == KernelAuto && p*m > 2*tile && steps(res) <= steps(ref) {
-							t.Errorf("%s: %d steps, untiled %d: nothing was tiled", name, steps(res), steps(ref))
-						}
-						if again, err := RunDealt(context.Background(), d, full, cfg); err != nil || steps(again) != steps(res) {
-							t.Errorf("%s: %d steps, then %d (%v)", name, steps(res), steps(again), err)
-						}
-						if listing, _ := dealtListing(t, d, full, cfg); !bytes.Equal(listing, refListing) {
-							t.Errorf("%s: the listing depends on the tile size", name)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // openFDs counts the process's open descriptors.
 func openFDs(t *testing.T) int {
 	t.Helper()
@@ -528,7 +525,7 @@ func TestDealtCancelAndDamage(t *testing.T) {
 }
 
 // TestDealtRoundZeroAlloc: a warmed cooperative round — window load, every
-// block dealt, tile by tile, every barrier — allocates nothing when counting.
+// block dealt, every barrier — allocates nothing when counting.
 func TestDealtRoundZeroAlloc(t *testing.T) {
 	g, err := gen.PowerLaw(2000, 20000, 2.1, 1)
 	if err != nil {
@@ -540,9 +537,7 @@ func TestDealtRoundZeroAlloc(t *testing.T) {
 		// same store at one round and at thirteen: the difference is twelve
 		// warmed rounds.
 		allocs := func(rounds int) float64 {
-			// (Tiles of a third of the 13-round window, a thirtieth of the
-			// whole store.)
-			cfg := DealConfig{Workers: 2, MemEdges: (int(d.Meta.AdjEntries)/rounds + 2) / 2, blockEntries: 500, tileEntries: 500}
+			cfg := DealConfig{Workers: 2, MemEdges: (int(d.Meta.AdjEntries)/rounds + 2) / 2, blockEntries: 500}
 			return testing.AllocsPerRun(5, func() {
 				res, err := RunDealt(context.Background(), d, []balance.Range{FullRange(d)}, cfg)
 				if stats := res.Runners; err != nil || stats[0].Triangles+stats[1].Triangles != want || stats[0].Passes != rounds {

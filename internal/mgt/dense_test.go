@@ -115,7 +115,7 @@ func markOnlyListing(t *testing.T, label string, d *graph.Disk, spans []balance.
 // the same pairs, passes and loads — for P ∈ {1, 2, 4} runners building
 // and probing concurrently, one window and several, both formats, and an
 // arena too small for every round's bitsets; the steps are fewer and repeat
-// exactly from run to run, tiled counts included.
+// exactly from run to run.
 func TestDealtDenseMatchesMarkPath(t *testing.T) {
 	g, err := gen.PowerLaw(3000, 40000, 1.9, 8)
 	if err != nil {
@@ -134,7 +134,6 @@ func TestDealtDenseMatchesMarkPath(t *testing.T) {
 					if steps >= markSteps {
 						t.Errorf("%s: %d steps, the mark path %d", label, steps, markSteps)
 					}
-					cfg.tileEntries = 2000
 					var counted []uint64
 					for range 2 {
 						res, err := RunDealt(context.Background(), d, full, cfg)
@@ -151,7 +150,7 @@ func TestDealtDenseMatchesMarkPath(t *testing.T) {
 						counted = append(counted, sum.CmpOps)
 					}
 					if counted[0] != counted[1] {
-						t.Errorf("%s: a tiled count took %d steps, then %d", label, counted[0], counted[1])
+						t.Errorf("%s: a count took %d steps, then %d", label, counted[0], counted[1])
 					}
 				}
 			}

@@ -209,8 +209,8 @@ type window struct {
 	// The vertices [resLo, resHi) have their whole lists in the window.
 	resLo, resHi graph.Vertex
 	// The dense window lists (DESIGN.md §5), in a round that built them:
-	// dense, beside ind and cut into tiles with it, is where v's bitset
-	// begins in bits, 0 if v has none; empty in a round without bitsets.
+	// dense, beside ind, is where v's bitset begins in bits, 0 if v has
+	// none; empty in a round without bitsets.
 	// A bitset is a header word — the id of its bit 0 in the low half, how
 	// many words of bits follow in the high half — and then the bits.
 	dense []uint32
@@ -546,8 +546,9 @@ func (r *dealt) intersect(u, v graph.Vertex, nm, ev []graph.Vertex) {
 //
 //pdtl:hotpath
 func (r *dealt) inWindow(nmp, vals []graph.Vertex) []graph.Vertex {
-	// A window far into a long list (a tile of a window, walked once per
-	// tile) is found by bisection, not by stepping up to it.
+	// A window that starts far into a long list (a later round of a store
+	// larger than the window) is found by bisection, not by stepping up to
+	// it.
 	if len(vals) > 8 && vals[8] < r.vlow {
 		lo, hi := 9, len(vals)
 		for lo < hi {

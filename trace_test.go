@@ -209,7 +209,8 @@ func roundsTile(t *testing.T, spans []obs.Span, edges int64) {
 // phase tree when a cursor rides the context — count at the root, with
 // orient/plan/calc beneath it, one chunk span per runner and one scan.round
 // span per window under calc, the windows tiling the store in as many
-// rounds as the plan span says.
+// rounds as the plan span says, and the runners dealt, between them, exactly
+// the blocks the rounds deal: a round walks its blocks once.
 func TestLocalTraceShape(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "rmat")
 	if _, err := GenerateRMAT(base, 10, 12, 5); err != nil {
@@ -247,12 +248,21 @@ func TestLocalTraceShape(t *testing.T) {
 		t.Errorf("%d chunk spans, %d scan.round spans, Result.Windows %d; want 2, %d, %d",
 			names[obs.SpanChunk], names[obs.SpanScanRound], res.Windows, wantRounds, wantRounds)
 	}
+	var chunkBlocks, roundBlocks int64
 	for _, sp := range tr.Spans() {
-		if sp.Name != obs.SpanPlan {
-			continue
+		b, _ := spanAttr(sp, "blocks")
+		switch sp.Name {
+		case obs.SpanPlan:
+			if w, _ := spanAttr(sp, "windows"); int(w) != wantRounds {
+				t.Errorf("plan span says %d windows, want %d", w, wantRounds)
+			}
+		case obs.SpanChunk:
+			chunkBlocks += b
+		case obs.SpanScanRound:
+			roundBlocks += b
 		}
-		if w, _ := spanAttr(sp, "windows"); int(w) != wantRounds {
-			t.Errorf("plan span says %d windows, want %d", w, wantRounds)
-		}
+	}
+	if chunkBlocks != roundBlocks || roundBlocks == 0 {
+		t.Errorf("the runners were dealt %d blocks, the rounds deal %d", chunkBlocks, roundBlocks)
 	}
 }
