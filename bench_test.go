@@ -159,6 +159,3 @@ func BenchmarkAblationSmallDegree(b *testing.B) { runExperiment(b, "smalldeg") }
 
 // BenchmarkExtApproximate evaluates the approximate-counting extension.
 func BenchmarkExtApproximate(b *testing.B) { runExperiment(b, "approx") }
-
-// BenchmarkExtDynamic evaluates the dynamic-counting extension.
-func BenchmarkExtDynamic(b *testing.B) { runExperiment(b, "dynamic") }

@@ -88,7 +88,7 @@ func main() {
 	}
 	defer g.Close()
 	res, err := g.CountDistributed(ctx, addrs, pdtl.ClusterOptions{
-		Log: logger,
+		Log:               logger,
 		Workers:           *workers,
 		MemEdges:          *mem,
 		NaiveBalance:      *naive,

@@ -103,7 +103,7 @@ func main() {
 	}
 
 	cfg := service.Config{
-		Log: logger,
+		Log:        logger,
 		MaxGraphs:  *maxGraphs,
 		RunSlots:   *slots,
 		QueueDepth: *queue,

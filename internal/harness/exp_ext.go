@@ -9,9 +9,7 @@ import (
 
 	"pdtl/internal/approx"
 	"pdtl/internal/balance"
-	"pdtl/internal/baseline"
 	"pdtl/internal/core"
-	"pdtl/internal/dynamic"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
 	"pdtl/internal/obs"
@@ -220,49 +218,5 @@ func expApprox(h *Harness, r *Report) error {
 	}
 	r.Table([]string{"Graph", "exact", "Doulion p=0.25", "wedge 100k samples"}, rows)
 	r.Note("extension of Section VI: approximate counting on the same substrate")
-	return nil
-}
-
-// expDynamic evaluates the dynamic-counting extension: stream a dataset's
-// edges into the incremental counter, delete a slice, and verify against
-// from-scratch exact counts.
-func expDynamic(h *Harness, r *Report) error {
-	const key = "rmat14"
-	g, err := h.LoadCSR(key)
-	if err != nil {
-		return err
-	}
-	edges := g.Edges()
-	c := dynamic.New()
-	for _, e := range edges {
-		if _, err := c.Insert(e.U, e.V); err != nil {
-			return err
-		}
-	}
-	full := c.Triangles()
-	want := baseline.Forward(g)
-	if full != want {
-		return fmt.Errorf("dynamic: %d != exact %d after inserts", full, want)
-	}
-	// Delete 10% of edges and verify against a rebuilt static graph.
-	cut := len(edges) / 10
-	for _, e := range edges[:cut] {
-		if _, err := c.Delete(e.U, e.V); err != nil {
-			return err
-		}
-	}
-	rest, err := graph.FromEdges(g.NumVertices(), edges[cut:])
-	if err != nil {
-		return err
-	}
-	after := baseline.Forward(rest)
-	if c.Triangles() != after {
-		return fmt.Errorf("dynamic: %d != exact %d after deletes", c.Triangles(), after)
-	}
-	r.Table([]string{"Stage", "edges", "triangles", "verified"}, [][]string{
-		{"after streaming inserts", N(uint64(len(edges))), N(full), "exact match"},
-		{fmt.Sprintf("after deleting %s edges", N(uint64(cut))), N(c.Edges()), N(c.Triangles()), "exact match"},
-	})
-	r.Note("extension of Section VI: exact dynamic counting, O(d(u)+d(v)) per update")
 	return nil
 }

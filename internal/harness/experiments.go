@@ -51,7 +51,6 @@ var Experiments = []Experiment{
 	{ID: "lb-ooc", Paper: "§IV-B ext.", Desc: "load-balancer ablation out of core: naive vs window-blind vs window-aware in-degree", Run: expLBOutOfCore},
 	{ID: "smalldeg", Paper: "§IV-A fn.1", Desc: "small-degree assumption removed: exact counts at M far below d*max", Run: expSmallDegree},
 	{ID: "approx", Paper: "§VI ext.", Desc: "approximate counting: Doulion and wedge sampling vs exact", Run: expApprox},
-	{ID: "dynamic", Paper: "§VI ext.", Desc: "dynamic counting: exact under insertions and deletions", Run: expDynamic},
 	{ID: "service", Paper: "§VI ext.", Desc: "resident query service under concurrent mixed load (cache + single-flight absorption)", Run: expService},
 	{ID: "churn", Paper: "§VI ext.", Desc: "live graphs: exact counts and streaming estimate under churn, with compaction", Run: expChurn},
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // ErrBusy is returned by Admission.Acquire when every run slot is taken and
@@ -101,6 +102,18 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 	case <-a.closed:
 		return nil, ErrDraining
 	}
+}
+
+// acquireTimed is adm.Acquire with the wait observed into met's queue-wait
+// histogram. Memoized runs (Entry.Do) and the work that holds a slot without
+// memoizing (streams, mutation batches, compactions) queue through it alike.
+func acquireTimed(ctx context.Context, adm *Admission, met *Metrics) (func(), error) {
+	start := time.Now()
+	release, err := adm.Acquire(ctx)
+	if err == nil {
+		met.QueueWait.ObserveDuration(time.Since(start))
+	}
+	return release, err
 }
 
 // releaser returns the slot back exactly once, however many times it is

@@ -183,10 +183,13 @@ func TestEntryInvalidateDropsInFlightResult(t *testing.T) {
 	proceed := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	var val any
+	var (
+		val any
+		gen uint64
+	)
 	go func() {
 		defer wg.Done()
-		val, _, err = e.Do(context.Background(), context.Background(), "k", adm, met,
+		val, _, gen, err = e.Do(context.Background(), context.Background(), "k", adm, met,
 			func(context.Context) (any, error) {
 				close(started)
 				<-proceed
@@ -200,16 +203,27 @@ func TestEntryInvalidateDropsInFlightResult(t *testing.T) {
 	if err != nil || val != "stale" {
 		t.Fatalf("in-flight Do = %v, %v", val, err)
 	}
+	// The stale value reports the generation it was computed under, not
+	// the one the mutation moved the entry to.
+	if gen != 0 || e.MutGen() != 1 {
+		t.Fatalf("in-flight Do reported generation %d with the entry at %d, want 0 and 1", gen, e.MutGen())
+	}
 	if n := e.CachedResults(); n != 0 {
 		t.Fatalf("stale result was memoized (%d cached)", n)
 	}
 	// The next identical request runs fresh rather than hitting a cache.
-	_, origin, err := e.Do(context.Background(), context.Background(), "k", adm, met,
+	_, origin, gen, err := e.Do(context.Background(), context.Background(), "k", adm, met,
 		func(context.Context) (any, error) { return "fresh", nil })
-	if err != nil || origin != OriginRun {
-		t.Fatalf("post-invalidate Do origin = %v, %v, want run", origin, err)
+	if err != nil || origin != OriginRun || gen != 1 {
+		t.Fatalf("post-invalidate Do origin = %v, generation %d, %v, want run at 1", origin, gen, err)
 	}
 	if n := e.CachedResults(); n != 1 {
 		t.Fatalf("fresh result not memoized (%d cached)", n)
+	}
+	// A cache hit reports the generation its value was cached under.
+	_, origin, gen, err = e.Do(context.Background(), context.Background(), "k", adm, met,
+		func(context.Context) (any, error) { return "unused", nil })
+	if err != nil || origin != OriginCache || gen != 1 {
+		t.Fatalf("repeat Do origin = %v, generation %d, %v, want cache at 1", origin, gen, err)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pdtl"
 )
@@ -310,6 +309,7 @@ type flight struct {
 	done    chan struct{}
 	val     any
 	err     error
+	gen     uint64 // the mutation generation the run started under
 	waiters atomic.Int32
 	cancel  context.CancelFunc
 }
@@ -328,15 +328,18 @@ func (f *flight) leave() {
 // shutdown cancels it) and is abandoned-waiter-cancelled; each waiter's own
 // ctx bounds only its wait. Successful results are memoized under key until
 // the entry is replaced, evicted, or (live entries) invalidated by a
-// mutation batch.
+// mutation batch. gen is the mutation generation the value was computed
+// under: the flight's start generation, or the current one for a cache hit
+// (Invalidate empties the cache as it bumps the generation).
 func (e *Entry) Do(ctx, baseCtx context.Context, key string, adm *Admission, met *Metrics,
-	run func(context.Context) (any, error)) (any, Origin, error) {
+	run func(context.Context) (any, error)) (val any, origin Origin, gen uint64, err error) {
 	for {
 		e.mu.Lock()
 		if val, ok := e.cache[key]; ok {
+			gen := e.mutGen
 			e.mu.Unlock()
 			met.CacheHits.Add(1)
-			return val, OriginCache, nil
+			return val, OriginCache, gen, nil
 		}
 		if f, ok := e.flights[key]; ok {
 			if f.waiters.Add(1) == 1 {
@@ -349,29 +352,28 @@ func (e *Entry) Do(ctx, baseCtx context.Context, key string, adm *Admission, met
 				case <-f.done:
 					continue
 				case <-ctx.Done():
-					return nil, OriginShared, ctx.Err()
+					return nil, OriginShared, 0, ctx.Err()
 				}
 			}
 			e.mu.Unlock()
 			select {
 			case <-f.done:
 				if f.err != nil {
-					return nil, OriginShared, translateRunErr(f.err, ctx, baseCtx)
+					return nil, OriginShared, f.gen, translateRunErr(f.err, ctx, baseCtx)
 				}
 				met.RunsShared.Add(1)
-				return f.val, OriginShared, nil
+				return f.val, OriginShared, f.gen, nil
 			case <-ctx.Done():
 				f.leave()
-				return nil, OriginShared, ctx.Err()
+				return nil, OriginShared, f.gen, ctx.Err()
 			}
 		}
 		met.CacheMisses.Add(1)
 		// The flight remembers the mutation generation it started under; a
 		// mutation landing mid-run bumps it, and the stale result is then
 		// handed to this flight's waiters but never memoized.
-		gen := e.mutGen
 		runCtx, cancel := context.WithCancel(baseCtx)
-		f := &flight{done: make(chan struct{}), cancel: cancel}
+		f := &flight{done: make(chan struct{}), gen: e.mutGen, cancel: cancel}
 		f.waiters.Store(1)
 		e.flights[key] = f
 		e.mu.Unlock()
@@ -381,11 +383,7 @@ func (e *Entry) Do(ctx, baseCtx context.Context, key string, adm *Admission, met
 		// ctx fires and no joiner remains, the run is cancelled.
 		stopWatch := context.AfterFunc(ctx, f.leave)
 
-		admStart := time.Now()
-		release, err := adm.Acquire(runCtx)
-		if err == nil {
-			met.QueueWait.ObserveDuration(time.Since(admStart))
-		}
+		release, err := acquireTimed(runCtx, adm, met)
 		if cerr := ctx.Err(); cerr != nil && err == nil {
 			// The leader's own context is already dead (an expired
 			// ?timeout=, or a client that disconnected while queued). The
@@ -410,7 +408,7 @@ func (e *Entry) Do(ctx, baseCtx context.Context, key string, adm *Admission, met
 
 		e.mu.Lock()
 		delete(e.flights, key)
-		if f.err == nil && e.mutGen == gen {
+		if f.err == nil && e.mutGen == f.gen {
 			if len(e.cache) >= maxCachedResults {
 				oldest := e.order[0]
 				e.order = e.order[1:]
@@ -427,9 +425,9 @@ func (e *Entry) Do(ctx, baseCtx context.Context, key string, adm *Admission, met
 		cancel()
 
 		if f.err == nil {
-			return f.val, OriginRun, nil
+			return f.val, OriginRun, f.gen, nil
 		}
-		return nil, OriginRun, translateRunErr(f.err, ctx, baseCtx)
+		return nil, OriginRun, f.gen, translateRunErr(f.err, ctx, baseCtx)
 	}
 }
 

@@ -101,7 +101,7 @@ func TestRegistryReRegisterInvalidates(t *testing.T) {
 	met := &Metrics{}
 	adm := NewAdmission(1, 4)
 	ctx := context.Background()
-	if _, _, err := e1.Do(ctx, ctx, "k", adm, met, func(context.Context) (any, error) {
+	if _, _, _, err := e1.Do(ctx, ctx, "k", adm, met, func(context.Context) (any, error) {
 		return 42, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -162,14 +162,14 @@ func TestDoSingleFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		outs[0].val, outs[0].origin, outs[0].err = e.Do(ctx, ctx, "k", adm, met, run)
+		outs[0].val, outs[0].origin, _, outs[0].err = e.Do(ctx, ctx, "k", adm, met, run)
 	}()
 	<-started // the leader is inside run; every later Do must join its flight
 	for i := 1; i < N; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i].val, outs[i].origin, outs[i].err = e.Do(ctx, ctx, "k", adm, met, run)
+			outs[i].val, outs[i].origin, _, outs[i].err = e.Do(ctx, ctx, "k", adm, met, run)
 		}(i)
 	}
 	waitFor(t, func() bool {
@@ -203,7 +203,7 @@ func TestDoSingleFlight(t *testing.T) {
 	}
 
 	// The memoized result serves without touching run again.
-	val, origin, err := e.Do(ctx, ctx, "k", adm, met, run)
+	val, origin, _, err := e.Do(ctx, ctx, "k", adm, met, run)
 	if err != nil || val != "result" || origin != OriginCache {
 		t.Fatalf("cached Do = %v, %v, %v", val, origin, err)
 	}
@@ -235,7 +235,7 @@ func TestDoAbandonedRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := e.Do(ctx, context.Background(), "k", adm, met, run)
+		_, _, _, err := e.Do(ctx, context.Background(), "k", adm, met, run)
 		errc <- err
 	}()
 	<-started
@@ -248,7 +248,7 @@ func TestDoAbandonedRunCancelled(t *testing.T) {
 	}
 	// The slot came back and the flight table is clean: a fresh request
 	// runs again.
-	val, origin, err := e.Do(context.Background(), context.Background(), "k", adm, met,
+	val, origin, _, err := e.Do(context.Background(), context.Background(), "k", adm, met,
 		func(context.Context) (any, error) { return 7, nil })
 	if err != nil || origin != OriginRun || val != 7 {
 		t.Fatalf("fresh Do after abandonment = %v, %v, %v", val, origin, err)
@@ -271,7 +271,7 @@ func TestDoShutdownCancelsRun(t *testing.T) {
 	started := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := e.Do(context.Background(), baseCtx, "k", adm, met,
+		_, _, _, err := e.Do(context.Background(), baseCtx, "k", adm, met,
 			func(runCtx context.Context) (any, error) {
 				close(started)
 				<-runCtx.Done()

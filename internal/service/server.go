@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"iter"
 	"log/slog"
 	"net/http"
 	"net/url"
@@ -47,9 +48,9 @@ type Config struct {
 	// LiveDefaults parameterizes live registrations (compaction triggers,
 	// snapshot format, estimator reservoir).
 	LiveDefaults pdtl.LiveOptions
-	// Log, when non-nil, receives structured operational events: run
-	// start/finish (with the memoization key as the run id and the phase
-	// breakdown), cluster node failures, and compactions.
+	// Log receives structured operational events: run start/finish (with
+	// the memoization key as the run id and the phase breakdown), cluster
+	// node failures, and compactions. Nil discards them.
 	Log *slog.Logger
 }
 
@@ -65,6 +66,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth < 0 {
 		c.QueueDepth = 0
+	}
+	if c.Log == nil {
+		c.Log = slog.New(slog.DiscardHandler)
 	}
 	return c
 }
@@ -117,18 +121,21 @@ func New(cfg Config) *Server {
 		started:    time.Now(),
 	}
 	s.initMetrics()
+	// The route table. Health and metrics answer even while draining; every
+	// other route runs through api, and the graph-scoped run routes through
+	// graph, under the live rule each serves.
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("POST /v1/graphs", s.handleRegister)
-	s.mux.HandleFunc("GET /v1/graphs", s.handleList)
-	s.mux.HandleFunc("GET /v1/graphs/{name}", s.handleStatus)
-	s.mux.HandleFunc("DELETE /v1/graphs/{name}", s.handleEvict)
-	s.mux.HandleFunc("GET /v1/graphs/{name}/count", s.handleCount)
-	s.mux.HandleFunc("GET /v1/graphs/{name}/triangles", s.handleTriangles)
-	s.mux.HandleFunc("GET /v1/graphs/{name}/degrees", s.handleDegrees)
-	s.mux.HandleFunc("POST /v1/graphs/{name}/estimate", s.handleEstimate)
-	s.mux.HandleFunc("POST /v1/graphs/{name}/edges", s.handleMutate)
-	s.mux.HandleFunc("POST /v1/graphs/{name}/compact", s.handleCompact)
+	s.mux.HandleFunc("POST /v1/graphs", s.api(s.handleRegister))
+	s.mux.HandleFunc("GET /v1/graphs", s.api(s.handleList))
+	s.mux.HandleFunc("GET /v1/graphs/{name}", s.api(s.handleStatus))
+	s.mux.HandleFunc("DELETE /v1/graphs/{name}", s.api(s.handleEvict))
+	s.mux.HandleFunc("GET /v1/graphs/{name}/count", s.graph(anyGraph, s.handleCount))
+	s.mux.HandleFunc("GET /v1/graphs/{name}/triangles", s.graph(staticOnly("triangle listing is"), s.handleTriangles))
+	s.mux.HandleFunc("GET /v1/graphs/{name}/degrees", s.graph(staticOnly("triangle degrees are"), s.handleDegrees))
+	s.mux.HandleFunc("POST /v1/graphs/{name}/estimate", s.graph(anyGraph, s.handleEstimate))
+	s.mux.HandleFunc("POST /v1/graphs/{name}/edges", s.graph(liveOnly, s.handleMutate))
+	s.mux.HandleFunc("POST /v1/graphs/{name}/compact", s.graph(liveOnly, s.handleCompact))
 	return s
 }
 
@@ -280,30 +287,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.obsReg.WriteText(w)
 }
 
-// noteOrigin bumps the per-graph labeled counters for a single-flight
-// outcome. Shared joins count as neither: they neither ran nor hit the
-// cache.
-func (s *Server) noteOrigin(e *Entry, origin Origin) {
-	switch origin {
-	case OriginRun:
-		s.graphRuns.With(e.Name()).Add(1)
-	case OriginCache:
-		s.graphHits.With(e.Name()).Add(1)
-	}
-}
-
-// acquireSlot is adm.Acquire with the wait time observed into the
-// queue-wait histogram (the single-flight run path times its own Acquire
-// inside Entry.Do).
-func (s *Server) acquireSlot(ctx context.Context) (func(), error) {
-	start := time.Now()
-	release, err := s.adm.Acquire(ctx)
-	if err == nil {
-		s.met.QueueWait.ObserveDuration(time.Since(start))
-	}
-	return release, err
-}
-
 // registerRequest is the POST /v1/graphs body.
 type registerRequest struct {
 	// Name is the handle clients address the graph by.
@@ -324,66 +307,49 @@ func validateName(name string) error {
 	return nil
 }
 
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if !s.enter(w) {
-		return
-	}
-	defer s.wg.Done()
+func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) error {
 	var req registerRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad register body: %w", err))
-		return
+	if err := decodeBody(w, r, 1<<20, "register", &req); err != nil {
+		return err
 	}
 	if req.Base == "" {
-		s.writeError(w, http.StatusBadRequest, errors.New("service: register needs a store base path"))
-		return
+		return badf("service: register needs a store base path")
 	}
 	e, err := s.registerEntry(req.Name, req.Base, req.Live || s.cfg.Live)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+		return badRequest{err}
 	}
 	writeJSON(w, http.StatusCreated, graphStatus(e))
+	return nil
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	if !s.enter(w) {
-		return
-	}
-	defer s.wg.Done()
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) error {
 	entries := s.reg.Snapshot()
 	list := make([]map[string]any, len(entries))
 	for i, e := range entries {
 		list[i] = graphStatus(e)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"count": len(list), "graphs": list})
+	return nil
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if !s.enter(w) {
-		return
-	}
-	defer s.wg.Done()
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) error {
 	e, err := s.reg.Get(r.PathValue("name"))
 	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, graphStatus(e))
+	return nil
 }
 
-func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
-	if !s.enter(w) {
-		return
-	}
-	defer s.wg.Done()
+func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
 	if !s.reg.Evict(name) {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknownGraph, name))
-		return
+		return fmt.Errorf("%w: %q", ErrUnknownGraph, name)
 	}
 	s.met.Evicted.Add(1)
 	writeJSON(w, http.StatusOK, map[string]any{"evicted": name})
+	return nil
 }
 
 // countResponse is the GET /v1/graphs/{name}/count reply (local and
@@ -409,14 +375,12 @@ type countResponse struct {
 	// completed degraded (DESIGN.md §9).
 	Failures []nodeFailureJSON `json:"failures,omitempty"`
 	// Live marks counts served off a mutable overlay; MutGen is the
-	// mutation generation the reply reflects (callers can correlate it with
-	// their own POST …/edges responses).
+	// mutation generation the count was computed under (callers can
+	// correlate it with their own POST …/edges responses).
 	Live   bool   `json:"live,omitempty"`
 	MutGen uint64 `json:"mut_gen,omitempty"`
-	// Trace is the run's phase trace in Chrome trace_event form, present
-	// only when the request asked ?trace=1 AND this request actually
-	// executed the run (origin=run) — cache hits and shared joins have no
-	// trace of their own to report.
+	// Trace is the run's phase trace (memoRun.trace), present only under
+	// ?trace=1 on the request that executed the run.
 	Trace json.RawMessage `json:"trace,omitempty"`
 }
 
@@ -429,55 +393,21 @@ type nodeFailureJSON struct {
 	Error   string `json:"error"`
 }
 
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	if !s.enter(w) {
-		return
-	}
-	defer s.wg.Done()
-	e, err := s.reg.Get(r.PathValue("name"))
-	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
-	}
+func (s *Server) handleCount(ctx context.Context, w http.ResponseWriter, r *http.Request, e *Entry) error {
 	q := r.URL.Query()
-	ctx, cleanup, err := s.requestCtx(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cleanup()
-
 	if boolParam(q, "distributed") {
-		if e.Live() != nil {
-			s.writeError(w, http.StatusBadRequest,
-				errors.New("service: distributed counts are not supported on live graphs (compact first)"))
-			return
-		}
-		s.countDistributed(ctx, w, e, q)
-		return
+		return s.countDistributed(ctx, w, e, q)
 	}
 	opt, err := s.parseOptions(q)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+		return err
 	}
 	key, err := opt.Key()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+		return badRequest{err}
 	}
-	var tr *obs.Trace
-	if boolParam(q, "trace") {
-		tr = obs.NewTrace(0)
-	}
-	val, origin, err := e.Do(ctx, s.baseCtx, "count|"+key, s.adm, s.met,
+	m, err := s.memo(ctx, e, "count", key, boolParam(q, "trace"),
 		func(runCtx context.Context) (any, error) {
-			if tr != nil {
-				runCtx = obs.ContextWithCursor(runCtx, obs.Cursor{T: tr, Span: obs.NoSpan, Worker: -1})
-			}
-			if s.cfg.Log != nil {
-				s.cfg.Log.Info("run started", "graph", e.Name(), "key", key)
-			}
 			if lg := e.Live(); lg != nil {
 				// Exact count over the current merged view; the memoized
 				// result stays valid until the next mutation batch
@@ -487,38 +417,24 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 			return e.Graph().Count(runCtx, opt)
 		})
 	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
+		return err
 	}
-	res := val.(*pdtl.Result)
-	s.noteOrigin(e, origin)
-	if origin == OriginRun {
-		s.accountRun(res)
-		if s.cfg.Log != nil {
-			s.cfg.Log.Info("run finished", "graph", e.Name(), "key", key,
-				"triangles", res.Triangles, "wall", res.TotalTime,
-				"orient", res.OrientTime, "plan", res.PlanTime, "calc", res.CalcTime)
-		}
-	}
-	resp := countResponse{
+	res := m.val.(*pdtl.Result)
+	writeJSON(w, http.StatusOK, countResponse{
 		Graph:           e.Name(),
 		Key:             key,
-		Origin:          origin,
+		Origin:          m.origin,
 		Triangles:       res.Triangles,
 		EngineRuns:      e.Graph().Runs(),
 		WallNS:          res.TotalTime.Nanoseconds(),
 		OrientNS:        res.OrientTime.Nanoseconds(),
 		SourceBytesRead: res.SourceBytesRead,
 		Workers:         len(res.Workers),
-	}
-	if e.Live() != nil {
-		resp.Live = true
-		resp.MutGen = e.MutGen()
-	}
-	if origin == OriginRun {
-		resp.Trace = traceJSON(tr)
-	}
-	writeJSON(w, http.StatusOK, resp)
+		Live:            e.Live() != nil,
+		MutGen:          m.mutGen,
+		Trace:           m.trace,
+	})
+	return nil
 }
 
 // traceJSON renders a trace for embedding in a JSON reply; nil in, nil
@@ -536,74 +452,39 @@ func traceJSON(tr *obs.Trace) json.RawMessage {
 
 // countDistributed satisfies ?distributed=1 via the cluster protocol
 // against the configured worker nodes, memoized like local counts.
-func (s *Server) countDistributed(ctx context.Context, w http.ResponseWriter, e *Entry, q url.Values) {
+func (s *Server) countDistributed(ctx context.Context, w http.ResponseWriter, e *Entry, q url.Values) error {
+	if err := staticOnly("distributed counts are")(e); err != nil {
+		return err
+	}
 	if len(s.cfg.ClusterAddrs) == 0 {
-		s.writeError(w, http.StatusBadRequest,
-			errors.New("service: no cluster worker nodes configured (pdtl-serve -cluster)"))
-		return
+		return badf("service: no cluster worker nodes configured (pdtl-serve -cluster)")
 	}
 	opt, err := s.parseClusterOptions(q)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+		return err
 	}
 	key, err := opt.Key(s.cfg.ClusterAddrs)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+		return badRequest{err}
 	}
-	var tr *obs.Trace
-	if boolParam(q, "trace") {
-		tr = obs.NewTrace(0)
-	}
-	val, origin, err := e.Do(ctx, s.baseCtx, "cluster|"+key, s.adm, s.met,
+	m, err := s.memo(ctx, e, "cluster", key, boolParam(q, "trace"),
 		func(runCtx context.Context) (any, error) {
-			if tr != nil {
-				runCtx = obs.ContextWithCursor(runCtx, obs.Cursor{T: tr, Span: obs.NoSpan, Worker: -1})
-			}
-			if s.cfg.Log != nil {
-				s.cfg.Log.Info("run started", "graph", e.Name(), "key", key, "distributed", true)
-			}
 			return e.Graph().CountDistributed(runCtx, s.cfg.ClusterAddrs, opt)
 		})
 	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
+		return err
 	}
-	res := val.(*pdtl.ClusterResult)
-	s.noteOrigin(e, origin)
-	if origin == OriginRun {
-		var src int64
-		for _, n := range res.Nodes {
-			src += n.SourceBytesRead
-		}
-		s.met.SourceBytesRead.Add(src)
-		s.met.ClusterNodeFailures.Add(uint64(len(res.Failures)))
-		s.met.RunDuration.ObserveDuration(res.TotalTime)
-		if s.cfg.Log != nil {
-			// Surface degradation per failed worker — the run recovered, but
-			// the operator should know which node is being carried.
-			for _, f := range res.Failures {
-				s.cfg.Log.Warn("cluster node failure", "graph", e.Name(),
-					"node", f.Node, "addr", f.Addr, "chunk", f.Chunk,
-					"retries", f.Retries, "err", f.Err)
-			}
-			s.cfg.Log.Info("run finished", "graph", e.Name(), "key", key,
-				"distributed", true, "triangles", res.Triangles,
-				"wall", res.TotalTime, "nodes", len(res.Nodes),
-				"failures", len(res.Failures))
-		}
-	}
+	res := m.val.(*pdtl.ClusterResult)
 	var failures []nodeFailureJSON
 	for _, f := range res.Failures {
 		failures = append(failures, nodeFailureJSON{
 			Node: f.Node, Addr: f.Addr, Chunk: f.Chunk, Retries: f.Retries, Error: f.Err,
 		})
 	}
-	resp := countResponse{
+	writeJSON(w, http.StatusOK, countResponse{
 		Graph:        e.Name(),
 		Key:          key,
-		Origin:       origin,
+		Origin:       m.origin,
 		Triangles:    res.Triangles,
 		EngineRuns:   e.Graph().Runs(),
 		WallNS:       res.TotalTime.Nanoseconds(),
@@ -612,11 +493,9 @@ func (s *Server) countDistributed(ctx context.Context, w http.ResponseWriter, e 
 		Nodes:        len(res.Nodes),
 		NetworkBytes: res.NetworkBytes,
 		Failures:     failures,
-	}
-	if origin == OriginRun {
-		resp.Trace = traceJSON(tr)
-	}
-	writeJSON(w, http.StatusOK, resp)
+		Trace:        m.trace,
+	})
+	return nil
 }
 
 // appendTriangleLine appends t's NDJSON line, {"u":U,"v":V,"w":W} and a
@@ -631,52 +510,55 @@ func appendTriangleLine(dst []byte, t [3]uint32) []byte {
 	return append(dst, "}\n"...)
 }
 
-func (s *Server) handleTriangles(w http.ResponseWriter, r *http.Request) {
-	if !s.enter(w) {
-		return
-	}
-	defer s.wg.Done()
-	e, err := s.reg.Get(r.PathValue("name"))
-	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
-	}
-	if e.Live() != nil {
-		s.writeError(w, http.StatusBadRequest,
-			errors.New("service: triangle listing is not supported on live graphs (compact first)"))
-		return
-	}
+func (s *Server) handleTriangles(ctx context.Context, w http.ResponseWriter, r *http.Request, e *Entry) error {
 	q := r.URL.Query()
 	opt, err := s.parseOptions(q)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+		return err
 	}
 	var limit uint64
 	if v := q.Get("limit"); v != "" {
 		if limit, err = strconv.ParseUint(v, 10, 64); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad limit: %w", err))
-			return
+			return badf("service: bad limit: %w", err)
 		}
 	}
-	ctx, cleanup, err := s.requestCtx(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cleanup()
-
 	// Streams are admission-controlled like any other engine run, but never
 	// memoized: their product is the listing itself.
-	release, err := s.acquireSlot(ctx)
-	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
-	}
-	defer release()
-	s.met.RunsStarted.Add(1)
-	s.met.StreamsStarted.Add(1)
+	return s.withSlot(ctx, func() error {
+		s.met.RunsStarted.Add(1)
+		s.met.StreamsStarted.Add(1)
+		// The iterator streams straight off the engine: breaking (limit) or
+		// a dead client (ctx cancelled by net/http) cancels the run, tearing
+		// the runners down within one memory window.
+		seq, errf := e.Graph().Triangles(ctx, opt)
+		sent, stopped := writeNDJSON(w, seq, limit)
+		s.met.TrianglesSent.Add(sent)
+		if err := errf(); err != nil {
+			s.met.StreamsBroken.Add(1)
+			s.met.RunsFailed.Add(1)
+			// The 200 header is long gone, so a clean end-of-stream here
+			// would be indistinguishable from a complete listing. Abort the
+			// connection instead: the client sees a truncated chunked body,
+			// not a plausible-but-short triangle set. (On a client
+			// disconnect the connection is already dead and the abort is a
+			// no-op.)
+			panic(http.ErrAbortHandler)
+		}
+		if stopped {
+			// Our own limit ended the run: the stream is short of the
+			// listing, but the run did not fail.
+			s.met.StreamsBroken.Add(1)
+			return nil
+		}
+		s.met.RunsCompleted.Add(1)
+		return nil
+	})
+}
 
+// writeNDJSON answers 200 and writes seq's triangles to w as NDJSON lines,
+// stopping after limit of them when limit is positive. It reports how many
+// it sent and whether the limit stopped it.
+func writeNDJSON(w http.ResponseWriter, seq iter.Seq[[3]uint32], limit uint64) (sent uint64, stopped bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	bw := bufio.NewWriterSize(w, 64<<10)
@@ -689,13 +571,6 @@ func (s *Server) handleTriangles(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-
-	// The iterator streams straight off the engine: breaking (limit) or a
-	// dead client (ctx cancelled by net/http) cancels the run, tearing the
-	// runners down within one memory window.
-	seq, errf := e.Graph().Triangles(ctx, opt)
-	var sent uint64
-	stopped := false
 	var line []byte
 	for t := range seq {
 		line = appendTriangleLine(line[:0], t)
@@ -710,24 +585,7 @@ func (s *Server) handleTriangles(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	flush()
-	s.met.TrianglesSent.Add(sent)
-	if err := errf(); err != nil {
-		s.met.StreamsBroken.Add(1)
-		s.met.RunsFailed.Add(1)
-		// The 200 header is long gone, so a clean end-of-stream here would
-		// be indistinguishable from a complete listing. Abort the
-		// connection instead: the client sees a truncated chunked body,
-		// not a plausible-but-short triangle set. (On a client disconnect
-		// the connection is already dead and the abort is a no-op.)
-		panic(http.ErrAbortHandler)
-	}
-	if stopped {
-		// Our own limit ended the run: the stream is short of the listing,
-		// but the run did not fail.
-		s.met.StreamsBroken.Add(1)
-		return
-	}
-	s.met.RunsCompleted.Add(1)
+	return sent, stopped
 }
 
 // degreesValue is the memoized product of one TriangleDegrees run.
@@ -742,46 +600,23 @@ type vertexDegree struct {
 	Triangles uint64 `json:"triangles"`
 }
 
-func (s *Server) handleDegrees(w http.ResponseWriter, r *http.Request) {
-	if !s.enter(w) {
-		return
-	}
-	defer s.wg.Done()
-	e, err := s.reg.Get(r.PathValue("name"))
-	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
-	}
-	if e.Live() != nil {
-		s.writeError(w, http.StatusBadRequest,
-			errors.New("service: triangle degrees are not supported on live graphs (compact first)"))
-		return
-	}
+func (s *Server) handleDegrees(ctx context.Context, w http.ResponseWriter, r *http.Request, e *Entry) error {
 	q := r.URL.Query()
 	opt, err := s.parseOptions(q)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+		return err
 	}
 	top := 50
 	if v := q.Get("top"); v != "" {
 		if top, err = strconv.Atoi(v); err != nil || top < 1 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad top %q", v))
-			return
+			return badf("service: bad top %q", v)
 		}
 	}
 	key, err := opt.Key()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+		return badRequest{err}
 	}
-	ctx, cleanup, err := s.requestCtx(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cleanup()
-	val, origin, err := e.Do(ctx, s.baseCtx, "degrees|"+key, s.adm, s.met,
+	m, err := s.memo(ctx, e, "degrees", key, false,
 		func(runCtx context.Context) (any, error) {
 			counts, res, err := e.Graph().TriangleDegrees(runCtx, opt)
 			if err != nil {
@@ -790,21 +625,17 @@ func (s *Server) handleDegrees(w http.ResponseWriter, r *http.Request) {
 			return degreesValue{counts: counts, res: res}, nil
 		})
 	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
+		return err
 	}
-	dv := val.(degreesValue)
-	s.noteOrigin(e, origin)
-	if origin == OriginRun {
-		s.accountRun(dv.res)
-	}
+	dv := m.val.(degreesValue)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"graph":     e.Name(),
-		"origin":    origin,
+		"origin":    m.origin,
 		"triangles": dv.res.Triangles,
 		"vertices":  len(dv.counts),
 		"top":       topDegrees(dv.counts, top),
 	})
+	return nil
 }
 
 // topDegrees extracts the k vertices with the most incident triangles,
@@ -849,78 +680,57 @@ type estimateRequest struct {
 	Seed int64 `json:"seed"`
 }
 
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if !s.enter(w) {
-		return
+func (s *Server) handleEstimate(ctx context.Context, w http.ResponseWriter, r *http.Request, e *Entry) error {
+	lg := e.Live()
+	var req estimateRequest
+	if lg == nil {
+		req = estimateRequest{Method: "doulion", P: 0.1, Samples: 100000, Seed: 1}
 	}
-	defer s.wg.Done()
-	e, err := s.reg.Get(r.PathValue("name"))
-	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
+	if r.ContentLength != 0 {
+		if err := decodeBody(w, r, 1<<20, "estimate", &req); err != nil {
+			return err
+		}
 	}
-	if lg := e.Live(); lg != nil {
+	if lg != nil {
 		// Live graphs maintain a streaming estimate (TRIÈST-FD) updated on
 		// every mutation batch — it is already current, costs nothing to
 		// read, and the batch estimators below would read the stale base
 		// store instead of the merged view.
-		var req estimateRequest
-		if r.ContentLength != 0 {
-			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-				s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad estimate body: %w", err))
-				return
-			}
-		}
 		if req.Method != "" && req.Method != "streaming" {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("service: live graphs only support the streaming estimate (got method %q)", req.Method))
-			return
+			return badf("service: live graphs only support the streaming estimate (got method %q)", req.Method)
 		}
 		est, exact := lg.Estimate()
-		st := lg.Stats()
 		writeJSON(w, http.StatusOK, map[string]any{
 			"graph":         e.Name(),
 			"origin":        "live",
 			"method":        "streaming",
 			"estimate":      est,
 			"exact":         exact,
-			"sampled_edges": st.SampledEdges,
+			"sampled_edges": lg.Stats().SampledEdges,
 			"mut_gen":       e.MutGen(),
 		})
-		return
+		return nil
 	}
-	req := estimateRequest{Method: "doulion", P: 0.1, Samples: 100000, Seed: 1}
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad estimate body: %w", err))
-			return
-		}
-	}
-	if req.Method == "" {
+	// Estimates are deterministic given the method's own parameters and the
+	// seed, so they memoize and single-flight exactly like exact counts; the
+	// key leaves out the other method's parameter.
+	var key string
+	switch req.Method {
+	case "", "doulion":
 		req.Method = "doulion"
+		if req.P <= 0 || req.P > 1 {
+			return badf("service: doulion p %v outside (0, 1]", req.P)
+		}
+		key = fmt.Sprintf("doulion p%v s%d", req.P, req.Seed)
+	case "wedges":
+		if req.Samples < 1 {
+			return badf("service: wedge samples %d < 1", req.Samples)
+		}
+		key = fmt.Sprintf("wedges n%d s%d", req.Samples, req.Seed)
+	default:
+		return badf("service: unknown estimate method %q", req.Method)
 	}
-	if req.Method != "doulion" && req.Method != "wedges" {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: unknown estimate method %q", req.Method))
-		return
-	}
-	if req.Method == "doulion" && (req.P <= 0 || req.P > 1) {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: doulion p %v outside (0, 1]", req.P))
-		return
-	}
-	if req.Method == "wedges" && req.Samples < 1 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: wedge samples %d < 1", req.Samples))
-		return
-	}
-	ctx, cleanup, err := s.requestCtx(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cleanup()
-	// Estimates are deterministic given (method, p, samples, seed), so they
-	// memoize and single-flight exactly like exact counts.
-	key := fmt.Sprintf("estimate|%s p%v n%d s%d", req.Method, req.P, req.Samples, req.Seed)
-	val, origin, err := e.Do(ctx, s.baseCtx, key, s.adm, s.met,
+	m, err := s.memo(ctx, e, "estimate", key, false,
 		func(runCtx context.Context) (any, error) {
 			if err := runCtx.Err(); err != nil {
 				return nil, err
@@ -931,15 +741,15 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			return e.Graph().EstimateDoulion(req.P, req.Seed)
 		})
 	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"graph":    e.Name(),
-		"origin":   origin,
+		"origin":   m.origin,
 		"method":   req.Method,
-		"estimate": val.(float64),
+		"estimate": m.val.(float64),
 	})
+	return nil
 }
 
 // mutateRequest is the POST /v1/graphs/{name}/edges body — the same shape
@@ -950,43 +760,13 @@ type mutateRequest struct {
 	Delete [][2]uint32 `json:"delete"`
 }
 
-func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	if !s.enter(w) {
-		return
-	}
-	defer s.wg.Done()
-	e, err := s.reg.Get(r.PathValue("name"))
-	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
-	}
-	lg := e.Live()
-	if lg == nil {
-		s.writeError(w, http.StatusBadRequest, errNotLive(e))
-		return
-	}
+func (s *Server) handleMutate(ctx context.Context, w http.ResponseWriter, r *http.Request, e *Entry) error {
 	var req mutateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad edges body: %w", err))
-		return
+	if err := decodeBody(w, r, 64<<20, "edges", &req); err != nil {
+		return err
 	}
 	if len(req.Insert)+len(req.Delete) == 0 {
-		s.writeError(w, http.StatusBadRequest, errors.New("service: empty mutation batch"))
-		return
-	}
-	ctx, cleanup, err := s.requestCtx(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cleanup()
-	// Mutations are admission-controlled like engine runs: a batch rebuilds
-	// delta layers, feeds the estimator, and may kick off a compaction —
-	// enough work that unbounded concurrent batches could starve queries.
-	release, err := s.acquireSlot(ctx)
-	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
+		return badf("service: empty mutation batch")
 	}
 	updates := make([]pdtl.LiveUpdate, 0, len(req.Insert)+len(req.Delete))
 	for _, p := range req.Insert {
@@ -995,13 +775,20 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	for _, p := range req.Delete {
 		updates = append(updates, pdtl.LiveUpdate{U: p[0], V: p[1], Del: true})
 	}
-	err = lg.Apply(updates)
-	release()
+	lg := e.Live()
+	// Mutations are admission-controlled like engine runs: a batch rebuilds
+	// delta layers, feeds the estimator, and may kick off a compaction —
+	// enough work that unbounded concurrent batches could starve queries.
+	err := s.withSlot(ctx, func() error {
+		if err := lg.Apply(updates); err != nil {
+			// Apply only fails on invalid updates (self-loop, duplicate
+			// insert, absent delete), and rejects the batch atomically.
+			return badRequest{err}
+		}
+		return nil
+	})
 	if err != nil {
-		// ApplyBatch only fails on invalid updates (self-loop, duplicate
-		// insert, absent delete), and rejects the batch atomically.
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+		return err
 	}
 	// The applied batch changed the answer to every memoized query; drop
 	// them all and bump the generation so in-flight runs do not re-cache
@@ -1017,57 +804,30 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		"mut_gen":  e.MutGen(),
 		"stats":    liveStatsJSON(lg.Stats()),
 	})
+	return nil
 }
 
-func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	if !s.enter(w) {
-		return
-	}
-	defer s.wg.Done()
-	e, err := s.reg.Get(r.PathValue("name"))
-	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
-	}
+func (s *Server) handleCompact(ctx context.Context, w http.ResponseWriter, r *http.Request, e *Entry) error {
 	lg := e.Live()
-	if lg == nil {
-		s.writeError(w, http.StatusBadRequest, errNotLive(e))
-		return
-	}
-	ctx, cleanup, err := s.requestCtx(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cleanup()
 	// Compaction rebuilds the store through the external-sort pipeline — a
 	// full engine-run's worth of work, so it takes an admission slot.
-	release, err := s.acquireSlot(ctx)
+	var start time.Time
+	err := s.withSlot(ctx, func() error {
+		start = time.Now()
+		return lg.Compact(ctx)
+	})
 	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
+		return err
 	}
-	compactStart := time.Now()
-	err = lg.Compact(ctx)
-	release()
-	if err != nil {
-		s.writeError(w, statusFor(err), err)
-		return
-	}
-	s.met.CompactionDuration.ObserveDuration(time.Since(compactStart))
-	if s.cfg.Log != nil {
-		s.cfg.Log.Info("compaction finished", "graph", e.Name(),
-			"wall", time.Since(compactStart), "gen", lg.Stats().Gen)
-	}
+	s.met.CompactionDuration.ObserveDuration(time.Since(start))
+	s.cfg.Log.Info("compaction finished", "graph", e.Name(),
+		"wall", time.Since(start), "gen", lg.Stats().Gen)
 	// Compaction preserves the graph, so memoized results stay valid.
 	writeJSON(w, http.StatusOK, map[string]any{
 		"graph": e.Name(),
 		"stats": liveStatsJSON(lg.Stats()),
 	})
-}
-
-func errNotLive(e *Entry) error {
-	return fmt.Errorf("service: graph %q is not live (register it with \"live\": true or run the server with -live)", e.Name())
+	return nil
 }
 
 // liveStatsJSON shapes pdtl.LiveStats for the JSON API.
@@ -1091,6 +851,88 @@ func liveStatsJSON(st pdtl.LiveStats) map[string]any {
 
 // --- request plumbing ---
 
+// api wraps one route in the path every API request takes: it joins the
+// in-flight group Shutdown waits for (or is refused with 503 while
+// draining), runs h, and answers an error h returns with the status
+// statusFor maps it to. h writes its own reply on success.
+func (s *Server) api(h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		err := s.enter()
+		if err == nil {
+			defer s.wg.Done()
+			err = h(w, r)
+		}
+		if err != nil {
+			status := statusFor(err)
+			if status == http.StatusServiceUnavailable {
+				w.Header().Set("Retry-After", "1")
+			}
+			writeJSON(w, status, map[string]any{"error": err.Error()})
+		}
+	}
+}
+
+// graphHandler is a graph-scoped route's own logic: e is the graph the path
+// names and ctx the request's run context.
+type graphHandler func(ctx context.Context, w http.ResponseWriter, r *http.Request, e *Entry) error
+
+// graph wraps a graph-scoped route: on top of api it looks the graph up,
+// refuses the graphs rule does not serve, and derives the request's run
+// context (requestCtx) for h.
+func (s *Server) graph(rule liveRule, h graphHandler) http.HandlerFunc {
+	return s.api(func(w http.ResponseWriter, r *http.Request) error {
+		e, err := s.reg.Get(r.PathValue("name"))
+		if err != nil {
+			return err
+		}
+		if err := rule(e); err != nil {
+			return err
+		}
+		ctx, cleanup, err := s.requestCtx(r)
+		if err != nil {
+			return err
+		}
+		defer cleanup()
+		return h(ctx, w, r, e)
+	})
+}
+
+// A liveRule refuses, with a 400, the graphs a route does not serve.
+type liveRule func(*Entry) error
+
+// anyGraph serves static and live graphs alike.
+func anyGraph(*Entry) error { return nil }
+
+// liveOnly serves live graphs only: the mutation routes.
+func liveOnly(e *Entry) error {
+	if e.Live() == nil {
+		return badf("service: graph %q is not live (register it with \"live\": true or run the server with -live)", e.Name())
+	}
+	return nil
+}
+
+// staticOnly serves static graphs only; what names the feature a live
+// graph lacks ("triangle listing is").
+func staticOnly(what string) liveRule {
+	return func(e *Entry) error {
+		if e.Live() != nil {
+			return badf("service: %s not supported on live graphs (compact first)", what)
+		}
+		return nil
+	}
+}
+
+// badRequest marks an error as the request's own fault: a malformed body
+// or parameter, or options the engine refuses. statusFor answers it 400.
+type badRequest struct{ error }
+
+func (e badRequest) Unwrap() error { return e.error }
+
+// badf is fmt.Errorf marked as a bad request.
+func badf(format string, args ...any) error {
+	return badRequest{fmt.Errorf(format, args...)}
+}
+
 // requestCtx derives the run context for one request: the client's own
 // context (cancelled by net/http on disconnect), joined with the server's
 // base context (cancelled by Shutdown), bounded by an optional ?timeout=
@@ -1101,7 +943,7 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, func(), error) {
 	if v := r.URL.Query().Get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
-			return nil, nil, fmt.Errorf("service: bad timeout %q (want a positive Go duration)", v)
+			return nil, nil, badf("service: bad timeout %q (want a positive Go duration)", v)
 		}
 		timeout = d
 	}
@@ -1117,6 +959,116 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, func(), error) {
 		cancel()
 	}
 	return ctx, cleanup, nil
+}
+
+// memoRun is how one memoized request was answered.
+type memoRun struct {
+	val    any
+	origin Origin
+	// mutGen is the mutation generation val was computed under.
+	mutGen uint64
+	// trace is the run's phase trace in Chrome trace_event form, present
+	// only when the request asked for one AND executed the run itself
+	// (origin=run) — cache hits and shared joins have no trace of their own.
+	trace json.RawMessage
+}
+
+// memo satisfies one memoizable request through e.Do under the cache key
+// kind|key: it threads a trace cursor into the run when traced, logs the
+// run's start and finish, counts the outcome per graph, and folds an
+// executed run into the metrics (account).
+func (s *Server) memo(ctx context.Context, e *Entry, kind, key string, traced bool,
+	run func(context.Context) (any, error)) (memoRun, error) {
+	var tr *obs.Trace
+	if traced {
+		tr = obs.NewTrace(0)
+	}
+	val, origin, gen, err := e.Do(ctx, s.baseCtx, kind+"|"+key, s.adm, s.met,
+		func(runCtx context.Context) (any, error) {
+			if tr != nil {
+				runCtx = obs.ContextWithCursor(runCtx, obs.Cursor{T: tr, Span: obs.NoSpan, Worker: -1})
+			}
+			s.cfg.Log.Info("run started", "graph", e.Name(), "kind", kind, "key", key)
+			return run(runCtx)
+		})
+	if err != nil {
+		return memoRun{}, err
+	}
+	m := memoRun{val: val, origin: origin, mutGen: gen}
+	// Shared joins count in neither per-graph family: they neither ran nor
+	// hit the cache.
+	switch origin {
+	case OriginRun:
+		s.graphRuns.With(e.Name()).Add(1)
+		s.account(e, kind, key, val)
+		m.trace = traceJSON(tr)
+	case OriginCache:
+		s.graphHits.With(e.Name()).Add(1)
+	}
+	return m, nil
+}
+
+// account folds one executed run's I/O and wall time into the cumulative
+// metrics and logs its finish. A cache hit never gets here, which is what
+// the "repeat request does no source I/O" assertion measures.
+func (s *Server) account(e *Entry, kind, key string, val any) {
+	attrs := []any{"graph", e.Name(), "kind", kind, "key", key}
+	if dv, ok := val.(degreesValue); ok {
+		val = dv.res
+	}
+	switch res := val.(type) {
+	case *pdtl.Result:
+		s.met.RunDuration.ObserveDuration(res.TotalTime)
+		s.met.SourceBytesRead.Add(res.SourceBytesRead)
+		var worker int64
+		for _, ws := range res.Workers {
+			worker += ws.BytesRead
+		}
+		s.met.WorkerBytesRead.Add(worker)
+		attrs = append(attrs, "triangles", res.Triangles, "wall", res.TotalTime,
+			"orient", res.OrientTime, "plan", res.PlanTime, "calc", res.CalcTime)
+	case *pdtl.ClusterResult:
+		var src int64
+		for _, n := range res.Nodes {
+			src += n.SourceBytesRead
+		}
+		s.met.SourceBytesRead.Add(src)
+		s.met.ClusterNodeFailures.Add(uint64(len(res.Failures)))
+		s.met.RunDuration.ObserveDuration(res.TotalTime)
+		// Surface degradation per failed worker — the run recovered, but the
+		// operator should know which node is being carried.
+		for _, f := range res.Failures {
+			s.cfg.Log.Warn("cluster node failure", "graph", e.Name(),
+				"node", f.Node, "addr", f.Addr, "chunk", f.Chunk,
+				"retries", f.Retries, "err", f.Err)
+		}
+		attrs = append(attrs, "triangles", res.Triangles, "wall", res.TotalTime,
+			"nodes", len(res.Nodes), "failures", len(res.Failures))
+	case float64:
+		attrs = append(attrs, "estimate", res)
+	}
+	s.cfg.Log.Info("run finished", attrs...)
+}
+
+// withSlot runs fn holding an admission slot: the work that is never
+// memoized (streams, mutation batches, compactions) queues for the same
+// slots engine runs do.
+func (s *Server) withSlot(ctx context.Context, fn func() error) error {
+	release, err := acquireTimed(ctx, s.adm, s.met)
+	if err != nil {
+		return err
+	}
+	defer release()
+	return fn()
+}
+
+// decodeBody decodes r's JSON body, at most limit bytes, into v; what names
+// the body in the 400 a malformed one gets.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		return badf("service: bad %s body: %w", what, err)
+	}
+	return nil
 }
 
 // parseOptions builds a run's Options from the server defaults plus the
@@ -1178,10 +1130,10 @@ func intParam(q url.Values, name string, def, max int) (int, error) {
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
-		return 0, fmt.Errorf("service: bad %s %q: %w", name, v, err)
+		return 0, badf("service: bad %s %q: %w", name, v, err)
 	}
 	if n < 0 || n > max {
-		return 0, fmt.Errorf("service: %s %d outside [0, %d]", name, n, max)
+		return 0, badf("service: %s %d outside [0, %d]", name, n, max)
 	}
 	return n, nil
 }
@@ -1194,33 +1146,18 @@ func boolParam(q url.Values, name string) bool {
 	return false
 }
 
-// accountRun folds one executed run's I/O into the cumulative metrics; a
-// cache hit adds exactly zero here, which is what the "repeat request does
-// no source I/O" assertion measures.
-func (s *Server) accountRun(res *pdtl.Result) {
-	s.met.RunDuration.ObserveDuration(res.TotalTime)
-	s.met.SourceBytesRead.Add(res.SourceBytesRead)
-	var worker int64
-	for _, ws := range res.Workers {
-		worker += ws.BytesRead
-	}
-	s.met.WorkerBytesRead.Add(worker)
-}
-
-// enter admits one API request into the in-flight group, or writes the
-// drain 503. A handler that entered must `defer s.wg.Done()`. The
+// enter admits one API request into the in-flight group, or returns
+// ErrDraining. A request that entered must call s.wg.Done. The
 // check-and-Add is one critical section against Shutdown setting draining,
 // so Shutdown's wg.Wait covers every request that got in.
-func (s *Server) enter(w http.ResponseWriter) bool {
+func (s *Server) enter() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
-		s.writeError(w, http.StatusServiceUnavailable, ErrDraining)
-		return false
+		return ErrDraining
 	}
 	s.wg.Add(1)
-	s.mu.Unlock()
-	return true
+	return nil
 }
 
 func (s *Server) isDraining() bool {
@@ -1252,6 +1189,8 @@ func graphStatus(e *Entry) map[string]any {
 // statusFor maps service and engine errors onto HTTP statuses.
 func statusFor(err error) int {
 	switch {
+	case errors.As(err, new(badRequest)):
+		return http.StatusBadRequest
 	case errors.Is(err, ErrUnknownGraph):
 		return http.StatusNotFound
 	case errors.Is(err, ErrBusy), errors.Is(err, ErrDraining), errors.Is(err, ErrRegistryClosed):
@@ -1267,13 +1206,6 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, map[string]any{"error": err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -512,6 +512,66 @@ func TestServerEvictAndUnknown(t *testing.T) {
 	getJSON(t, client, ts.URL+"/v1/graphs/never/count", http.StatusNotFound)
 }
 
+// TestServerGraphRoutesShared drives every graph-scoped route through the
+// request path they share: an unknown graph answers 404 with a JSON error,
+// and once Shutdown has started every route, on a registered graph too,
+// answers 503 with Retry-After.
+func TestServerGraphRoutesShared(t *testing.T) {
+	base := genStore(t, 7, 21)
+	svc := New(Config{})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	client := ts.Client()
+	postJSON(t, client, ts.URL+"/v1/graphs", registerRequest{Name: "g", Base: base}, http.StatusCreated)
+
+	routes := []struct{ method, path, body string }{
+		{http.MethodGet, "", ""},
+		{http.MethodDelete, "", ""},
+		{http.MethodGet, "/count", ""},
+		{http.MethodGet, "/triangles", ""},
+		{http.MethodGet, "/degrees", ""},
+		{http.MethodPost, "/estimate", `{"method":"doulion"}`},
+		{http.MethodPost, "/edges", `{"insert":[[1,2]]}`},
+		{http.MethodPost, "/compact", ""},
+	}
+	do := func(method, url, body string) (*http.Response, map[string]any) {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var reply map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+			t.Fatalf("%s %s: reply is not JSON: %v", method, url, err)
+		}
+		return resp, reply
+	}
+	for _, rt := range routes {
+		resp, reply := do(rt.method, ts.URL+"/v1/graphs/nope"+rt.path, rt.body)
+		if msg, _ := reply["error"].(string); resp.StatusCode != http.StatusNotFound || msg == "" {
+			t.Errorf("%s /v1/graphs/nope%s = %d %v, want 404 with an error", rt.method, rt.path, resp.StatusCode, reply)
+		}
+	}
+
+	if err := svc.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, rt := range routes {
+		resp, reply := do(rt.method, ts.URL+"/v1/graphs/g"+rt.path, rt.body)
+		if msg, _ := reply["error"].(string); resp.StatusCode != http.StatusServiceUnavailable || msg == "" {
+			t.Errorf("%s /v1/graphs/g%s while draining = %d %v, want 503 with an error", rt.method, rt.path, resp.StatusCode, reply)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s /v1/graphs/g%s: 503 reply missing Retry-After", rt.method, rt.path)
+		}
+	}
+}
+
 func TestServerEstimateAndDegrees(t *testing.T) {
 	base := genStore(t, 9, 17)
 	svc := New(Config{})
@@ -540,6 +600,21 @@ func TestServerEstimateAndDegrees(t *testing.T) {
 	}
 	postJSON(t, client, ts.URL+"/v1/graphs/g/estimate",
 		estimateRequest{Method: "doulion", P: 1.5}, http.StatusBadRequest)
+	// An estimate is keyed on its own method's parameters only: a second
+	// Doulion request that differs in the wedge budget alone, and a second
+	// wedge request that differs in p alone, are the same estimates.
+	est3 := postJSON(t, client, ts.URL+"/v1/graphs/g/estimate",
+		estimateRequest{Method: "doulion", P: 0.5, Samples: 100000, Seed: 3}, 200)
+	if est3["origin"] != "cache" || est3["estimate"] != est["estimate"] {
+		t.Fatalf("doulion estimate differing only in samples = %v, want the cached one", est3)
+	}
+	wedges := postJSON(t, client, ts.URL+"/v1/graphs/g/estimate",
+		estimateRequest{Method: "wedges", Samples: 2000, Seed: 3}, 200)
+	wedges2 := postJSON(t, client, ts.URL+"/v1/graphs/g/estimate",
+		estimateRequest{Method: "wedges", P: 0.7, Samples: 2000, Seed: 3}, 200)
+	if wedges["origin"] != "run" || wedges2["origin"] != "cache" || wedges2["estimate"] != wedges["estimate"] {
+		t.Fatalf("wedge estimates differing only in p = %v then %v, want run then cache", wedges, wedges2)
+	}
 
 	deg := getJSON(t, client, ts.URL+"/v1/graphs/g/degrees?workers=2&top=5", 200)
 	if deg["triangles"].(float64) != exact {

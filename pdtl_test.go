@@ -259,36 +259,6 @@ func TestPublicApproximate(t *testing.T) {
 	}
 }
 
-func TestPublicDynamicCounter(t *testing.T) {
-	c := NewDynamicCounter()
-	c.Insert(0, 1)
-	c.Insert(1, 2)
-	closed, err := c.Insert(0, 2)
-	if err != nil || closed != 1 || c.Triangles() != 1 {
-		t.Fatalf("closed=%d total=%d err=%v", closed, c.Triangles(), err)
-	}
-	if c.VertexTriangles(1) != 1 || c.Edges() != 3 {
-		t.Error("bookkeeping wrong")
-	}
-	opened, err := c.Delete(0, 1)
-	if err != nil || opened != 1 || c.Triangles() != 0 {
-		t.Fatalf("delete: opened=%d total=%d err=%v", opened, c.Triangles(), err)
-	}
-
-	// Bulk load from a store and agree with the exact count.
-	base := filepath.Join(t.TempDir(), "k12")
-	if _, err := GenerateComplete(base, 12); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadDynamicCounter(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Triangles() != gen.CompleteTriangles(12) {
-		t.Errorf("loaded count %d", loaded.Triangles())
-	}
-}
-
 func TestInfoOnOriented(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "k8")
 	if _, err := GenerateComplete(base, 8); err != nil {
