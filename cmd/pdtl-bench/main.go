@@ -11,20 +11,13 @@
 //	pdtl-bench -exp fig6 -scan buffered -kernel merge
 //	                                 # any experiment under a different
 //	                                 # scan source / cone routine
-//	pdtl-bench -json -datasets tiny  # machine-readable per-run results
-//	                                 # (wall/CPU/IO/worker-imbalance) for
-//	                                 # the BENCH_*.json perf trajectory;
-//	                                 # schema pdtl-bench/5 emits a count-only
-//	                                 # row and a listing row per config, with
-//	                                 # word_ops / fast_decodes vectorization
-//	                                 # gauges
-//	pdtl-bench -json -churn 1000     # live-graph rows instead: count over a
-//	                                 # populated delta overlay, then again
-//	                                 # after a forced compaction
-//	                                 # (delta_edges / compactions fields)
+//	pdtl-bench -baseline -datasets tiny
+//	                                 # exact in-memory triangle counts
 //
 // -baseline accepts dataset keys or store base paths, so a smoke job can
 // ground-truth a store pdtl-gen just wrote (e.g. `pdtl-gen stream -final`).
+//
+// Performance is recorded by bench/ (bench/run.sh), not here.
 package main
 
 import (
@@ -58,18 +51,11 @@ func main() {
 	chunks := flag.Int("chunks", 0, "chunks per worker for the stealing scheduler (default 8)")
 	store := flag.String("store", "",
 		"override the oriented-store encoding for every experiment: plain or compressed")
-	jsonOut := flag.Bool("json", false,
-		"emit machine-readable per-run results (JSON) instead of the experiment tables")
 	baselineOut := flag.Bool("baseline", false,
 		"print the exact in-memory baseline triangle count per -datasets dataset "+
 			"(independent ground truth for CI smoke cross-checks)")
 	datasets := flag.String("datasets", "tiny,twitter-sim",
-		"comma-separated dataset keys for -json")
-	workers := flag.Int("workers", 4, "worker count for -json runs")
-	mem := flag.Int("mem", 0, "memory budget per worker for -json runs (0 = tight default)")
-	churn := flag.Int("churn", 0,
-		"with -json: apply this many live edge mutations per dataset and report "+
-			"delta-overlay and post-compaction rows instead of the static schedulers")
+		"comma-separated dataset keys or store bases for -baseline")
 	flag.Parse()
 
 	if *list {
@@ -78,8 +64,8 @@ func main() {
 		}
 		return
 	}
-	if !*all && *exp == "" && !*jsonOut && !*baselineOut {
-		fmt.Fprintln(os.Stderr, "pdtl-bench: need -exp ID, -all, -json, -baseline, or -list")
+	if !*all && *exp == "" && !*baselineOut {
+		fmt.Fprintln(os.Stderr, "pdtl-bench: need -exp ID, -all, -baseline, or -list")
 		os.Exit(2)
 	}
 	h, err := harness.New(*cache)
@@ -118,16 +104,6 @@ func main() {
 			}
 			fmt.Printf("%s %d\n", key, n)
 		}
-	case *jsonOut && *churn > 0:
-		err = h.BenchChurnJSON(os.Stdout, strings.Split(*datasets, ","), *workers, *mem, *churn)
-	case *jsonOut:
-		// An explicit -sched narrows the report to that scheduler; the
-		// default is one record per scheduler for the ablation trajectory.
-		var modes []sched.Mode
-		if *schedMode != "" {
-			modes = []sched.Mode{h.Sched}
-		}
-		err = h.BenchJSON(os.Stdout, strings.Split(*datasets, ","), *workers, *mem, modes)
 	case *all:
 		err = h.RunAll(os.Stdout)
 	default:

@@ -82,6 +82,8 @@ type listed struct {
 	sinks     [][][3]graph.Vertex
 	assembled [][3]graph.Vertex
 	total     uint64
+	// skipped counts the segments the last run rejected on their headers.
+	skipped uint64
 }
 
 // runListed runs ranges under opt twice: with one recording sink per runner,
@@ -89,6 +91,7 @@ type listed struct {
 // without either, and fills in the total alone.
 func runListed(t *testing.T, label string, d *graph.Disk, ranges []balance.Range, opt Options, countOnly bool) listed {
 	t.Helper()
+	var out listed
 	run := func(opt Options) uint64 {
 		t.Helper()
 		calc, err := RunRanges(context.Background(), d, ranges, opt)
@@ -96,12 +99,13 @@ func runListed(t *testing.T, label string, d *graph.Disk, ranges []balance.Range
 			t.Fatalf("%s: %v", label, err)
 		}
 		var total uint64
+		out.skipped = 0
 		for _, w := range calc.Workers {
 			total += w.Stats.Triangles
+			out.skipped += w.Stats.SegmentsSkipped
 		}
 		return total
 	}
-	var out listed
 	if countOnly {
 		out.total = run(opt)
 		return out
@@ -352,7 +356,8 @@ func bitmapBoundaryGraph() (*graph.CSR, error) {
 // sequence under the default's cooperative windows, not just the same set —
 // and match the in-memory baseline count. Every combo then reruns with nil
 // sinks, counting only; its total must equal both the listing total and the
-// baseline. The graphs pin the regimes that matter: Complete(40) at memEdges
+// baseline, and on the compressed store both runs must reject segments on
+// their headers. The graphs pin the regimes that matter: Complete(40) at memEdges
 // 16 (every vertex takes the large-vertex path), a skewed power law, and the
 // bitmap-boundary graph above (dense 301-entry lists spanning a full bitmap
 // segment plus a tail, decoded through both segment kinds).
@@ -417,8 +422,12 @@ func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 							// Count-only rerun of the identical combo: its
 							// total must agree with the listing path and
 							// the baseline.
-							if c := runListed(t, label+" count-only", disks[format], ranges, opt, true); c.total != want {
+							c := runListed(t, label+" count-only", disks[format], ranges, opt, true)
+							if c.total != want {
 								t.Fatalf("%s count-only: %d triangles, want %d", label, c.total, want)
+							}
+							if format == graph.FormatCompressed && (got.skipped == 0 || c.skipped == 0) {
+								t.Errorf("%s: no segment rejected on its header (listing %d, count %d)", label, got.skipped, c.skipped)
 							}
 							seqs, refs := got.sinks, ref
 							if src.IsAuto() {

@@ -31,7 +31,7 @@ func listOn(t *testing.T, label string, d *graph.Disk, lg *live.Graph, opt core.
 	opt.Out, opt.SpillDir = &buf, t.TempDir()
 	var workers []core.WorkerStat
 	if lg != nil {
-		res, err := lg.Count(context.Background(), opt)
+		res, _, err := lg.Count(context.Background(), opt)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

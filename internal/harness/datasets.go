@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"pdtl/internal/baseline"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
 	"pdtl/internal/mgt"
@@ -82,9 +83,9 @@ var Datasets = []Dataset{
 	},
 	{
 		// tiny is not a Table I stand-in: it is the seconds-scale smoke
-		// dataset CI runs `pdtl-bench -json` against to keep the JSON
-		// schema honest. Skewed on purpose so the worker-imbalance field
-		// is non-trivial.
+		// dataset CI ground-truths (`pdtl-bench -baseline`) and counts on
+		// both store formats. Skewed on purpose so the worker imbalance is
+		// non-trivial.
 		Key: "tiny", Paper: "(smoke)",
 		Build: func() (*graph.CSR, error) { return gen.PowerLaw(1<<10, (1<<10)*8, 2.0, 109) },
 	},
@@ -249,4 +250,34 @@ func (h *Harness) StoreBytes(key string) (int64, error) {
 		total += st.Size()
 	}
 	return total, nil
+}
+
+// BaselineCount computes a dataset's exact triangle count with the
+// in-memory reference implementation (internal/baseline) — the independent
+// ground truth CI smoke jobs compare engine and service replies against
+// (`pdtl-bench -baseline`). key is a dataset key, or — when an undirected
+// store exists at that path — a store base, so smoke jobs can ground-truth
+// stores written by pdtl-gen (e.g. the -final snapshot of a churn trace).
+func (h *Harness) BaselineCount(key string) (uint64, error) {
+	g, err := h.loadKeyOrStore(key)
+	if err != nil {
+		return 0, err
+	}
+	return baseline.Forward(g), nil
+}
+
+func (h *Harness) loadKeyOrStore(key string) (*graph.CSR, error) {
+	if _, err := os.Stat(graph.MetaPath(key)); err == nil {
+		d, err := graph.Open(key)
+		if err != nil {
+			return nil, err
+		}
+		if d.Meta.Oriented {
+			// The baseline counts over the undirected graph; an oriented
+			// store would silently halve every adjacency.
+			return nil, fmt.Errorf("harness: store %s is oriented, baseline needs the undirected graph", key)
+		}
+		return d.LoadCSR()
+	}
+	return h.LoadCSR(key)
 }

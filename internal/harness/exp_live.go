@@ -112,7 +112,7 @@ func expChurn(h *Harness, r *Report) error {
 		}
 
 		start := time.Now()
-		res, err := lg.Count(h.ctx(), core.Options{
+		res, _, err := lg.Count(h.ctx(), core.Options{
 			Workers:  2,
 			MemEdges: mem,
 			Strategy: balance.InDegree,
@@ -149,7 +149,7 @@ func expChurn(h *Harness, r *Report) error {
 		return fmt.Errorf("churn compaction: %w", err)
 	}
 	compactWall := time.Since(start)
-	res, err := lg.Count(h.ctx(), core.Options{Workers: 2, MemEdges: mem, Strategy: balance.InDegree})
+	res, _, err := lg.Count(h.ctx(), core.Options{Workers: 2, MemEdges: mem, Strategy: balance.InDegree})
 	if err != nil {
 		return err
 	}

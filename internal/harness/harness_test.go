@@ -297,3 +297,22 @@ func TestRunExperimentEndToEnd(t *testing.T) {
 		t.Error("unknown experiment should fail")
 	}
 }
+
+func TestBaselineCount(t *testing.T) {
+	h := newHarness(t)
+	n, err := h.BaselineCount("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 {
+		t.Fatal("baseline found no triangles in tiny")
+	}
+	// The baseline must agree with the engine.
+	res, err := h.CalcLocal("tiny", 2, 0, balance.InDegree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Triangles != n {
+		t.Fatalf("engine %d vs baseline %d", res.Triangles, n)
+	}
+}

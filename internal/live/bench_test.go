@@ -49,7 +49,7 @@ func BenchmarkLiveCount(b *testing.B) {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			var res *core.Result
 			for b.Loop() {
-				if res, err = lg.Count(context.Background(), core.Options{Workers: p, MemEdges: mem}); err != nil {
+				if res, _, err = lg.Count(context.Background(), core.Options{Workers: p, MemEdges: mem}); err != nil {
 					b.Fatal(err)
 				}
 			}

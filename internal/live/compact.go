@@ -43,10 +43,10 @@ func (g *Graph) runCompaction(ctx context.Context, base *baseSnap, frozen *delta
 		// Fold the frozen layer back under whatever active mutations
 		// arrived during the attempt; the delta keeps growing but nothing
 		// is lost, and the next compaction retries everything.
-		g.cur = &view{base: old.base, frozen: nil, active: compose(frozen, old.active)}
+		g.cur = &view{base: old.base, frozen: nil, active: compose(frozen, old.active), batches: old.batches}
 		g.lastCompactErr = err
 	} else {
-		g.cur = &view{base: snap, frozen: nil, active: old.active}
+		g.cur = &view{base: snap, frozen: nil, active: old.active, batches: old.batches}
 		g.compactions++
 		if old.base.owned {
 			// Nothing can read the retired snapshot after the swap: queries

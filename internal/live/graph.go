@@ -116,7 +116,6 @@ type Graph struct {
 	compactDone *sync.Cond // broadcast when a compaction finishes
 	closed      bool
 
-	batches      uint64
 	edgesApplied uint64
 	compactions  uint64
 	// lastCompactErr is the most recent background-compaction failure
@@ -205,11 +204,10 @@ func (g *Graph) ApplyBatch(updates []Update) error {
 		}
 	}
 	wasEmpty := cur.active.edges() == 0
-	g.cur = &view{base: cur.base, frozen: cur.frozen, active: b.build()}
+	g.cur = &view{base: cur.base, frozen: cur.frozen, active: b.build(), batches: cur.batches + 1}
 	if wasEmpty && g.cur.active.edges() > 0 {
 		g.activeSince = time.Now()
 	}
-	g.batches++
 	g.edgesApplied += uint64(len(updates))
 	// The estimator consumes the raw update stream (validated above, so
 	// every insert is new and every delete was live).
@@ -244,7 +242,7 @@ func (g *Graph) maybeCompactLocked() {
 // the active layer non-empty.
 func (g *Graph) startCompactionLocked() {
 	frozen := compose(g.cur.frozen, g.cur.active)
-	g.cur = &view{base: g.cur.base, frozen: frozen, active: emptyDelta}
+	g.cur = &view{base: g.cur.base, frozen: frozen, active: emptyDelta, batches: g.cur.batches}
 	g.activeSince = time.Time{}
 	g.compacting = true
 	base := g.cur.base
@@ -280,7 +278,7 @@ func (g *Graph) CompactNow(ctx context.Context) error {
 	cur := obs.CursorFrom(ctx)
 	fsp := cur.Begin(obs.SpanFreeze)
 	frozen := compose(g.cur.frozen, g.cur.active)
-	g.cur = &view{base: g.cur.base, frozen: frozen, active: emptyDelta}
+	g.cur = &view{base: g.cur.base, frozen: frozen, active: emptyDelta, batches: g.cur.batches}
 	g.activeSince = time.Time{}
 	g.compacting = true
 	base := g.cur.base
@@ -298,28 +296,30 @@ func (g *Graph) CompactNow(ctx context.Context) error {
 }
 
 // Count runs the exact PDTL engine over the current live view and returns
-// the run result. The view is captured once; mutations and compactions
-// that land mid-run do not affect it. The run is the engine's default —
-// cooperative windows reading the merged view (merged.ReadAt) — so of opt
-// only Workers, MemEdges, Kernel and Sinks apply; -scan buffered is ignored
-// and the result reports auto.
-func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, error) {
+// the run result and the number of mutation batches that view holds. The
+// view is captured once; mutations and compactions that land mid-run do
+// not affect it. The run is the engine's default — cooperative windows
+// reading the merged view (merged.ReadAt) — so of opt only Workers,
+// MemEdges, Kernel and Sinks apply; -scan buffered is ignored and the
+// result reports auto.
+func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, uint64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m, err := g.currentView().merged()
+	v := g.currentView()
+	m, err := v.merged()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	start := time.Now()
 	opt.Scan = scan.SourceAuto
 	plan, err := core.LocalPlan(m.disk, m.disk.Base, opt)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	calc, err := core.RunRanges(ctx, m.disk, plan.Ranges, opt)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	res := &core.Result{
 		OrientedBase: m.disk.Base,
@@ -334,7 +334,7 @@ func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, erro
 	}
 	res.CalcTime = time.Since(start)
 	res.TotalTime = res.CalcTime
-	return res, nil
+	return res, v.batches, nil
 }
 
 // HasEdge reports whether the undirected edge (u, v) is live.
@@ -360,7 +360,7 @@ func (g *Graph) Stats() Stats {
 		ActiveEdges:   cur.active.edges(),
 		FrozenEdges:   cur.frozenEdges(),
 		DeltaEdges:    cur.deltaEdges(),
-		Batches:       g.batches,
+		Batches:       cur.batches,
 		EdgesApplied:  g.edgesApplied,
 		Compactions:   g.compactions,
 		Compacting:    g.compacting,

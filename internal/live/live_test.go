@@ -109,7 +109,7 @@ func randomBatch(rng *rand.Rand, s edgeSet, k, maxV int) []Update {
 
 func countLive(t *testing.T, g *Graph, opt core.Options) uint64 {
 	t.Helper()
-	res, err := g.Count(context.Background(), opt)
+	res, _, err := g.Count(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +386,20 @@ func TestCompactionByteEquivalence(t *testing.T) {
 			if err := lg.ApplyBatch(randomBatch(rng, ref, 120, 170)); err != nil {
 				t.Fatal(err)
 			}
+			before := countLive(t, lg, core.Options{Workers: 2})
+			if st := lg.Stats(); st.DeltaEdges == 0 || st.Compactions != 0 {
+				t.Fatalf("pre-compact stats: %+v, want a delta and no compaction", st)
+			}
 			if err := lg.CompactNow(context.Background()); err != nil {
 				t.Fatal(err)
+			}
+			// Compaction folds the delta into the snapshot without changing
+			// the graph, so the count stays.
+			if st := lg.Stats(); st.DeltaEdges != 0 || st.Compactions != 1 {
+				t.Fatalf("post-compact stats: %+v, want no delta and one compaction", st)
+			}
+			if after := countLive(t, lg, core.Options{Workers: 2}); after != before || after != baseline.Forward(ref.csr(t)) {
+				t.Fatalf("count %d before compaction, %d after, want both %d", before, after, baseline.Forward(ref.csr(t)))
 			}
 
 			// From-scratch build of the same edge set, same name.
@@ -496,7 +508,7 @@ func TestConcurrentChurnQueryCompact(t *testing.T) {
 				default:
 				}
 				lo := applied.Load()
-				res, err := lg.Count(context.Background(), core.Options{Workers: 2})
+				res, n, err := lg.Count(context.Background(), core.Options{Workers: 2})
 				if err != nil {
 					t.Errorf("count: %v", err)
 					return
@@ -514,6 +526,13 @@ func TestConcurrentChurnQueryCompact(t *testing.T) {
 				}
 				if !ok {
 					t.Errorf("count %d matches no state in [%d,%d]", res.Triangles, lo, hi)
+					return
+				}
+				// The count names the state it counted: the batches its
+				// view holds, compactions included.
+				if int64(n) < lo || int64(n) > hi || res.Triangles != counts[n] {
+					t.Errorf("count %d names %d batches, want a batch in [%d,%d] whose state has that count",
+						res.Triangles, n, lo, hi)
 					return
 				}
 			}

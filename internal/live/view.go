@@ -106,6 +106,9 @@ type view struct {
 	base   *baseSnap
 	frozen *delta // nil unless a compaction is in flight
 	active *delta
+	// batches counts the mutation batches applied up to this view;
+	// compaction republishes the graph under the same count.
+	batches uint64
 
 	// merged is the lazily built overlay (synthetic disk + oriented delta
 	// lists); built at most once per view, by the first query.

@@ -165,6 +165,62 @@ func TestServerLiveMutateInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestServerLiveCountReportsViewBatches pins mut_gen to the view a count
+// ran on: a batch applied straight to the overlay, with no handler to bump
+// the entry, is already in the next count's mut_gen; a cache hit reports
+// the batches of the view its value was counted on; and the mutate,
+// estimate and status replies agree with the count once a handler batch
+// lands.
+func TestServerLiveCountReportsViewBatches(t *testing.T) {
+	base := genStore(t, 7, 3)
+	svc := New(Config{RunSlots: 2, QueueDepth: 8})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	client := ts.Client()
+
+	postJSON(t, client, ts.URL+"/v1/graphs",
+		registerRequest{Name: "lv", Base: base, Live: true}, http.StatusCreated)
+	e, err := svc.Registry().Get("lv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The window a count opens between Apply and Invalidate, held open:
+	// the overlay holds the batch, the entry has not heard of it.
+	if err := e.Live().Apply([]pdtl.LiveUpdate{{U: 300, V: 301}}); err != nil {
+		t.Fatal(err)
+	}
+	countURL := ts.URL + "/v1/graphs/lv/count?workers=2"
+	if c := getJSON(t, client, countURL, 200); c["origin"] != "run" || c["mut_gen"] != 1.0 {
+		t.Fatalf("count after one applied batch = %v, want run at mut_gen 1", c)
+	}
+	// A second batch past the handler leaves the memoized count in place;
+	// the hit names the view it was counted on, not the overlay's latest.
+	if err := e.Live().Apply([]pdtl.LiveUpdate{{U: 301, V: 302}}); err != nil {
+		t.Fatal(err)
+	}
+	if c := getJSON(t, client, countURL, 200); c["origin"] != "cache" || c["mut_gen"] != 1.0 {
+		t.Fatalf("repeat count = %v, want cache at mut_gen 1", c)
+	}
+	mut := postJSON(t, client, ts.URL+"/v1/graphs/lv/edges", mutateRequest{
+		Insert: [][2]uint32{{300, 302}},
+	}, 200)
+	if mut["mut_gen"] != 3.0 {
+		t.Fatalf("mutate reply = %v, want mut_gen 3", mut)
+	}
+	c := getJSON(t, client, countURL, 200)
+	if c["origin"] != "run" || c["mut_gen"] != 3.0 {
+		t.Fatalf("count after the handler's batch = %v, want run at mut_gen 3", c)
+	}
+	est := postJSON(t, client, ts.URL+"/v1/graphs/lv/estimate", nil, 200)
+	if est["mut_gen"] != 3.0 || est["estimate"] != c["triangles"] {
+		t.Fatalf("live estimate = %v, want mut_gen 3 and the count's %v triangles", est, c["triangles"])
+	}
+	if st := getJSON(t, client, ts.URL+"/v1/graphs/lv", 200); st["mut_gen"] != 3.0 {
+		t.Fatalf("live status = %v, want mut_gen 3", st)
+	}
+}
+
 // TestEntryInvalidateDropsInFlightResult pins the generation guard: a run
 // that is already executing when a mutation invalidates the entry still
 // answers its own waiters, but its (stale) result must not be memoized.
@@ -183,13 +239,10 @@ func TestEntryInvalidateDropsInFlightResult(t *testing.T) {
 	proceed := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	var (
-		val any
-		gen uint64
-	)
+	var val any
 	go func() {
 		defer wg.Done()
-		val, _, gen, err = e.Do(context.Background(), context.Background(), "k", adm, met,
+		val, _, err = e.Do(context.Background(), context.Background(), "k", adm, met,
 			func(context.Context) (any, error) {
 				close(started)
 				<-proceed
@@ -203,27 +256,22 @@ func TestEntryInvalidateDropsInFlightResult(t *testing.T) {
 	if err != nil || val != "stale" {
 		t.Fatalf("in-flight Do = %v, %v", val, err)
 	}
-	// The stale value reports the generation it was computed under, not
-	// the one the mutation moved the entry to.
-	if gen != 0 || e.MutGen() != 1 {
-		t.Fatalf("in-flight Do reported generation %d with the entry at %d, want 0 and 1", gen, e.MutGen())
-	}
 	if n := e.CachedResults(); n != 0 {
 		t.Fatalf("stale result was memoized (%d cached)", n)
 	}
 	// The next identical request runs fresh rather than hitting a cache.
-	_, origin, gen, err := e.Do(context.Background(), context.Background(), "k", adm, met,
+	_, origin, err := e.Do(context.Background(), context.Background(), "k", adm, met,
 		func(context.Context) (any, error) { return "fresh", nil })
-	if err != nil || origin != OriginRun || gen != 1 {
-		t.Fatalf("post-invalidate Do origin = %v, generation %d, %v, want run at 1", origin, gen, err)
+	if err != nil || origin != OriginRun {
+		t.Fatalf("post-invalidate Do origin = %v, %v, want run", origin, err)
 	}
 	if n := e.CachedResults(); n != 1 {
 		t.Fatalf("fresh result not memoized (%d cached)", n)
 	}
-	// A cache hit reports the generation its value was cached under.
-	_, origin, gen, err = e.Do(context.Background(), context.Background(), "k", adm, met,
+	// The fresh result is memoized under the new generation.
+	_, origin, err = e.Do(context.Background(), context.Background(), "k", adm, met,
 		func(context.Context) (any, error) { return "unused", nil })
-	if err != nil || origin != OriginCache || gen != 1 {
-		t.Fatalf("repeat Do origin = %v, generation %d, %v, want cache at 1", origin, gen, err)
+	if err != nil || origin != OriginCache {
+		t.Fatalf("repeat Do origin = %v, %v, want cache", origin, err)
 	}
 }

@@ -103,13 +103,6 @@ func (e *Entry) Graph() *pdtl.Graph { return e.g }
 // Live returns the entry's mutable overlay, or nil for immutable entries.
 func (e *Entry) Live() *pdtl.LiveGraph { return e.live }
 
-// MutGen reports how many mutation batches have been applied to the entry.
-func (e *Entry) MutGen() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.mutGen
-}
-
 // Invalidate drops every memoized result and bumps the mutation generation,
 // so runs already in flight (computed against the pre-mutation view) finish
 // for their waiters but are not cached. Called after each applied batch.
@@ -328,18 +321,15 @@ func (f *flight) leave() {
 // shutdown cancels it) and is abandoned-waiter-cancelled; each waiter's own
 // ctx bounds only its wait. Successful results are memoized under key until
 // the entry is replaced, evicted, or (live entries) invalidated by a
-// mutation batch. gen is the mutation generation the value was computed
-// under: the flight's start generation, or the current one for a cache hit
-// (Invalidate empties the cache as it bumps the generation).
+// mutation batch.
 func (e *Entry) Do(ctx, baseCtx context.Context, key string, adm *Admission, met *Metrics,
-	run func(context.Context) (any, error)) (val any, origin Origin, gen uint64, err error) {
+	run func(context.Context) (any, error)) (val any, origin Origin, err error) {
 	for {
 		e.mu.Lock()
 		if val, ok := e.cache[key]; ok {
-			gen := e.mutGen
 			e.mu.Unlock()
 			met.CacheHits.Add(1)
-			return val, OriginCache, gen, nil
+			return val, OriginCache, nil
 		}
 		if f, ok := e.flights[key]; ok {
 			if f.waiters.Add(1) == 1 {
@@ -352,20 +342,20 @@ func (e *Entry) Do(ctx, baseCtx context.Context, key string, adm *Admission, met
 				case <-f.done:
 					continue
 				case <-ctx.Done():
-					return nil, OriginShared, 0, ctx.Err()
+					return nil, OriginShared, ctx.Err()
 				}
 			}
 			e.mu.Unlock()
 			select {
 			case <-f.done:
 				if f.err != nil {
-					return nil, OriginShared, f.gen, translateRunErr(f.err, ctx, baseCtx)
+					return nil, OriginShared, translateRunErr(f.err, ctx, baseCtx)
 				}
 				met.RunsShared.Add(1)
-				return f.val, OriginShared, f.gen, nil
+				return f.val, OriginShared, nil
 			case <-ctx.Done():
 				f.leave()
-				return nil, OriginShared, f.gen, ctx.Err()
+				return nil, OriginShared, ctx.Err()
 			}
 		}
 		met.CacheMisses.Add(1)
@@ -425,9 +415,9 @@ func (e *Entry) Do(ctx, baseCtx context.Context, key string, adm *Admission, met
 		cancel()
 
 		if f.err == nil {
-			return f.val, OriginRun, f.gen, nil
+			return f.val, OriginRun, nil
 		}
-		return nil, OriginRun, f.gen, translateRunErr(f.err, ctx, baseCtx)
+		return nil, OriginRun, translateRunErr(f.err, ctx, baseCtx)
 	}
 }
 

@@ -374,9 +374,9 @@ type countResponse struct {
 	// The count is exact regardless — a non-empty list only means the run
 	// completed degraded (DESIGN.md §9).
 	Failures []nodeFailureJSON `json:"failures,omitempty"`
-	// Live marks counts served off a mutable overlay; MutGen is the
-	// mutation generation the count was computed under (callers can
-	// correlate it with their own POST …/edges responses).
+	// Live marks counts served off a mutable overlay; MutGen is the number
+	// of mutation batches the counted view holds (callers can correlate it
+	// with their own POST …/edges responses).
 	Live   bool   `json:"live,omitempty"`
 	MutGen uint64 `json:"mut_gen,omitempty"`
 	// Trace is the run's phase trace (memoRun.trace), present only under
@@ -431,7 +431,7 @@ func (s *Server) handleCount(ctx context.Context, w http.ResponseWriter, r *http
 		SourceBytesRead: res.SourceBytesRead,
 		Workers:         len(res.Workers),
 		Live:            e.Live() != nil,
-		MutGen:          m.mutGen,
+		MutGen:          res.Batches,
 		Trace:           m.trace,
 	})
 	return nil
@@ -699,15 +699,16 @@ func (s *Server) handleEstimate(ctx context.Context, w http.ResponseWriter, r *h
 		if req.Method != "" && req.Method != "streaming" {
 			return badf("service: live graphs only support the streaming estimate (got method %q)", req.Method)
 		}
-		est, exact := lg.Estimate()
+		// One snapshot, so the estimate and the batches it has seen agree.
+		st := lg.Stats()
 		writeJSON(w, http.StatusOK, map[string]any{
 			"graph":         e.Name(),
 			"origin":        "live",
 			"method":        "streaming",
-			"estimate":      est,
-			"exact":         exact,
-			"sampled_edges": lg.Stats().SampledEdges,
-			"mut_gen":       e.MutGen(),
+			"estimate":      st.Estimate,
+			"exact":         st.EstimateExact,
+			"sampled_edges": st.SampledEdges,
+			"mut_gen":       st.Batches,
 		})
 		return nil
 	}
@@ -797,12 +798,13 @@ func (s *Server) handleMutate(ctx context.Context, w http.ResponseWriter, r *htt
 	s.met.MutationBatches.Add(1)
 	s.met.EdgesApplied.Add(uint64(len(updates)))
 	s.met.MutationBatchEdges.Observe(float64(len(updates)))
+	st := lg.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"graph":    e.Name(),
 		"inserted": len(req.Insert),
 		"deleted":  len(req.Delete),
-		"mut_gen":  e.MutGen(),
-		"stats":    liveStatsJSON(lg.Stats()),
+		"mut_gen":  st.Batches,
+		"stats":    liveStatsJSON(st),
 	})
 	return nil
 }
@@ -965,8 +967,6 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, func(), error) {
 type memoRun struct {
 	val    any
 	origin Origin
-	// mutGen is the mutation generation val was computed under.
-	mutGen uint64
 	// trace is the run's phase trace in Chrome trace_event form, present
 	// only when the request asked for one AND executed the run itself
 	// (origin=run) — cache hits and shared joins have no trace of their own.
@@ -983,7 +983,7 @@ func (s *Server) memo(ctx context.Context, e *Entry, kind, key string, traced bo
 	if traced {
 		tr = obs.NewTrace(0)
 	}
-	val, origin, gen, err := e.Do(ctx, s.baseCtx, kind+"|"+key, s.adm, s.met,
+	val, origin, err := e.Do(ctx, s.baseCtx, kind+"|"+key, s.adm, s.met,
 		func(runCtx context.Context) (any, error) {
 			if tr != nil {
 				runCtx = obs.ContextWithCursor(runCtx, obs.Cursor{T: tr, Span: obs.NoSpan, Worker: -1})
@@ -994,7 +994,7 @@ func (s *Server) memo(ctx context.Context, e *Entry, kind, key string, traced bo
 	if err != nil {
 		return memoRun{}, err
 	}
-	m := memoRun{val: val, origin: origin, mutGen: gen}
+	m := memoRun{val: val, origin: origin}
 	// Shared joins count in neither per-graph family: they neither ran nor
 	// hit the cache.
 	switch origin {
@@ -1179,9 +1179,10 @@ func graphStatus(e *Entry) map[string]any {
 		"info":           g.Info(),
 	}
 	if lg := e.Live(); lg != nil {
+		ls := lg.Stats()
 		st["live"] = true
-		st["mut_gen"] = e.MutGen()
-		st["live_stats"] = liveStatsJSON(lg.Stats())
+		st["mut_gen"] = ls.Batches
+		st["live_stats"] = liveStatsJSON(ls)
 	}
 	return st
 }

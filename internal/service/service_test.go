@@ -297,6 +297,14 @@ func TestServerSingleFlight(t *testing.T) {
 	if got := svc.Metrics().RunsShared.Load(); got != 1 {
 		t.Fatalf("RunsShared = %d, want 1", got)
 	}
+	// A later identical count is the cache's: still the one engine run.
+	c := getJSON(t, client, ts.URL+"/v1/graphs/cold/count?workers=2&mem=4096", 200)
+	if c["origin"] != "cache" || c["triangles"] != triangles[0] {
+		t.Fatalf("repeat count = %v, want a cache hit with %v triangles", c, triangles[0])
+	}
+	if runs := e.Graph().Runs(); runs != 1 || svc.Metrics().CacheHits.Load() != 1 {
+		t.Fatalf("engine runs %d, cache hits %d after the repeat, want 1 and 1", runs, svc.Metrics().CacheHits.Load())
+	}
 }
 
 // TestServerStreamDisconnectTeardown is the acceptance check: killing a

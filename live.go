@@ -128,7 +128,7 @@ func (lg *LiveGraph) Apply(updates []LiveUpdate) error {
 
 // Count runs the exact engine over the current live view. The view is
 // captured at call time: mutations landing mid-run do not perturb the
-// result. The run is always the default source's cooperative windows,
+// result, and its Batches names the batches the view holds. The run is always the default source's cooperative windows,
 // reading the view from memory: of opt only Workers, MemEdges and Kernel
 // apply, and the result's ScanSource is "auto".
 func (lg *LiveGraph) Count(ctx context.Context, opt Options) (*Result, error) {
@@ -140,7 +140,7 @@ func (lg *LiveGraph) Count(ctx context.Context, opt Options) (*Result, error) {
 		copt.Workers = defaultWorkers()
 	}
 	lg.h.runs.Add(1)
-	cres, err := lg.lg.Count(ctx, copt)
+	cres, batches, err := lg.lg.Count(ctx, copt)
 	if err != nil {
 		return nil, err
 	}
@@ -151,6 +151,7 @@ func (lg *LiveGraph) Count(ctx context.Context, opt Options) (*Result, error) {
 		OrientedBase: cres.OrientedBase,
 		ScanSource:   string(scan.SourceAuto),
 		Sched:        copt.Sched.String(),
+		Batches:      batches,
 	}
 	for _, w := range cres.Workers {
 		res.Workers = append(res.Workers, WorkerStats{

@@ -224,6 +224,9 @@ type Result struct {
 	// "buffered", whose workers each load their own windows and count them
 	// in their BytesRead.
 	SourceBytesRead int64
+	// Batches is, for a LiveGraph count, how many mutation batches the
+	// counted view holds; zero for an immutable graph.
+	Batches uint64
 }
 
 // ReadTriangleFile decodes a List output file.
