@@ -88,51 +88,73 @@ type ClusterOptions struct {
 // a run survives failures, never what it computes, so runs differing only
 // in them share a cache entry.
 func (o ClusterOptions) Key(workerAddrs []string) (string, error) {
-	scanKind, err := scan.ParseSource(o.ScanSource)
+	cfg, format, err := o.toCluster()
 	if err != nil {
 		return "", err
-	}
-	kernelKind, err := mgt.ParseKernel(o.Kernel)
-	if err != nil {
-		return "", err
-	}
-	mode, err := sched.ParseMode(o.Sched)
-	if err != nil {
-		return "", err
-	}
-	if err := cluster.CheckSchedule(mode, scanKind); err != nil {
-		return "", err
-	}
-	strategy := balance.InDegree
-	if o.NaiveBalance {
-		strategy = balance.Naive
-	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = 1 // the cluster engine's default (Config.withDefaults)
-	}
-	mem := o.MemEdges
-	if mem <= 0 {
-		mem = core.DefaultMemEdges
 	}
 	chunks := 0
-	if mode == sched.Stealing {
-		chunks = sched.ChunksFor(workers, o.Chunks)
-	}
-	format, err := graph.ParseFormat(o.StoreFormat)
-	if err != nil {
-		return "", err
-	}
-	if format == "" {
-		format = graph.FormatPlain
+	if cfg.Sched == sched.Stealing {
+		chunks = sched.ChunksFor(cfg.Workers, cfg.Chunks)
 	}
 	key := fmt.Sprintf("nodes=%s w%d m%d %s %s %s %s c%d %s",
-		strings.Join(workerAddrs, ","), workers, mem, strategy, mode,
-		scanKind.OrAuto(), kernelKind, chunks, format)
+		strings.Join(workerAddrs, ","), cfg.Workers, cfg.MemEdges, cfg.Strategy, cfg.Sched,
+		cfg.Scan.OrAuto(), cfg.Kernel, chunks, format)
 	if o.List {
 		key += " list=" + o.ListPath
 	}
 	return key, nil
+}
+
+// toCluster resolves o into the cluster engine's configuration and the
+// oriented store's format: every name parsed and the schedule checked, and
+// Workers and MemEdges defaulted as the engine defaults them
+// (cluster.Config). Key and CountDistributed both start here.
+func (o ClusterOptions) toCluster() (cluster.Config, graph.Format, error) {
+	strategy := balance.InDegree
+	if o.NaiveBalance {
+		strategy = balance.Naive
+	}
+	scanKind, err := scan.ParseSource(o.ScanSource)
+	if err != nil {
+		return cluster.Config{}, "", err
+	}
+	kernelKind, err := mgt.ParseKernel(o.Kernel)
+	if err != nil {
+		return cluster.Config{}, "", err
+	}
+	mode, err := sched.ParseMode(o.Sched)
+	if err != nil {
+		return cluster.Config{}, "", err
+	}
+	if err := cluster.CheckSchedule(mode, scanKind); err != nil {
+		return cluster.Config{}, "", err
+	}
+	format, err := graph.ParseFormat(o.StoreFormat)
+	if err != nil {
+		return cluster.Config{}, "", err
+	}
+	cfg := cluster.Config{
+		Workers:           o.Workers,
+		MemEdges:          o.MemEdges,
+		Strategy:          strategy,
+		UplinkBytesPerSec: o.UplinkBytesPerSec,
+		Scan:              scanKind,
+		Kernel:            kernelKind,
+		Sched:             mode,
+		Chunks:            o.Chunks,
+		MaxRetries:        o.MaxRetries,
+		HeartbeatInterval: o.HeartbeatInterval,
+		List:              o.List,
+		ListPath:          o.ListPath,
+		Log:               o.Log,
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = 1
+	}
+	if cfg.MemEdges <= 0 {
+		cfg.MemEdges = core.DefaultMemEdges
+	}
+	return cfg, format, nil
 }
 
 // NodeStats reports one node's share of a distributed run; node 0 is the
@@ -223,57 +245,18 @@ func (g *Graph) CountDistributed(ctx context.Context, workerAddrs []string, opt 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	strategy := balance.InDegree
-	if opt.NaiveBalance {
-		strategy = balance.Naive
-	}
-	scanKind, err := scan.ParseSource(opt.ScanSource)
-	if err != nil {
-		return nil, err
-	}
-	kernelKind, err := mgt.ParseKernel(opt.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	schedMode, err := sched.ParseMode(opt.Sched)
-	if err != nil {
-		return nil, err
-	}
-	if err := cluster.CheckSchedule(schedMode, scanKind); err != nil {
-		return nil, err
-	}
-	format, err := graph.ParseFormat(opt.StoreFormat)
+	cfg, format, err := opt.toCluster()
 	if err != nil {
 		return nil, err
 	}
 	g.runs.Add(1)
 	start := time.Now()
-	orientWorkers := opt.Workers
-	if orientWorkers <= 0 {
-		orientWorkers = 1
-	}
-	d, orientedBase, ores, err := g.ensureOriented(ctx, orientWorkers, format)
+	d, orientedBase, ores, err := g.ensureOriented(ctx, cfg.Workers, format)
 	if err != nil {
 		return nil, err
 	}
-	cres, err := cluster.Run(ctx, cluster.Config{
-		GraphBase:         orientedBase,
-		Disk:              d,
-		GraphName:         filepath.Base(g.base),
-		Workers:           opt.Workers,
-		MemEdges:          opt.MemEdges,
-		Strategy:          strategy,
-		UplinkBytesPerSec: opt.UplinkBytesPerSec,
-		Scan:              scanKind,
-		Kernel:            kernelKind,
-		Sched:             schedMode,
-		Chunks:            opt.Chunks,
-		MaxRetries:        opt.MaxRetries,
-		HeartbeatInterval: opt.HeartbeatInterval,
-		List:              opt.List,
-		ListPath:          opt.ListPath,
-		Log:               opt.Log,
-	}, workerAddrs)
+	cfg.GraphBase, cfg.Disk, cfg.GraphName = orientedBase, d, filepath.Base(g.base)
+	cres, err := cluster.Run(ctx, cfg, workerAddrs)
 	if err != nil {
 		return nil, err
 	}
@@ -289,12 +272,8 @@ func clusterResultFrom(cres *cluster.Result) *ClusterResult {
 	res := &ClusterResult{
 		Triangles:    cres.Triangles,
 		CalcTime:     cres.CalcTime,
-		TotalTime:    cres.TotalTime,
 		NetworkBytes: cres.NetworkBytes,
 		OrientedBase: cres.OrientedBase,
-	}
-	if cres.Orientation != nil {
-		res.OrientTime = cres.Orientation.Duration
 	}
 	for _, f := range cres.Failures {
 		res.Failures = append(res.Failures, NodeFailure{
@@ -315,17 +294,7 @@ func clusterResultFrom(cres *cluster.Result) *ClusterResult {
 		for _, w := range n.Workers {
 			ns.CPUTime += w.Stats.CPUTime()
 			ns.IOTime += w.Stats.IO.IOTime()
-			ns.Workers = append(ns.Workers, WorkerStats{
-				Worker:    w.Worker,
-				EdgeLo:    w.Range.Lo,
-				EdgeHi:    w.Range.Hi,
-				Chunks:    w.Chunks,
-				Triangles: w.Stats.Triangles,
-				Passes:    w.Stats.Passes,
-				CPUTime:   w.Stats.CPUTime(),
-				IOTime:    w.Stats.IO.IOTime(),
-				BytesRead: w.Stats.IO.BytesRead,
-			})
+			ns.Workers = append(ns.Workers, workerStats(w))
 		}
 		res.Nodes = append(res.Nodes, ns)
 	}
@@ -339,27 +308,18 @@ type WorkerServer struct {
 	once sync.Once
 }
 
-// ServeWorker starts a worker node that stores graph replicas under workDir
-// and serves the PDTL protocol on addr (use ":0" to pick a free port). The
-// returned server runs until Close.
-func ServeWorker(addr, name, workDir string) (*WorkerServer, error) {
-	node := cluster.NewNode(name, workDir, 0)
-	srv, err := cluster.Listen(node, addr)
-	if err != nil {
-		return nil, err
-	}
-	return &WorkerServer{srv: srv, done: make(chan struct{})}, nil
-}
-
-// ServeWorkerContext is ServeWorker bound to a context: when ctx is
-// cancelled the server stops accepting, aborts its in-flight calculations,
-// and closes — the lifecycle hook for daemons wiring SIGINT/SIGTERM to a
-// context (as cmd/pdtl-worker does).
+// ServeWorkerContext starts a worker node that stores graph replicas under
+// workDir and serves the PDTL protocol on addr (use ":0" to pick a free
+// port). The server runs until Close or until ctx is cancelled, when it
+// stops accepting, aborts its in-flight calculations, and closes — the
+// lifecycle hook for daemons wiring SIGINT/SIGTERM to a context (as
+// cmd/pdtl-worker does).
 func ServeWorkerContext(ctx context.Context, addr, name, workDir string) (*WorkerServer, error) {
-	w, err := ServeWorker(addr, name, workDir)
+	srv, err := cluster.Listen(cluster.NewNode(name, workDir, 0), addr)
 	if err != nil {
 		return nil, err
 	}
+	w := &WorkerServer{srv: srv, done: make(chan struct{})}
 	if ctx != nil {
 		go func() {
 			select {

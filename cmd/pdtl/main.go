@@ -62,15 +62,11 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   pdtl count -graph BASE [-workers P] [-mem ENTRIES] [-naive-balance]
-             [-scan auto|buffered]
-             [-kernel auto|merge]
-             [-sched static|stealing] [-chunks K] [-store plain|compressed]
-             [-trace FILE]
-  pdtl list  -graph BASE -out FILE [-workers P] [-mem ENTRIES]
-             [-scan auto|buffered]
-             [-kernel auto|merge]
-             [-sched static|stealing] [-chunks K] [-store plain|compressed]
-             [-trace FILE]
+             [-scan auto|buffered] [-kernel auto|merge]
+             [-store plain|compressed] [-trace FILE]
+  pdtl list  -graph BASE -out FILE [-workers P] [-mem ENTRIES] [-naive-balance]
+             [-scan auto|buffered] [-kernel auto|merge]
+             [-store plain|compressed] [-trace FILE]
   pdtl info  -graph BASE`)
 }
 
@@ -79,15 +75,11 @@ func commonFlags(fs *flag.FlagSet) (graphBase *string, opt *pdtl.Options) {
 	graphBase = fs.String("graph", "", "graph store base path (required)")
 	fs.IntVar(&opt.Workers, "workers", 0, "parallel workers (default: CPUs)")
 	fs.IntVar(&opt.MemEdges, "mem", 0, "memory budget per worker, in adjacency entries")
-	fs.BoolVar(&opt.NaiveBalance, "naive-balance", false, "disable in-degree load balancing")
+	fs.BoolVar(&opt.NaiveBalance, "naive-balance", false, "split the ranges of -scan buffered equally instead of by in-degree")
 	fs.StringVar(&opt.ScanSource, "scan", "auto",
 		"layout: auto (the workers share one window of workers·mem entries and are dealt the scan) or buffered (the paper's layout: one range and one private window of mem entries per worker)")
 	fs.StringVar(&opt.Kernel, "kernel", "auto",
 		"cone routine: auto (mark N(u) once, probe every in-memory list) or merge (the paper's pairwise two-pointer merge)")
-	fs.StringVar(&opt.Sched, "sched", "static",
-		"schedule: static or stealing; it decides how pdtl-master hands a plan to its nodes, a single machine runs both the same")
-	fs.IntVar(&opt.Chunks, "chunks", 0,
-		"chunks per worker of a stealing plan (default 8)")
 	fs.StringVar(&opt.StoreFormat, "store", "plain",
 		"oriented-store format when orienting: plain or compressed")
 	return graphBase, opt
@@ -190,12 +182,8 @@ func printResult(res *pdtl.Result) {
 	fmt.Printf("triangles: %d\n", res.Triangles)
 	fmt.Printf("orientation: %v  calculation: %v  total: %v\n",
 		res.OrientTime, res.CalcTime, res.TotalTime)
-	if res.SourceBytesRead > 0 {
-		fmt.Printf("scan source: %s (%d bytes read by the source)  scheduler: %s\n",
-			res.ScanSource, res.SourceBytesRead, res.Sched) // auto: the shared windows' loads
-	} else {
-		fmt.Printf("scan source: %s  scheduler: %s\n", res.ScanSource, res.Sched)
-	}
+	// auto: the shared windows' loads; buffered: 0, the workers' own.
+	fmt.Printf("scan source: %s (%d bytes read by the source)\n", res.ScanSource, res.SourceBytesRead)
 	passes := make([]string, len(res.Workers))
 	for i, w := range res.Workers {
 		passes[i] = strconv.Itoa(w.Passes)

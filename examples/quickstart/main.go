@@ -97,7 +97,7 @@ func main() {
 	// 6. Stream triangles with the iterator. Breaking out of the loop
 	//    cancels the run: the workers stop at their next memory window and
 	//    everything is torn down before the loop statement completes.
-	seq, iterErr := g.Triangles(ctx, pdtl.Options{Workers: 2, MemEdges: 1 << 14})
+	seq, done := g.Triangles(ctx, pdtl.Options{Workers: 2, MemEdges: 1 << 14})
 	shown := 0
 	for t := range seq {
 		fmt.Printf("  triangle %v\n", t)
@@ -106,7 +106,9 @@ func main() {
 			break // tears the runners down; not an error
 		}
 	}
-	if err := iterErr(); err != nil {
+	// A broken-off run is not an error, and has no Result: only a run
+	// iterated to the end reports one.
+	if _, err := done(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("stopped after %d of %d triangles — early break cancels the run\n", shown, res.Triangles)

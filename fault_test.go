@@ -35,7 +35,7 @@ func TestCountDistributedSurvivesDeadWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer live.Close()
-	dead, err := ServeWorker("127.0.0.1:0", "doomed", t.TempDir())
+	dead, err := ServeWorkerContext(context.Background(), "127.0.0.1:0", "doomed", t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -276,145 +277,97 @@ func (g *Graph) planCached(d *graph.Disk, orientedBase string, k int, strategy b
 	return p, nil
 }
 
-// resolveWorkers reports the runner count a run with these Options uses.
-func (o Options) resolveWorkers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return defaultWorkers()
-}
-
-// emit is where a run's triangles go: nowhere (a count), to one sink per
-// worker in no particular order, or to out in listing order, spilling to
-// files in dir.
-type emit struct {
-	sinks []mgt.Sink
-	out   io.Writer
-	dir   string
-}
-
-// run executes one calculation on the handle: ensure orientation (cached),
-// then the engine — cooperative windows over the whole store by default,
-// or, under a named scan source, the paper's layout: one runner per range
-// of the (cached) load-balance plan.
-func (g *Graph) run(ctx context.Context, opt Options, to emit) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	copt, err := opt.toCore()
-	if err != nil {
-		return nil, err
-	}
-	workers := copt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-		copt.Workers = workers
-	}
-	if copt.MemEdges <= 0 {
-		copt.MemEdges = core.DefaultMemEdges
-	}
-	copt.Sinks, copt.Out, copt.SpillDir = to.sinks, to.out, to.dir
-
+// execute runs one calculation on the handle with options resolved by
+// toCore, their Sinks or Out set to where the triangles go (neither: a
+// count): ensure orientation (cached), then the engine (core.Execute) —
+// cooperative windows over the whole store by default, or, under a named
+// scan source, the paper's layout: one runner per range of the (cached)
+// load-balance plan.
+func (g *Graph) execute(ctx context.Context, copt core.Options) (res *Result, err error) {
 	g.runs.Add(1)
 	start := time.Now()
-	// The run's trace spans: one count span rooted at whatever cursor the
-	// caller put in ctx (the CLI's -trace, the service's ?trace=1), with
-	// orient/plan/calc children; the engine's runners hang their chunk
-	// spans under calc.
+	ctx, end := beginCount(ctx)
+	defer func() { end(res) }()
 	cur := obs.CursorFrom(ctx)
-	runSpan := cur.Begin(obs.SpanCount)
-	defer cur.End(runSpan)
-	rcur := cur.Child(runSpan)
-
-	osp := rcur.Begin(obs.SpanOrient)
-	d, orientedBase, ores, err := g.ensureOriented(ctx, workers, copt.Store)
-	rcur.End(osp)
+	osp := cur.Begin(obs.SpanOrient)
+	d, orientedBase, ores, err := g.ensureOriented(ctx, copt.Workers, copt.Store)
+	cur.End(osp)
 	if err != nil {
 		return nil, err
 	}
-	// A run that hands out vertex ids hands out the original ones.
-	if to.sinks != nil || to.out != nil {
-		if copt.IDs, err = d.Perm(); err != nil {
-			return nil, err
+	var plan func() (balance.Plan, error)
+	if !copt.Scan.IsAuto() {
+		plan = func() (balance.Plan, error) {
+			return g.planCached(d, orientedBase, copt.Workers, copt.Strategy, copt.MemEdges)
 		}
 	}
-	calcStart := time.Now()
-	psp := rcur.Begin(obs.SpanPlan)
-	var plan balance.Plan
-	if copt.Scan.IsAuto() {
-		plan, err = core.LocalPlan(d, orientedBase, copt)
-	} else {
-		plan, err = g.planCached(d, orientedBase, workers, copt.Strategy, copt.MemEdges)
-	}
-	plan.Explain(rcur, psp)
-	rcur.End(psp)
-	planTime := time.Since(calcStart)
+	cres, err := core.Execute(ctx, d, copt, plan)
 	if err != nil {
 		return nil, err
 	}
-	csp := rcur.Begin(obs.SpanCalc)
-	calcCtx := ctx
-	if rcur.T != nil {
-		calcCtx = obs.ContextWithCursor(ctx, rcur.Child(csp))
-	}
-	calc, err := core.RunRanges(calcCtx, d, plan.Ranges, copt)
-	rcur.End(csp)
-	if err != nil {
-		return nil, err
-	}
-	stats, srcIO := calc.Workers, calc.SourceIO
-
-	res := &Result{
-		PlanTime:        planTime,
-		OrientedBase:    orientedBase,
-		ScanSource:      string(copt.Scan.OrAuto()),
-		Sched:           copt.Sched.String(),
-		MemEdges:        int(plan.MemEdges),
-		Windows:         int(plan.Windows),
-		SourceBytesRead: srcIO.BytesRead,
-		MaxOutDegree:    d.Meta.MaxOutDegree,
-	}
+	res = resultFrom(cres)
+	res.MaxOutDegree = d.Meta.MaxOutDegree
 	if ores != nil {
 		res.OrientTime = ores.Duration
 		res.MaxOutDegree = ores.MaxOutDegree
 	}
-	cur.SetAttr(runSpan, "workers", int64(len(stats)))
-	for _, w := range stats {
-		res.Triangles += w.Stats.Triangles
-		res.Workers = append(res.Workers, WorkerStats{
-			Worker:    w.Worker,
-			EdgeLo:    w.Range.Lo,
-			EdgeHi:    w.Range.Hi,
-			Chunks:    w.Chunks,
-			Triangles: w.Stats.Triangles,
-			Passes:    w.Stats.Passes,
-			CPUTime:   w.Stats.CPUTime(),
-			IOTime:    w.Stats.IO.IOTime(),
-			BytesRead: w.Stats.IO.BytesRead,
-		})
-	}
-	res.CalcTime = time.Since(calcStart)
 	res.TotalTime = time.Since(start)
 	return res, nil
+}
+
+// beginCount opens a run's count span under ctx's cursor (the CLI's -trace,
+// the service's ?trace=1) and returns the context the run's phases trace
+// under — orient, plan and calc, the engine's runners hanging their chunk
+// spans under calc — and the function that closes the span, noting the
+// run's workers.
+func beginCount(ctx context.Context) (context.Context, func(*Result)) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cur := obs.CursorFrom(ctx)
+	sp := cur.Begin(obs.SpanCount)
+	if cur.T != nil {
+		ctx = obs.ContextWithCursor(ctx, cur.Child(sp))
+	}
+	return ctx, func(res *Result) {
+		if res != nil {
+			cur.SetAttr(sp, "workers", int64(len(res.Workers)))
+		}
+		cur.End(sp)
+	}
+}
+
+// run resolves opt and executes it with the triangles going where to puts
+// them (nil: a count); to sees the resolved options, so it knows the worker
+// count, one sink each.
+func (g *Graph) run(ctx context.Context, opt Options, to func(*core.Options)) (*Result, error) {
+	copt, err := opt.toCore()
+	if err != nil {
+		return nil, err
+	}
+	if to != nil {
+		to(&copt)
+	}
+	return g.execute(ctx, copt)
 }
 
 // Count counts the graph's triangles. The first call orients the graph (if
 // the store was unoriented) and plans the load balance; later calls with
 // any options reuse both and go straight to the calculation phase.
 func (g *Graph) Count(ctx context.Context, opt Options) (*Result, error) {
-	return g.run(ctx, opt, emit{})
+	return g.run(ctx, opt, nil)
 }
 
 // ForEach invokes fn once per triangle (u, v, w), ordered by the
 // degree-based order u ≺ v ≺ w. fn is called concurrently from Workers
 // goroutines; it must be safe for concurrent use (or set Workers to 1).
 func (g *Graph) ForEach(ctx context.Context, opt Options, fn func(u, v, w uint32)) (*Result, error) {
-	opt.Workers = opt.resolveWorkers()
-	sinks := make([]mgt.Sink, opt.Workers)
-	for i := range sinks {
-		sinks[i] = mgt.FuncSink(fn)
-	}
-	return g.run(ctx, opt, emit{sinks: sinks})
+	return g.run(ctx, opt, func(o *core.Options) {
+		o.Sinks = make([]mgt.Sink, o.Workers)
+		for i := range o.Sinks {
+			o.Sinks[i] = mgt.FuncSink(fn)
+		}
+	})
 }
 
 // List streams every triangle to w as little-endian uint32 triples (12
@@ -427,7 +380,7 @@ func (g *Graph) ForEach(ctx context.Context, opt Options, fn func(u, v, w uint32
 // into w when the output comes to it and removed before List returns
 // (mgt.Listing).
 func (g *Graph) List(ctx context.Context, w io.Writer, opt Options) (*Result, error) {
-	return g.run(ctx, opt, emit{out: w})
+	return g.run(ctx, opt, func(o *core.Options) { o.Out = w })
 }
 
 // ListFile writes the listing to outPath atomically: the workers' spill
@@ -441,7 +394,7 @@ func (g *Graph) ListFile(ctx context.Context, outPath string, opt Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	res, err := g.run(ctx, opt, emit{out: out, dir: dir})
+	res, err := g.run(ctx, opt, func(o *core.Options) { o.Out, o.SpillDir = out, dir })
 	if err != nil {
 		out.Close()
 		os.Remove(out.Name())
@@ -477,45 +430,50 @@ func createExclusive(dir, prefix string, mode os.FileMode) (*os.File, error) {
 }
 
 // Triangles returns a single-use iterator over every triangle (u, v, w)
-// with u ≺ v ≺ w, plus an error function to check after iteration (like
-// bufio.Scanner.Err). Breaking out of the loop early cancels the underlying
-// run: the runners abort within one memory window and every goroutine and
-// file handle is torn down before the loop statement completes. A break is
-// not an error; a cancelled ctx or a failed run is, and surfaces through
-// the returned error function.
+// with u ≺ v ≺ w, plus a function to call after iteration (like
+// bufio.Scanner.Err) that reports the run's Result and error. Breaking out
+// of the loop early cancels the underlying run: the runners abort within
+// one memory window and every goroutine and file handle is torn down
+// before the loop statement completes. A break is not an error, but a
+// broken-off run has no Result; a cancelled ctx or a failed run is an
+// error, and surfaces through the returned function.
 //
 // The order is unspecified across workers: each runner hands its triangles
 // over triangleBatch at a time, so the consumer sees one runner's triangles
 // in runs of that length, interleaved with the other runners' runs.
-func (g *Graph) Triangles(ctx context.Context, opt Options) (iter.Seq[[3]uint32], func() error) {
+func (g *Graph) Triangles(ctx context.Context, opt Options) (iter.Seq[[3]uint32], func() (*Result, error)) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	var runRes *Result
 	var runErr error
 	seq := func(yield func([3]uint32) bool) {
-		runErr = nil
+		runRes, runErr = nil, nil
+		copt, err := opt.toCore()
+		if err != nil {
+			runErr = err
+			return
+		}
 		runCtx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		opt := opt
-		opt.Workers = opt.resolveWorkers()
 		// 2·P+2 batches circulate: one filling in each runner, the rest
 		// queued for or held by the consumer. full can hold them all, so a
 		// send never waits; a runner whose consumer lags waits on free.
-		nbuf := 2*opt.Workers + 2
+		nbuf := 2*copt.Workers + 2
 		free := make(chan [][3]uint32, nbuf)
 		full := make(chan [][3]uint32, nbuf)
 		for range nbuf {
 			free <- nil // allocated on first use
 		}
-		batchers := make([]*triangleBatcher, opt.Workers)
-		sinks := make([]mgt.Sink, opt.Workers)
-		for i := range sinks {
+		batchers := make([]*triangleBatcher, copt.Workers)
+		copt.Sinks = make([]mgt.Sink, copt.Workers)
+		for i := range copt.Sinks {
 			b := &triangleBatcher{done: runCtx.Done(), free: free, full: full}
-			batchers[i], sinks[i] = b, b
+			batchers[i], copt.Sinks[i] = b, b
 		}
 		done := make(chan error, 1)
 		go func() {
-			_, err := g.run(runCtx, opt, emit{sinks: sinks})
+			res, err := g.execute(runCtx, copt)
 			if err == nil {
 				// The runners are done with their batchers: hand over
 				// what each has left.
@@ -524,6 +482,7 @@ func (g *Graph) Triangles(ctx context.Context, opt Options) (iter.Seq[[3]uint32]
 						b.send()
 					}
 				}
+				runRes = res
 			}
 			close(full)
 			done <- err
@@ -546,14 +505,14 @@ func (g *Graph) Triangles(ctx context.Context, opt Options) (iter.Seq[[3]uint32]
 			for range full {
 			}
 		}
-		err := <-done
+		err = <-done
 		if broke && errors.Is(err, context.Canceled) && ctx.Err() == nil {
 			// The teardown we triggered, not a failure.
 			err = nil
 		}
 		runErr = err
 	}
-	return seq, func() error { return runErr }
+	return seq, func() (*Result, error) { return runRes, runErr }
 }
 
 // triangleBatcher is one runner's sink in a Triangles stream: it fills a
@@ -618,42 +577,41 @@ func (g *Graph) TriangleDegrees(ctx context.Context, opt Options) ([]uint64, *Re
 	n := g.src.NumVertices()
 	g.mu.Unlock()
 
-	opt.Workers = opt.resolveWorkers()
-	numSinks := opt.Workers
-	sinks := make([]mgt.Sink, numSinks)
-	if uint64(n)*uint64(numSinks) > maxShardEntries {
-		counts := make([]uint64, n)
-		for i := range sinks {
-			sinks[i] = mgt.FuncSink(func(u, v, w uint32) {
-				atomic.AddUint64(&counts[u], 1)
-				atomic.AddUint64(&counts[v], 1)
-				atomic.AddUint64(&counts[w], 1)
+	var counts []uint64
+	var shards [][]uint64
+	res, err := g.run(ctx, opt, func(o *core.Options) {
+		o.Sinks = make([]mgt.Sink, o.Workers)
+		if uint64(n)*uint64(o.Workers) > maxShardEntries {
+			counts = make([]uint64, n)
+			for i := range o.Sinks {
+				o.Sinks[i] = mgt.FuncSink(func(u, v, w uint32) {
+					atomic.AddUint64(&counts[u], 1)
+					atomic.AddUint64(&counts[v], 1)
+					atomic.AddUint64(&counts[w], 1)
+				})
+			}
+			return
+		}
+		shards = make([][]uint64, o.Workers)
+		for i := range o.Sinks {
+			shard := make([]uint64, n)
+			shards[i] = shard
+			o.Sinks[i] = mgt.FuncSink(func(u, v, w uint32) {
+				shard[u]++
+				shard[v]++
+				shard[w]++
 			})
 		}
-		res, err := g.run(ctx, opt, emit{sinks: sinks})
-		if err != nil {
-			return nil, nil, err
-		}
-		return counts, res, nil
-	}
-	shards := make([][]uint64, numSinks)
-	for i := range sinks {
-		shard := make([]uint64, n)
-		shards[i] = shard
-		sinks[i] = mgt.FuncSink(func(u, v, w uint32) {
-			shard[u]++
-			shard[v]++
-			shard[w]++
-		})
-	}
-	res, err := g.run(ctx, opt, emit{sinks: sinks})
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	counts := shards[0]
-	for _, shard := range shards[1:] {
-		for v, c := range shard {
-			counts[v] += c
+	if shards != nil {
+		counts = shards[0]
+		for _, shard := range shards[1:] {
+			for v, c := range shard {
+				counts[v] += c
+			}
 		}
 	}
 	return counts, res, nil
@@ -664,7 +622,7 @@ func (g *Graph) TriangleDegrees(ctx context.Context, opt Options) ([]uint64, *Re
 // run has yet. The returned error is advisory — counting stays exact
 // without the assumption, only the CPU bound of Theorem IV.2 weakens.
 func (g *Graph) VerifySmallDegree(memEdges int) error {
-	d, _, _, err := g.ensureOriented(context.Background(), defaultWorkers(), graph.FormatPlain)
+	d, _, _, err := g.ensureOriented(context.Background(), runtime.NumCPU(), graph.FormatPlain)
 	if err != nil {
 		return err
 	}

@@ -151,16 +151,17 @@ func TestHandleTrianglesIterator(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	seq, errf := g.Triangles(context.Background(), Options{Workers: 3, MemEdges: 64})
+	seq, done := g.Triangles(context.Background(), Options{Workers: 3, MemEdges: 64})
 	var n uint64
 	for range seq {
 		n++
 	}
-	if err := errf(); err != nil {
+	res, err := done()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n != want {
-		t.Errorf("iterated %d triangles, want %d", n, want)
+	if n != want || res == nil || res.Triangles != want || len(res.Workers) != 3 {
+		t.Errorf("iterated %d triangles, the run's Result %+v; want %d triangles from 3 workers", n, res, want)
 	}
 }
 
@@ -183,7 +184,7 @@ func TestHandleTrianglesEarlyBreakNoLeak(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		seq, errf := g.Triangles(context.Background(), Options{Workers: 4, MemEdges: 256})
+		seq, done := g.Triangles(context.Background(), Options{Workers: 4, MemEdges: 256})
 		n := 0
 		for range seq {
 			n++
@@ -191,8 +192,8 @@ func TestHandleTrianglesEarlyBreakNoLeak(t *testing.T) {
 				break
 			}
 		}
-		if err := errf(); err != nil {
-			t.Fatalf("early break reported error: %v", err)
+		if res, err := done(); err != nil || res != nil {
+			t.Fatalf("early break reported %+v, %v; want no Result and no error", res, err)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -250,11 +251,11 @@ func TestTrianglesMatchForEach(t *testing.T) {
 				t.Fatal(err)
 			}
 			var iterated [][3]uint32
-			seq, errf := h.Triangles(ctx, opt)
+			seq, done := h.Triangles(ctx, opt)
 			for tri := range seq {
 				iterated = append(iterated, tri)
 			}
-			if err := errf(); err != nil {
+			if _, err := done(); err != nil {
 				t.Fatalf("%s P=%d: %v", tc.name, workers, err)
 			}
 			slices.SortFunc(each, tripleOrder)
@@ -270,7 +271,7 @@ func TestTrianglesMatchForEach(t *testing.T) {
 }
 
 // TestTrianglesCallerCancel cancels the caller's ctx mid-iteration and keeps
-// consuming: the loop ends, errf reports context.Canceled, and the goroutine
+// consuming: the loop ends, the run reports context.Canceled, and the goroutine
 // count settles back to its baseline.
 func TestTrianglesCallerCancel(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "rmat")
@@ -290,7 +291,7 @@ func TestTrianglesCallerCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		seq, errf := g.Triangles(ctx, Options{Workers: 4, MemEdges: 256})
+		seq, done := g.Triangles(ctx, Options{Workers: 4, MemEdges: 256})
 		var n uint64
 		for range seq {
 			if n++; n == 10 {
@@ -298,8 +299,8 @@ func TestTrianglesCallerCancel(t *testing.T) {
 			}
 		}
 		cancel()
-		if err := errf(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("errf() = %v after cancelling the caller's ctx, want context.Canceled", err)
+		if _, err := done(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("done() = %v after cancelling the caller's ctx, want context.Canceled", err)
 		}
 		if n >= total.Triangles {
 			t.Fatalf("iterated all %d triangles despite the cancel", n)
@@ -861,12 +862,12 @@ func BenchmarkTriangles(b *testing.B) {
 	}
 	b.ResetTimer()
 	for range b.N {
-		seq, errf := g.Triangles(context.Background(), opt)
+		seq, done := g.Triangles(context.Background(), opt)
 		var n uint64
 		for range seq {
 			n++
 		}
-		if err := errf(); err != nil {
+		if _, err := done(); err != nil {
 			b.Fatal(err)
 		}
 		if n != res.Triangles {

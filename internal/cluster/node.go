@@ -389,7 +389,6 @@ func count(ctx context.Context, d *graph.Disk, held *heldWindow, args *CountArgs
 		MemEdges: args.MemEdges,
 		Scan:     scanKind,
 		Kernel:   kernelKind,
-		Sched:    schedMode,
 	}
 	var triples bytes.Buffer
 	if args.List {

@@ -307,7 +307,7 @@ func TestSchedSourceKernelCombosIdentical(t *testing.T) {
 							ranges = chunks
 						}
 						got := runListed(t, label, d, ranges, Options{
-							Workers: workers, MemEdges: tc.memEdges, Scan: src, Kernel: kern, Sched: mode,
+							Workers: workers, MemEdges: tc.memEdges, Scan: src, Kernel: kern,
 						}, false)
 						if got.total != want {
 							t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
@@ -414,7 +414,7 @@ func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 					for _, src := range append([]scan.SourceKind{scan.SourceAuto}, sources...) {
 						for _, kern := range kernels {
 							label := fmt.Sprintf("%s/%s/%s/%s", format, mode, src, kern)
-							opt := Options{Workers: workers, MemEdges: tc.memEdges, Scan: src, Kernel: kern, Sched: mode}
+							opt := Options{Workers: workers, MemEdges: tc.memEdges, Scan: src, Kernel: kern}
 							got := runListed(t, label, disks[format], ranges, opt, false)
 							if got.total != want {
 								t.Fatalf("%s: %d triangles, want %d", label, got.total, want)

@@ -27,7 +27,6 @@ import (
 	"pdtl/internal/obs"
 	"pdtl/internal/orient"
 	"pdtl/internal/scan"
-	"pdtl/internal/sched"
 )
 
 // Options parameterize a local PDTL run.
@@ -60,9 +59,9 @@ type Options struct {
 	Out      io.Writer
 	SpillDir string
 	// IDs, when non-nil, renames the vertices for Sinks and Out: they hear
-	// of vertex u as IDs[u]. Process and the public handle set it to a
-	// ranked store's Perm, so that users see original ids; a cluster node
-	// leaves it nil and its master maps what the nodes send back.
+	// of vertex u as IDs[u]. Execute sets it to a ranked store's Perm, so
+	// that users see original ids; a cluster node leaves it nil and its
+	// master maps what the nodes send back.
 	IDs []graph.Vertex
 	// KeepOriented leaves the oriented store on disk after the run (the
 	// cluster layer relies on this to copy it to clients).
@@ -78,11 +77,6 @@ type Options struct {
 	// empty) is their own mark-and-probe, mgt.KernelMerge the paper's
 	// pairwise two-pointer merges. Both produce identical triangles.
 	Kernel mgt.KernelKind
-	// Sched is the schedule the run was asked for. Inside one engine there
-	// is nothing left for it to choose — the runners of a cooperative window
-	// are dealt blocks, a named source runs one runner per range — so it is
-	// only reported (Result.Sched); across nodes the cluster master decides.
-	Sched sched.Mode
 	// Store selects the on-disk format of the oriented store the engine
 	// builds when its input is unoriented (empty means graph.FormatPlain).
 	// An already-oriented input is used in whatever format it is in — the
@@ -94,7 +88,9 @@ type Options struct {
 // the paper's 1 GB/core scaled to laptop-size datasets.
 const DefaultMemEdges = 1 << 22
 
-func (o Options) withDefaults() Options {
+// WithDefaults resolves o's defaults: Workers to the CPU count, MemEdges to
+// DefaultMemEdges, OrientWorkers to Workers.
+func (o Options) WithDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
@@ -149,8 +145,6 @@ type Result struct {
 	// the loads of the windows the runners share; zero under the paper's
 	// layout, whose runners each load their own.
 	SourceIO ioacct.Stats
-	// Sched is the schedule the run was asked for.
-	Sched sched.Mode
 }
 
 // TotalStats sums the runner statistics (Wall is the straggler max) plus
@@ -174,74 +168,91 @@ func Process(ctx context.Context, base string, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	//pdtl:nondeterministic-ok wall-clock feeds Result timing stats only, never listing order
 	start := time.Now()
 	d, err := graph.Open(base)
 	if err != nil {
 		return nil, err
 	}
-
-	cur := obs.CursorFrom(ctx)
-	res := &Result{}
-	orientedBase := base
+	var ores *orient.Result
 	if !d.Meta.Oriented {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		orientedBase = base + ".oriented"
 		format, err := graph.ParseFormat(string(opt.Store))
 		if err != nil {
 			return nil, err
 		}
+		cur := obs.CursorFrom(ctx)
 		osp := cur.Begin(obs.SpanOrient)
-		ores, err := orient.OrientFormat(base, orientedBase, opt.OrientWorkers, format)
+		ores, err = orient.OrientFormat(base, base+".oriented", opt.OrientWorkers, format)
 		cur.End(osp)
 		if err != nil {
 			return nil, err
 		}
-		res.Orientation = ores
-		if d, err = graph.Open(orientedBase); err != nil {
+		if d, err = graph.Open(base + ".oriented"); err != nil {
 			return nil, err
 		}
 	}
-	res.OrientedBase = orientedBase
+	res, err := Execute(ctx, d, opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.Orientation = ores
+	res.TotalTime = time.Since(start) //pdtl:nondeterministic-ok timing stat only
+	return res, nil
+}
+
+// Execute is the calculation phase of a run over the oriented store d: the
+// plan under a plan span that the plan explains, then RunRanges under a
+// calc span, folded into a Result (TotalTime is CalcTime; a caller that
+// oriented adds its own). plan supplies the plan — a caller's cached one;
+// nil means LocalPlan. The spans hang under ctx's cursor. A run that hands
+// triangles out (Sinks or Out) hands out d's original ids. Process, the
+// public handle and live views all calculate here.
+func Execute(ctx context.Context, d *graph.Disk, opt Options, plan func() (balance.Plan, error)) (*Result, error) {
 	if opt.Sinks != nil || opt.Out != nil {
+		var err error
 		if opt.IDs, err = d.Perm(); err != nil {
 			return nil, err
 		}
 	}
-
+	if plan == nil {
+		plan = func() (balance.Plan, error) { return LocalPlan(d, d.Base, opt) }
+	}
+	cur := obs.CursorFrom(ctx)
 	//pdtl:nondeterministic-ok wall-clock feeds Result timing stats only, never listing order
-	calcStart := time.Now()
-	res.Sched = opt.Sched
+	start := time.Now()
 	psp := cur.Begin(obs.SpanPlan)
-	plan, err := LocalPlan(d, orientedBase, opt)
-	plan.Explain(cur, psp)
+	p, err := plan()
+	p.Explain(cur, psp)
 	cur.End(psp)
-	res.PlanTime = time.Since(calcStart) //pdtl:nondeterministic-ok timing stat only
 	if err != nil {
 		return nil, err
 	}
-	res.Plan = plan
-	res.Scan = opt.Scan.OrAuto()
+	res := &Result{
+		Plan:         p,
+		PlanTime:     time.Since(start), //pdtl:nondeterministic-ok timing stat only
+		OrientedBase: d.Base,
+		Scan:         opt.Scan.OrAuto(),
+	}
 	csp := cur.Begin(obs.SpanCalc)
 	calcCtx := ctx
 	if cur.T != nil {
 		calcCtx = obs.ContextWithCursor(ctx, cur.Child(csp))
 	}
-	calc, err := RunRanges(calcCtx, d, plan.Ranges, opt)
+	calc, err := RunRanges(calcCtx, d, p.Ranges, opt)
 	cur.End(csp)
 	if err != nil {
 		return nil, err
 	}
-	res.Workers = calc.Workers
-	res.SourceIO = calc.SourceIO
+	res.Workers, res.SourceIO = calc.Workers, calc.SourceIO
 	for _, w := range calc.Workers {
 		res.Triangles += w.Stats.Triangles
 	}
-	res.CalcTime = time.Since(calcStart) //pdtl:nondeterministic-ok timing stat only
-	res.TotalTime = time.Since(start)    //pdtl:nondeterministic-ok timing stat only
+	res.CalcTime = time.Since(start) //pdtl:nondeterministic-ok timing stat only
+	res.TotalTime = res.CalcTime
 	return res, nil
 }
 
@@ -250,10 +261,9 @@ func Process(ctx context.Context, base string, opt Options) (*Result, error) {
 // whole store is one range, covered by ⌈|E*|/(P·M)⌉ windows of P·M entries,
 // and the plan only says so — the windows a stealing cluster master cuts its
 // units from, too. A named source runs the paper's layout, one PlanFor range
-// per worker — whatever opt.Sched says: ranges are bound to their runners
-// when the run starts.
+// per worker, bound to its runner when the run starts.
 func LocalPlan(d *graph.Disk, orientedBase string, opt Options) (balance.Plan, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if !opt.Scan.IsAuto() {
 		return PlanFor(d, orientedBase, opt)
 	}
@@ -308,7 +318,7 @@ type Calc struct {
 // range under a named one.
 func (o Options) Runners(n int) int {
 	if o.Scan.IsAuto() {
-		return o.withDefaults().Workers
+		return o.WithDefaults().Workers
 	}
 	return n
 }
@@ -334,7 +344,7 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if !d.Meta.Oriented {
 		return Calc{}, fmt.Errorf("core: RunRanges requires an oriented store")
 	}

@@ -14,7 +14,6 @@ import (
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
 	"pdtl/internal/mgt"
-	"pdtl/internal/sched"
 )
 
 // tripleSet sorts each triple's vertices, then the triples: a listing as a
@@ -80,10 +79,9 @@ func TestCountInvariantUnderRelabeling(t *testing.T) {
 					Workers:  1 + rng.Intn(4),
 					MemEdges: 1 + rng.Intn(2*len(edges)),
 					Strategy: balance.InDegree,
-					Sched:    []sched.Mode{sched.Static, sched.Stealing}[trial%2],
 					Store:    []graph.Format{graph.FormatPlain, graph.FormatCompressed}[trial/2%2],
 				}
-				label := fmt.Sprintf("trial %d (P=%d M=%d %s %s)", trial, opt.Workers, opt.MemEdges, opt.Sched, opt.Store)
+				label := fmt.Sprintf("trial %d (P=%d M=%d %s)", trial, opt.Workers, opt.MemEdges, opt.Store)
 				res, err := Process(context.Background(), base, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)

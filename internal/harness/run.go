@@ -84,7 +84,6 @@ func (h *Harness) calcLocal(key string, workers, memEdges int, strategy balance.
 		Strategy: strategy,
 		Scan:     source,
 		Kernel:   h.Kernel,
-		Sched:    h.Sched,
 	})
 }
 

@@ -298,7 +298,8 @@ func (g *Graph) CompactNow(ctx context.Context) error {
 // Count runs the exact PDTL engine over the current live view and returns
 // the run result and the number of mutation batches that view holds. The
 // view is captured once; mutations and compactions that land mid-run do
-// not affect it. The run is the engine's default — cooperative windows
+// not affect it. It plans and calculates as any local run does
+// (core.Execute, traced under ctx's cursor), with the engine's default — cooperative windows
 // reading the merged view (merged.ReadAt) — so of opt only Workers,
 // MemEdges, Kernel and Sinks apply; -scan buffered is ignored and the
 // result reports auto.
@@ -311,29 +312,11 @@ func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, uint
 	if err != nil {
 		return nil, 0, err
 	}
-	start := time.Now()
 	opt.Scan = scan.SourceAuto
-	plan, err := core.LocalPlan(m.disk, m.disk.Base, opt)
+	res, err := core.Execute(ctx, m.disk, opt, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	calc, err := core.RunRanges(ctx, m.disk, plan.Ranges, opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	res := &core.Result{
-		OrientedBase: m.disk.Base,
-		Sched:        opt.Sched,
-		Plan:         plan,
-		Scan:         scan.SourceAuto,
-		Workers:      calc.Workers,
-		SourceIO:     calc.SourceIO,
-	}
-	for _, w := range res.Workers {
-		res.Triangles += w.Stats.Triangles
-	}
-	res.CalcTime = time.Since(start)
-	res.TotalTime = res.CalcTime
 	return res, v.batches, nil
 }
 

@@ -23,7 +23,6 @@ import (
 	"pdtl/internal/graph"
 	"pdtl/internal/mgt"
 	"pdtl/internal/orient"
-	"pdtl/internal/sched"
 )
 
 // writeOriented writes g and its orientation under dir, returning the
@@ -223,7 +222,7 @@ func TestLiveChurnCrosscheck(t *testing.T) {
 					if st := lg.Stats(); st.Gen != 1 || st.DeltaEdges != 0 {
 						t.Fatalf("post-compact stats: %+v", st)
 					}
-					got := countLive(t, lg, core.Options{Workers: 2, Sched: sched.Stealing})
+					got := countLive(t, lg, core.Options{Workers: 2})
 					if got != want {
 						t.Fatalf("post-compact count = %d want %d", got, want)
 					}

@@ -33,7 +33,7 @@ type Config struct {
 	// negative means no waiting, zero selects 32.
 	QueueDepth int
 	// Defaults seeds every run's options; individual requests override
-	// knobs per query parameter (workers, mem, sched, scan, kernel, ...).
+	// knobs per query parameter (workers, mem, scan, kernel, ...).
 	Defaults pdtl.Options
 	// ClusterAddrs, when non-empty, are the PDTL worker nodes
 	// `?distributed=1` counts run against (via Graph.CountDistributed).
@@ -530,10 +530,11 @@ func (s *Server) handleTriangles(ctx context.Context, w http.ResponseWriter, r *
 		// The iterator streams straight off the engine: breaking (limit) or
 		// a dead client (ctx cancelled by net/http) cancels the run, tearing
 		// the runners down within one memory window.
-		seq, errf := e.Graph().Triangles(ctx, opt)
+		seq, done := e.Graph().Triangles(ctx, opt)
 		sent, stopped := writeNDJSON(w, seq, limit)
 		s.met.TrianglesSent.Add(sent)
-		if err := errf(); err != nil {
+		res, err := done()
+		if err != nil {
 			s.met.StreamsBroken.Add(1)
 			s.met.RunsFailed.Add(1)
 			// The 200 header is long gone, so a clean end-of-stream here
@@ -551,6 +552,11 @@ func (s *Server) handleTriangles(ctx context.Context, w http.ResponseWriter, r *
 			return nil
 		}
 		s.met.RunsCompleted.Add(1)
+		// The run's wall time counts as any run's does. Its bytes stay out
+		// of pdtl_*_bytes_read for now: bench/'s serve-mixed workload
+		// reports the sum of those two counters as its io_read_mb, so
+		// counting streams there has to come with a revision of it.
+		s.met.RunDuration.ObserveDuration(res.TotalTime)
 		return nil
 	})
 }
@@ -1075,38 +1081,40 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string
 // request's query parameters.
 func (s *Server) parseOptions(q url.Values) (pdtl.Options, error) {
 	opt := s.cfg.Defaults
-	err := applyRunParams(q, &opt.Workers, &opt.MemEdges, &opt.Chunks,
-		&opt.Sched, &opt.ScanSource, &opt.Kernel, &opt.StoreFormat, &opt.NaiveBalance)
+	err := applyRunParams(q, &opt.Workers, &opt.MemEdges, &opt.ScanSource, &opt.Kernel, &opt.StoreFormat, &opt.NaiveBalance)
 	return opt, err
 }
 
-// parseClusterOptions is parseOptions for distributed runs.
+// parseClusterOptions is parseOptions for distributed runs, plus the
+// schedule (?sched=, ?chunks=), which only a cluster has to decide.
 func (s *Server) parseClusterOptions(q url.Values) (pdtl.ClusterOptions, error) {
 	opt := s.cfg.ClusterDefaults
-	err := applyRunParams(q, &opt.Workers, &opt.MemEdges, &opt.Chunks,
-		&opt.Sched, &opt.ScanSource, &opt.Kernel, &opt.StoreFormat, &opt.NaiveBalance)
+	err := applyRunParams(q, &opt.Workers, &opt.MemEdges, &opt.ScanSource, &opt.Kernel, &opt.StoreFormat, &opt.NaiveBalance)
+	if err != nil {
+		return opt, err
+	}
+	if opt.Chunks, err = intParam(q, "chunks", opt.Chunks, 1024); err != nil {
+		return opt, err
+	}
+	if v := q.Get("sched"); v != "" {
+		opt.Sched = v
+	}
 	// Listing over the wire is a batch concern; the service only counts.
 	opt.List = false
 	opt.ListPath = ""
-	return opt, err
+	return opt, nil
 }
 
 // applyRunParams overlays the query knobs every run shape shares onto an
 // options struct — Options and ClusterOptions spell these fields
 // identically, so both parsers defer here and cannot drift.
-func applyRunParams(q url.Values, workers, mem, chunks *int, sched, scanSource, kernel, store *string, naive *bool) error {
+func applyRunParams(q url.Values, workers, mem *int, scanSource, kernel, store *string, naive *bool) error {
 	var err error
 	if *workers, err = intParam(q, "workers", *workers, 1024); err != nil {
 		return err
 	}
 	if *mem, err = intParam(q, "mem", *mem, 1<<30); err != nil {
 		return err
-	}
-	if *chunks, err = intParam(q, "chunks", *chunks, 1024); err != nil {
-		return err
-	}
-	if v := q.Get("sched"); v != "" {
-		*sched = v
 	}
 	if v := q.Get("scan"); v != "" {
 		*scanSource = v

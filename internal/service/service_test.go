@@ -178,6 +178,59 @@ func TestServerRegisterCountCache(t *testing.T) {
 	}
 }
 
+// TestServerIdenticalLocalCountsShareCache: query knobs a local run does not
+// compute with — the balance strategy under the default layout, and the
+// schedule and its chunk count, which only a cluster decides — leave an
+// identical count in its cache slot: same key, no second engine run.
+func TestServerIdenticalLocalCountsShareCache(t *testing.T) {
+	base := genStore(t, 8, 10)
+	svc := New(Config{RunSlots: 2, QueueDepth: 8})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	client := ts.Client()
+	postJSON(t, client, ts.URL+"/v1/graphs", registerRequest{Name: "g", Base: base}, http.StatusCreated)
+
+	c1 := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2", 200)
+	c2 := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&naive=1&sched=stealing&chunks=3", 200)
+	if c1["origin"] != "run" || c2["origin"] != "cache" {
+		t.Fatalf("origins %v then %v, want run then cache", c1["origin"], c2["origin"])
+	}
+	if c2["key"] != c1["key"] || c2["engine_runs"] != c1["engine_runs"] || c2["triangles"] != c1["triangles"] {
+		t.Fatalf("second count %v, first %v: want the same key, engine runs and triangles", c2, c1)
+	}
+}
+
+// TestServerStreamRunDuration: a stream run to its end counts in the run
+// durations, as an executed count does.
+func TestServerStreamRunDuration(t *testing.T) {
+	base := genStore(t, 8, 14)
+	svc := New(Config{})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	client := ts.Client()
+	postJSON(t, client, ts.URL+"/v1/graphs", registerRequest{Name: "g", Base: base}, http.StatusCreated)
+
+	resp, err := client.Get(ts.URL + "/v1/graphs/g/triangles?workers=2&mem=256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil || n == 0 {
+		t.Fatalf("stream read %d bytes: %v", n, err)
+	}
+	waitFor(t, func() bool { return svc.adm.InUse() == 0 })
+	m := svc.Metrics()
+	if m.RunsCompleted.Load() != 1 {
+		t.Fatalf("RunsCompleted = %d, want 1", m.RunsCompleted.Load())
+	}
+	if m.RunDuration.Count() != 1 {
+		t.Errorf("after a full stream: %d run durations, want 1", m.RunDuration.Count())
+	}
+}
+
 // TestServerSingleFlight is the acceptance check: two concurrent identical
 // GET /count requests on a cold graph trigger exactly one engine run. The
 // run slot is deterministically blocked by a paused stream on a second

@@ -13,7 +13,6 @@ import (
 
 	"pdtl/internal/graph"
 	"pdtl/internal/live"
-	"pdtl/internal/scan"
 )
 
 // LiveOptions parameterize a live graph opened on a handle.
@@ -128,44 +127,25 @@ func (lg *LiveGraph) Apply(updates []LiveUpdate) error {
 
 // Count runs the exact engine over the current live view. The view is
 // captured at call time: mutations landing mid-run do not perturb the
-// result, and its Batches names the batches the view holds. The run is always the default source's cooperative windows,
-// reading the view from memory: of opt only Workers, MemEdges and Kernel
-// apply, and the result's ScanSource is "auto".
-func (lg *LiveGraph) Count(ctx context.Context, opt Options) (*Result, error) {
+// result, and its Batches names the batches the view holds. The run is
+// always the default source's cooperative windows, reading the view from
+// memory: of opt only Workers, MemEdges and Kernel apply, and the result's
+// ScanSource is "auto". Traced, it is one count span over plan and calc, as
+// a Graph count is.
+func (lg *LiveGraph) Count(ctx context.Context, opt Options) (res *Result, err error) {
 	copt, err := opt.toCore()
 	if err != nil {
 		return nil, err
 	}
-	if copt.Workers <= 0 {
-		copt.Workers = defaultWorkers()
-	}
 	lg.h.runs.Add(1)
+	ctx, end := beginCount(ctx)
+	defer func() { end(res) }()
 	cres, batches, err := lg.lg.Count(ctx, copt)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Triangles:    cres.Triangles,
-		CalcTime:     cres.CalcTime,
-		TotalTime:    cres.TotalTime,
-		OrientedBase: cres.OrientedBase,
-		ScanSource:   string(scan.SourceAuto),
-		Sched:        copt.Sched.String(),
-		Batches:      batches,
-	}
-	for _, w := range cres.Workers {
-		res.Workers = append(res.Workers, WorkerStats{
-			Worker:    w.Worker,
-			EdgeLo:    w.Range.Lo,
-			EdgeHi:    w.Range.Hi,
-			Chunks:    w.Chunks,
-			Triangles: w.Stats.Triangles,
-			Passes:    w.Stats.Passes,
-			CPUTime:   w.Stats.CPUTime(),
-			IOTime:    w.Stats.IO.IOTime(),
-			BytesRead: w.Stats.IO.BytesRead,
-		})
-	}
+	res = resultFrom(cres)
+	res.Batches = batches
 	return res, nil
 }
 

@@ -35,7 +35,6 @@ package pdtl
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"pdtl/internal/balance"
@@ -80,16 +79,13 @@ type Options struct {
 	// two-pointer merge, once per list pair — its ablation). Any other name
 	// is an error. The triangle output is identical for either choice.
 	Kernel string
-	// Sched names the schedule: "static" (or empty) or "stealing". It is
-	// validated, reported and part of Key, but on one machine there is
-	// nothing left for it to decide: cooperative windows deal every round
-	// dynamically, and a named ScanSource binds one range to each worker
-	// either way. The choice matters to ClusterOptions, where it decides
+	// Sched is validated ("static", empty, or "stealing") and otherwise
+	// ignored: on one machine there is nothing for a schedule to decide —
+	// cooperative windows deal every round dynamically, and a named
+	// ScanSource binds one range to each worker either way. It is absent
+	// from Key. The choice matters to ClusterOptions.Sched, where it decides
 	// how the master hands the plan to its nodes.
 	Sched string
-	// Chunks is the chunks-per-worker factor K of a stealing plan
-	// (ClusterOptions.Chunks); a local run ignores it.
-	Chunks int
 	// StoreFormat selects the on-disk encoding of the oriented store built
 	// when the input is unoriented: "plain" (or empty — 4 bytes per
 	// adjacency entry) or "compressed" (delta-varint/bitmap segments; see
@@ -98,39 +94,30 @@ type Options struct {
 	StoreFormat string
 }
 
-// Key returns the canonical identity of a run with these Options: every
-// default is resolved (worker count, memory budget, balance strategy, scan
-// source, kernel, scheduler, chunk count), so two Options values that would
-// execute the same calculation map to the same key even when one spells a
-// default explicitly and the other leaves it zero. Two runs with equal keys
-// on the same store produce the identical triangle set, which makes Key the
-// memoization and single-flight identity of the query service
-// (internal/service); it doubles as a stable human-readable run label.
+// Key returns the canonical identity of a run with these Options: what
+// changes a local calculation, defaults resolved (toCore) — worker count and
+// memory budget as given (not clipped to the store), scan source, kernel,
+// store format, and the balance strategy only under "buffered", the one
+// layout that splits the store. Options that would execute the same
+// calculation share a key even when one spells a default and the other
+// leaves it zero, and runs with equal keys on one store produce the
+// identical triangle set: Key is the query service's memoization and
+// single-flight identity (internal/service) and a stable run label.
 func (o Options) Key() (string, error) {
 	copt, err := o.toCore()
 	if err != nil {
 		return "", err
 	}
-	workers := copt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
+	layout := string(copt.Scan.OrAuto())
+	if !copt.Scan.IsAuto() {
+		layout += " " + copt.Strategy.String()
 	}
-	mem := copt.MemEdges
-	if mem <= 0 {
-		mem = core.DefaultMemEdges
-	}
-	chunks := 0
-	if copt.Sched == sched.Stealing {
-		chunks = sched.ChunksFor(workers, o.Chunks)
-	}
-	store := copt.Store
-	if store == "" {
-		store = graph.FormatPlain
-	}
-	return fmt.Sprintf("w%d m%d %s %s %s %s c%d %s",
-		workers, mem, copt.Strategy, copt.Sched, copt.Scan.OrAuto(), copt.Kernel, chunks, store), nil
+	return fmt.Sprintf("w%d m%d %s %s %s", copt.Workers, copt.MemEdges, layout, copt.Kernel, copt.Store), nil
 }
 
+// toCore resolves o into the engine's options: every name parsed (Sched
+// only validated), and Workers and MemEdges defaulted (core's
+// WithDefaults). Every local run and Key start here.
 func (o Options) toCore() (core.Options, error) {
 	strategy := balance.InDegree
 	if o.NaiveBalance {
@@ -144,8 +131,7 @@ func (o Options) toCore() (core.Options, error) {
 	if err != nil {
 		return core.Options{}, err
 	}
-	schedMode, err := sched.ParseMode(o.Sched)
-	if err != nil {
+	if _, err := sched.ParseMode(o.Sched); err != nil {
 		return core.Options{}, err
 	}
 	format, err := graph.ParseFormat(o.StoreFormat)
@@ -158,9 +144,8 @@ func (o Options) toCore() (core.Options, error) {
 		Strategy: strategy,
 		Scan:     scanKind,
 		Kernel:   kernelKind,
-		Sched:    schedMode,
 		Store:    format,
-	}, nil
+	}.WithDefaults(), nil
 }
 
 // WorkerStats describes one runner's share of a run.
@@ -211,8 +196,6 @@ type Result struct {
 	// ScanSource is the layout the run used ("auto" — cooperative windows —
 	// or "buffered").
 	ScanSource string
-	// Sched is the schedule the run was asked for ("static" or "stealing").
-	Sched string
 	// MemEdges is the run's window, clipped to the store size —
 	// Workers·M under "auto", M under a named source — and Windows how many
 	// of them the store is: the rounds of a cooperative run (each runner's
@@ -239,15 +222,37 @@ func ReadTriangleFile(path string) ([][3]uint32, error) {
 	return mgt.ReadTriangles(f)
 }
 
-func defaultWorkers() int { return runtime.NumCPU() }
-
-// VerifySmallDegree checks the paper's small-degree assumption
-// (d*max ≤ M/2) for an oriented store and budget; the returned error is
-// advisory — counting stays exact without it, only the CPU bound weakens.
-func VerifySmallDegree(orientedBase string, memEdges int) error {
-	d, err := graph.Open(orientedBase)
-	if err != nil {
-		return err
+// resultFrom folds the engine's result into the public one: what every
+// local run reports, static or live.
+func resultFrom(cres *core.Result) *Result {
+	res := &Result{
+		Triangles:       cres.Triangles,
+		PlanTime:        cres.PlanTime,
+		CalcTime:        cres.CalcTime,
+		TotalTime:       cres.TotalTime,
+		OrientedBase:    cres.OrientedBase,
+		ScanSource:      string(cres.Scan.OrAuto()),
+		MemEdges:        int(cres.Plan.MemEdges),
+		Windows:         int(cres.Plan.Windows),
+		SourceBytesRead: cres.SourceIO.BytesRead,
 	}
-	return mgt.CheckSmallDegree(d, memEdges)
+	for _, w := range cres.Workers {
+		res.Workers = append(res.Workers, workerStats(w))
+	}
+	return res
+}
+
+// workerStats is one runner's share of a run, local or on a cluster node.
+func workerStats(w core.WorkerStat) WorkerStats {
+	return WorkerStats{
+		Worker:    w.Worker,
+		EdgeLo:    w.Range.Lo,
+		EdgeHi:    w.Range.Hi,
+		Chunks:    w.Chunks,
+		Triangles: w.Stats.Triangles,
+		Passes:    w.Stats.Passes,
+		CPUTime:   w.Stats.CPUTime(),
+		IOTime:    w.Stats.IO.IOTime(),
+		BytesRead: w.Stats.IO.BytesRead,
+	}
 }

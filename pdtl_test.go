@@ -3,11 +3,13 @@ package pdtl
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"pdtl/internal/baseline"
+	"pdtl/internal/core"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
 )
@@ -193,7 +195,7 @@ func TestPublicDistributed(t *testing.T) {
 }
 
 func TestPublicServeWorker(t *testing.T) {
-	w, err := ServeWorker("127.0.0.1:0", "w1", t.TempDir())
+	w, err := ServeWorkerContext(context.Background(), "127.0.0.1:0", "w1", t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,14 +222,11 @@ func TestVerifySmallDegreePublic(t *testing.T) {
 	if _, err := GenerateComplete(base, 16); err != nil {
 		t.Fatal(err)
 	}
-	res, err := openStore(t, base).Count(context.Background(), Options{Workers: 1, MemEdges: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifySmallDegree(res.OrientedBase, 64); err != nil {
+	g := openStore(t, base)
+	if err := g.VerifySmallDegree(64); err != nil {
 		t.Errorf("d*max=15 <= 32, want pass: %v", err)
 	}
-	if err := VerifySmallDegree(res.OrientedBase, 16); err == nil {
+	if err := g.VerifySmallDegree(16); err == nil {
 		t.Error("d*max=15 > 8, want advisory error")
 	}
 }
@@ -274,5 +273,72 @@ func TestInfoOnOriented(t *testing.T) {
 	}
 	if !info.Oriented || info.MaxOutDegree != 7 {
 		t.Errorf("oriented info = %+v", info)
+	}
+}
+
+// TestOptionsKey: a local key holds what a local run computes with — the
+// worker count and budget as given, the layout, the kernel and the store
+// format, and the balance strategy only under the one layout that splits
+// the store — so spelled-out defaults, the schedule and its chunks, and
+// naive balance under "auto" leave it unchanged. A cluster key still tells
+// the schedule, its chunks and the balance strategy apart.
+func TestOptionsKey(t *testing.T) {
+	key := func(o Options) string {
+		t.Helper()
+		k, err := o.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	zero := key(Options{})
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		same bool
+	}{
+		{"defaults spelled out", Options{Workers: runtime.NumCPU(), MemEdges: core.DefaultMemEdges, ScanSource: "auto", Kernel: "auto", Sched: "static", StoreFormat: "plain"}, true},
+		{"naive under auto", Options{NaiveBalance: true}, true},
+		{"stealing", Options{Sched: "stealing"}, true},
+		{"workers", Options{Workers: runtime.NumCPU() + 1}, false},
+		{"mem", Options{MemEdges: core.DefaultMemEdges + 1}, false},
+		{"buffered", Options{ScanSource: "buffered"}, false},
+		{"merge", Options{Kernel: "merge"}, false},
+		{"compressed", Options{StoreFormat: "compressed"}, false},
+	} {
+		if got := key(tc.opt); (got == zero) != tc.same {
+			t.Errorf("%s: key %q, zero value's %q; want same=%v", tc.name, got, zero, tc.same)
+		}
+	}
+	buffered := key(Options{ScanSource: "buffered"})
+	if key(Options{ScanSource: "buffered", NaiveBalance: true}) == buffered {
+		t.Error("naive balance under buffered shares the in-degree key")
+	}
+	if _, err := (Options{Sched: "dynamic"}).Key(); err == nil {
+		t.Error("Key accepted an unknown scheduler name")
+	}
+
+	ckey := func(o ClusterOptions) string {
+		t.Helper()
+		k, err := o.Key(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	cluster := map[string]bool{}
+	for _, o := range []ClusterOptions{
+		{},
+		{Sched: "stealing"},
+		{Sched: "stealing", Chunks: 3},
+		{NaiveBalance: true},
+	} {
+		cluster[ckey(o)] = true
+	}
+	if len(cluster) != 4 {
+		t.Errorf("cluster keys %v: want sched, chunks and naive each told apart", cluster)
+	}
+	if ckey(ClusterOptions{Workers: 1, MemEdges: core.DefaultMemEdges, Sched: "static"}) != ckey(ClusterOptions{}) {
+		t.Error("spelled-out cluster defaults change the key")
 	}
 }

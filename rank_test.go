@@ -70,11 +70,11 @@ func TestRankedRunsHandOutOriginalIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 		var iterated [][3]uint32
-		seq, errf := h.Triangles(ctx, opt)
+		seq, done := h.Triangles(ctx, opt)
 		for tri := range seq {
 			iterated = append(iterated, tri)
 		}
-		if err := errf(); err != nil {
+		if _, err := done(); err != nil {
 			t.Fatal(err)
 		}
 		for name, got := range map[string][][3]uint32{"List": listed, "ForEach": each, "Triangles": iterated} {

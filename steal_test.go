@@ -23,9 +23,9 @@ func stealStore(t *testing.T) string {
 // TestHandleStealingMatchesStatic drives the public knobs end to end. On
 // one machine the schedule has nothing left to decide — the runners of a
 // cooperative window are dealt blocks, a named source binds one range to
-// each runner — so a "stealing" run must report its mode, produce the same
-// count and the same listing as the default static run, byte for byte and
-// run after run, and draw no chunks.
+// each runner — so a "stealing" run must produce the same count, key and
+// listing as the default static run, byte for byte and run after run, and
+// draw no chunks.
 func TestHandleStealingMatchesStatic(t *testing.T) {
 	base := stealStore(t)
 	g, err := Open(base)
@@ -34,21 +34,20 @@ func TestHandleStealingMatchesStatic(t *testing.T) {
 	}
 	defer g.Close()
 
-	staticRes, err := g.Count(context.Background(), Options{Workers: 3, MemEdges: 512})
+	staticOpt := Options{Workers: 3, MemEdges: 512}
+	staticRes, err := g.Count(context.Background(), staticOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if staticRes.Sched != "static" {
-		t.Errorf("default Sched = %q, want static", staticRes.Sched)
-	}
 
-	stealOpt := Options{Workers: 3, MemEdges: 512, Sched: "stealing", Chunks: 4}
+	stealOpt := Options{Workers: 3, MemEdges: 512, Sched: "stealing"}
 	stealRes, err := g.Count(context.Background(), stealOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stealRes.Sched != "stealing" {
-		t.Errorf("Sched = %q, want stealing", stealRes.Sched)
+	staticKey, _ := staticOpt.Key()
+	if stealKey, err := stealOpt.Key(); err != nil || stealKey != staticKey {
+		t.Errorf("stealing key %q (%v), static %q: want the same", stealKey, err, staticKey)
 	}
 	if stealRes.Triangles != staticRes.Triangles {
 		t.Fatalf("stealing counted %d, static %d", stealRes.Triangles, staticRes.Triangles)
@@ -144,7 +143,7 @@ func TestHandleStealingTriangleDegrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stealDeg, _, err := g.TriangleDegrees(context.Background(), Options{Workers: 2, MemEdges: 512, Sched: "stealing", Chunks: 3})
+	stealDeg, _, err := g.TriangleDegrees(context.Background(), Options{Workers: 2, MemEdges: 512, Sched: "stealing"})
 	if err != nil {
 		t.Fatal(err)
 	}
