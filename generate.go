@@ -120,16 +120,6 @@ func GenerateCommunity(base string, n, m, communities int, intraProb float64, se
 	return writeStore(base, "community", g)
 }
 
-// GenerateWeb writes a web-graph stand-in (sparse, extreme hubs, long
-// chains — the paper's Yahoo signature) with n vertices.
-func GenerateWeb(base string, n int, seed int64) (GraphInfo, error) {
-	g, err := gen.Web(n, gen.DefaultWeb, seed)
-	if err != nil {
-		return GraphInfo{}, err
-	}
-	return writeStore(base, "web", g)
-}
-
 // GeneratePowerLaw writes a Chung–Lu power-law graph with the given
 // exponent (lower = heavier tail).
 func GeneratePowerLaw(base string, n, m int, exponent float64, seed int64) (GraphInfo, error) {
@@ -138,16 +128,6 @@ func GeneratePowerLaw(base string, n, m int, exponent float64, seed int64) (Grap
 		return GraphInfo{}, err
 	}
 	return writeStore(base, "powerlaw", g)
-}
-
-// GenerateTriGrid writes the w×h diagonal grid, a planar graph with exactly
-// 2·(w-1)·(h-1) triangles.
-func GenerateTriGrid(base string, w, h int) (GraphInfo, error) {
-	g, err := gen.TriGrid(w, h)
-	if err != nil {
-		return GraphInfo{}, err
-	}
-	return writeStore(base, "trigrid", g)
 }
 
 // StreamParams parameterize GenerateStream (see gen.StreamParams).

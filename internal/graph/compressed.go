@@ -238,9 +238,8 @@ func uvarint32(data []byte) (uint32, int, error) {
 // segHeader parses and validates the header at the front of d, of a segment
 // holding count values whose predecessor segment ended at prevLast (start:
 // there is none). It returns the segment's kind and value bounds and the
-// lengths of its header and payload in d — everything the whole-list
-// quick-reject needs, so that Bounds can walk a list without building
-// Segments.
+// lengths of its header and payload in d, which is all SegIter.Next and
+// AppendSegments need to build a Segment.
 //
 //pdtl:hotpath
 func segHeader(d []byte, count int, prevLast Vertex, start bool) (kind byte, first, last Vertex, hdrLen, dataLen int, err error) {
@@ -396,29 +395,31 @@ func (cl CompressedList) Decode(dst []Vertex) ([]Vertex, error) {
 	}
 }
 
-// Bounds parses only the segment headers and returns the list's first and
-// last values — the whole-list quick-reject test, O(segments) with no
-// payload decode. Every header is validated exactly as the iterator would.
-// A zero-degree list returns ok=false.
+// AppendSegments parses every segment header of the list, each validated
+// exactly as the iterator would (trailing data included), and appends the
+// segments, payloads undecoded, to dst — the header-pruned pass's one walk:
+// the list's bounds are the first segment's First and the last one's Last,
+// O(segments) with no payload touched, and DecodeSegment decodes a survivor
+// from the same segments without parsing a header again. A zero-degree list
+// appends nothing.
 //
 //pdtl:hotpath
-func (cl CompressedList) Bounds() (first, last Vertex, ok bool, err error) {
+func (cl CompressedList) AppendSegments(dst []Segment) ([]Segment, error) {
 	d := cl.Data
+	var prevLast Vertex
 	for remaining := cl.Degree; remaining > 0; {
 		count := min(remaining, SegmentEntries)
-		_, lo, hi, hdrLen, dataLen, err := segHeader(d, count, last, !ok)
+		kind, first, last, hdrLen, dataLen, err := segHeader(d, count, prevLast, remaining == cl.Degree)
 		if err != nil {
-			return 0, 0, false, err
+			return dst, err
 		}
-		if !ok {
-			first, ok = lo, true
-		}
-		last = hi
+		dst = append(dst, Segment{Kind: kind, Count: count, First: first, Last: last, Payload: d[hdrLen : hdrLen+dataLen]})
 		d = d[hdrLen+dataLen:]
+		prevLast = last
 		remaining -= count
 	}
-	if ok && len(d) != 0 {
-		return 0, 0, false, errTrailingData
+	if cl.Degree > 0 && len(d) != 0 {
+		return dst, errTrailingData
 	}
-	return first, last, ok, nil
+	return dst, nil
 }

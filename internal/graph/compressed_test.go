@@ -73,12 +73,21 @@ func TestCompressedListRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, list) {
 			t.Fatalf("list %d: round trip mismatch:\n got %v\nwant %v", i, got, list)
 		}
-		first, last, ok, err := cl.Bounds()
-		if err != nil || !ok {
-			t.Fatalf("list %d: bounds: ok=%v err=%v", i, ok, err)
+		segs, err := cl.AppendSegments(nil)
+		if err != nil || len(segs) != (len(list)+SegmentEntries-1)/SegmentEntries {
+			t.Fatalf("list %d: walk: %d segments, err %v", i, len(segs), err)
 		}
-		if first != list[0] || last != list[len(list)-1] {
+		if first, last := segs[0].First, segs[len(segs)-1].Last; first != list[0] || last != list[len(list)-1] {
 			t.Fatalf("list %d: bounds [%d,%d], want [%d,%d]", i, first, last, list[0], list[len(list)-1])
+		}
+		var walked []Vertex
+		for _, seg := range segs {
+			if walked, err = DecodeSegment(seg, walked); err != nil {
+				t.Fatalf("list %d: decode a walked segment: %v", i, err)
+			}
+		}
+		if !reflect.DeepEqual(walked, list) {
+			t.Fatalf("list %d: the walked segments decode to another list", i)
 		}
 	}
 }
@@ -392,9 +401,12 @@ func sortVertices(v []Vertex) {
 	}
 }
 
-// FuzzSegmentCodec holds the codec to two properties: any sorted unique list
-// round-trips exactly, and arbitrary bytes never panic the decoder (they
-// either decode or error).
+// FuzzSegmentCodec holds the codec to three properties: any sorted unique
+// list round-trips exactly; arbitrary bytes never panic the decoder (they
+// either decode or error); and the header walk the pruned pass rejects on
+// agrees with Decode — a list the walk fails Decode fails too, and when both
+// succeed the segments hold the degree's entries and their ends are the
+// decoded list's.
 func FuzzSegmentCodec(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 251}, uint16(5))
 	f.Add([]byte{0xFF, 0x00, 0x80}, uint16(3))
@@ -403,10 +415,26 @@ func FuzzSegmentCodec(f *testing.F) {
 		// Property 1: the fuzz bytes as arbitrary compressed data must not
 		// panic, for any claimed degree.
 		cl := CompressedList{Degree: int(degree), Data: raw}
-		if decoded, err := cl.Decode(nil); err == nil && len(decoded) != int(degree) {
+		decoded, err := cl.Decode(nil)
+		if err == nil && len(decoded) != int(degree) {
 			t.Fatalf("decode reported success with %d entries for degree %d", len(decoded), degree)
 		}
-		cl.Bounds()
+		segs, walkErr := cl.AppendSegments(nil)
+		switch {
+		case walkErr != nil && err == nil:
+			t.Fatalf("the walk failed (%v) on bytes Decode accepts", walkErr)
+		case walkErr == nil && err == nil:
+			total := 0
+			for _, seg := range segs {
+				total += seg.Count
+			}
+			if total != int(degree) {
+				t.Fatalf("the walk's segments hold %d entries for degree %d", total, degree)
+			}
+			if degree > 0 && (segs[0].First != decoded[0] || segs[len(segs)-1].Last != decoded[len(decoded)-1]) {
+				t.Fatalf("the walk bounds the list by [%d,%d], Decode by [%d,%d]", segs[0].First, segs[len(segs)-1].Last, decoded[0], decoded[len(decoded)-1])
+			}
+		}
 
 		// Property 2: a sorted unique list derived from the bytes
 		// round-trips exactly.

@@ -145,11 +145,12 @@ func BenchmarkDecodeSegment(b *testing.B) {
 	})
 }
 
-// BenchmarkListBounds is the header-pruned pass's unit of work: the
-// whole-list quick reject on short lists (2–9 entries, one segment — the
-// bulk of a power-law store), against decoding the same lists, which is
-// what a pass paid for every list before it pruned on headers.
-func BenchmarkListBounds(b *testing.B) {
+// BenchmarkListSegments is the header-pruned pass's unit of work on short
+// lists (2–9 entries, one segment — the bulk of a power-law store): the
+// header walk a rejected list costs, the walk and the decode of its segments
+// a survivor costs, and Decode alone — what a pass paid for every list
+// before it pruned on headers.
+func BenchmarkListSegments(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var enc ListEncoder
 	lists := make([]CompressedList, 4096)
@@ -162,17 +163,33 @@ func BenchmarkListBounds(b *testing.B) {
 		}
 		lists[i] = CompressedList{Degree: len(vals), Data: enc.Append(nil, vals)}
 	}
-	b.Run("bounds", func(b *testing.B) {
+	segs := make([]Segment, 0, 2)
+	dst := make([]Vertex, 0, 16)
+	b.Run("walk", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, ok, err := lists[i%len(lists)].Bounds(); err != nil || !ok {
-				b.Fatal(ok, err)
+			if s, err := lists[i%len(lists)].AppendSegments(segs[:0]); err != nil || len(s) != 1 {
+				b.Fatal(len(s), err)
+			}
+		}
+	})
+	b.Run("walk+decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, err := lists[i%len(lists)].AppendSegments(segs[:0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			out := dst[:0]
+			for _, seg := range s {
+				if out, err = DecodeSegment(seg, out); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
-		dst := make([]Vertex, 0, 16)
 		for i := 0; i < b.N; i++ {
 			if _, err := lists[i%len(lists)].Decode(dst[:0]); err != nil {
 				b.Fatal(err)

@@ -107,6 +107,10 @@ type dealer struct {
 	arenaWords uint64
 	arenaSized bool
 	slots      []uint64
+	// dead has a bit per vertex of a compressed store, set once a round of
+	// this run rejected the vertex's list for ending below its window: vlow
+	// never falls within a run, so no later round can use the list either.
+	dead []atomic.Uint64
 
 	// The round in progress: its window (filled by the load phase, read by
 	// the scan phase), and the cursor blocks are dealt from. loads counts the
@@ -165,7 +169,8 @@ type dealt struct {
 	adj        *graph.AdjFile
 	raw        []byte
 	vals       []graph.Vertex
-	segScratch []graph.Vertex // one compressed segment, decoded
+	segScratch []graph.Vertex  // one compressed segment, decoded
+	segs       []graph.Segment // one compressed list's segments, parsed
 	stats      Stats
 	sink       Sink
 
@@ -320,6 +325,7 @@ func newDealer(d *graph.Disk, cfg DealConfig) (*dealer, error) {
 		}
 		if d.Format() == graph.FormatCompressed {
 			r.segScratch = make([]graph.Vertex, 0, graph.SegmentEntries)
+			r.segs = make([]graph.Segment, 0, dl.blockEntries/graph.SegmentEntries+2)
 		}
 		switch {
 		case cfg.Sinks != nil:
@@ -335,6 +341,9 @@ func newDealer(d *graph.Disk, cfg DealConfig) (*dealer, error) {
 		dl.runners = append(dl.runners, r)
 	}
 	dl.cuts = cutBlocks(d, dl.blockEntries, dl.blockBytes)
+	if d.Format() == graph.FormatCompressed {
+		dl.dead = make([]atomic.Uint64, (d.NumVertices()+63)/64)
+	}
 	if dl.bitsets {
 		dl.slots = make([]uint64, len(dl.cuts))
 	}
@@ -366,6 +375,7 @@ func (dl *dealer) run(ctx context.Context, spans []balance.Range) error {
 	}
 	dl.loads, dl.seq = 0, 0
 	dl.stop.Store(false)
+	clear(dl.dead) // a Runner's next range may start below this one's windows
 	dl.done = ctx.Done()
 	for _, r := range dl.runners {
 		r.stats, r.blocks, r.idle = Stats{}, 0, 0
@@ -961,9 +971,11 @@ func (r *dealt) scanPlain(a, z graph.Vertex) (graph.Vertex, error) {
 }
 
 // scanEncoded reads the block's bytes of a compressed store and walks the
-// lists as views of them: the quick reject runs on the segment headers
-// (every one parsed and validated, no payload touched), only the survivors
-// are decoded — the header-pruned pass, with no copy of the list first.
+// lists as views of them: one walk parses and validates every segment header
+// of a list, no payload touched, the quick reject runs on its ends, and only
+// the survivors are decoded, from the same segments — the header-pruned
+// pass, with no copy of the list first. A list rejected for ending below the
+// window is marked dead, and later rounds of the run skip it unread.
 //
 //pdtl:hotpath
 func (r *dealt) scanEncoded(a, z graph.Vertex) (graph.Vertex, error) {
@@ -974,21 +986,33 @@ func (r *dealt) scanEncoded(a, z graph.Vertex) (graph.Vertex, error) {
 		return a, err
 	}
 	for u := a; u < z; u++ {
-		cl := graph.CompressedList{Degree: int(d.Degrees[u]), Data: raw[d.ByteOffs[u]-base : d.ByteOffs[u+1]-base]}
-		if cl.Degree < 2 {
+		deg := int(d.Degrees[u])
+		if deg < 2 {
 			continue
 		}
-		first, last, _, err := cl.Bounds()
+		// Blocks split words at any vertex, so two runners may share one.
+		word, bit := &r.dl.dead[u/64], uint64(1)<<(u%64)
+		if word.Load()&bit != 0 {
+			r.stats.SegmentsSkipped += uint64((deg + graph.SegmentEntries - 1) / graph.SegmentEntries)
+			continue
+		}
+		cl := graph.CompressedList{Degree: deg, Data: raw[d.ByteOffs[u]-base : d.ByteOffs[u+1]-base]}
+		segs, err := cl.AppendSegments(r.segs[:0])
 		if err != nil {
 			return u, err
 		}
-		if last < r.vlow || first > r.vhigh {
-			r.stats.SegmentsSkipped += uint64((cl.Degree + graph.SegmentEntries - 1) / graph.SegmentEntries)
+		if last := segs[len(segs)-1].Last; last < r.vlow || segs[0].First > r.vhigh {
+			if last < r.vlow {
+				word.Or(bit)
+			}
+			r.stats.SegmentsSkipped += uint64(len(segs))
 			continue
 		}
-		nm, err := cl.Decode(r.vals[:0])
-		if err != nil {
-			return u, err
+		nm := r.vals[:0]
+		for _, s := range segs {
+			if nm, err = graph.DecodeSegment(s, nm); err != nil {
+				return u, err
+			}
 		}
 		if !r.cone(u, nm) {
 			return u, errBadVertexID

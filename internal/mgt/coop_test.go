@@ -550,3 +550,77 @@ func TestDealtRoundZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestDealtDeadListsInvisible: a list a round rejects for ending below its
+// window is skipped unread by the later rounds of the run, and that changes
+// nothing a run reports. Blocks small enough to split the 64-vertex words of
+// the dead-list bits, between up to four runners, over a dozen rounds: the
+// count is the baseline's, and the segments skipped are, round by round, those
+// of every list from the window's first vertex on that the round scans from
+// the store (of at least two entries, neither held whole by the window nor a
+// block by itself) and that ends below the window or starts above it.
+func TestDealtDeadListsInvisible(t *testing.T) {
+	g, err := gen.PowerLaw(2000, 20000, 2.1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := baseline.Forward(g)
+	d := compressedStore(t, g)
+	if !d.Meta.Ranked {
+		t.Fatal("the oriented store is not ranked")
+	}
+	csr, err := d.LoadCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const block = 64
+	if !slices.ContainsFunc(cutBlocks(d, block, block*graph.EntrySize), func(c graph.Vertex) bool { return c%64 != 0 }) {
+		t.Fatal("no cone block boundary splits a word of the dead-list bits")
+	}
+	total, n := d.Meta.AdjEntries, graph.Vertex(d.NumVertices())
+	for _, p := range []int{1, 2, 4} {
+		mem := int(total/12)/p + 1
+		win := uint64(p * mem)
+		var skipped, again uint64
+		dead := make(map[graph.Vertex]bool)
+		for lo := uint64(0); lo < total; lo += win {
+			hi := min(lo+win, total)
+			vlow, vhigh := d.VertexAt(lo), d.VertexAt(hi-1)
+			for u := vlow; u < n; u++ {
+				list := csr.Adj[csr.Offsets[u]:csr.Offsets[u+1]]
+				resident := csr.Offsets[u] >= lo && csr.Offsets[u+1] <= hi
+				streamed := len(list) > block || d.ByteOffs[u+1]-d.ByteOffs[u] > block*graph.EntrySize
+				if len(list) < 2 || resident || streamed {
+					continue
+				}
+				if list[len(list)-1] < vlow || list[0] > vhigh {
+					skipped += uint64((len(list) + graph.SegmentEntries - 1) / graph.SegmentEntries)
+				}
+				if list[len(list)-1] < vlow {
+					if dead[u] {
+						again++
+					}
+					dead[u] = true
+				}
+			}
+		}
+		if again == 0 {
+			t.Fatalf("P=%d: no list ends below the windows of two rounds", p)
+		}
+		res, err := RunDealt(context.Background(), d, []balance.Range{FullRange(d)}, DealConfig{Workers: p, MemEdges: mem, blockEntries: block})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Stats
+		for _, st := range res.Runners {
+			got.Triangles += st.Triangles
+			got.SegmentsSkipped += st.SegmentsSkipped
+		}
+		if rounds := res.Runners[0].Passes; rounds < 8 {
+			t.Fatalf("P=%d: %d rounds, want at least 8", p, rounds)
+		}
+		if got.Triangles != want || got.SegmentsSkipped != skipped {
+			t.Errorf("P=%d: %d triangles, %d segments skipped; want %d and %d", p, got.Triangles, got.SegmentsSkipped, want, skipped)
+		}
+	}
+}
