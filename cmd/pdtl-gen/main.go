@@ -1,16 +1,26 @@
-// Command pdtl-gen creates graph stores: synthetic datasets (RMAT and the
-// paper's real-graph stand-ins) or conversions from edge-list files.
+// Command pdtl-gen creates graph stores — synthetic graphs (RMAT, uniform,
+// complete, Chung–Lu power law) or conversions from edge-list files — and
+// prints their exact triangle counts from the in-memory reference.
 //
 // Usage:
 //
 //	pdtl-gen rmat      -out BASE -scale 16 -edgefactor 16 [-seed S] [-format F]
 //	pdtl-gen er        -out BASE -n 100000 -m 1000000 [-seed S] [-format F]
 //	pdtl-gen complete  -out BASE -n 1000 [-format F]
+//	pdtl-gen powerlaw  -out BASE -n 1024 -m 8192 [-exponent E] [-seed S] [-format F]
 //	pdtl-gen from-text -out BASE -in edges.txt [-name NAME] [-format F]
 //	pdtl-gen from-bin  -out BASE -in edges.bin [-name NAME] [-mem RECORDS] [-format F]
 //	pdtl-gen convert   -in BASE -out BASE2 -format plain|compressed
 //	pdtl-gen stream    -out trace.ndjson -base BASE [-final BASE2] -n 1000 -m 10000
 //	                   [-batches B] [-batch-size K] [-delete-frac D] [-seed S]
+//	pdtl-gen baseline  BASE...
+//
+// baseline prints "BASE <count>" per undirected store, counted in memory by
+// internal/baseline: the ground truth CI's smoke jobs hold engine, cluster
+// and service counts to. It refuses an oriented store, which holds each
+// edge once. CI's tiny graph is
+// `pdtl-gen powerlaw -out tiny -n 1024 -m 8192 -exponent 2.0 -seed 109`
+// (11,871 triangles).
 //
 // stream emits a reproducible churn workload for live graphs (DESIGN.md
 // §11): an initial power-law store at -base plus an NDJSON trace of edge
@@ -41,9 +51,12 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 
 	"pdtl"
+	"pdtl/internal/baseline"
+	"pdtl/internal/graph"
 )
 
 func main() {
@@ -85,6 +98,33 @@ func main() {
 		info, err = generate(*out, *format, func() (pdtl.GraphInfo, error) {
 			return pdtl.GenerateComplete(*out, *n)
 		})
+	case "powerlaw":
+		fs := flag.NewFlagSet("powerlaw", flag.ExitOnError)
+		out := fs.String("out", "", "output store base path")
+		n := fs.Int("n", 1000, "vertex count")
+		m := fs.Int("m", 10000, "edge samples")
+		exponent := fs.Float64("exponent", 2.0, "power-law exponent (lower = heavier tail)")
+		seed := fs.Int64("seed", 1, "random seed")
+		format := formatFlag(fs)
+		fs.Parse(os.Args[2:])
+		info, err = generate(*out, *format, func() (pdtl.GraphInfo, error) {
+			return pdtl.GeneratePowerLaw(*out, *n, *m, *exponent, *seed)
+		})
+	case "baseline":
+		if len(os.Args) < 3 {
+			usage()
+			os.Exit(2)
+		}
+		for _, base := range os.Args[2:] {
+			var n uint64
+			if n, err = baselineCount(base); err != nil {
+				break
+			}
+			fmt.Printf("%s %d\n", base, n)
+		}
+		if err == nil {
+			return
+		}
 	case "from-text":
 		fs := flag.NewFlagSet("from-text", flag.ExitOnError)
 		out := fs.String("out", "", "output store base path")
@@ -192,11 +232,13 @@ func usage() {
   pdtl-gen rmat      -out BASE -scale S -edgefactor F [-seed SEED] [-format F]
   pdtl-gen er        -out BASE -n N -m M [-seed SEED] [-format F]
   pdtl-gen complete  -out BASE -n N [-format F]
+  pdtl-gen powerlaw  -out BASE -n N -m M [-exponent E] [-seed SEED] [-format F]
   pdtl-gen from-text -out BASE -in edges.txt [-name NAME] [-format F]
   pdtl-gen from-bin  -out BASE -in edges.bin [-name NAME] [-mem RECORDS] [-format F]
   pdtl-gen convert   -in BASE [-out BASE2] -format plain|compressed
   pdtl-gen stream    -out TRACE -base BASE [-final BASE2] [-n N] [-m M]
                      [-batches B] [-batch-size K] [-delete-frac D] [-exponent E] [-seed SEED]
+  pdtl-gen baseline  BASE...
 -format F is plain (default) or compressed (delta-varint/bitmap segments)`)
 }
 
@@ -207,6 +249,9 @@ func formatFlag(fs *flag.FlagSet) *string {
 func generate(out, format string, fn func() (pdtl.GraphInfo, error)) (pdtl.GraphInfo, error) {
 	if out == "" {
 		return pdtl.GraphInfo{}, fmt.Errorf("-out is required")
+	}
+	if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
+		return pdtl.GraphInfo{}, err
 	}
 	info, err := fn()
 	if err != nil {
@@ -234,4 +279,23 @@ func importText(out, in, name string) (pdtl.GraphInfo, error) {
 	}
 	defer f.Close()
 	return pdtl.ImportEdgeListText(f, out, name)
+}
+
+// baselineCount is the exact triangle count of the undirected store at base,
+// computed in memory by the reference implementation (internal/baseline).
+func baselineCount(base string) (uint64, error) {
+	d, err := graph.Open(base)
+	if err != nil {
+		return 0, err
+	}
+	if d.Meta.Oriented {
+		// The reference orients the undirected graph itself; an oriented
+		// store holds each edge once and would count a different graph.
+		return 0, fmt.Errorf("store %s is oriented, the baseline needs the undirected graph", base)
+	}
+	g, err := d.LoadCSR()
+	if err != nil {
+		return 0, err
+	}
+	return baseline.Forward(g), nil
 }

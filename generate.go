@@ -169,12 +169,6 @@ func GenerateStream(base string, w io.Writer, finalBase string, p StreamParams) 
 	return info, nil
 }
 
-// ReadStreamTrace parses an NDJSON mutation trace written by
-// GenerateStream.
-func ReadStreamTrace(r io.Reader) ([]StreamBatch, error) {
-	return gen.ReadTrace(r)
-}
-
 // ConvertStoreFormat re-encodes the store at src into dst with the named
 // adjacency format ("plain" or "compressed"); the logical graph — and
 // therefore every triangle listing over it — is unchanged. src and dst may

@@ -22,7 +22,6 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -615,18 +614,6 @@ func (g *Graph) TriangleDegrees(ctx context.Context, opt Options) ([]uint64, *Re
 		}
 	}
 	return counts, res, nil
-}
-
-// VerifySmallDegree checks the paper's small-degree assumption
-// (d*max ≤ M/2) against the handle's oriented store, orienting first if no
-// run has yet. The returned error is advisory — counting stays exact
-// without the assumption, only the CPU bound of Theorem IV.2 weakens.
-func (g *Graph) VerifySmallDegree(memEdges int) error {
-	d, _, _, err := g.ensureOriented(context.Background(), runtime.NumCPU(), graph.FormatPlain)
-	if err != nil {
-		return err
-	}
-	return mgt.CheckSmallDegree(d, memEdges)
 }
 
 // csrCached lazily loads (and caches) the opened store as an in-memory CSR

@@ -89,19 +89,3 @@ func WedgeSample(g *graph.CSR, samples int, seed int64) (estimate float64, err e
 	closureRate := float64(closed) / float64(samples)
 	return closureRate * totalWedges / 3, nil
 }
-
-// RelativeError is |estimate − exact| / exact (0 when exact is 0 and the
-// estimate is too).
-func RelativeError(estimate float64, exact uint64) float64 {
-	if exact == 0 {
-		if estimate == 0 {
-			return 0
-		}
-		return 1
-	}
-	diff := estimate - float64(exact)
-	if diff < 0 {
-		diff = -diff
-	}
-	return diff / float64(exact)
-}

@@ -28,7 +28,7 @@ func TestDoulionAccuracy(t *testing.T) {
 		sum += est
 	}
 	mean := sum / trials
-	if rel := RelativeError(mean, exact); rel > 0.15 {
+	if rel := relativeError(mean, exact); rel > 0.15 {
 		t.Errorf("Doulion mean estimate %.0f vs exact %d: rel err %.3f > 0.15", mean, exact, rel)
 	}
 }
@@ -73,7 +73,7 @@ func TestWedgeSampleAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel := RelativeError(est, exact); rel > 0.1 {
+	if rel := relativeError(est, exact); rel > 0.1 {
 		t.Errorf("wedge estimate %.0f vs exact %d: rel err %.3f > 0.1", est, exact, rel)
 	}
 }
@@ -108,16 +108,32 @@ func TestWedgeSampleEdgeCases(t *testing.T) {
 }
 
 func TestRelativeError(t *testing.T) {
-	if RelativeError(110, 100) != 0.1 {
+	if relativeError(110, 100) != 0.1 {
 		t.Error("rel error of 110 vs 100 should be 0.1")
 	}
-	if RelativeError(90, 100) != 0.1 {
+	if relativeError(90, 100) != 0.1 {
 		t.Error("rel error should be symmetric")
 	}
-	if RelativeError(0, 0) != 0 {
+	if relativeError(0, 0) != 0 {
 		t.Error("0 vs 0 should be 0")
 	}
-	if RelativeError(5, 0) != 1 {
+	if relativeError(5, 0) != 1 {
 		t.Error("nonzero vs 0 should be 1")
 	}
+}
+
+// relativeError is |estimate − exact| / exact (0 when exact is 0 and the
+// estimate is too).
+func relativeError(estimate float64, exact uint64) float64 {
+	if exact == 0 {
+		if estimate == 0 {
+			return 0
+		}
+		return 1
+	}
+	diff := estimate - float64(exact)
+	if diff < 0 {
+		diff = -diff
+	}
+	return diff / float64(exact)
 }

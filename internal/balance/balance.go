@@ -27,15 +27,6 @@ const (
 	Naive Strategy = iota
 	// InDegree splits by the paper's in-degree weights ("w/ LB").
 	InDegree
-	// Cost splits by the exact expected intersection cost — the
-	// "different techniques of load balancing" direction of the paper's
-	// future work (Section VI). Vertex v's weight is
-	// Σ_{u : v ∈ N+(u)} d_G*(u) + indeg(v)·outdeg(v): the merge steps
-	// spent walking each cone list plus those walking Ev itself. The
-	// extra Σ d_G*(u) term needs one additional scan of the oriented
-	// graph (O(scan(|E|)) I/Os, so Theorem IV.3 is unchanged): ConeCosts
-	// computes it and Inputs.ConeCost carries it (PlanStore does both).
-	Cost
 )
 
 // String implements fmt.Stringer.
@@ -45,8 +36,6 @@ func (s Strategy) String() string {
 		return "naive"
 	case InDegree:
 		return "indegree"
-	case Cost:
-		return "cost"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -130,12 +119,8 @@ type Inputs struct {
 	Offsets []uint64
 	// OutDeg is d_G*(v) per vertex.
 	OutDeg []uint32
-	// InDeg is d_G(v) − d_G*(v) per vertex (required by InDegree and
-	// Cost).
+	// InDeg is d_G(v) − d_G*(v) per vertex (required by InDegree).
 	InDeg []uint32
-	// ConeCost is Σ_{u : v ∈ N+(u)} d_G*(u) per vertex (required by
-	// Cost); see ConeCosts.
-	ConeCost []uint64
 	// MemEdges is M, each runner's window in adjacency entries. A range of
 	// L edges costs its runner ⌈L/M⌉ full scans of the store, so M decides
 	// how much scanning an edge causes. Non-positive, or any M ≥ |E*|, is
@@ -150,16 +135,9 @@ type Inputs struct {
 // store: k ranges (one per runner under the static scheduler, K per runner
 // under stealing — the same cost model cut finer) for runners with windows
 // of memEdges entries. inDeg is the post-orientation in-degree array; the
-// Naive strategy ignores it. The Cost strategy's extra scan of d happens
-// here.
+// Naive strategy ignores it.
 func PlanStore(d *graph.Disk, inDeg []uint32, k int, strategy Strategy, memEdges int) (Plan, error) {
 	in := Inputs{Offsets: d.Offsets, OutDeg: d.Degrees, InDeg: inDeg, MemEdges: memEdges, Format: d.Format()}
-	if strategy == Cost {
-		var err error
-		if in.ConeCost, err = ConeCosts(d); err != nil {
-			return Plan{}, fmt.Errorf("balance: cost balancing scan: %w", err)
-		}
-	}
 	plan, err := SplitInputs(in, k, strategy)
 	plan.Ranked = d.Meta.Ranked
 	return plan, err
@@ -222,12 +200,6 @@ func SplitInputs(in Inputs, k int, strategy Strategy) (Plan, error) {
 			return Plan{}, fmt.Errorf("balance: in-degree array length %d != %d vertices", len(in.InDeg), len(in.OutDeg))
 		}
 		plan.Ranges = weightedRanges(in.Offsets, in.OutDeg, weightFn, k)
-	case Cost:
-		if len(in.InDeg) != len(in.OutDeg) || len(in.ConeCost) != len(in.OutDeg) {
-			return Plan{}, fmt.Errorf("balance: Cost strategy needs in-degree and cone-cost arrays for all %d vertices", len(in.OutDeg))
-		}
-		weightFn = func(v int) float64 { return costWeight(in, scan, v) }
-		plan.Ranges = weightedRanges(in.Offsets, in.OutDeg, weightFn, k)
 	default:
 		return Plan{}, fmt.Errorf("balance: unknown strategy %d", int(strategy))
 	}
@@ -237,16 +209,6 @@ func SplitInputs(in Inputs, k int, strategy Strategy) (Plan, error) {
 	plan.Weights = rangeWeights(plan.Ranges, in.Offsets, in.OutDeg, weightFn)
 	plan.Duration = time.Since(start)
 	return plan, nil
-}
-
-// costWeight is the exact-cost model per out-edge of v: scan work, plus
-// the in-degree mass (merge steps over Ev), plus the cone-list mass spread
-// across v's out-edges (merge steps over each N*(u)).
-func costWeight(in Inputs, scan float64, v int) float64 {
-	if in.OutDeg[v] == 0 {
-		return 0
-	}
-	return scan + float64(in.InDeg[v]) + float64(in.ConeCost[v])/float64(in.OutDeg[v])
 }
 
 // snapToWindows moves every cut point of a plan with at least as many
@@ -377,42 +339,6 @@ func rangeWeights(ranges []Range, offsets []uint64, outDeg []uint32, weightFn fu
 		weights[i] = w
 	}
 	return weights
-}
-
-// ConeCosts computes Σ_{u : v ∈ N+(u)} d_G*(u) for every v by one scan of
-// the oriented store — the extra input of the Cost strategy. The scan is
-// O(scan(|E|)) I/Os, the same order as orientation itself.
-func ConeCosts(d *graph.Disk) ([]uint64, error) {
-	sc, err := d.NewScanner(nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer sc.Close()
-	costs := make([]uint64, d.NumVertices())
-	for {
-		_, list, ok := sc.Next()
-		if !ok {
-			break
-		}
-		deg := uint64(len(list))
-		for _, v := range list {
-			costs[v] += deg
-		}
-	}
-	return costs, sc.Err()
-}
-
-// ConeCostsCSR is ConeCosts for an in-memory oriented graph (tests).
-func ConeCostsCSR(o *graph.CSR) []uint64 {
-	costs := make([]uint64, o.NumVertices())
-	for u := 0; u < o.NumVertices(); u++ {
-		list := o.Neighbors(graph.Vertex(u))
-		deg := uint64(len(list))
-		for _, v := range list {
-			costs[v] += deg
-		}
-	}
-	return costs
 }
 
 // Imbalance reports max(weights)/mean(weights), the straggler factor of a

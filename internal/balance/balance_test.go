@@ -153,58 +153,11 @@ func TestSubdivide(t *testing.T) {
 }
 
 func TestStrategyString(t *testing.T) {
-	if Naive.String() != "naive" || InDegree.String() != "indegree" || Cost.String() != "cost" {
+	if Naive.String() != "naive" || InDegree.String() != "indegree" {
 		t.Error("strategy names wrong")
 	}
 	if Strategy(7).String() == "" {
 		t.Error("unknown strategy should still print")
-	}
-}
-
-func TestCostStrategy(t *testing.T) {
-	g, err := gen.PowerLaw(3000, 30000, 2.1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := orient.CSR(g)
-	outDeg := o.Degrees()
-	deg := g.Degrees()
-	inDeg := make([]uint32, len(deg))
-	for v := range deg {
-		inDeg[v] = deg[v] - outDeg[v]
-	}
-	cone := ConeCostsCSR(o)
-	total := o.Offsets[len(o.Offsets)-1]
-
-	in := Inputs{Offsets: o.Offsets, OutDeg: outDeg, InDeg: inDeg, ConeCost: cone}
-	plan, err := SplitInputs(in, 8, Cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plan.Validate(total); err != nil {
-		t.Fatal(err)
-	}
-	if plan.Imbalance() > 1.5 {
-		t.Errorf("cost plan imbalance %.3f too high", plan.Imbalance())
-	}
-	// Missing cone costs must be rejected.
-	in.ConeCost = nil
-	if _, err := SplitInputs(in, 8, Cost); err == nil {
-		t.Error("want error for Cost without cone costs")
-	}
-}
-
-func TestConeCostsCSR(t *testing.T) {
-	// Path 0-1-2 oriented by degree: edges (0,1),(2,1) — both endpoints
-	// point at the middle vertex, whose cone cost is d*(0)+d*(2) = 2.
-	g, err := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := orient.CSR(g)
-	costs := ConeCostsCSR(o)
-	if costs[1] != 2 || costs[0] != 0 || costs[2] != 0 {
-		t.Errorf("cone costs = %v, want [0 2 0]", costs)
 	}
 }
 
@@ -289,11 +242,7 @@ func paperRanges(in Inputs, k int, strategy Strategy) []Range {
 		if in.OutDeg[v] == 0 {
 			return 0
 		}
-		w := 1 + float64(in.InDeg[v])
-		if strategy == Cost {
-			w += float64(in.ConeCost[v]) / float64(in.OutDeg[v])
-		}
-		return w
+		return 1 + float64(in.InDeg[v])
 	}
 	cum := make([]float64, n+1)
 	for v := 0; v < n; v++ {
@@ -331,9 +280,8 @@ func randomInputs(t *testing.T, rng *rand.Rand) Inputs {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := orient.CSR(g)
 	offsets, outDeg, inDeg := orientedArrays(t, g)
-	return Inputs{Offsets: offsets, OutDeg: outDeg, InDeg: inDeg, ConeCost: ConeCostsCSR(o)}
+	return Inputs{Offsets: offsets, OutDeg: outDeg, InDeg: inDeg}
 }
 
 // TestSingleWindowPlansUnchanged: whenever the store fits one window — any
@@ -345,7 +293,7 @@ func TestSingleWindowPlansUnchanged(t *testing.T) {
 		in := randomInputs(t, rng)
 		total := int(in.Offsets[len(in.Offsets)-1])
 		k := 1 + rng.Intn(24)
-		for _, s := range []Strategy{Naive, InDegree, Cost} {
+		for _, s := range []Strategy{Naive, InDegree} {
 			want := paperRanges(in, k, s)
 			for _, mem := range []int{-1, 0, total, total + 1 + rng.Intn(1000), 1 << 40} {
 				for _, f := range []graph.Format{graph.FormatPlain, graph.FormatCompressed} {
@@ -386,7 +334,7 @@ func TestMultiWindowPlansWasteNoPass(t *testing.T) {
 				in.Format = graph.FormatCompressed
 			}
 			windows := (total + uint64(in.MemEdges) - 1) / uint64(in.MemEdges)
-			for _, s := range []Strategy{Naive, InDegree, Cost} {
+			for _, s := range []Strategy{Naive, InDegree} {
 				plan, err := SplitInputs(in, k, s)
 				if err != nil {
 					t.Fatal(err)

@@ -1,15 +1,13 @@
-// Package baseline provides exact in-memory triangle counters used as
-// ground truth by the test suite and as the in-memory comparators of the
-// evaluation (Section II's "divide between using external memory and
-// parallelizing": these are the in-memory side).
+// Package baseline provides exact in-memory triangle counters: the ground
+// truth of the test suite and of `pdtl-gen baseline`, which CI's smoke jobs
+// compare engine, cluster and service counts against.
 //
 // Three algorithms are provided, in increasing sophistication:
 //
 //   - BruteForce: O(n·d²) neighbor-pair enumeration; tiny graphs only.
 //   - EdgeIterator: per-edge sorted intersection, the classic exact counter.
 //   - Forward: the compact-forward algorithm (degree-ordered orientation +
-//     out-list intersection), the standard fast in-memory method and the
-//     CPU pattern that both OPT and PATRIC build on.
+//     out-list intersection), the standard fast in-memory method.
 package baseline
 
 import (

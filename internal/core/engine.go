@@ -2,7 +2,7 @@
 // contribution. It ties the substrates together on one machine —
 // orientation (once), load balancing, and P concurrent modified-MGT runners
 // over contiguous edge ranges — and exposes the per-worker accounting that
-// the distributed layer and the experiment harness aggregate.
+// the distributed layer and the paper-claims ledger (ledger_test.go) read.
 //
 // The distributed framework (package cluster) reuses this engine verbatim
 // on every node: a node is just an engine fed externally computed ranges,
@@ -289,7 +289,7 @@ func PlanFor(d *graph.Disk, orientedBase string, opt Options) (balance.Plan, err
 		opt.MemEdges = DefaultMemEdges
 	}
 	var inDeg []uint32
-	if opt.Strategy == balance.InDegree || opt.Strategy == balance.Cost {
+	if opt.Strategy == balance.InDegree {
 		var err error
 		inDeg, err = orient.LoadInDegrees(orientedBase, d.NumVertices())
 		if err != nil {

@@ -293,8 +293,8 @@ func normalizeTriples(t *testing.T, raw []byte) []byte {
 // The wall-clock claim of the ablation is deliberately asserted in steps,
 // not seconds: per-worker step counts are what determine wall time on real
 // parallel hardware, while this suite may run on a single-core machine
-// where every schedule serializes to the same wall (see harness.Work for
-// the same convention).
+// where every schedule serializes to the same wall (the paper-claims
+// ledger, ledger_test.go, uses the same convention).
 func TestStealingBeatsMisweightedStatic(t *testing.T) {
 	d := stealDisk(t)
 	const P, K, mem = 4, 8, 256

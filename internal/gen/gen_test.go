@@ -164,51 +164,6 @@ func TestCommunityTriangleDensity(t *testing.T) {
 	}
 }
 
-func TestWebShape(t *testing.T) {
-	g, err := Web(5000, DefaultWeb, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := graph.Stats(g)
-	if st.AvgDegree < 2 || st.AvgDegree > 40 {
-		t.Errorf("web avg degree %.1f out of band", st.AvgDegree)
-	}
-	// Hub degree should be a large fraction of n — the Yahoo signature.
-	if float64(st.MaxDegree) < 0.005*float64(g.NumVertices()) {
-		t.Errorf("web max degree %d too small for n=%d", st.MaxDegree, g.NumVertices())
-	}
-	if _, err := Web(0, DefaultWeb, 1); err == nil {
-		t.Error("want error for n=0")
-	}
-	if _, err := Web(10, WebParams{AvgDegree: -1}, 1); err == nil {
-		t.Error("want error for bad params")
-	}
-}
-
-func TestWebMidTier(t *testing.T) {
-	// The middle tier is what skews the oriented degree distribution (the
-	// Yahoo d*max ≫ avg signature): there must be a population of
-	// vertices with degrees far above average but below the mega-hubs.
-	n := 20000
-	g, err := Web(n, DefaultWeb, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := graph.Stats(g)
-	heavy := 0
-	for v := 0; v < n; v++ {
-		if float64(g.Degree(graph.Vertex(v))) > 4*st.AvgDegree {
-			heavy++
-		}
-	}
-	// Beyond the handful of mega-hubs there must be a real mid-tier
-	// population of heavy vertices.
-	wantMid := int(DefaultWeb.MidHubFraction*float64(n)) / 2
-	if mid := heavy - DefaultWeb.Hubs; mid < wantMid {
-		t.Errorf("mid-tier population %d below %d", mid, wantMid)
-	}
-}
-
 // countRef is a local edge-iterator reference counter (kept local to avoid
 // an import cycle with the baseline package's tests).
 func countRef(g *graph.CSR) uint64 {
@@ -254,7 +209,7 @@ func TestGeneratorsProduceSimpleGraphs(t *testing.T) {
 		case 2:
 			g, err = PowerLaw(5+rng.Intn(60), rng.Intn(200), 2.0+rng.Float64(), seed)
 		default:
-			g, err = Web(50+rng.Intn(500), DefaultWeb, seed)
+			g, err = Community(5+rng.Intn(60), rng.Intn(200), CommunityParams{Communities: 1 + rng.Intn(4), IntraProb: rng.Float64(), Exponent: 2.5}, seed)
 		}
 		if err != nil {
 			return false

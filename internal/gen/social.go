@@ -100,113 +100,3 @@ func Community(n, m int, p CommunityParams, seed int64) (*graph.CSR, error) {
 	}
 	return graph.FromEdges(n, edges)
 }
-
-// WebParams tunes the web-graph stand-in generator.
-type WebParams struct {
-	// AvgDegree is the target average degree (Yahoo: 17.9).
-	AvgDegree float64
-	// Hubs is the number of extreme-degree vertices; the Yahoo graph's max
-	// degree (7.6M on 1.4B vertices) is ~0.5% of |V|, far above its RMAT
-	// peers relative to average degree.
-	Hubs int
-	// HubFraction is the fraction of |V| a single hub connects to.
-	HubFraction float64
-	// ChainFraction is the fraction of vertices arranged in long paths
-	// (link chains), giving the web graph its large sparse periphery and
-	// low triangle density per edge.
-	ChainFraction float64
-	// MidHubFraction is the fraction of vertices forming a middle tier of
-	// popular pages (degree in the hundreds). Real web graphs have this
-	// tier — Yahoo's post-orientation d*max is 1,540 against an average
-	// degree of 17.9 — and it is what skews the oriented degree
-	// distribution and the per-node work (Figures 4 and 8).
-	MidHubFraction float64
-	// MidDegree is the expected degree of a middle-tier page.
-	MidDegree int
-}
-
-// DefaultWeb mirrors the Yahoo webgraph's structural signature at small
-// scale: sparse average degree, a handful of enormous hubs, and a long
-// chain-like periphery. This combination is what makes the paper's Yahoo
-// runs scale poorly (Figures 4 and 8): after orientation nearly all
-// intersection work concentrates at the hub lists.
-var DefaultWeb = WebParams{
-	AvgDegree:      16,
-	Hubs:           4,
-	HubFraction:    0.02,
-	ChainFraction:  0.5,
-	MidHubFraction: 0.004,
-	MidDegree:      192,
-}
-
-// Web generates a web-graph stand-in with n vertices.
-func Web(n int, p WebParams, seed int64) (*graph.CSR, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("gen: bad size n=%d", n)
-	}
-	if p.AvgDegree <= 0 || p.HubFraction < 0 || p.ChainFraction < 0 || p.ChainFraction > 1 {
-		return nil, fmt.Errorf("gen: bad web params %+v", p)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	edges := make([]graph.Edge, 0, int(float64(n)*p.AvgDegree/2))
-
-	// Chain periphery: consecutive ids form paths of random length 8–64.
-	chainEnd := int(p.ChainFraction * float64(n))
-	for v := 0; v < chainEnd-1; v++ {
-		if rng.Intn(32) == 0 {
-			continue // break the chain occasionally
-		}
-		edges = append(edges, graph.Edge{U: uint32(v), V: uint32(v + 1)})
-	}
-
-	// Hubs: the first p.Hubs vertices after the chain region connect to a
-	// HubFraction sample of all vertices.
-	hubTargets := int(p.HubFraction * float64(n))
-	for h := 0; h < p.Hubs && chainEnd+h < n; h++ {
-		hub := uint32(chainEnd + h)
-		for i := 0; i < hubTargets; i++ {
-			edges = append(edges, graph.Edge{U: hub, V: uint32(rng.Intn(n))})
-		}
-	}
-
-	// Middle tier: popular pages with degrees in the hundreds, linked
-	// both to random pages and preferentially to each other (directories
-	// linking directories), which concentrates post-orientation in-degree.
-	midCount := int(p.MidHubFraction * float64(n))
-	midStart := chainEnd + p.Hubs
-	for i := 0; i < midCount && midStart+i < n; i++ {
-		mid := uint32(midStart + i)
-		for j := 0; j < p.MidDegree; j++ {
-			var v uint32
-			if midCount > 1 && rng.Float64() < 0.3 {
-				v = uint32(midStart + rng.Intn(midCount))
-			} else {
-				v = uint32(rng.Intn(n))
-			}
-			edges = append(edges, graph.Edge{U: mid, V: v})
-		}
-	}
-
-	// Power-law body for the remaining edge budget, with a mild locality
-	// bias (web pages link within their site) that yields some triangles.
-	remaining := int(float64(n)*p.AvgDegree/2) - len(edges)
-	for i := 0; i < remaining; i++ {
-		u := rng.Intn(n)
-		var v int
-		if rng.Float64() < 0.6 {
-			span := 1 + rng.Intn(200) // nearby page
-			if rng.Intn(2) == 0 {
-				v = u - span
-			} else {
-				v = u + span
-			}
-			if v < 0 || v >= n {
-				v = rng.Intn(n)
-			}
-		} else {
-			v = rng.Intn(n)
-		}
-		edges = append(edges, graph.Edge{U: uint32(u), V: uint32(v)})
-	}
-	return graph.FromEdges(n, edges)
-}

@@ -556,26 +556,3 @@ func (a *AdjFile) Close() error {
 	}
 	return a.f.Close()
 }
-
-// StoreAdjBytes reports the physical size of the store's adjacency files —
-// .adj, or .cadj + .cidx — the numerator of the bytes-per-edge compression
-// metric.
-func StoreAdjBytes(base string) (int64, error) {
-	meta, err := ReadMeta(base)
-	if err != nil {
-		return 0, err
-	}
-	paths := []string{AdjPath(base)}
-	if meta.Format == FormatCompressed {
-		paths = []string{CAdjPath(base), CIdxPath(base)}
-	}
-	var total int64
-	for _, p := range paths {
-		fi, err := os.Stat(p)
-		if err != nil {
-			return 0, err
-		}
-		total += fi.Size()
-	}
-	return total, nil
-}

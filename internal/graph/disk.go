@@ -19,7 +19,7 @@ const EntrySize = 4
 // Meta describes an on-disk graph. It is stored as JSON in <base>.meta so
 // tools and humans can inspect datasets without decoding the binary files.
 type Meta struct {
-	// Name is a human-readable dataset label (e.g. "twitter-sim").
+	// Name is a human-readable dataset label (e.g. "powerlaw").
 	Name string `json:"name"`
 	// NumVertices is |V|.
 	NumVertices int64 `json:"num_vertices"`

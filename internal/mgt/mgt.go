@@ -129,7 +129,7 @@ type Stats struct {
 	Intersections uint64
 	// CmpOps counts the steps inside the intersections — a
 	// machine-independent proxy for the CPU work of Theorem IV.2's
-	// O(|E|²/M + α|E|) term, used by the harness to report scaling
+	// O(|E|²/M + α|E|) term, which the paper-claims ledger compares
 	// independently of the host's core count. Under KernelMerge it is one
 	// step per merge iteration; on the default path (and for a large vertex
 	// under either kernel) it is stamps written plus probes made,
@@ -690,19 +690,6 @@ func (r *dealt) decodeSegmentFast(seg graph.Segment) ([]graph.Vertex, error) {
 // FullRange returns the range covering the whole oriented store.
 func FullRange(d *graph.Disk) balance.Range {
 	return balance.Range{Lo: 0, Hi: d.Meta.AdjEntries}
-}
-
-// CheckSmallDegree verifies the paper's small-degree assumption
-// d*max ≤ c·M/2 for implementation constant c < 1 (we use c = 1 and warn at
-// equality): it returns an error describing the violation, or nil. The
-// algorithm stays correct without it — only the CPU bound of Theorem IV.2
-// needs it — so callers treat this as advisory.
-func CheckSmallDegree(d *graph.Disk, memEdges int) error {
-	if uint64(d.Meta.MaxOutDegree) > uint64(memEdges)/2 {
-		return fmt.Errorf("mgt: small-degree assumption violated: d*max=%d > M/2=%d (correctness unaffected; CPU bound of Theorem IV.2 may not hold)",
-			d.Meta.MaxOutDegree, memEdges/2)
-	}
-	return nil
 }
 
 // CountSink accumulates a plain count; it is the zero-cost sink used when

@@ -322,20 +322,6 @@ func TestLargeVertexSkewedGraph(t *testing.T) {
 	}
 }
 
-func TestCheckSmallDegree(t *testing.T) {
-	g, err := gen.Complete(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := orientedStore(t, g) // d*max = 7
-	if err := CheckSmallDegree(d, 100); err != nil {
-		t.Errorf("assumption should hold for M=100: %v", err)
-	}
-	if err := CheckSmallDegree(d, 8); err == nil {
-		t.Error("assumption should fail for M=8 (d*max=7 > 4)")
-	}
-}
-
 // TestListingRoundTrip: what one part of a listing is told, ReadTriangles
 // reads back, in order.
 func TestListingRoundTrip(t *testing.T) {

@@ -383,6 +383,54 @@ func TestOrientFormatCompressed(t *testing.T) {
 	}
 }
 
+// TestCompressedStoreRatio: on a heavy-tailed power law (γ = 1.9, 29 edge
+// samples per vertex) the compressed oriented store's adjacency — .cadj
+// plus .cidx — is at least 2× smaller than the plain .adj.
+func TestCompressedStoreRatio(t *testing.T) {
+	if testing.Short() {
+		t.Skip("orients a 2^15-vertex power law twice")
+	}
+	g, err := gen.PowerLaw(1<<15, (1<<15)*29, 1.9, 103)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := writeStore(t, g, "src")
+	dir := t.TempDir()
+	size := func(paths ...string) int64 {
+		var total int64
+		for _, p := range paths {
+			fi, err := os.Stat(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += fi.Size()
+		}
+		return total
+	}
+	plain, comp := filepath.Join(dir, "plain"), filepath.Join(dir, "comp")
+	if _, err := OrientFormat(src, plain, 2, graph.FormatPlain); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OrientFormat(src, comp, 2, graph.FormatCompressed); err != nil {
+		t.Fatal(err)
+	}
+	plainBytes := size(graph.AdjPath(plain))
+	compBytes := size(graph.CAdjPath(comp), graph.CIdxPath(comp))
+	meta, err := graph.ReadMeta(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Format != graph.FormatCompressed {
+		t.Fatalf("oriented store format = %q, want compressed", meta.Format)
+	}
+	t.Logf("plain %.3f B/edge, compressed %.3f B/edge (%.2fx)", float64(plainBytes)/float64(meta.NumEdges),
+		float64(compBytes)/float64(meta.NumEdges), float64(plainBytes)/float64(compBytes))
+	if compBytes*2 > plainBytes {
+		t.Errorf("compressed store is only %.2fx smaller (%d vs %d bytes), want >= 2x",
+			float64(plainBytes)/float64(compBytes), compBytes, plainBytes)
+	}
+}
+
 // TestRadixSort: the radix sort the long kept lists take agrees with
 // slices.Sort for ids below bounds of one to four bytes.
 func TestRadixSort(t *testing.T) {

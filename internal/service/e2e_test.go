@@ -1,4 +1,4 @@
-// End-to-end: the service on the harness smoke dataset, with the exact
+// End-to-end: the service on the tiny smoke graph, with the exact
 // triangle count cross-checked against the in-memory reference
 // implementation (internal/baseline). CI runs this race-enabled; the
 // shell-level counterpart (built pdtl-serve binary + curl) lives in the
@@ -14,31 +14,32 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"pdtl/internal/baseline"
-	"pdtl/internal/harness"
+	"pdtl/internal/gen"
+	"pdtl/internal/graph"
 	"pdtl/internal/service"
 )
 
 func TestE2ETinyMatchesBaseline(t *testing.T) {
-	h, err := harness.New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	csr, err := h.LoadCSR("tiny")
+	// tiny is the graph CI's smoke jobs build with `pdtl-gen powerlaw -n
+	// 1024 -m 8192 -exponent 2.0 -seed 109`: skewed, so the workers'
+	// shares are uneven.
+	csr, err := gen.PowerLaw(1<<10, 1<<13, 2.0, 109)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := baseline.Forward(csr)
 	if want == 0 {
-		t.Fatal("baseline found no triangles in the tiny dataset")
+		t.Fatal("baseline found no triangles in the tiny graph")
 	}
-	base, err := h.Store("tiny")
-	if err != nil {
+	base := filepath.Join(t.TempDir(), "tiny")
+	if err := graph.WriteCSR(base, "tiny", csr); err != nil {
 		t.Fatal(err)
 	}
 

@@ -217,20 +217,6 @@ func TestPublicServeWorker(t *testing.T) {
 	}
 }
 
-func TestVerifySmallDegreePublic(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "k16")
-	if _, err := GenerateComplete(base, 16); err != nil {
-		t.Fatal(err)
-	}
-	g := openStore(t, base)
-	if err := g.VerifySmallDegree(64); err != nil {
-		t.Errorf("d*max=15 <= 32, want pass: %v", err)
-	}
-	if err := g.VerifySmallDegree(16); err == nil {
-		t.Error("d*max=15 > 8, want advisory error")
-	}
-}
-
 func TestPublicApproximate(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "rmat")
 	if _, err := GenerateRMAT(base, 10, 16, 5); err != nil {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
+
+	"pdtl/internal/gen"
 )
 
 // TestGenerateStreamReplayOnLiveGraph is the churn crosscheck at the public
@@ -20,7 +22,7 @@ func TestGenerateStreamReplayOnLiveGraph(t *testing.T) {
 	if _, err := GenerateStream(base, &trace, finalBase, p); err != nil {
 		t.Fatal(err)
 	}
-	batches, err := ReadStreamTrace(&trace)
+	batches, err := gen.ReadTrace(&trace)
 	if err != nil {
 		t.Fatal(err)
 	}
