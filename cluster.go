@@ -13,7 +13,6 @@ import (
 	"pdtl/internal/cluster"
 	"pdtl/internal/core"
 	"pdtl/internal/graph"
-	"pdtl/internal/mgt"
 	"pdtl/internal/scan"
 	"pdtl/internal/sched"
 )
@@ -33,9 +32,6 @@ type ClusterOptions struct {
 	// Options.ScanSource. "buffered" does not combine with Sched "stealing":
 	// Key and CountDistributed refuse the pair.
 	ScanSource string
-	// Kernel selects every node's cone routine ("auto" or empty, or
-	// "merge"); see Options.Kernel. The default travels as the empty string.
-	Kernel string
 	// Sched selects the scheduler: "static" (or empty — the paper's
 	// up-front pre-split of the global plan across nodes) or "stealing"
 	// (the master cuts the scan of the local engine's windows of
@@ -96,9 +92,9 @@ func (o ClusterOptions) Key(workerAddrs []string) (string, error) {
 	if cfg.Sched == sched.Stealing {
 		chunks = sched.ChunksFor(cfg.Workers, cfg.Chunks)
 	}
-	key := fmt.Sprintf("nodes=%s w%d m%d %s %s %s %s c%d %s",
+	key := fmt.Sprintf("nodes=%s w%d m%d %s %s %s c%d %s",
 		strings.Join(workerAddrs, ","), cfg.Workers, cfg.MemEdges, cfg.Strategy, cfg.Sched,
-		cfg.Scan.OrAuto(), cfg.Kernel, chunks, format)
+		cfg.Scan.OrAuto(), chunks, format)
 	if o.List {
 		key += " list=" + o.ListPath
 	}
@@ -115,10 +111,6 @@ func (o ClusterOptions) toCluster() (cluster.Config, graph.Format, error) {
 		strategy = balance.Naive
 	}
 	scanKind, err := scan.ParseSource(o.ScanSource)
-	if err != nil {
-		return cluster.Config{}, "", err
-	}
-	kernelKind, err := mgt.ParseKernel(o.Kernel)
 	if err != nil {
 		return cluster.Config{}, "", err
 	}
@@ -139,7 +131,6 @@ func (o ClusterOptions) toCluster() (cluster.Config, graph.Format, error) {
 		Strategy:          strategy,
 		UplinkBytesPerSec: o.UplinkBytesPerSec,
 		Scan:              scanKind,
-		Kernel:            kernelKind,
 		Sched:             mode,
 		Chunks:            o.Chunks,
 		MaxRetries:        o.MaxRetries,

@@ -42,8 +42,6 @@ func main() {
 	naive := flag.Bool("naive-balance", false, "disable in-degree load balancing")
 	scanSource := flag.String("scan", "auto",
 		"per-node layout: auto (a node's workers share one window and are dealt the scan) or buffered (one range and one private window per worker)")
-	kernel := flag.String("kernel", "auto",
-		"cone routine: auto (mark-and-probe) or merge (the paper's two-pointer merge)")
 	store := flag.String("store", "",
 		"oriented-store encoding built and replicated to workers: plain or compressed (default plain; already-oriented input is replicated as-is)")
 	schedMode := flag.String("sched", "static",
@@ -94,7 +92,6 @@ func main() {
 		NaiveBalance:      *naive,
 		UplinkBytesPerSec: *uplink,
 		ScanSource:        *scanSource,
-		Kernel:            *kernel,
 		StoreFormat:       *store,
 		Sched:             *schedMode,
 		Chunks:            *chunks,

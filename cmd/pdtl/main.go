@@ -62,11 +62,9 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   pdtl count -graph BASE [-workers P] [-mem ENTRIES] [-naive-balance]
-             [-scan auto|buffered] [-kernel auto|merge]
-             [-store plain|compressed] [-trace FILE]
+             [-scan auto|buffered] [-store plain|compressed] [-trace FILE]
   pdtl list  -graph BASE -out FILE [-workers P] [-mem ENTRIES] [-naive-balance]
-             [-scan auto|buffered] [-kernel auto|merge]
-             [-store plain|compressed] [-trace FILE]
+             [-scan auto|buffered] [-store plain|compressed] [-trace FILE]
   pdtl info  -graph BASE`)
 }
 
@@ -78,8 +76,6 @@ func commonFlags(fs *flag.FlagSet) (graphBase *string, opt *pdtl.Options) {
 	fs.BoolVar(&opt.NaiveBalance, "naive-balance", false, "split the ranges of -scan buffered equally instead of by in-degree")
 	fs.StringVar(&opt.ScanSource, "scan", "auto",
 		"layout: auto (the workers share one window of workers·mem entries and are dealt the scan) or buffered (the paper's layout: one range and one private window of mem entries per worker)")
-	fs.StringVar(&opt.Kernel, "kernel", "auto",
-		"cone routine: auto (mark N(u) once, probe every in-memory list) or merge (the paper's pairwise two-pointer merge)")
 	fs.StringVar(&opt.StoreFormat, "store", "plain",
 		"oriented-store format when orienting: plain or compressed")
 	return graphBase, opt

@@ -99,7 +99,7 @@ type Graph struct {
 	runs atomic.Uint64
 }
 
-// Runs reports how many engine calculations (Count, List, ForEach,
+// Runs reports how many engine calculations (Count, List, Triangles,
 // TriangleDegrees, CountDistributed, ...) have been started on this handle,
 // including failed and cancelled ones. Cache layers above the handle use it
 // to assert and account for the runs they avoided.
@@ -355,18 +355,6 @@ func (g *Graph) run(ctx context.Context, opt Options, to func(*core.Options)) (*
 // any options reuse both and go straight to the calculation phase.
 func (g *Graph) Count(ctx context.Context, opt Options) (*Result, error) {
 	return g.run(ctx, opt, nil)
-}
-
-// ForEach invokes fn once per triangle (u, v, w), ordered by the
-// degree-based order u ≺ v ≺ w. fn is called concurrently from Workers
-// goroutines; it must be safe for concurrent use (or set Workers to 1).
-func (g *Graph) ForEach(ctx context.Context, opt Options, fn func(u, v, w uint32)) (*Result, error) {
-	return g.run(ctx, opt, func(o *core.Options) {
-		o.Sinks = make([]mgt.Sink, o.Workers)
-		for i := range o.Sinks {
-			o.Sinks[i] = mgt.FuncSink(fn)
-		}
-	})
 }
 
 // List streams every triangle to w as little-endian uint32 triples (12

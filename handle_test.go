@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,6 +17,7 @@ import (
 	"pdtl/internal/baseline"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
+	"pdtl/internal/mgt"
 	"pdtl/internal/orient"
 )
 
@@ -104,8 +104,8 @@ func TestHandleNoRereadAfterFirstRun(t *testing.T) {
 	}
 }
 
-// TestHandleCancelMidPassAllSources cancels from inside the triangle
-// callback under both layouts and expects the bare ctx.Err().
+// TestHandleCancelMidPassAllSources cancels from inside the loop over the
+// triangles under both layouts and expects the bare ctx.Err().
 func TestHandleCancelMidPassAllSources(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "rmat")
 	if _, err := GenerateRMAT(base, 10, 16, 3); err != nil {
@@ -116,24 +116,35 @@ func TestHandleCancelMidPassAllSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
+	// More than the 2·P+2 batches that circulate can hold: the run cannot
+	// finish before the loop hands a batch back, which it does only after
+	// cancelling.
+	total, err := g.Count(context.Background(), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total.Triangles <= (2*2+2)*triangleBatch {
+		t.Fatalf("%d triangles: too few to cancel mid-run", total.Triangles)
+	}
 	for _, source := range []string{"buffered", "auto"} {
 		t.Run(source, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			var fired atomic.Bool
+			fired := false
 			// MemEdges 128 gives every runner dozens of windows, so the
 			// cancellation lands mid-run with most of the range left.
-			_, err := g.ForEach(ctx, Options{Workers: 2, MemEdges: 128, ScanSource: source},
-				func(u, v, w uint32) {
-					if fired.CompareAndSwap(false, true) {
-						cancel()
-					}
-				})
-			if !errors.Is(err, context.Canceled) {
+			seq, done := g.Triangles(ctx, Options{Workers: 2, MemEdges: 128, ScanSource: source})
+			for range seq {
+				if !fired {
+					fired = true
+					cancel()
+				}
+			}
+			if _, err := done(); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			if !fired.Load() {
-				t.Fatal("callback never fired")
+			if !fired {
+				t.Fatal("the loop never ran")
 			}
 		})
 	}
@@ -211,10 +222,10 @@ func TestHandleTrianglesEarlyBreakNoLeak(t *testing.T) {
 // tripleOrder sorts a listing whose triples are each u ≺ v ≺ w.
 func tripleOrder(a, b [3]uint32) int { return slices.Compare(a[:], b[:]) }
 
-// TestTrianglesMatchForEach: the iterator yields exactly ForEach's multiset,
-// in the input's ids, whether every runner's triangles fit in its one
-// partial batch or span many full ones.
-func TestTrianglesMatchForEach(t *testing.T) {
+// TestTrianglesMatchList: the iterator yields exactly the listing's
+// multiset, in the input's ids, whether every runner's triangles fit in its
+// one partial batch or span many full ones.
+func TestTrianglesMatchList(t *testing.T) {
 	small, err := gen.ErdosRenyi(200, 1500, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -241,13 +252,12 @@ func TestTrianglesMatchForEach(t *testing.T) {
 		h := openStore(t, tempStore(t, tc.g, tc.name))
 		for _, workers := range []int{1, 2, 4} {
 			opt := Options{Workers: workers, MemEdges: 4096}
-			var mu sync.Mutex
-			var each [][3]uint32
-			if _, err := h.ForEach(ctx, opt, func(u, v, w uint32) {
-				mu.Lock()
-				each = append(each, [3]uint32{u, v, w})
-				mu.Unlock()
-			}); err != nil {
+			var out bytes.Buffer
+			if _, err := h.List(ctx, &out, opt); err != nil {
+				t.Fatal(err)
+			}
+			listed, err := mgt.ReadTriangles(&out)
+			if err != nil {
 				t.Fatal(err)
 			}
 			var iterated [][3]uint32
@@ -258,10 +268,10 @@ func TestTrianglesMatchForEach(t *testing.T) {
 			if _, err := done(); err != nil {
 				t.Fatalf("%s P=%d: %v", tc.name, workers, err)
 			}
-			slices.SortFunc(each, tripleOrder)
+			slices.SortFunc(listed, tripleOrder)
 			slices.SortFunc(iterated, tripleOrder)
-			if !slices.Equal(iterated, each) {
-				t.Errorf("%s P=%d: Triangles gave %d triangles, ForEach %d, not the same multiset", tc.name, workers, len(iterated), len(each))
+			if !slices.Equal(iterated, listed) {
+				t.Errorf("%s P=%d: Triangles gave %d triangles, List %d, not the same multiset", tc.name, workers, len(iterated), len(listed))
 			}
 			if !slices.Equal(sortedSet(iterated), want) {
 				t.Errorf("%s P=%d: Triangles is not the input's %d triangles in its own ids", tc.name, workers, len(want))
@@ -547,9 +557,9 @@ func TestListFileLeavesOnlyTheOutput(t *testing.T) {
 
 	dir = t.TempDir()
 	bad := opt
-	bad.Kernel = "bogus"
+	bad.ScanSource = "bogus"
 	if _, err := g.ListFile(context.Background(), filepath.Join(dir, "tris.bin"), bad); err == nil {
-		t.Fatal("an unknown kernel listed")
+		t.Fatal("an unknown scan source listed")
 	}
 	check("failure", dir)
 
@@ -584,10 +594,9 @@ func TestListFileLeavesOnlyTheOutput(t *testing.T) {
 }
 
 // TestHandleCompressedStoreRuns: one handle serves both store formats —
-// local runs on each produce the same count under either kernel, the
-// compressed orientation is actually compressed on disk, and a distributed
-// run replicates the compressed store (.cadj/.cidx travel the wire) and
-// agrees.
+// local runs on each produce the same count, the compressed orientation is
+// actually compressed on disk, and a distributed run replicates the
+// compressed store (.cadj/.cidx travel the wire) and agrees.
 func TestHandleCompressedStoreRuns(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "pl")
 	if _, err := GeneratePowerLaw(base, 800, 8000, 1.9, 7); err != nil {
@@ -609,37 +618,35 @@ func TestHandleCompressedStoreRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	for _, kernel := range []string{"", "merge"} {
-		comp, err := g.Count(ctx, Options{Workers: 2, MemEdges: 512, StoreFormat: "compressed", Kernel: kernel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain.Triangles != comp.Triangles {
-			t.Fatalf("kernel %q: plain store counted %d, compressed %d", kernel, plain.Triangles, comp.Triangles)
-		}
-		if plain.OrientedBase == comp.OrientedBase {
-			t.Fatalf("kernel %q: both formats oriented to %q", kernel, plain.OrientedBase)
-		}
-		meta, err := graph.ReadMeta(comp.OrientedBase)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if meta.Format != graph.FormatCompressed {
-			t.Fatalf("kernel %q: compressed run oriented to format %q", kernel, meta.Format)
-		}
+	comp, err := g.Count(ctx, Options{Workers: 2, MemEdges: 512, StoreFormat: "compressed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Triangles != comp.Triangles {
+		t.Fatalf("plain store counted %d, compressed %d", plain.Triangles, comp.Triangles)
+	}
+	if plain.OrientedBase == comp.OrientedBase {
+		t.Fatalf("both formats oriented to %q", plain.OrientedBase)
+	}
+	meta, err := graph.ReadMeta(comp.OrientedBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Format != graph.FormatCompressed {
+		t.Fatalf("compressed run oriented to format %q", meta.Format)
+	}
 
-		dres, err := g.CountDistributed(ctx, pool.Addrs(), ClusterOptions{
-			Workers: 2, MemEdges: 512, StoreFormat: "compressed", Kernel: kernel,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dres.Triangles != plain.Triangles {
-			t.Fatalf("kernel %q: distributed compressed run counted %d, want %d", kernel, dres.Triangles, plain.Triangles)
-		}
-		if dres.OrientedBase != comp.OrientedBase {
-			t.Fatalf("kernel %q: distributed run oriented to %q, want the cached %q", kernel, dres.OrientedBase, comp.OrientedBase)
-		}
+	dres, err := g.CountDistributed(ctx, pool.Addrs(), ClusterOptions{
+		Workers: 2, MemEdges: 512, StoreFormat: "compressed",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dres.Triangles != plain.Triangles {
+		t.Fatalf("distributed compressed run counted %d, want %d", dres.Triangles, plain.Triangles)
+	}
+	if dres.OrientedBase != comp.OrientedBase {
+		t.Fatalf("distributed run oriented to %q, want the cached %q", dres.OrientedBase, comp.OrientedBase)
 	}
 }
 

@@ -49,16 +49,10 @@ type Config struct {
 	MemEdges int
 	// Strategy selects the load balancer for the global N·P-range plan.
 	Strategy balance.Strategy
-	// OrientWorkers is the master's orientation parallelism; non-positive
-	// means Workers.
-	OrientWorkers int
 	// Scan selects every node's scan source; under the default (auto) a
 	// node's processors share one window over the ranges it is handed and
 	// are dealt the scan (core.RunRanges).
 	Scan scan.SourceKind
-	// Kernel selects the cone routine on every node (default
-	// mgt.KernelAuto, sent as the empty string).
-	Kernel mgt.KernelKind
 	// Sched selects the scheduler. Static pre-splits the global N·P-range
 	// plan across nodes up front (the paper's Figure 1 configurations).
 	// Stealing cuts the scan of the local engine's windows of P·M entries
@@ -112,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MemEdges <= 0 {
 		c.MemEdges = core.DefaultMemEdges
-	}
-	if c.OrientWorkers <= 0 {
-		c.OrientWorkers = c.Workers
 	}
 	if c.ChunkBytes <= 0 {
 		c.ChunkBytes = 256 * 1024
@@ -289,7 +280,7 @@ func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error)
 		}
 		orientedBase = cfg.GraphBase + ".oriented"
 		osp := cur.Begin(obs.SpanOrient)
-		ores, err := orient.Orient(cfg.GraphBase, orientedBase, cfg.OrientWorkers)
+		ores, err := orient.Orient(cfg.GraphBase, orientedBase, cfg.Workers)
 		cur.End(osp)
 		if err != nil {
 			return nil, err
@@ -313,7 +304,6 @@ func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error)
 			GraphName: cfg.GraphName,
 			MemEdges:  cfg.MemEdges,
 			Scan:      string(cfg.Scan),
-			Kernel:    string(cfg.Kernel),
 			List:      cfg.List,
 		},
 	}

@@ -364,8 +364,7 @@ func count(ctx context.Context, d *graph.Disk, held *heldWindow, args *CountArgs
 	if err != nil {
 		return false, err
 	}
-	kernelKind, err := mgt.ParseKernel(args.Kernel)
-	if err != nil {
+	if err := mgt.CheckKernel(args.Kernel); err != nil {
 		return false, err
 	}
 	schedMode, err := sched.ParseMode(args.Sched)
@@ -376,7 +375,7 @@ func count(ctx context.Context, d *graph.Disk, held *heldWindow, args *CountArgs
 		if err := CheckSchedule(sched.Stealing, scanKind); err != nil {
 			return false, err
 		}
-		return countUnit(ctx, d, held, args, kernelKind, reply)
+		return countUnit(ctx, d, held, args, reply)
 	}
 	// One runner per range, or — from a master that predates stealing
 	// units and sends a stealing batch as ranges — args.Workers of them.
@@ -388,7 +387,6 @@ func count(ctx context.Context, d *graph.Disk, held *heldWindow, args *CountArgs
 		Workers:  workers,
 		MemEdges: args.MemEdges,
 		Scan:     scanKind,
-		Kernel:   kernelKind,
 	}
 	var triples bytes.Buffer
 	if args.List {
@@ -409,9 +407,9 @@ func count(ctx context.Context, d *graph.Disk, held *heldWindow, args *CountArgs
 // countUnit runs one stealing unit: args.Workers runners dealt the cone
 // blocks of args.Unit.Cone against the window args.Unit.Window — the one
 // held, if it is that window, else loaded into it for the units that follow.
-func countUnit(ctx context.Context, d *graph.Disk, held *heldWindow, args *CountArgs, kernel mgt.KernelKind, reply *CountReply) (bool, error) {
+func countUnit(ctx context.Context, d *graph.Disk, held *heldWindow, args *CountArgs, reply *CountReply) (bool, error) {
 	workers, win := max(args.Workers, 1), args.Unit.Window
-	cfg := mgt.DealConfig{Workers: workers, MemEdges: args.MemEdges, Kernel: kernel, Cone: args.Unit.Cone}
+	cfg := mgt.DealConfig{Workers: workers, MemEdges: args.MemEdges, Cone: args.Unit.Cone}
 	var triples bytes.Buffer
 	if args.List {
 		cfg.Listing = mgt.NewListing(&triples, "", workers, nil)

@@ -110,7 +110,7 @@ type CountArgs struct {
 	Ranges []balance.Range
 	// Sched names the schedule the batch comes from ("static", "stealing");
 	// empty means static — the paper's one-shot binding. Strings travel on
-	// the wire for the same compatibility reason as Scan/Kernel.
+	// the wire for the same compatibility reason as Scan.
 	Sched string
 	// Workers is the node's runner count under stealing; non-positive falls
 	// back to one runner per range (the static rule). Ignored under static,
@@ -128,9 +128,10 @@ type CountArgs struct {
 	// "shared", say, which older builds offered — fails the batch with an
 	// error naming the accepted ones.
 	Scan string
-	// Kernel names the node's cone routine ("merge"); empty means the
-	// default, mark-and-probe ("auto"). Any other name — one a removed kernel
-	// used to answer to, say — fails the batch with an error naming it.
+	// Kernel is unused: there is one cone routine, and a master no longer
+	// names it. It stays so that the wire format does not change; a name
+	// other than "" or "auto" — a removed routine's, from an older master —
+	// fails the batch with an error naming it (mgt.CheckKernel).
 	Kernel string
 	// List requests triangle listing; the triples come back in the reply
 	// (the paper's clients send lists back to the master, which

@@ -142,10 +142,6 @@ func runListed(t *testing.T, label string, d *graph.Disk, ranges []balance.Range
 	return out
 }
 
-// kernels is the kernel axis of every cross-check: the runners' own cone
-// routine and the paper's merge.
-var kernels = []mgt.KernelKind{mgt.KernelAuto, mgt.KernelMerge}
-
 // sameSequences fails unless got and ref hold the same sequences.
 func sameSequences(t *testing.T, label string, got, ref [][][3]graph.Vertex) {
 	t.Helper()
@@ -184,10 +180,9 @@ func isBaselineSet(t *testing.T, label string, tris [][3]graph.Vertex, wantSet m
 
 // TestAllSourceKernelCombosIdentical is the cross-check demanded by the
 // execution-layer refactor: for several generated graphs, every
-// (ScanSource × kernel) combination must produce the same
-// triangle count as the in-memory baseline AND the same listed triangle
-// sequence per runner — not just the same set, since sources and kernels
-// both promise order-preserving equivalence.
+// ScanSource must produce the same triangle count as the in-memory
+// baseline AND the same listed triangle sequence per runner — not just the
+// same set, since sources promise order-preserving equivalence.
 func TestAllSourceKernelCombosIdentical(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -225,36 +220,32 @@ func TestAllSourceKernelCombosIdentical(t *testing.T) {
 			// other named-source combo must reproduce it exactly.
 			var ref [][][3]graph.Vertex
 			for _, src := range sources {
-				for _, kern := range kernels {
-					label := fmt.Sprintf("%s/%s", src, kern)
-					got := runListed(t, label, d, ranges, Options{MemEdges: tc.memEdges, Scan: src, Kernel: kern}, false)
-					if got.total != want {
-						t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
-					}
-					isBaselineSet(t, label, got.assembled, wantSet)
-					if ref == nil {
-						ref = got.sinks
-						continue
-					}
-					sameSequences(t, label, got.sinks, ref)
-				}
-			}
-
-			// The default source's row: cooperative windows list, for either
-			// kernel and whatever the ranges were cut into, exactly what one
-			// runner of the paper's configuration lists with the whole
-			// window — workers·memEdges entries.
-			one := runListed(t, "buffered/one runner", d, []balance.Range{mgt.FullRange(d)},
-				Options{MemEdges: workers * tc.memEdges, Scan: scan.SourceBuffered}, false)
-			for _, kern := range kernels {
-				label := fmt.Sprintf("auto/%s", kern)
-				got := runListed(t, label, d, ranges, Options{Workers: workers, MemEdges: tc.memEdges, Kernel: kern}, false)
+				label := string(src)
+				got := runListed(t, label, d, ranges, Options{MemEdges: tc.memEdges, Scan: src}, false)
 				if got.total != want {
 					t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
 				}
 				isBaselineSet(t, label, got.assembled, wantSet)
-				sameSequences(t, label, [][][3]graph.Vertex{got.assembled}, [][][3]graph.Vertex{one.assembled})
+				if ref == nil {
+					ref = got.sinks
+					continue
+				}
+				sameSequences(t, label, got.sinks, ref)
 			}
+
+			// The default source's row: cooperative windows list, whatever
+			// the ranges were cut into, exactly what one runner of the
+			// paper's configuration lists with the whole window —
+			// workers·memEdges entries.
+			one := runListed(t, "buffered/one runner", d, []balance.Range{mgt.FullRange(d)},
+				Options{MemEdges: workers * tc.memEdges, Scan: scan.SourceBuffered}, false)
+			label := "auto"
+			got := runListed(t, label, d, ranges, Options{Workers: workers, MemEdges: tc.memEdges}, false)
+			if got.total != want {
+				t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
+			}
+			isBaselineSet(t, label, got.assembled, wantSet)
+			sameSequences(t, label, [][][3]graph.Vertex{got.assembled}, [][][3]graph.Vertex{one.assembled})
 		})
 	}
 }
@@ -262,11 +253,10 @@ func TestAllSourceKernelCombosIdentical(t *testing.T) {
 // TestSchedSourceKernelCombosIdentical extends the cross-check to the
 // schedule axis — the P ranges of a static plan, or the K·P chunks of a
 // stealing one as a node receives them in a batch: sched(static, stealing) ×
-// scan(buffered) × kernel(auto, merge) must
-// all produce identical, order-normalized triangle listings versus the
-// in-memory baseline. On top of the set identity, the per-chunk listings of
+// scan(buffered) must all produce identical, order-normalized triangle
+// listings versus the in-memory baseline. On top of the set identity, the per-chunk listings of
 // every stealing combo must agree exactly (same sequence per chunk) —
-// sources and kernels promise order-preserving equivalence.
+// sources promise order-preserving equivalence.
 func TestSchedSourceKernelCombosIdentical(t *testing.T) {
 	graphs := []struct {
 		name     string
@@ -300,28 +290,26 @@ func TestSchedSourceKernelCombosIdentical(t *testing.T) {
 			var refChunks [][][3]graph.Vertex
 			for _, mode := range []sched.Mode{sched.Static, sched.Stealing} {
 				for _, src := range sources {
-					for _, kern := range kernels {
-						label := fmt.Sprintf("%s/%s/%s", mode, src, kern)
-						ranges := staticRanges
-						if mode == sched.Stealing {
-							ranges = chunks
-						}
-						got := runListed(t, label, d, ranges, Options{
-							Workers: workers, MemEdges: tc.memEdges, Scan: src, Kernel: kern,
-						}, false)
-						if got.total != want {
-							t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
-						}
-						isBaselineSet(t, label, got.assembled, wantSet)
-						if mode != sched.Stealing {
-							continue
-						}
-						if refChunks == nil {
-							refChunks = got.sinks
-							continue
-						}
-						sameSequences(t, label, got.sinks, refChunks)
+					label := fmt.Sprintf("%s/%s", mode, src)
+					ranges := staticRanges
+					if mode == sched.Stealing {
+						ranges = chunks
 					}
+					got := runListed(t, label, d, ranges, Options{
+						Workers: workers, MemEdges: tc.memEdges, Scan: src,
+					}, false)
+					if got.total != want {
+						t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
+					}
+					isBaselineSet(t, label, got.assembled, wantSet)
+					if mode != sched.Stealing {
+						continue
+					}
+					if refChunks == nil {
+						refChunks = got.sinks
+						continue
+					}
+					sameSequences(t, label, got.sinks, refChunks)
 				}
 			}
 		})
@@ -350,11 +338,10 @@ func bitmapBoundaryGraph() (*graph.CSR, error) {
 
 // TestSchedSourceKernelStoreCombosIdentical is the full execution-layer
 // cross-check with the store axis added: sched(static, stealing) ×
-// scan(auto, buffered) × kernel(auto, merge) ×
-// store(plain, compressed) must produce the identical triangle listing —
-// the same sequence per sink under the named sources, the same assembled
-// sequence under the default's cooperative windows, not just the same set —
-// and match the in-memory baseline count. Every combo then reruns with nil
+// scan(auto, buffered) × store(plain, compressed) must produce the
+// identical triangle listing — the same sequence per sink under the named
+// sources, the same assembled sequence under the default's cooperative
+// windows, not just the same set — and match the in-memory baseline count. Every combo then reruns with nil
 // sinks, counting only; its total must equal both the listing total and the
 // baseline, and on the compressed store both runs must reject segments on
 // their headers. The graphs pin the regimes that matter: Complete(40) at memEdges
@@ -412,35 +399,33 @@ func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 						ranges = chunks
 					}
 					for _, src := range append([]scan.SourceKind{scan.SourceAuto}, sources...) {
-						for _, kern := range kernels {
-							label := fmt.Sprintf("%s/%s/%s/%s", format, mode, src, kern)
-							opt := Options{Workers: workers, MemEdges: tc.memEdges, Scan: src, Kernel: kern}
-							got := runListed(t, label, disks[format], ranges, opt, false)
-							if got.total != want {
-								t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
-							}
-							// Count-only rerun of the identical combo: its
-							// total must agree with the listing path and
-							// the baseline.
-							c := runListed(t, label+" count-only", disks[format], ranges, opt, true)
-							if c.total != want {
-								t.Fatalf("%s count-only: %d triangles, want %d", label, c.total, want)
-							}
-							if format == graph.FormatCompressed && (got.skipped == 0 || c.skipped == 0) {
-								t.Errorf("%s: no segment rejected on its header (listing %d, count %d)", label, got.skipped, c.skipped)
-							}
-							seqs, refs := got.sinks, ref
-							if src.IsAuto() {
-								// Which runner was dealt which block is
-								// timing; the assembled listing is not.
-								seqs, refs = [][][3]graph.Vertex{got.assembled}, auto
-							}
-							if refs[mode] == nil {
-								refs[mode] = seqs
-								continue
-							}
-							sameSequences(t, label, seqs, refs[mode])
+						label := fmt.Sprintf("%s/%s/%s", format, mode, src)
+						opt := Options{Workers: workers, MemEdges: tc.memEdges, Scan: src}
+						got := runListed(t, label, disks[format], ranges, opt, false)
+						if got.total != want {
+							t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
 						}
+						// Count-only rerun of the identical combo: its
+						// total must agree with the listing path and
+						// the baseline.
+						c := runListed(t, label+" count-only", disks[format], ranges, opt, true)
+						if c.total != want {
+							t.Fatalf("%s count-only: %d triangles, want %d", label, c.total, want)
+						}
+						if format == graph.FormatCompressed && (got.skipped == 0 || c.skipped == 0) {
+							t.Errorf("%s: no segment rejected on its header (listing %d, count %d)", label, got.skipped, c.skipped)
+						}
+						seqs, refs := got.sinks, ref
+						if src.IsAuto() {
+							// Which runner was dealt which block is
+							// timing; the assembled listing is not.
+							seqs, refs = [][][3]graph.Vertex{got.assembled}, auto
+						}
+						if refs[mode] == nil {
+							refs[mode] = seqs
+							continue
+						}
+						sameSequences(t, label, seqs, refs[mode])
 					}
 				}
 			}

@@ -107,13 +107,12 @@ func markSteps(csr *graph.CSR, win uint64) (steps uint64) {
 // mark path across store kinds. A ranked store, plain or compressed, runs
 // its dense lists on bitsets; a live merged view of that store (in
 // original ids, not ranked) and an id-space store of the same graph (no
-// .perm) run every pair on the mark path. At
-// every P ∈ {1, 2, 4}, over three windows: each store counts the baseline's
-// triangles under both kernels and lists the same bytes under both, with
-// the same pairs, passes and loads; the two ranked stores list the same
-// bytes; the live view and the id-space store list the same triangles; and
-// the bitsets fired — the ranked store took fewer steps than the mark
-// path's d+(u) + Σ|Ev| on it (as many, on a clique).
+// .perm) run every pair on the mark path. At every P ∈ {1, 2, 4}, over
+// three windows: each store counts the baseline's triangles; the two ranked
+// stores list the same bytes, with the same pairs, passes and loads; the
+// live view and the id-space store list the same triangles; and the bitsets
+// fired — the ranked store took fewer steps than the mark path's
+// d+(u) + Σ|Ev| on it (as many, on a clique).
 func TestCrosscheckDenseAndMarkPaths(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -181,28 +180,17 @@ func TestCrosscheckDenseAndMarkPaths(t *testing.T) {
 				}{{"ranked", ranked, nil}, {"compressed", compressed, nil}, {"live", ranked, lg}, {"idspace", idSpace, nil}}
 				runs := map[string]run{}
 				for _, s := range stores {
-					var ref run
-					for _, k := range []mgt.KernelKind{mgt.KernelMerge, mgt.KernelAuto} {
-						label := fmt.Sprintf("P=%d %s %s", p, s.name, k)
-						got := listOn(t, label, s.d, s.lg, core.Options{Workers: p, MemEdges: mem, Kernel: k})
-						if got.stats.Triangles != want {
-							t.Fatalf("%s: %d triangles, baseline %d", label, got.stats.Triangles, want)
-						}
-						if k == mgt.KernelMerge {
-							ref = got
-							continue
-						}
-						if !bytes.Equal(got.listing, ref.listing) {
-							t.Fatalf("%s: the listing is not the merge's", label)
-						}
-						if got.stats.Intersections != ref.stats.Intersections || got.stats.Passes != ref.stats.Passes || got.stats.EdgesLoaded != ref.stats.EdgesLoaded {
-							t.Fatalf("%s: %+v, the merge %+v", label, got.stats, ref.stats)
-						}
-						runs[s.name] = got
+					label := fmt.Sprintf("P=%d %s", p, s.name)
+					got := listOn(t, label, s.d, s.lg, core.Options{Workers: p, MemEdges: mem})
+					if got.stats.Triangles != want {
+						t.Fatalf("%s: %d triangles, baseline %d", label, got.stats.Triangles, want)
 					}
+					runs[s.name] = got
 				}
-				if !bytes.Equal(runs["compressed"].listing, runs["ranked"].listing) {
+				if c, r := runs["compressed"], runs["ranked"]; !bytes.Equal(c.listing, r.listing) {
 					t.Fatalf("P=%d: the compressed store lists other bytes than the plain one", p)
+				} else if c.stats.Intersections != r.stats.Intersections || c.stats.Passes != r.stats.Passes || c.stats.EdgesLoaded != r.stats.EdgesLoaded {
+					t.Fatalf("P=%d: the compressed store's %+v, the plain one's %+v", p, c.stats, r.stats)
 				}
 				original := trianglesIn(t, runs["ranked"].listing, perm)
 				for _, name := range []string{"live", "idspace"} {

@@ -41,9 +41,6 @@ type Options struct {
 	// "w/o LB" ablation; the paper's InDegree default is chosen one layer
 	// up, by the public Options (NaiveBalance unset).
 	Strategy balance.Strategy
-	// OrientWorkers is the parallelism of the orientation step;
-	// non-positive means Workers.
-	OrientWorkers int
 	// Sinks, when non-nil, must have one entry per runner (Runners); runner
 	// i streams the triangles it finds to Sinks[i], in no order across
 	// runners. Nil, with Out nil too, means counting only: the same cone
@@ -73,10 +70,6 @@ type Options struct {
 	// per range, each a one-runner dealt run with its own MemEdges-entry
 	// window (mgt.Runner).
 	Scan scan.SourceKind
-	// Kernel is the runners' cone routine: the default (mgt.KernelAuto,
-	// empty) is their own mark-and-probe, mgt.KernelMerge the paper's
-	// pairwise two-pointer merges. Both produce identical triangles.
-	Kernel mgt.KernelKind
 	// Store selects the on-disk format of the oriented store the engine
 	// builds when its input is unoriented (empty means graph.FormatPlain).
 	// An already-oriented input is used in whatever format it is in — the
@@ -89,16 +82,13 @@ type Options struct {
 const DefaultMemEdges = 1 << 22
 
 // WithDefaults resolves o's defaults: Workers to the CPU count, MemEdges to
-// DefaultMemEdges, OrientWorkers to Workers.
+// DefaultMemEdges.
 func (o Options) WithDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
 	if o.MemEdges <= 0 {
 		o.MemEdges = DefaultMemEdges
-	}
-	if o.OrientWorkers <= 0 {
-		o.OrientWorkers = o.Workers
 	}
 	return o
 }
@@ -186,7 +176,7 @@ func Process(ctx context.Context, base string, opt Options) (*Result, error) {
 		}
 		cur := obs.CursorFrom(ctx)
 		osp := cur.Begin(obs.SpanOrient)
-		ores, err = orient.OrientFormat(base, base+".oriented", opt.OrientWorkers, format)
+		ores, err = orient.OrientFormat(base, base+".oriented", opt.Workers, format)
 		cur.End(osp)
 		if err != nil {
 			return nil, err
@@ -355,9 +345,6 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 	if opt.Sinks != nil && len(opt.Sinks) != n {
 		return Calc{}, fmt.Errorf("core: %d sinks for %d runners", len(opt.Sinks), n)
 	}
-	if _, err := mgt.ParseKernel(string(opt.Kernel)); err != nil {
-		return Calc{}, err
-	}
 	if _, err := scan.ParseSource(string(opt.Scan)); err != nil {
 		return Calc{}, err
 	}
@@ -405,7 +392,7 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 				rctx = obs.ContextWithCursor(ctx, cur.WithWorker(i))
 			}
 			stats[i] = WorkerStat{Worker: i, Range: r, Chunks: 1}
-			runner, err := mgt.NewRunner(d, mgt.Config{MemEdges: opt.MemEdges, Kernel: opt.Kernel})
+			runner, err := mgt.NewRunner(d, mgt.Config{MemEdges: opt.MemEdges})
 			if err != nil {
 				errs[i] = err
 				return
@@ -461,7 +448,6 @@ func runDealt(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Op
 	dealt, err := mgt.RunDealt(ctx, d, spans, mgt.DealConfig{
 		Workers:  opt.Workers,
 		MemEdges: opt.MemEdges,
-		Kernel:   opt.Kernel,
 		Sinks:    opt.Sinks,
 		Listing:  list,
 	})

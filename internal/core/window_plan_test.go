@@ -22,9 +22,7 @@ import (
 // paper's layout, and windows of
 // the whole store, a third of it, a 48th, and fewer entries than the
 // largest out-list (the large-vertex path) — the count of a counting run
-// and the order-normalised listing of a listing run, whose every sink must
-// under a named source also receive the very sequence an explicit merge
-// kernel gives it.
+// and the order-normalised listing of a listing run.
 func TestWindowAwareRunsMatchBaseline(t *testing.T) {
 	g, err := gen.PowerLaw(2000, 24000, 1.9, 5)
 	if err != nil {
@@ -83,32 +81,22 @@ func TestWindowAwareRunsMatchBaseline(t *testing.T) {
 					}
 				}
 
-				var merged []*recordingSink
-				for _, kern := range []mgt.KernelKind{mgt.KernelMerge, mgt.KernelAuto} {
-					recs := make([]*recordingSink, workers)
-					opt.Sinks = make([]mgt.Sink, len(recs))
-					for i := range recs {
-						recs[i] = &recordingSink{}
-						opt.Sinks[i] = recs[i]
-					}
-					opt.Kernel = kern
-					if _, err := Process(context.Background(), first.OrientedBase, opt); err != nil {
-						t.Fatalf("%s/%s listing: %v", label, kern, err)
-					}
-					var got [][3]graph.Vertex
-					for i, rec := range recs {
-						// (Which runner of a cooperative window is dealt
-						// which block is timing.)
-						if merged != nil && !src.IsAuto() && !slices.Equal(rec.tris, merged[i].tris) {
-							t.Errorf("%s: sink %d received %d triangles, %d under the merge kernel, or in another order", label, i, len(rec.tris), len(merged[i].tris))
-						}
-						got = append(got, rec.tris...)
-					}
-					merged = recs
-					sortTriangles(got)
-					if !slices.Equal(got, wantList) {
-						t.Errorf("%s/%s: listing of %d triangles differs from the baseline's %d", label, kern, len(got), len(wantList))
-					}
+				recs := make([]*recordingSink, workers)
+				opt.Sinks = make([]mgt.Sink, len(recs))
+				for i := range recs {
+					recs[i] = &recordingSink{}
+					opt.Sinks[i] = recs[i]
+				}
+				if _, err := Process(context.Background(), first.OrientedBase, opt); err != nil {
+					t.Fatalf("%s listing: %v", label, err)
+				}
+				var got [][3]graph.Vertex
+				for _, rec := range recs {
+					got = append(got, rec.tris...)
+				}
+				sortTriangles(got)
+				if !slices.Equal(got, wantList) {
+					t.Errorf("%s: listing of %d triangles differs from the baseline's %d", label, len(got), len(wantList))
 				}
 			}
 		}

@@ -1,42 +1,5 @@
 package graph
 
-import "math"
-
-// DegreeStats summarizes the degree distribution of a graph, matching the
-// columns of the paper's Table I (AvDeg, STD, MaxDeg).
-type DegreeStats struct {
-	NumVertices int
-	NumEdges    uint64
-	AvgDegree   float64
-	StdDegree   float64
-	MaxDegree   uint32
-}
-
-// Stats computes degree statistics for g. For oriented graphs the statistics
-// describe out-degrees.
-func Stats(g *CSR) DegreeStats {
-	n := g.NumVertices()
-	st := DegreeStats{NumVertices: n, NumEdges: g.NumEdges()}
-	if n == 0 {
-		return st
-	}
-	var sum, sumSq float64
-	for v := 0; v < n; v++ {
-		d := float64(g.Degree(Vertex(v)))
-		sum += d
-		sumSq += d * d
-		if uint32(d) > st.MaxDegree {
-			st.MaxDegree = uint32(d)
-		}
-	}
-	st.AvgDegree = sum / float64(n)
-	variance := sumSq/float64(n) - st.AvgDegree*st.AvgDegree
-	if variance > 0 {
-		st.StdDegree = math.Sqrt(variance)
-	}
-	return st
-}
-
 // MinDegreeSum computes Σ_{(u,v)∈E} min{d(u), d(v)} over the undirected
 // edges of g, the arboricity-related quantity of Theorem III.4(3). The
 // number of triangles satisfies T ≤ MinDegreeSum/3.

@@ -299,9 +299,9 @@ func (g *Graph) CompactNow(ctx context.Context) error {
 // the run result and the number of mutation batches that view holds. The
 // view is captured once; mutations and compactions that land mid-run do
 // not affect it. It plans and calculates as any local run does
-// (core.Execute, traced under ctx's cursor), with the engine's default — cooperative windows
-// reading the merged view (merged.ReadAt) — so of opt only Workers,
-// MemEdges, Kernel and Sinks apply; -scan buffered is ignored and the
+// (core.Execute, traced under ctx's cursor), with the engine's default —
+// cooperative windows reading the merged view (merged.ReadAt) — so of opt
+// only Workers, MemEdges and Sinks apply; -scan buffered is ignored and the
 // result reports auto.
 func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, uint64, error) {
 	if ctx == nil {

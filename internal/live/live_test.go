@@ -231,24 +231,19 @@ func TestLiveChurnCrosscheck(t *testing.T) {
 			if st := lg.Stats(); st.Batches != 12 {
 				t.Fatalf("batches = %d", st.Batches)
 			}
-			// Kernel sweep over the final live view (the delta overlay is
-			// non-empty again after the post-compaction rounds): the default
-			// cone routine and the paper's merge, counting and listing, must
-			// agree with the baseline.
+			// The final live view (the delta overlay is non-empty again after
+			// the post-compaction rounds), counting and listing, must agree
+			// with the baseline.
 			want := baseline.Forward(ref.csr(t))
-			for _, kern := range []mgt.KernelKind{mgt.KernelAuto, mgt.KernelMerge} {
-				got := countLive(t, lg, core.Options{Workers: 2, Kernel: kern})
-				if got != want {
-					t.Fatalf("counting kernel %s on live view = %d, want %d", kern, got, want)
-				}
-				sinks := make([]mgt.Sink, 2)
-				for i := range sinks {
-					sinks[i] = &mgt.CountSink{}
-				}
-				listed := countLive(t, lg, core.Options{Workers: 2, Kernel: kern, Sinks: sinks})
-				if listed != want {
-					t.Fatalf("listing kernel %s on live view = %d, want %d", kern, listed, want)
-				}
+			if got := countLive(t, lg, core.Options{Workers: 2}); got != want {
+				t.Fatalf("counting on live view = %d, want %d", got, want)
+			}
+			sinks := make([]mgt.Sink, 2)
+			for i := range sinks {
+				sinks[i] = &mgt.CountSink{}
+			}
+			if listed := countLive(t, lg, core.Options{Workers: 2, Sinks: sinks}); listed != want {
+				t.Fatalf("listing on live view = %d, want %d", listed, want)
 			}
 		})
 	}

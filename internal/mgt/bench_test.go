@@ -111,30 +111,24 @@ func BenchmarkMGTListing(b *testing.B) {
 
 // BenchmarkCone measures the calculation phase alone — a warmed Runner on a
 // page-cache-warm store, count-only, the window holding the whole file — on a
-// skewed power-law stand-in: the runner's own mark-and-probe routine (auto)
-// against the paper's pairwise merge. cmp/op is Stats.CmpOps, exact and
-// repeatable.
+// skewed power-law stand-in. cmp/op is Stats.CmpOps, exact and repeatable.
 func BenchmarkCone(b *testing.B) {
 	g, err := gen.PowerLaw(20000, 200000, 2.1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	d := orientedStore(b, g)
-	for _, k := range []KernelKind{KernelAuto, KernelMerge} {
-		b.Run(k.String(), func(b *testing.B) {
-			r, err := NewRunner(d, Config{MemEdges: int(d.Meta.AdjEntries), Kernel: k})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer r.Close()
-			var st Stats
-			for b.Loop() {
-				if st, err = r.RunRange(context.Background(), FullRange(d), nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(st.CmpOps), "cmp/op")
-			b.ReportMetric(float64(st.Triangles), "triangles")
-		})
+	r, err := NewRunner(d, Config{MemEdges: int(d.Meta.AdjEntries)})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer r.Close()
+	var st Stats
+	for b.Loop() {
+		if st, err = r.RunRange(context.Background(), FullRange(d), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.CmpOps), "cmp/op")
+	b.ReportMetric(float64(st.Triangles), "triangles")
 }

@@ -11,10 +11,10 @@ import (
 
 // TestCompressedPassMatchesPlain runs the same oriented graph through the
 // decoded pass on the plain store and through the header-pruned pass on the
-// compressed store, under both cone routines, and requires the identical
-// triangle stream: same triangles, same order. Memory budgets cover the
-// all-large-vertex regime (16), a mid window mix (97), and the single-window
-// case (100000).
+// compressed store, and requires of both the triangle stream the order's
+// definition gives (windowOrder): same triangles, same order. Memory budgets
+// cover the all-large-vertex regime (16), a mid window mix (97), and the
+// single-window case (100000).
 func TestCompressedPassMatchesPlain(t *testing.T) {
 	g, err := gen.PowerLaw(600, 6000, 1.9, 42)
 	if err != nil {
@@ -42,34 +42,37 @@ func TestCompressedPassMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	type tri struct{ u, v, w graph.Vertex }
-	run := func(d *graph.Disk, k KernelKind, mem int) ([]tri, Stats) {
-		var out []tri
-		st, err := runOnce(d, Config{MemEdges: mem, Kernel: k}, FullRange(d), FuncSink(func(u, v, w graph.Vertex) { out = append(out, tri{u, v, w}) }))
+	csr, err := od.LoadCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(d *graph.Disk, mem int) ([]triple, Stats) {
+		var out []triple
+		st, err := runOnce(d, Config{MemEdges: mem}, FullRange(d), FuncSink(func(u, v, w graph.Vertex) { out = append(out, triple{u, v, w}) }))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out, st
 	}
 	for _, mem := range []int{16, 97, 100000} {
-		want, _ := run(od, KernelMerge, mem)
+		want, _ := windowOrder(csr, FullRange(od), mem, od.Meta.Ranked)
 		if len(want) == 0 {
-			t.Fatalf("mem=%d: reference run found no triangles", mem)
+			t.Fatalf("mem=%d: the definition lists no triangles", mem)
 		}
-		for _, k := range []KernelKind{KernelAuto, KernelMerge} {
-			got, st := run(cd, k, mem)
+		for _, d := range []*graph.Disk{od, cd} {
+			got, st := run(d, mem)
 			if len(got) != len(want) {
-				t.Fatalf("mem=%d kernel=%s: %d triangles, want %d", mem, k, len(got), len(want))
+				t.Fatalf("mem=%d %s: %d triangles, want %d", mem, d.Format(), len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("mem=%d kernel=%s: triangle %d = %v, want %v", mem, k, i, got[i], want[i])
+					t.Fatalf("mem=%d %s: triangle %d = %v, want %v", mem, d.Format(), i, got[i], want[i])
 				}
 			}
-			// Once there are several windows, the pass rejects out-of-window
-			// lists on their headers.
-			if mem < 100000 && st.SegmentsSkipped == 0 {
-				t.Errorf("mem=%d kernel=%s: pass never skipped a segment", mem, k)
+			// Once there are several windows, the compressed pass rejects
+			// out-of-window lists on their headers.
+			if d == cd && mem < 100000 && st.SegmentsSkipped == 0 {
+				t.Errorf("mem=%d: pass never skipped a segment", mem)
 			}
 		}
 	}

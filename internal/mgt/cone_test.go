@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"slices"
 	"sort"
@@ -86,11 +85,11 @@ func windowOrder(csr *graph.CSR, rng balance.Range, mem int, ranked bool) (out [
 	return out, steps
 }
 
-// TestConeOrderAndCost pins the runner's own cone routine against the
-// paper's merge and against the order's definition: identical per-runner
-// triangle sequences on the plain pass and the header-pruned compressed
-// pass, for one window, 48 windows and windows one entry short of the
-// largest out-list (the hub arrives in segments), counting and listing —
+// TestConeOrderAndCost pins the runner's cone routine against the order's
+// definition: identical per-runner triangle sequences on the plain pass and
+// the header-pruned compressed pass, for one window, 48 windows and windows
+// one entry short of the largest out-list (the hub arrives in segments),
+// counting and listing —
 // and its step count is exactly stamps (or checks) + probes + bit tests.
 func TestConeOrderAndCost(t *testing.T) {
 	g, err := gen.PowerLaw(1200, 12000, 1.9, 9)
@@ -110,42 +109,24 @@ func TestConeOrderAndCost(t *testing.T) {
 	}
 	for _, d := range []*graph.Disk{plain, compressedStore(t, g)} {
 		for _, mem := range []int{int(total), int(total) / 48, int(d.Meta.MaxOutDegree) - 1} {
-			open := func(k KernelKind) *Runner {
-				r, err := NewRunner(d, Config{MemEdges: mem, Kernel: k})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { r.Close() })
-				return r
-			}
-			auto, merge := open(KernelAuto), open(KernelMerge)
+			r := newTestRunner(t, d, Config{MemEdges: mem})
 			var found, large uint64
 			for i, rng := range ranges {
 				label := func() string { return fmt.Sprintf("%s M=%d runner %d", d.Format(), mem, i) }
 				want, steps := windowOrder(csr, rng, mem, d.Meta.Ranked)
-				got, ast := recordRange(t, auto, rng)
+				got, ast := recordRange(t, r, rng)
 				if !slices.Equal(got, want) {
-					t.Fatalf("%s: default cone emitted %d triangles, the definition gives %d, or in another order", label(), len(got), len(want))
+					t.Fatalf("%s: the cone routine emitted %d triangles, the definition gives %d, or in another order", label(), len(got), len(want))
 				}
-				ref, mst := recordRange(t, merge, rng)
-				if !slices.Equal(ref, want) {
-					t.Fatalf("%s: merge emitted %d triangles, the definition gives %d, or in another order", label(), len(ref), len(want))
-				}
-				cst, err := auto.RunRange(context.Background(), rng, nil)
+				cst, err := r.RunRange(context.Background(), rng, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if cst.Triangles != uint64(len(want)) || cst.CmpOps != ast.CmpOps || cst.Intersections != ast.Intersections {
 					t.Errorf("%s: counting run %+v disagrees with the listing run %+v", label(), cst, ast)
 				}
-				if ast.Intersections != mst.Intersections || ast.Passes != mst.Passes || ast.LargeVertices != mst.LargeVertices {
-					t.Errorf("%s: default %+v and merge %+v intersected different pairs", label(), ast, mst)
-				}
 				if ast.CmpOps != steps {
-					t.Errorf("%s: default took %d steps, stamps + probes + bit tests are %d", label(), ast.CmpOps, steps)
-				}
-				if ast.IO.BytesRead != mst.IO.BytesRead {
-					t.Errorf("%s: default read %d bytes, merge %d", label(), ast.IO.BytesRead, mst.IO.BytesRead)
+					t.Errorf("%s: the cone routine took %d steps, stamps + probes + bit tests are %d", label(), ast.CmpOps, steps)
 				}
 				found += ast.Triangles
 				large += ast.LargeVertices
@@ -344,111 +325,18 @@ func TestDamagedVertexIDFails(t *testing.T) {
 	}
 }
 
-// TestParseKernel: two names, and an error naming them for anything else —
-// the routines an older peer or a stale flag may still ask for included.
-func TestParseKernel(t *testing.T) {
-	for in, want := range map[string]KernelKind{"": KernelAuto, "auto": KernelAuto, "merge": KernelMerge} {
-		if got, err := ParseKernel(in); err != nil || got != want {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v", in, got, err, want)
+// TestCheckKernel: the one cone routine's two names pass, and any other name
+// — one a removed routine answered to, or a near miss — is an error naming
+// it.
+func TestCheckKernel(t *testing.T) {
+	for _, in := range []string{"", "auto"} {
+		if err := CheckKernel(in); err != nil {
+			t.Errorf("CheckKernel(%q) = %v", in, err)
 		}
 	}
-	for _, in := range []string{"gallop", "adaptive", "compressed", "cover", "simd", "Merge", " auto"} {
-		_, err := ParseKernel(in)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", in)) || !strings.Contains(err.Error(), "auto, merge") {
-			t.Errorf("ParseKernel(%q) = %v; want an error naming it and listing auto, merge", in, err)
-		}
-	}
-	// The default is one value everywhere: empty in Options and on the wire
-	// (a peer that predates "auto" must still parse it), "auto" in reports.
-	if KernelAuto != "" || KernelAuto.String() != "auto" || KernelMerge.String() != "merge" {
-		t.Errorf("KernelAuto = %q prints %q; want the empty string printing auto", string(KernelAuto), KernelAuto)
-	}
-}
-
-// sortedSet builds a random strictly increasing vertex list of n ids below
-// universe.
-func sortedSet(rng *rand.Rand, n, universe int) []graph.Vertex {
-	out := make([]graph.Vertex, 0, n)
-	for _, v := range rng.Perm(universe)[:n] {
-		out = append(out, graph.Vertex(v))
-	}
-	slices.Sort(out)
-	return out
-}
-
-// mergeOf runs KernelMerge's routine on one pair, listing and counting.
-func mergeOf(t *testing.T, a, b []graph.Vertex) ([]graph.Vertex, Stats) {
-	t.Helper()
-	var got []graph.Vertex
-	r := &dealt{sink: FuncSink(func(u, v, w graph.Vertex) {
-		if u != 7 || v != 9 {
-			t.Fatalf("merge closed (%d, %d, %d), want pivot pair (7, 9)", u, v, w)
-		}
-		got = append(got, w)
-	})}
-	r.intersect(7, 9, a, b)
-	c := &dealt{}
-	c.intersect(7, 9, a, b)
-	if c.stats != r.stats {
-		t.Fatalf("counting merge %+v, listing merge %+v", c.stats, r.stats)
-	}
-	return got, r.stats
-}
-
-// TestMergeEmptyOperands: an empty side ends the merge before its first step.
-func TestMergeEmptyOperands(t *testing.T) {
-	a := []graph.Vertex{1, 2, 3}
-	for _, pair := range [][2][]graph.Vertex{{nil, a}, {a, nil}, {nil, nil}} {
-		got, st := mergeOf(t, pair[0], pair[1])
-		if got != nil || st != (Stats{Intersections: 1}) {
-			t.Errorf("merge of %v and %v: emitted %v, stats %+v", pair[0], pair[1], got, st)
-		}
-	}
-}
-
-// TestMergeMatchesDefinition holds the merge to the intersection's definition
-// over random pairs of wildly different lengths, disjoint ones included: the
-// common ids ascending, and one step per id either side passes before the
-// shorter-reaching side runs out, a match being one step for two.
-func TestMergeMatchesDefinition(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 300; trial++ {
-		la, lb := rng.Intn(120), rng.Intn(120)
-		switch trial % 4 { // force skew in both directions
-		case 1:
-			la = rng.Intn(5)
-		case 2:
-			lb = rng.Intn(5)
-		case 3:
-			la, lb = rng.Intn(3), 60+rng.Intn(60)
-		}
-		universe := 1 + rng.Intn(200)
-		a, b := sortedSet(rng, min(la, universe), universe), sortedSet(rng, min(lb, universe), universe)
-		var want []graph.Vertex
-		var steps uint64
-		if len(a) > 0 && len(b) > 0 {
-			reach := min(a[len(a)-1], b[len(b)-1])
-			for _, x := range a {
-				if _, ok := slices.BinarySearch(b, x); ok {
-					want = append(want, x)
-				}
-				if x <= reach {
-					steps++
-				}
-			}
-			for _, y := range b {
-				if y <= reach {
-					steps++
-				}
-			}
-			steps -= uint64(len(want))
-		}
-		got, st := mergeOf(t, a, b)
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: merge emitted %v, want %v (a=%v b=%v)", trial, got, want, a, b)
-		}
-		if st.CmpOps != steps || st.Triangles != uint64(len(want)) || st.Intersections != 1 {
-			t.Fatalf("trial %d: stats %+v, want %d steps and %d triangles", trial, st, steps, len(want))
+	for _, in := range []string{"merge", "gallop", "adaptive", "compressed", "cover", "simd", "Auto", " auto"} {
+		if err := CheckKernel(in); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", in)) {
+			t.Errorf("CheckKernel(%q) = %v; want an error naming it", in, err)
 		}
 	}
 }

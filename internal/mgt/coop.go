@@ -58,8 +58,6 @@ type DealConfig struct {
 	// MemEdges is M, one runner's share of the window: it holds
 	// Workers·MemEdges entries (or the longest span, if that is less).
 	MemEdges int
-	// Kernel is Config.Kernel: the cone routine every runner uses.
-	Kernel KernelKind
 	// Sinks, when non-nil, has one entry per runner, each hearing of the
 	// triangles of the blocks its runner was dealt.
 	Sinks []Sink
@@ -99,10 +97,10 @@ type dealer struct {
 	// [cuts[b], cuts[b+1]).
 	blockEntries, blockBytes uint64
 	cuts                     []graph.Vertex
-	// bitsets: a round gives its dense window lists bitsets (a ranked store
-	// under KernelAuto), in an arena sized once per run (arenaSized), to at
-	// least arenaWords words. slots[b] is, once load block b is loaded, how
-	// many words its bitsets take, then where they begin (0: not built).
+	// bitsets: a round gives its dense window lists bitsets (a ranked
+	// store), in an arena sized once per run (arenaSized), to at least
+	// arenaWords words. slots[b] is, once load block b is loaded, how many
+	// words its bitsets take, then where they begin (0: not built).
 	bitsets    bool
 	arenaWords uint64
 	arenaSized bool
@@ -164,7 +162,6 @@ const (
 type dealt struct {
 	disk       *graph.Disk
 	dl         *dealer
-	merge      bool // Kernel is KernelMerge: one merge per (nm, Ev) pair
 	counter    *ioacct.Counter
 	adj        *graph.AdjFile
 	raw        []byte
@@ -283,10 +280,6 @@ func newDealer(d *graph.Disk, cfg DealConfig) (*dealer, error) {
 	if !d.Meta.Oriented {
 		return nil, fmt.Errorf("mgt: store %q is not oriented", d.Base)
 	}
-	kernel, err := ParseKernel(string(cfg.Kernel))
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Sinks != nil && len(cfg.Sinks) != cfg.Workers {
 		return nil, fmt.Errorf("mgt: %d sinks for %d runners", len(cfg.Sinks), cfg.Workers)
 	}
@@ -298,16 +291,15 @@ func newDealer(d *graph.Disk, cfg DealConfig) (*dealer, error) {
 	}
 	budget := uint64(cfg.Workers) * uint64(cfg.MemEdges)
 	dl := &dealer{d: d, cfg: cfg, blockEntries: min(BlockEntries, budget), blockBytes: BlockEntries * graph.EntrySize}
-	// Bitsets need lists that name only smaller ids, and a routine that
-	// stamps.
-	dl.bitsets = d.Meta.Ranked && kernel == KernelAuto && !cfg.markOnly
+	// Bitsets need lists that name only smaller ids.
+	dl.bitsets = d.Meta.Ranked && !cfg.markOnly
 	if cfg.blockEntries > 0 {
 		dl.blockEntries = uint64(cfg.blockEntries)
 		dl.blockBytes = dl.blockEntries * graph.EntrySize
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		r := &dealt{
-			disk: d, dl: dl, merge: kernel == KernelMerge,
+			disk: d, dl: dl,
 			counter: ioacct.NewCounter(0),
 			// A block's bytes, and never less than lets a streamed list's
 			// next segment be told from a damaged one.
@@ -334,10 +326,12 @@ func newDealer(d *graph.Disk, cfg DealConfig) (*dealer, error) {
 			r.list = cfg.Listing.Part(i)
 			r.sink = r.list
 		}
-		if r.adj, err = d.OpenAdjFile(r.counter); err != nil {
+		adj, err := d.OpenAdjFile(r.counter)
+		if err != nil {
 			dl.close()
 			return nil, err
 		}
+		r.adj = adj
 		dl.runners = append(dl.runners, r)
 	}
 	dl.cuts = cutBlocks(d, dl.blockEntries, dl.blockBytes)
@@ -1023,9 +1017,9 @@ func (r *dealt) scanEncoded(a, z graph.Vertex) (graph.Vertex, error) {
 
 // scanStreamed is the large-vertex routine, for a list longer than a block
 // (and so for one longer than the window): its pieces are stamped and
-// window-filtered as they arrive, then one probe closes the triangles —
-// under any kernel. All that outlives a piece is mark (n entries) and nmp (at
-// most one entry per window vertex): one read of N(u), no second pass.
+// window-filtered as they arrive, then one probe closes the triangles. All
+// that outlives a piece is mark (n entries) and nmp (at most one entry per
+// window vertex): one read of N(u), no second pass.
 //
 //pdtl:hotpath
 func (r *dealt) scanStreamed(u graph.Vertex) error {

@@ -17,18 +17,17 @@
 //	nmp — N+(u) = N(u) ∩ V+mem, computed by probing ind.
 //
 // Algorithm 2 then merges nm against Ev once per v ∈ nmp, re-walking N(u)
-// |N+(u)| times. The runner's own cone routine (KernelAuto, the default)
-// walks it once instead: it stamps every w ∈ nm with a fresh epoch in mark,
-// a direct-addressed array over the vertex ids, and probes every in-window
-// Ev against it — d(u) + Σ|Ev| steps per cone vertex instead of
-// Σ(d(u) + |Ev|), same triangles in the same order. mark is no hash set:
-// one load per probe, no hashing, no collisions, nothing to clear between
-// cone vertices (DESIGN.md §5). On a ranked store, whose lists name only
-// smaller ids, a pivot source v = nm[j] can only be closed by nm[:j], and a
-// round gives every dense Ev a bitset: the routine tests those j candidates
-// against it instead of probing Ev whenever j ≤ |Ev| (coneDense, the dense
-// window lists). KernelMerge keeps the paper's pairwise merges as the
-// ablation.
+// |N+(u)| times. The runner's cone routine walks it once instead: it
+// stamps every w ∈ nm with a fresh epoch in mark, a direct-addressed array
+// over the vertex ids, and probes every in-window Ev against it —
+// d(u) + Σ|Ev| steps per cone vertex instead of Σ(d(u) + |Ev|), same
+// triangles in the same order. mark is no hash set: one load per probe, no
+// hashing, no collisions, nothing to clear between cone vertices
+// (DESIGN.md §5). On a ranked store, whose lists name only smaller ids, a
+// pivot source v = nm[j] can only be closed by nm[:j], and a round gives
+// every dense Ev a bitset: the routine tests those j candidates against it
+// instead of probing Ev whenever j ≤ |Ev| (coneDense, the dense window
+// lists).
 //
 // A run is restricted to contiguous *global* edge ranges: its pivot
 // responsibility in PDTL (Section IV-B). Every triangle is reported exactly
@@ -64,41 +63,15 @@ type Sink interface {
 	Triangle(u, v, w graph.Vertex)
 }
 
-// KernelKind names a cone routine, as used by CLI flags, the cluster wire
-// format, and the Options of every layer.
-type KernelKind string
-
-const (
-	// KernelAuto, the zero value, is the runner's own mark-and-probe cone
-	// routine (see the package comment). It stays the empty string on the
-	// wire and in Options, so every layer passes it through untouched and a
-	// peer that predates the routine still answers; flags and reports spell
-	// it "auto".
-	KernelAuto KernelKind = ""
-	// KernelMerge is the paper's two-pointer merge of N(u) with every
-	// in-window Ev (Section IV-A: sorted arrays, never hash sets) — the
-	// ablation every reproduction number is measured against.
-	KernelMerge KernelKind = "merge"
-)
-
-// ParseKernel validates a kernel name from a flag, query or wire message.
-// The empty string and "auto" both mean KernelAuto.
-func ParseKernel(s string) (KernelKind, error) {
-	switch KernelKind(s) {
-	case KernelAuto, "auto":
-		return KernelAuto, nil
-	case KernelMerge:
-		return KernelMerge, nil
+// CheckKernel refuses a cone routine named from outside the program — a
+// cluster batch, a service query — that is not the one routine there is:
+// the empty string and "auto" name it, and any other name, one a removed
+// routine answered to included, is an error naming it.
+func CheckKernel(name string) error {
+	if name != "" && name != "auto" {
+		return fmt.Errorf("mgt: unknown kernel %q (want auto)", name)
 	}
-	return "", fmt.Errorf("mgt: unknown kernel %q (want auto, merge)", s)
-}
-
-// String is the name reports print: "auto" for KernelAuto.
-func (k KernelKind) String() string {
-	if k == KernelAuto {
-		return "auto"
-	}
-	return string(k)
+	return nil
 }
 
 // Config parameterizes a Runner.
@@ -107,10 +80,6 @@ type Config struct {
 	// in its edg window at once. It drives the pass count R = ceil(S/M)
 	// (Section IV-B2). Must be ≥ 1.
 	MemEdges int
-	// Kernel is the cone routine: KernelAuto, the default, the runner's own
-	// mark-and-probe; KernelMerge, one two-pointer merge per (nm, Ev) pair.
-	// Both produce identical triangles in identical order.
-	Kernel KernelKind
 }
 
 // Stats reports what a runner did — the per-processor raw material of the
@@ -124,16 +93,13 @@ type Stats struct {
 	// window across passes (= the range size).
 	EdgesLoaded uint64
 	// Intersections is the number of (nm, Ev) pairs intersected — |nmp|
-	// summed over all cone vertices of all passes, whichever routine
-	// intersects them.
+	// summed over all cone vertices of all passes.
 	Intersections uint64
 	// CmpOps counts the steps inside the intersections — a
 	// machine-independent proxy for the CPU work of Theorem IV.2's
 	// O(|E|²/M + α|E|) term, which the paper-claims ledger compares
-	// independently of the host's core count. Under KernelMerge it is one
-	// step per merge iteration; on the default path (and for a large vertex
-	// under either kernel) it is stamps written plus probes made,
-	// d(u) + Σ|Ev| per cone vertex — plus bit tests on a ranked store, where
+	// independently of the host's core count. It is stamps written plus
+	// probes made, d(u) + Σ|Ev| per cone vertex — plus bit tests on a ranked store, where
 	// a pair tested against Ev's bitset costs j, the candidates of N(u)
 	// below v, instead of |Ev|, and a cone vertex none of whose pairs is
 	// probed costs d(u) for the check of N(u) instead of its stamps. All are
@@ -340,7 +306,7 @@ type Runner struct {
 // NewRunner validates cfg and builds a reusable runner over d; each RunRange
 // call names its own range and sink. Close releases its descriptor.
 func NewRunner(d *graph.Disk, cfg Config) (*Runner, error) {
-	dl, err := newDealer(d, DealConfig{Workers: 1, MemEdges: cfg.MemEdges, Kernel: cfg.Kernel})
+	dl, err := newDealer(d, DealConfig{Workers: 1, MemEdges: cfg.MemEdges})
 	if err != nil {
 		return nil, err
 	}
@@ -384,13 +350,6 @@ func (r *Runner) RunRange(ctx context.Context, rng balance.Range, sink Sink) (St
 //pdtl:hotpath
 func (r *dealt) cone(u graph.Vertex, nm []graph.Vertex) bool {
 	nmp := r.inWindow(r.nmp[:0], nm)
-	if r.merge {
-		for _, v := range nmp {
-			e := r.ind[v-r.vlow]
-			r.intersect(u, v, nm, r.edg[e.off:e.off+e.len])
-		}
-		return true
-	}
 	if len(nmp) == 0 {
 		return true
 	}
@@ -512,35 +471,6 @@ func (r *dealt) testBits(u, v graph.Vertex, cand []graph.Vertex, set []uint64, b
 	return found
 }
 
-// intersect is KernelMerge's routine, Algorithm 2's inner loop: the
-// two-pointer merge of sorted nm = N(u) with sorted ev = Ev, every common
-// vertex w closing triangle (u, v, w) with pivot (v, w). One step per
-// iteration; a sink, when attached, hears of every match.
-//
-//pdtl:hotpath
-func (r *dealt) intersect(u, v graph.Vertex, nm, ev []graph.Vertex) {
-	var steps, found uint64
-	for i, j := 0, 0; i < len(nm) && j < len(ev); {
-		steps++
-		switch x, y := nm[i], ev[j]; {
-		case x < y:
-			i++
-		case x > y:
-			j++
-		default:
-			found++
-			if r.sink != nil {
-				r.sink.Triangle(u, v, x)
-			}
-			i++
-			j++
-		}
-	}
-	r.stats.Intersections++
-	r.stats.CmpOps += steps
-	r.stats.Triangles += found
-}
-
 // inWindow appends to nmp the part of N+(u) found in the sorted run vals of
 // N(u): the out-neighbors with out-edges in memory.
 //
@@ -613,7 +543,7 @@ func (r *dealt) errVertexID(u graph.Vertex) error {
 // probe closes the triangles of cone vertex u once N(u) is stamped: for
 // every v ∈ nmp, each w ∈ Ev carrying the current epoch is in N(u) too —
 // triangle (u, v, w) with pivot (v, w), reported v ascending, w ascending,
-// the order the pairwise merges produce.
+// the order Algorithm 2's pairwise merges produce.
 //
 //pdtl:hotpath
 func (r *dealt) probe(u graph.Vertex, nmp []graph.Vertex) {

@@ -232,14 +232,6 @@ func TestMGTConfigValidation(t *testing.T) {
 	if _, err := runOnce(d, Config{MemEdges: 8}, balance.Range{Lo: 5, Hi: 99999}, nil); err == nil {
 		t.Error("want error for out-of-bounds range")
 	}
-	for _, k := range []KernelKind{"gallop", "compressed"} {
-		if _, err := NewRunner(d, Config{MemEdges: 8, Kernel: k}); err == nil {
-			t.Errorf("want error for kernel %q", k)
-		}
-		if _, err := RunDealt(context.Background(), d, []balance.Range{FullRange(d)}, DealConfig{Workers: 1, MemEdges: 8, Kernel: k}); err == nil {
-			t.Errorf("RunDealt: want error for kernel %q", k)
-		}
-	}
 	// Unoriented store must be rejected.
 	dir := t.TempDir()
 	src := filepath.Join(dir, "u")

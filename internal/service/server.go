@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"pdtl"
+	"pdtl/internal/mgt"
 	"pdtl/internal/obs"
 )
 
@@ -1081,7 +1082,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string
 // request's query parameters.
 func (s *Server) parseOptions(q url.Values) (pdtl.Options, error) {
 	opt := s.cfg.Defaults
-	err := applyRunParams(q, &opt.Workers, &opt.MemEdges, &opt.ScanSource, &opt.Kernel, &opt.StoreFormat, &opt.NaiveBalance)
+	err := applyRunParams(q, &opt.Workers, &opt.MemEdges, &opt.ScanSource, &opt.StoreFormat, &opt.NaiveBalance)
 	return opt, err
 }
 
@@ -1089,7 +1090,7 @@ func (s *Server) parseOptions(q url.Values) (pdtl.Options, error) {
 // schedule (?sched=, ?chunks=), which only a cluster has to decide.
 func (s *Server) parseClusterOptions(q url.Values) (pdtl.ClusterOptions, error) {
 	opt := s.cfg.ClusterDefaults
-	err := applyRunParams(q, &opt.Workers, &opt.MemEdges, &opt.ScanSource, &opt.Kernel, &opt.StoreFormat, &opt.NaiveBalance)
+	err := applyRunParams(q, &opt.Workers, &opt.MemEdges, &opt.ScanSource, &opt.StoreFormat, &opt.NaiveBalance)
 	if err != nil {
 		return opt, err
 	}
@@ -1107,8 +1108,10 @@ func (s *Server) parseClusterOptions(q url.Values) (pdtl.ClusterOptions, error) 
 
 // applyRunParams overlays the query knobs every run shape shares onto an
 // options struct — Options and ClusterOptions spell these fields
-// identically, so both parsers defer here and cannot drift.
-func applyRunParams(q url.Values, workers, mem *int, scanSource, kernel, store *string, naive *bool) error {
+// identically, so both parsers defer here and cannot drift. ?kernel= names
+// no option: there is one cone routine, and a name other than its own
+// ("auto") is refused before anything runs or is cached.
+func applyRunParams(q url.Values, workers, mem *int, scanSource, store *string, naive *bool) error {
 	var err error
 	if *workers, err = intParam(q, "workers", *workers, 1024); err != nil {
 		return err
@@ -1119,8 +1122,8 @@ func applyRunParams(q url.Values, workers, mem *int, scanSource, kernel, store *
 	if v := q.Get("scan"); v != "" {
 		*scanSource = v
 	}
-	if v := q.Get("kernel"); v != "" {
-		*kernel = v
+	if err := mgt.CheckKernel(q.Get("kernel")); err != nil {
+		return badRequest{err}
 	}
 	if v := q.Get("store"); v != "" {
 		*store = v

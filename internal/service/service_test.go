@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -136,29 +137,30 @@ func TestServerRegisterCountCache(t *testing.T) {
 
 	// A different option spelling of the same canonical run is still the
 	// same cache slot (scan=auto resolves to the same source, kernel=auto
-	// is the unset kernel).
+	// names the one cone routine).
 	c3 := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096&scan=auto&kernel=auto", 200)
 	if c3["origin"] != "cache" {
 		t.Fatalf("normalized-options count origin = %v, want cache", c3["origin"])
 	}
 
-	// A removed kernel or scan source name is a bad request — asked twice,
-	// so a cached answer would show — and nothing runs. The paper's merge is
-	// a run of its own: its own cache slot, the same count.
-	for _, param := range []string{"kernel=gallop", "kernel=adaptive", "kernel=compressed", "kernel=cover", "kernel=gallop", "scan=mem", "scan=mem", "scan=shared", "scan=shared"} {
-		getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096&"+param, http.StatusBadRequest)
+	// A removed kernel or scan source name is a bad request naming it —
+	// asked twice, so a cached answer would show — and nothing runs or
+	// reaches the cache.
+	missesBefore := svc.Metrics().CacheMisses.Load()
+	for _, param := range []string{"kernel=gallop", "kernel=adaptive", "kernel=compressed", "kernel=cover", "kernel=gallop", "kernel=merge", "kernel=merge", "scan=mem", "scan=mem", "scan=shared", "scan=shared"} {
+		bad := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096&"+param, http.StatusBadRequest)
+		if name := param[strings.IndexByte(param, '=')+1:]; !strings.Contains(fmt.Sprint(bad), strconv.Quote(name)) {
+			t.Fatalf("%s: reply %v does not name %q", param, bad, name)
+		}
 	}
 	if n := svc.Metrics().RunsStarted.Load(); n != 1 {
 		t.Fatalf("removed kernel and source names started engine runs: %d runs, want 1", n)
 	}
-	for _, origin := range []string{"run", "cache"} {
-		cm := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096&kernel=merge", 200)
-		if cm["origin"] != origin || cm["triangles"] != c1["triangles"] {
-			t.Fatalf("kernel=merge count = %v, want origin %s and %v triangles", cm, origin, c1["triangles"])
-		}
+	if n := svc.Metrics().CacheMisses.Load(); n != missesBefore {
+		t.Fatalf("removed kernel and source names reached the cache: %d misses, want %d", n, missesBefore)
 	}
 	if c := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096", 200); c["origin"] != "cache" {
-		t.Fatalf("default count after merge: origin %v, want cache", c["origin"])
+		t.Fatalf("default count after refused names: origin %v, want cache", c["origin"])
 	}
 
 	// Different options: a fresh run.

@@ -129,7 +129,7 @@ func (lg *LiveGraph) Apply(updates []LiveUpdate) error {
 // captured at call time: mutations landing mid-run do not perturb the
 // result, and its Batches names the batches the view holds. The run is
 // always the default source's cooperative windows, reading the view from
-// memory: of opt only Workers, MemEdges and Kernel apply, and the result's
+// memory: of opt only Workers and MemEdges apply, and the result's
 // ScanSource is "auto". Traced, it is one count span over plan and calc, as
 // a Graph count is.
 func (lg *LiveGraph) Count(ctx context.Context, opt Options) (res *Result, err error) {

@@ -16,7 +16,7 @@
 //   - Open — a long-lived handle on one graph store, with the orientation,
 //     degree index, and load-balance plan computed once and reused by every
 //     run; all run methods take a context.Context for cancellation;
-//   - g.Count / g.List / g.ForEach / g.Triangles / g.TriangleDegrees —
+//   - g.Count / g.List / g.Triangles / g.TriangleDegrees —
 //     single-machine, multi-core runs;
 //   - g.CountDistributed / ServeWorkerContext — the distributed protocol
 //     with a master and TCP worker nodes;
@@ -72,13 +72,6 @@ type Options struct {
 	// private MemEdges-entry window, read through the same blocks. Any other
 	// name is an error. The triangle set is identical for either choice.
 	ScanSource string
-	// Kernel selects how a cone vertex's list N(u) is intersected with the
-	// in-memory lists of its out-neighbours: "auto" (or empty — N(u) is
-	// marked once in a direct-addressed array over the vertex ids and every
-	// in-memory list is probed against it) or "merge" (the paper's
-	// two-pointer merge, once per list pair — its ablation). Any other name
-	// is an error. The triangle output is identical for either choice.
-	Kernel string
 	// Sched is validated ("static", empty, or "stealing") and otherwise
 	// ignored: on one machine there is nothing for a schedule to decide —
 	// cooperative windows deal every round dynamically, and a named
@@ -96,8 +89,8 @@ type Options struct {
 
 // Key returns the canonical identity of a run with these Options: what
 // changes a local calculation, defaults resolved (toCore) — worker count and
-// memory budget as given (not clipped to the store), scan source, kernel,
-// store format, and the balance strategy only under "buffered", the one
+// memory budget as given (not clipped to the store), scan source, store
+// format, and the balance strategy only under "buffered", the one
 // layout that splits the store. Options that would execute the same
 // calculation share a key even when one spells a default and the other
 // leaves it zero, and runs with equal keys on one store produce the
@@ -112,7 +105,7 @@ func (o Options) Key() (string, error) {
 	if !copt.Scan.IsAuto() {
 		layout += " " + copt.Strategy.String()
 	}
-	return fmt.Sprintf("w%d m%d %s %s %s", copt.Workers, copt.MemEdges, layout, copt.Kernel, copt.Store), nil
+	return fmt.Sprintf("w%d m%d %s %s", copt.Workers, copt.MemEdges, layout, copt.Store), nil
 }
 
 // toCore resolves o into the engine's options: every name parsed (Sched
@@ -124,10 +117,6 @@ func (o Options) toCore() (core.Options, error) {
 		strategy = balance.Naive
 	}
 	scanKind, err := scan.ParseSource(o.ScanSource)
-	if err != nil {
-		return core.Options{}, err
-	}
-	kernelKind, err := mgt.ParseKernel(o.Kernel)
 	if err != nil {
 		return core.Options{}, err
 	}
@@ -143,7 +132,6 @@ func (o Options) toCore() (core.Options, error) {
 		MemEdges: o.MemEdges,
 		Strategy: strategy,
 		Scan:     scanKind,
-		Kernel:   kernelKind,
 		Store:    format,
 	}.WithDefaults(), nil
 }

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"pdtl/internal/baseline"
@@ -97,24 +96,6 @@ func TestPublicListAndRead(t *testing.T) {
 			t.Fatalf("duplicate %v", tri)
 		}
 		seen[tri] = true
-	}
-}
-
-func TestPublicForEach(t *testing.T) {
-	g, err := gen.ErdosRenyi(150, 1200, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := tempStore(t, g, "er")
-	var count atomic.Uint64
-	res, err := openStore(t, base).ForEach(context.Background(), Options{Workers: 4, MemEdges: 64}, func(u, v, w uint32) {
-		count.Add(1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := baseline.Forward(g); count.Load() != want || res.Triangles != want {
-		t.Errorf("callback=%d result=%d want=%d", count.Load(), res.Triangles, want)
 	}
 }
 
@@ -283,13 +264,12 @@ func TestOptionsKey(t *testing.T) {
 		opt  Options
 		same bool
 	}{
-		{"defaults spelled out", Options{Workers: runtime.NumCPU(), MemEdges: core.DefaultMemEdges, ScanSource: "auto", Kernel: "auto", Sched: "static", StoreFormat: "plain"}, true},
+		{"defaults spelled out", Options{Workers: runtime.NumCPU(), MemEdges: core.DefaultMemEdges, ScanSource: "auto", Sched: "static", StoreFormat: "plain"}, true},
 		{"naive under auto", Options{NaiveBalance: true}, true},
 		{"stealing", Options{Sched: "stealing"}, true},
 		{"workers", Options{Workers: runtime.NumCPU() + 1}, false},
 		{"mem", Options{MemEdges: core.DefaultMemEdges + 1}, false},
 		{"buffered", Options{ScanSource: "buffered"}, false},
-		{"merge", Options{Kernel: "merge"}, false},
 		{"compressed", Options{StoreFormat: "compressed"}, false},
 	} {
 		if got := key(tc.opt); (got == zero) != tc.same {

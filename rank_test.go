@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"pdtl/internal/baseline"
@@ -29,7 +28,7 @@ func sortedSet(ts [][3]uint32) [][3]uint32 {
 }
 
 // TestRankedRunsHandOutOriginalIDs: the oriented store is in rank space,
-// and every way a run hands out vertex ids — List, ForEach, Triangles,
+// and every way a run hands out vertex ids — List, Triangles,
 // TriangleDegrees — names the vertices by the ids of the input, on either
 // layout and format.
 func TestRankedRunsHandOutOriginalIDs(t *testing.T) {
@@ -60,15 +59,6 @@ func TestRankedRunsHandOutOriginalIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mu sync.Mutex
-		var each [][3]uint32
-		if _, err := h.ForEach(ctx, opt, func(u, v, w uint32) {
-			mu.Lock()
-			each = append(each, [3]uint32{u, v, w})
-			mu.Unlock()
-		}); err != nil {
-			t.Fatal(err)
-		}
 		var iterated [][3]uint32
 		seq, done := h.Triangles(ctx, opt)
 		for tri := range seq {
@@ -77,7 +67,7 @@ func TestRankedRunsHandOutOriginalIDs(t *testing.T) {
 		if _, err := done(); err != nil {
 			t.Fatal(err)
 		}
-		for name, got := range map[string][][3]uint32{"List": listed, "ForEach": each, "Triangles": iterated} {
+		for name, got := range map[string][][3]uint32{"List": listed, "Triangles": iterated} {
 			if !slices.Equal(sortedSet(got), want) {
 				t.Errorf("%+v: %s gave %d triangles, not the input's %d in its own ids", opt, name, len(got), len(want))
 			}
@@ -159,8 +149,12 @@ func TestPermIntegrity(t *testing.T) {
 			if _, err := os.Stat(out); !os.IsNotExist(err) {
 				t.Errorf("a listing was written: %v", err)
 			}
-			if _, err := h.ForEach(context.Background(), Options{Workers: 2}, func(u, v, w uint32) {}); err == nil {
-				t.Error("ForEach ran without a valid .perm")
+			seq, done := h.Triangles(context.Background(), Options{Workers: 2})
+			for range seq {
+				t.Fatal("Triangles yielded a triangle without a valid .perm")
+			}
+			if _, err := done(); err == nil {
+				t.Error("Triangles ran without a valid .perm")
 			}
 		})
 	}

@@ -120,8 +120,11 @@ func TestHandleStealingBadKnobs(t *testing.T) {
 	if _, err := g.Count(context.Background(), Options{Sched: "dynamic"}); err == nil {
 		t.Error("Count accepted an unknown scheduler name")
 	}
-	if _, err := g.ForEach(context.Background(), Options{Sched: "dynamic"}, func(u, v, w uint32) {}); err == nil {
-		t.Error("ForEach accepted an unknown scheduler name")
+	seq, done := g.Triangles(context.Background(), Options{Sched: "dynamic"})
+	for range seq {
+	}
+	if _, err := done(); err == nil {
+		t.Error("Triangles accepted an unknown scheduler name")
 	}
 	var buf bytes.Buffer
 	if _, err := g.List(context.Background(), &buf, Options{Sched: "dynamic"}); err == nil {
