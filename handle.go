@@ -514,21 +514,28 @@ type triangleBatcher struct {
 	buf        [][3]uint32
 }
 
-// Triangle implements mgt.Sink.
-func (b *triangleBatcher) Triangle(u, v, w uint32) {
-	if b.buf == nil {
-		select {
-		case b.buf = <-b.free:
-		case <-b.done:
-			return
-		}
+// Triangles implements mgt.Sink: the batch is appended whole, across as
+// many stream batches as it fills.
+func (b *triangleBatcher) Triangles(u, v uint32, ws []uint32) {
+	for len(ws) > 0 {
 		if b.buf == nil {
-			b.buf = make([][3]uint32, 0, triangleBatch)
+			select {
+			case b.buf = <-b.free:
+			case <-b.done:
+				return
+			}
+			if b.buf == nil {
+				b.buf = make([][3]uint32, 0, triangleBatch)
+			}
 		}
-	}
-	b.buf = append(b.buf, [3]uint32{u, v, w})
-	if len(b.buf) == triangleBatch {
-		b.send()
+		k := min(len(ws), triangleBatch-len(b.buf))
+		for _, w := range ws[:k] {
+			b.buf = append(b.buf, [3]uint32{u, v, w})
+		}
+		ws = ws[k:]
+		if len(b.buf) == triangleBatch {
+			b.send()
+		}
 	}
 }
 

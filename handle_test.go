@@ -280,6 +280,58 @@ func TestTrianglesMatchList(t *testing.T) {
 	}
 }
 
+// TestTrianglesWideBatches: a pair (u, v) that closes more triangles than a
+// runner hands its sink in one batch reaches Triangles and TriangleDegrees
+// whole. u and v share 257 neighbours W, each of which outranks both —
+// W's vertices also share 259 leaves — so one cone pair has 257 hits, and
+// the graph's triangles are those 257. Both methods match the baseline, at
+// one, two and four workers.
+func TestTrianglesWideBatches(t *testing.T) {
+	const nw, nl = 257, 259
+	u, v := graph.Vertex(nw), graph.Vertex(nw+1)
+	edges := []graph.Edge{{U: u, V: v}}
+	for w := graph.Vertex(0); w < nw; w++ {
+		edges = append(edges, graph.Edge{U: u, V: w}, graph.Edge{U: v, V: w})
+		for l := graph.Vertex(nw + 2); l < nw+2+nl; l++ {
+			edges = append(edges, graph.Edge{U: w, V: l})
+		}
+	}
+	g, err := graph.FromEdges(nw+2+nl, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][3]uint32
+	baseline.ForwardList(g, func(u, v, w graph.Vertex) { want = append(want, [3]uint32{u, v, w}) })
+	if len(want) != nw {
+		t.Fatalf("the graph has %d triangles, want %d", len(want), nw)
+	}
+	want = sortedSet(want)
+	wantDegrees := baseline.LocalCounts(g)
+	h := openStore(t, tempStore(t, g, "wide"))
+	ctx := context.Background()
+	for _, workers := range []int{1, 2, 4} {
+		opt := Options{Workers: workers}
+		var got [][3]uint32
+		seq, done := h.Triangles(ctx, opt)
+		for tri := range seq {
+			got = append(got, tri)
+		}
+		if _, err := done(); err != nil {
+			t.Fatal(err)
+		}
+		if got = sortedSet(got); !slices.Equal(got, want) {
+			t.Errorf("P=%d: Triangles gave %d triangles, not the baseline's %d", workers, len(got), len(want))
+		}
+		degrees, _, err := h.TriangleDegrees(ctx, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(degrees, wantDegrees) {
+			t.Errorf("P=%d: TriangleDegrees differs from the baseline's local counts", workers)
+		}
+	}
+}
+
 // TestTrianglesCallerCancel cancels the caller's ctx mid-iteration and keeps
 // consuming: the loop ends, the run reports context.Canceled, and the goroutine
 // count settles back to its baseline.

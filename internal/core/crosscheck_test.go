@@ -72,8 +72,10 @@ type recordingSink struct {
 	tris [][3]graph.Vertex
 }
 
-func (s *recordingSink) Triangle(u, v, w graph.Vertex) {
-	s.tris = append(s.tris, [3]graph.Vertex{u, v, w})
+func (s *recordingSink) Triangles(u, v graph.Vertex, ws []graph.Vertex) {
+	for _, w := range ws {
+		s.tris = append(s.tris, [3]graph.Vertex{u, v, w})
+	}
 }
 
 // listed is one listing run: what every sink received, the sequence the

@@ -94,9 +94,13 @@ type dealer struct {
 	done    <-chan struct{} // the run's ctx.Done()
 	// A block is at most blockEntries entries and blockBytes bytes of the
 	// store; cuts are the block boundaries: block b is the vertices
-	// [cuts[b], cuts[b+1]).
+	// [cuts[b], cuts[b+1]). The load and build phases deal those blocks, and
+	// so does the scan of a count; the scan of a listing may deal finer
+	// scanCuts (ListBlockEntries), so that a block finished ahead of the head
+	// parks instead of spilling. Both cuts leave every list to the same
+	// path, read whole or streamed, against blockEntries and blockBytes.
 	blockEntries, blockBytes uint64
-	cuts                     []graph.Vertex
+	cuts, scanCuts           []graph.Vertex
 	// bitsets: a round gives its dense window lists bitsets (a ranked
 	// store), in an arena sized once per run (arenaSized), to at least
 	// arenaWords words. slots[b] is, once load block b is loaded, how many
@@ -182,7 +186,7 @@ type dealt struct {
 	// w ∈ N(u). Bumping epoch empties it in O(1).
 	mark  []uint32
 	epoch uint32
-	hits  [256]graph.Vertex // one block's matches, between probing and emitting
+	hits  [batchLen]graph.Vertex // one chunk's matches, between probing and emitting
 
 	work    chan phase
 	list    *ListPart // its end of cfg.Listing
@@ -405,6 +409,12 @@ func (dl *dealer) run(ctx context.Context, spans []balance.Range) error {
 	for _, s := range spans {
 		rounds += (s.Len() + winEntries - 1) / winEntries
 	}
+	// A listing's scan is cut at ListBlockEntries a round: the more rounds,
+	// the smaller a block's share of the triangles in each.
+	dl.scanCuts = dl.cuts
+	if e := uint64(ListBlockEntries) * rounds; dl.cfg.Listing != nil && e < dl.blockEntries {
+		dl.scanCuts = cutBlocks(d, e, e*graph.EntrySize)
+	}
 	dl.arenaWords, dl.arenaSized = 0, false
 	switch {
 	case dl.cfg.arenaWords > 0:
@@ -442,6 +452,9 @@ rounds:
 		cur.SetAttr(r.span, "passes", int64(r.stats.Passes))
 		cur.SetAttr(r.span, "blocks", int64(r.blocks))
 		cur.SetAttr(r.span, "idle_ns", int64(r.idle))
+		if r.list != nil { // a Listing serves one run: its spills are this run's
+			cur.SetAttr(r.span, "spill_bytes", r.list.size)
+		}
 		cur.End(r.span)
 	}
 	if cerr := ctx.Err(); cerr != nil {
@@ -532,9 +545,9 @@ func cutBlocks(d *graph.Disk, maxEntries, maxBytes uint64) []graph.Vertex {
 	return append(cuts, graph.Vertex(d.NumVertices()))
 }
 
-// blockOf returns the block holding vertex v.
-func (dl *dealer) blockOf(v graph.Vertex) int {
-	return sort.Search(len(dl.cuts)-1, func(b int) bool { return dl.cuts[b+1] > v })
+// blockOf returns the block of cuts holding vertex v.
+func blockOf(cuts []graph.Vertex, v graph.Vertex) int {
+	return sort.Search(len(cuts)-1, func(b int) bool { return cuts[b+1] > v })
 }
 
 // runRound loads the window [lo, hi) — unless the Held window holds it —
@@ -571,10 +584,10 @@ func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64) e
 	if c := dl.cfg.Cone; c.Lo < c.Hi {
 		dl.scanLow, dl.scanHigh = max(dl.scanLow, graph.Vertex(c.Lo)), min(dl.scanHigh, graph.Vertex(c.Hi))
 	}
-	dl.scanFrom = dl.blockOf(dl.scanLow)
+	dl.scanFrom = blockOf(dl.scanCuts, dl.scanLow)
 	dl.scanTo = dl.scanFrom
 	if dl.scanLow < dl.scanHigh {
-		dl.scanTo = dl.blockOf(dl.scanHigh-1) + 1
+		dl.scanTo = blockOf(dl.scanCuts, dl.scanHigh-1) + 1
 	}
 	var err error
 	if !resident {
@@ -613,7 +626,7 @@ func (dl *dealer) runRound(ctx context.Context, cur obs.Cursor, lo, hi uint64) e
 // round whose bitsets do not all fit builds those of its first blocks that
 // do, and the rest of its vertices keep the mark path.
 func (dl *dealer) load() error {
-	first, last := dl.blockOf(dl.win.vlow), dl.blockOf(dl.win.vhigh)+1
+	first, last := blockOf(dl.cuts, dl.win.vlow), blockOf(dl.cuts, dl.win.vhigh)+1
 	if err := dl.deal(phaseLoad, first, last); err != nil || len(dl.win.dense) == 0 {
 		return err
 	}
@@ -865,7 +878,7 @@ func (r *dealt) scanBlocks() (graph.Vertex, error) {
 		if r.list != nil {
 			r.list.Begin(r.dl.seq + int64(b-r.dl.scanFrom))
 		}
-		if u, err := r.scanBlock(max(r.dl.cuts[b], r.dl.scanLow), min(r.dl.cuts[b+1], r.dl.scanHigh)); err != nil {
+		if u, err := r.scanBlock(max(r.dl.scanCuts[b], r.dl.scanLow), min(r.dl.scanCuts[b+1], r.dl.scanHigh)); err != nil {
 			return u, err
 		}
 		r.blocks++

@@ -46,8 +46,10 @@ func dealtListing(t *testing.T, d *graph.Disk, spans []balance.Range, cfg DealCo
 }
 
 // countEqualsListing fails unless counting and listing d at cfg run the same
-// scan: the same steps, and the same blocks dealt to the runners (their
-// chunk spans' blocks attrs, summed).
+// scan, each dealt in its own cut: the same steps, the count dealing the
+// blocks of BlockEntries (or cfg's) and the listing those of ListBlockEntries
+// a round, where that is finer — their chunk spans' blocks attrs, summed,
+// are the blocks each cut has from every round's first scanned vertex on.
 func countEqualsListing(t *testing.T, label string, d *graph.Disk, cfg DealConfig) {
 	t.Helper()
 	run := func(listing bool) (steps uint64, blocks int64) {
@@ -70,22 +72,57 @@ func countEqualsListing(t *testing.T, label string, d *graph.Disk, cfg DealConfi
 			steps += st.CmpOps
 		}
 		for _, sp := range tr.Spans() {
-			if sp.Name != obs.SpanChunk {
-				continue
-			}
-			for _, a := range sp.Attrs[:sp.NAttr] {
-				if a.Key == "blocks" {
-					blocks += a.Val
-				}
+			if b, _ := spanAttr(sp, "blocks"); sp.Name == obs.SpanChunk {
+				blocks += b
 			}
 		}
 		return steps, blocks
 	}
+	win := min(uint64(cfg.Workers)*uint64(cfg.MemEdges), d.Meta.AdjEntries)
+	entries, bytes := min(uint64(BlockEntries), win), uint64(BlockEntries*graph.EntrySize)
+	if cfg.blockEntries > 0 {
+		entries, bytes = uint64(cfg.blockEntries), uint64(cfg.blockEntries)*graph.EntrySize
+	}
+	countCuts, listCuts := cutBlocks(d, entries, bytes), cutBlocks(d, entries, bytes)
+	if e := ListBlockEntries * ((d.Meta.AdjEntries + win - 1) / win); e < entries {
+		listCuts = cutBlocks(d, e, e*graph.EntrySize)
+	}
 	cSteps, cBlocks := run(false)
 	lSteps, lBlocks := run(true)
-	if cSteps != lSteps || cBlocks != lBlocks || cBlocks == 0 {
-		t.Errorf("%s: counting took %d steps over %d blocks, listing %d over %d", label, cSteps, cBlocks, lSteps, lBlocks)
+	if cSteps != lSteps {
+		t.Errorf("%s: counting took %d steps, listing %d", label, cSteps, lSteps)
 	}
+	if want := roundBlocks(d, countCuts, win); cBlocks != want || want == 0 {
+		t.Errorf("%s: counting dealt %d blocks, its cut has %d", label, cBlocks, want)
+	}
+	if want := roundBlocks(d, listCuts, win); lBlocks != want || want == 0 {
+		t.Errorf("%s: listing dealt %d blocks, its cut has %d", label, lBlocks, want)
+	}
+}
+
+// roundBlocks is how many blocks of cuts the rounds of a run over all of d,
+// with a window of win entries, deal: on a ranked store each round those from
+// the block of its window's first vertex on, on any other all of them.
+func roundBlocks(d *graph.Disk, cuts []graph.Vertex, win uint64) int64 {
+	var n int64
+	for lo := uint64(0); lo < d.Meta.AdjEntries; lo += win {
+		first := 0
+		if d.Meta.Ranked {
+			first = blockOf(cuts, d.VertexAt(lo))
+		}
+		n += int64(len(cuts) - 1 - first)
+	}
+	return n
+}
+
+// spanAttr returns sp's attr key, and whether sp has it.
+func spanAttr(sp obs.Span, key string) (int64, bool) {
+	for _, a := range sp.Attrs[:sp.NAttr] {
+		if a.Key == key {
+			return a.Val, true
+		}
+	}
+	return 0, false
 }
 
 // definedListing is the reference: the listing order written from its
@@ -128,8 +165,9 @@ func sortedTriples(t *testing.T, raw []byte) []triple {
 // window one entry short of the longest list; on both store formats, with
 // blocks small enough that the hub lists arrive in pieces; and it is
 // baseline.ForwardList's triangle set. Counting runs the same scan as
-// listing: at every (P, M), and on a one-window store of over 256 K
-// entries, it takes the same steps over the same blocks.
+// listing: at every (P, M), at four rounds whose listing cut is finer than
+// the count's, and on a store of over 256 K entries in one window and in
+// four, it takes the same steps, each dealing the blocks of its own cut.
 func TestDealtListingDeterministic(t *testing.T) {
 	g, err := gen.PowerLaw(500, 5000, 1.8, 7)
 	if err != nil {
@@ -176,6 +214,17 @@ func TestDealtListingDeterministic(t *testing.T) {
 			}
 		}
 	}
+	// A listing of four rounds whose blocks are larger than four rounds'
+	// listing cut: the scan deals the cut, and lists what it defines.
+	for _, d := range []*graph.Disk{orientedStore(t, g), compressedStore(t, g)} {
+		pm := (int(d.Meta.AdjEntries) + 3) / 4
+		cfg := DealConfig{Workers: 3, MemEdges: (pm + 2) / 3, blockEntries: 8 * ListBlockEntries, afterBlock: runtime.Gosched}
+		got, _ := dealtListing(t, d, []balance.Range{FullRange(d)}, cfg)
+		if !bytes.Equal(got, definedListing(t, d, FullRange(d), 3*cfg.MemEdges)) {
+			t.Fatalf("%s at four rounds: listing differs from the defined sequence", d.Format())
+		}
+		countEqualsListing(t, fmt.Sprintf("%s at four rounds", d.Format()), d, cfg)
+	}
 	// And the sequence's set is the baseline's.
 	d := orientedStore(t, g)
 	got, _ := dealtListing(t, d, []balance.Range{FullRange(d)}, DealConfig{Workers: 3, MemEdges: 500})
@@ -200,6 +249,7 @@ func TestDealtListingDeterministic(t *testing.T) {
 		cfg := DealConfig{Workers: p, MemEdges: int(d.Meta.AdjEntries)/p + 1}
 		countEqualsListing(t, fmt.Sprintf("RMAT-15 P=%d", p), d, cfg)
 	}
+	countEqualsListing(t, "RMAT-15 four rounds", d, DealConfig{Workers: 2, MemEdges: int(d.Meta.AdjEntries)/8 + 1})
 }
 
 // originalIDs maps triples of d's ids to the ids the vertices had before

@@ -31,6 +31,19 @@ const ListBufferBytes = 256 << 10
 // runners. A block that finds none free spills instead.
 const ParkBytes = 512 << 10
 
+// ListBlockEntries is the cone block of a listing's scan, per round: a run
+// with a Listing deals its scan in blocks of at most rounds·ListBlockEntries
+// adjacency entries, if that is less than BlockEntries, so that what a
+// runner ahead of the head finishes is a block whose triangles mostly fit a
+// spare buffer and park, instead of spilling to be read back. A block's
+// triangles are spread over the rounds, so a run of many rounds finishes
+// blocks as small with a coarser cut, and a finer one would pay a write at
+// the head per block for nothing. Only the cut is finer: the buffers, the
+// load phase and the path each list takes stay those of BlockEntries, so a
+// listing takes a count's steps. A constant: EXPERIMENTS.md "Listing
+// blocks" has the spilled bytes and the wall time of 256 to 8 K.
+const ListBlockEntries = 256
+
 // Listing writes the triangles of one run to one output, as 12-byte
 // little-endian triples, in listing order, as the blocks finish. Each runner
 // reports to its own ListPart; the listing's memory is allocated once, when
@@ -145,20 +158,36 @@ func (l *Listing) Close() error {
 	return l.err
 }
 
-// Triangle implements Sink.
+// Triangles implements Sink: u and v are renamed once, and the batch is
+// encoded in one loop per stretch of buffer it fills, flushing between
+// stretches.
 //
 //pdtl:hotpath
-func (p *ListPart) Triangle(u, v, w graph.Vertex) {
-	if p.n+12 > len(p.buf) {
-		p.flush()
+func (p *ListPart) Triangles(u, v graph.Vertex, ws []graph.Vertex) {
+	ids := p.l.ids
+	if ids != nil {
+		u, v = ids[u], ids[v]
 	}
-	if ids := p.l.ids; ids != nil {
-		u, v, w = ids[u], ids[v], ids[w]
+	for len(ws) > 0 {
+		k := (len(p.buf) - p.n) / 12
+		if k == 0 {
+			p.flush()
+			continue
+		}
+		k = min(k, len(ws))
+		out := p.buf[p.n : p.n+12*k]
+		for i, w := range ws[:k] {
+			if ids != nil {
+				w = ids[w]
+			}
+			t := out[12*i : 12*i+12]
+			binary.LittleEndian.PutUint32(t, u)
+			binary.LittleEndian.PutUint32(t[4:], v)
+			binary.LittleEndian.PutUint32(t[8:], w)
+		}
+		p.n += 12 * k
+		ws = ws[k:]
 	}
-	binary.LittleEndian.PutUint32(p.buf[p.n:], u)
-	binary.LittleEndian.PutUint32(p.buf[p.n+4:], v)
-	binary.LittleEndian.PutUint32(p.buf[p.n+8:], w)
-	p.n += 12
 }
 
 // Begin starts the block numbered seq.

@@ -3,10 +3,13 @@ package mgt
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"pdtl/internal/balance"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
+	"pdtl/internal/obs"
 )
 
 // countingWriter records what a listing writes to its output; it has no
@@ -62,6 +66,44 @@ func runListing(d *graph.Disk, l *Listing, cfg DealConfig) (Dealt, error) {
 		err = cerr
 	}
 	return res, err
+}
+
+// tracedListing runs a cooperative listing into l under a trace and returns
+// the spill_bytes attr of each runner's chunk span, and each runner's spill
+// file size, both taken before l is closed.
+func tracedListing(t *testing.T, d *graph.Disk, l *Listing, cfg DealConfig) (res Dealt, attrs, sizes []int64) {
+	t.Helper()
+	tr := obs.NewTrace(0)
+	ctx := obs.ContextWithCursor(context.Background(), obs.Cursor{T: tr, Span: obs.NoSpan, Worker: -1})
+	cfg.Listing = l
+	res, err := RunDealt(ctx, d, []balance.Range{FullRange(d)}, cfg)
+	attrs, sizes = make([]int64, cfg.Workers), make([]int64, cfg.Workers)
+	for _, sp := range tr.Spans() {
+		if sp.Name != obs.SpanChunk {
+			continue
+		}
+		n, ok := spanAttr(sp, "spill_bytes")
+		if !ok {
+			t.Errorf("runner %d's chunk span has no spill_bytes attr", sp.Worker)
+		}
+		attrs[sp.Worker] = n
+	}
+	for i := range l.parts {
+		if f := l.parts[i].spill; f != nil {
+			fi, serr := f.(*os.File).Stat()
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			sizes[i] = fi.Size()
+		}
+	}
+	if cerr := l.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, attrs, sizes
 }
 
 // TestListingParkRace forces the interleaving that loses blocks when a
@@ -121,7 +163,7 @@ func TestListingParkRace(t *testing.T) {
 
 // TestListingOneRunnerWritesOnce: a lone runner always holds the head, so
 // its listing is written straight to the output — never spilled, never
-// parked, each byte written once.
+// parked, each byte written once, and its chunk span's spill_bytes is 0.
 func TestListingOneRunnerWritesOnce(t *testing.T) {
 	g, err := gen.PowerLaw(500, 5000, 1.8, 7)
 	if err != nil {
@@ -131,12 +173,9 @@ func TestListingOneRunnerWritesOnce(t *testing.T) {
 	var out countingWriter
 	l := newListing(&out, t.TempDir(), 1, 120, 0)
 	spills := countSpills(l)
-	res, err := runListing(d, l, DealConfig{Workers: 1, MemEdges: 500, blockEntries: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := spills.Load(); n != 0 {
-		t.Errorf("one runner created %d spill files", n)
+	res, attrs, _ := tracedListing(t, d, l, DealConfig{Workers: 1, MemEdges: 500, blockEntries: 60})
+	if n := spills.Load(); n != 0 || attrs[0] != 0 {
+		t.Errorf("one runner created %d spill files, its chunk span says it spilled %d bytes", n, attrs[0])
 	}
 	tris := res.Runners[0].Triangles
 	if got := uint64(out.buf.Len()); got != 12*tris {
@@ -154,9 +193,10 @@ func TestListingOneRunnerWritesOnce(t *testing.T) {
 // TestListingHubHeapBounded: on a clique, whose first blocks hold nearly all
 // of its triangles, the listing's heap is its runners' buffers and the park
 // budget — the rest of a block ahead of the head spills, however long the
-// block's share of the listing is.
+// block's share of the listing is. At 250 vertices the first cone vertices'
+// blocks (one vertex each, at ListBlockEntries) outgrow a buffer.
 func TestListingHubHeapBounded(t *testing.T) {
-	g, err := gen.Complete(200)
+	g, err := gen.Complete(250)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +219,7 @@ func TestListingHubHeapBounded(t *testing.T) {
 		}
 	})
 	var out countingWriter
-	out.buf.Grow(int(12 * gen.CompleteTriangles(200)))
+	out.buf.Grow(int(12 * gen.CompleteTriangles(250)))
 	dir := t.TempDir()
 	var spills *atomic.Int64
 	listing := alloc(func() {
@@ -189,7 +229,7 @@ func TestListingHubHeapBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got, want := uint64(out.buf.Len()), 12*gen.CompleteTriangles(200); got != want {
+	if got, want := uint64(out.buf.Len()), 12*gen.CompleteTriangles(250); got != want {
 		t.Fatalf("listed %d bytes, want %d", got, want)
 	}
 	if want := uint64(out.buf.Len()); want < 8*(p*ListBufferBytes+ParkBytes) {
@@ -232,5 +272,156 @@ func TestListingWriteFailure(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines leaked: %d, baseline %d", runtime.NumGoroutine(), before)
 		}
+	}
+}
+
+// slowWriter is an output that takes a while over every write, so that the
+// runners ahead of the head finish blocks while the head's are written.
+type slowWriter struct{ buf bytes.Buffer }
+
+func (w *slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(50 * time.Microsecond)
+	return w.buf.Write(p)
+}
+
+// TestListingSpillBytes: each runner's chunk span says how many bytes it
+// spilled, and that is its spill file's size. Three runners, one spare
+// buffer of a few triangles and a slow output: blocks finished ahead of the
+// head park while the spare is free and spill once it is taken. The listing
+// is the defined one whatever went where.
+func TestListingSpillBytes(t *testing.T) {
+	g, err := gen.PowerLaw(500, 5000, 1.8, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := orientedStore(t, g)
+	const p, m = 3, 200
+	ref := definedListing(t, d, FullRange(d), p*m)
+	var spilled int64
+	for it := 0; it < 20 && spilled == 0; it++ {
+		var out slowWriter
+		l := newListing(&out, t.TempDir(), p, 120, 1)
+		_, attrs, sizes := tracedListing(t, d, l, DealConfig{Workers: p, MemEdges: m, blockEntries: 60, afterBlock: runtime.Gosched})
+		for i := range attrs {
+			if attrs[i] != sizes[i] {
+				t.Fatalf("iteration %d: runner %d's chunk span says %d bytes spilled, its spill file has %d", it, i, attrs[i], sizes[i])
+			}
+			spilled += attrs[i]
+		}
+		if !bytes.Equal(out.buf.Bytes(), ref) {
+			t.Fatalf("iteration %d: the listing differs from the defined sequence", it)
+		}
+	}
+	if spilled == 0 {
+		t.Fatal("no runner spilled")
+	}
+}
+
+// batchLens is a sink that records the length of every batch it is handed.
+type batchLens struct{ lens []int }
+
+func (b *batchLens) Triangles(u, v graph.Vertex, ws []graph.Vertex) { b.lens = append(b.lens, len(ws)) }
+
+// widePair is a dense graph with one pair whose hits outnumber a batch: u
+// and v share nw neighbours W, each of which also neighbours the same nw+2
+// leaves, so W outranks u and v and the cone pair (u, v) closes nw
+// triangles — the graph's only ones.
+func widePair(nw int) (*graph.CSR, error) {
+	u, v := graph.Vertex(nw), graph.Vertex(nw+1)
+	edges := []graph.Edge{{U: u, V: v}}
+	for w := graph.Vertex(0); w < u; w++ {
+		edges = append(edges, graph.Edge{U: u, V: w}, graph.Edge{U: v, V: w})
+		for l := v + 1; l < v+1+u+2; l++ {
+			edges = append(edges, graph.Edge{U: w, V: l})
+		}
+	}
+	return graph.FromEdges(2*nw+4, edges)
+}
+
+// TestListingBatchBoundaries: a pair (u, v) with more hits than a batch
+// reaches the sink in chunks of batchLen, and a listing whose buffer is not
+// a whole number of triangles flushes in the middle of a chunk. On both
+// store formats, by bitset and by the mark path, at P = 1 and 2, the
+// listing is the defined sequence byte for byte — in the store's ids and,
+// renamed by the listing or by Relabel, in the input's.
+func TestListingBatchBoundaries(t *testing.T) {
+	g, err := widePair(batchLen + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*graph.Disk{orientedStore(t, g), compressedStore(t, g)} {
+		perm, err := d.Perm()
+		if err != nil {
+			t.Fatal(err)
+		}
+		win := int(d.Meta.AdjEntries)
+		ref := definedListing(t, d, FullRange(d), win)
+		renamed := slices.Clone(ref)
+		for i := 0; i < len(renamed); i += 4 {
+			binary.LittleEndian.PutUint32(renamed[i:], perm[binary.LittleEndian.Uint32(renamed[i:])])
+		}
+		for _, markOnly := range []bool{false, true} {
+			name := fmt.Sprintf("%s/markOnly=%v", d.Format(), markOnly)
+			var lens batchLens
+			cfg := DealConfig{Workers: 1, MemEdges: win, markOnly: markOnly, Sinks: []Sink{&lens}}
+			if _, err := RunDealt(context.Background(), d, []balance.Range{FullRange(d)}, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(lens.lens, []int{batchLen, 1}) {
+				t.Fatalf("%s: batches of %v triangles, want a chunk of %d and one of 1", name, lens.lens, batchLen)
+			}
+			for _, p := range []int{1, 2} {
+				for _, ids := range [][]graph.Vertex{nil, perm} {
+					want := ref
+					if ids != nil {
+						want = renamed
+					}
+					var out bytes.Buffer
+					l := newListing(&out, t.TempDir(), p, 12*50+4, 1)
+					l.ids = ids
+					cfg := DealConfig{Workers: p, MemEdges: win / p, markOnly: markOnly, afterBlock: runtime.Gosched}
+					if _, err := runListing(d, l, cfg); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(out.Bytes(), want) {
+						t.Fatalf("%s P=%d ids=%v: the listing differs from the defined sequence", name, p, ids != nil)
+					}
+				}
+			}
+			// Relabel renames a stream, in chunks of its own buffer.
+			var got []byte
+			rec := FuncSink(func(u, v, w graph.Vertex) {
+				got = binary.LittleEndian.AppendUint32(got, u)
+				got = binary.LittleEndian.AppendUint32(got, v)
+				got = binary.LittleEndian.AppendUint32(got, w)
+			})
+			cfg = DealConfig{Workers: 1, MemEdges: win, markOnly: markOnly, Sinks: []Sink{Relabel(rec, perm)}}
+			if _, err := RunDealt(context.Background(), d, []balance.Range{FullRange(d)}, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, renamed) {
+				t.Fatalf("%s: the relabeled stream differs from the defined sequence in the input's ids", name)
+			}
+		}
+	}
+	// A batch longer than Relabel's buffer is renamed whole, in order.
+	ids := make([]graph.Vertex, 3*batchLen)
+	for i := range ids {
+		ids[i] = graph.Vertex(len(ids) - i)
+	}
+	var lens batchLens
+	var ws []graph.Vertex
+	Relabel(FuncSink(func(u, v, w graph.Vertex) {
+		if u != ids[0] || v != ids[1] {
+			t.Fatalf("renamed (u, v) = (%d, %d), want (%d, %d)", u, v, ids[0], ids[1])
+		}
+		ws = append(ws, w)
+	}), ids).Triangles(0, 1, slices.Repeat([]graph.Vertex{2, 3, 4}, batchLen))
+	Relabel(&lens, ids).Triangles(0, 1, make([]graph.Vertex, 2*batchLen+1))
+	if want := slices.Repeat([]graph.Vertex{ids[2], ids[3], ids[4]}, batchLen); !slices.Equal(ws, want) {
+		t.Fatalf("Relabel renamed %d closing vertices, want %d in order", len(ws), len(want))
+	}
+	if !slices.Equal(lens.lens, []int{batchLen, batchLen, 1}) {
+		t.Fatalf("Relabel handed on batches of %v", lens.lens)
 	}
 }

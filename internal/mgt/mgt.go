@@ -56,12 +56,20 @@ import (
 	"pdtl/internal/ioacct"
 )
 
-// Sink consumes listed triangles (u, v, w), each with u ≺ v ≺ w in the
-// degree-based order. Implementations are called from a single goroutine
-// per runner.
+// Sink consumes listed triangles, each (u, v, w) with u ≺ v ≺ w in the
+// degree-based order. Triangles reports the triangles (u, v, w) for every w
+// of ws, in that order: the closing vertices a pair (u, v) has in one chunk
+// of Ev's probes, at most 256, so a cone pays an interface call per chunk,
+// not per triangle. ws is the runner's buffer, reused once the call
+// returns. Implementations are called from a single goroutine per runner.
 type Sink interface {
-	Triangle(u, v, w graph.Vertex)
+	Triangles(u, v graph.Vertex, ws []graph.Vertex)
 }
+
+// batchLen is the most closing vertices one Triangles call carries: the
+// runner's hits buffer, between probing a chunk of Ev and emitting its
+// matches.
+const batchLen = 256
 
 // CheckKernel refuses a cone routine named from outside the program — a
 // cluster batch, a service query — that is not the one routine there is:
@@ -435,9 +443,10 @@ func (r *dealt) coneDense(u graph.Vertex, nm, nmp []graph.Vertex) bool {
 
 // testBits returns how many candidates w, all below v, are in the bitset
 // set of Ev, whose bit 0 is vertex base, and reports each triangle (u, v,
-// w) to the sink. A candidate outside the bitset's span is a miss. Like
-// markHits, both loops are branch-free on whether a test hits; the one
-// branch, on the span, changes at most twice along ascending candidates.
+// w) to the sink, a chunk of hits per call. A candidate outside the
+// bitset's span is a miss. Like markHits, both loops are branch-free on
+// whether a test hits; the one branch, on the span, changes at most twice
+// along ascending candidates.
 //
 //pdtl:hotpath
 func (r *dealt) testBits(u, v graph.Vertex, cand []graph.Vertex, set []uint64, base graph.Vertex) uint64 {
@@ -463,9 +472,9 @@ func (r *dealt) testBits(u, v graph.Vertex, cand []graph.Vertex, set []uint64, b
 				k += int(set[q] >> (i & 63) & 1)
 			}
 		}
-		found += uint64(k)
-		for _, w := range hits[:k] {
-			r.sink.Triangle(u, v, w)
+		if k > 0 {
+			found += uint64(k)
+			r.sink.Triangles(u, v, hits[:k])
 		}
 	}
 	return found
@@ -562,8 +571,8 @@ func (r *dealt) probe(u graph.Vertex, nmp []graph.Vertex) {
 // markHits returns how many w ∈ ev carry the current epoch and reports each
 // triangle (u, v, w) to the sink. Whether a probe hits is a coin flip no
 // branch predictor wins, so both loops are branch-free on it: the counting
-// loop adds the comparison's 0/1, the listing loop compacts a block's hits
-// into a buffer and emits from there.
+// loop adds the comparison's 0/1, the listing loop compacts a chunk's hits
+// into a buffer and hands the sink the buffer in one call.
 //
 //pdtl:hotpath
 func (r *dealt) markHits(u, v graph.Vertex, ev []graph.Vertex) uint64 {
@@ -593,9 +602,9 @@ func (r *dealt) markHits(u, v graph.Vertex, ev []graph.Vertex) uint64 {
 				}
 			}
 		}
-		found += uint64(k)
-		for _, w := range hits[:k] {
-			r.sink.Triangle(u, v, w)
+		if k > 0 {
+			found += uint64(k)
+			r.sink.Triangles(u, v, hits[:k])
 		}
 	}
 	return found
@@ -628,34 +637,48 @@ type CountSink struct {
 	N uint64
 }
 
-// Triangle implements Sink.
-func (c *CountSink) Triangle(u, v, w graph.Vertex) { c.N++ }
+// Triangles implements Sink.
+func (c *CountSink) Triangles(u, v graph.Vertex, ws []graph.Vertex) { c.N += uint64(len(ws)) }
 
 // Relabel returns sink with its vertices renamed: vertex u reaches it as
 // ids[u] (a ranked store's Perm, to report original ids). A nil ids returns
-// sink itself.
+// sink itself. The sink it returns renames each batch into a buffer of its
+// own, so, like any sink, it serves one runner.
 func Relabel(sink Sink, ids []graph.Vertex) Sink {
 	if ids == nil {
 		return sink
 	}
-	return relabeled{sink, ids}
+	return &relabeled{sink: sink, ids: ids, buf: make([]graph.Vertex, batchLen)}
 }
 
 type relabeled struct {
 	sink Sink
 	ids  []graph.Vertex
+	buf  []graph.Vertex
 }
 
-// Triangle implements Sink.
-func (r relabeled) Triangle(u, v, w graph.Vertex) {
-	r.sink.Triangle(r.ids[u], r.ids[v], r.ids[w])
+// Triangles implements Sink.
+func (r *relabeled) Triangles(u, v graph.Vertex, ws []graph.Vertex) {
+	u, v = r.ids[u], r.ids[v]
+	for len(ws) > 0 {
+		out := r.buf[:min(len(ws), len(r.buf))]
+		for i, w := range ws[:len(out)] {
+			out[i] = r.ids[w]
+		}
+		r.sink.Triangles(u, v, out)
+		ws = ws[len(out):]
+	}
 }
 
-// FuncSink adapts a function to the Sink interface.
+// FuncSink adapts a function of one triangle to the Sink interface.
 type FuncSink func(u, v, w graph.Vertex)
 
-// Triangle implements Sink.
-func (f FuncSink) Triangle(u, v, w graph.Vertex) { f(u, v, w) }
+// Triangles implements Sink.
+func (f FuncSink) Triangles(u, v graph.Vertex, ws []graph.Vertex) {
+	for _, w := range ws {
+		f(u, v, w)
+	}
+}
 
 // ReadTriangles decodes a listing — little-endian uint32 triples, as a
 // Listing writes them — back into triples (test/tool helper).

@@ -323,7 +323,7 @@ func TestListingRoundTrip(t *testing.T) {
 	part.Begin(0)
 	want := [][3]graph.Vertex{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
 	for _, tri := range want {
-		part.Triangle(tri[0], tri[1], tri[2])
+		part.Triangles(tri[0], tri[1], tri[2:])
 	}
 	if err := part.End(); err != nil {
 		t.Fatal(err)
