@@ -227,9 +227,11 @@ func ImportEdgeListText(r io.Reader, base, name string) (GraphInfo, error) {
 // pass over the input mirrors every edge into radix-sorted runs, the runs
 // are merged, and the deduplicated store is emitted from the sorted stream
 // (a compressed store segment-encodes each list as it streams off the
-// sort). At most memEdges records (8 bytes each) are held in memory while
-// sorting, scratch included. This is the O(sort(E)) path of Theorem IV.2
-// and the way to ingest graphs larger than RAM. Cancelling ctx aborts the
+// sort). A run is sorted by up to GOMAXPROCS workers, each given at least
+// 64 K keys, and the store is the same at any worker count. At most
+// memEdges records (8 bytes each) are held in memory while sorting,
+// scratch included. This is the O(sort(E)) path of Theorem IV.2 and the
+// way to ingest graphs larger than RAM. Cancelling ctx aborts the
 // ingest between record batches (within ~128k records, or one spilled run,
 // at any pipeline stage) and returns ctx.Err(); the run files are cleaned
 // up, a partially written store at base may remain.

@@ -54,7 +54,8 @@ func BenchmarkBuildStore(b *testing.B) {
 }
 
 // BenchmarkSortRun compares the run sort with the standard library's
-// pdqsort on the same mirrored keys.
+// pdqsort on the same mirrored keys. The run sort uses GOMAXPROCS workers,
+// so run it at -cpu 1,2: one worker, and the split.
 func BenchmarkSortRun(b *testing.B) {
 	src, _ := benchEdgeFile(b)
 	s := newSorter(filepath.Join(b.TempDir(), "probe"), 1<<30, ioacct.NewCounter(0))

@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"pdtl/internal/graph"
+	"pdtl/internal/ioacct"
 )
 
 // writeEdges writes n sequential synthetic edges.
@@ -125,5 +128,41 @@ func TestBuildStoreCancelledAtEveryCheck(t *testing.T) {
 			}
 			checkMatchesInMemory(t, base, "c", edges, format)
 		}
+	}
+}
+
+// TestBuildStoreCancelledJoinsWorkers: an ingest whose run sorts use four
+// workers, cancelled at each of its checks with every key in one run and
+// spilled in several, leaves no goroutine behind.
+func TestBuildStoreCancelledJoinsWorkers(t *testing.T) {
+	edges := messyEdges(23, 300)
+	dir := t.TempDir()
+	src := filepath.Join(dir, "raw.bin")
+	if err := WriteEdgeFile(src, edges); err != nil {
+		t.Fatal(err)
+	}
+	keys := 2 * len(edges)
+	before := runtime.NumGoroutine()
+	for _, mem := range []int{2 * keys, keys / 4} {
+		base := filepath.Join(dir, "store")
+		for n := 0; ; n++ {
+			s := newSorter(base, mem, ioacct.NewCounter(0))
+			s.workers, s.splitKeys = 4, 16
+			err := s.build(&cancelAfter{Context: context.Background(), n: n}, src, "c", graph.FormatPlain)
+			checkNoIntermediates(t, base)
+			if err == nil {
+				break
+			}
+			if err != context.Canceled {
+				t.Fatalf("mem=%d cancelled at check %d: %v", mem, n, err)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d, baseline %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

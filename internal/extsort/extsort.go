@@ -11,6 +11,9 @@
 //     packed u<<32|v keys.
 //  2. A full buffer is sorted by an LSD radix sort (11-bit digits, over only
 //     the digits the run's largest id reaches) and spilled as a run file.
+//     A run is sorted by up to GOMAXPROCS workers, each counting and
+//     scattering a contiguous chunk of at least sortSplitKeys keys per
+//     pass; the sorted run is the same at any worker count.
 //  3. At the end of the input, a buffer that never spilled is emitted
 //     straight from memory. Otherwise the last buffer is spilled too and the
 //     runs are merged (the Aggarwal–Vitter external mergesort), at most
@@ -33,7 +36,9 @@ import (
 	"io"
 	"math/bits"
 	"os"
+	"runtime"
 	"strconv"
+	"sync"
 
 	"pdtl/internal/graph"
 	"pdtl/internal/ioacct"
@@ -57,6 +62,10 @@ const (
 	radixMask = 1<<radixBits - 1
 	// maxDigits is the most digits a key has: three per 32-bit half.
 	maxDigits = 2 * ((32 + radixBits - 1) / radixBits)
+	// sortSplitKeys is the fewest keys a run sort gives one worker, so a
+	// small run (a tiny input's, or one spilled at a low budget) sorts on
+	// one worker.
+	sortSplitKeys = 64 << 10
 	// mergeFanIn is the most runs one merge reads at once, which bounds the
 	// open files.
 	mergeFanIn = 64
@@ -91,19 +100,28 @@ type sorter struct {
 	base    string // runs are <base>.run<N>
 	c       *ioacct.Counter
 	runKeys int // keys one run holds
-	buf     []uint64
-	scratch []uint64
-	counts  [maxDigits][1 << radixBits]int
-	wblk    []byte   // run writer block
-	runs    []string // unmerged run files, oldest first
-	made    int      // run files created so far
-	maxKey  uint64   // largest key sorted; 0 until a key is, since (0,0) is a loop
+	// workers is the most goroutines one run sort uses; each gets at least
+	// splitKeys keys (sortSplitKeys; tests lower it so tiny runs split).
+	workers   int
+	splitKeys int
+	buf       []uint64
+	scratch   []uint64
+	// counts holds a digit table per digit with one worker, per worker
+	// with more; ors holds each worker's OR of its chunk.
+	counts [][1 << radixBits]int
+	ors    []uint64
+	wblk   []byte   // run writer block
+	runs   []string // unmerged run files, oldest first
+	made   int      // run files created so far
+	maxKey uint64   // largest key sorted; 0 until a key is, since (0,0) is a loop
 }
 
 // newSorter holds at most 8·memEdges bytes of records: runs of memEdges/2
-// keys (two at least, one edge's worth) and as much radix scratch.
+// keys (two at least, one edge's worth) and as much radix scratch. Its run
+// sorts use up to GOMAXPROCS workers.
 func newSorter(base string, memEdges int, c *ioacct.Counter) *sorter {
-	return &sorter{base: base, c: c, runKeys: max(2, memEdges/2)}
+	return &sorter{base: base, c: c, runKeys: max(2, memEdges/2),
+		workers: runtime.GOMAXPROCS(0), splitKeys: sortSplitKeys}
 }
 
 // load reads the edge file into sorted runs: at its end the run buffer is
@@ -170,15 +188,36 @@ func (s *sorter) numVertices() int {
 // A 32-bit half is sorted only over the digits below its highest set bit
 // anywhere in the run, so ids below 2^22 take four passes in all. The
 // buffer and the scratch may trade places.
+//
+// The run is cut into one contiguous chunk per worker, as many as
+// s.workers while each gets s.splitKeys keys. In each pass every worker
+// counts the digit over its chunk, one prefix sum over (digit value,
+// worker) gives each worker its first slot for each value, and every
+// worker scatters its chunk stably from there: the sorted run is the same
+// at any worker count. One worker's chunk is the whole run, whose digit
+// counts no pass changes, so it counts every digit in one read.
 func (s *sorter) sortBuf() {
 	keys := s.buf
 	if cap(s.scratch) < len(keys) {
 		s.scratch = make([]uint64, cap(keys))
 	}
+	if len(s.ors) < s.workers {
+		s.counts = make([][1 << radixBits]int, max(maxDigits, s.workers))
+		s.ors = make([]uint64, s.workers)
+	}
 	tmp := s.scratch[:len(keys)]
+	w := max(1, min(s.workers, len(keys)/s.splitKeys))
+	chunk := func(x []uint64, i int) []uint64 { return x[i*len(x)/w : (i+1)*len(x)/w] }
+	parallel(w, func(i int) {
+		var or uint64
+		for _, k := range chunk(keys, i) {
+			or |= k
+		}
+		s.ors[i] = or
+	})
 	var or uint64
-	for _, k := range keys {
-		or |= k
+	for _, o := range s.ors[:w] {
+		or |= o
 	}
 	var shifts [maxDigits]uint
 	digits := 0
@@ -188,31 +227,65 @@ func (s *sorter) sortBuf() {
 			digits++
 		}
 	}
-	counts := s.counts[:digits]
-	clear(counts)
-	for _, k := range keys {
-		for d, sh := range shifts[:digits] {
-			counts[d][k>>sh&radixMask]++
-		}
+	if w == 1 {
+		countDigits(keys, shifts[:digits], s.counts[:digits])
 	}
 	for d, sh := range shifts[:digits] {
-		at := &counts[d]
+		tables := s.counts[d : d+1]
+		if w > 1 {
+			tables = s.counts[:w]
+			parallel(w, func(i int) { countDigits(chunk(keys, i), shifts[d:d+1], tables[i:i+1]) })
+		}
 		sum := 0
-		for b, n := range at {
-			at[b] = sum
-			sum += n
+		for b := range 1 << radixBits {
+			for i := range tables {
+				n := tables[i][b]
+				tables[i][b] = sum
+				sum += n
+			}
 		}
-		for _, k := range keys {
-			b := k >> sh & radixMask
-			tmp[at[b]] = k
-			at[b]++
-		}
+		parallel(w, func(i int) { scatter(chunk(keys, i), tmp, &tables[i], sh) })
 		keys, tmp = tmp, keys
 	}
 	s.buf, s.scratch = keys, tmp[:0]
 	if len(keys) > 0 {
 		s.maxKey = max(s.maxKey, keys[len(keys)-1])
 	}
+}
+
+// countDigits sets tables[d] to the counts of digit shifts[d] over keys.
+func countDigits(keys []uint64, shifts []uint, tables [][1 << radixBits]int) {
+	clear(tables)
+	for _, k := range keys {
+		for d, sh := range shifts {
+			tables[d][k>>sh&radixMask]++
+		}
+	}
+}
+
+// scatter moves keys to dst by the digit at sh, a key of digit value b to
+// at[b], then the next slot — stable, as keys come in order.
+func scatter(keys, dst []uint64, at *[1 << radixBits]int, sh uint) {
+	for _, k := range keys {
+		b := k >> sh & radixMask
+		dst[at[b]] = k
+		at[b]++
+	}
+}
+
+// parallel runs fn(0), …, fn(w-1) at once, fn(0) on the calling goroutine,
+// and returns when every call has.
+func parallel(w int, fn func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for i := 1; i < w; i++ {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	fn(0)
+	wg.Wait()
 }
 
 // spill sorts the run buffer into a new run file and empties it.

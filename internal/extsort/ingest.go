@@ -44,12 +44,17 @@ func BuildStoreFormat(ctx context.Context, edgeFile, base, name string, memEdges
 	if c == nil {
 		c = ioacct.NewCounter(0)
 	}
-	s := newSorter(base, memEdges, c)
+	return newSorter(base, memEdges, c).build(ctx, edgeFile, name, format)
+}
+
+// build is BuildStoreFormat through s, whose workers and split tests may
+// set.
+func (s *sorter) build(ctx context.Context, edgeFile, name string, format graph.Format) error {
 	defer s.removeRuns()
 	if err := s.load(ctx, edgeFile); err != nil {
 		return err
 	}
-	e, err := newEmitter(base, s.numVertices(), format, c)
+	e, err := newEmitter(s.base, s.numVertices(), format, s.c)
 	if err != nil {
 		return err
 	}
@@ -57,7 +62,7 @@ func BuildStoreFormat(ctx context.Context, edgeFile, base, name string, memEdges
 		e.w.Finish()
 		return err
 	}
-	return e.finish(base, name, format, c)
+	return e.finish(s.base, name, format, s.c)
 }
 
 // listWriter takes one adjacency list per vertex, in id order, empty for a
@@ -170,7 +175,7 @@ func (e *emitter) finish(base, name string, format graph.Format, c *ioacct.Count
 	if err := e.w.Finish(); err != nil {
 		return err
 	}
-	if err := writeDegreeFile(base, e.degrees, c); err != nil {
+	if err := graph.WriteUint32s(graph.DegPath(base), e.degrees, c); err != nil {
 		return err
 	}
 	meta := graph.Meta{
@@ -184,26 +189,4 @@ func (e *emitter) finish(base, name string, format graph.Format, c *ioacct.Count
 		meta.Format = graph.FormatCompressed
 	}
 	return graph.WriteMeta(base, meta)
-}
-
-// writeDegreeFile writes the little-endian degree array file.
-func writeDegreeFile(base string, degrees []uint32, c *ioacct.Counter) error {
-	degOut, err := os.Create(graph.DegPath(base))
-	if err != nil {
-		return err
-	}
-	dw := bufio.NewWriterSize(ioacct.NewWriter(degOut, c), 1<<20)
-	var scratch [graph.EntrySize]byte
-	for _, d := range degrees {
-		binary.LittleEndian.PutUint32(scratch[:], d)
-		if _, err := dw.Write(scratch[:]); err != nil {
-			degOut.Close()
-			return err
-		}
-	}
-	if err := dw.Flush(); err != nil {
-		degOut.Close()
-		return err
-	}
-	return degOut.Close()
 }

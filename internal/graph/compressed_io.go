@@ -180,11 +180,7 @@ func WriteCSRFormat(base, name string, g *CSR, format Format) error {
 	if err := WriteMeta(base, meta); err != nil {
 		return err
 	}
-	if err := writeUint32File(DegPath(base), func(emit func(uint32)) {
-		for v := 0; v < n; v++ {
-			emit(uint32(g.Offsets[v+1] - g.Offsets[v]))
-		}
-	}); err != nil {
+	if err := WriteUint32s(DegPath(base), g.Degrees(), nil); err != nil {
 		return err
 	}
 	w, err := NewCompressedWriter(base, n, nil)
@@ -222,11 +218,7 @@ func ConvertStore(src, dst string, format Format) error {
 	if err := WriteMeta(dst, meta); err != nil {
 		return err
 	}
-	if err := writeUint32File(DegPath(dst), func(emit func(uint32)) {
-		for _, dg := range d.Degrees {
-			emit(dg)
-		}
-	}); err != nil {
+	if err := WriteUint32s(DegPath(dst), d.Degrees, nil); err != nil {
 		return err
 	}
 	// The .indeg sidecar (load-balancer weights of oriented stores) and a

@@ -84,18 +84,10 @@ func WriteCSR(base, name string, g *CSR) error {
 	if err := WriteMeta(base, meta); err != nil {
 		return err
 	}
-	if err := writeUint32File(DegPath(base), func(emit func(uint32)) {
-		for v := 0; v < n; v++ {
-			emit(uint32(g.Offsets[v+1] - g.Offsets[v]))
-		}
-	}); err != nil {
+	if err := WriteUint32s(DegPath(base), g.Degrees(), nil); err != nil {
 		return err
 	}
-	return writeUint32File(AdjPath(base), func(emit func(uint32)) {
-		for _, w := range g.Adj {
-			emit(w)
-		}
-	})
+	return WriteUint32s(AdjPath(base), g.Adj, nil)
 }
 
 // WriteMeta writes only the metadata file.
@@ -118,6 +110,33 @@ func ReadMeta(base string) (Meta, error) {
 		return Meta{}, fmt.Errorf("graph: parse meta %s: %w", metaPath(base), err)
 	}
 	return meta, nil
+}
+
+// WriteUint32s writes xs to path little-endian, EntrySize bytes each (a
+// degree, in-degree or permutation array), counting the bytes on c unless
+// c is nil.
+func WriteUint32s(path string, xs []uint32, c *ioacct.Counter) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	var w io.Writer = f
+	if c != nil {
+		w = ioacct.NewWriter(f, c)
+	}
+	var chunk [64 << 10]byte
+	for len(xs) > 0 && err == nil {
+		n := min(len(xs), len(chunk)/EntrySize)
+		for i, x := range xs[:n] {
+			binary.LittleEndian.PutUint32(chunk[i*EntrySize:], x)
+		}
+		_, err = w.Write(chunk[:n*EntrySize])
+		xs = xs[n:]
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func writeUint32File(path string, fill func(emit func(uint32))) error {

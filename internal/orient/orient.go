@@ -144,15 +144,15 @@ func OrientFormat(src, dst string, workers int, format graph.Format) (*Result, e
 	if outEntries != d.Meta.NumEdges {
 		return nil, fmt.Errorf("orient: produced %d oriented edges, want %d", outEntries, d.Meta.NumEdges)
 	}
-	if err := writeDegrees(graph.DegPath(dst), rankedOut, counter); err != nil {
+	if err := graph.WriteUint32s(graph.DegPath(dst), rankedOut, counter); err != nil {
 		return nil, err
 	}
 	// The in-degree file feeds the load balancer (Section IV-B); persisting
 	// it lets an engine rebalance an oriented store without re-reading G.
-	if err := writeDegrees(InDegPath(dst), inDeg, counter); err != nil {
+	if err := graph.WriteUint32s(InDegPath(dst), inDeg, counter); err != nil {
 		return nil, err
 	}
-	if err := writeDegrees(graph.PermPath(dst), perm, counter); err != nil {
+	if err := graph.WriteUint32s(graph.PermPath(dst), perm, counter); err != nil {
 		return nil, err
 	}
 	meta := d.Meta
@@ -435,27 +435,6 @@ func readSpill(br *bufio.Reader, path string, span [2]graph.Vertex, place func(u
 		}
 	}
 	return nil
-}
-
-func writeDegrees(path string, deg []uint32, c *ioacct.Counter) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := ioacct.NewWriter(f, c)
-	var chunk [64 << 10]byte
-	for len(deg) > 0 && err == nil {
-		n := min(len(deg), len(chunk)/graph.EntrySize)
-		for i, d := range deg[:n] {
-			binary.LittleEndian.PutUint32(chunk[i*graph.EntrySize:], d)
-		}
-		_, err = w.Write(chunk[:n*graph.EntrySize])
-		deg = deg[n:]
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 func cleanup(paths []string) {
