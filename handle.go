@@ -17,12 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"iter"
-	"math/rand/v2"
-	"os"
-	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -362,58 +357,32 @@ func (g *Graph) Count(ctx context.Context, opt Options) (*Result, error) {
 // timing — by default not even on Workers, at equal Workers·MemEdges; use
 // ReadTriangleFile (or mgt.ReadTriangles) to decode. The triangles reach w
 // block by block, in that order, as the workers finish them: a worker ahead
-// of the output parks its finished blocks in a bounded amount of memory and
-// spills the rest to a private file in the default temp directory, copied
-// into w when the output comes to it and removed before List returns
-// (mgt.Listing).
+// of the output holds what it lists in a bounded amount of memory, and
+// waits for the output when that is full (mgt.Listing). List creates no
+// file.
 func (g *Graph) List(ctx context.Context, w io.Writer, opt Options) (*Result, error) {
 	return g.run(ctx, opt, func(o *core.Options) { o.Out = w })
 }
 
-// ListFile writes the listing to outPath atomically: the workers' spill
-// files and the output temp file live in outPath's directory, and the temp
-// is renamed into place only on success — a failed or cancelled run never
-// truncates or disturbs an existing file at outPath. The final file gets
-// os.Create's permissions (0666 clipped by the umask).
+// ListFile writes the listing to outPath atomically: the output goes to a
+// temp file beside outPath — the only file the run creates — which is
+// renamed into place only on success (graph.CreateTemp) — a failed or
+// cancelled run never truncates or disturbs an existing file at outPath.
+// The final file gets os.Create's permissions (0666 clipped by the umask).
 func (g *Graph) ListFile(ctx context.Context, outPath string, opt Options) (*Result, error) {
-	dir := filepath.Dir(outPath)
-	out, err := createExclusive(dir, ".pdtl-out-", 0o666)
+	out, err := graph.CreateTemp(outPath)
 	if err != nil {
 		return nil, err
 	}
-	res, err := g.run(ctx, opt, func(o *core.Options) { o.Out, o.SpillDir = out, dir })
+	res, err := g.run(ctx, opt, func(o *core.Options) { o.Out = out })
 	if err != nil {
-		out.Close()
-		os.Remove(out.Name())
+		graph.Discard(out)
 		return nil, err
 	}
-	if err := out.Close(); err != nil {
-		os.Remove(out.Name())
-		return nil, err
-	}
-	if err := os.Rename(out.Name(), outPath); err != nil {
-		os.Remove(out.Name())
+	if err := graph.Publish(out, outPath); err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// createExclusive is os.CreateTemp with a caller-chosen mode: CreateTemp
-// hardwires 0600, which would leave a listing owner-only, while O_EXCL
-// creation at 0666 gets the umask applied by the kernel — exactly
-// os.Create's semantics, minus the truncation of an existing file.
-func createExclusive(dir, prefix string, mode os.FileMode) (*os.File, error) {
-	for try := 0; try < 10000; try++ {
-		name := filepath.Join(dir, prefix+strconv.FormatUint(rand.Uint64(), 36))
-		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, mode)
-		if err == nil {
-			return f, nil
-		}
-		if !errors.Is(err, fs.ErrExist) {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("pdtl: could not create a unique temp file in %s", dir)
 }
 
 // Triangles returns a single-use iterator over every triangle (u, v, w)

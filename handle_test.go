@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -500,8 +501,9 @@ func TestListConcurrentSamePath(t *testing.T) {
 	}
 }
 
-// watchedWriter is an output that, at every write, fails the test if dir
-// holds a part file of the old assemble-after-the-run listing.
+// watchedWriter is a slow output that, at every write, fails the test if
+// dir holds any file: the workers ahead of the output meanwhile list into
+// memory, and wait.
 type watchedWriter struct {
 	t   *testing.T
 	dir string
@@ -509,9 +511,10 @@ type watchedWriter struct {
 }
 
 func (w *watchedWriter) Write(p []byte) (int, error) {
-	if parts, _ := filepath.Glob(filepath.Join(w.dir, "*.part")); len(parts) > 0 {
-		w.t.Errorf("part files during the run: %v", parts)
+	if files, _ := filepath.Glob(filepath.Join(w.dir, "*")); len(files) > 0 {
+		w.t.Errorf("files during the run: %v", files)
 	}
+	time.Sleep(100 * time.Microsecond)
 	w.n += len(p)
 	return len(p), nil
 }
@@ -531,11 +534,11 @@ func (w *failAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestListStreamsWithoutIntermediates: a listing's temporary files are the
-// spill files of workers ahead of the output, in the temp directory while
-// List runs and gone when it returns — never a part file, under the default
-// source and a named one. An output that fails part-way makes List return
-// its error, with every worker stopped and every spill file removed.
+// TestListStreamsWithoutIntermediates: a listing creates no file, in the
+// temp directory or anywhere else, while List runs or after it returns,
+// under the default source and a named one, however slow the output. An
+// output that fails part-way makes List return its error, with every worker
+// stopped.
 func TestListStreamsWithoutIntermediates(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "pl")
 	if _, err := GeneratePowerLaw(base, 2000, 30000, 1.9, 17); err != nil {
@@ -601,8 +604,35 @@ func TestListFileLeavesOnlyTheOutput(t *testing.T) {
 	}
 	opt := Options{Workers: 4, MemEdges: 500}
 
+	// While the run lasts, the directory holds the output's temp file and
+	// nothing else: four workers on fewer cores leave the one holding the
+	// head behind, and the others wait for it in memory.
 	dir := t.TempDir()
-	if _, err := g.ListFile(context.Background(), filepath.Join(dir, "tris.bin"), opt); err != nil {
+	stop, seen := make(chan struct{}), make(chan []string)
+	go func() {
+		var others []string
+		for {
+			select {
+			case <-stop:
+				seen <- others
+				return
+			default:
+			}
+			entries, _ := os.ReadDir(dir)
+			for _, e := range entries {
+				if name := e.Name(); !strings.HasPrefix(name, "tris.bin.tmp-") && name != "tris.bin" {
+					others = append(others, name)
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+	_, err := g.ListFile(context.Background(), filepath.Join(dir, "tris.bin"), opt)
+	close(stop)
+	if others := <-seen; len(others) > 0 {
+		t.Errorf("during the run the directory held %v", others)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	check("success", dir, "tris.bin")
@@ -623,7 +653,7 @@ func TestListFileLeavesOnlyTheOutput(t *testing.T) {
 		go func() {
 			defer cancel()
 			for ctx.Err() == nil {
-				tmps, _ := filepath.Glob(filepath.Join(dir, ".pdtl-out-*"))
+				tmps, _ := filepath.Glob(filepath.Join(dir, "tris.bin.tmp-*"))
 				for _, p := range tmps {
 					if fi, err := os.Stat(p); err == nil && fi.Size() > 0 {
 						return
@@ -934,4 +964,75 @@ func BenchmarkTriangles(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*res.Triangles), "ns/triangle")
+}
+
+// TestTwoHandlesOneBase: one handle counts in a loop while a second handle
+// in the same process opens the same unoriented base again and again — each
+// open orienting it anew, rewriting <base>.oriented under the first
+// handle's runs — and counts once per handle. Orientation publishes every
+// file by rename from a temp name beside it, .meta last, so a run keeps
+// reading the files it opened, and no count of either handle fails or
+// differs.
+func TestTwoHandlesOneBase(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "rmat")
+	if _, err := GenerateRMAT(base, 14, 16, 3); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opt := Options{Workers: 2, MemEdges: 8 << 10}
+	g1 := openStore(t, base)
+	first, err := g1.Count(ctx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := first.Triangles
+	stop, done := make(chan struct{}), make(chan struct{})
+	var counts, failed int
+	var firstFailure error
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			res, err := g1.Count(ctx, opt)
+			counts++
+			if err == nil && res.Triangles != want {
+				err = fmt.Errorf("%d triangles, want %d", res.Triangles, want)
+			}
+			if err != nil {
+				if failed++; firstFailure == nil {
+					firstFailure = err
+				}
+			}
+		}
+	}()
+	handles := 40
+	if testing.Short() {
+		handles = 10
+	}
+	for i := range handles {
+		g2, err := Open(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := g2.Count(ctx, opt)
+		g2.Close()
+		if err != nil {
+			t.Errorf("handle %d: %v", i, err)
+		} else if res.Triangles != want {
+			t.Errorf("handle %d: %d triangles, want %d", i, res.Triangles, want)
+		}
+	}
+	close(stop)
+	<-done
+	t.Logf("the first handle counted %d times while the second re-oriented %d times", counts, handles)
+	if failed > 0 {
+		t.Errorf("%d of the first handle's %d counts failed; the first: %v", failed, counts, firstFailure)
+	}
+	if left, _ := filepath.Glob(filepath.Join(filepath.Dir(base), "*.tmp-*")); len(left) > 0 {
+		t.Errorf("temp files left behind: %v", left)
+	}
 }

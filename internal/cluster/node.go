@@ -412,7 +412,7 @@ func countUnit(ctx context.Context, d *graph.Disk, held *heldWindow, args *Count
 	cfg := mgt.DealConfig{Workers: workers, MemEdges: args.MemEdges, Cone: args.Unit.Cone}
 	var triples bytes.Buffer
 	if args.List {
-		cfg.Listing = mgt.NewListing(&triples, "", workers, nil)
+		cfg.Listing = mgt.NewListing(&triples, workers, nil)
 	}
 	var dealt mgt.Dealt
 	reused, err := held.run(d, win, func(w *mgt.Window) (err error) {

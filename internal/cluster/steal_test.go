@@ -181,7 +181,7 @@ func stealStore(t testing.TB, g *graph.CSR, format graph.Format, ranked bool) st
 func localListing(t *testing.T, base string, p, m int) []byte {
 	t.Helper()
 	var out bytes.Buffer
-	if _, err := core.Process(context.Background(), base, core.Options{Workers: p, MemEdges: m, Out: &out, SpillDir: t.TempDir()}); err != nil {
+	if _, err := core.Process(context.Background(), base, core.Options{Workers: p, MemEdges: m, Out: &out}); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()

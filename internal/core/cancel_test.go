@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -118,5 +119,96 @@ func TestProcessCancelReturnsCtxErr(t *testing.T) {
 	_, err = Process(ctx, base, Options{Workers: 3, MemEdges: 128, Scan: scan.SourceBuffered, Sinks: sinks})
 	if err != context.Canceled {
 		t.Fatalf("err = %v (%T), want the bare context.Canceled", err, err)
+	}
+}
+
+// gatedWriter holds the first write to it — the head's — until open is
+// closed, and then fails it with err (nil: takes it).
+type gatedWriter struct {
+	open  chan struct{}
+	err   error
+	first bool
+}
+
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	if !w.first {
+		w.first = true
+		<-w.open
+		if w.err != nil {
+			return 0, w.err
+		}
+	}
+	return len(p), nil
+}
+
+var errGatedOutput = errors.New("output full")
+
+// listingWaiters counts the goroutines asleep in a listing, waiting for a
+// buffer or for the head.
+func listingWaiters() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "sync.(*Cond).Wait(") && strings.Contains(g, "mgt.(*ListPart).wait(") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPaperLayoutListingWaiterWakes: under the paper's layout each range is
+// one block of the listing, so at P = 3 runners 1 and 2 list ahead of the
+// head and, their buffers and the spares full, wait for it. With the head
+// held in its first write, a cancelled run and a failed write each wake
+// them: RunRanges returns at once with the run's error — a cancelled runner
+// 0 leaves its block unended, so the head never comes — and leaves no
+// goroutine behind.
+func TestPaperLayoutListingWaiterWakes(t *testing.T) {
+	g, err := gen.Complete(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := orientedDisk(t, g)
+	plan, err := Plan(d, d.Base, 3, balance.Naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cancelled := range []bool{true, false} {
+		name := map[bool]string{true: "cancelled", false: "failed write"}[cancelled]
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		out := &gatedWriter{open: make(chan struct{})}
+		if !cancelled {
+			out.err = errGatedOutput
+		}
+		opt := Options{Workers: 3, MemEdges: int(d.Meta.AdjEntries), Scan: scan.SourceBuffered, Out: out}
+		errc := make(chan error, 1)
+		go func() {
+			_, err := RunRanges(ctx, d, plan.Ranges, opt)
+			errc <- err
+		}()
+		for deadline := time.Now().Add(20 * time.Second); listingWaiters() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: no runner waited for the held head", name)
+			}
+		}
+		if cancelled {
+			cancel()
+		}
+		close(out.open)
+		select {
+		case err := <-errc:
+			want := errGatedOutput
+			if cancelled {
+				want = context.Canceled
+			}
+			if !errors.Is(err, want) {
+				t.Errorf("%s: err = %v, want %v", name, err, want)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: the run hangs with a runner waiting", name)
+		}
+		cancel()
+		waitGoroutines(t, before)
 	}
 }

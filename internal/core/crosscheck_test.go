@@ -129,7 +129,7 @@ func runListed(t *testing.T, label string, d *graph.Disk, ranges []balance.Range
 	}
 	var buf bytes.Buffer
 	ordered := opt
-	ordered.Out, ordered.SpillDir = &buf, t.TempDir()
+	ordered.Out = &buf
 	if out.total = run(ordered); out.total != total {
 		t.Fatalf("%s: %d triangles listed in order, %d to sinks", label, out.total, total)
 	}

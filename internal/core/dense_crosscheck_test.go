@@ -28,7 +28,7 @@ type run struct {
 func listOn(t *testing.T, label string, d *graph.Disk, lg *live.Graph, opt core.Options) run {
 	t.Helper()
 	var buf bytes.Buffer
-	opt.Out, opt.SpillDir = &buf, t.TempDir()
+	opt.Out = &buf
 	var workers []core.WorkerStat
 	if lg != nil {
 		res, _, err := lg.Count(context.Background(), opt)

@@ -50,11 +50,10 @@ type Options struct {
 	// triples — in an order that does not depend on timing (mgt.Listing):
 	// range by range under a named source; under the default source what
 	// one runner with a window of Workers·MemEdges entries lists, whatever
-	// Workers is. Runners ahead of the output spill to files in SpillDir
-	// ("" is the default temp directory), removed before RunRanges returns.
-	// Sinks must then be nil.
-	Out      io.Writer
-	SpillDir string
+	// Workers is. Runners ahead of the output hold what they list in a
+	// bounded amount of memory, and wait when it is full. Sinks must then be
+	// nil.
+	Out io.Writer
 	// IDs, when non-nil, renames the vertices for Sinks and Out: they hear
 	// of vertex u as IDs[u]. Execute sets it to a ranked store's Perm, so
 	// that users see original ids; a cluster node leaves it nil and its
@@ -353,7 +352,7 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 	}
 	var list *mgt.Listing
 	if opt.Out != nil {
-		list = mgt.NewListing(opt.Out, opt.SpillDir, n, opt.IDs)
+		list = mgt.NewListing(opt.Out, n, opt.IDs)
 		defer func() {
 			// The runners wrote the listing as they went; what is left to
 			// trace as its assembly is the close.
@@ -392,6 +391,15 @@ func RunRanges(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt O
 				rctx = obs.ContextWithCursor(ctx, cur.WithWorker(i))
 			}
 			stats[i] = WorkerStat{Worker: i, Range: r, Chunks: 1}
+			if list != nil {
+				// A runner that fails leaves its block unended: the
+				// runners waiting for the head to reach theirs must wake.
+				defer func() {
+					if errs[i] != nil {
+						list.Stop()
+					}
+				}()
+			}
 			runner, err := mgt.NewRunner(d, mgt.Config{MemEdges: opt.MemEdges})
 			if err != nil {
 				errs[i] = err

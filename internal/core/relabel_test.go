@@ -90,7 +90,7 @@ func TestCountInvariantUnderRelabeling(t *testing.T) {
 					t.Errorf("%s: relabeled graph has %d triangles, the original %d", label, res.Triangles, want)
 				}
 				var out bytes.Buffer
-				opt.Out, opt.SpillDir = &out, t.TempDir()
+				opt.Out = &out
 				if _, err := Process(context.Background(), res.OrientedBase, opt); err != nil {
 					t.Fatalf("%s: list: %v", label, err)
 				}

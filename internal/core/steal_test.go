@@ -71,7 +71,7 @@ func runUnit(t *testing.T, d *graph.Disk, r mgt.ConeRun, p, mem int, held *mgt.W
 	t.Helper()
 	cfg := mgt.DealConfig{Workers: p, MemEdges: mem, Cone: r.Cone, Held: held}
 	if out != nil {
-		cfg.Listing = mgt.NewListing(out, t.TempDir(), p, nil)
+		cfg.Listing = mgt.NewListing(out, p, nil)
 	}
 	res, err := mgt.RunDealt(context.Background(), d, []balance.Range{r.Window}, cfg)
 	if cfg.Listing != nil {
@@ -328,7 +328,7 @@ func TestStealingBeatsMisweightedStatic(t *testing.T) {
 	// window of mem entries, as `pdtl list -workers 1 -mem M` writes.
 	list := func(ranges []balance.Range, opt Options) []byte {
 		var out bytes.Buffer
-		opt.Out, opt.SpillDir = &out, t.TempDir()
+		opt.Out = &out
 		if _, err := RunRanges(context.Background(), d, ranges, opt); err != nil {
 			t.Fatal(err)
 		}

@@ -26,10 +26,11 @@ type CompressedWriter struct {
 	err  error
 }
 
-// NewCompressedWriter creates <base>.cadj (with its magic) for a store of n
-// vertices; writes are charged to c (nil skips accounting).
+// NewCompressedWriter starts <base>.cadj (with its magic) for a store of n
+// vertices, under a temp name that Finish publishes (CreateTemp); writes are
+// charged to c (nil skips accounting).
 func NewCompressedWriter(base string, n int, c *ioacct.Counter) (*CompressedWriter, error) {
-	f, err := os.Create(CAdjPath(base))
+	f, err := CreateTemp(CAdjPath(base))
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +40,7 @@ func NewCompressedWriter(base string, n int, c *ioacct.Counter) (*CompressedWrit
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(cadjMagic[:]); err != nil {
-		f.Close()
+		Discard(f)
 		return nil, err
 	}
 	return &CompressedWriter{base: base, f: f, bw: bw, lens: make([]uint32, 0, n)}, nil
@@ -76,25 +77,30 @@ func (w *CompressedWriter) AddEncoded(data []byte, lens []uint32) error {
 	return w.err
 }
 
-// Finish flushes the .cadj file and writes the .cidx index.
+// Finish flushes the .cadj file and publishes it, then writes the .cidx
+// index; after a failed write it discards the .cadj instead.
 func (w *CompressedWriter) Finish() error {
 	if w.err != nil {
-		w.f.Close()
+		Discard(w.f)
 		return w.err
 	}
 	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
+		Discard(w.f)
 		return err
 	}
-	if err := w.f.Close(); err != nil {
+	if err := Publish(w.f, CAdjPath(w.base)); err != nil {
 		return err
 	}
 	return writeCIdx(w.base, w.lens)
 }
 
-// writeCIdx writes the per-vertex byte-length index file.
+// Discard drops the unfinished .cadj.
+func (w *CompressedWriter) Discard() { Discard(w.f) }
+
+// writeCIdx writes the per-vertex byte-length index file, published by
+// rename.
 func writeCIdx(base string, lens []uint32) error {
-	f, err := os.Create(CIdxPath(base))
+	f, err := CreateTemp(CIdxPath(base))
 	if err != nil {
 		return err
 	}
@@ -104,15 +110,15 @@ func writeCIdx(base string, lens []uint32) error {
 	bw.Write(scratch[:binary.PutUvarint(scratch[:], uint64(len(lens)))])
 	for _, l := range lens {
 		if _, err := bw.Write(scratch[:binary.PutUvarint(scratch[:], uint64(l))]); err != nil {
-			f.Close()
+			Discard(f)
 			return err
 		}
 	}
 	if err := bw.Flush(); err != nil {
-		f.Close()
+		Discard(f)
 		return err
 	}
-	return f.Close()
+	return Publish(f, CIdxPath(base))
 }
 
 // readCIdx loads <base>.cidx and returns the per-vertex byte offsets into

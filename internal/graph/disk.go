@@ -4,10 +4,14 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"math/rand/v2"
 	"os"
 	"slices"
+	"strconv"
 	"sync"
 
 	"pdtl/internal/ioacct"
@@ -90,13 +94,55 @@ func WriteCSR(base, name string, g *CSR) error {
 	return WriteUint32s(AdjPath(base), g.Adj, nil)
 }
 
-// WriteMeta writes only the metadata file.
+// WriteMeta writes only the metadata file, published by rename like every
+// file of a store (CreateTemp).
 func WriteMeta(base string, meta Meta) error {
 	blob, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
 		return fmt.Errorf("graph: marshal meta: %w", err)
 	}
-	return os.WriteFile(metaPath(base), append(blob, '\n'), 0o644)
+	f, err := CreateTemp(metaPath(base))
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(append(blob, '\n')); err != nil {
+		Discard(f)
+		return err
+	}
+	return Publish(f, metaPath(base))
+}
+
+// CreateTemp creates a file under a unique name beside path, with
+// os.Create's permissions, for Publish to rename to path once it is whole:
+// a reader that has path open keeps reading the file it opened, and none
+// sees a file half written.
+func CreateTemp(path string) (*os.File, error) {
+	for range 100 {
+		f, err := os.OpenFile(path+".tmp-"+strconv.FormatUint(rand.Uint64(), 36), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, err
+		}
+	}
+	return nil, fmt.Errorf("graph: could not create a unique temp file beside %s", path)
+}
+
+// Publish closes f, made by CreateTemp, and renames it to path; if either
+// fails, f is removed.
+func Publish(f *os.File, path string) error {
+	err := f.Close()
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// Discard closes f, made by CreateTemp, and removes it.
+func Discard(f *os.File) {
+	f.Close()
+	os.Remove(f.Name())
 }
 
 // ReadMeta reads the metadata file of the store rooted at base.
@@ -114,9 +160,9 @@ func ReadMeta(base string) (Meta, error) {
 
 // WriteUint32s writes xs to path little-endian, EntrySize bytes each (a
 // degree, in-degree or permutation array), counting the bytes on c unless
-// c is nil.
+// c is nil. The file is published by rename (CreateTemp).
 func WriteUint32s(path string, xs []uint32, c *ioacct.Counter) error {
-	f, err := os.Create(path)
+	f, err := CreateTemp(path)
 	if err != nil {
 		return err
 	}
@@ -133,10 +179,11 @@ func WriteUint32s(path string, xs []uint32, c *ioacct.Counter) error {
 		_, err = w.Write(chunk[:n*EntrySize])
 		xs = xs[n:]
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if err != nil {
+		Discard(f)
+		return err
 	}
-	return err
+	return Publish(f, path)
 }
 
 func writeUint32File(path string, fill func(emit func(uint32))) error {

@@ -97,8 +97,8 @@ type dealer struct {
 	// [cuts[b], cuts[b+1]). The load and build phases deal those blocks, and
 	// so does the scan of a count; the scan of a listing may deal finer
 	// scanCuts (ListBlockEntries), so that a block finished ahead of the head
-	// parks instead of spilling. Both cuts leave every list to the same
-	// path, read whole or streamed, against blockEntries and blockBytes.
+	// parks instead of holding its runner. Both cuts leave every list to the
+	// same path, read whole or streamed, against blockEntries and blockBytes.
 	blockEntries, blockBytes uint64
 	cuts, scanCuts           []graph.Vertex
 	// bitsets: a round gives its dense window lists bitsets (a ranked
@@ -452,9 +452,6 @@ rounds:
 		cur.SetAttr(r.span, "passes", int64(r.stats.Passes))
 		cur.SetAttr(r.span, "blocks", int64(r.blocks))
 		cur.SetAttr(r.span, "idle_ns", int64(r.idle))
-		if r.list != nil { // a Listing serves one run: its spills are this run's
-			cur.SetAttr(r.span, "spill_bytes", r.list.size)
-		}
 		cur.End(r.span)
 	}
 	if cerr := ctx.Err(); cerr != nil {
@@ -722,6 +719,9 @@ func (r *dealt) runPhase(ph phase) {
 	}
 	if r.err != nil {
 		r.dl.stop.Store(true)
+		if l := r.dl.cfg.Listing; l != nil {
+			l.Stop() // a runner waiting for the head this runner held wakes
+		}
 	}
 	r.doneAt = time.Now() //pdtl:nondeterministic-ok feeds idle time only
 }

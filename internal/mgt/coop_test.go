@@ -27,7 +27,7 @@ import (
 func dealtListing(t *testing.T, d *graph.Disk, spans []balance.Range, cfg DealConfig) ([]byte, []Stats) {
 	t.Helper()
 	var out bytes.Buffer
-	cfg.Listing = NewListing(&out, t.TempDir(), cfg.Workers, nil)
+	cfg.Listing = NewListing(&out, cfg.Workers, nil)
 	res, err := RunDealt(context.Background(), d, spans, cfg)
 	if cerr := cfg.Listing.Close(); err == nil {
 		err = cerr
@@ -57,7 +57,7 @@ func countEqualsListing(t *testing.T, label string, d *graph.Disk, cfg DealConfi
 		ctx := obs.ContextWithCursor(context.Background(), obs.Cursor{T: tr, Span: obs.NoSpan, Worker: -1})
 		cfg := cfg
 		if listing {
-			cfg.Listing = NewListing(io.Discard, t.TempDir(), cfg.Workers, nil)
+			cfg.Listing = NewListing(io.Discard, cfg.Workers, nil)
 		}
 		res, err := RunDealt(ctx, d, []balance.Range{FullRange(d)}, cfg)
 		if listing {
@@ -537,6 +537,15 @@ func TestDealtCancelAndDamage(t *testing.T) {
 				if err == nil || errors.Is(err, context.Canceled) {
 					t.Errorf("%s P=%d M=%d: run returned %v (%d triangles)", name, p, m, err, res.Runners[0].Triangles)
 				}
+				// Listing, with no spare buffer: the runner that fails leaves
+				// its block unended, and the runners waiting for the head to
+				// reach theirs must still come back.
+				within(t, fmt.Sprintf("%s P=%d M=%d listing", name, p, m), func() {
+					cfg := DealConfig{Workers: p, MemEdges: m, blockEntries: 300, Listing: newListing(io.Discard, p, 36, 0)}
+					if _, err := RunDealt(context.Background(), d, spans, cfg); err == nil || errors.Is(err, context.Canceled) {
+						t.Errorf("%s P=%d M=%d: listing returned %v", name, p, m, err)
+					}
+				})
 			}
 		}
 		if n := openFDs(t); n != fds {

@@ -6,10 +6,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,11 +16,9 @@ import (
 	"pdtl/internal/balance"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
-	"pdtl/internal/obs"
 )
 
-// countingWriter records what a listing writes to its output; it has no
-// ReadFrom, so spilled extents reach it through Write too.
+// countingWriter records what a listing writes to its output.
 type countingWriter struct {
 	buf    bytes.Buffer
 	writes int
@@ -47,73 +44,54 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// countSpills makes l count the spill files it creates.
-func countSpills(l *Listing) *atomic.Int64 {
-	var n atomic.Int64
-	create := l.create
-	l.create = func(dir string) (*os.File, error) {
-		n.Add(1)
-		return create(dir)
-	}
-	return &n
-}
-
 // runListing runs a cooperative listing into l and closes it.
 func runListing(d *graph.Disk, l *Listing, cfg DealConfig) (Dealt, error) {
+	return runListingCtx(context.Background(), d, l, cfg)
+}
+
+func runListingCtx(ctx context.Context, d *graph.Disk, l *Listing, cfg DealConfig) (Dealt, error) {
 	cfg.Listing = l
-	res, err := RunDealt(context.Background(), d, []balance.Range{FullRange(d)}, cfg)
+	res, err := RunDealt(ctx, d, []balance.Range{FullRange(d)}, cfg)
 	if cerr := l.Close(); err == nil {
 		err = cerr
 	}
 	return res, err
 }
 
-// tracedListing runs a cooperative listing into l under a trace and returns
-// the spill_bytes attr of each runner's chunk span, and each runner's spill
-// file size, both taken before l is closed.
-func tracedListing(t *testing.T, d *graph.Disk, l *Listing, cfg DealConfig) (res Dealt, attrs, sizes []int64) {
+// settle waits for the goroutine count to fall back to at most want.
+func settle(t *testing.T, want int) {
 	t.Helper()
-	tr := obs.NewTrace(0)
-	ctx := obs.ContextWithCursor(context.Background(), obs.Cursor{T: tr, Span: obs.NoSpan, Worker: -1})
-	cfg.Listing = l
-	res, err := RunDealt(ctx, d, []balance.Range{FullRange(d)}, cfg)
-	attrs, sizes = make([]int64, cfg.Workers), make([]int64, cfg.Workers)
-	for _, sp := range tr.Spans() {
-		if sp.Name != obs.SpanChunk {
-			continue
-		}
-		n, ok := spanAttr(sp, "spill_bytes")
-		if !ok {
-			t.Errorf("runner %d's chunk span has no spill_bytes attr", sp.Worker)
-		}
-		attrs[sp.Worker] = n
-	}
-	for i := range l.parts {
-		if f := l.parts[i].spill; f != nil {
-			fi, serr := f.(*os.File).Stat()
-			if serr != nil {
-				t.Fatal(serr)
-			}
-			sizes[i] = fi.Size()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > want; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d, baseline %d", runtime.NumGoroutine(), want)
 		}
 	}
-	if cerr := l.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, attrs, sizes
 }
 
-// TestListingParkRace forces the interleaving that loses blocks when a
-// runner parks a block without looking at the head again: the runner spills
-// the tail of a block ahead of the head and, before it parks the block, the
-// head reaches it — the block's predecessor written, nothing parked to drain.
-// The hook holds the runner there until the head has arrived; a listing that
-// parked the block anyway would never write it. With no spare buffers and a
-// buffer of a few triangles every finished block ahead of the head takes
-// that path.
+// within runs f, failing the test if it has not returned after a while: a
+// runner left waiting for a head that never comes hangs the run.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("%s: the run hangs", what)
+	}
+}
+
+// TestListingParkRace forces the interleaving that loses a wake-up: a
+// runner ahead of the head finds no spare buffer and, before it waits, the
+// head reaches its block — the block's predecessor written, nothing parked
+// to drain, the one wake-up already gone. The hook holds the runner there
+// until the head has arrived; a listing that waited without looking at the
+// head again would wait for ever, and one that then parked the block
+// would leave it unwritten. With no spare buffers every runner ahead of the
+// head with a triangle to list takes that path.
 func TestListingParkRace(t *testing.T) {
 	g, err := gen.PowerLaw(300, 2500, 1.8, 3)
 	if err != nil {
@@ -128,42 +106,37 @@ func TestListingParkRace(t *testing.T) {
 	}
 	var forced int
 	for it := range iterations {
+		// A buffer of three triangles fills in the middle of blocks, one of
+		// fifty mostly at their ends: flush and End each wait.
 		var out bytes.Buffer
-		l := newListing(&out, t.TempDir(), p, 36, 0)
-		// A head that does not come in time is stuck behind a lost block:
-		// from then on no runner waits, and the listing comes up short.
+		l := newListing(&out, p, []int{36, 600}[it%2], 0)
 		var reached atomic.Int64
-		var stuck atomic.Bool
-		l.beforePark = func(seq int64) {
-			for deadline := time.Now().Add(time.Second); l.head.Load() < seq && !stuck.Load(); runtime.Gosched() {
-				if time.Now().After(deadline) {
-					stuck.Store(true)
-				}
+		l.beforeWait = func(seq int64) {
+			for l.head.Load() < seq {
+				runtime.Gosched()
 			}
 			reached.Add(1)
 		}
 		cfg := DealConfig{Workers: p, MemEdges: m, blockEntries: 40, afterBlock: runtime.Gosched}
-		_, err := runListing(d, l, cfg)
-		if stuck.Load() {
-			t.Fatalf("iteration %d: a block held before parking was never written (%v)", it, err)
-		}
-		if err != nil {
-			t.Fatalf("iteration %d: %v", it, err)
-		}
+		within(t, fmt.Sprintf("iteration %d", it), func() {
+			if _, err := runListing(d, l, cfg); err != nil {
+				t.Errorf("iteration %d: %v", it, err)
+			}
+		})
 		if !bytes.Equal(out.Bytes(), ref) {
 			t.Fatalf("iteration %d: %d bytes listed, the one-runner listing has %d", it, out.Len(), len(ref))
 		}
 		forced += int(reached.Load())
 	}
-	t.Logf("%d blocks held between spilling and parking", forced)
+	t.Logf("%d runners held until the head reached their block", forced)
 	if forced == 0 {
-		t.Fatal("no block was held between spilling and parking")
+		t.Fatal("no runner was held until the head reached its block")
 	}
 }
 
 // TestListingOneRunnerWritesOnce: a lone runner always holds the head, so
-// its listing is written straight to the output — never spilled, never
-// parked, each byte written once, and its chunk span's spill_bytes is 0.
+// its listing is written straight to the output — never waiting, never
+// parked, each byte written once.
 func TestListingOneRunnerWritesOnce(t *testing.T) {
 	g, err := gen.PowerLaw(500, 5000, 1.8, 7)
 	if err != nil {
@@ -171,11 +144,11 @@ func TestListingOneRunnerWritesOnce(t *testing.T) {
 	}
 	d := orientedStore(t, g)
 	var out countingWriter
-	l := newListing(&out, t.TempDir(), 1, 120, 0)
-	spills := countSpills(l)
-	res, attrs, _ := tracedListing(t, d, l, DealConfig{Workers: 1, MemEdges: 500, blockEntries: 60})
-	if n := spills.Load(); n != 0 || attrs[0] != 0 {
-		t.Errorf("one runner created %d spill files, its chunk span says it spilled %d bytes", n, attrs[0])
+	l := newListing(&out, 1, 120, 0)
+	l.beforeWait = func(seq int64) { t.Errorf("the lone runner waited at block %d", seq) }
+	res, err := runListing(d, l, DealConfig{Workers: 1, MemEdges: 500, blockEntries: 60})
+	if err != nil {
+		t.Fatal(err)
 	}
 	tris := res.Runners[0].Triangles
 	if got := uint64(out.buf.Len()); got != 12*tris {
@@ -192,9 +165,11 @@ func TestListingOneRunnerWritesOnce(t *testing.T) {
 
 // TestListingHubHeapBounded: on a clique, whose first blocks hold nearly all
 // of its triangles, the listing's heap is its runners' buffers and the park
-// budget — the rest of a block ahead of the head spills, however long the
-// block's share of the listing is. At 250 vertices the first cone vertices'
-// blocks (one vertex each, at ListBlockEntries) outgrow a buffer.
+// budget — a runner ahead of the head whose block outgrows them waits for
+// the head, however long the block's share of the listing is. At 250
+// vertices the first cone vertices' blocks (one vertex each, at
+// ListBlockEntries) outgrow a buffer, and the head, held in its first
+// write, keeps the runner ahead waiting.
 func TestListingHubHeapBounded(t *testing.T) {
 	g, err := gen.Complete(250)
 	if err != nil {
@@ -218,13 +193,18 @@ func TestListingHubHeapBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	var out countingWriter
+	// The head's first write is held until the runner ahead has filled its
+	// buffer and the spares, and waits.
+	out := &gatedWriter{open: make(chan struct{})}
 	out.buf.Grow(int(12 * gen.CompleteTriangles(250)))
-	dir := t.TempDir()
-	var spills *atomic.Int64
+	var waits atomic.Int64
 	listing := alloc(func() {
-		l := NewListing(&out, dir, p, nil)
-		spills = countSpills(l)
+		l := NewListing(out, p, nil)
+		l.beforeWait = func(int64) {
+			if waits.Add(1) == 1 {
+				close(out.open)
+			}
+		}
 		if _, err := runListing(d, l, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -235,21 +215,16 @@ func TestListingHubHeapBounded(t *testing.T) {
 	if want := uint64(out.buf.Len()); want < 8*(p*ListBufferBytes+ParkBytes) {
 		t.Fatalf("the listing, %d bytes, is too short to show a bound", want)
 	}
-	// The listing's own buffers, the copy buffer of an output without
-	// ReadFrom, and room for the parked blocks' records and the spill files.
-	bound := uint64(p*ListBufferBytes+ParkBytes) + 32<<10 + 64<<10
+	// The listing's own buffers, and room for the parked blocks' records.
+	bound := uint64(p*ListBufferBytes+ParkBytes) + 64<<10
 	if extra := listing - min(listing, counting); extra > bound {
 		t.Errorf("the listing allocated %d bytes beyond counting, bound %d (P × buffer + park budget)", extra, bound)
 	}
-	t.Logf("listing allocated %d bytes beyond counting; %d spill files", listing-min(listing, counting), spills.Load())
-	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
-		t.Errorf("spill files left behind: %v", left)
-	}
+	t.Logf("listing allocated %d bytes beyond counting; a runner waited %d times", listing-min(listing, counting), waits.Load())
 }
 
 // TestListingWriteFailure: an output that fails part-way ends the run with
-// its error — the runners stop taking blocks, none waits for the head — and
-// Close still removes every spill file.
+// its error — the runners stop taking blocks, and none waits for the head.
 func TestListingWriteFailure(t *testing.T) {
 	g, err := gen.PowerLaw(500, 5000, 1.8, 7)
 	if err != nil {
@@ -258,63 +233,99 @@ func TestListingWriteFailure(t *testing.T) {
 	d := orientedStore(t, g)
 	before := runtime.NumGoroutine()
 	for _, n := range []int{0, 1000, 7} {
-		dir := t.TempDir()
-		l := newListing(&failingWriter{n: n}, dir, 3, 120, 1)
-		_, err := runListing(d, l, DealConfig{Workers: 3, MemEdges: 200, blockEntries: 60, afterBlock: runtime.Gosched})
-		if !errors.Is(err, errOutput) {
-			t.Fatalf("after %d bytes: err = %v, want the output's error", n, err)
-		}
-		if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
-			t.Errorf("after %d bytes: spill files left behind: %v", n, left)
-		}
+		l := newListing(&failingWriter{n: n}, 3, 120, 1)
+		within(t, fmt.Sprintf("after %d bytes", n), func() {
+			_, err := runListing(d, l, DealConfig{Workers: 3, MemEdges: 200, blockEntries: 60, afterBlock: runtime.Gosched})
+			if !errors.Is(err, errOutput) {
+				t.Errorf("after %d bytes: err = %v, want the output's error", n, err)
+			}
+		})
 	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d, baseline %d", runtime.NumGoroutine(), before)
-		}
-	}
+	settle(t, before)
 }
 
-// slowWriter is an output that takes a while over every write, so that the
-// runners ahead of the head finish blocks while the head's are written.
-type slowWriter struct{ buf bytes.Buffer }
+// gatedWriter holds the first write to it — the head's — until open is
+// closed, and then fails it with err (nil: takes it).
+type gatedWriter struct {
+	open  chan struct{}
+	err   error
+	first bool
+	buf   bytes.Buffer
+}
 
-func (w *slowWriter) Write(p []byte) (int, error) {
-	time.Sleep(50 * time.Microsecond)
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	if !w.first {
+		w.first = true
+		<-w.open
+		if w.err != nil {
+			return 0, w.err
+		}
+	}
 	return w.buf.Write(p)
 }
 
-// TestListingSpillBytes: each runner's chunk span says how many bytes it
-// spilled, and that is its spill file's size. Three runners, one spare
-// buffer of a few triangles and a slow output: blocks finished ahead of the
-// head park while the spare is free and spill once it is taken. The listing
-// is the defined one whatever went where.
-func TestListingSpillBytes(t *testing.T) {
-	g, err := gen.PowerLaw(500, 5000, 1.8, 7)
+// condWaiters counts the goroutines asleep in a listing, waiting for a
+// buffer or for the head.
+func condWaiters() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "sync.(*Cond).Wait(") && strings.Contains(g, "mgt.(*ListPart).wait(") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestListingWaiterWakes: a runner waiting for the head — the head held in
+// its first write to the output, no spare buffer — wakes when the run is
+// cancelled and when the head's write fails, and the run returns at once
+// with the run's error: context.Canceled, or the output's. No goroutine is
+// left behind.
+func TestListingWaiterWakes(t *testing.T) {
+	g, err := gen.PowerLaw(2000, 30000, 1.8, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := orientedStore(t, g)
-	const p, m = 3, 200
-	ref := definedListing(t, d, FullRange(d), p*m)
-	var spilled int64
-	for it := 0; it < 20 && spilled == 0; it++ {
-		var out slowWriter
-		l := newListing(&out, t.TempDir(), p, 120, 1)
-		_, attrs, sizes := tracedListing(t, d, l, DealConfig{Workers: p, MemEdges: m, blockEntries: 60, afterBlock: runtime.Gosched})
-		for i := range attrs {
-			if attrs[i] != sizes[i] {
-				t.Fatalf("iteration %d: runner %d's chunk span says %d bytes spilled, its spill file has %d", it, i, attrs[i], sizes[i])
+	before := runtime.NumGoroutine()
+	for _, cancelled := range []bool{true, false} {
+		name := map[bool]string{true: "cancelled", false: "failed write"}[cancelled]
+		ctx, cancel := context.WithCancel(context.Background())
+		out := &gatedWriter{open: make(chan struct{})}
+		if !cancelled {
+			out.err = errOutput
+		}
+		l := newListing(out, 3, 36, 0)
+		errc := make(chan error, 1)
+		go func() {
+			_, err := runListingCtx(ctx, d, l, DealConfig{Workers: 3, MemEdges: 2000, afterBlock: runtime.Gosched})
+			errc <- err
+		}()
+		for deadline := time.Now().Add(20 * time.Second); condWaiters() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: no runner waited for the held head", name)
 			}
-			spilled += attrs[i]
 		}
-		if !bytes.Equal(out.buf.Bytes(), ref) {
-			t.Fatalf("iteration %d: the listing differs from the defined sequence", it)
+		if cancelled {
+			cancel()
 		}
+		close(out.open)
+		select {
+		case err := <-errc:
+			want := errOutput
+			if cancelled {
+				want = context.Canceled
+			}
+			if !errors.Is(err, want) {
+				t.Errorf("%s: err = %v, want %v", name, err, want)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: the run hangs with a runner waiting", name)
+		}
+		cancel()
 	}
-	if spilled == 0 {
-		t.Fatal("no runner spilled")
-	}
+	settle(t, before)
 }
 
 // batchLens is a sink that records the length of every batch it is handed.
@@ -377,7 +388,7 @@ func TestListingBatchBoundaries(t *testing.T) {
 						want = renamed
 					}
 					var out bytes.Buffer
-					l := newListing(&out, t.TempDir(), p, 12*50+4, 1)
+					l := newListing(&out, p, 12*50+4, 1)
 					l.ids = ids
 					cfg := DealConfig{Workers: p, MemEdges: win / p, markOnly: markOnly, afterBlock: runtime.Gosched}
 					if _, err := runListing(d, l, cfg); err != nil {

@@ -318,7 +318,7 @@ func TestLargeVertexSkewedGraph(t *testing.T) {
 // reads back, in order.
 func TestListingRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewListing(&buf, t.TempDir(), 1, nil)
+	l := NewListing(&buf, 1, nil)
 	part := l.Part(0)
 	part.Begin(0)
 	want := [][3]graph.Vertex{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}

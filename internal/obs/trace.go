@@ -51,7 +51,7 @@ const (
 	SpanWorker    = "worker"         // one pool runner's lifetime
 	SpanChunk     = "chunk"          // one runner×range execution (hot path)
 	SpanScanRound = "scan.round"     // one window loaded and the store scanned against it
-	SpanAssemble  = "assemble"       // an ordered listing's close: spill files removed, every block checked written
+	SpanAssemble  = "assemble"       // an ordered listing's close: every block checked written
 	SpanCluster   = "cluster"        // one distributed run (master side)
 	SpanCopy      = "copy"           // replica copy to one node
 	SpanDispatch  = "dispatch"       // one Count RPC (static) or batch (stealing)

@@ -354,18 +354,20 @@ func writeBack(dst string, spans [][2]graph.Vertex, spills []string, ids, perm [
 	buf := make([]byte, max(min(at[n], uint64(writeBackBytes)), longest))
 
 	// put writes the lists of new ids [x0, x1), placed in data, to the
-	// store; finish closes it.
+	// store, under a temp name; finish publishes it by rename, discard drops
+	// it.
 	var put func(x0, x1 int, data []byte) error
 	var finish func() error
+	var discard func()
 	if format == graph.FormatCompressed {
 		w, err := graph.NewCompressedWriter(dst, n, c)
 		if err != nil {
 			return err
 		}
 		put = func(x0, x1 int, data []byte) error { return w.AddEncoded(data, lens[x0:x1]) }
-		finish = w.Finish
+		finish, discard = w.Finish, w.Discard
 	} else {
-		f, err := os.Create(graph.AdjPath(dst))
+		f, err := graph.CreateTemp(graph.AdjPath(dst))
 		if err != nil {
 			return err
 		}
@@ -374,7 +376,8 @@ func writeBack(dst string, spans [][2]graph.Vertex, spills []string, ids, perm [
 			_, err := out.Write(data)
 			return err
 		}
-		finish = f.Close
+		finish = func() error { return graph.Publish(f, graph.AdjPath(dst)) }
+		discard = func() { graph.Discard(f) }
 	}
 
 	readers := make([]*bufio.Reader, len(spans))
@@ -406,7 +409,7 @@ func writeBack(dst string, spans [][2]graph.Vertex, spills []string, ids, perm [
 			err = put(x0, x1, buf[:at[x1]-at[x0]])
 		}
 		if err != nil {
-			finish()
+			discard()
 			return err
 		}
 		x0 = x1
