@@ -1,184 +1,81 @@
 // Command pdtl-lint runs PDTL's project-specific static analyzers (see
-// internal/analysis). It works two ways:
-//
-//	go vet -vettool=$(which pdtl-lint) ./...
-//
-// drives it through the vet unitchecker protocol — this is what CI
-// does — and
+// internal/analysis) over the packages the patterns match, ./... by
+// default:
 //
 //	pdtl-lint [-json] [packages]
 //
-// standalone, which simply re-executes go vet with itself as the
-// vettool (so facts still flow across packages) and, with -json,
-// reformats the diagnostics as a flat machine-readable array of
-// {file, line, analyzer, message} objects on stdout.
+// It type-checks the packages, their test variants and their module
+// dependencies in one process, so analysis facts flow across package
+// boundaries, and prints one file:line:col: message line per finding.
+// -json prints the findings instead as a flat JSON array of {file,
+// line, analyzer, message} objects. The exit code is 0 on a clean tree,
+// 1 with findings, and 2 when the packages do not load.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/exec"
-	"sort"
-	"strconv"
-	"strings"
 
-	"golang.org/x/tools/go/analysis/unitchecker"
-
-	pdtlanalysis "pdtl/internal/analysis"
+	"pdtl/internal/analysis"
+	"pdtl/internal/analysis/ctxflow"
+	"pdtl/internal/analysis/determinism"
+	"pdtl/internal/analysis/hotpathalloc"
+	"pdtl/internal/analysis/metricreg"
+	"pdtl/internal/analysis/wirecompat"
 )
 
-func main() {
-	if isVetProtocol(os.Args[1:]) {
-		unitchecker.Main(pdtlanalysis.All()...) // does not return
-	}
+// analyzers is the pdtl-lint suite, in stable order.
+var analyzers = []*analysis.Analyzer{
+	ctxflow.Analyzer,
+	determinism.Analyzer,
+	hotpathalloc.Analyzer,
+	metricreg.Analyzer,
+	wirecompat.Analyzer,
+}
 
-	fs := flag.NewFlagSet("pdtl-lint", flag.ExitOnError)
-	jsonOut := fs.Bool("json", false, "emit diagnostics as a flat JSON array on stdout")
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run lints the packages args name, from the working directory, and
+// returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pdtl-lint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit findings as a flat JSON array on stdout")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pdtl-lint [-json] [packages]\n")
-		fmt.Fprintf(os.Stderr, "       go vet -vettool=pdtl-lint [packages]\n\n")
+		fmt.Fprintf(stderr, "usage: pdtl-lint [-json] [packages]\n")
 		fs.PrintDefaults()
 	}
-	fs.Parse(os.Args[1:])
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	exe, err := os.Executable()
+	found, err := analysis.Lint(patterns, analyzers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pdtl-lint: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "pdtl-lint: %v\n", err)
+		return 2
 	}
-	args := []string{"vet", "-vettool=" + exe}
 	if *jsonOut {
-		args = append(args, "-json")
-	}
-	args = append(args, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Stdout = os.Stdout
-	var stderr bytes.Buffer
-	if *jsonOut {
-		cmd.Stderr = &stderr
-	} else {
-		cmd.Stderr = os.Stderr
-	}
-	err = cmd.Run()
-
-	if *jsonOut {
-		diags, perr := parseVetJSON(stderr.Bytes())
-		if perr != nil {
-			os.Stderr.Write(stderr.Bytes())
-			fmt.Fprintf(os.Stderr, "pdtl-lint: parsing go vet -json output: %v\n", perr)
-			os.Exit(2)
-		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []flatDiag{}
+		if err := enc.Encode(found); err != nil {
+			fmt.Fprintf(stderr, "pdtl-lint: %v\n", err)
+			return 2
 		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintf(os.Stderr, "pdtl-lint: %v\n", err)
-			os.Exit(2)
-		}
-		if len(diags) > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-	if err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			os.Exit(ee.ExitCode())
-		}
-		fmt.Fprintf(os.Stderr, "pdtl-lint: %v\n", err)
-		os.Exit(2)
-	}
-}
-
-// isVetProtocol reports whether the build tool (go vet) is driving us
-// through the unitchecker protocol rather than a human running the
-// standalone front end.
-func isVetProtocol(args []string) bool {
-	for _, a := range args {
-		switch {
-		case a == "-V=full", a == "-flags", strings.HasSuffix(a, ".cfg"):
-			return true
+	} else {
+		for _, f := range found {
+			fmt.Fprintf(stdout, "%s:%d:%d: %s\n", f.File, f.Line, f.Col, f.Message)
 		}
 	}
-	return false
-}
-
-// flatDiag is pdtl-lint's machine-readable diagnostic record.
-type flatDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// parseVetJSON flattens go vet -json stderr output. The stream is a
-// sequence of "# pkg" comment lines and JSON objects of the shape
-// {"pkg": {"analyzer": [{"posn": "file:line:col", "message": ...}]}}.
-func parseVetJSON(raw []byte) ([]flatDiag, error) {
-	// Strip "# pkg" comment lines between objects.
-	var clean bytes.Buffer
-	for _, line := range bytes.Split(raw, []byte("\n")) {
-		if bytes.HasPrefix(bytes.TrimSpace(line), []byte("#")) {
-			continue
-		}
-		clean.Write(line)
-		clean.WriteByte('\n')
+	if len(found) > 0 {
+		return 1
 	}
-	type vetDiag struct {
-		Posn    string `json:"posn"`
-		Message string `json:"message"`
-	}
-	var out []flatDiag
-	dec := json.NewDecoder(&clean)
-	for dec.More() {
-		var tree map[string]map[string][]vetDiag
-		if err := dec.Decode(&tree); err != nil {
-			return nil, err
-		}
-		for _, byAnalyzer := range tree {
-			for analyzer, diags := range byAnalyzer {
-				for _, d := range diags {
-					file, line := splitPosn(d.Posn)
-					out = append(out, flatDiag{File: file, Line: line, Analyzer: analyzer, Message: d.Message})
-				}
-			}
-		}
-	}
-	// Deterministic output regardless of map iteration and package
-	// completion order.
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
-	return out, nil
-}
-
-// splitPosn breaks "file:line:col" (where file may contain colons on
-// other platforms, so parse from the right).
-func splitPosn(posn string) (file string, line int) {
-	parts := strings.Split(posn, ":")
-	if len(parts) >= 3 {
-		if n, err := strconv.Atoi(parts[len(parts)-2]); err == nil {
-			return strings.Join(parts[:len(parts)-2], ":"), n
-		}
-	}
-	return posn, 0
-}
-
-func less(a, b flatDiag) bool {
-	if a.File != b.File {
-		return a.File < b.File
-	}
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	if a.Analyzer != b.Analyzer {
-		return a.Analyzer < b.Analyzer
-	}
-	return a.Message < b.Message
+	return 0
 }

@@ -1,10 +1,7 @@
-// Package atest is a minimal analysistest-style harness for the
-// pdtl-lint analyzers. The real golang.org/x/tools/go/analysis/analysistest
-// depends on go/packages, which is not vendored here; this harness
-// covers what the suite's tests need — type-checked fixture packages
-// under testdata/src, object facts carried across fixture packages in
-// load order, and "// want" expectation comments — using only the
-// stdlib source importer.
+// Package atest is the fixture harness of the pdtl-lint analyzers:
+// fixture packages under testdata/src, type-checked by the loader's
+// Check with the stdlib source importer, object facts carried across
+// fixture packages in load order, and "// want" expectation comments.
 //
 // Expectation syntax is analysistest's core form: a trailing comment
 //
@@ -16,160 +13,48 @@
 package atest
 
 import (
-	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"pdtl/internal/analysis"
 )
 
 // Run loads the named fixture packages from testdata/src/<name> in
 // order, runs a on each, carrying object facts forward, and checks the
-// diagnostics of every package against its want comments.
+// diagnostics of every package against its want comments. Imports of
+// sibling fixtures resolve to them, and every other import (stdlib and
+// module packages alike) is loaded from source.
 func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
-	loaded := make(map[string]*loadedPkg)
-	facts := make(map[types.Object][]analysis.Fact)
+	src := importer.ForCompiler(fset, "source", nil)
+	loaded := make(map[string]*types.Package)
+	imp := analysis.ImporterFunc(func(path string) (*types.Package, error) {
+		if pkg, ok := loaded[path]; ok {
+			return pkg, nil
+		}
+		return src.Import(path)
+	})
+	facts := make(analysis.Facts)
 	for _, name := range pkgs {
-		lp, err := load(fset, loaded, name)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", name, err)
+		names, _ := filepath.Glob(filepath.Join("testdata", "src", name, "*.go")) // a well-formed pattern
+		pkg, err := analysis.Check(fset, name, names, imp)
+		if err != nil || len(names) == 0 {
+			t.Fatalf("loading fixture %s (%d files): %v", name, len(names), err)
 		}
-		diags := runPass(t, a, fset, lp, facts)
-		check(t, fset, lp, diags)
+		loaded[name] = pkg.Types
+		var diags []analysis.Diagnostic
+		facts.Run(a, fset, pkg, func(d analysis.Diagnostic) { diags = append(diags, d) })
+		check(t, fset, pkg.Files, diags)
 	}
-}
-
-type loadedPkg struct {
-	name  string
-	files []*ast.File
-	pkg   *types.Package
-	info  *types.Info
-}
-
-// fixtureImporter resolves sibling fixture packages first and falls back
-// to the stdlib source importer for everything else (stdlib and real
-// module packages alike).
-type fixtureImporter struct {
-	fset   *token.FileSet
-	loaded map[string]*loadedPkg
-	fall   types.Importer
-}
-
-func (im *fixtureImporter) Import(path string) (*types.Package, error) {
-	return im.ImportFrom(path, ".", 0)
-}
-
-func (im *fixtureImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if lp, ok := im.loaded[path]; ok {
-		return lp.pkg, nil
-	}
-	if from, ok := im.fall.(types.ImporterFrom); ok {
-		return from.ImportFrom(path, dir, mode)
-	}
-	return im.fall.Import(path)
-}
-
-func load(fset *token.FileSet, loaded map[string]*loadedPkg, name string) (*loadedPkg, error) {
-	dir := filepath.Join("testdata", "src", name)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
-	conf := types.Config{
-		Importer: &fixtureImporter{fset: fset, loaded: loaded, fall: importer.ForCompiler(fset, "source", nil)},
-	}
-	pkg, err := conf.Check(name, fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	lp := &loadedPkg{name: name, files: files, pkg: pkg, info: info}
-	loaded[name] = lp
-	return lp, nil
-}
-
-// runPass constructs an analysis.Pass over lp and runs the analyzer,
-// returning its diagnostics. Facts flow through the shared store.
-func runPass(t *testing.T, a *analysis.Analyzer, fset *token.FileSet, lp *loadedPkg, facts map[types.Object][]analysis.Fact) []analysis.Diagnostic {
-	t.Helper()
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       fset,
-		Files:      lp.files,
-		Pkg:        lp.pkg,
-		TypesInfo:  lp.info,
-		TypesSizes: types.SizesFor("gc", runtime.GOARCH),
-		Report:     func(d analysis.Diagnostic) { diags = append(diags, d) },
-		ReadFile:   os.ReadFile,
-		ImportObjectFact: func(obj types.Object, fact analysis.Fact) bool {
-			want := reflect.TypeOf(fact)
-			for _, f := range facts[obj] {
-				if reflect.TypeOf(f) == want {
-					reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(f).Elem())
-					return true
-				}
-			}
-			return false
-		},
-		ExportObjectFact: func(obj types.Object, fact analysis.Fact) {
-			want := reflect.TypeOf(fact)
-			// Store a copy so later mutation by the analyzer can't alias.
-			cp := reflect.New(want.Elem())
-			cp.Elem().Set(reflect.ValueOf(fact).Elem())
-			for i, f := range facts[obj] {
-				if reflect.TypeOf(f) == want {
-					facts[obj][i] = cp.Interface().(analysis.Fact)
-					return
-				}
-			}
-			facts[obj] = append(facts[obj], cp.Interface().(analysis.Fact))
-		},
-		ImportPackageFact: func(*types.Package, analysis.Fact) bool { return false },
-		ExportPackageFact: func(analysis.Fact) {},
-		AllObjectFacts:    func() []analysis.ObjectFact { return nil },
-		AllPackageFacts:   func() []analysis.PackageFact { return nil },
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s on %s: %v", a.Name, lp.name, err)
-	}
-	return diags
 }
 
 // expectation is one "want" regexp at a file:line.
@@ -183,11 +68,11 @@ type expectation struct {
 
 var wantRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
-// check compares diagnostics against the want comments in lp's files.
-func check(t *testing.T, fset *token.FileSet, lp *loadedPkg, diags []analysis.Diagnostic) {
+// check compares diagnostics against the want comments in files.
+func check(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
 	t.Helper()
 	var wants []*expectation
-	for _, f := range lp.files {
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := wantRE.FindStringSubmatch(c.Text)
@@ -195,7 +80,14 @@ func check(t *testing.T, fset *token.FileSet, lp *loadedPkg, diags []analysis.Di
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				for _, raw := range splitPatterns(t, pos, m[1]) {
+				// The patterns are Go string literals, double- or back-quoted.
+				for s := strings.TrimSpace(m[1]); s != ""; s = strings.TrimSpace(s) {
+					q, err := strconv.QuotedPrefix(s)
+					if err != nil {
+						t.Fatalf("%s: want patterns must be quoted: %q", pos, s)
+					}
+					s = s[len(q):]
+					raw, _ := strconv.Unquote(q) // q is a valid literal
 					re, err := regexp.Compile(raw)
 					if err != nil {
 						t.Fatalf("%s: bad want pattern %q: %v", pos, raw, err)
@@ -225,39 +117,4 @@ func check(t *testing.T, fset *token.FileSet, lp *loadedPkg, diags []analysis.Di
 			t.Errorf("%s:%d: no diagnostic matching %q", w.file, w.line, w.raw)
 		}
 	}
-}
-
-// splitPatterns parses `"re" "re2"` (double- or back-quoted) after want.
-func splitPatterns(t *testing.T, pos token.Position, s string) []string {
-	t.Helper()
-	var out []string
-	s = strings.TrimSpace(s)
-	for s != "" {
-		switch s[0] {
-		case '"':
-			end := 1
-			for end < len(s) && (s[end] != '"' || s[end-1] == '\\') {
-				end++
-			}
-			if end >= len(s) {
-				t.Fatalf("%s: unterminated want pattern %q", pos, s)
-			}
-			raw, err := strconv.Unquote(s[:end+1])
-			if err != nil {
-				t.Fatalf("%s: bad want pattern %q: %v", pos, s[:end+1], err)
-			}
-			out = append(out, raw)
-			s = strings.TrimSpace(s[end+1:])
-		case '`':
-			end := strings.IndexByte(s[1:], '`')
-			if end < 0 {
-				t.Fatalf("%s: unterminated want pattern %q", pos, s)
-			}
-			out = append(out, s[1:1+end])
-			s = strings.TrimSpace(s[end+2:])
-		default:
-			t.Fatalf("%s: want patterns must be quoted: %q", pos, s)
-		}
-	}
-	return out
 }

@@ -30,8 +30,7 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
+	"pdtl/internal/analysis"
 )
 
 // Analyzer is the ctxflow pass.
@@ -41,7 +40,7 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		test := strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
 		for _, d := range f.Decls {
@@ -60,7 +59,6 @@ func run(pass *analysis.Pass) (any, error) {
 			checkBlockingLoops(pass, fd)
 		}
 	}
-	return nil, nil
 }
 
 // isCtxType reports whether t is context.Context.
@@ -120,7 +118,7 @@ func checkDetachedBackground(pass *analysis.Pass, fd *ast.FuncDecl) {
 			if !ok {
 				continue
 			}
-			fn := typeutil.StaticCallee(pass.TypesInfo, inner)
+			fn := analysis.StaticCallee(pass.TypesInfo, inner)
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
 				continue
 			}
@@ -140,7 +138,7 @@ func checkBareErr(pass *analysis.Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		fn := typeutil.StaticCallee(pass.TypesInfo, call)
+		fn := analysis.StaticCallee(pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" {
 			return true
 		}
@@ -200,7 +198,7 @@ func firstBlockingCall(pass *analysis.Pass, body ast.Node) (at ast.Node, what st
 		if !ok {
 			return true
 		}
-		fn := typeutil.StaticCallee(pass.TypesInfo, call)
+		fn := analysis.StaticCallee(pass.TypesInfo, call)
 		if fn == nil {
 			// Dynamic call: still blocking if it's an io-style method.
 			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && ioMethod(pass, sel) {

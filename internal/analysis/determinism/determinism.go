@@ -15,46 +15,30 @@
 package determinism
 
 import (
-	"flag"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-
+	"pdtl/internal/analysis"
 	"pdtl/internal/analysis/pdtldir"
 )
 
 // Analyzer is the determinism pass.
 var Analyzer = &analysis.Analyzer{
-	Name:  "determinism",
-	Doc:   "ban map ranges, wall-clock reads, and math/rand in listing-order-sensitive packages",
-	Flags: flags(),
-	Run:   run,
+	Name: "determinism",
+	Doc:  "ban map ranges, wall-clock reads, and math/rand in listing-order-sensitive packages",
+	Run:  run,
 }
 
-// sensitive lists the package paths the analyzer applies to,
-// comma-separated; settable so fixtures can opt themselves in.
-var sensitive = "pdtl/internal/mgt,pdtl/internal/sched,pdtl/internal/core"
+// Packages lists the import paths the analyzer applies to; fixtures
+// replace it to opt themselves in.
+var Packages = []string{"pdtl/internal/mgt", "pdtl/internal/sched", "pdtl/internal/core"}
 
-func flags() flag.FlagSet {
-	fs := flag.NewFlagSet("determinism", flag.ExitOnError)
-	fs.StringVar(&sensitive, "pkgs", sensitive, "comma-separated package paths to enforce")
-	return *fs
-}
-
-func run(pass *analysis.Pass) (any, error) {
-	path := strings.TrimSuffix(pass.Pkg.Path(), "_test")
-	enforced := false
-	for _, p := range strings.Split(sensitive, ",") {
-		if path == strings.TrimSpace(p) {
-			enforced = true
-			break
-		}
-	}
-	if !enforced {
-		return nil, nil
+func run(pass *analysis.Pass) {
+	if !slices.Contains(Packages, strings.TrimSuffix(pass.Pkg.Path(), "_test")) {
+		return
 	}
 	ix := pdtldir.NewIndex(pass.Fset, pass.Files)
 	for _, f := range pass.Files {
@@ -97,7 +81,6 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // report emits the diagnostic unless a //pdtl:nondeterministic-ok waiver

@@ -1,6 +1,7 @@
 package determinism_test
 
 import (
+	"slices"
 	"testing"
 
 	"pdtl/internal/analysis/atest"
@@ -8,20 +9,17 @@ import (
 )
 
 func TestDeterminism(t *testing.T) {
-	def := determinism.Analyzer.Flags.Lookup("pkgs").DefValue
-	if err := determinism.Analyzer.Flags.Set("pkgs", "detfix"); err != nil {
-		t.Fatal(err)
-	}
-	defer determinism.Analyzer.Flags.Set("pkgs", def)
+	def := determinism.Packages
+	determinism.Packages = []string{"detfix"}
+	defer func() { determinism.Packages = def }()
 	atest.Run(t, determinism.Analyzer, "detfix")
 }
 
 // TestDefaultPackages pins the enforced set: the MGT pass loop, the
 // scheduler, and the core engine.
 func TestDefaultPackages(t *testing.T) {
-	got := determinism.Analyzer.Flags.Lookup("pkgs").DefValue
-	want := "pdtl/internal/mgt,pdtl/internal/sched,pdtl/internal/core"
-	if got != want {
-		t.Fatalf("default -pkgs = %q, want %q", got, want)
+	want := []string{"pdtl/internal/mgt", "pdtl/internal/sched", "pdtl/internal/core"}
+	if !slices.Equal(determinism.Packages, want) {
+		t.Fatalf("default Packages = %q, want %q", determinism.Packages, want)
 	}
 }

@@ -22,8 +22,8 @@
 // Deliberately NOT flagged, documented here so reviewers know the
 // contract: append (amortized, budgeted by the caller's pre-sized
 // buffers), string conversions/concatenation (absent from the engine's
-// hot paths), and dynamic calls through interfaces (the kernel
-// singletons are annotated directly instead).
+// hot paths), and dynamic calls through interfaces (the callee behind
+// an interface is the caller's business: the sink's Triangles, say).
 package hotpathalloc
 
 import (
@@ -31,19 +31,17 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"runtime"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
-
+	"pdtl/internal/analysis"
 	"pdtl/internal/analysis/pdtldir"
 )
 
 // Analyzer is the hotpathalloc pass.
 var Analyzer = &analysis.Analyzer{
-	Name:      "hotpathalloc",
-	Doc:       "forbid allocating constructs in //pdtl:hotpath functions and their module callees",
-	Run:       run,
-	FactTypes: []analysis.Fact{(*AllocFact)(nil)},
+	Name: "hotpathalloc",
+	Doc:  "forbid allocating constructs in //pdtl:hotpath functions and their module callees",
+	Run:  run,
 }
 
 // AllocFact marks a function that may allocate, with a one-line cause.
@@ -54,7 +52,8 @@ type AllocFact struct{ Why string }
 // AFact marks AllocFact as an analysis fact.
 func (*AllocFact) AFact() {}
 
-func (f *AllocFact) String() string { return "mayAlloc: " + f.Why }
+// sizes is the layout the gc compiler gives types on this machine.
+var sizes = types.SizesFor("gc", runtime.GOARCH)
 
 // site is one allocating construct inside a function body.
 type site struct {
@@ -77,7 +76,7 @@ type fnInfo struct {
 	why string
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
 	infos := make(map[*types.Func]*fnInfo)
 	var order []*types.Func
 	for _, f := range pass.Files {
@@ -147,7 +146,6 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 		}
 	}
-	return nil, nil
 }
 
 // calleeWhy reports why a statically resolved callee may allocate, or ""
@@ -235,7 +233,7 @@ func collectCall(pass *analysis.Pass, call *ast.CallExpr, info *fnInfo) {
 	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
 		return
 	}
-	if callee := typeutil.StaticCallee(pass.TypesInfo, call); callee != nil {
+	if callee := analysis.StaticCallee(pass.TypesInfo, call); callee != nil {
 		info.calls = append(info.calls, callSite{call.Pos(), callee})
 		if callee.Pkg() != nil && callee.Pkg().Path() == "fmt" {
 			// The call itself is already flagged through the fmt denylist;
@@ -349,7 +347,7 @@ func boxes(pass *analysis.Pass, to, from types.Type) string {
 			return ""
 		}
 	}
-	if pass.TypesSizes != nil && pass.TypesSizes.Sizeof(from) == 0 {
+	if sizes.Sizeof(from) == 0 {
 		return "" // zero-sized values box to a static address
 	}
 	return fmt.Sprintf("interface boxing of %s allocates", types.TypeString(from, types.RelativeTo(pass.Pkg)))

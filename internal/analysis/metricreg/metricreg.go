@@ -15,7 +15,7 @@ import (
 	"regexp"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
+	"pdtl/internal/analysis"
 )
 
 // Analyzer is the metricreg pass.
@@ -42,7 +42,7 @@ var registerMethods = map[string]bool{
 
 var nameRE = regexp.MustCompile(`^pdtl_[a-z_]+$`)
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
 	// Fast path: packages that never import obs have nothing to check.
 	imports := false
 	for _, p := range pass.Pkg.Imports() {
@@ -52,7 +52,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 	if !imports && pass.Pkg.Path() != obsPkgPath {
-		return nil, nil
+		return
 	}
 	seen := make(map[string]token.Pos) // metric name → first registration
 	for _, f := range pass.Files {
@@ -107,7 +107,6 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // isObsRegistry reports whether t is obs.Registry or *obs.Registry.

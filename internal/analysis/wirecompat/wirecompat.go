@@ -17,56 +17,46 @@
 package wirecompat
 
 import (
-	"flag"
 	"go/ast"
 	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-
+	"pdtl/internal/analysis"
 	"pdtl/internal/analysis/wirefp"
 )
 
 // Analyzer is the wirecompat pass.
 var Analyzer = &analysis.Analyzer{
-	Name:  "wirecompat",
-	Doc:   "require keyed literals for gob wire structs and enforce the append-only wire fingerprint",
-	Flags: flags(),
-	Run:   run,
+	Name: "wirecompat",
+	Doc:  "require keyed literals for gob wire structs and enforce the append-only wire fingerprint",
+	Run:  run,
 }
 
-var (
-	// wirePkg is the package whose wire.go defines the gob protocol.
-	wirePkg = "pdtl/internal/cluster"
-	// wireFile is the base name of the defining file inside wirePkg.
+// WirePkg is the package whose wire.go defines the gob protocol;
+// fixtures replace it to opt themselves in.
+var WirePkg = "pdtl/internal/cluster"
+
+const (
+	// wireFile is the base name of the defining file inside WirePkg.
 	wireFile = "wire.go"
-	// goldenName is the committed fingerprint, relative to wirePkg's dir.
+	// goldenName is the committed fingerprint, next to the wire file.
 	goldenName = "wire.fingerprint"
 )
 
-func flags() flag.FlagSet {
-	fs := flag.NewFlagSet("wirecompat", flag.ExitOnError)
-	fs.StringVar(&wirePkg, "wirepkg", wirePkg, "import path of the wire-definition package")
-	fs.StringVar(&wireFile, "wirefile", wireFile, "file (base name) declaring the wire structs")
-	fs.StringVar(&goldenName, "fingerprint", goldenName, "committed fingerprint file (base name, next to the wire file)")
-	return *fs
-}
-
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
 	checkKeyedLiterals(pass)
-	if strings.TrimSuffix(pass.Pkg.Path(), "_test") == wirePkg {
+	if strings.TrimSuffix(pass.Pkg.Path(), "_test") == WirePkg {
 		checkFingerprint(pass)
 	}
-	return nil, nil
 }
 
 // isWireStruct reports whether named is a struct declared in the wire
 // file of the wire package.
 func isWireStruct(pass *analysis.Pass, named *types.Named) bool {
 	tn := named.Obj()
-	if tn.Pkg() == nil || tn.Pkg().Path() != wirePkg {
+	if tn.Pkg() == nil || tn.Pkg().Path() != WirePkg {
 		return false
 	}
 	if _, ok := named.Underlying().(*types.Struct); !ok {

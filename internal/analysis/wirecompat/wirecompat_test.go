@@ -7,16 +7,13 @@ import (
 	"pdtl/internal/analysis/wirecompat"
 )
 
-// withWirePkg points the analyzer's -wirepkg flag at a fixture package
-// for the duration of one subtest.
+// withWirePkg points the analyzer at a fixture package for the duration
+// of one subtest.
 func withWirePkg(t *testing.T, pkg string) {
 	t.Helper()
-	fl := wirecompat.Analyzer.Flags.Lookup("wirepkg")
-	def := fl.DefValue
-	if err := wirecompat.Analyzer.Flags.Set("wirepkg", pkg); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { wirecompat.Analyzer.Flags.Set("wirepkg", def) })
+	def := wirecompat.WirePkg
+	wirecompat.WirePkg = pkg
+	t.Cleanup(func() { wirecompat.WirePkg = def })
 }
 
 func TestCleanAndKeyedLiterals(t *testing.T) {
@@ -36,10 +33,7 @@ func TestStaleGolden(t *testing.T) {
 
 // TestDefaultWirePkg pins the production configuration.
 func TestDefaultWirePkg(t *testing.T) {
-	if got := wirecompat.Analyzer.Flags.Lookup("wirepkg").DefValue; got != "pdtl/internal/cluster" {
-		t.Fatalf("default -wirepkg = %q", got)
-	}
-	if got := wirecompat.Analyzer.Flags.Lookup("fingerprint").DefValue; got != "wire.fingerprint" {
-		t.Fatalf("default -fingerprint = %q", got)
+	if got := wirecompat.WirePkg; got != "pdtl/internal/cluster" {
+		t.Fatalf("default WirePkg = %q", got)
 	}
 }
