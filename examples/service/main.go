@@ -98,21 +98,25 @@ func main() {
 	}
 	resp.Body.Close()
 
-	// 6. An approximate count through the same registry entry.
-	//    curl -X POST $URL/v1/graphs/demo/estimate -d '{"method":"doulion","p":0.3}'
-	resp, err = http.Post(url+"/v1/graphs/demo/estimate", "application/json",
-		bytes.NewReader([]byte(`{"method":"doulion","p":0.3,"seed":7}`)))
+	// 6. The estimate of a static graph is its exact count under the
+	//    server's defaults, cached in the slot of a count without
+	//    parameters (live graphs answer their streaming estimate instead).
+	//    curl -X POST $URL/v1/graphs/demo/estimate
+	resp, err = http.Post(url+"/v1/graphs/demo/estimate", "application/json", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var est struct {
-		Estimate float64 `json:"estimate"`
+		Estimate uint64 `json:"estimate"`
+		Origin   string `json:"origin"`
+		Exact    bool   `json:"exact"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&est); err != nil {
-		log.Fatal(err)
-	}
+	err = json.NewDecoder(resp.Body).Decode(&est)
 	resp.Body.Close()
-	fmt.Printf("doulion estimate: %.0f\n", est.Estimate)
+	if resp.StatusCode != http.StatusOK || err != nil || !est.Exact {
+		log.Fatalf("estimate: %s (exact=%v, decode: %v)", resp.Status, est.Exact, err)
+	}
+	fmt.Printf("estimate: %d triangles, exact (origin=%s)\n", est.Estimate, est.Origin)
 
 	// 7. Graceful drain: queued requests get 503s, in-flight runs are
 	//    cancelled, handles close. pdtl-serve does this on SIGTERM.

@@ -76,15 +76,12 @@ type Graph struct {
 	orientedBase string // first orientation's base, for OrientedBase()
 	inDeg        []uint32
 	plans        map[planKey]balance.Plan
-	csr          *graph.CSR
-	// orienting / csrLoading entries are non-nil (and closed on completion)
-	// while one caller performs the orientation for that format or the
-	// whole-graph CSR load. The work happens outside mu, so Close, Info
-	// accessors, and concurrent runs stay responsive during the potentially
-	// long reads, and waiters can still honor their contexts (orientation)
-	// or block only on the load itself (CSR).
-	orienting  map[graph.Format]chan struct{}
-	csrLoading chan struct{}
+	// orienting entries are non-nil (and closed on completion) while one
+	// caller performs the orientation for that format. The work happens
+	// outside mu, so Close, Info accessors, and concurrent runs stay
+	// responsive during the potentially long reads, and waiters can still
+	// honor their contexts.
+	orienting map[graph.Format]chan struct{}
 
 	// runs counts the engine calculations started on this handle (local
 	// runs and distributed protocols alike, successful or not). It exists
@@ -578,46 +575,6 @@ func (g *Graph) TriangleDegrees(ctx context.Context, opt Options) ([]uint64, *Re
 		}
 	}
 	return counts, res, nil
-}
-
-// csrCached lazily loads (and caches) the opened store as an in-memory CSR
-// for the approximate estimators. Like the orientation, the load runs
-// outside the handle mutex (one loader at a time, concurrent callers wait
-// on its completion channel), so a multi-second whole-graph read never
-// blocks Close or a concurrent run's cache lookups.
-func (g *Graph) csrCached() (*graph.CSR, error) {
-	for {
-		g.mu.Lock()
-		if g.closed {
-			g.mu.Unlock()
-			return nil, ErrClosed
-		}
-		if g.csr != nil {
-			csr := g.csr
-			g.mu.Unlock()
-			return csr, nil
-		}
-		if g.csrLoading != nil {
-			wait := g.csrLoading
-			g.mu.Unlock()
-			<-wait
-			continue
-		}
-		done := make(chan struct{})
-		g.csrLoading = done
-		src := g.src
-		g.mu.Unlock()
-
-		csr, err := src.LoadCSR()
-		g.mu.Lock()
-		g.csrLoading = nil
-		if err == nil {
-			g.csr = csr
-		}
-		g.mu.Unlock()
-		close(done)
-		return csr, err
-	}
 }
 
 // infoFrom computes a store's GraphInfo from its opened metadata and degree

@@ -820,40 +820,6 @@ func TestClosedHandle(t *testing.T) {
 	if _, _, err := g.TriangleDegrees(context.Background(), Options{Workers: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
-	if _, err := g.EstimateDoulion(0.5, 1); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-}
-
-func TestHandleEstimators(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "rmat")
-	if _, err := GenerateRMAT(base, 10, 16, 5); err != nil {
-		t.Fatal(err)
-	}
-	g, err := Open(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	res, err := g.Count(context.Background(), Options{Workers: 2, MemEdges: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := float64(res.Triangles)
-	doulion, err := g.EstimateDoulion(0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doulion < exact/2 || doulion > exact*2 {
-		t.Errorf("Doulion estimate %.0f far from exact %.0f", doulion, exact)
-	}
-	wedges, err := g.EstimateWedges(50_000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wedges < exact*0.8 || wedges > exact*1.2 {
-		t.Errorf("wedge estimate %.0f far from exact %.0f", wedges, exact)
-	}
 }
 
 // TestPlanCacheKeyedOnClippedWindow: under a named scan source (the default

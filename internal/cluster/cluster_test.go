@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -153,6 +155,61 @@ func TestDistributedListing(t *testing.T) {
 		if triples[i] == triples[i-1] {
 			t.Fatalf("duplicate triangle %v across nodes", triples[i])
 		}
+	}
+}
+
+// TestDistributedListingReplacesWhole: a listing onto an existing file
+// replaces it by rename, so a reader that opened the old file keeps reading
+// all of it, the path holds the whole new listing, and no temp file is
+// left beside it.
+func TestDistributedListingReplacesWhole(t *testing.T) {
+	g, err := gen.TriGrid(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := writeStore(t, g, "tg")
+	lc := startCluster(t, 2)
+	dir := t.TempDir()
+	listPath := filepath.Join(dir, "triangles.bin")
+	old := bytes.Repeat([]byte{0xff}, 1<<16)
+	if err := os.WriteFile(listPath, old, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	reader, err := os.Open(listPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	res, err := Run(context.Background(), Config{
+		GraphBase: base, Workers: 2, MemEdges: 64, List: true, ListPath: listPath,
+	}, lc.Addrs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing, err := os.ReadFile(listPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := res.Triangles * 3 * graph.EntrySize; uint64(len(listing)) != want {
+		t.Fatalf("listing is %d bytes, want %d", len(listing), want)
+	}
+	kept, err := io.ReadAll(reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(kept, old) {
+		t.Fatalf("the old file's reader saw %d bytes of a changed file, want its %d bytes", len(kept), len(old))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("listing directory holds %v, want only the listing", names)
 	}
 }
 

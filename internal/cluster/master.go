@@ -818,15 +818,17 @@ func writeTriples(path string, triples [][]byte, ids []graph.Vertex) error {
 			}
 		}
 	}
-	f, err := os.Create(path)
+	// Published by rename: a reader, or a master stopped mid-write, never
+	// sees a truncated listing at path.
+	f, err := graph.CreateTemp(path)
 	if err != nil {
 		return err
 	}
 	for _, tp := range triples {
 		if _, err := f.Write(tp); err != nil {
-			f.Close()
+			graph.Discard(f)
 			return err
 		}
 	}
-	return f.Close()
+	return graph.Publish(f, path)
 }

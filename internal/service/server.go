@@ -403,20 +403,7 @@ func (s *Server) handleCount(ctx context.Context, w http.ResponseWriter, r *http
 	if err != nil {
 		return err
 	}
-	key, err := opt.Key()
-	if err != nil {
-		return badRequest{err}
-	}
-	m, err := s.memo(ctx, e, "count", key, boolParam(q, "trace"),
-		func(runCtx context.Context) (any, error) {
-			if lg := e.Live(); lg != nil {
-				// Exact count over the current merged view; the memoized
-				// result stays valid until the next mutation batch
-				// invalidates the entry.
-				return lg.Count(runCtx, opt)
-			}
-			return e.Graph().Count(runCtx, opt)
-		})
+	key, m, err := s.count(ctx, e, opt, boolParam(q, "trace"))
 	if err != nil {
 		return err
 	}
@@ -436,6 +423,25 @@ func (s *Server) handleCount(ctx context.Context, w http.ResponseWriter, r *http
 		Trace:           m.trace,
 	})
 	return nil
+}
+
+// count memoizes one local exact count of e under count|<opt.Key()>.
+func (s *Server) count(ctx context.Context, e *Entry, opt pdtl.Options, traced bool) (string, memoRun, error) {
+	key, err := opt.Key()
+	if err != nil {
+		return "", memoRun{}, badRequest{err}
+	}
+	m, err := s.memo(ctx, e, "count", key, traced,
+		func(runCtx context.Context) (any, error) {
+			if lg := e.Live(); lg != nil {
+				// Exact count over the current merged view; the memoized
+				// result stays valid until the next mutation batch
+				// invalidates the entry.
+				return lg.Count(runCtx, opt)
+			}
+			return e.Graph().Count(runCtx, opt)
+		})
+	return key, m, err
 }
 
 // traceJSON renders a trace for embedding in a JSON reply; nil in, nil
@@ -619,11 +625,12 @@ func (s *Server) handleDegrees(ctx context.Context, w http.ResponseWriter, r *ht
 			return badf("service: bad top %q", v)
 		}
 	}
-	key, err := opt.Key()
-	if err != nil {
+	if _, err := opt.Key(); err != nil {
 		return badRequest{err}
 	}
-	m, err := s.memo(ctx, e, "degrees", key, false,
+	// Per-vertex counts are the same under every option, so the graph holds
+	// one memoized set of them, whichever options ran it.
+	m, err := s.memo(ctx, e, "degrees", "", false,
 		func(runCtx context.Context) (any, error) {
 			counts, res, err := e.Graph().TriangleDegrees(runCtx, opt)
 			if err != nil {
@@ -676,37 +683,31 @@ func topDegrees(counts []uint64, k int) []vertexDegree {
 
 // estimateRequest is the POST /v1/graphs/{name}/estimate body.
 type estimateRequest struct {
-	// Method is "doulion" (edge sparsification; default) or "wedges"
-	// (uniform wedge sampling).
+	// Method is the graph's own estimate, or "" for it: "exact" on a
+	// static graph, "streaming" on a live one.
 	Method string `json:"method"`
-	// P is Doulion's edge survival probability in (0, 1]; default 0.1.
-	P float64 `json:"p"`
-	// Samples is the wedge-sampling budget; default 100000.
-	Samples int `json:"samples"`
-	// Seed makes the estimate reproducible (and memoizable); default 1.
-	Seed int64 `json:"seed"`
 }
 
 func (s *Server) handleEstimate(ctx context.Context, w http.ResponseWriter, r *http.Request, e *Entry) error {
-	lg := e.Live()
 	var req estimateRequest
-	if lg == nil {
-		req = estimateRequest{Method: "doulion", P: 0.1, Samples: 100000, Seed: 1}
-	}
 	if r.ContentLength != 0 {
 		if err := decodeBody(w, r, 1<<20, "estimate", &req); err != nil {
 			return err
 		}
 	}
+	lg := e.Live()
+	kind, method := "static", "exact"
+	if lg != nil {
+		kind, method = "live", "streaming"
+	}
+	if req.Method != "" && req.Method != method {
+		return badf("service: %s graphs only support the %s estimate (got method %q)", kind, method, req.Method)
+	}
 	if lg != nil {
 		// Live graphs maintain a streaming estimate (TRIÈST-FD) updated on
-		// every mutation batch — it is already current, costs nothing to
-		// read, and the batch estimators below would read the stale base
-		// store instead of the merged view.
-		if req.Method != "" && req.Method != "streaming" {
-			return badf("service: live graphs only support the streaming estimate (got method %q)", req.Method)
-		}
-		// One snapshot, so the estimate and the batches it has seen agree.
+		// every mutation batch — it is already current and costs nothing to
+		// read. One snapshot, so the estimate and the batches it has seen
+		// agree.
 		st := lg.Stats()
 		writeJSON(w, http.StatusOK, map[string]any{
 			"graph":         e.Name(),
@@ -719,43 +720,20 @@ func (s *Server) handleEstimate(ctx context.Context, w http.ResponseWriter, r *h
 		})
 		return nil
 	}
-	// Estimates are deterministic given the method's own parameters and the
-	// seed, so they memoize and single-flight exactly like exact counts; the
-	// key leaves out the other method's parameter.
-	var key string
-	switch req.Method {
-	case "", "doulion":
-		req.Method = "doulion"
-		if req.P <= 0 || req.P > 1 {
-			return badf("service: doulion p %v outside (0, 1]", req.P)
-		}
-		key = fmt.Sprintf("doulion p%v s%d", req.P, req.Seed)
-	case "wedges":
-		if req.Samples < 1 {
-			return badf("service: wedge samples %d < 1", req.Samples)
-		}
-		key = fmt.Sprintf("wedges n%d s%d", req.Samples, req.Seed)
-	default:
-		return badf("service: unknown estimate method %q", req.Method)
-	}
-	m, err := s.memo(ctx, e, "estimate", key, false,
-		func(runCtx context.Context) (any, error) {
-			if err := runCtx.Err(); err != nil {
-				return nil, err
-			}
-			if req.Method == "wedges" {
-				return e.Graph().EstimateWedges(req.Samples, req.Seed)
-			}
-			return e.Graph().EstimateDoulion(req.P, req.Seed)
-		})
+	// A static graph's estimate is its exact count under the server's
+	// defaults: it holds only the engine's P·M window, and it shares the
+	// cache slot of a GET …/count without parameters, so each warms the
+	// other.
+	_, m, err := s.count(ctx, e, s.cfg.Defaults, false)
 	if err != nil {
 		return err
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"graph":    e.Name(),
 		"origin":   m.origin,
-		"method":   req.Method,
-		"estimate": m.val.(float64),
+		"method":   method,
+		"estimate": m.val.(*pdtl.Result).Triangles,
+		"exact":    true,
 	})
 	return nil
 }
@@ -1051,8 +1029,6 @@ func (s *Server) account(e *Entry, kind, key string, val any) {
 		}
 		attrs = append(attrs, "triangles", res.Triangles, "wall", res.TotalTime,
 			"nodes", len(res.Nodes), "failures", len(res.Failures))
-	case float64:
-		attrs = append(attrs, "estimate", res)
 	}
 	s.cfg.Log.Info("run finished", attrs...)
 }

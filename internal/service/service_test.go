@@ -593,7 +593,7 @@ func TestServerGraphRoutesShared(t *testing.T) {
 		{http.MethodGet, "/count", ""},
 		{http.MethodGet, "/triangles", ""},
 		{http.MethodGet, "/degrees", ""},
-		{http.MethodPost, "/estimate", `{"method":"doulion"}`},
+		{http.MethodPost, "/estimate", `{}`},
 		{http.MethodPost, "/edges", `{"insert":[[1,2]]}`},
 		{http.MethodPost, "/compact", ""},
 	}
@@ -644,39 +644,36 @@ func TestServerEstimateAndDegrees(t *testing.T) {
 	client := ts.Client()
 	postJSON(t, client, ts.URL+"/v1/graphs", registerRequest{Name: "g", Base: base}, http.StatusCreated)
 
-	exact := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2", 200)["triangles"].(float64)
-
-	est := postJSON(t, client, ts.URL+"/v1/graphs/g/estimate",
-		estimateRequest{Method: "doulion", P: 0.5, Seed: 3}, 200)
-	if est["origin"] != "run" {
-		t.Fatalf("estimate origin = %v", est["origin"])
+	// A static estimate is the exact count under the server's defaults, in
+	// the cache slot of a count without parameters: after that count it is
+	// a cache hit and starts no engine run.
+	c := getJSON(t, client, ts.URL+"/v1/graphs/g/count", 200)
+	exact := c["triangles"].(float64)
+	for _, req := range []estimateRequest{{}, {Method: "exact"}} {
+		est := postJSON(t, client, ts.URL+"/v1/graphs/g/estimate", req, 200)
+		if est["origin"] != "cache" || est["method"] != "exact" || est["exact"] != true || est["estimate"] != exact {
+			t.Fatalf("estimate %+v after a default count = %v, want a cache hit on the exact %v", req, est, exact)
+		}
 	}
-	got := est["estimate"].(float64)
-	if got < exact/3 || got > exact*3 {
-		t.Errorf("doulion estimate %.0f far from exact %.0f", got, exact)
+	e, err := svc.Registry().Get("g")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Identical estimate parameters memoize.
-	est2 := postJSON(t, client, ts.URL+"/v1/graphs/g/estimate",
-		estimateRequest{Method: "doulion", P: 0.5, Seed: 3}, 200)
-	if est2["origin"] != "cache" || est2["estimate"] != est["estimate"] {
-		t.Fatalf("repeat estimate = %v", est2)
+	if runs := e.Graph().Runs(); float64(runs) != c["engine_runs"] {
+		t.Fatalf("engine runs after the estimates = %d, want the count's %v", runs, c["engine_runs"])
 	}
-	postJSON(t, client, ts.URL+"/v1/graphs/g/estimate",
-		estimateRequest{Method: "doulion", P: 1.5}, http.StatusBadRequest)
-	// An estimate is keyed on its own method's parameters only: a second
-	// Doulion request that differs in the wedge budget alone, and a second
-	// wedge request that differs in p alone, are the same estimates.
-	est3 := postJSON(t, client, ts.URL+"/v1/graphs/g/estimate",
-		estimateRequest{Method: "doulion", P: 0.5, Samples: 100000, Seed: 3}, 200)
-	if est3["origin"] != "cache" || est3["estimate"] != est["estimate"] {
-		t.Fatalf("doulion estimate differing only in samples = %v, want the cached one", est3)
+	// Either request warms the other: an estimate first, then the count.
+	postJSON(t, client, ts.URL+"/v1/graphs", registerRequest{Name: "h", Base: base}, http.StatusCreated)
+	est := postJSON(t, client, ts.URL+"/v1/graphs/h/estimate", nil, 200)
+	if est["origin"] != "run" || est["estimate"] != exact {
+		t.Fatalf("first estimate = %v, want a run giving %v", est, exact)
 	}
-	wedges := postJSON(t, client, ts.URL+"/v1/graphs/g/estimate",
-		estimateRequest{Method: "wedges", Samples: 2000, Seed: 3}, 200)
-	wedges2 := postJSON(t, client, ts.URL+"/v1/graphs/g/estimate",
-		estimateRequest{Method: "wedges", P: 0.7, Samples: 2000, Seed: 3}, 200)
-	if wedges["origin"] != "run" || wedges2["origin"] != "cache" || wedges2["estimate"] != wedges["estimate"] {
-		t.Fatalf("wedge estimates differing only in p = %v then %v, want run then cache", wedges, wedges2)
+	if c := getJSON(t, client, ts.URL+"/v1/graphs/h/count", 200); c["origin"] != "cache" {
+		t.Fatalf("count after an estimate = %v, want a cache hit", c)
+	}
+	// Only the graph's own method is accepted.
+	for _, method := range []string{"doulion", "wedges", "streaming"} {
+		postJSON(t, client, ts.URL+"/v1/graphs/g/estimate", estimateRequest{Method: method}, http.StatusBadRequest)
 	}
 
 	deg := getJSON(t, client, ts.URL+"/v1/graphs/g/degrees?workers=2&top=5", 200)
@@ -700,6 +697,34 @@ func TestServerEstimateAndDegrees(t *testing.T) {
 	if deg2["origin"] != "cache" {
 		t.Fatalf("repeat degrees origin = %v", deg2["origin"])
 	}
+}
+
+// TestServerDegreesKeyedOnGraph: per-vertex counts are the same under every
+// option, so degrees requests that differ in workers and mem share one
+// memoized set and one engine run.
+func TestServerDegreesKeyedOnGraph(t *testing.T) {
+	base := genStore(t, 8, 23)
+	svc := New(Config{})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	client := ts.Client()
+	postJSON(t, client, ts.URL+"/v1/graphs", registerRequest{Name: "g", Base: base}, http.StatusCreated)
+	e, err := svc.Registry().Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := e.Graph().Runs()
+	d1 := getJSON(t, client, ts.URL+"/v1/graphs/g/degrees?workers=2&mem=4096", 200)
+	d2 := getJSON(t, client, ts.URL+"/v1/graphs/g/degrees?workers=1&mem=256", 200)
+	if d1["origin"] != "run" || d2["origin"] != "cache" || d2["triangles"] != d1["triangles"] {
+		t.Fatalf("degrees = %v then %v, want run then cache", d1["origin"], d2["origin"])
+	}
+	if got := e.Graph().Runs() - runs; got != 1 {
+		t.Fatalf("engine runs for two degrees requests = %d, want 1", got)
+	}
+	// The options are still checked for the run itself.
+	getJSON(t, client, ts.URL+"/v1/graphs/g/degrees?scan=shared", http.StatusBadRequest)
 }
 
 func TestServerRequestTimeout(t *testing.T) {

@@ -198,33 +198,6 @@ func TestPublicServeWorker(t *testing.T) {
 	}
 }
 
-func TestPublicApproximate(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "rmat")
-	if _, err := GenerateRMAT(base, 10, 16, 5); err != nil {
-		t.Fatal(err)
-	}
-	g := openStore(t, base)
-	res, err := g.Count(context.Background(), Options{Workers: 2, MemEdges: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := float64(res.Triangles)
-	doulion, err := g.EstimateDoulion(0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doulion < exact/2 || doulion > exact*2 {
-		t.Errorf("Doulion estimate %.0f far from exact %.0f", doulion, exact)
-	}
-	wedges, err := g.EstimateWedges(50_000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wedges < exact*0.8 || wedges > exact*1.2 {
-		t.Errorf("wedge estimate %.0f far from exact %.0f", wedges, exact)
-	}
-}
-
 func TestInfoOnOriented(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "k8")
 	if _, err := GenerateComplete(base, 8); err != nil {
