@@ -26,10 +26,9 @@
 //	                                       &sched= &chunks=)
 //	GET    /v1/graphs/{name}/triangles    NDJSON stream (?limit=)
 //	GET    /v1/graphs/{name}/degrees      per-vertex triangle counts (?top=)
-//	POST   /v1/graphs/{name}/estimate     the exact default count on static
-//	                                       graphs (the cache slot of a bare
-//	                                       …/count), streaming TRIÈST-FD on
-//	                                       live graphs
+//	POST   /v1/graphs/{name}/estimate     the exact default count, static
+//	                                       or live (the cache slot of a bare
+//	                                       …/count)
 //	POST   /v1/graphs/{name}/edges        apply a mutation batch to a live
 //	                                       graph {"insert":[[u,v],...],"delete":[...]}
 //	POST   /v1/graphs/{name}/compact      fold the delta into a fresh snapshot

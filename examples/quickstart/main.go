@@ -123,10 +123,9 @@ func main() {
 
 	// 8. Live updates: wrap the store in a delta overlay (DESIGN.md §11).
 	//    Mutation batches are absorbed in memory — new vertices included —
-	//    while exact counts run over base ⊕ delta through the same engine,
-	//    and a streaming TRIÈST-FD estimate stays O(1) per query. Compact
-	//    folds the delta into a fresh on-disk snapshot (atomic swap, queries
-	//    never blocked) without changing the answer.
+	//    while exact counts run over base ⊕ delta through the same engine.
+	//    Compact folds the delta into a fresh on-disk snapshot (atomic swap,
+	//    queries never blocked) without changing the answer.
 	lg, err := pdtl.OpenLive(ctx, base, pdtl.LiveOptions{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
@@ -142,9 +141,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, exact := lg.Estimate()
-	fmt.Printf("live count after inserting a triangle: %d (+%d), streaming estimate %.0f (exact: %v)\n",
-		liveRes.Triangles, liveRes.Triangles-res.Triangles, est, exact)
+	fmt.Printf("live count after inserting a triangle: %d (+%d)\n",
+		liveRes.Triangles, liveRes.Triangles-res.Triangles)
 	if err := lg.Compact(ctx); err != nil {
 		log.Fatal(err)
 	}

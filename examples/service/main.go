@@ -98,9 +98,9 @@ func main() {
 	}
 	resp.Body.Close()
 
-	// 6. The estimate of a static graph is its exact count under the
+	// 6. A graph's estimate, static or live, is its exact count under the
 	//    server's defaults, cached in the slot of a count without
-	//    parameters (live graphs answer their streaming estimate instead).
+	//    parameters.
 	//    curl -X POST $URL/v1/graphs/demo/estimate
 	resp, err = http.Post(url+"/v1/graphs/demo/estimate", "application/json", nil)
 	if err != nil {

@@ -1,28 +1,25 @@
 // Handle-based public API: a *Graph is a long-lived, reusable handle on one
 // on-disk graph store. Open loads the store's metadata and degree index
-// once; the first run orients the graph (if needed) and computes the
-// in-degree load-balance plan, and every later run on the same handle
-// reuses both — the amortized-preprocessing shape of PDTL §IV, where the
-// oriented graph is built once and "can be reused if necessary". All run
-// methods take a context.Context and abort cooperatively: every MGT runner
-// checks it between cone blocks, and cluster nodes are told to abandon their
-// calculation,
-// so cancellation returns ctx.Err() promptly with no leaked goroutines or
-// file handles. See DESIGN.md §6 for the lifecycle.
+// once; the first run orients the graph (if needed), and every later run on
+// the same handle reuses the orientation — the amortized-preprocessing
+// shape of PDTL §IV, where the oriented graph is built once and "can be
+// reused if necessary". All run methods take a context.Context and abort
+// cooperatively: every MGT runner checks it between cone blocks, and
+// cluster nodes are told to abandon their calculation, so cancellation
+// returns ctx.Err() promptly with no leaked goroutines or file handles. See
+// DESIGN.md §6 for the lifecycle.
 
 package pdtl
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"pdtl/internal/balance"
 	"pdtl/internal/core"
 	"pdtl/internal/graph"
 	"pdtl/internal/mgt"
@@ -38,15 +35,6 @@ var ErrClosed = errors.New("pdtl: graph handle is closed")
 // per triangle. Correctness never depends on it.
 const triangleBatch = 2048
 
-// planKey identifies one cached load-balance plan: everything
-// balance.PlanStore's result depends on besides the logical graph.
-type planKey struct {
-	k        int
-	strategy balance.Strategy
-	format   graph.Format
-	memEdges uint64 // clipped to the store size
-}
-
 // ordEntry is one cached orientation: the opened oriented store and its base
 // path.
 type ordEntry struct {
@@ -55,10 +43,9 @@ type ordEntry struct {
 }
 
 // Graph is an open handle on a graph store. It is safe for concurrent use;
-// runs on the same handle share the cached orientation, degree index, and
-// load-balance plans. A handle holds no open file descriptors between runs
-// (the store's data files are opened per run), so Close only invalidates
-// the handle.
+// runs on the same handle share the cached orientation and degree index. A
+// handle holds no open file descriptors between runs (the store's data
+// files are opened per run), so Close only invalidates the handle.
 type Graph struct {
 	base string
 	info GraphInfo
@@ -74,8 +61,6 @@ type Graph struct {
 	preOriented  bool
 	ords         map[graph.Format]ordEntry
 	orientedBase string // first orientation's base, for OrientedBase()
-	inDeg        []uint32
-	plans        map[planKey]balance.Plan
 	// orienting entries are non-nil (and closed on completion) while one
 	// caller performs the orientation for that format. The work happens
 	// outside mu, so Close, Info accessors, and concurrent runs stay
@@ -100,8 +85,8 @@ func (g *Graph) Runs() uint64 { return g.runs.Load() }
 // Open opens the graph store at base (see WriteGraph and the
 // Generate/Import helpers for creating stores) and returns a reusable
 // handle. The metadata and degree index are read exactly once, here;
-// orientation and load-balance planning happen on the first run and are
-// cached for the handle's lifetime.
+// orientation happens on the first run and is cached for the handle's
+// lifetime.
 func Open(base string) (*Graph, error) {
 	d, err := graph.Open(base)
 	if err != nil {
@@ -113,7 +98,6 @@ func Open(base string) (*Graph, error) {
 		src:       d,
 		ords:      make(map[graph.Format]ordEntry),
 		orienting: make(map[graph.Format]chan struct{}),
-		plans:     make(map[planKey]balance.Plan),
 	}
 	if d.Meta.Oriented {
 		g.preOriented = true
@@ -209,13 +193,6 @@ func (g *Graph) ensureOriented(ctx context.Context, workers int, format graph.Fo
 			if g.orientedBase == "" {
 				g.orientedBase = orientedBase
 			}
-			// The orientation already produced the in-degree array the
-			// load balancer needs; caching it here means no later run
-			// touches the in-degree file at all. (Both formats orient to
-			// the identical logical graph, so the array is shared.)
-			if g.inDeg == nil {
-				g.inDeg = ores.InDegrees
-			}
 		}
 		g.mu.Unlock()
 		close(done)
@@ -226,53 +203,11 @@ func (g *Graph) ensureOriented(ctx context.Context, workers int, format graph.Fo
 	}
 }
 
-// maxCachedPlans bounds the handle's plan cache. Every window at least as
-// large as the store shares one entry per (k, strategy); smaller windows
-// each plan differently, and a long-lived handle serving arbitrary sizes
-// must not grow without limit.
-const maxCachedPlans = 64
-
-// planCached returns the load-balance plan for k ranges under strategy and
-// windows of memEdges entries, computing it at most once per handle (up to
-// maxCachedPlans entries). The key clips memEdges to the store size: every
-// window the store fits in plans identically, so runs that differ only in
-// such a window — a service's cold counts — share one entry. d/orientedBase
-// are the oriented store the caller got from ensureOriented: the in-degree
-// array is the same across store formats, and is read from the store only
-// if orientation did not happen on this handle (an already-oriented store),
-// and then only once. No closed check here: a run checks the handle once, at
-// ensureOriented — Close only gates runs that have not started, never one
-// already in flight.
-func (g *Graph) planCached(d *graph.Disk, orientedBase string, k int, strategy balance.Strategy, memEdges int) (balance.Plan, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	key := planKey{k: k, strategy: strategy, format: d.Format(), memEdges: min(uint64(memEdges), d.Meta.AdjEntries)}
-	if p, ok := g.plans[key]; ok {
-		return p, nil
-	}
-	if g.inDeg == nil && strategy != balance.Naive {
-		inDeg, err := orient.LoadInDegrees(orientedBase, d.NumVertices())
-		if err != nil {
-			return balance.Plan{}, fmt.Errorf("pdtl: load balancing needs the in-degree file: %w", err)
-		}
-		g.inDeg = inDeg
-	}
-	p, err := balance.PlanStore(d, g.inDeg, k, strategy, memEdges)
-	if err != nil {
-		return balance.Plan{}, err
-	}
-	if len(g.plans) >= maxCachedPlans {
-		clear(g.plans)
-	}
-	g.plans[key] = p
-	return p, nil
-}
-
 // execute runs one calculation on the handle with options resolved by
 // toCore, their Sinks or Out set to where the triangles go (neither: a
 // count): ensure orientation (cached), then the engine (core.Execute) —
 // cooperative windows over the whole store by default, or, under a named
-// scan source, the paper's layout: one runner per range of the (cached)
+// scan source, the paper's layout: one runner per range of the
 // load-balance plan.
 func (g *Graph) execute(ctx context.Context, copt core.Options) (res *Result, err error) {
 	g.runs.Add(1)
@@ -281,18 +216,12 @@ func (g *Graph) execute(ctx context.Context, copt core.Options) (res *Result, er
 	defer func() { end(res) }()
 	cur := obs.CursorFrom(ctx)
 	osp := cur.Begin(obs.SpanOrient)
-	d, orientedBase, ores, err := g.ensureOriented(ctx, copt.Workers, copt.Store)
+	d, _, ores, err := g.ensureOriented(ctx, copt.Workers, copt.Store)
 	cur.End(osp)
 	if err != nil {
 		return nil, err
 	}
-	var plan func() (balance.Plan, error)
-	if !copt.Scan.IsAuto() {
-		plan = func() (balance.Plan, error) {
-			return g.planCached(d, orientedBase, copt.Workers, copt.Strategy, copt.MemEdges)
-		}
-	}
-	cres, err := core.Execute(ctx, d, copt, plan)
+	cres, err := core.Execute(ctx, d, copt)
 	if err != nil {
 		return nil, err
 	}
@@ -343,8 +272,8 @@ func (g *Graph) run(ctx context.Context, opt Options, to func(*core.Options)) (*
 }
 
 // Count counts the graph's triangles. The first call orients the graph (if
-// the store was unoriented) and plans the load balance; later calls with
-// any options reuse both and go straight to the calculation phase.
+// the store was unoriented); later calls with any options reuse the
+// orientation and go straight to planning and the calculation phase.
 func (g *Graph) Count(ctx context.Context, opt Options) (*Result, error) {
 	return g.run(ctx, opt, nil)
 }

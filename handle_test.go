@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"pdtl/internal/balance"
 	"pdtl/internal/baseline"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
@@ -819,50 +818,6 @@ func TestClosedHandle(t *testing.T) {
 	}
 	if _, _, err := g.TriangleDegrees(context.Background(), Options{Workers: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-}
-
-// TestPlanCacheKeyedOnClippedWindow: under a named scan source (the default
-// plans nothing) a window at least as large as the store plans the same
-// whatever its size, so a thousand runs with distinct such windows share
-// one cached plan; only windows that split the store get entries of their
-// own, and those are capped.
-func TestPlanCacheKeyedOnClippedWindow(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "rmat")
-	info, err := GenerateRMAT(base, 8, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := openStore(t, base)
-	ctx := context.Background()
-	first, err := g.Count(ctx, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(g.plans); n != 0 {
-		t.Fatalf("a run of cooperative windows cached %d plans; it has nothing to plan", n)
-	}
-	edges := int(info.NumEdges)
-	for i := 0; i < 1000; i++ {
-		res, err := g.Count(ctx, Options{Workers: 2, MemEdges: edges + i, ScanSource: "buffered"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Triangles != first.Triangles {
-			t.Fatalf("mem=%d: %d triangles, want %d", edges+i, res.Triangles, first.Triangles)
-		}
-	}
-	if n := len(g.plans); n != 1 {
-		t.Fatalf("1000 single-window runs left %d cached plans, want 1", n)
-	}
-	oriented := g.ords[graph.FormatPlain]
-	for mem := 1; mem <= 2*maxCachedPlans; mem++ {
-		if _, err := g.planCached(oriented.d, oriented.base, 2, balance.InDegree, mem); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := len(g.plans); n > maxCachedPlans {
-		t.Fatalf("%d cached plans, cap is %d", n, maxCachedPlans)
 	}
 }
 

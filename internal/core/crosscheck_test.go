@@ -180,12 +180,12 @@ func isBaselineSet(t *testing.T, label string, tris [][3]graph.Vertex, wantSet m
 	}
 }
 
-// TestAllSourceKernelCombosIdentical is the cross-check demanded by the
-// execution-layer refactor: for several generated graphs, every
-// ScanSource must produce the same triangle count as the in-memory
-// baseline AND the same listed triangle sequence per runner — not just the
-// same set, since sources promise order-preserving equivalence.
-func TestAllSourceKernelCombosIdentical(t *testing.T) {
+// TestCrosscheckListings: for several generated graphs, the paper's layout
+// (one buffered runner per range) counts and lists exactly the in-memory
+// baseline's triangles, and the default source's cooperative windows list,
+// whatever the ranges were cut into, the same sequence that one buffered
+// runner with the whole window — workers·memEdges entries — lists.
+func TestCrosscheckListings(t *testing.T) {
 	graphs := []struct {
 		name string
 		g    func() (*graph.CSR, error)
@@ -201,7 +201,6 @@ func TestAllSourceKernelCombosIdentical(t *testing.T) {
 		{"k40", func() (*graph.CSR, error) { return gen.Complete(40) }, 16},
 		{"trigrid", func() (*graph.CSR, error) { return gen.TriGrid(9, 9) }, 32},
 	}
-	sources := []scan.SourceKind{scan.SourceBuffered}
 	const workers = 3
 
 	for _, tc := range graphs {
@@ -218,48 +217,28 @@ func TestAllSourceKernelCombosIdentical(t *testing.T) {
 			d := orientedDisk(t, g)
 			ranges := equalSplit(d, workers)
 
-			// ref is the per-runner listing under the first combo; every
-			// other named-source combo must reproduce it exactly.
-			var ref [][][3]graph.Vertex
-			for _, src := range sources {
-				label := string(src)
-				got := runListed(t, label, d, ranges, Options{MemEdges: tc.memEdges, Scan: src}, false)
+			for _, src := range []scan.SourceKind{scan.SourceBuffered, scan.SourceAuto} {
+				label := string(src.OrAuto())
+				got := runListed(t, label, d, ranges, Options{Workers: workers, MemEdges: tc.memEdges, Scan: src}, false)
 				if got.total != want {
 					t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
 				}
 				isBaselineSet(t, label, got.assembled, wantSet)
-				if ref == nil {
-					ref = got.sinks
-					continue
+				if src.IsAuto() {
+					one := runListed(t, "buffered/one runner", d, []balance.Range{mgt.FullRange(d)},
+						Options{MemEdges: workers * tc.memEdges, Scan: scan.SourceBuffered}, false)
+					sameSequences(t, label, [][][3]graph.Vertex{got.assembled}, [][][3]graph.Vertex{one.assembled})
 				}
-				sameSequences(t, label, got.sinks, ref)
 			}
-
-			// The default source's row: cooperative windows list, whatever
-			// the ranges were cut into, exactly what one runner of the
-			// paper's configuration lists with the whole window —
-			// workers·memEdges entries.
-			one := runListed(t, "buffered/one runner", d, []balance.Range{mgt.FullRange(d)},
-				Options{MemEdges: workers * tc.memEdges, Scan: scan.SourceBuffered}, false)
-			label := "auto"
-			got := runListed(t, label, d, ranges, Options{Workers: workers, MemEdges: tc.memEdges}, false)
-			if got.total != want {
-				t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
-			}
-			isBaselineSet(t, label, got.assembled, wantSet)
-			sameSequences(t, label, [][][3]graph.Vertex{got.assembled}, [][][3]graph.Vertex{one.assembled})
 		})
 	}
 }
 
-// TestSchedSourceKernelCombosIdentical extends the cross-check to the
-// schedule axis — the P ranges of a static plan, or the K·P chunks of a
-// stealing one as a node receives them in a batch: sched(static, stealing) ×
-// scan(buffered) must all produce identical, order-normalized triangle
-// listings versus the in-memory baseline. On top of the set identity, the per-chunk listings of
-// every stealing combo must agree exactly (same sequence per chunk) —
-// sources promise order-preserving equivalence.
-func TestSchedSourceKernelCombosIdentical(t *testing.T) {
+// TestCrosscheckSchedules extends the cross-check to the schedule axis —
+// the P ranges of a static plan, or the K·P chunks of a stealing one as a
+// node receives them in a batch: under the paper's layout each lists
+// exactly the in-memory baseline's triangles.
+func TestCrosscheckSchedules(t *testing.T) {
 	graphs := []struct {
 		name     string
 		g        func() (*graph.CSR, error)
@@ -268,7 +247,6 @@ func TestSchedSourceKernelCombosIdentical(t *testing.T) {
 		{"powerlaw", func() (*graph.CSR, error) { return gen.PowerLaw(400, 6000, 2.2, 11) }, 96},
 		{"k40", func() (*graph.CSR, error) { return gen.Complete(40) }, 16},
 	}
-	sources := []scan.SourceKind{scan.SourceBuffered}
 	const workers = 3
 	const perWorker = 4
 
@@ -284,35 +262,19 @@ func TestSchedSourceKernelCombosIdentical(t *testing.T) {
 				wantSet[[3]graph.Vertex{u, v, w}] = true
 			})
 			d := orientedDisk(t, g)
-			staticRanges := equalSplit(d, workers)
-			chunks := equalSplit(d, workers*perWorker)
-
-			// refChunks is the per-chunk listing under the first stealing
-			// combo; every other stealing combo must match it.
-			var refChunks [][][3]graph.Vertex
 			for _, mode := range []sched.Mode{sched.Static, sched.Stealing} {
-				for _, src := range sources {
-					label := fmt.Sprintf("%s/%s", mode, src)
-					ranges := staticRanges
-					if mode == sched.Stealing {
-						ranges = chunks
-					}
-					got := runListed(t, label, d, ranges, Options{
-						Workers: workers, MemEdges: tc.memEdges, Scan: src,
-					}, false)
-					if got.total != want {
-						t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
-					}
-					isBaselineSet(t, label, got.assembled, wantSet)
-					if mode != sched.Stealing {
-						continue
-					}
-					if refChunks == nil {
-						refChunks = got.sinks
-						continue
-					}
-					sameSequences(t, label, got.sinks, refChunks)
+				label := mode.String()
+				ranges := equalSplit(d, workers)
+				if mode == sched.Stealing {
+					ranges = equalSplit(d, workers*perWorker)
 				}
+				got := runListed(t, label, d, ranges, Options{
+					Workers: workers, MemEdges: tc.memEdges, Scan: scan.SourceBuffered,
+				}, false)
+				if got.total != want {
+					t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
+				}
+				isBaselineSet(t, label, got.assembled, wantSet)
 			}
 		})
 	}
@@ -338,19 +300,19 @@ func bitmapBoundaryGraph() (*graph.CSR, error) {
 	return graph.FromEdges(421, edges)
 }
 
-// TestSchedSourceKernelStoreCombosIdentical is the full execution-layer
-// cross-check with the store axis added: sched(static, stealing) ×
-// scan(auto, buffered) × store(plain, compressed) must produce the
-// identical triangle listing — the same sequence per sink under the named
-// sources, the same assembled sequence under the default's cooperative
-// windows, not just the same set — and match the in-memory baseline count. Every combo then reruns with nil
+// TestCrosscheckSchedulesAndStores is the full execution-layer cross-check
+// with the store axis added: sched(static, stealing) × scan(auto, buffered)
+// × store(plain, compressed) must produce the identical triangle listing —
+// the same sequence per sink under the buffered layout, the same assembled
+// sequence under the default's cooperative windows, not just the same set —
+// and match the in-memory baseline count. Every combo then reruns with nil
 // sinks, counting only; its total must equal both the listing total and the
 // baseline, and on the compressed store both runs must reject segments on
 // their headers. The graphs pin the regimes that matter: Complete(40) at memEdges
 // 16 (every vertex takes the large-vertex path), a skewed power law, and the
 // bitmap-boundary graph above (dense 301-entry lists spanning a full bitmap
 // segment plus a tail, decoded through both segment kinds).
-func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
+func TestCrosscheckSchedulesAndStores(t *testing.T) {
 	graphs := []struct {
 		name     string
 		g        func() (*graph.CSR, error)
@@ -360,7 +322,6 @@ func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 		{"k40", func() (*graph.CSR, error) { return gen.Complete(40) }, 16},
 		{"bitmap", bitmapBoundaryGraph, 256},
 	}
-	sources := []scan.SourceKind{scan.SourceBuffered}
 	const workers = 3
 	const perWorker = 2
 
@@ -387,11 +348,10 @@ func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 			staticRanges := equalSplit(d, workers)
 			chunks := equalSplit(d, workers*perWorker)
 
-			// ref[mode] is the per-sink listing under the first named-source
-			// combo of that schedule, auto[mode] the assembled listing under
-			// the first default-source one; every other combo — including
-			// every compressed-store one — must reproduce its reference byte
-			// for byte.
+			// ref[mode] is the per-sink listing of that schedule's buffered
+			// run on the plain store, auto[mode] the assembled listing of its
+			// default-source run there; the compressed store's runs must
+			// reproduce them byte for byte.
 			ref := map[sched.Mode][][][3]graph.Vertex{}
 			auto := map[sched.Mode][][][3]graph.Vertex{}
 			for _, format := range []graph.Format{graph.FormatPlain, graph.FormatCompressed} {
@@ -400,7 +360,7 @@ func TestSchedSourceKernelStoreCombosIdentical(t *testing.T) {
 					if mode == sched.Stealing {
 						ranges = chunks
 					}
-					for _, src := range append([]scan.SourceKind{scan.SourceAuto}, sources...) {
+					for _, src := range []scan.SourceKind{scan.SourceAuto, scan.SourceBuffered} {
 						label := fmt.Sprintf("%s/%s/%s", format, mode, src)
 						opt := Options{Workers: workers, MemEdges: tc.memEdges, Scan: src}
 						got := runListed(t, label, disks[format], ranges, opt, false)

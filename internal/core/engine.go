@@ -184,7 +184,7 @@ func Process(ctx context.Context, base string, opt Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	res, err := Execute(ctx, d, opt, nil)
+	res, err := Execute(ctx, d, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -194,27 +194,23 @@ func Process(ctx context.Context, base string, opt Options) (*Result, error) {
 }
 
 // Execute is the calculation phase of a run over the oriented store d: the
-// plan under a plan span that the plan explains, then RunRanges under a
-// calc span, folded into a Result (TotalTime is CalcTime; a caller that
-// oriented adds its own). plan supplies the plan — a caller's cached one;
-// nil means LocalPlan. The spans hang under ctx's cursor. A run that hands
-// triangles out (Sinks or Out) hands out d's original ids. Process, the
-// public handle and live views all calculate here.
-func Execute(ctx context.Context, d *graph.Disk, opt Options, plan func() (balance.Plan, error)) (*Result, error) {
+// plan (LocalPlan) under a plan span that the plan explains, then RunRanges
+// under a calc span, folded into a Result (TotalTime is CalcTime; a caller
+// that oriented adds its own). The spans hang under ctx's cursor. A run
+// that hands triangles out (Sinks or Out) hands out d's original ids.
+// Process, the public handle and live views all calculate here.
+func Execute(ctx context.Context, d *graph.Disk, opt Options) (*Result, error) {
 	if opt.Sinks != nil || opt.Out != nil {
 		var err error
 		if opt.IDs, err = d.Perm(); err != nil {
 			return nil, err
 		}
 	}
-	if plan == nil {
-		plan = func() (balance.Plan, error) { return LocalPlan(d, d.Base, opt) }
-	}
 	cur := obs.CursorFrom(ctx)
 	//pdtl:nondeterministic-ok wall-clock feeds Result timing stats only, never listing order
 	start := time.Now()
 	psp := cur.Begin(obs.SpanPlan)
-	p, err := plan()
+	p, err := LocalPlan(d, d.Base, opt)
 	p.Explain(cur, psp)
 	cur.End(psp)
 	if err != nil {

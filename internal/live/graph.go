@@ -8,9 +8,7 @@
 // every read resolved as base ∪ inserts \ deletes; a background compactor
 // rewrites base ⊕ frozen into a fresh on-disk store via the external-sort
 // ingest pipeline and atomically swaps it in without blocking in-flight
-// queries. A bounded-memory streaming estimator (TRIÈST-FD) tracks an
-// approximate triangle count per batch for O(1) freshness between exact
-// runs.
+// queries.
 package live
 
 import (
@@ -49,11 +47,6 @@ type Config struct {
 	// Workers is the parallelism of compaction orientation; non-positive
 	// selects 1.
 	Workers int
-	// Reservoir is the streaming estimator's edge capacity (non-positive
-	// selects the estimator default).
-	Reservoir int
-	// Seed seeds the estimator's sampling.
-	Seed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -90,11 +83,6 @@ type Stats struct {
 	// flight.
 	Compactions uint64
 	Compacting  bool
-	// Estimate is the streaming triangle estimate and whether it is
-	// currently exact (reservoir ≥ live edges + deletion debt).
-	Estimate      float64
-	EstimateExact bool
-	SampledEdges  int
 }
 
 // Graph is a mutable triangle-countable graph: an immutable base snapshot
@@ -108,7 +96,6 @@ type Graph struct {
 	// cur is the published view; replaced wholesale by mutations and
 	// compaction, never mutated in place.
 	cur *view
-	est *Estimator
 	// activeSince is when the oldest mutation of the current active layer
 	// arrived (zero when the layer is empty) — the age-trigger clock.
 	activeSince time.Time
@@ -145,12 +132,9 @@ func FromDisk(d *graph.Disk, base string, cfg Config) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	est := NewEstimator(cfg.Reservoir, cfg.Seed)
-	est.Seed(snap.csr)
 	g := &Graph{
 		cfg: cfg,
 		cur: &view{base: snap, active: emptyDelta},
-		est: est,
 	}
 	g.compactDone = sync.NewCond(&g.mu)
 	return g, nil
@@ -209,15 +193,6 @@ func (g *Graph) ApplyBatch(updates []Update) error {
 		g.activeSince = time.Now()
 	}
 	g.edgesApplied += uint64(len(updates))
-	// The estimator consumes the raw update stream (validated above, so
-	// every insert is new and every delete was live).
-	for _, up := range updates {
-		if up.Del {
-			g.est.Delete(up.U, up.V)
-		} else {
-			g.est.Insert(up.U, up.V)
-		}
-	}
 	g.maybeCompactLocked()
 	return nil
 }
@@ -313,7 +288,7 @@ func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, uint
 		return nil, 0, err
 	}
 	opt.Scan = scan.SourceAuto
-	res, err := core.Execute(ctx, m.disk, opt, nil)
+	res, err := core.Execute(ctx, m.disk, opt)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -325,35 +300,24 @@ func (g *Graph) HasEdge(u, v graph.Vertex) bool {
 	return g.currentView().present(u, v)
 }
 
-// Estimate returns the streaming triangle estimate and whether it is
-// currently exact.
-func (g *Graph) Estimate() (est float64, exact bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.est.Estimate(), g.est.Exact()
-}
-
 // Stats snapshots the graph's state.
 func (g *Graph) Stats() Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	cur := g.cur
-	st := Stats{
-		Gen:           cur.base.gen,
-		ActiveEdges:   cur.active.edges(),
-		FrozenEdges:   cur.frozenEdges(),
-		DeltaEdges:    cur.deltaEdges(),
-		Batches:       cur.batches,
-		EdgesApplied:  g.edgesApplied,
-		Compactions:   g.compactions,
-		Compacting:    g.compacting,
-		Estimate:      g.est.Estimate(),
-		EstimateExact: g.est.Exact(),
-		SampledEdges:  g.est.SampledEdges(),
-		NumEdges:      g.est.LiveEdges(),
-	}
-	st.NumVertices = cur.base.disk.NumVertices()
 	eff := compose(cur.frozen, cur.active)
+	st := Stats{
+		Gen:          cur.base.gen,
+		NumVertices:  cur.base.disk.NumVertices(),
+		NumEdges:     cur.base.disk.Meta.NumEdges + uint64(eff.insEdges) - uint64(eff.delEdges),
+		ActiveEdges:  cur.active.edges(),
+		FrozenEdges:  cur.frozenEdges(),
+		DeltaEdges:   cur.deltaEdges(),
+		Batches:      cur.batches,
+		EdgesApplied: g.edgesApplied,
+		Compactions:  g.compactions,
+		Compacting:   g.compacting,
+	}
 	if len(eff.lists) > 0 && int(eff.maxVertex)+1 > st.NumVertices {
 		st.NumVertices = int(eff.maxVertex) + 1
 	}

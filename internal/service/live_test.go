@@ -72,10 +72,9 @@ func TestServerLiveMutateInvalidatesCache(t *testing.T) {
 		t.Fatalf("repeat live count origin = %v, want cache", c2["origin"])
 	}
 
-	// The streaming estimate agrees with the exact count (the default
-	// reservoir dwarfs this store, so it is in the exact regime).
+	// The estimate is the exact count.
 	est := postJSON(t, client, ts.URL+"/v1/graphs/lv/estimate", nil, 200)
-	if est["method"] != "streaming" || est["exact"] != true || est["estimate"].(float64) != t0 {
+	if est["method"] != "exact" || est["exact"] != true || est["estimate"].(float64) != t0 {
 		t.Fatalf("live estimate = %v, want exact %v", est, t0)
 	}
 
@@ -219,6 +218,47 @@ func TestServerLiveCountReportsViewBatches(t *testing.T) {
 	if st := getJSON(t, client, ts.URL+"/v1/graphs/lv", 200); st["mut_gen"] != 3.0 {
 		t.Fatalf("live status = %v, want mut_gen 3", st)
 	}
+}
+
+// TestServerLiveEstimateIsExactCount: a live graph's estimate is its exact
+// count under the server's defaults, in the slot of a bare GET …/count. A
+// batch drops the slot; the next estimate runs on the view holding the
+// batch and names it, a repeat is a cache hit, and the bare count answers
+// from the same slot. A method other than exact is refused.
+func TestServerLiveEstimateIsExactCount(t *testing.T) {
+	base := genStore(t, 7, 3)
+	svc := New(Config{RunSlots: 2, QueueDepth: 8})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	client := ts.Client()
+
+	postJSON(t, client, ts.URL+"/v1/graphs",
+		registerRequest{Name: "lv", Base: base, Live: true}, http.StatusCreated)
+	estURL := ts.URL + "/v1/graphs/lv/estimate"
+	est := postJSON(t, client, estURL, nil, 200)
+	if est["origin"] != "run" || est["mut_gen"] != 0.0 {
+		t.Fatalf("first estimate = %v, want a run at mut_gen 0", est)
+	}
+	t0 := est["estimate"].(float64)
+
+	postJSON(t, client, ts.URL+"/v1/graphs/lv/edges", mutateRequest{
+		Insert: [][2]uint32{{300, 301}, {301, 302}, {300, 302}},
+	}, 200)
+	est = postJSON(t, client, estURL, estimateRequest{Method: "exact"}, 200)
+	if est["origin"] != "run" || est["mut_gen"] != 1.0 || est["method"] != "exact" ||
+		est["exact"] != true || est["estimate"] != t0+1 {
+		t.Fatalf("estimate after a batch = %v, want an exact run of %v at mut_gen 1", est, t0+1)
+	}
+	if again := postJSON(t, client, estURL, nil, 200); again["origin"] != "cache" ||
+		again["mut_gen"] != 1.0 || again["estimate"] != est["estimate"] {
+		t.Fatalf("repeat estimate = %v, want a cache hit on %v", again, est)
+	}
+	c := getJSON(t, client, ts.URL+"/v1/graphs/lv/count", 200)
+	if c["origin"] != "cache" || c["mut_gen"] != 1.0 || c["triangles"] != est["estimate"] {
+		t.Fatalf("bare count after the estimate = %v, want a cache hit on %v", c, est["estimate"])
+	}
+	postJSON(t, client, estURL, estimateRequest{Method: "streaming"}, http.StatusBadRequest)
 }
 
 // TestEntryInvalidateDropsInFlightResult pins the generation guard: a run

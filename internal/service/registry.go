@@ -3,9 +3,8 @@
 // concurrent engine runs, a memoizing result cache with per-graph
 // single-flight, and an HTTP/JSON API over all of it (server.go). It turns
 // the one-shot CLI workflow into a multi-tenant process that amortizes
-// PDTL's cacheable preprocessing (orientation, in-degrees, load-balance
-// plans — see handle.go) across every request. DESIGN.md §8 describes the
-// architecture.
+// PDTL's cacheable preprocessing (orientation — see handle.go) and its
+// results across every request. DESIGN.md §8 describes the architecture.
 package service
 
 import (
@@ -163,19 +162,8 @@ func (r *Registry) RegisterLive(ctx context.Context, name, base string, opt pdtl
 	return e, nil
 }
 
-// Attach binds an already-open handle to name. The registry takes ownership
-// of the handle (it is closed on eviction, replacement, and registry
-// close).
-func (r *Registry) Attach(name string, g *pdtl.Graph) (*Entry, error) {
-	return r.attach(name, g.Base(), g, nil)
-}
-
-// AttachLive binds an already-open live graph to name; the registry takes
-// ownership of the overlay and its handle.
-func (r *Registry) AttachLive(name string, lg *pdtl.LiveGraph) (*Entry, error) {
-	return r.attach(name, lg.Handle().Base(), lg.Handle(), lg)
-}
-
+// attach binds g, and lg for a live graph, to name. The registry owns them
+// from here on: they are closed on eviction, replacement and registry close.
 func (r *Registry) attach(name, base string, g *pdtl.Graph, lg *pdtl.LiveGraph) (*Entry, error) {
 	r.mu.Lock()
 	if r.closed {

@@ -47,7 +47,7 @@ type Config struct {
 	// also opt in with {"live": true}.
 	Live bool
 	// LiveDefaults parameterizes live registrations (compaction triggers,
-	// snapshot format, estimator reservoir).
+	// snapshot format).
 	LiveDefaults pdtl.LiveOptions
 	// Log receives structured operational events: run start/finish (with
 	// the memoization key as the run id and the phase breakdown), cluster
@@ -683,11 +683,15 @@ func topDegrees(counts []uint64, k int) []vertexDegree {
 
 // estimateRequest is the POST /v1/graphs/{name}/estimate body.
 type estimateRequest struct {
-	// Method is the graph's own estimate, or "" for it: "exact" on a
-	// static graph, "streaming" on a live one.
+	// Method is "" or "exact": every graph's estimate is its exact count.
 	Method string `json:"method"`
 }
 
+// handleEstimate answers a graph's estimate with its exact count under the
+// server's defaults. That holds only the engine's P·M window, and it shares
+// the cache slot of a GET …/count without parameters, so each warms the
+// other; on a live graph the slot is dropped by every batch, and the reply
+// names the batches of the view it counted.
 func (s *Server) handleEstimate(ctx context.Context, w http.ResponseWriter, r *http.Request, e *Entry) error {
 	var req estimateRequest
 	if r.ContentLength != 0 {
@@ -695,46 +699,25 @@ func (s *Server) handleEstimate(ctx context.Context, w http.ResponseWriter, r *h
 			return err
 		}
 	}
-	lg := e.Live()
-	kind, method := "static", "exact"
-	if lg != nil {
-		kind, method = "live", "streaming"
+	if req.Method != "" && req.Method != "exact" {
+		return badf("service: the only estimate method is %q (got %q)", "exact", req.Method)
 	}
-	if req.Method != "" && req.Method != method {
-		return badf("service: %s graphs only support the %s estimate (got method %q)", kind, method, req.Method)
-	}
-	if lg != nil {
-		// Live graphs maintain a streaming estimate (TRIÈST-FD) updated on
-		// every mutation batch — it is already current and costs nothing to
-		// read. One snapshot, so the estimate and the batches it has seen
-		// agree.
-		st := lg.Stats()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"graph":         e.Name(),
-			"origin":        "live",
-			"method":        "streaming",
-			"estimate":      st.Estimate,
-			"exact":         st.EstimateExact,
-			"sampled_edges": st.SampledEdges,
-			"mut_gen":       st.Batches,
-		})
-		return nil
-	}
-	// A static graph's estimate is its exact count under the server's
-	// defaults: it holds only the engine's P·M window, and it shares the
-	// cache slot of a GET …/count without parameters, so each warms the
-	// other.
 	_, m, err := s.count(ctx, e, s.cfg.Defaults, false)
 	if err != nil {
 		return err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	res := m.val.(*pdtl.Result)
+	reply := map[string]any{
 		"graph":    e.Name(),
 		"origin":   m.origin,
-		"method":   method,
-		"estimate": m.val.(*pdtl.Result).Triangles,
+		"method":   "exact",
+		"estimate": res.Triangles,
 		"exact":    true,
-	})
+	}
+	if e.Live() != nil {
+		reply["mut_gen"] = res.Batches
+	}
+	writeJSON(w, http.StatusOK, reply)
 	return nil
 }
 
@@ -763,8 +746,8 @@ func (s *Server) handleMutate(ctx context.Context, w http.ResponseWriter, r *htt
 	}
 	lg := e.Live()
 	// Mutations are admission-controlled like engine runs: a batch rebuilds
-	// delta layers, feeds the estimator, and may kick off a compaction —
-	// enough work that unbounded concurrent batches could starve queries.
+	// delta layers and may kick off a compaction — enough work that
+	// unbounded concurrent batches could starve queries.
 	err := s.withSlot(ctx, func() error {
 		if err := lg.Apply(updates); err != nil {
 			// Apply only fails on invalid updates (self-loop, duplicate
@@ -820,19 +803,16 @@ func (s *Server) handleCompact(ctx context.Context, w http.ResponseWriter, r *ht
 // liveStatsJSON shapes pdtl.LiveStats for the JSON API.
 func liveStatsJSON(st pdtl.LiveStats) map[string]any {
 	return map[string]any{
-		"gen":            st.Gen,
-		"num_vertices":   st.NumVertices,
-		"num_edges":      st.NumEdges,
-		"active_edges":   st.ActiveEdges,
-		"frozen_edges":   st.FrozenEdges,
-		"delta_edges":    st.DeltaEdges,
-		"batches":        st.Batches,
-		"edges_applied":  st.EdgesApplied,
-		"compactions":    st.Compactions,
-		"compacting":     st.Compacting,
-		"estimate":       st.Estimate,
-		"estimate_exact": st.EstimateExact,
-		"sampled_edges":  st.SampledEdges,
+		"gen":           st.Gen,
+		"num_vertices":  st.NumVertices,
+		"num_edges":     st.NumEdges,
+		"active_edges":  st.ActiveEdges,
+		"frozen_edges":  st.FrozenEdges,
+		"delta_edges":   st.DeltaEdges,
+		"batches":       st.Batches,
+		"edges_applied": st.EdgesApplied,
+		"compactions":   st.Compactions,
+		"compacting":    st.Compacting,
 	}
 }
 

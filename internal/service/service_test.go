@@ -671,7 +671,7 @@ func TestServerEstimateAndDegrees(t *testing.T) {
 	if c := getJSON(t, client, ts.URL+"/v1/graphs/h/count", 200); c["origin"] != "cache" {
 		t.Fatalf("count after an estimate = %v, want a cache hit", c)
 	}
-	// Only the graph's own method is accepted.
+	// Only the exact method is accepted.
 	for _, method := range []string{"doulion", "wedges", "streaming"} {
 		postJSON(t, client, ts.URL+"/v1/graphs/g/estimate", estimateRequest{Method: method}, http.StatusBadRequest)
 	}

@@ -1,8 +1,7 @@
-// Package vset holds the sorted vertex-set primitives shared by every
-// in-memory adjacency maintainer: the live delta layer (internal/live) and
-// the streaming estimator's sample adjacency. A set is a plain sorted
-// []graph.Vertex with no duplicates; all operations preserve that
-// invariant and none of them allocate beyond the append they document.
+// Package vset holds the sorted vertex-set primitives of the live delta
+// layer (internal/live). A set is a plain sorted []graph.Vertex with no
+// duplicates; all operations preserve that invariant and none of them
+// allocate beyond the append they document.
 package vset
 
 import "pdtl/internal/graph"

@@ -1,9 +1,8 @@
 // Live (mutable) graphs: an LSM-style delta overlay on the immutable
 // store (internal/live, DESIGN.md §11). A LiveGraph accepts batched edge
 // insertions and deletions, serves exact counts over the merged
-// base ⊕ delta view through the unchanged engine, keeps a bounded-memory
-// streaming triangle estimate per batch, and compacts the delta into a
-// fresh on-disk snapshot in the background.
+// base ⊕ delta view through the unchanged engine, and compacts the delta
+// into a fresh on-disk snapshot in the background.
 
 package pdtl
 
@@ -35,11 +34,6 @@ type LiveOptions struct {
 	MemEdges int
 	// Workers is the compaction parallelism; non-positive selects 1.
 	Workers int
-	// Reservoir is the streaming estimator's edge capacity; non-positive
-	// selects the default (131072 edges).
-	Reservoir int
-	// Seed seeds the estimator deterministically.
-	Seed int64
 }
 
 // LiveUpdate is one edge mutation: insert (U, V), or delete it when Del.
@@ -89,8 +83,6 @@ func (g *Graph) Live(ctx context.Context, opt LiveOptions) (*LiveGraph, error) {
 		StoreFormat:  format,
 		MemEdges:     opt.MemEdges,
 		Workers:      workers,
-		Reservoir:    opt.Reservoir,
-		Seed:         opt.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -149,17 +141,13 @@ func (lg *LiveGraph) Count(ctx context.Context, opt Options) (res *Result, err e
 	return res, nil
 }
 
-// Estimate returns the streaming triangle estimate and whether it is
-// currently exact (the reservoir holds every live edge).
-func (lg *LiveGraph) Estimate() (estimate float64, exact bool) { return lg.lg.Estimate() }
-
 // Compact synchronously folds all pending delta into a fresh on-disk
 // snapshot (waiting first for any background compaction in flight). A
 // no-op when the delta is empty.
 func (lg *LiveGraph) Compact(ctx context.Context) error { return lg.lg.CompactNow(ctx) }
 
-// Stats snapshots the live layer's state (delta sizes, compaction
-// generation, estimator).
+// Stats snapshots the live layer's state (edge count, delta sizes,
+// compaction generation).
 func (lg *LiveGraph) Stats() LiveStats { return lg.lg.Stats() }
 
 // Handle returns the underlying immutable-store handle.

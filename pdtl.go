@@ -13,9 +13,9 @@
 //
 // The primary entry point is the Graph handle (see handle.go):
 //
-//   - Open — a long-lived handle on one graph store, with the orientation,
-//     degree index, and load-balance plan computed once and reused by every
-//     run; all run methods take a context.Context for cancellation;
+//   - Open — a long-lived handle on one graph store, with the orientation
+//     and degree index computed once and reused by every run; all run
+//     methods take a context.Context for cancellation;
 //   - g.Count / g.List / g.Triangles / g.TriangleDegrees —
 //     single-machine, multi-core runs;
 //   - g.CountDistributed / ServeWorkerContext — the distributed protocol
@@ -167,8 +167,9 @@ type Result struct {
 	// OrientTime is the preprocessing time (zero if the input store was
 	// already oriented).
 	OrientTime time.Duration
-	// PlanTime is the load-balance planning slice of CalcTime (~zero when
-	// the handle's plan cache hits).
+	// PlanTime is the load-balance planning slice of CalcTime (~zero under
+	// the default source, which plans one range; milliseconds under a named
+	// one, which reads the in-degrees and splits the store).
 	PlanTime time.Duration
 	// CalcTime is the calculation phase (load balancing + slowest runner).
 	CalcTime time.Duration
