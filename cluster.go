@@ -9,11 +9,9 @@ import (
 	"sync"
 	"time"
 
-	"pdtl/internal/balance"
 	"pdtl/internal/cluster"
 	"pdtl/internal/core"
 	"pdtl/internal/graph"
-	"pdtl/internal/scan"
 	"pdtl/internal/sched"
 )
 
@@ -23,15 +21,9 @@ type ClusterOptions struct {
 	Workers int
 	// MemEdges is M per processor, in adjacency entries.
 	MemEdges int
-	// NaiveBalance disables the in-degree load balancer.
-	NaiveBalance bool
 	// UplinkBytesPerSec rate-limits the master's aggregate outgoing graph
 	// copies (0 = unlimited); it models a shared NIC.
 	UplinkBytesPerSec int64
-	// ScanSource selects every node's layout ("auto" or "buffered"); see
-	// Options.ScanSource. "buffered" does not combine with Sched "stealing":
-	// Key and CountDistributed refuse the pair.
-	ScanSource string
 	// Sched selects the scheduler: "static" (or empty — the paper's
 	// up-front pre-split of the global plan across nodes) or "stealing"
 	// (the master cuts the scan of the local engine's windows of
@@ -64,7 +56,10 @@ type ClusterOptions struct {
 	// empty) or "compressed" (see Options.StoreFormat). An already-oriented
 	// input is replicated in the format it is in.
 	StoreFormat string
-	// List requests triangle listing into ListPath (12-byte triples).
+	// List requests triangle listing into ListPath (12-byte triples). The
+	// listing is published by rename: ListPath may be absent, a regular
+	// file, or a symlink, whose target is then replaced; anything else — a
+	// FIFO, a device — is refused before the run starts.
 	List     bool
 	ListPath string
 	// Log, when non-nil, receives a structured warning for every worker
@@ -92,9 +87,8 @@ func (o ClusterOptions) Key(workerAddrs []string) (string, error) {
 	if cfg.Sched == sched.Stealing {
 		chunks = sched.ChunksFor(cfg.Workers, cfg.Chunks)
 	}
-	key := fmt.Sprintf("nodes=%s w%d m%d %s %s %s c%d %s",
-		strings.Join(workerAddrs, ","), cfg.Workers, cfg.MemEdges, cfg.Strategy, cfg.Sched,
-		cfg.Scan.OrAuto(), chunks, format)
+	key := fmt.Sprintf("nodes=%s w%d m%d %s c%d %s",
+		strings.Join(workerAddrs, ","), cfg.Workers, cfg.MemEdges, cfg.Sched, chunks, format)
 	if o.List {
 		key += " list=" + o.ListPath
 	}
@@ -102,23 +96,12 @@ func (o ClusterOptions) Key(workerAddrs []string) (string, error) {
 }
 
 // toCluster resolves o into the cluster engine's configuration and the
-// oriented store's format: every name parsed and the schedule checked, and
-// Workers and MemEdges defaulted as the engine defaults them
-// (cluster.Config). Key and CountDistributed both start here.
+// oriented store's format: every name parsed, and Workers and MemEdges
+// defaulted as the engine defaults them (cluster.Config). Key and
+// CountDistributed both start here.
 func (o ClusterOptions) toCluster() (cluster.Config, graph.Format, error) {
-	strategy := balance.InDegree
-	if o.NaiveBalance {
-		strategy = balance.Naive
-	}
-	scanKind, err := scan.ParseSource(o.ScanSource)
-	if err != nil {
-		return cluster.Config{}, "", err
-	}
 	mode, err := sched.ParseMode(o.Sched)
 	if err != nil {
-		return cluster.Config{}, "", err
-	}
-	if err := cluster.CheckSchedule(mode, scanKind); err != nil {
 		return cluster.Config{}, "", err
 	}
 	format, err := graph.ParseFormat(o.StoreFormat)
@@ -128,9 +111,7 @@ func (o ClusterOptions) toCluster() (cluster.Config, graph.Format, error) {
 	cfg := cluster.Config{
 		Workers:           o.Workers,
 		MemEdges:          o.MemEdges,
-		Strategy:          strategy,
 		UplinkBytesPerSec: o.UplinkBytesPerSec,
-		Scan:              scanKind,
 		Sched:             mode,
 		Chunks:            o.Chunks,
 		MaxRetries:        o.MaxRetries,

@@ -8,7 +8,9 @@
 //	pdtl-master -graph path/to/store -nodes host1:7100,host2:7100 \
 //	            [-workers P] [-mem ENTRIES] [-uplink BYTES/S] [-list out.bin]
 //
-// The master participates as node 0. With no -nodes it runs the protocol
+// -list is replaced by rename once the listing is whole: it may be absent,
+// a regular file, or a symlink (whose target is replaced), and anything
+// else is refused before the run. The master participates as node 0. With no -nodes it runs the protocol
 // locally. SIGINT/SIGTERM cancel the run cooperatively: local runners stop
 // at their next memory window, in-flight replica copies stop at the next
 // chunk, and remote nodes are told to abandon their calculation.
@@ -39,9 +41,6 @@ func main() {
 	workers := flag.Int("workers", 1, "processors per node")
 	mem := flag.Int("mem", 0, "memory budget per processor, in adjacency entries")
 	uplink := flag.Int64("uplink", 0, "master uplink rate limit in bytes/s (0 = unlimited)")
-	naive := flag.Bool("naive-balance", false, "disable in-degree load balancing")
-	scanSource := flag.String("scan", "auto",
-		"per-node layout: auto (a node's workers share one window and are dealt the scan) or buffered (one range and one private window per worker)")
 	store := flag.String("store", "",
 		"oriented-store encoding built and replicated to workers: plain or compressed (default plain; already-oriented input is replicated as-is)")
 	schedMode := flag.String("sched", "static",
@@ -51,7 +50,7 @@ func main() {
 		"reassignments allowed per work unit after a worker failure (0 = default 2, negative = fail fast on the first failure)")
 	heartbeat := flag.Duration("heartbeat", 0,
 		"worker liveness ping interval (0 = default 2s, negative = disabled); a worker missing 3 pings is declared dead and its work reassigned")
-	list := flag.String("list", "", "write triangle listing to this file")
+	list := flag.String("list", "", "write triangle listing to this file (absent, a regular file, or a symlink to one, replaced once the listing is whole)")
 	tracePath := flag.String("trace", "", "write the run's merged phase trace (Chrome trace_event JSON, worker spans included) to this file")
 	logFormat := flag.String("log-format", "text", "structured log format on stderr: text or json")
 	flag.Parse()
@@ -89,9 +88,7 @@ func main() {
 		Log:               logger,
 		Workers:           *workers,
 		MemEdges:          *mem,
-		NaiveBalance:      *naive,
 		UplinkBytesPerSec: *uplink,
-		ScanSource:        *scanSource,
 		StoreFormat:       *store,
 		Sched:             *schedMode,
 		Chunks:            *chunks,

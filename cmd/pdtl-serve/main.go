@@ -21,9 +21,8 @@
 //	GET    /v1/graphs/{name}               one graph's status
 //	DELETE /v1/graphs/{name}               evict (close) a graph
 //	GET    /v1/graphs/{name}/count        exact count (?workers= &mem=
-//	                                       &scan= &store= &naive= &timeout=
-//	                                       &distributed=, and with it
-//	                                       &sched= &chunks=)
+//	                                       &store= &timeout= &distributed=,
+//	                                       and with it &sched= &chunks=)
 //	GET    /v1/graphs/{name}/triangles    NDJSON stream (?limit=)
 //	GET    /v1/graphs/{name}/degrees      per-vertex triangle counts (?top=)
 //	POST   /v1/graphs/{name}/estimate     the exact default count, static

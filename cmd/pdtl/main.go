@@ -3,16 +3,19 @@
 //
 // Usage:
 //
-//	pdtl count -graph path/to/store [-workers P] [-mem M] [-naive-balance]
+//	pdtl count -graph path/to/store [-workers P] [-mem M]
 //	pdtl list  -graph path/to/store -out triangles.bin [-workers P] [-mem M]
 //	pdtl info  -graph path/to/store
 //
 // The graph store is the three-file binary layout produced by pdtl-gen (or
 // the pdtl library's Generate/Import functions). Unoriented stores are
 // oriented automatically; the oriented store is left next to the input for
-// reuse. SIGINT/SIGTERM cancel the run cooperatively: the workers stop at
-// their next memory window and the command exits cleanly instead of
-// mid-write.
+// reuse. The workers share one window of P·M entries and are dealt its
+// scan. A listing replaces -out by rename once it is whole: -out may be
+// absent, a regular file, or a symlink (whose target is replaced), and
+// anything else is refused. SIGINT/SIGTERM cancel the run cooperatively:
+// the workers stop at their next memory window and the command exits
+// cleanly instead of mid-write.
 package main
 
 import (
@@ -61,10 +64,10 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  pdtl count -graph BASE [-workers P] [-mem ENTRIES] [-naive-balance]
-             [-scan auto|buffered] [-store plain|compressed] [-trace FILE]
-  pdtl list  -graph BASE -out FILE [-workers P] [-mem ENTRIES] [-naive-balance]
-             [-scan auto|buffered] [-store plain|compressed] [-trace FILE]
+  pdtl count -graph BASE [-workers P] [-mem ENTRIES]
+             [-store plain|compressed] [-trace FILE]
+  pdtl list  -graph BASE -out FILE [-workers P] [-mem ENTRIES]
+             [-store plain|compressed] [-trace FILE]
   pdtl info  -graph BASE`)
 }
 
@@ -72,10 +75,7 @@ func commonFlags(fs *flag.FlagSet) (graphBase *string, opt *pdtl.Options) {
 	opt = &pdtl.Options{}
 	graphBase = fs.String("graph", "", "graph store base path (required)")
 	fs.IntVar(&opt.Workers, "workers", 0, "parallel workers (default: CPUs)")
-	fs.IntVar(&opt.MemEdges, "mem", 0, "memory budget per worker, in adjacency entries")
-	fs.BoolVar(&opt.NaiveBalance, "naive-balance", false, "split the ranges of -scan buffered equally instead of by in-degree")
-	fs.StringVar(&opt.ScanSource, "scan", "auto",
-		"layout: auto (the workers share one window of workers·mem entries and are dealt the scan) or buffered (the paper's layout: one range and one private window of mem entries per worker)")
+	fs.IntVar(&opt.MemEdges, "mem", 0, "memory budget per worker, in adjacency entries (the workers share one window of workers·mem entries)")
 	fs.StringVar(&opt.StoreFormat, "store", "plain",
 		"oriented-store format when orienting: plain or compressed")
 	return graphBase, opt
@@ -123,7 +123,7 @@ func runCount(ctx context.Context, args []string) error {
 func runList(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("list", flag.ExitOnError)
 	graphBase, opt := commonFlags(fs)
-	out := fs.String("out", "", "output file for binary triangle triples (required)")
+	out := fs.String("out", "", "output file for binary triangle triples (required; absent, a regular file, or a symlink to one, replaced once the listing is whole)")
 	tracePath := fs.String("trace", "", "write the run's phase trace (Chrome trace_event JSON) to this file")
 	fs.Parse(args)
 	if *graphBase == "" || *out == "" {
@@ -178,8 +178,6 @@ func printResult(res *pdtl.Result) {
 	fmt.Printf("triangles: %d\n", res.Triangles)
 	fmt.Printf("orientation: %v  calculation: %v  total: %v\n",
 		res.OrientTime, res.CalcTime, res.TotalTime)
-	// auto: the shared windows' loads; buffered: 0, the workers' own.
-	fmt.Printf("scan source: %s (%d bytes read by the source)\n", res.ScanSource, res.SourceBytesRead)
 	passes := make([]string, len(res.Workers))
 	for i, w := range res.Workers {
 		passes[i] = strconv.Itoa(w.Passes)

@@ -295,8 +295,16 @@ func (g *Graph) List(ctx context.Context, w io.Writer, opt Options) (*Result, er
 // renamed into place only on success (graph.CreateTemp) — a failed or
 // cancelled run never truncates or disturbs an existing file at outPath.
 // The final file gets os.Create's permissions (0666 clipped by the umask).
+// outPath may be absent, a regular file, or a symlink, in which case the
+// file it resolves to is the one replaced and the link stays; anything else
+// — a FIFO, a device — is refused before the run starts, as a rename would
+// replace it (graph.PublishTarget).
 func (g *Graph) ListFile(ctx context.Context, outPath string, opt Options) (*Result, error) {
-	out, err := graph.CreateTemp(outPath)
+	target, err := graph.PublishTarget(outPath)
+	if err != nil {
+		return nil, err
+	}
+	out, err := graph.CreateTemp(target)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +313,7 @@ func (g *Graph) ListFile(ctx context.Context, outPath string, opt Options) (*Res
 		graph.Discard(out)
 		return nil, err
 	}
-	if err := graph.Publish(out, outPath); err != nil {
+	if err := graph.Publish(out, target); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -105,7 +106,9 @@ func TestHandleNoRereadAfterFirstRun(t *testing.T) {
 }
 
 // TestHandleCancelMidPassAllSources cancels from inside the loop over the
-// triangles under both layouts and expects the bare ctx.Err().
+// triangles and expects the bare ctx.Err(). The paper's layout, which no
+// public option selects, is cancelled the same way in internal/core's
+// TestRunRangesCancelAllSources.
 func TestHandleCancelMidPassAllSources(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "rmat")
 	if _, err := GenerateRMAT(base, 10, 16, 3); err != nil {
@@ -126,28 +129,26 @@ func TestHandleCancelMidPassAllSources(t *testing.T) {
 	if total.Triangles <= (2*2+2)*triangleBatch {
 		t.Fatalf("%d triangles: too few to cancel mid-run", total.Triangles)
 	}
-	for _, source := range []string{"buffered", "auto"} {
-		t.Run(source, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			fired := false
-			// MemEdges 128 gives every runner dozens of windows, so the
-			// cancellation lands mid-run with most of the range left.
-			seq, done := g.Triangles(ctx, Options{Workers: 2, MemEdges: 128, ScanSource: source})
-			for range seq {
-				if !fired {
-					fired = true
-					cancel()
-				}
-			}
-			if _, err := done(); !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
+	t.Run("auto", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		fired := false
+		// MemEdges 128 gives the window dozens of rounds, so the
+		// cancellation lands mid-run with most of the store left.
+		seq, done := g.Triangles(ctx, Options{Workers: 2, MemEdges: 128})
+		for range seq {
 			if !fired {
-				t.Fatal("the loop never ran")
+				fired = true
+				cancel()
 			}
-		})
-	}
+		}
+		if _, err := done(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if !fired {
+			t.Fatal("the loop never ran")
+		}
+	})
 }
 
 func TestHandleTrianglesIterator(t *testing.T) {
@@ -403,8 +404,9 @@ func TestHandleListWriter(t *testing.T) {
 // default source depends on the memory it was given, Workers·MemEdges, and on
 // nothing else — not on how many workers share it, not on which of them was
 // dealt which block: byte-identical files for 1, 2 and 4 workers at equal
-// Workers·MemEdges on both store formats, the very file one worker of the
-// paper's configuration writes with the whole window to itself.
+// Workers·MemEdges on both store formats. (That one worker of the paper's
+// layout with the whole window writes the very same file is internal/core's
+// TestCooperativeWindowsAgainstPaperLayout.)
 func TestListFileIndependentOfWorkers(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "pl")
 	info, err := GeneratePowerLaw(base, 2000, 30000, 1.9, 17)
@@ -431,7 +433,7 @@ func TestListFileIndependentOfWorkers(t *testing.T) {
 	}
 	for _, format := range []string{"plain", "compressed"} {
 		for _, window := range []int{int(info.NumEdges), int(info.NumEdges)/12/4*4 + 4} {
-			ref := list("ref", Options{Workers: 1, MemEdges: window, ScanSource: "buffered", StoreFormat: format})
+			ref := list("ref", Options{Workers: 1, MemEdges: window, StoreFormat: format})
 			for _, workers := range []int{1, 2, 4} {
 				for rep := 0; rep < 3; rep++ {
 					got := list("out", Options{Workers: workers, MemEdges: window / workers, StoreFormat: format})
@@ -535,9 +537,9 @@ func (w *failAfter) Write(p []byte) (int, error) {
 
 // TestListStreamsWithoutIntermediates: a listing creates no file, in the
 // temp directory or anywhere else, while List runs or after it returns,
-// under the default source and a named one, however slow the output. An
-// output that fails part-way makes List return its error, with every worker
-// stopped.
+// however slow the output. An output that fails part-way makes List return
+// its error, with every worker stopped. (A failed write under the paper's
+// layout is internal/core's TestPaperLayoutListingWaiterWakes.)
 func TestListStreamsWithoutIntermediates(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "pl")
 	if _, err := GeneratePowerLaw(base, 2000, 30000, 1.9, 17); err != nil {
@@ -553,23 +555,21 @@ func TestListStreamsWithoutIntermediates(t *testing.T) {
 		}
 	}
 	before := runtime.NumGoroutine()
-	for _, source := range []string{"", "buffered"} {
-		opt := Options{Workers: 4, MemEdges: 2000, ScanSource: source}
-		w := &watchedWriter{t: t, dir: tmp}
-		res, err := g.List(context.Background(), w, opt)
-		if err != nil {
-			t.Fatal(err)
+	opt := Options{Workers: 4, MemEdges: 2000}
+	w := &watchedWriter{t: t, dir: tmp}
+	res, err := g.List(context.Background(), w, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(w.n) != 12*res.Triangles {
+		t.Errorf("%d bytes for %d triangles", w.n, res.Triangles)
+	}
+	empty("listing")
+	for _, n := range []int{0, 12 * 1000} {
+		if _, err := g.List(context.Background(), &failAfter{n: n}, opt); !errors.Is(err, errOutputFull) {
+			t.Errorf("output full after %d bytes: err = %v", n, err)
 		}
-		if uint64(w.n) != 12*res.Triangles {
-			t.Errorf("source %q: %d bytes for %d triangles", source, w.n, res.Triangles)
-		}
-		empty("source " + source)
-		for _, n := range []int{0, 12 * 1000} {
-			if _, err := g.List(context.Background(), &failAfter{n: n}, opt); !errors.Is(err, errOutputFull) {
-				t.Errorf("source %q, output full after %d bytes: err = %v", source, n, err)
-			}
-			empty("failed run")
-		}
+		empty("failed run")
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -638,9 +638,9 @@ func TestListFileLeavesOnlyTheOutput(t *testing.T) {
 
 	dir = t.TempDir()
 	bad := opt
-	bad.ScanSource = "bogus"
+	bad.StoreFormat = "bogus"
 	if _, err := g.ListFile(context.Background(), filepath.Join(dir, "tris.bin"), bad); err == nil {
-		t.Fatal("an unknown scan source listed")
+		t.Fatal("an unknown store format listed")
 	}
 	check("failure", dir)
 
@@ -671,6 +671,99 @@ func TestListFileLeavesOnlyTheOutput(t *testing.T) {
 		default:
 			t.Fatalf("run %d: %v", i, err)
 		}
+	}
+}
+
+// TestListFileKeepsSpecialOutputs: ListFile publishes by rename, which
+// would replace whatever sits at its path. A FIFO there is refused before
+// the run and stays a FIFO; a symlink stays a symlink, and the file it
+// points to is the one replaced — by the whole listing on success, and not
+// at all by a cancelled run; a dangling link's target is created, and a
+// link loop is refused. (Only temp directories: a regression must never get
+// to replace a real device node.)
+func TestListFileKeepsSpecialOutputs(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "pl")
+	if _, err := GeneratePowerLaw(base, 600, 6000, 2.0, 5); err != nil {
+		t.Fatal(err)
+	}
+	g := openStore(t, base)
+	ctx, opt := context.Background(), Options{Workers: 2, MemEdges: 500}
+	dir := t.TempDir()
+
+	fifo := filepath.Join(dir, "fifo")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.ListFile(ctx, fifo, opt); err == nil || !strings.Contains(err.Error(), "not a regular file") {
+		t.Errorf("listing onto a FIFO: err = %v, want a refusal", err)
+	}
+	if fi, err := os.Lstat(fifo); err != nil || fi.Mode().Type() != os.ModeNamedPipe {
+		t.Errorf("the FIFO is now %v (%v)", fi.Mode(), err)
+	}
+
+	want := filepath.Join(dir, "want.bin")
+	if _, err := g.ListFile(ctx, want, opt); err != nil {
+		t.Fatal(err)
+	}
+	target, link := filepath.Join(dir, "target.bin"), filepath.Join(dir, "link.bin")
+	old := []byte("the old listing")
+	if err := os.WriteFile(target, old, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("target.bin", link); err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, wantBytes []byte) {
+		t.Helper()
+		if fi, err := os.Lstat(link); err != nil || fi.Mode().Type() != os.ModeSymlink {
+			t.Errorf("%s: the symlink is now %v (%v)", label, fi.Mode(), err)
+		}
+		if got, err := os.ReadFile(target); err != nil || !bytes.Equal(got, wantBytes) {
+			t.Errorf("%s: the target holds %d bytes (%v), want %d", label, len(got), err, len(wantBytes))
+		}
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := g.ListFile(cancelled, link, opt); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled listing: err = %v", err)
+	}
+	check("cancelled", old)
+	if _, err := g.ListFile(ctx, link, opt); err != nil {
+		t.Fatal(err)
+	}
+	listing, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("listed", listing)
+
+	// A dangling link's target is created, and the link kept.
+	dangling := filepath.Join(dir, "dangling.bin")
+	if err := os.Symlink("new.bin", dangling); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.ListFile(ctx, dangling, opt); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "new.bin")); err != nil || !bytes.Equal(got, listing) {
+		t.Errorf("the dangling link's target holds %d bytes (%v), want %d", len(got), err, len(listing))
+	}
+	if fi, err := os.Lstat(dangling); err != nil || fi.Mode().Type() != os.ModeSymlink {
+		t.Errorf("the dangling symlink is now %v (%v)", fi.Mode(), err)
+	}
+	// A link to itself resolves to nothing: refused, and left as it is.
+	loop := filepath.Join(dir, "loop.bin")
+	if err := os.Symlink("loop.bin", loop); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.ListFile(ctx, loop, opt); err == nil || !strings.Contains(err.Error(), "not a regular file") {
+		t.Errorf("listing onto a symlink loop: err = %v, want a refusal", err)
+	}
+	if fi, err := os.Lstat(loop); err != nil || fi.Mode().Type() != os.ModeSymlink {
+		t.Errorf("the looping symlink is now %v (%v)", fi.Mode(), err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(left) > 0 {
+		t.Errorf("left behind: %v", left)
 	}
 }
 
@@ -818,41 +911,6 @@ func TestClosedHandle(t *testing.T) {
 	}
 	if _, _, err := g.TriangleDegrees(context.Background(), Options{Workers: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-}
-
-// TestHandleRejectsSharedScan: "shared", a scan source the engine no longer
-// has, fails every entry point with the parse error naming the two layouts —
-// local runs and a distributed run alike — before anything is read.
-func TestHandleRejectsSharedScan(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "rmat")
-	if _, err := GenerateRMAT(base, 8, 8, 3); err != nil {
-		t.Fatal(err)
-	}
-	g, err := Open(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	ctx, opt := context.Background(), Options{ScanSource: "shared"}
-	const want = `unknown scan source "shared" (want auto, buffered)`
-	check := func(entry string, err error) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: %v; want an error containing %q", entry, err, want)
-		}
-	}
-	_, err = g.Count(ctx, opt)
-	check("Count", err)
-	var buf bytes.Buffer
-	_, err = g.List(ctx, &buf, opt)
-	check("List", err)
-	_, err = opt.Key()
-	check("Key", err)
-	_, err = g.CountDistributed(ctx, nil, ClusterOptions{ScanSource: "shared"})
-	check("CountDistributed", err)
-	if g.Runs() != 0 {
-		t.Errorf("%d runs started", g.Runs())
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -56,7 +58,6 @@ func TestDistributedCountMatchesReference(t *testing.T) {
 			GraphBase: base,
 			Workers:   2,
 			MemEdges:  512,
-			Strategy:  balance.InDegree,
 		}, lc.Addrs())
 		if err != nil {
 			t.Fatalf("clients=%d: %v", clients, err)
@@ -210,6 +211,80 @@ func TestDistributedListingReplacesWhole(t *testing.T) {
 			names = append(names, e.Name())
 		}
 		t.Fatalf("listing directory holds %v, want only the listing", names)
+	}
+}
+
+// TestDistributedListingKeepsSpecialOutputs: the master publishes a
+// listing by rename, which would replace whatever sits at ListPath. A FIFO
+// there is refused before the run — the store is not even oriented — and
+// stays a FIFO; a symlink stays a symlink, and its target is the file
+// replaced: by the whole listing on success, and not at all by a cancelled
+// run. (Only temp directories: a regression must never get to replace a
+// real device node.)
+func TestDistributedListingKeepsSpecialOutputs(t *testing.T) {
+	g, err := gen.TriGrid(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := writeStore(t, g, "tg")
+	lc := startCluster(t, 1)
+	dir := t.TempDir()
+	list := func(ctx context.Context, path string) error {
+		_, err := Run(ctx, Config{GraphBase: base, Workers: 2, MemEdges: 64, List: true, ListPath: path}, lc.Addrs())
+		return err
+	}
+
+	fifo := filepath.Join(dir, "fifo")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := list(context.Background(), fifo); err == nil || !strings.Contains(err.Error(), "not a regular file") {
+		t.Errorf("listing onto a FIFO: err = %v, want a refusal", err)
+	}
+	if fi, err := os.Lstat(fifo); err != nil || fi.Mode().Type() != os.ModeNamedPipe {
+		t.Errorf("the FIFO is now %v (%v)", fi.Mode(), err)
+	}
+	if _, err := os.Stat(base + ".oriented.meta"); err == nil {
+		t.Error("the refused run oriented the store first")
+	}
+
+	want := filepath.Join(dir, "want.bin")
+	if err := list(context.Background(), want); err != nil {
+		t.Fatal(err)
+	}
+	target, link := filepath.Join(dir, "target.bin"), filepath.Join(dir, "link.bin")
+	old := []byte("the old listing")
+	if err := os.WriteFile(target, old, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("target.bin", link); err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, wantBytes []byte) {
+		t.Helper()
+		if fi, err := os.Lstat(link); err != nil || fi.Mode().Type() != os.ModeSymlink {
+			t.Errorf("%s: the symlink is now %v (%v)", label, fi.Mode(), err)
+		}
+		if got, err := os.ReadFile(target); err != nil || !bytes.Equal(got, wantBytes) {
+			t.Errorf("%s: the target holds %d bytes (%v), want %d", label, len(got), err, len(wantBytes))
+		}
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := list(cancelled, link); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled listing: err = %v", err)
+	}
+	check("cancelled", old)
+	if err := list(context.Background(), link); err != nil {
+		t.Fatal(err)
+	}
+	listing, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("listed", listing)
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(left) > 0 {
+		t.Errorf("left behind: %v", left)
 	}
 }
 
@@ -448,7 +523,8 @@ func TestFailedCopyDoesNotPoisonReplicaCache(t *testing.T) {
 // TestNodeRejectsRemovedKernel: a master that predates the kernel deletions
 // may still send a kernel name this node no longer has. The batch must fail
 // with an error naming it — not panic, and not quietly run the default —
-// while the names of the one cone routine count the same triangles.
+// while the names of the one cone routine count the same triangles. The
+// same holds for a layout name (CountArgs.Scan) other than the one layout.
 func TestNodeRejectsRemovedKernel(t *testing.T) {
 	g, err := gen.Complete(8)
 	if err != nil {
@@ -476,28 +552,28 @@ func TestNodeRejectsRemovedKernel(t *testing.T) {
 			t.Errorf("kernel %q: the rejected batch still counted: %+v", kernel, reply)
 		}
 	}
-	// A master that still offers a removed source — the in-memory one, or
-	// the shared broadcast — gets an error naming the layouts a node
-	// accepts, not a panic or a count.
-	for _, source := range []string{"mem", "shared"} {
+	// A master that still names a layout — the paper's, the in-memory one,
+	// or the shared broadcast — gets an error naming it, not a panic or a
+	// count.
+	for _, source := range []string{"buffered", "mem", "shared"} {
 		args.Kernel, args.Scan = "", source
 		var reply CountReply
-		if err := node.Count(&args, &reply); err == nil || !strings.Contains(err.Error(), "want auto, buffered)") {
-			t.Errorf("scan %q: Count = %v, want an error naming the accepted layouts", args.Scan, err)
+		if err := node.Count(&args, &reply); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", source)) {
+			t.Errorf("scan %q: Count = %v, want an error naming it", args.Scan, err)
 		}
 		if reply.Triangles != 0 || reply.Workers != nil {
 			t.Errorf("scan %q: the rejected batch still counted: %+v", args.Scan, reply)
 		}
 	}
-	args.Scan = ""
-	for _, kernel := range []string{"", "auto"} {
-		args.Kernel = kernel
+	// Both fields accept the empty name and "auto".
+	for _, name := range []string{"", "auto"} {
+		args.Kernel, args.Scan = name, name
 		var reply CountReply
 		if err := node.Count(&args, &reply); err != nil {
-			t.Fatalf("kernel %q: %v", kernel, err)
+			t.Fatalf("kernel and scan %q: %v", name, err)
 		}
 		if want := gen.CompleteTriangles(8); reply.Triangles != want {
-			t.Errorf("kernel %q: %d triangles, want %d", kernel, reply.Triangles, want)
+			t.Errorf("kernel and scan %q: %d triangles, want %d", name, reply.Triangles, want)
 		}
 	}
 }
@@ -640,7 +716,6 @@ func TestMasterPlansForTheWindow(t *testing.T) {
 			GraphBase: base,
 			Workers:   workers,
 			MemEdges:  mem,
-			Strategy:  balance.InDegree,
 			Sched:     mode,
 		}, lc.Addrs())
 		if err != nil {

@@ -23,7 +23,6 @@ import (
 	"pdtl/internal/mgt"
 	"pdtl/internal/obs"
 	"pdtl/internal/orient"
-	"pdtl/internal/scan"
 	"pdtl/internal/sched"
 )
 
@@ -47,12 +46,6 @@ type Config struct {
 	Workers int
 	// MemEdges is M per processor.
 	MemEdges int
-	// Strategy selects the load balancer for the global N·P-range plan.
-	Strategy balance.Strategy
-	// Scan selects every node's scan source; under the default (auto) a
-	// node's processors share one window over the ranges it is handed and
-	// are dealt the scan (core.RunRanges).
-	Scan scan.SourceKind
 	// Sched selects the scheduler. Static pre-splits the global N·P-range
 	// plan across nodes up front (the paper's Figure 1 configurations).
 	// Stealing cuts the scan of the local engine's windows of P·M entries
@@ -61,7 +54,6 @@ type Config struct {
 	// that finishes its unit pulls the next one, so a fast node absorbs the
 	// work a slow node would have stalled on, and a node keeps the window of
 	// its last unit loaded, so the units of one window cost it one load.
-	// Stealing needs the default Scan (CheckSchedule).
 	Sched sched.Mode
 	// Chunks is K, the units per processor of the stealing scheduler;
 	// non-positive selects sched.DefaultChunksPerWorker.
@@ -88,7 +80,9 @@ type Config struct {
 	// List requests triangle listing; the master concatenates all nodes'
 	// triples into ListPath sequentially.
 	List bool
-	// ListPath is the output file for List mode.
+	// ListPath is the output file for List mode, published by rename
+	// (graph.PublishTarget: a symlink's target is replaced, and a path that
+	// is neither absent nor a regular file is refused before the run).
 	ListPath string
 	// Log, when non-nil, receives a structured warning for every node
 	// failure the run detects (in addition to the final Result.Failures
@@ -248,8 +242,14 @@ func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error)
 		ctx = context.Background()
 	}
 	cfg = cfg.withDefaults()
-	if err := CheckSchedule(cfg.Sched, cfg.Scan); err != nil {
-		return nil, err
+	if cfg.List {
+		if cfg.ListPath == "" {
+			return nil, fmt.Errorf("cluster: List requested without ListPath")
+		}
+		var err error
+		if cfg.ListPath, err = graph.PublishTarget(cfg.ListPath); err != nil {
+			return nil, err
+		}
 	}
 	start := time.Now()
 
@@ -303,25 +303,23 @@ func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error)
 		args: CountArgs{
 			GraphName: cfg.GraphName,
 			MemEdges:  cfg.MemEdges,
-			Scan:      string(cfg.Scan),
 			List:      cfg.List,
 		},
 	}
 	// The schedule: the one place the two modes differ. Static is the
-	// paper's N·P-range plan, planned for runners with private windows of
-	// MemEdges entries and pre-split across nodes, each group handed to its
-	// own slot. Stealing cuts the scan of the local engine's windows into
-	// units (stealUnits) that every driver draws one at a time — a node that
-	// finishes its unit pulls the next one, and the master participates
-	// through the same dispenser, so its relative speed is accounted for
-	// automatically.
+	// paper's N·P-range plan, balanced by in-degree for runners with
+	// private windows of MemEdges entries and pre-split across nodes, each
+	// group handed to its own slot. Stealing cuts the scan of the local
+	// engine's windows into units (stealUnits) that every driver draws one
+	// at a time — a node that finishes its unit pulls the next one, and the
+	// master participates through the same dispenser, so its relative speed
+	// is accounted for automatically.
 	psp := cur.Begin(obs.SpanPlan)
 	var err error
 	if cfg.Sched == sched.Stealing {
 		res.Plan, err = core.LocalPlan(d, orientedBase, core.Options{
 			Workers:  cfg.Workers,
 			MemEdges: cfg.MemEdges,
-			Strategy: cfg.Strategy,
 		})
 		r.units = stealUnits(d, res.Plan, uint64(cfg.Workers)*uint64(cfg.MemEdges), sched.ChunksFor(nodes*cfg.Workers, cfg.Chunks))
 		r.args.Sched, r.args.Workers = sched.Stealing.String(), cfg.Workers
@@ -331,7 +329,7 @@ func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error)
 		res.Plan, err = core.PlanFor(d, orientedBase, core.Options{
 			Workers:  nodes * cfg.Workers,
 			MemEdges: cfg.MemEdges,
-			Strategy: cfg.Strategy,
+			Strategy: balance.InDegree,
 		})
 		var groups [][]unit
 		for _, g := range res.Plan.Subdivide(nodes) {
@@ -459,17 +457,6 @@ func stealUnits(d *graph.Disk, plan balance.Plan, pm uint64, k int) []unit {
 		units = append(units, unit{rng: r.Window, cone: r.Cone, window: r.Index, blocks: r.Blocks})
 	}
 	return units
-}
-
-// CheckSchedule rejects the one pair of a schedule and a layout that does
-// not combine: a stealing unit is a run of cone blocks dealt to a node's
-// runners sharing one window, and the paper's layout (-scan buffered) gives
-// every runner a range and a window of its own instead.
-func CheckSchedule(mode sched.Mode, layout scan.SourceKind) error {
-	if mode == sched.Stealing && !layout.IsAuto() {
-		return fmt.Errorf("cluster: -sched stealing does not combine with -scan %s: a stealing unit is cone blocks dealt to runners sharing one window, which -scan %s does not have", layout, layout)
-	}
-	return nil
 }
 
 // tripleSeg is one batch's listing bytes, tagged with the global index of
@@ -804,9 +791,6 @@ func (r *run) copyGraph(ctx context.Context, client *rpc.Client) (int64, error) 
 // (sequentially)", Section IV-B2), renaming vertex u ids[u] in place when
 // ids is non-nil.
 func writeTriples(path string, triples [][]byte, ids []graph.Vertex) error {
-	if path == "" {
-		return fmt.Errorf("cluster: List requested without ListPath")
-	}
 	if ids != nil {
 		for _, tp := range triples {
 			for i := 0; i+graph.EntrySize <= len(tp); i += graph.EntrySize {

@@ -360,8 +360,7 @@ func (n *Node) Count(args *CountArgs, reply *CountReply) error {
 // for a listing, the triples in the batch's listing order. held reports
 // whether a unit found its window held.
 func count(ctx context.Context, d *graph.Disk, held *heldWindow, args *CountArgs, reply *CountReply) (bool, error) {
-	scanKind, err := scan.ParseSource(args.Scan)
-	if err != nil {
+	if err := scan.CheckLayout(args.Scan); err != nil {
 		return false, err
 	}
 	if err := mgt.CheckKernel(args.Kernel); err != nil {
@@ -372,9 +371,6 @@ func count(ctx context.Context, d *graph.Disk, held *heldWindow, args *CountArgs
 		return false, err
 	}
 	if args.Unit != nil {
-		if err := CheckSchedule(sched.Stealing, scanKind); err != nil {
-			return false, err
-		}
 		return countUnit(ctx, d, held, args, reply)
 	}
 	// One runner per range, or — from a master that predates stealing
@@ -386,7 +382,6 @@ func count(ctx context.Context, d *graph.Disk, held *heldWindow, args *CountArgs
 	opt := core.Options{
 		Workers:  workers,
 		MemEdges: args.MemEdges,
-		Scan:     scanKind,
 	}
 	var triples bytes.Buffer
 	if args.List {

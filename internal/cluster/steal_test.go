@@ -19,7 +19,6 @@ import (
 	"pdtl/internal/graph"
 	"pdtl/internal/mgt"
 	"pdtl/internal/orient"
-	"pdtl/internal/scan"
 	"pdtl/internal/sched"
 )
 
@@ -41,7 +40,6 @@ func TestDistributedStealingMatchesReference(t *testing.T) {
 			GraphBase: base,
 			Workers:   2,
 			MemEdges:  512,
-			Strategy:  balance.InDegree,
 			Sched:     sched.Stealing,
 			Chunks:    4,
 		}
@@ -91,7 +89,6 @@ func TestDistributedStealingListing(t *testing.T) {
 			GraphBase: base,
 			Workers:   2,
 			MemEdges:  256,
-			Strategy:  balance.InDegree,
 			Sched:     mode,
 			Chunks:    4,
 			List:      true,
@@ -574,25 +571,14 @@ func TestStealingMixedVersions(t *testing.T) {
 	}
 }
 
-// TestStealingNeedsSharedWindow: -sched stealing with -scan buffered is
-// refused before anything runs, with an error naming the pair — by the
-// master, and by a node sent such a unit.
+// TestStealingNeedsSharedWindow: a stealing unit is cone blocks dealt to
+// runners sharing one window, so a node sent one under the paper's layout
+// (CountArgs.Scan "buffered", from an older master) refuses it, naming the
+// layout, before anything runs.
 func TestStealingNeedsSharedWindow(t *testing.T) {
-	g, err := gen.Complete(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := writeStore(t, g, "k6")
-	_, err = Run(context.Background(), Config{GraphBase: base, Workers: 1, MemEdges: 64, Sched: sched.Stealing, Scan: scan.SourceBuffered}, nil)
-	if err == nil || !strings.Contains(err.Error(), "-sched stealing does not combine with -scan buffered") {
-		t.Errorf("Run = %v, want the refusal naming the pair", err)
-	}
-	if _, err := os.Stat(base + ".oriented.meta"); err == nil {
-		t.Error("the refused run oriented the store first")
-	}
 	var reply CountReply
 	args := CountArgs{Unit: &StealUnit{Window: balance.Range{Lo: 0, Hi: 1}, Cone: balance.Range{Lo: 0, Hi: 1}}, Scan: "buffered", Sched: "stealing"}
-	if _, err := count(context.Background(), nil, &heldWindow{}, &args, &reply); err == nil || !strings.Contains(err.Error(), "-scan buffered") {
-		t.Errorf("a node ran a unit under -scan buffered: %v", err)
+	if _, err := count(context.Background(), nil, &heldWindow{}, &args, &reply); err == nil || !strings.Contains(err.Error(), `"buffered"`) {
+		t.Errorf("a node ran a unit under the paper's layout: %v", err)
 	}
 }

@@ -104,13 +104,13 @@ type CountArgs struct {
 	// makes such re-execution idempotent.
 	RunID string
 	// Ranges are the node's pivot responsibilities under static: its group
-	// of the plan. What the node's runners do with them is core.RunRanges's
-	// business — share one window over them (Scan auto), or one runner per
-	// range (a named Scan). Empty for a stealing unit (Unit).
+	// of the plan, which the node's runners share one window over
+	// (core.RunRanges). Empty for a stealing unit (Unit).
 	Ranges []balance.Range
 	// Sched names the schedule the batch comes from ("static", "stealing");
-	// empty means static — the paper's one-shot binding. Strings travel on
-	// the wire for the same compatibility reason as Scan.
+	// empty means static — the paper's one-shot binding. Strings rather
+	// than enum ints travel on the wire so heterogeneous builds stay
+	// compatible.
 	Sched string
 	// Workers is the node's runner count under stealing; non-positive falls
 	// back to one runner per range (the static rule). Ignored under static,
@@ -122,11 +122,11 @@ type CountArgs struct {
 	// the runners no longer have. It stays so that the wire format does not
 	// change.
 	BufBytes int
-	// Scan names the node's layout ("auto" or "buffered"); empty means auto.
-	// Strings rather than enum ints travel on the wire so heterogeneous
-	// builds stay compatible; a name this node does not know — "mem" or
-	// "shared", say, which older builds offered — fails the batch with an
-	// error naming the accepted ones.
+	// Scan is unused: a node's runners always share one window, and a
+	// master no longer names the layout. It stays so that the wire format
+	// does not change; a name other than "" or "auto" — "buffered", the
+	// paper's layout, or "shared", from an older master — fails the batch
+	// with an error naming it (scan.CheckLayout).
 	Scan string
 	// Kernel is unused: there is one cone routine, and a master no longer
 	// names it. It stays so that the wire format does not change; a name

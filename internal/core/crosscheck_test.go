@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -218,7 +219,7 @@ func TestCrosscheckListings(t *testing.T) {
 			ranges := equalSplit(d, workers)
 
 			for _, src := range []scan.SourceKind{scan.SourceBuffered, scan.SourceAuto} {
-				label := string(src.OrAuto())
+				label := string(src)
 				got := runListed(t, label, d, ranges, Options{Workers: workers, MemEdges: tc.memEdges, Scan: src}, false)
 				if got.total != want {
 					t.Fatalf("%s: %d triangles, want %d", label, got.total, want)
@@ -507,5 +508,94 @@ func TestPaperLayoutTrace(t *testing.T) {
 	}
 	if rounds != passes {
 		t.Errorf("%d scan.round spans for %d passes", rounds, passes)
+	}
+}
+
+// TestCooperativeWindowsAgainstPaperLayout sets the default layout against
+// the paper's on a ranked compressed RMAT-12 store (edge factor 12, seed 5)
+// at P = 2 and M = ⌈|E*|/24⌉. Both count the same triangles; the default has
+// exactly ⌈|E*|/(2M)⌉ scan.round spans and reads, summed over them, fewer
+// bytes than the paper's layout's rounds do — and well under a store a
+// round, since a round of a ranked store reads only the lists from its
+// window on. At one worker with the window 2M both layouts are one reader,
+// so they list the same bytes.
+func TestCooperativeWindowsAgainstPaperLayout(t *testing.T) {
+	g, err := gen.RMAT(12, 12, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	src, base := filepath.Join(dir, "coop"), filepath.Join(dir, "coop.oriented-compressed")
+	if err := graph.WriteCSR(src, "coop", g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := orient.OrientFormat(src, base, 2, graph.FormatCompressed); err != nil {
+		t.Fatal(err)
+	}
+	d, err := graph.Open(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Meta.Ranked {
+		t.Fatal("the oriented store is not ranked")
+	}
+	edges := int(d.Meta.AdjEntries)
+	mem := (edges + 23) / 24
+	paper := Options{Strategy: balance.InDegree, Scan: scan.SourceBuffered}
+
+	// count runs opt traced and returns its triangles, its scan.round spans
+	// and the io_bytes they sum to.
+	count := func(opt Options) (tris uint64, rounds int, io int64) {
+		t.Helper()
+		tr := obs.NewTrace(0)
+		ctx := obs.ContextWithCursor(context.Background(), obs.Cursor{T: tr, Span: obs.NoSpan, Worker: -1})
+		opt.Workers, opt.MemEdges = 2, mem
+		res, err := Execute(ctx, d, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range tr.Spans() {
+			if sp.Name != obs.SpanScanRound {
+				continue
+			}
+			rounds++
+			for _, a := range sp.Attrs[:sp.NAttr] {
+				if a.Key == "io_bytes" {
+					io += a.Val
+				}
+			}
+		}
+		return res.Triangles, rounds, io
+	}
+	coopTris, rounds, coop := count(Options{})
+	paperTris, _, buffered := count(paper)
+	if coopTris != paperTris || coopTris != baseline.Forward(g) {
+		t.Errorf("default layout %d triangles, paper's %d, baseline %d", coopTris, paperTris, baseline.Forward(g))
+	}
+	if want := (edges + 2*mem - 1) / (2 * mem); rounds != want {
+		t.Errorf("%d scan.round spans, want ⌈%d/%d⌉ = %d", rounds, edges, 2*mem, want)
+	}
+	if coop <= 0 || coop >= buffered {
+		t.Errorf("the default layout's rounds read %d bytes, the paper's %d: want 0 < default < paper", coop, buffered)
+	}
+	fi, err := os.Stat(graph.CAdjPath(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := 0.8 * float64(rounds) * float64(fi.Size()); float64(coop) >= limit {
+		t.Errorf("the default layout read %d bytes in %d rounds of a %d-byte store: want under %.0f", coop, rounds, fi.Size(), limit)
+	}
+
+	list := func(opt Options) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		opt.Workers, opt.MemEdges, opt.Out = 1, 2*mem, &buf
+		if _, err := Execute(context.Background(), d, opt); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if one, ref := list(Options{}), list(paper); len(one) == 0 || !bytes.Equal(one, ref) {
+		t.Errorf("at one worker the default layout lists %d bytes that differ from the paper layout's %d", len(one), len(ref))
 	}
 }

@@ -37,9 +37,10 @@ type Options struct {
 	// MemEdges is M, the per-worker memory budget in adjacency entries.
 	// Non-positive selects DefaultMemEdges.
 	MemEdges int
-	// Strategy selects the load balancer. The zero value is Naive, the
-	// "w/o LB" ablation; the paper's InDegree default is chosen one layer
-	// up, by the public Options (NaiveBalance unset).
+	// Strategy selects the load balancer of the paper's layout's ranges
+	// (PlanFor). The zero value is Naive, the "w/o LB" ablation the ledger
+	// compares with the paper's InDegree; cooperative windows split
+	// nothing and ignore it.
 	Strategy balance.Strategy
 	// Sinks, when non-nil, must have one entry per runner (Runners); runner
 	// i streams the triangles it finds to Sinks[i], in no order across
@@ -67,7 +68,8 @@ type Options struct {
 	// Workers·MemEdges entries and are dealt the cone blocks of every round
 	// (mgt.RunDealt). scan.SourceBuffered is the paper's layout — one runner
 	// per range, each a one-runner dealt run with its own MemEdges-entry
-	// window (mgt.Runner).
+	// window (mgt.Runner); the ledger and the engine's tests select it, and
+	// no public option does.
 	Scan scan.SourceKind
 	// Store selects the on-disk format of the oriented store the engine
 	// builds when its input is unoriented (empty means graph.FormatPlain).
@@ -127,9 +129,6 @@ type Result struct {
 	TotalTime time.Duration
 	// OrientedBase is the path of the oriented store used.
 	OrientedBase string
-	// Scan is the layout the run used (scan.SourceAuto: cooperative
-	// windows).
-	Scan scan.SourceKind
 	// SourceIO is the I/O that is no runner's own: under the default source,
 	// the loads of the windows the runners share; zero under the paper's
 	// layout, whose runners each load their own.
@@ -220,7 +219,6 @@ func Execute(ctx context.Context, d *graph.Disk, opt Options) (*Result, error) {
 		Plan:         p,
 		PlanTime:     time.Since(start), //pdtl:nondeterministic-ok timing stat only
 		OrientedBase: d.Base,
-		Scan:         opt.Scan.OrAuto(),
 	}
 	csp := cur.Begin(obs.SpanCalc)
 	calcCtx := ctx

@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"math/rand/v2"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"sync"
@@ -137,6 +138,38 @@ func Publish(f *os.File, path string) error {
 		os.Remove(f.Name())
 	}
 	return err
+}
+
+// PublishTarget is the file that publishing to path, by CreateTemp and
+// Publish, should replace: path itself when it is absent or a regular file;
+// for a symlink, the path it points to, by the same rule (so a dangling
+// link's target is created); and for anything else — a FIFO, a device, a
+// directory, a chain of more than 40 links — an error, since a rename would
+// replace the node instead of writing into it. Writers of outputs a caller
+// names (a listing) call it before any work.
+func PublishTarget(path string) (string, error) {
+	for hops := 0; ; hops++ {
+		fi, err := os.Lstat(path)
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			return path, nil
+		case err != nil:
+			return "", err
+		case fi.Mode()&fs.ModeSymlink != 0 && hops < 40:
+			link, err := os.Readlink(path)
+			if err != nil {
+				return "", err
+			}
+			if !filepath.IsAbs(link) {
+				link = filepath.Join(filepath.Dir(path), link)
+			}
+			path = link
+		case !fi.Mode().IsRegular():
+			return "", fmt.Errorf("graph: output %s is not a regular file (%s): it is written by renaming a file over it", path, fi.Mode().Type())
+		default:
+			return path, nil
+		}
+	}
 }
 
 // Discard closes f, made by CreateTemp, and removes it.

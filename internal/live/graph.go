@@ -20,7 +20,6 @@ import (
 	"pdtl/internal/core"
 	"pdtl/internal/graph"
 	"pdtl/internal/obs"
-	"pdtl/internal/scan"
 )
 
 // Config parameterizes a live graph.
@@ -274,10 +273,8 @@ func (g *Graph) CompactNow(ctx context.Context) error {
 // the run result and the number of mutation batches that view holds. The
 // view is captured once; mutations and compactions that land mid-run do
 // not affect it. It plans and calculates as any local run does
-// (core.Execute, traced under ctx's cursor), with the engine's default —
-// cooperative windows reading the merged view (merged.ReadAt) — so of opt
-// only Workers, MemEdges and Sinks apply; -scan buffered is ignored and the
-// result reports auto.
+// (core.Execute, traced under ctx's cursor): cooperative windows reading
+// the merged view (merged.ReadAt).
 func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, uint64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -287,7 +284,6 @@ func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, uint
 	if err != nil {
 		return nil, 0, err
 	}
-	opt.Scan = scan.SourceAuto
 	res, err := core.Execute(ctx, m.disk, opt)
 	if err != nil {
 		return nil, 0, err

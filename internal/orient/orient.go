@@ -60,13 +60,9 @@ type Result struct {
 	// compares it against the memory budget.
 	MaxOutDegree uint32
 	// OutDegrees is d_G*(v) for every v, indexed by the store's (ranked)
-	// ids, as are InDegrees.
+	// ids. The in-degrees, d_G(v) − d_G*(v), are written to the store's
+	// .indeg file (LoadInDegrees).
 	OutDegrees []uint32
-	// InDegrees is d_G(v) − d_G*(v) for every v: the number of incoming
-	// oriented edges, which Section IV-B uses as the load-balancing weight
-	// (it estimates the average size of N+(u) and thus the number of
-	// required intersections whose in-memory operand is Ev).
-	InDegrees []uint32
 	// Workers is the parallelism used.
 	Workers int
 	// Duration is the wall time of the orientation.
@@ -171,7 +167,6 @@ func OrientFormat(src, dst string, workers int, format graph.Format) (*Result, e
 		Base:         dst,
 		MaxOutDegree: dstMax,
 		OutDegrees:   rankedOut,
-		InDegrees:    inDeg,
 		Workers:      workers,
 		Duration:     time.Since(start),
 		IO:           counter.Snapshot(),

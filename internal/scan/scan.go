@@ -15,7 +15,10 @@
 //
 // SourceKind is also the engine's layout switch (core.Options.Scan): auto,
 // the default, is cooperative windows, and buffered is the paper's layout,
-// one runner per range with a private window. "shared" names no layout.
+// one runner per range with a private window, which only the ledger and the
+// engine's tests select. "shared" names no layout. A layout named from
+// outside the program — a cluster batch, a service query — may only be
+// auto (CheckLayout).
 package scan
 
 import (
@@ -26,8 +29,8 @@ import (
 	"pdtl/internal/ioacct"
 )
 
-// SourceKind names a ScanSource implementation, as used by CLI flags, the
-// cluster wire format, and core.Options.
+// SourceKind names a ScanSource implementation, as used by core.Options
+// and, refused unless auto, the cluster wire format (CheckLayout).
 type SourceKind string
 
 const (
@@ -44,8 +47,8 @@ const (
 	SourceShared SourceKind = "shared"
 )
 
-// ParseSource validates a layout name from a flag, query or wire message.
-// The empty string means SourceAuto.
+// ParseSource validates the engine's layout (core.Options.Scan). The empty
+// string means SourceAuto.
 func ParseSource(s string) (SourceKind, error) {
 	switch SourceKind(s) {
 	case "":
@@ -56,16 +59,19 @@ func ParseSource(s string) (SourceKind, error) {
 	return "", fmt.Errorf("scan: unknown scan source %q (want auto, buffered)", s)
 }
 
+// CheckLayout refuses a layout named from outside the program — a cluster
+// batch's CountArgs.Scan, a service query's ?scan= — that is not the one
+// offered there: the empty string and "auto" name it, and any other name,
+// the paper's layout included, is an error naming it.
+func CheckLayout(name string) error {
+	if !SourceKind(name).IsAuto() {
+		return fmt.Errorf("scan: scan source %q is not offered (want auto; the paper's layout, buffered, was removed from the options)", name)
+	}
+	return nil
+}
+
 // IsAuto reports whether k names no source: SourceAuto or the zero value.
 func (k SourceKind) IsAuto() bool { return k == SourceAuto || k == "" }
-
-// OrAuto spells the zero value out, for reports and run keys.
-func (k SourceKind) OrAuto() SourceKind {
-	if k.IsAuto() {
-		return SourceAuto
-	}
-	return k
-}
 
 // Config parameterizes a source.
 type Config struct {

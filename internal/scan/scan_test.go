@@ -2,6 +2,7 @@ package scan
 
 import (
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -266,14 +267,21 @@ func TestParseSource(t *testing.T) {
 	}
 	// The default names no source of this package, spelled out or not.
 	for _, k := range []SourceKind{"", SourceAuto} {
-		if !k.IsAuto() || k.OrAuto() != SourceAuto {
-			t.Errorf("%q: IsAuto %v, OrAuto %q", k, k.IsAuto(), k.OrAuto())
+		if !k.IsAuto() || CheckLayout(string(k)) != nil {
+			t.Errorf("%q: IsAuto %v, CheckLayout %v", k, k.IsAuto(), CheckLayout(string(k)))
 		}
 		if _, err := New(k, nil, Config{}); err == nil {
 			t.Errorf("New(%q) must refuse: the default is not a scan source", k)
 		}
 	}
-	if SourceShared.IsAuto() || SourceShared.OrAuto() != SourceShared {
-		t.Error("a named kind must pass through OrAuto")
+	if SourceShared.IsAuto() {
+		t.Error("a named kind is not auto")
+	}
+	// From outside the program only the default may be named: the paper's
+	// layout is refused like any other name, and the error names it.
+	for _, in := range []string{"buffered", "shared", "mem"} {
+		if err := CheckLayout(in); err == nil || !strings.Contains(err.Error(), strconv.Quote(in)) {
+			t.Errorf("CheckLayout(%q) = %v; want an error naming it", in, err)
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"pdtl"
 	"pdtl/internal/mgt"
 	"pdtl/internal/obs"
+	"pdtl/internal/scan"
 )
 
 // Config parameterizes a Server.
@@ -34,7 +35,7 @@ type Config struct {
 	// negative means no waiting, zero selects 32.
 	QueueDepth int
 	// Defaults seeds every run's options; individual requests override
-	// knobs per query parameter (workers, mem, scan, kernel, ...).
+	// knobs per query parameter (workers, mem, store, ...).
 	Defaults pdtl.Options
 	// ClusterAddrs, when non-empty, are the PDTL worker nodes
 	// `?distributed=1` counts run against (via Graph.CountDistributed).
@@ -1038,7 +1039,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string
 // request's query parameters.
 func (s *Server) parseOptions(q url.Values) (pdtl.Options, error) {
 	opt := s.cfg.Defaults
-	err := applyRunParams(q, &opt.Workers, &opt.MemEdges, &opt.ScanSource, &opt.StoreFormat, &opt.NaiveBalance)
+	err := applyRunParams(q, &opt.Workers, &opt.MemEdges, &opt.StoreFormat)
 	return opt, err
 }
 
@@ -1046,7 +1047,7 @@ func (s *Server) parseOptions(q url.Values) (pdtl.Options, error) {
 // schedule (?sched=, ?chunks=), which only a cluster has to decide.
 func (s *Server) parseClusterOptions(q url.Values) (pdtl.ClusterOptions, error) {
 	opt := s.cfg.ClusterDefaults
-	err := applyRunParams(q, &opt.Workers, &opt.MemEdges, &opt.ScanSource, &opt.StoreFormat, &opt.NaiveBalance)
+	err := applyRunParams(q, &opt.Workers, &opt.MemEdges, &opt.StoreFormat)
 	if err != nil {
 		return opt, err
 	}
@@ -1064,10 +1065,11 @@ func (s *Server) parseClusterOptions(q url.Values) (pdtl.ClusterOptions, error) 
 
 // applyRunParams overlays the query knobs every run shape shares onto an
 // options struct — Options and ClusterOptions spell these fields
-// identically, so both parsers defer here and cannot drift. ?kernel= names
-// no option: there is one cone routine, and a name other than its own
-// ("auto") is refused before anything runs or is cached.
-func applyRunParams(q url.Values, workers, mem *int, scanSource, store *string, naive *bool) error {
+// identically, so both parsers defer here and cannot drift. ?kernel=,
+// ?scan= and ?naive= name no option: there is one cone routine, one layout
+// and one load balancer, and a name other than their own ("auto"), or a
+// truthy ?naive=, is refused before anything runs or is cached.
+func applyRunParams(q url.Values, workers, mem *int, store *string) error {
 	var err error
 	if *workers, err = intParam(q, "workers", *workers, 1024); err != nil {
 		return err
@@ -1075,17 +1077,17 @@ func applyRunParams(q url.Values, workers, mem *int, scanSource, store *string, 
 	if *mem, err = intParam(q, "mem", *mem, 1<<30); err != nil {
 		return err
 	}
-	if v := q.Get("scan"); v != "" {
-		*scanSource = v
+	if err := scan.CheckLayout(q.Get("scan")); err != nil {
+		return badRequest{err}
 	}
 	if err := mgt.CheckKernel(q.Get("kernel")); err != nil {
 		return badRequest{err}
 	}
+	if boolParam(q, "naive") {
+		return badf("service: ?naive= was removed: ranges are always balanced by in-degree")
+	}
 	if v := q.Get("store"); v != "" {
 		*store = v
-	}
-	if q.Has("naive") {
-		*naive = boolParam(q, "naive")
 	}
 	return nil
 }

@@ -136,21 +136,25 @@ func TestServerRegisterCountCache(t *testing.T) {
 	}
 
 	// A different option spelling of the same canonical run is still the
-	// same cache slot (scan=auto resolves to the same source, kernel=auto
-	// names the one cone routine).
+	// same cache slot (scan=auto names the one layout, kernel=auto the one
+	// cone routine).
 	c3 := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096&scan=auto&kernel=auto", 200)
 	if c3["origin"] != "cache" {
 		t.Fatalf("normalized-options count origin = %v, want cache", c3["origin"])
 	}
 
-	// A removed kernel or scan source name is a bad request naming it —
-	// asked twice, so a cached answer would show — and nothing runs or
-	// reaches the cache.
+	// A removed kernel or scan source name, and a truthy ?naive=, are a
+	// bad request naming what was removed — asked twice, so a cached
+	// answer would show — and nothing runs or reaches the cache.
 	missesBefore := svc.Metrics().CacheMisses.Load()
-	for _, param := range []string{"kernel=gallop", "kernel=adaptive", "kernel=compressed", "kernel=cover", "kernel=gallop", "kernel=merge", "kernel=merge", "scan=mem", "scan=mem", "scan=shared", "scan=shared"} {
+	for _, param := range []string{"kernel=gallop", "kernel=adaptive", "kernel=compressed", "kernel=cover", "kernel=gallop", "kernel=merge", "kernel=merge", "scan=mem", "scan=mem", "scan=shared", "scan=shared", "scan=buffered", "scan=buffered", "naive=1", "naive=1"} {
 		bad := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&mem=4096&"+param, http.StatusBadRequest)
-		if name := param[strings.IndexByte(param, '=')+1:]; !strings.Contains(fmt.Sprint(bad), strconv.Quote(name)) {
-			t.Fatalf("%s: reply %v does not name %q", param, bad, name)
+		name := strconv.Quote(param[strings.IndexByte(param, '=')+1:])
+		if strings.HasPrefix(param, "naive") {
+			name = "?naive= was removed"
+		}
+		if !strings.Contains(fmt.Sprint(bad), name) {
+			t.Fatalf("%s: reply %v does not name %s", param, bad, name)
 		}
 	}
 	if n := svc.Metrics().RunsStarted.Load(); n != 1 {
@@ -181,9 +185,9 @@ func TestServerRegisterCountCache(t *testing.T) {
 }
 
 // TestServerIdenticalLocalCountsShareCache: query knobs a local run does not
-// compute with — the balance strategy under the default layout, and the
-// schedule and its chunk count, which only a cluster decides — leave an
-// identical count in its cache slot: same key, no second engine run.
+// compute with — the schedule and its chunk count, which only a cluster
+// decides — leave an identical count in its cache slot: same key, no second
+// engine run.
 func TestServerIdenticalLocalCountsShareCache(t *testing.T) {
 	base := genStore(t, 8, 10)
 	svc := New(Config{RunSlots: 2, QueueDepth: 8})
@@ -194,7 +198,7 @@ func TestServerIdenticalLocalCountsShareCache(t *testing.T) {
 	postJSON(t, client, ts.URL+"/v1/graphs", registerRequest{Name: "g", Base: base}, http.StatusCreated)
 
 	c1 := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2", 200)
-	c2 := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&naive=1&sched=stealing&chunks=3", 200)
+	c2 := getJSON(t, client, ts.URL+"/v1/graphs/g/count?workers=2&sched=stealing&chunks=3", 200)
 	if c1["origin"] != "run" || c2["origin"] != "cache" {
 		t.Fatalf("origins %v then %v, want run then cache", c1["origin"], c2["origin"])
 	}
@@ -785,9 +789,9 @@ func TestServerMetricsEndpoint(t *testing.T) {
 }
 
 // TestServerRefusesStealingBuffered: a distributed count asking for
-// -sched stealing with -scan buffered — a pair that does not combine — is
-// answered 400 with an error naming the pair, before anything runs or is
-// cached.
+// ?sched=stealing&scan=buffered — the paper's layout, which no option
+// offers — is answered 400 with an error naming the layout, before
+// anything runs or is cached.
 func TestServerRefusesStealingBuffered(t *testing.T) {
 	base := genStore(t, 8, 10)
 	svc := New(Config{RunSlots: 2, QueueDepth: 8, ClusterAddrs: []string{"127.0.0.1:1"}})
@@ -797,8 +801,8 @@ func TestServerRefusesStealingBuffered(t *testing.T) {
 	client := ts.Client()
 	postJSON(t, client, ts.URL+"/v1/graphs", registerRequest{Name: "g", Base: base}, http.StatusCreated)
 	reply := getJSON(t, client, ts.URL+"/v1/graphs/g/count?distributed=1&sched=stealing&scan=buffered", http.StatusBadRequest)
-	if msg, _ := reply["error"].(string); !strings.Contains(msg, "-sched stealing does not combine with -scan buffered") {
-		t.Errorf("error = %q, want one naming the pair", msg)
+	if msg, _ := reply["error"].(string); !strings.Contains(msg, `scan source "buffered" is not offered`) {
+		t.Errorf("error = %q, want one naming the layout", msg)
 	}
 	e, err := svc.Registry().Get("g")
 	if err != nil {

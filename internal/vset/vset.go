@@ -62,25 +62,6 @@ func RemoveAt(list []graph.Vertex, pos int) []graph.Vertex {
 	return append(list[:pos], list[pos+1:]...)
 }
 
-// Intersect appends a ∩ b to dst (usually dst[:0] of a reusable scratch)
-// and returns it. Both inputs must be sorted sets.
-func Intersect(dst, a, b []graph.Vertex) []graph.Vertex {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
-}
-
 // Merge appends base ∪ ins \ del to dst and returns it. base, ins, and del
 // must be sorted sets; ins must be disjoint from base and del a subset of
 // base (the delta-layer invariants), though Merge degrades gracefully —

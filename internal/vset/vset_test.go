@@ -36,19 +36,6 @@ func TestInsertRemoveSearch(t *testing.T) {
 	}
 }
 
-func TestIntersect(t *testing.T) {
-	a := []graph.Vertex{1, 3, 5, 7, 9}
-	b := []graph.Vertex{2, 3, 4, 7, 10}
-	got := Intersect(nil, a, b)
-	want := []graph.Vertex{3, 7}
-	if !slices.Equal(got, want) {
-		t.Fatalf("Intersect = %v want %v", got, want)
-	}
-	if out := Intersect(nil, a, nil); len(out) != 0 {
-		t.Fatalf("Intersect with empty = %v", out)
-	}
-}
-
 func TestMergeRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {

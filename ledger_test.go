@@ -138,7 +138,7 @@ func ledgerFig5(t *testing.T) (string, bool) {
 			prevPasses, prevBytes = st.Passes, st.IO.BytesRead
 			steps = append(steps, fmt.Sprintf("%d/%.0fK", st.Passes, float64(st.IO.BytesRead)/1e3))
 		}
-		figures = append(figures, fmt.Sprintf("%s: %s", source.OrAuto(), strings.Join(steps, " ")))
+		figures = append(figures, fmt.Sprintf("%s: %s", source, strings.Join(steps, " ")))
 	}
 	return fmt.Sprintf("RMAT-12, P=%d, M=|E*|/(P·16…1), passes/bytes: %s", p, strings.Join(figures, "; ")), holds
 }
@@ -215,7 +215,7 @@ func ledgerTable3(t *testing.T) (string, bool) {
 			size += fi.Size()
 		}
 		res, err := cluster.Run(context.Background(), cluster.Config{
-			GraphBase: oriented, GraphName: "ledger-" + string(format), Workers: 1, Strategy: balance.InDegree,
+			GraphBase: oriented, GraphName: "ledger-" + string(format), Workers: 1,
 		}, lc.Addrs())
 		if err != nil {
 			t.Fatal(err)

@@ -120,9 +120,8 @@ func (lg *LiveGraph) Apply(updates []LiveUpdate) error {
 // Count runs the exact engine over the current live view. The view is
 // captured at call time: mutations landing mid-run do not perturb the
 // result, and its Batches names the batches the view holds. The run is
-// always the default source's cooperative windows, reading the view from
-// memory: of opt only Workers and MemEdges apply, and the result's
-// ScanSource is "auto". Traced, it is one count span over plan and calc, as
+// cooperative windows reading the view from memory: of opt only Workers
+// and MemEdges apply. Traced, it is one count span over plan and calc, as
 // a Graph count is.
 func (lg *LiveGraph) Count(ctx context.Context, opt Options) (res *Result, err error) {
 	copt, err := opt.toCore()

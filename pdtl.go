@@ -37,11 +37,9 @@ import (
 	"os"
 	"time"
 
-	"pdtl/internal/balance"
 	"pdtl/internal/core"
 	"pdtl/internal/graph"
 	"pdtl/internal/mgt"
-	"pdtl/internal/scan"
 	"pdtl/internal/sched"
 )
 
@@ -52,32 +50,18 @@ type Options struct {
 	Workers int
 	// MemEdges is the per-worker memory budget M, in adjacency entries
 	// (4 bytes each). Non-positive selects a 16 MiB default. Correctness
-	// never depends on M; it only trades passes for memory. By default the
-	// workers pool their budgets into one window of Workers·MemEdges
-	// entries (see ScanSource); a store smaller than the budget costs its
-	// own size.
+	// never depends on M; it only trades passes for memory. The workers
+	// pool their budgets into one window of Workers·MemEdges entries,
+	// loaded once per round, and are dealt the scan of the store in blocks
+	// of a few thousand entries — whichever is free takes the next — so a
+	// round balances itself and a store that fits the window is read
+	// exactly once; a store smaller than the budget costs its own size.
 	MemEdges int
-	// NaiveBalance disables the paper's in-degree load balancer and splits
-	// edges equally instead (the "w/o LB" ablation of Figure 9). It decides
-	// the ranges of runners with private windows — a named ScanSource, or a
-	// cluster's nodes; the default local run splits nothing.
-	NaiveBalance bool
-	// ScanSource selects how adjacency data reaches the runners. "auto" (or
-	// empty) is cooperative windows: the workers share one window of
-	// Workers·MemEdges entries, loaded once per round, and are dealt the
-	// scan of the store in blocks of a few thousand entries — whichever is
-	// free takes the next — so a round balances itself and a store that
-	// fits the window is read exactly once. "buffered" selects the paper's
-	// layout instead: every worker a range of the load-balance plan and a
-	// private MemEdges-entry window, read through the same blocks. Any other
-	// name is an error. The triangle set is identical for either choice.
-	ScanSource string
 	// Sched is validated ("static", empty, or "stealing") and otherwise
 	// ignored: on one machine there is nothing for a schedule to decide —
-	// cooperative windows deal every round dynamically, and a named
-	// ScanSource binds one range to each worker either way. It is absent
-	// from Key. The choice matters to ClusterOptions.Sched, where it decides
-	// how the master hands the plan to its nodes.
+	// cooperative windows deal every round dynamically. It is absent from
+	// Key. The choice matters to ClusterOptions.Sched, where it decides how
+	// the master hands the work to its nodes.
 	Sched string
 	// StoreFormat selects the on-disk encoding of the oriented store built
 	// when the input is unoriented: "plain" (or empty — 4 bytes per
@@ -89,37 +73,24 @@ type Options struct {
 
 // Key returns the canonical identity of a run with these Options: what
 // changes a local calculation, defaults resolved (toCore) — worker count and
-// memory budget as given (not clipped to the store), scan source, store
-// format, and the balance strategy only under "buffered", the one
-// layout that splits the store. Options that would execute the same
-// calculation share a key even when one spells a default and the other
-// leaves it zero, and runs with equal keys on one store produce the
-// identical triangle set: Key is the query service's memoization and
-// single-flight identity (internal/service) and a stable run label.
+// memory budget as given (not clipped to the store) and store format.
+// Options that would execute the same calculation share a key even when one
+// spells a default and the other leaves it zero, and runs with equal keys on
+// one store produce the identical triangle set: Key is the query service's
+// memoization and single-flight identity (internal/service) and a stable run
+// label.
 func (o Options) Key() (string, error) {
 	copt, err := o.toCore()
 	if err != nil {
 		return "", err
 	}
-	layout := string(copt.Scan.OrAuto())
-	if !copt.Scan.IsAuto() {
-		layout += " " + copt.Strategy.String()
-	}
-	return fmt.Sprintf("w%d m%d %s %s", copt.Workers, copt.MemEdges, layout, copt.Store), nil
+	return fmt.Sprintf("w%d m%d %s", copt.Workers, copt.MemEdges, copt.Store), nil
 }
 
 // toCore resolves o into the engine's options: every name parsed (Sched
 // only validated), and Workers and MemEdges defaulted (core's
 // WithDefaults). Every local run and Key start here.
 func (o Options) toCore() (core.Options, error) {
-	strategy := balance.InDegree
-	if o.NaiveBalance {
-		strategy = balance.Naive
-	}
-	scanKind, err := scan.ParseSource(o.ScanSource)
-	if err != nil {
-		return core.Options{}, err
-	}
 	if _, err := sched.ParseMode(o.Sched); err != nil {
 		return core.Options{}, err
 	}
@@ -130,8 +101,6 @@ func (o Options) toCore() (core.Options, error) {
 	return core.Options{
 		Workers:  o.Workers,
 		MemEdges: o.MemEdges,
-		Strategy: strategy,
-		Scan:     scanKind,
 		Store:    format,
 	}.WithDefaults(), nil
 }
@@ -167,9 +136,8 @@ type Result struct {
 	// OrientTime is the preprocessing time (zero if the input store was
 	// already oriented).
 	OrientTime time.Duration
-	// PlanTime is the load-balance planning slice of CalcTime (~zero under
-	// the default source, which plans one range; milliseconds under a named
-	// one, which reads the in-degrees and splits the store).
+	// PlanTime is the planning slice of CalcTime: about zero, as a local
+	// run plans one range covered by windows of Workers·MemEdges entries.
 	PlanTime time.Duration
 	// CalcTime is the calculation phase (load balancing + slowest runner).
 	CalcTime time.Duration
@@ -182,19 +150,12 @@ type Result struct {
 	// OrientedBase is the path of the oriented store used (reusable as the
 	// input of later runs to skip orientation).
 	OrientedBase string
-	// ScanSource is the layout the run used ("auto" — cooperative windows —
-	// or "buffered").
-	ScanSource string
-	// MemEdges is the run's window, clipped to the store size —
-	// Workers·M under "auto", M under a named source — and Windows how many
-	// of them the store is: the rounds of a cooperative run (each runner's
-	// Passes), or the passes a single runner with a private window would
-	// need, the least the runners' Passes can sum to.
+	// MemEdges is the run's shared window, Workers·M clipped to the store
+	// size, and Windows how many of them the store is: the rounds of the
+	// run, each runner's Passes.
 	MemEdges, Windows int
-	// SourceBytesRead is the disk volume that is no worker's own: under
-	// "auto" the loads of the windows the workers share; zero under
-	// "buffered", whose workers each load their own windows and count them
-	// in their BytesRead.
+	// SourceBytesRead is the disk volume that is no worker's own: the loads
+	// of the windows the workers share.
 	SourceBytesRead int64
 	// Batches is, for a LiveGraph count, how many mutation batches the
 	// counted view holds; zero for an immutable graph.
@@ -220,7 +181,6 @@ func resultFrom(cres *core.Result) *Result {
 		CalcTime:        cres.CalcTime,
 		TotalTime:       cres.TotalTime,
 		OrientedBase:    cres.OrientedBase,
-		ScanSource:      string(cres.Scan.OrAuto()),
 		MemEdges:        int(cres.Plan.MemEdges),
 		Windows:         int(cres.Plan.Windows),
 		SourceBytesRead: cres.SourceIO.BytesRead,

@@ -217,11 +217,9 @@ func TestInfoOnOriented(t *testing.T) {
 }
 
 // TestOptionsKey: a local key holds what a local run computes with — the
-// worker count and budget as given, the layout, the kernel and the store
-// format, and the balance strategy only under the one layout that splits
-// the store — so spelled-out defaults, the schedule and its chunks, and
-// naive balance under "auto" leave it unchanged. A cluster key still tells
-// the schedule, its chunks and the balance strategy apart.
+// worker count and budget as given and the store format — so spelled-out
+// defaults and the schedule leave it unchanged. A cluster key still tells
+// the schedule and its chunks apart.
 func TestOptionsKey(t *testing.T) {
 	key := func(o Options) string {
 		t.Helper()
@@ -237,21 +235,15 @@ func TestOptionsKey(t *testing.T) {
 		opt  Options
 		same bool
 	}{
-		{"defaults spelled out", Options{Workers: runtime.NumCPU(), MemEdges: core.DefaultMemEdges, ScanSource: "auto", Sched: "static", StoreFormat: "plain"}, true},
-		{"naive under auto", Options{NaiveBalance: true}, true},
+		{"defaults spelled out", Options{Workers: runtime.NumCPU(), MemEdges: core.DefaultMemEdges, Sched: "static", StoreFormat: "plain"}, true},
 		{"stealing", Options{Sched: "stealing"}, true},
 		{"workers", Options{Workers: runtime.NumCPU() + 1}, false},
 		{"mem", Options{MemEdges: core.DefaultMemEdges + 1}, false},
-		{"buffered", Options{ScanSource: "buffered"}, false},
 		{"compressed", Options{StoreFormat: "compressed"}, false},
 	} {
 		if got := key(tc.opt); (got == zero) != tc.same {
 			t.Errorf("%s: key %q, zero value's %q; want same=%v", tc.name, got, zero, tc.same)
 		}
-	}
-	buffered := key(Options{ScanSource: "buffered"})
-	if key(Options{ScanSource: "buffered", NaiveBalance: true}) == buffered {
-		t.Error("naive balance under buffered shares the in-degree key")
 	}
 	if _, err := (Options{Sched: "dynamic"}).Key(); err == nil {
 		t.Error("Key accepted an unknown scheduler name")
@@ -270,12 +262,11 @@ func TestOptionsKey(t *testing.T) {
 		{},
 		{Sched: "stealing"},
 		{Sched: "stealing", Chunks: 3},
-		{NaiveBalance: true},
 	} {
 		cluster[ckey(o)] = true
 	}
-	if len(cluster) != 4 {
-		t.Errorf("cluster keys %v: want sched, chunks and naive each told apart", cluster)
+	if len(cluster) != 3 {
+		t.Errorf("cluster keys %v: want sched and chunks each told apart", cluster)
 	}
 	if ckey(ClusterOptions{Workers: 1, MemEdges: core.DefaultMemEdges, Sched: "static"}) != ckey(ClusterOptions{}) {
 		t.Error("spelled-out cluster defaults change the key")

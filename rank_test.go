@@ -49,7 +49,7 @@ func TestRankedRunsHandOutOriginalIDs(t *testing.T) {
 	ctx := context.Background()
 	for _, opt := range []Options{
 		{Workers: 3, MemEdges: 500},
-		{Workers: 2, MemEdges: 700, ScanSource: "buffered", StoreFormat: "compressed"},
+		{Workers: 2, MemEdges: 700, StoreFormat: "compressed"},
 	} {
 		var out bytes.Buffer
 		if _, err := h.List(ctx, &out, opt); err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"pdtl/internal/mgt"
@@ -22,10 +21,10 @@ func stealStore(t *testing.T) string {
 
 // TestHandleStealingMatchesStatic drives the public knobs end to end. On
 // one machine the schedule has nothing left to decide — the runners of a
-// cooperative window are dealt blocks, a named source binds one range to
-// each runner — so a "stealing" run must produce the same count, key and
-// listing as the default static run, byte for byte and run after run, and
-// draw no chunks.
+// cooperative window are dealt blocks — so a "stealing" run must produce
+// the same count, key and listing as the default static run, byte for byte
+// and run after run, and draw no chunks. (The paper's layout under both
+// schedules is internal/core's TestCrosscheckSchedulesAndStores.)
 func TestHandleStealingMatchesStatic(t *testing.T) {
 	base := stealStore(t)
 	g, err := Open(base)
@@ -52,21 +51,12 @@ func TestHandleStealingMatchesStatic(t *testing.T) {
 	if stealRes.Triangles != staticRes.Triangles {
 		t.Fatalf("stealing counted %d, static %d", stealRes.Triangles, staticRes.Triangles)
 	}
-	for _, source := range []string{"auto", "buffered"} {
-		opt := stealOpt
-		opt.ScanSource = source
-		res, err := g.Count(context.Background(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		totalChunks := 0
-		for _, w := range res.Workers {
-			totalChunks += w.Chunks
-		}
-		if res.Triangles != staticRes.Triangles || len(res.Workers) != 3 || totalChunks != 3 {
-			t.Errorf("-scan %s: %d triangles (want %d), %d workers ran %d ranges, want 3 and 3",
-				source, res.Triangles, staticRes.Triangles, len(res.Workers), totalChunks)
-		}
+	totalChunks := 0
+	for _, w := range stealRes.Workers {
+		totalChunks += w.Chunks
+	}
+	if len(stealRes.Workers) != 3 || totalChunks != 3 {
+		t.Errorf("%d workers ran %d ranges, want 3 and 3", len(stealRes.Workers), totalChunks)
 	}
 
 	// Listings: identical multiset, deterministic raw bytes under stealing.
@@ -156,34 +146,6 @@ func TestHandleStealingTriangleDegrees(t *testing.T) {
 	for v := range staticDeg {
 		if staticDeg[v] != stealDeg[v] {
 			t.Fatalf("vertex %d: static degree %d, stealing %d", v, staticDeg[v], stealDeg[v])
-		}
-	}
-}
-
-// TestClusterRefusesStealingBuffered: -sched stealing with -scan buffered is
-// refused by ClusterOptions.Key and by CountDistributed, with one error
-// naming the pair, before the handle runs or orients anything.
-func TestClusterRefusesStealingBuffered(t *testing.T) {
-	g, err := Open(stealStore(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	opt := ClusterOptions{Sched: "stealing", ScanSource: "buffered"}
-	const pair = "-sched stealing does not combine with -scan buffered"
-	if _, err := opt.Key(nil); err == nil || !strings.Contains(err.Error(), pair) {
-		t.Errorf("Key = %v, want an error naming the pair", err)
-	}
-	if _, err := g.CountDistributed(context.Background(), nil, opt); err == nil || !strings.Contains(err.Error(), pair) {
-		t.Errorf("CountDistributed = %v, want an error naming the pair", err)
-	}
-	if g.Runs() != 0 {
-		t.Errorf("the refused run counted as %d runs", g.Runs())
-	}
-	for _, source := range []string{"", "auto"} {
-		opt.ScanSource = source
-		if _, err := opt.Key(nil); err != nil {
-			t.Errorf("scan %q: %v", source, err)
 		}
 	}
 }
