@@ -12,8 +12,8 @@
 // a regular file, or a symlink (whose target is replaced), and anything
 // else is refused before the run. The master participates as node 0. With no -nodes it runs the protocol
 // locally. SIGINT/SIGTERM cancel the run cooperatively: local runners stop
-// at their next memory window, in-flight replica copies stop at the next
-// chunk, and remote nodes are told to abandon their calculation.
+// at their next memory window, in-flight replica copies stop at once (their
+// streams are closed), and remote nodes are told to abandon their calculation.
 //
 // Worker failure mid-run is survived: the dead worker's share is
 // reassigned to the survivors (or the master itself), bounded by

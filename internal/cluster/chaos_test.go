@@ -1,10 +1,10 @@
 // Chaos tests: kill (or wedge) a worker mid-run and assert the distributed
 // protocol still produces the exact count and the same order-normalized
 // listing as a single-node baseline, with the failure visible in
-// Result.Failures. The chaos node is a real RPC server whose handlers
-// close their own server mid-call — the in-process equivalent of
-// SIGKILLing a pdtl-worker (the CI fault-injection job does the real
-// thing).
+// Result.Failures. The chaos node is a real node server whose handlers —
+// and whose connections, as they read a replica stream — close their own
+// server mid-call: the in-process equivalent of SIGKILLing a pdtl-worker
+// (the CI fault-injection job does the real thing).
 //
 // Every scenario runs under both schedules through one table (TestChaos):
 // the single driver has one failure path, and the table is what shows it
@@ -33,19 +33,20 @@ import (
 )
 
 // chaosNode wraps a real Node and injects failures: it can kill its own
-// server on the k-th Count or GraphChunk RPC (a crash mid-calculation or
-// mid-copy), or wedge — block Count and all later Pings forever, the
-// silent-partition case only the heartbeat can detect.
+// server on the k-th Count RPC (a crash mid-calculation) or once it has
+// read k bytes of a replica stream (a crash mid-copy), or wedge — block
+// Count and all later Pings forever, the silent-partition case only the
+// heartbeat can detect.
 type chaosNode struct {
 	*Node
-	srv         atomic.Pointer[Server]
-	killAtCount int64
-	killAtChunk int64
-	atChunk     func() // non-nil: runs at the killAtChunk-th chunk instead of the kill
-	counts      atomic.Int64
-	chunks      atomic.Int64
-	hangCount   chan struct{} // non-nil: Count (and subsequent Pings) block until closed
-	hung        atomic.Bool
+	srv          atomic.Pointer[Server]
+	killAtCount  int64
+	killAtStream int64  // > 0: kill once a replica stream has delivered this many bytes
+	atStream     func() // non-nil: runs at killAtStream instead of the kill
+	streamFired  atomic.Bool
+	counts       atomic.Int64
+	hangCount    chan struct{} // non-nil: Count (and subsequent Pings) block until closed
+	hung         atomic.Bool
 }
 
 func (c *chaosNode) kill() {
@@ -67,15 +68,55 @@ func (c *chaosNode) Count(args *CountArgs, reply *CountReply) error {
 	return c.Node.Count(args, reply)
 }
 
-func (c *chaosNode) GraphChunk(args *ChunkArgs, reply *struct{}) error {
-	if n := c.chunks.Add(1); c.killAtChunk > 0 && n == c.killAtChunk {
-		if c.atChunk != nil {
-			c.atChunk()
-		} else {
-			c.kill()
+// streamed is called as a replica stream's connection delivers bytes, with
+// the stream's total so far: the killAtStream fault fires once, the first
+// time it is reached.
+func (c *chaosNode) streamed(total int64) {
+	if c.killAtStream <= 0 || total < c.killAtStream || !c.streamFired.CompareAndSwap(false, true) {
+		return
+	}
+	if c.atStream != nil {
+		c.atStream()
+	} else {
+		c.kill()
+	}
+}
+
+// chaosListener hands the node server chaosConns.
+type chaosListener struct {
+	net.Listener
+	node *chaosNode
+}
+
+func (l chaosListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &chaosConn{Conn: conn, node: l.node}, nil
+}
+
+// chaosConn tells its node how many bytes it has delivered, if it is a
+// replica stream: its first byte says so.
+type chaosConn struct {
+	net.Conn
+	node   *chaosNode
+	n      int64
+	stream bool
+}
+
+func (c *chaosConn) Read(p []byte) (int, error) {
+	k, err := c.Conn.Read(p)
+	if k > 0 {
+		if c.n == 0 {
+			c.stream = p[0] == streamPreface[0]
+		}
+		c.n += int64(k)
+		if c.stream {
+			c.node.streamed(c.n)
 		}
 	}
-	return c.Node.GraphChunk(args, reply)
+	return k, err
 }
 
 func (c *chaosNode) Ping(args *PingArgs, reply *PingReply) error {
@@ -93,7 +134,7 @@ func startChaosWorker(t *testing.T, c *chaosNode) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serveRcvr(c, c.Node, lis)
+	srv, err := serveRcvr(c, c.Node, chaosListener{Listener: lis, node: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,17 +307,20 @@ var chaosScenarios = []struct {
 	name string
 	run  func(t *testing.T, fx *chaosFixture)
 }{
-	// The worker dies while its replica is still streaming: the copy RPC
-	// fails, the node is declared lost before it held any work, and under
-	// static its pre-assigned group is released to the survivors.
+	// The worker dies while its replica is still streaming, 12 KiB in — past
+	// the metadata and the degrees, inside the adjacency: the copy fails,
+	// the node is declared lost before it held any work, and under static
+	// its pre-assigned group is released to the survivors.
 	{"kill mid-copy", func(t *testing.T, fx *chaosFixture) {
 		lc := startCluster(t, 2)
-		chaos := &chaosNode{Node: NewNode("chaos", t.TempDir(), 0), killAtChunk: 3}
+		chaos := &chaosNode{Node: NewNode("chaos", t.TempDir(), 0), killAtStream: 12 << 10}
 		chaosAddr := startChaosWorker(t, chaos)
 		cfg := fx.listing("midcopy.bin")
-		cfg.ChunkBytes = 4096 // many chunks, so chunk 3 is mid-copy
 		res, err := runChecked(t, context.Background(), cfg, []string{chaosAddr, lc.Addrs()[0], lc.Addrs()[1]}, nil)
 		fx.assertExact(t, res, err, cfg)
+		if !chaos.streamFired.Load() {
+			t.Fatal("the replica stream never reached the kill")
+		}
 		for _, f := range failuresOf(t, res, chaosAddr) {
 			if f.Chunk != -1 {
 				t.Errorf("mid-copy failure misattributed to a work unit: %+v", f)
@@ -439,11 +483,12 @@ var chaosScenarios = []struct {
 	{"cancelled mid-run", func(t *testing.T, fx *chaosFixture) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		chaos := &chaosNode{Node: NewNode("chaos", t.TempDir(), 0), killAtChunk: 2, atChunk: cancel}
-		cfg := fx.cfg
-		cfg.ChunkBytes = 4096
-		if _, err := runChecked(t, ctx, cfg, []string{startChaosWorker(t, chaos)}, nil); err != context.Canceled {
+		chaos := &chaosNode{Node: NewNode("chaos", t.TempDir(), 0), killAtStream: 8 << 10, atStream: cancel}
+		if _, err := runChecked(t, ctx, fx.cfg, []string{startChaosWorker(t, chaos)}, nil); err != context.Canceled {
 			t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+		}
+		if !chaos.streamFired.Load() {
+			t.Error("the replica stream never reached the cancellation")
 		}
 	}},
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"net/rpc"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -326,14 +328,17 @@ func TestUplinkLimiterSlowsCopies(t *testing.T) {
 	}
 	// With rate 4·replica/s and a 100ms burst (0.4·replica), the copy
 	// must spend at least (replica − 0.4·replica)/(4·replica/s) = 150ms
-	// waiting, regardless of host speed.
+	// waiting, regardless of host speed: every file is smaller than one
+	// stream step, so the limiter is charged each file whole.
 	replica := fast.Nodes[1].CopyBytes
+	if replica >= streamStep {
+		t.Fatalf("replica of %d bytes; the floor assumes less than one step", replica)
+	}
 	slow, err := Run(context.Background(), Config{
 		GraphBase:         base,
 		Workers:           1,
 		MemEdges:          1 << 16,
 		UplinkBytesPerSec: 4 * replica,
-		ChunkBytes:        int(replica / 16),
 	}, lc.Addrs())
 	if err != nil {
 		t.Fatal(err)
@@ -346,110 +351,155 @@ func TestUplinkLimiterSlowsCopies(t *testing.T) {
 func TestNodeTransferErrors(t *testing.T) {
 	node := NewNode("n", t.TempDir(), 2)
 	var hello HelloReply
-	if err := node.Hello(&HelloArgs{}, &hello); err != nil || hello.Name != "n" || hello.MaxWorkers != 2 {
+	if err := node.Hello(&HelloArgs{}, &hello); err != nil || hello.Name != "n" || hello.MaxWorkers != 2 || !hello.StreamCopy {
 		t.Fatalf("hello = %+v err=%v", hello, err)
 	}
 	var ping PingReply
 	if err := node.Ping(&PingArgs{}, &ping); err != nil || !ping.OK {
 		t.Fatal("ping failed")
 	}
-	// Chunk without Begin.
-	if err := node.GraphChunk(&ChunkArgs{Kind: FileAdj, Data: []byte{1}}, &struct{}{}); err == nil {
-		t.Error("want error for chunk without begin")
+	addr := serveNode(t, node).Addr()
+	base := smallStore(t)
+	// A stream without Begin.
+	if ans := sendStream(t, addr, streamBytes(t, base, "m0", -1)); len(ans) != 0 {
+		t.Errorf("a stream without begin was answered %v", ans)
 	}
 	// End without Begin.
 	var end EndGraphReply
 	if err := node.EndGraph(&EndGraphArgs{}, &end); err == nil {
 		t.Error("want error for end without begin")
 	}
-	// A second Begin supersedes a stale transfer (its master is presumed
-	// dead): the first transfer's bytes are discarded, its token is
-	// invalidated — a slow-but-alive first master's stale chunks and End
-	// are rejected, never interleaved — and the new transfer starts from
-	// zero.
+	// A stream naming a file kind the transfer has none of aborts it.
 	if err := node.BeginGraph(&BeginGraphArgs{Name: "g", Token: "m1"}, &struct{}{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := node.GraphChunk(&ChunkArgs{Token: "m1", Kind: FileAdj, Data: []byte{1, 2, 3}}, &struct{}{}); err != nil {
+	bogus, err := streamHead("m1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := node.BeginGraph(&BeginGraphArgs{Name: "g", Token: "m2"}, &struct{}{}); err != nil {
-		t.Fatalf("superseding Begin failed: %v", err)
-	}
-	if err := node.GraphChunk(&ChunkArgs{Token: "m1", Kind: FileAdj, Data: []byte{9, 9}}, &struct{}{}); err == nil {
-		t.Error("superseded master's chunk was accepted into the new transfer")
+	if ans := sendStream(t, addr, append(append(bogus, fileHead("bogus", 1)...), 1)); len(ans) != 0 {
+		t.Errorf("a stream of an unknown kind was answered %v", ans)
 	}
 	if err := node.EndGraph(&EndGraphArgs{Token: "m1"}, &end); err == nil {
-		t.Error("superseded master's EndGraph finalized the new transfer")
+		t.Error("EndGraph finalized a transfer whose stream failed")
 	}
-	// Unknown file kind (with the live token).
-	if err := node.GraphChunk(&ChunkArgs{Token: "m2", Kind: "bogus", Data: []byte{1}}, &struct{}{}); err == nil {
-		t.Error("want error for unknown kind")
-	}
-	if err := node.EndGraph(&EndGraphArgs{Token: "m2"}, &end); err != nil {
-		t.Fatal(err)
-	}
-	if end.BytesReceived != 0 {
-		t.Errorf("superseded transfer leaked %d bytes into the new one", end.BytesReceived)
+	// A stream that does not open with the preface is refused.
+	if ans := sendStream(t, addr, []byte(streamPreface[:1]+"pdtl-replica/0\n")); len(ans) != 0 {
+		t.Errorf("a stream with a foreign preface was answered %v", ans)
 	}
 	// Count against a missing replica.
 	var reply CountReply
-	err := node.Count(&CountArgs{GraphName: "missing", Ranges: []balance.Range{{Lo: 0, Hi: 1}}, MemEdges: 4}, &reply)
+	err = node.Count(&CountArgs{GraphName: "missing", Ranges: []balance.Range{{Lo: 0, Hi: 1}}, MemEdges: 4}, &reply)
 	if err == nil {
 		t.Error("want error for missing replica")
 	}
 }
 
-// transferStore pushes a store's three files into a node via the transfer
-// RPCs, optionally truncating the copy partway (sendFrac < 1 simulates a
-// master that died mid-copy: no EndGraph is sent).
+// serveNode serves node on loopback until the test ends.
+func serveNode(t *testing.T, node *Node) *Server {
+	t.Helper()
+	srv, err := Listen(node, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// smallStore is a plain store of K8 — its files are what the stream tests
+// send.
+func smallStore(t *testing.T) string {
+	t.Helper()
+	g, err := gen.Complete(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return writeStore(t, g, "k8")
+}
+
+// streamBytes is a replica stream of a plain store's files for token: the
+// whole stream, or, when cut ≥ 0, its head and the first cut bytes of the
+// files' data with nothing after them.
+func streamBytes(t *testing.T, base, token string, cut int64) []byte {
+	t.Helper()
+	b, err := streamHead(token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []FileKind{FileMeta, FileDeg, FileAdj} {
+		path, err := replicaPath(base, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = append(b, fileHead(kind, int64(len(data)))...)
+		if cut >= 0 && cut <= int64(len(data)) {
+			return append(b, data[:cut]...)
+		}
+		if cut >= 0 {
+			cut -= int64(len(data))
+		}
+		b = append(b, data...)
+	}
+	return append(b, fileHead("", 0)...)
+}
+
+// sendStream writes stream to the node server at addr, ends the
+// connection's writing side, and returns what the node answered before it
+// closed the connection: nothing if it refused the stream.
+func sendStream(t *testing.T, addr string, stream []byte) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.Write(stream) // a node that refuses early may reset the connection
+	conn.(*net.TCPConn).CloseWrite()
+	ans, _ := io.ReadAll(conn)
+	return ans
+}
+
+// transferStore pushes a store's three files into a node as a master does —
+// BeginGraph, the replica stream, EndGraph — or, with sendFrac < 1, as a
+// master that died mid-copy does: the stream breaks off after that share of
+// the bytes, and no EndGraph follows.
 func transferStore(t *testing.T, node *Node, name, base string, sendFrac float64) {
 	t.Helper()
 	token := fmt.Sprintf("tok-%d-%f", time.Now().UnixNano(), sendFrac)
 	if err := node.BeginGraph(&BeginGraphArgs{Name: name, Token: token}, &struct{}{}); err != nil {
 		t.Fatal(err)
 	}
-	files := []struct {
-		kind FileKind
-		path string
-	}{
-		{FileMeta, graph.MetaPath(base)},
-		{FileDeg, graph.DegPath(base)},
-		{FileAdj, graph.AdjPath(base)},
+	srv, err := Listen(node, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	var total, budget int64
-	for _, f := range files {
-		st, err := os.Stat(f.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += st.Size()
-	}
-	budget = int64(float64(total) * sendFrac)
-	for _, f := range files {
-		data, err := os.ReadFile(f.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sendFrac < 1 {
-			if budget <= 0 {
-				return
-			}
-			if int64(len(data)) > budget {
-				data = data[:budget]
-			}
-			budget -= int64(len(data))
-		}
-		if err := node.GraphChunk(&ChunkArgs{Token: token, Kind: f.kind, Data: data}, &struct{}{}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	defer srv.Close()
 	if sendFrac < 1 {
+		var total int64
+		for _, path := range []string{graph.MetaPath(base), graph.DegPath(base), graph.AdjPath(base)} {
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += st.Size()
+		}
+		sendStream(t, srv.Addr(), streamBytes(t, base, token, int64(float64(total)*sendFrac)))
 		return
+	}
+	sent, err := streamReplica(context.Background(), srv.Addr(), base, token, []FileKind{FileMeta, FileDeg, FileAdj}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var end EndGraphReply
 	if err := node.EndGraph(&EndGraphArgs{Token: token}, &end); err != nil {
 		t.Fatal(err)
+	}
+	if end.BytesReceived != sent {
+		t.Fatalf("the node received %d of %d bytes", end.BytesReceived, sent)
 	}
 }
 
@@ -520,60 +570,301 @@ func TestFailedCopyDoesNotPoisonReplicaCache(t *testing.T) {
 	}
 }
 
-// TestNodeRejectsRemovedKernel: a master that predates the kernel deletions
-// may still send a kernel name this node no longer has. The batch must fail
-// with an error naming it — not panic, and not quietly run the default —
-// while the names of the one cone routine count the same triangles. The
-// same holds for a layout name (CountArgs.Scan) other than the one layout.
+// TestNodeRejectsRemovedKernel: a master that still names a kernel or a
+// layout in its batches predates the replica stream. Gob drops the fields a
+// receiver lacks, so it is the copy, not the batch, that turns such a master
+// away: its chunk RPC fails cleanly, naming the method, its EndGraph finds
+// nothing received — which fails the master's byte check — and the node
+// serves on.
 func TestNodeRejectsRemovedKernel(t *testing.T) {
-	g, err := gen.Complete(8)
+	lc := startCluster(t, 1)
+	client, err := rpc.Dial("tcp", lc.Addrs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), Config{GraphBase: writeStore(t, g, "k8"), Workers: 1, MemEdges: 64}, nil)
-	if err != nil {
+	defer client.Close()
+	if err := client.Call("Node.BeginGraph", &BeginGraphArgs{Name: "k8", Token: "old"}, &struct{}{}); err != nil {
 		t.Fatal(err)
 	}
+	type chunkArgs struct { // an older master's Node.GraphChunk request
+		Token string
+		Kind  FileKind
+		Data  []byte
+	}
+	err = client.Call("Node.GraphChunk", &chunkArgs{Token: "old", Kind: FileAdj, Data: []byte{1, 2, 3}}, &struct{}{})
+	if err == nil || !strings.Contains(err.Error(), "GraphChunk") {
+		t.Fatalf("an older master's chunk RPC returned %v, want an error naming the method", err)
+	}
+	var end EndGraphReply
+	if err := client.Call("Node.EndGraph", &EndGraphArgs{Token: "old"}, &end); err != nil || end.BytesReceived != 0 {
+		t.Errorf("EndGraph after the refused chunk = %+v, %v; want 0 bytes received", end, err)
+	}
+	var hello HelloReply
+	if err := client.Call("Node.Hello", &HelloArgs{}, &hello); err != nil || !hello.StreamCopy {
+		t.Errorf("the node stopped serving after an older master's chunk: %+v, %v", hello, err)
+	}
+}
+
+// TestStreamSuperseded: a stream whose transfer a later BeginGraph
+// superseded — before it began, or midway — is refused and writes nothing
+// into the new transfer's files.
+func TestStreamSuperseded(t *testing.T) {
 	node := NewNode("n", t.TempDir(), 1)
-	transferStore(t, node, "k8", res.OrientedBase, 1)
-	d, err := node.openReplica("k8")
+	addr := serveNode(t, node).Addr()
+	base := smallStore(t)
+	// After its EndGraph, the new transfer's files must hold nothing.
+	empty := func(what string) {
+		t.Helper()
+		for _, kind := range []FileKind{FileMeta, FileDeg, FileAdj} {
+			path, err := replicaPath(node.base("g"), kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err := os.Stat(path); err != nil || st.Size() != 0 {
+				t.Errorf("%s: the new transfer's %s file: %v, %v; want it empty", what, kind, st, err)
+			}
+		}
+	}
+	begin := func(token string) {
+		t.Helper()
+		if err := node.BeginGraph(&BeginGraphArgs{Name: "g", Token: token}, &struct{}{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	endEmpty := func(token string) {
+		t.Helper()
+		var end EndGraphReply
+		if err := node.EndGraph(&EndGraphArgs{Token: token}, &end); err != nil || end.BytesReceived != 0 {
+			t.Errorf("EndGraph of the new transfer = %+v, %v; want 0 bytes received", end, err)
+		}
+	}
+
+	begin("m1")
+	begin("m2")
+	if ans := sendStream(t, addr, streamBytes(t, base, "m1", -1)); len(ans) != 0 {
+		t.Errorf("the superseded master's stream was answered %v", ans)
+	}
+	var end EndGraphReply
+	if err := node.EndGraph(&EndGraphArgs{Token: "m1"}, &end); err == nil {
+		t.Error("the superseded master's EndGraph finalized the new transfer")
+	}
+	endEmpty("m2")
+	empty("superseded before its stream")
+
+	// Midway: the stream is 100 bytes into the adjacency when m4
+	// supersedes it.
+	begin("m3")
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	args := CountArgs{GraphName: "k8", Ranges: []balance.Range{{Lo: 0, Hi: d.d.Meta.AdjEntries}}, MemEdges: 64}
-	for _, kernel := range []string{"gallop", "adaptive", "compressed", "cover", "merge"} {
-		args.Kernel = kernel
-		var reply CountReply
-		err := node.Count(&args, &reply)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", kernel)) {
-			t.Errorf("kernel %q: Count = %v, want an error naming the kernel", kernel, err)
+	defer conn.Close()
+	var cut int64 = 100
+	for _, path := range []string{graph.MetaPath(base), graph.DegPath(base)} {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if reply.Triangles != 0 || reply.Workers != nil {
-			t.Errorf("kernel %q: the rejected batch still counted: %+v", kernel, reply)
+		cut += st.Size()
+	}
+	whole := streamBytes(t, base, "m3", -1)
+	part := streamBytes(t, base, "m3", cut)
+	if _, err := conn.Write(part); err != nil {
+		t.Fatal(err)
+	}
+	path, err := replicaPath(node.base("g"), FileAdj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, err := os.Stat(path); err == nil && st.Size() == 100 {
+			break // the node is writing m3's adjacency
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the node never began writing the stream")
 		}
 	}
-	// A master that still names a layout — the paper's, the in-memory one,
-	// or the shared broadcast — gets an error naming it, not a panic or a
-	// count.
-	for _, source := range []string{"buffered", "mem", "shared"} {
-		args.Kernel, args.Scan = "", source
-		var reply CountReply
-		if err := node.Count(&args, &reply); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", source)) {
-			t.Errorf("scan %q: Count = %v, want an error naming it", args.Scan, err)
+	begin("m4")
+	conn.Write(whole[len(part):])
+	conn.(*net.TCPConn).CloseWrite()
+	if ans, _ := io.ReadAll(conn); len(ans) != 0 {
+		t.Errorf("the stream superseded midway was answered %v", ans)
+	}
+	endEmpty("m4")
+	empty("superseded midway")
+}
+
+// TestStreamTruncated: a stream that breaks off mid-file — its master died
+// — aborts the transfer: the node answers nothing, EndGraph refuses the
+// transfer, and no replica of it is opened, cached or counted.
+func TestStreamTruncated(t *testing.T) {
+	node := NewNode("n", t.TempDir(), 1)
+	addr := serveNode(t, node).Addr()
+	base := smallStore(t)
+	if err := node.BeginGraph(&BeginGraphArgs{Name: "k8", Token: "t1"}, &struct{}{}); err != nil {
+		t.Fatal(err)
+	}
+	if ans := sendStream(t, addr, streamBytes(t, base, "t1", 100)); len(ans) != 0 {
+		t.Errorf("a truncated stream was answered %v", ans)
+	}
+	var end EndGraphReply
+	if err := node.EndGraph(&EndGraphArgs{Token: "t1"}, &end); err == nil {
+		t.Errorf("EndGraph finalized a truncated stream (%d bytes received)", end.BytesReceived)
+	}
+	if _, err := node.openReplica("k8"); err == nil {
+		t.Error("a truncated replica opened")
+	}
+	node.mu.Lock()
+	_, cached := node.disks["k8"]
+	node.mu.Unlock()
+	if cached {
+		t.Error("a truncated replica was cached")
+	}
+}
+
+// TestStreamReplicaShrinks: a new copy overwrites the old one's files in
+// place, so a smaller graph under the same name must leave files of its own
+// size, not the old copy's tail, and count as itself.
+func TestStreamReplicaShrinks(t *testing.T) {
+	node := NewNode("n", t.TempDir(), 1)
+	for _, k := range []int{9, 5} {
+		g, err := gen.Complete(k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if reply.Triangles != 0 || reply.Workers != nil {
-			t.Errorf("scan %q: the rejected batch still counted: %+v", args.Scan, reply)
+		res, err := Run(context.Background(), Config{GraphBase: writeStore(t, g, "k"), Workers: 1, MemEdges: 64}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		transferStore(t, node, "k", res.OrientedBase, 1)
+		for _, path := range []func(string) string{graph.MetaPath, graph.DegPath, graph.AdjPath} {
+			want, err := os.ReadFile(path(res.OrientedBase))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path(node.base("k")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("K%d: the replica's %s is %d bytes, not the %d sent", k, filepath.Base(path("k")), len(got), len(want))
+			}
+		}
+		d, err := node.openReplica("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply CountReply
+		if err := node.Count(&CountArgs{GraphName: "k", Ranges: []balance.Range{{Lo: 0, Hi: d.d.Meta.AdjEntries}}, MemEdges: 64}, &reply); err != nil {
+			t.Fatal(err)
+		}
+		if want := gen.CompleteTriangles(k); reply.Triangles != want {
+			t.Errorf("K%d: the replica counts %d triangles, want %d", k, reply.Triangles, want)
 		}
 	}
-	// Both fields accept the empty name and "auto".
-	for _, name := range []string{"", "auto"} {
-		args.Kernel, args.Scan = name, name
-		var reply CountReply
-		if err := node.Count(&args, &reply); err != nil {
-			t.Fatalf("kernel and scan %q: %v", name, err)
+}
+
+// TestStreamServerClose: Server.Close in the middle of a stream returns,
+// ends the stream's connection and leaks no goroutine; the transfer it was
+// feeding is aborted.
+func TestStreamServerClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	node := NewNode("n", t.TempDir(), 1)
+	srv, err := Listen(node, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.BeginGraph(&BeginGraphArgs{Name: "g", Token: "c1"}, &struct{}{}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	head, err := streamHead("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(append(append(head, fileHead(FileAdj, 1<<20)...), make([]byte, 100)...)); err != nil {
+		t.Fatal(err)
+	}
+	path, err := replicaPath(node.base("g"), FileAdj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, err := os.Stat(path); err == nil && st.Size() == 100 {
+			break // the node is mid-file, waiting for the rest
 		}
-		if want := gen.CompleteTriangles(8); reply.Triangles != want {
-			t.Errorf("kernel and scan %q: %d triangles, want %d", name, reply.Triangles, want)
+		if time.Now().After(deadline) {
+			t.Fatal("the node never began writing the stream")
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close did not return mid-stream")
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Error("the stream's connection outlived the server")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("goroutines leaked: %d after Close, %d before\n%s", n, before, buf[:runtime.Stack(buf, true)])
+	}
+	var end EndGraphReply
+	if err := node.EndGraph(&EndGraphArgs{Token: "c1"}, &end); err == nil {
+		t.Error("EndGraph finalized the transfer whose stream the server cut")
+	}
+}
+
+// TestStreamCopyRequired: a master lets no node join that does not take
+// its replica as a stream — under either schedule the join fails, naming
+// the upgrade, and the run finishes exactly on the other nodes.
+func TestStreamCopyRequired(t *testing.T) {
+	g, err := gen.RMAT(10, 8, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := baseline.Forward(g)
+	base := writeStore(t, g, "old")
+	for _, mode := range []sched.Mode{sched.Static, sched.Stealing} {
+		old := &oldHello{Node: NewNode("old", t.TempDir(), 0)}
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := serveRcvr(old, old.Node, lis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		res, err := Run(context.Background(), Config{GraphBase: base, Workers: 2, MemEdges: 512, Sched: mode},
+			[]string{srv.Addr(), startCluster(t, 1).Addrs()[0]})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if res.Triangles != want {
+			t.Errorf("%v: triangles = %d, want %d", mode, res.Triangles, want)
+		}
+		var fs []Failure
+		for _, f := range res.Failures {
+			if f.Addr == srv.Addr() {
+				fs = append(fs, f)
+			}
+		}
+		if len(fs) != 1 || fs[0].Chunk != -1 || !strings.Contains(fs[0].Err, "predates replica streams") || !strings.Contains(fs[0].Err, "upgrade") {
+			t.Errorf("%v: the older node's failures are %+v, want one join failure naming the upgrade", mode, fs)
+		}
+		if res.Nodes[1].CopyBytes != 0 {
+			t.Errorf("%v: %d replica bytes sent to a node that cannot take them", mode, res.Nodes[1].CopyBytes)
 		}
 	}
 }

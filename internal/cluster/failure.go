@@ -40,13 +40,14 @@ const (
 	// helloTimeout is the per-RPC deadline on the handshake — the one call
 	// issued before the heartbeat starts, so it needs its own bound.
 	helloTimeout = 30 * time.Second
-	// copyTimeout is the per-RPC deadline on the replica-transfer calls
-	// (BeginGraph, each GraphChunk, EndGraph). The heartbeat does not run
-	// during the copy — on a slow uplink pings would queue behind the
-	// graph chunks monopolizing the connection and a healthy worker would
-	// be declared dead — so a wedged node mid-copy is instead caught by
-	// its current chunk RPC missing this (deliberately generous: even a
-	// 10 KiB/s link moves a 256 KiB chunk in ~26 s) deadline.
+	// copyTimeout is the deadline of every step of the replica copy: the
+	// BeginGraph and EndGraph calls, each write of the replica stream and
+	// the wait for its acknowledgement. The heartbeat does not run during
+	// the copy — on a slow uplink a ping would wait behind the limiter's
+	// debt and a healthy worker would be declared dead — so a node that
+	// wedges mid-copy is instead caught by its current step missing this
+	// (deliberately generous: even a 10 KiB/s link moves a 256 KiB step in
+	// ~26 s) deadline.
 	copyTimeout = 2 * time.Minute
 )
 
@@ -202,9 +203,8 @@ type nodeConn struct {
 
 // dialNode connects to a node with a bounded dial and performs the
 // handshake under its own per-RPC deadline. The heartbeat is NOT started
-// here: the copy phase monopolizes the connection with graph chunks
-// (pings behind them would miss on slow uplinks) and is protected by
-// per-RPC copyTimeout deadlines instead — callers invoke watch() when
+// here: the copy phase is protected by per-step copyTimeout deadlines
+// instead (pings during it would miss on slow uplinks) — callers invoke watch() when
 // they enter the calculation phase, whose long-running Counts have no
 // deadline of their own. The caller must close() the returned conn on
 // every path.

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net/rpc"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -61,8 +60,6 @@ type Config struct {
 	// UplinkBytesPerSec rate-limits the master's outgoing graph copies in
 	// aggregate (0 = unlimited), modeling the shared NIC.
 	UplinkBytesPerSec int64
-	// ChunkBytes is the copy chunk size; non-positive selects 256 KiB.
-	ChunkBytes int
 	// MaxRetries bounds how many times one unit of failed work (a static
 	// range group or a stealing chunk batch) may be reassigned to another
 	// node before the run gives up with the joined node errors. Zero
@@ -100,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MemEdges <= 0 {
 		c.MemEdges = core.DefaultMemEdges
-	}
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 256 * 1024
 	}
 	switch {
 	case c.MaxRetries == 0:
@@ -234,7 +228,8 @@ const cancelDrainTimeout = 10 * time.Second
 // node's failure rather than reporting just the first.
 //
 // Cancelling ctx aborts the whole protocol: the master's own runners stop
-// within one memory window, in-flight graph copies stop at the next chunk,
+// within one memory window, in-flight graph copies stop at once (their
+// connections are closed),
 // and every client is told (via a Cancel RPC) to abandon its calculation.
 // Run then returns ctx.Err().
 func Run(ctx context.Context, cfg Config, workerAddrs []string) (*Result, error) {
@@ -614,6 +609,10 @@ func (e *remoteExec) join(ctx context.Context, nr *NodeResult) error {
 		return err
 	}
 	e.nc, nr.Name = nc, hello.Name
+	if !hello.StreamCopy {
+		// Its listener would take the replica stream for a broken RPC.
+		return fmt.Errorf("cluster: node %s at %s predates replica streams (its Hello offers no stream copy); upgrade it", hello.Name, nr.Addr)
+	}
 	if e.units != nil && !hello.HeldWindows {
 		// It would take a unit's empty Ranges for nothing to count.
 		return fmt.Errorf("cluster: node %s at %s predates stealing units (its Hello offers no held windows); run it under -sched static or upgrade it", hello.Name, nr.Addr)
@@ -623,7 +622,7 @@ func (e *remoteExec) join(ctx context.Context, nr *NodeResult) error {
 	copySpan := cur.Begin(obs.SpanCopy)
 	copyStart := time.Now()
 	// Keep a failed copy's bytes too: they crossed the master's uplink.
-	nr.CopyBytes, err = e.copyGraph(ctx, nc.client)
+	nr.CopyBytes, err = e.copyGraph(ctx, nc.client, nr.Addr)
 	cur.SetAttr(copySpan, "slot", int64(e.slot))
 	cur.SetAttr(copySpan, "bytes", nr.CopyBytes)
 	cur.End(copySpan)
@@ -716,23 +715,22 @@ func traceSpanArg(cur obs.Cursor, dsp obs.SpanID) int64 {
 }
 
 // callCopy is callCtx under the copy phase's per-RPC deadline: the
-// heartbeat does not run during the copy (pings would queue behind the
-// graph chunks on a slow uplink), so a wedged node mid-copy is caught by
-// its current transfer RPC missing copyTimeout instead.
+// heartbeat does not run during the copy, so a node that wedges in
+// BeginGraph or EndGraph is caught by the call missing copyTimeout instead.
 func callCopy(ctx context.Context, client *rpc.Client, method string, args, reply any) error {
 	cctx, cancel := context.WithTimeout(ctx, copyTimeout)
 	defer cancel()
 	return callCtx(cctx, client, method, args, reply)
 }
 
-// copyGraph streams the store files to a client through the limiter —
+// copyGraph replicates the store files to the client at addr —
 // {meta, deg, adj} for a plain store, {meta, deg, cadj, cidx} for a
-// compressed one — checking ctx between chunks so a cancelled run stops
-// replicating promptly. Each transfer carries a fresh ownership token: if
-// this master is superseded mid-copy (a retrying master presumed us dead),
-// the node rejects our remaining chunks instead of interleaving them into
-// the new transfer's files.
-func (r *run) copyGraph(ctx context.Context, client *rpc.Client) (int64, error) {
+// compressed one — as one byte stream through the limiter
+// (streamReplica), between a BeginGraph and an EndGraph RPC. Each transfer
+// carries a fresh ownership token: if this master is superseded mid-copy (a
+// retrying master presumed us dead), the node refuses the rest of our
+// stream instead of interleaving it into the new transfer's files.
+func (r *run) copyGraph(ctx context.Context, client *rpc.Client, addr string) (int64, error) {
 	kinds := []FileKind{FileMeta, FileDeg, FileAdj}
 	if r.format == graph.FormatCompressed {
 		kinds = []FileKind{FileMeta, FileDeg, FileCAdj, FileCIdx}
@@ -741,40 +739,9 @@ func (r *run) copyGraph(ctx context.Context, client *rpc.Client) (int64, error) 
 	if err := callCopy(ctx, client, "Node.BeginGraph", &BeginGraphArgs{Name: r.cfg.GraphName, Token: token, Kinds: kinds}, &struct{}{}); err != nil {
 		return 0, err
 	}
-	var sent int64
-	buf := make([]byte, r.cfg.ChunkBytes)
-	for _, kind := range kinds {
-		path, err := replicaPath(r.base, kind)
-		if err != nil {
-			return sent, err
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return sent, err
-		}
-		for {
-			if err := ctx.Err(); err != nil {
-				f.Close()
-				return sent, err
-			}
-			k, rerr := f.Read(buf)
-			if k > 0 {
-				if err := r.limiter.Wait(ctx, k); err != nil {
-					f.Close()
-					return sent, err
-				}
-				chunk := ChunkArgs{Token: token, Kind: kind, Data: buf[:k]}
-				if err := callCopy(ctx, client, "Node.GraphChunk", &chunk, &struct{}{}); err != nil {
-					f.Close()
-					return sent, err
-				}
-				sent += int64(k)
-			}
-			if rerr != nil {
-				break
-			}
-		}
-		f.Close()
+	sent, err := streamReplica(ctx, addr, r.base, token, kinds, r.limiter)
+	if err != nil {
+		return sent, err
 	}
 	var end EndGraphReply
 	if err := callCopy(ctx, client, "Node.EndGraph", &EndGraphArgs{Token: token}, &end); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/rpc"
 	"os"
@@ -16,7 +17,6 @@ import (
 	"pdtl/internal/graph"
 	"pdtl/internal/mgt"
 	"pdtl/internal/obs"
-	"pdtl/internal/scan"
 	"pdtl/internal/sched"
 )
 
@@ -35,17 +35,22 @@ type Node struct {
 	curName  string
 	curToken string
 	received int64
-	// disks caches the received graphs per name: the opened store and the
-	// window its stealing units were last dealt against. The stealing
-	// master sends many Count batches per run; without the cache every
-	// batch would re-read the replica's metadata and whole degree file, and
-	// load its window again. A Disk holds no open file descriptors and a
-	// held window only memory, so entries need no teardown; a re-received
-	// graph (BeginGraph, EndGraph) drops its stale entry and bumps diskGen
-	// so an open that was racing the re-replication cannot re-poison the
-	// cache with the old copy's handle.
+	// disks caches the received graphs per name: the opened store and its
+	// name's window (windows). The stealing master sends
+	// many Count batches per run; without the cache every batch would
+	// re-read the replica's metadata and whole degree file, and load its
+	// window again. A Disk holds no open file descriptors, so entries need
+	// no teardown; a re-received graph (BeginGraph, EndGraph) drops its
+	// stale entry and bumps diskGen so an open that was racing the
+	// re-replication cannot re-poison the cache with the old copy's handle.
 	disks   map[string]*replica
 	diskGen map[string]int
+	// windows keeps one window per replica name across re-replications: a
+	// new copy's batches load into the old copy's buffers instead of
+	// allocating beside them while the old ones wait for the collector.
+	// Window.Holds compares the store, so a new copy is never counted
+	// through what the old one left.
+	windows map[string]*heldWindow
 	// runs maps the RunID of every in-flight Count to its cancel func, so
 	// a master's Cancel RPC (or a server shutdown) can abort it mid-run.
 	runs map[string]context.CancelFunc
@@ -58,11 +63,10 @@ type Node struct {
 }
 
 // replica is a received graph as a node serves it: the opened store, and
-// the window the stealing units of its last run were dealt against — one
-// window of P·M entries at most, kept until the graph is replaced.
+// the window of its name (Node.windows) — one window of P·M entries at most.
 type replica struct {
 	d    *graph.Disk
-	held heldWindow
+	held *heldWindow
 }
 
 // heldWindow is a window kept between Count batches (mgt.DealConfig.Held).
@@ -88,6 +92,14 @@ func (h *heldWindow) run(d *graph.Disk, win balance.Range, fn func(*mgt.Window) 
 	return h.w.Holds(d, win), fn(&h.w)
 }
 
+// own calls fn with h's window to itself: a static group loads whatever
+// windows its ranges need into it.
+func (h *heldWindow) own(fn func(*mgt.Window) error) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return fn(&h.w)
+}
+
 // maxCancelTombstones bounds cancelledRuns (entries whose Count already
 // finished are never claimed); past the bound the set is simply cleared —
 // losing a tombstone only costs one wasted (not incorrect) run.
@@ -110,6 +122,7 @@ func (n *Node) Hello(args *HelloArgs, reply *HelloReply) error {
 	reply.Name = n.name
 	reply.MaxWorkers = n.workers
 	reply.HeldWindows = true
+	reply.StreamCopy = true
 	return nil
 }
 
@@ -119,12 +132,13 @@ func (n *Node) Ping(args *PingArgs, reply *PingReply) error {
 	return nil
 }
 
-// BeginGraph opens the three replica files for writing. A transfer that is
+// BeginGraph opens the replica files for writing; the master then streams
+// their bytes (receive). A transfer that is
 // still "in progress" when a new one begins is a transfer whose master died
 // or was partitioned mid-copy: the new transfer supersedes it — the stale
 // files are closed and removed, and the old transfer's token is
 // invalidated, so if its master turns out to be merely slow rather than
-// dead, its stale in-flight chunks are rejected (not interleaved into the
+// dead, the rest of its stream is refused (not interleaved into the
 // new files) and it fails cleanly.
 func (n *Node) BeginGraph(args *BeginGraphArgs, reply *struct{}) error {
 	n.mu.Lock()
@@ -147,7 +161,21 @@ func (n *Node) BeginGraph(args *BeginGraphArgs, reply *struct{}) error {
 			n.abortLocked()
 			return err
 		}
-		f, err := os.Create(path)
+		// The data files are overwritten in place and cut to length by
+		// EndGraph: truncating a replica's files would cost the node
+		// milliseconds freeing blocks the new copy then allocates again.
+		// The metadata is the commit record instead: the old one goes now,
+		// and the new one is received beside it and renamed into place by
+		// EndGraph, so no open finds a replica while its files are mixed.
+		flag := os.O_WRONLY | os.O_CREATE
+		if kind == FileMeta {
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				n.abortLocked()
+				return err
+			}
+			path, flag = path+metaPartSuffix, flag|os.O_TRUNC
+		}
+		f, err := os.OpenFile(path, flag, 0o644)
 		if err != nil {
 			n.abortLocked()
 			return err
@@ -164,9 +192,9 @@ func (n *Node) BeginGraph(args *BeginGraphArgs, reply *struct{}) error {
 			}
 		}
 	}
-	// The os.Create calls above truncated the replica's files, so a Disk
-	// (and the window held of it) cached against the previous copy is stale
-	// NOW — not at EndGraph. A
+	// The replica's metadata is gone and its data files are about to be
+	// overwritten, so a Disk (and the window held of it) cached against the
+	// previous copy is stale NOW — not at EndGraph. A
 	// copy that fails partway must not leave the old handle cached over
 	// the mangled files (a later Count would read new bytes through old
 	// metadata); dropping the entry here means any Count racing or
@@ -174,6 +202,12 @@ func (n *Node) BeginGraph(args *BeginGraphArgs, reply *struct{}) error {
 	// the generation bump keeps a graph.Open that started before this
 	// point from re-poisoning the cache with its doomed handle.
 	delete(n.disks, args.Name)
+	// The name's window keeps its buffers for the new copy, but if no
+	// batch is running in it, it lets the old copy's store go too.
+	if h := n.windows[args.Name]; h != nil && h.mu.TryLock() {
+		h.w.Release()
+		h.mu.Unlock()
+	}
 	if n.diskGen == nil {
 		n.diskGen = make(map[string]int)
 	}
@@ -183,6 +217,10 @@ func (n *Node) BeginGraph(args *BeginGraphArgs, reply *struct{}) error {
 	n.received = 0
 	return nil
 }
+
+// metaPartSuffix names the metadata of a replica being received, until
+// EndGraph renames it into place.
+const metaPartSuffix = ".part"
 
 // replicaPath maps a transfer file kind to its path under a replica base.
 func replicaPath(base string, kind FileKind) (string, error) {
@@ -201,26 +239,8 @@ func replicaPath(base string, kind FileKind) (string, error) {
 	return "", fmt.Errorf("cluster: unknown file kind %q", kind)
 }
 
-// GraphChunk appends one chunk to a replica file.
-func (n *Node) GraphChunk(args *ChunkArgs, reply *struct{}) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.incoming == nil {
-		return fmt.Errorf("cluster: node %s: no transfer in progress", n.name)
-	}
-	if args.Token != n.curToken {
-		return fmt.Errorf("cluster: node %s: transfer superseded", n.name)
-	}
-	f, ok := n.incoming[args.Kind]
-	if !ok {
-		return fmt.Errorf("cluster: node %s: unknown file kind %q", n.name, args.Kind)
-	}
-	k, err := f.Write(args.Data)
-	n.received += int64(k)
-	return err
-}
-
-// EndGraph finalizes a transfer.
+// EndGraph finalizes a transfer: it cuts the data files to the bytes
+// received and commits the replica by renaming its metadata into place.
 func (n *Node) EndGraph(args *EndGraphArgs, reply *EndGraphReply) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -231,10 +251,24 @@ func (n *Node) EndGraph(args *EndGraphArgs, reply *EndGraphReply) error {
 		return fmt.Errorf("cluster: node %s: transfer superseded", n.name)
 	}
 	var firstErr error
-	for _, f := range n.incoming {
-		if err := f.Close(); err != nil && firstErr == nil {
+	keep := func(err error) {
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
+	}
+	for kind, f := range n.incoming {
+		if kind != FileMeta {
+			// Cut a data file overwritten in place to what this copy wrote.
+			off, err := f.Seek(0, io.SeekCurrent)
+			keep(err)
+			if err == nil {
+				keep(f.Truncate(off))
+			}
+		}
+		keep(f.Close())
+	}
+	if meta, ok := n.incoming[FileMeta]; ok && firstErr == nil {
+		keep(os.Rename(meta.Name(), graph.MetaPath(n.base(n.curName))))
 	}
 	n.incoming = nil
 	// The replica just changed on disk; a cached handle on the old copy
@@ -267,8 +301,14 @@ func (n *Node) openReplica(name string) (*replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &replica{d: d}
 	n.mu.Lock()
+	if n.windows == nil {
+		n.windows = make(map[string]*heldWindow)
+	}
+	if n.windows[name] == nil {
+		n.windows[name] = &heldWindow{}
+	}
+	r := &replica{d: d, held: n.windows[name]}
 	if n.diskGen[name] == gen {
 		if n.disks == nil {
 			n.disks = make(map[string]*replica)
@@ -336,7 +376,7 @@ func (n *Node) Count(args *CountArgs, reply *CountReply) error {
 	if err != nil {
 		return fmt.Errorf("cluster: node %s: open replica: %w", n.name, err)
 	}
-	held, err := count(ctx, rep.d, &rep.held, args, reply)
+	held, err := count(ctx, rep.d, rep.held, args, reply)
 	if err != nil {
 		return err
 	}
@@ -354,18 +394,12 @@ func (n *Node) Count(args *CountArgs, reply *CountReply) error {
 }
 
 // count is the calculation phase itself, shared by the worker's Count RPC
-// and the master's own node-0 executor: run args on the oriented store d —
-// a static group through core.RunRanges, a stealing unit against the window
-// held — and fill reply with the per-runner stats, the triangle count and,
-// for a listing, the triples in the batch's listing order. held reports
-// whether a unit found its window held.
+// and the master's own node-0 executor: run args on the oriented store d
+// in the window held — a static group through core.RunRanges, a stealing
+// unit against the window it holds — and fill reply with the per-runner
+// stats, the triangle count and, for a listing, the triples in the batch's
+// listing order. The result reports whether a unit found its window held.
 func count(ctx context.Context, d *graph.Disk, held *heldWindow, args *CountArgs, reply *CountReply) (bool, error) {
-	if err := scan.CheckLayout(args.Scan); err != nil {
-		return false, err
-	}
-	if err := mgt.CheckKernel(args.Kernel); err != nil {
-		return false, err
-	}
 	schedMode, err := sched.ParseMode(args.Sched)
 	if err != nil {
 		return false, err
@@ -387,7 +421,12 @@ func count(ctx context.Context, d *graph.Disk, held *heldWindow, args *CountArgs
 	if args.List {
 		opt.Out = &triples
 	}
-	calc, err := core.RunRanges(ctx, d, args.Ranges, opt)
+	var calc core.Calc
+	err = held.own(func(w *mgt.Window) (err error) {
+		opt.Held = w
+		calc, err = core.RunRanges(ctx, d, args.Ranges, opt)
+		return err
+	})
 	if err != nil {
 		return false, err
 	}
@@ -526,20 +565,44 @@ func (s *Server) acceptLoop() {
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
-		go func() {
-			s.rpc.ServeConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
+		go s.serveConn(conn)
 	}
 }
+
+// serveConn serves one connection until it ends: a replica stream
+// (Node.receive) if its first byte is streamPreface's, net/rpc otherwise.
+func (s *Server) serveConn(conn net.Conn) {
+	defer func() {
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+	}()
+	var first [1]byte
+	if _, err := io.ReadFull(conn, first[:]); err != nil {
+		return
+	}
+	if first[0] == streamPreface[0] {
+		s.Node.receive(conn)
+		return
+	}
+	s.rpc.ServeConn(rpcConn{Conn: conn, r: io.MultiReader(bytes.NewReader(first[:]), conn)})
+}
+
+// rpcConn is a connection whose first byte serveConn has read: reads
+// deliver it again before the rest.
+type rpcConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c rpcConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 
 // Addr reports the server's listen address.
 func (s *Server) Addr() string { return s.lis.Addr().String() }
 
 // Close stops accepting, cancels the node's in-flight calculations, and
-// closes live connections.
+// closes live connections, replica streams included.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true

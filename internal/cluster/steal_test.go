@@ -482,19 +482,24 @@ func TestStealingIOExact(t *testing.T) {
 	}
 }
 
-// oldHello is a node as a build before stealing units answers the
-// handshake: it does not offer held windows.
-type oldHello struct{ *Node }
+// oldHello is a node as an older build answers the handshake: it offers
+// no held windows, and, unless stream is set, no replica stream.
+type oldHello struct {
+	*Node
+	stream bool
+}
 
 func (o *oldHello) Hello(args *HelloArgs, reply *HelloReply) error {
-	reply.Name, reply.MaxWorkers = o.name, o.workers
+	reply.Name, reply.MaxWorkers, reply.StreamCopy = o.name, o.workers, o.stream
 	return nil
 }
 
 // TestStealingMixedVersions: a stealing master does not let a node that
-// predates stealing units join — it would take a unit for nothing to count
+// offers no held windows join — it would take a unit for nothing to count
 // — and says so in a join failure, finishing exactly on the other nodes; a
-// static master takes the same node. And a node of this build still counts
+// static master takes the same node. (No build streamed replicas without
+// holding windows; the node here takes the stream so that the held-window
+// check is the one it meets. TestStreamCopyRequired has an older node.) And a node of this build still counts
 // the batches an older stealing master sends — P pivot chunks of a K·N·P
 // plan at a time — exactly.
 func TestStealingMixedVersions(t *testing.T) {
@@ -505,7 +510,7 @@ func TestStealingMixedVersions(t *testing.T) {
 	want := baseline.Forward(g)
 	base := writeStore(t, g, "mixed")
 	for _, mode := range []sched.Mode{sched.Static, sched.Stealing} {
-		old := &oldHello{Node: NewNode("old", t.TempDir(), 0)}
+		old := &oldHello{Node: NewNode("old", t.TempDir(), 0), stream: true}
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -568,17 +573,5 @@ func TestStealingMixedVersions(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("an older master's stealing batches counted %d triangles, want %d", got, want)
-	}
-}
-
-// TestStealingNeedsSharedWindow: a stealing unit is cone blocks dealt to
-// runners sharing one window, so a node sent one under the paper's layout
-// (CountArgs.Scan "buffered", from an older master) refuses it, naming the
-// layout, before anything runs.
-func TestStealingNeedsSharedWindow(t *testing.T) {
-	var reply CountReply
-	args := CountArgs{Unit: &StealUnit{Window: balance.Range{Lo: 0, Hi: 1}, Cone: balance.Range{Lo: 0, Hi: 1}}, Scan: "buffered", Sched: "stealing"}
-	if _, err := count(context.Background(), nil, &heldWindow{}, &args, &reply); err == nil || !strings.Contains(err.Error(), `"buffered"`) {
-		t.Errorf("a node ran a unit under the paper's layout: %v", err)
 	}
 }

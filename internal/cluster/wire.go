@@ -4,10 +4,11 @@
 // ranges (the configurations C_{i,j} of Figure 1), and atomically sums the
 // returned triangle counts.
 //
-// Transport is net/rpc over TCP (stdlib gob encoding). Graph bytes travel
-// in chunked RPCs through an optional token-bucket uplink limiter that
-// models the shared NIC of the paper's EC2 experiments, so that average
-// copy time grows with node count as in Table III.
+// Transport is net/rpc over TCP (stdlib gob encoding). The replica's bytes
+// travel outside it, as one byte stream on a second connection to the
+// node's listener (stream.go), through an optional token-bucket uplink
+// limiter that models the shared NIC of the paper's EC2 experiments, so
+// that average copy time grows with node count as in Table III.
 package cluster
 
 // The gob wire surface below is fingerprinted into wire.fingerprint
@@ -25,7 +26,7 @@ import (
 	"pdtl/internal/obs"
 )
 
-// FileKind identifies which store file a chunk belongs to.
+// FileKind identifies a store file in a replica stream.
 type FileKind string
 
 // The store files replicated to every node. Which set travels depends on
@@ -54,30 +55,26 @@ type HelloReply struct {
 	// it would take a unit's empty Ranges for nothing to count, so a stealing
 	// master does not let it join.
 	HeldWindows bool
+	// StreamCopy says the node takes its replica as one byte stream on its
+	// listener (stream.go). A node without it only takes the chunk RPCs no
+	// master sends any more, so no master lets it join.
+	StreamCopy bool
 }
 
 // BeginGraphArgs starts a graph transfer.
 type BeginGraphArgs struct {
 	// Name is the dataset name; the node stores the copy under it.
 	Name string
-	// Token identifies this transfer: the chunks and EndGraph that follow
-	// must carry it. A later BeginGraph supersedes the transfer and
+	// Token identifies this transfer: the replica stream and EndGraph that
+	// follow must carry it. A later BeginGraph supersedes the transfer and
 	// invalidates the token, so a superseded master (presumed dead, but
-	// possibly just slow) has its stale in-flight chunks rejected instead
-	// of interleaved into the new master's files.
+	// possibly just slow) has the rest of its stream refused instead of
+	// interleaved into the new master's files.
 	Token string
 	// Kinds lists the file kinds this transfer will stream; empty means the
 	// plain-store triple {meta, deg, adj} (masters predating the compressed
 	// format).
 	Kinds []FileKind
-}
-
-// ChunkArgs carries one chunk of one store file.
-type ChunkArgs struct {
-	// Token must match the BeginGraph that opened the transfer.
-	Token string
-	Kind  FileKind
-	Data  []byte
 }
 
 // EndGraphArgs finalizes a transfer.
@@ -118,21 +115,6 @@ type CountArgs struct {
 	Workers int
 	// MemEdges is M per runner.
 	MemEdges int
-	// BufBytes is ignored: it sized the sequential-scan buffer of a reader
-	// the runners no longer have. It stays so that the wire format does not
-	// change.
-	BufBytes int
-	// Scan is unused: a node's runners always share one window, and a
-	// master no longer names the layout. It stays so that the wire format
-	// does not change; a name other than "" or "auto" — "buffered", the
-	// paper's layout, or "shared", from an older master — fails the batch
-	// with an error naming it (scan.CheckLayout).
-	Scan string
-	// Kernel is unused: there is one cone routine, and a master no longer
-	// names it. It stays so that the wire format does not change; a name
-	// other than "" or "auto" — a removed routine's, from an older master —
-	// fails the batch with an error naming it (mgt.CheckKernel).
-	Kernel string
 	// List requests triangle listing; the triples come back in the reply
 	// (the paper's clients send lists back to the master, which
 	// concatenates them sequentially).

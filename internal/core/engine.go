@@ -76,6 +76,10 @@ type Options struct {
 	// An already-oriented input is used in whatever format it is in — the
 	// calculation phase is format-agnostic.
 	Store graph.Format
+	// Held, when non-nil, is the window the default source's runners load
+	// every round into and leave loaded (mgt.DealConfig.Held): a cluster
+	// node keeps one per replica. The run must have it to itself.
+	Held *mgt.Window
 }
 
 // DefaultMemEdges is 1<<22 entries = 16 MiB per worker, the same order as
@@ -452,6 +456,7 @@ func runDealt(ctx context.Context, d *graph.Disk, ranges []balance.Range, opt Op
 		MemEdges: opt.MemEdges,
 		Sinks:    opt.Sinks,
 		Listing:  list,
+		Held:     opt.Held,
 	})
 	calc := Calc{SourceIO: dealt.WindowIO}
 	hull := balance.Range{}

@@ -146,6 +146,10 @@ func (w *Window) Holds(d *graph.Disk, r balance.Range) bool {
 	return w.loaded && w.d == d && w.w.winLo == r.Lo && w.w.winHi == r.Hi
 }
 
+// Release lets go of the store w holds a window of; w then holds nothing,
+// and keeps its buffers for the next load.
+func (w *Window) Release() { w.d, w.loaded = nil, false }
+
 // errCancelled ends the phase of a runner that saw the run's context done;
 // the run itself reports ctx.Err().
 var errCancelled = errors.New("mgt: run cancelled")
