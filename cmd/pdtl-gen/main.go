@@ -11,8 +11,6 @@
 //	pdtl-gen from-text -out BASE -in edges.txt [-name NAME] [-format F]
 //	pdtl-gen from-bin  -out BASE -in edges.bin [-name NAME] [-mem RECORDS] [-format F]
 //	pdtl-gen convert   -in BASE -out BASE2 -format plain|compressed
-//	pdtl-gen stream    -out trace.ndjson -base BASE [-final BASE2] -n 1000 -m 10000
-//	                   [-batches B] [-batch-size K] [-delete-frac D] [-seed S]
 //	pdtl-gen baseline  BASE...
 //
 // baseline prints "BASE <count>" per undirected store, counted in memory by
@@ -21,13 +19,6 @@
 // edge once. CI's tiny graph is
 // `pdtl-gen powerlaw -out tiny -n 1024 -m 8192 -exponent 2.0 -seed 109`
 // (11,871 triangles).
-//
-// stream emits a reproducible churn workload for live graphs (DESIGN.md
-// §11): an initial power-law store at -base plus an NDJSON trace of edge
-// mutation batches — each line is a POST /v1/graphs/{name}/edges body.
-// With -final it also writes the store the trace converges to, so a live
-// graph that replayed the trace can be crosschecked against a from-scratch
-// build of the same edge set.
 //
 // Every subcommand takes -format plain|compressed to pick the store's
 // adjacency encoding (default plain; compressed is the delta-varint/bitmap
@@ -48,7 +39,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -156,43 +146,6 @@ func main() {
 			info, err = pdtl.ImportEdgeFileBinaryFormat(ctx, *in, *out, *name, *mem, *format)
 			stop()
 		}
-	case "stream":
-		fs := flag.NewFlagSet("stream", flag.ExitOnError)
-		out := fs.String("out", "", "output NDJSON trace path (- for stdout)")
-		base := fs.String("base", "", "initial store base path")
-		finalBase := fs.String("final", "", "optional store base for the post-churn graph (for crosschecks)")
-		n := fs.Int("n", 1000, "initial vertex count")
-		m := fs.Int("m", 10000, "initial edge samples")
-		exponent := fs.Float64("exponent", 2.5, "power-law exponent of the initial graph")
-		batches := fs.Int("batches", 10, "mutation batches in the trace")
-		batchSize := fs.Int("batch-size", 100, "edge mutations per batch")
-		deleteFrac := fs.Float64("delete-frac", 0.3, "fraction of each batch that deletes live edges")
-		seed := fs.Int64("seed", 1, "random seed (drives the graph and the churn)")
-		format := formatFlag(fs)
-		fs.Parse(os.Args[2:])
-		if *out == "" || *base == "" {
-			err = fmt.Errorf("-out and -base are required")
-			break
-		}
-		var w io.Writer = os.Stdout
-		if *out != "-" {
-			var f *os.File
-			if f, err = os.Create(*out); err != nil {
-				break
-			}
-			defer f.Close()
-			w = f
-		}
-		info, err = pdtl.GenerateStream(*base, w, *finalBase, pdtl.StreamParams{
-			N: *n, M: *m, Exponent: *exponent,
-			Batches: *batches, BatchSize: *batchSize, DeleteFrac: *deleteFrac,
-			Seed: *seed,
-		})
-		if err == nil {
-			if info, err = reencode(*base, *format); err == nil && *finalBase != "" {
-				_, err = reencode(*finalBase, *format)
-			}
-		}
 	case "convert":
 		fs := flag.NewFlagSet("convert", flag.ExitOnError)
 		in := fs.String("in", "", "input store base path")
@@ -236,8 +189,6 @@ func usage() {
   pdtl-gen from-text -out BASE -in edges.txt [-name NAME] [-format F]
   pdtl-gen from-bin  -out BASE -in edges.bin [-name NAME] [-mem RECORDS] [-format F]
   pdtl-gen convert   -in BASE [-out BASE2] -format plain|compressed
-  pdtl-gen stream    -out TRACE -base BASE [-final BASE2] [-n N] [-m M]
-                     [-batches B] [-batch-size K] [-delete-frac D] [-exponent E] [-seed SEED]
   pdtl-gen baseline  BASE...
 -format F is plain (default) or compressed (delta-varint/bitmap segments)`)
 }

@@ -10,13 +10,10 @@
 //	pdtl-serve -addr :7200 -slots 4 -queue 64 -max-graphs 8
 //	pdtl-serve -addr :7200 -cluster node1:7100,node2:7100
 //	                                # enables ?distributed=1 counts
-//	pdtl-serve -addr :7200 -live -compact-edges 100000 -graph lj=/data/lj
-//	                                # mutable graphs: POST …/edges applies
-//	                                # batched inserts/deletes (DESIGN.md §11)
 //
 // Endpoints:
 //
-//	POST   /v1/graphs                      register {"name":..., "base":..., "live":...}
+//	POST   /v1/graphs                      register {"name":..., "base":...}
 //	GET    /v1/graphs                      list registered graphs
 //	GET    /v1/graphs/{name}               one graph's status
 //	DELETE /v1/graphs/{name}               evict (close) a graph
@@ -25,14 +22,13 @@
 //	                                       and with it &sched= &chunks=)
 //	GET    /v1/graphs/{name}/triangles    NDJSON stream (?limit=)
 //	GET    /v1/graphs/{name}/degrees      per-vertex triangle counts (?top=)
-//	POST   /v1/graphs/{name}/estimate     the exact default count, static
-//	                                       or live (the cache slot of a bare
-//	                                       …/count)
-//	POST   /v1/graphs/{name}/edges        apply a mutation batch to a live
-//	                                       graph {"insert":[[u,v],...],"delete":[...]}
-//	POST   /v1/graphs/{name}/compact      fold the delta into a fresh snapshot
+//	POST   /v1/graphs/{name}/estimate     the exact default count (the
+//	                                       cache slot of a bare …/count)
 //	GET    /healthz                        liveness (503 while draining)
 //	GET    /metrics                        plain-text counters and gauges
+//
+// A graph is immutable while registered: to change one, rebuild its store
+// and register it again under the same name.
 //
 // SIGINT/SIGTERM start a graceful drain: queued requests are shed with
 // 503s, in-flight engine runs (including streaming listings) are cancelled
@@ -78,11 +74,6 @@ func main() {
 	clusterHeartbeat := flag.Duration("cluster-heartbeat", 0,
 		"worker liveness ping interval for distributed counts (0 = default 2s, negative = disabled)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown timeout")
-	live := flag.Bool("live", false, "register graphs as mutable delta overlays (enables POST …/edges and …/compact)")
-	compactEdges := flag.Int("compact-edges", 0,
-		"auto-compact a live graph once its delta holds this many edge mutations (0 = manual compaction only)")
-	liveDir := flag.String("live-dir", "", "directory for compacted live snapshots (default: next to each store)")
-	liveFormat := flag.String("live-format", "", "on-disk format for compacted snapshots: plain or compressed (default plain)")
 	debugAddr := flag.String("debug-addr", "", "optional listen address exposing /debug/pprof (disabled when empty)")
 	logFormat := flag.String("log-format", "text", "structured log format on stderr: text or json")
 	var graphs graphFlags
@@ -109,14 +100,6 @@ func main() {
 		RunSlots:   *slots,
 		QueueDepth: *queue,
 		Defaults:   pdtl.Options{Workers: *workers, MemEdges: *mem},
-		Live:       *live,
-		LiveDefaults: pdtl.LiveOptions{
-			Dir:          *liveDir,
-			CompactEdges: *compactEdges,
-			StoreFormat:  *liveFormat,
-			MemEdges:     *mem,
-			Workers:      *workers,
-		},
 	}
 	if *cluster != "" {
 		cfg.ClusterAddrs = strings.Split(*cluster, ",")
@@ -138,11 +121,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pdtl-serve: register %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		mode := ""
-		if *live {
-			mode = " (live)"
-		}
-		fmt.Printf("pdtl-serve: registered %q from %s%s\n", name, base, mode)
+		fmt.Printf("pdtl-serve: registered %q from %s\n", name, base)
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: svc}

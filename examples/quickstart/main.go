@@ -1,8 +1,9 @@
 // Quickstart: generate a scale-free graph, open a reusable pdtl.Graph
 // handle, count its triangles, rerun against the cached preprocessing,
 // stream triangles through the iterator — stopping early without leaking
-// the workers behind it — and mutate the graph live through a delta
-// overlay with a background-compactable snapshot.
+// the workers behind it — and cancel a run through its context. A store is
+// immutable: a changed graph is a new store (pdtl.WriteGraph or an import)
+// opened as a new handle.
 //
 //	go run ./examples/quickstart
 package main
@@ -120,37 +121,4 @@ func main() {
 	if _, err := g.Count(cancelled, pdtl.Options{Workers: 2}); err != nil {
 		fmt.Printf("cancelled run returns: %v\n", err)
 	}
-
-	// 8. Live updates: wrap the store in a delta overlay (DESIGN.md §11).
-	//    Mutation batches are absorbed in memory — new vertices included —
-	//    while exact counts run over base ⊕ delta through the same engine.
-	//    Compact folds the delta into a fresh on-disk snapshot (atomic swap,
-	//    queries never blocked) without changing the answer.
-	lg, err := pdtl.OpenLive(ctx, base, pdtl.LiveOptions{Dir: dir})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer lg.Close()
-	n := uint32(info.NumVertices)
-	if err := lg.Apply([]pdtl.LiveUpdate{
-		{U: n, V: n + 1}, {U: n + 1, V: n + 2}, {U: n, V: n + 2}, // a triangle of brand-new vertices
-	}); err != nil {
-		log.Fatal(err)
-	}
-	liveRes, err := lg.Count(ctx, pdtl.Options{Workers: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("live count after inserting a triangle: %d (+%d)\n",
-		liveRes.Triangles, liveRes.Triangles-res.Triangles)
-	if err := lg.Compact(ctx); err != nil {
-		log.Fatal(err)
-	}
-	compacted, err := lg.Count(ctx, pdtl.Options{Workers: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	st := lg.Stats()
-	fmt.Printf("after compaction: %d triangles (unchanged: %v), snapshot gen %d, delta edges %d\n",
-		compacted.Triangles, compacted.Triangles == liveRes.Triangles, st.Gen, st.DeltaEdges)
 }

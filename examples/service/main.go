@@ -98,7 +98,7 @@ func main() {
 	}
 	resp.Body.Close()
 
-	// 6. A graph's estimate, static or live, is its exact count under the
+	// 6. A graph's estimate is its exact count under the
 	//    server's defaults, cached in the slot of a count without
 	//    parameters.
 	//    curl -X POST $URL/v1/graphs/demo/estimate

@@ -130,45 +130,6 @@ func GeneratePowerLaw(base string, n, m int, exponent float64, seed int64) (Grap
 	return writeStore(base, "powerlaw", g)
 }
 
-// StreamParams parameterize GenerateStream (see gen.StreamParams).
-type StreamParams = gen.StreamParams
-
-// StreamBatch is one churn batch of a generated mutation trace, JSON-shaped
-// like the service's POST /v1/graphs/{name}/edges body.
-type StreamBatch = gen.Batch
-
-// GenerateStream writes a reproducible churn workload: the initial
-// power-law store at base, and the NDJSON mutation trace (one batch per
-// line) to w. When finalBase is non-empty, the store the trace converges to
-// — the initial graph with every batch applied — is written there too, so
-// an overlay that replayed the trace can be checked against a from-scratch
-// build. Everything is a pure function of the params' seed.
-func GenerateStream(base string, w io.Writer, finalBase string, p StreamParams) (GraphInfo, error) {
-	csr, batches, final, err := gen.Stream(p)
-	if err != nil {
-		return GraphInfo{}, err
-	}
-	info, err := writeStore(base, "powerlaw", csr)
-	if err != nil {
-		return GraphInfo{}, err
-	}
-	if err := gen.WriteTrace(w, batches); err != nil {
-		return GraphInfo{}, err
-	}
-	if finalBase != "" {
-		// One fresh vertex becomes eligible per batch, so the final graph
-		// lives on at most N+Batches vertices.
-		fg, err := graph.FromEdges(p.N+p.Batches, final)
-		if err != nil {
-			return GraphInfo{}, err
-		}
-		if _, err := writeStore(finalBase, "powerlaw-churned", fg); err != nil {
-			return GraphInfo{}, err
-		}
-	}
-	return info, nil
-}
-
 // ConvertStoreFormat re-encodes the store at src into dst with the named
 // adjacency format ("plain" or "compressed"); the logical graph — and
 // therefore every triangle listing over it — is unchanged. src and dst may

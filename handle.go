@@ -212,8 +212,23 @@ func (g *Graph) ensureOriented(ctx context.Context, workers int, format graph.Fo
 func (g *Graph) execute(ctx context.Context, copt core.Options) (res *Result, err error) {
 	g.runs.Add(1)
 	start := time.Now()
-	ctx, end := beginCount(ctx)
-	defer func() { end(res) }()
+	// The run's count span, under ctx's cursor (the CLI's -trace, the
+	// service's ?trace=1): orient, plan and calc trace beneath it, the
+	// engine's runners hanging their chunk spans under calc.
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	parent := obs.CursorFrom(ctx)
+	sp := parent.Begin(obs.SpanCount)
+	if parent.T != nil {
+		ctx = obs.ContextWithCursor(ctx, parent.Child(sp))
+	}
+	defer func() {
+		if res != nil {
+			parent.SetAttr(sp, "workers", int64(len(res.Workers)))
+		}
+		parent.End(sp)
+	}()
 	cur := obs.CursorFrom(ctx)
 	osp := cur.Begin(obs.SpanOrient)
 	d, _, ores, err := g.ensureOriented(ctx, copt.Workers, copt.Store)
@@ -233,28 +248,6 @@ func (g *Graph) execute(ctx context.Context, copt core.Options) (res *Result, er
 	}
 	res.TotalTime = time.Since(start)
 	return res, nil
-}
-
-// beginCount opens a run's count span under ctx's cursor (the CLI's -trace,
-// the service's ?trace=1) and returns the context the run's phases trace
-// under — orient, plan and calc, the engine's runners hanging their chunk
-// spans under calc — and the function that closes the span, noting the
-// run's workers.
-func beginCount(ctx context.Context) (context.Context, func(*Result)) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cur := obs.CursorFrom(ctx)
-	sp := cur.Begin(obs.SpanCount)
-	if cur.T != nil {
-		ctx = obs.ContextWithCursor(ctx, cur.Child(sp))
-	}
-	return ctx, func(res *Result) {
-		if res != nil {
-			cur.SetAttr(sp, "workers", int64(len(res.Workers)))
-		}
-		cur.End(sp)
-	}
 }
 
 // run resolves opt and executes it with the triangles going where to puts

@@ -12,7 +12,6 @@ import (
 	"pdtl/internal/core"
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
-	"pdtl/internal/live"
 	"pdtl/internal/mgt"
 	"pdtl/internal/orient"
 )
@@ -23,32 +22,22 @@ type run struct {
 	stats   mgt.Stats
 }
 
-// listOn lists d under the default source with opt, through the live
-// graph lg if it is not nil, and returns the listing in d's own ids.
-func listOn(t *testing.T, label string, d *graph.Disk, lg *live.Graph, opt core.Options) run {
+// listOn lists d under the default source with opt and returns the listing
+// in d's own ids.
+func listOn(t *testing.T, label string, d *graph.Disk, opt core.Options) run {
 	t.Helper()
 	var buf bytes.Buffer
 	opt.Out = &buf
-	var workers []core.WorkerStat
-	if lg != nil {
-		res, _, err := lg.Count(context.Background(), opt)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		workers = res.Workers
-	} else {
-		plan, err := core.LocalPlan(d, d.Base, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		calc, err := core.RunRanges(context.Background(), d, plan.Ranges, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		workers = calc.Workers
+	plan, err := core.LocalPlan(d, d.Base, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calc, err := core.RunRanges(context.Background(), d, plan.Ranges, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 	var out run
-	for _, w := range workers {
+	for _, w := range calc.Workers {
 		out.stats = out.stats.Add(w.Stats)
 	}
 	out.listing = buf.Bytes()
@@ -105,12 +94,11 @@ func markSteps(csr *graph.CSR, win uint64) (steps uint64) {
 
 // TestCrosscheckDenseAndMarkPaths pins the dense window lists against the
 // mark path across store kinds. A ranked store, plain or compressed, runs
-// its dense lists on bitsets; a live merged view of that store (in
-// original ids, not ranked) and an id-space store of the same graph (no
-// .perm) run every pair on the mark path. At every P ∈ {1, 2, 4}, over
-// three windows: each store counts the baseline's triangles; the two ranked
+// its dense lists on bitsets; an id-space store of the same graph (no .perm)
+// runs every pair on the mark path. At every P ∈ {1, 2, 4}, over three
+// windows: each store counts the baseline's triangles; the two ranked
 // stores list the same bytes, with the same pairs, passes and loads; the
-// live view and the id-space store list the same triangles; and the bitsets
+// id-space store lists the same triangles; and the bitsets
 // fired — the ranked store took fewer steps than the mark path's
 // d+(u) + Σ|Ev| on it (as many, on a clique).
 func TestCrosscheckDenseAndMarkPaths(t *testing.T) {
@@ -156,11 +144,6 @@ func TestCrosscheckDenseAndMarkPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 			idSpace := open(src + ".idspace")
-			lg, err := live.FromDisk(ranked, ranked.Base, live.Config{Dir: t.TempDir()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { lg.Close() })
 			csr, err := ranked.LoadCSR()
 			if err != nil {
 				t.Fatal(err)
@@ -176,12 +159,11 @@ func TestCrosscheckDenseAndMarkPaths(t *testing.T) {
 				stores := []struct {
 					name string
 					d    *graph.Disk
-					lg   *live.Graph
-				}{{"ranked", ranked, nil}, {"compressed", compressed, nil}, {"live", ranked, lg}, {"idspace", idSpace, nil}}
+				}{{"ranked", ranked}, {"compressed", compressed}, {"idspace", idSpace}}
 				runs := map[string]run{}
 				for _, s := range stores {
 					label := fmt.Sprintf("P=%d %s", p, s.name)
-					got := listOn(t, label, s.d, s.lg, core.Options{Workers: p, MemEdges: mem})
+					got := listOn(t, label, s.d, core.Options{Workers: p, MemEdges: mem})
 					if got.stats.Triangles != want {
 						t.Fatalf("%s: %d triangles, baseline %d", label, got.stats.Triangles, want)
 					}
@@ -192,11 +174,8 @@ func TestCrosscheckDenseAndMarkPaths(t *testing.T) {
 				} else if c.stats.Intersections != r.stats.Intersections || c.stats.Passes != r.stats.Passes || c.stats.EdgesLoaded != r.stats.EdgesLoaded {
 					t.Fatalf("P=%d: the compressed store's %+v, the plain one's %+v", p, c.stats, r.stats)
 				}
-				original := trianglesIn(t, runs["ranked"].listing, perm)
-				for _, name := range []string{"live", "idspace"} {
-					if !slices.Equal(trianglesIn(t, runs[name].listing, nil), original) {
-						t.Fatalf("P=%d: the %s store lists other triangles", p, name)
-					}
+				if !slices.Equal(trianglesIn(t, runs["idspace"].listing, nil), trianglesIn(t, runs["ranked"].listing, perm)) {
+					t.Fatalf("P=%d: the id-space store lists other triangles", p)
 				}
 				if dense, mark := runs["ranked"].stats.CmpOps, markSteps(csr, uint64(p*mem)); dense > mark || (dense == mark) != tc.same {
 					t.Errorf("P=%d: the ranked store took %d steps, d+(u) + Σ|Ev| is %d: no bitset fired", p, dense, mark)

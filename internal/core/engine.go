@@ -201,7 +201,7 @@ func Process(ctx context.Context, base string, opt Options) (*Result, error) {
 // under a calc span, folded into a Result (TotalTime is CalcTime; a caller
 // that oriented adds its own). The spans hang under ctx's cursor. A run
 // that hands triangles out (Sinks or Out) hands out d's original ids.
-// Process, the public handle and live views all calculate here.
+// Process and the public handle both calculate here.
 func Execute(ctx context.Context, d *graph.Disk, opt Options) (*Result, error) {
 	if opt.Sinks != nil || opt.Out != nil {
 		var err error

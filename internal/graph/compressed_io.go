@@ -512,18 +512,14 @@ func (d *Disk) NewCompressedScan(fill func([]byte) error, closer func() error) (
 // i·EntrySize, a compressed store's vertex v at ByteOffs[v] — whichever file
 // holds it. Reads are positional, so the value is safe for concurrent use.
 type AdjFile struct {
-	f    *os.File // nil when Disk.AdjData serves the area
+	f    *os.File
 	r    io.ReaderAt
 	base int64 // the data area's offset in the file
 }
 
 // OpenAdjFile opens the adjacency data area for positional reads, charging
-// I/O to c (nil allocates a private counter). A Disk whose AdjData is set
-// is read through it and charges nothing.
+// I/O to c (nil allocates a private counter).
 func (d *Disk) OpenAdjFile(c *ioacct.Counter) (*AdjFile, error) {
-	if d.AdjData != nil {
-		return &AdjFile{r: d.AdjData}, nil
-	}
 	if c == nil {
 		c = ioacct.NewCounter(0)
 	}
@@ -548,9 +544,4 @@ func (a *AdjFile) ReadAt(p []byte, off int64) error {
 }
 
 // Close releases the descriptor.
-func (a *AdjFile) Close() error {
-	if a.f == nil {
-		return nil
-	}
-	return a.f.Close()
-}
+func (a *AdjFile) Close() error { return a.f.Close() }

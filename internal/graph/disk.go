@@ -261,16 +261,10 @@ type Disk struct {
 	// area, with ByteOffs[NumVertices] the data area's size; nil for plain
 	// stores.
 	ByteOffs []uint64
-	// AdjData, when non-nil, serves the adjacency data area in place of the
-	// store's file: OpenAdjFile reads from it, uncharged. A store with no
-	// files behind it (a live graph's merged view) sets it.
-	AdjData io.ReaderAt
 
 	// What a scanner's buffers must hold — the longest list and the largest
 	// encoding — found once, by Open's own walk of the two arrays, so that
-	// opening a scanner costs nothing per vertex. A Disk built as a literal
-	// (sized false) has them recomputed on demand.
-	sized      bool
+	// opening a scanner costs nothing per vertex.
 	maxDeg     uint32
 	maxEncoded int
 
@@ -324,16 +318,7 @@ func loadPerm(base string, n int) ([]Vertex, error) {
 // listCap reports the longest list's entry count and, for a compressed
 // store, the largest per-vertex encoding in bytes.
 func (d *Disk) listCap() (entries, encoded int) {
-	if d.sized {
-		return int(d.maxDeg), d.maxEncoded
-	}
-	for v, deg := range d.Degrees {
-		entries = max(entries, int(deg))
-		if d.ByteOffs != nil {
-			encoded = max(encoded, int(d.ByteOffs[v+1]-d.ByteOffs[v]))
-		}
-	}
-	return entries, encoded
+	return int(d.maxDeg), d.maxEncoded
 }
 
 // Format reports the store's adjacency encoding (empty metadata means
@@ -369,7 +354,7 @@ func Open(base string) (*Disk, error) {
 	if run != meta.AdjEntries {
 		return nil, fmt.Errorf("graph: %s: degree sum %d != meta adj_entries %d", base, run, meta.AdjEntries)
 	}
-	d := &Disk{Meta: meta, Base: base, Degrees: degrees, Offsets: offsets, sized: true, maxDeg: maxDeg}
+	d := &Disk{Meta: meta, Base: base, Degrees: degrees, Offsets: offsets, maxDeg: maxDeg}
 	switch meta.Format {
 	case "", FormatPlain:
 	case FormatCompressed:

@@ -316,8 +316,7 @@ func newDealer(d *graph.Disk, cfg DealConfig) (*dealer, error) {
 			// N+(u) has at most one entry per vertex of the window and per
 			// entry of N(u).
 			nmp: make([]graph.Vertex, 0, min(uint64(d.Meta.MaxOutDegree), budget)),
-			// Sized from the store this runner scans: a live graph's merged
-			// view carries vertex ids its base store does not.
+			// One stamp per vertex of the store.
 			mark: make([]uint32, d.NumVertices()),
 		}
 		if dl.bitsets {

@@ -218,10 +218,6 @@ func escapeLabel(s string) string {
 // seconds (the Prometheus client default buckets).
 var DefDurationBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
-// DefSizeBuckets are histogram bounds for count-valued metrics
-// (mutation batch sizes and the like).
-var DefSizeBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-
 // Histogram is a fixed-bucket histogram: cumulative-on-render bucket
 // counts, an exact float64 sum, observed with two atomic adds and a CAS
 // loop. All methods are nil-receiver safe.

@@ -4,7 +4,7 @@
 //
 // A Trace is a fixed-capacity slab of hierarchical phase spans (handle
 // open/orient/plan, per-round window load and scan, per-chunk runner execution,
-// cluster copy/dispatch, live compaction). Span recording is three atomic
+// cluster copy/dispatch). Span recording is three atomic
 // operations and never allocates: Begin claims the next slab slot, End
 // stamps the duration, SetAttr fills a fixed-size attribute array. When
 // the slab is full, further spans are silently dropped (and counted) —
@@ -44,21 +44,18 @@ const MaxAttrs = 6
 // and the trace linter grep for these, so they are constants rather than
 // ad-hoc literals.
 const (
-	SpanCount     = "count"          // one whole run (handle open → result)
-	SpanOrient    = "orient"         // orientation preprocessing
-	SpanPlan      = "plan"           // load-balance planning
-	SpanCalc      = "calc"           // the calculation phase (all runners)
-	SpanWorker    = "worker"         // one pool runner's lifetime
-	SpanChunk     = "chunk"          // one runner×range execution (hot path)
-	SpanScanRound = "scan.round"     // one window loaded and the store scanned against it
-	SpanAssemble  = "assemble"       // an ordered listing's close: every block checked written
-	SpanCluster   = "cluster"        // one distributed run (master side)
-	SpanCopy      = "copy"           // replica copy to one node
-	SpanDispatch  = "dispatch"       // one Count RPC (static) or batch (stealing)
-	SpanNodeCount = "node.count"     // a worker node's calculation phase
-	SpanFreeze    = "compact.freeze" // live: delta layer freeze
-	SpanBuild     = "compact.build"  // live: snapshot build
-	SpanSwap      = "compact.swap"   // live: snapshot swap
+	SpanCount     = "count"      // one whole run (handle open → result)
+	SpanOrient    = "orient"     // orientation preprocessing
+	SpanPlan      = "plan"       // load-balance planning
+	SpanCalc      = "calc"       // the calculation phase (all runners)
+	SpanWorker    = "worker"     // one pool runner's lifetime
+	SpanChunk     = "chunk"      // one runner×range execution (hot path)
+	SpanScanRound = "scan.round" // one window loaded and the store scanned against it
+	SpanAssemble  = "assemble"   // an ordered listing's close: every block checked written
+	SpanCluster   = "cluster"    // one distributed run (master side)
+	SpanCopy      = "copy"       // replica copy to one node
+	SpanDispatch  = "dispatch"   // one Count RPC (static) or batch (stealing)
+	SpanNodeCount = "node.count" // a worker node's calculation phase
 )
 
 // Attr is one integer-valued span attribute.

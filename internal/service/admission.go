@@ -106,7 +106,7 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 
 // acquireTimed is adm.Acquire with the wait observed into met's queue-wait
 // histogram. Memoized runs (Entry.Do) and the work that holds a slot without
-// memoizing (streams, mutation batches, compactions) queue through it alike.
+// memoizing (streams) queue through it alike.
 func acquireTimed(ctx context.Context, adm *Admission, met *Metrics) (func(), error) {
 	start := time.Now()
 	release, err := adm.Acquire(ctx)

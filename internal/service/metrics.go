@@ -38,11 +38,6 @@ type Metrics struct {
 	Registered atomic.Uint64
 	Evicted    atomic.Uint64
 
-	// Live-graph mutations: accepted batches and the edge updates they
-	// carried (rejected batches count in neither).
-	MutationBatches atomic.Uint64
-	EdgesApplied    atomic.Uint64
-
 	// Distributed runs: worker failures the cluster layer detected and
 	// recovered from (the run still produced an exact result). A steadily
 	// climbing value means a flaky worker is being carried by its peers.
@@ -53,17 +48,13 @@ type Metrics struct {
 	SourceBytesRead atomic.Int64
 	WorkerBytesRead atomic.Int64
 
-	// Latency and size distributions, registered by registerWith (nil on a
+	// Latency distributions, registered by registerWith (nil on a
 	// bare Metrics, where observing is a no-op).
 
 	// RunDuration is the wall time of executed (origin=run) engine runs.
 	RunDuration *obs.Histogram
 	// QueueWait is the time requests spent waiting for an admission slot.
 	QueueWait *obs.Histogram
-	// MutationBatchEdges is the edge-update count of applied batches.
-	MutationBatchEdges *obs.Histogram
-	// CompactionDuration is the wall time of explicit POST …/compact runs.
-	CompactionDuration *obs.Histogram
 }
 
 // counterBridge adapts one pre-existing atomic counter for CounterFunc.
@@ -87,8 +78,6 @@ func (m *Metrics) registerWith(r *obs.Registry) {
 	r.CounterFunc("pdtl_triangles_sent", "Triangles written to listing streams.", counterBridge(&m.TrianglesSent))
 	r.CounterFunc("pdtl_graphs_registered", "Graph registrations accepted.", counterBridge(&m.Registered))
 	r.CounterFunc("pdtl_graphs_evicted", "Graphs evicted via the API.", counterBridge(&m.Evicted))
-	r.CounterFunc("pdtl_mutation_batches", "Live mutation batches applied.", counterBridge(&m.MutationBatches))
-	r.CounterFunc("pdtl_edges_applied", "Edge updates applied across mutation batches.", counterBridge(&m.EdgesApplied))
 	r.CounterFunc("pdtl_cluster_node_failures", "Worker failures distributed runs detected and recovered from.", counterBridge(&m.ClusterNodeFailures))
 	r.CounterFunc("pdtl_source_bytes_read", "Scan-source disk bytes read by executed runs.", func() float64 { return float64(m.SourceBytesRead.Load()) })
 	r.CounterFunc("pdtl_worker_bytes_read", "Per-worker disk bytes read by executed runs.", func() float64 { return float64(m.WorkerBytesRead.Load()) })
@@ -97,10 +86,6 @@ func (m *Metrics) registerWith(r *obs.Registry) {
 		"Wall time of executed (origin=run) engine runs.", obs.DefDurationBuckets)
 	m.QueueWait = r.Histogram("pdtl_queue_wait_seconds",
 		"Time requests waited for an admission slot.", obs.DefDurationBuckets)
-	m.MutationBatchEdges = r.Histogram("pdtl_mutation_batch_edges",
-		"Edge updates per applied live mutation batch.", obs.DefSizeBuckets)
-	m.CompactionDuration = r.Histogram("pdtl_compaction_duration_seconds",
-		"Wall time of explicit live-graph compactions.", obs.DefDurationBuckets)
 }
 
 // buildInfoLabels renders the pdtl_build_info label set.

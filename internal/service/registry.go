@@ -62,15 +62,12 @@ func NewRegistry(maxOpen int) *Registry {
 }
 
 // Entry is one registered graph: the long-lived handle plus the caches the
-// service layers on top of it. A live entry additionally carries the
-// mutable overlay; its memoized results are invalidated wholesale on every
-// mutation batch (see Invalidate).
+// service layers on top of it.
 type Entry struct {
 	name string
 	base string
 	gen  uint64
 	g    *pdtl.Graph
-	live *pdtl.LiveGraph // nil for immutable entries
 
 	// lastUse is the registry clock at the entry's last lookup; guarded by
 	// the Registry mutex.
@@ -80,10 +77,6 @@ type Entry struct {
 	cache   map[string]any
 	order   []string // cache keys in insertion order, for bounded eviction
 	flights map[string]*flight
-	// mutGen counts mutation batches applied to a live entry. A run that
-	// started under an older generation is never memoized: its result was
-	// computed against a view that no longer answers for the graph.
-	mutGen uint64
 }
 
 // Name reports the entry's registered name.
@@ -98,29 +91,6 @@ func (e *Entry) Gen() uint64 { return e.gen }
 
 // Graph returns the entry's handle.
 func (e *Entry) Graph() *pdtl.Graph { return e.g }
-
-// Live returns the entry's mutable overlay, or nil for immutable entries.
-func (e *Entry) Live() *pdtl.LiveGraph { return e.live }
-
-// Invalidate drops every memoized result and bumps the mutation generation,
-// so runs already in flight (computed against the pre-mutation view) finish
-// for their waiters but are not cached. Called after each applied batch.
-func (e *Entry) Invalidate() {
-	e.mu.Lock()
-	e.mutGen++
-	e.cache = make(map[string]any)
-	e.order = nil
-	e.mu.Unlock()
-}
-
-// close releases the entry's handle (and overlay, for live entries).
-func (e *Entry) close() {
-	if e.live != nil {
-		e.live.Close() // closes the underlying handle too
-		return
-	}
-	e.g.Close()
-}
 
 // CachedResults reports how many memoized results the entry holds.
 func (e *Entry) CachedResults() int {
@@ -138,36 +108,10 @@ func (r *Registry) Register(name, base string) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := r.attach(name, base, g, nil)
-	if err != nil {
-		g.Close()
-		return nil, err
-	}
-	return e, nil
-}
-
-// RegisterLive opens the store at base wrapped in a mutable delta overlay
-// (pdtl.OpenLive) and binds it to name. The entry then accepts edge
-// mutations; each applied batch invalidates its memoized results.
-func (r *Registry) RegisterLive(ctx context.Context, name, base string, opt pdtl.LiveOptions) (*Entry, error) {
-	lg, err := pdtl.OpenLive(ctx, base, opt)
-	if err != nil {
-		return nil, err
-	}
-	e, err := r.attach(name, base, lg.Handle(), lg)
-	if err != nil {
-		lg.Close()
-		return nil, err
-	}
-	return e, nil
-}
-
-// attach binds g, and lg for a live graph, to name. The registry owns them
-// from here on: they are closed on eviction, replacement and registry close.
-func (r *Registry) attach(name, base string, g *pdtl.Graph, lg *pdtl.LiveGraph) (*Entry, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
+		g.Close()
 		return nil, ErrRegistryClosed
 	}
 	r.gen++
@@ -177,7 +121,6 @@ func (r *Registry) attach(name, base string, g *pdtl.Graph, lg *pdtl.LiveGraph) 
 		base:    base,
 		gen:     r.gen,
 		g:       g,
-		live:    lg,
 		lastUse: r.clock,
 		cache:   make(map[string]any),
 		flights: make(map[string]*flight),
@@ -207,7 +150,7 @@ func (r *Registry) attach(name, base string, g *pdtl.Graph, lg *pdtl.LiveGraph) 
 	// Closing outside the lock: handle Close never blocks on in-flight
 	// runs, but there is no reason to hold the registry over it either.
 	for _, old := range closing {
-		old.close()
+		old.g.Close()
 	}
 	return e, nil
 }
@@ -238,7 +181,7 @@ func (r *Registry) Evict(name string) bool {
 	}
 	r.mu.Unlock()
 	if ok {
-		e.close()
+		e.g.Close()
 	}
 	return ok
 }
@@ -278,7 +221,7 @@ func (r *Registry) Close() {
 	r.entries = make(map[string]*Entry)
 	r.mu.Unlock()
 	for _, e := range entries {
-		e.close()
+		e.g.Close()
 	}
 }
 
@@ -290,7 +233,6 @@ type flight struct {
 	done    chan struct{}
 	val     any
 	err     error
-	gen     uint64 // the mutation generation the run started under
 	waiters atomic.Int32
 	cancel  context.CancelFunc
 }
@@ -308,8 +250,7 @@ func (f *flight) leave() {
 // leader's run context descends from baseCtx (the server's lifetime, so
 // shutdown cancels it) and is abandoned-waiter-cancelled; each waiter's own
 // ctx bounds only its wait. Successful results are memoized under key until
-// the entry is replaced, evicted, or (live entries) invalidated by a
-// mutation batch.
+// the entry is replaced or evicted.
 func (e *Entry) Do(ctx, baseCtx context.Context, key string, adm *Admission, met *Metrics,
 	run func(context.Context) (any, error)) (val any, origin Origin, err error) {
 	for {
@@ -347,11 +288,8 @@ func (e *Entry) Do(ctx, baseCtx context.Context, key string, adm *Admission, met
 			}
 		}
 		met.CacheMisses.Add(1)
-		// The flight remembers the mutation generation it started under; a
-		// mutation landing mid-run bumps it, and the stale result is then
-		// handed to this flight's waiters but never memoized.
 		runCtx, cancel := context.WithCancel(baseCtx)
-		f := &flight{done: make(chan struct{}), gen: e.mutGen, cancel: cancel}
+		f := &flight{done: make(chan struct{}), cancel: cancel}
 		f.waiters.Store(1)
 		e.flights[key] = f
 		e.mu.Unlock()
@@ -386,7 +324,7 @@ func (e *Entry) Do(ctx, baseCtx context.Context, key string, adm *Admission, met
 
 		e.mu.Lock()
 		delete(e.flights, key)
-		if f.err == nil && e.mutGen == f.gen {
+		if f.err == nil {
 			if len(e.cache) >= maxCachedResults {
 				oldest := e.order[0]
 				e.order = e.order[1:]

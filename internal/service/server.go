@@ -43,16 +43,9 @@ type Config struct {
 	// ClusterDefaults seeds distributed runs the same way Defaults seeds
 	// local ones.
 	ClusterDefaults pdtl.ClusterOptions
-	// Live registers every graph as a mutable delta overlay (pdtl.OpenLive),
-	// enabling POST …/edges and …/compact. Individual registrations can
-	// also opt in with {"live": true}.
-	Live bool
-	// LiveDefaults parameterizes live registrations (compaction triggers,
-	// snapshot format).
-	LiveDefaults pdtl.LiveOptions
 	// Log receives structured operational events: run start/finish (with
-	// the memoization key as the run id and the phase breakdown), cluster
-	// node failures, and compactions. Nil discards them.
+	// the memoization key as the run id and the phase breakdown) and
+	// cluster node failures. Nil discards them.
 	Log *slog.Logger
 }
 
@@ -125,19 +118,17 @@ func New(cfg Config) *Server {
 	s.initMetrics()
 	// The route table. Health and metrics answer even while draining; every
 	// other route runs through api, and the graph-scoped run routes through
-	// graph, under the live rule each serves.
+	// graph.
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("POST /v1/graphs", s.api(s.handleRegister))
 	s.mux.HandleFunc("GET /v1/graphs", s.api(s.handleList))
 	s.mux.HandleFunc("GET /v1/graphs/{name}", s.api(s.handleStatus))
 	s.mux.HandleFunc("DELETE /v1/graphs/{name}", s.api(s.handleEvict))
-	s.mux.HandleFunc("GET /v1/graphs/{name}/count", s.graph(anyGraph, s.handleCount))
-	s.mux.HandleFunc("GET /v1/graphs/{name}/triangles", s.graph(staticOnly("triangle listing is"), s.handleTriangles))
-	s.mux.HandleFunc("GET /v1/graphs/{name}/degrees", s.graph(staticOnly("triangle degrees are"), s.handleDegrees))
-	s.mux.HandleFunc("POST /v1/graphs/{name}/estimate", s.graph(anyGraph, s.handleEstimate))
-	s.mux.HandleFunc("POST /v1/graphs/{name}/edges", s.graph(liveOnly, s.handleMutate))
-	s.mux.HandleFunc("POST /v1/graphs/{name}/compact", s.graph(liveOnly, s.handleCompact))
+	s.mux.HandleFunc("GET /v1/graphs/{name}/count", s.graph(s.handleCount))
+	s.mux.HandleFunc("GET /v1/graphs/{name}/triangles", s.graph(s.handleTriangles))
+	s.mux.HandleFunc("GET /v1/graphs/{name}/degrees", s.graph(s.handleDegrees))
+	s.mux.HandleFunc("POST /v1/graphs/{name}/estimate", s.graph(s.handleEstimate))
 	return s
 }
 
@@ -154,26 +145,17 @@ func (s *Server) Metrics() *Metrics { return s.met }
 
 // RegisterGraph opens the store at base and registers it under name —
 // the programmatic form of POST /v1/graphs, used by pdtl-serve's -graph
-// flags. With Config.Live set the graph is registered as a mutable
-// overlay.
+// flags.
 func (s *Server) RegisterGraph(name, base string) error {
-	_, err := s.registerEntry(name, base, s.cfg.Live)
+	_, err := s.registerEntry(name, base)
 	return err
 }
 
-func (s *Server) registerEntry(name, base string, live bool) (*Entry, error) {
+func (s *Server) registerEntry(name, base string) (*Entry, error) {
 	if err := validateName(name); err != nil {
 		return nil, err
 	}
-	var (
-		e   *Entry
-		err error
-	)
-	if live {
-		e, err = s.reg.RegisterLive(s.baseCtx, name, base, s.cfg.LiveDefaults)
-	} else {
-		e, err = s.reg.Register(name, base)
-	}
+	e, err := s.reg.Register(name, base)
 	if err == nil {
 		s.met.Registered.Add(1)
 	}
@@ -250,15 +232,6 @@ func (s *Server) initMetrics() {
 		func() float64 { _, rejected, _ := s.adm.Counters(); return float64(rejected) })
 	r.CounterFunc("pdtl_admission_queued", "Requests that waited in the admission queue.",
 		func() float64 { _, _, queued := s.adm.Counters(); return float64(queued) })
-	// Live-overlay gauges, sampled across the registry at scrape time: how
-	// many graphs are mutable, how much uncompacted delta they carry, and
-	// how many compactions have folded delta back into snapshots.
-	r.GaugeFunc("pdtl_live_graphs", "Graphs registered as mutable live overlays.",
-		func() float64 { g, _, _ := s.liveGauges(); return float64(g) })
-	r.GaugeFunc("pdtl_live_delta_edges", "Uncompacted delta edge updates across live graphs.",
-		func() float64 { _, d, _ := s.liveGauges(); return float64(d) })
-	r.GaugeFunc("pdtl_live_compactions", "Compactions folded into snapshots across live graphs.",
-		func() float64 { _, _, c := s.liveGauges(); return float64(c) })
 	r.ConstGauge("pdtl_build_info", "Build metadata; the value is always 1.",
 		buildInfoLabels(), 1)
 	s.graphRuns = r.CounterVec("pdtl_graph_runs_total",
@@ -266,22 +239,6 @@ func (s *Server) initMetrics() {
 	s.graphHits = r.CounterVec("pdtl_graph_cache_hits_total",
 		"Result-cache hits, by graph.", "graph")
 	s.obsReg = r
-}
-
-// liveGauges samples the live-overlay registry state for the scrape-time
-// gauge closures.
-func (s *Server) liveGauges() (graphs, deltaEdges, compactions int64) {
-	for _, e := range s.reg.Snapshot() {
-		lg := e.Live()
-		if lg == nil {
-			continue
-		}
-		st := lg.Stats()
-		graphs++
-		deltaEdges += int64(st.DeltaEdges)
-		compactions += int64(st.Compactions)
-	}
-	return graphs, deltaEdges, compactions
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -295,8 +252,8 @@ type registerRequest struct {
 	Name string `json:"name"`
 	// Base is the on-disk store path (as produced by pdtl-gen / WriteGraph).
 	Base string `json:"base"`
-	// Live registers the graph as a mutable delta overlay (implied when the
-	// server itself runs with -live).
+	// Live is refused when true: live graphs were removed, and a caller who
+	// mutates a graph rebuilds its store and registers it again.
 	Live bool `json:"live"`
 }
 
@@ -314,10 +271,13 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) error {
 	if err := decodeBody(w, r, 1<<20, "register", &req); err != nil {
 		return err
 	}
+	if req.Live {
+		return badf("service: live graphs were removed: rebuild the store and register it again")
+	}
 	if req.Base == "" {
 		return badf("service: register needs a store base path")
 	}
-	e, err := s.registerEntry(req.Name, req.Base, req.Live || s.cfg.Live)
+	e, err := s.registerEntry(req.Name, req.Base)
 	if err != nil {
 		return badRequest{err}
 	}
@@ -376,11 +336,6 @@ type countResponse struct {
 	// The count is exact regardless — a non-empty list only means the run
 	// completed degraded (DESIGN.md §9).
 	Failures []nodeFailureJSON `json:"failures,omitempty"`
-	// Live marks counts served off a mutable overlay; MutGen is the number
-	// of mutation batches the counted view holds (callers can correlate it
-	// with their own POST …/edges responses).
-	Live   bool   `json:"live,omitempty"`
-	MutGen uint64 `json:"mut_gen,omitempty"`
 	// Trace is the run's phase trace (memoRun.trace), present only under
 	// ?trace=1 on the request that executed the run.
 	Trace json.RawMessage `json:"trace,omitempty"`
@@ -419,8 +374,6 @@ func (s *Server) handleCount(ctx context.Context, w http.ResponseWriter, r *http
 		OrientNS:        res.OrientTime.Nanoseconds(),
 		SourceBytesRead: res.SourceBytesRead,
 		Workers:         len(res.Workers),
-		Live:            e.Live() != nil,
-		MutGen:          res.Batches,
 		Trace:           m.trace,
 	})
 	return nil
@@ -434,12 +387,6 @@ func (s *Server) count(ctx context.Context, e *Entry, opt pdtl.Options, traced b
 	}
 	m, err := s.memo(ctx, e, "count", key, traced,
 		func(runCtx context.Context) (any, error) {
-			if lg := e.Live(); lg != nil {
-				// Exact count over the current merged view; the memoized
-				// result stays valid until the next mutation batch
-				// invalidates the entry.
-				return lg.Count(runCtx, opt)
-			}
 			return e.Graph().Count(runCtx, opt)
 		})
 	return key, m, err
@@ -461,9 +408,6 @@ func traceJSON(tr *obs.Trace) json.RawMessage {
 // countDistributed satisfies ?distributed=1 via the cluster protocol
 // against the configured worker nodes, memoized like local counts.
 func (s *Server) countDistributed(ctx context.Context, w http.ResponseWriter, e *Entry, q url.Values) error {
-	if err := staticOnly("distributed counts are")(e); err != nil {
-		return err
-	}
 	if len(s.cfg.ClusterAddrs) == 0 {
 		return badf("service: no cluster worker nodes configured (pdtl-serve -cluster)")
 	}
@@ -532,41 +476,44 @@ func (s *Server) handleTriangles(ctx context.Context, w http.ResponseWriter, r *
 	}
 	// Streams are admission-controlled like any other engine run, but never
 	// memoized: their product is the listing itself.
-	return s.withSlot(ctx, func() error {
-		s.met.RunsStarted.Add(1)
-		s.met.StreamsStarted.Add(1)
-		// The iterator streams straight off the engine: breaking (limit) or
-		// a dead client (ctx cancelled by net/http) cancels the run, tearing
-		// the runners down within one memory window.
-		seq, done := e.Graph().Triangles(ctx, opt)
-		sent, stopped := writeNDJSON(w, seq, limit)
-		s.met.TrianglesSent.Add(sent)
-		res, err := done()
-		if err != nil {
-			s.met.StreamsBroken.Add(1)
-			s.met.RunsFailed.Add(1)
-			// The 200 header is long gone, so a clean end-of-stream here
-			// would be indistinguishable from a complete listing. Abort the
-			// connection instead: the client sees a truncated chunked body,
-			// not a plausible-but-short triangle set. (On a client
-			// disconnect the connection is already dead and the abort is a
-			// no-op.)
-			panic(http.ErrAbortHandler)
-		}
-		if stopped {
-			// Our own limit ended the run: the stream is short of the
-			// listing, but the run did not fail.
-			s.met.StreamsBroken.Add(1)
-			return nil
-		}
-		s.met.RunsCompleted.Add(1)
-		// The run's wall time counts as any run's does. Its bytes stay out
-		// of pdtl_*_bytes_read for now: bench/'s serve-mixed workload
-		// reports the sum of those two counters as its io_read_mb, so
-		// counting streams there has to come with a revision of it.
-		s.met.RunDuration.ObserveDuration(res.TotalTime)
+	release, err := acquireTimed(ctx, s.adm, s.met)
+	if err != nil {
+		return err
+	}
+	defer release()
+	s.met.RunsStarted.Add(1)
+	s.met.StreamsStarted.Add(1)
+	// The iterator streams straight off the engine: breaking (limit) or
+	// a dead client (ctx cancelled by net/http) cancels the run, tearing
+	// the runners down within one memory window.
+	seq, done := e.Graph().Triangles(ctx, opt)
+	sent, stopped := writeNDJSON(w, seq, limit)
+	s.met.TrianglesSent.Add(sent)
+	res, err := done()
+	if err != nil {
+		s.met.StreamsBroken.Add(1)
+		s.met.RunsFailed.Add(1)
+		// The 200 header is long gone, so a clean end-of-stream here
+		// would be indistinguishable from a complete listing. Abort the
+		// connection instead: the client sees a truncated chunked body,
+		// not a plausible-but-short triangle set. (On a client
+		// disconnect the connection is already dead and the abort is a
+		// no-op.)
+		panic(http.ErrAbortHandler)
+	}
+	if stopped {
+		// Our own limit ended the run: the stream is short of the
+		// listing, but the run did not fail.
+		s.met.StreamsBroken.Add(1)
 		return nil
-	})
+	}
+	s.met.RunsCompleted.Add(1)
+	// The run's wall time counts as any run's does. Its bytes stay out
+	// of pdtl_*_bytes_read for now: bench/'s serve-mixed workload
+	// reports the sum of those two counters as its io_read_mb, so
+	// counting streams there has to come with a revision of it.
+	s.met.RunDuration.ObserveDuration(res.TotalTime)
+	return nil
 }
 
 // writeNDJSON answers 200 and writes seq's triangles to w as NDJSON lines,
@@ -691,8 +638,7 @@ type estimateRequest struct {
 // handleEstimate answers a graph's estimate with its exact count under the
 // server's defaults. That holds only the engine's P·M window, and it shares
 // the cache slot of a GET …/count without parameters, so each warms the
-// other; on a live graph the slot is dropped by every batch, and the reply
-// names the batches of the view it counted.
+// other.
 func (s *Server) handleEstimate(ctx context.Context, w http.ResponseWriter, r *http.Request, e *Entry) error {
 	var req estimateRequest
 	if r.ContentLength != 0 {
@@ -707,114 +653,14 @@ func (s *Server) handleEstimate(ctx context.Context, w http.ResponseWriter, r *h
 	if err != nil {
 		return err
 	}
-	res := m.val.(*pdtl.Result)
-	reply := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"graph":    e.Name(),
 		"origin":   m.origin,
 		"method":   "exact",
-		"estimate": res.Triangles,
+		"estimate": m.val.(*pdtl.Result).Triangles,
 		"exact":    true,
-	}
-	if e.Live() != nil {
-		reply["mut_gen"] = res.Batches
-	}
-	writeJSON(w, http.StatusOK, reply)
-	return nil
-}
-
-// mutateRequest is the POST /v1/graphs/{name}/edges body — the same shape
-// pdtl-gen stream emits, one batch per trace line. Inserts are applied
-// before deletes within a batch.
-type mutateRequest struct {
-	Insert [][2]uint32 `json:"insert"`
-	Delete [][2]uint32 `json:"delete"`
-}
-
-func (s *Server) handleMutate(ctx context.Context, w http.ResponseWriter, r *http.Request, e *Entry) error {
-	var req mutateRequest
-	if err := decodeBody(w, r, 64<<20, "edges", &req); err != nil {
-		return err
-	}
-	if len(req.Insert)+len(req.Delete) == 0 {
-		return badf("service: empty mutation batch")
-	}
-	updates := make([]pdtl.LiveUpdate, 0, len(req.Insert)+len(req.Delete))
-	for _, p := range req.Insert {
-		updates = append(updates, pdtl.LiveUpdate{U: p[0], V: p[1]})
-	}
-	for _, p := range req.Delete {
-		updates = append(updates, pdtl.LiveUpdate{U: p[0], V: p[1], Del: true})
-	}
-	lg := e.Live()
-	// Mutations are admission-controlled like engine runs: a batch rebuilds
-	// delta layers and may kick off a compaction — enough work that
-	// unbounded concurrent batches could starve queries.
-	err := s.withSlot(ctx, func() error {
-		if err := lg.Apply(updates); err != nil {
-			// Apply only fails on invalid updates (self-loop, duplicate
-			// insert, absent delete), and rejects the batch atomically.
-			return badRequest{err}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// The applied batch changed the answer to every memoized query; drop
-	// them all and bump the generation so in-flight runs do not re-cache
-	// stale results.
-	e.Invalidate()
-	s.met.MutationBatches.Add(1)
-	s.met.EdgesApplied.Add(uint64(len(updates)))
-	s.met.MutationBatchEdges.Observe(float64(len(updates)))
-	st := lg.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"graph":    e.Name(),
-		"inserted": len(req.Insert),
-		"deleted":  len(req.Delete),
-		"mut_gen":  st.Batches,
-		"stats":    liveStatsJSON(st),
 	})
 	return nil
-}
-
-func (s *Server) handleCompact(ctx context.Context, w http.ResponseWriter, r *http.Request, e *Entry) error {
-	lg := e.Live()
-	// Compaction rebuilds the store through the external-sort pipeline — a
-	// full engine-run's worth of work, so it takes an admission slot.
-	var start time.Time
-	err := s.withSlot(ctx, func() error {
-		start = time.Now()
-		return lg.Compact(ctx)
-	})
-	if err != nil {
-		return err
-	}
-	s.met.CompactionDuration.ObserveDuration(time.Since(start))
-	s.cfg.Log.Info("compaction finished", "graph", e.Name(),
-		"wall", time.Since(start), "gen", lg.Stats().Gen)
-	// Compaction preserves the graph, so memoized results stay valid.
-	writeJSON(w, http.StatusOK, map[string]any{
-		"graph": e.Name(),
-		"stats": liveStatsJSON(lg.Stats()),
-	})
-	return nil
-}
-
-// liveStatsJSON shapes pdtl.LiveStats for the JSON API.
-func liveStatsJSON(st pdtl.LiveStats) map[string]any {
-	return map[string]any{
-		"gen":           st.Gen,
-		"num_vertices":  st.NumVertices,
-		"num_edges":     st.NumEdges,
-		"active_edges":  st.ActiveEdges,
-		"frozen_edges":  st.FrozenEdges,
-		"delta_edges":   st.DeltaEdges,
-		"batches":       st.Batches,
-		"edges_applied": st.EdgesApplied,
-		"compactions":   st.Compactions,
-		"compacting":    st.Compacting,
-	}
 }
 
 // --- request plumbing ---
@@ -844,16 +690,12 @@ func (s *Server) api(h func(http.ResponseWriter, *http.Request) error) http.Hand
 // names and ctx the request's run context.
 type graphHandler func(ctx context.Context, w http.ResponseWriter, r *http.Request, e *Entry) error
 
-// graph wraps a graph-scoped route: on top of api it looks the graph up,
-// refuses the graphs rule does not serve, and derives the request's run
-// context (requestCtx) for h.
-func (s *Server) graph(rule liveRule, h graphHandler) http.HandlerFunc {
+// graph wraps a graph-scoped route: on top of api it looks the graph up and
+// derives the request's run context (requestCtx) for h.
+func (s *Server) graph(h graphHandler) http.HandlerFunc {
 	return s.api(func(w http.ResponseWriter, r *http.Request) error {
 		e, err := s.reg.Get(r.PathValue("name"))
 		if err != nil {
-			return err
-		}
-		if err := rule(e); err != nil {
 			return err
 		}
 		ctx, cleanup, err := s.requestCtx(r)
@@ -863,31 +705,6 @@ func (s *Server) graph(rule liveRule, h graphHandler) http.HandlerFunc {
 		defer cleanup()
 		return h(ctx, w, r, e)
 	})
-}
-
-// A liveRule refuses, with a 400, the graphs a route does not serve.
-type liveRule func(*Entry) error
-
-// anyGraph serves static and live graphs alike.
-func anyGraph(*Entry) error { return nil }
-
-// liveOnly serves live graphs only: the mutation routes.
-func liveOnly(e *Entry) error {
-	if e.Live() == nil {
-		return badf("service: graph %q is not live (register it with \"live\": true or run the server with -live)", e.Name())
-	}
-	return nil
-}
-
-// staticOnly serves static graphs only; what names the feature a live
-// graph lacks ("triangle listing is").
-func staticOnly(what string) liveRule {
-	return func(e *Entry) error {
-		if e.Live() != nil {
-			return badf("service: %s not supported on live graphs (compact first)", what)
-		}
-		return nil
-	}
 }
 
 // badRequest marks an error as the request's own fault: a malformed body
@@ -1014,18 +831,6 @@ func (s *Server) account(e *Entry, kind, key string, val any) {
 	s.cfg.Log.Info("run finished", attrs...)
 }
 
-// withSlot runs fn holding an admission slot: the work that is never
-// memoized (streams, mutation batches, compactions) queues for the same
-// slots engine runs do.
-func (s *Server) withSlot(ctx context.Context, fn func() error) error {
-	release, err := acquireTimed(ctx, s.adm, s.met)
-	if err != nil {
-		return err
-	}
-	defer release()
-	return fn()
-}
-
 // decodeBody decodes r's JSON body, at most limit bytes, into v; what names
 // the body in the 400 a malformed one gets.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) error {
@@ -1138,7 +943,7 @@ func (s *Server) isDraining() bool {
 // graphStatus renders one registry entry for the JSON API.
 func graphStatus(e *Entry) map[string]any {
 	g := e.Graph()
-	st := map[string]any{
+	return map[string]any{
 		"name":           e.Name(),
 		"base":           e.Base(),
 		"gen":            e.Gen(),
@@ -1147,13 +952,6 @@ func graphStatus(e *Entry) map[string]any {
 		"oriented_base":  g.OrientedBase(),
 		"info":           g.Info(),
 	}
-	if lg := e.Live(); lg != nil {
-		ls := lg.Stats()
-		st["live"] = true
-		st["mut_gen"] = ls.Batches
-		st["live_stats"] = liveStatsJSON(ls)
-	}
-	return st
 }
 
 // statusFor maps service and engine errors onto HTTP statuses.

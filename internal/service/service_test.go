@@ -598,8 +598,6 @@ func TestServerGraphRoutesShared(t *testing.T) {
 		{http.MethodGet, "/triangles", ""},
 		{http.MethodGet, "/degrees", ""},
 		{http.MethodPost, "/estimate", `{}`},
-		{http.MethodPost, "/edges", `{"insert":[[1,2]]}`},
-		{http.MethodPost, "/compact", ""},
 	}
 	do := func(method, url, body string) (*http.Response, map[string]any) {
 		t.Helper()
@@ -810,5 +808,55 @@ func TestServerRefusesStealingBuffered(t *testing.T) {
 	}
 	if runs, cached := e.Graph().Runs(), e.CachedResults(); runs != 0 || cached != 0 {
 		t.Errorf("the refused request ran %d times and cached %d results", runs, cached)
+	}
+}
+
+// TestServerRefusesLiveGraphs: live graphs were removed. A registration
+// asking for one is refused with a 400 that says so, and registers nothing;
+// the mutation and compaction routes reach no handler; and /metrics has no
+// mutation, compaction or live series left.
+func TestServerRefusesLiveGraphs(t *testing.T) {
+	base := genStore(t, 7, 23)
+	svc := New(Config{})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	client := ts.Client()
+	reply := postJSON(t, client, ts.URL+"/v1/graphs",
+		map[string]any{"name": "g", "base": base, "live": true}, http.StatusBadRequest)
+	if msg, _ := reply["error"].(string); !strings.Contains(msg, "live graphs were removed") {
+		t.Errorf("error = %q, want one naming the removal", msg)
+	}
+	if n := svc.Registry().Len(); n != 0 {
+		t.Fatalf("the refused registration left %d graphs", n)
+	}
+	postJSON(t, client, ts.URL+"/v1/graphs",
+		map[string]any{"name": "g", "base": base, "live": false}, http.StatusCreated)
+
+	for _, path := range []string{"/edges", "/compact"} {
+		resp, err := client.Post(ts.URL+"/v1/graphs/g"+path, "application/json",
+			strings.NewReader(`{"insert":[[1,2]]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("POST /v1/graphs/g%s = %d, want 404 or 405", path, resp.StatusCode)
+		}
+	}
+
+	resp, err := client.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{"pdtl_mutation_", "pdtl_edges_applied", "pdtl_compaction_", "pdtl_live_"} {
+		if strings.Contains(string(body), gone) {
+			t.Errorf("/metrics still has a %s series", gone)
+		}
 	}
 }

@@ -23,6 +23,9 @@
 //   - Generate* / Import* — dataset creation and ingest into the binary
 //     store format (degree file + adjacency file + JSON metadata).
 //
+// A store is immutable: a graph that changes is written as a new store
+// (WriteGraph or an import) and opened as a new handle.
+//
 // For a resident, multi-tenant deployment, internal/service wraps a
 // registry of these handles behind an HTTP/JSON API with admission
 // control, result memoization (keyed by Options.Key), and per-graph
@@ -157,9 +160,6 @@ type Result struct {
 	// SourceBytesRead is the disk volume that is no worker's own: the loads
 	// of the windows the workers share.
 	SourceBytesRead int64
-	// Batches is, for a LiveGraph count, how many mutation batches the
-	// counted view holds; zero for an immutable graph.
-	Batches uint64
 }
 
 // ReadTriangleFile decodes a List output file.
@@ -173,7 +173,7 @@ func ReadTriangleFile(path string) ([][3]uint32, error) {
 }
 
 // resultFrom folds the engine's result into the public one: what every
-// local run reports, static or live.
+// local run reports.
 func resultFrom(cres *core.Result) *Result {
 	res := &Result{
 		Triangles:       cres.Triangles,

@@ -210,8 +210,7 @@ func roundsTile(t *testing.T, spans []obs.Span, edges int64) {
 // orient/plan/calc beneath it, one chunk span per runner and one scan.round
 // span per window under calc, the windows tiling the store in as many
 // rounds as the plan span says, and the runners dealt, between them, exactly
-// the blocks the rounds deal: a round walks its blocks once. A live count of
-// the same store has the same count → plan/calc → chunk tree.
+// the blocks the rounds deal: a round walks its blocks once.
 func TestLocalTraceShape(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "rmat")
 	if _, err := GenerateRMAT(base, 10, 12, 5); err != nil {
@@ -266,27 +265,12 @@ func TestLocalTraceShape(t *testing.T) {
 	if chunkBlocks != roundBlocks || roundBlocks == 0 {
 		t.Errorf("the runners were dealt %d blocks, the rounds deal %d", chunkBlocks, roundBlocks)
 	}
-	phaseTree(t, "static", tr)
-
-	// A live count plans and calculates as a static one does: the same
-	// count span over plan and calc.
-	lg, err := g.Live(context.Background(), LiveOptions{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lg.Close()
-	tr = obs.NewTrace(0)
-	ctx = obs.ContextWithCursor(context.Background(),
-		obs.Cursor{T: tr, Span: obs.NoSpan, Worker: -1})
-	if _, err := lg.Count(ctx, Options{Workers: 2, MemEdges: 512}); err != nil {
-		t.Fatal(err)
-	}
-	phaseTree(t, "live", tr)
+	phaseTree(t, tr)
 }
 
 // phaseTree checks a local run's trace: one root count span, plan and calc
 // spans under it, and every chunk span beneath calc.
-func phaseTree(t *testing.T, what string, tr *obs.Trace) {
+func phaseTree(t *testing.T, tr *obs.Trace) {
 	t.Helper()
 	spans := tr.Spans()
 	under := func(id obs.SpanID, name string) bool {
@@ -303,19 +287,19 @@ func phaseTree(t *testing.T, what string, tr *obs.Trace) {
 		switch sp.Name {
 		case obs.SpanCount:
 			if sp.Parent != obs.NoSpan {
-				t.Errorf("%s: the count span is not the root", what)
+				t.Error("the count span is not the root")
 			}
 		case obs.SpanPlan, obs.SpanCalc:
 			if !under(obs.SpanID(i), obs.SpanCount) {
-				t.Errorf("%s: a %s span is not under count", what, sp.Name)
+				t.Errorf("a %s span is not under count", sp.Name)
 			}
 		case obs.SpanChunk:
 			if !under(obs.SpanID(i), obs.SpanCalc) {
-				t.Errorf("%s: chunk span %d is not under calc", what, i)
+				t.Errorf("chunk span %d is not under calc", i)
 			}
 		}
 	}
 	if names[obs.SpanCount] != 1 || names[obs.SpanPlan] != 1 || names[obs.SpanCalc] != 1 || names[obs.SpanChunk] == 0 {
-		t.Errorf("%s: spans %v; want one count, plan and calc, and chunks", what, names)
+		t.Errorf("spans %v; want one count, plan and calc, and chunks", names)
 	}
 }
